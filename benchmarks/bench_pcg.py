@@ -110,7 +110,7 @@ def _dense_precond_iterations() -> dict:
                         precondition=precond, combine=numpy_combine,
                         iterations=200, tol=1e-10)
         assert res.converged, name
-        counts[name] = res.iterations
+        counts[name] = int(res.iterations[0])
     return counts
 
 

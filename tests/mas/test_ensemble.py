@@ -19,11 +19,11 @@ from repro.codes import CodeVersion, runtime_config_for
 from repro.mas.constants import PhysicsParams
 from repro.mas.model import MasModel, ModelConfig
 from repro.mas.pcg import (
-    PcgBatchResult,
     numpy_dot_batched,
     numpy_dot_many_batched,
     pcg_solve,
-    pcg_solve_batched,
+    pcg_solve_ca,
+    pcg_solve_pipelined,
 )
 from repro.mas.state import ALL_FIELDS, EnsembleState
 
@@ -127,6 +127,40 @@ class TestScalarPathUnchanged:
             for name in ALL_FIELDS:
                 assert np.array_equal(sa.get(name), sb.get(name)), name
 
+    def test_member_telemetry_only_when_batched(self, tmp_path):
+        """A scalar run's PCG telemetry has the families and log keys it had
+        before solves carried a member axis; a batch adds per-member ones."""
+        import json
+
+        from repro.obs.telemetry import session
+
+        scalar_keys = {"event", "iterations", "residual_norm", "converged",
+                       "breakdown", "variant", "allreduce_calls"}
+        scalar_families = {
+            "pcg_solves_total", "pcg_iterations_total", "pcg_residual_norm",
+            "pcg_variant_solves_total", "pcg_allreduce_calls_total",
+        }
+        seen = {}
+        for members in (1, 3):
+            with session(tmp_path / f"b{members}") as tel:
+                _run(_config(members), CodeVersion.A)
+                families = {
+                    name for name in json.loads(tel.metrics.to_json_text())
+                    if name.startswith("pcg_")
+                }
+                records = tel.logger.by_event("pcg_solve")
+            assert records
+            seen[members] = (families, {k for r in records for k in r})
+        assert seen[1] == (scalar_families, scalar_keys)
+        assert seen[3][0] - scalar_families == {
+            "pcg_member_iterations_total", "pcg_member_converged_total",
+            "pcg_member_breakdown_total",
+        }
+        assert seen[3][1] - scalar_keys == {
+            "ensemble_members", "member_iterations", "member_residual_norm",
+            "member_converged", "member_breakdown",
+        }
+
 
 class TestBatchAmortization:
     def test_launch_and_message_counts_independent_of_members(self):
@@ -160,7 +194,8 @@ class TestBatchAmortization:
 
 
 class TestRhoBreakdownMember:
-    """A member whose rho collapses mid-solve freezes; the rest continue."""
+    """Member b of a batch == the same system solved alone, whichever way
+    and whenever it stops; the rest of the batch keeps iterating."""
 
     @staticmethod
     def _system(members: int, n: int = 12):
@@ -175,70 +210,66 @@ class TestRhoBreakdownMember:
 
     def test_member_freezes_where_serial_would_return(self):
         diag, rhs, apply_a = self._system(2)
-        calls = {"n": 0}
 
-        def precondition(r):
-            # First application (solve setup) is honest; afterwards member 1
-            # returns an exact zero z, forcing rho = r.z = 0 with a nonzero
-            # residual -- the rho-breakdown exit.
-            z = [r[0].copy()]
-            if calls["n"] > 0:
-                z[0][1] = 0.0
-            calls["n"] += 1
-            return z
+        def negated(rows):
+            # The first application (solve set-up) is honest; afterwards the
+            # given rows of z change sign, which drives that member's next
+            # rho = (r, z) negative -- the rho-breakdown exit in every
+            # variant (pipelined sees it one reduction later).
+            calls = {"n": 0}
 
+            def precondition(r):
+                z = [r[0].copy()]
+                if calls["n"] > 0:
+                    z[0][rows] *= -1.0
+                calls["n"] += 1
+                return z
+
+            return precondition
+
+        # one name for all three variants: the suite's ids are cut at 100
+        # characters, which a [variant] suffix here would exceed
+        for variant in VARIANTS:
+            x = [np.zeros_like(rhs)]
+            result = _solve(variant, apply_a, rhs, x, negated(1), iterations=6)
+            assert list(result.breakdown) == [False, True], variant
+            assert list(result.iterations) == [6, 1], variant
+
+            # member 1 froze exactly where its lone solve returns
+            xs = [np.zeros_like(rhs[1])]
+            lone = _solve(variant, apply_a, rhs[1], xs, negated(...),
+                          iterations=6)
+            assert lone.breakdown.tolist() == [True], variant
+            assert lone.iterations[0] == result.iterations[1], variant
+            assert np.array_equal(x[0][1], xs[0]), variant
+
+            # member 0 is untouched by its neighbour's breakdown
+            x0 = [np.zeros_like(rhs[0])]
+            lone0 = _solve(variant, apply_a, rhs[0], x0,
+                           lambda r: [r[0].copy()], iterations=6)
+            assert not lone0.breakdown.any(), variant
+            assert np.array_equal(x[0][0], x0[0]), variant
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_tolerance_exit_matches_lone_solve(self, variant):
+        """Members reach ``tol`` at different iterations; each stops with
+        the bits, count and flags of its lone solve."""
+        diag, rhs, apply_a = self._system(3)
+        rhs[0, 2:] = 0.0   # two eigencomponents: converges in two iterations
+        rhs[1, 5:] = 0.0
         x = [np.zeros_like(rhs)]
-        result = pcg_solve_batched(
-            apply_a, [rhs.copy()], x, dot=numpy_dot_batched,
-            precondition=precondition, combine=_combine_batched,
-            iterations=6,
-        )
-        assert isinstance(result, PcgBatchResult)
-        assert list(result.breakdown) == [False, True]
-        assert result.iterations[0] == 6
-        assert result.iterations[1] == 1
-
-        # member 1 froze exactly where its serial solve would have returned
-        scalls = {"n": 0}
-
-        def serial_precondition(r):
-            z = [r[0].copy()]
-            if scalls["n"] > 0:
-                z[0][:] = 0.0
-            scalls["n"] += 1
-            return z
-
-        xs = [np.zeros_like(rhs[1])]
-        sres = pcg_solve(
-            apply_a, [rhs[1].copy()], xs, dot=_numpy_dot_serial,
-            precondition=serial_precondition, combine=_combine_serial,
-            iterations=6,
-        )
-        assert sres.breakdown
-        assert np.array_equal(x[0][1], xs[0])
-
-        # member 0 is untouched by its neighbour's breakdown
-        x0 = [np.zeros_like(rhs[0])]
-        res0 = pcg_solve(
-            apply_a, [rhs[0].copy()], x0, dot=_numpy_dot_serial,
-            precondition=lambda r: [r[0].copy()], combine=_combine_serial,
-            iterations=6,
-        )
-        assert not res0.breakdown
-        assert np.allclose(x[0][0], x0[0], atol=1e-12)
-
-    def test_member_view_of_batch_result(self):
-        diag, rhs, apply_a = self._system(2)
-        x = [np.zeros_like(rhs)]
-        result = pcg_solve_batched(
-            apply_a, [rhs.copy()], x, dot=numpy_dot_batched,
-            precondition=lambda r: [r[0].copy()], combine=_combine_batched,
-            iterations=4,
-        )
-        assert result.members == 2
-        one = result.member(1)
-        assert one.iterations == result.iterations[1]
-        assert one.variant == "classic"
+        result = _solve(variant, apply_a, rhs, x, lambda r: [r[0].copy()],
+                        iterations=40, tol=1e-10)
+        assert result.converged.all() and not result.breakdown.any()
+        assert len(set(result.iterations.tolist())) == 3
+        for b in range(3):
+            xs = [np.zeros_like(rhs[b])]
+            lone = _solve(variant, apply_a, rhs[b], xs,
+                          lambda r: [r[0].copy()], iterations=40, tol=1e-10)
+            assert lone.converged.tolist() == [True]
+            assert lone.iterations[0] == result.iterations[b], b
+            assert lone.residual_norm[0] == result.residual_norm[b], b
+            assert np.array_equal(x[0][b], xs[0]), b
 
     def test_breakdown_member_freezes_in_model_run(self):
         # viscosity 0 makes that member's implicit solve trivially converged
@@ -253,18 +284,31 @@ class TestRhoBreakdownMember:
         assert not report[1]["pcg_breakdown"]
 
 
-def _combine_batched(y, alpha, z, roles=None):
+def _combine(y, alpha, z, roles=None):
     for yi, zi in zip(y, z):
         yi += alpha * zi
 
 
-_combine_serial = _combine_batched
-
-
 def _numpy_dot_serial(a, b) -> float:
     # same reduction tree as numpy_dot_batched's per-member row sum, so the
-    # serial reference reproduces the batched alpha/beta bits
+    # lone solve reproduces the batch's alpha/beta bits
     return float(sum((x * y).sum() for x, y in zip(a, b)))
+
+
+def _solve(variant, apply_a, rhs, x, precondition, **kw):
+    """One solve of ``rhs`` (one system if 1-D, a batch if 2-D) into ``x``."""
+    batch = rhs.ndim == 2
+    common = dict(precondition=precondition, combine=_combine, **kw)
+    if variant == "classic":
+        dot = numpy_dot_batched if batch else _numpy_dot_serial
+        return pcg_solve(apply_a, [rhs.copy()], x, dot=dot, **common)
+    solver = pcg_solve_ca if variant == "ca" else pcg_solve_pipelined
+    if batch:
+        dot_many = numpy_dot_many_batched
+    else:
+        def dot_many(pairs):
+            return tuple(_numpy_dot_serial(a, b) for a, b in pairs)
+    return solver(apply_a, [rhs.copy()], x, dot_many=dot_many, **common)
 
 
 class TestEnsembleState:

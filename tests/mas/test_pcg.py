@@ -41,6 +41,30 @@ def spd_matrix(n, seed):
     return m @ m.T + n * np.eye(n)
 
 
+def textbook_pcg(a_mat, b, inv_diag, iterations, tol):
+    """Independent reference: Jacobi-preconditioned CG as in any textbook,
+    one system, no masking, no telemetry. Returns (x, iterations run)."""
+    x = np.zeros_like(b)
+    r = b - a_mat @ x
+    z = r * inv_diag
+    p = z.copy()
+    rz = float(np.vdot(r, z))
+    b_norm = np.sqrt(max(float(np.vdot(b, b)), 1e-300))
+    for it in range(1, iterations + 1):
+        ap = a_mat @ p
+        alpha = rz / float(np.vdot(p, ap))
+        x += alpha * p
+        r -= alpha * ap
+        if np.sqrt(max(float(np.vdot(r, r)), 0.0)) / b_norm < tol:
+            break
+        z = r * inv_diag
+        rz_new = float(np.vdot(r, z))
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+    return x, it
+
+
 class TestPcgSolve:
     def test_solves_spd_system(self):
         a = spd_matrix(20, 0)
@@ -97,6 +121,18 @@ class TestPcgSolve:
         x, res = solve_dense(a, b, iterations=4 * n, tol=1e-11)
         assert res.converged
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-8
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(4, 24))
+    def test_property_single_system_matches_textbook_bitwise(self, seed, n):
+        """B = 1 is the degenerate case of the member-axis solver: on one
+        system it is textbook PCG to the last bit."""
+        a = spd_matrix(n, seed)
+        b = np.random.default_rng(seed + 1).standard_normal(n)
+        x_ref, its_ref = textbook_pcg(a, b, 1.0 / np.diag(a), 4 * n, 1e-11)
+        x, res = solve_dense(a, b, iterations=4 * n, tol=1e-11)
+        assert np.array_equal(x, x_ref)
+        assert res.iterations.tolist() == [its_ref]
 
     def test_multi_rank_arrays(self):
         """PCG over a rank-partitioned diagonal system."""

@@ -12,6 +12,7 @@ from repro.mas.pcg import (
     jacobi_spectral_bounds,
     numpy_combine,
     numpy_dot,
+    numpy_dot_batched,
     numpy_dot_many,
     pcg_solve,
     pcg_solve_ca,
@@ -178,6 +179,44 @@ class TestBreakdownGuard:
                                    tol=0.0)
             assert res.iterations == 30, variant
             assert not res.breakdown, variant
+        # Tiny systems polished far past convergence drive the CA alpha to
+        # exactly 0.0, which the next step-size update must not divide by.
+        for n, seed in ((2, 2), (3, 3)):
+            for variant in ("classic", "ca", "pipelined"):
+                _, res = solve_variant(
+                    variant, spd_matrix(n, seed), np.ones(n), iterations=60,
+                    tol=0.0, precondition=lambda r: [ri.copy() for ri in r],
+                )
+                assert res.iterations == 60, (variant, n)
+                assert not res.breakdown, (variant, n)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_all_members_broken_returns_before_p_update(self, members):
+        """When the rho check leaves no member active, classic returns
+        without the p = z + beta p kernels, for one system or a batch whose
+        members all break at the same iteration."""
+        a = spd_matrix(10, 2)
+        shape = (10,) if members == 1 else (members, 10)
+        calls = {"precondition": 0, "combine": 0}
+
+        def precondition(r):
+            calls["precondition"] += 1
+            if calls["precondition"] > 1:  # honest at set-up, zero afterwards
+                return [np.zeros_like(ri) for ri in r]
+            return [ri.copy() for ri in r]
+
+        def combine(y, alpha, z, roles=None):
+            calls["combine"] += 1
+            numpy_combine(y, alpha, z)
+
+        res = pcg_solve(
+            lambda v: [v[0] @ a], [np.ones(shape)], [np.zeros(shape)],
+            dot=numpy_dot if members == 1 else numpy_dot_batched,
+            precondition=precondition, combine=combine, iterations=20,
+        )
+        assert res.breakdown.all() and res.breakdown.shape == (members,)
+        assert list(res.iterations) == [1] * members
+        assert calls == {"precondition": 2, "combine": 0}
 
 
 class TestChebyshevPreconditioner:
