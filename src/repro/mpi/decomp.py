@@ -114,6 +114,19 @@ class Decomposition3D:
         for n, p in zip(self.global_shape, self.dims):
             if n < p:
                 raise ValueError(f"extent {n} cannot host {p} ranks")
+        # Halo exchanges ask for the same neighbours on every message; the
+        # answer is fixed by the fields above: [rank][axis][low, high].
+        object.__setattr__(
+            self,
+            "_neighbor_table",
+            tuple(
+                tuple(
+                    tuple(self._find_neighbor(rank, axis, d) for d in (-1, 1))
+                    for axis in range(3)
+                )
+                for rank in range(self.nranks)
+            ),
+        )
 
     # -- rank <-> coords ----------------------------------------------------
 
@@ -162,6 +175,11 @@ class Decomposition3D:
             raise ValueError("axis must be 0, 1 or 2")
         if direction not in (-1, 1):
             raise ValueError("direction must be -1 or +1")
+        if not 0 <= rank < self.nranks:
+            raise IndexError(f"rank {rank} out of range")
+        return self._neighbor_table[rank][axis][direction > 0]
+
+    def _find_neighbor(self, rank: int, axis: int, direction: int) -> int | None:
         c = list(self.coords(rank))
         c[axis] += direction
         if not 0 <= c[axis] < self.dims[axis]:

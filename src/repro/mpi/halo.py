@@ -28,6 +28,7 @@ independent work the cross-region fusion window can collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,22 @@ class HaloSpec:
 #: One field participating in an exchange: (name, per-rank arrays,
 #: stagger axis or None).
 FieldItem = tuple[str, list[np.ndarray], "int | None"]
+
+_PACK_TAGS = frozenset({"mpi_pack"})
+
+
+class _FaceNames(NamedTuple):
+    """Every name one (field, axis, direction) face uses, built once."""
+
+    send: str    # staging buffer the face is packed into
+    recv: str    # staging buffer this face's ghosts are unpacked from
+    pack: str    # pack kernel
+    unpack: str  # unpack kernel
+    #: The unpack's write token, qualified to this direction's ghost shell
+    #: ("rho@g2m"): the two directions' unpacks touch disjoint storage, so
+    #: the fusion window may run them as one launch while readers of the
+    #: bare field still order correctly.
+    ghost: str
 
 
 #: Monotonic exchange id shared by an overlapped exchange's begin/finish
@@ -179,6 +196,7 @@ class HaloExchanger:
             raise ValueError("rank_nodes must list one node per rank")
         self.rank_nodes = rank_nodes
         self._registered_fields: set[str] = set()
+        self._names: dict[tuple[str, int, int], _FaceNames] = {}
         #: Message counters for tests/benches.
         self.messages = 0
         self.bytes_sent = 0
@@ -187,8 +205,19 @@ class HaloExchanger:
 
     # -- buffer management -----------------------------------------------------
 
-    def _buf_name(self, field_name: str, axis: int, direction: int, kind: str) -> str:
-        return f"_halo_{kind}_{field_name}_{axis}_{'m' if direction < 0 else 'p'}"
+    def _face_names(self, field_name: str, axis: int, direction: int) -> _FaceNames:
+        key = (field_name, axis, direction)
+        names = self._names.get(key)
+        if names is None:
+            side = "m" if direction < 0 else "p"
+            names = self._names[key] = _FaceNames(
+                send=f"_halo_send_{field_name}_{axis}_{side}",
+                recv=f"_halo_recv_{field_name}_{axis}_{side}",
+                pack=f"halo_pack_{field_name}_{axis}{side}",
+                unpack=f"halo_unpack_{field_name}_{axis}{side}",
+                ghost=f"{field_name}@g{axis}{side}",
+            )
+        return names
 
     def ensure_buffers(self, field_names: tuple[str, ...], depth: int = 1) -> None:
         """Register per-field send/recv staging buffers in every rank's
@@ -203,8 +232,8 @@ class HaloExchanger:
                         self.nominal.face_cells(rank, axis) * depth * self.element_bytes
                     )
                     for direction in (-1, 1):
-                        for kind in ("send", "recv"):
-                            name = self._buf_name(field_name, axis, direction, kind)
+                        names = self._face_names(field_name, axis, direction)
+                        for name in (names.send, names.recv):
                             if name not in rt.env:
                                 rt.register_array(name, nominal_face)
         self._registered_fields.update(missing)
@@ -474,7 +503,7 @@ class HaloExchanger:
                         KernelSpec(
                             name=f"halo_buffer_init_{field_name}",
                             bytes_override=self.buffer_init_fraction * nb,
-                            tags=frozenset({"mpi_pack"}),
+                            tags=_PACK_TAGS,
                         )
                     )
         for axis in spec.axes:
@@ -494,21 +523,20 @@ class HaloExchanger:
                     face = a[
                         _interior_face(a, axis, direction, g, staggered=staggered)
                     ]
-                    buf_name = self._buf_name(field_name, axis, direction, "send")
-                    nominal_bytes = rt.env.nominal_bytes(buf_name)
+                    names = self._face_names(field_name, axis, direction)
+                    nominal_bytes = rt.env.nominal_bytes(names.send)
 
                     def pack(face=face) -> np.ndarray:
                         return np.ascontiguousarray(face)
 
                     result = rt.loop(
                         KernelSpec(
-                            name=f"halo_pack_{field_name}_{axis}"
-                            f"{'m' if direction < 0 else 'p'}",
+                            name=names.pack,
                             reads=(field_name,) if field_name in rt.env else (),
-                            writes=(buf_name,),
+                            writes=(names.send,),
                             bytes_override=2 * nominal_bytes * self.pack_inefficiency,
                             body=pack,
-                            tags=frozenset({"mpi_pack"}),
+                            tags=_PACK_TAGS,
                         )
                     )
                     packed[(field_name, rank, direction)] = result
@@ -536,8 +564,8 @@ class HaloExchanger:
                     if nb is None:
                         continue
                     buf = packed[(field_name, rank, direction)]
-                    send_name = self._buf_name(field_name, axis, direction, "send")
-                    recv_name = self._buf_name(field_name, axis, -direction, "recv")
+                    send_name = self._face_names(field_name, axis, direction).send
+                    recv_name = self._face_names(field_name, axis, -direction).recv
                     nbytes = rt.env.nominal_bytes(send_name)
                     nb_rt = self.ranks[nb]
                     for c in self.transport.send_charges(rt.env, send_name, nbytes):
@@ -584,27 +612,20 @@ class HaloExchanger:
             rt = self.ranks[rank]
             a = locals_by_field[field_name][rank]
             ghost = _ghost_face(a, axis, direction, g)
-            recv_name = self._buf_name(field_name, axis, direction, "recv")
-            nominal_bytes = rt.env.nominal_bytes(recv_name)
+            names = self._face_names(field_name, axis, direction)
+            nominal_bytes = rt.env.nominal_bytes(names.recv)
 
             def unpack(a=a, ghost=ghost, buf=buf) -> None:
                 a[ghost] = buf
 
-            # The write is qualified to this direction's ghost shell
-            # ("rho@g2m"): the two directions' unpacks touch disjoint
-            # storage, so the fusion window may run them as one launch
-            # while readers of the bare field still order correctly.
-            side = "m" if direction < 0 else "p"
             rt.loop(
                 KernelSpec(
-                    name=f"halo_unpack_{field_name}_{axis}{side}",
-                    reads=(recv_name,),
-                    writes=(f"{field_name}@g{axis}{side}",)
-                    if field_name in rt.env
-                    else (),
+                    name=names.unpack,
+                    reads=(names.recv,),
+                    writes=(names.ghost,) if field_name in rt.env else (),
                     bytes_override=2 * nominal_bytes * self.pack_inefficiency,
                     body=unpack,
-                    tags=frozenset({"mpi_pack"}),
+                    tags=_PACK_TAGS,
                 )
             )
         self._barrier()

@@ -195,7 +195,7 @@ class UnifiedMemoryTransport(Transport):
         self._observe_staging(nbytes, "recv")
         # MPI writes the receive buffer on the host; pages (if device
         # resident) must migrate out first, and will fault back in at the
-        # next unpack kernel -- that fault is charged by prepare_kernel.
+        # next unpack kernel -- that fault is charged when the kernel launches.
         return [
             Charge(c.seconds, TimeCategory.MPI_TRANSFER, c.label)
             for c in env.host_access(buffer_name, int(nbytes * self.page_amplification))

@@ -86,6 +86,12 @@ class DataEnvironment:
             self.um = None
         self._arrays: dict[str, LogicalArray] = {}
         self._present: set[str] = set()
+        #: Bumped by ``register``/``unregister``/``enter_data``/``exit_data``:
+        #: everything a launch's price reads from this environment (nominal
+        #: sizes, device presence) is unchanged while the epoch is.
+        self.epoch = 0
+        #: Running sum of registered nominal bytes (the rank's working set).
+        self.total_nominal_bytes = 0
 
     # -- registration -----------------------------------------------------
 
@@ -95,6 +101,8 @@ class DataEnvironment:
             raise ValueError(f"array {name!r} already registered")
         arr = LogicalArray(name, int(nominal_bytes), data)
         self._arrays[name] = arr
+        self.total_nominal_bytes += arr.nominal_bytes
+        self.epoch += 1
         if self.mode is DataMode.UNIFIED:
             assert self.um is not None
             self.um.register(name, residency=Residency.HOST)
@@ -105,7 +113,8 @@ class DataEnvironment:
 
     def unregister(self, name: str) -> None:
         """Remove a logical array (and its device residency)."""
-        self._arrays.pop(name)
+        self.total_nominal_bytes -= self._arrays.pop(name).nominal_bytes
+        self.epoch += 1
         if self.mode is DataMode.UNIFIED:
             assert self.um is not None
             self.um.unregister(name)
@@ -144,6 +153,7 @@ class DataEnvironment:
             raise AllocationError(f"array {name!r} already present on device")
         self.device_memory.allocate(name, arr.nominal_bytes)
         self._present.add(name)
+        self.epoch += 1
         return [
             Charge(
                 self.host_link.transfer_time(arr.nominal_bytes),
@@ -161,6 +171,7 @@ class DataEnvironment:
             raise AllocationError(f"array {name!r} not present on device")
         self.device_memory.deallocate(name)
         self._present.discard(name)
+        self.epoch += 1
         if copyout:
             return [
                 Charge(
@@ -200,28 +211,40 @@ class DataEnvironment:
 
     # -- kernel / host access semantics ------------------------------------
 
-    def prepare_kernel(self, spec: KernelSpec) -> list[Charge]:
-        """Residency cost of launching ``spec`` on the device.
+    def kernel_touches(self, spec: KernelSpec) -> tuple[tuple[str, int], ...]:
+        """The ``(array, bytes)`` device touches a launch of ``spec`` makes.
 
+        Pure while :attr:`epoch` stands still, so engines price it once.
         MANUAL: every touched array must be present (``default(present)``
         semantics, SIV-C) -- missing arrays are a programming error, exactly
-        the failure mode the paper keeps ``default(present)`` to catch.
-        UNIFIED: host-resident pages fault in over PCIe.
-        CPU: free.
+        the failure mode the paper keeps ``default(present)`` to catch; no
+        touch costs anything. UNIFIED: each array is touched through the
+        paging engine on every launch. CPU: nothing.
         """
         if self.mode is DataMode.CPU:
-            return []
+            return ()
         if self.mode is DataMode.MANUAL:
             missing = [a for a in spec.arrays if a not in self._present]
             if missing:
                 raise AllocationError(
                     f"kernel {spec.name!r} touched arrays not present on device: {missing}"
                 )
+            return ()
+        return tuple(
+            (name, int(self.array(name).nominal_bytes * spec.work_fraction))
+            for name in spec.arrays
+        )
+
+    def prepare_kernel(self, spec: KernelSpec) -> list[Charge]:
+        """Residency cost of launching ``spec`` on the device: checks
+        presence (MANUAL) or faults host-resident pages in over PCIe
+        (UNIFIED), per :meth:`kernel_touches`."""
+        touches = self.kernel_touches(spec)
+        if not touches:
             return []
         assert self.um is not None
         charges: list[Charge] = []
-        for name in spec.arrays:
-            nbytes = int(self.array(name).nominal_bytes * spec.work_fraction)
+        for name, nbytes in touches:
             dt = self.um.touch_device(name, nbytes)
             if dt > 0:
                 charges.append(Charge(dt, TimeCategory.UM_FAULT, f"fault_in({name})"))

@@ -29,12 +29,14 @@ from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.doconcurrent import DoConcurrentEngine
 from repro.runtime.fusion import FusionGroup, FusionPlanner, plan_fusion_window, validate_plan
 from repro.runtime.kernel import KernelSpec, LoopCategory
-from repro.runtime.openacc import LaunchStats, OpenAccEngine, observe_kernel
+from repro.runtime.openacc import LaunchStats, OpenAccEngine
+from repro.runtime.pricing import PricedLaunch, PriceMemo, priced_launch, touch_and_observe
 from repro.runtime.stream import AsyncQueue
 
 
 def _cost_only(spec: KernelSpec) -> KernelSpec:
-    """Strip the body so engines account cost without re-running numerics."""
+    """Strip the body of a spec the planner or the window buffers, so a
+    buffered launch holds none of the arrays its body captured."""
     if spec.body is None:
         return spec
     return KernelSpec(
@@ -91,6 +93,7 @@ class RankRuntime:
             self.gpu = gpu
             self.env = env
         self._working_set = 0.0
+        self._cpu_memo = PriceMemo()
         self._acc: OpenAccEngine | None = None
         self._dc: DoConcurrentEngine | None = None
         if self.gpu is not None:
@@ -169,12 +172,8 @@ class RankRuntime:
         if self.env.mode is DataMode.MANUAL:
             for c in self.env.enter_data(name):
                 self.clock.advance(c.seconds, c.category, c.label)
-        self._refresh_working_set()
-
-    def _refresh_working_set(self) -> None:
-        self._working_set = float(
-            sum(self.env.nominal_bytes(n) for n in self.env.names())
-        )
+        # an exact integer total, so the float is the one a full re-sum gives
+        self._working_set = float(self.env.total_nominal_bytes)
         if self._acc is not None:
             self._acc.working_set_bytes = self._working_set
         if self._dc is not None:
@@ -197,6 +196,17 @@ class RankRuntime:
             total.merge(self._dc.stats)
         total.merge(self._cpu_stats)
         return total
+
+    @property
+    def priced_kernels(self) -> int:
+        """Distinct kernels whose price is currently held: bounded by the
+        model's kernel vocabulary, not by how long it runs."""
+        held = len(self._cpu_memo)
+        if self._acc is not None:
+            held += self._acc.priced_kernels
+        if self._dc is not None:
+            held += self._dc.priced_kernels
+        return held
 
     # -- regions -------------------------------------------------------------
 
@@ -228,7 +238,7 @@ class RankRuntime:
             return
         assert self._acc is not None
         self._count_launches(groups)
-        self._acc.execute_region(groups)
+        self._acc.charge_region(groups)
 
     @contextmanager
     def region(self) -> Iterator[None]:
@@ -331,9 +341,9 @@ class RankRuntime:
             result = self._shadow.run_body(spec, self.env)
         else:
             result = spec.run_body()
-        cost_spec = _cost_only(spec)
+        # The body has run; from here on only cost is accounted.
         if self.config.target == "cpu":
-            self._execute_cpu(cost_spec)
+            self._charge_cpu(spec)
             self._count_launch(category)
             return result
         backend = self.config.backend_for(category)
@@ -343,20 +353,20 @@ class RankRuntime:
                 LoopCategory.PLAIN,
                 LoopCategory.ATOMIC_OTHER,
             ):
-                self._planner.submit(cost_spec)  # counted at region close
+                self._planner.submit(_cost_only(spec))  # counted at region close
             elif self._cross_region and category in (
                 LoopCategory.PLAIN,
                 LoopCategory.ATOMIC_OTHER,
             ):
-                is_pack = "mpi_pack" in cost_spec.tags
+                is_pack = "mpi_pack" in spec.tags
                 if self._window and self._window_pack is not is_pack:
                     self._flush_window()  # keep MPI_PACK groups homogeneous
-                self._window.append(cost_spec)
+                self._window.append(_cost_only(spec))
                 self._window_pack = is_pack
             else:
                 self._flush_region()
                 self._flush_window()
-                self._acc.execute_single(cost_spec)
+                self._acc.charge_single(spec)
                 self._count_launch(category)
         elif backend in (Backend.DC, Backend.DC2X):
             assert self._dc is not None
@@ -365,35 +375,48 @@ class RankRuntime:
             self._count_launch(category)
             if category is LoopCategory.KERNELS_REGION:
                 # Code 5's rewrite: the intrinsic becomes an explicit DC
-                # (reduction) loop with the same data traffic.
-                cost_spec = KernelSpec(
-                    name=cost_spec.name + "_expanded",
+                # (reduction) loop with the same data traffic -- a different
+                # kernel, priced under its own name.
+                spec = KernelSpec(
+                    name=spec.name + "_expanded",
                     category=LoopCategory.SCALAR_REDUCTION,
-                    reads=cost_spec.reads,
-                    writes=cost_spec.writes,
-                    flops_per_byte=cost_spec.flops_per_byte,
-                    work_fraction=cost_spec.work_fraction,
-                    bytes_override=cost_spec.bytes_override,
-                    tags=cost_spec.tags,
+                    reads=spec.reads,
+                    writes=spec.writes,
+                    flops_per_byte=spec.flops_per_byte,
+                    work_fraction=spec.work_fraction,
+                    bytes_override=spec.bytes_override,
+                    tags=spec.tags,
                 )
-            self._dc.execute(cost_spec)
+            self._dc.charge(spec)
         else:
             raise ValueError(f"backend {backend} cannot run GPU loops")
         return result
 
-    def _execute_cpu(self, spec: KernelSpec) -> None:
+    def _price_cpu(self, spec: KernelSpec) -> PricedLaunch:
+        """What ``spec`` costs on the CPU nodes (no launch gap, no
+        residency); derived once per kernel like the GPU engines' prices."""
         assert self.cpu_model is not None
-        if spec.bytes_override is not None:
-            nbytes = spec.bytes_override * spec.work_fraction
-        else:
+        entries = self._cpu_memo.entries(self.env.epoch, None)
+        key = spec.cost_key
+        priced = entries.get(key)
+        if priced is None:
             nbytes = self.cost.bytes_moved(spec, self.env)
-        # bytes are already rank-local, so only the multi-node locality
-        # boost (speedup/n) applies on top of the single-node roofline.
-        boost = self.cpu_model.speedup(self.num_ranks) / self.num_ranks
-        body = self.cpu_model.kernel_time(nbytes) / boost * self.cost.body_scale
-        category = TimeCategory.MPI_PACK if "mpi_pack" in spec.tags else TimeCategory.COMPUTE
-        self.clock.advance(body, category, spec.name)
-        observe_kernel(spec, body, self.cost, self.env)
+            # bytes are already rank-local, so only the multi-node locality
+            # boost (speedup/n) applies on top of the single-node roofline.
+            boost = self.cpu_model.speedup(self.num_ranks) / self.num_ranks
+            priced = entries[key] = priced_launch(
+                spec,
+                (),
+                body_seconds=self.cpu_model.kernel_time(nbytes) / boost * self.cost.body_scale,
+                gap_seconds=0.0,
+                nbytes=nbytes,
+            )
+        return priced
+
+    def _charge_cpu(self, spec: KernelSpec) -> None:
+        priced = self._price_cpu(spec)
+        self.clock.advance(priced.body_seconds, priced.body_category, priced.label)
+        touch_and_observe(priced, self.clock, self.env)
         self._cpu_stats.kernels += 1
         self._cpu_stats.launches += 1
 

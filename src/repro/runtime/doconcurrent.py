@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.machine.gpu import GpuDevice
-from repro.runtime.clock import SimClock, TimeCategory
+from repro.runtime.clock import SimClock
 from repro.runtime.config import ArrayReductionStrategy
 from repro.runtime.cost import KernelCostModel
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.kernel import KernelSpec, LoopCategory
-from repro.runtime.openacc import LaunchStats, observe_kernel
+from repro.runtime.openacc import LaunchStats
+from repro.runtime.pricing import PricedLaunch, PriceMemo, charge_launch, priced_launch
 from repro.runtime.stream import AsyncQueue
 
 
@@ -54,6 +55,7 @@ class DoConcurrentEngine:
     array_reduction: ArrayReductionStrategy = ArrayReductionStrategy.DC_ATOMIC
     working_set_bytes: float | None = None
     stats: LaunchStats = field(default_factory=LaunchStats)
+    _memo: PriceMemo = field(default_factory=PriceMemo, repr=False)
 
     @property
     def unified_memory(self) -> bool:
@@ -83,33 +85,53 @@ class DoConcurrentEngine:
                 "intrinsics are expanded into explicit DC loops (Code 5 rewrite)"
             )
 
-    def execute(self, spec: KernelSpec) -> Any:
-        """Run one DC loop: synchronous launch, one kernel, run body."""
-        self._check_supported(spec)
-        for c in self.env.prepare_kernel(spec):
-            category = c.category
-            if category is TimeCategory.UM_FAULT and "mpi_pack" in spec.tags:
-                # buffer loading/unloading counts as MPI time (Fig. 3)
-                category = TimeCategory.MPI_TRANSFER
-            self.clock.advance(c.seconds, category, c.label)
-        body = self.cost.body_time(
-            spec,
-            self.env,
-            self.gpu,
-            working_set_bytes=self.working_set_bytes,
-            array_reduction=self.array_reduction,
-            unified_memory=self.unified_memory,
-        )
-        observe_kernel(spec, body, self.cost, self.env)
-        q = self.queue.simulate([body], async_launch=False)
-        gap = q.gap_time + (self.cost.um_launch_extra if self.unified_memory else 0.0)
-        category = (
-            TimeCategory.MPI_PACK if "mpi_pack" in spec.tags else TimeCategory.COMPUTE
-        )
-        self.clock.advance(gap, TimeCategory.LAUNCH, f"launch({spec.name})")
-        self.clock.advance(q.body_time, category, spec.name)
+    @property
+    def priced_kernels(self) -> int:
+        """Distinct kernels whose price is currently held."""
+        return len(self._memo)
+
+    def price(self, spec: KernelSpec) -> PricedLaunch:
+        """What launching ``spec`` as one synchronous DC kernel costs;
+        derived once per kernel and kept while the data environment and
+        the working set stand still.
+
+        Deriving it checks that the loop compiles under DC at all and runs
+        the ``default(present)`` check.
+        """
+        entries = self._memo.entries(self.env.epoch, self.working_set_bytes)
+        key = spec.cost_key
+        priced = entries.get(key)
+        if priced is None:
+            self._check_supported(spec)
+            touches = self.env.kernel_touches(spec)  # default(present) first
+            body = self.cost.body_time(
+                spec,
+                self.env,
+                self.gpu,
+                working_set_bytes=self.working_set_bytes,
+                array_reduction=self.array_reduction,
+                unified_memory=self.unified_memory,
+            )
+            q = self.queue.simulate([body], async_launch=False)
+            priced = entries[key] = priced_launch(
+                spec,
+                touches,
+                body_seconds=q.body_time,
+                gap_seconds=q.gap_time
+                + (self.cost.um_launch_extra if self.unified_memory else 0.0),
+                nbytes=self.cost.bytes_moved(spec, self.env),
+            )
+        return priced
+
+    def charge(self, spec: KernelSpec) -> None:
+        """Charge one DC loop: synchronous launch, one kernel."""
+        charge_launch(self.price(spec), self.clock, self.env)
         self.stats.kernels += 1
         self.stats.launches += 1
+
+    def execute(self, spec: KernelSpec) -> Any:
+        """Run one DC loop: charge it, then run its body."""
+        self.charge(spec)
         return spec.run_body()
 
     def execute_sequence(self, specs: list[KernelSpec]) -> list[Any]:

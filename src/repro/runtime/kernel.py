@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, Callable
+
+from repro.analysis.dependence import base_name, depends
 
 
 class LoopCategory(enum.Enum):
@@ -23,6 +26,19 @@ class LoopCategory(enum.Enum):
     ATOMIC_OTHER = "atomic_other"            # non-reduction atomics
     KERNELS_REGION = "kernels_region"        # array syntax / intrinsics
     ROUTINE_CALLER = "routine_caller"        # loop calling pure routines
+
+
+@cache
+def _touched_arrays(reads: tuple[str, ...], writes: tuple[str, ...]) -> tuple[str, ...]:
+    """Logical arrays behind a kernel's access tokens, first touch first.
+
+    Pure in two tuples of names, and a model has a few hundred distinct
+    pairs, so each is derived once per process.
+    """
+    seen: dict[str, None] = {}
+    for a in reads + writes:
+        seen.setdefault(base_name(a))
+    return tuple(seen)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,12 +80,25 @@ class KernelSpec:
         :mod:`repro.analysis.dependence`) are stripped: data residency and
         nominal sizing are per logical array, not per sub-region.
         """
-        from repro.analysis.dependence import base_name
+        return _touched_arrays(self.reads, self.writes)
 
-        seen: dict[str, None] = {}
-        for a in self.reads + self.writes:
-            seen.setdefault(base_name(a))
-        return tuple(seen)
+    @property
+    def cost_key(self) -> tuple:
+        """Every field that enters a launch's price, i.e. all but ``body``.
+
+        The runtime engines memoise prices under this key; it holds no
+        reference to the body or to anything the body captured.
+        """
+        return (
+            self.name,
+            self.category,
+            self.reads,
+            self.writes,
+            self.flops_per_byte,
+            self.work_fraction,
+            self.bytes_override,
+            self.tags,
+        )
 
     def run_body(self) -> Any:
         """Execute the attached numpy body, if any."""
@@ -85,8 +114,6 @@ class KernelSpec:
         dependence core (`repro.analysis.dependence`) so the planner, the
         async race detector, and the Fortran lint agree on hazards.
         """
-        from repro.analysis.dependence import depends
-
         return depends(other.reads, other.writes, self.reads, self.writes)
 
     def with_tags(self, *tags: str) -> "KernelSpec":

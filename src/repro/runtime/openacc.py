@@ -6,6 +6,10 @@ launch queues, manual data directives, ``atomic`` array reductions, and
 ``kernels`` regions. Numerical bodies run eagerly in submission order --
 fusion and async change *cost*, never results (the loops are data
 independent by construction, which the fusion planner verifies).
+
+Cost comes from :meth:`OpenAccEngine.price`, memoised per kernel
+(:mod:`repro.runtime.pricing`); the ``charge_*`` methods apply it to the
+clock and the ``execute_*`` methods charge, then run the bodies.
 """
 
 from __future__ import annotations
@@ -14,54 +18,20 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.machine.gpu import GpuDevice
-from repro.obs.telemetry import current as _telemetry
 from repro.runtime.clock import SimClock, TimeCategory
 from repro.runtime.config import ArrayReductionStrategy
 from repro.runtime.cost import KernelCostModel
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.fusion import FusionGroup
 from repro.runtime.kernel import KernelSpec
+from repro.runtime.pricing import (
+    PricedLaunch,
+    PriceMemo,
+    charge_launch,
+    priced_launch,
+    touch_and_observe,
+)
 from repro.runtime.stream import AsyncQueue
-
-
-def observe_kernel(
-    spec: KernelSpec,
-    seconds: float,
-    cost: KernelCostModel,
-    env: DataEnvironment,
-) -> None:
-    """Per-kernel roofline counters: seconds, bytes, flops, calls.
-
-    Every execution path (OpenACC groups, DC loops, the CPU dispatch)
-    reports here so :mod:`repro.perf.roofline` can compute each kernel's
-    speed-of-light fraction from one run's metrics snapshot. The nominal
-    bytes/flops are the cost model's inputs, *before* efficiency
-    penalties -- which is exactly what makes the measured-vs-attainable
-    ratio meaningful.
-    """
-    tel = _telemetry()
-    if not tel.enabled:
-        return
-    nbytes = cost.bytes_moved(spec, env)
-    category = "mpi_pack" if "mpi_pack" in spec.tags else "compute"
-    m = tel.metrics
-    m.counter(
-        "kernel_seconds_total",
-        "device-busy seconds charged per kernel spec",
-        labelnames=("category", "kernel"),
-    ).labels(kernel=spec.name, category=category).inc(seconds)
-    m.counter(
-        "kernel_bytes_total", "nominal HBM bytes moved per kernel spec",
-        labelnames=("kernel",),
-    ).labels(kernel=spec.name).inc(nbytes)
-    m.counter(
-        "kernel_flops_total", "nominal flops per kernel spec",
-        labelnames=("kernel",),
-    ).labels(kernel=spec.name).inc(nbytes * spec.flops_per_byte)
-    m.counter(
-        "kernel_calls_total", "kernel body executions per kernel spec",
-        labelnames=("kernel",),
-    ).labels(kernel=spec.name).inc()
 
 
 @dataclass(slots=True)
@@ -92,24 +62,12 @@ class OpenAccEngine:
     array_reduction: ArrayReductionStrategy = ArrayReductionStrategy.ACC_ATOMIC
     working_set_bytes: float | None = None
     stats: LaunchStats = field(default_factory=LaunchStats)
+    _memo: PriceMemo = field(default_factory=PriceMemo, repr=False)
 
     @property
     def unified_memory(self) -> bool:
         """Whether the data environment is UM-managed."""
         return self.env.mode is DataMode.UNIFIED
-
-    def _charge(self, charges, *, spec: KernelSpec | None = None) -> None:
-        for c in charges:
-            category = c.category
-            # UM page migrations triggered by halo pack/unpack kernels are
-            # buffer loading/unloading -- Fig. 3 counts them as MPI time.
-            if (
-                spec is not None
-                and category is TimeCategory.UM_FAULT
-                and "mpi_pack" in spec.tags
-            ):
-                category = TimeCategory.MPI_TRANSFER
-            self.clock.advance(c.seconds, category, c.label)
 
     def _launch_gap_extra(self) -> float:
         return self.cost.um_launch_extra if self.unified_memory else 0.0
@@ -125,90 +83,114 @@ class OpenAccEngine:
             return self.queue.submit_overhead * n_groups + self._launch_gap_extra() * n_groups
         return q_gap + self._launch_gap_extra() * n_groups
 
-    def execute_group(self, group: FusionGroup) -> list[Any]:
-        """Run one fusion group: residency, launch overheads, bodies.
+    # -- pricing -------------------------------------------------------------
 
-        Returns each kernel body's return value, in submission order.
+    @property
+    def priced_kernels(self) -> int:
+        """Distinct kernels whose price is currently held."""
+        return len(self._memo)
+
+    def price(self, spec: KernelSpec) -> PricedLaunch:
+        """What launching ``spec`` costs; derived once per kernel and kept
+        while the data environment and the working set stand still.
+
+        Deriving it runs the ``default(present)`` check, so a kernel whose
+        arrays left the device raises here on its next launch.
         """
-        results: list[Any] = []
-        body_times: list[float] = []
-        for spec in group.kernels:
-            self._charge(self.env.prepare_kernel(spec), spec=spec)
-            body_times.append(
-                self.cost.body_time(
-                    spec,
-                    self.env,
-                    self.gpu,
-                    working_set_bytes=self.working_set_bytes,
-                    array_reduction=self.array_reduction,
-                    unified_memory=self.unified_memory,
-                )
+        entries = self._memo.entries(self.env.epoch, self.working_set_bytes)
+        key = spec.cost_key
+        priced = entries.get(key)
+        if priced is None:
+            touches = self.env.kernel_touches(spec)  # default(present) first
+            body = self.cost.body_time(
+                spec,
+                self.env,
+                self.gpu,
+                working_set_bytes=self.working_set_bytes,
+                array_reduction=self.array_reduction,
+                unified_memory=self.unified_memory,
             )
-        for spec, bt in zip(group.kernels, body_times):
-            observe_kernel(spec, bt, self.cost, self.env)
-        # A fused group is one device kernel: one submit/complete round trip
-        # regardless of how many source loops it contains.
-        q = self.queue.simulate([sum(body_times)], async_launch=self.async_launch)
-        gap = self._gap(q.gap_time, 1)
-        label = group.name
-        compute_category = (
-            TimeCategory.MPI_PACK
-            if any("mpi_pack" in k.tags for k in group.kernels)
-            else TimeCategory.COMPUTE
-        )
-        self.clock.advance(gap, TimeCategory.LAUNCH, f"launch({label})")
-        self.clock.advance(q.body_time, compute_category, label)
+            # On its own the kernel is one submit/complete round trip.
+            q = self.queue.simulate([body], async_launch=self.async_launch)
+            priced = entries[key] = priced_launch(
+                spec,
+                touches,
+                body_seconds=q.body_time,
+                gap_seconds=self._gap(q.gap_time, 1),
+                nbytes=self.cost.bytes_moved(spec, self.env),
+            )
+        return priced
+
+    # -- charging ------------------------------------------------------------
+
+    def charge_single(self, spec: KernelSpec) -> None:
+        """Charge one kernel launched outside any region."""
+        charge_launch(self.price(spec), self.clock, self.env)
+        self.stats.kernels += 1
+        self.stats.launches += 1
+
+    def _price_group(self, group: FusionGroup) -> tuple[float, TimeCategory]:
+        """Fault in and observe a fused group's kernels in order; returns
+        the group's summed body seconds and its clock category."""
+        body = 0.0
+        category = TimeCategory.COMPUTE
+        for spec in group.kernels:
+            priced = self.price(spec)
+            touch_and_observe(priced, self.clock, self.env)
+            body += priced.body_seconds
+            if priced.body_category is TimeCategory.MPI_PACK:
+                category = TimeCategory.MPI_PACK
         self.stats.kernels += group.size
         self.stats.launches += 1
         self.stats.fused_away += group.size - 1
-        for spec in group.kernels:
-            results.append(spec.run_body())
-        return results
+        return body, category
 
-    def execute_region(self, groups: list[FusionGroup]) -> list[Any]:
-        """Run a whole parallel region's launch plan.
+    def charge_group(self, group: FusionGroup) -> None:
+        """Charge one fusion group: residency, launch overhead, body time."""
+        if group.size == 1:
+            self.charge_single(group.kernels[0])
+            return
+        body, category = self._price_group(group)
+        # A fused group is one device kernel: one submit/complete round trip
+        # regardless of how many source loops it contains.
+        q = self.queue.simulate([body], async_launch=self.async_launch)
+        self.clock.advance(
+            self._gap(q.gap_time, 1), TimeCategory.LAUNCH, f"launch({group.name})"
+        )
+        self.clock.advance(q.body_time, category, group.name)
+
+    def charge_region(self, groups: list[FusionGroup]) -> None:
+        """Charge a whole parallel region's launch plan.
 
         With ``async`` the queue hides inter-group launch gaps; without it
         each group pays a full round trip. We model this by simulating the
         group launch sequence through the queue.
         """
-        results: list[Any] = []
         if not groups:
-            return results
-        body_times: list[float] = []
-        group_category: list[TimeCategory] = []
-        for group in groups:
-            total = 0.0
-            for spec in group.kernels:
-                self._charge(self.env.prepare_kernel(spec), spec=spec)
-                bt = self.cost.body_time(
-                    spec,
-                    self.env,
-                    self.gpu,
-                    working_set_bytes=self.working_set_bytes,
-                    array_reduction=self.array_reduction,
-                    unified_memory=self.unified_memory,
-                )
-                observe_kernel(spec, bt, self.cost, self.env)
-                total += bt
-            body_times.append(total)
-            group_category.append(
-                TimeCategory.MPI_PACK
-                if any("mpi_pack" in k.tags for k in group.kernels)
-                else TimeCategory.COMPUTE
-            )
-            self.stats.kernels += group.size
-            self.stats.launches += 1
-            self.stats.fused_away += group.size - 1
-        q = self.queue.simulate(body_times, async_launch=self.async_launch)
+            return
+        priced = [self._price_group(group) for group in groups]
+        q = self.queue.simulate(
+            [body for body, _ in priced], async_launch=self.async_launch
+        )
         gap = self._gap(q.gap_time, len(groups))
         self.clock.advance(gap, TimeCategory.LAUNCH, f"launch_region({groups[0].name})")
-        for group, bt, cat in zip(groups, body_times, group_category):
-            self.clock.advance(bt, cat, group.name)
-            for spec in group.kernels:
-                results.append(spec.run_body())
-        return results
+        for group, (body, category) in zip(groups, priced):
+            self.clock.advance(body, category, group.name)
+
+    # -- charging, then running the bodies -----------------------------------
+
+    def execute_group(self, group: FusionGroup) -> list[Any]:
+        """Run one fusion group; returns each kernel body's return value,
+        in submission order."""
+        self.charge_group(group)
+        return [spec.run_body() for spec in group.kernels]
+
+    def execute_region(self, groups: list[FusionGroup]) -> list[Any]:
+        """Run a whole parallel region's launch plan."""
+        self.charge_region(groups)
+        return [spec.run_body() for group in groups for spec in group.kernels]
 
     def execute_single(self, spec: KernelSpec) -> Any:
         """Run one kernel outside any region (its own launch)."""
-        return self.execute_group(FusionGroup((spec,)))[0]
+        self.charge_single(spec)
+        return spec.run_body()

@@ -1,0 +1,150 @@
+"""Launch pricing as a memoised pure function.
+
+The kernel stream of a step is fixed by construction (DESIGN.md S5), so a
+rank launches the same few hundred distinct kernels over and over. What a
+launch of one of them costs -- body seconds, launch gap, clock categories,
+labels, which managed arrays it touches -- depends only on the kernel's
+cost fields (:attr:`KernelSpec.cost_key`), on the engine's fixed settings
+and on two things that can move: the data environment (sizes, presence)
+and the rank's working set (the locality boost). Each engine derives a
+:class:`PricedLaunch` once per kernel and keeps it in a :class:`PriceMemo`
+until either of those moves; a launch then does only what is stateful
+(:func:`charge_launch`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+from repro.obs.telemetry import current as _telemetry
+from repro.runtime.clock import SimClock, TimeCategory
+from repro.runtime.kernel import KernelSpec
+
+if TYPE_CHECKING:
+    from repro.runtime.data_env import DataEnvironment
+
+
+@dataclass(frozen=True, slots=True)
+class PricedLaunch:
+    """One kernel's price. Holds numbers and names only: no spec, no body,
+    no array, so a memo entry keeps nothing of the launch alive."""
+
+    label: str
+    launch_label: str
+    #: Device-busy seconds of the body (``KernelCostModel.body_time``);
+    #: fused launches sum these.
+    body_seconds: float
+    #: Launch gap when the kernel is launched on its own.
+    gap_seconds: float
+    #: COMPUTE, or MPI_PACK for halo buffer kernels.
+    body_category: TimeCategory
+    #: Where this kernel's page faults are charged: UM_FAULT, or
+    #: MPI_TRANSFER for halo buffer kernels (buffer loading/unloading is
+    #: MPI time in Fig. 3).
+    fault_category: TimeCategory
+    #: Managed arrays touched on every launch: ``(array, bytes, label)``.
+    touches: tuple[tuple[str, int, str], ...]
+    #: Nominal traffic and flops, the roofline counters' inputs.
+    nbytes: float
+    flops: float
+
+
+def priced_launch(
+    spec: KernelSpec,
+    touches: tuple[tuple[str, int], ...],
+    *,
+    body_seconds: float,
+    gap_seconds: float,
+    nbytes: float,
+) -> PricedLaunch:
+    """Assemble a price from what the engine computed (``touches`` from
+    ``DataEnvironment.kernel_touches``) and what follows from the spec."""
+    pack = "mpi_pack" in spec.tags
+    return PricedLaunch(
+        label=spec.name,
+        launch_label=f"launch({spec.name})",
+        body_seconds=body_seconds,
+        gap_seconds=gap_seconds,
+        body_category=TimeCategory.MPI_PACK if pack else TimeCategory.COMPUTE,
+        fault_category=TimeCategory.MPI_TRANSFER if pack else TimeCategory.UM_FAULT,
+        touches=tuple((name, n, f"fault_in({name})") for name, n in touches),
+        nbytes=nbytes,
+        flops=nbytes * spec.flops_per_byte,
+    )
+
+
+class PriceMemo:
+    """Priced launches by cost key, valid for one (data-environment epoch,
+    working set) pair and dropped as a whole when that pair moves."""
+
+    __slots__ = ("_epoch", "_working_set", "_entries")
+
+    def __init__(self) -> None:
+        self._epoch: int | None = None
+        self._working_set: float | None = None
+        self._entries: dict[tuple, PricedLaunch] = {}
+
+    def entries(
+        self, epoch: int, working_set_bytes: float | None
+    ) -> dict[tuple, PricedLaunch]:
+        """The entries still valid for this epoch and working set."""
+        if epoch != self._epoch or working_set_bytes != self._working_set:
+            self._epoch, self._working_set = epoch, working_set_bytes
+            self._entries = {}
+        return self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def touch_and_observe(priced: PricedLaunch, clock: SimClock, env: "DataEnvironment") -> None:
+    """The per-launch effects that precede the launch itself: managed
+    pages fault in (charged to ``clock``), roofline counters tick."""
+    if priced.touches:
+        um = env.um
+        for name, nbytes, label in priced.touches:
+            dt = um.touch_device(name, nbytes)
+            if dt > 0:
+                clock.advance(dt, priced.fault_category, label)
+    tel = _telemetry()
+    if tel.enabled:
+        observe_kernel(tel.metrics, priced)
+
+
+def charge_launch(priced: PricedLaunch, clock: SimClock, env: "DataEnvironment") -> None:
+    """Charge one kernel launched on its own: faults, gap, body."""
+    touch_and_observe(priced, clock, env)
+    clock.advance(priced.gap_seconds, TimeCategory.LAUNCH, priced.launch_label)
+    clock.advance(priced.body_seconds, priced.body_category, priced.label)
+
+
+def observe_kernel(m, priced: PricedLaunch) -> None:
+    """Per-kernel roofline counters: seconds, bytes, flops, calls.
+
+    Every execution path (OpenACC groups, DC loops, the CPU dispatch)
+    reports here so :mod:`repro.perf.roofline` can compute each kernel's
+    speed-of-light fraction from one run's metrics snapshot. The nominal
+    bytes/flops are the cost model's inputs, *before* efficiency
+    penalties -- which is exactly what makes the measured-vs-attainable
+    ratio meaningful.
+    """
+    m.counter(
+        "kernel_seconds_total",
+        "device-busy seconds charged per kernel spec",
+        labelnames=("category", "kernel"),
+    ).labels(kernel=priced.label, category=priced.body_category.value).inc(
+        priced.body_seconds
+    )
+    m.counter(
+        "kernel_bytes_total", "nominal HBM bytes moved per kernel spec",
+        labelnames=("kernel",),
+    ).labels(kernel=priced.label).inc(priced.nbytes)
+    m.counter(
+        "kernel_flops_total", "nominal flops per kernel spec",
+        labelnames=("kernel",),
+    ).labels(kernel=priced.label).inc(priced.flops)
+    m.counter(
+        "kernel_calls_total", "kernel body executions per kernel spec",
+        labelnames=("kernel",),
+    ).labels(kernel=priced.label).inc()
