@@ -21,23 +21,23 @@ from repro.mas.operators import diffuse_flux_div, harmonic_face_coeff
 
 def kappa_centered(temp: np.ndarray, params: PhysicsParams) -> np.ndarray:
     """kappa(T) = kappa0 * T^{5/2} at cell centers, floored for safety."""
-    t = np.maximum(temp, params.temp_floor)
-    return params.kappa0 * t**2.5
+    kap = np.maximum(temp, params.temp_floor)
+    np.power(kap, 2.5, out=kap)
+    kap *= params.kappa0
+    return kap
 
 
 def conduction_rhs(
     temp: np.ndarray, rho: np.ndarray, grid: LocalGrid, params: PhysicsParams
 ) -> np.ndarray:
     """dT/dt = (gamma-1)/rho * div(kappa(T) grad T)."""
-    kap = kappa_centered(temp, params)
-    flux_div = diffuse_flux_div(temp, grid, harmonic_face_coeff(kap))
-    out = np.zeros_like(temp)
-    inner = (Ellipsis, slice(1, -1), slice(1, -1), slice(1, -1))
-    out[inner] = (
-        (params.gamma - 1.0)
-        * flux_div[inner]
-        / np.maximum(rho[inner], params.rho_floor)
+    out = diffuse_flux_div(
+        temp, grid, harmonic_face_coeff(kappa_centered(temp, params))
     )
+    # ((gamma-1) * div) / rho, in place on the one fresh array (rim stays 0)
+    interior = out[..., 1:-1, 1:-1, 1:-1]
+    interior *= params.gamma - 1.0
+    interior /= np.maximum(rho[..., 1:-1, 1:-1, 1:-1], params.rho_floor)
     return out
 
 

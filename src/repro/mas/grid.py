@@ -14,8 +14,10 @@ operators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +95,20 @@ def _extend_edges(edges: np.ndarray, g: int, *, periodic: bool, span: float = 0.
     lo = edges[0] - np.cumsum(lo_w[::-1])[::-1]
     hi = edges[-1] + np.cumsum(hi_w)
     return np.concatenate([lo, edges, hi])
+
+
+class StencilMetrics(NamedTuple):
+    """What the one-cell diffusion stencil reads of a :class:`LocalGrid`.
+
+    Per axis (r, theta, phi): the physical distance between adjacent cell
+    centres and the area of the internal face between them. Every array is
+    cut to the cells a flux difference can reach: ``[1:-1]`` along the axes
+    transverse to its own stagger axis, and along all three for ``volume``.
+    """
+
+    spacing: tuple[np.ndarray, np.ndarray, np.ndarray]
+    area: tuple[np.ndarray, np.ndarray, np.ndarray]
+    volume: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -261,6 +277,52 @@ class LocalGrid:
             * self.dt[None, :, None]
             * np.ones_like(self.pe)[None, None, :]
         )
+
+    @cached_property
+    def stencil_metrics(self) -> StencilMetrics:
+        """Spacings, face areas and volumes of the diffusion stencil."""
+        inner = (slice(1, -1),) * 3
+        d_r = np.diff(self.rc)[:, None, None]
+        d_t = (self.rc[:, None] * np.diff(self.tc)[None, :])[:, :, None]
+        d_p = (
+            self.rc[:, None, None]
+            * np.sin(self.tc)[None, :, None]
+            * np.diff(self.pc)[None, None, :]
+        )
+        return StencilMetrics(
+            spacing=(d_r, d_t[1:-1], np.ascontiguousarray(d_p[1:-1, 1:-1])),
+            area=(self.area_r[inner], self.area_t[inner], self.area_p[inner]),
+            volume=self.volume[inner],
+        )
+
+    @cached_property
+    def _scratch(self) -> dict[tuple[int, ...], tuple[np.ndarray, ...]]:
+        """Scratch by leading shape; in ``__dict__``, so it dies with the grid."""
+        return {}
+
+    def stencil_scratch(self, lead: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """Work arrays of the diffusion stencil for one leading (member) shape.
+
+        Returns ``(flux_r, flux_t, flux_p, delta, acc)``: one face-flux
+        array per axis on its transverse interior (the three are views of
+        one buffer, so only one is live at a time) and two interior-shaped
+        arrays. They belong to this grid, are freed with it and hold
+        garbage between calls: a caller fills them, consumes them and
+        returns nothing that aliases them (docs/PHYSICS.md, workspace rule).
+        """
+        if lead not in self._scratch:
+            inner = lead + tuple(max(m - 2, 0) for m in self.shape)
+            faces = [
+                lead + tuple(max(m - 1 - (a != axis), 0) for a, m in enumerate(self.shape))
+                for axis in range(3)
+            ]
+            buf = np.empty(max(math.prod(s) for s in faces))
+            self._scratch[lead] = (
+                *(buf[: math.prod(s)].reshape(s) for s in faces),
+                np.empty(inner),
+                np.empty(inner),
+            )
+        return self._scratch[lead]
 
     @cached_property
     def len_r(self) -> np.ndarray:

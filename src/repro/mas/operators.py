@@ -12,6 +12,12 @@ Face arrays are one longer along their stagger axis; edge arrays (EMFs,
 currents) are one longer along the two transverse axes. 1-D grid metric
 arrays broadcast with trailing-axis alignment (``rc[:, None, None]`` has
 shape ``(nr, 1, 1)``), so they apply unchanged to batched arrays.
+
+Most operators here allocate one temporary per expression node. The
+diffusion family (`diffuse_flux_div` and its callers in
+:mod:`repro.mas.viscosity` and :mod:`repro.mas.conduction`), which a step
+applies some forty times, works in scratch owned by the grid and allocates
+its result only; docs/PHYSICS.md S3a states the rule it follows.
 """
 
 from __future__ import annotations
@@ -164,6 +170,20 @@ def advect_upwind(
 # -- diffusion (viscosity / conduction building block) ---------------------------
 
 
+def _axis_index(axis: int, along: slice, across: slice) -> tuple:
+    """Index taking ``along`` on spatial ``axis`` and ``across`` on the other two."""
+    return (Ellipsis, *(along if a == axis else across for a in range(3)))
+
+
+_ALL = slice(None)
+#: Per axis: the two neighbours of every internal face, and the cut of a
+#: face array to its transverse interior (``[1:-1]`` on the other two axes),
+#: the only faces the final flux difference reads.
+_BELOW = tuple(_axis_index(a, slice(None, -1), _ALL) for a in range(3))
+_ABOVE = tuple(_axis_index(a, slice(1, None), _ALL) for a in range(3))
+_ACROSS_INNER = tuple(_axis_index(a, _ALL, slice(1, -1)) for a in range(3))
+
+
 def diffuse_flux_div(
     f: np.ndarray, grid: LocalGrid, coeff_face: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 ) -> np.ndarray:
@@ -171,34 +191,27 @@ def diffuse_flux_div(
 
     ``coeff_face`` holds coefficients on internal faces per axis (shapes of
     ``_avg(f, axis)``); ``None`` means unit coefficient.
+
+    Allocates the returned array only: face fluxes and the running sum
+    live in the grid's scratch (`LocalGrid.stencil_scratch`). The order of
+    operations, ``(diff / d) [* c] * area`` per face and
+    ``((dr + dt) + dp) / V`` per cell, is frozen: state digests depend on it.
     """
     out = np.zeros_like(f)
-
-    # physical distances between adjacent cell centers
-    d_r = np.diff(grid.rc)[:, None, None]
-    d_t = (grid.rc[:, None] * np.diff(grid.tc)[None, :])[:, :, None]
-    d_p = (
-        grid.rc[:, None, None]
-        * np.sin(grid.tc)[None, :, None]
-        * np.diff(grid.pc)[None, None, :]
-    )
-
-    gr = _diff(f, 0) / d_r
-    gt = _diff(f, 1) / d_t
-    gp = _diff(f, 2) / d_p
-    if coeff_face is not None:
-        cr, ct, cp = coeff_face
-        gr = gr * cr
-        gt = gt * ct
-        gp = gp * cp
-    fr = gr * grid.area_r[1:-1]
-    ft = gt * grid.area_t[:, 1:-1]
-    fp = gp * grid.area_p[:, :, 1:-1]
-    out[_INNER] = (
-        _diff(fr, 0)[..., :, 1:-1, 1:-1]
-        + _diff(ft, 1)[..., 1:-1, :, 1:-1]
-        + _diff(fp, 2)[..., 1:-1, 1:-1, :]
-    ) / grid.volume[1:-1, 1:-1, 1:-1]
+    metrics = grid.stencil_metrics
+    *fluxes, delta, acc = grid.stencil_scratch(f.shape[:-3])
+    for axis, flux in enumerate(fluxes):
+        below, above, across = _BELOW[axis], _ABOVE[axis], _ACROSS_INNER[axis]
+        fi = f[across]
+        np.subtract(fi[above], fi[below], out=flux)
+        flux /= metrics.spacing[axis]
+        if coeff_face is not None:
+            flux *= coeff_face[axis][across]
+        flux *= metrics.area[axis]
+        np.subtract(flux[above], flux[below], out=delta if axis else acc)
+        if axis:
+            acc += delta
+    np.divide(acc, metrics.volume, out=out[_INNER])
     return out
 
 
@@ -210,13 +223,11 @@ def harmonic_face_coeff(
         raise ValueError("harmonic mean requires positive coefficients")
 
     def h(axis: int) -> np.ndarray:
-        a = _ax(c, axis)
-        lo = [slice(None)] * c.ndim
-        hi = [slice(None)] * c.ndim
-        lo[a] = slice(None, -1)
-        hi[a] = slice(1, None)
-        x, y = c[tuple(lo)], c[tuple(hi)]
-        return 2.0 * x * y / (x + y)
+        x, y = c[_BELOW[axis]], c[_ABOVE[axis]]
+        out = 2.0 * x
+        out *= y
+        out /= x + y
+        return out
 
     return h(0), h(1), h(2)
 

@@ -7,9 +7,13 @@ classic reduced form: after the explicit momentum predictor, solve
 
     (I - theta * (c_max * dt)^2 * Lap) v_new = v*
 
-per component -- an SPD system sharing the PCG/Jacobi machinery of the
-viscosity solve. The operator damps exactly the wave modes the explicit
-step cannot resolve; as dt -> 0 it reduces to the identity.
+per component -- an SPD system of the same shape as the backward-Euler
+viscosity solve, so the model solves it with the same operator and
+preconditioner (`repro.mas.viscosity.implicit_matvec` and
+`jacobi_diagonal`, associating ``v - dt * (coeff * Lap v)``); this module
+supplies only the coefficient (:func:`si_coefficient`) and the wave-speed
+estimate. The operator damps exactly the wave modes the explicit step
+cannot resolve; as dt -> 0 it reduces to the identity.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mas.grid import LocalGrid
-from repro.mas.operators import diffuse_flux_div
-from repro.mas.viscosity import jacobi_diagonal
 
 
 def si_coefficient(
@@ -37,26 +39,6 @@ def si_coefficient(
     if isinstance(c_max, np.ndarray) or isinstance(dt, np.ndarray):
         return theta * (c_max * dt) ** 2 / np.maximum(dt, 1e-300)
     return theta * (c_max * dt) ** 2 / max(dt, 1e-300)
-
-
-def si_matvec(
-    v: np.ndarray,
-    grid: LocalGrid,
-    coeff: float | np.ndarray,
-    dt: float | np.ndarray,
-) -> np.ndarray:
-    """Apply (I - dt * coeff * Lap) -- same SPD shape as the viscous
-    backward-Euler operator (coeff plays the role of a viscosity)."""
-    if np.any(np.asarray(coeff) < 0) or np.any(np.asarray(dt) < 0):
-        raise ValueError("coefficient and dt must be non-negative")
-    return v - dt * coeff * diffuse_flux_div(v, grid)
-
-
-def si_diagonal(
-    grid: LocalGrid, coeff: float | np.ndarray, dt: float | np.ndarray
-) -> np.ndarray:
-    """Jacobi diagonal of the semi-implicit operator."""
-    return jacobi_diagonal(grid, coeff, dt)
 
 
 def max_wave_speed(state, grid: LocalGrid, params) -> float | np.ndarray:

@@ -25,7 +25,9 @@ def viscous_rhs(
     """
     if np.any(np.asarray(nu) < 0):
         raise ValueError("viscosity cannot be negative")
-    return nu * diffuse_flux_div(v, grid)
+    out = diffuse_flux_div(v, grid)
+    out *= nu
+    return out
 
 
 def implicit_matvec(
@@ -34,15 +36,18 @@ def implicit_matvec(
     nu: float | np.ndarray,
     dt: float | np.ndarray,
 ) -> np.ndarray:
-    """Backward-Euler operator A v = v - dt * nu * Lap(v).
+    """Backward-Euler operator A v = v - dt * (nu * Lap(v)).
 
     Valid on interior cells; the rim is passed through unchanged (identity)
-    so the operator stays SPD on the solved subspace.
+    so the operator stays SPD on the solved subspace: `diffuse_flux_div`
+    leaves the rim zero, so the result equals ``v`` there. The scalings and
+    the subtraction run in place on that one fresh array.
     """
     if np.any(np.asarray(dt) < 0):
         raise ValueError("dt cannot be negative")
-    out = v - dt * viscous_rhs(v, grid, nu)
-    # rim: diffuse_flux_div already leaves the rim zero, so out = v there.
+    out = viscous_rhs(v, grid, nu)
+    out *= dt
+    np.subtract(v, out, out=out)
     return out
 
 
@@ -57,23 +62,14 @@ def jacobi_diagonal(
     """
     scale = np.asarray(dt * nu)
     diag = np.ones(np.broadcast_shapes(scale.shape, grid.shape))
-    d_r = np.diff(grid.rc)[:, None, None]
-    d_t = (grid.rc[:, None] * np.diff(grid.tc)[None, :])[:, :, None]
-    d_p = (
-        grid.rc[:, None, None]
-        * np.sin(grid.tc)[None, :, None]
-        * np.diff(grid.pc)[None, None, :]
-    )
-    ar = grid.area_r[1:-1] / d_r
-    at = grid.area_t[:, 1:-1] / d_t
-    ap = grid.area_p[:, :, 1:-1] / d_p
-    inner = (slice(1, -1), slice(1, -1), slice(1, -1))
+    metrics = grid.stencil_metrics
+    ar, at, ap = (a / d for a, d in zip(metrics.area, metrics.spacing))
     total = (
-        (ar[:-1] + ar[1:])[:, 1:-1, 1:-1]
-        + (at[:, :-1] + at[:, 1:])[1:-1, :, 1:-1]
-        + (ap[:, :, :-1] + ap[:, :, 1:])[1:-1, 1:-1, :]
+        (ar[:-1] + ar[1:])
+        + (at[:, :-1] + at[:, 1:])
+        + (ap[:, :, :-1] + ap[:, :, 1:])
     )
-    diag[(Ellipsis, *inner)] += dt * nu * total / grid.volume[inner]
+    diag[..., 1:-1, 1:-1, 1:-1] += dt * nu * total / metrics.volume
     return diag
 
 

@@ -5,12 +5,8 @@ import pytest
 
 from repro.codes import CodeVersion, runtime_config_for
 from repro.mas.model import MasModel, ModelConfig
-from repro.mas.semi_implicit import (
-    max_wave_speed,
-    si_coefficient,
-    si_diagonal,
-    si_matvec,
-)
+from repro.mas.semi_implicit import max_wave_speed, si_coefficient
+from repro.mas.viscosity import implicit_matvec, jacobi_diagonal
 from repro.mas.grid import LocalGrid, SphericalGrid
 from repro.mas.initial import initialize
 from repro.mas.constants import PhysicsParams
@@ -43,19 +39,21 @@ class TestOperator:
 
     def test_identity_at_zero_coeff(self, grid):
         v = np.random.default_rng(0).random(grid.shape)
-        assert np.allclose(si_matvec(v, grid, 0.0, 0.1), v)
+        coeff = si_coefficient(2.0, 0.1, theta=0.0)
+        assert np.array_equal(implicit_matvec(v, grid, coeff, 0.1), v)
 
     def test_spd_on_interior(self, grid):
         rng = np.random.default_rng(1)
         i = grid.interior()
+        coeff = si_coefficient(0.7, 0.1)
         for _ in range(3):
             v = np.zeros(grid.shape)
             v[i] = rng.standard_normal(v[i].shape)
-            av = si_matvec(v, grid, 0.05, 0.1)
+            av = implicit_matvec(v, grid, coeff, 0.1)
             assert np.vdot(v[i], av[i]) > 0
 
     def test_diagonal_positive(self, grid):
-        assert np.all(si_diagonal(grid, 0.05, 0.1) >= 1.0)
+        assert np.all(jacobi_diagonal(grid, si_coefficient(0.7, 0.1), 0.1) >= 1.0)
 
     def test_wave_speed_estimate(self, grid):
         state = initialize(grid, PhysicsParams())
