@@ -174,7 +174,7 @@ def _split_top_commas(text: str) -> list[str]:
 
 
 def _normalize(text: str) -> str:
-    return re.sub(r"\s+", "", text.lower())
+    return "".join(text.lower().split())
 
 
 def array_refs(expr: str) -> list[ArrayRef]:

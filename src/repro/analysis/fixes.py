@@ -190,13 +190,14 @@ class _FileContext:
 
 def _reduction_op(stmt: str, var: str) -> str:
     """Reduction operator of ``var = var <op> ...`` (default ``+``)."""
+    var = var.lower()
     m = _SCALAR_ACCUM_RE.match(stmt.split("!")[0])
-    if m and m.group(1).lower() == var.lower():
+    if m and m.group(1).lower() == var:
         rhs = m.group(2).strip().lower()
         for op, head in (("max", "max("), ("min", "min(")):
             if rhs.startswith(head):
                 return op
-        if re.match(rf"{re.escape(var.lower())}\s*\*", rhs):
+        if rhs.startswith(var) and rhs[len(var):].lstrip().startswith("*"):
             return "*"
     return "+"
 

@@ -401,8 +401,10 @@ def _scan_data_directives(cb: Codebase) -> _DataCoverage:
     return cov
 
 
-def _coverage_findings(cb: Codebase) -> list[Finding]:
-    """UM201/202/203 over the whole codebase."""
+def _coverage_findings(
+    cb: Codebase, regions: list[list[ParallelRegion]]
+) -> list[Finding]:
+    """UM201/202/203 over the whole codebase (``regions``: per file)."""
     cov = _scan_data_directives(cb)
     out = []
     if not cov.manual_mode:
@@ -423,8 +425,8 @@ def _coverage_findings(cb: Codebase) -> list[Finding]:
             )
     # region accesses of arrays the data directives manage elsewhere
     universe = cov.mentioned()
-    for file in cb.files:
-        for region in find_parallel_regions(file):
+    for file, file_regions in zip(cb.files, regions):
+        for region in file_regions:
             for unit in _region_units(file, region):
                 rep = unit.analyze()
                 for name in sorted((rep.reads | rep.writes) & universe):
@@ -441,11 +443,19 @@ def _coverage_findings(cb: Codebase) -> list[Finding]:
     return out
 
 
-def analyze_file(file: SourceFile) -> list[Finding]:
-    """All per-file findings (loop units + hygiene)."""
+def analyze_file(
+    file: SourceFile, regions: list[ParallelRegion] | None = None
+) -> list[Finding]:
+    """All per-file findings (loop units + hygiene).
+
+    ``regions`` are the file's parallel regions when the caller has
+    already found them.
+    """
     out = []
     region_lines: set[int] = set()
-    for region in find_parallel_regions(file):
+    if regions is None:
+        regions = find_parallel_regions(file)
+    for region in regions:
         units = _region_units(file, region)
         region_lines.update(range(region.start, region.end + 1))
         for unit in units:
@@ -477,22 +487,24 @@ def analyze_codebase(
 
     config = config or LintConfig()
     out: list[Finding] = []
+    # found once per file, handed to all three consumers below
+    regions = [find_parallel_regions(file) for file in cb.files]
     if jobs > 1 and len(cb.files) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         try:
             with ProcessPoolExecutor(max_workers=min(jobs, len(cb.files))) as pool:
-                for findings in pool.map(analyze_file, cb.files):
+                for findings in pool.map(analyze_file, cb.files, regions):
                     out.extend(findings)
         except (OSError, PermissionError):  # sandboxed/NP-fork environments
             out = []
-            for file in cb.files:
-                out.extend(analyze_file(file))
+            for file, file_regions in zip(cb.files, regions):
+                out.extend(analyze_file(file, file_regions))
     else:
-        for file in cb.files:
-            out.extend(analyze_file(file))
-    out.extend(_coverage_findings(cb))
-    out.extend(interproc_findings(cb, summarize(cb)))
+        for file, file_regions in zip(cb.files, regions):
+            out.extend(analyze_file(file, file_regions))
+    out.extend(_coverage_findings(cb, regions))
+    out.extend(interproc_findings(cb, summarize(cb), regions))
     kept = sort_findings(f for f in out if config.allows(f))
     record_findings(kept, source=cb.name)
     return kept

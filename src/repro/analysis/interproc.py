@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 from repro.analysis.dependence import INTRINSICS
 from repro.analysis.findings import Finding, RelatedLocation
 from repro.analysis.fixes import Fix
-from repro.fortran.lexer import LineKind, classify_line, called_name
+from repro.fortran.lexer import LineKind, called_name, classify_line, module_name
 from repro.fortran.frontend.resolve import ModuleIndex, RoutineSym, build_index
 from repro.fortran.parser import (
     ParallelRegion,
@@ -72,6 +72,9 @@ _STOP_RE = re.compile(r"^\s*(error\s+)?stop\b", re.I)
 _ALLOC_RE = re.compile(r"^\s*(de)?allocate\s*\(", re.I)
 _CALL_ARGS_RE = re.compile(r"^\s*call\s+\w+\s*\((.*)\)\s*$", re.I)
 _INTENT_CLAUSE_RE = re.compile(r"\bintent\s*\(\s*in\s*\)", re.I)
+_BASE_NAME_RE = re.compile(r"\s*([a-z_]\w*)", re.I)
+_IF_GUARD_RE = re.compile(r"^\s*if\s*\(", re.I)
+_INDENT_RE = re.compile(r"^(\s*)")
 
 #: Statement keywords never counted as variable reads.
 _STMT_WORDS = frozenset(
@@ -248,7 +251,7 @@ def _split_top_commas(text: str) -> list[str]:
 
 
 def _base_name(expr: str) -> str:
-    m = re.match(r"\s*([a-z_]\w*)", expr, re.I)
+    m = _BASE_NAME_RE.match(expr)
     return m.group(1).lower() if m else ""
 
 
@@ -261,7 +264,7 @@ def _strip_if_guard(code: str) -> tuple[str, str]:
     canonical production pattern), so every effect matcher runs on the
     action, never the raw line.
     """
-    m = re.match(r"^\s*if\s*\(", code, re.I)
+    m = _IF_GUARD_RE.match(code)
     if m is None:
         return "", code
     depth, i = 1, m.end()
@@ -299,9 +302,9 @@ def _file_module_variables(
     for line in file.lines:
         kind = classify_line(line)
         if kind is LineKind.MODULE_START:
-            m = re.match(r"^\s*module\s+(\w+)", line, re.I)
-            if m and m.group(1).lower() != "procedure":
-                current = m.group(1).lower()
+            name = (module_name(line) or "").lower()
+            if name != "procedure":
+                current = name
                 in_spec = current in index.modules
                 out.setdefault(current, set())
             continue
@@ -745,15 +748,20 @@ def _dc_end(lines: list[str], start: int) -> int:
     return start
 
 
-def parallel_spans(file: SourceFile) -> list[tuple[int, int, str]]:
+def parallel_spans(
+    file: SourceFile, regions: list[ParallelRegion] | None = None
+) -> list[tuple[int, int, str]]:
     """(start, end, label) for every parallel context in ``file``.
 
-    Covers ``!$acc parallel`` regions and free-standing ``do concurrent``
-    loops (a DC loop already inside a region is not double-counted).
+    Covers ``!$acc parallel`` regions (``regions`` when the caller has
+    already found them) and free-standing ``do concurrent`` loops (a DC
+    loop already inside a region is not double-counted).
     """
     spans: list[tuple[int, int, str]] = []
     covered: set[int] = set()
-    for region in find_parallel_regions(file):
+    if regions is None:
+        regions = find_parallel_regions(file)
+    for region in regions:
         spans.append(
             (region.start, region.end,
              f"the parallel region at line {region.start + 1}")
@@ -817,7 +825,7 @@ def _pure_attribute_fix(cb: Codebase, s: ProcedureSummary) -> Fix:
 
     callee_file = cb.file(s.file)
     header = callee_file.lines[s.line]
-    fixed = re.sub(r"^(\s*)", r"\1pure ", header, count=1)
+    fixed = _INDENT_RE.sub(r"\1pure ", header, count=1)
     return Fix(
         "IP101",
         f"declare {s.name} pure (summary proves no side effects)",
@@ -826,13 +834,16 @@ def _pure_attribute_fix(cb: Codebase, s: ProcedureSummary) -> Fix:
 
 
 def _region_call_findings(
-    cb: Codebase, result: InterprocResult, region_called: set[str]
+    cb: Codebase,
+    result: InterprocResult,
+    region_called: set[str],
+    regions: list[list[ParallelRegion]],
 ) -> list[Finding]:
     """IP101/IP102 at call sites inside parallel contexts."""
     findings: list[Finding] = []
-    for file in cb.files:
+    for file, file_regions in zip(cb.files, regions):
         seen: set[int] = set()
-        for start, end, label in parallel_spans(file):
+        for start, end, label in parallel_spans(file, file_regions):
             for i in range(start, end + 1):
                 if i in seen:
                     continue
@@ -1003,10 +1014,20 @@ def _intent_findings(
     return findings
 
 
-def interproc_findings(cb: Codebase, result: InterprocResult) -> list[Finding]:
-    """All IP1xx findings for ``cb`` given its summary ``result``."""
+def interproc_findings(
+    cb: Codebase,
+    result: InterprocResult,
+    regions: list[list[ParallelRegion]] | None = None,
+) -> list[Finding]:
+    """All IP1xx findings for ``cb`` given its summary ``result``.
+
+    ``regions`` are the parallel regions of each file of ``cb``, in file
+    order, when the caller has already found them.
+    """
+    if regions is None:
+        regions = [find_parallel_regions(file) for file in cb.files]
     region_called: set[str] = set()
-    findings = _region_call_findings(cb, result, region_called)
+    findings = _region_call_findings(cb, result, region_called, regions)
     findings.extend(_alias_findings(cb, result))
     findings.extend(_intent_findings(cb, result, region_called))
     return findings

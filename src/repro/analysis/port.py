@@ -47,7 +47,6 @@ from repro.analysis.fortran_lint import (
 from repro.codes import CodeVersion
 from repro.codes.versions import version_info
 from repro.fortran.codebase import GeneratorBudget, MAS_BUDGET, generate_mas_codebase
-from repro.fortran.directives import DirectiveKind, is_directive_line, parse_directive
 from repro.fortran.lexer import LineKind, classify_line
 from repro.fortran.metrics import directive_census, measure
 from repro.fortran.parser import apply_edits, find_parallel_regions
@@ -60,7 +59,7 @@ from repro.fortran.transforms.dc2x import (
     drop_legacy_paths,
     reduce_clause_of,
 )
-from repro.fortran.transforms.pure_dc import ACCUM_RE, find_dc_loop_end
+from repro.fortran.transforms.pure_dc import atomic_dc_loops
 
 
 class PortTarget(enum.Enum):
@@ -195,25 +194,13 @@ def _scan_dropped_atomics(cb: Codebase) -> list[tuple[str, int]]:
     anything else disappear in a "small code modification" the paper
     applies by hand -- flag those for review.
     """
-    dropped: list[tuple[str, int]] = []
-    for f in cb.files:
-        i = 0
-        while i < len(f.lines):
-            if classify_line(f.lines[i]) is not LineKind.DO_CONCURRENT:
-                i += 1
-                continue
-            end = find_dc_loop_end(f.lines, i)
-            atomics = [
-                k for k in range(i + 1, end)
-                if is_directive_line(f.lines[k])
-                and parse_directive(f.lines[k]).kind is DirectiveKind.ATOMIC
-            ]
-            if atomics and not any(
-                ACCUM_RE.match(f.lines[k + 1]) for k in atomics
-            ):
-                dropped.extend((f.name, k + 1) for k in atomics)
-            i = end + 1
-    return dropped
+    return [
+        (f.name, k + 1)
+        for f in cb.files
+        for _start, _end, atomics, accumulates in atomic_dc_loops(f.lines)
+        if not accumulates
+        for k in atomics
+    ]
 
 
 def _record(result: PortResult) -> None:

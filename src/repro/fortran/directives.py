@@ -42,6 +42,8 @@ _KIND_BY_HEAD: list[tuple[re.Pattern, DirectiveKind]] = [
     (re.compile(r"^wait\b"), DirectiveKind.WAIT),
     (re.compile(r"^set\s+device_num\b"), DirectiveKind.SET_DEVICE),
 ]
+_REGION_START_RE = re.compile(r"^(parallel|kernels|data|host_data)\b", re.I)
+_COMBINED_RE = re.compile(r"^(parallel|kernels)\s+loop\b", re.I)
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,8 +57,7 @@ class AccDirective:
     @property
     def is_region_start(self) -> bool:
         """Opens a parallel/kernels/data/host_data region."""
-        p = self.payload.lstrip()
-        return bool(re.match(r"^(parallel|kernels|data|host_data)\b", p, re.I))
+        return _REGION_START_RE.match(self.payload.lstrip()) is not None
 
     @property
     def is_region_end(self) -> bool:
@@ -71,18 +72,20 @@ class AccDirective:
         nest with no ``end`` directive; the canonical subset always uses
         the region form (``parallel`` + ``loop`` + ``end parallel``).
         """
-        return bool(
-            re.match(r"^(parallel|kernels)\s+loop\b", self.payload.lstrip(), re.I)
-        )
+        return _COMBINED_RE.match(self.payload.lstrip()) is not None
 
     def has_clause(self, name: str) -> bool:
         """True if the directive carries a clause (word match)."""
-        return re.search(rf"\b{re.escape(name)}\b", self.payload) is not None
+        return (
+            name in self.payload
+            and re.search(rf"\b{re.escape(name)}\b", self.payload) is not None
+        )
 
 
 def is_directive_line(line: str) -> bool:
     """True for any ``!$acc`` (or continuation ``!$acc&``) line."""
-    return line.lstrip().lower().startswith(ACC_SENTINEL)
+    # the sentinel's two non-letters, a C-level test that rejects most lines
+    return "!$" in line and line.lstrip()[:5].lower() == ACC_SENTINEL
 
 
 def parse_directive(line: str) -> AccDirective:

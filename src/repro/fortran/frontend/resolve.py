@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.fortran.directives import DirectiveKind, try_parse_directive
-from repro.fortran.lexer import LineKind, classify_line
+from repro.fortran.lexer import LineKind, classify_line, module_name
 from repro.fortran.parser import parse_procedure_header
 from repro.fortran.source import Codebase
 
@@ -24,6 +24,7 @@ _USE_RE = re.compile(
 )
 _INTERFACE_RE = re.compile(r"^\s*(abstract\s+)?interface\b", re.I)
 _END_INTERFACE_RE = re.compile(r"^\s*end\s*interface\b", re.I)
+_NAME_RE = re.compile(r"\w+")
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +116,7 @@ def _parse_use(line: str) -> UseEdge | None:
                 local, _, actual = (p.strip() for p in item.partition("=>"))
             else:
                 local = actual = item
-            if re.fullmatch(r"\w+", local) and re.fullmatch(r"\w+", actual):
+            if _NAME_RE.fullmatch(local) and _NAME_RE.fullmatch(actual):
                 only.append((local.lower(), actual.lower()))
     return UseEdge(module=m.group(1).lower(), only=tuple(only))
 
@@ -129,19 +130,25 @@ def build_index(cb: Codebase) -> ModuleIndex:
         in_interface = False
         open_routines: list[RoutineSym] = []  # contains-nesting stack
         for i, line in enumerate(file.lines):
-            if _INTERFACE_RE.match(line):
-                in_interface = True
-                continue
-            if _END_INTERFACE_RE.match(line):
-                in_interface = False
-                continue
+            low = line.lower()  # every pattern below needs its keyword in it
+            if "interface" in low:
+                if _INTERFACE_RE.match(line):
+                    in_interface = True
+                    continue
+                if _END_INTERFACE_RE.match(line):
+                    in_interface = False
+                    continue
             if in_interface:
                 continue
-            kind = classify_line(line)
+            kind = (
+                classify_line(line)
+                if "module" in low or "subroutine" in low or "function" in low
+                else None  # opens or closes neither a module nor a procedure
+            )
             if kind is LineKind.MODULE_START:
-                m = re.match(r"^\s*module\s+(\w+)", line, re.I)
-                if m and m.group(1).lower() != "procedure":
-                    current_module = m.group(1).lower()
+                name = (module_name(line) or "").lower()
+                if name != "procedure":
+                    current_module = name
                     index.modules.setdefault(current_module, file.name)
             elif kind is LineKind.MODULE_END:
                 current_module = ""
@@ -173,7 +180,7 @@ def build_index(cb: Codebase) -> ModuleIndex:
                         dummies=sym.dummies, result=sym.result,
                     )
                     index.routines.setdefault(sym.name, closed)
-            else:
+            elif "use" in low:
                 edge = _parse_use(line)
                 if edge is not None:
                     index.uses.setdefault(file.name, []).append(edge.module)

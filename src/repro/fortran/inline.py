@@ -19,6 +19,7 @@ from repro.fortran.source import SourceFile
 _SUB_SIG_RE = re.compile(r"^\s*(?:pure\s+)?subroutine\s+(\w+)\s*\(([^)]*)\)", re.I)
 _CALL_RE = re.compile(r"^(\s*)call\s+(\w+)\s*\(([^)]*)\)\s*$", re.I)
 _DECL_RE = re.compile(r"^\s*(real|integer|logical|character)\b.*::", re.I)
+_WORD_RE = re.compile(r"\b\w+\b")
 
 
 class InlineRefusedError(RuntimeError):
@@ -62,7 +63,7 @@ def substitute(line: str, mapping: dict[str, str]) -> str:
     def repl(m: re.Match) -> str:
         return mapping.get(m.group(0), m.group(0))
 
-    return re.sub(r"\b\w+\b", repl, line)
+    return _WORD_RE.sub(repl, line)
 
 
 def inline_call(file: SourceFile, call_idx: int, routine: RoutineBody) -> int:

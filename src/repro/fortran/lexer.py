@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import re
 
-from repro.fortran.directives import is_directive_line
+from repro.fortran.directives import ACC_SENTINEL
 
 
 class LineKind(enum.Enum):
@@ -35,64 +35,97 @@ _DO = re.compile(r"^\s*do\s+\w+\s*=", re.I)
 #: (Labeled ``do 100 i=...`` loops terminate on their label, not ``enddo``,
 #: and stay invisible -- both the header and the terminator.)
 _DO_OTHER = re.compile(r"^\s*do\s*(while\b[^!]*)?(!.*)?$", re.I)
-_ENDDO = re.compile(r"^\s*end\s*do\b", re.I)
+#: ``end`` and what it closes, with or without a blank between them:
+#: ``enddo`` and ``endsubroutine`` are as legal as ``end do``.
+_END = re.compile(r"^\s*end\s*(do|subroutine|function|module)\b", re.I)
+_END_KINDS = {
+    "do": LineKind.ENDDO,
+    "subroutine": LineKind.SUBROUTINE_END,
+    "function": LineKind.FUNCTION_END,
+    "module": LineKind.MODULE_END,
+}
 #: Procedure prefixes: any combination of purity/recursion attributes
 #: (``pure elemental subroutine``, ``impure elemental function`` ...).
 _PREFIXES = r"(?:(?:pure|impure|elemental|recursive)\s+)*"
 _SUB_START = re.compile(rf"^\s*({_PREFIXES})subroutine\s+(\w+)", re.I)
-_SUB_END = re.compile(r"^\s*end\s+subroutine\b", re.I)
+#: A kind selector may hold ``=`` (``real(kind=8) function f(x)``); outside
+#: it, everything before the keyword is prefix and type words.
 _FUN_START = re.compile(
     rf"^\s*({_PREFIXES})"
     r"(real|integer|logical|complex|double\s+precision|character|type)?"
     r"\s*(\([^)]*\))?\s*function\s+(\w+)",
     re.I,
 )
-_FUN_END = re.compile(r"^\s*end\s+function\b", re.I)
 _MOD_START = re.compile(r"^\s*module\s+(\w+)", re.I)
-_MOD_END = re.compile(r"^\s*end\s+module\b", re.I)
 _CONTAINS = re.compile(r"^\s*contains\s*$", re.I)
 _CALL = re.compile(r"^\s*call\s+(\w+)", re.I)
 
 
+#: What a line that is not a plain statement can begin with, lowercased.
+#: Every pattern above is ``^\s*`` followed by a literal, so starting with
+#: one of these is a necessary condition for each of them; ``_FUN_START``
+#: may open with a prefix attribute, a type keyword (``double precision``
+#: comes in under ``do``), a bare kind selector or ``function`` itself.
+#: The longest head (``subroutine``) sets the slice.
+_SUB_HEADS = ("pure", "impure", "elemental", "recursive", "subroutine")
+_HEADS = (
+    "do", "end", "call", "contains", "module", *_SUB_HEADS, "function", "(",
+    "real", "integer", "logical", "complex", "character", "type",
+)
+_HEAD_LEN = max(map(len, _HEADS))
+
+
 def classify_line(line: str) -> LineKind:
-    """Classify one line of the Fortran subset."""
-    if not line.strip():
+    """Classify one line of the Fortran subset.
+
+    Dispatches on the head keyword: a line that starts with none of
+    ``_HEADS`` is a statement with no regex attempt, and a keyword line
+    tries only its own family's patterns.
+    """
+    text = line.lstrip()
+    if not text:
         return LineKind.BLANK
-    if is_directive_line(line):
-        return LineKind.DIRECTIVE
-    if line.lstrip().startswith("!"):
+    if text[0] == "!":
+        if text[:5].lower() == ACC_SENTINEL:
+            return LineKind.DIRECTIVE
         return LineKind.COMMENT
-    if _DO_CONCURRENT.match(line):
-        return LineKind.DO_CONCURRENT
-    if _DO.match(line):
-        return LineKind.DO
-    if _DO_OTHER.match(line):
-        return LineKind.DO
-    if _ENDDO.match(line):
-        return LineKind.ENDDO
-    if _SUB_END.match(line):
-        return LineKind.SUBROUTINE_END
-    if _SUB_START.match(line):
+    head = text[:_HEAD_LEN].lower()
+    if not head.startswith(_HEADS):
+        return LineKind.STATEMENT
+    if head.startswith("do"):
+        if _DO_CONCURRENT.match(line):
+            return LineKind.DO_CONCURRENT
+        if _DO.match(line) or _DO_OTHER.match(line):
+            return LineKind.DO
+        # ``double precision function`` is in the function family below
+    elif head.startswith("end"):
+        m = _END.match(line)
+        if m is None:
+            return LineKind.STATEMENT
+        # .get: re.I also folds a few non-ASCII letters that lower() keeps
+        return _END_KINDS.get(m.group(1).lower(), LineKind.STATEMENT)
+    elif head.startswith("call"):
+        return LineKind.CALL if _CALL.match(line) else LineKind.STATEMENT
+    elif head.startswith("contains"):
+        return LineKind.CONTAINS if _CONTAINS.match(line) else LineKind.STATEMENT
+    elif head.startswith("module"):
+        return LineKind.MODULE_START if _MOD_START.match(line) else LineKind.STATEMENT
+    if head.startswith(_SUB_HEADS) and _SUB_START.match(line):
         return LineKind.SUBROUTINE_START
-    if _FUN_END.match(line):
-        return LineKind.FUNCTION_END
-    if _MOD_END.match(line):
-        return LineKind.MODULE_END
-    if _MOD_START.match(line):
-        return LineKind.MODULE_START
-    if _FUN_START.match(line) and "=" not in line.split("!")[0].split("function")[0]:
-        return LineKind.FUNCTION_START
-    if _CONTAINS.match(line):
-        return LineKind.CONTAINS
-    if _CALL.match(line):
-        return LineKind.CALL
-    return LineKind.STATEMENT
+    return LineKind.FUNCTION_START if _FUN_START.match(line) else LineKind.STATEMENT
 
 
 def subroutine_name(line: str) -> str | None:
     """Name of a subroutine-start line, else None."""
     m = _SUB_START.match(line)
     return m.group(2) if m else None
+
+
+def module_name(line: str) -> str | None:
+    """Name after ``module`` on a module-start line (``procedure`` for a
+    ``module procedure`` statement), else None."""
+    m = _MOD_START.match(line)
+    return m.group(1) if m else None
 
 
 def called_name(line: str) -> str | None:

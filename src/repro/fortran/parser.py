@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.fortran.directives import (
@@ -116,6 +117,7 @@ _TYPE_DECL_RE = re.compile(
     re.I,
 )
 _INTENT_RE = re.compile(r"\bintent\s*\(\s*(in\s*out|inout|in|out)\s*\)", re.I)
+_ENTITY_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,7 +179,7 @@ def declared_entities(line: str) -> tuple[str, ...]:
             depth = max(0, depth - 1)
         elif ch == "," and depth == 0:
             head = token.split("=")[0].strip()
-            ident = re.match(r"[A-Za-z_]\w*", head)
+            ident = _ENTITY_RE.match(head)
             if ident:
                 names.append(ident.group(0).lower())
             token = ""
@@ -191,7 +193,7 @@ def declared_intent(line: str) -> str:
     m = _INTENT_RE.search(line.split("!", 1)[0])
     if m is None:
         return ""
-    return re.sub(r"\s+", "", m.group(1).lower())
+    return "".join(m.group(1).lower().split())
 
 
 def _continuations(lines: list[str], idx: int) -> list[int]:
@@ -301,40 +303,37 @@ def _combined_region(file: SourceFile, start: int) -> ParallelRegion:
     )
 
 
+def _directive_indices(lines: list[str]) -> list[int]:
+    """Indices of the ``!$acc`` lines, found in one pass; the finders
+    hop between these and never look at the other lines of a file."""
+    return [i for i, ln in enumerate(lines) if "!$" in ln and is_directive_line(ln)]
+
+
 def find_parallel_regions(file: SourceFile) -> list[ParallelRegion]:
     """All parallel regions in a file, classified and with their loops."""
     lines = file.lines
+    acc = _directive_indices(lines)
     regions: list[ParallelRegion] = []
-    i = 0
-    while i < len(lines):
-        if not is_directive_line(lines[i]):
-            i += 1
+    p = 0
+    while p < len(acc):
+        start = acc[p]
+        d = parse_directive(lines[start])
+        if d.kind is not DirectiveKind.PARALLEL_LOOP or not d.is_region_start:
+            p += 1
             continue
-        d = parse_directive(lines[i])
-        if (
-            d.kind is DirectiveKind.PARALLEL_LOOP
-            and d.is_combined_construct
-        ):
-            region = _combined_region(file, i)
-            regions.append(region)
-            i = region.end + 1
-            continue
-        if d.kind is DirectiveKind.PARALLEL_LOOP and d.is_region_start:
-            start = i
-            j = i + 1
-            end = None
-            while j < len(lines):
-                if is_directive_line(lines[j]):
-                    dj = parse_directive(lines[j])
-                    if dj.kind is DirectiveKind.PARALLEL_LOOP and dj.is_region_end:
-                        end = j
-                        break
-                j += 1
-            if end is None:
+        if d.is_combined_construct:
+            region = _combined_region(file, start)
+        else:
+            q = p + 1
+            while q < len(acc):
+                dq = parse_directive(lines[acc[q]])
+                if dq.kind is DirectiveKind.PARALLEL_LOOP and dq.is_region_end:
+                    break
+                q += 1
+            else:
                 raise ValueError(f"unterminated parallel region in {file.name} at {start}")
-            directive_lines = [
-                k for k in range(start, end + 1) if is_directive_line(lines[k])
-            ]
+            end = acc[q]
+            directive_lines = acc[p : q + 1]
             atomic_lines = [
                 k
                 for k in directive_lines
@@ -351,67 +350,63 @@ def find_parallel_regions(file: SourceFile) -> list[ParallelRegion]:
                         continue
                 k += 1
             kind = _classify_region(lines, start, end, directive_lines, atomic_lines)
-            regions.append(
-                ParallelRegion(
-                    file=file,
-                    start=start,
-                    end=end,
-                    kind=kind,
-                    loops=loops,
-                    directive_lines=directive_lines,
-                    atomic_lines=atomic_lines,
-                )
+            region = ParallelRegion(
+                file=file,
+                start=start,
+                end=end,
+                kind=kind,
+                loops=loops,
+                directive_lines=directive_lines,
+                atomic_lines=atomic_lines,
             )
-            i = end + 1
-        else:
-            i += 1
+        regions.append(region)
+        p = bisect_right(acc, region.end, p)
     return regions
 
 
 def find_kernels_regions(file: SourceFile) -> list[KernelsRegion]:
     """All ``!$acc kernels`` regions in a file."""
     lines = file.lines
+    acc = _directive_indices(lines)
     out = []
-    i = 0
-    while i < len(lines):
-        if is_directive_line(lines[i]):
-            d = parse_directive(lines[i])
-            if d.kind is DirectiveKind.KERNELS and d.is_combined_construct:
-                # combined ``kernels loop``: spans the following do nest,
-                # with an optional adjacent ``end kernels [loop]``
-                j = i + 1
-                while j < len(lines) and classify_line(lines[j]) in (
-                    LineKind.BLANK, LineKind.COMMENT,
-                ):
-                    j += 1
-                nest = parse_loop_nest(lines, j) if j < len(lines) else None
-                if nest is None:
-                    raise ValueError(
-                        f"combined kernels construct without a loop nest in {file.name} at {i}"
-                    )
-                end = nest.end
-                k = end + 1
-                if k < len(lines) and is_directive_line(lines[k]):
-                    dk = parse_directive(lines[k])
-                    if dk.kind is DirectiveKind.KERNELS and dk.is_region_end:
-                        end = k
-                out.append(KernelsRegion(file, i, end))
-                i = end
-            elif d.kind is DirectiveKind.KERNELS and not d.is_region_end:
-                j = i + 1
-                while j < len(lines):
-                    if is_directive_line(lines[j]):
-                        dj = parse_directive(lines[j])
-                        if dj.kind is DirectiveKind.KERNELS and dj.is_region_end:
-                            out.append(KernelsRegion(file, i, j))
-                            i = j
-                            break
-                    j += 1
-                else:
-                    raise ValueError(
-                        f"unterminated kernels region in {file.name} at {i}"
-                    )
-        i += 1
+    p = 0
+    while p < len(acc):
+        i = acc[p]
+        p += 1
+        d = parse_directive(lines[i])
+        if d.kind is not DirectiveKind.KERNELS or d.is_region_end:
+            continue
+        if d.is_combined_construct:
+            # combined ``kernels loop``: spans the following do nest,
+            # with an optional adjacent ``end kernels [loop]``
+            j = i + 1
+            while j < len(lines) and classify_line(lines[j]) in (
+                LineKind.BLANK, LineKind.COMMENT,
+            ):
+                j += 1
+            nest = parse_loop_nest(lines, j) if j < len(lines) else None
+            if nest is None:
+                raise ValueError(
+                    f"combined kernels construct without a loop nest in {file.name} at {i}"
+                )
+            end = nest.end
+            k = end + 1
+            if k < len(lines) and is_directive_line(lines[k]):
+                dk = parse_directive(lines[k])
+                if dk.kind is DirectiveKind.KERNELS and dk.is_region_end:
+                    end = k
+        else:
+            for q in range(p, len(acc)):
+                dq = parse_directive(lines[acc[q]])
+                if dq.kind is DirectiveKind.KERNELS and dq.is_region_end:
+                    end = acc[q]
+                    break
+            else:
+                raise ValueError(
+                    f"unterminated kernels region in {file.name} at {i}"
+                )
+        out.append(KernelsRegion(file, i, end))
+        p = bisect_right(acc, end, p)
     return out
 
 
@@ -421,10 +416,8 @@ def find_directive_lines(
     """Standalone directives of the given kinds, with continuations."""
     wanted = set(kinds)
     out = []
-    for i, ln in enumerate(file.lines):
-        if not is_directive_line(ln):
-            continue
-        d = parse_directive(ln)
+    for i in _directive_indices(file.lines):
+        d = parse_directive(file.lines[i])
         if d.kind in wanted and d.kind is not DirectiveKind.CONTINUATION:
             out.append(
                 DirectiveLine(file, i, d, continuations=_continuations(file.lines, i))
@@ -439,6 +432,8 @@ def find_subroutines(file: SourceFile, name_pattern: str | None = None) -> list[
     start = None
     name = None
     for i, ln in enumerate(file.lines):
+        if "subroutine" not in ln.lower():
+            continue  # neither a start nor an end line
         kind = classify_line(ln)
         if kind is LineKind.SUBROUTINE_START and start is None:
             start = i

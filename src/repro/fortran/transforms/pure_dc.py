@@ -19,6 +19,7 @@ single (GPU) variants serve the setup phase too.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 from repro.fortran.directives import DirectiveKind, is_directive_line, parse_directive
 from repro.fortran.inline import InlineRefusedError, inline_call, parse_routine
@@ -51,6 +52,31 @@ def find_dc_loop_end(lines: list[str], start: int) -> int:
             if level == 0:
                 return i
     raise ValueError(f"unterminated do concurrent at line {start}")
+
+
+def atomic_dc_loops(lines: list[str]) -> Iterator[tuple[int, int, list[int], bool]]:
+    """Each outermost ``do concurrent`` nest that holds ``!$acc atomic`` lines.
+
+    Yields ``(start, end, atomics, accumulates)``: the nest's header and
+    closing ``enddo``, its atomic directive lines, and whether any of them
+    guards an accumulation (Listing 4) rather than some other statement.
+    Only lines that mention ``concurrent`` are classified.
+    """
+    end = -1
+    for i, ln in enumerate(lines):
+        if i <= end or "concurrent" not in ln.lower():
+            continue
+        if classify_line(ln) is not LineKind.DO_CONCURRENT:
+            continue
+        end = find_dc_loop_end(lines, i)
+        atomics = [
+            k
+            for k in range(i + 1, end)
+            if is_directive_line(lines[k])
+            and parse_directive(lines[k]).kind is DirectiveKind.ATOMIC
+        ]
+        if atomics:
+            yield i, end, atomics, any(ACCUM_RE.match(lines[k + 1]) for k in atomics)
 
 
 class PureDcPass(TransformPass):
@@ -98,34 +124,14 @@ class PureDcPass(TransformPass):
 
     def _rewrite_atomic_loops(self, f: SourceFile) -> None:
         edits = []
-        i = 0
-        while i < len(f.lines):
-            if classify_line(f.lines[i]) is not LineKind.DO_CONCURRENT:
-                i += 1
-                continue
-            end = find_dc_loop_end(f.lines, i)
-            atomics = [
-                k
-                for k in range(i + 1, end)
-                if is_directive_line(f.lines[k])
-                and parse_directive(f.lines[k]).kind is DirectiveKind.ATOMIC
-            ]
-            if atomics:
-                is_accum = any(
-                    ACCUM_RE.match(f.lines[k + 1]) for k in atomics
-                )
-                if is_accum:
-                    edits.append((i, end, self._flip_array_reduction(f, i, end)))
-                else:
-                    # small code modification: drop the atomics, keep the
-                    # statements (rewritten to be race-free in MAS)
-                    body = [
-                        f.lines[k]
-                        for k in range(i, end + 1)
-                        if k not in atomics
-                    ]
-                    edits.append((i, end, body))
-            i = end + 1
+        for start, end, atomics, accumulates in atomic_dc_loops(f.lines):
+            if accumulates:
+                body = self._flip_array_reduction(f, start, end)
+            else:
+                # small code modification: drop the atomics, keep the
+                # statements (rewritten to be race-free in MAS)
+                body = [f.lines[k] for k in range(start, end + 1) if k not in atomics]
+            edits.append((start, end, body))
         apply_edits(f, edits)
 
     # -- kernels expansion ----------------------------------------------------------
@@ -177,10 +183,11 @@ class PureDcPass(TransformPass):
                     routine = parse_routine(f, blk.start)
             if routine is None:
                 continue
+            call_re = re.compile(rf"^\s*call\s+{name}\s*\(")
             for f in cb.files:
                 i = 0
                 while i < len(f.lines):
-                    if re.match(rf"^\s*call\s+{name}\s*\(", f.lines[i]):
+                    if name in f.lines[i] and call_re.match(f.lines[i]):
                         try:
                             i += inline_call(f, i, routine)
                         except InlineRefusedError:

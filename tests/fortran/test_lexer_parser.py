@@ -30,8 +30,13 @@ class TestLexer:
             ("  subroutine foo(a)", LineKind.SUBROUTINE_START),
             ("  pure subroutine bar(a)", LineKind.SUBROUTINE_START),
             ("  end subroutine foo", LineKind.SUBROUTINE_END),
+            ("  endsubroutine foo", LineKind.SUBROUTINE_END),
+            ("  real(kind=8) function f(x)", LineKind.FUNCTION_START),
+            ("  double precision function d(x)", LineKind.FUNCTION_START),
+            ("  endfunction f", LineKind.FUNCTION_END),
             ("module m", LineKind.MODULE_START),
             ("end module m", LineKind.MODULE_END),
+            ("endmodule m", LineKind.MODULE_END),
             ("contains", LineKind.CONTAINS),
             ("      call interp(a, b)", LineKind.CALL),
             ("      x = y + z", LineKind.STATEMENT),
