@@ -469,18 +469,13 @@ def analyze_file(
     return out
 
 
-def analyze_codebase(
-    cb: Codebase, config: LintConfig | None = None, *, jobs: int = 1
-) -> list[Finding]:
+def analyze_codebase(cb: Codebase, config: LintConfig | None = None) -> list[Finding]:
     """Every finding in a codebase, suppressions applied, telemetry bumped.
 
-    ``jobs > 1`` analyzes files in parallel processes. The merged result
-    is byte-identical to a serial run: per-file analysis is independent,
-    results come back in file order, codebase-wide coverage stays serial,
-    and :func:`sort_findings` imposes the same total order either way.
-    The interprocedural pass (call-graph summaries, IP1xx rules) is also
-    serial -- one summary pass shared by all workers, cached content-hash
-    keyed so re-lints only recompute changed routines.
+    Per-file analysis is independent; coverage and the interprocedural
+    pass (call-graph summaries, IP1xx rules) are codebase-wide, the
+    summaries cached content-hash keyed so re-lints only recompute changed
+    routines. :func:`sort_findings` imposes one total order on the result.
     """
     from repro.analysis.findings import record_findings, sort_findings
     from repro.analysis.interproc import interproc_findings, summarize
@@ -489,20 +484,8 @@ def analyze_codebase(
     out: list[Finding] = []
     # found once per file, handed to all three consumers below
     regions = [find_parallel_regions(file) for file in cb.files]
-    if jobs > 1 and len(cb.files) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(cb.files))) as pool:
-                for findings in pool.map(analyze_file, cb.files, regions):
-                    out.extend(findings)
-        except (OSError, PermissionError):  # sandboxed/NP-fork environments
-            out = []
-            for file, file_regions in zip(cb.files, regions):
-                out.extend(analyze_file(file, file_regions))
-    else:
-        for file, file_regions in zip(cb.files, regions):
-            out.extend(analyze_file(file, file_regions))
+    for file, file_regions in zip(cb.files, regions):
+        out.extend(analyze_file(file, file_regions))
     out.extend(_coverage_findings(cb, regions))
     out.extend(interproc_findings(cb, summarize(cb), regions))
     kept = sort_findings(f for f in out if config.allows(f))

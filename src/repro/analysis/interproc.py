@@ -23,9 +23,7 @@ handles recursion), and derives the ``IP1xx`` rule family:
 
 Summaries are cached keyed by a content hash of the routine body, its
 visible module environment, and its callees' keys -- so re-lint after an
-edit recomputes only the changed routine and its (transitive) callers,
-and ``--jobs N`` workers share the one serial summary pass that runs
-after the per-file pool.
+edit recomputes only the changed routine and its (transitive) callers.
 
 Direction of conservatism: a finding is only emitted on *proof*. Calls
 to routines the tree does not define resolve to nothing and stay silent

@@ -510,18 +510,11 @@ def write_ported_tree(result: IncrementalResult, out_dir) -> None:
     from pathlib import Path
 
     from repro.fortran.frontend.lower import restore_opaque
+    from repro.fortran.tree_io import write_files
 
-    base = Path(out_dir)
-    base.mkdir(parents=True, exist_ok=True)
-    for f in result.codebase.files:
-        target = base / f.name
-        if not target.resolve().is_relative_to(base.resolve()):
-            raise ValueError(f"file name {f.name!r} escapes the tree")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        text = "\n".join(restore_opaque(ln) for ln in f.lines) + "\n"
-        target.write_text(text)
+    write_files(result.codebase, out_dir, line_map=restore_opaque)
     manifest = json.dumps(result.manifest_dict(), indent=2, sort_keys=True)
-    (base / MANIFEST_FILE).write_text(manifest + "\n")
+    (Path(out_dir) / MANIFEST_FILE).write_text(manifest + "\n")
 
 
 def read_manifest(out_dir) -> dict[str, FilePortStatus]:

@@ -17,8 +17,8 @@ watches every dispatch and produces the ``RT3xx`` findings:
 
 The checker is *opt-in*: the dispatcher holds ``None`` by default and the
 hot path costs a single attribute test (same discipline as the telemetry
-no-op; the disabled overhead is asserted <1% in ``tests/analysis`` and
-recorded in ``BENCH_lint.json``).
+no-op; the disabled overhead is asserted <1% by
+``tests/analysis/test_shadow.py``).
 """
 
 from __future__ import annotations

@@ -706,23 +706,6 @@ def _lint_codebases(args: argparse.Namespace) -> list:
     return [(build_version(v, code1=code1), [], None) for v in versions]
 
 
-def _write_fixed_tree(cb, out_dir: str) -> None:
-    """Write one lint-fixed codebase under ``out_dir``, inverting the
-    front end's opaque degrades so skipped constructs round-trip."""
-    from pathlib import Path
-
-    from repro.fortran.frontend.lower import restore_opaque
-
-    base = Path(out_dir)
-    base.mkdir(parents=True, exist_ok=True)
-    for f in cb.files:
-        target = base / f.name
-        if not target.resolve().is_relative_to(base.resolve()):
-            raise ValueError(f"file name {f.name!r} escapes the tree")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text("\n".join(restore_opaque(ln) for ln in f.lines) + "\n")
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.findings import Severity, max_severity, sort_findings
     from repro.analysis.report import (
@@ -763,9 +746,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             return 0
         per_cb = []  # (codebase, findings) pairs, fixes attached
         for cb, fe_findings, _census in triples:
-            merged = sort_findings(
-                [*analyze_codebase(cb, jobs=args.jobs), *fe_findings]
-            )
+            merged = sort_findings([*analyze_codebase(cb), *fe_findings])
             per_cb.append(((cb, fe_findings), attach_fixes(cb, merged)))
         findings = [f for _cb, fs in per_cb for f in fs]
         if args.fix:
@@ -775,13 +756,18 @@ def cmd_lint(args: argparse.Namespace) -> int:
             for (cb, fe_findings), fs in per_cb:
                 rep = apply_finding_fixes(cb, fs)
                 print(f"{cb.name}: {rep.summary()}")
-                after = attach_fixes(cb, sort_findings(
-                    [*analyze_codebase(cb, jobs=args.jobs), *fe_findings]
-                ))
+                after = attach_fixes(
+                    cb, sort_findings([*analyze_codebase(cb), *fe_findings])
+                )
                 findings.extend(after)
             if args.fix_out:
+                from repro.fortran.frontend.lower import restore_opaque
+                from repro.fortran.tree_io import write_files
+
+                # invert the front end's opaque degrades so skipped
+                # constructs round-trip
                 for (cb, _fe), _fs in per_cb:
-                    _write_fixed_tree(cb, args.fix_out)
+                    write_files(cb, args.fix_out, line_map=restore_opaque)
                 print(f"wrote {args.fix_out}")
         if args.runtime:
             from repro.analysis.fixes import attach_spec_fixes
@@ -978,10 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="external Fortran trees to lint (lowered through "
                    "the tolerant real-Fortran front end); default: the "
                    "vendored repro code versions")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="lint files in N parallel processes (merged "
-                   "finding order and SARIF stay byte-identical to a "
-                   "serial run)")
     p.add_argument("--cost", action="store_true",
                    help="print the porting-cost report (regions bucketed "
                    "by safety class, projected post-port census) instead "

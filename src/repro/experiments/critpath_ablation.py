@@ -16,7 +16,8 @@ merged per-rank event graph is walked by
 
 The expected migration -- halo/collective blame shrinking and compute
 blame absorbing the path -- is asserted (loosely) by
-``benchmarks/bench_critpath.py`` and rendered into EXPERIMENTS.md.
+``tests/experiments/test_ablations.py`` and rendered into EXPERIMENTS.md
+by ``repro report``.
 """
 
 from __future__ import annotations

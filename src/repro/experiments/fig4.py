@@ -2,7 +2,7 @@
 
 Profiles Code 1 (A) on 8 GPUs twice: with manual memory management and
 with unified memory (the paper ran exactly this control: Code 1 with UM
-enabled). The paper's findings, asserted by the regenerating bench:
+enabled). The paper's findings, asserted by ``tests/experiments/test_figs.py``:
 
 * manual: halo exchanges ride GPU peer-to-peer (NVLink) transfers;
 * UM: every exchange performs multiple CPU-GPU transfers with larger

@@ -8,8 +8,8 @@ scaling bends where the surface-to-volume ratio meets the fabric's much
 lower bandwidth -- and the UM codes, already page-migration-bound, barely
 notice the fabric at all.
 
-Not a paper artifact: no paper numbers exist to compare against. The
-bench asserts mechanism properties only.
+Not a paper artifact: no paper numbers exist to compare against;
+``tests/experiments/test_multinode.py`` asserts mechanism properties only.
 """
 
 from __future__ import annotations

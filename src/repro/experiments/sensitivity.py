@@ -4,8 +4,9 @@ A reproduction built on a calibrated model owes the reader a robustness
 check: if a headline (say, the Code 5 vs Code 1 slowdown at 8 GPUs) only
 holds for a knife-edge setting of some constant, it is calibration, not
 mechanism. This experiment perturbs each fitted constant by a factor in
-both directions and re-measures the headline metrics; the bench asserts
-the paper's qualitative conclusions survive every perturbation.
+both directions and re-measures the headline metrics;
+``tests/experiments/test_sensitivity.py`` asserts the paper's qualitative
+conclusions survive every perturbation.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ transformation passes -- the round trip is exact.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
 from repro.fortran.source import Codebase, SourceFile
 
@@ -16,22 +17,37 @@ from repro.fortran.source import Codebase, SourceFile
 FORTRAN_SUFFIXES = (".f90", ".f", ".f95", ".f03", ".f08", ".for")
 
 
-def save_tree(cb: Codebase, root: str | Path, *, overwrite: bool = False) -> Path:
-    """Write every file of ``cb`` under ``root/<codebase name>/``.
+def write_files(
+    cb: Codebase,
+    base: str | Path,
+    *,
+    line_map: Callable[[str], str] | None = None,
+) -> None:
+    """Write every file of ``cb`` directly under ``base``.
 
     File names may be relative posix paths (``solve/pcg.f90``); the
     needed subdirectories are created. Names must stay inside the tree.
+    ``line_map`` rewrites each line on the way out (the front end's
+    ``restore_opaque`` for trees it degraded on the way in).
     """
+    base = Path(base)
+    base.mkdir(parents=True, exist_ok=True)
+    resolved = base.resolve()
+    for f in cb.files:
+        target = base / f.name
+        if not target.resolve().is_relative_to(resolved):
+            raise ValueError(f"file name {f.name!r} escapes the tree")
+        target.parent.mkdir(parents=True, exist_ok=True)
+        lines = f.lines if line_map is None else map(line_map, f.lines)
+        target.write_text("\n".join(lines) + "\n")
+
+
+def save_tree(cb: Codebase, root: str | Path, *, overwrite: bool = False) -> Path:
+    """Write every file of ``cb`` under ``root/<codebase name>/``."""
     base = Path(root) / cb.name
     if base.exists() and not overwrite:
         raise FileExistsError(f"{base} exists; pass overwrite=True to replace")
-    base.mkdir(parents=True, exist_ok=True)
-    for f in cb.files:
-        target = base / f.name
-        if not target.resolve().is_relative_to(base.resolve()):
-            raise ValueError(f"file name {f.name!r} escapes the tree")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(f.text())
+    write_files(cb, base)
     return base
 
 

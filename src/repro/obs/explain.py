@@ -148,8 +148,9 @@ class Explanation:
     def mpi_share_of_delta(self) -> float:
         """Fraction of the wall delta the MPI categories explain.
 
-        The acceptance metric: for the BENCH_halo sync-vs-overlap pair
-        this must be >= 0.9 (hidden halo traffic is the whole story).
+        The acceptance metric: for a sync-vs-overlap pair of runs this
+        must be >= 0.9 (hidden halo traffic is the whole story); asserted
+        by ``tests/obs/test_explain.py`` and the CI ``perf-smoke`` job.
         """
         if self.wall_delta == 0.0:
             return 0.0

@@ -9,8 +9,8 @@ them back into tables.
 
 :func:`build_manifest` captures run provenance: CLI command and
 arguments, code version(s), grid, seed, git SHA, interpreter and numpy
-versions. The manifest is what makes two ``BENCH_*.json`` /
-telemetry directories comparable across PRs.
+versions. The manifest is what makes two telemetry directories
+comparable across PRs.
 """
 
 from __future__ import annotations

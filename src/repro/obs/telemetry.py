@@ -16,7 +16,7 @@ Instrumented code never holds a Telemetry directly: it calls
 :func:`current`, which returns the innermost *active* session or the
 shared :data:`NULL` no-op when telemetry is disabled (the default). The
 no-op path costs one function call and an attribute check, so hot loops
-stay hot (benchmarked in ``benchmarks/bench_obs_overhead.py``).
+stay hot (bounded at 5% of a step by ``tests/obs/test_overhead.py``).
 
 Activate a session around any run with::
 

@@ -4,7 +4,7 @@ Finer-grained than Fig. 3's two-way split: break a step into compute,
 launch gaps, UM migration, explicit copies, MPI pack/transfer/wait. The
 category signature is each code version's fingerprint -- DC codes carry
 more launch time (fission + no async), UM codes carry migration time --
-and the bench asserts those fingerprints.
+and ``tests/perf/test_categories.py`` asserts those fingerprints.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 The engines record, per kernel spec, the device-busy seconds actually
 charged plus the nominal HBM bytes and flops behind them
 (``kernel_seconds_total`` / ``kernel_bytes_total`` / ``kernel_flops_total``,
-emitted by :mod:`repro.runtime.openacc`, :mod:`repro.runtime.doconcurrent`
-and the CPU dispatch path). This module turns those counters into the
-quantitative version of the paper's Table III reasoning: the *attainable*
+emitted by :mod:`repro.runtime.engine` and the CPU dispatch path). This
+module turns those counters into the quantitative version of the paper's Table III reasoning: the *attainable*
 (speed-of-light) time of a kernel is ``max(bytes / peak_bw, flops /
 peak_flops)`` on the machine model's theoretical peaks, and
 

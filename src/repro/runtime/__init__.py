@@ -1,15 +1,16 @@
 """Accelerator programming-model runtimes.
 
-Two executable front-ends over one kernel abstraction reproduce the
-mechanism-level differences between OpenACC and Fortran ``do concurrent``
-(DC) that the paper identifies (SIV-B):
+One pricing engine (:class:`~repro.runtime.engine.GpuEngine`) driven two
+ways reproduces the mechanism-level differences between OpenACC and
+Fortran ``do concurrent`` (DC) that the paper identifies (SIV-B):
 
-* :class:`~repro.runtime.openacc.OpenAccEngine` -- parallel regions with
-  kernel *fusion*, ``async`` queues, manual data directives, ``atomic``
-  array reductions, ``kernels`` regions, ``routine`` support.
-* :class:`~repro.runtime.doconcurrent.DoConcurrentEngine` -- one kernel per
-  loop (kernel *fission*), synchronous launches only, the Fortran 202X
-  ``reduce`` clause, and the flipped outer-DC/inner-reduce array-reduction
+* OpenACC -- parallel regions with kernel *fusion*, ``async`` queues,
+  manual data directives, ``atomic`` array reductions, ``kernels``
+  regions, ``routine`` support.
+* DC -- one kernel per loop (kernel *fission*), synchronous launches
+  only, and the compiler restrictions of
+  :mod:`repro.runtime.doconcurrent`: the Fortran 202X ``reduce`` clause,
+  inlined routines, and the flipped outer-DC/inner-reduce array-reduction
   rewrite of Code 5.
 
 A :class:`~repro.runtime.config.RuntimeConfig` (built per code version in
@@ -22,8 +23,7 @@ from repro.runtime.config import Backend, ArrayReductionStrategy, RuntimeConfig
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.stream import AsyncQueue
 from repro.runtime.fusion import FusionPlanner, plan_fusion
-from repro.runtime.openacc import OpenAccEngine
-from repro.runtime.doconcurrent import DoConcurrentEngine
+from repro.runtime.engine import GpuEngine
 from repro.runtime.dispatcher import RankRuntime
 from repro.runtime.launch import DeviceBinding, LaunchScript, bind_devices
 
@@ -40,8 +40,7 @@ __all__ = [
     "AsyncQueue",
     "FusionPlanner",
     "plan_fusion",
-    "OpenAccEngine",
-    "DoConcurrentEngine",
+    "GpuEngine",
     "RankRuntime",
     "DeviceBinding",
     "LaunchScript",

@@ -17,19 +17,20 @@ bit-equality). Only *cost* is affected by fusion/async/UM.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Iterator
 
 from repro.machine.cpu import CpuNodeModel
 from repro.machine.gpu import GpuDevice
 from repro.obs.telemetry import current as _telemetry
 from repro.runtime.clock import SimClock, TimeCategory
-from repro.runtime.config import ArrayReductionStrategy, Backend, RuntimeConfig
+from repro.runtime.config import Backend, RuntimeConfig
 from repro.runtime.cost import KernelCostModel
 from repro.runtime.data_env import DataEnvironment, DataMode
-from repro.runtime.doconcurrent import DoConcurrentEngine
+from repro.runtime.doconcurrent import check_supported
+from repro.runtime.engine import GpuEngine, LaunchStats
 from repro.runtime.fusion import FusionGroup, FusionPlanner, plan_fusion_window, validate_plan
 from repro.runtime.kernel import KernelSpec, LoopCategory
-from repro.runtime.openacc import LaunchStats, OpenAccEngine
 from repro.runtime.pricing import PricedLaunch, PriceMemo, priced_launch, touch_and_observe
 from repro.runtime.stream import AsyncQueue
 
@@ -94,31 +95,35 @@ class RankRuntime:
             self.env = env
         self._working_set = 0.0
         self._cpu_memo = PriceMemo()
-        self._acc: OpenAccEngine | None = None
-        self._dc: DoConcurrentEngine | None = None
+        #: One engine class, two launch disciplines: OpenACC loops launch
+        #: async and fuse; DC loops launch one by one, synchronously, and
+        #: only if nvfortran would compile them.
+        self._acc: GpuEngine | None = None
+        self._dc: GpuEngine | None = None
+        self._engines: tuple[GpuEngine, ...] = ()
         if self.gpu is not None:
-            self._acc = OpenAccEngine(
+            engine = partial(
+                GpuEngine,
                 clock=self.clock,
                 env=self.env,
                 gpu=self.gpu,
                 cost=self.cost,
                 queue=self.queue,
-                async_launch=config.async_launch,
                 array_reduction=config.array_reduction,
             )
-            dc2x = any(
-                b is Backend.DC2X for b in config.loop_backend.values()
+            self._acc = engine(async_launch=config.async_launch)
+            self._dc = engine(
+                async_launch=False,
+                admit=partial(
+                    check_supported,
+                    dc2x_reduce=any(
+                        b is Backend.DC2X for b in config.loop_backend.values()
+                    ),
+                    routines_inlined=config.inline_routines,
+                    array_reduction=config.array_reduction,
+                ),
             )
-            self._dc = DoConcurrentEngine(
-                clock=self.clock,
-                env=self.env,
-                gpu=self.gpu,
-                cost=self.cost,
-                queue=self.queue,
-                dc2x_reduce=dc2x,
-                routines_inlined=config.inline_routines,
-                array_reduction=config.array_reduction,
-            )
+            self._engines = (self._acc, self._dc)
         self._planner = FusionPlanner(enabled=config.fusion)
         self._cpu_stats = LaunchStats()
         #: Cross-region window: plain/atomic kernels dispatched *outside*
@@ -149,10 +154,8 @@ class RankRuntime:
         advancing under interior compute.
         """
         self.clock = clock
-        if self._acc is not None:
-            self._acc.clock = clock
-        if self._dc is not None:
-            self._dc.clock = clock
+        for engine in self._engines:
+            engine.clock = clock
 
     # -- shadow checker ------------------------------------------------------
 
@@ -174,10 +177,8 @@ class RankRuntime:
                 self.clock.advance(c.seconds, c.category, c.label)
         # an exact integer total, so the float is the one a full re-sum gives
         self._working_set = float(self.env.total_nominal_bytes)
-        if self._acc is not None:
-            self._acc.working_set_bytes = self._working_set
-        if self._dc is not None:
-            self._dc.working_set_bytes = self._working_set
+        for engine in self._engines:
+            engine.working_set_bytes = self._working_set
 
     @property
     def working_set_bytes(self) -> float:
@@ -190,10 +191,8 @@ class RankRuntime:
     def stats(self) -> LaunchStats:
         """Combined launch counters across both engines."""
         total = LaunchStats()
-        if self._acc is not None:
-            total.merge(self._acc.stats)
-        if self._dc is not None:
-            total.merge(self._dc.stats)
+        for engine in self._engines:
+            total.merge(engine.stats)
         total.merge(self._cpu_stats)
         return total
 
@@ -201,12 +200,7 @@ class RankRuntime:
     def priced_kernels(self) -> int:
         """Distinct kernels whose price is currently held: bounded by the
         model's kernel vocabulary, not by how long it runs."""
-        held = len(self._cpu_memo)
-        if self._acc is not None:
-            held += self._acc.priced_kernels
-        if self._dc is not None:
-            held += self._dc.priced_kernels
-        return held
+        return len(self._cpu_memo) + sum(e.priced_kernels for e in self._engines)
 
     # -- regions -------------------------------------------------------------
 
@@ -387,7 +381,7 @@ class RankRuntime:
                     bytes_override=spec.bytes_override,
                     tags=spec.tags,
                 )
-            self._dc.charge(spec)
+            self._dc.charge_single(spec)
         else:
             raise ValueError(f"backend {backend} cannot run GPU loops")
         return result

@@ -1,21 +1,28 @@
-"""OpenACC-style execution engine.
+"""The GPU launch-pricing engine, shared by the OpenACC and DC backends.
 
-Implements the mechanisms the paper credits for Code 1's performance edge
-(SIV-B, SVI): kernel fusion inside ``parallel`` regions, asynchronous
-launch queues, manual data directives, ``atomic`` array reductions, and
-``kernels`` regions. Numerical bodies run eagerly in submission order --
-fusion and async change *cost*, never results (the loops are data
-independent by construction, which the fusion planner verifies).
+One engine prices every GPU launch. The mechanisms the paper credits for
+Code 1's performance edge (SIV-B, SVI) are settings and call patterns of
+it, not separate code: kernel fusion is the dispatcher handing it a
+:class:`~repro.runtime.fusion.FusionGroup` plan (``charge_region``),
+asynchronous launch queues are ``async_launch``. ``do concurrent``
+differs from OpenACC by exactly two things (SIV-B): fission, which is the
+dispatcher never handing the DC engine a group, and synchronous launches,
+which is ``async_launch=False``; what nvfortran refuses to compile as DC
+at all is the ``admit`` check
+(:func:`repro.runtime.doconcurrent.check_supported`).
 
-Cost comes from :meth:`OpenAccEngine.price`, memoised per kernel
-(:mod:`repro.runtime.pricing`); the ``charge_*`` methods apply it to the
-clock and the ``execute_*`` methods charge, then run the bodies.
+The engine only accounts cost: :meth:`GpuEngine.price` derives a kernel's
+price, memoised per kernel (:mod:`repro.runtime.pricing`), and the
+``charge_*`` methods apply it to the clock. Numerical bodies are run by
+the dispatcher, eagerly in submission order -- fusion and async change
+*cost*, never results (the loops are data independent by construction,
+which the fusion planner verifies).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Callable
 
 from repro.machine.gpu import GpuDevice
 from repro.runtime.clock import SimClock, TimeCategory
@@ -36,7 +43,7 @@ from repro.runtime.stream import AsyncQueue
 
 @dataclass(slots=True)
 class LaunchStats:
-    """Counters for launches/fusion, reported by benches and asserted in tests."""
+    """Counters for launches/fusion, reported by the bench and asserted in tests."""
 
     kernels: int = 0
     launches: int = 0
@@ -50,8 +57,8 @@ class LaunchStats:
 
 
 @dataclass(slots=True)
-class OpenAccEngine:
-    """Executes fusion groups of kernels with OpenACC launch semantics."""
+class GpuEngine:
+    """Prices and charges GPU kernel launches, alone or as fusion groups."""
 
     clock: SimClock
     env: DataEnvironment
@@ -60,6 +67,9 @@ class OpenAccEngine:
     queue: AsyncQueue
     async_launch: bool = True
     array_reduction: ArrayReductionStrategy = ArrayReductionStrategy.ACC_ATOMIC
+    #: Raises for a kernel this backend cannot compile; run once per
+    #: distinct kernel, when its price is derived.
+    admit: Callable[[KernelSpec], None] | None = None
     working_set_bytes: float | None = None
     stats: LaunchStats = field(default_factory=LaunchStats)
     _memo: PriceMemo = field(default_factory=PriceMemo, repr=False)
@@ -94,13 +104,15 @@ class OpenAccEngine:
         """What launching ``spec`` costs; derived once per kernel and kept
         while the data environment and the working set stand still.
 
-        Deriving it runs the ``default(present)`` check, so a kernel whose
-        arrays left the device raises here on its next launch.
+        Deriving it runs the ``admit`` and ``default(present)`` checks, so
+        a kernel whose arrays left the device raises here on its next launch.
         """
         entries = self._memo.entries(self.env.epoch, self.working_set_bytes)
         key = spec.cost_key
         priced = entries.get(key)
         if priced is None:
+            if self.admit is not None:
+                self.admit(spec)
             touches = self.env.kernel_touches(spec)  # default(present) first
             body = self.cost.body_time(
                 spec,
@@ -145,20 +157,6 @@ class OpenAccEngine:
         self.stats.fused_away += group.size - 1
         return body, category
 
-    def charge_group(self, group: FusionGroup) -> None:
-        """Charge one fusion group: residency, launch overhead, body time."""
-        if group.size == 1:
-            self.charge_single(group.kernels[0])
-            return
-        body, category = self._price_group(group)
-        # A fused group is one device kernel: one submit/complete round trip
-        # regardless of how many source loops it contains.
-        q = self.queue.simulate([body], async_launch=self.async_launch)
-        self.clock.advance(
-            self._gap(q.gap_time, 1), TimeCategory.LAUNCH, f"launch({group.name})"
-        )
-        self.clock.advance(q.body_time, category, group.name)
-
     def charge_region(self, groups: list[FusionGroup]) -> None:
         """Charge a whole parallel region's launch plan.
 
@@ -176,21 +174,3 @@ class OpenAccEngine:
         self.clock.advance(gap, TimeCategory.LAUNCH, f"launch_region({groups[0].name})")
         for group, (body, category) in zip(groups, priced):
             self.clock.advance(body, category, group.name)
-
-    # -- charging, then running the bodies -----------------------------------
-
-    def execute_group(self, group: FusionGroup) -> list[Any]:
-        """Run one fusion group; returns each kernel body's return value,
-        in submission order."""
-        self.charge_group(group)
-        return [spec.run_body() for spec in group.kernels]
-
-    def execute_region(self, groups: list[FusionGroup]) -> list[Any]:
-        """Run a whole parallel region's launch plan."""
-        self.charge_region(groups)
-        return [spec.run_body() for group in groups for spec in group.kernels]
-
-    def execute_single(self, spec: KernelSpec) -> Any:
-        """Run one kernel outside any region (its own launch)."""
-        self.charge_single(spec)
-        return spec.run_body()

@@ -1,6 +1,6 @@
 """Minimal monospace table renderer for experiment output.
 
-The benchmark harness prints paper-style tables (Table I, II, III) to stdout;
+The experiments print paper-style tables (Table I, II, III) to stdout;
 this renderer keeps them aligned without pulling in external dependencies.
 """
 

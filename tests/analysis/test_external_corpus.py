@@ -19,7 +19,7 @@ from repro.analysis.port import (
     read_manifest,
     write_ported_tree,
 )
-from repro.analysis.report import findings_to_sarif, render_findings
+from repro.analysis.report import render_findings
 from repro.fortran.frontend import load_external_tree
 
 CORPUS = Path(__file__).parent.parent / "fixtures" / "external"
@@ -30,9 +30,9 @@ def _load():
     return load_external_tree(CORPUS, name="external")
 
 
-def _merged(res, jobs=1):
+def _merged(res):
     return sort_findings(
-        [*analyze_codebase(res.codebase, jobs=jobs), *res.diagnostics]
+        [*analyze_codebase(res.codebase), *res.diagnostics]
     )
 
 
@@ -73,14 +73,6 @@ class TestCorpusLint:
         rules = {f.rule_id for f in _merged(_load())}
         assert "DC002" in rules   # solve.f90's undeclared reduction
         assert "FE001" in rules   # kernels_demo.f90's cache directive
-
-
-class TestJobsDeterminism:
-    def test_parallel_lint_matches_serial_byte_for_byte(self):
-        serial = _merged(_load())
-        parallel = _merged(_load(), jobs=4)
-        assert render_findings(serial) == render_findings(parallel)
-        assert findings_to_sarif(serial) == findings_to_sarif(parallel)
 
 
 class TestFixThenPort:

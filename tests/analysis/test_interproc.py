@@ -10,8 +10,6 @@ IP101 fix-it.
 
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.findings import sort_findings
 from repro.analysis.fixes import attach_fixes
 from repro.analysis.fortran_lint import analyze_codebase
@@ -44,9 +42,9 @@ def _load():
     return load_external_tree(CORPUS, name="interproc")
 
 
-def _lint(cb, diagnostics=(), jobs=1):
+def _lint(cb, diagnostics=()):
     return attach_fixes(cb, sort_findings(
-        [*analyze_codebase(cb, jobs=jobs), *diagnostics]
+        [*analyze_codebase(cb), *diagnostics]
     ))
 
 
@@ -404,17 +402,6 @@ class TestSarifRelated:
             findings_to_sarif(_lint(res.codebase, res.diagnostics))
         )
         assert any(e.file == "src/helpers.f90" for e in edits)
-
-
-class TestJobsByteIdentity:
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_interproc_corpus_matches_serial(self, jobs):
-        serial = _load()
-        parallel = _load()
-        f_serial = _lint(serial.codebase, serial.diagnostics)
-        f_jobs = _lint(parallel.codebase, parallel.diagnostics, jobs=jobs)
-        assert render_findings(f_serial) == render_findings(f_jobs)
-        assert findings_to_sarif(f_serial) == findings_to_sarif(f_jobs)
 
 
 class TestCallGraphExport:

@@ -1,0 +1,290 @@
+"""Ablations: one mechanism of the paper's story at a time.
+
+Each test isolates a mechanism the paper names and asserts the direction
+and rough size of its effect on the simulated clock (or on exact launch
+counts). Run with ``-s`` to see the tables.
+
+* SV-C control: unified memory, not ``do concurrent``, causes the slowdown;
+* the working-set locality model is what produces Fig. 2's super scaling;
+* SIV-B: what DC loses by having no ``async`` clause and no kernel fusion;
+* Listings 3-5: the three array-reduction strategies;
+* the per-step launch statistics that are the fission evidence;
+* where the critical path lives under each communication schedule.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro.codes import CodeVersion, runtime_config_for
+from repro.experiments.critpath_ablation import (
+    MODES,
+    render_critpath_ablation,
+    run_critpath_ablation,
+)
+from repro.machine.gpu import LocalityModel
+from repro.machine.node import make_delta_node
+from repro.mas.model import MasModel, ModelConfig
+from repro.perf.calibration import MEASURE_SHAPE, Calibration
+from repro.runtime.config import ArrayReductionStrategy
+from repro.runtime.fusion import plan_fusion
+from repro.runtime.kernel import KernelSpec, LoopCategory
+from repro.runtime.stream import AsyncQueue
+from repro.util.tables import Table
+from repro.util.units import MiB
+from tests.runtime.test_engines import charge_each, loops, make_acc, make_dc, make_env
+
+
+def print_block(title: str, body: str) -> None:
+    """Banner-print one regenerated table (visible with ``-s``)."""
+    bar = "=" * 78
+    print(f"\n{bar}\n{title}\n{bar}\n{body}\n")
+
+
+def _step_wall(rt_cfg, cal, *, num_ranks=8, node=None, cost=None, **model_kw):
+    """Mean simulated step wall of the calibrated model after one warm-up."""
+    m = MasModel(
+        ModelConfig(
+            shape=MEASURE_SHAPE, num_ranks=num_ranks,
+            pcg_iters=cal.pcg_iters, sts_stages=cal.sts_stages,
+            extra_model_arrays=67,
+        ),
+        rt_cfg,
+        node=node,
+        cost=cost or cal.cost_model(),
+        queue=cal.queue(),
+        halo_pack_inefficiency=cal.halo_pack_inefficiency,
+        halo_buffer_init_fraction=cal.halo_buffer_init_fraction,
+        rank_jitter=cal.rank_jitter,
+        **model_kw,
+    )
+    m.run(1)
+    ts = m.run(cal.bench_steps)
+    return sum(t.wall for t in ts) / len(ts)
+
+
+# -- unified memory (SV-C) -------------------------------------------------------
+
+UM_CAL = Calibration(pcg_iters=3, sts_stages=3, bench_steps=2)
+
+
+def _um_wall(rt_cfg, **um_kw):
+    um_kw.setdefault("um_host_mpi_overhead", UM_CAL.um_host_mpi_overhead)
+    um_kw.setdefault("um_page_amplification", UM_CAL.um_page_amplification)
+    return _step_wall(rt_cfg, UM_CAL, **um_kw)
+
+
+def test_um_is_the_culprit_not_dc():
+    """The paper's control: "We confirmed this by running Code 1 (A) and
+    Code 2 (AD) with UM and got similar timings to Code 3 (ADU)"."""
+    rows = {
+        "code1_manual": _um_wall(runtime_config_for(CodeVersion.A)),
+        "code1_um": _um_wall(runtime_config_for(CodeVersion.A).with_unified_memory()),
+        "code2_um": _um_wall(runtime_config_for(CodeVersion.AD).with_unified_memory()),
+        "code3_adu": _um_wall(runtime_config_for(CodeVersion.ADU)),
+    }
+    t = Table(["run", "step wall (ms)"], title="UM control experiment (SV-C)")
+    for k, v in rows.items():
+        t.add_row([k, v * 1e3])
+    print_block("ABLATION -- UM control: Code 1/2 + UM vs Code 3", t.render())
+    # Code 1 with UM lands near Code 3, far above manual Code 1
+    assert rows["code1_um"] == pytest.approx(rows["code3_adu"], rel=0.10)
+    assert rows["code2_um"] == pytest.approx(rows["code3_adu"], rel=0.10)
+    assert rows["code1_um"] > 1.5 * rows["code1_manual"]
+
+
+def test_um_parameter_sensitivity():
+    cfg = runtime_config_for(CodeVersion.ADU)
+    rows = [
+        ("page_amplification", amp, _um_wall(cfg, um_page_amplification=amp))
+        for amp in (1.0, 2.0, 4.0)
+    ] + [
+        ("host_mpi_overhead", ovh, _um_wall(cfg, um_host_mpi_overhead=ovh))
+        for ovh in (10e-6, 40e-6, 160e-6)
+    ]
+    t = Table(["parameter", "value", "step wall (ms)"],
+              title="UM transport parameter sweep (8 GPUs)")
+    for name, val, wall in rows:
+        t.add_row([name, val, wall * 1e3])
+    print_block("ABLATION -- UM transport parameters", t.render())
+    # walls must be monotone in each parameter
+    amps = [w for n, _v, w in rows if n == "page_amplification"]
+    ovhs = [w for n, _v, w in rows if n == "host_mpi_overhead"]
+    assert amps == sorted(amps)
+    assert ovhs == sorted(ovhs)
+
+
+# -- working-set locality vs super scaling -------------------------------------------
+
+LOCALITY_CAL = Calibration(pcg_iters=3, sts_stages=3, bench_steps=1)
+
+
+def _locality_wall(num_ranks: int, gain: float, pressure: float) -> float:
+    node = make_delta_node()
+    for d in node.gpus:
+        d.locality = LocalityModel(gain=gain)
+    return _step_wall(
+        runtime_config_for(CodeVersion.A), LOCALITY_CAL, num_ranks=num_ranks,
+        node=node,
+        cost=replace(LOCALITY_CAL.cost_model(), mpi_buffer_pressure=pressure),
+    )
+
+
+def test_locality_gain_drives_super_scaling():
+    """The paper observes Codes 1/2/6 scaling *better than ideal* at 2-4
+    GPUs. The machine model attributes that to sustained bandwidth rising
+    as the per-GPU working set shrinks; turning the gain off must make the
+    super scaling disappear. Both working-set mechanisms scale together:
+    the bandwidth boost on compute kernels and the memory-pressure relief
+    on buffer kernels."""
+    rows = []
+    for gain, pressure in ((0.0, 0.0), (0.07, 1.5), (0.14, 3.0)):
+        w1, w2, w4 = (_locality_wall(n, gain, pressure) for n in (1, 2, 4))
+        rows.append((gain, w1 / w2, w1 / w4))
+    t = Table(
+        ["working-set effects (gain)", "speedup 1->2", "speedup 1->4"],
+        title="Super-scaling ablation (Code 1; pressure scales with gain)",
+    )
+    for row in rows:
+        t.add_row(list(row))
+    print_block("ABLATION -- working-set locality vs super scaling", t.render())
+
+    no_gain, _mid, full = rows
+    # without the locality boost, scaling is sub-linear (overheads only)
+    assert no_gain[1] < 2.0 and no_gain[2] < 4.0
+    # with the calibrated gain, the paper's super scaling appears
+    assert full[1] > 2.0 and full[2] > 4.0
+    # and the effect is monotone in the gain
+    speedups4 = [r[2] for r in rows]
+    assert speedups4 == sorted(speedups4)
+
+
+# -- async launches and kernel fusion (SIV-B) ----------------------------------------
+
+
+def test_async_ablation():
+    """DC has no ``async`` clause, so every launch is a synchronous host
+    round trip: the loss as a function of kernel granularity."""
+    q = AsyncQueue()
+    t = Table(
+        ["kernels", "body (us)", "async (us)", "sync (us)", "sync/async"],
+        title="Async-launch ablation (sequence wall time)",
+    )
+    for n in (10, 100, 1000):
+        for body_us in (1.0, 10.0, 100.0):
+            bodies = [body_us * 1e-6] * n
+            a = q.simulate(bodies, async_launch=True).total_time
+            s = q.simulate(bodies, async_launch=False).total_time
+            t.add_row([n, body_us, a * 1e6, s * 1e6, s / a])
+            assert a <= s
+            if body_us <= 1.0:
+                assert s / a > 2.0   # tiny kernels: sync launches dominate
+            if body_us >= 100.0:
+                assert s / a < 1.1   # long kernels: launch overhead hidden
+    print_block("ABLATION -- async vs synchronous launches", t.render())
+
+
+def test_fusion_ablation():
+    """The same kernel region under OpenACC with fusion on/off and under DC
+    (forced fission): the launch-overhead penalty per region size."""
+    t = Table(
+        ["loops/region", "kernel KiB", "ACC fused", "ACC unfused", "DC fission",
+         "fission penalty"],
+        title="Kernel fusion ablation (times in us per region)",
+    )
+    for n_loops in (2, 4, 8, 16):
+        for kib in (64, 1024, 262144):
+            env = make_env()
+            specs = loops(env, n_loops, nbytes=kib * 1024)
+            times = []
+            for fusion in (True, False):
+                acc = make_acc(env, async_launch=False)
+                acc.charge_region(plan_fusion(specs, enabled=fusion))
+                times.append(acc.clock.now)
+            dc = make_dc(env)
+            charge_each(dc, specs)
+            fused, unfused, fission = *times, dc.clock.now
+            t.add_row([n_loops, kib, fused * 1e6, unfused * 1e6, fission * 1e6,
+                       fission / fused])
+            assert fused <= unfused <= fission * 1.001
+            if kib == 64:  # small kernels: fission hurts most
+                assert fission / fused > 1.5
+            if kib == 262144:  # paper-scale kernels: launch overhead amortized
+                assert fission / fused < 1.2
+    print_block("ABLATION -- kernel fusion vs fission", t.render())
+
+
+def test_reduction_strategies():
+    """atomic-in-ACC (Code 1-3) vs atomic-in-DC (Code 4) vs the flipped
+    outer-DC/inner-reduce rewrite (Codes 5-6). The flipped form removes the
+    atomics' bandwidth penalty, which is why Code 5/6 could drop them
+    without losing performance (SIV-E)."""
+    engines = {
+        "acc_atomic (Listing 3)": make_acc,
+        "dc_atomic (Listing 4)": lambda env: make_dc(
+            env, dc2x=True, strategy=ArrayReductionStrategy.DC_ATOMIC),
+        "flipped_dc (Listing 5)": lambda env: make_dc(
+            env, dc2x=True, strategy=ArrayReductionStrategy.FLIPPED_DC),
+    }
+    times = {}
+    for label, make in engines.items():
+        env = make_env()
+        (field,) = loops(env, 1, nbytes=256 * MiB)
+        engine = make(env)
+        engine.charge_single(KernelSpec(
+            "array_red", category=LoopCategory.ARRAY_REDUCTION, reads=field.writes))
+        times[label] = engine.clock.now
+    t = Table(["strategy", "kernel time (us)"],
+              title="Array-reduction strategy ablation (256 MiB field)")
+    for k, v in times.items():
+        t.add_row([k, v * 1e6])
+    print_block("ABLATION -- array-reduction strategies", t.render())
+    # flipped beats both atomic variants (the Code 5 rewrite pays off)
+    assert times["flipped_dc (Listing 5)"] < times["dc_atomic (Listing 4)"]
+    assert times["flipped_dc (Listing 5)"] < times["acc_atomic (Listing 3)"]
+    # the atomic penalty itself is backend-independent (same HBM effect)
+    assert abs(
+        times["dc_atomic (Listing 4)"] - times["acc_atomic (Listing 3)"]
+    ) < 0.05 * times["acc_atomic (Listing 3)"]
+
+
+# -- launch statistics: the fission evidence ----------------------------------------------
+
+
+def test_full_step_kernel_statistics():
+    """Per-step launch counts per code version."""
+    stats = {}
+    for v in (CodeVersion.A, CodeVersion.AD, CodeVersion.D2XU):
+        m = MasModel(
+            ModelConfig(shape=(10, 8, 16), pcg_iters=3, sts_stages=3,
+                        extra_model_arrays=3),
+            runtime_config_for(v),
+        )
+        timing = m.step()
+        stats[v.name] = (timing.launches, m.ranks[0].stats.fused_away)
+    t = Table(["code", "launches/step", "loops fused away"],
+              title="Kernel-launch statistics per step (1 rank)")
+    for k, (launches, fused) in stats.items():
+        t.add_row([k, launches, fused])
+    print_block("MICRO -- per-step kernel stream", t.render())
+    # Code 1 fuses; the DC codes fission into at least as many launches
+    assert stats["A"][1] > 0
+    assert stats["AD"][0] >= stats["A"][0]
+    assert stats["D2XU"][1] == 0
+
+
+# -- critical-path blame migration ------------------------------------------------------------
+
+
+def test_critpath_blame_migrates_off_halo():
+    """The extracted path tiles the wall on every schedule, and overlapping
+    the exchange pushes halo blame under 5% of the path."""
+    ablation = run_critpath_ablation(
+        num_ranks=2, steps=2, shape=(8, 6, 12), pcg_iters=4
+    )
+    print_block("CRITICAL-PATH OBSERVATORY", render_critpath_ablation(ablation))
+    for mode in MODES:
+        assert ablation.results[mode].coverage >= 0.99, mode
+    overlap_halo = ablation.blame_share("overlap", "halo")
+    assert overlap_halo < 0.05
+    assert overlap_halo < ablation.blame_share("sync", "halo")

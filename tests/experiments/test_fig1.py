@@ -22,7 +22,8 @@ class TestFig1:
         assert result.corona_heated
         assert result.stratified
         assert np.isfinite(result.meridional_temp).all()
-        assert result.meridional_temp.min() > 0
+        assert result.meridional_temp.min() > 0         # floors held
+        assert result.diagnostics["max_vr"] > 0         # outflow developing
 
     def test_divb_preserved(self, result):
         assert result.diagnostics["max_divb"] < 1e-11

@@ -30,6 +30,13 @@ def fig3():
 
 
 @pytest.fixture(scope="module")
+def fig3_full():
+    """All twelve bars at the full paper calibration (the walls are also
+    Fig. 2's 1- and 8-GPU anchors: same ``measure_breakdown`` calls)."""
+    return run_fig3()
+
+
+@pytest.fixture(scope="module")
 def fig4():
     return run_fig4()
 
@@ -78,15 +85,28 @@ class TestFig2Shape:
 
 
 class TestFig3Shape:
-    def test_anchor_bars_within_tolerance(self):
+    def test_anchor_bars_within_tolerance(self, fig3_full):
         """With the full calibration, every bar lands within 15% of the
         paper (most within 5%)."""
-        full = run_fig3()
         for n, bars in PAPER_BARS.items():
             for v, (wall, non_mpi) in bars.items():
-                b = full.breakdown(n, v)
+                b = fig3_full.breakdown(n, v)
                 assert b.wall_minutes == pytest.approx(wall, rel=0.15), (n, v)
                 assert b.non_mpi_minutes == pytest.approx(non_mpi, rel=0.15), (n, v)
+
+    def test_mpi_scaling_at_full_calibration(self, fig3_full):
+        assert fig3_full.um_mpi_blowup(8) > 5.0          # UM MPI explosion at scale
+        assert 1.1 < fig3_full.um_mpi_blowup(1) < 4.0    # modest at one GPU
+        a1, a8 = (fig3_full.breakdown(n, CodeVersion.A) for n in (1, 8))
+        assert a8.mpi_minutes < a1.mpi_minutes / 4    # manual MPI shrinks
+        u1, u8 = (fig3_full.breakdown(n, CodeVersion.ADU) for n in (1, 8))
+        assert 0.3 < u8.mpi_minutes / u1.mpi_minutes < 1.5  # UM MPI ~constant
+
+    def test_slowdown_band_at_full_calibration(self, fig3_full):
+        """The abstract's band for the zero-directive code, on the walls
+        EXPERIMENTS.md prints."""
+        d8, a8 = (fig3_full.breakdown(8, v) for v in (CodeVersion.D2XU, CodeVersion.A))
+        assert 1.25 < d8.wall_minutes / a8.wall_minutes < 3.2
 
     def test_um_blowup_at_8(self, fig3):
         assert fig3.um_mpi_blowup(8) > 5.0

@@ -15,9 +15,12 @@ TINY = Calibration(pcg_iters=2, sts_stages=2, bench_steps=1)
 
 @pytest.fixture(scope="module")
 def points():
-    # single-sided, reduced sweep keeps the unit test quick; the bench
-    # runs the full two-sided sweep
-    return run_sensitivity(base=TINY, factors=(2.0,))
+    """Every fitted constant at 0.5x and 2x, on a reduced calibration."""
+    return run_sensitivity(base=TINY)
+
+
+def _doubled(points, constant):
+    return next(p for p in points if p.constant == constant and p.factor == 2.0)
 
 
 class TestSweep:
@@ -26,10 +29,17 @@ class TestSweep:
         assert points[0].factor == 1.0
 
     def test_one_point_per_constant_factor(self, points):
-        assert len(points) == 1 + len(PERTURBED_CONSTANTS)
+        assert len(points) == 1 + 2 * len(PERTURBED_CONSTANTS)
 
     def test_baseline_conclusions_hold(self, points):
         assert points[0].conclusions_hold
+
+    def test_conclusions_robust_to_calibration(self, points):
+        """The two qualitative headlines survive every perturbation: the
+        zero-directive code is meaningfully slower than OpenACC at 8 GPUs,
+        and UM blows up MPI time."""
+        failures = [p for p in points if not p.conclusions_hold]
+        assert not failures, [f"{p.constant} x{p.factor}" for p in failures]
 
     def test_metrics_positive(self, points):
         for p in points:
@@ -39,13 +49,13 @@ class TestSweep:
     def test_host_overhead_moves_blowup(self, points):
         """Doubling the UM host sync must increase the MPI blowup."""
         base = points[0]
-        p = next(p for p in points if p.constant == "um_host_mpi_overhead")
+        p = _doubled(points, "um_host_mpi_overhead")
         assert p.um_mpi_blowup_8 > base.um_mpi_blowup_8
 
     def test_buffer_init_moves_blowup_down(self, points):
         """More manual MPI traffic shrinks the *relative* UM blowup."""
         base = points[0]
-        p = next(p for p in points if p.constant == "halo_buffer_init_fraction")
+        p = _doubled(points, "halo_buffer_init_fraction")
         assert p.um_mpi_blowup_8 < base.um_mpi_blowup_8
 
     def test_render(self, points):

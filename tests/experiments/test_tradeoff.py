@@ -37,6 +37,18 @@ class TestTradeoff:
         assert front[0] is CodeVersion.D2XU   # fewest directives
         assert front[-1] is CodeVersion.A     # fastest
 
+    def test_front_is_a_genuine_tradeoff(self, result):
+        """The paper's recommended middle grounds (Codes 2 and 6) make the
+        front, and along it wall time strictly falls as directive counts
+        rise (the front is ordered by ascending acc lines)."""
+        front = result.pareto_front()
+        assert CodeVersion.AD in front or CodeVersion.D2XAD in front
+        pts = [result.points[v] for v in front]
+        accs = [p.acc_lines for p in pts]
+        walls = [p.wall_minutes for p in pts]
+        assert accs == sorted(accs)
+        assert walls == sorted(walls, reverse=True)
+
     def test_um_codes_dominated(self, result):
         """Codes 3/4 are dominated: Code 5 has fewer directives at the
         same (UM-bound) speed."""

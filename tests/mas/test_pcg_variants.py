@@ -310,6 +310,14 @@ class TestModelVariants:
                 scale = max(float(np.max(np.abs(a))), 1e-30)
                 assert float(np.max(np.abs(a - b))) / scale < 1e-10, (variant, f)
 
+    def test_fused_reductions_lower_simulated_mpi_time(self):
+        mpi = {
+            v: max(rt.clock.mpi_time for rt in self._run(v).ranks)
+            for v in ("classic", "ca", "pipelined")
+        }
+        assert mpi["ca"] < mpi["classic"]
+        assert mpi["pipelined"] < mpi["classic"]
+
     def test_cheby_precondition_runs_and_stays_physical(self):
         model = self._run("ca", precond="cheby")
         d = model.diagnostics()

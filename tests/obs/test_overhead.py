@@ -6,8 +6,9 @@ shared no-op context manager for spans). Rather than an A/B wall-clock
 comparison -- noisy under CI load -- this measures the per-call hook cost
 directly and bounds the implied fraction of a real step.
 
-``benchmarks/bench_obs_overhead.py`` runs the full A/B comparison and
-writes BENCH_telemetry.json for cross-PR tracking.
+What *enabled* telemetry costs is a host-clock number, tracked by
+``python3 -m bench``: the ``telemetry_roundtrip`` workload against
+``step_dispatch`` (``obs.enabled_overhead_frac``).
 """
 
 import time

@@ -1,7 +1,12 @@
-"""OpenACC and DC engine semantics and relative cost ordering."""
+"""OpenACC and DC launch semantics on the one GPU engine, and their
+relative cost ordering. The engine only charges; bodies are the
+dispatcher's (``tests/runtime/test_dispatcher.py``)."""
+
+from functools import partial
 
 import pytest
 
+from repro.codes import CodeVersion, runtime_config_for
 from repro.machine.gpu import A100_40GB, GpuDevice
 from repro.machine.interconnect import PCIE4_X16
 from repro.machine.memory import DeviceMemory
@@ -9,10 +14,11 @@ from repro.runtime.clock import SimClock, TimeCategory
 from repro.runtime.config import ArrayReductionStrategy
 from repro.runtime.cost import KernelCostModel
 from repro.runtime.data_env import DataEnvironment, DataMode
-from repro.runtime.doconcurrent import DoConcurrentEngine, UnsupportedLoopError
-from repro.runtime.fusion import FusionGroup, plan_fusion
+from repro.runtime.dispatcher import RankRuntime
+from repro.runtime.doconcurrent import UnsupportedLoopError, check_supported
+from repro.runtime.engine import GpuEngine
+from repro.runtime.fusion import plan_fusion
 from repro.runtime.kernel import KernelSpec, LoopCategory
-from repro.runtime.openacc import OpenAccEngine
 from repro.runtime.stream import AsyncQueue
 from repro.util.units import GB, MiB
 
@@ -25,7 +31,7 @@ def make_env(mode=DataMode.MANUAL):
 
 def make_acc(env=None, *, async_launch=True, clock=None):
     env = env or make_env()
-    return OpenAccEngine(
+    return GpuEngine(
         clock=clock or SimClock(),
         env=env,
         gpu=GpuDevice(A100_40GB, 0),
@@ -38,16 +44,23 @@ def make_acc(env=None, *, async_launch=True, clock=None):
 def make_dc(env=None, *, dc2x=False, inlined=False, clock=None,
             strategy=ArrayReductionStrategy.DC_ATOMIC):
     env = env or make_env()
-    return DoConcurrentEngine(
+    return GpuEngine(
         clock=clock or SimClock(),
         env=env,
         gpu=GpuDevice(A100_40GB, 0),
         cost=KernelCostModel(),
         queue=AsyncQueue(),
-        dc2x_reduce=dc2x,
-        routines_inlined=inlined,
+        async_launch=False,
         array_reduction=strategy,
+        admit=partial(check_supported, dc2x_reduce=dc2x,
+                      routines_inlined=inlined, array_reduction=strategy),
     )
+
+
+def charge_each(dc, specs):
+    """A fissioned sequence (what was one OpenACC region)."""
+    for spec in specs:
+        dc.charge_single(spec)
 
 
 def loops(env, n, nbytes=100 * MiB):
@@ -70,8 +83,8 @@ class TestFissionVsFusion:
         specs_d = loops(env_d, 8, nbytes=1 * MiB)
         acc = make_acc(env_a)
         dc = make_dc(env_d)
-        acc.execute_region(plan_fusion(specs_a, enabled=True))
-        dc.execute_sequence(specs_d)
+        acc.charge_region(plan_fusion(specs_a, enabled=True))
+        charge_each(dc, specs_d)
         assert acc.clock.now < dc.clock.now
         assert acc.stats.launches == 1
         assert dc.stats.launches == 8
@@ -84,8 +97,8 @@ class TestFissionVsFusion:
         specs_d = loops(env_d, 4)
         acc = make_acc(env_a)
         dc = make_dc(env_d)
-        acc.execute_region(plan_fusion(specs_a, enabled=True))
-        dc.execute_sequence(specs_d)
+        acc.charge_region(plan_fusion(specs_a, enabled=True))
+        charge_each(dc, specs_d)
         assert acc.clock.by_category[TimeCategory.COMPUTE] == pytest.approx(
             dc.clock.by_category[TimeCategory.COMPUTE]
         )
@@ -97,8 +110,8 @@ class TestFissionVsFusion:
         # force separate launches with fusion disabled to isolate async
         fast = make_acc(env_a, async_launch=True)
         slow = make_acc(env_b, async_launch=False)
-        fast.execute_region(plan_fusion(specs_a, enabled=False))
-        slow.execute_region(plan_fusion(specs_b, enabled=False))
+        fast.charge_region(plan_fusion(specs_a, enabled=False))
+        slow.charge_region(plan_fusion(specs_b, enabled=False))
         assert fast.clock.now < slow.clock.now
 
 
@@ -109,14 +122,14 @@ class TestDcRestrictions:
         bad = KernelSpec("red", category=LoopCategory.SCALAR_REDUCTION,
                          reads=spec.writes)
         with pytest.raises(UnsupportedLoopError, match="202X"):
-            make_dc(env).execute(bad)
+            make_dc(env).charge_single(bad)
 
     def test_scalar_reduction_ok_with_dc2x(self):
         env = make_env()
         (spec,) = loops(env, 1)
         red = KernelSpec("red", category=LoopCategory.SCALAR_REDUCTION,
                          reads=spec.writes)
-        make_dc(env, dc2x=True).execute(red)
+        make_dc(env, dc2x=True).charge_single(red)
 
     def test_routine_caller_needs_inlining(self):
         env = make_env()
@@ -124,8 +137,8 @@ class TestDcRestrictions:
         call = KernelSpec("caller", category=LoopCategory.ROUTINE_CALLER,
                           reads=spec.writes)
         with pytest.raises(UnsupportedLoopError, match="Minline"):
-            make_dc(env).execute(call)
-        make_dc(env, inlined=True).execute(call)
+            make_dc(env).charge_single(call)
+        make_dc(env, inlined=True).charge_single(call)
 
     def test_kernels_region_rejected(self):
         env = make_env()
@@ -133,7 +146,7 @@ class TestDcRestrictions:
         kr = KernelSpec("minval", category=LoopCategory.KERNELS_REGION,
                         reads=spec.writes)
         with pytest.raises(UnsupportedLoopError, match="no DC equivalent"):
-            make_dc(env, dc2x=True).execute(kr)
+            make_dc(env, dc2x=True).charge_single(kr)
 
 
 class TestReductionStrategies:
@@ -147,17 +160,15 @@ class TestReductionStrategies:
         ra, rf = self._array_red(env_a), self._array_red(env_f)
         atomic = make_dc(env_a, dc2x=True, strategy=ArrayReductionStrategy.DC_ATOMIC)
         flipped = make_dc(env_f, dc2x=True, strategy=ArrayReductionStrategy.FLIPPED_DC)
-        atomic.execute(ra)
-        flipped.execute(rf)
+        atomic.charge_single(ra)
+        flipped.charge_single(rf)
         assert flipped.clock.now < atomic.clock.now
 
     def test_body_runs_and_returns(self):
-        env = make_env()
-        (spec,) = loops(env, 1)
-        out = make_dc(env).execute(
-            KernelSpec("k", reads=spec.writes, body=lambda: 7)
-        )
-        assert out == 7
+        rt = RankRuntime(runtime_config_for(CodeVersion.D2XU),
+                         env=make_env(DataMode.UNIFIED), gpu=GpuDevice(A100_40GB, 0))
+        rt.register_array("arr0", 100 * MiB)
+        assert rt.loop(KernelSpec("k", reads=("arr0",), body=lambda: 7)) == 7
 
 
 class TestUnifiedMemoryEffects:
@@ -165,7 +176,7 @@ class TestUnifiedMemoryEffects:
         env = make_env(DataMode.UNIFIED)
         specs = loops(env, 1)
         dc = make_dc(env)
-        dc.execute(specs[0])
+        dc.charge_single(specs[0])
         assert dc.clock.by_category[TimeCategory.UM_FAULT] > 0
 
     def test_um_launch_gap_larger(self):
@@ -174,8 +185,8 @@ class TestUnifiedMemoryEffects:
         (su,) = loops(env_u, 1)
         m = make_dc(env_m)
         u = make_dc(env_u)
-        m.execute(sm)
-        u.execute(su)
+        m.charge_single(sm)
+        u.charge_single(su)
         assert (
             u.clock.by_category[TimeCategory.LAUNCH]
             > m.clock.by_category[TimeCategory.LAUNCH]
@@ -186,9 +197,9 @@ class TestUnifiedMemoryEffects:
         (sm,) = loops(env_m, 1)
         (su,) = loops(env_u, 1)
         m, u = make_dc(env_m), make_dc(env_u)
-        m.execute(sm)
-        u.execute(su)
-        u.execute(su)  # steady state: no faults second time
+        m.charge_single(sm)
+        u.charge_single(su)
+        u.charge_single(su)  # steady state: no faults second time
         assert (
             u.clock.by_category[TimeCategory.COMPUTE] / 2
             > m.clock.by_category[TimeCategory.COMPUTE]
@@ -201,6 +212,6 @@ class TestMpiPackTagging:
         (spec,) = loops(env, 1)
         pack = KernelSpec("pack", reads=spec.writes, tags=frozenset({"mpi_pack"}))
         acc = make_acc(env)
-        acc.execute_single(pack)
+        acc.charge_single(pack)
         assert acc.clock.mpi_time > 0
         assert acc.clock.by_category[TimeCategory.MPI_PACK] > 0

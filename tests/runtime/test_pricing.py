@@ -4,7 +4,7 @@ to nothing of the launch it was derived for."""
 
 import gc
 import weakref
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,10 +25,10 @@ from repro.runtime.config import (
 from repro.runtime.cost import KernelCostModel
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.dispatcher import RankRuntime
-from repro.runtime.doconcurrent import DoConcurrentEngine, UnsupportedLoopError
+from repro.runtime.doconcurrent import UnsupportedLoopError, check_supported
+from repro.runtime.engine import GpuEngine
 from repro.runtime.fusion import plan_fusion
 from repro.runtime.kernel import KernelSpec, LoopCategory
-from repro.runtime.openacc import OpenAccEngine
 from repro.runtime.stream import AsyncQueue
 from repro.util.units import GB, MiB
 
@@ -46,28 +46,21 @@ def make_env(mode=DataMode.MANUAL, arrays=ARRAYS):
 
 def make_engine(kind, env, clock, *, async_launch=True, flipped=False,
                 cost=None, working_set_bytes=None):
-    common = dict(
+    """The engine as ``RankRuntime`` builds it for OpenACC loops (``acc``)
+    or for DC loops (``dc``: synchronous, restriction-checked)."""
+    dc = kind == "dc"
+    strategy = (ArrayReductionStrategy.FLIPPED_DC if flipped
+                else ArrayReductionStrategy.DC_ATOMIC if dc
+                else ArrayReductionStrategy.ACC_ATOMIC)
+    return GpuEngine(
         clock=clock, env=env, gpu=GpuDevice(A100_40GB, 0),
         cost=cost or KernelCostModel(), queue=AsyncQueue(),
         working_set_bytes=working_set_bytes,
+        async_launch=async_launch and not dc,
+        array_reduction=strategy,
+        admit=partial(check_supported, dc2x_reduce=True, routines_inlined=True,
+                      array_reduction=strategy) if dc else None,
     )
-    if kind == "acc":
-        return OpenAccEngine(
-            async_launch=async_launch,
-            array_reduction=(ArrayReductionStrategy.FLIPPED_DC if flipped
-                             else ArrayReductionStrategy.ACC_ATOMIC),
-            **common,
-        )
-    return DoConcurrentEngine(
-        dc2x_reduce=True, routines_inlined=True,
-        array_reduction=(ArrayReductionStrategy.FLIPPED_DC if flipped
-                         else ArrayReductionStrategy.DC_ATOMIC),
-        **common,
-    )
-
-
-def launch(engine, spec):
-    return engine.execute_single(spec) if isinstance(engine, OpenAccEngine) else engine.execute(spec)
 
 
 def recorded(clock):
@@ -108,11 +101,11 @@ class TestStalePrices:
         env = make_env()
         engine = make_engine(kind, env, SimClock())
         spec = KernelSpec("k", reads=("rho",), writes=("temp@g2m",), bytes_override=1e6)
-        launch(engine, spec)
-        launch(engine, spec)
+        engine.charge_single(spec)
+        engine.charge_single(spec)
         getattr(env, leave)("temp")
         with pytest.raises(AllocationError, match="temp"):
-            launch(engine, spec)
+            engine.charge_single(spec)
 
     def test_dispatcher_rechecks_presence(self):
         rt = gpu_runtime(acc_config(), [("a", 8 * MiB)])
@@ -159,7 +152,7 @@ class TestStalePrices:
         for _ in range(3):
             engine.clock = SimClock()
             stream = recorded(engine.clock)
-            launch(engine, spec)
+            engine.charge_single(spec)
             faults = [(dt, cat, label) for _, dt, cat, label in stream
                       if cat is TimeCategory.UM_FAULT]
             # the un-memoised reference: DataEnvironment.prepare_kernel
@@ -168,7 +161,7 @@ class TestStalePrices:
             assert faults == want and len(faults) == 2
             assert env.um.stats == ref_env.um.stats
             del stream[:]
-            launch(engine, spec)  # resident now: no fault
+            engine.charge_single(spec)  # resident now: no fault
             assert all(cat is not TimeCategory.UM_FAULT for _, _, cat, _ in stream)
             assert env.um.stats == ref_env.um.stats
             for e in (env, ref_env):
@@ -245,29 +238,24 @@ def engine_settings(draw):
 
 
 def _run(stream_of, kernels, *, region):
-    """Launch ``kernels`` one by one, then (OpenACC) once more as a fused
-    region; ``stream_of(n)`` gives the engine for the n-th launch."""
-    outcomes = []
+    """Charge ``kernels`` one by one, then (OpenACC) once more as a fused
+    region; ``stream_of(n)`` gives the engine for the n-th launch. Returns
+    the launches the backend refused to compile."""
+    refused = []
     for n, spec in enumerate(kernels):
         try:
-            outcomes.append(launch(stream_of(n), spec))
+            stream_of(n).charge_single(spec)
         except UnsupportedLoopError as exc:
-            outcomes.append(str(exc))
+            refused.append((n, str(exc)))
     if region:
-        outcomes.append(
-            stream_of(len(kernels)).execute_region(plan_fusion(kernels, enabled=True))
-        )
-    return outcomes
+        stream_of(len(kernels)).charge_region(plan_fusion(kernels, enabled=True))
+    return refused
 
 
 @settings(max_examples=60, deadline=None)
 @given(settings_=engine_settings(), kernels=st.lists(specs(), min_size=1, max_size=8))
 def test_warm_engine_charges_what_a_cold_engine_prices(settings_, kernels):
     kind, mode = settings_.pop("kind"), settings_.pop("mode")
-    calls = []
-    kernels = [
-        replace(k, body=lambda i=i: calls.append(i) or i) for i, k in enumerate(kernels)
-    ]
     region = kind == "acc"
 
     # warm: one engine that has launched everything before
@@ -281,10 +269,8 @@ def test_warm_engine_charges_what_a_cold_engine_prices(settings_, kernels):
     warm.stats = type(warm.stats)()
     warm.clock = SimClock()
     warm_stream = recorded(warm.clock)
-    calls.clear()
-    warm_out = _run(lambda n: warm, kernels, region=region)
+    warm_refused = _run(lambda n: warm, kernels, region=region)
     assert warm.priced_kernels == held  # nothing re-derived
-    warm_calls = list(calls)
 
     # cold: every launch on an engine that has priced nothing
     env_c, clock_c = make_env(mode), SimClock()
@@ -295,22 +281,15 @@ def test_warm_engine_charges_what_a_cold_engine_prices(settings_, kernels):
         engines.append(make_engine(kind, env_c, clock_c, **settings_))
         return engines[-1]
 
-    calls.clear()
-    cold_out = _run(cold, kernels, region=region)
+    cold_refused = _run(cold, kernels, region=region)
 
     assert warm_stream == cold_stream
-    assert warm_out == cold_out
-    assert warm_calls == calls
+    assert warm_refused == cold_refused
     assert warm.stats.kernels == sum(e.stats.kernels for e in engines)
     assert warm.stats.launches == sum(e.stats.launches for e in engines)
     assert warm.stats.fused_away == sum(e.stats.fused_away for e in engines)
     if mode is DataMode.UNIFIED:
         assert env_w.um.stats == env_c.um.stats
-    # bodies: submission order, each run once per launch it was part of
-    ran = [i for i, out in enumerate(warm_out[: len(kernels)]) if out == i]
-    assert warm_calls == ran + (list(range(len(kernels))) if region else [])
-    if region:
-        assert warm_out[-1] == list(range(len(kernels)))
 
 
 # -- the dispatcher runs each body once, whatever path prices it --------------------
