@@ -66,6 +66,27 @@ def _add_overlap_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_model_options(parser: argparse.ArgumentParser) -> None:
+    """What ``run`` and ``sweep`` share: a sweep is a run with members."""
+    parser.add_argument("--version", default="A", choices=[v.name for v in CodeVersion])
+    parser.add_argument("--ranks", type=int, default=1)
+    parser.add_argument("--steps", type=int, default=5)
+    parser.add_argument("--shape", type=int, nargs=3, default=[12, 10, 20],
+                        metavar=("NR", "NT", "NP"))
+    parser.add_argument("--pcg-iters", type=int, default=5)
+    parser.add_argument("--pcg-tol", type=float, default=0.0,
+                        help="PCG early-exit relative residual (0 = fixed "
+                        "iterations, the paper-scale reference semantics); a "
+                        "converged sweep member freezes via mask and never "
+                        "stalls the batch")
+    parser.add_argument("--cheby-degree", type=int, default=3,
+                        help="Chebyshev preconditioner degree (--precond cheby)")
+    parser.add_argument("--sts-stages", type=int, default=5)
+    _add_pcg_options(parser)
+    _add_overlap_options(parser)
+    _add_telemetry(parser)
+
+
 def _add_telemetry(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry",
@@ -233,16 +254,20 @@ def cmd_fig4(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _run_model(args: argparse.Namespace, banner: str, **ensemble):
+    """Build the model ``run`` and ``sweep`` share, print ``banner`` and
+    one line per step; returns the advanced model, or None after one line
+    on stderr when the configuration is invalid (the caller exits 2)."""
     from dataclasses import replace
 
     from repro.mas.model import MasModel, ModelConfig
 
-    version = CodeVersion[args.version]
-    rt_cfg = runtime_config_for(version)
+    rt_cfg = runtime_config_for(CodeVersion[args.version])
     if args.fuse_regions:
         rt_cfg = replace(rt_cfg, cross_region_fusion=True)
-    with _telemetry_session(args):
+    try:
+        if args.steps < 1:
+            raise ValueError("--steps must be at least 1")
         model = MasModel(
             ModelConfig(
                 shape=tuple(args.shape),
@@ -254,15 +279,28 @@ def cmd_run(args: argparse.Namespace) -> int:
                 cheby_degree=args.cheby_degree,
                 sts_stages=args.sts_stages,
                 halo_overlap=args.halo_overlap,
+                **ensemble,
             ),
             rt_cfg,
         )
-        print(f"running {version_info(version).tag}: {version_info(version).description}")
-        for i, t in enumerate(model.run(args.steps)):
-            print(
-                f"step {i:3d}  dt={t.dt:.5f}  wall={t.wall * 1e3:8.2f} ms  "
-                f"mpi={t.mpi * 1e3:7.2f} ms  launches={t.launches}"
-            )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    print(banner)
+    for i, t in enumerate(model.run(args.steps)):
+        print(
+            f"step {i:3d}  dt={t.dt:.5f}  wall={t.wall * 1e3:8.2f} ms  "
+            f"mpi={t.mpi * 1e3:7.2f} ms  launches={t.launches}"
+        )
+    return model
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    info = version_info(CodeVersion[args.version])
+    with _telemetry_session(args):
+        model = _run_model(args, f"running {info.tag}: {info.description}")
+        if model is None:
+            return 2
         d = model.diagnostics()
     print(
         f"done: t={model.time:.4f}, mass={d['mass']:.4f}, "
@@ -330,17 +368,15 @@ def _render_member_rows(rows: list[dict]) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Ensemble parameter sweep: B members advanced in one batched model."""
     import json as _json
-    from dataclasses import replace
     from pathlib import Path
 
-    from repro.mas.model import MasModel, ModelConfig
+    from repro.mas.model import ModelConfig
     from repro.obs.telemetry import current as _current_telemetry
 
     version = CodeVersion[args.version]
-    rt_cfg = runtime_config_for(version)
-    if args.fuse_regions:
-        rt_cfg = replace(rt_cfg, cross_region_fusion=True)
     try:
+        if args.members < 1:
+            raise ValueError("--members must be at least 1")
         vary = tuple(_parse_vary(s, args.members) for s in (args.vary or []))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -354,33 +390,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         nr, nt, nphi = ModelConfig.__dataclass_fields__["nominal_shape"].default
         nominal = (nr, nt, max(1, nphi // args.members))
     with _telemetry_session(args):
-        model = MasModel(
-            ModelConfig(
-                shape=tuple(args.shape),
-                nominal_shape=nominal,
-                num_ranks=args.ranks,
-                pcg_iters=args.pcg_iters,
-                pcg_variant=args.pcg,
-                pcg_precond=args.precond,
-                pcg_tol=args.pcg_tol,
-                cheby_degree=args.cheby_degree,
-                sts_stages=args.sts_stages,
-                halo_overlap=args.halo_overlap,
-                ensemble_size=args.members,
-                ensemble_vary=vary,
-            ),
-            rt_cfg,
-        )
-        print(
+        model = _run_model(
+            args,
             f"sweep: {args.members} member(s) under "
             f"{version_info(version).tag}, varying "
-            f"{', '.join(n for n, _ in vary) if vary else 'nothing'}"
+            f"{', '.join(n for n, _ in vary) if vary else 'nothing'}",
+            nominal_shape=nominal,
+            ensemble_size=args.members,
+            ensemble_vary=vary,
         )
-        for i, t in enumerate(model.run(args.steps)):
-            print(
-                f"step {i:3d}  dt={t.dt:.5f}  wall={t.wall * 1e3:8.2f} ms  "
-                f"mpi={t.mpi * 1e3:7.2f} ms  launches={t.launches}"
-            )
+        if model is None:
+            return 2
         rows = model.ensemble_report()
         tel = _current_telemetry()
         if tel.enabled:
@@ -836,21 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tradeoff)
 
     p = sub.add_parser("run", help="run the MHD model under one code version")
-    p.add_argument("--version", default="A", choices=[v.name for v in CodeVersion])
-    p.add_argument("--ranks", type=int, default=1)
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--shape", type=int, nargs=3, default=[12, 10, 20],
-                   metavar=("NR", "NT", "NP"))
-    p.add_argument("--pcg-iters", type=int, default=5)
-    p.add_argument("--pcg-tol", type=float, default=0.0,
-                   help="PCG early-exit relative residual (0 = fixed "
-                   "iterations, the paper-scale reference semantics)")
-    p.add_argument("--cheby-degree", type=int, default=3,
-                   help="Chebyshev preconditioner degree (--precond cheby)")
-    p.add_argument("--sts-stages", type=int, default=5)
-    _add_pcg_options(p)
-    _add_overlap_options(p)
-    _add_telemetry(p)
+    _add_model_options(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser(
@@ -869,25 +875,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", metavar="FILE", default=None,
                    help="also write the sweep manifest JSON here (always "
                    "written into the --telemetry dir as sweep.json)")
-    p.add_argument("--version", default="A", choices=[v.name for v in CodeVersion])
-    p.add_argument("--ranks", type=int, default=1)
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--shape", type=int, nargs=3, default=[12, 10, 20],
-                   metavar=("NR", "NT", "NP"))
     p.add_argument("--nominal-shape", type=int, nargs=3, default=None,
                    metavar=("NR", "NT", "NP"),
                    help="per-member nominal (cost-model) grid; defaults to "
                    "the paper grid with its phi extent divided by B so the "
                    "whole batch fits simulated device memory")
-    p.add_argument("--pcg-iters", type=int, default=5)
-    p.add_argument("--pcg-tol", type=float, default=0.0,
-                   help="PCG early-exit relative residual; a converged "
-                   "member freezes via mask and never stalls the batch")
-    p.add_argument("--cheby-degree", type=int, default=3)
-    p.add_argument("--sts-stages", type=int, default=5)
-    _add_pcg_options(p)
-    _add_overlap_options(p)
-    _add_telemetry(p)
+    _add_model_options(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("port", help="run the source-porting pipeline")

@@ -22,6 +22,8 @@ Step sequence (mirroring MAS's semi-implicit loop, paper SIII):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
@@ -34,36 +36,32 @@ from repro.mas.boundary import BoundaryProfiles, apply_boundaries, apply_centere
 from repro.mas.conduction import conduction_rhs, max_diffusivity
 from repro.mas.constants import PhysicsParams
 from repro.mas.grid import LocalGrid, SphericalGrid
+from repro.mas.implicit_solve import ImplicitSolve
 from repro.mas.initial import initialize
-from repro.mas.pcg import (
-    PCG_VARIANTS,
-    PRECONDITIONERS,
-    chebyshev_preconditioner,
-    jacobi_spectral_bounds,
-    pcg_solve,
-    pcg_solve_ca,
-    pcg_solve_pipelined,
-)
+from repro.mas.pcg import PCG_VARIANTS, PRECONDITIONERS
 # bench/tests/test_tracer.py, frozen with the benchmark, reads the three
-# retired ``_batched`` aliases off this module as well as off ``pcg``.
+# solvers and their retired ``_batched`` aliases off this module as well as
+# off ``pcg``; the module that calls them is ``implicit_solve``.
 from repro.mas.pcg import (  # noqa: F401
+    pcg_solve,
     pcg_solve_batched,
+    pcg_solve_ca,
     pcg_solve_ca_batched,
+    pcg_solve_pipelined,
     pcg_solve_pipelined_batched,
 )
 from repro.mas.radiation import energy_source_rate, heating_profile
-from repro.mas.state import EnsembleState, MhdState
+from repro.mas.state import (
+    ALL_FIELDS,
+    FACE_FIELDS,
+    STAGGER_AXES,
+    VELOCITY_FIELDS,
+    EnsembleState,
+    member_field,
+)
 from repro.mas.semi_implicit import max_wave_speed, si_coefficient
 from repro.mas.sts import explicit_parabolic_dt, rkl2_advance, stages_for_dt
-from repro.mas.viscosity import implicit_matvec, jacobi_diagonal
-from repro.mpi.collectives import (
-    allreduce_many,
-    allreduce_many_begin,
-    allreduce_many_finish,
-    allreduce_max,
-    allreduce_min,
-    allreduce_sum,
-)
+from repro.mpi.collectives import allreduce_max, allreduce_min
 from repro.mpi.decomp import Decomposition3D
 from repro.mpi.halo import HaloExchanger, HaloSpec
 from repro.obs.telemetry import current as _telemetry
@@ -91,17 +89,6 @@ WORK_ARRAYS = (
     "emf_r", "emf_t", "emf_p",
     "heat", "diag_flux",
 )
-
-#: PCG recurrence roles -> (written array, read array) of the axpy kernel.
-#: Naming each recurrence's own arrays (instead of charging every axpy to
-#: pcg_p/pcg_z) makes back-to-back axpys of different recurrences
-#: data-independent, so the cross-region fusion window can collapse them.
-_AXPY_ROLES = {
-    ("p", "u"): ("pcg_p", "pcg_z"),
-    ("s", "w"): ("pcg_s", "pcg_ap"),
-    ("q", "m"): ("pcg_q", "pcg_z"),
-    ("z", "n"): ("pcg_az", "pcg_ap"),
-}
 
 #: Parameters a sweep may vary per ensemble member.  ``b0`` and
 #: ``perturbation`` enter the initial condition; ``viscosity`` and
@@ -267,8 +254,11 @@ class MasModel:
         #: that is a choice of array layout only -- the PCG solvers are the
         #: same code for every B.
         self.ensemble = config.ensemble_size > 1
-        self._vary = {
-            name: np.asarray(values, dtype=float)
+        #: Swept parameters, each entering the model here and nowhere else:
+        #: per-member (B,) values, or the one member's scalar in the scalar
+        #: layout (B=1 is a degenerate ensemble, not a different program).
+        self._vary: dict[str, float | np.ndarray] = {
+            name: np.asarray(values, dtype=float) if self.ensemble else float(values[0])
             for name, values in config.ensemble_vary
         }
         #: Members frozen by a PCG rho-breakdown (sticky across steps).
@@ -282,6 +272,8 @@ class MasModel:
         self.halo_overlap = config.halo_overlap and runtime_config.supports_halo_overlap
         #: Boundary-shell passes deferred until their exchange finishes.
         self._deferred_shell: list[tuple] = []
+        #: Per-rank arrays one step piece leaves for a later one.
+        self._work: list[dict[str, Any]] = [{} for _ in range(config.num_ranks)]
         n = config.num_ranks
 
         self.grid = SphericalGrid.build(config.shape)
@@ -297,40 +289,36 @@ class MasModel:
         queue = queue or AsyncQueue()
 
         # -- rank runtimes -----------------------------------------------------
-        self.ranks: list[RankRuntime] = []
+        def rank(r: int, **hardware: Any) -> RankRuntime:
+            cost = replace(base_cost, body_scale=1.0 + rank_jitter * r / max(1, n - 1))
+            return RankRuntime(
+                runtime_config, num_ranks=n, cost=cost, queue=queue, **hardware
+            )
+
         self.rank_nodes: list[int] | None = None
         if runtime_config.target == "gpu":
             if cluster is not None:
                 # multi-node run: node-major placement, fabric across nodes
                 self.node = cluster.nodes[0]
-                self.cluster = cluster
                 self.rank_nodes = cluster.rank_node_map(n)
                 devices = [cluster.device_of(r) for r in range(n)]
             else:
                 self.node = node or make_delta_node()
-                self.cluster = None
                 binding = bind_devices(self.node, n, runtime_config.device_binding)
                 devices = devices_for_binding(self.node, binding)
             mode = DataMode.UNIFIED if runtime_config.unified_memory else DataMode.MANUAL
-            for r in range(n):
-                env = DataEnvironment(
-                    mode,
-                    device_memory=devices[r].memory,
-                    host_link=self.node.interconnect.host,
+            self.ranks = [
+                rank(
+                    r,
+                    env=DataEnvironment(
+                        mode,
+                        device_memory=device.memory,
+                        host_link=self.node.interconnect.host,
+                    ),
+                    gpu=device,
                 )
-                rank_cost = replace(
-                    base_cost, body_scale=1.0 + rank_jitter * r / max(1, n - 1)
-                )
-                self.ranks.append(
-                    RankRuntime(
-                        runtime_config,
-                        env=env,
-                        gpu=devices[r],
-                        num_ranks=n,
-                        cost=rank_cost,
-                        queue=queue,
-                    )
-                )
+                for r, device in enumerate(devices)
+            ]
             kind = (
                 TransportKind.UM_STAGED
                 if runtime_config.unified_memory
@@ -349,57 +337,34 @@ class MasModel:
             )
         else:
             self.node = None
-            self.cluster = None
             cpu = cpu_model or CpuNodeModel(EPYC_7742_NODE)
-            for r in range(n):
-                rank_cost = replace(
-                    base_cost, body_scale=1.0 + rank_jitter * r / max(1, n - 1)
-                )
-                self.ranks.append(
-                    RankRuntime(
-                        runtime_config,
-                        cpu_model=cpu,
-                        num_ranks=n,
-                        cost=rank_cost,
-                        queue=queue,
-                    )
-                )
+            self.ranks = [rank(r, cpu_model=cpu) for r in range(n)]
             self.transport = make_transport(TransportKind.CPU_FABRIC, fabric=SLINGSHOT)
             self.reduce_link = SLINGSHOT
 
         # -- states, boundary profiles, work arrays -----------------------------
-        if self.ensemble:
-            nb = config.ensemble_size
-            b0s = self._vary.get("b0", np.full(nb, config.b0))
-            perts = self._vary.get(
-                "perturbation", np.full(nb, config.perturbation)
-            )
-            # Each member initializes exactly as its scalar run would, then
-            # the members stack into one (B, ...) array per field.
-            self.states = [
-                EnsembleState.stack(
-                    [
-                        initialize(
-                            g,
-                            config.params,
-                            b0=float(b0s[b]),
-                            perturbation=float(perts[b]),
-                        )
-                        for b in range(nb)
-                    ]
-                )
-                for g in self.local_grids
-            ]
-        else:
-            self.states = [
+        nb = config.ensemble_size
+        b0s = np.broadcast_to(self._vary.get("b0", config.b0), nb)
+        perts = np.broadcast_to(
+            self._vary.get("perturbation", config.perturbation), nb
+        )
+        # Each member initializes exactly as its scalar run would, then
+        # the members stack into one (B, ...) array per field; one member
+        # in the scalar layout IS its scalar run.
+        self.states = []
+        for g in self.local_grids:
+            members = [
                 initialize(
                     g,
                     config.params,
-                    b0=config.b0,
-                    perturbation=config.perturbation,
+                    b0=float(b0s[b]),
+                    perturbation=float(perts[b]),
                 )
-                for g in self.local_grids
+                for b in range(nb)
             ]
+            self.states.append(
+                EnsembleState.stack(members) if self.ensemble else members[0]
+            )
         self._register_arrays()
         self.profiles = [BoundaryProfiles.capture(s) for s in self.states]
         self.heating = [heating_profile(g, config.params) for g in self.local_grids]
@@ -427,10 +392,8 @@ class MasModel:
             # Pre-register halo staging buffers for every field the step
             # loop exchanges (state + solver iterates): registration costs
             # land in setup, so step walls stay state-independent.
-            self.halo.ensure_buffers(
-                (*self._CENTERED, *(f for f, _ in self._FACES), "pcg_p", "sts_y")
-            )
-            self._exchange_state()
+            self.halo.ensure_buffers((*ALL_FIELDS, "pcg_p", "sts_y"))
+            self.halo.exchange_many(self._state_items())
             self._apply_boundaries()
 
     # ------------------------------------------------------------------ setup
@@ -450,13 +413,9 @@ class MasModel:
         um = self.rt_config.unified_memory
         for r, rt in enumerate(self.ranks):
             state = self.states[r]
-            names = [
-                ("rho", None), ("temp", None), ("vr", None), ("vt", None),
-                ("vp", None), ("br", 0), ("bt", 1), ("bp", 2),
-            ]
-            for name, stag in names:
+            for name in ALL_FIELDS:
                 rt.register_array(
-                    name, self._nominal_bytes(r, stag), state.get(name)
+                    name, self._nominal_bytes(r, STAGGER_AXES[name]), state.get(name)
                 )
                 self._maybe_init_kernel(rt, name)
             for name in WORK_ARRAYS:
@@ -468,7 +427,7 @@ class MasModel:
                 # Codes with duplicate CPU-only setup routines pre-touch the
                 # state on the device before the time loop, hiding the
                 # first-touch faults in setup rather than step one.
-                for name, _ in names:
+                for name in ALL_FIELDS:
                     for c in rt.env.prepare_kernel(
                         KernelSpec("setup_touch", reads=(name,))
                     ):
@@ -482,24 +441,15 @@ class MasModel:
 
     # ----------------------------------------------------------- communication
 
-    _CENTERED = ("rho", "temp", "vr", "vt", "vp")
-    _FACES = (("br", 0), ("bt", 1), ("bp", 2))
-
-    def _state_items(self, names: tuple[str, ...] | None = None) -> list:
+    def _state_items(self, names: tuple[str, ...] = ALL_FIELDS) -> list:
         """Batched-exchange items for the (selected) state fields."""
-        items: list = []
-        for name in self._CENTERED:
-            if names is None or name in names:
-                items.append((name, [s.get(name) for s in self.states], None))
-        for name, axis in self._FACES:
-            if names is None or name in names:
-                items.append((name, [s.get(name) for s in self.states], axis))
-        return items
+        return [
+            (name, [s.get(name) for s in self.states], STAGGER_AXES[name])
+            for name in ALL_FIELDS
+            if name in names
+        ]
 
-    def _exchange_state(self, names: tuple[str, ...] | None = None) -> None:
-        self.halo.exchange_many(self._state_items(names))
-
-    def _exchange_state_begin(self, names: tuple[str, ...] | None = None):
+    def _exchange_state_begin(self, names: tuple[str, ...] = ALL_FIELDS):
         """Start the state exchange; overlapped when the model supports it.
 
         Returns the :class:`~repro.mpi.halo.PendingExchange` to pass to
@@ -508,9 +458,6 @@ class MasModel:
         return self.halo.exchange_begin_many(
             self._state_items(names), overlap=self.halo_overlap
         )
-
-    def _exchange_centered(self, name: str, arrays: list[np.ndarray]) -> None:
-        self.halo.exchange(name, arrays)
 
     # -- interior/boundary stencil splitting -----------------------------------
 
@@ -550,17 +497,52 @@ class MasModel:
         )
         return result
 
-    def _flush_shell(self) -> None:
-        """Issue all deferred boundary-shell passes (ghosts now costed)."""
+    def _finish_exchange(self, pending) -> None:
+        """Wait for an overlapped exchange, then issue all deferred
+        boundary-shell passes (ghosts now costed)."""
+        if pending is not None:
+            self.halo.exchange_finish(pending)
         shells, self._deferred_shell = self._deferred_shell, []
         for entry, spec in shells:
             entry(spec)
 
-    def _finish_exchange(self, pending) -> None:
-        """Wait for an overlapped exchange, then run the boundary shells."""
-        if pending is not None:
-            self.halo.exchange_finish(pending)
-        self._flush_shell()
+    # -- one kernel per rank, one collective over ranks ------------------------------
+
+    def launch(
+        self, name: str, body: Callable[[int], Any] | None = None, *,
+        entry: str = "loop", exchange: tuple[str, list[np.ndarray]] | None = None,
+        **spec: Any,
+    ) -> list:
+        """Issue kernel ``name`` once per rank, in rank order, through the
+        :class:`RankRuntime` entry point ``entry``; returns what each rank's
+        ``body(r)`` returned.  ``spec`` holds the other :class:`KernelSpec`
+        fields, the same on every rank.  ``exchange=(halo_name, arrays)``
+        exchanges the arrays' ghosts around the kernels, which split into
+        interior and shell passes when that exchange is overlapped.  (Loops
+        issuing several kernels on a rank before the next rank's do not
+        fit: emission order is part of the price.)"""
+        if exchange is not None:
+            pending = self.halo.exchange_begin(*exchange, overlap=self.halo_overlap)
+        out = []
+        for r, rt in enumerate(self.ranks):
+            kernel = KernelSpec(name, body=body and partial(body, r), **spec)
+            issue = getattr(rt, entry)
+            out.append(
+                issue(kernel) if exchange is None
+                else self._stencil_loop(r, rt, kernel, entry=issue)
+            )
+        if exchange is not None:
+            self._finish_exchange(pending)
+        return out
+
+    def allreduce(self, collective: Callable, locals_: list) -> Any:
+        """One :mod:`repro.mpi.collectives` function (named by the caller, so
+        it is looked up at call time in the caller's module) over per-rank
+        partials, eight bytes per value each rank contributes."""
+        return collective(
+            self.ranks, locals_, self.reduce_link,
+            nbytes=8 * np.size(locals_[0]), unified_memory=self.rt_config.unified_memory,
+        )
 
     def _apply_boundaries(self) -> None:
         for r, rt in enumerate(self.ranks):
@@ -574,15 +556,12 @@ class MasModel:
             # narrower declaration as footprint drift). The byte count stays
             # pinned to the calibrated 13-array footprint: ghost fills of B
             # reuse cache lines the velocity reflection already streamed.
-            state_bytes = sum(
-                rt.env.nominal_bytes(n)
-                for n in ("rho", "temp", "vr", "vt", "vp", "br", "bt", "bp")
-            )
+            state_bytes = sum(rt.env.nominal_bytes(n) for n in ALL_FIELDS)
             rt.loop(
                 KernelSpec(
                     "boundary_fill",
-                    reads=("rho", "temp", "vr", "vt", "vp", "br", "bt", "bp"),
-                    writes=("rho", "temp", "vr", "vt", "vp", "br", "bt", "bp"),
+                    reads=ALL_FIELDS,
+                    writes=ALL_FIELDS,
                     work_fraction=min(1.0, 4.0 / self.config.nominal_shape[0]),
                     bytes_override=state_bytes * 13.0 / 8.0,
                     body=body,
@@ -601,46 +580,32 @@ class MasModel:
         """
         if self.config.fixed_dt is not None:
             return self.config.fixed_dt
-        locals_ = []
-        for r, rt in enumerate(self.ranks):
+        p = self.config.params
+
+        def body(r: int) -> float | np.ndarray:
             state, grid = self.states[r], self.local_grids[r]
-            p = self.config.params
-
-            def body(state=state, grid=grid, p=p) -> float | np.ndarray:
-                i = grid.interior()
-                bcr, bct, bcp = ops.face_to_center(state.br, state.bt, state.bp)
-                rho = np.maximum(state.rho[i], p.rho_floor)
-                va2 = (bcr[i] ** 2 + bct[i] ** 2 + bcp[i] ** 2) / rho
-                cs2 = p.sound_speed_sq(np.maximum(state.temp[i], p.temp_floor))
-                vmag = np.sqrt(
-                    state.vr[i] ** 2 + state.vt[i] ** 2 + state.vp[i] ** 2
-                )
-                speed = vmag + np.sqrt(va2 + cs2)
-                if speed.ndim > 3:  # batched: one max per member
-                    return p.cfl * grid.min_cell_extent / speed.max(
-                        axis=(-3, -2, -1)
-                    )
-                return p.cfl * grid.min_cell_extent / float(speed.max())
-
-            # MAS's remaining `kernels` regions wrap Fortran intrinsics like
-            # MINVAL (SIV-B); the CFL minimum is exactly that construct, so
-            # it goes through kernels_region (Code 5 expands it into an
-            # explicit DC reduction loop).
-            locals_.append(
-                rt.kernels_region(
-                    KernelSpec(
-                        "cfl_minval",
-                        reads=("rho", "temp", "vr", "vt", "vp", "br", "bt", "bp"),
-                        body=body,
-                    )
-                )
+            i = grid.interior()
+            bcr, bct, bcp = ops.face_to_center(state.br, state.bt, state.bp)
+            rho = np.maximum(state.rho[i], p.rho_floor)
+            va2 = (bcr[i] ** 2 + bct[i] ** 2 + bcp[i] ** 2) / rho
+            cs2 = p.sound_speed_sq(np.maximum(state.temp[i], p.temp_floor))
+            vmag = np.sqrt(
+                state.vr[i] ** 2 + state.vt[i] ** 2 + state.vp[i] ** 2
             )
-        dt = allreduce_min(
-            self.ranks,
-            locals_,
-            self.reduce_link,
-            nbytes=8 * self.config.ensemble_size,
-            unified_memory=self.rt_config.unified_memory,
+            speed = vmag + np.sqrt(va2 + cs2)
+            if speed.ndim > 3:  # batched: one max per member
+                return p.cfl * grid.min_cell_extent / speed.max(
+                    axis=(-3, -2, -1)
+                )
+            return p.cfl * grid.min_cell_extent / float(speed.max())
+
+        # MAS's remaining `kernels` regions wrap Fortran intrinsics like
+        # MINVAL (SIV-B); the CFL minimum is exactly that construct, so
+        # it goes through kernels_region (Code 5 expands it into an
+        # explicit DC reduction loop).
+        dt = self.allreduce(
+            allreduce_min,
+            self.launch("cfl_minval", body, entry="kernels_region", reads=ALL_FIELDS),
         )
         if not isinstance(dt, np.ndarray):
             dt = float(dt)
@@ -648,14 +613,6 @@ class MasModel:
             limit = self._last_dt * self.config.dt_growth_limit
             dt = np.minimum(dt, limit) if isinstance(dt, np.ndarray) else min(dt, limit)
         self._last_dt = dt
-        return dt
-
-    @staticmethod
-    def _dt_field(dt: float | np.ndarray) -> float | np.ndarray:
-        """A per-member quantity reshaped to broadcast against batched
-        ``(B, nr, nt, np)`` state arrays; scalars pass through."""
-        if isinstance(dt, np.ndarray):
-            return dt[:, None, None, None]
         return dt
 
     def step(self) -> StepTiming:
@@ -691,7 +648,7 @@ class MasModel:
             with span("step/viscosity"):
                 self._viscosity_solve(dt)
             with span("step/exchange"):
-                pending_v = self._exchange_state_begin(names=("vr", "vt", "vp"))
+                pending_v = self._exchange_state_begin(VELOCITY_FIELDS)
                 self._apply_boundaries()
             with span("step/induction"):
                 self._induction(dt, pending_v)
@@ -791,10 +748,10 @@ class MasModel:
 
     def _hydro_advance(self, dt: float | np.ndarray) -> None:
         p = self.config.params
-        dt = self._dt_field(dt)
+        dt = member_field(dt)
         for r, rt in enumerate(self.ranks):
             state, grid = self.states[r], self.local_grids[r]
-            work: dict[str, np.ndarray] = {}
+            work: dict[str, Any] = {}
 
             def pres_body(state=state, work=work, p=p) -> None:
                 work["pres"] = p.pressure(state.rho, state.temp)
@@ -837,8 +794,12 @@ class MasModel:
                 "temp_advection",
                 reads=("temp", "vr", "vt", "vp", "wrk_divv"),
                 writes=("temp",), body=temp_adv_body))
-            # pressure/divv reused by the momentum predictor this step
-            setattr(self, f"_work_{r}", work)
+            # pressure/divv reused by the momentum predictor this step.  The
+            # previous step's arrays are released here, one rank at a time
+            # and after this step's are allocated; releasing them all up
+            # front changes which temporaries the allocator serves from
+            # fresh pages (CHANGES.md, PR 19).
+            self._work[r] = work
 
     def _shell_diagnostics(self) -> None:
         """Per-shell mass-flux profile: MAS's array-reduction pattern.
@@ -848,34 +809,25 @@ class MasModel:
         Code 4 keeps as atomics inside DC (Listing 4) and Codes 5/6 flip
         into an outer DC with an inner serialized reduce (Listing 5).
         """
-        self._last_flux_profile = []
-        for r, rt in enumerate(self.ranks):
+        def body(r: int) -> np.ndarray:
             state, grid = self.states[r], self.local_grids[r]
+            i = grid.interior()
+            rhovr = state.rho[i] * state.vr[i]
+            area = grid.area_r[1:-1][:, 1:-1, 1:-1][: rhovr.shape[-3]]
+            # one radial profile per member in batched runs
+            return (rhovr * area).sum(axis=(-2, -1))
 
-            def body(state=state, grid=grid) -> np.ndarray:
-                i = grid.interior()
-                rhovr = state.rho[i] * state.vr[i]
-                area = grid.area_r[1:-1][:, 1:-1, 1:-1][: rhovr.shape[-3]]
-                # one radial profile per member in batched runs
-                return (rhovr * area).sum(axis=(-2, -1))
-
-            self._last_flux_profile.append(
-                rt.array_reduction(
-                    KernelSpec(
-                        "shell_mass_flux",
-                        reads=("rho", "vr"),
-                        writes=("diag_flux",),
-                        body=body,
-                    )
-                )
-            )
+        self._last_flux_profile = self.launch(
+            "shell_mass_flux", body, entry="array_reduction",
+            reads=("rho", "vr"), writes=("diag_flux",),
+        )
 
     def _momentum_predictor(self, dt: float | np.ndarray, pending=None) -> None:
         p = self.config.params
-        dt = self._dt_field(dt)
+        dt = member_field(dt)
         for r, rt in enumerate(self.ranks):
             state, grid = self.states[r], self.local_grids[r]
-            work = getattr(self, f"_work_{r}")
+            work = self._work[r]
 
             def lorentz_body(state=state, grid=grid, work=work) -> None:
                 work["lor"] = ops.lorentz_force(state.br, state.bt, state.bp, grid)
@@ -903,7 +855,7 @@ class MasModel:
 
         for r, rt in enumerate(self.ranks):
             state, grid = self.states[r], self.local_grids[r]
-            work = getattr(self, f"_work_{r}")
+            work = self._work[r]
 
             def update_bodies(state=state, grid=grid, work=work, dt=dt, p=p):
                 gp = ops.grad_center(work["pres"], grid)
@@ -926,311 +878,51 @@ class MasModel:
 
                 return upd_vr, upd_vt, upd_vp
 
-            upd_vr, upd_vt, upd_vp = update_bodies()
+            updates = update_bodies()
             reads = ("wrk_pres", "rho", "wrk_lor_r", "wrk_lor_t", "wrk_lor_p",
                      "wrk_adv_r", "wrk_adv_t", "wrk_adv_p")
             with rt.region():
-                rt.loop(KernelSpec("update_vr", reads=reads, writes=("vr",), body=upd_vr))
-                rt.loop(KernelSpec("update_vt", reads=reads, writes=("vt",), body=upd_vt))
-                rt.loop(KernelSpec("update_vp", reads=reads, writes=("vp",), body=upd_vp))
+                for comp, upd in zip(VELOCITY_FIELDS, updates):
+                    rt.loop(KernelSpec(f"update_{comp}", reads=reads,
+                                       writes=(comp,), body=upd))
 
     # -- implicit velocity solves (viscosity & semi-implicit) ------------------------
 
     def _viscosity_solve(self, dt: float | np.ndarray) -> None:
-        nu = self._vary_param("viscosity", self.config.params.viscosity)
+        nu = self._vary.get("viscosity", self.config.params.viscosity)
         if np.all(np.asarray(nu) == 0.0):
             return
-        self._implicit_velocity_solve(nu, dt, "visc")
-
-    def _vary_param(self, name: str, default: float) -> float | np.ndarray:
-        """Per-member (B,) values of a swept parameter, or its scalar."""
-        vals = self._vary.get(name)
-        return default if vals is None else vals
+        self._run_solve(ImplicitSolve(self, nu, dt, "visc", "viscosity"))
 
     def _semi_implicit_solve(self, dt: float | np.ndarray) -> None:
         """MAS's semi-implicit wave stabilization (see repro.mas.semi_implicit)."""
         if not self.config.semi_implicit:
             return
-        locals_ = [
-            rt.scalar_reduction(
-                KernelSpec(
-                    "si_wave_speed",
-                    reads=("rho", "temp", "vr", "vt", "vp", "br", "bt", "bp"),
-                    body=lambda state=self.states[r], grid=self.local_grids[r]: max_wave_speed(
-                        state, grid, self.config.params
-                    ),
-                    tags=frozenset({"semi_implicit"}),
-                )
-            )
-            for r, rt in enumerate(self.ranks)
-        ]
-        c_max = allreduce_max(
-            self.ranks,
-            locals_,
-            self.reduce_link,
-            nbytes=8 * self.config.ensemble_size,
-            unified_memory=self.rt_config.unified_memory,
-        )
+        p = self.config.params
+        c_max = self.allreduce(allreduce_max, self.launch(
+            "si_wave_speed",
+            lambda r: max_wave_speed(self.states[r], self.local_grids[r], p),
+            entry="scalar_reduction", reads=ALL_FIELDS, tags=frozenset({"semi_implicit"}),
+        ))
         coeff = si_coefficient(c_max, dt, self.config.si_theta)
         if np.any(np.asarray(coeff) > 0.0):
-            self._implicit_velocity_solve(coeff, dt, "si")
+            self._run_solve(ImplicitSolve(self, coeff, dt, "si", "semi_implicit"))
 
-    def _implicit_velocity_solve(
-        self, nu: float | np.ndarray, dt: float | np.ndarray, tag: str
-    ) -> None:
-        """(I - dt nu Lap) v = v* per component via the selected PCG variant.
-
-        Per-member ``nu``/``dt`` broadcast as (B,1,1,1) coefficient fields:
-        each member sees exactly the scalar operator its serial run would,
-        but every matvec/axpy kernel covers the whole batch.
-        """
-        tracer = _telemetry().tracer
-        nu = self._dt_field(nu)
-        dt = self._dt_field(dt)
-        diags = [jacobi_diagonal(g, nu, dt) for g in self.local_grids]
-        cost_tag = "viscosity" if tag == "visc" else "semi_implicit"
-        precondition = self._make_preconditioner(diags, nu, dt, tag, cost_tag)
-
-        for comp in ("vr", "vt", "vp"):
-            arrays = [s.get(comp) for s in self.states]
-            rhs = [a.copy() for a in arrays]
-            anti = comp == "vt"
-
-            def apply_a(xs, comp=comp, anti=anti):
-                pend = self.halo.exchange_begin(
-                    "pcg_p", xs, overlap=self.halo_overlap
-                )
-                out = []
-                for r, rt in enumerate(self.ranks):
-                    grid = self.local_grids[r]
-
-                    def body(x=xs[r], grid=grid, r=r, anti=anti):
-                        apply_centered_boundary(
-                            x, self.decomp, r, antisymmetric_theta=anti
-                        )
-                        return implicit_matvec(x, grid, nu, dt)
-
-                    out.append(
-                        self._stencil_loop(r, rt, KernelSpec(
-                            f"{tag}_matvec_{comp}",
-                            reads=("pcg_p", "rho"),
-                            writes=("pcg_ap",),
-                            body=body,
-                            tags=frozenset({cost_tag}),
-                        ))
-                    )
-                self._finish_exchange(pend)
-                return out
-
-            def _pair_dot(x, y):
-                """One (pair of) interior dot(s): float, or (B,) per member.
-
-                The per-member values are each computed by the same
-                ``np.vdot`` over the same elements as the member's serial
-                run -- bitwise-identical reductions, one kernel.
-                """
-                if x.ndim == 3:
-                    return float(np.vdot(x, y).real)
-                return np.array(
-                    [float(np.vdot(xb, yb).real) for xb, yb in zip(x, y)]
-                )
-
-            def dot(a, b):
-                locals_ = []
-                for r, rt in enumerate(self.ranks):
-                    i = self.local_grids[r].interior()
-
-                    def body(x=a[r], y=b[r], i=i):
-                        return _pair_dot(x[i], y[i])
-
-                    locals_.append(
-                        rt.scalar_reduction(
-                            KernelSpec(f"{tag}_dot", reads=("pcg_r", "pcg_z"), body=body,
-                                       tags=frozenset({cost_tag}))
-                        )
-                    )
-                total = allreduce_sum(
-                    self.ranks,
-                    locals_,
-                    self.reduce_link,
-                    nbytes=8 * self.config.ensemble_size,
-                    unified_memory=self.rt_config.unified_memory,
-                )
-                return total if isinstance(total, np.ndarray) else float(total)
-
-            def dot_many_local(pairs):
-                """Per-rank partial dots for one fused reduction.
-
-                Scalar runs contribute a (k,) vector; ensemble runs a
-                (k, B) matrix -- still ONE collective either way.
-                """
-                locals_ = []
-                for r, rt in enumerate(self.ranks):
-                    i = self.local_grids[r].interior()
-
-                    def body(pairs=pairs, r=r, i=i) -> np.ndarray:
-                        return np.array(
-                            [_pair_dot(a[r][i], b[r][i]) for a, b in pairs]
-                        )
-
-                    locals_.append(
-                        rt.scalar_reduction(
-                            KernelSpec(f"{tag}_dot_many", reads=("pcg_r", "pcg_z"),
-                                       body=body, tags=frozenset({cost_tag}))
-                        )
-                    )
-                return locals_
-
-            def dot_many(pairs):
-                return allreduce_many(
-                    self.ranks,
-                    dot_many_local(pairs),
-                    self.reduce_link,
-                    unified_memory=self.rt_config.unified_memory,
-                )
-
-            def dot_many_begin(pairs):
-                return allreduce_many_begin(
-                    self.ranks,
-                    dot_many_local(pairs),
-                    self.reduce_link,
-                    unified_memory=self.rt_config.unified_memory,
-                )
-
-            def combine(ys, alpha, zs, roles=("p", "u")):
-                wname, rname = _AXPY_ROLES[roles]
-                for r, rt in enumerate(self.ranks):
-                    def body(y=ys[r], z=zs[r], alpha=alpha) -> None:
-                        y += alpha * z
-
-                    rt.loop(
-                        KernelSpec(f"{tag}_axpy_{roles[0]}",
-                                   reads=(wname, rname),
-                                   writes=(wname,), body=body,
-                                   tags=frozenset({cost_tag}))
-                    )
-
-            variant = self.config.pcg_variant
-            # Solver names are module globals looked up per call (not a
-            # table built at import) so the bench tracer can rebind them.
-            if variant == "classic":
-                solver, reductions = pcg_solve, {"dot": dot}
-            elif variant == "ca":
-                solver, reductions = pcg_solve_ca, {"dot_many": dot_many}
-            else:
-                solver, reductions = pcg_solve_pipelined, {"dot_many": dot_many}
-                if self.rt_config.supports_pipelined_reductions:
-                    reductions.update(dot_many_begin=dot_many_begin,
-                                      dot_many_finish=allreduce_many_finish)
-            with tracer.span(f"step/{cost_tag}/pcg", component=comp,
-                             variant=variant):
-                result = solver(
-                    apply_a,
-                    rhs,
-                    arrays,
-                    precondition=precondition,
-                    combine=combine,
-                    iterations=self.config.pcg_iters,
-                    tol=self.config.pcg_tol,
-                    **reductions,
-                )
-                self._member_breakdown |= result.breakdown
-                self._member_pcg_iterations += result.iterations
-                self._member_pcg_converged += result.converged
-
-    def _make_preconditioner(self, diags, nu: float, dt: float,
-                             tag: str, cost_tag: str):
-        """Build the selected preconditioner as a kernel-charged closure.
-
-        Jacobi issues one ``{tag}_precond`` kernel per rank per application.
-        Chebyshev additionally issues ``degree - 1`` rank-local
-        ``{tag}_precond_matvec`` stencil kernels -- no halo exchanges and no
-        reductions, so it adds zero MPI while damping the whole bounded
-        spectrum.  The ghost zones of the inverse diagonal are zeroed so the
-        polynomial acts on a purely rank-local linear operator (ghost cells
-        are annihilated instead of coupling in stale, asymmetric values),
-        and the upper spectral bound carries a safety margin: the Chebyshev
-        polynomial stays positive below the interval but can change sign
-        above it, so overestimating ``lam_max`` is safe while undershooting
-        it would make the preconditioner indefinite.
-        """
-        if self.config.pcg_precond == "cheby":
-            inv_diags = []
-            for r, d in enumerate(diags):
-                inv = np.zeros_like(d)
-                i = self.local_grids[r].interior()
-                inv[i] = 1.0 / d[i]
-                inv_diags.append(inv)
-            lam_min, lam_max = jacobi_spectral_bounds(diags)
-
-            def local_matvec(xs):
-                out = []
-                for r, rt in enumerate(self.ranks):
-                    grid = self.local_grids[r]
-
-                    def body(x=xs[r], grid=grid):
-                        return implicit_matvec(x, grid, nu, dt)
-
-                    out.append(
-                        rt.loop(
-                            KernelSpec(f"{tag}_precond_matvec",
-                                       reads=("pcg_z", "pcg_diag"),
-                                       writes=("pcg_ap",), body=body,
-                                       tags=frozenset({cost_tag}))
-                        )
-                    )
-                return out
-
-            cheby = chebyshev_preconditioner(
-                local_matvec,
-                inv_diags,
-                degree=self.config.cheby_degree,
-                lam_min=lam_min,
-                lam_max=1.05 * lam_max,
-            )
-
-            def precondition(rs):
-                zs = cheby(rs)  # charges the polynomial's matvec kernels
-                out = []
-                for r, rt in enumerate(self.ranks):
-                    def body(z=zs[r]):
-                        return z
-
-                    out.append(
-                        rt.loop(
-                            KernelSpec(f"{tag}_precond",
-                                       reads=("pcg_r", "pcg_diag"),
-                                       writes=("pcg_z",), body=body,
-                                       tags=frozenset({cost_tag}))
-                        )
-                    )
-                return out
-
-            return precondition
-
-        def precondition(rs):
-            out = []
-            for r, rt in enumerate(self.ranks):
-                def body(x=rs[r], d=diags[r]):
-                    return x / d
-
-                out.append(
-                    rt.loop(
-                        KernelSpec(f"{tag}_precond", reads=("pcg_r", "pcg_diag"),
-                                   writes=("pcg_z",), body=body,
-                                   tags=frozenset({cost_tag}))
-                    )
-                )
-            return out
-
-        return precondition
+    def _run_solve(self, solve: ImplicitSolve) -> None:
+        """(I - dt coeff Lap) v = v* per component via the selected PCG
+        variant, folded into the per-member ledger; ``solve`` is not kept
+        (see :mod:`repro.mas.implicit_solve`)."""
+        for result in solve.run():
+            self._member_breakdown |= result.breakdown
+            self._member_pcg_iterations += result.iterations
+            self._member_pcg_converged += result.converged
 
     # -- induction -------------------------------------------------------------------
 
     def _induction(self, dt: float | np.ndarray, pending=None) -> None:
-        dt = self._dt_field(dt)
-        eta = self._dt_field(
-            self._vary_param("resistivity", self.config.params.resistivity)
+        dt = member_field(dt)
+        eta = member_field(
+            self._vary.get("resistivity", self.config.params.resistivity)
         )
         all_emfs: list[dict[str, tuple]] = []
         for r, rt in enumerate(self.ranks):
@@ -1261,25 +953,19 @@ class MasModel:
             state, grid = self.states[r], self.local_grids[r]
             emfs = all_emfs[r]
 
-            def ct_bodies(state=state, grid=grid, emfs=emfs, dt=dt):
-                def make(which: int, arr: np.ndarray, axis: int):
-                    def body() -> None:
-                        db = ops.ct_face_update(*emfs["e"], grid)[which]
-                        fi = grid.face_interior(axis)
-                        arr[fi] += dt * db[fi]
-                    return body
-                return (
-                    make(0, state.br, 0),
-                    make(1, state.bt, 1),
-                    make(2, state.bp, 2),
-                )
+            def ct_body(arr: np.ndarray, axis: int, grid=grid, emfs=emfs):
+                def body() -> None:
+                    db = ops.ct_face_update(*emfs["e"], grid)[axis]
+                    fi = grid.face_interior(axis)
+                    arr[fi] += dt * db[fi]
+                return body
 
-            b_r, b_t, b_p = ct_bodies()
+            updates = [ct_body(state.get(name), axis) for name, axis in FACE_FIELDS]
             reads = ("emf_r", "emf_t", "emf_p")
             with rt.region():
-                rt.loop(KernelSpec("ct_update_br", reads=reads, writes=("br",), body=b_r))
-                rt.loop(KernelSpec("ct_update_bt", reads=reads, writes=("bt",), body=b_t))
-                rt.loop(KernelSpec("ct_update_bp", reads=reads, writes=("bp",), body=b_p))
+                for (name, _), upd in zip(FACE_FIELDS, updates):
+                    rt.loop(KernelSpec(f"ct_update_{name}", reads=reads,
+                                       writes=(name,), body=upd))
 
     # -- conduction (STS) ---------------------------------------------------------------
 
@@ -1301,35 +987,27 @@ class MasModel:
             # member step (conservative: more stages only adds stability).
             dt_max = float(np.max(dt))
             s = stages_for_dt(dt_max, dte) if dt_max > dte else 2
-        dt = self._dt_field(dt)
+        dt = member_field(dt)
 
         temps = [st.temp for st in self.states]
+        tags = frozenset({"conduction"})
 
         def apply_l(us):
-            pend = self.halo.exchange_begin("sts_y", us, overlap=self.halo_overlap)
-            out = []
-            for r, rt in enumerate(self.ranks):
-                grid = self.local_grids[r]
-                state = self.states[r]
-
-                def body(u=us[r], grid=grid, state=state, r=r):
-                    apply_centered_boundary(u, self.decomp, r)
-                    return conduction_rhs(u, state.rho, grid, p)
-
-                out.append(
-                    self._stencil_loop(r, rt, KernelSpec(
-                        "conduction_rhs", reads=("sts_y", "rho"),
-                        writes=("sts_l",), body=body,
-                        tags=frozenset({"conduction"})))
+            def body(r: int) -> np.ndarray:
+                apply_centered_boundary(us[r], self.decomp, r)
+                return conduction_rhs(
+                    us[r], self.states[r].rho, self.local_grids[r], p
                 )
-            self._finish_exchange(pend)
-            return out
+
+            return self.launch(
+                "conduction_rhs", body, exchange=("sts_y", us),
+                reads=("sts_y", "rho"), writes=("sts_l",), tags=tags,
+            )
 
         def on_stage(j: int) -> None:
             # stage-combination axpy kernels
-            for rt in self.ranks:
-                rt.loop(KernelSpec("sts_combine", reads=("sts_y", "sts_l"),
-                                   writes=("sts_y",), tags=frozenset({"conduction"})))
+            self.launch("sts_combine", reads=("sts_y", "sts_l"),
+                        writes=("sts_y",), tags=tags)
 
         advanced = rkl2_advance(apply_l, temps, dt, s, on_stage=on_stage)
         for st, new in zip(self.states, advanced):
@@ -1340,30 +1018,27 @@ class MasModel:
 
     def _energy_sources(self, dt: float | np.ndarray) -> None:
         p = self.config.params
-        dt = self._dt_field(dt)
-        for r, rt in enumerate(self.ranks):
-            state, grid = self.states[r], self.local_grids[r]
-            heat = self.heating[r]
+        dt = member_field(dt)
 
-            def body(state=state, heat=heat, dt=dt, p=p) -> None:
-                rate = energy_source_rate(state.rho, state.temp, heat, p)
-                state.temp += dt * rate
-                np.maximum(state.temp, p.temp_floor, out=state.temp)
+        def body(r: int) -> None:
+            state = self.states[r]
+            rate = energy_source_rate(state.rho, state.temp, self.heating[r], p)
+            state.temp += dt * rate
+            np.maximum(state.temp, p.temp_floor, out=state.temp)
 
-            rt.loop(KernelSpec("radiation_heating", reads=("rho", "temp", "heat"),
-                               writes=("temp",), body=body))
+        self.launch("radiation_heating", body, reads=("rho", "temp", "heat"),
+                    writes=("temp",))
 
     def _floors(self) -> None:
         p = self.config.params
-        for r, rt in enumerate(self.ranks):
+
+        def body(r: int) -> None:
             state = self.states[r]
+            np.maximum(state.rho, p.rho_floor, out=state.rho)
+            np.maximum(state.temp, p.temp_floor, out=state.temp)
 
-            def body(state=state, p=p) -> None:
-                np.maximum(state.rho, p.rho_floor, out=state.rho)
-                np.maximum(state.temp, p.temp_floor, out=state.temp)
-
-            rt.loop(KernelSpec("apply_floors", reads=("rho", "temp"),
-                               writes=("rho", "temp"), body=body))
+        self.launch("apply_floors", body, reads=("rho", "temp"),
+                    writes=("rho", "temp"))
 
     # ------------------------------------------------------------------ reporting
 
@@ -1372,12 +1047,6 @@ class MasModel:
         for rt in self.ranks:
             rt.sync()
         return max(rt.clock.now for rt in self.ranks)
-
-    def mpi_time(self) -> float:
-        """Mean simulated MPI time across ranks (Fig. 3 accounting)."""
-        for rt in self.ranks:
-            rt.sync()
-        return float(np.mean([rt.clock.mpi_time for rt in self.ranks]))
 
     def ensemble_report(self) -> list[dict]:
         """One row per ensemble member: swept parameter values, simulated
@@ -1398,7 +1067,7 @@ class MasModel:
         for b in range(nb):
             row: dict = {"member": b}
             for name, values in self._vary.items():
-                row[name] = float(values[b])
+                row[name] = float(np.atleast_1d(values)[b])
             row.update(
                 sim_time=float(times[b]),
                 dt=None if dts is None else float(dts[b]),

@@ -30,7 +30,7 @@ smoothing per iteration with no extra halo exchanges.
 The solvers are generic: they work on *lists of per-rank arrays* and
 receive callbacks for the operator, dot product(s), and preconditioner,
 so they can be unit-tested with plain numpy closures and driven by the
-model with kernel-wrapped closures.
+model with kernel-charged ones (:mod:`repro.mas.implicit_solve`).
 
 Each solver carries a member axis whose length B is whatever the dot
 callback returns: a float (``(k,)`` fused values) is B = 1, a ``(B,)``

@@ -28,10 +28,20 @@ CENTERED_FIELDS = ("rho", "temp", "vr", "vt", "vp")
 FACE_FIELDS = (("br", 0), ("bt", 1), ("bp", 2))
 #: All state array names.
 ALL_FIELDS = CENTERED_FIELDS + tuple(n for n, _ in FACE_FIELDS)
+#: The velocity components, in the order the implicit solves take them.
+VELOCITY_FIELDS = ("vr", "vt", "vp")
 
 #: Stagger axis per field name (None for cell-centered fields).
 STAGGER_AXES = {name: None for name in CENTERED_FIELDS}
 STAGGER_AXES.update({name: axis for name, axis in FACE_FIELDS})
+
+
+def member_field(value: float | np.ndarray) -> float | np.ndarray:
+    """A per-member quantity reshaped to broadcast against batched
+    ``(B, nr, nt, np)`` state arrays; scalars pass through."""
+    if isinstance(value, np.ndarray):
+        return value[:, None, None, None]
+    return value
 
 
 def stagger_axis(name: str) -> int | None:

@@ -2,9 +2,10 @@
 
 MAS treats viscosity implicitly; the resulting SPD system is solved by PCG
 with a point-Jacobi preconditioner (paper refs [22], [25]). This module
-supplies the operator application and the diagonal estimate; the model
-wires them into `repro.mas.pcg` with kernel-wrapped closures (one halo
-exchange per operator application -- the pattern Fig. 4 profiles).
+supplies the operator application and the diagonal estimate;
+`repro.mas.implicit_solve` wires them into `repro.mas.pcg` as
+kernel-charged callbacks (one halo exchange per operator application --
+the pattern Fig. 4 profiles).
 """
 
 from __future__ import annotations

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,36 +80,58 @@ def barrier(ranks: Sequence[RankRuntime], label: str = "barrier") -> float:
     return t_max
 
 
-def allreduce_sum(
+Values = Sequence[float | np.ndarray]
+
+
+def _blocking_allreduce(
+    op: str,
+    fold: Callable[[Values], float | np.ndarray],
     ranks: Sequence[RankRuntime],
-    values: Sequence[float | np.ndarray],
+    values: Values,
     link: LinkSpec,
-    *,
-    nbytes: int = 8,
-    unified_memory: bool = False,
+    nbytes: int,
+    unified_memory: bool,
 ) -> float | np.ndarray:
-    """MPI_Allreduce(SUM): every rank contributes, every rank gets the sum."""
+    """One blocking scalar-fold allreduce: every rank contributes a value
+    (or an equal-shape array, folded elementwise in the same message),
+    every rank gets ``fold(values)`` after a barrier and one butterfly."""
     if len(values) != len(ranks):
         raise ValueError("one value per rank required")
-    _observe_collective("sum")
+    _observe_collective(op)
     barrier(ranks, "allreduce")
-    total = values[0]
-    for v in values[1:]:
-        total = total + v
+    result = fold(values)
     cost = _collective_cost(len(ranks), nbytes, link, unified_memory=unified_memory)
-    _observe_cost("sum", cost)
+    _observe_cost(op, cost)
+    label = f"allreduce_{op}"
     for rt in ranks:
-        rt.clock.advance(cost, TimeCategory.MPI_TRANSFER, "allreduce_sum")
+        rt.clock.advance(cost, TimeCategory.MPI_TRANSFER, label)
+    return result
+
+
+def _sum(values: Values) -> float | np.ndarray:
+    total = values[0]
+    for v in values[1:]:  # left to right, as the ranks are numbered
+        total = total + v
     return total
 
 
+def _extremum(ufunc: np.ufunc, scalar: Callable, values: Values) -> float | np.ndarray:
+    if any(isinstance(v, np.ndarray) for v in values):
+        return ufunc.reduce([np.asarray(v, dtype=float) for v in values])
+    return scalar(values)
+
+
+def allreduce_sum(
+    ranks: Sequence[RankRuntime], values: Values, link: LinkSpec,
+    *, nbytes: int = 8, unified_memory: bool = False,
+) -> float | np.ndarray:
+    """MPI_Allreduce(SUM): every rank contributes, every rank gets the sum."""
+    return _blocking_allreduce("sum", _sum, ranks, values, link, nbytes, unified_memory)
+
+
 def allreduce_min(
-    ranks: Sequence[RankRuntime],
-    values: Sequence[float | np.ndarray],
-    link: LinkSpec,
-    *,
-    nbytes: int = 8,
-    unified_memory: bool = False,
+    ranks: Sequence[RankRuntime], values: Values, link: LinkSpec,
+    *, nbytes: int = 8, unified_memory: bool = False,
 ) -> float | np.ndarray:
     """MPI_Allreduce(MIN), used by the CFL timestep controller.
 
@@ -117,19 +140,8 @@ def allreduce_min(
     like a vector MPI_Allreduce(MIN); pass ``nbytes=8*k`` to charge the
     wider message.
     """
-    if len(values) != len(ranks):
-        raise ValueError("one value per rank required")
-    _observe_collective("min")
-    barrier(ranks, "allreduce")
-    if any(isinstance(v, np.ndarray) for v in values):
-        result = np.minimum.reduce([np.asarray(v, dtype=float) for v in values])
-    else:
-        result = min(values)
-    cost = _collective_cost(len(ranks), nbytes, link, unified_memory=unified_memory)
-    _observe_cost("min", cost)
-    for rt in ranks:
-        rt.clock.advance(cost, TimeCategory.MPI_TRANSFER, "allreduce_min")
-    return result
+    fold = partial(_extremum, np.minimum, min)
+    return _blocking_allreduce("min", fold, ranks, values, link, nbytes, unified_memory)
 
 
 def _sum_vectors(vectors: Sequence[Sequence[float] | np.ndarray]) -> np.ndarray:
@@ -249,28 +261,13 @@ def allreduce_many_finish(pending: PendingReduction) -> np.ndarray:
 
 
 def allreduce_max(
-    ranks: Sequence[RankRuntime],
-    values: Sequence[float | np.ndarray],
-    link: LinkSpec,
-    *,
-    nbytes: int = 8,
-    unified_memory: bool = False,
+    ranks: Sequence[RankRuntime], values: Values, link: LinkSpec,
+    *, nbytes: int = 8, unified_memory: bool = False,
 ) -> float | np.ndarray:
     """MPI_Allreduce(MAX), used by the semi-implicit wave-speed estimate.
 
     Like :func:`allreduce_min`, per-rank array contributions (per-member
     wave speeds) reduce elementwise in a single collective.
     """
-    if len(values) != len(ranks):
-        raise ValueError("one value per rank required")
-    _observe_collective("max")
-    barrier(ranks, "allreduce")
-    if any(isinstance(v, np.ndarray) for v in values):
-        result = np.maximum.reduce([np.asarray(v, dtype=float) for v in values])
-    else:
-        result = max(values)
-    cost = _collective_cost(len(ranks), nbytes, link, unified_memory=unified_memory)
-    _observe_cost("max", cost)
-    for rt in ranks:
-        rt.clock.advance(cost, TimeCategory.MPI_TRANSFER, "allreduce_max")
-    return result
+    fold = partial(_extremum, np.maximum, max)
+    return _blocking_allreduce("max", fold, ranks, values, link, nbytes, unified_memory)

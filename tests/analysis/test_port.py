@@ -14,6 +14,7 @@ from repro.analysis.port import (
 from repro.codes import CodeVersion
 from repro.fortran.codebase import MAS_BUDGET, generate_mas_codebase
 from repro.fortran.directives import is_directive_line
+from repro.fortran.pipeline import build_version
 from repro.fortran.source import Codebase, SourceFile
 
 #: A scaled-down corpus: same construct mix, ~4x fewer instances, so the
@@ -56,6 +57,14 @@ class TestDifferential:
         assert {c.name for c in report.checks} == {
             "lint", "census", "regions",
         }
+        # Stronger than the three property checks, and what has to hold
+        # before either porter may be deleted in favour of the other: the
+        # two trees are the same text, file name for file name.
+        hand = build_version(TARGET_VERSION[target], code1=code1, budget=SMALL)
+        ported = result.codebase
+        assert [f.name for f in ported.files] == [f.name for f in hand.files]
+        for mine, theirs in zip(ported.files, hand.files):
+            assert mine.lines == theirs.lines, mine.name
 
     def test_acc_opt_converts_only_f2018_safe(self, code1):
         from repro.analysis.fortran_lint import PortSafety

@@ -1,7 +1,11 @@
 """Migration gate: the simulated clock, launch counts and UM traffic of
 every code version, recorded from the commit before launch pricing was
 memoised (``tests/fixtures/pricing_golden.json``) and required to stay
-equal to the last bit.
+equal to the last bit.  The ``-r2-`` cases were added, and the file
+re-recorded with the older entries coming out unchanged, from the commit
+before the implicit solve became :mod:`repro.mas.implicit_solve`: they
+walk the solve's other axes (PCG recurrence, blocking or non-blocking
+fused reduction, preconditioner, semi-implicit operator, member axis).
 
 Re-record (only from a commit whose pricing is the reference) with::
 
@@ -30,25 +34,69 @@ MODEL_SETTINGS = dict(
     pcg_variant="ca", pcg_precond="jacobi", pcg_iters=8, pcg_tol=0.0, sts_stages=4
 )
 
-#: case id -> (code version, ranks, cross_region_fusion, halo_overlap)
-CASES: dict[str, tuple[str, int, bool, bool]] = {
-    f"{version}-r{ranks}": (version, ranks, False, False)
+#: case id -> (code version, ranks, cross_region_fusion, halo_overlap,
+#: ModelConfig fields set differently from MODEL_SETTINGS)
+CASES: dict[str, tuple[str, int, bool, bool, dict]] = {
+    f"{version}-r{ranks}": (version, ranks, False, False, {})
     for version in ("CPU", "A", "AD", "ADU", "AD2XU", "D2XU", "D2XAD")
     for ranks in (1, 8)
 }
-CASES["A-r8-fused"] = ("A", 8, True, False)       # region + window plans
-CASES["A-r8-overlap"] = ("A", 8, False, True)     # detached communication clock
-CASES["A-r8-overlap-fused"] = ("A", 8, True, True)
+CASES["A-r8-fused"] = ("A", 8, True, False, {})       # region + window plans
+CASES["A-r8-overlap"] = ("A", 8, False, True, {})     # detached communication clock
+CASES["A-r8-overlap-fused"] = ("A", 8, True, True, {})
+
+
+def _solve_case(version: str, *, fuse: bool = False, overlap: bool = False, **fields):
+    return (version, 2, fuse, overlap, fields)
+
+
+# Three members of the paper grid overflow one simulated device: shrink
+# the nominal phi extent by B, as ``repro sweep`` does.
+_B3 = dict(ensemble_size=3, nominal_shape=(150, 300, 800 // 3))
+_B3_VISCOSITY = dict(_B3, ensemble_vary=(("viscosity", (1e-3, 3e-3, 1e-2)),))
+_B3_RESISTIVITY = dict(_B3, ensemble_vary=(("resistivity", (1e-4, 1e-3, 5e-3)),))
+# Code 1 has async queues, so its pipelined reduction is non-blocking and
+# its exchanges can overlap; Code 5 (D2XU) and the CPU run both blocking.
+CASES.update({
+    "A-r2-classic": _solve_case("A", pcg_variant="classic"),
+    "A-r2-pipelined": _solve_case("A", pcg_variant="pipelined"),
+    "A-r2-cheby": _solve_case("A", pcg_precond="cheby"),
+    "A-r2-si": _solve_case("A", semi_implicit=True),
+    "A-r2-overlap-fused-pipelined-cheby": _solve_case(
+        "A", fuse=True, overlap=True, pcg_variant="pipelined", pcg_precond="cheby"
+    ),
+    "A-r2-b3": _solve_case("A", **_B3_VISCOSITY),
+    "A-r2-b3-si-pipelined-cheby": _solve_case(
+        "A", semi_implicit=True, pcg_variant="pipelined", pcg_precond="cheby",
+        **_B3_VISCOSITY,
+    ),
+    "D2XU-r2-pipelined-cheby": _solve_case(
+        "D2XU", pcg_variant="pipelined", pcg_precond="cheby"
+    ),
+    "D2XU-r2-si-classic-cheby": _solve_case(
+        "D2XU", semi_implicit=True, pcg_variant="classic", pcg_precond="cheby"
+    ),
+    "D2XU-r2-b3-classic": _solve_case(
+        "D2XU", pcg_variant="classic", **_B3_RESISTIVITY
+    ),
+    "CPU-r2-si-pipelined": _solve_case(
+        "CPU", semi_implicit=True, pcg_variant="pipelined"
+    ),
+    "CPU-r2-b3-classic-cheby": _solve_case(
+        "CPU", pcg_variant="classic", pcg_precond="cheby", **_B3_VISCOSITY
+    ),
+})
 
 
 def build(case: str) -> mas.MasModel:
-    version, ranks, fuse, overlap = CASES[case]
+    version, ranks, fuse, overlap, fields = CASES[case]
     rt_cfg = codes.runtime_config_for(codes.CodeVersion[version])
     if fuse:
         rt_cfg = replace(rt_cfg, cross_region_fusion=True)
     return mas.MasModel(
         mas.ModelConfig(
-            shape=SHAPE, num_ranks=ranks, halo_overlap=overlap, **MODEL_SETTINGS
+            shape=SHAPE, num_ranks=ranks, halo_overlap=overlap,
+            **{**MODEL_SETTINGS, **fields},
         ),
         rt_cfg,
     )
@@ -71,13 +119,16 @@ def record(model: mas.MasModel) -> dict:
             "launch_stats": asdict(rt.stats),
             "um_stats": None if um is None else asdict(um.stats),
         })
-    return {
+    out = {
         "state_sha256": digest.hexdigest(),
         "wall_time": model.wall_time().hex(),
         "halo_messages": model.halo.messages,
         "halo_bytes": model.halo.bytes_sent,
         "ranks": ranks,
     }
+    if model.ensemble:  # per-member clocks and PCG ledger
+        out["members"] = model.ensemble_report()
+    return out
 
 
 def run_case(case: str) -> dict:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.codes import CodeVersion, runtime_config_for
 from repro.mas.constants import PhysicsParams
-from repro.mas.model import MasModel, ModelConfig
+from repro.mas.model import ENSEMBLE_VARY_PARAMS, MasModel, ModelConfig
 from repro.mas.pcg import (
     numpy_dot_batched,
     numpy_dot_many_batched,
@@ -126,6 +126,32 @@ class TestScalarPathUnchanged:
             assert sa.rho.ndim == 3
             for name in ALL_FIELDS:
                 assert np.array_equal(sa.get(name), sb.get(name)), name
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("b0", 2.0), ("perturbation", 0.1), ("viscosity", 4.0e-3),
+         ("resistivity", 1.0e-3)],
+    )
+    def test_one_varied_member_is_the_scalar_run_with_that_parameter(
+        self, name, value
+    ):
+        """B=1 is a degenerate ensemble: the swept value reaches the run
+        (initial condition, solve, EMF) as the scalar it is, and the report
+        says what ran."""
+        assert name in ENSEMBLE_VARY_PARAMS
+        varied = _run(_config(1, vary=[(name, (value,))]), CodeVersion.A)
+        if name in ("viscosity", "resistivity"):
+            scalar_kw = {"params": replace(PhysicsParams(), **{name: value})}
+        else:
+            scalar_kw = {name: value}
+        scalar = _run(_config(1, **scalar_kw), CodeVersion.A)
+        default = _run(_config(1), CodeVersion.A)
+        assert not varied.ensemble and varied.states[0].rho.ndim == 3
+        assert _max_member_diff(varied, scalar, 0) == 0.0
+        assert _max_member_diff(varied, default, 0) > 0.0  # the value matters
+        assert isinstance(varied.time, float) and varied.time == scalar.time
+        assert varied.wall_time().hex() == scalar.wall_time().hex()
+        assert varied.ensemble_report()[0][name] == value
 
     def test_member_telemetry_only_when_batched(self, tmp_path):
         """A scalar run's PCG telemetry has the families and log keys it had

@@ -193,3 +193,52 @@ class TestWrapperInitKernels:
         t2 = m2.step()
         t6 = m6.step()
         assert t6.launches >= t2.launches + len(WORK_ARRAYS)
+
+
+class TestDroppedModelIsReclaimed:
+    """Nothing the model stores refers back to it: reference counting alone
+    frees a dropped model and every array it owns.  A back-reference (a
+    stored solve object, a bound method kept as an attribute) would leave
+    them to the cyclic collector, which runs whenever it happens to; the
+    benchmark's ``peak_rss_mb`` is where that shows."""
+
+    CASES = {
+        "code1-overlap-fused": (
+            CodeVersion.A, dict(halo_overlap=True), dict(cross_region_fusion=True)),
+        "d2xu-cheby-pipelined": (
+            CodeVersion.D2XU, dict(pcg_precond="cheby", pcg_variant="pipelined"), {}),
+        "b3-semi-implicit": (
+            CodeVersion.A,
+            dict(semi_implicit=True, ensemble_size=3, nominal_shape=(32, 24, 48),
+                 ensemble_vary=(("viscosity", (1e-3, 3e-3, 1e-2)),)),
+            {}),
+        "cpu": (CodeVersion.CPU, {}, {}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_no_reference_cycle_through_the_model(self, case):
+        import gc
+        import weakref
+        from dataclasses import replace
+
+        version, model_kw, runtime_kw = self.CASES[case]
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            model = MasModel(
+                ModelConfig(**{**SMALL, **model_kw, "num_ranks": 2}),
+                replace(runtime_config_for(version), **runtime_kw),
+            )
+            model.run(2)
+            watched = {
+                "model": weakref.ref(model),
+                "state array": weakref.ref(model.states[0].rho),
+                "rank runtime": weakref.ref(model.ranks[0]),
+                "halo exchanger": weakref.ref(model.halo),
+            }
+            del model
+            alive = [name for name, ref in watched.items() if ref() is not None]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert not alive, f"kept alive by a reference cycle: {alive}"

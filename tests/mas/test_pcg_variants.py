@@ -361,11 +361,11 @@ class TestModelVariants:
         allreduce_many_begin (no blocking entry barrier)."""
         from unittest import mock
 
-        import repro.mas.model as model_mod
+        import repro.mas.implicit_solve as solve_mod
 
         with mock.patch.object(
-            model_mod, "allreduce_many_begin",
-            wraps=model_mod.allreduce_many_begin,
+            solve_mod, "allreduce_many_begin",
+            wraps=solve_mod.allreduce_many_begin,
         ) as spy:
             self._run("pipelined", steps=1)
         assert spy.call_count > 0

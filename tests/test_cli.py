@@ -386,6 +386,42 @@ class TestSweep:
         assert main([*self.ARGS, "--members", "2",
                      "--vary", "b0=0:1:log"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--steps", "0"], "--steps must be at least 1"),
+            (["run", "--shape", "3", "3", "3"], "at least 4 cells"),
+            (["run", "--pcg-iters", "0"], "pcg_iters must be >= 1"),
+            (["sweep", "--members", "0"], "--members must be at least 1"),
+        ],
+    )
+    def test_bad_configuration_is_one_line_and_exit_2(
+        self, argv, message, tmp_path, capsys
+    ):
+        """A configuration error is reported like a bad ``--vary``: exit
+        code 2 and one ``error:`` line, no traceback, session closed."""
+        from repro.obs.telemetry import current
+
+        assert main([*argv, "--telemetry", str(tmp_path / "tel")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert "step" not in captured.out
+        assert not current().enabled
+
+    def test_one_member_sweep_runs_the_varied_value(self, capsys):
+        """``--members 1`` is a run with that parameter set, not the
+        default run labelled with it."""
+        def dt_column(*vary):
+            assert main([*self.ARGS, "--members", "1", *vary]) == 0
+            return [line.split("dt=")[1].split()[0]
+                    for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("step")]
+
+        assert dt_column("--vary", "b0=2:2") != dt_column()
+        # a (1,1,1,1) coefficient against 3-D arrays used to raise
+        assert dt_column("--vary", "viscosity=4e-3:4e-3") == dt_column()
+
     def test_critpath_falls_back_on_bare_sweep_dir(self, tmp_path, capsys):
         import json
 
