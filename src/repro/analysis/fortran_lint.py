@@ -23,7 +23,6 @@ assert the transforms and the analyzer agree on every region.
 
 from __future__ import annotations
 
-import enum
 import fnmatch
 import re
 from dataclasses import dataclass, field
@@ -37,8 +36,9 @@ from repro.fortran.directives import (
 )
 from repro.fortran.lexer import LineKind, classify_line
 from repro.fortran.parser import (
+    EXPECTED_SAFETY as EXPECTED_SAFETY,  # re-exported: the verdict contract
     ParallelRegion,
-    RegionKind,
+    PortSafety,
     find_parallel_regions,
     parse_loop_nest,
 )
@@ -496,15 +496,6 @@ def analyze_codebase(cb: Codebase, config: LintConfig | None = None) -> list[Fin
 # -- transform agreement -------------------------------------------------------
 
 
-class PortSafety(enum.Enum):
-    """What a region needs to become valid ``do concurrent``."""
-
-    SAFE_F2018 = "safe_f2018"      # plain DC, no extra clauses
-    NEEDS_REDUCE = "needs_reduce"  # F2023 reduce() clause required
-    NEEDS_ATOMIC = "needs_atomic"  # atomics (or a reduction flip) required
-    UNSAFE = "unsafe"              # loop-carried dependence; do not port
-
-
 def region_port_safety(file: SourceFile, region: ParallelRegion) -> PortSafety:
     """The analyzer's verdict on porting one OpenACC region to DC.
 
@@ -540,14 +531,3 @@ def region_undeclared_reductions(
         rep = u.analyze()
         out.update(s.scalar for s in rep.undeclared_reductions)
     return sorted(out)
-
-
-#: RegionKind -> the PortSafety the analyzer must independently reach for
-#: the synthetic corpus (the transform-agreement contract).
-EXPECTED_SAFETY: dict[RegionKind, PortSafety] = {
-    RegionKind.PLAIN: PortSafety.SAFE_F2018,
-    RegionKind.ROUTINE_CALLER: PortSafety.SAFE_F2018,
-    RegionKind.SCALAR_REDUCTION: PortSafety.NEEDS_REDUCE,
-    RegionKind.ARRAY_REDUCTION: PortSafety.NEEDS_ATOMIC,
-    RegionKind.ATOMIC_OTHER: PortSafety.NEEDS_ATOMIC,
-}

@@ -434,22 +434,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_port(args: argparse.Namespace) -> int:
-    from repro.fortran.codebase import generate_mas_codebase
-    from repro.fortran.metrics import measure
-    from repro.fortran.pipeline import build_version
+    from repro.experiments.table1 import run_table1
 
     if args.path or args.incremental:
         return _port_external(args)
     if args.to:
         return _port_to(args)
-    code1 = generate_mas_codebase()
     print("porting pipeline (Code 1 -> all versions):")
-    for v in CodeVersion:
-        met = measure(build_version(v, code1=code1))
-        print(
-            f"  {version_info(v).tag:10s} {met.total_lines:6d} lines  "
-            f"{met.acc_lines:5d} !$acc"
-        )
+    for row in run_table1():
+        print(f"  {row.tag:10s} {row.total_lines:6d} lines  {row.acc_lines:5d} !$acc")
     return 0
 
 

@@ -20,7 +20,7 @@ from repro.fortran.directives import (
     try_parse_directive,
 )
 from repro.fortran.lexer import LineKind, classify_line, subroutine_name
-from repro.fortran.source import Codebase, SourceFile
+from repro.fortran.source import SourceFile
 
 
 class RegionKind(enum.Enum):
@@ -31,6 +31,26 @@ class RegionKind(enum.Enum):
     ARRAY_REDUCTION = "array_reduction"
     ATOMIC_OTHER = "atomic_other"
     ROUTINE_CALLER = "routine_caller"
+
+
+class PortSafety(enum.Enum):
+    """What a region needs to become valid ``do concurrent``."""
+
+    SAFE_F2018 = "safe_f2018"      # plain DC, no extra clauses
+    NEEDS_REDUCE = "needs_reduce"  # F2023 reduce() clause required
+    NEEDS_ATOMIC = "needs_atomic"  # atomics (or a reduction flip) required
+    UNSAFE = "unsafe"              # loop-carried dependence; do not port
+
+
+#: RegionKind -> the PortSafety the analyzer must independently reach for
+#: the synthetic corpus (the transform-agreement contract).
+EXPECTED_SAFETY: dict[RegionKind, PortSafety] = {
+    RegionKind.PLAIN: PortSafety.SAFE_F2018,
+    RegionKind.ROUTINE_CALLER: PortSafety.SAFE_F2018,
+    RegionKind.SCALAR_REDUCTION: PortSafety.NEEDS_REDUCE,
+    RegionKind.ARRAY_REDUCTION: PortSafety.NEEDS_ATOMIC,
+    RegionKind.ATOMIC_OTHER: PortSafety.NEEDS_ATOMIC,
+}
 
 
 @dataclass(slots=True)
@@ -463,11 +483,3 @@ def apply_edits(
             raise ValueError("overlapping edits")
         file.lines[start : end + 1] = replacement
         last_start = start
-
-
-def all_parallel_regions(cb: Codebase) -> list[ParallelRegion]:
-    """Parallel regions across the whole codebase."""
-    out = []
-    for f in cb.files:
-        out.extend(find_parallel_regions(f))
-    return out

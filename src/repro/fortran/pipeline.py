@@ -2,38 +2,43 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.codes import CodeVersion
 from repro.fortran.codebase import GeneratorBudget, MAS_BUDGET, generate_mas_codebase, strip_to_cpu
-from repro.fortran.metrics import CodeMetrics, measure
-from repro.fortran.source import Codebase
+from repro.fortran.parser import EXPECTED_SAFETY, ParallelRegion, PortSafety
+from repro.fortran.source import Codebase, SourceFile
 from repro.fortran.transforms import (
-    Dc2xPass,
-    DcBasicPass,
+    ConvertRegionsPass,
     PureDcPass,
     ReaddDataPass,
     TransformPass,
     UnifiedMemPass,
 )
+from repro.fortran.transforms.convert import F2018, F202X, Verdict
 
-#: Pass pipeline per code version (applied to the Code 1 artifact).
-PASS_PIPELINES: dict[CodeVersion, tuple[TransformPass, ...]] = {
-    CodeVersion.A: (),
-    CodeVersion.AD: (DcBasicPass(),),
-    CodeVersion.ADU: (DcBasicPass(), UnifiedMemPass()),
-    CodeVersion.AD2XU: (DcBasicPass(), UnifiedMemPass(), Dc2xPass()),
-    CodeVersion.D2XU: (
-        DcBasicPass(),
-        UnifiedMemPass(),
-        Dc2xPass(),
-        PureDcPass(),
-    ),
-    CodeVersion.D2XAD: (
-        DcBasicPass(),
-        UnifiedMemPass(),
-        Dc2xPass(),
-        PureDcPass(keep_cpu_duplicates=True),
-        ReaddDataPass(),
-    ),
+#: The paper's source transformations (SIV), in the order they are applied,
+#: under the names the porter reports. Each entry builds its pass for a
+#: version and for whoever decides what a region needs.
+STAGES: tuple[tuple[str, Callable[[CodeVersion, Verdict], TransformPass]], ...] = (
+    ("dc-f2018", lambda version, verdict: ConvertRegionsPass(F2018, verdict)),
+    ("unified-mem", lambda version, verdict: UnifiedMemPass()),
+    ("dc-202x", lambda version, verdict: ConvertRegionsPass(F202X, verdict)),
+    # Code 6 runs without UM, so it keeps the duplicate CPU routines
+    ("pure-dc", lambda version, verdict: PureDcPass(
+        keep_cpu_duplicates=version is CodeVersion.D2XAD)),
+    ("readd-data", lambda version, verdict: ReaddDataPass()),
+)
+
+#: Table I's rows are cumulative: each version applies a prefix of STAGES
+#: to the Code 1 artifact.
+VERSION_STAGES = {
+    CodeVersion.A: STAGES[:0],
+    CodeVersion.AD: STAGES[:1],
+    CodeVersion.ADU: STAGES[:2],
+    CodeVersion.AD2XU: STAGES[:3],
+    CodeVersion.D2XU: STAGES[:4],
+    CodeVersion.D2XAD: STAGES[:5],
 }
 
 _VERSION_NAMES = {
@@ -45,6 +50,17 @@ _VERSION_NAMES = {
     CodeVersion.D2XU: "code5_D2XU",
     CodeVersion.D2XAD: "code6_D2XAd",
 }
+
+
+def version_passes(version: CodeVersion, verdict: Verdict) -> list[tuple[str, TransformPass]]:
+    """A version's ``(stage name, pass)`` pairs, built and not yet applied,
+    so a caller can look at the tree between any two stages."""
+    return [(name, make(version, verdict)) for name, make in VERSION_STAGES[version]]
+
+
+def _taxonomy_verdict(f: SourceFile, region: ParallelRegion) -> PortSafety:
+    """What a region needs, read off what its directives say it is."""
+    return EXPECTED_SAFETY[region.kind]
 
 
 def build_version(
@@ -62,15 +78,8 @@ def build_version(
     if version is CodeVersion.CPU:
         return strip_to_cpu(base, budget)
     cb = base.copy(_VERSION_NAMES[version])
-    for p in PASS_PIPELINES[version]:
+    for _name, p in version_passes(version, _taxonomy_verdict):
         p.apply(cb)
+        if isinstance(p, ConvertRegionsPass) and p.refused:
+            raise ValueError(f"cannot build {_VERSION_NAMES[version]}: {p.refused[0].render()}")
     return cb
-
-
-def measure_all(budget: GeneratorBudget = MAS_BUDGET) -> dict[CodeVersion, CodeMetrics]:
-    """Table I: metrics for every version, sharing one generated base."""
-    code1 = generate_mas_codebase(budget)
-    out = {}
-    for v in CodeVersion:
-        out[v] = measure(build_version(v, code1=code1, budget=budget))
-    return out

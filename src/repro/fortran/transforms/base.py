@@ -15,17 +15,9 @@ class TransformPass(ABC):
     Passes mutate a :class:`Codebase` copy in place; pipelines chain them.
     """
 
-    name: str = "pass"
-
     @abstractmethod
     def apply(self, cb: Codebase) -> None:
         """Rewrite the codebase in place."""
-
-    def run(self, cb: Codebase, new_name: str | None = None) -> Codebase:
-        """Apply to a copy and return it."""
-        out = cb.copy(new_name or f"{cb.name}+{self.name}")
-        self.apply(out)
-        return out
 
 
 _BOUND_RE = re.compile(r"^\s*(\S+)\s*,\s*(\S+)\s*$")

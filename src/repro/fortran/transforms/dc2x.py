@@ -15,21 +15,11 @@ from __future__ import annotations
 import re
 
 from repro.fortran.directives import DirectiveKind, is_directive_line, parse_directive
-from repro.fortran.parser import (
-    RegionKind,
-    apply_edits,
-    find_directive_lines,
-    find_parallel_regions,
-)
-from repro.fortran.source import Codebase, SourceFile
-from repro.fortran.transforms.base import TransformPass, dc_header
+from repro.fortran.parser import find_directive_lines
+from repro.fortran.source import SourceFile
+from repro.fortran.transforms.base import dc_header
 
 _REDUCTION_RE = re.compile(r"reduction\(\s*([^:]+):\s*([^)]+)\)", re.I)
-
-#: Region kinds this pass converts.
-CONVERTIBLE = frozenset(
-    {RegionKind.SCALAR_REDUCTION, RegionKind.ARRAY_REDUCTION, RegionKind.ATOMIC_OTHER}
-)
 
 
 def reduce_clause_of(f: SourceFile, region) -> str:
@@ -65,8 +55,8 @@ def convert_region_dc2x(f: SourceFile, region, *, clause: str = "") -> list[str]
 def async_and_dtype_data_edits(f: SourceFile) -> list[tuple[int, int, list[str]]]:
     """Deletion edits for ``wait`` lines and derived-type enter/exit data.
 
-    Mechanical cleanup shared by the hand-built Code 4 pass and the
-    auto-porter: nothing is async once all loops are DC, and the
+    Mechanical cleanup of the 202X conversion stage, whoever decides its
+    regions: nothing is async once all loops are DC, and the
     derived-type data lines go with the loops that touched the types.
     """
     edits: list[tuple[int, int, list[str]]] = []
@@ -91,30 +81,3 @@ def drop_legacy_paths(f: SourceFile) -> None:
         out.append(f.lines[i])
         i += 1
     f.lines = out
-
-
-class Dc2xPass(TransformPass):
-    """Move the remaining OpenACC loops to DC-202X."""
-
-    name = "dc2x"
-
-    def _convert_region(self, f: SourceFile, region) -> list[str]:
-        clause = (
-            reduce_clause_of(f, region)
-            if region.kind is RegionKind.SCALAR_REDUCTION
-            else ""
-        )
-        return convert_region_dc2x(f, region, clause=clause)
-
-    def apply(self, cb: Codebase) -> None:
-        for f in cb.files:
-            edits = []
-            for region in find_parallel_regions(f):
-                if region.kind not in CONVERTIBLE:
-                    continue
-                edits.append(
-                    (region.start, region.end, self._convert_region(f, region))
-                )
-            edits.extend(async_and_dtype_data_edits(f))
-            apply_edits(f, edits)
-            drop_legacy_paths(f)

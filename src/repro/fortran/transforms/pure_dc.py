@@ -82,8 +82,6 @@ def atomic_dc_loops(lines: list[str]) -> Iterator[tuple[int, int, list[int], boo
 class PureDcPass(TransformPass):
     """Eliminate every remaining OpenACC directive."""
 
-    name = "pure_dc"
-
     def __init__(self, *, keep_cpu_duplicates: bool = False) -> None:
         #: Code 6's pipeline keeps the duplicate CPU routines since it runs
         #: without UM (SIV-F re-adds them).

@@ -34,8 +34,6 @@ class WrapperBudget:
 class ReaddDataPass(TransformPass):
     """Append the wrapper data-management module."""
 
-    name = "readd_data"
-
     def __init__(self, budget: WrapperBudget = WrapperBudget()) -> None:
         self.budget = budget
 

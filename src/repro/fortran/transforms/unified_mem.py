@@ -24,8 +24,6 @@ _GLUE_RE = re.compile(r"call\s+(un)?load_gpu_buffer\b", re.I)
 class UnifiedMemPass(TransformPass):
     """Remove (almost all) OpenACC data directives for UM builds."""
 
-    name = "unified_mem"
-
     def _declared_names(self, cb: Codebase) -> set[str]:
         names: set[str] = set()
         for f in cb.files:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 
 class TimeCategory(enum.Enum):
@@ -29,9 +29,9 @@ class TimeCategory(enum.Enum):
 #: Categories the paper's Fig. 3 counts as "MPI time": "all MPI calls,
 #: buffer initialization/loading/unloading, and MPI waiting caused by load
 #: imbalance".
-MPI_CATEGORIES = frozenset(
-    {TimeCategory.MPI_PACK, TimeCategory.MPI_TRANSFER, TimeCategory.MPI_WAIT}
-)
+#: A tuple, not a set: ``total`` sums floats in this order, and a set of enum
+#: members iterates in an order that follows ``PYTHONHASHSEED``.
+MPI_CATEGORIES = (TimeCategory.MPI_PACK, TimeCategory.MPI_TRANSFER, TimeCategory.MPI_WAIT)
 
 
 @dataclass(slots=True)
@@ -84,8 +84,9 @@ class SimClock:
         """Number of registered observers (leak checks in tests)."""
         return len(self._observers)
 
-    def total(self, categories: frozenset[TimeCategory] | None = None) -> float:
-        """Total time, optionally restricted to a category set."""
+    def total(self, categories: Iterable[TimeCategory] | None = None) -> float:
+        """Total time, optionally restricted to some categories (summed in
+        the order given)."""
         if categories is None:
             return self.now
         return sum(self.by_category.get(c, 0.0) for c in categories)

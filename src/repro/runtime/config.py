@@ -121,11 +121,6 @@ class RuntimeConfig:
         return replace(self, name=self.name + "+UM", unified_memory=True, manual_data=False)
 
 
-def all_loop_categories() -> tuple[LoopCategory, ...]:
-    """All loop categories, in a stable order."""
-    return tuple(LoopCategory)
-
-
 def uniform_backend(backend: Backend) -> dict[LoopCategory, Backend]:
     """Map every loop category to one backend."""
     return {cat: backend for cat in LoopCategory}

@@ -129,6 +129,16 @@ class TestFixThenPort:
         counts2 = second.counts()
         assert counts2["ported"] == 6  # 3 re-ported free + 3 new
 
+    @pytest.mark.parametrize("damaged", [
+        "[]",
+        '{"schema": "repro-port-manifest/1", "files": [{"status": "ported"}]}',
+        '{"schema": "repro-port-manifest/1", "files":'
+        ' [{"name": "a.f90", "status": "ported", "converted": "x"}]}',
+    ], ids=["not-an-object", "entry-without-name", "count-not-a-number"])
+    def test_damaged_manifest_is_no_manifest(self, tmp_path, damaged):
+        (tmp_path / "port-manifest.json").write_text(damaged)
+        assert read_manifest(tmp_path) == {}
+
     def test_written_tree_restores_opaque_constructs(self, tmp_path):
         res = _load()
         result = port_tree_incremental(res.codebase, PortTarget.DC)

@@ -88,12 +88,11 @@ class TestPortedVersionsLintClean:
 
 
 class TestTransformAgreement:
-    def test_analyzer_verdict_matches_region_taxonomy(self, code1):
-        """Port/don't-port decisions: analyzer vs the SIV taxonomy."""
+    def _agreeing_regions(self, cb) -> int:
         from repro.fortran.parser import find_parallel_regions
 
         checked = 0
-        for file in code1.files:
+        for file in cb.files:
             for region in find_parallel_regions(file):
                 verdict = region_port_safety(file, region)
                 assert verdict is EXPECTED_SAFETY[region.kind], (
@@ -101,4 +100,16 @@ class TestTransformAgreement:
                     f"the analyzer says {verdict.value}"
                 )
                 checked += 1
-        assert checked > 300  # the full synthetic MAS region population
+        return checked
+
+    def test_analyzer_verdict_matches_region_taxonomy(self, code1):
+        """Port/don't-port decisions: analyzer vs the SIV taxonomy."""
+        # the full synthetic MAS region population
+        assert self._agreeing_regions(code1) > 300
+
+    def test_verdicts_agree_on_a_scaled_budget(self):
+        """Not a property of MAS_BUDGET's construct mix alone."""
+        from repro.fortran.codebase import generate_mas_codebase
+        from tests.fortran.test_budget_variations import SMALL
+
+        assert self._agreeing_regions(generate_mas_codebase(SMALL)) > 80

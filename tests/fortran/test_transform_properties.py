@@ -7,12 +7,8 @@ from repro.fortran.codebase import generate_mas_codebase
 from repro.fortran.directives import DirectiveKind
 from repro.fortran.metrics import acc_line_count, directive_census
 from repro.fortran.pipeline import build_version
-from repro.fortran.transforms import (
-    Dc2xPass,
-    DcBasicPass,
-    PureDcPass,
-    UnifiedMemPass,
-)
+from repro.fortran.transforms import PureDcPass, UnifiedMemPass
+from tests.fortran.test_transforms import dc_202x, dc_f2018
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +20,7 @@ class TestIdempotency:
     """Re-running a pass on its own output must change nothing: each pass
     rewrites constructs into forms it no longer matches."""
 
-    @pytest.mark.parametrize("pass_cls", [DcBasicPass, UnifiedMemPass, Dc2xPass])
+    @pytest.mark.parametrize("pass_cls", [dc_f2018, UnifiedMemPass, dc_202x])
     def test_single_pass_idempotent(self, code1, pass_cls):
         p = pass_cls()
         once = code1.copy()
@@ -35,7 +31,7 @@ class TestIdempotency:
 
     def test_pure_dc_idempotent_after_pipeline(self, code1):
         cb = code1.copy()
-        for p in (DcBasicPass(), UnifiedMemPass(), Dc2xPass(), PureDcPass()):
+        for p in (dc_f2018(), UnifiedMemPass(), dc_202x(), PureDcPass()):
             p.apply(cb)
         again = cb.copy()
         PureDcPass().apply(again)
@@ -75,7 +71,7 @@ class TestDirectiveTaxonomyClosure:
 
     def test_um_pass_removes_only_data_kind(self, code1):
         cb = code1.copy()
-        DcBasicPass().apply(cb)
+        dc_f2018().apply(cb)
         before = directive_census(cb)
         UnifiedMemPass().apply(cb)
         after = directive_census(cb)

@@ -4,18 +4,31 @@ import pytest
 
 from repro.fortran.source import Codebase, SourceFile
 from repro.fortran.transforms import (
-    Dc2xPass,
-    DcBasicPass,
+    ConvertRegionsPass,
     PureDcPass,
     ReaddDataPass,
     UnifiedMemPass,
 )
 from repro.fortran.transforms.base import dc_header
-from repro.fortran.parser import parse_loop_nest
+from repro.fortran.transforms.convert import F2018, F202X
+from repro.fortran.parser import EXPECTED_SAFETY, parse_loop_nest
 
 
 def cb_of(lines):
     return Codebase("t", [SourceFile("t.f90", list(lines))])
+
+
+def by_kind(f, region):
+    """The hand pipeline's verdict: what the region's directives say it is."""
+    return EXPECTED_SAFETY[region.kind]
+
+
+def dc_f2018():
+    return ConvertRegionsPass(F2018, by_kind)
+
+
+def dc_202x():
+    return ConvertRegionsPass(F202X, by_kind)
 
 
 PLAIN = [
@@ -68,7 +81,7 @@ class TestDcHeader:
 class TestDcBasic:
     def test_plain_becomes_listing2(self):
         cb = cb_of(PLAIN)
-        DcBasicPass().apply(cb)
+        dc_f2018().apply(cb)
         f = cb.files[0]
         assert f.lines == [
             "      do concurrent (k=1:n3,j=1:n2,i=1:n1)",
@@ -78,14 +91,14 @@ class TestDcBasic:
 
     def test_reductions_untouched(self):
         cb = cb_of(SCALAR_RED + ARRAY_RED)
-        DcBasicPass().apply(cb)
+        dc_f2018().apply(cb)
         assert cb.files[0].lines == SCALAR_RED + ARRAY_RED
 
     def test_routine_caller_converted(self):
         lines = list(PLAIN)
         lines[5] = "        call interp3(a, b, i, j, k)"
         cb = cb_of(lines)
-        DcBasicPass().apply(cb)
+        dc_f2018().apply(cb)
         assert "do concurrent" in cb.files[0].lines[0]
 
 
@@ -142,7 +155,7 @@ class TestUnifiedMem:
 class TestDc2x:
     def test_scalar_reduction_gets_reduce_clause(self):
         cb = cb_of(SCALAR_RED)
-        Dc2xPass().apply(cb)
+        dc_202x().apply(cb)
         assert cb.files[0].lines == [
             "      do concurrent (j=1:n2,i=1:n1) reduce(+:s)",
             "        s = s + e(i,j)**2",
@@ -152,7 +165,7 @@ class TestDc2x:
     def test_array_reduction_keeps_atomics(self):
         """Listing 3 -> Listing 4."""
         cb = cb_of(ARRAY_RED)
-        Dc2xPass().apply(cb)
+        dc_202x().apply(cb)
         assert cb.files[0].lines == [
             "      do concurrent (j=1:n2,i=1:n1)",
             "!$acc atomic update",
@@ -162,7 +175,7 @@ class TestDc2x:
 
     def test_wait_removed(self):
         cb = cb_of(["!$acc wait(1)", "      x = 1"])
-        Dc2xPass().apply(cb)
+        dc_202x().apply(cb)
         assert cb.files[0].lines == ["      x = 1"]
 
     def test_legacy_paths_removed(self):
@@ -174,7 +187,7 @@ class TestDc2x:
                 "      x = 1",
             ]
         )
-        Dc2xPass().apply(cb)
+        dc_202x().apply(cb)
         assert cb.files[0].lines == ["      x = 1"]
 
 
