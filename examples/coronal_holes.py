@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.codes import CodeVersion, runtime_config_for
 from repro.mas import MasModel, ModelConfig
-from repro.mas.fieldlines import (
+from fieldlines import (
     FieldLineFate,
     FieldLineTracer,
     dipole_open_boundary_colatitude,

@@ -49,7 +49,7 @@ def main() -> None:
     grid = model.local_grids[0]
     state = model.states[0]
     i = grid.interior()
-    rc = grid.rc[i[0]]
+    rc = grid.rc[i[-3]]
     vr_prof = state.vr[i].mean(axis=(1, 2))
     t_prof = state.temp[i].mean(axis=(1, 2))
     rho_prof = state.rho[i].mean(axis=(1, 2))

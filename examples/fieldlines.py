@@ -63,7 +63,7 @@ class FieldLineTracer:
     """Traces lines through one rank's (ghosted) field arrays.
 
     Single-rank analysis tool: gather the global field first for
-    decomposed runs (see `repro.mas.validate.gather_global`).
+    decomposed runs (see `tests/mas/validate.py`'s `gather_global`).
     """
 
     def __init__(self, grid: LocalGrid, state: MhdState) -> None:

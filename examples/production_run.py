@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.codes import CodeVersion, runtime_config_for
 from repro.mas import MasModel, ModelConfig
-from repro.mas.checkpoint import load_checkpoint, read_info, save_checkpoint
+from checkpoint import load_checkpoint, read_info, save_checkpoint
 from repro.mas.history import RunHistory
 from repro.perf.profiler import Profiler
 from repro.perf.trace_export import write_chrome_trace

@@ -2,8 +2,8 @@
 
 Commands mirror the paper's artifacts plus utility actions:
 
-* ``table1`` / ``table2`` / ``table3`` / ``fig2`` / ``fig3`` / ``fig4``
-  -- regenerate one artifact and print it (optionally ``--csv FILE``);
+* one command per experiment row of ``repro.experiments.catalog`` that
+  names one (``table1`` .. ``multinode``) -- run it and print it;
 * ``run`` -- run the MHD model under a chosen code version;
 * ``port`` -- run the source-porting pipeline and show per-version counts;
 * ``lint`` -- DC-safety analyzer over ported code, fixtures, or a
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from typing import Callable, Sequence
 
 from repro.codes import CodeVersion, runtime_config_for, version_info
@@ -114,6 +115,21 @@ def _add_telemetry(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_ranks(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--ranks", type=int, default=8)
+
+
+#: The argument groups an experiment row may name: what adds the flags,
+#: and which parsed values go on to the module's ``run``.
+_OPTION_GROUPS = {
+    "csv": (_add_csv, ()),
+    "telemetry": (_add_telemetry, ()),
+    "pcg": (_add_pcg_options, ("pcg", "precond")),
+    "overlap": (_add_overlap_options, ("halo_overlap", "fuse_regions")),
+    "ranks": (_add_ranks, ("ranks",)),
+}
+
+
 def _telemetry_session(args: argparse.Namespace):
     """Activate a telemetry session for one CLI command (no-op without
     ``--telemetry``); records the command line in the run manifest."""
@@ -133,125 +149,30 @@ def _telemetry_session(args: argparse.Namespace):
     )
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
-    if not path:
-        return
-    from repro.util.tables import Table
+def cmd_experiment(args: argparse.Namespace) -> int:
+    """Every artifact command: run the table row's module and print its
+    rendering (``repro.experiments.catalog`` describes the interface)."""
+    from repro.experiments.catalog import by_command
 
-    t = Table(header)
-    for r in rows:
-        t.add_row(r)
-    with open(path, "w") as fh:
-        fh.write(t.to_csv() + "\n")
-    print(f"wrote {path}")
-
-
-def cmd_table1(args: argparse.Namespace) -> int:
-    from repro.experiments.table1 import render_table1, run_table1
-
-    rows = run_table1()
-    print(render_table1(rows))
-    _write_csv(
-        args.csv,
-        ["version", "total_lines", "paper_total", "acc_lines", "paper_acc"],
-        [
-            [r.tag, r.total_lines, r.paper_total_lines, r.acc_lines, r.paper_acc_lines or 0]
-            for r in rows
-        ],
-    )
-    return 0 if all(r.total_matches and r.acc_matches for r in rows) else 1
-
-
-def cmd_table2(args: argparse.Namespace) -> int:
-    from repro.experiments.table2 import PAPER_CENSUS, render_table2, run_table2
-
-    census = run_table2()
-    print(render_table2(census))
-    _write_csv(
-        args.csv,
-        ["directive_type", "measured", "paper"],
-        [[k.value, v, PAPER_CENSUS[k]] for k, v in census.items()],
-    )
-    return 0 if census == PAPER_CENSUS else 1
-
-
-def cmd_table3(args: argparse.Namespace) -> int:
-    from repro.experiments.table3 import (
-        CPU_VERSIONS,
-        NODE_COUNTS,
-        render_table3,
-        run_table3,
-    )
-
-    result = run_table3()
-    print(render_table3(result))
-    _write_csv(
-        args.csv,
-        ["nodes", "version", "wall_minutes"],
-        [
-            [n, v.name, result.value(n, v)]
-            for n in NODE_COUNTS
-            for v in CPU_VERSIONS
-        ],
-    )
-    return 0
-
-
-def cmd_fig2(args: argparse.Namespace) -> int:
-    from repro.experiments.fig2 import render_fig2, run_fig2
-    from repro.perf.scaling import GPU_COUNTS
-
+    row = by_command(args.command)
+    module = import_module(row.module)
+    groups = row.command.options
+    options = {dest: getattr(args, dest) for g in groups for dest in _OPTION_GROUPS[g][1]}
     with _telemetry_session(args):
-        result = run_fig2()
-    print(render_fig2(result))
-    _write_csv(
-        args.csv,
-        ["version", "num_gpus", "wall_minutes", "mpi_minutes"],
-        [
-            [v.name, p.num_gpus, p.wall_minutes, p.mpi_minutes]
-            for v, s in result.series.items()
-            for p in s.points
-        ],
-    )
-    return 0
+        result = module.run(**options)
+    print(module.render(result))
+    if "csv" in groups and args.csv:
+        from repro.util.tables import Table
 
-
-def cmd_fig3(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.experiments.fig3 import GPU_PANELS, render_fig3, run_fig3
-    from repro.codes import GPU_VERSIONS
-    from repro.perf.calibration import PAPER_CALIBRATION
-
-    calibration = replace(
-        PAPER_CALIBRATION,
-        pcg_variant=args.pcg,
-        pcg_precond=args.precond,
-        halo_overlap=args.halo_overlap,
-        cross_region_fusion=args.fuse_regions,
-    )
-    with _telemetry_session(args):
-        result = run_fig3(calibration)
-    print(render_fig3(result))
-    _write_csv(
-        args.csv,
-        ["num_gpus", "version", "wall_minutes", "mpi_minutes"],
-        [
-            [n, v.name, result.breakdown(n, v).wall_minutes, result.breakdown(n, v).mpi_minutes]
-            for n in GPU_PANELS
-            for v in GPU_VERSIONS
-        ],
-    )
-    return 0
-
-
-def cmd_fig4(args: argparse.Namespace) -> int:
-    from repro.experiments.fig4 import render_fig4, run_fig4
-
-    with _telemetry_session(args):
-        result = run_fig4()
-    print(render_fig4(result))
-    return 0
+        header, rows = module.csv(result)
+        table = Table(header)
+        for r in rows:
+            table.add_row(r)
+        with open(args.csv, "w") as fh:
+            fh.write(table.to_csv() + "\n")
+        print(f"wrote {args.csv}")
+    ok = getattr(module, "ok", None)
+    return 0 if ok is None or ok(result) else 1
 
 
 def _run_model(args: argparse.Namespace, banner: str, **ensemble):
@@ -519,70 +440,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_portability(args: argparse.Namespace) -> int:
-    from repro.fortran.codebase import generate_mas_codebase
-    from repro.fortran.pipeline import build_version
-    from repro.fortran.portability import analyze, render_report
-
-    code1 = generate_mas_codebase()
-    for v in CodeVersion:
-        print(render_report(analyze(build_version(v, code1=code1))))
-        print()
-    return 0
-
-
-def cmd_memfit(args: argparse.Namespace) -> int:
-    from repro.perf.memory_fit import max_cells_that_fit, paper_case_fits_one_gpu
-    from repro.util.units import fmt_bytes
-
-    paper = paper_case_fits_one_gpu()
-    print(
-        f"paper case {paper.shape} = {paper.total_cells / 1e6:.0f}M cells: "
-        f"{fmt_bytes(paper.bytes_per_rank)} per GPU "
-        f"({paper.utilization * 100:.0f}% of an A100-40GB) -> fits: {paper.fits}"
-    )
-    for n in (1, 2, 4, 8):
-        e = max_cells_that_fit(n)
-        print(
-            f"max case on {n} GPU(s): {e.shape} = {e.total_cells / 1e6:.0f}M cells "
-            f"({e.utilization * 100:.0f}% of each device)"
-        )
-    return 0
-
-
-def cmd_multinode(args: argparse.Namespace) -> int:
-    from repro.experiments.multinode import render_multinode, run_multinode
-
-    print(render_multinode(run_multinode()))
-    return 0
-
-
-def cmd_fig1(args: argparse.Namespace) -> int:
-    from repro.experiments.fig1 import render_fig1, run_fig1
-
-    print(render_fig1(run_fig1()))
-    return 0
-
-
-def cmd_tradeoff(args: argparse.Namespace) -> int:
-    from repro.experiments.tradeoff import render_tradeoff, run_tradeoff
-
-    print(render_tradeoff(run_tradeoff(args.ranks)))
-    return 0
-
-
-def cmd_categories(args: argparse.Namespace) -> int:
-    from repro.perf.categories import measure_categories, render_categories
-
-    with _telemetry_session(args):
-        breakdowns = [
-            measure_categories(v, args.ranks)
-            for v in (CodeVersion.A, CodeVersion.AD, CodeVersion.ADU, CodeVersion.D2XU)
-        ]
-    print(render_categories(breakdowns))
-    return 0
-
-
 def cmd_telemetry(args: argparse.Namespace) -> int:
     from repro.obs.summary import summarize_dir
 
@@ -810,43 +667,23 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.catalog import HELP_ORDER, by_command
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of the MAS OpenACC -> do concurrent paper",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, doc in (
-        ("table1", cmd_table1, "Table I: code-version line counts"),
-        ("table2", cmd_table2, "Table II: OpenACC directive census"),
-        ("table3", cmd_table3, "Table III: CPU baseline wall clock"),
-        ("fig2", cmd_fig2, "Fig. 2: wall clock vs GPU count"),
-        ("fig3", cmd_fig3, "Fig. 3: MPI / non-MPI split"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        _add_csv(p)
-        if name in ("fig2", "fig3"):
-            _add_telemetry(p)
-        if name == "fig3":
-            _add_pcg_options(p)
-            _add_overlap_options(p)
-        p.set_defaults(fn=fn)
+    def add_experiments(names: tuple[str, ...]) -> None:
+        for name in names:
+            command = by_command(name).command
+            p = sub.add_parser(command.name, help=command.help)
+            for group in command.options:
+                _OPTION_GROUPS[group][0](p)
+            p.set_defaults(fn=cmd_experiment)
 
-    p = sub.add_parser("fig4", help="Fig. 4: viscosity-solver timeline")
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_fig4)
-
-    p = sub.add_parser("fig1", help="Fig. 1: test-case visualization")
-    p.set_defaults(fn=cmd_fig1)
-
-    p = sub.add_parser("categories", help="per-step time by category per version")
-    p.add_argument("--ranks", type=int, default=8)
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_categories)
-
-    p = sub.add_parser("tradeoff", help="directive count vs performance synthesis")
-    p.add_argument("--ranks", type=int, default=8)
-    p.set_defaults(fn=cmd_tradeoff)
+    add_experiments(HELP_ORDER[0])
 
     p = sub.add_parser("run", help="run the MHD model under one code version")
     _add_model_options(p)
@@ -907,14 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("portability", help="compiler portability per code version")
-    p.set_defaults(fn=cmd_portability)
-
-    p = sub.add_parser("memfit", help="largest problem fitting the GPUs (SV-A sizing)")
-    p.set_defaults(fn=cmd_memfit)
-
-    p = sub.add_parser("multinode", help="extension: scaling beyond one node")
-    p.set_defaults(fn=cmd_multinode)
+    add_experiments(HELP_ORDER[1])
 
     p = sub.add_parser("telemetry", help="summarize a telemetry directory")
     p.add_argument("dir", nargs="?", default=None,

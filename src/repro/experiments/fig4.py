@@ -136,3 +136,20 @@ def render_fig4(result: Fig4Result) -> str:
         f"UM window: {result.um_staged_events} CPU<->GPU migrations"
     )
     return "\n\n".join([result.timeline_manual, result.timeline_um, summary])
+
+
+run = run_fig4
+render = render_fig4
+
+
+def section(f4: Fig4Result) -> list[str]:
+    return [
+        f"* per-iteration time: manual {f4.iteration_manual * 1e3:.3f} ms,"
+        f" unified memory {f4.iteration_um * 1e3:.3f} ms ->"
+        f" **{f4.um_slowdown:.2f}x slower under UM** (paper: ~3x).\n"
+        f"* manual window: {f4.manual_p2p_events} GPU peer-to-peer messages,"
+        f" {f4.manual_staged_events} host-staged transfers.\n"
+        f"* UM window: {f4.um_staged_events} CPU<->GPU page-migration events"
+        " -- the 'multiple CPU-GPU transfers' of the paper's bottom lane.\n",
+        "```\n" + f4.timeline_manual + "\n\n" + f4.timeline_um + "\n```",
+    ]

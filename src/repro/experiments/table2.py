@@ -37,3 +37,27 @@ def render_table2(census: dict[DirectiveKind, int]) -> str:
         t.add_row([kind.value, census.get(kind, 0), PAPER_CENSUS[kind]])
     t.add_row(["Total", sum(census.values()), PAPER_TOTAL])
     return t.render()
+
+
+run = run_table2
+render = render_table2
+
+
+def csv(census: dict[DirectiveKind, int]) -> tuple[list[str], list[list]]:
+    return (
+        ["directive_type", "measured", "paper"],
+        [[k.value, v, PAPER_CENSUS[k]] for k, v in census.items()],
+    )
+
+
+def ok(census: dict[DirectiveKind, int]) -> bool:
+    """The generated census equals the paper's."""
+    return census == PAPER_CENSUS
+
+
+def section(census: dict[DirectiveKind, int]) -> list[str]:
+    out = ["| directive type | paper | measured |", "|---|---|---|"]
+    for kind in DirectiveKind:
+        out.append(f"| {kind.value} | {PAPER_CENSUS[kind]} | {census[kind]} |")
+    out.append(f"| **total** | **1458** | **{sum(census.values())}** |")
+    return out

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.codes import CodeVersion, runtime_config_for
+from repro.codes import CodeVersion, runtime_config_for, version_info
 from repro.mas.model import MasModel, ModelConfig
 from repro.perf.calibration import Calibration, MEASURE_SHAPE, PAPER_CALIBRATION, project_run_minutes
-from repro.util.tables import Table
+from repro.util.tables import Table, pct_delta
 
 #: The paper's Table III (minutes).
 PAPER_TABLE3 = {
@@ -102,3 +102,31 @@ def render_table3(result: Table3Result) -> str:
             ]
         )
     return t.render()
+
+
+run = run_table3
+render = render_table3
+
+
+def csv(result: Table3Result) -> tuple[list[str], list[list]]:
+    return (
+        ["nodes", "version", "wall_minutes"],
+        [[n, v.name, result.value(n, v)] for n in NODE_COUNTS for v in CPU_VERSIONS],
+    )
+
+
+def section(t3: Table3Result) -> list[str]:
+    out = ["| nodes | code | paper | measured | delta |", "|---|---|---|---|---|"]
+    for (nodes, version), paper in PAPER_TABLE3.items():
+        m = t3.value(nodes, version)
+        out.append(
+            f"| {nodes} | {version_info(version).tag} | {paper:.2f} | {m:.2f} |"
+            f" {pct_delta(m, paper)} |"
+        )
+    out.append(
+        "\nThe paper's headline holds: the DC version (Code 2) runs"
+        " identically to the original on CPUs. Deviation-by-determinism: our"
+        " simulator gives *exactly* equal values for Codes 1 and 2 on CPU,"
+        " where the paper's 0.01-0.06 min differences are run-to-run noise."
+    )
+    return out

@@ -29,11 +29,6 @@ class TradeoffPoint:
     acc_lines: int
     wall_minutes: float
 
-    @property
-    def slowdown_per_directive_removed(self) -> float | None:
-        """Not defined standalone; see :func:`pareto_front`."""
-        return None
-
 
 @dataclass(frozen=True)
 class TradeoffResult:
@@ -82,3 +77,23 @@ def render_tradeoff(result: TradeoffResult) -> str:
         p = result.points[v]
         t.add_row([version_info(v).tag, p.acc_lines, p.wall_minutes, v in front])
     return t.render()
+
+
+def run(*, ranks: int = 8) -> TradeoffResult:
+    return run_tradeoff(ranks)
+
+
+render = render_tradeoff
+
+
+def section(result: TradeoffResult) -> list[str]:
+    front = ", ".join(version_info(v).tag for v in result.pareto_front())
+    return [
+        "Table I's directive counts against Fig. 2's wall clock (`repro"
+        " tradeoff`), fewest directives first:\n",
+        "```\n" + render_tradeoff(result) + "\n```",
+        f"\nThe front is {front}: the unified-memory codes that keep"
+        " directives (3, 4) are dominated by the zero-directive Code 5, and"
+        " Codes 2 and 6 -- the paper's recommendation -- buy most of Code 1's"
+        " speed with a fraction of its directives.",
+    ]

@@ -14,7 +14,6 @@ from repro.fortran.lexer import LineKind, classify_line
 from repro.fortran.metrics import CodeMetrics, directive_census, measure
 from repro.fortran.codebase import generate_mas_codebase, strip_to_cpu
 from repro.fortran.pipeline import build_version
-from repro.fortran.portability import PortabilityReport, analyze, render_report
 from repro.fortran.tree_io import load_tree, save_tree
 
 __all__ = [
@@ -31,9 +30,6 @@ __all__ = [
     "generate_mas_codebase",
     "strip_to_cpu",
     "build_version",
-    "PortabilityReport",
-    "analyze",
-    "render_report",
     "load_tree",
     "save_tree",
 ]

@@ -38,6 +38,11 @@ _DO_OTHER = re.compile(r"^\s*do\s*(while\b[^!]*)?(!.*)?$", re.I)
 #: ``end`` and what it closes, with or without a blank between them:
 #: ``enddo`` and ``endsubroutine`` are as legal as ``end do``.
 _END = re.compile(r"^\s*end\s*(do|subroutine|function|module)\b", re.I)
+#: A bare ``end`` closes the innermost program unit, and the line does not
+#: say which. It classifies as the end of a procedure, the scope a routine
+#: walker (``inline.parse_routine``) is waiting to close; ``end module``
+#: and ``end program`` are normally spelled out.
+_BARE_END = re.compile(r"^\s*end\s*(!.*)?$", re.I)
 _END_KINDS = {
     "do": LineKind.ENDDO,
     "subroutine": LineKind.SUBROUTINE_END,
@@ -48,12 +53,14 @@ _END_KINDS = {
 #: (``pure elemental subroutine``, ``impure elemental function`` ...).
 _PREFIXES = r"(?:(?:pure|impure|elemental|recursive)\s+)*"
 _SUB_START = re.compile(rf"^\s*({_PREFIXES})subroutine\s+(\w+)", re.I)
-#: A kind selector may hold ``=`` (``real(kind=8) function f(x)``); outside
-#: it, everything before the keyword is prefix and type words.
+#: A kind selector may hold ``=`` (``real(kind=8) function f(x)``) and one
+#: level of call parentheses (``real(selected_real_kind(8))``); outside it,
+#: everything before the keyword is prefix and type words.
+KIND_SELECTOR = r"\((?:[^()]|\([^()]*\))*\)"
 _FUN_START = re.compile(
     rf"^\s*({_PREFIXES})"
     r"(real|integer|logical|complex|double\s+precision|character|type)?"
-    r"\s*(\([^)]*\))?\s*function\s+(\w+)",
+    rf"\s*({KIND_SELECTOR})?\s*function\s+(\w+)",
     re.I,
 )
 _MOD_START = re.compile(r"^\s*module\s+(\w+)", re.I)
@@ -101,7 +108,7 @@ def classify_line(line: str) -> LineKind:
     elif head.startswith("end"):
         m = _END.match(line)
         if m is None:
-            return LineKind.STATEMENT
+            return LineKind.SUBROUTINE_END if _BARE_END.match(line) else LineKind.STATEMENT
         # .get: re.I also folds a few non-ASCII letters that lower() keeps
         return _END_KINDS.get(m.group(1).lower(), LineKind.STATEMENT)
     elif head.startswith("call"):

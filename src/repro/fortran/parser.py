@@ -19,7 +19,7 @@ from repro.fortran.directives import (
     parse_directive,
     try_parse_directive,
 )
-from repro.fortran.lexer import LineKind, classify_line, subroutine_name
+from repro.fortran.lexer import KIND_SELECTOR, LineKind, classify_line, subroutine_name
 from repro.fortran.source import SourceFile
 
 
@@ -124,7 +124,7 @@ _ARRAY_ACCUM_RE = re.compile(r"^\s*\w+\(\w+\)\s*=\s*\w+\(\w+\)\s*\+")
 _HEADER_RE = re.compile(
     r"^\s*(?P<prefix>(?:(?:pure|impure|elemental|recursive)\s+)*)"
     r"(?:(?:real|integer|logical|complex|double\s+precision|character|type)"
-    r"\s*(?:\([^)]*\))?\s+)?"
+    rf"\s*(?:{KIND_SELECTOR})?\s+)?"
     r"(?P<kind>subroutine|function)\s+(?P<name>\w+)\s*"
     r"(?:\((?P<args>[^)]*)\))?"
     r"(?:\s*result\s*\(\s*(?P<result>\w+)\s*\))?",

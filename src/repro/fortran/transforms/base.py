@@ -49,8 +49,6 @@ def nest_body_lines(region: ParallelRegion, nest: LoopNest) -> list[str]:
     return lines[first : last + 1]
 
 
-def convert_nest_to_dc(
-    region: ParallelRegion, nest: LoopNest, *, clause: str = ""
-) -> list[str]:
+def convert_nest_to_dc(region: ParallelRegion, nest: LoopNest) -> list[str]:
     """Replacement text: one DC loop covering the nest (Listing 1 -> 2)."""
-    return [dc_header(nest, clause=clause), *nest_body_lines(region, nest), "      enddo"]
+    return [dc_header(nest), *nest_body_lines(region, nest), "      enddo"]

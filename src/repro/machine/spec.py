@@ -53,11 +53,6 @@ class CpuSpec:
         if not 0 < self.stream_efficiency <= 1:
             raise ValueError("stream_efficiency must be in (0, 1]")
 
-    @property
-    def total_cores(self) -> int:
-        """Total hardware cores on the node."""
-        return self.sockets * self.cores_per_socket
-
 
 @dataclass(frozen=True, slots=True)
 class LinkSpec:

@@ -18,10 +18,7 @@ from repro.mas.stretch import cluster_spacing, geometric_spacing, uniform_spacin
 from repro.mas.grid import LocalGrid, SphericalGrid
 from repro.mas.state import MhdState
 from repro.mas.model import MasModel, ModelConfig, StepTiming, NOMINAL_SHAPE_PAPER
-from repro.mas.validate import compare_states, max_rel_diff, states_equivalent
-from repro.mas.checkpoint import load_checkpoint, read_info, save_checkpoint
 from repro.mas.history import EnergyBudget, RunHistory, model_energy_budget
-from repro.mas.fieldlines import FieldLineFate, FieldLineTracer
 
 __all__ = [
     "PhysicsParams",
@@ -35,15 +32,7 @@ __all__ = [
     "ModelConfig",
     "StepTiming",
     "NOMINAL_SHAPE_PAPER",
-    "compare_states",
-    "max_rel_diff",
-    "states_equivalent",
-    "save_checkpoint",
-    "load_checkpoint",
-    "read_info",
     "RunHistory",
     "EnergyBudget",
     "model_energy_budget",
-    "FieldLineTracer",
-    "FieldLineFate",
 ]

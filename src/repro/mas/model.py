@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.machine.cluster import GpuCluster
 from repro.machine.cpu import CpuNodeModel, EPYC_7742_NODE
-from repro.machine.interconnect import DELTA_INTERCONNECT, SLINGSHOT
+from repro.machine.interconnect import SLINGSHOT
 from repro.machine.node import GpuNode, make_delta_node
 from repro.mas import operators as ops
 from repro.mas.boundary import BoundaryProfiles, apply_boundaries, apply_centered_boundary
@@ -63,7 +63,7 @@ from repro.mas.semi_implicit import max_wave_speed, si_coefficient
 from repro.mas.sts import explicit_parabolic_dt, rkl2_advance, stages_for_dt
 from repro.mpi.collectives import allreduce_max, allreduce_min
 from repro.mpi.decomp import Decomposition3D
-from repro.mpi.halo import HaloExchanger, HaloSpec
+from repro.mpi.halo import HaloExchanger
 from repro.obs.telemetry import current as _telemetry
 from repro.mpi.transport import TransportKind, make_transport
 from repro.runtime.clock import TimeCategory
@@ -204,6 +204,12 @@ class ModelConfig:
                     f"vary {name!r} needs {self.ensemble_size} values, "
                     f"got {len(values)}"
                 )
+            for value in values:
+                if not np.isfinite(value):
+                    raise ValueError(f"vary {name!r}: {value!r} is not finite")
+                if hasattr(self.params, name):
+                    # the rule the scalar field is held to
+                    replace(self.params, **{name: float(value)})
 
 
 @dataclass(slots=True)

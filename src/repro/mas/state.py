@@ -16,7 +16,7 @@ bit-identical legacy path) and the batched 4-D layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,11 +98,6 @@ class MhdState:
         if self.members is None:
             raise ValueError("state is not batched")
         return MhdState(**{f.name: getattr(self, f.name)[b] for f in fields(self)})
-
-    def member_views(self) -> Iterator["MhdState"]:
-        """Iterate zero-copy member views of a batched state."""
-        for b in range(self.members or 0):
-            yield self.member_view(b)
 
     @classmethod
     def stack(cls, states: Sequence["MhdState"]) -> "MhdState":

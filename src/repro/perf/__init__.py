@@ -9,8 +9,6 @@ from repro.perf.calibration import (
 from repro.perf.profiler import Profiler, ProfileEvent
 from repro.perf.breakdown import RunBreakdown, measure_breakdown
 from repro.perf.scaling import ScalingPoint, ScalingSeries, measure_scaling
-from repro.perf.categories import CategoryBreakdown, measure_categories, render_categories
-from repro.perf.memory_fit import MemoryEstimate, estimate, max_cells_that_fit
 from repro.perf.trace_export import to_chrome_trace, write_chrome_trace
 
 __all__ = [
@@ -25,12 +23,6 @@ __all__ = [
     "ScalingPoint",
     "ScalingSeries",
     "measure_scaling",
-    "CategoryBreakdown",
-    "measure_categories",
-    "render_categories",
-    "MemoryEstimate",
-    "estimate",
-    "max_cells_that_fit",
     "to_chrome_trace",
     "write_chrome_trace",
 ]

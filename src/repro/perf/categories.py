@@ -76,3 +76,27 @@ def render_categories(breakdowns: list[CategoryBreakdown]) -> str:
             [(c.value, b.seconds.get(c, 0.0) * 1e3) for c in order],
         )
     return chart.render()
+
+
+#: One code per fingerprint: the OpenACC original, DC with manual data,
+#: OpenACC + DC under unified memory, and the zero-directive code.
+VERSIONS = (CodeVersion.A, CodeVersion.AD, CodeVersion.ADU, CodeVersion.D2XU)
+
+
+def run(*, ranks: int = 8) -> list[CategoryBreakdown]:
+    """The paper calibration's per-step categories of ``VERSIONS``."""
+    return [measure_categories(v, ranks) for v in VERSIONS]
+
+
+render = render_categories
+
+
+def section(breakdowns: list[CategoryBreakdown]) -> list[str]:
+    return [
+        "Finer than Fig. 3's two-way split: one step's simulated time by"
+        " clock category, mean over ranks (`repro categories`). DC codes carry"
+        " more launch time (fission, no async queues); UM codes pay their page"
+        " migration as MPI transfer time. The fingerprints are asserted by"
+        " `tests/perf/test_categories.py`.\n",
+        "```\n" + render_categories(breakdowns) + "\n```",
+    ]

@@ -18,6 +18,7 @@ from repro.machine.spec import GpuSpec
 from repro.mas.model import WORK_ARRAYS
 from repro.mas.state import ALL_FIELDS
 from repro.mpi.decomp import Decomposition3D
+from repro.util.units import fmt_bytes
 
 #: Arrays per rank in the full model (see MasModel._register_arrays).
 STATE_ARRAYS = len(ALL_FIELDS)
@@ -116,3 +117,37 @@ def max_cells_that_fit(
 def paper_case_fits_one_gpu() -> MemoryEstimate:
     """The paper's sizing claim: 36M cells fit one A100-40GB."""
     return estimate((150, 300, 800), 1)
+
+
+GPU_COUNTS = (1, 2, 4, 8)
+
+
+def run() -> tuple[MemoryEstimate, dict[int, MemoryEstimate]]:
+    """The paper's case on one GPU, and the largest case per GPU count."""
+    return paper_case_fits_one_gpu(), {n: max_cells_that_fit(n) for n in GPU_COUNTS}
+
+
+def render(result: tuple[MemoryEstimate, dict[int, MemoryEstimate]]) -> str:
+    paper, largest = result
+    lines = [
+        f"paper case {paper.shape} = {paper.total_cells / 1e6:.0f}M cells: "
+        f"{fmt_bytes(paper.bytes_per_rank)} per GPU "
+        f"({paper.utilization * 100:.0f}% of an A100-40GB) -> fits: {paper.fits}"
+    ]
+    for n, e in largest.items():
+        lines.append(
+            f"max case on {n} GPU(s): {e.shape} = {e.total_cells / 1e6:.0f}M cells "
+            f"({e.utilization * 100:.0f}% of each device)"
+        )
+    return "\n".join(lines)
+
+
+def section(result: tuple[MemoryEstimate, dict[int, MemoryEstimate]]) -> list[str]:
+    return [
+        'The paper sized its test case "to fit into the memory of a single'
+        ' NVIDIA A100 (40GB)" (SV-A). `repro memfit` prices that case under'
+        " the MAS memory model (state + work arrays + the full CORHEL"
+        " complement + halo buffers) and bisects for the largest grid of the"
+        " same aspect ratio that each GPU count holds:\n",
+        "```\n" + render(result) + "\n```",
+    ]

@@ -163,10 +163,6 @@ class RankRuntime:
         """Attach a :class:`~repro.analysis.shadow.ShadowChecker`."""
         self._shadow = checker
 
-    def detach_shadow(self) -> None:
-        """Remove the shadow checker (restores the no-op hot path)."""
-        self._shadow = None
-
     # -- array registration -------------------------------------------------
 
     def register_array(self, name: str, nominal_bytes: int, data=None) -> None:

@@ -32,36 +32,3 @@ def spawn_rngs(name: str, n: int, seed: int = ROOT_SEED) -> list[np.random.Gener
     tag = zlib.crc32(name.encode("utf-8"))
     seq = np.random.SeedSequence([seed, tag])
     return [np.random.default_rng(s) for s in seq.spawn(n)]
-
-
-def member_rng(name: str, member: int, seed: int = ROOT_SEED) -> np.random.Generator:
-    """The RNG stream of ONE ensemble member.
-
-    Seed derivation: the stream of member ``b`` is
-    ``SeedSequence(entropy=[seed, crc32(name)], spawn_key=(b,))`` -- the
-    same child that ``SeedSequence([seed, crc32(name)]).spawn(n)[b]``
-    yields for any ``n > b``.  Consequences, both load-bearing for
-    ensemble reproducibility:
-
-    - *independence*: members never share or overlap streams, so a
-      batched B-member run draws exactly what B serial runs would;
-    - *member-count stability*: member 3's stream is identical in a
-      4-member and an 8-member sweep, so widening an ensemble never
-      perturbs existing members.
-    """
-    if not name:
-        raise ValueError("rng name must be non-empty")
-    if member < 0:
-        raise ValueError("member index cannot be negative")
-    tag = zlib.crc32(name.encode("utf-8"))
-    seq = np.random.SeedSequence(entropy=[seed, tag], spawn_key=(member,))
-    return np.random.default_rng(seq)
-
-
-def member_rngs(
-    name: str, members: int, seed: int = ROOT_SEED
-) -> list[np.random.Generator]:
-    """One independent stream per ensemble member (see :func:`member_rng`)."""
-    if members < 0:
-        raise ValueError("cannot create a negative number of generators")
-    return [member_rng(name, b, seed) for b in range(members)]

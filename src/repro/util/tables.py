@@ -92,3 +92,8 @@ class Table:
         out = [",".join(self.columns)]
         out.extend(",".join(r) for r in self._rows)
         return "\n".join(out)
+
+
+def pct_delta(measured: float, paper: float) -> str:
+    """Signed relative deviation of ``measured`` from ``paper``, one decimal."""
+    return f"{(measured - paper) / paper * 100:+.1f}%"

@@ -1,5 +1,7 @@
 """The line classifier and region finders as they were before the
-dispatching classifier, kept verbatim as the test oracle.
+dispatching classifier, kept verbatim as the test oracle, plus the two
+shapes neither classifier knew then: a bare ``end`` and a kind selector
+that holds a call.
 
 ``classify_line`` is the 14-pattern regex cascade, ``is_directive_line``
 the unconditional ``lstrip().lower().startswith``, and the four finders
@@ -43,10 +45,11 @@ _ENDDO = re.compile(r"^\s*end\s*do\b", re.I)
 _PREFIXES = r"(?:(?:pure|impure|elemental|recursive)\s+)*"
 _SUB_START = re.compile(rf"^\s*({_PREFIXES})subroutine\s+(\w+)", re.I)
 _SUB_END = re.compile(r"^\s*end\s+subroutine\b", re.I)
+_BARE_END = re.compile(r"^\s*end\s*(!.*)?$", re.I)
 _FUN_START = re.compile(
     rf"^\s*({_PREFIXES})"
     r"(real|integer|logical|complex|double\s+precision|character|type)?"
-    r"\s*(\([^)]*\))?\s*function\s+(\w+)",
+    r"\s*(\((?:[^()]|\([^()]*\))*\))?\s*function\s+(\w+)",
     re.I,
 )
 _FUN_END = re.compile(r"^\s*end\s+function\b", re.I)
@@ -72,7 +75,7 @@ def classify_line(line: str) -> LineKind:
         return LineKind.DO
     if _ENDDO.match(line):
         return LineKind.ENDDO
-    if _SUB_END.match(line):
+    if _SUB_END.match(line) or _BARE_END.match(line):
         return LineKind.SUBROUTINE_END
     if _SUB_START.match(line):
         return LineKind.SUBROUTINE_START

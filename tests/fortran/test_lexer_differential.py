@@ -76,6 +76,7 @@ CORES = [
     "end interface", "end program main", "end subroutine foo",
     "end subroutine", "end function f", "end module m", "end type",
     "endsubroutine foo", "endfunction f", "endmodule m", "ending = 1",
+    "end = 1", "end (1) = 2",
     # subroutine
     "subroutine foo(a, b)", "subroutine foo", "subroutine", "subroutinefoo",
     "pure subroutine foo(x)", "pure elemental subroutine foo(x)",
@@ -90,6 +91,9 @@ CORES = [
     "elemental real function sq(x)", "recursive integer function fact(n) result(r)",
     "real(kind=8) function f(x)", "character(len=*) function c(s)",
     "pure real(kind=dp) function g(a, b)", "real(selected_real_kind(8)) function h()",
+    "real(selected_real_kind(6, 37)) function h(x) result(y)",
+    "integer(kind(1)) function k()", "real(f(g(1))) function deep()",
+    "real(selected_real_kind(8)) :: x",
     "function_x = 1", "functionf(x)", "function", "real function",
     "real function_value", "x = my function (y)",
     # module, contains, call
@@ -361,6 +365,37 @@ class TestBugfixForms:
     def test_end_glued_to_its_keyword(self, line, kind):
         assert classify_line(line) is kind
         assert ref.classify_line(line) is LineKind.STATEMENT
+
+    @pytest.mark.parametrize("line,kind", [
+        ("real(selected_real_kind(8)) function f()", LineKind.FUNCTION_START),
+        ("  pure real(selected_real_kind(6, 37)) function g(x) result(y)",
+         LineKind.FUNCTION_START),
+        ("real(f(g(1))) function deep()", LineKind.STATEMENT),  # one level only
+        ("end", LineKind.SUBROUTINE_END),
+        ("      END  ! of run", LineKind.SUBROUTINE_END),
+        ("end &", LineKind.STATEMENT),
+        ("end = 1", LineKind.STATEMENT),
+    ])
+    def test_bare_end_and_a_call_in_the_kind_selector(self, line, kind):
+        """The two shapes both classifiers called statements; the oracle
+        learned them with the classifier, so the grammar covers them."""
+        assert classify_line(line) is kind
+        assert ref.classify_line(line) is kind
+
+    def test_a_bare_end_closes_the_routine_being_inlined(self):
+        from repro.fortran.inline import parse_routine
+
+        f = SourceFile("bare.f90", [
+            "      subroutine axpy(a, x, y)",
+            "      real(selected_real_kind(8)) :: a, x, y",
+            "      y = y + a * x",
+            "      end",
+        ])
+        assert parse_routine(f, 0).body == ("      y = y + a * x",)
+        header = parser.parse_procedure_header(
+            "real(selected_real_kind(8)) function f(x) result(y)"
+        )
+        assert (header.name, header.dummies, header.result) == ("f", ("x",), "y")
 
     def test_find_subroutines_closes_each_routine(self):
         blocks = parser.find_subroutines(GLUED)

@@ -14,7 +14,7 @@ from repro.fortran.codebase import generate_mas_codebase
 from repro.fortran.metrics import measure
 from repro.fortran.pipeline import build_version
 from repro.mas.model import MasModel, ModelConfig
-from repro.mas.validate import states_equivalent
+from tests.mas.validate import states_equivalent
 from repro.perf.calibration import Calibration
 from repro.perf.profiler import Profiler
 from repro.runtime.clock import TimeCategory

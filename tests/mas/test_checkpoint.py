@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codes import CodeVersion, runtime_config_for
-from repro.mas.checkpoint import (
+from examples.checkpoint import (
     CheckpointError,
     load_checkpoint,
     read_info,

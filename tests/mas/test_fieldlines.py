@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mas.constants import PhysicsParams
-from repro.mas.fieldlines import (
+from examples.fieldlines import (
     FieldLineFate,
     FieldLineTracer,
     dipole_open_boundary_colatitude,

@@ -16,7 +16,7 @@ import pytest
 
 from repro.codes import CodeVersion, runtime_config_for
 from repro.mas.model import MasModel, ModelConfig
-from repro.mas.validate import states_equivalent
+from tests.mas.validate import states_equivalent
 from repro.obs.telemetry import session
 
 SMALL = dict(shape=(10, 8, 16), pcg_iters=3, sts_stages=3, extra_model_arrays=3)

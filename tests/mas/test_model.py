@@ -5,7 +5,7 @@ import pytest
 
 from repro.codes import CodeVersion, GPU_VERSIONS, runtime_config_for
 from repro.mas.model import MasModel, ModelConfig, WORK_ARRAYS
-from repro.mas.validate import states_equivalent
+from tests.mas.validate import states_equivalent
 
 
 SMALL = dict(shape=(10, 8, 16), pcg_iters=3, sts_stages=3, extra_model_arrays=3)
@@ -28,6 +28,23 @@ class TestConfigValidation:
     def test_sts_stage_minimum(self):
         with pytest.raises(ValueError):
             ModelConfig(sts_stages=1)
+
+    @pytest.mark.parametrize(
+        "name, values, message",
+        [
+            ("viscosity", (-1.0, 1.0), "viscosity cannot be negative"),
+            ("resistivity", (1e-3, -1e-3), "resistivity cannot be negative"),
+            ("viscosity", (float("nan"), 1.0), "not finite"),
+            ("b0", (1.0, float("inf")), "not finite"),
+        ],
+    )
+    def test_member_values_are_held_to_the_scalar_rule(self, name, values, message):
+        """A per-member value is checked where it is read, like the scalar
+        ``PhysicsParams`` field it replaces, so a bad sweep fails at build
+        time and not inside ``viscous_rhs`` mid-step."""
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(ensemble_vary=((name, values),), ensemble_size=2)
+        ModelConfig(ensemble_vary=(("b0", (-1.0, 1.0)),), ensemble_size=2)  # sign is free
 
 
 class TestPhysicsInvariants:

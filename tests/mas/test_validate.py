@@ -5,7 +5,7 @@ import pytest
 
 from repro.codes import CodeVersion, runtime_config_for
 from repro.mas.model import MasModel, ModelConfig
-from repro.mas.validate import (
+from tests.mas.validate import (
     compare_states,
     gather_global,
     max_rel_diff,

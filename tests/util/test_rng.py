@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import make_rng, member_rng, member_rngs, spawn_rngs
+from repro.util.rng import make_rng, spawn_rngs
 
 
 class TestMakeRng:
@@ -41,39 +41,42 @@ class TestSpawnRngs:
 
 
 class TestMemberRng:
+    """What a per-member (or per-rank) stream needs of ``spawn_rngs``:
+    child ``b`` is the same stream whatever the number of children."""
+
     def test_deterministic(self):
-        a = member_rng("ens", 3).random(8)
-        b = member_rng("ens", 3).random(8)
+        a = spawn_rngs("ens", 4)[3].random(8)
+        b = spawn_rngs("ens", 4)[3].random(8)
         assert np.array_equal(a, b)
 
     def test_members_independent(self):
-        a = member_rng("ens", 0).random(8)
-        b = member_rng("ens", 1).random(8)
-        assert not np.array_equal(a, b)
+        members = [g.random(8) for g in spawn_rngs("ens", 4)]
+        for b in range(1, 4):
+            assert not np.array_equal(members[0], members[b]), b
 
     def test_matches_spawned_child(self):
-        # the documented derivation: member b's stream IS spawn(n)[b]
-        for n in (4, 8):
-            a = member_rng("ens", 2).random(8)
-            b = spawn_rngs("ens", n)[2].random(8)
-            assert np.array_equal(a, b), n
+        # the documented derivation: SeedSequence([seed, crc32(name)]).spawn(n)[b]
+        import zlib
+
+        from repro.util.rng import ROOT_SEED
+
+        seq = np.random.SeedSequence([ROOT_SEED, zlib.crc32(b"ens")])
+        a = np.random.default_rng(seq.spawn(4)[2]).random(8)
+        assert np.array_equal(a, spawn_rngs("ens", 4)[2].random(8))
 
     def test_member_count_stability(self):
         # widening an ensemble never perturbs existing members
-        small = [g.random(4) for g in member_rngs("ens", 4)]
-        wide = [g.random(4) for g in member_rngs("ens", 8)]
+        small = [g.random(4) for g in spawn_rngs("ens", 4)]
+        wide = [g.random(4) for g in spawn_rngs("ens", 8)]
         for b in range(4):
             assert np.array_equal(small[b], wide[b]), b
 
     def test_name_separates_streams(self):
-        a = member_rng("perturbation", 0).random(8)
-        b = member_rng("jitter", 0).random(8)
+        a = spawn_rngs("perturbation", 1)[0].random(8)
+        b = spawn_rngs("jitter", 1)[0].random(8)
         assert not np.array_equal(a, b)
 
     def test_validation(self):
+        assert spawn_rngs("ens", 0) == []
         with pytest.raises(ValueError):
-            member_rng("", 0)
-        with pytest.raises(ValueError):
-            member_rng("ens", -1)
-        with pytest.raises(ValueError):
-            member_rngs("ens", -1)
+            spawn_rngs("ens", -1)
