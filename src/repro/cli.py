@@ -468,10 +468,33 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
             print("error: a telemetry DIR (or --compare A B) is required",
                   file=sys.stderr)
             return 2
+        if args.chrome_trace:
+            return _export_chrome_trace(args.dir, args.chrome_trace)
         print(summarize_dir(args.dir))
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
+
+
+def _export_chrome_trace(tel_dir: str, out: str) -> int:
+    """A finalized directory's event record and spans as the Chrome trace
+    a live session would export."""
+    from pathlib import Path
+
+    from repro.obs import telemetry as tmod
+    from repro.obs.events import EventRecord
+    from repro.obs.summary import _read_jsonl
+    from repro.perf.trace_export import write_chrome_trace
+
+    d = Path(tel_dir)
+    try:
+        record = EventRecord.load(d / tmod.EVENTS_FILE)
+        path = write_chrome_trace(record, out, spans=_read_jsonl(d / tmod.SPANS_FILE))
+    except ValueError as exc:
+        print(f"error: cannot export {tmod.EVENTS_FILE} in {d}: {exc}", file=sys.stderr)
+        return 1
+    print(f"wrote {path} ({path.stat().st_size} bytes; open at https://ui.perfetto.dev)")
     return 0
 
 
@@ -511,6 +534,10 @@ def cmd_critpath(args: argparse.Namespace) -> int:
         if fb is not None:
             return fb
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: unreadable {tmod.EVENTS_FILE} in {args.dir}: {exc}",
+              file=sys.stderr)
         return 1
     if not results:
         fb = _sweep_fallback("trace has no per-rank profiler events")
@@ -755,6 +782,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --compare: decompose the wall-time delta "
                    "hierarchically (category -> phase -> kernel -> rank) "
                    "and rank the top contributors")
+    p.add_argument("--chrome-trace", metavar="OUT.json", default=None,
+                   help="export DIR's event record and spans as a Chrome "
+                   "trace (what trace.json used to be) for Perfetto")
     p.set_defaults(fn=cmd_telemetry)
 
     p = sub.add_parser(
@@ -762,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-rank critical-path attribution for a telemetry directory",
     )
     p.add_argument("dir", help="directory written by a --telemetry run "
-                   "(needs the merged trace.json)")
+                   "(needs its events.npz)")
     p.add_argument("--top", type=int, default=10,
                    help="top critical-path contributors to list (default 10)")
     p.add_argument("--json", metavar="FILE", default=None,

@@ -26,11 +26,14 @@ tables; ``summarize_dir`` embeds the compact form.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
+
+import numpy as np
+
+from repro.obs.events import EventRecord, sum_by_key
 
 #: Category value whose time is caused by another lane (jump candidates).
 WAIT_CATEGORY = "mpi_wait"
@@ -125,31 +128,35 @@ def lane_rank(lane: str) -> int:
 
 
 class _Lane:
-    """Per-lane event index supporting covering-event queries."""
+    """One lane's events sorted by (start, end), as parallel lists (``cats``
+    and ``labels`` hold table ids), supporting covering-event queries."""
 
-    __slots__ = ("name", "events", "starts", "last_end")
+    __slots__ = ("name", "starts", "ends", "waits", "cats", "labels", "last_end")
 
-    def __init__(self, name: str, events: list[TraceEvent]) -> None:
+    def __init__(self, name: str, record: EventRecord, rows: np.ndarray, wait_id: int) -> None:
+        start = record.start[rows]
+        end = start + record.duration[rows]
+        order = np.lexsort((end, start))  # stable, like sorted()
         self.name = name
-        self.events = sorted(events, key=lambda e: (e.start, e.end))
-        self.starts = [e.start for e in self.events]
-        self.last_end = max(e.end for e in self.events)
+        self.starts = start[order].tolist()
+        self.ends = end[order].tolist()
+        self.cats = record.category[rows[order]].tolist()
+        self.waits = [c == wait_id for c in self.cats]
+        self.labels = record.label[rows[order]].tolist()
+        self.last_end = max(self.ends)
 
-    def covering(self, t: float, eps: float) -> TraceEvent | None:
-        """The event containing ``t`` (start < t <= end), else None."""
+    def covering(self, t: float, eps: float) -> int:
+        """Index of the event containing ``t`` (start < t <= end), else -1."""
         idx = bisect_left(self.starts, t - eps) - 1
-        if idx < 0:
-            return None
-        e = self.events[idx]
-        return e if e.end >= t - eps else None
+        return idx if idx >= 0 and self.ends[idx] >= t - eps else -1
 
-    def latest_ending_before(self, t: float, eps: float) -> TraceEvent | None:
-        """The latest event ending at or before ``t``, else None."""
+    def latest_ending_before(self, t: float, eps: float) -> int:
+        """Index of the latest event ending at or before ``t``, else -1."""
         idx = bisect_left(self.starts, t + eps) - 1
         for i in range(idx, -1, -1):
-            if self.events[i].end <= t + eps:
-                return self.events[i]
-        return None
+            if self.ends[i] <= t + eps:
+                return i
+        return -1
 
 
 @dataclass
@@ -197,17 +204,20 @@ class CritPathResult:
     def by_rank(self) -> dict[int, float]:
         """Path seconds attributed to each rank's lanes."""
         out: dict[int, float] = {}
+        rank_of = {lane: lane_rank(lane) for lane in {s.lane for s in self.segments}}
         for s in self.segments:
-            out.setdefault(lane_rank(s.lane), 0.0)
-            out[lane_rank(s.lane)] += s.duration
+            r = rank_of[s.lane]
+            out[r] = out.get(r, 0.0) + s.duration
         return out
 
     @property
     def by_blame(self) -> dict[str, float]:
         """Path seconds per blame group (halo / collectives / compute...)."""
         out: dict[str, float] = {}
+        kinds = {(s.category, s.label) for s in self.segments}
+        group_of = {kind: blame_group(*kind) for kind in kinds}
         for s in self.segments:
-            g = blame_group(s.category, s.label)
+            g = group_of[s.category, s.label]
             out[g] = out.get(g, 0.0) + s.duration
         return out
 
@@ -219,6 +229,7 @@ class CritPathResult:
     def top_contributors(self, n: int = 10) -> list[dict[str, Any]]:
         """Hottest (label, category) path contributors with rank blame."""
         agg: dict[tuple[str, str], dict[str, Any]] = {}
+        rank_of = {lane: lane_rank(lane) for lane in {s.lane for s in self.segments}}
         for s in self.segments:
             key = (s.label or s.category, s.category)
             entry = agg.setdefault(
@@ -227,7 +238,7 @@ class CritPathResult:
                  "ranks": {}},
             )
             entry["seconds"] += s.duration
-            r = lane_rank(s.lane)
+            r = rank_of[s.lane]
             entry["ranks"][r] = entry["ranks"].get(r, 0.0) + s.duration
         rows = sorted(agg.values(), key=lambda e: -e["seconds"])[:n]
         for e in rows:
@@ -271,89 +282,96 @@ class CritPathResult:
 
 
 def extract_critical_path(
-    events: Sequence[TraceEvent], *, eps: float = 1e-12
+    events: Sequence[TraceEvent] | EventRecord,
+    rows: np.ndarray | None = None,
+    *,
+    eps: float = 1e-12,
 ) -> list[PathSegment]:
     """Backward-walk the critical path through one model's lanes.
 
-    ``events`` must all belong to one model (main and ``:comm`` lanes).
-    Returns segments in increasing time order, tiling ``[t0, t1]``.
+    ``events`` (or, of a record, its ``rows``) must all belong to one model
+    (main and ``:comm`` lanes). Returns segments in increasing time order,
+    tiling ``[t0, t1]``.
     """
-    events = [e for e in events if e.duration > 0.0]
-    if not events:
+    record = events if isinstance(events, EventRecord) else EventRecord.from_events(events)
+    rows = np.arange(len(record)) if rows is None else rows
+    rows = rows[record.duration[rows] > 0.0]
+    if not len(rows):
         return []
-    by_lane: dict[str, list[TraceEvent]] = {}
-    for e in events:
-        by_lane.setdefault(e.lane, []).append(e)
-    lanes = {name: _Lane(name, evs) for name, evs in by_lane.items()}
-    t0 = min(e.start for e in events)
-    t1 = max(e.end for e in events)
-    lane = max(lanes.values(), key=lambda ln: ln.last_end).name
+    wait_id = record.category_id(WAIT_CATEGORY)
+    lane_ids = record.lane[rows]
+    present, first = np.unique(lane_ids, return_index=True)
+    lanes = [  # in first-appearance order: it breaks ties between lanes
+        _Lane(record.lanes[i], record, rows[lane_ids == i], wait_id)
+        for i in present[np.argsort(first)].tolist()
+    ]
+    t0 = float(record.start[rows].min())
+    lane = max(lanes, key=lambda ln: ln.last_end)
 
     segments: list[PathSegment] = []
-    t = t1
-    guard = 10 * len(events) + 100
+    t = lane.last_end
+    guard = 10 * len(rows) + 100
     while t > t0 + eps and guard > 0:
         guard -= 1
-        e = lanes[lane].covering(t, eps)
-        if e is None:
+        i = lane.covering(t, eps)
+        if i < 0:
             # Hole on this lane. Another lane may still be busy at t (the
             # walker stepped onto a comm lane that attached mid-run);
             # prefer continuing on a covering lane (non-wait first) ...
-            cover = cover_key = None
-            for ln in lanes.values():
-                cand = ln.covering(t, eps)
-                if cand is None:
-                    continue
-                key = (cand.category != WAIT_CATEGORY, cand.end, cand.lane)
-                if cover is None or key > cover_key:
-                    cover, cover_key = cand, key
+            cover = _covering_lane(lanes, t, eps)
             if cover is not None:
-                lane = cover.lane
+                lane = cover
                 continue
             # ... else resume from the latest-ending event anywhere at or
             # before t, attributing the hole as idle.
-            best = None
-            for ln in lanes.values():
-                cand = ln.latest_ending_before(t, eps)
-                if cand is not None and (best is None or cand.end > best.end):
-                    best = cand
+            best = best_end = None
+            for ln in lanes:
+                j = ln.latest_ending_before(t, eps)
+                if j >= 0 and (best is None or ln.ends[j] > best_end):
+                    best, best_end = ln, ln.ends[j]
             if best is None:
-                segments.append(PathSegment(lane, t0, t, IDLE_CATEGORY, ""))
+                segments.append(PathSegment(lane.name, t0, t, IDLE_CATEGORY, ""))
                 break
-            if best.end < t - eps:
-                segments.append(
-                    PathSegment(best.lane, best.end, t, IDLE_CATEGORY, "")
-                )
-            t = min(t, best.end)
-            lane = best.lane
+            if best_end < t - eps:
+                segments.append(PathSegment(best.name, best_end, t, IDLE_CATEGORY, ""))
+            t = min(t, best_end)
+            lane = best
             continue
-        if e.category == WAIT_CATEGORY:
-            blocker = _find_blocker(lanes, lane, t, eps)
+        if lane.waits[i]:
+            # A wait is caused elsewhere: by the non-wait event covering t
+            # on another lane, if there is one.
+            blocker = _covering_lane(lanes, t, eps, skip=lane, waits=False)
             if blocker is not None:
-                lane = blocker.lane
+                lane = blocker
                 continue
-        seg_start = max(e.start, t0)
+        seg_start = max(lane.starts[i], t0)
         if t - seg_start > eps:
-            segments.append(PathSegment(lane, seg_start, t, e.category, e.label))
+            segments.append(
+                PathSegment(
+                    lane.name, seg_start, t,
+                    record.categories[lane.cats[i]], record.labels[lane.labels[i]],
+                )
+            )
         t = seg_start
     segments.reverse()
     return segments
 
 
-def _find_blocker(
-    lanes: Mapping[str, _Lane], current: str, t: float, eps: float
-) -> TraceEvent | None:
-    """The non-wait event on another lane covering ``t`` (the cause of a
-    wait on ``current``), preferring the latest-ending candidate."""
-    best: TraceEvent | None = None
-    for name, ln in lanes.items():
-        if name == current:
+def _covering_lane(
+    lanes: Sequence[_Lane], t: float, eps: float, *,
+    skip: _Lane | None = None, waits: bool = True,
+) -> _Lane | None:
+    """The lane (``skip`` aside) whose event covers ``t``: a working event
+    before a wait (``waits=False``: never a wait), then the latest-ending,
+    then the greater lane name."""
+    best = best_key = None
+    for ln in lanes:
+        j = -1 if ln is skip else ln.covering(t, eps)
+        if j < 0 or (ln.waits[j] and not waits):
             continue
-        cand = ln.covering(t, eps)
-        if cand is None or cand.category == WAIT_CATEGORY:
-            continue
-        if best is None or (cand.end, cand.lane) > (best.end, best.lane):
-            best = cand
+        key = (not ln.waits[j], ln.ends[j], ln.name)
+        if best is None or key > best_key:
+            best, best_key = ln, key
     return best
 
 
@@ -434,128 +452,81 @@ def _phase_split(
 # -- analysis entry points ----------------------------------------------------
 
 
-def analyze_events(
-    events: Iterable[TraceEvent],
-    *,
-    spans: Sequence[Mapping[str, Any]] = (),
+def analyze_record(
+    record: EventRecord, *, spans: Sequence[Mapping[str, Any]] = ()
 ) -> dict[str, CritPathResult]:
-    """Critical-path analysis per model over a mixed event stream."""
-    by_model: dict[str, list[TraceEvent]] = {}
-    for e in events:
-        by_model.setdefault(lane_model(e.lane), []).append(e)
-    by_model.pop("", None)
+    """Critical-path analysis per model over a mixed event record.
+
+    Model, rank and comm-ness are read once per lane-table entry; busy and
+    idle seconds accumulate in stream order, as a per-event loop would.
+    """
+    models = [lane_model(name) for name in record.lanes]
+    rank_of_lane = np.array([lane_rank(name) for name in record.lanes], dtype=np.int64)
+    comm_lane = np.array([name.endswith(COMM_SUFFIX) for name in record.lanes], dtype=bool)
+    rows_of = {
+        m: np.flatnonzero(np.array([x == m for x in models], dtype=bool)[record.lane])
+        for m in sorted(set(models) - {""})
+    }
+    rows_of = {m: rows for m, rows in rows_of.items() if len(rows)}
+    is_wait = record.category == record.category_id(WAIT_CATEGORY)
+    end = record.start + record.duration
     results: dict[str, CritPathResult] = {}
-    single = len(by_model) == 1
-    for model, evs in sorted(by_model.items()):
-        segments = extract_critical_path(evs)
-        busy: dict[int, float] = {}
-        idle: dict[int, float] = {}
-        ranks: set[int] = set()
-        windows = _phase_windows(spans, model, single)
+    for model, rows in rows_of.items():
+        segments = extract_critical_path(record, rows)
+        windows = _phase_windows(spans, model, len(rows_of) == 1)
+        lane_of = record.lane[rows]
+        ranks = rank_of_lane[lane_of]
+        main = ~comm_lane[lane_of]
+        idle, busy = main & is_wait[rows], main & ~is_wait[rows]
+        seconds = record.duration[rows]
         idle_by_phase: dict[str, float] = {}
-        for e in evs:
-            r = lane_rank(e.lane)
-            ranks.add(r)
-            if e.lane.endswith(COMM_SUFFIX):
-                continue
-            if e.category == WAIT_CATEGORY:
-                idle[r] = idle.get(r, 0.0) + e.duration
-                if windows:
-                    for ph, sec in _phase_split(windows, e.start, e.end):
-                        idle_by_phase[ph] = idle_by_phase.get(ph, 0.0) + sec
-            else:
-                busy[r] = busy.get(r, 0.0) + e.duration
         path_by_phase: dict[str, float] = {}
         if windows:
+            waits = rows[idle]
+            for t0, t1 in zip(record.start[waits].tolist(), end[waits].tolist()):
+                for ph, sec in _phase_split(windows, t0, t1):
+                    idle_by_phase[ph] = idle_by_phase.get(ph, 0.0) + sec
             for s in segments:
                 for ph, sec in _phase_split(windows, s.start, s.end):
                     path_by_phase[ph] = path_by_phase.get(ph, 0.0) + sec
         results[model] = CritPathResult(
             model=model,
-            num_ranks=len([r for r in ranks if r >= 0]),
-            t0=min(e.start for e in evs),
-            t1=max(e.end for e in evs),
+            num_ranks=int((np.unique(ranks) >= 0).sum()),
+            t0=float(record.start[rows].min()),
+            t1=float(end[rows].max()),
             segments=segments,
-            busy_by_rank=busy,
-            idle_by_rank=idle,
+            busy_by_rank=sum_by_key(ranks[busy], seconds[busy]),
+            idle_by_rank=sum_by_key(ranks[idle], seconds[idle]),
             idle_by_phase=idle_by_phase,
             path_by_phase=path_by_phase,
         )
     return results
 
 
-def events_from_profiler(profiler: Any) -> list[TraceEvent]:
-    """Adapt live :class:`~repro.perf.profiler.ProfileEvent` records."""
-    return [
-        TraceEvent(
-            lane=e.lane,
-            start=e.start,
-            duration=e.duration,
-            category=e.category.value,
-            label=e.label,
-        )
-        for e in profiler.events
-    ]
+def analyze_events(
+    events: Iterable[TraceEvent],
+    *,
+    spans: Sequence[Mapping[str, Any]] = (),
+) -> dict[str, CritPathResult]:
+    """Critical-path analysis of hand-built events (or any objects with
+    ``lane/start/duration/category/label``)."""
+    return analyze_record(EventRecord.from_events(events), spans=spans)
 
 
 def analyze_session(tel: Any) -> dict[str, CritPathResult]:
     """Analyze a live telemetry session (no artifacts needed)."""
     spans = [s.to_dict() for s in tel.tracer.spans]
-    return analyze_events(events_from_profiler(tel.profiler), spans=spans)
-
-
-def load_trace_events(path: str | Path) -> list[TraceEvent]:
-    """Read profiler (and comm) lanes back out of a ``trace.json``.
-
-    Span events (pid 0) are skipped; ``:mem`` sub-lanes merge back into
-    their rank lane; ``:comm`` lanes stay distinct.
-    """
-    from repro.perf.trace_export import SPAN_PID
-
-    data = json.loads(Path(path).read_text())
-    lanes: dict[tuple[int, int], str] = {}
-    for ev in data.get("traceEvents", []):
-        if ev.get("ph") == "M" and ev.get("name") == "thread_name":
-            lanes[(ev["pid"], ev["tid"])] = ev["args"]["name"]
-    out: list[TraceEvent] = []
-    for ev in data.get("traceEvents", []):
-        if ev.get("ph") != "X" or ev.get("pid") == SPAN_PID:
-            continue
-        lane = lanes.get((ev["pid"], ev["tid"]), f"pid{ev['pid']}.tid{ev['tid']}")
-        if lane.endswith(":mem"):
-            lane = lane[: -len(":mem")]
-        out.append(
-            TraceEvent(
-                lane=lane,
-                start=ev["ts"] / 1e6,
-                duration=ev.get("dur", 0.0) / 1e6,
-                category=ev.get("args", {}).get("category", "host"),
-                label=ev.get("name", ""),
-            )
-        )
-    return out
+    return analyze_events(tel.profiler.events, spans=spans)
 
 
 def analyze_dir(path: str | Path) -> dict[str, CritPathResult]:
     """Critical-path analysis of a finalized telemetry directory."""
     from repro.obs import telemetry as tmod
+    from repro.obs.summary import _read_jsonl
 
     d = Path(path)
-    trace = d / tmod.TRACE_FILE
-    if not trace.is_file():
-        raise FileNotFoundError(f"no {tmod.TRACE_FILE} in {d}")
-    events = load_trace_events(trace)
-    spans: list[dict] = []
-    spans_file = d / tmod.SPANS_FILE
-    if spans_file.is_file():
-        for line in spans_file.read_text().splitlines():
-            line = line.strip()
-            if line:
-                try:
-                    spans.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue
-    return analyze_events(events, spans=spans)
+    record = EventRecord.load(d / tmod.EVENTS_FILE)
+    return analyze_record(record, spans=_read_jsonl(d / tmod.SPANS_FILE))
 
 
 # -- rendering ----------------------------------------------------------------

@@ -3,12 +3,12 @@
 ``repro telemetry --compare A B`` diffs raw metric series; ``--explain``
 answers the question a failing perf-smoke actually raises: *where did the
 wall time go?* It loads both runs' step records, spans, kernel counters
-and trace lanes, then decomposes the wall-clock delta hierarchically --
+and event record, then decomposes the wall-clock delta hierarchically --
 
     category (compute / mpi_* / launch / memory / host)
       -> phase (depth-1 ``step/*`` spans)
         -> kernel (``kernel_seconds_total{kernel}``)
-          -> rank (busy seconds per trace lane)
+          -> rank (busy seconds per profiler lane)
 
 -- each level sorted by signed contribution to the delta, with its share
 of the total. The ``mpi share of delta`` line is the acceptance metric
@@ -18,10 +18,11 @@ for the sync-vs-overlap scenario: hidden communication must account for
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Mapping
+
+from repro.obs.events import EventRecord, sum_by_key
 
 #: Categories whose sum is "MPI time" in the paper's Fig. 3 accounting.
 MPI_CATEGORIES = ("mpi_pack", "mpi_transfer", "mpi_wait")
@@ -40,7 +41,7 @@ class RunProfile:
     phases: dict[str, float] = field(default_factory=dict)
     #: Device-busy seconds per kernel (kernel_seconds_total).
     kernels: dict[str, float] = field(default_factory=dict)
-    #: Non-wait busy seconds per rank lane (from the Chrome trace).
+    #: Non-wait busy seconds per rank lane (from the event record).
     ranks: dict[str, float] = field(default_factory=dict)
     #: Streams that were missing or unreadable while loading.
     notes: list[str] = field(default_factory=list)
@@ -95,19 +96,16 @@ def load_profile(path: str | Path, *, name: str | None = None) -> RunProfile:
             "instrumentation)"
         )
 
-    trace = d / tmod.TRACE_FILE
-    if trace.is_file():
-        try:
-            from repro.obs.critpath import load_trace_events
-
-            for e in load_trace_events(trace):
-                if e.category == "mpi_wait":
-                    continue
-                prof.ranks[e.lane] = prof.ranks.get(e.lane, 0.0) + e.duration
-        except (json.JSONDecodeError, KeyError, TypeError):
-            prof.notes.append(f"unreadable {tmod.TRACE_FILE}")
+    try:
+        record = EventRecord.load(d / tmod.EVENTS_FILE)
+    except FileNotFoundError:
+        prof.notes.append(f"no {tmod.EVENTS_FILE}")
+    except ValueError as exc:
+        prof.notes.append(f"unreadable {tmod.EVENTS_FILE} ({exc})")
     else:
-        prof.notes.append(f"no {tmod.TRACE_FILE}")
+        busy = record.category != record.category_id("mpi_wait")
+        for lane, seconds in sum_by_key(record.lane[busy], record.duration[busy]).items():
+            prof.ranks[record.lanes[lane]] = seconds
     return prof
 
 

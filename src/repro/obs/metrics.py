@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 #: Default histogram buckets (seconds): spans simulated per-step walls
 #: (tens of ms) through projected full-run minutes.
@@ -186,6 +186,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
+        #: Children a hot call site (``observe_kernel``) resolved once, under
+        #: a key of its choosing; kept here so they die with the session.
+        self.bound: dict[tuple, Any] = {}
 
     # -- registration -------------------------------------------------------
 

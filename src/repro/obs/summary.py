@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.obs import telemetry as tmod
+from repro.obs.events import EventRecord
 from repro.util.tables import Table
 
 
@@ -207,22 +208,13 @@ def _ensemble_table(records: list[dict]) -> str | None:
     return "per-member convergence (ensemble sweep):\n" + t.render()
 
 
-def _critpath_block(d: Path) -> str | None:
-    """Compact per-model critical-path table, from the Chrome trace.
+def _critpath_block(streams: tuple[EventRecord | None, list[dict], Path]) -> str | None:
+    """Compact per-model critical-path table from the event record and the
+    spans ``summarize_dir`` already parsed; absent when there are none."""
+    from repro.obs.critpath import analyze_record, render_compact
 
-    Needs ``trace.json`` (the merged event stream); quietly absent when
-    the trace was not written or cannot be analyzed -- the summary is a
-    best-effort view, never a gate.
-    """
-    trace = d / tmod.TRACE_FILE
-    if not trace.is_file():
-        return None
-    try:
-        from repro.obs.critpath import analyze_dir, render_compact
-
-        results = analyze_dir(d)
-    except Exception:
-        return None
+    record, spans, d = streams
+    results = analyze_record(record, spans=spans) if record is not None else {}
     if not results:
         return None
     return render_compact(results) + (
@@ -230,27 +222,40 @@ def _critpath_block(d: Path) -> str | None:
     )
 
 
+def _stream(
+    d: Path, name: str, reader: Callable[[Path], Any], skipped: str, notes: list[str]
+) -> Any:
+    """One stream of a telemetry directory: its parsed content, or ``None``
+    and a note saying it is absent or unreadable (and what that costs)."""
+    tail = f" ({skipped})" if skipped else ""
+    if not (d / name).is_file():
+        notes.append(f"note: missing stream {name}{tail}")
+        return None
+    try:
+        return reader(d / name)
+    except (OSError, ValueError) as exc:
+        notes.append(f"note: unreadable stream {name}{tail}: {exc}")
+        return None
+
+
 def summarize_dir(path: str | Path) -> str:
     """Render the summary for one telemetry directory.
 
     Degrades gracefully: a directory that lost streams (e.g. rotated
     metrics snapshots survive but ``spans.jsonl`` was pruned) still
-    summarizes whatever is present, with a note per missing stream
-    instead of a silent hole.
+    summarizes whatever is present, with a note per missing or unreadable
+    stream instead of a silent hole.
     """
     d = Path(path)
     if not d.is_dir():
         raise FileNotFoundError(f"telemetry directory {d} does not exist")
     manifest = _read_json(d / tmod.MANIFEST_FILE)
-    records = _read_jsonl(d / tmod.LOG_FILE)
-    spans = _read_jsonl(d / tmod.SPANS_FILE)
-    metrics = _read_json(d / tmod.METRICS_JSON_FILE)
-
     notes: list[str] = []
-    if not (d / tmod.SPANS_FILE).is_file():
-        notes.append(f"note: missing stream {tmod.SPANS_FILE} (span tables skipped)")
-    if not (d / tmod.LOG_FILE).is_file():
-        notes.append(f"note: missing stream {tmod.LOG_FILE} (step tables skipped)")
+    spans = _stream(d, tmod.SPANS_FILE, _read_jsonl, "span tables skipped", notes) or []
+    records = _stream(d, tmod.LOG_FILE, _read_jsonl, "step tables skipped", notes) or []
+    metrics = _stream(
+        d, tmod.METRICS_JSON_FILE, lambda p: json.loads(p.read_text()), "", notes
+    )
     if metrics is None:
         # Fall back to the newest rotated snapshot a long run left behind.
         for i in range(1, tmod.METRICS_SNAPSHOT_KEEP + 1):
@@ -258,12 +263,11 @@ def summarize_dir(path: str | Path) -> str:
             metrics = _read_json(rotated)
             if metrics is not None:
                 notes.append(
-                    f"note: {tmod.METRICS_JSON_FILE} missing; showing rotated "
-                    f"snapshot {rotated.name} (run may have ended mid-write)"
+                    f"note: showing rotated snapshot {rotated.name} "
+                    "(run may have ended mid-write)"
                 )
                 break
-        else:
-            notes.append(f"note: missing stream {tmod.METRICS_JSON_FILE}")
+    events = _stream(d, tmod.EVENTS_FILE, EventRecord.load, "critical path skipped", notes)
 
     blocks = [f"telemetry summary: {d}", _manifest_block(manifest)]
     if notes:
@@ -274,7 +278,7 @@ def summarize_dir(path: str | Path) -> str:
         (_ensemble_table, records),
         (_spans_table, spans),
         (_metrics_table, metrics),
-        (_critpath_block, d),
+        (_critpath_block, (events, spans, d)),
     ):
         try:
             block = builder(arg)
@@ -282,10 +286,9 @@ def summarize_dir(path: str | Path) -> str:
             block = f"note: {builder.__name__} failed on partial data ({exc})"
         if block:
             blocks.append(block)
-    trace = d / tmod.TRACE_FILE
-    if trace.is_file():
+    if events is not None:
         blocks.append(
-            f"chrome trace: {trace} (open at https://ui.perfetto.dev, "
-            f"{trace.stat().st_size} bytes)"
+            f"chrome trace: repro telemetry {d} --chrome-trace OUT.json "
+            "(open at https://ui.perfetto.dev)"
         )
     return "\n\n".join(blocks)

@@ -10,7 +10,7 @@ A :class:`Telemetry` bundles the three signal types plus a profiler:
 * ``logger`` -- :class:`~repro.obs.runlog.RunLogger` of structured JSONL
   records (one per step, per PCG solve, ...);
 * ``profiler`` -- a :class:`~repro.perf.profiler.Profiler` attached to
-  every bound model's rank clocks, feeding the merged Chrome trace.
+  every bound model's rank clocks, feeding the event record.
 
 Instrumented code never holds a Telemetry directly: it calls
 :func:`current`, which returns the innermost *active* session or the
@@ -24,7 +24,11 @@ Activate a session around any run with::
         model = MasModel(...)   # binds itself via current()
         model.run(10)
     # out/ now holds manifest.json, log.jsonl, spans.jsonl,
-    # metrics.prom, metrics.json, trace.json
+    # metrics.prom, metrics.json, events.npz
+
+``events.npz`` is the profiler's event stream as columns
+(:class:`~repro.obs.events.EventRecord`), written once, atomically; a Chrome
+trace is exported from it on request (``repro telemetry DIR --chrome-trace``).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.obs.events import EventRecord
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.obs.runlog import NULL_LOGGER, RunLogger, build_manifest, json_dumps
 from repro.obs.tracing import NULL_TRACER, Tracer
@@ -43,7 +48,7 @@ LOG_FILE = "log.jsonl"
 SPANS_FILE = "spans.jsonl"
 METRICS_PROM_FILE = "metrics.prom"
 METRICS_JSON_FILE = "metrics.json"
-TRACE_FILE = "trace.json"
+EVENTS_FILE = "events.npz"
 
 #: Rotated metrics snapshots kept on disk (metrics.json.1 .. .K).
 METRICS_SNAPSHOT_KEEP = 3
@@ -205,14 +210,6 @@ class Telemetry:
         """Provenance manifest for this session."""
         return build_manifest(**self.manifest_extra)
 
-    def chrome_trace(self) -> dict:
-        """Merged Chrome trace: profiler lanes + tracer spans."""
-        from repro.perf.trace_export import to_chrome_trace
-
-        if not self.profiler.events and not self.tracer.spans:
-            return {"traceEvents": [], "displayTimeUnit": "ms"}
-        return to_chrome_trace(self.profiler, spans=self.tracer.spans)
-
     def finalize(self, out_dir: str | Path | None = None) -> dict[str, Path]:
         """Write every artifact; returns ``{artifact_name: path}``.
 
@@ -222,8 +219,6 @@ class Telemetry:
         if target is None:
             return {}
         target.mkdir(parents=True, exist_ok=True)
-        import json
-
         paths: dict[str, Path] = {}
 
         def write(name: str, text: str) -> None:
@@ -237,7 +232,9 @@ class Telemetry:
         write(SPANS_FILE, self.tracer.to_jsonl() + "\n" if self.tracer.spans else "")
         write(METRICS_PROM_FILE, self.metrics.to_prometheus_text())
         write(METRICS_JSON_FILE, self.metrics.to_json_text())
-        write(TRACE_FILE, json.dumps(self.chrome_trace()))
+        paths[EVENTS_FILE] = EventRecord.from_events(self.profiler.events).save(
+            target / EVENTS_FILE
+        )
         return paths
 
     def _bake_sol_gauges(self) -> None:
@@ -317,9 +314,6 @@ class NullTelemetry:
 
     def build_manifest(self) -> dict:
         return {}
-
-    def chrome_trace(self) -> dict:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
 
     def finalize(self, out_dir: Any = None) -> dict:
         return {}

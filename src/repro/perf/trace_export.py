@@ -1,4 +1,4 @@
-"""Export profiler events (and telemetry spans) as Chrome Trace JSON.
+"""Export an event record (and telemetry spans) as Chrome Trace JSON.
 
 ``chrome://tracing`` / Perfetto open these files and render the same
 picture as Fig. 4's NSIGHT screenshot -- compute rows per GPU with
@@ -13,6 +13,12 @@ communication-clock lanes (``<lane>:comm``, overlapped halo exchanges)
 render as a third process (pid 2) so hidden traffic appears parallel to
 the main rank tracks instead of interleaved with them.
 
+The source is an :class:`~repro.obs.events.EventRecord` -- a live
+profiler converts to one on the way in -- so a finalized telemetry
+directory exports the trace a live session would
+(``repro telemetry DIR --chrome-trace OUT.json``; spans then come from
+``spans.jsonl`` as dicts).
+
 Format reference: the Trace Event Format's "complete" events
 (``"ph": "X"``) with microsecond timestamps.
 """
@@ -21,31 +27,36 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.perf.profiler import ProfileEvent, Profiler
+from repro.obs.events import EventRecord
+from repro.perf.profiler import Profiler
 from repro.runtime.clock import TimeCategory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracing import Span
 
-#: Trace category per clock category (drives Perfetto's coloring).
+#: Spans as the tracer holds them, or as ``spans.jsonl`` rows.
+Spans = Sequence["Span | Mapping[str, Any]"]
+
+#: Trace category per clock category value (drives Perfetto's coloring).
 _TRACE_CATEGORY = {
-    TimeCategory.COMPUTE: "kernel",
-    TimeCategory.MPI_PACK: "kernel,mpi",
-    TimeCategory.LAUNCH: "overhead",
-    TimeCategory.UM_FAULT: "memory",
-    TimeCategory.H2D: "memory",
-    TimeCategory.D2H: "memory",
-    TimeCategory.MPI_TRANSFER: "mpi",
-    TimeCategory.MPI_WAIT: "mpi",
-    TimeCategory.HOST: "host",
+    TimeCategory.COMPUTE.value: "kernel",
+    TimeCategory.MPI_PACK.value: "kernel,mpi",
+    TimeCategory.LAUNCH.value: "overhead",
+    TimeCategory.UM_FAULT.value: "memory",
+    TimeCategory.H2D.value: "memory",
+    TimeCategory.D2H.value: "memory",
+    TimeCategory.MPI_TRANSFER.value: "mpi",
+    TimeCategory.MPI_WAIT.value: "mpi",
+    TimeCategory.HOST.value: "host",
 }
 
 #: Transfer-ish categories land on a separate 'mem' thread row per lane,
 #: like NSIGHT's memory rows.
 _MEM_CATEGORIES = frozenset(
-    {TimeCategory.UM_FAULT, TimeCategory.H2D, TimeCategory.D2H, TimeCategory.MPI_TRANSFER}
+    c.value
+    for c in (TimeCategory.UM_FAULT, TimeCategory.H2D, TimeCategory.D2H, TimeCategory.MPI_TRANSFER)
 )
 
 #: Process ids: spans draw above the profiler lanes; detached
@@ -60,38 +71,43 @@ COMM_PID = 2
 COMM_LANE_SUFFIX = ":comm"
 
 
-def _event_json(e: ProfileEvent, tids: dict[str, int], pid: int) -> dict:
-    lane = e.lane + (":mem" if e.category in _MEM_CATEGORIES else "")
+def _event_json(
+    lane: str, category: str, label: str, ts: float, dur: float,
+    tids: dict[str, int], pid: int,
+) -> dict:
+    lane += ":mem" if category in _MEM_CATEGORIES else ""
     tid = tids.setdefault(lane, len(tids))
     return {
-        "name": e.label or e.category.value,
-        "cat": _TRACE_CATEGORY.get(e.category, "other"),
+        "name": label or category,
+        "cat": _TRACE_CATEGORY.get(category, "other"),
         "ph": "X",
-        "ts": e.start * 1e6,
-        "dur": e.duration * 1e6,
+        "ts": ts,
+        "dur": dur,
         "pid": pid,
         "tid": tid,
-        "args": {"category": e.category.value},
+        "args": {"category": category},
     }
 
 
-def _span_json(s: "Span", tids: dict[str, int]) -> dict:
-    lane = str(s.attrs.get("lane", "spans"))
+def _span_json(s: "Span | Mapping[str, Any]", tids: dict[str, int]) -> dict:
+    s = s if isinstance(s, Mapping) else s.to_dict()  # spans.jsonl rows are dicts
+    attrs = s.get("attrs") or {}
+    lane = str(attrs.get("lane", "spans"))
     tid = tids.setdefault(lane, len(tids))
-    end = s.end if s.end is not None else s.start
+    end = s["end"] if s.get("end") is not None else s["start"]
     return {
-        "name": s.name,
+        "name": s["name"],
         "cat": "span",
         "ph": "X",
-        "ts": s.start * 1e6,
-        "dur": (end - s.start) * 1e6,
+        "ts": s["start"] * 1e6,
+        "dur": (end - s["start"]) * 1e6,
         "pid": SPAN_PID,
         "tid": tid,
         "args": {
-            "span_id": s.span_id,
-            "parent_id": s.parent_id,
-            "depth": s.depth,
-            **{k: _scalar(v) for k, v in s.attrs.items()},
+            "span_id": s["span_id"],
+            "parent_id": s.get("parent_id"),
+            "depth": s.get("depth", 0),
+            **{k: _scalar(v) for k, v in attrs.items()},
         },
     }
 
@@ -102,75 +118,52 @@ def _scalar(v: object) -> object:
     return str(v)
 
 
-def _thread_meta(pid: int, tids: dict[str, int]) -> list[dict]:
-    return [
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": tid,
-            "args": {"name": lane},
-        }
+def _process_meta(pid: int, name: str, tids: dict[str, int]) -> list[dict]:
+    """Thread names, then the process name, of one process with events."""
+    if not tids:
+        return []
+    threads = [
+        {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid, "args": {"name": lane}}
         for lane, tid in sorted(tids.items(), key=lambda kv: kv[1])
     ]
+    return [*threads, {"name": "process_name", "ph": "M", "pid": pid, "tid": 0, "args": {"name": name}}]
 
 
-def to_chrome_trace(profiler: Profiler, *, spans: Sequence["Span"] = ()) -> dict:
+def to_chrome_trace(profiler: Profiler | EventRecord, *, spans: Spans = ()) -> dict:
     """Build the trace dict (``traceEvents`` plus thread/process names)."""
-    if not profiler.events and not spans:
+    record = profiler
+    if not isinstance(record, EventRecord):
+        record = EventRecord.from_events(profiler.events)
+    if not len(record) and not spans:
         raise ValueError("no events to export")
     tids: dict[str, int] = {}
     comm_tids: dict[str, int] = {}
-    events = []
-    for e in profiler.events:
-        is_comm = COMM_LANE_SUFFIX in e.lane
-        events.append(
-            _event_json(
-                e,
-                comm_tids if is_comm else tids,
-                COMM_PID if is_comm else PROFILER_PID,
-            )
+    #: Per lane-table entry: where its events go.
+    homes = [
+        (comm_tids, COMM_PID) if COMM_LANE_SUFFIX in lane else (tids, PROFILER_PID)
+        for lane in record.lanes
+    ]
+    events = [
+        _event_json(
+            record.lanes[lane], record.categories[cat], record.labels[label],
+            ts, dur, *homes[lane],
         )
-    metadata = _thread_meta(PROFILER_PID, tids)
-    if tids:
-        metadata.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": PROFILER_PID,
-                "tid": 0,
-                "args": {"name": "profiler"},
-            }
+        for lane, cat, label, ts, dur in zip(
+            record.lane.tolist(), record.category.tolist(), record.label.tolist(),
+            (record.start * 1e6).tolist(), (record.duration * 1e6).tolist(),
         )
-    if comm_tids:
-        metadata += _thread_meta(COMM_PID, comm_tids)
-        metadata.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": COMM_PID,
-                "tid": 0,
-                "args": {"name": "comm (overlapped)"},
-            }
-        )
+    ]
+    metadata = _process_meta(PROFILER_PID, "profiler", tids)
+    metadata += _process_meta(COMM_PID, "comm (overlapped)", comm_tids)
     if spans:
         span_tids: dict[str, int] = {}
         events += [_span_json(s, span_tids) for s in spans]
-        metadata += _thread_meta(SPAN_PID, span_tids)
-        metadata.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": SPAN_PID,
-                "tid": 0,
-                "args": {"name": "spans"},
-            }
-        )
+        metadata += _process_meta(SPAN_PID, "spans", span_tids)
     return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
 
 
 def write_chrome_trace(
-    profiler: Profiler, path: str | Path, *, spans: Sequence["Span"] = ()
+    profiler: Profiler | EventRecord, path: str | Path, *, spans: Spans = ()
 ) -> Path:
     """Write the trace JSON to disk; returns the path."""
     target = Path(path)

@@ -201,27 +201,23 @@ class RankRuntime:
     # -- regions -------------------------------------------------------------
 
     def _count_launches(self, groups: list[FusionGroup]) -> None:
-        tel = _telemetry()
-        if not tel.enabled:
-            return
-        counter = tel.metrics.counter(
-            "kernel_launches_total",
-            "kernel launches, by code version and loop category",
-            labelnames=("version", "category"),
-        )
-        for g in groups:
-            counter.labels(
-                version=self.config.name, category=g.kernels[0].category.value
-            ).inc()
+        if _telemetry().enabled:
+            for g in groups:
+                self._count_launch(g.kernels[0].category)
 
     def _count_launch(self, category: LoopCategory) -> None:
         tel = _telemetry()
         if tel.enabled:
-            tel.metrics.counter(
-                "kernel_launches_total",
-                "kernel launches, by code version and loop category",
-                labelnames=("version", "category"),
-            ).labels(version=self.config.name, category=category.value).inc()
+            bound = tel.metrics.bound
+            key = (self.config.name, category)
+            child = bound.get(key)
+            if child is None:
+                child = bound[key] = tel.metrics.counter(
+                    "kernel_launches_total",
+                    "kernel launches, by code version and loop category",
+                    labelnames=("version", "category"),
+                ).labels(version=self.config.name, category=category.value)
+            child.inc()
 
     def _run_groups(self, groups: list[FusionGroup]) -> None:
         if not groups:

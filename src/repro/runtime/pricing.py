@@ -119,6 +119,15 @@ def charge_launch(priced: PricedLaunch, clock: SimClock, env: "DataEnvironment")
     clock.advance(priced.body_seconds, priced.body_category, priced.label)
 
 
+#: The per-kernel roofline counter families: name, help, label names.
+_KERNEL_COUNTERS = (
+    ("kernel_seconds_total", "device-busy seconds charged per kernel spec", ("category", "kernel")),
+    ("kernel_bytes_total", "nominal HBM bytes moved per kernel spec", ("kernel",)),
+    ("kernel_flops_total", "nominal flops per kernel spec", ("kernel",)),
+    ("kernel_calls_total", "kernel body executions per kernel spec", ("kernel",)),
+)
+
+
 def observe_kernel(m, priced: PricedLaunch) -> None:
     """Per-kernel roofline counters: seconds, bytes, flops, calls.
 
@@ -127,24 +136,19 @@ def observe_kernel(m, priced: PricedLaunch) -> None:
     speed-of-light fraction from one run's metrics snapshot. The nominal
     bytes/flops are the cost model's inputs, *before* efficiency
     penalties -- which is exactly what makes the measured-vs-attainable
-    ratio meaningful.
+    ratio meaningful. The four children are resolved once per kernel and
+    kept in the registry (``m.bound``), never on the price.
     """
-    m.counter(
-        "kernel_seconds_total",
-        "device-busy seconds charged per kernel spec",
-        labelnames=("category", "kernel"),
-    ).labels(kernel=priced.label, category=priced.body_category.value).inc(
-        priced.body_seconds
-    )
-    m.counter(
-        "kernel_bytes_total", "nominal HBM bytes moved per kernel spec",
-        labelnames=("kernel",),
-    ).labels(kernel=priced.label).inc(priced.nbytes)
-    m.counter(
-        "kernel_flops_total", "nominal flops per kernel spec",
-        labelnames=("kernel",),
-    ).labels(kernel=priced.label).inc(priced.flops)
-    m.counter(
-        "kernel_calls_total", "kernel body executions per kernel spec",
-        labelnames=("kernel",),
-    ).labels(kernel=priced.label).inc()
+    key = (priced.label, priced.body_category)
+    children = m.bound.get(key)
+    if children is None:
+        labels = {"kernel": priced.label, "category": priced.body_category.value}
+        children = m.bound[key] = tuple(
+            m.counter(name, text, labelnames=names).labels(**{n: labels[n] for n in names})
+            for name, text, names in _KERNEL_COUNTERS
+        )
+    seconds, nbytes, flops, calls = children
+    seconds.inc(priced.body_seconds)
+    nbytes.inc(priced.nbytes)
+    flops.inc(priced.flops)
+    calls.inc()

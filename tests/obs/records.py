@@ -1,0 +1,83 @@
+"""Shared helpers: event records for tests, written through the real writer.
+
+No test hand-rolls the ``events.npz`` format: a record comes from
+``(lane, start, duration, category, label)`` tuples via
+:func:`write_record`, and the ways a file gets damaged are listed once in
+:data:`DAMAGE` so every reader is tested against the same corrupt files.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from repro.obs.critpath import TraceEvent
+from repro.obs.events import EventRecord
+from repro.obs.telemetry import EVENTS_FILE, SPANS_FILE
+from repro.perf.trace_export import to_chrome_trace
+
+#: Two ranks, one wait: enough for a one-row critical-path table.
+SMALL_ROWS = (
+    ("m0.rank0", 0.0, 1.0, "compute", "k"),
+    ("m0.rank0", 1.0, 0.5, "mpi_wait", "allreduce"),
+    ("m0.rank1", 0.0, 1.5, "compute", "slow"),
+)
+
+
+def record_of(rows=()) -> EventRecord:
+    """Record of ``(lane, start, duration, category, label)`` tuples."""
+    return EventRecord.from_events([TraceEvent(*row) for row in rows])
+
+
+def write_record(directory, rows=()) -> Path:
+    """Write ``rows`` as ``directory``'s event record; returns its path."""
+    return record_of(rows).save(Path(directory) / EVENTS_FILE)
+
+
+def exported_trace(directory) -> dict:
+    """The Chrome trace ``repro telemetry DIR --chrome-trace`` would write."""
+    from repro.obs.summary import _read_jsonl
+
+    d = Path(directory)
+    return to_chrome_trace(
+        EventRecord.load(d / EVENTS_FILE), spans=_read_jsonl(d / SPANS_FILE)
+    )
+
+
+def _rewrite(path: Path, **replace) -> None:
+    """Re-save the ``.npz`` at ``path`` with some arrays replaced/dropped."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    for name, value in replace.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+    with path.open("wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _truncate(path: Path) -> None:
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+
+
+def _nan_start(path: Path) -> None:
+    with np.load(path, allow_pickle=False) as data:
+        start = data["start"].copy()
+    start[0] = np.nan
+    _rewrite(path, start=start)
+
+
+#: name -> function damaging a valid ``events.npz`` in place.
+DAMAGE = {
+    "truncated": _truncate,
+    "zero_bytes": lambda p: p.write_bytes(b""),
+    "missing_column": lambda p: _rewrite(p, duration=None),
+    "ids_past_table": lambda p: _rewrite(p, lane=np.array([0, 0, 7], dtype=np.int16)),
+    "nan_start": _nan_start,
+    "string_column": lambda p: _rewrite(p, start=np.array(["0", "1", "2"])),
+    "not_an_npz": lambda p: p.write_text(json.dumps({"traceEvents": []})),
+}

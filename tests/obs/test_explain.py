@@ -13,9 +13,10 @@ from repro.obs.explain import (
     load_profile,
     render_explain,
 )
+from tests.obs.records import DAMAGE, SMALL_ROWS, write_record
 
 
-def _write_dir(d, *, steps=(), spans=(), metrics=None, trace=None):
+def _write_dir(d, *, steps=(), spans=(), metrics=None, events=None):
     d.mkdir(parents=True, exist_ok=True)
     if steps:
         (d / tmod.LOG_FILE).write_text(
@@ -27,8 +28,8 @@ def _write_dir(d, *, steps=(), spans=(), metrics=None, trace=None):
         )
     if metrics is not None:
         (d / tmod.METRICS_JSON_FILE).write_text(json.dumps(metrics))
-    if trace is not None:
-        (d / tmod.TRACE_FILE).write_text(json.dumps(trace))
+    if events is not None:
+        write_record(d, events)
     return d
 
 
@@ -48,7 +49,7 @@ class TestLoadProfile:
         assert tmod.LOG_FILE in notes
         assert tmod.SPANS_FILE in notes
         assert tmod.METRICS_JSON_FILE in notes
-        assert tmod.TRACE_FILE in notes
+        assert tmod.EVENTS_FILE in notes
 
     def test_steps_and_categories_accumulate(self, tmp_path):
         d = _write_dir(
@@ -112,22 +113,41 @@ class TestLoadProfile:
         assert any("kernel_seconds_total" in n for n in prof.notes)
 
     def test_rank_busy_excludes_waits(self, tmp_path):
-        trace = {
-            "traceEvents": [
-                {"ph": "M", "pid": 1, "tid": 1, "name": "thread_name",
-                 "args": {"name": "m0.rank0"}},
-                {"ph": "X", "pid": 1, "tid": 1, "name": "k",
-                 "ts": 0.0, "dur": 1_000_000.0,
-                 "args": {"category": "compute"}},
-                {"ph": "X", "pid": 1, "tid": 1, "name": "w",
-                 "ts": 1_000_000.0, "dur": 500_000.0,
-                 "args": {"category": "mpi_wait"}},
-            ]
-        }
+        events = [
+            ("m0.rank0", 0.0, 1.0, "compute", "k"),
+            ("m0.rank0", 1.0, 0.5, "mpi_wait", "w"),
+        ]
         prof = load_profile(
-            _write_dir(tmp_path / "a", steps=[_step(1.5, {})], trace=trace)
+            _write_dir(tmp_path / "a", steps=[_step(1.5, {})], events=events)
         )
         assert prof.ranks == {"m0.rank0": pytest.approx(1.0)}
+
+    def test_rank_busy_sums_in_stream_order_per_lane(self, tmp_path):
+        """One masked bincount: comm lanes stay their own lane, a lane with
+        only waits is absent, and each sum is the loop's float."""
+        events = [
+            ("m0.rank0", 0.0, 0.1, "compute", "a"),
+            ("m0.rank1", 0.0, 0.3, "mpi_wait", "w"),
+            ("m0.rank0:comm", 0.0, 0.7, "mpi_transfer", "msg_0"),
+            ("m0.rank0", 0.1, 0.2, "mpi_pack", "b"),
+            ("m0.rank0", 0.3, 0.3, "compute", "c"),
+        ]
+        prof = load_profile(_write_dir(tmp_path / "a", events=events))
+        assert prof.ranks == {"m0.rank0": 0.1 + 0.2 + 0.3, "m0.rank0:comm": 0.7}
+        assert list(prof.ranks) == ["m0.rank0", "m0.rank0:comm"]
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_event_record_is_a_note(self, tmp_path, damage):
+        """Was: only JSONDecodeError/KeyError/TypeError were caught around
+        the trace read, so e.g. a string ``ts`` raised out of --explain."""
+        d = _write_dir(tmp_path / "a", steps=[_step(1.0, {})], events=SMALL_ROWS)
+        DAMAGE[damage](d / tmod.EVENTS_FILE)
+        prof = load_profile(d)
+        assert prof.wall == pytest.approx(1.0)  # the other axes still load
+        assert not prof.ranks
+        (note,) = [n for n in prof.notes if tmod.EVENTS_FILE in n]
+        assert note.startswith(f"unreadable {tmod.EVENTS_FILE} (")
+        assert "\n" not in note
 
 
 class TestExplainMath:

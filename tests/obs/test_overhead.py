@@ -64,3 +64,42 @@ def test_null_span_allocates_nothing():
     cm1 = tel.tracer.span("a", k=1)
     cm2 = tel.tracer.span("b")
     assert cm1 is cm2  # shared singleton context manager
+
+
+def test_metric_children_are_resolved_once_per_kernel(monkeypatch, tmp_path):
+    """Enabled telemetry resolves a kernel's counter children once, in the
+    registry; a launch is one probe and four ``inc``s. Before, every launch
+    re-registered four families and re-resolved four children: 18,488
+    ``labels()`` calls a step at this size against some 1,300 now (the
+    per-message and per-solve sites that remain)."""
+    from repro.obs.metrics import MetricFamily
+    from repro.obs.telemetry import session
+    from repro.perf.calibration import MEASURE_SHAPE
+
+    calls = [0]
+    real = MetricFamily.labels
+
+    def counted(self, **labels):
+        calls[0] += 1
+        return real(self, **labels)
+
+    def model():
+        return MasModel(
+            ModelConfig(shape=MEASURE_SHAPE, num_ranks=8),
+            runtime_config_for(CodeVersion.A),
+        )
+
+    monkeypatch.setattr(MetricFamily, "labels", counted)
+    with session(tmp_path / "tel") as tel:
+        m = model()
+        m.step()  # warm-up: every kernel's children get bound here
+        bound = len(tel.metrics.bound)
+        calls[0] = 0
+        timing = m.step()
+        assert timing.launches > 3000
+        assert 0 < calls[0] < 2000, calls[0]
+        assert len(tel.metrics.bound) == bound  # nothing re-resolved
+    calls[0] = 0
+    m = model()
+    m.step()
+    assert current() is NULL and calls[0] == 0

@@ -6,12 +6,13 @@ import pytest
 
 from repro.obs.summary import summarize_dir
 from repro.obs.telemetry import (
+    EVENTS_FILE,
     LOG_FILE,
     MANIFEST_FILE,
     METRICS_JSON_FILE,
     SPANS_FILE,
-    TRACE_FILE,
 )
+from tests.obs.records import DAMAGE, SMALL_ROWS, write_record
 
 
 @pytest.fixture
@@ -43,7 +44,7 @@ def tel_dir(tmp_path):
                          "samples": [{"labels": {}, "sum": 0.052, "count": 2,
                                       "buckets": {"+Inf": 2}}]},
     }))
-    (d / TRACE_FILE).write_text('{"traceEvents": []}')
+    write_record(d)  # an event record with no events
     return d
 
 
@@ -101,29 +102,79 @@ class TestDegradedStreams:
         assert "Hottest spans" in text
 
     def test_everything_missing_all_noted(self, tel_dir):
-        for name in (LOG_FILE, SPANS_FILE, METRICS_JSON_FILE, TRACE_FILE):
+        for name in (LOG_FILE, SPANS_FILE, METRICS_JSON_FILE, EVENTS_FILE):
             (tel_dir / name).unlink()
         text = summarize_dir(tel_dir)
-        for name in (LOG_FILE, SPANS_FILE, METRICS_JSON_FILE):
+        for name in (LOG_FILE, SPANS_FILE, METRICS_JSON_FILE, EVENTS_FILE):
             assert f"missing stream {name}" in text
         assert "run manifest" in text  # the manifest survived
+
+    def test_missing_event_record_noted(self, tel_dir):
+        """A directory written before the record existed (or pruned of it)
+        says why it has no critical path, like every other stream."""
+        (tel_dir / EVENTS_FILE).unlink()
+        text = summarize_dir(tel_dir)
+        assert f"note: missing stream {EVENTS_FILE} (critical path skipped)" in text
+        assert "chrome trace:" not in text
+        assert "Hottest spans" in text
+
+    def test_unreadable_metrics_noted(self, tel_dir):
+        (tel_dir / METRICS_JSON_FILE).write_text("{bad")
+        text = summarize_dir(tel_dir)
+        assert f"note: unreadable stream {METRICS_JSON_FILE}" in text
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_event_record_is_one_note(self, tel_dir, damage):
+        write_record(tel_dir, SMALL_ROWS)
+        DAMAGE[damage](tel_dir / EVENTS_FILE)
+        text = summarize_dir(tel_dir)
+        (note,) = [ln for ln in text.splitlines() if EVENTS_FILE in ln]
+        assert note.startswith(f"note: unreadable stream {EVENTS_FILE} (critical path skipped): ")
+        assert "Critical path per model" not in text
+        assert "Hottest spans" in text  # the rest still renders
 
 
 class TestCritpathBlock:
     def test_embedded_when_trace_has_events(self, tel_dir):
-        (tel_dir / TRACE_FILE).write_text(json.dumps({
-            "traceEvents": [
-                {"ph": "M", "pid": 1, "tid": 1, "name": "thread_name",
-                 "args": {"name": "m0.rank0"}},
-                {"ph": "X", "pid": 1, "tid": 1, "name": "k",
-                 "ts": 0.0, "dur": 2_000_000.0,
-                 "args": {"category": "compute"}},
-            ]
-        }))
+        write_record(tel_dir, [("m0.rank0", 0.0, 2.0, "compute", "k")])
         text = summarize_dir(tel_dir)
         assert "m0" in text and "coverage" in text
         assert "repro critpath" in text
 
     def test_absent_on_empty_trace(self, tel_dir):
-        text = summarize_dir(tel_dir)  # fixture trace has no events
+        text = summarize_dir(tel_dir)  # fixture record has no events
         assert "repro critpath" not in text
+
+    def test_analysis_failure_is_a_note_not_silence(self, tel_dir, monkeypatch):
+        """The block no longer swallows its own exceptions: an analysis bug
+        prints the builder loop's note instead of an unexplained hole."""
+        from repro.obs import critpath
+
+        def boom(record, *, spans=()):
+            raise RuntimeError("walker lost its lane")
+
+        write_record(tel_dir, SMALL_ROWS)
+        monkeypatch.setattr(critpath, "analyze_record", boom)
+        text = summarize_dir(tel_dir)
+        assert "note: _critpath_block failed on partial data (walker lost its lane)" in text
+        assert "Hottest spans" in text
+
+    def test_spans_are_parsed_once(self, tel_dir, monkeypatch):
+        """The block analyses the spans ``summarize_dir`` already read."""
+        from repro.obs import summary
+
+        reads = []
+        real = summary._read_jsonl
+        monkeypatch.setattr(
+            summary, "_read_jsonl", lambda p: reads.append(p.name) or real(p)
+        )
+        write_record(tel_dir, SMALL_ROWS)
+        assert "Critical path per model" in summarize_dir(tel_dir)
+        assert reads.count(SPANS_FILE) == 1
+
+    def test_footer_names_the_export_command(self, tel_dir):
+        text = summarize_dir(tel_dir)
+        assert text.splitlines()[-1] == (
+            f"chrome trace: repro telemetry {tel_dir} --chrome-trace OUT.json "
+            "(open at https://ui.perfetto.dev)"
+        )

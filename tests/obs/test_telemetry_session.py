@@ -1,8 +1,9 @@
 """Integration: a tiny model run under a telemetry session.
 
 Covers the acceptance path end to end: all six artifacts exist, the
-merged Chrome trace is valid JSON with coherent timestamps, span nesting
-is consistent, and metrics/log contents reflect the run.
+Chrome trace exported from the event record is valid JSON with coherent
+timestamps, span nesting is consistent, and metrics/log contents reflect
+the run.
 """
 
 import json
@@ -13,20 +14,22 @@ from repro.codes import CodeVersion, runtime_config_for
 from repro.mas.model import MasModel, ModelConfig
 from repro.obs import telemetry as tel_mod
 from repro.obs.metrics import parse_prometheus_text
+from repro.obs.events import EventRecord
 from repro.obs.telemetry import (
+    EVENTS_FILE,
     LOG_FILE,
     MANIFEST_FILE,
     METRICS_JSON_FILE,
     METRICS_PROM_FILE,
     NULL,
     SPANS_FILE,
-    TRACE_FILE,
     Telemetry,
     activate,
     current,
     deactivate,
     session,
 )
+from tests.obs.records import exported_trace
 
 
 def _tiny_model():
@@ -93,7 +96,7 @@ class TestActivation:
 class TestArtifacts:
     EXPECTED = (
         MANIFEST_FILE, LOG_FILE, SPANS_FILE,
-        METRICS_PROM_FILE, METRICS_JSON_FILE, TRACE_FILE,
+        METRICS_PROM_FILE, METRICS_JSON_FILE, EVENTS_FILE,
     )
 
     def test_all_files_written(self, run_dir):
@@ -178,7 +181,7 @@ class TestArtifacts:
 class TestChromeTraceMerge:
     def test_valid_json_and_pids(self, run_dir):
         out, _, _ = run_dir
-        trace = json.loads((out / TRACE_FILE).read_text())
+        trace = json.loads(json.dumps(exported_trace(out)))
         events = trace["traceEvents"]
         assert trace["displayTimeUnit"] == "ms"
         xs = [e for e in events if e["ph"] == "X"]
@@ -194,7 +197,7 @@ class TestChromeTraceMerge:
 
     def test_timestamps_non_negative_and_bounded(self, run_dir):
         out, tel, _ = run_dir
-        trace = json.loads((out / TRACE_FILE).read_text())
+        trace = exported_trace(out)
         xs = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in xs)
         # Profiler events and spans share the simulated-seconds timebase:
@@ -205,7 +208,7 @@ class TestChromeTraceMerge:
 
     def test_profiler_lanes_per_rank(self, run_dir):
         out, _, model = run_dir
-        trace = json.loads((out / TRACE_FILE).read_text())
+        trace = exported_trace(out)
         lanes = {
             e["args"]["name"]
             for e in trace["traceEvents"]
@@ -236,8 +239,8 @@ class TestFinalizeEdgeCases:
         out = tmp_path / "empty"
         with session(out):
             pass
-        trace = json.loads((out / TRACE_FILE).read_text())
-        assert trace["traceEvents"] == []
+        assert len(EventRecord.load(out / EVENTS_FILE)) == 0
+        assert not (out / "trace.json").exists()  # an export, not an artifact
         assert (out / LOG_FILE).read_text() == ""
         assert json.loads((out / METRICS_JSON_FILE).read_text()) == {}
 

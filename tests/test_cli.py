@@ -155,7 +155,7 @@ class TestTelemetry:
         )
         assert rc == 0
         for name in ("manifest.json", "log.jsonl", "spans.jsonl",
-                     "metrics.prom", "metrics.json", "trace.json"):
+                     "metrics.prom", "metrics.json", "events.npz"):
             assert (out / name).exists(), name
 
     def test_telemetry_summary_command(self, tmp_path, capsys):
