@@ -23,11 +23,16 @@ is bit-checkable against a single-rank run. Two cost modes exist:
 Multiple fields can share one exchange (:meth:`exchange_many`): every phase
 loops over all fields, so per-field pack/unpack kernels become pairwise
 independent work the cross-region fusion window can collapse.
+
+An exchange's schedule does not change between steps, so it is derived once:
+a :class:`_Plan` per (fields and stagger axes, :class:`HaloSpec`) that every
+``exchange*`` walks, rebuilt when an ``env.epoch`` or an array shape moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +41,7 @@ from repro.mpi.decomp import Decomposition3D
 from repro.mpi.transport import Transport
 from repro.obs.telemetry import current as _telemetry
 from repro.runtime.clock import SimClock, TimeCategory
+from repro.runtime.data_env import Charge
 from repro.runtime.dispatcher import RankRuntime
 from repro.runtime.kernel import KernelSpec
 
@@ -62,7 +68,7 @@ _PACK_TAGS = frozenset({"mpi_pack"})
 
 
 class _FaceNames(NamedTuple):
-    """Every name one (field, axis, direction) face uses, built once."""
+    """Every name one (field, axis, direction, depth) face uses."""
 
     send: str    # staging buffer the face is packed into
     recv: str    # staging buffer this face's ghosts are unpacked from
@@ -73,6 +79,19 @@ class _FaceNames(NamedTuple):
     #: the fusion window may run them as one launch while readers of the
     #: bare field still order correctly.
     ghost: str
+
+
+def _face_names(field_name: str, axis: int, direction: int, depth: int) -> _FaceNames:
+    side = "m" if direction < 0 else "p"
+    # A deeper halo stages through its own, larger buffers.
+    deep = "" if depth == 1 else f"_d{depth}"
+    return _FaceNames(
+        send=f"_halo_send_{field_name}_{axis}_{side}{deep}",
+        recv=f"_halo_recv_{field_name}_{axis}_{side}{deep}",
+        pack=f"halo_pack_{field_name}_{axis}{side}",
+        unpack=f"halo_unpack_{field_name}_{axis}{side}",
+        ghost=f"{field_name}@g{axis}{side}",
+    )
 
 
 #: Monotonic exchange id shared by an overlapped exchange's begin/finish
@@ -109,6 +128,12 @@ class PendingExchange:
         return self.comm_clocks is None
 
 
+def _along(a: np.ndarray, axis: int, sl: slice) -> tuple[slice, ...]:
+    out = [slice(None)] * a.ndim
+    out[a.ndim - 3 + axis] = sl  # spatial axes are the trailing three
+    return tuple(out)
+
+
 def _interior_face(
     a: np.ndarray, axis: int, direction: int, g: int, *, staggered: bool = False
 ) -> tuple[slice, ...]:
@@ -119,28 +144,70 @@ def _interior_face(
     sent layers shift inward by one to land in the neighbour's strictly
     beyond-boundary ghost faces.
     """
-    ax = a.ndim - 3 + axis  # spatial axes are the trailing three
-    n = a.shape[ax] - 2 * g
+    n = a.shape[a.ndim - 3 + axis] - 2 * g
     if direction == -1:
-        sl = slice(g + 1, 2 * g + 1) if staggered else slice(g, 2 * g)
-    else:
-        sl = slice(n - 1, n - 1 + g) if staggered else slice(n, n + g)
-    out = [slice(None)] * a.ndim
-    out[ax] = sl
-    return tuple(out)
+        return _along(a, axis, slice(g + 1, 2 * g + 1) if staggered else slice(g, 2 * g))
+    return _along(a, axis, slice(n - 1, n - 1 + g) if staggered else slice(n, n + g))
 
 
 def _ghost_face(a: np.ndarray, axis: int, direction: int, g: int) -> tuple[slice, ...]:
     """Slice of the ghost cells on one face (what gets received into)."""
-    ax = a.ndim - 3 + axis
-    n = a.shape[ax] - 2 * g
-    if direction == -1:
-        sl = slice(0, g)
-    else:
-        sl = slice(n + g, n + 2 * g)
-    out = [slice(None)] * a.ndim
-    out[ax] = sl
-    return tuple(out)
+    n = a.shape[a.ndim - 3 + axis] - 2 * g
+    return _along(a, axis, slice(0, g) if direction == -1 else slice(n + g, n + 2 * g))
+
+
+class _Live:
+    """What planned kernel bodies read while a walk runs: the exchange's
+    per-field rank arrays and, per message, the packed buffer and then the
+    delivered payload. Emptied when the walk ends, so a plan at rest
+    references no array."""
+
+    arrays: list | tuple = ()
+    bufs: list | tuple = ()
+
+    def pack(self, item: int, rank: int, face: tuple[slice, ...]) -> np.ndarray:
+        return np.ascontiguousarray(self.arrays[item][rank][face])
+
+    def unpack(self, item: int, rank: int, ghost: tuple[slice, ...], slot: int) -> None:
+        self.arrays[item][rank][ghost] = self.bufs[slot]
+
+
+@dataclass(frozen=True, slots=True)
+class _Message:
+    """One planned message: its pack kernel on the sender, the wire, and its
+    unpack kernel on the receiver."""
+
+    src: int
+    dst: int
+    src_rt: RankRuntime
+    dst_rt: RankRuntime
+    pack: KernelSpec
+    unpack: KernelSpec
+    send: str  # staging-buffer names
+    recv: str
+    nbytes: int
+    same_node: bool
+    #: What the transport charges each side, asked at plan build; None when
+    #: asking moves state (UM page migration), so every message asks. A
+    #: self-message (periodic wrap on an undivided axis) is delivered by a
+    #: local copy: only the send side stages.
+    send_charges: tuple[Charge, ...] | None
+    recv_charges: tuple[Charge, ...] | None
+
+
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """One exchange's schedule as plain pieces: names, slices, numbers,
+    kernels whose bodies read :class:`_Live`, and the rank runtimes the
+    exchanger already holds -- never a model or an array."""
+
+    fields: tuple[str, ...]
+    guard: tuple  # (env epochs, array shapes) the plan was derived from
+    init: tuple[tuple[RankRuntime, KernelSpec], ...]  # buffer maintenance
+    #: Per axis: the wire wait's trace label, the messages in the one order
+    #: packs, sends and unpacks all run in, and their senders (the key the
+    #: telemetry registry holds their byte counters under).
+    axes: tuple[tuple[str, tuple[_Message, ...], tuple[int, ...]], ...]
 
 
 class HaloExchanger:
@@ -195,8 +262,13 @@ class HaloExchanger:
         if rank_nodes is not None and len(rank_nodes) != decomp.nranks:
             raise ValueError("rank_nodes must list one node per rank")
         self.rank_nodes = rank_nodes
-        self._registered_fields: set[str] = set()
-        self._names: dict[tuple[str, int, int], _FaceNames] = {}
+        self._registered_fields: set[tuple[str, int]] = set()
+        #: Exchange schedules by (fields and stagger axes, HaloSpec).
+        self._plans: dict[tuple, _Plan] = {}
+        self._live = _Live()
+        #: Plans derived so far (a rebuild counts again): bounded by the
+        #: exchange vocabulary, not by how long the model runs.
+        self.plans_built = 0
         #: Message counters for tests/benches.
         self.messages = 0
         self.bytes_sent = 0
@@ -205,24 +277,10 @@ class HaloExchanger:
 
     # -- buffer management -----------------------------------------------------
 
-    def _face_names(self, field_name: str, axis: int, direction: int) -> _FaceNames:
-        key = (field_name, axis, direction)
-        names = self._names.get(key)
-        if names is None:
-            side = "m" if direction < 0 else "p"
-            names = self._names[key] = _FaceNames(
-                send=f"_halo_send_{field_name}_{axis}_{side}",
-                recv=f"_halo_recv_{field_name}_{axis}_{side}",
-                pack=f"halo_pack_{field_name}_{axis}{side}",
-                unpack=f"halo_unpack_{field_name}_{axis}{side}",
-                ghost=f"{field_name}@g{axis}{side}",
-            )
-        return names
-
     def ensure_buffers(self, field_names: tuple[str, ...], depth: int = 1) -> None:
-        """Register per-field send/recv staging buffers in every rank's
-        environment (first exchange of each field)."""
-        missing = [f for f in field_names if f not in self._registered_fields]
+        """Register per-field, per-depth send/recv staging buffers in every
+        rank's environment (first exchange of each field at that depth)."""
+        missing = [f for f in field_names if (f, depth) not in self._registered_fields]
         if not missing:
             return
         for rank, rt in enumerate(self.ranks):
@@ -232,11 +290,11 @@ class HaloExchanger:
                         self.nominal.face_cells(rank, axis) * depth * self.element_bytes
                     )
                     for direction in (-1, 1):
-                        names = self._face_names(field_name, axis, direction)
+                        names = _face_names(field_name, axis, direction, depth)
                         for name in (names.send, names.recv):
                             if name not in rt.env:
                                 rt.register_array(name, nominal_face)
-        self._registered_fields.update(missing)
+        self._registered_fields.update((f, depth) for f in missing)
 
     # -- exchange ---------------------------------------------------------------
 
@@ -266,21 +324,15 @@ class HaloExchanger:
         Per-field payloads are identical to back-to-back single-field
         exchanges (fields do not interact; axes stay sequential).
         """
-        self._validate(items, spec)
-        g = spec.depth
-        self.ensure_buffers(tuple(f for f, _, _ in items), g)
-        tel = self._observe_exchanges(items)
+        plan = self._plan(items, spec)
+        tel = self._observe_exchanges(plan.fields)
         for rt in self.ranks:
             rt.sync()
         t0 = [rt.clock.now for rt in self.ranks]
-        with tel.tracer.span(
-            "halo_exchange", field=",".join(f for f, _, _ in items)
-        ):
-            self._exchange_spec(items, spec, g)
+        with tel.tracer.span("halo_exchange", field=",".join(plan.fields)):
+            self._walk(plan, items, tel)
         if tel.enabled:
-            elapsed = sum(
-                rt.clock.now - t for rt, t in zip(self.ranks, t0)
-            ) / len(self.ranks)
+            elapsed = sum(rt.clock.now - t for rt, t in zip(self.ranks, t0)) / len(self.ranks)
             self._exchange_seconds_counter(tel).inc(elapsed)
 
     # -- overlapped exchange ----------------------------------------------------
@@ -322,14 +374,12 @@ class HaloExchanger:
         ``RuntimeConfig.supports_halo_overlap`` is off) this is exactly
         :meth:`exchange_many` plus a completed :class:`PendingExchange`.
         """
-        fields = tuple(f for f, _, _ in items)
         if not overlap:
             self.exchange_many(items, spec)
-            return PendingExchange(fields=fields, done=False)
-        self._validate(items, spec)
-        g = spec.depth
-        self.ensure_buffers(fields, g)
-        tel = self._observe_exchanges(items)
+            return PendingExchange(fields=tuple(f for f, _, _ in items))
+        plan = self._plan(items, spec)
+        fields = plan.fields
+        tel = self._observe_exchanges(fields)
         for rt in self.ranks:
             rt.sync()
         xid = _new_xid()
@@ -344,10 +394,8 @@ class HaloExchanger:
                 # gets its own trace track and critical-path lane.
                 tel.attach_comm_clock(main, comm)
                 rt.set_clock(comm)
-            with tel.tracer.span(
-                "halo_exchange", field=",".join(fields), overlap=True, xid=xid
-            ):
-                self._exchange_spec(items, spec, g)
+            with tel.tracer.span("halo_exchange", field=",".join(fields), overlap=True, xid=xid):
+                self._walk(plan, items, tel)
         finally:
             for rt, main in zip(self.ranks, saved):
                 rt.set_clock(main)
@@ -362,25 +410,10 @@ class HaloExchanger:
         for rt, l0 in zip(self.ranks, launches0):
             posts = rt.stats.launches - l0
             if posts:
-                rt.clock.advance(
-                    posts * rt.queue.submit_overhead,
-                    TimeCategory.LAUNCH,
-                    "halo_post",
-                )
+                rt.clock.advance(posts * rt.queue.submit_overhead, TimeCategory.LAUNCH, "halo_post")
         posted = self.messages - messages0
-        self.inflight += posted
-        if tel.enabled:
-            tel.metrics.gauge(
-                "halo_messages_inflight",
-                "halo messages posted by overlapped begins and not yet waited on",
-            ).set(self.inflight)
-        return PendingExchange(
-            fields=fields,
-            messages=posted,
-            comm_clocks=comm_clocks,
-            t_begin=t_begin,
-            xid=xid,
-        )
+        self._set_inflight(tel, self.inflight + posted)
+        return PendingExchange(fields, posted, comm_clocks, t_begin, xid=xid)
 
     def exchange_finish(self, pending: PendingExchange) -> None:
         """Wait for an overlapped exchange; charge only the unhidden part.
@@ -402,12 +435,8 @@ class HaloExchanger:
         main_now: list[float] = []
         hidden_by_rank: list[float] = []
         unhidden_by_rank: list[float] = []
-        with tel.tracer.span(
-            "halo_finish", field=",".join(pending.fields), xid=pending.xid
-        ):
-            for rt, comm, t0 in zip(
-                self.ranks, pending.comm_clocks, pending.t_begin
-            ):
+        with tel.tracer.span("halo_finish", field=",".join(pending.fields), xid=pending.xid):
+            for rt, comm, t0 in zip(self.ranks, pending.comm_clocks, pending.t_begin):
                 rt.sync()
                 main_now.append(rt.clock.now)
                 elapsed = comm.now - t0
@@ -419,18 +448,14 @@ class HaloExchanger:
                             rt.clock.advance(
                                 unhidden * (t / elapsed), cat, f"halo_wait_{cat.value}"
                             )
-                    rt.clock.wait_until(
-                        comm.now, TimeCategory.MPI_WAIT, "halo_wait_residual"
-                    )
-                rt.clock.advance(
-                    rt.queue.completion_latency, TimeCategory.LAUNCH, "halo_finish"
-                )
+                    rt.clock.wait_until(comm.now, TimeCategory.MPI_WAIT, "halo_wait_residual")
+                rt.clock.advance(rt.queue.completion_latency, TimeCategory.LAUNCH, "halo_finish")
                 tel.detach_comm_clock(comm)
                 hidden_by_rank.append(hidden)
                 unhidden_by_rank.append(unhidden)
                 hidden_mean += hidden / len(self.ranks)
                 unhidden_mean += unhidden / len(self.ranks)
-        self.inflight -= pending.messages
+        self._set_inflight(tel, self.inflight - pending.messages)
         if tel.enabled:
             tel.logger.log(
                 "halo_finish",
@@ -447,38 +472,154 @@ class HaloExchanger:
                 "halo_overlap_seconds",
                 "mean per-rank halo exchange seconds hidden under interior compute",
             ).inc(hidden_mean)
-            tel.metrics.gauge(
-                "halo_messages_inflight",
-                "halo messages posted by overlapped begins and not yet waited on",
-            ).set(self.inflight)
 
     # -- internals ---------------------------------------------------------------
 
-    def _validate(self, items: list[FieldItem], spec: HaloSpec) -> None:
+    def _plan(self, items: list[FieldItem], spec: HaloSpec) -> _Plan:
+        """The schedule for exchanging ``items``: derived on first use, and
+        again whenever something it was derived from has moved."""
         if not items:
             raise ValueError("exchange needs at least one field")
-        g = spec.depth
-        for _, locals_, stagger_axis in items:
+        for _, locals_, _ in items:
             if len(locals_) != self.decomp.nranks:
                 raise ValueError("one local array per rank required")
+        key = (tuple((f, stagger) for f, _, stagger in items), spec)
+        plan = self._plans.get(key)
+        if plan is None or plan.guard != self._guard(items):
+            plan = self._plans[key] = self._build_plan(items, spec)
+        return plan
+
+    def _guard(self, items: list[FieldItem]) -> tuple:
+        """What a plan reads that can move under it: registrations, nominal
+        sizes and device presence (``env.epoch``), and the arrays' shapes."""
+        return (
+            tuple(rt.env.epoch for rt in self.ranks),
+            tuple(a.shape for _, locals_, _ in items for a in locals_),
+        )
+
+    def _build_plan(self, items: list[FieldItem], spec: HaloSpec) -> _Plan:
+        g = spec.depth
+        for _, locals_, stagger_axis in items:
             for a in locals_:
                 for axis in spec.axes:
-                    ax = a.ndim - 3 + axis
-                    if a.shape[ax] < 3 * g + (1 if axis == stagger_axis else 0):
-                        raise ValueError(
-                            f"array extent {a.shape[ax]} too small for halo depth {g}"
-                        )
+                    extent = a.shape[a.ndim - 3 + axis]
+                    if extent < 3 * g + (axis == stagger_axis):
+                        raise ValueError(f"array extent {extent} too small for halo depth {g}")
+        fields = tuple(f for f, _, _ in items)
+        self.ensure_buffers(fields, g)
+        init = []
+        if self.buffer_init_fraction > 0.0:
+            for field_name in fields:
+                for rt in self.ranks:
+                    nb = (
+                        rt.env.nominal_bytes(field_name)
+                        if field_name in rt.env
+                        else self.nominal.local_cells(0) * self.element_bytes
+                    )
+                    init.append((rt, KernelSpec(
+                        name=f"halo_buffer_init_{field_name}",
+                        bytes_override=self.buffer_init_fraction * nb,
+                        tags=_PACK_TAGS,
+                    )))
+        self.plans_built += 1
+        axes = tuple(self._plan_axis(items, axis, g) for axis in spec.axes)
+        return _Plan(fields, self._guard(items), tuple(init), axes)
 
-    def _observe_exchanges(self, items: list[FieldItem]):
+    def _plan_axis(self, items: list[FieldItem], axis: int, g: int) -> tuple:
+        """One axis' entry of :attr:`_Plan.axes`; messages run field by
+        field, sender by sender, low face then high."""
+        tr, pack_face, unpack_face = self.transport, self._live.pack, self._live.unpack
+        planned = not tr.charges_move_state
+        messages: list[_Message] = []
+        for item, (field_name, locals_, stagger_axis) in enumerate(items):
+            names = {d: _face_names(field_name, axis, d, g) for d in (-1, 1)}
+            for src, rt in enumerate(self.ranks):
+                for direction in (-1, 1):
+                    dst = self.decomp.neighbor(src, axis, direction)
+                    if dst is None:
+                        continue
+                    dst_rt = self.ranks[dst]
+                    # The message my low face sends arrives at the
+                    # neighbour's high ghost (and vice versa):
+                    # neighbour-relative direction is -direction.
+                    out, into = names[direction], names[-direction]
+                    nbytes = rt.env.nominal_bytes(out.send)
+                    face = _interior_face(
+                        locals_[src], axis, direction, g, staggered=axis == stagger_axis
+                    )
+                    ghost = _ghost_face(locals_[dst], axis, -direction, g)
+                    pack = KernelSpec(
+                        name=out.pack,
+                        reads=(field_name,) if field_name in rt.env else (),
+                        writes=(out.send,),
+                        bytes_override=2 * nbytes * self.pack_inefficiency,
+                        body=partial(pack_face, item, src, face),
+                        tags=_PACK_TAGS,
+                    )
+                    unpack = KernelSpec(
+                        name=into.unpack,
+                        reads=(into.recv,),
+                        writes=(into.ghost,) if field_name in dst_rt.env else (),
+                        bytes_override=2 * dst_rt.env.nominal_bytes(into.recv)
+                        * self.pack_inefficiency,
+                        body=partial(unpack_face, item, dst, ghost, len(messages)),
+                        tags=_PACK_TAGS,
+                    )
+                    messages.append(_Message(
+                        src, dst, rt, dst_rt, pack, unpack, out.send, into.recv, nbytes,
+                        same_node=self.rank_nodes is None
+                        or self.rank_nodes[src] == self.rank_nodes[dst],
+                        send_charges=tuple(tr.send_charges(rt.env, out.send, nbytes))
+                        if planned else None,
+                        recv_charges=() if dst == src
+                        else tuple(tr.recv_charges(dst_rt.env, into.recv, nbytes))
+                        if planned else None,
+                    ))
+        return f"msg_{axis}", tuple(messages), tuple(m.src for m in messages)
+
+    def _observe_exchanges(self, fields: tuple[str, ...]):
         tel = _telemetry()
         if tel.enabled:
-            counter = tel.metrics.counter(
-                "halo_exchanges_total", "ghost-layer exchanges, by field",
-                labelnames=("field",),
-            )
-            for field_name, _, _ in items:
-                counter.labels(field=field_name).inc()
+            key = ("halo_exchanges_total", fields)
+            children = tel.metrics.bound.get(key)
+            if children is None:
+                counter = tel.metrics.counter(
+                    "halo_exchanges_total", "ghost-layer exchanges, by field",
+                    labelnames=("field",),
+                )
+                children = tel.metrics.bound[key] = [
+                    counter.labels(field=f) for f in fields
+                ]
+            for child in children:
+                child.inc()
         return tel
+
+    def _message_counters(self, tel, senders: tuple[int, ...]):
+        """The session's message counter and one axis plan's byte counter
+        per message, resolved once and kept in the session's registry."""
+        key = ("halo_messages_total", self.transport.kind, senders)
+        counters = tel.metrics.bound.get(key)
+        if counters is None:
+            by_rank = tel.metrics.counter(
+                "halo_bytes_total", "nominal halo payload bytes sent, by rank",
+                labelnames=("rank",),
+            )
+            counters = tel.metrics.bound[key] = (
+                tel.metrics.counter(
+                    "halo_messages_total", "halo messages sent, by transport",
+                    labelnames=("transport",),
+                ).labels(transport=self.transport.kind.value),
+                [by_rank.labels(rank=str(rank)) for rank in senders],
+            )
+        return counters
+
+    def _set_inflight(self, tel, inflight: int) -> None:
+        self.inflight = inflight
+        if tel.enabled:
+            tel.metrics.gauge(
+                "halo_messages_inflight",
+                "halo messages posted by overlapped begins and not yet waited on",
+            ).set(inflight)
 
     @staticmethod
     def _exchange_seconds_counter(tel):
@@ -488,147 +629,55 @@ class HaloExchanger:
             "(overlapped runs count only the unhidden remainder)",
         )
 
-    def _exchange_spec(
-        self, items: list[FieldItem], spec: HaloSpec, g: int
-    ) -> None:
-        if self.buffer_init_fraction > 0.0:
-            for field_name, _, _ in items:
-                for rt in self.ranks:
-                    nb = (
-                        rt.env.nominal_bytes(field_name)
-                        if field_name in rt.env
-                        else self.nominal.local_cells(0) * self.element_bytes
-                    )
-                    rt.loop(
-                        KernelSpec(
-                            name=f"halo_buffer_init_{field_name}",
-                            bytes_override=self.buffer_init_fraction * nb,
-                            tags=_PACK_TAGS,
-                        )
-                    )
-        for axis in spec.axes:
-            self._exchange_axis(items, axis, g)
-
-    def _exchange_axis(self, items: list[FieldItem], axis: int, g: int) -> None:
-        dec = self.decomp
-        # -- phase A: every rank packs its faces, all fields ------------------
-        packed: dict[tuple[str, int, int], np.ndarray] = {}
-        for field_name, locals_, stagger_axis in items:
-            staggered = axis == stagger_axis
-            for rank, rt in enumerate(self.ranks):
-                for direction in (-1, 1):
-                    if dec.neighbor(rank, axis, direction) is None:
-                        continue
-                    a = locals_[rank]
-                    face = a[
-                        _interior_face(a, axis, direction, g, staggered=staggered)
-                    ]
-                    names = self._face_names(field_name, axis, direction)
-                    nominal_bytes = rt.env.nominal_bytes(names.send)
-
-                    def pack(face=face) -> np.ndarray:
-                        return np.ascontiguousarray(face)
-
-                    result = rt.loop(
-                        KernelSpec(
-                            name=names.pack,
-                            reads=(field_name,) if field_name in rt.env else (),
-                            writes=(names.send,),
-                            bytes_override=2 * nominal_bytes * self.pack_inefficiency,
-                            body=pack,
-                            tags=_PACK_TAGS,
-                        )
-                    )
-                    packed[(field_name, rank, direction)] = result
-
-        # -- phase B: synchronize (imbalance shows up as MPI wait) ------------
-        self._barrier()
-
-        # -- phase C: messages -------------------------------------------------
-        tel = _telemetry()
-        msg_counter = bytes_counter = None
-        if tel.enabled:
-            msg_counter = tel.metrics.counter(
-                "halo_messages_total", "halo messages sent, by transport",
-                labelnames=("transport",),
-            ).labels(transport=self.transport.kind.value)
-            bytes_counter = tel.metrics.counter(
-                "halo_bytes_total", "nominal halo payload bytes sent, by rank",
-                labelnames=("rank",),
-            )
-        received: dict[tuple[str, int, int], np.ndarray] = {}
-        for field_name, _, _ in items:
-            for rank, rt in enumerate(self.ranks):
-                for direction in (-1, 1):
-                    nb = dec.neighbor(rank, axis, direction)
-                    if nb is None:
-                        continue
-                    buf = packed[(field_name, rank, direction)]
-                    send_name = self._face_names(field_name, axis, direction).send
-                    recv_name = self._face_names(field_name, axis, -direction).recv
-                    nbytes = rt.env.nominal_bytes(send_name)
-                    nb_rt = self.ranks[nb]
-                    for c in self.transport.send_charges(rt.env, send_name, nbytes):
-                        rt.clock.advance(c.seconds, c.category, c.label)
-                    same_node = (
-                        self.rank_nodes is None
-                        or self.rank_nodes[rank] == self.rank_nodes[nb]
-                    )
-                    msg = self.transport.post(
-                        buf,
-                        nbytes,
-                        t_posted=rt.clock.now,
-                        same_device=(nb == rank),
-                        same_node=same_node,
+    def _walk(self, plan: _Plan, items: list[FieldItem], tel) -> None:
+        """Run one planned exchange on ``items``' arrays."""
+        live, tr = self._live, self.transport
+        live.arrays = [locals_ for _, locals_, _ in items]
+        try:
+            for rt, spec in plan.init:
+                rt.loop(spec)
+            for label, messages, senders in plan.axes:
+                # -- phase A: every rank packs its faces, all fields ----------
+                bufs = live.bufs = [m.src_rt.loop(m.pack) for m in messages]
+                # -- phase B: synchronize (imbalance shows up as MPI wait) ----
+                self._barrier()
+                # -- phase C: messages ----------------------------------------
+                msg_counter = byte_counters = None
+                if tel.enabled:
+                    msg_counter, byte_counters = self._message_counters(tel, senders)
+                for slot, m in enumerate(messages):
+                    rt, nbytes = m.src_rt, m.nbytes
+                    clock = rt.clock
+                    charges = m.send_charges
+                    if charges is None:
+                        charges = tr.send_charges(rt.env, m.send, nbytes)
+                    for c in charges:
+                        clock.advance(c.seconds, c.category, c.label)
+                    msg = tr.post(
+                        bufs[slot], nbytes, t_posted=clock.now,
+                        same_device=m.src == m.dst, same_node=m.same_node,
                     )
                     # Blocking semantics inside the phase: the sender waits
-                    # for its own wire (identical cost to the old in-place
-                    # advance; overlapped begins run this on the detached
-                    # communication clock instead).
-                    rt.clock.wait_until(
-                        msg.t_ready, TimeCategory.MPI_TRANSFER, f"msg_{axis}"
-                    )
-                    if nb != rank:
-                        # self-messages (periodic wrap on an undivided axis)
-                        # are delivered by a local copy; only the send side
-                        # stages.
-                        for c in self.transport.recv_charges(
-                            nb_rt.env, recv_name, nbytes
-                        ):
-                            nb_rt.clock.advance(c.seconds, c.category, c.label)
-                    # The message my low face sends arrives at the
-                    # neighbour's high ghost (and vice versa):
-                    # neighbour-relative direction is -direction.
-                    received[(field_name, nb, -direction)] = msg.payload
+                    # for its own wire (overlapped begins run this on the
+                    # detached communication clock instead).
+                    clock.wait_until(msg.t_ready, TimeCategory.MPI_TRANSFER, label)
+                    charges = m.recv_charges
+                    if charges is None:
+                        charges = tr.recv_charges(m.dst_rt.env, m.recv, nbytes)
+                    for c in charges:
+                        m.dst_rt.clock.advance(c.seconds, c.category, c.label)
+                    bufs[slot] = msg.payload
                     self.messages += 1
                     self.bytes_sent += nbytes
                     if msg_counter is not None:
                         msg_counter.inc()
-                        bytes_counter.labels(rank=str(rank)).inc(nbytes)
-
-        # -- phase D: unpack into ghosts ---------------------------------------
-        locals_by_field = {f: locs for f, locs, _ in items}
-        for (field_name, rank, direction), buf in received.items():
-            rt = self.ranks[rank]
-            a = locals_by_field[field_name][rank]
-            ghost = _ghost_face(a, axis, direction, g)
-            names = self._face_names(field_name, axis, direction)
-            nominal_bytes = rt.env.nominal_bytes(names.recv)
-
-            def unpack(a=a, ghost=ghost, buf=buf) -> None:
-                a[ghost] = buf
-
-            rt.loop(
-                KernelSpec(
-                    name=names.unpack,
-                    reads=(names.recv,),
-                    writes=(names.ghost,) if field_name in rt.env else (),
-                    bytes_override=2 * nominal_bytes * self.pack_inefficiency,
-                    body=unpack,
-                    tags=_PACK_TAGS,
-                )
-            )
-        self._barrier()
+                        byte_counters[slot].inc(nbytes)
+                # -- phase D: unpack into ghosts ------------------------------
+                for m in messages:
+                    m.dst_rt.loop(m.unpack)
+                self._barrier()
+        finally:
+            live.arrays = live.bufs = ()
 
     def _barrier(self) -> None:
         """Advance every rank clock to the maximum (BSP synchronization)."""

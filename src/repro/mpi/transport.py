@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.machine.interconnect import Interconnect
 from repro.machine.spec import LinkSpec
@@ -62,6 +63,10 @@ class Transport:
     """Base transport; concrete subclasses implement the cost methods."""
 
     kind: TransportKind
+    #: True when ``send_charges``/``recv_charges`` move state and so must be
+    #: asked per message; False when they only read what ``env.epoch``
+    #: guards, so an exchange plan asks once.
+    charges_move_state: ClassVar[bool] = False
 
     def post(
         self,
@@ -148,6 +153,7 @@ class UnifiedMemoryTransport(Transport):
     against Fig. 3's UM MPI bars.
     """
 
+    charges_move_state: ClassVar[bool] = True  # UM page migration
     interconnect: Interconnect = None  # type: ignore[assignment]
     host_mpi_overhead: float = 30e-6
     #: Page-granularity amplification: managed memory migrates whole 2 MiB

@@ -25,6 +25,11 @@ class TimeCategory(enum.Enum):
     MPI_WAIT = "mpi_wait"          # load-imbalance wait at exchanges
     HOST = "host"                  # host-side serial work (setup etc.)
 
+    #: Members are singletons, so identity hashing is the same equality and
+    #: runs in C: ``by_category`` is keyed twice per clock advance, and
+    #: ``Enum.__hash__`` is a Python-level call.
+    __hash__ = object.__hash__
+
 
 #: Categories the paper's Fig. 3 counts as "MPI time": "all MPI calls,
 #: buffer initialization/loading/unloading, and MPI waiting caused by load

@@ -95,6 +95,22 @@ class TestExchangeCorrectness:
         assert np.allclose(a[2:-2, 2:-2, 0], glob[:, :, -2])
         assert np.allclose(a[2:-2, 2:-2, 1], glob[:, :, -1])
 
+    def test_depth_two_is_priced_at_depth_two_after_a_depth_one_exchange(self):
+        """Staging buffers are per depth: the bytes of a deeper exchange do
+        not depend on which depth the field was first exchanged at."""
+        dec = Decomposition3D((12, 6, 12), 2, dims=(1, 1, 2))
+
+        def depth_two_bytes(*, depth_one_first):
+            hx = exchanger(dec, make_ranks(2))
+            if depth_one_first:
+                hx.exchange("f", scatter(np.zeros((12, 6, 12)), dec, 1))
+            before = hx.bytes_sent
+            hx.exchange("f", scatter(np.zeros((12, 6, 12)), dec, 2), HaloSpec(depth=2))
+            return hx.bytes_sent - before
+
+        assert depth_two_bytes(depth_one_first=False) == 4608
+        assert depth_two_bytes(depth_one_first=True) == 4608
+
     def test_outer_r_boundary_ghosts_untouched(self):
         glob = np.ones((8, 8, 8))
         dec = Decomposition3D((8, 8, 8), 1)

@@ -1,0 +1,371 @@
+"""The exchange plan's contract.
+
+A :class:`~repro.mpi.halo.HaloExchanger` derives each exchange's schedule
+once and walks it afterwards. These tests pin what that may and may not
+change: the number of plans is bounded by the exchange vocabulary, anything
+a plan was derived from rebuilds it when it moves, a plan at rest holds no
+array, and every clock advance, launch, message, byte and ghost value is
+that of the unplanned engine kept verbatim in ``reference_halo.py``.
+"""
+
+import gc
+import types
+import weakref
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.codes import CodeVersion, runtime_config_for
+from repro.machine import CpuNodeModel, EPYC_7742_NODE
+from repro.machine.gpu import A100_40GB, GpuDevice
+from repro.machine.interconnect import DELTA_INTERCONNECT, SLINGSHOT
+from repro.machine.memory import DeviceMemory
+from repro.mas import MasModel, ModelConfig
+from repro.mpi.decomp import Decomposition3D
+from repro.mpi.halo import HaloExchanger, HaloSpec
+from repro.mpi.transport import TransportKind, make_transport
+from repro.obs.telemetry import session
+from repro.runtime.clock import TimeCategory
+from repro.runtime.config import Backend, RuntimeConfig, uniform_backend
+from repro.runtime.data_env import DataEnvironment, DataMode
+from repro.runtime.dispatcher import RankRuntime
+from repro.util.units import GB, MiB
+from tests.mpi import reference_halo as ref
+
+ACC = dict(loop_backend=uniform_backend(Backend.ACC), fusion=True, async_launch=True)
+
+#: machine name -> (runtime config, data mode, transport kind)
+MACHINES = {
+    "p2p": (RuntimeConfig(name="acc", **ACC), DataMode.MANUAL, TransportKind.CUDA_AWARE_P2P),
+    "p2p-window": (
+        RuntimeConfig(name="acc-window", cross_region_fusion=True, **ACC),
+        DataMode.MANUAL,
+        TransportKind.CUDA_AWARE_P2P,
+    ),
+    "um": (runtime_config_for(CodeVersion.D2XU), DataMode.UNIFIED, TransportKind.UM_STAGED),
+    "cpu": (runtime_config_for(CodeVersion.CPU), DataMode.CPU, TransportKind.CPU_FABRIC),
+}
+
+
+def make_ranks(n, machine="p2p"):
+    cfg, mode, _ = MACHINES[machine]
+    ranks = []
+    for r in range(n):
+        if mode is DataMode.CPU:
+            rt = RankRuntime(cfg, cpu_model=CpuNodeModel(EPYC_7742_NODE), num_ranks=n)
+        else:
+            env = DataEnvironment(
+                mode, device_memory=DeviceMemory(40 * GB), host_link=DELTA_INTERCONNECT.host
+            )
+            rt = RankRuntime(cfg, env=env, gpu=GpuDevice(A100_40GB, r % 8), num_ranks=n)
+        rt.register_array("f", 64 * MiB)  # "h" stays unregistered on purpose
+        ranks.append(rt)
+    return ranks
+
+
+def make_exchanger(cls, dec, machine="p2p", **kw):
+    tr = make_transport(MACHINES[machine][2], interconnect=DELTA_INTERCONNECT, fabric=SLINGSHOT)
+    return cls(dec, tr, make_ranks(dec.nranks, machine), **kw)
+
+
+def make_locals(dec, seed, *, g=1, stagger_axis=None, members=1):
+    """Per-rank ghosted arrays, every cell (ghosts included) seeded."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for r in dec.iter_ranks():
+        shape = [n + 2 * g for n in dec.local_shape(r)]
+        if stagger_axis is not None:
+            shape[stagger_axis] += 1
+        out.append(rng.random(shape if members == 1 else (members, *shape)))
+    return out
+
+
+# -- (a) bounded by the vocabulary -------------------------------------------------
+
+
+class TestPlansAreBoundedByTheVocabulary:
+    SMALL = dict(shape=(8, 6, 8), num_ranks=2, pcg_iters=2, sts_stages=2)
+
+    @pytest.mark.parametrize(
+        "version, model_kw",
+        [
+            (CodeVersion.A, {}),
+            (CodeVersion.A, dict(halo_overlap=True)),
+            (CodeVersion.D2XU, {}),
+            (CodeVersion.CPU, {}),
+            (CodeVersion.A, dict(ensemble_size=3, nominal_shape=(32, 24, 48))),
+        ],
+    )
+    def test_no_plan_is_built_after_the_second_step(self, version, model_kw):
+        model = MasModel(
+            ModelConfig(**{**self.SMALL, **model_kw}), runtime_config_for(version)
+        )
+        model.run(2)
+        built, held = model.halo.plans_built, len(model.halo._plans)
+        assert built >= held > 0
+        model.run(4)
+        assert model.halo.plans_built == built
+        assert len(model.halo._plans) == held
+
+
+# -- (b) what a plan was derived from rebuilds it ------------------------------------
+
+
+class TestInvalidation:
+    def setup_method(self):
+        self.dec = Decomposition3D((8, 8, 16), 2)
+        self.hx = make_exchanger(HaloExchanger, self.dec)
+        self.locs = make_locals(self.dec, 0)
+        self.hx.exchange("f", self.locs)
+
+    def test_a_repeated_exchange_reuses_the_plan(self):
+        (plan,) = self.hx._plans.values()
+        self.hx.exchange("f", self.locs)
+        pending = self.hx.exchange_begin("f", self.locs)
+        self.hx.exchange_finish(pending)
+        assert self.hx.plans_built == 1
+        assert list(self.hx._plans.values()) == [plan]
+
+    def test_registering_an_array_rebuilds_it(self):
+        self.hx.ranks[1].register_array("late", 1 * MiB)
+        self.hx.exchange("f", self.locs)
+        assert self.hx.plans_built == 2
+        self.hx.exchange("f", self.locs)
+        assert self.hx.plans_built == 2
+
+    def test_a_newly_registered_field_is_read_by_its_pack_kernels(self):
+        """The reads of a pack kernel depend on whether the field is a
+        registered array: a stale plan would keep ``reads=()``."""
+        locs = make_locals(self.dec, 1)
+        self.hx.exchange("h", locs)
+        for rt in self.hx.ranks:
+            rt.register_array("h", 64 * MiB)
+        self.hx.exchange("h", locs)
+        plan = self.hx._plans[(("h", None),), HaloSpec()]
+        assert all(m.pack.reads == ("h",) for _, msgs, _ in plan.axes for m in msgs)
+
+    @pytest.mark.parametrize("buffer", ["_halo_recv_f_2_m", "_halo_send_f_2_p"])
+    def test_exit_data_on_a_staging_buffer_is_still_refused(self, buffer):
+        rt = self.hx.ranks[0]
+        rt.env.exit_data(buffer)
+        with pytest.raises(ValueError, match="not device-resident"):
+            self.hx.exchange("f", self.locs)
+        rt.env.enter_data(buffer)
+        self.hx.exchange("f", self.locs)  # and is accepted again once back
+
+    def test_a_differently_shaped_array_rebuilds_it(self):
+        dec = Decomposition3D((8, 8, 16), 2)
+        glob = np.random.default_rng(3).random((8, 8, 16))
+        for members in (3, 1):  # 4-D batched, then back to 3-D
+            locs = []
+            for r in dec.iter_ranks():
+                a = np.full((members, *(n + 2 for n in dec.local_shape(r))), np.nan)
+                a[:, 1:-1, 1:-1, 1:-1] = glob[dec.slab(r)]
+                locs.append(a if members > 1 else a[0])
+            built = self.hx.plans_built
+            self.hx.exchange("f", locs)
+            assert self.hx.plans_built == built + 1
+            (r0, r1), (t0, t1), (lo, hi) = dec.bounds(0)
+            for ghost, phi in ((0, (lo - 1) % 16), (-1, hi % 16)):
+                got = locs[0][..., 1:-1, 1:-1, ghost]
+                assert np.array_equal(got, np.broadcast_to(glob[r0:r1, t0:t1, phi], got.shape))
+
+    def test_too_small_an_extent_registers_nothing(self):
+        hx = make_exchanger(HaloExchanger, self.dec)
+        epochs = [rt.env.epoch for rt in hx.ranks]
+        with pytest.raises(ValueError, match="too small"):
+            hx.exchange("f", [np.zeros((2, 10, 10))] * 2)
+        assert [rt.env.epoch for rt in hx.ranks] == epochs
+        assert hx.plans_built == 0
+
+
+# -- (c) a plan at rest holds no array --------------------------------------------
+
+
+def reachable_arrays(root):
+    """Every ndarray a plan's pieces reach, not looking inside the rank
+    runtimes (the exchanger holds those anyway) or into code."""
+    opaque = (type, types.FunctionType, types.ModuleType, RankRuntime)
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, opaque):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestPlanHoldsNoArray:
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_arrays_and_payloads_are_released_when_the_exchange_returns(self, overlap):
+        dec = Decomposition3D((8, 8, 16), 2)
+        hx = make_exchanger(HaloExchanger, dec, buffer_init_fraction=0.5)
+        locs = make_locals(dec, 5)
+        watched = [weakref.ref(a) for a in locs]
+        was_enabled = gc.isenabled()
+        gc.disable()  # reference counting alone must free them
+        try:
+            if overlap:
+                hx.exchange_finish(hx.exchange_begin("f", locs))
+            else:
+                hx.exchange("f", locs)
+            assert hx._live.arrays == () and hx._live.bufs == ()
+            assert reachable_arrays([hx._plans, hx._live]) == []
+            del locs
+            assert [w() for w in watched] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_a_failed_walk_releases_them_too(self):
+        dec = Decomposition3D((8, 8, 16), 2)
+        hx = make_exchanger(HaloExchanger, dec, "um")
+        locs = make_locals(dec, 5)
+        hx.exchange("f", locs)
+        hx.ranks[0].env.unregister("_halo_recv_f_2_m")  # UM stages per message
+        hx._plans[(("f", None),), HaloSpec()] = _with_guard(hx, locs)
+        with pytest.raises(KeyError):
+            hx.exchange("f", locs)
+        assert hx._live.arrays == () and hx._live.bufs == ()
+
+
+def _with_guard(hx, locs):
+    """The exchanger's one plan, re-stamped as current (to fail mid-walk)."""
+    (plan,) = hx._plans.values()
+    return replace(plan, guard=hx._guard([("f", locs, None)]))
+
+
+# -- (d) the walk equals the unplanned engine ----------------------------------------
+
+
+def snapshot(hx):
+    for rt in hx.ranks:
+        rt.sync()
+    return dict(
+        now=[rt.clock.now for rt in hx.ranks],
+        by_category=[list(rt.clock.by_category.items()) for rt in hx.ranks],
+        launches=[(rt.stats.launches, rt.stats.kernels) for rt in hx.ranks],
+        messages=hx.messages,
+        bytes_sent=hx.bytes_sent,
+        inflight=hx.inflight,
+    )
+
+
+@st.composite
+def exchanges(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+    g = draw(st.integers(1, 2))
+    shape = tuple(draw(st.integers(2 * g, 9)) for _ in range(3))
+    periodic = tuple(draw(st.booleans()) for _ in range(3))
+    try:
+        dec = Decomposition3D(shape, n, periodic=periodic)
+    except ValueError:
+        assume(False)
+    assume(min(min(dec.local_shape(r)) for r in dec.iter_ranks()) >= g)
+    fields = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["f", "h"]), st.sampled_from([None, 0, 1, 2])),
+            min_size=1, max_size=2, unique_by=lambda t: t[0],
+        )
+    )
+    return dict(
+        dec=dec,
+        depth=g,
+        axes=tuple(sorted(draw(st.sets(st.sampled_from([0, 1, 2]), min_size=1)))),
+        fields=fields,
+        members=draw(st.sampled_from([1, 3])),
+        machine=draw(st.sampled_from(sorted(MACHINES))),
+        costs=draw(st.sampled_from([{}, dict(pack_inefficiency=4.0, buffer_init_fraction=0.75)])),
+        two_nodes=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+class TestWalkEqualsTheUnplannedEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(exchanges())
+    def test_clocks_counters_and_ghosts(self, case):
+        dec, g = case["dec"], case["depth"]
+        kw = dict(case["costs"], element_bytes=8 * case["members"])
+        if case["two_nodes"]:
+            kw["rank_nodes"] = [r * 2 // dec.nranks for r in dec.iter_ranks()]
+        sides = []
+        for module in (ref, None):
+            cls = HaloExchanger if module is None else module.HaloExchanger
+            spec = (HaloSpec if module is None else module.HaloSpec)(depth=g, axes=case["axes"])
+            hx = make_exchanger(cls, dec, case["machine"], **kw)
+            items = [
+                (name, make_locals(dec, case["seed"] + i, g=g, stagger_axis=stagger,
+                                   members=case["members"]), stagger)
+                for i, (name, stagger) in enumerate(case["fields"])
+            ]
+            sides.append((hx, spec, items))
+        (hx_ref, spec_ref, items_ref), (hx_new, spec_new, items_new) = sides
+
+        def check():
+            assert snapshot(hx_new) == snapshot(hx_ref)
+            for (_, a_new, _), (_, a_ref, _) in zip(items_new, items_ref):
+                for x, y in zip(a_new, a_ref):
+                    assert np.array_equal(x, y)
+
+        for hx, spec, items in sides:
+            hx.exchange_many(items, spec)  # builds the plan
+        check()
+        for hx, spec, items in sides:
+            for _, locals_, _ in items:  # new interiors, same arrays
+                for a in locals_:
+                    a *= 1.5
+            hx.exchange_many(items, spec)  # walks it
+        check()
+        for hx, spec, items in sides:
+            pending = hx.exchange_begin_many(items, spec)
+            hx.ranks[0].clock.advance(3e-5, TimeCategory.COMPUTE, "interior")
+            hx.exchange_finish(pending)
+        check()
+        assert hx_new.plans_built == 1
+
+
+class TestTelemetryChildrenLiveInTheSession:
+    """Counters are resolved once per plan into ``MetricsRegistry.bound``,
+    so they die with the session: a plan that outlives one counts into the
+    next from zero, and the totals are the unplanned engine's."""
+
+    @staticmethod
+    def halo_metrics(cls, tmp_path, name, exchanges):
+        dec = Decomposition3D((8, 8, 16), 4)
+        hx = make_exchanger(cls, dec)
+        items = [("f", make_locals(dec, 0), None), ("h", make_locals(dec, 1, stagger_axis=2), 2)]
+        out = []
+        for i, n in enumerate(exchanges):
+            with session(tmp_path / f"{name}{i}") as tel:
+                for _ in range(n):
+                    hx.exchange_many(items)
+                    hx.exchange_finish(hx.exchange_begin("f", items[0][1]))
+                out.append({k: v for k, v in tel.metrics.to_json().items() if k.startswith("halo_")})
+        return out
+
+    def test_totals_equal_the_unplanned_engine_per_session(self, tmp_path):
+        new = self.halo_metrics(HaloExchanger, tmp_path, "new", (2, 1))
+        old = self.halo_metrics(ref.HaloExchanger, tmp_path, "old", (2, 1))
+        assert new == old
+        by_rank = [s["value"] for s in new[1]["halo_bytes_total"]["samples"]]
+        assert len(by_rank) == 4 and all(v > 0 for v in by_rank)
+        first = [s["value"] for s in new[0]["halo_bytes_total"]["samples"]]
+        assert first == [2 * v for v in by_rank]  # the second session began at zero
+
+
+class TestDepthIsPartOfThePlan:
+    def test_a_deeper_exchange_after_a_shallow_one_has_its_own_buffers(self):
+        dec = Decomposition3D((12, 6, 12), 2, dims=(1, 1, 2))
+        hx = make_exchanger(HaloExchanger, dec)
+        hx.exchange("f", make_locals(dec, 0, g=1))
+        env = hx.ranks[0].env
+        assert "_halo_send_f_2_m_d2" not in env
+        hx.exchange("f", make_locals(dec, 0, g=2), HaloSpec(depth=2))
+        assert env.nominal_bytes("_halo_send_f_2_m_d2") == 2 * env.nominal_bytes("_halo_send_f_2_m")
+        assert hx.plans_built == 2
