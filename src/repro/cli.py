@@ -158,8 +158,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     module = import_module(row.module)
     groups = row.command.options
     options = {dest: getattr(args, dest) for g in groups for dest in _OPTION_GROUPS[g][1]}
-    with _telemetry_session(args):
-        result = module.run(**options)
+    try:
+        with _telemetry_session(args):
+            result = module.run(**options)
+    except ValueError as exc:  # a configuration the model or calibration refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(module.render(result))
     if "csv" in groups and args.csv:
         from repro.util.tables import Table

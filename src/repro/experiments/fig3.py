@@ -60,9 +60,10 @@ class Fig3Result:
 def run_fig3(calibration: Calibration = PAPER_CALIBRATION) -> Fig3Result:
     """Measure all twelve bars."""
     bars = {}
+    plans: dict = {}
     for n in GPU_PANELS:
         for v in GPU_VERSIONS:
-            bars[(n, v)] = measure_breakdown(v, n, calibration=calibration)
+            bars[(n, v)] = measure_breakdown(v, n, calibration=calibration, plans=plans)
     return Fig3Result(bars)
 
 

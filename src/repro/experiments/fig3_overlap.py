@@ -30,10 +30,13 @@ def run(
 ) -> dict[tuple[str, int], RunBreakdown]:
     """One breakdown per (mode, GPU count)."""
     out = {}
+    plans: dict = {}  # fusion re-prices the overlapped stream
     for mode, overrides in OVERLAP_MODES:
         cal = replace(calibration, **overrides)
         for n in RANKS:
-            out[(mode, n)] = measure_breakdown(CodeVersion.A, n, calibration=cal)
+            out[(mode, n)] = measure_breakdown(
+                CodeVersion.A, n, calibration=cal, plans=plans
+            )
     return out
 
 

@@ -54,13 +54,7 @@ def _profiled_model(unified: bool, calibration: Calibration) -> tuple[MasModel, 
             extra_model_arrays=67,
         ),
         rt_cfg,
-        cost=calibration.cost_model(),
-        queue=calibration.queue(),
-        um_host_mpi_overhead=calibration.um_host_mpi_overhead,
-        um_page_amplification=calibration.um_page_amplification,
-        halo_pack_inefficiency=calibration.halo_pack_inefficiency,
-        halo_buffer_init_fraction=calibration.halo_buffer_init_fraction,
-        rank_jitter=calibration.rank_jitter,
+        **calibration.hardware(),
     )
     profiler = Profiler()
     for r, rt in enumerate(model.ranks):

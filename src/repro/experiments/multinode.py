@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from repro.codes import CodeVersion, runtime_config_for, version_info
 from repro.machine.cluster import GpuCluster
-from repro.mas.model import MasModel, ModelConfig
+from repro.mas.model import ModelConfig
+from repro.mas.plan import run_planned
 from repro.perf.calibration import Calibration, MEASURE_SHAPE, PAPER_CALIBRATION, project_run_minutes
 from repro.util.ascii_plot import AsciiLinePlot
 from repro.util.tables import Table
@@ -54,12 +55,15 @@ def run_multinode(
     calibration: Calibration = PAPER_CALIBRATION,
     shape: tuple[int, int, int] = (12, 8, 64),
 ) -> MultiNodeResult:
-    """Measure the multi-node sweep."""
+    """Measure the multi-node sweep: the physics once per GPU count, the
+    other versions re-pricing its recorded kernel stream."""
     minutes = {}
+    plans: dict = {}
     for v in versions:
         for n in gpu_counts:
-            cluster = GpuCluster.of_delta_nodes(max(1, n // GPUS_PER_NODE))
-            m = MasModel(
+            timings = run_planned(
+                plans,
+                calibration.warmup_steps + calibration.bench_steps,
                 ModelConfig(
                     shape=shape,
                     num_ranks=n,
@@ -68,16 +72,9 @@ def run_multinode(
                     extra_model_arrays=67,
                 ),
                 runtime_config_for(v),
-                cluster=cluster,
-                cost=calibration.cost_model(),
-                queue=calibration.queue(),
-                um_host_mpi_overhead=calibration.um_host_mpi_overhead,
-                um_page_amplification=calibration.um_page_amplification,
-                halo_pack_inefficiency=calibration.halo_pack_inefficiency,
-                halo_buffer_init_fraction=calibration.halo_buffer_init_fraction,
-                rank_jitter=calibration.rank_jitter,
+                cluster=GpuCluster.of_delta_nodes(max(1, n // GPUS_PER_NODE)),
+                **calibration.hardware(),
             )
-            timings = m.run(calibration.warmup_steps + calibration.bench_steps)
             minutes[(v, n)] = project_run_minutes(timings, calibration=calibration)
     return MultiNodeResult(minutes)
 

@@ -58,10 +58,10 @@ def _perturb(cal: Calibration, name: str, factor: float) -> Calibration:
     return replace(cal, **{name: new})
 
 
-def _headlines(cal: Calibration) -> tuple[float, float]:
-    a = measure_breakdown(CodeVersion.A, 8, calibration=cal)
-    d2xu = measure_breakdown(CodeVersion.D2XU, 8, calibration=cal)
-    adu = measure_breakdown(CodeVersion.ADU, 8, calibration=cal)
+def _headlines(cal: Calibration, plans: dict) -> tuple[float, float]:
+    a = measure_breakdown(CodeVersion.A, 8, calibration=cal, plans=plans)
+    d2xu = measure_breakdown(CodeVersion.D2XU, 8, calibration=cal, plans=plans)
+    adu = measure_breakdown(CodeVersion.ADU, 8, calibration=cal, plans=plans)
     return (
         d2xu.wall_minutes / a.wall_minutes,
         adu.mpi_minutes / max(a.mpi_minutes, 1e-12),
@@ -79,11 +79,12 @@ def run_sensitivity(
     """
     cal = base or Calibration(pcg_iters=3, sts_stages=3, bench_steps=1)
     points = []
-    s0, b0 = _headlines(cal)
+    plans: dict = {}  # no fitted constant changes what the model emits
+    s0, b0 = _headlines(cal, plans)
     points.append(SensitivityPoint("baseline", 1.0, s0, b0))
     for name, _note in PERTURBED_CONSTANTS:
         for factor in factors:
-            s, b = _headlines(_perturb(cal, name, factor))
+            s, b = _headlines(_perturb(cal, name, factor), plans)
             points.append(SensitivityPoint(name, factor, s, b))
     return points
 

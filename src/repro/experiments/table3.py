@@ -62,15 +62,7 @@ def _cpu_model_for(version: CodeVersion, nodes: int, calibration: Calibration) -
         sts_stages=calibration.sts_stages,
         extra_model_arrays=67,
     )
-    return MasModel(
-        model_cfg,
-        rt_cfg,
-        cost=calibration.cost_model(),
-        queue=calibration.queue(),
-        halo_pack_inefficiency=calibration.halo_pack_inefficiency,
-        halo_buffer_init_fraction=calibration.halo_buffer_init_fraction,
-        rank_jitter=calibration.rank_jitter,
-    )
+    return MasModel(model_cfg, rt_cfg, **calibration.hardware())
 
 
 def run_table3(calibration: Calibration = PAPER_CALIBRATION) -> Table3Result:

@@ -59,9 +59,12 @@ def run_tradeoff(
     """Measure directive counts (source pipeline) and wall times (model)."""
     code1 = generate_mas_codebase()
     points = {}
+    plans: dict = {}
     for v in GPU_VERSIONS:
         acc = measure(build_version(v, code1=code1)).acc_lines
-        wall = measure_breakdown(v, num_gpus, calibration=calibration).wall_minutes
+        wall = measure_breakdown(
+            v, num_gpus, calibration=calibration, plans=plans
+        ).wall_minutes
         points[v] = TradeoffPoint(version=v, acc_lines=acc, wall_minutes=wall)
     return TradeoffResult(num_gpus=num_gpus, points=points)
 

@@ -31,13 +31,7 @@ from repro.mas.pcg import (
 )
 from repro.mas.state import VELOCITY_FIELDS, member_field
 from repro.mas.viscosity import implicit_matvec, jacobi_diagonal
-from repro.mpi.collectives import (
-    allreduce_many,
-    allreduce_many_begin,
-    allreduce_many_finish,
-    allreduce_sum,
-)
-from repro.obs.telemetry import current as _telemetry
+from repro.mpi.collectives import allreduce_many, allreduce_many_begin, allreduce_sum
 
 if TYPE_CHECKING:
     from repro.mas.model import MasModel
@@ -119,7 +113,7 @@ class ImplicitSolve:
             i = self.interiors[r]
             return _pair_dot(a[r][i], b[r][i])
 
-        total = self.model.allreduce(allreduce_sum, self._launch(
+        total = self.model.runtime.allreduce(allreduce_sum, self._launch(
             "dot", body, entry="scalar_reduction", reads=("pcg_r", "pcg_z")))
         return total if isinstance(total, np.ndarray) else float(total)
 
@@ -134,7 +128,7 @@ class ImplicitSolve:
             i = self.interiors[r]
             return np.array([_pair_dot(a[r][i], b[r][i]) for a, b in pairs])
 
-        return self.model.allreduce(collective, self._launch(
+        return self.model.runtime.allreduce(collective, self._launch(
             "dot_many", body, entry="scalar_reduction", reads=("pcg_r", "pcg_z")))
 
     def combine(
@@ -204,21 +198,20 @@ class ImplicitSolve:
             solver, reductions = pcg_solve_ca, {"dot_many": dot_many}
         else:
             solver, reductions = pcg_solve_pipelined, {"dot_many": dot_many}
-            if self.model.rt_config.supports_pipelined_reductions:
+            if self.model.runtime.pipelined_reductions:
                 reductions.update(
                     dot_many_begin=partial(self.dot_many, allreduce_many_begin),
-                    dot_many_finish=allreduce_many_finish,
+                    dot_many_finish=self.model.runtime.allreduce_finish,
                 )
         precondition = partial(
             self.precondition,
             self.chebyshev() if cfg.pcg_precond == "cheby" else None,
         )
-        tracer = _telemetry().tracer
+        span = self.model.runtime.span
         for comp in VELOCITY_FIELDS:
             arrays = [s.get(comp) for s in self.model.states]
             rhs = [a.copy() for a in arrays]
-            with tracer.span(f"step/{self.cost_tag}/pcg", component=comp,
-                             variant=variant):
+            with span(f"step/{self.cost_tag}/pcg", component=comp, variant=variant):
                 yield solver(
                     partial(self.apply_a, comp),
                     rhs,

@@ -1,8 +1,9 @@
-"""Top-level MAS-analog model: physics + runtime + MPI orchestration.
+"""Top-level MAS-analog model: the physics, driving a runtime side.
 
-One :class:`MasModel` owns the global grid, its domain decomposition, one
-:class:`~repro.runtime.dispatcher.RankRuntime` per simulated MPI rank, and
-the per-rank states. :meth:`step` advances the full thermodynamic MHD
+One :class:`MasModel` owns the global grid and the per-rank states, and
+*has* a :class:`~repro.mas.runtime_side.RuntimeSide`: one
+:class:`~repro.runtime.dispatcher.RankRuntime` per simulated MPI rank and
+what connects them. :meth:`step` advances the full thermodynamic MHD
 system one step, issuing every array operation as a runtime kernel so that
 the six code versions of Table I accrue their distinct simulated costs
 while computing bit-identical physics.
@@ -27,10 +28,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.machine.cluster import GpuCluster
-from repro.machine.cpu import CpuNodeModel, EPYC_7742_NODE
-from repro.machine.interconnect import SLINGSHOT
-from repro.machine.node import GpuNode, make_delta_node
 from repro.mas import operators as ops
 from repro.mas.boundary import BoundaryProfiles, apply_boundaries, apply_centered_boundary
 from repro.mas.conduction import conduction_rhs, max_diffusivity
@@ -51,6 +48,7 @@ from repro.mas.pcg import (  # noqa: F401
     pcg_solve_pipelined_batched,
 )
 from repro.mas.radiation import energy_source_rate, heating_profile
+from repro.mas.runtime_side import WORK_ARRAYS, RuntimeSide, StepTiming
 from repro.mas.state import (
     ALL_FIELDS,
     FACE_FIELDS,
@@ -62,33 +60,12 @@ from repro.mas.state import (
 from repro.mas.semi_implicit import max_wave_speed, si_coefficient
 from repro.mas.sts import explicit_parabolic_dt, rkl2_advance, stages_for_dt
 from repro.mpi.collectives import allreduce_max, allreduce_min
-from repro.mpi.decomp import Decomposition3D
-from repro.mpi.halo import HaloExchanger
-from repro.obs.telemetry import current as _telemetry
-from repro.mpi.transport import TransportKind, make_transport
-from repro.runtime.clock import TimeCategory
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.cost import KernelCostModel
-from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.dispatcher import RankRuntime
 from repro.runtime.kernel import KernelSpec
-from repro.runtime.launch import bind_devices, devices_for_binding
-from repro.runtime.stream import AsyncQueue
 
 #: Paper-scale problem: 36 million cells (SV-A).
 NOMINAL_SHAPE_PAPER = (150, 300, 800)
-
-#: Work arrays every rank registers besides the 8 state fields.
-WORK_ARRAYS = (
-    "wrk_pres", "wrk_divv",
-    "wrk_adv_r", "wrk_adv_t", "wrk_adv_p",
-    "wrk_lor_r", "wrk_lor_t", "wrk_lor_p",
-    "pcg_r", "pcg_z", "pcg_p", "pcg_ap", "pcg_diag",
-    "pcg_s", "pcg_q", "pcg_az",
-    "sts_y", "sts_l",
-    "emf_r", "emf_t", "emf_p",
-    "heat", "diag_flux",
-)
 
 #: Parameters a sweep may vary per ensemble member.  ``b0`` and
 #: ``perturbation`` enter the initial condition; ``viscosity`` and
@@ -212,23 +189,6 @@ class ModelConfig:
                     replace(self.params, **{name: float(value)})
 
 
-@dataclass(slots=True)
-class StepTiming:
-    """Simulated-time accounting for one step (deltas, max over ranks for
-    wall, mean over ranks for the MPI split as in Fig. 3)."""
-
-    dt: float
-    wall: float
-    mpi: float
-    compute: float
-    launches: int
-
-    @property
-    def non_mpi(self) -> float:
-        """Fig. 3's green bar share of this step."""
-        return self.wall - self.mpi
-
-
 class MasModel:
     """A runnable MAS-analog instance under one code-version runtime."""
 
@@ -237,19 +197,27 @@ class MasModel:
         config: ModelConfig,
         runtime_config: RuntimeConfig,
         *,
-        node: GpuNode | None = None,
-        cluster: "GpuCluster | None" = None,
-        cpu_model: CpuNodeModel | None = None,
-        cost: KernelCostModel | None = None,
-        queue: AsyncQueue | None = None,
-        um_host_mpi_overhead: float = 30e-6,
-        um_page_amplification: float = 8.0,
-        halo_pack_inefficiency: float = 1.0,
-        halo_buffer_init_fraction: float = 0.0,
-        rank_jitter: float = 0.015,
+        runtime: RuntimeSide | None = None,
+        **hardware: Any,
     ) -> None:
+        """``hardware`` is passed to :class:`RuntimeSide` (node, cluster,
+        cost model, queue, transport and halo constants); ``runtime`` is a
+        side built beforehand, or what records one
+        (:class:`repro.mas.plan.PlanRecorder`)."""
+        if runtime is None:
+            runtime = RuntimeSide(config, runtime_config, **hardware)
+        elif hardware or runtime.config != config or runtime.rt_config != runtime_config:
+            raise ValueError("the runtime side was built for another configuration")
         self.config = config
         self.rt_config = runtime_config
+        self.runtime = runtime
+        self.ranks = runtime.ranks
+        self.halo = runtime.halo
+        self.decomp = runtime.decomp
+        self.nominal_decomp = runtime.nominal_decomp
+        #: Overlapped halo exchanges: requested by the model config AND
+        #: supported by the runtime.
+        self.halo_overlap = runtime.halo_overlap
         #: Simulated physical time; a (B,) array in ensemble runs (members
         #: advance under their own CFL steps).
         self.time: float | np.ndarray = 0.0
@@ -272,83 +240,18 @@ class MasModel:
         #: Cumulative per-member PCG iteration / tol-convergence counters.
         self._member_pcg_iterations = np.zeros(config.ensemble_size, dtype=int)
         self._member_pcg_converged = np.zeros(config.ensemble_size, dtype=int)
-        #: Overlapped halo exchanges: requested by the model config AND
-        #: supported by the runtime (codes without async queues degrade
-        #: gracefully to bulk-synchronous exchanges).
-        self.halo_overlap = config.halo_overlap and runtime_config.supports_halo_overlap
         #: Boundary-shell passes deferred until their exchange finishes.
         self._deferred_shell: list[tuple] = []
         #: Per-rank arrays one step piece leaves for a later one.
         self._work: list[dict[str, Any]] = [{} for _ in range(config.num_ranks)]
-        n = config.num_ranks
 
         self.grid = SphericalGrid.build(config.shape)
-        self.decomp = Decomposition3D(config.shape, n)
-        self.nominal_decomp = Decomposition3D(
-            config.nominal_shape, n, dims=self.decomp.dims
-        )
         self.local_grids = [
-            LocalGrid.from_global(self.grid, self.decomp, r, ghost=1) for r in range(n)
+            LocalGrid.from_global(self.grid, self.decomp, r, ghost=1)
+            for r in range(config.num_ranks)
         ]
 
-        base_cost = cost or KernelCostModel()
-        queue = queue or AsyncQueue()
-
-        # -- rank runtimes -----------------------------------------------------
-        def rank(r: int, **hardware: Any) -> RankRuntime:
-            cost = replace(base_cost, body_scale=1.0 + rank_jitter * r / max(1, n - 1))
-            return RankRuntime(
-                runtime_config, num_ranks=n, cost=cost, queue=queue, **hardware
-            )
-
-        self.rank_nodes: list[int] | None = None
-        if runtime_config.target == "gpu":
-            if cluster is not None:
-                # multi-node run: node-major placement, fabric across nodes
-                self.node = cluster.nodes[0]
-                self.rank_nodes = cluster.rank_node_map(n)
-                devices = [cluster.device_of(r) for r in range(n)]
-            else:
-                self.node = node or make_delta_node()
-                binding = bind_devices(self.node, n, runtime_config.device_binding)
-                devices = devices_for_binding(self.node, binding)
-            mode = DataMode.UNIFIED if runtime_config.unified_memory else DataMode.MANUAL
-            self.ranks = [
-                rank(
-                    r,
-                    env=DataEnvironment(
-                        mode,
-                        device_memory=device.memory,
-                        host_link=self.node.interconnect.host,
-                    ),
-                    gpu=device,
-                )
-                for r, device in enumerate(devices)
-            ]
-            kind = (
-                TransportKind.UM_STAGED
-                if runtime_config.unified_memory
-                else TransportKind.CUDA_AWARE_P2P
-            )
-            self.transport = make_transport(
-                kind,
-                interconnect=self.node.interconnect,
-                host_mpi_overhead=um_host_mpi_overhead,
-                page_amplification=um_page_amplification,
-            )
-            self.reduce_link = (
-                self.node.interconnect.host
-                if runtime_config.unified_memory
-                else self.node.interconnect.peer
-            )
-        else:
-            self.node = None
-            cpu = cpu_model or CpuNodeModel(EPYC_7742_NODE)
-            self.ranks = [rank(r, cpu_model=cpu) for r in range(n)]
-            self.transport = make_transport(TransportKind.CPU_FABRIC, fabric=SLINGSHOT)
-            self.reduce_link = SLINGSHOT
-
-        # -- states, boundary profiles, work arrays -----------------------------
+        # -- states, boundary profiles ------------------------------------------
         nb = config.ensemble_size
         b0s = np.broadcast_to(self._vary.get("b0", config.b0), nb)
         perts = np.broadcast_to(
@@ -371,79 +274,17 @@ class MasModel:
             self.states.append(
                 EnsembleState.stack(members) if self.ensemble else members[0]
             )
-        self._register_arrays()
+        runtime.register_arrays(self.states)
         self.profiles = [BoundaryProfiles.capture(s) for s in self.states]
         self.heating = [heating_profile(g, config.params) for g in self.local_grids]
 
-        self.halo = HaloExchanger(
-            self.decomp,
-            self.transport,
-            self.ranks,
-            nominal_decomp=self.nominal_decomp,
-            pack_inefficiency=halo_pack_inefficiency,
-            buffer_init_fraction=halo_buffer_init_fraction,
-            rank_nodes=self.rank_nodes,
-            # Batched runs move every member's ghost layer in the SAME
-            # message: payloads widen B-fold, message COUNT is unchanged.
-            element_bytes=8 * config.ensemble_size,
-        )
-        # Register with the active telemetry session (no-op by default):
-        # attaches the session profiler to the rank clocks, rebinds the span
-        # tracer's simulated-time source, and records the model
-        # configuration in the run manifest.
-        self._tel_prefix = _telemetry().bind_model(self)
-        with _telemetry().tracer.span(
-            "setup/initial_exchange", model=self._tel_prefix
-        ):
+        with runtime.phase("setup/initial_exchange"):
             # Pre-register halo staging buffers for every field the step
             # loop exchanges (state + solver iterates): registration costs
             # land in setup, so step walls stay state-independent.
             self.halo.ensure_buffers((*ALL_FIELDS, "pcg_p", "sts_y"))
             self.halo.exchange_many(self._state_items())
             self._apply_boundaries()
-
-    # ------------------------------------------------------------------ setup
-
-    def _nominal_bytes(self, rank: int, staggered_axis: int | None = None) -> int:
-        shape = list(self.nominal_decomp.local_shape(rank))
-        if staggered_axis is not None:
-            shape[staggered_axis] += 1
-        cells = shape[0] * shape[1] * shape[2]
-        # Ensemble runs: one registered array holds all B members, so its
-        # nominal footprint (and thus every kernel's byte cost) scales by
-        # B while the LAUNCH count stays that of a scalar run -- the
-        # per-member amortization the batching buys.
-        return cells * 8 * self.config.ensemble_size
-
-    def _register_arrays(self) -> None:
-        um = self.rt_config.unified_memory
-        for r, rt in enumerate(self.ranks):
-            state = self.states[r]
-            for name in ALL_FIELDS:
-                rt.register_array(
-                    name, self._nominal_bytes(r, STAGGER_AXES[name]), state.get(name)
-                )
-                self._maybe_init_kernel(rt, name)
-            for name in WORK_ARRAYS:
-                rt.register_array(name, self._nominal_bytes(r))
-                self._maybe_init_kernel(rt, name)
-            for i in range(self.config.extra_model_arrays):
-                rt.register_array(f"model_aux_{i}", self._nominal_bytes(r))
-            if um and self.rt_config.duplicate_cpu_routines:
-                # Codes with duplicate CPU-only setup routines pre-touch the
-                # state on the device before the time loop, hiding the
-                # first-touch faults in setup rather than step one.
-                for name in ALL_FIELDS:
-                    for c in rt.env.prepare_kernel(
-                        KernelSpec("setup_touch", reads=(name,))
-                    ):
-                        rt.clock.advance(c.seconds, TimeCategory.HOST, c.label)
-
-    def _maybe_init_kernel(self, rt: RankRuntime, name: str) -> None:
-        """Code 6's wrapper create+init routines add one init kernel per
-        array the original code never zeroed (SIV-F)."""
-        if self.rt_config.wrapper_init_kernels:
-            rt.loop(KernelSpec(f"wrapper_init_{name}", writes=(name,)))
 
     # ----------------------------------------------------------- communication
 
@@ -541,15 +382,6 @@ class MasModel:
             self._finish_exchange(pending)
         return out
 
-    def allreduce(self, collective: Callable, locals_: list) -> Any:
-        """One :mod:`repro.mpi.collectives` function (named by the caller, so
-        it is looked up at call time in the caller's module) over per-rank
-        partials, eight bytes per value each rank contributes."""
-        return collective(
-            self.ranks, locals_, self.reduce_link,
-            nbytes=8 * np.size(locals_[0]), unified_memory=self.rt_config.unified_memory,
-        )
-
     def _apply_boundaries(self) -> None:
         for r, rt in enumerate(self.ranks):
             state, grid, prof = self.states[r], self.local_grids[r], self.profiles[r]
@@ -609,7 +441,7 @@ class MasModel:
         # MINVAL (SIV-B); the CFL minimum is exactly that construct, so
         # it goes through kernels_region (Code 5 expands it into an
         # explicit DC reduction loop).
-        dt = self.allreduce(
+        dt = self.runtime.allreduce(
             allreduce_min,
             self.launch("cfl_minval", body, entry="kernels_region", reads=ALL_FIELDS),
         )
@@ -623,17 +455,10 @@ class MasModel:
 
     def step(self) -> StepTiming:
         """Advance the full system one step; returns timing deltas."""
-        tel = _telemetry()
-        for rt in self.ranks:
-            rt.sync()
-        t0 = [rt.clock.now for rt in self.ranks]
-        mpi0 = [rt.clock.mpi_time for rt in self.ranks]
-        comp0 = [rt.clock.by_category.get(TimeCategory.COMPUTE, 0.0) for rt in self.ranks]
-        launches0 = sum(rt.stats.launches for rt in self.ranks)
-        cat0 = [dict(rt.clock.by_category) for rt in self.ranks] if tel.enabled else None
-
-        span = tel.tracer.span
-        with span("step", index=self.steps_taken, model=self._tel_prefix):
+        run = self.runtime
+        span = run.span
+        run.begin_step()
+        with run.phase("step", index=self.steps_taken):
             with span("step/exchange"):
                 self._wrapper_inits()
                 # Overlapped mode: packs/messages post on a detached
@@ -666,71 +491,13 @@ class MasModel:
 
         self.time = self.time + dt
         self.steps_taken += 1
-        for rt in self.ranks:
-            rt.sync()
-        wall = max(rt.clock.now - t for rt, t in zip(self.ranks, t0))
-        mpi = float(
-            np.mean([rt.clock.mpi_time - m for rt, m in zip(self.ranks, mpi0)])
+        return run.end_step(
+            self.steps_taken - 1,
+            float(np.min(dt)),
+            float(np.min(np.asarray(self.time))),
+            self.config.ensemble_size - int(self._member_breakdown.sum())
+            if self.ensemble else None,
         )
-        comp = float(
-            np.mean(
-                [
-                    rt.clock.by_category.get(TimeCategory.COMPUTE, 0.0) - c
-                    for rt, c in zip(self.ranks, comp0)
-                ]
-            )
-        )
-        launches = sum(rt.stats.launches for rt in self.ranks) - launches0
-        timing = StepTiming(
-            dt=float(np.min(dt)), wall=wall, mpi=mpi, compute=comp,
-            launches=launches,
-        )
-        if tel.enabled:
-            self._record_step(tel, timing, cat0)
-        return timing
-
-    def _record_step(self, tel, timing: StepTiming, cat0: list[dict]) -> None:
-        """Per-step metrics and one structured JSONL record."""
-        n = len(self.ranks)
-        categories: dict[str, float] = {}
-        for r, rt in enumerate(self.ranks):
-            for cat, t in rt.clock.by_category.items():
-                delta = t - cat0[r].get(cat, 0.0)
-                categories[cat.value] = categories.get(cat.value, 0.0) + delta / n
-        tel.metrics.counter("steps_total", "model steps completed").inc()
-        tel.metrics.histogram(
-            "step_seconds", "simulated wall seconds per step (max over ranks)"
-        ).observe(timing.wall)
-        tel.metrics.gauge("sim_dt", "last CFL timestep (simulation units)").set(
-            timing.dt
-        )
-        sim_time = float(np.min(np.asarray(self.time)))
-        tel.metrics.gauge("sim_time", "simulated physical time").set(sim_time)
-        extra: dict = {}
-        if self.ensemble:
-            nb = self.config.ensemble_size
-            active = nb - int(self._member_breakdown.sum())
-            tel.metrics.gauge(
-                "ensemble_members", "ensemble batch size B"
-            ).set(float(nb))
-            tel.metrics.gauge(
-                "ensemble_members_active",
-                "members not frozen by a PCG rho-breakdown",
-            ).set(float(active))
-            extra = {"ensemble_members": nb, "ensemble_members_active": active}
-        tel.logger.log(
-            "step",
-            step=self.steps_taken - 1,
-            dt=float(timing.dt),
-            wall=float(timing.wall),
-            mpi=float(timing.mpi),
-            compute=float(timing.compute),
-            launches=int(timing.launches),
-            sim_time=sim_time,
-            categories=categories,
-            **extra,
-        )
-        tel.maybe_snapshot_metrics()
 
     def run(self, n_steps: int) -> list[StepTiming]:
         """Advance ``n_steps`` steps, returning per-step timings."""
@@ -745,9 +512,7 @@ class MasModel:
         creation, adding initialization kernels per step that the original
         code did not have -- the paper's explanation for Code 6 trailing
         Code 2 slightly (SV-C)."""
-        if not self.rt_config.wrapper_init_kernels:
-            return
-        for rt in self.ranks:
+        for rt in self.runtime.ranks_when("wrapper_init_kernels"):
             with rt.region():
                 for name in WORK_ARRAYS:
                     rt.loop(KernelSpec(f"wrapper_zero_{name}", writes=(name,)))
@@ -905,7 +670,7 @@ class MasModel:
         if not self.config.semi_implicit:
             return
         p = self.config.params
-        c_max = self.allreduce(allreduce_max, self.launch(
+        c_max = self.runtime.allreduce(allreduce_max, self.launch(
             "si_wave_speed",
             lambda r: max_wave_speed(self.states[r], self.local_grids[r], p),
             entry="scalar_reduction", reads=ALL_FIELDS, tags=frozenset({"semi_implicit"}),
@@ -1050,9 +815,7 @@ class MasModel:
 
     def wall_time(self) -> float:
         """Simulated wall-clock so far (max over ranks)."""
-        for rt in self.ranks:
-            rt.sync()
-        return max(rt.clock.now for rt in self.ranks)
+        return self.runtime.wall_time()
 
     def ensemble_report(self) -> list[dict]:
         """One row per ensemble member: swept parameter values, simulated

@@ -60,9 +60,26 @@ class HaloSpec:
             raise ValueError("axes must be a nonempty subset of (0, 1, 2)")
 
 
+class ShapeOnly(NamedTuple):
+    """Stands in for a rank's array in a cost-only exchange: deriving a plan
+    reads an array's shape and nothing else, and the plan derived from these
+    has body-less pack and unpack kernels, so its walk prices every message
+    and moves no payload (a :class:`~repro.mas.plan.StepPlan` replay)."""
+
+    shape: tuple[int, ...]
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+
 #: One field participating in an exchange: (name, per-rank arrays,
 #: stagger axis or None).
-FieldItem = tuple[str, list[np.ndarray], "int | None"]
+FieldItem = tuple[str, "list[np.ndarray] | list[ShapeOnly]", "int | None"]
+
+
+def _cost_only(items: list[FieldItem]) -> bool:
+    return isinstance(items[0][1][0], ShapeOnly)
 
 _PACK_TAGS = frozenset({"mpi_pack"})
 
@@ -491,10 +508,12 @@ class HaloExchanger:
 
     def _guard(self, items: list[FieldItem]) -> tuple:
         """What a plan reads that can move under it: registrations, nominal
-        sizes and device presence (``env.epoch``), and the arrays' shapes."""
+        sizes and device presence (``env.epoch``), the arrays' shapes, and
+        whether there are arrays at all."""
         return (
             tuple(rt.env.epoch for rt in self.ranks),
             tuple(a.shape for _, locals_, _ in items for a in locals_),
+            _cost_only(items),
         )
 
     def _build_plan(self, items: list[FieldItem], spec: HaloSpec) -> _Plan:
@@ -530,6 +549,7 @@ class HaloExchanger:
         field, sender by sender, low face then high."""
         tr, pack_face, unpack_face = self.transport, self._live.pack, self._live.unpack
         planned = not tr.charges_move_state
+        cost_only = _cost_only(items)
         messages: list[_Message] = []
         for item, (field_name, locals_, stagger_axis) in enumerate(items):
             names = {d: _face_names(field_name, axis, d, g) for d in (-1, 1)}
@@ -553,7 +573,7 @@ class HaloExchanger:
                         reads=(field_name,) if field_name in rt.env else (),
                         writes=(out.send,),
                         bytes_override=2 * nbytes * self.pack_inefficiency,
-                        body=partial(pack_face, item, src, face),
+                        body=None if cost_only else partial(pack_face, item, src, face),
                         tags=_PACK_TAGS,
                     )
                     unpack = KernelSpec(
@@ -562,7 +582,8 @@ class HaloExchanger:
                         writes=(into.ghost,) if field_name in dst_rt.env else (),
                         bytes_override=2 * dst_rt.env.nominal_bytes(into.recv)
                         * self.pack_inefficiency,
-                        body=partial(unpack_face, item, dst, ghost, len(messages)),
+                        body=None if cost_only
+                        else partial(unpack_face, item, dst, ghost, len(messages)),
                         tags=_PACK_TAGS,
                     )
                     messages.append(_Message(

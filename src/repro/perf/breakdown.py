@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 from repro.codes import CodeVersion
 from repro.mas.model import MasModel
-from repro.perf.calibration import Calibration, PAPER_CALIBRATION, build_model, project_run_minutes
+from repro.mas.plan import run_planned
+from repro.perf.calibration import (
+    Calibration,
+    PAPER_CALIBRATION,
+    build_model,
+    model_settings,
+    project_run_minutes,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,10 +48,25 @@ def measure_breakdown(
     *,
     calibration: Calibration = PAPER_CALIBRATION,
     model: MasModel | None = None,
+    plans: dict | None = None,
 ) -> RunBreakdown:
-    """Run one code version and project its Fig. 3 bar."""
-    m = model or build_model(version, num_gpus, calibration=calibration)
-    timings = m.run(calibration.warmup_steps + calibration.bench_steps)
+    """Run one code version and project its Fig. 3 bar.
+
+    ``plans`` is a step-plan book the caller owns (start it as ``{}``) and
+    passes to every measurement of one sweep: the first of each (model
+    configuration, rank count) runs the physics and records its kernel
+    stream, the others replay that stream onto their own runtime side and
+    return the same numbers to the last bit (:mod:`repro.mas.plan`).
+    """
+    n_steps = calibration.warmup_steps + calibration.bench_steps
+    if model is not None or plans is None:
+        m = model or build_model(version, num_gpus, calibration=calibration)
+        timings = m.run(n_steps)
+    else:
+        config, rt_config, hardware = model_settings(
+            version, num_gpus, calibration=calibration
+        )
+        timings = run_planned(plans, n_steps, config, rt_config, **hardware)
     wall, mpi = project_run_minutes(timings, calibration=calibration)
     return RunBreakdown(
         version=version, num_gpus=num_gpus, wall_minutes=wall, mpi_minutes=mpi

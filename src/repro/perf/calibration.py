@@ -21,10 +21,12 @@ Provenance notes
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Any
 
 from repro.codes import CodeVersion, runtime_config_for
 from repro.machine.cpu import CpuNodeModel, EPYC_7742_NODE
 from repro.mas.model import MasModel, ModelConfig, NOMINAL_SHAPE_PAPER, StepTiming
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.cost import KernelCostModel
 from repro.runtime.stream import AsyncQueue
 from repro.util.units import seconds_to_minutes
@@ -101,6 +103,14 @@ class Calibration:
     bench_steps: int = 2
     warmup_steps: int = 1
 
+    def __post_init__(self) -> None:
+        if self.bench_steps < 1:
+            raise ValueError("bench_steps must be at least 1")
+        if self.warmup_steps < 0:
+            raise ValueError("warmup_steps cannot be negative")
+        if self.paper_steps < 1:
+            raise ValueError("paper_steps must be at least 1")
+
     def cost_model(self) -> KernelCostModel:
         """Kernel cost model carrying these constants."""
         return KernelCostModel(
@@ -119,6 +129,18 @@ class Calibration:
             completion_latency=self.completion_latency,
         )
 
+    def hardware(self) -> dict[str, Any]:
+        """The ``MasModel`` / ``RuntimeSide`` keywords carrying these constants."""
+        return dict(
+            cost=self.cost_model(),
+            queue=self.queue(),
+            um_host_mpi_overhead=self.um_host_mpi_overhead,
+            um_page_amplification=self.um_page_amplification,
+            halo_pack_inefficiency=self.halo_pack_inefficiency,
+            halo_buffer_init_fraction=self.halo_buffer_init_fraction,
+            rank_jitter=self.rank_jitter,
+        )
+
 
 #: The calibration used by every paper experiment.
 PAPER_CALIBRATION = Calibration()
@@ -129,7 +151,7 @@ PAPER_CALIBRATION = Calibration()
 MEASURE_SHAPE = (10, 8, 16)
 
 
-def build_model(
+def model_settings(
     version: CodeVersion,
     num_ranks: int,
     *,
@@ -137,8 +159,9 @@ def build_model(
     shape: tuple[int, int, int] = MEASURE_SHAPE,
     nominal_shape: tuple[int, int, int] = NOMINAL_SHAPE_PAPER,
     extra_model_arrays: int = 67,
-) -> MasModel:
-    """Construct a MasModel for one code version under the calibration."""
+) -> tuple[ModelConfig, RuntimeConfig, dict[str, Any]]:
+    """One code version under the calibration, as ``MasModel``'s arguments:
+    model configuration, runtime configuration, hardware keywords."""
     rt_cfg = runtime_config_for(version)
     if calibration.cross_region_fusion:
         rt_cfg = replace(rt_cfg, cross_region_fusion=True)
@@ -155,17 +178,14 @@ def build_model(
         extra_model_arrays=extra_model_arrays,
         halo_overlap=calibration.halo_overlap,
     )
-    return MasModel(
-        model_cfg,
-        rt_cfg,
-        cost=calibration.cost_model(),
-        queue=calibration.queue(),
-        um_host_mpi_overhead=calibration.um_host_mpi_overhead,
-        um_page_amplification=calibration.um_page_amplification,
-        halo_pack_inefficiency=calibration.halo_pack_inefficiency,
-        halo_buffer_init_fraction=calibration.halo_buffer_init_fraction,
-        rank_jitter=calibration.rank_jitter,
-    )
+    return model_cfg, rt_cfg, calibration.hardware()
+
+
+def build_model(version: CodeVersion, num_ranks: int, **settings: Any) -> MasModel:
+    """Construct a MasModel for one code version under the calibration
+    (keywords as :func:`model_settings`)."""
+    model_cfg, rt_cfg, hardware = model_settings(version, num_ranks, **settings)
+    return MasModel(model_cfg, rt_cfg, **hardware)
 
 
 def project_run_minutes(
@@ -179,9 +199,9 @@ def project_run_minutes(
     warmup step, which carries one-time UM first-touch faults) times
     ``paper_steps``.
     """
-    if not timings:
-        raise ValueError("no timings to project")
-    steady = timings[calibration.warmup_steps:] or timings
+    steady = timings[calibration.warmup_steps:]
+    if not steady:
+        raise ValueError("no timings past the warm-up steps to project")
     wall = sum(t.wall for t in steady) / len(steady)
     mpi = sum(t.mpi for t in steady) / len(steady)
     n = calibration.paper_steps

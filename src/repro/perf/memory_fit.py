@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 from repro.machine.gpu import A100_40GB
 from repro.machine.spec import GpuSpec
-from repro.mas.model import WORK_ARRAYS
+from repro.mas.runtime_side import WORK_ARRAYS
 from repro.mas.state import ALL_FIELDS
 from repro.mpi.decomp import Decomposition3D
 from repro.util.units import fmt_bytes
 
-#: Arrays per rank in the full model (see MasModel._register_arrays).
+#: Arrays per rank in the full model (see RuntimeSide.register_arrays).
 STATE_ARRAYS = len(ALL_FIELDS)
 MODEL_WORK_ARRAYS = len(WORK_ARRAYS)
 #: The full CORHEL physics complement (DESIGN.md: MAS holds ~100 arrays).

@@ -55,10 +55,14 @@ def measure_scaling(
     *,
     gpu_counts: tuple[int, ...] = GPU_COUNTS,
     calibration: Calibration = PAPER_CALIBRATION,
+    plans: dict | None = None,
 ) -> ScalingSeries:
-    """Measure one code version's scaling curve."""
+    """Measure one code version's scaling curve (``plans``: the sweep's
+    step-plan book, see :func:`~repro.perf.breakdown.measure_breakdown`)."""
     points = []
     for n in gpu_counts:
-        b: RunBreakdown = measure_breakdown(version, n, calibration=calibration)
+        b: RunBreakdown = measure_breakdown(
+            version, n, calibration=calibration, plans=plans
+        )
         points.append(ScalingPoint(n, b.wall_minutes, b.mpi_minutes))
     return ScalingSeries(version=version, points=tuple(points))

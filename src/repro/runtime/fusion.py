@@ -11,6 +11,7 @@ group.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,35 +107,41 @@ def validate_plan(
 
     Returns human-readable violations (empty list = valid plan):
 
-    * every original kernel appears in the plan exactly once;
+    * every original kernel appears in the plan exactly as often as it was
+      launched (a replayed step plan launches one interned spec object many
+      times; equal launches are interchangeable);
     * no group fuses two kernels with a RAW/WAR/WAW hazard between them;
     * every hazard-ordered pair of the original sequence stays ordered
       (the earlier kernel's group launches strictly before the later's).
     """
     violations: list[str] = []
-    group_of: dict[int, int] = {}
+    launched = Counter(id(k) for k in original)
+    groups_of: dict[int, list[int]] = {}  # object -> its groups, in launch order
     for gi, g in enumerate(groups):
         for k in g.kernels:
-            if id(k) in group_of:
+            at = groups_of.setdefault(id(k), [])
+            at.append(gi)
+            if len(at) > launched[id(k)]:
                 violations.append(f"kernel {k.name!r} appears twice in the plan")
-            group_of[id(k)] = gi
     for k in original:
-        if id(k) not in group_of:
+        if len(groups_of.get(id(k), ())) < launched[id(k)]:
             violations.append(f"kernel {k.name!r} missing from the plan")
-    if len(group_of) != len(original):
+    if violations:
         return violations  # membership broken; ordering checks meaningless
+    # the n-th launch of an object sits in the n-th of its groups
+    group_of = [groups_of[id(k)].pop(0) for k in original]
     for i, a in enumerate(original):
-        for b in original[i + 1:]:
+        for j, b in enumerate(original[i + 1:], i + 1):
             hz = hazards_between(a.reads, a.writes, b.reads, b.writes)
             if not hz:
                 continue
             kinds = "/".join(sorted(h.name for h in hz))
-            if group_of[id(a)] == group_of[id(b)]:
+            if group_of[i] == group_of[j]:
                 violations.append(
                     f"{kinds} hazard between {a.name!r} and {b.name!r} "
                     "fused into one group"
                 )
-            elif group_of[id(a)] > group_of[id(b)]:
+            elif group_of[i] > group_of[j]:
                 violations.append(
                     f"{kinds} hazard: {b.name!r} reordered before {a.name!r}"
                 )

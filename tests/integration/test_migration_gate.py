@@ -88,28 +88,27 @@ CASES.update({
 })
 
 
-def build(case: str) -> mas.MasModel:
+def configs(case: str) -> tuple:
+    """``MasModel``'s two configurations for one case."""
     version, ranks, fuse, overlap, fields = CASES[case]
     rt_cfg = codes.runtime_config_for(codes.CodeVersion[version])
     if fuse:
         rt_cfg = replace(rt_cfg, cross_region_fusion=True)
-    return mas.MasModel(
-        mas.ModelConfig(
-            shape=SHAPE, num_ranks=ranks, halo_overlap=overlap,
-            **{**MODEL_SETTINGS, **fields},
-        ),
-        rt_cfg,
-    )
+    return mas.ModelConfig(
+        shape=SHAPE, num_ranks=ranks, halo_overlap=overlap,
+        **{**MODEL_SETTINGS, **fields},
+    ), rt_cfg
 
 
-def record(model: mas.MasModel) -> dict:
-    """Everything pricing may not move, floats as hex."""
-    digest = hashlib.sha256()
-    for state in model.states:
-        for name in ALL_FIELDS:
-            digest.update(np.ascontiguousarray(state.get(name)).tobytes())
+def build(case: str) -> mas.MasModel:
+    return mas.MasModel(*configs(case))
+
+
+def record_runtime(run) -> dict:
+    """The priced half of :func:`record`, off a model or off a bare
+    :class:`~repro.mas.runtime_side.RuntimeSide` (a replayed plan)."""
     ranks = []
-    for rt in model.ranks:
+    for rt in run.ranks:
         um = getattr(rt.env, "um", None)
         ranks.append({
             "by_category": {
@@ -119,13 +118,21 @@ def record(model: mas.MasModel) -> dict:
             "launch_stats": asdict(rt.stats),
             "um_stats": None if um is None else asdict(um.stats),
         })
-    out = {
-        "state_sha256": digest.hexdigest(),
-        "wall_time": model.wall_time().hex(),
-        "halo_messages": model.halo.messages,
-        "halo_bytes": model.halo.bytes_sent,
+    return {
+        "wall_time": run.wall_time().hex(),
+        "halo_messages": run.halo.messages,
+        "halo_bytes": run.halo.bytes_sent,
         "ranks": ranks,
     }
+
+
+def record(model: mas.MasModel) -> dict:
+    """Everything pricing may not move, floats as hex."""
+    digest = hashlib.sha256()
+    for state in model.states:
+        for name in ALL_FIELDS:
+            digest.update(np.ascontiguousarray(state.get(name)).tobytes())
+    out = {"state_sha256": digest.hexdigest(), **record_runtime(model)}
     if model.ensemble:  # per-member clocks and PCG ledger
         out["members"] = model.ensemble_report()
     return out

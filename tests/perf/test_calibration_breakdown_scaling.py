@@ -35,6 +35,23 @@ class TestCalibration:
         with pytest.raises(ValueError):
             project_run_minutes([])
 
+    @pytest.mark.parametrize("field,value", [
+        ("bench_steps", 0), ("warmup_steps", -1), ("paper_steps", 0),
+    ])
+    def test_step_counts_are_validated(self, field, value):
+        """``bench_steps=0`` used to project the warm-up step, first-touch
+        faults and all (310.0 minutes for Code 3 on 2 GPUs against 140.3),
+        and to divide by zero in ``measure_categories``."""
+        with pytest.raises(ValueError, match=field) as err:
+            Calibration(**{field: value})
+        assert "\n" not in str(err.value)
+
+    def test_the_warm_up_step_is_never_projected(self):
+        m = build_model(CodeVersion.ADU, 2, calibration=FAST, extra_model_arrays=3)
+        warmup_only = m.run(FAST.warmup_steps)
+        with pytest.raises(ValueError, match="warm-up"):
+            project_run_minutes(warmup_only, calibration=FAST)
+
     def test_projection_scales_with_paper_steps(self):
         m = build_model(CodeVersion.A, 1, calibration=FAST, extra_model_arrays=3)
         ts = m.run(2)

@@ -497,6 +497,11 @@ class TestSweep:
         assert "step" not in captured.out
         assert not current().enabled
 
+    def test_an_experiment_command_reports_it_the_same_way(self, capsys):
+        assert main(["categories", "--ranks", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: need at least one rank\n"
+
     def test_one_member_sweep_runs_the_varied_value(self, capsys):
         """``--members 1`` is a run with that parameter set, not the
         default run labelled with it."""
