@@ -12,6 +12,8 @@ performance model consumes. Documented in DESIGN.md S2.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.mas.constants import PhysicsParams
@@ -19,9 +21,12 @@ from repro.mas.grid import LocalGrid
 from repro.mas.operators import diffuse_flux_div, harmonic_face_coeff
 
 
-def kappa_centered(temp: np.ndarray, params: PhysicsParams) -> np.ndarray:
-    """kappa(T) = kappa0 * T^{5/2} at cell centers, floored for safety."""
-    kap = np.maximum(temp, params.temp_floor)
+def kappa_centered(
+    temp: np.ndarray, params: PhysicsParams, out: np.ndarray | None = None
+) -> np.ndarray:
+    """kappa(T) = kappa0 * T^{5/2} at cell centers, floored for safety
+    (into ``out`` when given)."""
+    kap = np.maximum(temp, params.temp_floor, out=out)
     np.power(kap, 2.5, out=kap)
     kap *= params.kappa0
     return kap
@@ -30,14 +35,20 @@ def kappa_centered(temp: np.ndarray, params: PhysicsParams) -> np.ndarray:
 def conduction_rhs(
     temp: np.ndarray, rho: np.ndarray, grid: LocalGrid, params: PhysicsParams
 ) -> np.ndarray:
-    """dT/dt = (gamma-1)/rho * div(kappa(T) grad T)."""
+    """dT/dt = (gamma-1)/rho * div(kappa(T) grad T).
+
+    Allocates the returned array only: kappa, the face coefficients and the
+    floored density live in the grid's scratch.
+    """
+    cells = grid.flat_scratch(math.prod(temp.shape[:-3])).cells.reshape(temp.shape)
     out = diffuse_flux_div(
-        temp, grid, harmonic_face_coeff(kappa_centered(temp, params))
+        temp, grid, harmonic_face_coeff(kappa_centered(temp, params, cells), grid)
     )
     # ((gamma-1) * div) / rho, in place on the one fresh array (rim stays 0)
-    interior = out[..., 1:-1, 1:-1, 1:-1]
+    inner = (Ellipsis, slice(1, -1), slice(1, -1), slice(1, -1))
+    interior = out[inner]
     interior *= params.gamma - 1.0
-    interior /= np.maximum(rho[..., 1:-1, 1:-1, 1:-1], params.rho_floor)
+    interior /= np.maximum(rho[inner], params.rho_floor, out=cells[inner])
     return out
 
 

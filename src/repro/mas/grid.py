@@ -97,18 +97,43 @@ def _extend_edges(edges: np.ndarray, g: int, *, periodic: bool, span: float = 0.
     return np.concatenate([lo, edges, hi])
 
 
-class StencilMetrics(NamedTuple):
-    """What the one-cell diffusion stencil reads of a :class:`LocalGrid`.
+class FlatStencil(NamedTuple):
+    """What the centred stencils read of a :class:`LocalGrid`, on its flat index.
 
-    Per axis (r, theta, phi): the physical distance between adjacent cell
-    centres and the area of the internal face between them. Every array is
-    cut to the cells a flux difference can reach: ``[1:-1]`` along the axes
-    transverse to its own stagger axis, and along all three for ``volume``.
+    The ghosted block's C-order flat index ``n = (i NT + j) NP + k`` puts the
+    neighbour along axis ``a`` at the fixed offset ``step[a] = (NT NP, NP, 1)``;
+    a face is named by its lower cell, so face arrays are indexed like cell
+    arrays. The stencils compute the cells ``[lo, hi)``, first interior cell
+    to last, so along ``a`` they read the faces ``faces[a][0]`` =
+    ``[lo - step[a], hi)``, whose upper cells are ``faces[a][1]`` (both empty
+    on a block without interior cells). ``spacing`` and ``area`` are flat
+    face arrays, spacing 1 and area 0 on a face no interior cell bounds (a
+    transverse rim, or the wrap to the next row or plane): its flux is an
+    exact zero, read only by rim cells, which the operators zero.
+    ``weights`` are the interpolation weights ``(1 - w, w)`` per axis on
+    the faces of r planes ``0 .. NR-2`` viewed ``(NR-1, NT NP)``: r's a
+    column, theta's and phi's one plane row. ``volume`` is cut to ``[lo, hi)``.
     """
 
+    step: tuple[int, int, int]
+    lo: int
+    hi: int
+    faces: tuple[tuple[slice, slice], ...]
     spacing: tuple[np.ndarray, np.ndarray, np.ndarray]
     area: tuple[np.ndarray, np.ndarray, np.ndarray]
+    weights: tuple[tuple[np.ndarray, np.ndarray], ...]
     volume: np.ndarray
+
+
+class FlatScratch(NamedTuple):
+    """Work arrays of the centred stencils: ``coeff`` ``(3, B, N)`` (the
+    harmonic face coefficients), ``flux`` and ``cells`` ``(B, N)``, ``acc``
+    ``(B, hi - lo)``."""
+
+    coeff: np.ndarray
+    flux: np.ndarray
+    cells: np.ndarray
+    acc: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -279,50 +304,80 @@ class LocalGrid:
         )
 
     @cached_property
-    def stencil_metrics(self) -> StencilMetrics:
-        """Spacings, face areas and volumes of the diffusion stencil."""
-        inner = (slice(1, -1),) * 3
-        d_r = np.diff(self.rc)[:, None, None]
-        d_t = (self.rc[:, None] * np.diff(self.tc)[None, :])[:, :, None]
-        d_p = (
+    def zero_area(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+        """Per axis, a mask of the faces whose area is zero, or None when
+        every face has area (polar-cutout grids)."""
+        areas = (self.area_r, self.area_t, self.area_p)
+        return tuple(None if a.all() else a == 0 for a in areas)  # type: ignore[return-value]
+
+    @cached_property
+    def flat(self) -> FlatStencil:
+        """Spacings, areas, weights and volumes of the centred stencils."""
+        nr, nt, np_ = self.shape
+        step = (nt * np_, np_, 1)
+        lo = sum(step)
+        hi = max(nr * nt * np_ - lo, lo)
+
+        def on_faces(axis: int, value: np.ndarray, neutral: float) -> np.ndarray:
+            # ``value`` broadcasts to the faces between consecutive cells along
+            # ``axis``; kept where both transverse indices are interior
+            faces = tuple(n - (a == axis) for a, n in enumerate(self.shape))
+            across = tuple(slice(None) if a == axis else slice(1, -1) for a in range(3))
+            full = np.full(self.shape, neutral)
+            full[tuple(map(slice, faces))][across] = np.broadcast_to(value, faces)[across]
+            return full.ravel()
+
+        def weights(axis: int) -> tuple[np.ndarray, np.ndarray]:
+            c, e = (self.rc, self.tc, self.pc)[axis], (self.re, self.te, self.pe)[axis]
+            w = (e[1:-1] - c[:-1]) / (c[1:] - c[:-1])
+            if axis == 0:
+                return (1.0 - w)[:, None], w[:, None]
+            plane = (lambda x: np.repeat(x, np_)) if axis == 1 else (lambda x: np.tile(x, nt))
+            return plane(np.append(1.0 - w, 0.0)), plane(np.append(w, 0.0))
+
+        spacing = (
+            np.diff(self.rc)[:, None, None],
+            (self.rc[:, None] * np.diff(self.tc)[None, :])[:, :, None],
             self.rc[:, None, None]
             * np.sin(self.tc)[None, :, None]
-            * np.diff(self.pc)[None, None, :]
+            * np.diff(self.pc)[None, None, :],
         )
-        return StencilMetrics(
-            spacing=(d_r, d_t[1:-1], np.ascontiguousarray(d_p[1:-1, 1:-1])),
-            area=(self.area_r[inner], self.area_t[inner], self.area_p[inner]),
-            volume=self.volume[inner],
+        area = (self.area_r[1:-1], self.area_t[:, 1:-1], self.area_p[:, :, 1:-1])
+        empty = slice(0, 0)
+        return FlatStencil(
+            step=step,
+            lo=lo,
+            hi=hi,
+            faces=tuple(
+                (slice(lo - s, hi), slice(lo, hi + s)) if hi > lo else (empty, empty)
+                for s in step
+            ),
+            spacing=tuple(on_faces(a, spacing[a], 1.0) for a in range(3)),  # type: ignore[arg-type]
+            area=tuple(on_faces(a, area[a], 0.0) for a in range(3)),  # type: ignore[arg-type]
+            weights=tuple(weights(a) for a in range(3)),
+            volume=self.volume.ravel()[lo:hi],
         )
 
     @cached_property
-    def _scratch(self) -> dict[tuple[int, ...], tuple[np.ndarray, ...]]:
-        """Scratch by leading shape; in ``__dict__``, so it dies with the grid."""
+    def _scratch(self) -> dict[int, FlatScratch]:
+        """Scratch by batch rows; in ``__dict__``, so it dies with the grid."""
         return {}
 
-    def stencil_scratch(self, lead: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """Work arrays of the diffusion stencil for one leading (member) shape.
+    def flat_scratch(self, rows: int) -> FlatScratch:
+        """Work arrays of the centred stencils for ``rows`` batched members.
 
-        Returns ``(flux_r, flux_t, flux_p, delta, acc)``: one face-flux
-        array per axis on its transverse interior (the three are views of
-        one buffer, so only one is live at a time) and two interior-shaped
-        arrays. They belong to this grid, are freed with it and hold
-        garbage between calls: a caller fills them, consumes them and
-        returns nothing that aliases them (docs/PHYSICS.md, workspace rule).
+        They belong to this grid, are freed with it and hold garbage between
+        calls: a caller fills them, consumes them and returns nothing that
+        aliases them but ``harmonic_face_coeff``'s ``coeff`` (docs/PHYSICS.md,
+        workspace rule).
         """
-        if lead not in self._scratch:
-            inner = lead + tuple(max(m - 2, 0) for m in self.shape)
-            faces = [
-                lead + tuple(max(m - 1 - (a != axis), 0) for a, m in enumerate(self.shape))
-                for axis in range(3)
-            ]
-            buf = np.empty(max(math.prod(s) for s in faces))
-            self._scratch[lead] = (
-                *(buf[: math.prod(s)].reshape(s) for s in faces),
-                np.empty(inner),
-                np.empty(inner),
+        if rows not in self._scratch:
+            n = math.prod(self.shape)
+            self._scratch[rows] = FlatScratch(
+                np.empty((3, rows, n)), np.empty((rows, n)), np.empty((rows, n)),
+                np.empty((rows, self.flat.hi - self.flat.lo)),
             )
-        return self._scratch[lead]
+        return self._scratch[rows]
 
     @cached_property
     def len_r(self) -> np.ndarray:

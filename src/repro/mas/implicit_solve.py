@@ -122,11 +122,16 @@ class ImplicitSolve:
         (``allreduce_many``) or posted (``allreduce_many_begin``).
 
         Scalar runs contribute a (k,) vector; ensemble runs a (k, B)
-        matrix -- still ONE collective either way.
+        matrix -- still ONE collective either way. Each distinct operand's
+        interior is copied contiguous once, for every pair that reads it.
         """
         def body(r: int) -> np.ndarray:
             i = self.interiors[r]
-            return np.array([_pair_dot(a[r][i], b[r][i]) for a, b in pairs])
+            arrays = {id(x[r]): x[r] for pair in pairs for x in pair}
+            interior = {key: np.ascontiguousarray(a[i]) for key, a in arrays.items()}
+            return np.array(
+                [_pair_dot(interior[id(a[r])], interior[id(b[r])]) for a, b in pairs]
+            )
 
         return self.model.runtime.allreduce(collective, self._launch(
             "dot_many", body, entry="scalar_reduction", reads=("pcg_r", "pcg_z")))

@@ -537,10 +537,10 @@ class MasModel:
                     "velocity_divergence", reads=("vr", "vt", "vp"),
                     writes=("wrk_divv",), body=divv_body))
 
-            def continuity_body(state=state, grid=grid, dt=dt, p=p) -> None:
-                div_rho_v = ops.advect_upwind(
-                    state.rho, state.vr, state.vt, state.vp, grid
-                )
+            def continuity_body(state=state, grid=grid, work=work, dt=dt, p=p) -> None:
+                # face velocities and donor masks of all five advections
+                work["upwind"] = ops.upwind_faces(state.vr, state.vt, state.vp, grid)
+                div_rho_v = ops.advect_upwind(state.rho, work["upwind"], grid)
                 i = grid.interior()
                 state.rho[i] -= dt * div_rho_v[i]
                 np.maximum(state.rho[i], p.rho_floor, out=state.rho[i])
@@ -550,9 +550,7 @@ class MasModel:
                 writes=("rho",), body=continuity_body))
 
             def temp_adv_body(state=state, grid=grid, work=work, dt=dt, p=p) -> None:
-                div_tv = ops.advect_upwind(
-                    state.temp, state.vr, state.vt, state.vp, grid
-                )
+                div_tv = ops.advect_upwind(state.temp, work["upwind"], grid)
                 i = grid.interior()
                 # v.grad T = div(T v) - T div v; compression adds (gamma-1) T div v
                 state.temp[i] -= dt * (
@@ -601,7 +599,10 @@ class MasModel:
             work = self._work[r]
 
             def lorentz_body(state=state, grid=grid, work=work) -> None:
-                work["lor"] = ops.lorentz_force(state.br, state.bt, state.bp, grid)
+                # J on edges, for the EMF of this step too (B is not written
+                # in between)
+                work["current"] = ops.current_edges(state.br, state.bt, state.bp, grid)
+                work["lor"] = ops.lorentz_force(state.br, state.bt, state.bp, work["current"])
 
             self._stencil_loop(r, rt, KernelSpec(
                 "lorentz_force", reads=("br", "bt", "bp"),
@@ -609,11 +610,15 @@ class MasModel:
                 body=lorentz_body))
 
             def adv_body(state=state, grid=grid, work=work) -> None:
-                work["adv"] = tuple(
-                    ops.advect_upwind(v, state.vr, state.vt, state.vp, grid)
-                    - v * ops.div_center(state.vr, state.vt, state.vp, grid)
-                    for v in (state.vr, state.vt, state.vp)
-                )
+                # (v.grad) v = div(v v) - v div v; nothing has written v
+                # since velocity_divergence made div v
+                upwind = work.pop("upwind")
+                divv = work.pop("divv")
+                adv = []
+                for v in (state.vr, state.vt, state.vp):
+                    adv.append(ops.advect_upwind(v, upwind, grid))
+                    adv[-1] -= v * divv
+                work["adv"] = tuple(adv)
 
             self._stencil_loop(r, rt, KernelSpec(
                 "momentum_advection", reads=("vr", "vt", "vp"),
@@ -695,17 +700,14 @@ class MasModel:
         eta = member_field(
             self._vary.get("resistivity", self.config.params.resistivity)
         )
-        all_emfs: list[dict[str, tuple]] = []
         for r, rt in enumerate(self.ranks):
-            state, grid = self.states[r], self.local_grids[r]
-            emfs: dict[str, tuple] = {}
-            all_emfs.append(emfs)
+            state, grid, work = self.states[r], self.local_grids[r], self._work[r]
 
-            def emf_body(state=state, grid=grid, emfs=emfs, eta=eta) -> None:
-                emfs["e"] = ops.emf_edges(
+            def emf_body(state=state, work=work, eta=eta) -> None:
+                work["emf"] = ops.emf_edges(
                     state.vr, state.vt, state.vp,
                     state.br, state.bt, state.bp,
-                    grid, resistivity=eta,
+                    work.pop("current"), resistivity=eta,
                 )
 
             # The EMF assembly calls pure interpolation/staggering routines
@@ -721,12 +723,11 @@ class MasModel:
         self._finish_exchange(pending)
 
         for r, rt in enumerate(self.ranks):
-            state, grid = self.states[r], self.local_grids[r]
-            emfs = all_emfs[r]
+            state, grid, work = self.states[r], self.local_grids[r], self._work[r]
 
-            def ct_body(arr: np.ndarray, axis: int, grid=grid, emfs=emfs):
+            def ct_body(arr: np.ndarray, axis: int, grid=grid, work=work):
                 def body() -> None:
-                    db = ops.ct_face_update(*emfs["e"], grid)[axis]
+                    db = ops.ct_face_component(*work["emf"], grid, axis)
                     fi = grid.face_interior(axis)
                     arr[fi] += dt * db[fi]
                 return body
@@ -737,6 +738,8 @@ class MasModel:
                 for (name, _), upd in zip(FACE_FIELDS, updates):
                     rt.loop(KernelSpec(f"ct_update_{name}", reads=reads,
                                        writes=(name,), body=upd))
+            # bodies run at launch: the last CT update has read the EMFs
+            del work["emf"]
 
     # -- conduction (STS) ---------------------------------------------------------------
 

@@ -13,18 +13,26 @@ currents) are one longer along the two transverse axes. 1-D grid metric
 arrays broadcast with trailing-axis alignment (``rc[:, None, None]`` has
 shape ``(nr, 1, 1)``), so they apply unchanged to batched arrays.
 
-Most operators here allocate one temporary per expression node. The
-diffusion family (`diffuse_flux_div` and its callers in
-:mod:`repro.mas.viscosity` and :mod:`repro.mas.conduction`), which a step
-applies some forty times, works in scratch owned by the grid and allocates
-its result only; docs/PHYSICS.md S3a states the rule it follows.
+The centred stencils (`diffuse_flux_div` and its callers in
+:mod:`repro.mas.viscosity` and :mod:`repro.mas.conduction`,
+`harmonic_face_coeff`, `advect_upwind`, `div_center`), which a step applies
+some fifty times, run on the ghosted block's flat index
+(:class:`~repro.mas.grid.FlatStencil`), where every pass is one contiguous
+operation per member, in scratch owned by the grid; they allocate their
+result only. docs/PHYSICS.md S3a states the rule they follow. The
+staggered-field operators allocate one temporary per expression node.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from repro.mas.grid import LocalGrid
+
+
+_ALL = slice(None)
 
 
 def _ax(f: np.ndarray, axis: int) -> int:
@@ -87,149 +95,182 @@ def grad_center(f: np.ndarray, grid: LocalGrid) -> tuple[np.ndarray, np.ndarray,
     return gr, gt, gp
 
 
-# -- finite-volume divergence of a centered vector ------------------------------
+# -- the centred stencils, on the flat index --------------------------------------
 
-#: Interior index of the trailing three (spatial) axes.
-_INNER = (Ellipsis, slice(1, -1), slice(1, -1), slice(1, -1))
+#: The rim cells in ``FlatStencil``'s range ``[lo, hi)``: the theta and phi
+#: ghost lines of the interior r planes.
+_RIM = tuple(
+    (Ellipsis, slice(1, -1), *cut) for cut in ((0, _ALL), (-1, _ALL), (_ALL, 0), (_ALL, -1))
+)
 
 
-def _face_interp(f: np.ndarray, centers: np.ndarray, faces: np.ndarray, axis: int) -> np.ndarray:
-    """Linear interpolation of centered values to internal face positions.
+def _rows(f: np.ndarray) -> np.ndarray:
+    """``f`` as ``(B, N)`` rows of its flat index, copied once if it is not
+    C-contiguous."""
+    return np.ascontiguousarray(f).reshape(-1, f.shape[-3] * f.shape[-2] * f.shape[-1])
 
-    Second-order on non-uniform grids, unlike the midpoint average (which
-    carries an O(stretch-ratio) error that never converges under
-    refinement at fixed ratio).
-    """
-    w = (faces[1:-1] - centers[:-1]) / (centers[1:] - centers[:-1])
-    shape = [1, 1, 1]
-    shape[axis] = w.size
-    w = w.reshape(shape)
-    a = _ax(f, axis)
-    lo = [slice(None)] * f.ndim
-    hi = [slice(None)] * f.ndim
-    lo[a] = slice(None, -1)
-    hi[a] = slice(1, None)
-    return (1.0 - w) * f[tuple(lo)] + w * f[tuple(hi)]
+
+def _planes(a: np.ndarray, start: int, count: int, size: int) -> np.ndarray:
+    """``a[:, start : start + count * size]`` viewed as ``(B, count, size)``."""
+    return a[:, start : start + count * size].reshape(a.shape[0], count, size)
+
+
+def _flux_divergence(
+    shape: tuple[int, ...],
+    grid: LocalGrid,
+    rows: int,
+    face_flux: Callable[[int, np.ndarray, np.ndarray], None],
+) -> np.ndarray:
+    """``((dr + dt) + dp) / V`` at the interior cells of a fresh ``shape``
+    array, rim zero, where ``face_flux(axis, flux, spare)`` fills the faces
+    ``FlatStencil.faces`` names in the ``(B, N)`` scratch ``flux`` (``spare``
+    is another it may use) and ``d = flux[m] - flux[m - step]``."""
+    st = grid.flat
+    out = np.empty(shape)
+    cells = out.reshape(rows, -1)
+    cells[:, : st.lo] = 0.0
+    cells[:, st.hi :] = 0.0
+    scratch = grid.flat_scratch(rows)
+    flux, acc, delta = scratch.flux, scratch.acc, scratch.cells[:, : st.hi - st.lo]
+    for axis, step in enumerate(st.step):
+        face_flux(axis, flux, scratch.cells)
+        np.subtract(
+            flux[:, st.lo : st.hi], flux[:, st.lo - step : st.hi - step],
+            out=delta if axis else acc,
+        )
+        if axis:
+            acc += delta
+    np.divide(acc, st.volume, out=cells[:, st.lo : st.hi])
+    for rim in _RIM:
+        out[rim] = 0.0
+    return out
 
 
 def div_center(
     vr: np.ndarray, vt: np.ndarray, vp: np.ndarray, grid: LocalGrid
 ) -> np.ndarray:
-    """FV divergence of a cell-centered vector; valid away from the rim."""
-    out = np.zeros_like(vr)
-    fr = _face_interp(vr, grid.rc, grid.re, 0) * grid.area_r[1:-1]
-    ft = _face_interp(vt, grid.tc, grid.te, 1) * grid.area_t[:, 1:-1]
-    fp = _face_interp(vp, grid.pc, grid.pe, 2) * grid.area_p[:, :, 1:-1]
-    out[_INNER] = (
-        _diff(fr, 0)[..., :, 1:-1, 1:-1]
-        + _diff(ft, 1)[..., 1:-1, :, 1:-1]
-        + _diff(fp, 2)[..., 1:-1, 1:-1, :]
-    ) / grid.volume[1:-1, 1:-1, 1:-1]
-    return out
+    """FV divergence of a cell-centered vector; valid away from the rim.
+
+    Face values are the linear interpolation ``(1 - w) f_lo + w f_hi`` to the
+    face position: second-order on non-uniform grids, unlike the midpoint
+    average (which carries an O(stretch-ratio) error that never converges
+    under refinement at fixed ratio).
+    """
+    st = grid.flat
+    v = [_rows(c) for c in (vr, vt, vp)]
+    planes = (v[0].shape[1] // st.step[0] - 1, st.step[0])  # r planes 0 .. NR-2
+
+    def face_flux(axis: int, flux: np.ndarray, spare: np.ndarray) -> None:
+        (lower, _), (below, above) = st.faces[axis], st.weights[axis]
+        np.multiply(below, _planes(v[axis], 0, *planes), out=_planes(flux, 0, *planes))
+        np.multiply(above, _planes(v[axis], st.step[axis], *planes), out=_planes(spare, 0, *planes))
+        flux[:, lower] += spare[:, lower]
+        flux[:, lower] *= st.area[axis][lower]
+
+    return _flux_divergence(vr.shape, grid, v[0].shape[0], face_flux)
 
 
 # -- upwind advection ------------------------------------------------------------
 
 
-def advect_upwind(
-    f: np.ndarray,
-    vr: np.ndarray,
-    vt: np.ndarray,
-    vp: np.ndarray,
-    grid: LocalGrid,
-) -> np.ndarray:
+class UpwindFaces(NamedTuple):
+    """What every donor-cell advection by one velocity field shares.
+
+    Per axis, on the faces ``FlatStencil.faces`` names: the face velocity
+    ``0.5 (v_lo + v_hi)``, and whether it is positive (the lower cell is
+    the donor).
+    """
+
+    velocity: tuple[np.ndarray, np.ndarray, np.ndarray]
+    from_below: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def upwind_faces(
+    vr: np.ndarray, vt: np.ndarray, vp: np.ndarray, grid: LocalGrid
+) -> UpwindFaces:
+    """Face velocities and donor masks of ``(vr, vt, vp)`` (fresh arrays)."""
+    velocity = []
+    for (lower, upper), v in zip(grid.flat.faces, (vr, vt, vp)):
+        rows = _rows(v)
+        velocity.append(np.add(rows[:, lower], rows[:, upper]))
+        velocity[-1] *= 0.5
+    return UpwindFaces(tuple(velocity), tuple(v > 0.0 for v in velocity))  # type: ignore[arg-type]
+
+
+def advect_upwind(f: np.ndarray, upwind: UpwindFaces, grid: LocalGrid) -> np.ndarray:
     """FV upwind divergence of the flux f*v: returns div(f v) at centers.
 
-    First-order donor-cell, unconditionally TVD -- the robust transport
-    choice for a reproduction focused on kernel streams, not shock
-    sharpness.
+    ``upwind`` is :func:`upwind_faces` of v. First-order donor-cell,
+    unconditionally TVD -- the robust transport choice for a reproduction
+    focused on kernel streams, not shock sharpness.
     """
-    out = np.zeros_like(f)
+    st = grid.flat
+    rows = _rows(f)
 
-    def face_flux(v: np.ndarray, axis: int, area: np.ndarray) -> np.ndarray:
-        vbar = _avg(v, axis)
-        a = _ax(f, axis)
-        lo = [slice(None)] * f.ndim
-        hi = [slice(None)] * f.ndim
-        lo[a] = slice(None, -1)
-        hi[a] = slice(1, None)
-        fup = np.where(vbar > 0.0, f[tuple(lo)], f[tuple(hi)])
-        return vbar * fup * area
+    def face_flux(axis: int, flux: np.ndarray, spare: np.ndarray) -> None:
+        lower, upper = st.faces[axis]
+        out = flux[:, lower]
+        np.copyto(out, rows[:, upper])
+        np.copyto(out, rows[:, lower], where=upwind.from_below[axis])
+        out *= upwind.velocity[axis]
+        out *= st.area[axis][lower]
 
-    fr = face_flux(vr, 0, grid.area_r[1:-1])
-    ft = face_flux(vt, 1, grid.area_t[:, 1:-1])
-    fp = face_flux(vp, 2, grid.area_p[:, :, 1:-1])
-    out[_INNER] = (
-        _diff(fr, 0)[..., :, 1:-1, 1:-1]
-        + _diff(ft, 1)[..., 1:-1, :, 1:-1]
-        + _diff(fp, 2)[..., 1:-1, 1:-1, :]
-    ) / grid.volume[1:-1, 1:-1, 1:-1]
-    return out
+    return _flux_divergence(f.shape, grid, rows.shape[0], face_flux)
 
 
 # -- diffusion (viscosity / conduction building block) ---------------------------
 
 
-def _axis_index(axis: int, along: slice, across: slice) -> tuple:
-    """Index taking ``along`` on spatial ``axis`` and ``across`` on the other two."""
-    return (Ellipsis, *(along if a == axis else across for a in range(3)))
-
-
-_ALL = slice(None)
-#: Per axis: the two neighbours of every internal face, and the cut of a
-#: face array to its transverse interior (``[1:-1]`` on the other two axes),
-#: the only faces the final flux difference reads.
-_BELOW = tuple(_axis_index(a, slice(None, -1), _ALL) for a in range(3))
-_ABOVE = tuple(_axis_index(a, slice(1, None), _ALL) for a in range(3))
-_ACROSS_INNER = tuple(_axis_index(a, _ALL, slice(1, -1)) for a in range(3))
-
-
 def diffuse_flux_div(
-    f: np.ndarray, grid: LocalGrid, coeff_face: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    f: np.ndarray, grid: LocalGrid, coeff_face: np.ndarray | None = None
 ) -> np.ndarray:
     """FV div(c grad f) at centers with face coefficients.
 
-    ``coeff_face`` holds coefficients on internal faces per axis (shapes of
-    ``_avg(f, axis)``); ``None`` means unit coefficient.
+    ``coeff_face`` is what :func:`harmonic_face_coeff` returns (``(B, N)``
+    rows per axis on the flat faces); ``None`` means unit coefficient.
 
     Allocates the returned array only: face fluxes and the running sum
-    live in the grid's scratch (`LocalGrid.stencil_scratch`). The order of
+    live in the grid's scratch (`LocalGrid.flat_scratch`). The order of
     operations, ``(diff / d) [* c] * area`` per face and
     ``((dr + dt) + dp) / V`` per cell, is frozen: state digests depend on it.
     """
-    out = np.zeros_like(f)
-    metrics = grid.stencil_metrics
-    *fluxes, delta, acc = grid.stencil_scratch(f.shape[:-3])
-    for axis, flux in enumerate(fluxes):
-        below, above, across = _BELOW[axis], _ABOVE[axis], _ACROSS_INNER[axis]
-        fi = f[across]
-        np.subtract(fi[above], fi[below], out=flux)
-        flux /= metrics.spacing[axis]
+    st = grid.flat
+    rows = _rows(f)
+
+    def face_flux(axis: int, flux: np.ndarray, spare: np.ndarray) -> None:
+        lower, upper = st.faces[axis]
+        out = flux[:, lower]
+        np.subtract(rows[:, upper], rows[:, lower], out=out)
+        out /= st.spacing[axis][lower]
         if coeff_face is not None:
-            flux *= coeff_face[axis][across]
-        flux *= metrics.area[axis]
-        np.subtract(flux[above], flux[below], out=delta if axis else acc)
-        if axis:
-            acc += delta
-    np.divide(acc, metrics.volume, out=out[_INNER])
-    return out
+            out *= coeff_face[axis][:, lower]
+        out *= st.area[axis][lower]
+
+    return _flux_divergence(f.shape, grid, rows.shape[0], face_flux)
 
 
-def harmonic_face_coeff(
-    c: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Harmonic mean of a positive centered coefficient onto internal faces."""
+def harmonic_face_coeff(c: np.ndarray, grid: LocalGrid) -> np.ndarray:
+    """Harmonic mean ``((2 x) y) / (x + y)`` of a positive centered
+    coefficient onto the flat faces.
+
+    Returns the grid's ``(3, B, N)`` coefficient scratch: along axis ``a``
+    face ``n`` (between cells ``n`` and ``n + step[a]``) for
+    ``n < N - step[a]``, garbage beyond. It is what :func:`diffuse_flux_div`
+    takes, and valid until the next call on this grid with as many rows.
+    """
     if np.any(c <= 0):
         raise ValueError("harmonic mean requires positive coefficients")
-
-    def h(axis: int) -> np.ndarray:
-        x, y = c[_BELOW[axis]], c[_ABOVE[axis]]
-        out = 2.0 * x
+    rows = _rows(c)
+    n = rows.shape[1]
+    scratch = grid.flat_scratch(rows.shape[0])
+    for axis, step in enumerate(grid.flat.step):
+        x, y = rows[:, : n - step], rows[:, step:]
+        out, total = scratch.coeff[axis, :, : n - step], scratch.flux[:, : n - step]
+        np.multiply(2.0, x, out=out)
         out *= y
-        out /= x + y
-        return out
-
-    return h(0), h(1), h(2)
+        np.add(x, y, out=total)
+        out /= total
+    return scratch.coeff
 
 
 # -- staggered field machinery (constrained transport) ----------------------------
@@ -261,7 +302,7 @@ def emf_edges(
     br: np.ndarray,
     bt: np.ndarray,
     bp: np.ndarray,
-    grid: LocalGrid,
+    current: tuple[np.ndarray, np.ndarray, np.ndarray],
     *,
     resistivity: float | np.ndarray = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,8 +311,9 @@ def emf_edges(
     Returns (Er, Et, Ep) with spatial shapes (nc, ne, ne), (ne, nc, ne),
     (ne, ne, nc) per axis (ne = nc + 1 edges). Rim entries (where the
     averaging stencil leaves the ghosted block) are zero; interior face
-    updates never read them. ``resistivity`` may be a per-member array
-    broadcastable against the edge arrays (e.g. shape ``(B, 1, 1, 1)``).
+    updates never read them. ``current`` is :func:`current_edges` of this
+    B. ``resistivity`` may be a per-member array broadcastable against the
+    edge arrays (e.g. shape ``(B, 1, 1, 1)``).
     """
     lead = vr.shape[:-3]
     nrg, ntg, npg = vr.shape[-3:]
@@ -303,7 +345,7 @@ def emf_edges(
     et[..., 1:-1, :, 1:-1] = et_core
 
     if np.any(np.asarray(resistivity) > 0.0):
-        jr, jt, jp = current_edges(br, bt, bp, grid)
+        jr, jt, jp = current
         er += resistivity * jr
         et += resistivity * jt
         ep += resistivity * jp
@@ -344,45 +386,45 @@ def current_edges(
     return jr, jt, jp
 
 
-def ct_face_update(
-    er: np.ndarray,
-    et: np.ndarray,
-    ep: np.ndarray,
-    grid: LocalGrid,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """dB/dt on faces from edge EMF circulation (exactly divergence-free).
+#: Per face axis, the circulation of E around the face as two edge terms,
+#: first minus second, each ``(edge axis, difference axis)``: the cyclic
+#: orientation (r, theta, phi).
+_CIRCULATION = (((2, 1), (1, 2)), ((0, 2), (2, 0)), ((1, 0), (0, 1)))
+
+
+def ct_face_component(
+    er: np.ndarray, et: np.ndarray, ep: np.ndarray, grid: LocalGrid, axis: int
+) -> np.ndarray:
+    """dB/dt on the faces normal to ``axis`` from edge EMF circulation.
 
     Faraday's law in integral form: dB_a * A_a = -circulation of E around
-    the face, with the cyclic orientation (r, theta, phi).
+    the face. Faces of zero area (degenerate grids only: the polar cutout
+    excludes sin = 0) get zero; every other face keeps what the EMFs give,
+    a NaN or infinite one included, so a bad EMF reaches the health checks.
     """
-    lr = grid.len_r
-    lt = grid.len_t
-    lp = grid.len_p
-
-    circ_r = _diff(ep * lp, 1) - _diff(et * lt, 2)   # (nrg+1, ntg, npg)
-    circ_t = _diff(er * lr, 2) - _diff(ep * lp, 0)   # (nrg, ntg+1, npg)
-    circ_p = _diff(et * lt, 0) - _diff(er * lr, 1)   # (nrg, ntg, npg+1)
-
+    emf, length = (er, et, ep), (grid.len_r, grid.len_t, grid.len_p)
+    (a, da), (b, db) = _CIRCULATION[axis]
+    circ = _diff(emf[a] * length[a], da) - _diff(emf[b] * length[b], db)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dbr = -circ_r / grid.area_r
-        dbt = -circ_t / grid.area_t
-        dbp = -circ_p / grid.area_p
-    # polar-cutout faces have finite area here (cutout excludes sin=0), but
-    # guard anyway for degenerate test grids
-    for a in (dbr, dbt, dbp):
-        np.nan_to_num(a, copy=False, posinf=0.0, neginf=0.0)
-    return dbr, dbt, dbp
+        out = -circ / (grid.area_r, grid.area_t, grid.area_p)[axis]
+    zero = grid.zero_area[axis]
+    if zero is not None:
+        out[..., zero] = 0.0
+    return out
 
 
 def lorentz_force(
-    br: np.ndarray, bt: np.ndarray, bp: np.ndarray, grid: LocalGrid
+    br: np.ndarray,
+    bt: np.ndarray,
+    bp: np.ndarray,
+    current: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """J x B at cell centers (first order).
 
-    J is the edge current averaged to centers; B is the face field averaged
-    to centers.
+    J, :func:`current_edges` of this B, is averaged from edges to centers;
+    B is the face field averaged to centers.
     """
-    jr_e, jt_e, jp_e = current_edges(br, bt, bp, grid)
+    jr_e, jt_e, jp_e = current
     # average edge currents to centers: two transverse averages each
     jr = _avg(_avg(jr_e, 1), 2)
     jt = _avg(_avg(jt_e, 0), 2)

@@ -63,14 +63,16 @@ def jacobi_diagonal(
     """
     scale = np.asarray(dt * nu)
     diag = np.ones(np.broadcast_shapes(scale.shape, grid.shape))
-    metrics = grid.stencil_metrics
-    ar, at, ap = (a / d for a, d in zip(metrics.area, metrics.spacing))
-    total = (
-        (ar[:-1] + ar[1:])
-        + (at[:, :-1] + at[:, 1:])
-        + (ap[:, :, :-1] + ap[:, :, 1:])
-    )
-    diag[..., 1:-1, 1:-1, 1:-1] += dt * nu * total / metrics.volume
+    inner = (slice(1, -1),) * 3
+    # per axis, A/d of the face below plus the face above each interior cell
+    # (the flat face arrays, viewed as lower-cell-indexed 3-D arrays)
+    pairs = []
+    for axis, (area, spacing) in enumerate(zip(grid.flat.area, grid.flat.spacing)):
+        g = (area / spacing).reshape(grid.shape)
+        below = tuple(slice(None, -2) if a == axis else slice(1, -1) for a in range(3))
+        pairs.append(g[below] + g[inner])
+    total = (pairs[0] + pairs[1]) + pairs[2]
+    diag[(Ellipsis, *inner)] += dt * nu * total / grid.volume[inner]
     return diag
 
 

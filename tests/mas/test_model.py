@@ -212,6 +212,33 @@ class TestWrapperInitKernels:
         assert t6.launches >= t2.launches + len(WORK_ARRAYS)
 
 
+def _arrays(values):
+    for value in values:
+        if isinstance(value, tuple):
+            yield from _arrays(value)
+        else:
+            yield value
+
+
+class TestDerivedOnceAStep:
+    """docs/PHYSICS.md S3c: a value the step derives once for several
+    kernels (div v, face velocities and donor masks, J on edges, the EMFs)
+    is popped from the per-rank work after its last consumer; what stays
+    is the centred arrays the next step replaces."""
+
+    @pytest.mark.parametrize("kw", [
+        {},
+        dict(num_ranks=2, halo_overlap=True),
+        dict(ensemble_size=2, ensemble_vary=(("resistivity", (0.0, 1e-3)),)),
+    ])
+    def test_no_face_current_or_emf_array_outlives_the_step(self, kw):
+        m = make(**kw)
+        m.run(2)
+        for state, work in zip(m.states, m._work):
+            assert set(work) == {"pres", "lor", "adv"}
+            assert all(a.shape == state.rho.shape for a in _arrays(work.values()))
+
+
 class TestDroppedModelIsReclaimed:
     """Nothing the model stores refers back to it: reference counting alone
     frees a dropped model and every array it owns.  A back-reference (a

@@ -1,8 +1,8 @@
-"""The allocation-free diffusion operators against the parent's bodies.
+"""The step's operators against the parent's bodies.
 
 Three groups: bit-for-bit equivalence with ``reference_operators`` over
 random grids, member shapes, coefficient forms and memory layouts; safety
-of the per-grid scratch (nothing returned aliases it, grids and member
+of the per-grid flat scratch (nothing returned aliases it, grids and member
 shapes do not share it, it is freed with its grid); and an allocation
 guard under ``tracemalloc`` that does not depend on host speed.
 """
@@ -79,6 +79,14 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def face_view(faces, axis, shape):
+    """One axis of ``harmonic_face_coeff``'s flat faces as the face-shaped
+    array (one shorter along ``axis``) the parent returned."""
+    cut = [slice(None)] * 3
+    cut[axis] = slice(None, -1)
+    return faces[axis].reshape(shape)[(Ellipsis, *cut)]
+
+
 CASE = dict(grid=grids(), lead=LEADS, layout=LAYOUTS, seed=st.integers(0, 2**32 - 1))
 
 
@@ -91,11 +99,12 @@ class TestBitwiseEqualsReference:
     def test_diffuse_flux_div(self, grid, lead, layout, seed, with_coeff):
         rng = np.random.default_rng(seed)
         f = field(rng, lead + grid.shape, layout)
-        coeff = None
+        new = old = None
         if with_coeff:
-            coeff = ref.harmonic_face_coeff(field(rng, lead + grid.shape, layout, positive=True))
+            c = field(rng, lead + grid.shape, layout, positive=True)
+            new, old = ops.harmonic_face_coeff(c, grid), ref.harmonic_face_coeff(c)
         before = f.tobytes()
-        assert same_bits(ops.diffuse_flux_div(f, grid, coeff), ref.diffuse_flux_div(f, grid, coeff))
+        assert same_bits(ops.diffuse_flux_div(f, grid, new), ref.diffuse_flux_div(f, grid, old))
         assert f.tobytes() == before
 
     @settings(max_examples=120, deadline=None)
@@ -130,11 +139,44 @@ class TestBitwiseEqualsReference:
         assert (temp.tobytes(), rho.tobytes()) == before
 
     @settings(max_examples=40, deadline=None)
-    @given(lead=LEADS, layout=LAYOUTS, seed=st.integers(0, 2**32 - 1))
-    def test_harmonic_face_coeff(self, lead, layout, seed):
-        c = field(np.random.default_rng(seed), lead + (4, 3, 5), layout, positive=True)
-        for new, old in zip(ops.harmonic_face_coeff(c), ref.harmonic_face_coeff(c)):
+    @given(**CASE)
+    def test_harmonic_face_coeff(self, grid, lead, layout, seed):
+        c = field(np.random.default_rng(seed), lead + grid.shape, layout, positive=True)
+        faces = ops.harmonic_face_coeff(c, grid)
+        for axis, old in enumerate(ref.harmonic_face_coeff(c)):
+            assert same_bits(face_view(faces, axis, c.shape), old)
+
+    @settings(max_examples=80, deadline=None)
+    @given(**CASE, still=st.booleans())
+    def test_advection_and_divergence(self, grid, lead, layout, seed, still):
+        rng = np.random.default_rng(seed)
+        f, vr, vt, vp = (field(rng, lead + grid.shape, layout) for _ in range(4))
+        if still:  # zero face velocities: the donor is the upper cell
+            vr[...] = vt[...] = 0.0
+        before = [a.tobytes() for a in (f, vr, vt, vp)]
+        upwind = ops.upwind_faces(vr, vt, vp, grid)
+        assert same_bits(ops.advect_upwind(f, upwind, grid), ref.advect_upwind(f, vr, vt, vp, grid))
+        assert same_bits(ops.div_center(vr, vt, vp, grid), ref.div_center(vr, vt, vp, grid))
+        assert [a.tobytes() for a in (f, vr, vt, vp)] == before
+
+    @settings(max_examples=80, deadline=None)
+    @given(**CASE, eta_per_member=st.booleans())
+    def test_constrained_transport(self, grid, lead, layout, seed, eta_per_member):
+        rng = np.random.default_rng(seed)
+        v = [field(rng, lead + grid.shape, layout) for _ in range(3)]
+        b = [field(rng, lead + grid.face_shape(axis), layout) for axis in range(3)]
+        eta = member_coeff(rng, lead, eta_per_member)
+        j = ops.current_edges(*b, grid)
+        for new, old in zip(j, ref.current_edges(*b, grid)):
             assert same_bits(new, old)
+        old_emf = ref.emf_edges(*v, *b, grid, resistivity=eta)
+        emf = ops.emf_edges(*v, *b, j, resistivity=eta)
+        for new, old in zip(emf, old_emf):
+            assert same_bits(new, old)
+        for new, old in zip(ops.lorentz_force(*b, j), ref.lorentz_force(*b, grid)):
+            assert same_bits(new, old)
+        for axis, old in enumerate(ref.ct_face_update(*old_emf, grid)):
+            assert same_bits(ops.ct_face_component(*emf, grid, axis), old)
 
     @pytest.mark.parametrize("shape", [(2, 5, 5), (5, 2, 5), (5, 5, 2), (2, 2, 2)])
     def test_no_interior_gives_zeros(self, shape):
@@ -159,9 +201,13 @@ def local_grid(shape=(6, 5, 7)):
 
 
 OPERATORS = {
+    "advect_upwind": lambda f, grid: ops.advect_upwind(
+        f, ops.upwind_faces(f, -f, 0.5 * f, grid), grid
+    ),
+    "div_center": lambda f, grid: ops.div_center(f, -f, 0.5 * f, grid),
     "diffuse_flux_div": ops.diffuse_flux_div,
     "diffuse_flux_div_coeff": lambda f, grid: ops.diffuse_flux_div(
-        f, grid, ops.harmonic_face_coeff(np.abs(f) + 1.0)
+        f, grid, ops.harmonic_face_coeff(np.abs(f) + 1.0, grid)
     ),
     "implicit_matvec": lambda f, grid: viscosity.implicit_matvec(f, grid, 0.02, 0.1),
     "conduction_rhs": lambda f, grid: conduction.conduction_rhs(
@@ -188,7 +234,7 @@ class TestWorkspaceSafety:
         assert not np.shares_memory(first, second)
         for result, source in ((first, f1), (second, f2)):
             assert not np.shares_memory(result, source)
-            for buf in grid.stencil_scratch((3,)):
+            for buf in grid.flat_scratch(3):
                 assert not np.shares_memory(result, buf)
         first[...] = np.nan
         assert np.array_equal(second, expect)
@@ -207,7 +253,7 @@ class TestWorkspaceSafety:
                 assert same_bits(got, want)
         assert not any(
             np.shares_memory(x, y)
-            for x in a.stencil_scratch(()) for y in a.stencil_scratch((3,))
+            for x in a.flat_scratch(1) for y in a.flat_scratch(3)
         )
         # a batched call is its members run one by one
         for m in range(3):
@@ -218,7 +264,7 @@ class TestWorkspaceSafety:
         ops.diffuse_flux_div(np.ones(grid.shape), grid)
         ops.diffuse_flux_div(np.ones((2,) + grid.shape), grid)
         refs = [weakref.ref(buf.base if buf.base is not None else buf)
-                for lead in ((), (2,)) for buf in grid.stencil_scratch(lead)]
+                for rows in (1, 2) for buf in grid.flat_scratch(rows)]
         assert all(r() is not None for r in refs)
         del grid
         gc.collect()
@@ -256,5 +302,9 @@ class TestAllocationGuard:
         budget = 1.25 * f.nbytes
         assert peak_traced_bytes(lambda: ops.diffuse_flux_div(f, grid)) <= budget
         assert peak_traced_bytes(lambda: viscosity.implicit_matvec(f, grid, nu, 0.1)) <= budget
+        temp, rho = np.abs(f) + 1.0, np.abs(f) + 0.5
+        assert peak_traced_bytes(
+            lambda: conduction.conduction_rhs(temp, rho, grid, PhysicsParams())
+        ) <= budget
         # the guard can see a temporary: the parent's body needs many times more
         assert peak_traced_bytes(lambda: ref.diffuse_flux_div(f, grid)) > 4 * f.nbytes

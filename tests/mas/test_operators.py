@@ -94,7 +94,7 @@ class TestAdvection:
         f = np.full(grid.shape, 2.0)
         vr = np.full(grid.shape, 0.3)
         z = np.zeros(grid.shape)
-        d = ops.advect_upwind(f, vr, z, z, grid)
+        d = ops.advect_upwind(f, ops.upwind_faces(vr, z, z, grid), grid)
         i = interior(grid)
         # div(f v) = f div(v); for radial flow divergence is geometric, so
         # compare against f * div_center(v)
@@ -106,7 +106,7 @@ class TestAdvection:
         rng = np.random.default_rng(7)
         rho = 1.0 + rng.random(grid.shape)
         vr, vt, vp = (rng.standard_normal(grid.shape) * 0.1 for _ in range(3))
-        d = ops.advect_upwind(rho, vr, vt, vp, grid)
+        d = ops.advect_upwind(rho, ops.upwind_faces(vr, vt, vp, grid), grid)
         inner = (slice(2, -2), slice(2, -2), slice(2, -2))
         # interior-of-interior sums must equal the net flux through its skin
         total = (d * grid.volume)[inner].sum()
@@ -117,7 +117,7 @@ class TestAdvection:
         f[5] = 1.0  # a slab of tracer
         vr = np.full(grid.shape, 1.0)  # outflow in +r
         z = np.zeros(grid.shape)
-        d = ops.advect_upwind(f, vr, z, z, grid)
+        d = ops.advect_upwind(f, ops.upwind_faces(vr, z, z, grid), grid)
         # donor-cell: tracer leaves cell 5 (positive divergence), arrives
         # in cell 6 (negative divergence); cell 4 untouched
         assert d[5, 5, 5] > 0
@@ -143,17 +143,19 @@ class TestDiffusion:
         f = rng.random(grid.shape)
         c = np.full(grid.shape, 2.0)
         d1 = ops.diffuse_flux_div(f, grid)
-        d2 = ops.diffuse_flux_div(f, grid, ops.harmonic_face_coeff(c))
+        d2 = ops.diffuse_flux_div(f, grid, ops.harmonic_face_coeff(c, grid))
         assert np.allclose(d2, 2.0 * d1, rtol=1e-12)
 
-    def test_harmonic_mean_validation(self):
+    def test_harmonic_mean_validation(self, grid):
         with pytest.raises(ValueError, match="positive"):
-            ops.harmonic_face_coeff(np.zeros((3, 3, 3)))
+            ops.harmonic_face_coeff(np.zeros(grid.shape), grid)
 
-    def test_harmonic_mean_of_equal_is_identity(self):
-        c = np.full((4, 4, 4), 3.0)
-        cr, ct, cp = ops.harmonic_face_coeff(c)
-        assert np.allclose(cr, 3.0) and np.allclose(ct, 3.0) and np.allclose(cp, 3.0)
+    def test_harmonic_mean_of_equal_is_identity(self, grid):
+        c = np.full(grid.shape, 3.0)
+        faces = ops.harmonic_face_coeff(c, grid)
+        for axis, step in enumerate(grid.flat.step):
+            # every face with a cell above it along ``axis``
+            assert np.allclose(faces[axis][:, : c.size - step], 3.0)
 
 
 class TestConstrainedTransport:
@@ -172,24 +174,57 @@ class TestConstrainedTransport:
         rng = np.random.default_rng(seed)
         br, bt, bp = dipole_faces(grid)
         vr, vt, vp = (rng.standard_normal(grid.shape) * 0.1 for _ in range(3))
-        er, et, ep = ops.emf_edges(vr, vt, vp, br, bt, bp, grid, resistivity=1e-3)
-        dbr, dbt, dbp = ops.ct_face_update(er, et, ep, grid)
+        j = ops.current_edges(br, bt, bp, grid)
+        er, et, ep = ops.emf_edges(vr, vt, vp, br, bt, bp, j, resistivity=1e-3)
+        dbr, dbt, dbp = (ops.ct_face_component(er, et, ep, grid, a) for a in range(3))
         dt = 1e-3
         div0 = ops.div_face(br, bt, bp, grid)
         div1 = ops.div_face(br + dt * dbr, bt + dt * dbt, bp + dt * dbp, grid)
         i = (slice(2, -2), slice(2, -2), slice(2, -2))
         assert np.abs(div1[i] - div0[i]).max() < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_bad_emf_reaches_the_field_update(self, grid, bad):
+        """A non-finite EMF is not turned into a zero update: it reaches
+        the two faces of each axis its edge bounds, so the state's health
+        checks see it."""
+        br, bt, bp = dipole_faces(grid)
+        z = np.zeros(grid.shape)
+        j = ops.current_edges(br, bt, bp, grid)
+        er, et, ep = ops.emf_edges(z, z, z, br, bt, bp, j, resistivity=1e-3)
+        ep[4, 4, 4] = bad
+        dbr, dbt, dbp = (ops.ct_face_component(er, et, ep, grid, a) for a in range(3))
+        for db, faces in ((dbr, [(4, 3, 4), (4, 4, 4)]), (dbt, [(3, 4, 4), (4, 4, 4)])):
+            assert not np.isfinite(db[4, 4, 4])
+            assert sorted(zip(*np.nonzero(~np.isfinite(db)))) == faces
+        assert np.isfinite(dbp).all()
+
+    def test_only_zero_area_faces_are_zeroed(self):
+        """A degenerate grid whose theta edge sits on the pole has faces of
+        zero area; their update is zero, every other face's is finite."""
+        grid = LocalGrid(
+            re=np.linspace(1.0, 2.0, 7), te=np.linspace(0.0, 1.5, 6),
+            pe=np.linspace(0.0, 2 * np.pi, 9), ghost=1, interior_shape=(4, 3, 6),
+        )
+        rng = np.random.default_rng(5)
+        emf = [rng.standard_normal(s) for s in ((6, 6, 9), (7, 5, 9), (7, 6, 8))]
+        dbr, dbt, dbp = (ops.ct_face_component(*emf, grid, a) for a in range(3))
+        assert (grid.area_t[:, 0] == 0).all() and not dbt[:, 0].any()
+        assert np.isfinite(dbt).all() and dbt[:, 1:].all()
+        assert grid.zero_area[0] is None and grid.zero_area[2] is None
+
     def test_zero_velocity_ideal_emf_is_zero(self, grid):
         br, bt, bp = dipole_faces(grid)
         z = np.zeros(grid.shape)
-        er, et, ep = ops.emf_edges(z, z, z, br, bt, bp, grid)
+        j = ops.current_edges(br, bt, bp, grid)
+        er, et, ep = ops.emf_edges(z, z, z, br, bt, bp, j)
         assert np.allclose(er, 0) and np.allclose(et, 0) and np.allclose(ep, 0)
 
     def test_resistive_emf_from_current(self, grid):
         br, bt, bp = dipole_faces(grid)
         z = np.zeros(grid.shape)
-        er, et, ep = ops.emf_edges(z, z, z, br, bt, bp, grid, resistivity=0.1)
+        j = ops.current_edges(br, bt, bp, grid)
+        er, et, ep = ops.emf_edges(z, z, z, br, bt, bp, j, resistivity=0.1)
         # a dipole is current-free in the continuum; discrete J is small
         # but nonzero -- mostly a consistency check that the path runs
         assert np.isfinite(er).all() and np.isfinite(et).all() and np.isfinite(ep).all()
@@ -207,7 +242,7 @@ class TestFaceToCenterAndLorentz:
         br = np.cos(grid.tc)[None, :, None] * np.ones(grid.face_shape(0))
         bt = -np.sin(grid.te)[None, :, None] * np.ones(grid.face_shape(1))
         bp = np.zeros(grid.face_shape(2))
-        fr, ft, fp = ops.lorentz_force(br, bt, bp, grid)
+        fr, ft, fp = ops.lorentz_force(br, bt, bp, ops.current_edges(br, bt, bp, grid))
         i = (slice(2, -2), slice(2, -2), slice(2, -2))
         assert np.abs(fr[i]).max() < 0.05
         assert np.abs(ft[i]).max() < 0.05
