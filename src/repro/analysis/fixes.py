@@ -31,8 +31,8 @@ Two layers:
   code edit, :func:`attach_spec_fixes` gives them a **spec patch**: a
   tiny edit DSL (``add-write rho`` / ``drop-write rho`` / ``drop rho`` /
   ``drop-tag async:1``) against a virtual ``kernelspec:<name>`` artifact,
-  exported through SARIF like any other fix and applied to a live
-  :class:`~repro.runtime.kernel.KernelSpec` by :func:`apply_spec_patch`.
+  exported through SARIF like any other fix for whoever maintains the
+  :class:`~repro.runtime.kernel.KernelSpec` to apply.
   DC005's atomic insertion is only valid while the build still compiles
   OpenACC directives -- the pure-DC targets (Codes 5/6) had to *drop*
   atomics, which is why ``repro port`` flags them instead (see
@@ -410,8 +410,7 @@ def attach_spec_fixes(findings: list[Finding]) -> list[Finding]:
     """Attach spec-patch fixes to RT3xx findings (order preserved).
 
     The edit targets the virtual artifact ``kernelspec:<kernel name>``;
-    its replacement lines are the patch DSL. :func:`apply_spec_patch`
-    turns the patch back into a corrected KernelSpec.
+    its replacement lines are the patch DSL.
     """
     out = []
     for f in findings:
@@ -429,48 +428,6 @@ def attach_spec_fixes(findings: list[Finding]) -> list[Finding]:
         )
         out.append(replace(f, fix=Fix(f.rule_id, desc, (edit,))))
     return out
-
-
-def parse_spec_patch(fix: Fix) -> list[tuple[str, str]]:
-    """Decode a spec-patch fix into ``(op, argument)`` pairs."""
-    ops = []
-    for edit in fix.edits:
-        if not edit.file.startswith(SPEC_ARTIFACT_PREFIX):
-            raise ValueError(f"not a spec patch: {edit.file!r}")
-        for line in edit.replacement:
-            op, _, arg = line.partition(" ")
-            if op not in ("add-write", "drop-write", "drop", "drop-tag") or not arg:
-                raise ValueError(f"bad spec-patch line: {line!r}")
-            ops.append((op, arg.strip()))
-    return ops
-
-
-def apply_spec_patch(spec, fix: Fix):
-    """A corrected copy of ``spec`` with the patch applied.
-
-    ``spec`` is a :class:`repro.runtime.kernel.KernelSpec`; matching is
-    by base array name so region-qualified tokens (``rho@g2m``) drop
-    with their base.
-    """
-    from repro.analysis.dependence import base_name
-
-    reads = list(spec.reads)
-    writes = list(spec.writes)
-    tags = list(spec.tags)
-    for op, arg in parse_spec_patch(fix):
-        if op == "add-write":
-            if not any(base_name(w) == arg for w in writes):
-                writes.append(arg)
-        elif op == "drop-write":
-            writes = [w for w in writes if base_name(w) != arg]
-        elif op == "drop":
-            reads = [r for r in reads if base_name(r) != arg]
-            writes = [w for w in writes if base_name(w) != arg]
-        elif op == "drop-tag":
-            tags = [t for t in tags if t != arg]
-    return replace(
-        spec, reads=tuple(reads), writes=tuple(writes), tags=tuple(tags)
-    )
 
 
 def attach_fixes(cb: Codebase, findings: list[Finding]) -> list[Finding]:

@@ -37,11 +37,6 @@ class Fig1Result:
         isothermal T0 = 1 somewhere in the cut."""
         return float(self.meridional_temp.max()) > 1.0
 
-    @property
-    def stratified(self) -> bool:
-        """Outward temperature structure exists (not isothermal noise)."""
-        return float(self.meridional_temp.std()) > 1e-4
-
 
 def run_fig1(
     *,

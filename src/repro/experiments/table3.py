@@ -39,16 +39,6 @@ class Table3Result:
         """Wall minutes for one cell of the table."""
         return self.minutes[(nodes, version)]
 
-    @property
-    def dc_matches_openacc(self) -> bool:
-        """The paper's claim: DC == OpenACC on CPU (within noise)."""
-        return all(
-            abs(self.value(n, CodeVersion.A) - self.value(n, CodeVersion.AD))
-            / self.value(n, CodeVersion.A)
-            < 0.005
-            for n in NODE_COUNTS
-        )
-
 
 def _cpu_model_for(version: CodeVersion, nodes: int, calibration: Calibration) -> MasModel:
     # Both versions compile to the same machine code on CPU (directives are

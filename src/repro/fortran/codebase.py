@@ -54,17 +54,6 @@ class GeneratorBudget:
     wrapper_src_lines: int = 462  # Code 6 wrapper module plain lines
     total_lines_code1: int = 73865
 
-    @property
-    def parallel_loop_lines(self) -> int:
-        """Expected Table II parallel/loop census."""
-        return (
-            3 * (self.plain3 + self.caller3 + self.plain2)
-            + 4 * self.double_regions
-            + 3 * self.scalar_reductions + 1  # one region has a `loop seq`
-            + 3 * self.array_reductions
-            + 3 * self.atomic_other
-        )
-
 
 MAS_BUDGET = GeneratorBudget()
 

@@ -103,11 +103,6 @@ class PortabilityReport:
         """Compilers that can produce a working GPU build."""
         return [c.name for c in COMPILERS if c.can_offload(self)]
 
-    @property
-    def cpu_portable(self) -> bool:
-        """Builds with every compiler in the landscape."""
-        return len(self.compilers_that_compile()) == len(COMPILERS)
-
 
 def analyze(cb: Codebase) -> PortabilityReport:
     """Scan a codebase for the portability-relevant constructs."""

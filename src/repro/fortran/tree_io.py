@@ -80,14 +80,3 @@ def load_tree(
         raise ValueError(f"no Fortran sources ({'/'.join(FORTRAN_SUFFIXES)}) in {base}")
     return Codebase(name or base.name, files)
 
-
-def roundtrip_equal(a: Codebase, b: Codebase) -> bool:
-    """True if two codebases have identical files (names and lines)."""
-    if len(a.files) != len(b.files):
-        return False
-    by_name = {f.name: f for f in b.files}
-    for f in a.files:
-        other = by_name.get(f.name)
-        if other is None or other.lines != f.lines:
-            return False
-    return True

@@ -68,12 +68,6 @@ class SphericalGrid:
         """Cell counts (nr, nt, np)."""
         return (self.r_edges.size - 1, self.t_edges.size - 1, self.p_edges.size - 1)
 
-    @property
-    def num_cells(self) -> int:
-        """Total cell count."""
-        nr, nt, np_ = self.shape
-        return nr * nt * np_
-
 
 def _extend_edges(edges: np.ndarray, g: int, *, periodic: bool, span: float = 0.0) -> np.ndarray:
     """Ghost-extend an edge array by ``g`` edges on each side.

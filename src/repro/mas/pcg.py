@@ -21,16 +21,17 @@ collectives. Three variants attack that cost:
 All three produce identical iterates in exact arithmetic; the variant
 property tests pin them to the classic solution within tight tolerance.
 
-On the preconditioner axis, :func:`jacobi_preconditioner` (diagonal
-scaling) is joined by :func:`chebyshev_preconditioner`, a fixed
-polynomial in the Jacobi-scaled operator whose spectral bounds come from
-the diagonal alone (:func:`jacobi_spectral_bounds`) -- stronger
-smoothing per iteration with no extra halo exchanges.
+On the preconditioner axis, Jacobi (diagonal) scaling is joined by
+:func:`chebyshev_preconditioner`, a fixed polynomial in the Jacobi-scaled
+operator whose spectral bounds come from the diagonal alone
+(:func:`jacobi_spectral_bounds`) -- stronger smoothing per iteration with
+no extra halo exchanges.
 
 The solvers are generic: they work on *lists of per-rank arrays* and
 receive callbacks for the operator, dot product(s), and preconditioner,
-so they can be unit-tested with plain numpy closures and driven by the
-model with kernel-charged ones (:mod:`repro.mas.implicit_solve`).
+so they can be unit-tested with plain numpy closures
+(``tests/mas/pcg_numpy.py``) and driven by the model with kernel-charged
+ones (:mod:`repro.mas.implicit_solve`).
 
 Each solver carries a member axis whose length B is whatever the dot
 callback returns: a float (``(k,)`` fused values) is B = 1, a ``(B,)``
@@ -587,59 +588,8 @@ pcg_solve_pipelined_batched = pcg_solve_pipelined
 
 
 # --------------------------------------------------------------------------
-# reference (single-process) callbacks
-# --------------------------------------------------------------------------
-
-def numpy_dot(a: RankArrays, b: RankArrays) -> float:
-    """Reference dot product (single-process, no cost accounting)."""
-    return float(sum(np.vdot(x, y).real for x, y in zip(a, b)))
-
-
-def numpy_dot_many(pairs: DotPairs) -> tuple[float, ...]:
-    """Reference batched dot product (what one fused allreduce returns)."""
-    return tuple(numpy_dot(a, b) for a, b in pairs)
-
-
-def numpy_dot_batched(a: RankArrays, b: RankArrays) -> np.ndarray:
-    """Reference per-member dot product over ``(B, ...)`` rank arrays."""
-    total = None
-    for xi, yi in zip(a, b):
-        v = (xi * yi).sum(axis=tuple(range(1, xi.ndim)))
-        total = v if total is None else total + v
-    return np.asarray(total, dtype=float)
-
-
-def numpy_dot_many_batched(pairs: DotPairs) -> np.ndarray:
-    """Reference per-member fused dots: a ``(k, B)`` array."""
-    return np.stack([numpy_dot_batched(a, b) for a, b in pairs])
-
-
-def numpy_combine(
-    y: RankArrays, alpha: float, z: RankArrays,
-    roles: tuple[str, str] | None = None,
-) -> None:
-    """Reference in-place axpy (``roles`` names the recurrence for cost
-    layers that issue per-role kernels; ignored here)."""
-    for yi, zi in zip(y, z):
-        yi += alpha * zi
-
-
-# --------------------------------------------------------------------------
 # preconditioners
 # --------------------------------------------------------------------------
-
-def jacobi_preconditioner(diag: RankArrays) -> Callable[[RankArrays], RankArrays]:
-    """Jacobi (diagonal) preconditioner from per-rank diagonal estimates."""
-    for d in diag:
-        if np.any(d <= 0):
-            raise ValueError("Jacobi preconditioner needs a positive diagonal")
-    inv = [1.0 / d for d in diag]
-
-    def apply(r: RankArrays) -> RankArrays:
-        return [ri * ii for ri, ii in zip(r, inv)]
-
-    return apply
-
 
 def jacobi_spectral_bounds(diag: RankArrays) -> tuple[float, float]:
     """Gershgorin bounds on the Jacobi-scaled operator, from the diagonal.

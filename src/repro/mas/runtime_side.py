@@ -61,11 +61,6 @@ class StepTiming:
     compute: float
     launches: int
 
-    @property
-    def non_mpi(self) -> float:
-        """Fig. 3's green bar share of this step."""
-        return self.wall - self.mpi
-
 
 class RuntimeSide:
     """The rank runtimes of one code version and what connects them."""

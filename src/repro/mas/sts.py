@@ -30,10 +30,11 @@ class Rkl2Coefficients:
     nu: np.ndarray
     gamma_tilde: np.ndarray
 
-    @property
-    def stability_factor(self) -> float:
-        """Parabolic step multiple over explicit: (s^2 + s - 2) / 4."""
-        return (self.s**2 + self.s - 2) / 4.0
+
+def stability_factor(s: int) -> float:
+    """Parabolic step multiple over explicit of ``s`` RKL2 stages:
+    (s^2 + s - 2) / 4."""
+    return (s**2 + s - 2) / 4.0
 
 
 def rkl2_coefficients(s: int) -> Rkl2Coefficients:
@@ -117,7 +118,7 @@ def stages_for_dt(dt_super: float, dt_explicit: float, *, max_stages: int = 200)
         raise ValueError("time steps must be positive")
     ratio = dt_super / dt_explicit
     s = 2
-    while (s**2 + s - 2) / 4.0 < ratio:
+    while stability_factor(s) < ratio:
         s += 1
         if s > max_stages:
             raise ValueError(

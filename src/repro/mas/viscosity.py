@@ -75,13 +75,3 @@ def jacobi_diagonal(
     diag[(Ellipsis, *inner)] += dt * nu * total / grid.volume[inner]
     return diag
 
-
-def viscous_timescale(grid: LocalGrid, nu: float | np.ndarray) -> float:
-    """Explicit stability limit the implicit solve is buying us out of.
-
-    For per-member ``nu`` the largest member coefficient (the most
-    restrictive explicit limit) sets the timescale.
-    """
-    if np.any(np.asarray(nu) <= 0):
-        raise ValueError("viscosity must be positive for a timescale")
-    return grid.min_cell_extent**2 / (6.0 * float(np.max(nu)))

@@ -77,15 +77,6 @@ def split_extent(n: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Neighbor:
-    """One face neighbour: rank id plus which face of ours it touches."""
-
-    rank: int
-    axis: int
-    direction: int  # -1 = low face, +1 = high face
-
-
 @dataclass(frozen=True)
 class Decomposition3D:
     """Block decomposition of a (nr, nt, np) grid over ``nranks`` ranks.
@@ -158,10 +149,6 @@ class Decomposition3D:
         """Interior cell counts of this rank's block."""
         return tuple(hi - lo for lo, hi in self.bounds(rank))  # type: ignore[return-value]
 
-    def slab(self, rank: int) -> tuple[slice, slice, slice]:
-        """Slices selecting this rank's block out of a global array."""
-        return tuple(slice(lo, hi) for lo, hi in self.bounds(rank))  # type: ignore[return-value]
-
     def local_cells(self, rank: int) -> int:
         """Interior cell count of the block."""
         s = self.local_shape(rank)
@@ -188,16 +175,6 @@ class Decomposition3D:
             c[axis] %= self.dims[axis]
         return self.rank_of(tuple(c))  # type: ignore[arg-type]
 
-    def neighbors(self, rank: int) -> list[Neighbor]:
-        """All face neighbours of a rank (including periodic self-links)."""
-        out = []
-        for axis in range(3):
-            for direction in (-1, 1):
-                nb = self.neighbor(rank, axis, direction)
-                if nb is not None:
-                    out.append(Neighbor(nb, axis, direction))
-        return out
-
     def face_cells(self, rank: int, axis: int) -> int:
         """Cells on one face of the block (halo message size per depth-1)."""
         s = self.local_shape(rank)
@@ -206,9 +183,3 @@ class Decomposition3D:
     def iter_ranks(self) -> Iterator[int]:
         """All rank ids."""
         return iter(range(self.nranks))
-
-    @property
-    def balance(self) -> float:
-        """max/min local cell count -- 1.0 means perfectly balanced."""
-        cells = [self.local_cells(r) for r in self.iter_ranks()]
-        return max(cells) / min(cells)

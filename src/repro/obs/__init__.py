@@ -35,11 +35,7 @@ from repro.obs.critpath import (
     render_result,
 )
 from repro.obs.explain import Explanation, explain, explain_dirs, render_explain
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    parse_prometheus_text,
-)
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.runlog import RunLogger, build_manifest, git_sha
 from repro.obs.telemetry import (
     NULL,
@@ -76,7 +72,6 @@ __all__ = [
     "extract_critical_path",
     "git_sha",
     "load_metrics",
-    "parse_prometheus_text",
     "render_compare",
     "render_explain",
     "render_result",

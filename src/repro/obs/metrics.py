@@ -11,9 +11,7 @@ children, e.g.::
 Two exporters cover the production question ("what is this run doing?")
 and the tracking question ("how does this run compare to last PR?"):
 :meth:`MetricsRegistry.to_prometheus_text` and
-:meth:`MetricsRegistry.to_json`. :func:`parse_prometheus_text` reads the
-text format back for round-trip tests and the ``repro telemetry``
-summarizer.
+:meth:`MetricsRegistry.to_json`.
 
 The ``Null*`` twins at the bottom are the disabled-telemetry fast path:
 every method is a ``pass``, so instrumented code costs one attribute
@@ -309,60 +307,6 @@ class MetricsRegistry:
     def to_json_text(self) -> str:
         """Serialized :meth:`to_json` (stable key order)."""
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-
-def parse_prometheus_text(text: str) -> dict[tuple[str, tuple[tuple[str, str], ...]], float]:
-    """Parse exposition text back to ``{(name, ((label, value), ...)): v}``.
-
-    Supports exactly the subset :meth:`to_prometheus_text` emits (no
-    escaped quotes *inside* parsing beyond undoing our own escaping).
-    """
-    out: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        body, _, value = line.rpartition(" ")
-        if "{" in body:
-            name, _, rest = body.partition("{")
-            rest = rest.rstrip("}")
-            labels = []
-            for part in _split_labels(rest):
-                lname, _, lval = part.partition("=")
-                lval = lval.strip('"')
-                lval = (
-                    lval.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
-                )
-                labels.append((lname, lval))
-            key = (name, tuple(labels))
-        else:
-            key = (body, ())
-        out[key] = float(value)
-    return out
-
-
-def _split_labels(body: str) -> list[str]:
-    """Split ``a="x",b="y"`` on commas outside quotes."""
-    parts, depth, cur = [], False, []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and depth and i + 1 < len(body):
-            cur.append(ch)
-            cur.append(body[i + 1])
-            i += 2
-            continue
-        if ch == '"':
-            depth = not depth
-        if ch == "," and not depth:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-        i += 1
-    if cur:
-        parts.append("".join(cur))
-    return [p for p in parts if p]
 
 
 # -- disabled-telemetry fast path --------------------------------------------

@@ -88,10 +88,6 @@ class RunLogger:
         self._flushed = len(self.records)
         return len(pending)
 
-    def by_event(self, event: str) -> list[dict[str, Any]]:
-        """All records with the given event type."""
-        return [r for r in self.records if r.get("event") == event]
-
     def to_jsonl(self) -> str:
         """One JSON object per line."""
         return "\n".join(json_dumps(r) for r in self.records)
@@ -113,9 +109,6 @@ class NullRunLogger:
 
     def flush(self) -> int:
         return 0
-
-    def by_event(self, event: str) -> tuple:
-        return ()
 
     def to_jsonl(self) -> str:
         return ""

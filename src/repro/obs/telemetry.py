@@ -37,6 +37,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.machine.spec import GpuSpec
 from repro.obs.events import EventRecord
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.obs.runlog import NULL_LOGGER, RunLogger, build_manifest, json_dumps
@@ -268,26 +269,14 @@ class Telemetry:
 
 def _machine_entry(model: Any) -> dict[str, Any]:
     """Device peaks of a bound model (roofline speed-of-light input)."""
-    rt = model.ranks[0]
-    gpu = getattr(rt, "gpu", None)
-    if gpu is not None:
-        spec = gpu.spec
-        return {
-            "kind": "gpu",
-            "name": spec.name,
-            "mem_bandwidth": float(spec.mem_bandwidth),
-            "flops": float(spec.flops_fp64),
-            "stream_efficiency": float(spec.stream_efficiency),
-        }
-    spec = getattr(getattr(rt, "cpu_model", None), "spec", None)
-    if spec is None:  # pragma: no cover - every runtime has one of the two
-        return {}
+    spec = model.ranks[0].machine.spec
+    gpu = isinstance(spec, GpuSpec)
     return {
-        "kind": "cpu",
-        "name": getattr(spec, "name", "cpu"),
-        "mem_bandwidth": float(getattr(spec, "mem_bandwidth", 0.0)),
-        "flops": float(getattr(spec, "flops", 0.0)),
-        "stream_efficiency": float(getattr(spec, "stream_efficiency", 1.0)),
+        "kind": "gpu" if gpu else "cpu",
+        "name": spec.name,
+        "mem_bandwidth": float(spec.mem_bandwidth),
+        "flops": float(spec.flops_fp64) if gpu else 0.0,
+        "stream_efficiency": float(spec.stream_efficiency),
     }
 
 

@@ -26,7 +26,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 
 @dataclass(slots=True)
@@ -161,20 +161,9 @@ class Tracer:
         """Spans that have been closed."""
         return [s for s in self.spans if s.end is not None]
 
-    def children_of(self, span: Span) -> list[Span]:
-        """Direct children of ``span``."""
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
     def to_jsonl(self) -> str:
         """One JSON object per line, in start order."""
         return "\n".join(json.dumps(s.to_dict(), default=_json_default) for s in self.spans)
-
-    def by_name(self) -> dict[str, list[Span]]:
-        """Completed spans grouped by name."""
-        out: dict[str, list[Span]] = {}
-        for s in self.completed():
-            out.setdefault(s.name, []).append(s)
-        return out
 
 
 def _json_default(o: Any) -> Any:
@@ -182,11 +171,6 @@ def _json_default(o: Any) -> Any:
     if callable(item):
         return item()
     return str(o)
-
-
-def iter_roots(spans: list[Span]) -> Iterator[Span]:
-    """Top-level spans (no parent)."""
-    return (s for s in spans if s.parent_id is None)
 
 
 # -- disabled-telemetry fast path --------------------------------------------
@@ -233,9 +217,6 @@ class NullTracer:
 
     def to_jsonl(self) -> str:
         return ""
-
-    def by_name(self) -> dict:
-        return {}
 
 
 NULL_TRACER = NullTracer()

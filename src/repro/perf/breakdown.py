@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.codes import CodeVersion
-from repro.mas.model import MasModel
 from repro.mas.plan import run_planned
 from repro.perf.calibration import (
     Calibration,
     PAPER_CALIBRATION,
-    build_model,
     model_settings,
     project_run_minutes,
 )
@@ -47,7 +45,6 @@ def measure_breakdown(
     num_gpus: int,
     *,
     calibration: Calibration = PAPER_CALIBRATION,
-    model: MasModel | None = None,
     plans: dict | None = None,
 ) -> RunBreakdown:
     """Run one code version and project its Fig. 3 bar.
@@ -56,17 +53,19 @@ def measure_breakdown(
     passes to every measurement of one sweep: the first of each (model
     configuration, rank count) runs the physics and records its kernel
     stream, the others replay that stream onto their own runtime side and
-    return the same numbers to the last bit (:mod:`repro.mas.plan`).
+    return the same numbers to the last bit (:mod:`repro.mas.plan`). Without
+    a book the run is the live first run of a fresh one.
     """
-    n_steps = calibration.warmup_steps + calibration.bench_steps
-    if model is not None or plans is None:
-        m = model or build_model(version, num_gpus, calibration=calibration)
-        timings = m.run(n_steps)
-    else:
-        config, rt_config, hardware = model_settings(
-            version, num_gpus, calibration=calibration
-        )
-        timings = run_planned(plans, n_steps, config, rt_config, **hardware)
+    config, rt_config, hardware = model_settings(
+        version, num_gpus, calibration=calibration
+    )
+    timings = run_planned(
+        {} if plans is None else plans,
+        calibration.warmup_steps + calibration.bench_steps,
+        config,
+        rt_config,
+        **hardware,
+    )
     wall, mpi = project_run_minutes(timings, calibration=calibration)
     return RunBreakdown(
         version=version, num_gpus=num_gpus, wall_minutes=wall, mpi_minutes=mpi

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.codes import CodeVersion
-from repro.mas.model import MasModel
 from repro.perf.calibration import Calibration, PAPER_CALIBRATION, build_model
 from repro.runtime.clock import TimeCategory
 from repro.util.ascii_plot import AsciiBarChart
@@ -41,10 +40,9 @@ def measure_categories(
     num_gpus: int,
     *,
     calibration: Calibration = PAPER_CALIBRATION,
-    model: MasModel | None = None,
 ) -> CategoryBreakdown:
     """Run warmup + bench steps and average category deltas per step."""
-    m = model or build_model(version, num_gpus, calibration=calibration)
+    m = build_model(version, num_gpus, calibration=calibration)
     m.run(calibration.warmup_steps)
     before = [dict(rt.clock.by_category) for rt in m.ranks]
     m.run(calibration.bench_steps)

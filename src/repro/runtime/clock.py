@@ -101,11 +101,6 @@ class SimClock:
         """Fig. 3's maroon bar: pack + transfer + wait."""
         return self.total(MPI_CATEGORIES)
 
-    @property
-    def non_mpi_time(self) -> float:
-        """Fig. 3's green bar: wall minus MPI."""
-        return self.now - self.mpi_time
-
     def snapshot(self) -> dict[str, float]:
         """Category totals keyed by category value (for reports)."""
         return {c.value: t for c, t in sorted(self.by_category.items(), key=lambda kv: kv[0].value)}

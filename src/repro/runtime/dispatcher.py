@@ -1,4 +1,4 @@
-"""Per-rank runtime facade: routes loops to backends per code version.
+"""Per-rank runtime facade: routes loops to engines per code version.
 
 `repro.mas` is written against this API the way MAS is written against
 OpenACC/DC: it declares loops by category (`loop`, `scalar_reduction`,
@@ -7,6 +7,13 @@ wraps fusable sequences in ``region()``. The active
 :class:`~repro.runtime.config.RuntimeConfig` decides what actually happens,
 mirroring how the six code versions differ only in directives/flags, not in
 physics.
+
+A launch runs its body, then goes to the engine its category's backend
+resolved to at construction (:class:`~repro.runtime.engine.Engine`: CPU,
+OpenACC or DC), either at once or through the one pending-launch buffer:
+OpenACC loops inside a region, and between synchronization points with
+cross-region fusion, wait there and launch as one fusion plan when the
+region closes or anything else needs the device in order.
 
 Numerical bodies always execute eagerly at submission, so results are
 bit-identical across code versions (the paper validated all versions
@@ -22,33 +29,31 @@ from typing import Any, Iterator
 
 from repro.machine.cpu import CpuNodeModel
 from repro.machine.gpu import GpuDevice
-from repro.obs.telemetry import current as _telemetry
 from repro.runtime.clock import SimClock, TimeCategory
 from repro.runtime.config import Backend, RuntimeConfig
 from repro.runtime.cost import KernelCostModel
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.doconcurrent import check_supported
-from repro.runtime.engine import GpuEngine, LaunchStats
-from repro.runtime.fusion import FusionGroup, FusionPlanner, plan_fusion_window, validate_plan
+from repro.runtime.engine import Engine, LaunchStats
+from repro.runtime.fusion import plan_fusion, plan_fusion_window, validate_plan
 from repro.runtime.kernel import KernelSpec, LoopCategory
-from repro.runtime.pricing import PricedLaunch, PriceMemo, priced_launch, touch_and_observe
 from repro.runtime.stream import AsyncQueue
 
+#: The loop categories an OpenACC parallel region can fuse.
+_FUSABLE = (LoopCategory.PLAIN, LoopCategory.ATOMIC_OTHER)
 
-def _cost_only(spec: KernelSpec) -> KernelSpec:
-    """Strip the body of a spec the planner or the window buffers, so a
-    buffered launch holds none of the arrays its body captured."""
-    if spec.body is None:
-        return spec
+
+def _respec(spec: KernelSpec, name: str, category: LoopCategory, body: Any) -> KernelSpec:
+    """``spec`` under another name, category or body."""
     return KernelSpec(
-        name=spec.name,
-        category=spec.category,
+        name=name,
+        category=category,
         reads=spec.reads,
         writes=spec.writes,
         flops_per_byte=spec.flops_per_byte,
         work_fraction=spec.work_fraction,
         bytes_override=spec.bytes_override,
-        body=None,
+        body=body,
         tags=spec.tags,
     )
 
@@ -70,14 +75,13 @@ class RankRuntime:
     ) -> None:
         self.config = config
         self.clock = clock or SimClock()
-        self.num_ranks = num_ranks
-        self.cost = cost or KernelCostModel()
         self.queue = queue or AsyncQueue()
+        #: What the engines price on: the rank's CPU node or its GPU.
+        self.machine: CpuNodeModel | GpuDevice
         if config.target == "cpu":
             if cpu_model is None:
                 raise ValueError("CPU configs need a cpu_model")
-            self.cpu_model = cpu_model
-            self.gpu = None
+            self.machine = cpu_model
             self.env = env or DataEnvironment(DataMode.CPU)
         else:
             if gpu is None:
@@ -90,29 +94,32 @@ class RankRuntime:
                     f"config {config.name!r} expects {expected.value} data mode, "
                     f"environment is {env.mode.value}"
                 )
-            self.cpu_model = None
-            self.gpu = gpu
+            self.machine = gpu
             self.env = env
         self._working_set = 0.0
-        self._cpu_memo = PriceMemo()
-        #: One engine class, two launch disciplines: OpenACC loops launch
-        #: async and fuse; DC loops launch one by one, synchronously, and
-        #: only if nvfortran would compile them.
-        self._acc: GpuEngine | None = None
-        self._dc: GpuEngine | None = None
-        self._engines: tuple[GpuEngine, ...] = ()
-        if self.gpu is not None:
-            engine = partial(
-                GpuEngine,
-                clock=self.clock,
-                env=self.env,
-                gpu=self.gpu,
-                cost=self.cost,
-                queue=self.queue,
-                array_reduction=config.array_reduction,
-            )
-            self._acc = engine(async_launch=config.async_launch)
+        engine = partial(
+            Engine,
+            clock=self.clock,
+            env=self.env,
+            cost=cost or KernelCostModel(),
+            queue=self.queue,
+            array_reduction=config.array_reduction,
+            version=config.name,
+        )
+        #: One engine class, three backends: CPU loops run at the node's
+        #: roofline; OpenACC loops launch async and fuse; DC loops launch
+        #: one by one, synchronously, and only if nvfortran would compile them.
+        self._acc: Engine | None = None
+        self._dc: Engine | None = None
+        if config.target == "cpu":
+            cpu = engine(machine=self.machine, num_ranks=num_ranks)
+            self._engines: tuple[Engine, ...] = (cpu,)
+            by_backend = {Backend.CPU: cpu}
+            backends = {category: Backend.CPU for category in LoopCategory}
+        else:
+            self._acc = engine(machine=self.machine, async_launch=config.async_launch)
             self._dc = engine(
+                machine=self.machine,
                 async_launch=False,
                 admit=partial(
                     check_supported,
@@ -124,22 +131,24 @@ class RankRuntime:
                 ),
             )
             self._engines = (self._acc, self._dc)
-        self._planner = FusionPlanner(enabled=config.fusion)
-        self._cpu_stats = LaunchStats()
-        #: Cross-region window: plain/atomic kernels dispatched *outside*
-        #: explicit regions buffer here until the next synchronization
-        #: point, then launch as one hoisting-fused plan.
-        plain_backend = (
-            None if config.target == "cpu"
-            else config.loop_backend.get(LoopCategory.PLAIN)
+            by_backend = {Backend.ACC: self._acc, Backend.DC: self._dc, Backend.DC2X: self._dc}
+            backends = config.loop_backend
+        #: The engine each loop category launches on; a category missing
+        #: here is refused when a loop of it is launched.
+        self._engine_for = {
+            category: by_backend[b] for category, b in backends.items() if b in by_backend
+        }
+        fuses = backends.get(LoopCategory.PLAIN) is Backend.ACC
+        #: Categories whose launches wait in ``_pending`` inside a region
+        #: (and, with cross-region fusion, between synchronization points).
+        self._bufferable = tuple(
+            c for c in _FUSABLE if fuses and backends.get(c) is Backend.ACC
         )
-        self._cross_region = (
-            config.cross_region_fusion
-            and config.fusion
-            and plain_backend is Backend.ACC
-        )
-        self._window: list[KernelSpec] = []
-        self._window_pack = False
+        self._cross_region = config.cross_region_fusion and config.fusion and fuses
+        self._in_region = False
+        #: Body-less launches not yet charged: a region's, or (outside one)
+        #: the cross-region window's, all MPI_PACK kernels or none.
+        self._pending: list[KernelSpec] = []
         #: Optional shadow checker (repro.analysis.shadow); None keeps the
         #: dispatch hot path at a single attribute test.
         self._shadow = None
@@ -185,96 +194,67 @@ class RankRuntime:
 
     @property
     def stats(self) -> LaunchStats:
-        """Combined launch counters across both engines."""
+        """Launch counters summed over the engines."""
         total = LaunchStats()
         for engine in self._engines:
             total.merge(engine.stats)
-        total.merge(self._cpu_stats)
         return total
 
     @property
     def priced_kernels(self) -> int:
         """Distinct kernels whose price is currently held: bounded by the
         model's kernel vocabulary, not by how long it runs."""
-        return len(self._cpu_memo) + sum(e.priced_kernels for e in self._engines)
+        return sum(e.priced_kernels for e in self._engines)
 
-    # -- regions -------------------------------------------------------------
-
-    def _count_launches(self, groups: list[FusionGroup]) -> None:
-        if _telemetry().enabled:
-            for g in groups:
-                self._count_launch(g.kernels[0].category)
-
-    def _count_launch(self, category: LoopCategory) -> None:
-        tel = _telemetry()
-        if tel.enabled:
-            bound = tel.metrics.bound
-            key = (self.config.name, category)
-            child = bound.get(key)
-            if child is None:
-                child = bound[key] = tel.metrics.counter(
-                    "kernel_launches_total",
-                    "kernel launches, by code version and loop category",
-                    labelnames=("version", "category"),
-                ).labels(version=self.config.name, category=category.value)
-            child.inc()
-
-    def _run_groups(self, groups: list[FusionGroup]) -> None:
-        if not groups:
-            return
-        assert self._acc is not None
-        self._count_launches(groups)
-        self._acc.charge_region(groups)
+    # -- the pending-launch buffer -------------------------------------------
 
     @contextmanager
     def region(self) -> Iterator[None]:
         """A fusable sequence of loops (an OpenACC parallel region).
 
-        Transparent for DC backends: each loop inside is its own kernel.
+        Transparent for DC and CPU backends: each loop inside is its own
+        kernel. Regions do not nest, under any backend.
         """
-        plain_backend = (
-            Backend.CPU if self.config.target == "cpu"
-            else self.config.backend_for(LoopCategory.PLAIN)
-        )
-        if plain_backend is not Backend.ACC:
-            yield
-            return
-        self._flush_window()
-        self._planner.open_region()
+        if self._in_region:
+            raise RuntimeError("nested parallel regions are not supported")
+        self._flush()
+        self._in_region = True
         try:
             yield
         finally:
-            self._run_groups(self._planner.close_region())
+            try:
+                self._flush()
+            finally:
+                self._in_region = False
 
-    def _flush_region(self) -> None:
-        """Execute buffered fusable loops before a non-bufferable op."""
-        if self._planner.in_region:
-            self._run_groups(self._planner.close_region())
-            self._planner.open_region()
-
-    def _flush_window(self) -> None:
-        """Launch the buffered cross-region window, if any."""
-        if not self._window:
+    def _flush(self) -> None:
+        """Launch the pending loops: a region's as its consecutive fusion
+        plan, a window's as the hoisting plan, checked against the
+        dependence core."""
+        if not self._pending:
             return
-        window, self._window = self._window, []
-        groups = plan_fusion_window(window, enabled=True)
-        problems = validate_plan(window, groups)
-        if problems:  # pragma: no cover - planner bug guard
-            raise RuntimeError(
-                "cross-region fusion plan violates dependences: "
-                + "; ".join(problems)
-            )
-        self._run_groups(groups)
+        pending, self._pending = self._pending, []
+        if self._in_region:
+            groups = plan_fusion(pending, enabled=self.config.fusion)
+        else:
+            groups = plan_fusion_window(pending, enabled=True)
+            problems = validate_plan(pending, groups)
+            if problems:  # pragma: no cover - planner bug guard
+                raise RuntimeError(
+                    "cross-region fusion plan violates dependences: "
+                    + "; ".join(problems)
+                )
+        assert self._acc is not None
+        self._acc.charge_region(groups)
 
     def sync(self) -> None:
         """Synchronization point: launch all buffered work on this rank.
 
         Called by the MPI layer (barriers, collectives, halo exchanges)
         and at step boundaries before reading the clock; everything that
-        observes simulated time must drain the cross-region window first.
+        observes simulated time must drain the pending launches first.
         """
-        self._flush_region()
-        self._flush_window()
+        self._flush()
 
     # -- loop entry points -----------------------------------------------------
 
@@ -309,17 +289,7 @@ class RankRuntime:
 
     def _dispatch(self, spec: KernelSpec, category: LoopCategory) -> Any:
         if spec.category is not category:
-            spec = KernelSpec(
-                name=spec.name,
-                category=category,
-                reads=spec.reads,
-                writes=spec.writes,
-                flops_per_byte=spec.flops_per_byte,
-                work_fraction=spec.work_fraction,
-                bytes_override=spec.bytes_override,
-                body=spec.body,
-                tags=spec.tags,
-            )
+            spec = _respec(spec, spec.name, category, spec.body)
         if self._shadow is not None:
             self._shadow.on_launch(
                 spec, self.env, async_launch=self.config.async_launch
@@ -328,100 +298,61 @@ class RankRuntime:
         else:
             result = spec.run_body()
         # The body has run; from here on only cost is accounted.
-        if self.config.target == "cpu":
-            self._charge_cpu(spec)
-            self._count_launch(category)
-            return result
-        backend = self.config.backend_for(category)
-        if backend is Backend.ACC:
-            assert self._acc is not None
-            if self._planner.in_region and category in (
-                LoopCategory.PLAIN,
-                LoopCategory.ATOMIC_OTHER,
+        if category in self._bufferable and (self._in_region or self._cross_region):
+            if (
+                self._pending
+                and not self._in_region
+                and ("mpi_pack" in self._pending[-1].tags) is not ("mpi_pack" in spec.tags)
             ):
-                self._planner.submit(_cost_only(spec))  # counted at region close
-            elif self._cross_region and category in (
-                LoopCategory.PLAIN,
-                LoopCategory.ATOMIC_OTHER,
-            ):
-                is_pack = "mpi_pack" in spec.tags
-                if self._window and self._window_pack is not is_pack:
-                    self._flush_window()  # keep MPI_PACK groups homogeneous
-                self._window.append(_cost_only(spec))
-                self._window_pack = is_pack
-            else:
-                self._flush_region()
-                self._flush_window()
-                self._acc.charge_single(spec)
-                self._count_launch(category)
-        elif backend in (Backend.DC, Backend.DC2X):
-            assert self._dc is not None
-            self._flush_region()
-            self._flush_window()
-            self._count_launch(category)
-            if category is LoopCategory.KERNELS_REGION:
-                # Code 5's rewrite: the intrinsic becomes an explicit DC
-                # (reduction) loop with the same data traffic -- a different
-                # kernel, priced under its own name.
-                spec = KernelSpec(
-                    name=spec.name + "_expanded",
-                    category=LoopCategory.SCALAR_REDUCTION,
-                    reads=spec.reads,
-                    writes=spec.writes,
-                    flops_per_byte=spec.flops_per_byte,
-                    work_fraction=spec.work_fraction,
-                    bytes_override=spec.bytes_override,
-                    tags=spec.tags,
-                )
-            self._dc.charge_single(spec)
-        else:
-            raise ValueError(f"backend {backend} cannot run GPU loops")
-        return result
-
-    def _price_cpu(self, spec: KernelSpec) -> PricedLaunch:
-        """What ``spec`` costs on the CPU nodes (no launch gap, no
-        residency); derived once per kernel like the GPU engines' prices."""
-        assert self.cpu_model is not None
-        entries = self._cpu_memo.entries(self.env.epoch, None)
-        key = spec.cost_key
-        priced = entries.get(key)
-        if priced is None:
-            nbytes = self.cost.bytes_moved(spec, self.env)
-            # bytes are already rank-local, so only the multi-node locality
-            # boost (speedup/n) applies on top of the single-node roofline.
-            boost = self.cpu_model.speedup(self.num_ranks) / self.num_ranks
-            priced = entries[key] = priced_launch(
-                spec,
-                (),
-                body_seconds=self.cpu_model.kernel_time(nbytes) / boost * self.cost.body_scale,
-                gap_seconds=0.0,
-                nbytes=nbytes,
+                self._flush()  # keep a window's MPI_PACK groups homogeneous
+            # body-less, so a pending launch holds nothing its body captured
+            self._pending.append(
+                spec if spec.body is None else _respec(spec, spec.name, category, None)
             )
-        return priced
-
-    def _charge_cpu(self, spec: KernelSpec) -> None:
-        priced = self._price_cpu(spec)
-        self.clock.advance(priced.body_seconds, priced.body_category, priced.label)
-        touch_and_observe(priced, self.clock, self.env)
-        self._cpu_stats.kernels += 1
-        self._cpu_stats.launches += 1
+            return result
+        engine = self._engine_for.get(category)
+        if engine is None:
+            raise ValueError(
+                f"config {self.config.name!r} cannot run "
+                f"{self.config.backend_for(category).value} loops on {self.config.target}"
+            )
+        self._flush()
+        if category is LoopCategory.KERNELS_REGION and engine is self._dc:
+            # Code 5's rewrite: the intrinsic becomes an explicit DC
+            # (reduction) loop with the same data traffic -- a different
+            # kernel, priced under its own name.
+            engine.charge_single(
+                _respec(spec, spec.name + "_expanded", LoopCategory.SCALAR_REDUCTION, None),
+                category,
+            )
+        else:
+            engine.charge_single(spec)
+        return result
 
     # -- manual data directives (used by MPI layer and setup code) -----------
 
+    def _directive(self, what: str) -> None:
+        """What precedes every data directive: refused inside a region,
+        it launches what is pending and syncs the shadow checker's queues."""
+        if self._in_region:
+            raise ValueError(
+                f"{what} inside a parallel region: OpenACC allows no data "
+                "directive in a compute construct"
+            )
+        self._flush()
+        if self._shadow is not None:
+            self._shadow.sync()  # a directive synchronizes outstanding queues
+
     def update_host(self, name: str, fraction: float = 1.0) -> None:
         """Charge an ``!$acc update host`` transfer."""
-        self._flush_window()
-        if self._shadow is not None:
-            self._shadow.sync()  # update synchronizes outstanding queues
+        self._directive("update_host")
         if self.env.mode is DataMode.MANUAL:
             for c in self.env.update_host(name, fraction):
                 self.clock.advance(c.seconds, c.category, c.label)
 
     def update_device(self, name: str, fraction: float = 1.0) -> None:
         """Charge an ``!$acc update device`` transfer."""
-        self._flush_window()
-        if self._shadow is not None:
-            self._shadow.sync()
+        self._directive("update_device")
         if self.env.mode is DataMode.MANUAL:
             for c in self.env.update_device(name, fraction):
                 self.clock.advance(c.seconds, c.category, c.label)
@@ -429,8 +360,6 @@ class RankRuntime:
     def host_access(self, name: str, nbytes: float | None = None,
                     category: TimeCategory = TimeCategory.UM_FAULT) -> None:
         """Host-side touch (MPI library or setup code) with UM migration."""
-        self._flush_window()
-        if self._shadow is not None:
-            self._shadow.sync()
+        self._directive("host_access")
         for c in self.env.host_access(name, nbytes):
             self.clock.advance(c.seconds, category, c.label)

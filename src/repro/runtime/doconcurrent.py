@@ -14,9 +14,10 @@ DC semantics as the compiler maps them (SIV-B/D/E):
   cost model charges the appropriate penalty.
 
 The first two are how :class:`~repro.runtime.dispatcher.RankRuntime` drives
-its DC :class:`~repro.runtime.engine.GpuEngine` (one kernel per charge,
-``async_launch=False``); the rest is :func:`check_supported`, the engine's
-``admit`` check.
+its DC :class:`~repro.runtime.engine.Engine`, the same class its OpenACC
+and CPU engines are: the DC engine is never handed a fusion group, only
+one kernel per charge, and it has ``async_launch=False``. The rest is
+:func:`check_supported`, the DC engine's ``admit`` check.
 """
 
 from __future__ import annotations

@@ -1,22 +1,25 @@
-"""The GPU launch-pricing engine, shared by the OpenACC and DC backends.
+"""The launch-pricing engine: one class for the CPU, OpenACC and DC backends.
 
-One engine prices every GPU launch. The mechanisms the paper credits for
-Code 1's performance edge (SIV-B, SVI) are settings and call patterns of
-it, not separate code: kernel fusion is the dispatcher handing it a
+A rank holds one :class:`Engine` per backend it runs loops on, and the
+three differ only in settings. What the paper credits for Code 1's
+performance edge (SIV-B, SVI) is settings and call patterns of the one
+class: kernel fusion is the dispatcher handing the OpenACC engine a
 :class:`~repro.runtime.fusion.FusionGroup` plan (``charge_region``),
-asynchronous launch queues are ``async_launch``. ``do concurrent``
-differs from OpenACC by exactly two things (SIV-B): fission, which is the
+asynchronous launch queues are ``async_launch``. ``do concurrent`` differs
+from OpenACC by exactly two things (SIV-B): fission, which is the
 dispatcher never handing the DC engine a group, and synchronous launches,
 which is ``async_launch=False``; what nvfortran refuses to compile as DC
 at all is the ``admit`` check
-(:func:`repro.runtime.doconcurrent.check_supported`).
+(:func:`repro.runtime.doconcurrent.check_supported`). Code 0 differs only
+in the ``machine`` that prices a kernel: a CPU node runs a loop at its
+roofline and never launches one.
 
-The engine only accounts cost: :meth:`GpuEngine.price` derives a kernel's
+The engine only accounts cost: :meth:`Engine.price` derives a kernel's
 price, memoised per kernel (:mod:`repro.runtime.pricing`), and the
-``charge_*`` methods apply it to the clock. Numerical bodies are run by
-the dispatcher, eagerly in submission order -- fusion and async change
-*cost*, never results (the loops are data independent by construction,
-which the fusion planner verifies).
+``charge_*`` methods apply it to the clock and count the launch. Numerical
+bodies are run by the dispatcher, eagerly in submission order -- fusion
+and async change *cost*, never results (the loops are data independent by
+construction, which the fusion planner verifies).
 """
 
 from __future__ import annotations
@@ -24,17 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.machine.cpu import CpuNodeModel
 from repro.machine.gpu import GpuDevice
+from repro.obs.telemetry import current as _telemetry
 from repro.runtime.clock import SimClock, TimeCategory
 from repro.runtime.config import ArrayReductionStrategy
 from repro.runtime.cost import KernelCostModel
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.fusion import FusionGroup
-from repro.runtime.kernel import KernelSpec
+from repro.runtime.kernel import KernelSpec, LoopCategory
 from repro.runtime.pricing import (
     PricedLaunch,
     PriceMemo,
-    charge_launch,
     priced_launch,
     touch_and_observe,
 )
@@ -57,12 +61,15 @@ class LaunchStats:
 
 
 @dataclass(slots=True)
-class GpuEngine:
-    """Prices and charges GPU kernel launches, alone or as fusion groups."""
+class Engine:
+    """Prices and charges one backend's kernel launches, alone or as
+    fusion groups."""
 
     clock: SimClock
     env: DataEnvironment
-    gpu: GpuDevice
+    #: What runs the kernels: a GPU (``KernelCostModel.body_time`` plus the
+    #: queue's launch gap) or a CPU node (its roofline; no launch at all).
+    machine: GpuDevice | CpuNodeModel
     cost: KernelCostModel
     queue: AsyncQueue
     async_launch: bool = True
@@ -70,6 +77,10 @@ class GpuEngine:
     #: Raises for a kernel this backend cannot compile; run once per
     #: distinct kernel, when its price is derived.
     admit: Callable[[KernelSpec], None] | None = None
+    #: Ranks of the job; a CPU node's locality boost depends on it.
+    num_ranks: int = 1
+    #: The ``version`` label of ``kernel_launches_total``.
+    version: str = ""
     working_set_bytes: float | None = None
     stats: LaunchStats = field(default_factory=LaunchStats)
     _memo: PriceMemo = field(default_factory=PriceMemo, repr=False)
@@ -114,32 +125,62 @@ class GpuEngine:
             if self.admit is not None:
                 self.admit(spec)
             touches = self.env.kernel_touches(spec)  # default(present) first
-            body = self.cost.body_time(
-                spec,
-                self.env,
-                self.gpu,
-                working_set_bytes=self.working_set_bytes,
-                array_reduction=self.array_reduction,
-                unified_memory=self.unified_memory,
-            )
-            # On its own the kernel is one submit/complete round trip.
-            q = self.queue.simulate([body], async_launch=self.async_launch)
+            nbytes = self.cost.bytes_moved(spec, self.env)
+            machine = self.machine
+            gap: float | None
+            if isinstance(machine, CpuNodeModel):
+                # bytes are already rank-local, so only the multi-node locality
+                # boost (speedup/n) applies on top of the single-node roofline.
+                boost = machine.speedup(self.num_ranks) / self.num_ranks
+                body = machine.kernel_time(nbytes) / boost * self.cost.body_scale
+                gap = None
+            else:
+                body = self.cost.body_time(
+                    spec,
+                    self.env,
+                    machine,
+                    working_set_bytes=self.working_set_bytes,
+                    array_reduction=self.array_reduction,
+                    unified_memory=self.unified_memory,
+                )
+                # On its own the kernel is one submit/complete round trip.
+                q = self.queue.simulate([body], async_launch=self.async_launch)
+                body, gap = q.body_time, self._gap(q.gap_time, 1)
             priced = entries[key] = priced_launch(
-                spec,
-                touches,
-                body_seconds=q.body_time,
-                gap_seconds=self._gap(q.gap_time, 1),
-                nbytes=self.cost.bytes_moved(spec, self.env),
+                spec, touches, body_seconds=body, gap_seconds=gap, nbytes=nbytes
             )
         return priced
 
     # -- charging ------------------------------------------------------------
 
-    def charge_single(self, spec: KernelSpec) -> None:
-        """Charge one kernel launched outside any region."""
-        charge_launch(self.price(spec), self.clock, self.env)
+    def _count_launch(self, category: LoopCategory) -> None:
+        tel = _telemetry()
+        if tel.enabled:
+            bound = tel.metrics.bound
+            key = (self.version, category)
+            child = bound.get(key)
+            if child is None:
+                child = bound[key] = tel.metrics.counter(
+                    "kernel_launches_total",
+                    "kernel launches, by code version and loop category",
+                    labelnames=("version", "category"),
+                ).labels(version=self.version, category=category.value)
+            child.inc()
+
+    def charge_single(self, spec: KernelSpec, category: LoopCategory | None = None) -> None:
+        """Charge one kernel launched on its own: faults, gap, body.
+
+        ``category`` labels the launch when it is not ``spec``'s own (the
+        loop a rewrite started from).
+        """
+        priced = self.price(spec)
+        touch_and_observe(priced, self.clock, self.env)
+        if priced.gap_seconds is not None:
+            self.clock.advance(priced.gap_seconds, TimeCategory.LAUNCH, priced.launch_label)
+        self.clock.advance(priced.body_seconds, priced.body_category, priced.label)
         self.stats.kernels += 1
         self.stats.launches += 1
+        self._count_launch(category or spec.category)
 
     def _price_group(self, group: FusionGroup) -> tuple[float, TimeCategory]:
         """Fault in and observe a fused group's kernels in order; returns
@@ -166,6 +207,8 @@ class GpuEngine:
         """
         if not groups:
             return
+        for group in groups:
+            self._count_launch(group.kernels[0].category)
         priced = [self._price_group(group) for group in groups]
         q = self.queue.simulate(
             [body for body, _ in priced], async_launch=self.async_launch

@@ -1,12 +1,13 @@
-"""OpenACC kernel-fusion planner.
+"""OpenACC kernel-fusion plans.
 
 Inside one ``!$acc parallel`` region, data-independent loops can be compiled
 into a single GPU kernel ("kernel fusion", SIV-B). Converting such loops to
 ``do concurrent`` forces one kernel per loop ("kernel fission"), multiplying
 launch overheads. The dependence analysis itself lives in the shared core
 (:mod:`repro.analysis.dependence`); loops fuse greedily until a data
-dependence (RAW/WAR/WAW on logical arrays) or a category change stops the
-group.
+dependence (RAW/WAR/WAW on logical arrays) stops the group. The dispatcher
+buffers a region's (or a cross-region window's) launches and plans them
+here when it flushes.
 """
 
 from __future__ import annotations
@@ -147,43 +148,3 @@ def validate_plan(
                 )
     return violations
 
-
-class FusionPlanner:
-    """Stateful region recorder used by the OpenACC engine.
-
-    Kernels submitted inside an open region are buffered; closing the region
-    returns the fusion plan. Nested regions are not allowed (OpenACC forbids
-    nested parallel regions in MAS's usage).
-    """
-
-    def __init__(self, *, enabled: bool) -> None:
-        self.enabled = enabled
-        self._open = False
-        self._buffer: list[KernelSpec] = []
-
-    @property
-    def in_region(self) -> bool:
-        """True while a parallel region is open."""
-        return self._open
-
-    def open_region(self) -> None:
-        """Begin buffering kernels for one parallel region."""
-        if self._open:
-            raise RuntimeError("nested parallel regions are not supported")
-        self._open = True
-        self._buffer = []
-
-    def submit(self, spec: KernelSpec) -> None:
-        """Add a kernel to the open region."""
-        if not self._open:
-            raise RuntimeError("submit() outside a parallel region")
-        self._buffer.append(spec)
-
-    def close_region(self) -> list[FusionGroup]:
-        """End the region and return its launch groups."""
-        if not self._open:
-            raise RuntimeError("close_region() without an open region")
-        self._open = False
-        plan = plan_fusion(self._buffer, enabled=self.enabled)
-        self._buffer = []
-        return plan

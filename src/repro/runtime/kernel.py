@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable
 
-from repro.analysis.dependence import base_name, depends
+from repro.analysis.dependence import base_name
 
 
 class LoopCategory(enum.Enum):
@@ -105,27 +105,3 @@ class KernelSpec:
         if self.body is not None:
             return self.body()
         return None
-
-    def depends_on(self, other: "KernelSpec") -> bool:
-        """True if this kernel must run after ``other`` (RAW/WAR/WAW).
-
-        Used by the fusion planner: OpenACC may fuse only data-independent
-        loops inside one parallel region. Delegates to the shared
-        dependence core (`repro.analysis.dependence`) so the planner, the
-        async race detector, and the Fortran lint agree on hazards.
-        """
-        return depends(other.reads, other.writes, self.reads, self.writes)
-
-    def with_tags(self, *tags: str) -> "KernelSpec":
-        """Copy with extra tags (e.g. 'mpi_pack' for halo buffer loads)."""
-        return KernelSpec(
-            name=self.name,
-            category=self.category,
-            reads=self.reads,
-            writes=self.writes,
-            flops_per_byte=self.flops_per_byte,
-            work_fraction=self.work_fraction,
-            bytes_override=self.bytes_override,
-            body=self.body,
-            tags=self.tags | frozenset(tags),
-        )

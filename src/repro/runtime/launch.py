@@ -72,10 +72,6 @@ class DeviceBinding:
     method: DeviceBindingMethod
     devices: tuple[int, ...]  # devices[rank] = CUDA ordinal on the node
 
-    def device_for(self, local_rank: int) -> int:
-        """Physical device ordinal assigned to a local rank."""
-        return self.devices[local_rank]
-
 
 def bind_devices(
     node: GpuNode,

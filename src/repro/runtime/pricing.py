@@ -9,7 +9,7 @@ and on two things that can move: the data environment (sizes, presence)
 and the rank's working set (the locality boost). Each engine derives a
 :class:`PricedLaunch` once per kernel and keeps it in a :class:`PriceMemo`
 until either of those moves; a launch then does only what is stateful
-(:func:`charge_launch`).
+(:meth:`~repro.runtime.engine.Engine.charge_single`).
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ class PricedLaunch:
     #: Device-busy seconds of the body (``KernelCostModel.body_time``);
     #: fused launches sum these.
     body_seconds: float
-    #: Launch gap when the kernel is launched on its own.
-    gap_seconds: float
+    #: Launch gap when the kernel is launched on its own; None for a loop
+    #: the CPU runs, which is never launched.
+    gap_seconds: float | None
     #: COMPUTE, or MPI_PACK for halo buffer kernels.
     body_category: TimeCategory
     #: Where this kernel's page faults are charged: UM_FAULT, or
@@ -55,7 +56,7 @@ def priced_launch(
     touches: tuple[tuple[str, int], ...],
     *,
     body_seconds: float,
-    gap_seconds: float,
+    gap_seconds: float | None,
     nbytes: float,
 ) -> PricedLaunch:
     """Assemble a price from what the engine computed (``touches`` from
@@ -112,13 +113,6 @@ def touch_and_observe(priced: PricedLaunch, clock: SimClock, env: "DataEnvironme
         observe_kernel(tel.metrics, priced)
 
 
-def charge_launch(priced: PricedLaunch, clock: SimClock, env: "DataEnvironment") -> None:
-    """Charge one kernel launched on its own: faults, gap, body."""
-    touch_and_observe(priced, clock, env)
-    clock.advance(priced.gap_seconds, TimeCategory.LAUNCH, priced.launch_label)
-    clock.advance(priced.body_seconds, priced.body_category, priced.label)
-
-
 #: The per-kernel roofline counter families: name, help, label names.
 _KERNEL_COUNTERS = (
     ("kernel_seconds_total", "device-busy seconds charged per kernel spec", ("category", "kernel")),
@@ -131,7 +125,7 @@ _KERNEL_COUNTERS = (
 def observe_kernel(m, priced: PricedLaunch) -> None:
     """Per-kernel roofline counters: seconds, bytes, flops, calls.
 
-    Every execution path (OpenACC groups, DC loops, the CPU dispatch)
+    Every engine (OpenACC groups, DC loops, CPU loops)
     reports here so :mod:`repro.perf.roofline` can compute each kernel's
     speed-of-light fraction from one run's metrics snapshot. The nominal
     bytes/flops are the cost model's inputs, *before* efficiency

@@ -14,7 +14,6 @@ from repro.util.units import (
     Quantity,
     fmt_bytes,
     fmt_duration,
-    fmt_rate,
     minutes,
     seconds_to_minutes,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Quantity",
     "fmt_bytes",
     "fmt_duration",
-    "fmt_rate",
     "minutes",
     "seconds_to_minutes",
     "Table",

@@ -43,11 +43,6 @@ def fmt_bytes(n: float) -> str:
     return f"{n:.0f} B"
 
 
-def fmt_rate(bytes_per_s: float) -> str:
-    """Format a bandwidth in decimal units, e.g. ``1555.0 GB/s``."""
-    return f"{bytes_per_s / GB:.1f} GB/s"
-
-
 def fmt_duration(seconds: float) -> str:
     """Format a duration adaptively (us / ms / s / min)."""
     s = float(seconds)

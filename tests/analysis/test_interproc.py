@@ -24,15 +24,11 @@ from repro.analysis.interproc import (
     region_call_blockers,
     summarize,
 )
-from repro.analysis.report import (
-    findings_to_sarif,
-    render_findings,
-    sarif_to_edits,
-    sarif_to_findings,
-)
+from repro.analysis.report import findings_to_sarif, render_findings
 from repro.analysis.rewriter import apply_finding_fixes
 from repro.fortran.frontend import load_external_tree
 from repro.fortran.source import Codebase, SourceFile
+from tests.analysis.sarif_reader import sarif_to_edits, sarif_to_findings
 
 CORPUS = Path(__file__).parent.parent / "fixtures" / "interproc"
 GOLDEN = CORPUS / "golden"

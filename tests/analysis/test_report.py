@@ -128,7 +128,7 @@ class TestSarifFixes:
         from repro.analysis.fixes import Fix
         from repro.analysis.fixtures import seeded_bug_codebase
         from repro.analysis.fortran_lint import analyze_codebase
-        from repro.analysis.report import sarif_to_edits
+        from tests.analysis.sarif_reader import sarif_to_edits
         from repro.analysis.rewriter import apply_fixes
 
         _cb, findings = _seeded_with_fixes()
@@ -143,7 +143,7 @@ class TestSarifFixes:
         assert analyze_codebase(target) == []
 
     def test_reader_returns_no_edits_for_fixless_log(self):
-        from repro.analysis.report import sarif_to_edits
+        from tests.analysis.sarif_reader import sarif_to_edits
 
         assert sarif_to_edits(findings_to_sarif(F)) == []
 
@@ -204,17 +204,6 @@ class TestExplain:
 
 class TestSharedDependenceCore:
     """Satellite (a): fusion and the kernel graph ride the same core."""
-
-    def test_kernel_depends_on_delegates_to_core(self):
-        from repro.analysis.dependence import depends
-        from repro.runtime.kernel import KernelSpec
-
-        k1 = KernelSpec("w", writes=("a",))
-        k2 = KernelSpec("r", reads=("a",))
-        assert k2.depends_on(k1)
-        assert k2.depends_on(k1) == depends(
-            k1.reads, k1.writes, k2.reads, k2.writes
-        )
 
     def test_plan_fusion_barriers_match_core_verdicts(self):
         from repro.runtime.fusion import plan_fusion

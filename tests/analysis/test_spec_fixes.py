@@ -1,17 +1,56 @@
 """RT3xx spec-patch fixes: attach, parse, apply, and rewriter safety."""
 
+from dataclasses import replace
+
+from repro.analysis.dependence import base_name
 from repro.analysis.findings import Finding
 from repro.analysis.fixes import (
     SPEC_ARTIFACT_PREFIX,
     SPEC_PATCH_RULES,
-    apply_spec_patch,
+    Fix,
     attach_spec_fixes,
-    parse_spec_patch,
 )
 from repro.analysis.report import findings_to_sarif
 from repro.analysis.rewriter import apply_fixes
 from repro.fortran.source import Codebase, SourceFile
 from repro.runtime.kernel import KernelSpec
+
+
+def parse_spec_patch(fix: Fix) -> list[tuple[str, str]]:
+    """Decode a spec-patch fix into ``(op, argument)`` pairs."""
+    ops = []
+    for edit in fix.edits:
+        if not edit.file.startswith(SPEC_ARTIFACT_PREFIX):
+            raise ValueError(f"not a spec patch: {edit.file!r}")
+        for line in edit.replacement:
+            op, _, arg = line.partition(" ")
+            if op not in ("add-write", "drop-write", "drop", "drop-tag") or not arg:
+                raise ValueError(f"bad spec-patch line: {line!r}")
+            ops.append((op, arg.strip()))
+    return ops
+
+
+def apply_spec_patch(spec, fix: Fix):
+    """A corrected copy of ``spec`` with the patch applied: what the patch
+    DSL means. Matching is by base array name, so region-qualified tokens
+    (``rho@g2m``) drop with their base."""
+    reads = list(spec.reads)
+    writes = list(spec.writes)
+    tags = list(spec.tags)
+    for op, arg in parse_spec_patch(fix):
+        if op == "add-write":
+            if not any(base_name(w) == arg for w in writes):
+                writes.append(arg)
+        elif op == "drop-write":
+            writes = [w for w in writes if base_name(w) != arg]
+        elif op == "drop":
+            reads = [r for r in reads if base_name(r) != arg]
+            writes = [w for w in writes if base_name(w) != arg]
+        elif op == "drop-tag":
+            tags = [t for t in tags if t != arg]
+    return replace(
+        spec, reads=tuple(reads), writes=tuple(writes), tags=tuple(tags)
+    )
 
 
 def _finding(rule, kernel="pcg_axpy", context="w"):

@@ -20,7 +20,7 @@ class TestFig1:
 
     def test_solution_properties(self, result):
         assert result.corona_heated
-        assert result.stratified
+        assert float(result.meridional_temp.std()) > 1e-4  # stratified, not noise
         assert np.isfinite(result.meridional_temp).all()
         assert result.meridional_temp.min() > 0         # floors held
         assert result.diagnostics["max_vr"] > 0         # outflow developing

@@ -16,6 +16,7 @@ from repro.fortran.codebase import GeneratorBudget, MAS_BUDGET, generate_mas_cod
 from repro.fortran.directives import DirectiveKind
 from repro.fortran.metrics import acc_line_count, directive_census, measure
 from repro.fortran.pipeline import build_version
+from tests.fortran.test_codebase_and_pipeline import parallel_loop_lines
 
 
 def scaled_budget(**overrides) -> GeneratorBudget:
@@ -39,7 +40,7 @@ def small_code1():
 class TestBudgetArithmetic:
     def test_census_matches_budget_formula(self, small_code1):
         census = directive_census(small_code1)
-        assert census[DirectiveKind.PARALLEL_LOOP] == SMALL.parallel_loop_lines
+        assert census[DirectiveKind.PARALLEL_LOOP] == parallel_loop_lines(SMALL)
         assert census[DirectiveKind.ATOMIC] == (
             2 * SMALL.array_reductions + 4 * SMALL.atomic_other
         )

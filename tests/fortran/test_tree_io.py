@@ -7,7 +7,19 @@ from repro.fortran.codebase import generate_mas_codebase
 from repro.fortran.metrics import measure
 from repro.fortran.pipeline import build_version
 from repro.fortran.source import Codebase, SourceFile
-from repro.fortran.tree_io import load_tree, roundtrip_equal, save_tree
+from repro.fortran.tree_io import load_tree, save_tree
+
+
+def roundtrip_equal(a: Codebase, b: Codebase) -> bool:
+    """True if two codebases have identical files (names and lines)."""
+    if len(a.files) != len(b.files):
+        return False
+    by_name = {f.name: f for f in b.files}
+    for f in a.files:
+        other = by_name.get(f.name)
+        if other is None or other.lines != f.lines:
+            return False
+    return True
 
 
 @pytest.fixture(scope="module")

@@ -18,14 +18,9 @@ import pytest
 from repro.codes import CodeVersion, runtime_config_for
 from repro.mas.constants import PhysicsParams
 from repro.mas.model import ENSEMBLE_VARY_PARAMS, MasModel, ModelConfig
-from repro.mas.pcg import (
-    numpy_dot_batched,
-    numpy_dot_many_batched,
-    pcg_solve,
-    pcg_solve_ca,
-    pcg_solve_pipelined,
-)
+from repro.mas.pcg import pcg_solve, pcg_solve_ca, pcg_solve_pipelined
 from repro.mas.state import ALL_FIELDS, EnsembleState
+from tests.mas.pcg_numpy import numpy_dot_batched, numpy_dot_many_batched
 
 SHAPE = (6, 5, 8)
 #: Small nominal (cost-model) grid so B-member batches fit the simulated
@@ -174,7 +169,7 @@ class TestScalarPathUnchanged:
                     name for name in json.loads(tel.metrics.to_json_text())
                     if name.startswith("pcg_")
                 }
-                records = tel.logger.by_event("pcg_solve")
+                records = [r for r in tel.logger.records if r["event"] == "pcg_solve"]
             assert records
             seen[members] = (families, {k for r in records for k in r})
         assert seen[1] == (scalar_families, scalar_keys)

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mas.pcg import (
-    PcgResult,
-    jacobi_preconditioner,
-    numpy_combine,
-    numpy_dot,
-    pcg_solve,
-)
+from repro.mas.pcg import PcgResult, pcg_solve
+from tests.mas.pcg_numpy import jacobi_preconditioner, numpy_combine, numpy_dot
 
 
 def solve_dense(a_mat, b, iterations=50, tol=1e-12, precondition=None):

@@ -8,15 +8,17 @@ from repro.mas.pcg import (
     PCG_VARIANTS,
     PRECONDITIONERS,
     chebyshev_preconditioner,
-    jacobi_preconditioner,
     jacobi_spectral_bounds,
+    pcg_solve,
+    pcg_solve_ca,
+    pcg_solve_pipelined,
+)
+from tests.mas.pcg_numpy import (
+    jacobi_preconditioner,
     numpy_combine,
     numpy_dot,
     numpy_dot_batched,
     numpy_dot_many,
-    pcg_solve,
-    pcg_solve_ca,
-    pcg_solve_pipelined,
 )
 from tests.mas.test_pcg import spd_matrix
 

@@ -17,7 +17,6 @@ from repro.mas.viscosity import (
     implicit_matvec,
     jacobi_diagonal,
     viscous_rhs,
-    viscous_timescale,
 )
 from repro.mpi.decomp import Decomposition3D
 
@@ -94,11 +93,6 @@ class TestViscosity:
             e[c] = 1.0
             ae = implicit_matvec(e, grid, nu, dt)
             assert ae[c] == pytest.approx(d[c], rel=1e-12)
-
-    def test_timescale(self, grid):
-        assert viscous_timescale(grid, 1e-3) > 0
-        with pytest.raises(ValueError):
-            viscous_timescale(grid, 0.0)
 
 
 class TestConduction:

@@ -67,7 +67,6 @@ class TestSphericalGrid:
     def test_build_shape(self):
         g = SphericalGrid.build((16, 12, 24))
         assert g.shape == (16, 12, 24)
-        assert g.num_cells == 16 * 12 * 24
 
     def test_pole_cutout_enforced(self):
         with pytest.raises(ValueError, match="polar cutout"):

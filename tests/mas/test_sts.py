@@ -7,6 +7,7 @@ from repro.mas.sts import (
     explicit_parabolic_dt,
     rkl2_advance,
     rkl2_coefficients,
+    stability_factor,
     stages_for_dt,
 )
 
@@ -18,8 +19,9 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("s", [2, 4, 8, 16])
     def test_stability_factor_formula(self, s):
-        c = rkl2_coefficients(s)
-        assert c.stability_factor == pytest.approx((s**2 + s - 2) / 4)
+        assert stability_factor(s) == pytest.approx((s**2 + s - 2) / 4)
+        # the smallest stage count covering that multiple is s itself
+        assert stages_for_dt(stability_factor(s), 1.0) == s
 
     def test_first_stage_weight(self):
         c = rkl2_coefficients(4)

@@ -14,6 +14,7 @@ from repro.runtime.config import Backend, RuntimeConfig, uniform_backend
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.dispatcher import RankRuntime
 from repro.util.units import GB, MiB
+from tests.mpi.test_decomp import slab
 
 
 def make_ranks(n, *, unified=False):
@@ -42,7 +43,7 @@ def scatter(glob, dec, g):
     for r in dec.iter_ranks():
         sh = dec.local_shape(r)
         a = np.full((sh[0] + 2 * g, sh[1] + 2 * g, sh[2] + 2 * g), np.nan)
-        a[g:-g, g:-g, g:-g] = glob[dec.slab(r)]
+        a[g:-g, g:-g, g:-g] = glob[slab(dec, r)]
         locs.append(a)
     return locs
 
@@ -66,7 +67,7 @@ class TestExchangeCorrectness:
             a = locs[r]
             b = dec.bounds(r)
             # interior untouched
-            assert np.array_equal(a[1:-1, 1:-1, 1:-1], glob[dec.slab(r)])
+            assert np.array_equal(a[1:-1, 1:-1, 1:-1], glob[slab(dec, r)])
             # phi ghosts (periodic axis) must match wrapped global values
             lo = (b[2][0] - 1) % 16
             hi = b[2][1] % 16

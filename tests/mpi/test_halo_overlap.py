@@ -20,6 +20,7 @@ from repro.runtime.config import Backend, RuntimeConfig, uniform_backend
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.dispatcher import RankRuntime
 from repro.util.units import GB, MiB
+from tests.mpi.test_decomp import slab
 
 SHAPE = (6, 6, 8)
 
@@ -61,7 +62,7 @@ def make_locals(dec, glob, *, stagger_axis=None):
         a = np.zeros(tuple(pad))
         b = dec.bounds(r)
         if stagger_axis is None:
-            a[1:-1, 1:-1, 1:-1] = glob[dec.slab(r)]
+            a[1:-1, 1:-1, 1:-1] = glob[slab(dec, r)]
         else:
             sl = [slice(b[ax][0], b[ax][1] + (1 if ax == stagger_axis else 0))
                   for ax in range(3)]

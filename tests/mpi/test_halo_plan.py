@@ -33,6 +33,7 @@ from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.dispatcher import RankRuntime
 from repro.util.units import GB, MiB
 from tests.mpi import reference_halo as ref
+from tests.mpi.test_decomp import slab
 
 ACC = dict(loop_backend=uniform_backend(Backend.ACC), fusion=True, async_launch=True)
 
@@ -162,7 +163,7 @@ class TestInvalidation:
             locs = []
             for r in dec.iter_ranks():
                 a = np.full((members, *(n + 2 for n in dec.local_shape(r))), np.nan)
-                a[:, 1:-1, 1:-1, 1:-1] = glob[dec.slab(r)]
+                a[:, 1:-1, 1:-1, 1:-1] = glob[slab(dec, r)]
                 locs.append(a if members > 1 else a[0])
             built = self.hx.plans_built
             self.hx.exchange("f", locs)

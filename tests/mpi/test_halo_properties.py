@@ -19,6 +19,7 @@ from repro.runtime.config import Backend, RuntimeConfig, uniform_backend
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.dispatcher import RankRuntime
 from repro.util.units import GB, MiB
+from tests.mpi.test_decomp import slab
 
 
 def make_ranks(n):
@@ -86,7 +87,7 @@ class TestExchangeProperty:
         for r in dec.iter_ranks():
             s = dec.local_shape(r)
             a = np.full((s[0] + 2, s[1] + 2, s[2] + 2), np.nan)
-            a[1:-1, 1:-1, 1:-1] = glob[dec.slab(r)]
+            a[1:-1, 1:-1, 1:-1] = glob[slab(dec, r)]
             locs.append(a)
         hx.exchange("f", locs)
         for r in dec.iter_ranks():
@@ -142,7 +143,7 @@ class TestExchangeProperty:
         for r in dec.iter_ranks():
             s = dec.local_shape(r)
             a = np.zeros((s[0] + 2, s[1] + 2, s[2] + 2))
-            a[1:-1, 1:-1, 1:-1] = glob[dec.slab(r)]
+            a[1:-1, 1:-1, 1:-1] = glob[slab(dec, r)]
             locs.append(a)
         hx.exchange("f", locs)
         snapshot = [a.copy() for a in locs]

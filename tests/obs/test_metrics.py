@@ -9,8 +9,8 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
-    parse_prometheus_text,
 )
+from tests.obs.prom_reader import parse_prometheus_text
 
 
 class TestCounter:

@@ -20,8 +20,8 @@ class TestRunLogger:
         log.log("step", step=0, dt=0.1)
         log.log("pcg_solve", iterations=5)
         log.log("step", step=1, dt=0.2)
-        assert [r["step"] for r in log.by_event("step")] == [0, 1]
-        assert log.by_event("missing") == []
+        assert [r["step"] for r in log.records if r["event"] == "step"] == [0, 1]
+        assert [r["event"] for r in log.records] == ["step", "pcg_solve", "step"]
 
     def test_jsonl_round_trip(self):
         log = RunLogger()

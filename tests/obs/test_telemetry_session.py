@@ -13,7 +13,7 @@ import pytest
 from repro.codes import CodeVersion, runtime_config_for
 from repro.mas.model import MasModel, ModelConfig
 from repro.obs import telemetry as tel_mod
-from repro.obs.metrics import parse_prometheus_text
+from tests.obs.prom_reader import parse_prometheus_text
 from repro.obs.events import EventRecord
 from repro.obs.telemetry import (
     EVENTS_FILE,
@@ -170,8 +170,9 @@ class TestArtifacts:
 
     def test_pcg_spans_nest_under_viscosity(self, run_dir):
         _, tel, _ = run_dir
-        by_name = tel.tracer.by_name()
-        for pcg in by_name["step/viscosity/pcg"]:
+        pcgs = [s for s in tel.tracer.spans if s.name == "step/viscosity/pcg"]
+        assert pcgs
+        for pcg in pcgs:
             parent = next(
                 s for s in tel.tracer.spans if s.span_id == pcg.parent_id
             )

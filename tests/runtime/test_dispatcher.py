@@ -189,3 +189,45 @@ class TestCpuDispatch:
     def test_cpu_needs_model(self):
         with pytest.raises(ValueError):
             RankRuntime(RuntimeConfig(name="cpu", target="cpu"))
+
+
+def version_runtime(version):
+    from repro.codes import CodeVersion, runtime_config_for
+
+    config = runtime_config_for(CodeVersion[version])
+    if config.target == "cpu":
+        return RankRuntime(config, cpu_model=CpuNodeModel(EPYC_7742_NODE))
+    return gpu_runtime(config)
+
+
+VERSIONS = ["CPU", "A", "AD", "ADU", "AD2XU", "D2XU", "D2XAD"]
+
+
+class TestRegionRules:
+    """OpenACC allows no executable data directive inside a compute
+    construct and no nested parallel region; every code version refuses
+    both, whatever backend its loops run on."""
+
+    @pytest.mark.parametrize("directive", ["update_host", "update_device", "host_access"])
+    @pytest.mark.parametrize("version", VERSIONS)
+    def test_data_directive_inside_a_region_is_refused(self, version, directive):
+        rt = version_runtime(version)
+        rt.register_array("y", 1 * MiB)
+        with pytest.raises(ValueError, match=f"{directive} inside a parallel region"):
+            with rt.region():
+                rt.loop(KernelSpec("k1", writes=("y",)))
+                getattr(rt, directive)("y")
+        # the region closed on the way out: its loop is charged, and the
+        # directive is legal again
+        assert rt.stats.kernels == 1
+        getattr(rt, directive)("y")
+
+    @pytest.mark.parametrize("version", VERSIONS)
+    def test_nested_region_is_refused(self, version):
+        rt = version_runtime(version)
+        with rt.region():
+            with pytest.raises(RuntimeError, match="nested"):
+                with rt.region():
+                    pass
+        with rt.region():  # the outer one closed cleanly
+            pass

@@ -16,7 +16,7 @@ from repro.runtime.cost import KernelCostModel
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.dispatcher import RankRuntime
 from repro.runtime.doconcurrent import UnsupportedLoopError, check_supported
-from repro.runtime.engine import GpuEngine
+from repro.runtime.engine import Engine
 from repro.runtime.fusion import plan_fusion
 from repro.runtime.kernel import KernelSpec, LoopCategory
 from repro.runtime.stream import AsyncQueue
@@ -31,10 +31,10 @@ def make_env(mode=DataMode.MANUAL):
 
 def make_acc(env=None, *, async_launch=True, clock=None):
     env = env or make_env()
-    return GpuEngine(
+    return Engine(
         clock=clock or SimClock(),
         env=env,
-        gpu=GpuDevice(A100_40GB, 0),
+        machine=GpuDevice(A100_40GB, 0),
         cost=KernelCostModel(),
         queue=AsyncQueue(),
         async_launch=async_launch,
@@ -44,10 +44,10 @@ def make_acc(env=None, *, async_launch=True, clock=None):
 def make_dc(env=None, *, dc2x=False, inlined=False, clock=None,
             strategy=ArrayReductionStrategy.DC_ATOMIC):
     env = env or make_env()
-    return GpuEngine(
+    return Engine(
         clock=clock or SimClock(),
         env=env,
-        gpu=GpuDevice(A100_40GB, 0),
+        machine=GpuDevice(A100_40GB, 0),
         cost=KernelCostModel(),
         queue=AsyncQueue(),
         async_launch=False,

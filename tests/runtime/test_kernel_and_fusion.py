@@ -3,8 +3,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.runtime.fusion import FusionGroup, FusionPlanner, plan_fusion
+from repro.analysis.dependence import depends
+from repro.machine.cpu import EPYC_7742_NODE, CpuNodeModel
+from repro.machine.gpu import A100_40GB, GpuDevice
+from repro.machine.interconnect import PCIE4_X16
+from repro.machine.memory import DeviceMemory
+from repro.runtime.config import ArrayReductionStrategy, Backend, RuntimeConfig, uniform_backend
+from repro.runtime.data_env import DataEnvironment, DataMode
+from repro.runtime.dispatcher import RankRuntime
+from repro.runtime.fusion import FusionGroup, plan_fusion
 from repro.runtime.kernel import KernelSpec, LoopCategory
+from repro.util.units import GB, MiB
 
 
 def k(name, reads=(), writes=(), **kw):
@@ -33,32 +42,33 @@ class TestKernelSpec:
     def test_run_body_none(self):
         assert KernelSpec("k").run_body() is None
 
-    def test_with_tags(self):
-        spec = k("k").with_tags("mpi_pack")
-        assert "mpi_pack" in spec.tags
+
+def after(b, a):
+    """Whether kernel ``b`` must run after kernel ``a`` (RAW/WAR/WAW)."""
+    return depends(a.reads, a.writes, b.reads, b.writes)
 
 
 class TestDependence:
     def test_raw(self):
         a = k("w", writes=("x",))
         b = k("r", reads=("x",))
-        assert b.depends_on(a)
+        assert after(b, a)
 
     def test_war(self):
         a = k("r", reads=("x",))
         b = k("w", writes=("x",))
-        assert b.depends_on(a)
+        assert after(b, a)
 
     def test_waw(self):
         a = k("w1", writes=("x",))
         b = k("w2", writes=("x",))
-        assert b.depends_on(a)
+        assert after(b, a)
 
     def test_independent(self):
         a = k("a", reads=("x",), writes=("y",))
         b = k("b", reads=("x",), writes=("z",))
-        assert not b.depends_on(a)
-        assert not a.depends_on(b)
+        assert not after(b, a)
+        assert not after(a, b)
 
 
 class TestPlanFusion:
@@ -108,29 +118,55 @@ class TestPlanFusion:
         for g in plan_fusion(specs, enabled=True):
             for i, a in enumerate(g.kernels):
                 for b in g.kernels[i + 1:]:
-                    assert not b.depends_on(a)
+                    assert not after(b, a)
+
+
+def runtime(config):
+    if config.target == "cpu":
+        rt = RankRuntime(config, cpu_model=CpuNodeModel(EPYC_7742_NODE))
+    else:
+        mode = DataMode.UNIFIED if config.unified_memory else DataMode.MANUAL
+        env = DataEnvironment(mode, device_memory=DeviceMemory(40 * GB), host_link=PCIE4_X16)
+        rt = RankRuntime(config, env=env, gpu=GpuDevice(A100_40GB, 0))
+    for name in "xy":
+        rt.register_array(name, 1 * MiB)
+    return rt
+
+
+ACC = RuntimeConfig(name="acc", loop_backend=uniform_backend(Backend.ACC),
+                    fusion=True, async_launch=True)
+CONFIGS = [
+    ACC,
+    RuntimeConfig(name="dc", loop_backend=uniform_backend(Backend.DC2X),
+                  array_reduction=ArrayReductionStrategy.FLIPPED_DC, inline_routines=True),
+    RuntimeConfig(name="cpu", target="cpu"),
+]
 
 
 class TestFusionPlanner:
+    """The region planner: ``RankRuntime``'s pending launches inside a region."""
+
     def test_region_protocol(self):
-        p = FusionPlanner(enabled=True)
-        p.open_region()
-        p.submit(k("a", writes=("x",)))
-        p.submit(k("b", writes=("y",)))
-        groups = p.close_region()
-        assert [g.size for g in groups] == [2]
-        assert not p.in_region
+        rt = runtime(ACC)
+        with rt.region():
+            rt.loop(k("a", writes=("x",)))
+            rt.loop(k("b", writes=("y",)))
+            assert rt.stats.launches == 0
+        assert (rt.stats.launches, rt.stats.fused_away) == (1, 1)
+        with rt.region():  # closed: a region opens again
+            pass
 
     def test_nested_region_rejected(self):
-        p = FusionPlanner(enabled=True)
-        p.open_region()
-        with pytest.raises(RuntimeError):
-            p.open_region()
+        for config in CONFIGS:
+            rt = runtime(config)
+            with rt.region():
+                with pytest.raises(RuntimeError, match="nested"):
+                    with rt.region():
+                        pass
 
     def test_submit_outside_region_rejected(self):
-        with pytest.raises(RuntimeError):
-            FusionPlanner(enabled=True).submit(k("a"))
-
-    def test_close_without_open_rejected(self):
-        with pytest.raises(RuntimeError):
-            FusionPlanner(enabled=True).close_region()
+        """Outside a region (and without cross-region fusion) nothing waits:
+        a loop is charged when it is launched."""
+        rt = runtime(ACC)
+        rt.loop(k("a", writes=("x",)))
+        assert rt.stats.launches == 1

@@ -6,7 +6,6 @@ from repro.machine.node import make_delta_node
 from repro.runtime.config import DeviceBindingMethod
 from repro.runtime.launch import (
     LOCAL_RANK_ENV_VARS,
-    DeviceBinding,
     LaunchScript,
     bind_devices,
     devices_for_binding,
@@ -62,6 +61,3 @@ class TestBindDevices:
         devs = devices_for_binding(node, binding)
         assert [d.device_id for d in devs] == [0, 1, 2, 3]
 
-    def test_device_for(self):
-        b = DeviceBinding(DeviceBindingMethod.SET_DEVICE_NUM, (0, 1))
-        assert b.device_for(1) == 1

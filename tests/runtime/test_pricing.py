@@ -26,7 +26,7 @@ from repro.runtime.cost import KernelCostModel
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.dispatcher import RankRuntime
 from repro.runtime.doconcurrent import UnsupportedLoopError, check_supported
-from repro.runtime.engine import GpuEngine
+from repro.runtime.engine import Engine
 from repro.runtime.fusion import plan_fusion
 from repro.runtime.kernel import KernelSpec, LoopCategory
 from repro.runtime.stream import AsyncQueue
@@ -52,8 +52,8 @@ def make_engine(kind, env, clock, *, async_launch=True, flipped=False,
     strategy = (ArrayReductionStrategy.FLIPPED_DC if flipped
                 else ArrayReductionStrategy.DC_ATOMIC if dc
                 else ArrayReductionStrategy.ACC_ATOMIC)
-    return GpuEngine(
-        clock=clock, env=env, gpu=GpuDevice(A100_40GB, 0),
+    return Engine(
+        clock=clock, env=env, machine=GpuDevice(A100_40GB, 0),
         cost=cost or KernelCostModel(), queue=AsyncQueue(),
         working_set_bytes=working_set_bytes,
         async_launch=async_launch and not dc,

@@ -1,4 +1,4 @@
-"""ROADMAP's surface rule, computed from the import graph.
+"""ROADMAP's surface rule, computed from the import graph and the names.
 
 A module under ``src/repro`` stays only if an EXPERIMENTS.md section (a
 row of ``repro.experiments.catalog``), a bench workload or a CLI command
@@ -6,9 +6,17 @@ reaches it. Tests and examples are not roots: what only they import
 belongs beside them. A package ``__init__`` only re-exports here, so its
 import lines are not edges; a name imported through a package counts as
 an import of the module that defines it.
+
+The same holds one level down: a public top-level function or class, and
+a public method or property of a top-level class, stays only if some
+``src/repro`` or bench file names it besides its definition. A name is a
+use wherever it is code (a name, an attribute, an import) or a word of a
+string literal (the bench patches methods by name); a docstring, and a
+package ``__init__``'s re-exports, are not uses.
 """
 
 import ast
+import re
 from pathlib import Path
 
 from repro.experiments.catalog import EXPERIMENTS
@@ -21,6 +29,22 @@ SRC = ROOT / "src"
 #: outlives its excuse.
 ALLOWED = {
     "repro.mas.history": "ROADMAP item 4 (c): physics health metrics in telemetry",
+}
+
+#: Public symbols no program file names, each with its reason; like
+#: ``ALLOWED``, an entry fails the test once it is named or gone.
+_DEFERRED = "no caller; deleting it deletes only its own tests, left for a later PR"
+ALLOWED_SYMBOLS = {
+    "repro.runtime.clock.SimClock.observer_count": "test hook: leak checks count a clock's observers",
+    "repro.perf.profiler.Profiler.attached_count": "test hook: leak checks count a profiler's clocks",
+    "repro.util.rng.make_rng": _DEFERRED,
+    "repro.util.rng.spawn_rngs": _DEFERRED,
+    "repro.mas.stretch.cluster_spacing": _DEFERRED,
+    "repro.util.units.Quantity.rounded": _DEFERRED,
+    "repro.machine.memory.DeviceMemory.live_allocations": _DEFERRED,
+    "repro.machine.memory.DeviceMemory.reset": _DEFERRED,
+    "repro.machine.node.CpuCluster.validate_nodes": _DEFERRED,
+    "repro.machine.unified_memory.UnifiedMemoryManager.evict_all": _DEFERRED,
 }
 
 
@@ -115,6 +139,113 @@ def unreachable(src: Path, rows: set[str], bench: Path) -> set[str]:
     roots = {"repro.cli", "repro.__main__", "repro.experiments.report", *rows}
     reached = graph.reachable(roots, sorted(bench.glob("*.py")))
     return set(graph.modules) - reached
+
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                out.add(id(first.value))
+    return out
+
+
+def _names_used(path: Path) -> set[str]:
+    """Every identifier one file uses (see the module docstring)."""
+    tree = ast.parse(path.read_text())
+    skipped = _docstrings(tree)
+    if path.name == "__init__.py":
+        for node in tree.body:
+            reexport = isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            )
+            if reexport:
+                skipped.update(id(sub) for sub in ast.walk(node))
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(_IDENTIFIER.findall(node.value))
+    return used
+
+
+def _public(body: list[ast.stmt]) -> list[ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef]:
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [n for n in body if isinstance(n, kinds) and not n.name.startswith("_")]
+
+
+def unnamed_symbols(src: Path, bench: Path, skip: set[str]) -> set[str]:
+    """Qualified names of the public symbols under ``src/repro`` (outside
+    the modules in ``skip``) that no file of ``src/repro`` or ``bench`` uses."""
+    modules = _modules(src)
+    used: set[str] = set()
+    for path in [*modules.values(), *sorted(bench.glob("**/*.py"))]:
+        used |= _names_used(path)
+    out = set()
+    for module, path in modules.items():
+        if module in skip:
+            continue
+        for node in _public(ast.parse(path.read_text()).body):
+            if node.name not in used:
+                out.add(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out.update(
+                    f"{module}.{node.name}.{member.name}"
+                    for member in _public(node.body)
+                    if not isinstance(member, ast.ClassDef) and member.name not in used
+                )
+    return out
+
+
+def test_every_public_symbol_is_named_or_allow_listed():
+    missing = unnamed_symbols(SRC, ROOT / "bench", set(ALLOWED))
+    assert missing == set(ALLOWED_SYMBOLS), (
+        f"named nowhere and not allow-listed: {sorted(missing - set(ALLOWED_SYMBOLS))}; "
+        f"allow-listed but named or gone (drop the entry): "
+        f"{sorted(set(ALLOWED_SYMBOLS) - missing)}"
+    )
+
+
+def test_a_symbol_is_named_by_a_use_not_by_its_definition(tmp_path):
+    """The symbol rule's conventions on a toy tree: a re-export, an
+    ``__all__`` entry or a docstring does not keep a symbol; a call, an
+    attribute or a bench string naming it does."""
+    src = tmp_path / "src"
+    (src / "repro" / "pkg").mkdir(parents=True)
+    (src / "repro" / "__init__.py").write_text("")
+    (src / "repro" / "pkg" / "__init__.py").write_text(
+        'from repro.pkg.a import exported\n__all__ = ["exported"]\n'
+    )
+    (src / "repro" / "pkg" / "a.py").write_text(
+        "def exported():\n"
+        '    """Documented only: `K.unused` and `exported`."""\n'
+        "def called():\n    pass\n"
+        "def patched():\n    pass\n"
+        "def _private():\n    pass\n"
+        "class K:\n"
+        "    def used(self):\n        return called()\n"
+        "    def unused(self):\n        pass\n"
+        "    @property\n"
+        "    def prop(self):\n        pass\n"
+        "ref = K().used\n"
+    )
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "layers.py").write_text('PATCHED = ("patched",)\n')
+    assert unnamed_symbols(src, tmp_path / "bench", set()) == {
+        "repro.pkg.a.exported", "repro.pkg.a.K.unused", "repro.pkg.a.K.prop",
+    }
 
 
 def test_every_module_is_reached_or_allow_listed():

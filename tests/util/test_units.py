@@ -8,7 +8,6 @@ from repro.util.units import (
     Quantity,
     fmt_bytes,
     fmt_duration,
-    fmt_rate,
     minutes,
     seconds_to_minutes,
 )
@@ -33,9 +32,6 @@ class TestFormatting:
     )
     def test_fmt_bytes(self, n, expect):
         assert fmt_bytes(n) == expect
-
-    def test_fmt_rate(self):
-        assert fmt_rate(1555 * GB) == "1555.0 GB/s"
 
     @pytest.mark.parametrize(
         "s,expect",
