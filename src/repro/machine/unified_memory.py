@@ -24,6 +24,10 @@ from repro.machine.memory import Residency
 from repro.machine.spec import LinkSpec
 from repro.util.units import KiB, MiB
 
+#: Read once: an enum member looked up on its class costs a Python-level
+#: ``EnumType.__getattr__`` hook on every access (Python 3.11).
+_HOST, _DEVICE = Residency.HOST, Residency.DEVICE
+
 
 @dataclass(slots=True)
 class PageMigrationStats:
@@ -107,9 +111,9 @@ class UnifiedMemoryManager:
         if nbytes < 0:
             raise ValueError("touch size cannot be negative")
         res = self._residency[name]
-        if res is Residency.DEVICE or nbytes == 0:
+        if res is _DEVICE or nbytes == 0:
             return 0.0
-        self._residency[name] = Residency.DEVICE
+        self._residency[name] = _DEVICE
         self.stats.faults_h2d += max(1, math.ceil(nbytes / self.fault_group))
         self.stats.bytes_h2d += nbytes
         return self._migration_cost(nbytes)
@@ -119,9 +123,9 @@ class UnifiedMemoryManager:
         if nbytes < 0:
             raise ValueError("touch size cannot be negative")
         res = self._residency[name]
-        if res is Residency.HOST or nbytes == 0:
+        if res is _HOST or nbytes == 0:
             return 0.0
-        self._residency[name] = Residency.HOST
+        self._residency[name] = _HOST
         self.stats.faults_d2h += max(1, math.ceil(nbytes / self.fault_group))
         self.stats.bytes_d2h += nbytes
         return self._migration_cost(nbytes)

@@ -48,6 +48,7 @@ from repro.mpi import collectives
 from repro.mpi.halo import FieldItem, HaloSpec, ShapeOnly
 from repro.runtime.clock import TimeCategory
 from repro.runtime.kernel import KernelSpec, LoopCategory
+from repro.runtime.pricing import PriceMemo
 
 if TYPE_CHECKING:
     from repro.mas.model import ModelConfig
@@ -465,14 +466,14 @@ def _check_side(plan: StepPlan, side: RuntimeSide, n_steps: int) -> None:
 
 
 class _Player:
-    """One replay's tables: bound entry points, shape-only exchange items,
-    placeholder reduction values."""
+    """One replay's tables: per rank the launches lowered so far, shape-only
+    exchange items, placeholder reduction values."""
 
     def __init__(self, plan: StepPlan, side: RuntimeSide) -> None:
         self.side, self.specs, self.cfg = side, plan.specs, side.rt_config
-        self.launches = {
-            kind: [getattr(rt, kind) for rt in side.ranks] for kind in LAUNCHES
-        }
+        #: Per rank, spec index -> ``RankRuntime._lower``'s answer; like the
+        #: engines' prices, valid for one (env epoch, working set).
+        self.lowered = [PriceMemo() for _ in side.ranks]
         self.items = [
             ([(f, [ShapeOnly(s) for s in shapes], stagger) for f, stagger, shapes in flds],
              HaloSpec(depth, axes))
@@ -484,13 +485,22 @@ class _Player:
         self.pending: dict[tuple, Any] = {}
 
     def play(self, stream: Stream) -> None:
-        launches, specs, cfg, handlers = self.launches, self.specs, self.cfg, _HANDLERS
+        specs, cfg, handlers = self.specs, self.cfg, _HANDLERS
+        ranks, lowered = self.side.ranks, self.lowered
         for ev in stream:
-            issue = launches.get(ev[0])
-            if issue is None:
+            category = LAUNCHES.get(ev[0])
+            if category is None:
                 handlers[ev[0]](self, ev)
             elif ev[3] is None or getattr(cfg, ev[3]):
-                issue[ev[1]](specs[ev[2]])
+                rt = ranks[ev[1]]
+                if not rt._direct(category):  # buffered, or a shadow watches
+                    rt._dispatch(specs[ev[2]], category)
+                    continue
+                held = lowered[ev[1]].entries(rt.env.epoch, rt.working_set_bytes)
+                entry = held.get(ev[2])
+                if entry is None:
+                    entry = held[ev[2]] = rt._lower(specs[ev[2]], category)
+                rt._charge(entry)
 
     def _region_open(self, ev: Event) -> None:
         if ev[2] is None or getattr(self.cfg, ev[2]):

@@ -105,8 +105,9 @@ class Decomposition3D:
         for n, p in zip(self.global_shape, self.dims):
             if n < p:
                 raise ValueError(f"extent {n} cannot host {p} ranks")
-        # Halo exchanges ask for the same neighbours on every message; the
-        # answer is fixed by the fields above: [rank][axis][low, high].
+        # Halo exchanges ask for the same neighbours, bounds and shapes on
+        # every message; the answers are fixed by the fields above.
+        # Neighbours by [rank][axis][low, high]:
         object.__setattr__(
             self,
             "_neighbor_table",
@@ -117,6 +118,17 @@ class Decomposition3D:
                 )
                 for rank in range(self.nranks)
             ),
+        )
+        splits = [split_extent(n, p) for n, p in zip(self.global_shape, self.dims)]
+        bounds = tuple(
+            tuple(split[c] for split, c in zip(splits, self.coords(rank)))
+            for rank in range(self.nranks)
+        )
+        object.__setattr__(self, "_bounds_table", bounds)
+        object.__setattr__(
+            self,
+            "_shape_table",
+            tuple(tuple(hi - lo for lo, hi in b) for b in bounds),
         )
 
     # -- rank <-> coords ----------------------------------------------------
@@ -140,14 +152,15 @@ class Decomposition3D:
 
     def bounds(self, rank: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
         """Global index [start, stop) per axis for this rank's block."""
-        c = self.coords(rank)
-        return tuple(
-            split_extent(self.global_shape[a], self.dims[a])[c[a]] for a in range(3)
-        )  # type: ignore[return-value]
+        if not 0 <= rank < self.nranks:
+            raise IndexError(f"rank {rank} out of range")
+        return self._bounds_table[rank]
 
     def local_shape(self, rank: int) -> tuple[int, int, int]:
         """Interior cell counts of this rank's block."""
-        return tuple(hi - lo for lo, hi in self.bounds(rank))  # type: ignore[return-value]
+        if not 0 <= rank < self.nranks:
+            raise IndexError(f"rank {rank} out of range")
+        return self._shape_table[rank]
 
     def local_cells(self, rank: int) -> int:
         """Interior cell count of the block."""

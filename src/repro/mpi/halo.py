@@ -27,13 +27,15 @@ independent work the cross-region fusion window can collapse.
 An exchange's schedule does not change between steps, so it is derived once:
 a :class:`_Plan` per (fields and stagger axes, :class:`HaloSpec`) that every
 ``exchange*`` walks, rebuilt when an ``env.epoch`` or an array shape moves.
+Its kernels are lowered when it is built (``RankRuntime._lower``), so a walk
+charges their held prices instead of dispatching each launch anew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -42,8 +44,8 @@ from repro.mpi.transport import Transport
 from repro.obs.telemetry import current as _telemetry
 from repro.runtime.clock import SimClock, TimeCategory
 from repro.runtime.data_env import Charge
-from repro.runtime.dispatcher import RankRuntime
-from repro.runtime.kernel import KernelSpec
+from repro.runtime.dispatcher import Lowered, RankRuntime
+from repro.runtime.kernel import KernelSpec, LoopCategory
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,6 +84,11 @@ def _cost_only(items: list[FieldItem]) -> bool:
     return isinstance(items[0][1][0], ShapeOnly)
 
 _PACK_TAGS = frozenset({"mpi_pack"})
+#: Every planned kernel is a plain loop (``RankRuntime.loop``). Enum
+#: members the walk uses are read once: looked up on their class, each
+#: access costs a Python-level hook (Python 3.11).
+_PLAIN = LoopCategory.PLAIN
+_TRANSFER, _WAIT = TimeCategory.MPI_TRANSFER, TimeCategory.MPI_WAIT
 
 
 class _FaceNames(NamedTuple):
@@ -189,6 +196,17 @@ class _Live:
         self.arrays[item][rank][ghost] = self.bufs[slot]
 
 
+def _launch(rt: RankRuntime, spec: KernelSpec, lowered: Lowered) -> Any:
+    """One planned kernel: its body, then the entry lowered at plan build;
+    through ``rt.loop`` when the rank would buffer the launch or a shadow
+    checker has to see it (one may be attached after the plan was built)."""
+    if rt._direct(_PLAIN):
+        result = spec.run_body()
+        rt._charge(lowered)
+        return result
+    return rt.loop(spec)
+
+
 @dataclass(frozen=True, slots=True)
 class _Message:
     """One planned message: its pack kernel on the sender, the wire, and its
@@ -200,6 +218,10 @@ class _Message:
     dst_rt: RankRuntime
     pack: KernelSpec
     unpack: KernelSpec
+    #: ``pack`` lowered on the sender, ``unpack`` on the receiver; valid
+    #: under the plan's guard.
+    pack_lowered: Lowered
+    unpack_lowered: Lowered
     send: str  # staging-buffer names
     recv: str
     nbytes: int
@@ -220,7 +242,8 @@ class _Plan:
 
     fields: tuple[str, ...]
     guard: tuple  # (env epochs, array shapes) the plan was derived from
-    init: tuple[tuple[RankRuntime, KernelSpec], ...]  # buffer maintenance
+    #: Buffer maintenance kernels, each with its rank and lowered entry.
+    init: tuple[tuple[RankRuntime, KernelSpec, Lowered], ...]
     #: Per axis: the wire wait's trace label, the messages in the one order
     #: packs, sends and unpacks all run in, and their senders (the key the
     #: telemetry registry holds their byte counters under).
@@ -535,11 +558,12 @@ class HaloExchanger:
                         if field_name in rt.env
                         else self.nominal.local_cells(0) * self.element_bytes
                     )
-                    init.append((rt, KernelSpec(
+                    kernel = KernelSpec(
                         name=f"halo_buffer_init_{field_name}",
                         bytes_override=self.buffer_init_fraction * nb,
                         tags=_PACK_TAGS,
-                    )))
+                    )
+                    init.append((rt, kernel, rt._lower(kernel, _PLAIN)))
         self.plans_built += 1
         axes = tuple(self._plan_axis(items, axis, g) for axis in spec.axes)
         return _Plan(fields, self._guard(items), tuple(init), axes)
@@ -586,15 +610,22 @@ class HaloExchanger:
                         else partial(unpack_face, item, dst, ghost, len(messages)),
                         tags=_PACK_TAGS,
                     )
+                    # the transport's residency checks first, as at launch
+                    send_charges = (
+                        tuple(tr.send_charges(rt.env, out.send, nbytes)) if planned else None
+                    )
+                    recv_charges = () if dst == src else (
+                        tuple(tr.recv_charges(dst_rt.env, into.recv, nbytes))
+                        if planned else None
+                    )
                     messages.append(_Message(
-                        src, dst, rt, dst_rt, pack, unpack, out.send, into.recv, nbytes,
+                        src, dst, rt, dst_rt, pack, unpack,
+                        rt._lower(pack, _PLAIN), dst_rt._lower(unpack, _PLAIN),
+                        out.send, into.recv, nbytes,
                         same_node=self.rank_nodes is None
                         or self.rank_nodes[src] == self.rank_nodes[dst],
-                        send_charges=tuple(tr.send_charges(rt.env, out.send, nbytes))
-                        if planned else None,
-                        recv_charges=() if dst == src
-                        else tuple(tr.recv_charges(dst_rt.env, into.recv, nbytes))
-                        if planned else None,
+                        send_charges=send_charges,
+                        recv_charges=recv_charges,
                     ))
         return f"msg_{axis}", tuple(messages), tuple(m.src for m in messages)
 
@@ -655,11 +686,13 @@ class HaloExchanger:
         live, tr = self._live, self.transport
         live.arrays = [locals_ for _, locals_, _ in items]
         try:
-            for rt, spec in plan.init:
-                rt.loop(spec)
+            for rt, spec, lowered in plan.init:
+                _launch(rt, spec, lowered)
             for label, messages, senders in plan.axes:
                 # -- phase A: every rank packs its faces, all fields ----------
-                bufs = live.bufs = [m.src_rt.loop(m.pack) for m in messages]
+                bufs = live.bufs = [
+                    _launch(m.src_rt, m.pack, m.pack_lowered) for m in messages
+                ]
                 # -- phase B: synchronize (imbalance shows up as MPI wait) ----
                 self._barrier()
                 # -- phase C: messages ----------------------------------------
@@ -681,7 +714,7 @@ class HaloExchanger:
                     # Blocking semantics inside the phase: the sender waits
                     # for its own wire (overlapped begins run this on the
                     # detached communication clock instead).
-                    clock.wait_until(msg.t_ready, TimeCategory.MPI_TRANSFER, label)
+                    clock.wait_until(msg.t_ready, _TRANSFER, label)
                     charges = m.recv_charges
                     if charges is None:
                         charges = tr.recv_charges(m.dst_rt.env, m.recv, nbytes)
@@ -695,7 +728,7 @@ class HaloExchanger:
                         byte_counters[slot].inc(nbytes)
                 # -- phase D: unpack into ghosts ------------------------------
                 for m in messages:
-                    m.dst_rt.loop(m.unpack)
+                    _launch(m.dst_rt, m.unpack, m.unpack_lowered)
                 self._barrier()
         finally:
             live.arrays = live.bufs = ()
@@ -706,4 +739,4 @@ class HaloExchanger:
             rt.sync()
         t_max = max(rt.clock.now for rt in self.ranks)
         for rt in self.ranks:
-            rt.clock.wait_until(t_max, TimeCategory.MPI_WAIT, "halo_barrier")
+            rt.clock.wait_until(t_max, _WAIT, "halo_barrier")

@@ -8,6 +8,7 @@ simply ``mpi = sum(categories in MPI_CATEGORIES)`` vs everything else.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -45,6 +46,9 @@ class SimClock:
 
     ``on_advance`` observers receive ``(start, duration, category, label)``
     for every advance; the profiler registers one to build Fig. 4 timelines.
+    While none is registered, :meth:`Engine.charge
+    <repro.runtime.engine.Engine.charge>` applies an advance's two adds
+    inline.
     """
 
     now: float = 0.0
@@ -54,9 +58,10 @@ class SimClock:
     )
 
     def advance(self, dt: float, category: TimeCategory, label: str = "") -> float:
-        """Advance time by ``dt`` seconds charged to ``category``."""
-        if dt < 0:
-            raise ValueError(f"cannot advance clock by negative time {dt}")
+        """Advance time by ``dt`` seconds charged to ``category``; ``dt`` must
+        be finite and non-negative (a NaN would poison every total after it)."""
+        if not 0.0 <= dt < math.inf:
+            raise ValueError(f"cannot advance clock by {dt}: not a finite non-negative time")
         start = self.now
         self.now += dt
         self.by_category[category] = self.by_category.get(category, 0.0) + dt
@@ -69,6 +74,8 @@ class SimClock:
         """Advance to absolute time ``t`` (no-op if already past it)."""
         if t > self.now:
             self.advance(t - self.now, category, label)
+        elif t != t:
+            raise ValueError("cannot wait until a NaN time")
         return self.now
 
     def subscribe(self, observer: Callable[[float, float, TimeCategory, str], None]) -> None:

@@ -13,7 +13,11 @@ resolved to at construction (:class:`~repro.runtime.engine.Engine`: CPU,
 OpenACC or DC), either at once or through the one pending-launch buffer:
 OpenACC loops inside a region, and between synchronization points with
 cross-region fusion, wait there and launch as one fusion plan when the
-region closes or anything else needs the device in order.
+region closes or anything else needs the device in order. A launch charged
+at once is *lowered* (``_lower``: engine, held price, counted category) and
+*charged* (``_charge``); a replay and the halo walk keep what ``_lower``
+gave and charge it again while ``_direct`` says nothing would buffer it or
+watch it.
 
 Numerical bodies always execute eagerly at submission, so results are
 bit-identical across code versions (the paper validated all versions
@@ -37,10 +41,15 @@ from repro.runtime.doconcurrent import check_supported
 from repro.runtime.engine import Engine, LaunchStats
 from repro.runtime.fusion import plan_fusion, plan_fusion_window, validate_plan
 from repro.runtime.kernel import KernelSpec, LoopCategory
+from repro.runtime.pricing import PricedLaunch
 from repro.runtime.stream import AsyncQueue
 
 #: The loop categories an OpenACC parallel region can fuse.
 _FUSABLE = (LoopCategory.PLAIN, LoopCategory.ATOMIC_OTHER)
+
+#: A launch lowered for one rank: the engine that charges it, its price,
+#: and the loop category ``kernel_launches_total`` counts it under.
+Lowered = tuple[Engine, PricedLaunch, LoopCategory]
 
 
 def _respec(spec: KernelSpec, name: str, category: LoopCategory, body: Any) -> KernelSpec:
@@ -146,6 +155,9 @@ class RankRuntime:
         )
         self._cross_region = config.cross_region_fusion and config.fusion and fuses
         self._in_region = False
+        #: The categories ``_pending`` takes right now: the bufferable ones
+        #: inside a region, and outside one with cross-region fusion.
+        self._holding = self._bufferable if self._cross_region else ()
         #: Body-less launches not yet charged: a region's, or (outside one)
         #: the cross-region window's, all MPI_PACK kernels or none.
         self._pending: list[KernelSpec] = []
@@ -218,7 +230,7 @@ class RankRuntime:
         if self._in_region:
             raise RuntimeError("nested parallel regions are not supported")
         self._flush()
-        self._in_region = True
+        self._in_region, self._holding = True, self._bufferable
         try:
             yield
         finally:
@@ -226,6 +238,7 @@ class RankRuntime:
                 self._flush()
             finally:
                 self._in_region = False
+                self._holding = self._bufferable if self._cross_region else ()
 
     def _flush(self) -> None:
         """Launch the pending loops: a region's as its consecutive fusion
@@ -298,7 +311,7 @@ class RankRuntime:
         else:
             result = spec.run_body()
         # The body has run; from here on only cost is accounted.
-        if category in self._bufferable and (self._in_region or self._cross_region):
+        if category in self._holding:
             if (
                 self._pending
                 and not self._in_region
@@ -310,24 +323,41 @@ class RankRuntime:
                 spec if spec.body is None else _respec(spec, spec.name, category, None)
             )
             return result
+        self._charge(self._lower(spec, category))
+        return result
+
+    def _lower(self, spec: KernelSpec, category: LoopCategory) -> Lowered:
+        """What launching ``spec`` (of ``category``) on its own charges.
+
+        Refuses a category this config cannot run. Under Code 5's rewrite a
+        kernels region on the DC engine is priced as an explicit DC
+        (reduction) loop with the same data traffic: a different kernel,
+        under its own name, still counted as a kernels region. The price
+        stays valid while the data environment's epoch and the working set
+        stand still (:class:`~repro.runtime.pricing.PriceMemo`).
+        """
         engine = self._engine_for.get(category)
         if engine is None:
             raise ValueError(
                 f"config {self.config.name!r} cannot run "
                 f"{self.config.backend_for(category).value} loops on {self.config.target}"
             )
-        self._flush()
         if category is LoopCategory.KERNELS_REGION and engine is self._dc:
-            # Code 5's rewrite: the intrinsic becomes an explicit DC
-            # (reduction) loop with the same data traffic -- a different
-            # kernel, priced under its own name.
-            engine.charge_single(
-                _respec(spec, spec.name + "_expanded", LoopCategory.SCALAR_REDUCTION, None),
-                category,
-            )
-        else:
-            engine.charge_single(spec)
-        return result
+            spec = _respec(spec, spec.name + "_expanded", LoopCategory.SCALAR_REDUCTION, None)
+        return engine, engine.price(spec), category
+
+    def _direct(self, category: LoopCategory) -> bool:
+        """Whether a launch of ``category`` lowered ahead of time may be
+        charged now, its body run by the caller: the pending buffer would
+        not take it and no shadow checker has to see it."""
+        return self._shadow is None and category not in self._holding
+
+    def _charge(self, lowered: Lowered) -> None:
+        """Charge a lowered launch, after what is pending."""
+        if self._pending:
+            self._flush()
+        engine, priced, category = lowered
+        engine.charge(priced, category)
 
     # -- manual data directives (used by MPI layer and setup code) -----------
 

@@ -15,8 +15,9 @@ in the ``machine`` that prices a kernel: a CPU node runs a loop at its
 roofline and never launches one.
 
 The engine only accounts cost: :meth:`Engine.price` derives a kernel's
-price, memoised per kernel (:mod:`repro.runtime.pricing`), and the
-``charge_*`` methods apply it to the clock and count the launch. Numerical
+price, memoised per kernel (:mod:`repro.runtime.pricing`), and
+:meth:`Engine.charge` (one kernel) and :meth:`Engine.charge_region` (a
+fusion plan) apply it to the clock and count the launch. Numerical
 bodies are run by the dispatcher, eagerly in submission order -- fusion
 and async change *cost*, never results (the loops are data independent by
 construction, which the fusion planner verifies).
@@ -39,10 +40,15 @@ from repro.runtime.kernel import KernelSpec, LoopCategory
 from repro.runtime.pricing import (
     PricedLaunch,
     PriceMemo,
+    fault_in,
+    observe_kernel,
     priced_launch,
     touch_and_observe,
 )
 from repro.runtime.stream import AsyncQueue
+
+#: Looked up once: an enum member read off its class costs a Python call.
+_LAUNCH = TimeCategory.LAUNCH
 
 
 @dataclass(slots=True)
@@ -153,34 +159,53 @@ class Engine:
 
     # -- charging ------------------------------------------------------------
 
-    def _count_launch(self, category: LoopCategory) -> None:
-        tel = _telemetry()
-        if tel.enabled:
-            bound = tel.metrics.bound
-            key = (self.version, category)
-            child = bound.get(key)
-            if child is None:
-                child = bound[key] = tel.metrics.counter(
-                    "kernel_launches_total",
-                    "kernel launches, by code version and loop category",
-                    labelnames=("version", "category"),
-                ).labels(version=self.version, category=category.value)
-            child.inc()
+    def _count_launch(self, tel, category: LoopCategory) -> None:
+        """``kernel_launches_total`` under ``tel``, an enabled session."""
+        bound = tel.metrics.bound
+        key = (self.version, category)
+        child = bound.get(key)
+        if child is None:
+            child = bound[key] = tel.metrics.counter(
+                "kernel_launches_total",
+                "kernel launches, by code version and loop category",
+                labelnames=("version", "category"),
+            ).labels(version=self.version, category=category.value)
+        child.inc()
 
-    def charge_single(self, spec: KernelSpec, category: LoopCategory | None = None) -> None:
+    def charge(self, priced: PricedLaunch, category: LoopCategory) -> None:
         """Charge one kernel launched on its own: faults, gap, body.
 
-        ``category`` labels the launch when it is not ``spec``'s own (the
-        loop a rewrite started from).
+        ``priced`` is what :meth:`price` gave for the kernel, and
+        ``category`` the loop category the launch is counted under (the
+        loop's own, also when a rewrite priced another kernel for it).
         """
-        priced = self.price(spec)
-        touch_and_observe(priced, self.clock, self.env)
-        if priced.gap_seconds is not None:
-            self.clock.advance(priced.gap_seconds, TimeCategory.LAUNCH, priced.launch_label)
-        self.clock.advance(priced.body_seconds, priced.body_category, priced.label)
-        self.stats.kernels += 1
-        self.stats.launches += 1
-        self._count_launch(category or spec.category)
+        clock = self.clock
+        if priced.touches:
+            fault_in(priced, clock, self.env)
+        tel = _telemetry()
+        if tel.enabled:
+            observe_kernel(tel.metrics, priced)
+        gap = priced.gap_seconds
+        if clock._observers:
+            # the profiler sees every advance
+            if gap is not None:
+                clock.advance(gap, _LAUNCH, priced.launch_label)
+            clock.advance(priced.body_seconds, priced.body_category, priced.label)
+        else:
+            # ``advance``'s two adds, in its order; the price was checked
+            # finite and non-negative when it was derived
+            totals = clock.by_category
+            if gap is not None:
+                clock.now += gap
+                totals[_LAUNCH] = totals.get(_LAUNCH, 0.0) + gap
+            body, where = priced.body_seconds, priced.body_category
+            clock.now += body
+            totals[where] = totals.get(where, 0.0) + body
+        stats = self.stats
+        stats.kernels += 1
+        stats.launches += 1
+        if tel.enabled:
+            self._count_launch(tel, category)
 
     def _price_group(self, group: FusionGroup) -> tuple[float, TimeCategory]:
         """Fault in and observe a fused group's kernels in order; returns
@@ -207,8 +232,10 @@ class Engine:
         """
         if not groups:
             return
-        for group in groups:
-            self._count_launch(group.kernels[0].category)
+        tel = _telemetry()
+        if tel.enabled:
+            for group in groups:
+                self._count_launch(tel, group.kernels[0].category)
         priced = [self._price_group(group) for group in groups]
         q = self.queue.simulate(
             [body for body, _ in priced], async_launch=self.async_launch

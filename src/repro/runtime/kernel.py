@@ -27,6 +27,11 @@ class LoopCategory(enum.Enum):
     KERNELS_REGION = "kernels_region"        # array syntax / intrinsics
     ROUTINE_CALLER = "routine_caller"        # loop calling pure routines
 
+    #: Members are singletons, so identity hashing is the same equality and
+    #: runs in C: a launch hashes its category in ``cost_key`` and in the
+    #: launch counter's key, and ``Enum.__hash__`` is a Python-level call.
+    __hash__ = object.__hash__
+
 
 @cache
 def _touched_arrays(reads: tuple[str, ...], writes: tuple[str, ...]) -> tuple[str, ...]:

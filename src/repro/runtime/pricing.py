@@ -9,11 +9,12 @@ and on two things that can move: the data environment (sizes, presence)
 and the rank's working set (the locality boost). Each engine derives a
 :class:`PricedLaunch` once per kernel and keeps it in a :class:`PriceMemo`
 until either of those moves; a launch then does only what is stateful
-(:meth:`~repro.runtime.engine.Engine.charge_single`).
+(:meth:`~repro.runtime.engine.Engine.charge`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -60,7 +61,17 @@ def priced_launch(
     nbytes: float,
 ) -> PricedLaunch:
     """Assemble a price from what the engine computed (``touches`` from
-    ``DataEnvironment.kernel_touches``) and what follows from the spec."""
+    ``DataEnvironment.kernel_touches``) and what follows from the spec.
+
+    Refuses seconds that are not finite and non-negative: a launch charged
+    from a held price skips ``SimClock.advance``'s own check.
+    """
+    for seconds in (body_seconds, gap_seconds):
+        if seconds is not None and not 0.0 <= seconds < math.inf:
+            raise ValueError(
+                f"kernel {spec.name!r} priced at {seconds} s: "
+                "a price must be finite and non-negative"
+            )
     pack = "mpi_pack" in spec.tags
     return PricedLaunch(
         label=spec.name,
@@ -76,19 +87,18 @@ def priced_launch(
 
 
 class PriceMemo:
-    """Priced launches by cost key, valid for one (data-environment epoch,
-    working set) pair and dropped as a whole when that pair moves."""
+    """Priced launches by cost key (or, in a replay, lowered launches by
+    spec index), valid for one (data-environment epoch, working set) pair
+    and dropped as a whole when that pair moves."""
 
     __slots__ = ("_epoch", "_working_set", "_entries")
 
     def __init__(self) -> None:
         self._epoch: int | None = None
         self._working_set: float | None = None
-        self._entries: dict[tuple, PricedLaunch] = {}
+        self._entries: dict = {}
 
-    def entries(
-        self, epoch: int, working_set_bytes: float | None
-    ) -> dict[tuple, PricedLaunch]:
+    def entries(self, epoch: int, working_set_bytes: float | None) -> dict:
         """The entries still valid for this epoch and working set."""
         if epoch != self._epoch or working_set_bytes != self._working_set:
             self._epoch, self._working_set = epoch, working_set_bytes
@@ -99,15 +109,21 @@ class PriceMemo:
         return len(self._entries)
 
 
+def fault_in(priced: PricedLaunch, clock: SimClock, env: "DataEnvironment") -> None:
+    """Managed pages of the arrays ``priced`` touches fault in, charged to
+    ``clock`` (residency is state: asked on every launch)."""
+    um = env.um
+    for name, nbytes, label in priced.touches:
+        dt = um.touch_device(name, nbytes)
+        if dt > 0:
+            clock.advance(dt, priced.fault_category, label)
+
+
 def touch_and_observe(priced: PricedLaunch, clock: SimClock, env: "DataEnvironment") -> None:
     """The per-launch effects that precede the launch itself: managed
     pages fault in (charged to ``clock``), roofline counters tick."""
     if priced.touches:
-        um = env.um
-        for name, nbytes, label in priced.touches:
-            dt = um.touch_device(name, nbytes)
-            if dt > 0:
-                clock.advance(dt, priced.fault_category, label)
+        fault_in(priced, clock, env)
     tel = _telemetry()
     if tel.enabled:
         observe_kernel(tel.metrics, priced)

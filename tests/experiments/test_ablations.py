@@ -32,7 +32,7 @@ from repro.runtime.kernel import KernelSpec, LoopCategory
 from repro.runtime.stream import AsyncQueue
 from repro.util.tables import Table
 from repro.util.units import MiB
-from tests.runtime.test_engines import charge_each, loops, make_acc, make_dc, make_env
+from tests.runtime.test_engines import charge, charge_each, loops, make_acc, make_dc, make_env
 
 
 def print_block(title: str, body: str) -> None:
@@ -231,7 +231,7 @@ def test_reduction_strategies():
         env = make_env()
         (field,) = loops(env, 1, nbytes=256 * MiB)
         engine = make(env)
-        engine.charge_single(KernelSpec(
+        charge(engine, KernelSpec(
             "array_red", category=LoopCategory.ARRAY_REDUCTION, reads=field.writes))
         times[label] = engine.clock.now
     t = Table(["strategy", "kernel time (us)"],

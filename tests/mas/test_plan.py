@@ -179,6 +179,133 @@ def _run(plans, version, cal):
     return run_planned(plans, 2, config, rt_config, **hardware)
 
 
+# -- a replay charges lowered launches, and falls back where it must -----------------
+
+
+@pytest.fixture(scope="module")
+def code1_plan() -> StepPlan:
+    cfg = ModelConfig(num_ranks=2, **SMALL)
+    return record_plan(cfg, runtime_config_for(CodeVersion.A), 2)[1]
+
+
+@pytest.mark.parametrize("version", ["A", "ADU", "D2XAD"])
+def test_a_plan_replays_onto_a_side_with_cross_region_fusion(code1_plan, version):
+    """The window holds plain loops and halo kernels between synchronization
+    points: those launches are not charged at once, and the replay must
+    buffer them as the live run does."""
+    rt_cfg = replace(runtime_config_for(CodeVersion[version]), cross_region_fusion=True)
+    side = RuntimeSide(code1_plan.config, rt_cfg)
+    replay(code1_plan, side)
+    live = MasModel(code1_plan.config, rt_cfg)
+    live.run(2)
+    assert record_runtime(side) == record_runtime(live)
+    if version == "A":
+        assert sum(rt.stats.fused_away for rt in side.ranks) > 0
+
+
+class _Watcher:
+    """A shadow checker that notes every launch it is shown."""
+
+    def __init__(self) -> None:
+        self.seen: list[str] = []
+
+    def on_launch(self, spec, env, *, async_launch, queue=None) -> None:
+        self.seen.append(spec.name)
+
+    def run_body(self, spec, env):
+        return spec.run_body()
+
+    def sync(self, queue=None) -> None:
+        pass
+
+
+def _watch(run) -> list:
+    """Attach a watcher to every rank of ``run``, whose halo plans are
+    built; per rank, (the watcher, kernels launched so far)."""
+    assert run.halo.plans_built > 0
+    watched = []
+    for rt in run.ranks:
+        watched.append((_Watcher(), rt.stats.kernels))
+        rt.attach_shadow(watched[-1][0])
+    return watched
+
+
+@pytest.mark.parametrize("version", ["A", "D2XU"])
+def test_a_shadow_attached_after_the_halo_plans_sees_every_launch(code1_plan, version):
+    """The set-up's exchange builds the halo plans, with their launches
+    lowered; a checker attached afterwards must still be shown every pack
+    and unpack, in the live run's order."""
+    rt_cfg = runtime_config_for(CodeVersion[version])
+    live = MasModel(code1_plan.config, rt_cfg)  # set-up done
+    watched = {"live": _watch(live)}
+    live.run(2)
+
+    side = RuntimeSide(code1_plan.config, rt_cfg)
+    begin_step = side.begin_step
+
+    def watch_then_begin_step() -> None:  # after the set-up stream
+        if "replay" not in watched:
+            watched["replay"] = _watch(side)
+        begin_step()
+
+    side.begin_step = watch_then_begin_step
+    replay(code1_plan, side)
+
+    for run, key in ((live, "live"), (side, "replay")):
+        for (watcher, kernels0), rt in zip(watched[key], run.ranks):
+            assert len(watcher.seen) == rt.stats.kernels - kernels0
+            assert any(n.startswith("halo_pack") for n in watcher.seen)
+            assert any(n.startswith("halo_unpack") for n in watcher.seen)
+    assert record_runtime(side) == record_runtime(live)
+    assert [w.seen for w, _ in watched["replay"]] == [w.seen for w, _ in watched["live"]]
+
+
+def _swap_sizes(rt, a: str, b: str) -> None:
+    """Re-register two arrays with each other's sizes: the epoch moves, the
+    working set does not, and a kernel reading ``a`` costs another price."""
+    na, nb = rt.env.nominal_bytes(a), rt.env.nominal_bytes(b)
+    rt.env.unregister(a)
+    rt.env.unregister(b)
+    rt.register_array(a, nb)
+    rt.register_array(b, na)
+
+
+@pytest.mark.parametrize("version", ["A", "D2XU", "CPU"])
+def test_a_launch_is_lowered_again_after_the_epoch_moves(version):
+    """One spec launched, the epoch moved under an unchanged working set,
+    the spec launched again: the replay's table must not hand out the
+    price it held."""
+    from repro.mas.plan import _Player
+
+    cfg = ModelConfig(num_ranks=1, **SMALL)
+    rt_cfg = runtime_config_for(CodeVersion[version])
+    spec = KernelSpec("touch", reads=("rho",), writes=("rho",))
+    recorder = PlanRecorder(RuntimeSide(cfg, rt_cfg))
+    recorder.register_arrays()
+    recorder.begin_step()
+    recorder.ranks[0].loop(spec)
+    recorder.end_step(0, 0.1, 0.1)
+    plan = recorder.finish()
+
+    replayed, live = RuntimeSide(cfg, rt_cfg), RuntimeSide(cfg, rt_cfg)
+    player = _Player(plan, replayed)
+    deltas = []
+    for side, launch in ((replayed, lambda: player.play(plan.streams[0])),
+                         (live, lambda: live.ranks[0].loop(spec))):
+        side.register_arrays()
+        rt = side.ranks[0]
+        for swap in (False, True, False):
+            if swap:
+                _swap_sizes(rt, "rho", "br")
+            t0 = rt.clock.now
+            launch()
+            launch()
+            deltas.append(rt.clock.now - t0)
+    assert record_runtime(replayed) == record_runtime(live)
+    assert deltas[0] not in deltas[1:3] and deltas[:3] == deltas[3:]
+    assert replayed.ranks[0].working_set_bytes == live.ranks[0].working_set_bytes
+
+
 # -- (d), (e): the sweeps, and their telemetry --------------------------------------
 
 

@@ -121,3 +121,21 @@ class TestDecomposition:
     def test_local_cells_sum(self):
         dec = Decomposition3D((10, 11, 13), 6)
         assert sum(dec.local_cells(r) for r in dec.iter_ranks()) == 10 * 11 * 13
+
+    @pytest.mark.parametrize("rank", [-1, 6, 7])
+    def test_a_rank_out_of_range_has_no_block(self, rank):
+        """The tables are indexed by rank; -1 must not read the last row."""
+        dec = Decomposition3D((10, 11, 13), 6)
+        for query in (dec.bounds, dec.local_shape, dec.local_cells):
+            with pytest.raises(IndexError, match="out of range"):
+                query(rank)
+        with pytest.raises(IndexError):
+            dec.face_cells(rank, 0)
+
+    def test_the_tables_are_the_split_extents(self):
+        dec = Decomposition3D((10, 11, 13), 6)
+        for r in dec.iter_ranks():
+            coords = zip(dec.global_shape, dec.dims, dec.coords(r))
+            want = tuple(split_extent(n, p)[c] for n, p, c in coords)
+            assert dec.bounds(r) == want
+            assert dec.local_shape(r) == tuple(hi - lo for lo, hi in want)

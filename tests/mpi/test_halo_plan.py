@@ -136,6 +136,35 @@ class TestInvalidation:
         self.hx.exchange("f", self.locs)
         assert self.hx.plans_built == 2
 
+    @pytest.mark.parametrize("machine", ["p2p", "um", "cpu"])
+    def test_its_lowered_kernels_are_repriced_with_it(self, machine):
+        """A plan's pack, unpack and buffer kernels are lowered when it is
+        built. A registration moves every rank's epoch and the working set
+        the GPU's locality boost reads, so the rebuilt plan must charge the
+        new prices: each exchange's clocks are the unplanned engine's, to
+        the hex."""
+        deltas, prices = [], []
+        for cls in (ref.HaloExchanger, HaloExchanger):
+            hx = make_exchanger(cls, self.dec, machine, buffer_init_fraction=0.5)
+            for late in (False, True):
+                if late:
+                    for rt in hx.ranks:
+                        rt.register_array("late", 20 * GB)
+                before = snapshot(hx)["now"]
+                hx.exchange("f", self.locs)
+                after = snapshot(hx)
+                deltas.append(
+                    [(b - a).hex() for a, b in zip(before, after["now"])]
+                    + [[(c.value, t.hex()) for c, t in cats] for cats in after["by_category"]]
+                )
+                if cls is HaloExchanger:
+                    (plan,) = hx._plans.values()
+                    prices.append([m.pack_lowered[1] for _, msgs, _ in plan.axes for m in msgs])
+        assert deltas[2:] == deltas[:2]
+        assert hx.plans_built == 2
+        if machine != "cpu":  # a CPU loop's price does not read the working set
+            assert all(a.body_seconds != b.body_seconds for a, b in zip(*prices))
+
     def test_a_newly_registered_field_is_read_by_its_pack_kernels(self):
         """The reads of a pack kernel depend on whether the field is a
         registered array: a stale plan would keep ``reads=()``."""

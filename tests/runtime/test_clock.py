@@ -1,5 +1,7 @@
 """Simulated clock and time categories."""
 
+import math
+
 import pytest
 
 from repro.runtime.clock import MPI_CATEGORIES, SimClock, TimeCategory
@@ -15,6 +17,16 @@ class TestAdvance:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             SimClock().advance(-1.0, TimeCategory.COMPUTE)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -0.5])
+    def test_non_finite_rejected_and_nothing_moves(self, dt):
+        """``NaN < 0`` is false: a NaN once poisoned ``now`` and every total
+        after it without a word."""
+        c = SimClock()
+        c.advance(1.0, TimeCategory.COMPUTE)
+        with pytest.raises(ValueError, match="finite non-negative"):
+            c.advance(dt, TimeCategory.COMPUTE)
+        assert c.now == 1.0 and c.by_category == {TimeCategory.COMPUTE: 1.0}
 
     def test_category_totals(self):
         c = SimClock()
@@ -35,6 +47,14 @@ class TestWaitUntil:
         c.advance(10.0, TimeCategory.COMPUTE)
         c.wait_until(5.0)
         assert c.now == 10.0
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_a_non_finite_target_is_refused(self, t):
+        c = SimClock()
+        c.advance(10.0, TimeCategory.COMPUTE)
+        with pytest.raises(ValueError):
+            c.wait_until(t)
+        assert c.now == 10.0 and TimeCategory.MPI_WAIT not in c.by_category
 
 
 class TestMpiSplit:

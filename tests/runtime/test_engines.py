@@ -57,10 +57,15 @@ def make_dc(env=None, *, dc2x=False, inlined=False, clock=None,
     )
 
 
+def charge(engine, spec):
+    """``spec`` launched on its own: priced, then charged."""
+    engine.charge(engine.price(spec), spec.category)
+
+
 def charge_each(dc, specs):
     """A fissioned sequence (what was one OpenACC region)."""
     for spec in specs:
-        dc.charge_single(spec)
+        charge(dc, spec)
 
 
 def loops(env, n, nbytes=100 * MiB):
@@ -122,14 +127,14 @@ class TestDcRestrictions:
         bad = KernelSpec("red", category=LoopCategory.SCALAR_REDUCTION,
                          reads=spec.writes)
         with pytest.raises(UnsupportedLoopError, match="202X"):
-            make_dc(env).charge_single(bad)
+            charge(make_dc(env), bad)
 
     def test_scalar_reduction_ok_with_dc2x(self):
         env = make_env()
         (spec,) = loops(env, 1)
         red = KernelSpec("red", category=LoopCategory.SCALAR_REDUCTION,
                          reads=spec.writes)
-        make_dc(env, dc2x=True).charge_single(red)
+        charge(make_dc(env, dc2x=True), red)
 
     def test_routine_caller_needs_inlining(self):
         env = make_env()
@@ -137,8 +142,8 @@ class TestDcRestrictions:
         call = KernelSpec("caller", category=LoopCategory.ROUTINE_CALLER,
                           reads=spec.writes)
         with pytest.raises(UnsupportedLoopError, match="Minline"):
-            make_dc(env).charge_single(call)
-        make_dc(env, inlined=True).charge_single(call)
+            charge(make_dc(env), call)
+        charge(make_dc(env, inlined=True), call)
 
     def test_kernels_region_rejected(self):
         env = make_env()
@@ -146,7 +151,7 @@ class TestDcRestrictions:
         kr = KernelSpec("minval", category=LoopCategory.KERNELS_REGION,
                         reads=spec.writes)
         with pytest.raises(UnsupportedLoopError, match="no DC equivalent"):
-            make_dc(env, dc2x=True).charge_single(kr)
+            charge(make_dc(env, dc2x=True), kr)
 
 
 class TestReductionStrategies:
@@ -160,8 +165,8 @@ class TestReductionStrategies:
         ra, rf = self._array_red(env_a), self._array_red(env_f)
         atomic = make_dc(env_a, dc2x=True, strategy=ArrayReductionStrategy.DC_ATOMIC)
         flipped = make_dc(env_f, dc2x=True, strategy=ArrayReductionStrategy.FLIPPED_DC)
-        atomic.charge_single(ra)
-        flipped.charge_single(rf)
+        charge(atomic, ra)
+        charge(flipped, rf)
         assert flipped.clock.now < atomic.clock.now
 
     def test_body_runs_and_returns(self):
@@ -176,7 +181,7 @@ class TestUnifiedMemoryEffects:
         env = make_env(DataMode.UNIFIED)
         specs = loops(env, 1)
         dc = make_dc(env)
-        dc.charge_single(specs[0])
+        charge(dc, specs[0])
         assert dc.clock.by_category[TimeCategory.UM_FAULT] > 0
 
     def test_um_launch_gap_larger(self):
@@ -185,8 +190,8 @@ class TestUnifiedMemoryEffects:
         (su,) = loops(env_u, 1)
         m = make_dc(env_m)
         u = make_dc(env_u)
-        m.charge_single(sm)
-        u.charge_single(su)
+        charge(m, sm)
+        charge(u, su)
         assert (
             u.clock.by_category[TimeCategory.LAUNCH]
             > m.clock.by_category[TimeCategory.LAUNCH]
@@ -197,9 +202,9 @@ class TestUnifiedMemoryEffects:
         (sm,) = loops(env_m, 1)
         (su,) = loops(env_u, 1)
         m, u = make_dc(env_m), make_dc(env_u)
-        m.charge_single(sm)
-        u.charge_single(su)
-        u.charge_single(su)  # steady state: no faults second time
+        charge(m, sm)
+        charge(u, su)
+        charge(u, su)  # steady state: no faults second time
         assert (
             u.clock.by_category[TimeCategory.COMPUTE] / 2
             > m.clock.by_category[TimeCategory.COMPUTE]
@@ -212,6 +217,6 @@ class TestMpiPackTagging:
         (spec,) = loops(env, 1)
         pack = KernelSpec("pack", reads=spec.writes, tags=frozenset({"mpi_pack"}))
         acc = make_acc(env)
-        acc.charge_single(pack)
+        charge(acc, pack)
         assert acc.clock.mpi_time > 0
         assert acc.clock.by_category[TimeCategory.MPI_PACK] > 0

@@ -3,6 +3,7 @@ derived from, must equal a price derived from scratch, and must hold on
 to nothing of the launch it was derived for."""
 
 import gc
+import math
 import weakref
 from functools import partial
 
@@ -63,6 +64,11 @@ def make_engine(kind, env, clock, *, async_launch=True, flipped=False,
     )
 
 
+def charge(engine, spec):
+    """``spec`` launched on its own: priced, then charged."""
+    engine.charge(engine.price(spec), spec.category)
+
+
 def recorded(clock):
     """Subscribe a recorder; floats as hex so equality is to the bit."""
     stream = []
@@ -101,11 +107,11 @@ class TestStalePrices:
         env = make_env()
         engine = make_engine(kind, env, SimClock())
         spec = KernelSpec("k", reads=("rho",), writes=("temp@g2m",), bytes_override=1e6)
-        engine.charge_single(spec)
-        engine.charge_single(spec)
+        charge(engine, spec)
+        charge(engine, spec)
         getattr(env, leave)("temp")
         with pytest.raises(AllocationError, match="temp"):
-            engine.charge_single(spec)
+            charge(engine, spec)
 
     def test_dispatcher_rechecks_presence(self):
         rt = gpu_runtime(acc_config(), [("a", 8 * MiB)])
@@ -152,7 +158,7 @@ class TestStalePrices:
         for _ in range(3):
             engine.clock = SimClock()
             stream = recorded(engine.clock)
-            engine.charge_single(spec)
+            charge(engine, spec)
             faults = [(dt, cat, label) for _, dt, cat, label in stream
                       if cat is TimeCategory.UM_FAULT]
             # the un-memoised reference: DataEnvironment.prepare_kernel
@@ -161,7 +167,7 @@ class TestStalePrices:
             assert faults == want and len(faults) == 2
             assert env.um.stats == ref_env.um.stats
             del stream[:]
-            engine.charge_single(spec)  # resident now: no fault
+            charge(engine, spec)  # resident now: no fault
             assert all(cat is not TimeCategory.UM_FAULT for _, _, cat, _ in stream)
             assert env.um.stats == ref_env.um.stats
             for e in (env, ref_env):
@@ -185,6 +191,24 @@ class TestStalePrices:
         assert comm.by_category == priced
         rt.loop(spec)
         assert main.now - t_main == comm.now - t_main
+
+
+@pytest.mark.parametrize("config", [
+    acc_config(), dc_config(), RuntimeConfig(name="cpu", target="cpu"),
+], ids=["acc", "dc", "cpu"])
+def test_a_price_that_is_not_finite_is_refused_before_any_clock_moves(config):
+    """A held price is charged without ``SimClock.advance``'s check, so it
+    is checked once, when derived."""
+    if config.target == "cpu":
+        rt = RankRuntime(config, cpu_model=CpuNodeModel(EPYC_7742_NODE))
+        rt.register_array("a", 8 * MiB)
+    else:
+        rt = gpu_runtime(config, [("a", 8 * MiB)])
+    before = (rt.clock.now, dict(rt.clock.by_category))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        rt.scalar_reduction(KernelSpec("k", reads=("a",), bytes_override=math.nan))
+    assert (rt.clock.now, rt.clock.by_category) == before
+    assert rt.stats.launches == 0 and rt.priced_kernels == 0
 
 
 def test_cost_key_is_every_compared_field():
@@ -244,7 +268,7 @@ def _run(stream_of, kernels, *, region):
     refused = []
     for n, spec in enumerate(kernels):
         try:
-            stream_of(n).charge_single(spec)
+            charge(stream_of(n), spec)
         except UnsupportedLoopError as exc:
             refused.append((n, str(exc)))
     if region:
