@@ -18,7 +18,7 @@ from repro.codes import CodeVersion, runtime_config_for
 from repro.mas import MasModel, ModelConfig
 from checkpoint import load_checkpoint, read_info, save_checkpoint
 from repro.mas.history import RunHistory
-from repro.perf.profiler import Profiler
+from repro.obs.events import Profiler
 from repro.perf.trace_export import write_chrome_trace
 
 
@@ -70,7 +70,7 @@ def main() -> None:
     for r, rt in enumerate(resumed.ranks):
         profiler.attach(rt.clock, f"gpu{r}")
     resumed.step()
-    trace = write_chrome_trace(profiler, workdir / "step_trace.json")
+    trace = write_chrome_trace(profiler.record(), workdir / "step_trace.json")
     print(f"profiler trace -> {trace.name} (open in Perfetto / chrome://tracing)")
 
     print("\n" + resumed_history.render("kinetic", "max_vr"))

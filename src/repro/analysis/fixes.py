@@ -50,7 +50,12 @@ from dataclasses import dataclass, replace
 
 from repro.analysis.findings import Finding
 from repro.fortran.lexer import LineKind, classify_line
-from repro.fortran.parser import ParallelRegion, find_parallel_regions
+from repro.fortran.parser import (
+    ParallelRegion,
+    find_dc_loop_end,
+    find_parallel_regions,
+    split_paren_args,
+)
 from repro.fortran.source import Codebase, SourceFile
 
 
@@ -119,33 +124,6 @@ def _edit_for(file: SourceFile, start: int, end: int,
     return TextEdit(file.name, start, end, replacement, anchor)
 
 
-def _split_paren_args(header: str) -> tuple[str, str]:
-    start = header.index("(")
-    depth = 0
-    for i in range(start, len(header)):
-        if header[i] == "(":
-            depth += 1
-        elif header[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return header[start + 1 : i], header[i + 1 :]
-    raise ValueError(f"unbalanced parens in DC header: {header!r}")
-
-
-def _dc_loop_end(lines: list[str], start: int) -> int:
-    """Index of the enddo closing the do/do-concurrent at ``start``."""
-    level = 0
-    for i in range(start, len(lines)):
-        kind = classify_line(lines[i])
-        if kind in (LineKind.DO, LineKind.DO_CONCURRENT):
-            level += 1
-        elif kind is LineKind.ENDDO:
-            level -= 1
-            if level == 0:
-                return i
-    raise ValueError(f"unterminated loop at line {start}")
-
-
 class _FileContext:
     """Lazily-parsed structure of one file, shared by its findings."""
 
@@ -173,7 +151,7 @@ class _FileContext:
                 break
             if classify_line(line) is not LineKind.DO_CONCURRENT:
                 continue
-            if _dc_loop_end(self.file.lines, i) >= li:
+            if find_dc_loop_end(self.file.lines, i) >= li:
                 best = i
         return best
 
@@ -215,13 +193,13 @@ def _demote_dc_loop(ctx: _FileContext, header: int) -> tuple[TextEdit, ...]:
     m = _DC_HEADER_RE.match(line)
     assert m is not None
     indent = m.group(1)
-    args, _trailing = _split_paren_args(line)
+    args, _trailing = split_paren_args(line)
     do_lines = []
     for part in args.split(","):
         var, _, rng = part.partition("=")
         lo, _, hi = rng.partition(":")
         do_lines.append(f"{indent}do {var.strip()}={lo.strip()},{hi.strip()}")
-    end = _dc_loop_end(ctx.file.lines, header)
+    end = find_dc_loop_end(ctx.file.lines, header)
     end_indent = ctx.file.lines[end][: len(ctx.file.lines[end])
                                      - len(ctx.file.lines[end].lstrip())]
     return (

@@ -39,8 +39,10 @@ from repro.fortran.parser import (
     EXPECTED_SAFETY as EXPECTED_SAFETY,  # re-exported: the verdict contract
     ParallelRegion,
     PortSafety,
+    find_dc_loop_end,
     find_parallel_regions,
     parse_loop_nest,
+    split_paren_args,
 )
 from repro.fortran.source import Codebase, SourceFile
 
@@ -138,20 +140,6 @@ def _region_clause_vars(file: SourceFile, region: ParallelRegion, pattern: re.Pa
     return out
 
 
-def _split_paren_args(header: str) -> tuple[str, str]:
-    """Split ``do concurrent (args) trailing`` -> (args, trailing)."""
-    start = header.index("(")
-    depth = 0
-    for i in range(start, len(header)):
-        if header[i] == "(":
-            depth += 1
-        elif header[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return header[start + 1 : i], header[i + 1 :]
-    raise ValueError(f"unbalanced parens in DC header: {header!r}")
-
-
 def _dc_units(file: SourceFile) -> list[LoopUnit]:
     """Free-standing ``do concurrent`` loops as analyzable units.
 
@@ -164,7 +152,7 @@ def _dc_units(file: SourceFile) -> list[LoopUnit]:
     for i, line in enumerate(lines):
         if classify_line(line) is not LineKind.DO_CONCURRENT:
             continue
-        args, trailing = _split_paren_args(line)
+        args, trailing = split_paren_args(line)
         indices = []
         for part in args.split(","):
             name = part.split("=")[0].strip().lower()
@@ -175,16 +163,10 @@ def _dc_units(file: SourceFile) -> list[LoopUnit]:
             reductions.extend(_clause_arrays(m.group(1)))
         for m in _LOCAL_CLAUSE_RE.finditer(trailing):
             locals_declared.extend(_clause_arrays(m.group(1)))
-        # walk to the matching enddo
-        level, j = 1, i + 1
-        while j < len(lines) and level:
-            k = classify_line(lines[j])
-            if k in (LineKind.DO, LineKind.DO_CONCURRENT):
-                level += 1
-            elif k is LineKind.ENDDO:
-                level -= 1
-            j += 1
-        end = j - 1
+        try:
+            end = find_dc_loop_end(lines, i)
+        except ValueError:  # unterminated: the unit runs to the end of the file
+            end = len(lines) - 1
         units.append(
             LoopUnit(
                 file=file,

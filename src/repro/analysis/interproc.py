@@ -50,6 +50,7 @@ from repro.fortran.parser import (
     ParallelRegion,
     declared_entities,
     declared_intent,
+    find_dc_loop_end,
     find_parallel_regions,
 )
 from repro.fortran.source import Codebase, SourceFile
@@ -732,20 +733,6 @@ def summarize(cb: Codebase, index: ModuleIndex | None = None) -> InterprocResult
 # -- parallel-context discovery ------------------------------------------------
 
 
-def _dc_end(lines: list[str], start: int) -> int:
-    """Index of the enddo closing the ``do concurrent`` at ``start``."""
-    level = 0
-    for i in range(start, len(lines)):
-        kind = classify_line(lines[i])
-        if kind in (LineKind.DO, LineKind.DO_CONCURRENT):
-            level += 1
-        elif kind is LineKind.ENDDO:
-            level -= 1
-            if level == 0:
-                return i
-    return start
-
-
 def parallel_spans(
     file: SourceFile, regions: list[ParallelRegion] | None = None
 ) -> list[tuple[int, int, str]]:
@@ -768,7 +755,10 @@ def parallel_spans(
     for i, line in enumerate(file.lines):
         if i in covered or classify_line(line) is not LineKind.DO_CONCURRENT:
             continue
-        end = _dc_end(file.lines, i)
+        try:
+            end = find_dc_loop_end(file.lines, i)
+        except ValueError:  # unterminated: the loop spans its header only
+            end = i
         spans.append((i, end, f"the do concurrent loop at line {i + 1}"))
         covered.update(range(i, end + 1))
     return sorted(spans)

@@ -107,7 +107,6 @@ def runtime_config_for(version: CodeVersion) -> RuntimeConfig:
             loop_backend=uniform_backend(Backend.ACC),
             fusion=True,
             async_launch=True,
-            manual_data=True,
             array_reduction=ArrayReductionStrategy.ACC_ATOMIC,
             device_binding=DeviceBindingMethod.SET_DEVICE_NUM,
         )
@@ -126,7 +125,6 @@ def runtime_config_for(version: CodeVersion) -> RuntimeConfig:
             loop_backend=backends,
             fusion=True,   # remaining OpenACC regions still fuse
             async_launch=False,  # the hot loops are DC now: no async hints
-            manual_data=True,
             array_reduction=ArrayReductionStrategy.ACC_ATOMIC,
             device_binding=DeviceBindingMethod.SET_DEVICE_NUM,
         )
@@ -139,7 +137,6 @@ def runtime_config_for(version: CodeVersion) -> RuntimeConfig:
             fusion=cfg.fusion,
             async_launch=cfg.async_launch,
             unified_memory=True,
-            manual_data=False,
             array_reduction=cfg.array_reduction,
             device_binding=DeviceBindingMethod.SET_DEVICE_NUM,
         )
@@ -157,7 +154,6 @@ def runtime_config_for(version: CodeVersion) -> RuntimeConfig:
             fusion=False,
             async_launch=False,
             unified_memory=True,
-            manual_data=False,
             array_reduction=ArrayReductionStrategy.DC_ATOMIC,
             device_binding=DeviceBindingMethod.SET_DEVICE_NUM,
         )
@@ -172,7 +168,6 @@ def runtime_config_for(version: CodeVersion) -> RuntimeConfig:
             fusion=False,
             async_launch=False,
             unified_memory=True,
-            manual_data=False,
             array_reduction=ArrayReductionStrategy.FLIPPED_DC,
             device_binding=DeviceBindingMethod.ENV_VISIBLE_DEVICES,
             inline_routines=True,
@@ -188,7 +183,6 @@ def runtime_config_for(version: CodeVersion) -> RuntimeConfig:
             fusion=False,
             async_launch=False,
             unified_memory=False,
-            manual_data=True,
             array_reduction=ArrayReductionStrategy.FLIPPED_DC,
             device_binding=DeviceBindingMethod.ENV_VISIBLE_DEVICES,
             inline_routines=True,

@@ -14,13 +14,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.codes import CodeVersion, runtime_config_for
 from repro.mas.model import MasModel, ModelConfig
+from repro.obs.events import EventRecord, Profiler
 from repro.perf.calibration import Calibration, MEASURE_SHAPE, PAPER_CALIBRATION
-from repro.perf.profiler import Profiler
+from repro.perf.trace_export import MEM_CATEGORIES
 from repro.runtime.clock import TimeCategory
+from repro.util.ascii_plot import AsciiTimeline
 
 NUM_GPUS = 8
+
+#: Timeline glyph category per clock category value; launch gaps draw blank.
+_GLYPH = {
+    TimeCategory.COMPUTE.value: "kernel",
+    TimeCategory.MPI_PACK.value: "kernel",
+    TimeCategory.LAUNCH.value: "idle",
+    TimeCategory.UM_FAULT.value: "h2d",
+    TimeCategory.H2D.value: "h2d",
+    TimeCategory.D2H.value: "d2h",
+    TimeCategory.MPI_TRANSFER.value: "p2p",
+    TimeCategory.MPI_WAIT.value: "mpi_wait",
+    TimeCategory.HOST.value: "host",
+}
 
 
 @dataclass(frozen=True)
@@ -62,11 +79,34 @@ def _profiled_model(unified: bool, calibration: Calibration) -> tuple[MasModel, 
     return model, profiler
 
 
-def _solver_window(profiler: Profiler) -> tuple[float, float]:
-    visc = profiler.by_label("visc_")
-    if not visc:
-        raise RuntimeError("no viscosity-solver events recorded")
-    return min(e.start for e in visc), max(e.end for e in visc)
+def _labels_with(record: EventRecord, *needles: str) -> np.ndarray:
+    """Per row: whether its label contains any of ``needles``."""
+    hit = [any(n in text for n in needles) for text in record.labels]
+    return np.array(hit, dtype=bool)[record.label]
+
+
+def render_timeline(record: EventRecord, *, title: str, t0: float, t1: float) -> str:
+    """Fig. 4-style ASCII timeline of ``record`` over ``[t0, t1]``: a compute
+    lane per rank, its transfers and faults on a ``:mem`` lane beneath."""
+    tl = AsciiTimeline(width=100, title=title)
+    for lane, cat, label, start, duration in zip(
+        record.lane.tolist(), record.category.tolist(), record.label.tolist(),
+        record.start.tolist(), record.duration.tolist(),
+    ):
+        category, text = record.categories[cat], record.labels[label]
+        glyph = _GLYPH.get(category, "kernel")
+        if category == TimeCategory.MPI_TRANSFER.value:
+            # distinguish NVLink peer-to-peer messages from UM page
+            # migrations staged through the host (Fig. 4's two lanes)
+            if "fault_out" in text:
+                glyph = "d2h"
+            elif "fault_in" in text or "um_mpi" in text:
+                glyph = "h2d"
+        if glyph == "idle":
+            continue
+        name = record.lanes[lane] + (":mem" if category in MEM_CATEGORIES else "")
+        tl.add_event(name, start, start + duration, glyph)
+    return tl.render(t0=t0, t1=t1)
 
 
 def run_fig4(calibration: Calibration = PAPER_CALIBRATION) -> Fig4Result:
@@ -76,27 +116,23 @@ def run_fig4(calibration: Calibration = PAPER_CALIBRATION) -> Fig4Result:
     for unified in (False, True):
         model, profiler = _profiled_model(unified, calibration)
         model.run(1)  # warmup: UM first-touch, device fills
-        start_events = len(profiler.events)
+        profiler.clear()
         model.run(1)
-        step_events = profiler.events[start_events:]
-        window_profiler = Profiler(events=step_events)
-        t0, t1 = _solver_window(window_profiler)
-        in_window = [e for e in step_events if e.start >= t0 and e.end <= t1]
-        p2p = sum(
-            1
-            for e in in_window
-            if e.category is TimeCategory.MPI_TRANSFER and "msg" in e.label
+        step = profiler.record()
+        end = step.start + step.duration
+        visc = _labels_with(step, "visc_")
+        if not visc.any():
+            raise RuntimeError("no viscosity-solver events recorded")
+        t0, t1 = float(step.start[visc].min()), float(end[visc].max())
+        in_window = (step.start >= t0) & (end <= t1)
+        transfer = step.category == step.category_id(TimeCategory.MPI_TRANSFER.value)
+        fault = step.category == step.category_id(TimeCategory.UM_FAULT.value)
+        p2p = int((in_window & transfer & _labels_with(step, "msg")).sum())
+        staged = int(
+            (in_window & (fault | (transfer & _labels_with(step, "fault", "um_mpi")))).sum()
         )
-        staged = sum(
-            1
-            for e in in_window
-            if (e.category is TimeCategory.UM_FAULT)
-            or (
-                e.category is TimeCategory.MPI_TRANSFER
-                and ("fault" in e.label or "um_mpi" in e.label)
-            )
-        )
-        timeline = window_profiler.render_timeline(
+        timeline = render_timeline(
+            step,
             title=(
                 "Fig. 4 -- viscosity solver, "
                 + ("unified managed memory" if unified else "manual memory management")

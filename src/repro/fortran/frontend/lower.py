@@ -20,7 +20,7 @@ from repro.fortran.directives import is_directive_line, try_parse_directive
 from repro.fortran.frontend.normalize import normalize_tree
 from repro.fortran.frontend.resolve import ModuleIndex, build_index
 from repro.fortran.lexer import LineKind, classify_line
-from repro.fortran.parser import find_kernels_regions, find_parallel_regions
+from repro.fortran.parser import find_kernels_regions, find_parallel_regions, split_paren_args
 from repro.fortran.source import Codebase, SourceFile
 from repro.fortran.tree_io import load_tree
 
@@ -33,6 +33,10 @@ _CULPRIT_RE = re.compile(r"at (?:line )?(\d+)$")
 
 _INTERFACE_RE = re.compile(r"^\s*(abstract\s+)?interface\b", re.I)
 _END_INTERFACE_RE = re.compile(r"^\s*end\s*interface\b", re.I)
+
+
+def _coverage(total_lines: int, opaque_lines: int) -> float:
+    return 1.0 if total_lines == 0 else 1.0 - opaque_lines / total_lines
 
 
 @dataclass(slots=True)
@@ -48,9 +52,7 @@ class ParseFileCensus:
     @property
     def coverage(self) -> float:
         """Fraction of lines lowered to non-opaque IR (1.0 for empty)."""
-        if self.total_lines == 0:
-            return 1.0
-        return 1.0 - self.opaque_lines / self.total_lines
+        return _coverage(self.total_lines, self.opaque_lines)
 
 
 @dataclass(slots=True)
@@ -69,9 +71,7 @@ class ParseCensus:
 
     @property
     def coverage(self) -> float:
-        if self.total_lines == 0:
-            return 1.0
-        return 1.0 - self.opaque_lines / self.total_lines
+        return _coverage(self.total_lines, self.opaque_lines)
 
     def render(self) -> str:
         """Byte-stable text table (CI gates on exact equality)."""
@@ -150,13 +150,11 @@ def _repair_dc_headers(file: SourceFile, diags: list[Finding]) -> None:
     A bare ``do`` keeps the do/enddo nesting balanced (unlike commenting
     the header out), so enclosing walkers stay correct.
     """
-    from repro.analysis.fortran_lint import _split_paren_args
-
     for i, ln in enumerate(file.lines):
         if classify_line(ln) is not LineKind.DO_CONCURRENT:
             continue
         try:
-            _split_paren_args(ln)
+            split_paren_args(ln)
         except ValueError:
             orig = ln.rstrip()
             file.lines[i] = f"do  {OPAQUE_PREFIX}{orig.lstrip()}"

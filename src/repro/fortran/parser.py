@@ -259,6 +259,34 @@ def parse_loop_nest(lines: list[str], start: int) -> LoopNest | None:
     return LoopNest(start=start, end=i - 1, depth=depth, index_vars=idx_vars, bounds=bounds)
 
 
+def find_dc_loop_end(lines: list[str], start: int) -> int:
+    """Index of the enddo closing the do/do-concurrent loop at ``start``."""
+    level = 0
+    for i in range(start, len(lines)):
+        kind = classify_line(lines[i])
+        if kind is LineKind.DO or kind is LineKind.DO_CONCURRENT:
+            level += 1
+        elif kind is LineKind.ENDDO:
+            level -= 1
+            if level == 0:
+                return i
+    raise ValueError(f"unterminated do concurrent at line {start}")
+
+
+def split_paren_args(header: str) -> tuple[str, str]:
+    """Split ``do concurrent (args) trailing`` -> (args, trailing)."""
+    start = header.index("(")
+    depth = 0
+    for i in range(start, len(header)):
+        if header[i] == "(":
+            depth += 1
+        elif header[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return header[start + 1 : i], header[i + 1 :]
+    raise ValueError(f"unbalanced parens in DC header: {header!r}")
+
+
 def _classify_region(
     lines: list[str], start: int, end: int, directive_lines: list[int], atomic_lines: list[int]
 ) -> RegionKind:

@@ -26,6 +26,7 @@ from repro.fortran.inline import InlineRefusedError, inline_call, parse_routine
 from repro.fortran.lexer import LineKind, classify_line
 from repro.fortran.parser import (
     apply_edits,
+    find_dc_loop_end,
     find_directive_lines,
     find_kernels_regions,
     find_subroutines,
@@ -38,20 +39,6 @@ _MINVAL_RE = re.compile(r"^(\s*)(\w+)\s*=\s*minval\((\w+)\)\s*$", re.I)
 _DC_RE = re.compile(r"^\s*do\s+concurrent\s*\(([^)]*)\)", re.I)
 #: Routines nvfortran refuses to inline in the MAS port (SIV-E names one).
 MANUAL_INLINE_ROUTINES = ("interp1",)
-
-
-def find_dc_loop_end(lines: list[str], start: int) -> int:
-    """Index of the enddo closing the DC loop at ``start``."""
-    level = 0
-    for i in range(start, len(lines)):
-        kind = classify_line(lines[i])
-        if kind in (LineKind.DO, LineKind.DO_CONCURRENT):
-            level += 1
-        elif kind is LineKind.ENDDO:
-            level -= 1
-            if level == 0:
-                return i
-    raise ValueError(f"unterminated do concurrent at line {start}")
 
 
 def atomic_dc_loops(lines: list[str]) -> Iterator[tuple[int, int, list[int], bool]]:

@@ -90,12 +90,3 @@ class DeviceMemory:
 
     def __contains__(self, name: str) -> bool:
         return name in self._live
-
-    def live_allocations(self) -> list[Allocation]:
-        """Snapshot of live allocations (copy of the ledger values)."""
-        return list(self._live.values())
-
-    def reset(self) -> None:
-        """Drop all allocations (e.g. between benchmark repetitions)."""
-        self._live.clear()
-        self._used = 0

@@ -77,12 +77,6 @@ class CpuCluster:
     node_model: CpuNodeModel
     max_nodes: int = 64
 
-    def validate_nodes(self, num_nodes: int) -> int:
-        """Check a requested node count against the allocation size."""
-        if not 1 <= num_nodes <= self.max_nodes:
-            raise ValueError(f"{num_nodes} nodes outside [1, {self.max_nodes}]")
-        return num_nodes
-
 
 def make_delta_node() -> GpuNode:
     """Construct a fresh Delta 8xA100 node."""

@@ -129,8 +129,3 @@ class UnifiedMemoryManager:
         self.stats.faults_d2h += max(1, math.ceil(nbytes / self.fault_group))
         self.stats.bytes_d2h += nbytes
         return self._migration_cost(nbytes)
-
-    def evict_all(self) -> None:
-        """Force everything host-resident (e.g. device reset)."""
-        for name in self._residency:
-            self._residency[name] = Residency.HOST

@@ -14,7 +14,7 @@ different simulated cost -- exactly the porting situation of the paper.
 """
 
 from repro.mas.constants import PhysicsParams
-from repro.mas.stretch import cluster_spacing, geometric_spacing, uniform_spacing
+from repro.mas.stretch import geometric_spacing, uniform_spacing
 from repro.mas.grid import LocalGrid, SphericalGrid
 from repro.mas.state import MhdState
 from repro.mas.model import MasModel, ModelConfig, StepTiming, NOMINAL_SHAPE_PAPER
@@ -24,7 +24,6 @@ __all__ = [
     "PhysicsParams",
     "geometric_spacing",
     "uniform_spacing",
-    "cluster_spacing",
     "SphericalGrid",
     "LocalGrid",
     "MhdState",

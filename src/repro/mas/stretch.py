@@ -2,7 +2,7 @@
 
 MAS uses a logically rectangular *non-uniform* spherical grid (paper SIII):
 radially stretched to concentrate cells near the solar surface where
-gradients are steep, and optionally clustered in theta. These generators
+gradients are steep. These generators
 produce edge coordinates; the grid object derives centers and metric
 factors.
 """
@@ -43,38 +43,4 @@ def geometric_spacing(lo: float, hi: float, n: int, ratio: float = 1.03) -> np.n
     np.cumsum(widths, out=edges[1:])
     edges[1:] += lo
     edges[-1] = hi  # kill accumulation error exactly
-    return edges
-
-
-def cluster_spacing(
-    lo: float, hi: float, n: int, *, center: float, strength: float = 2.0
-) -> np.ndarray:
-    """Edges clustered around ``center`` via a tanh mapping.
-
-    Used for theta grids that resolve e.g. the heliospheric current sheet
-    near the equator. ``strength`` of 0 degenerates to uniform.
-    """
-    if n < 1:
-        raise ValueError("need at least one cell")
-    if hi <= lo:
-        raise ValueError("hi must exceed lo")
-    if not lo <= center <= hi:
-        raise ValueError("cluster center must lie inside the interval")
-    if strength < 0:
-        raise ValueError("strength cannot be negative")
-    if strength == 0:
-        return uniform_spacing(lo, hi, n)
-    s = np.linspace(-1.0, 1.0, n + 1)
-    c = 2.0 * (center - lo) / (hi - lo) - 1.0  # center in [-1, 1]
-    # Blend of linear and cubic around the cluster center: the mapping's
-    # derivative has its minimum at the center, so cell widths shrink
-    # there. alpha in (0, 1) keeps it strictly monotone.
-    alpha = strength / (1.0 + strength)
-    half = max(1.0 - c, 1.0 + c)
-    u = (s - c) / half
-    mapped = c + half * ((1.0 - alpha) * u + alpha * u**3)
-    edges = lo + (mapped - mapped[0]) / (mapped[-1] - mapped[0]) * (hi - lo)
-    edges[0], edges[-1] = lo, hi
-    if np.any(np.diff(edges) <= 0):
-        raise ValueError("clustering too strong: non-monotone edges")
     return edges

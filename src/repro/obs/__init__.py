@@ -8,6 +8,8 @@ The observability subsystem the solver/runtime/MPI stack reports into
 * :mod:`repro.obs.tracing` -- hierarchical spans over simulated time,
   merged into the Chrome trace next to profiler lanes;
 * :mod:`repro.obs.runlog` -- structured JSONL run records + manifest;
+* :mod:`repro.obs.events` -- the profiler and the one columnar event
+  record every reader takes (``events.npz``);
 * :mod:`repro.obs.telemetry` -- the session facade and the global
   :func:`current` accessor instrumented code uses;
 * :mod:`repro.obs.summary` -- ``repro telemetry DIR`` table rendering;

@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -52,21 +52,6 @@ BLAME_GROUPS = (
 
 _MEMORY_CATEGORIES = frozenset({"h2d", "d2h", "um_fault"})
 _MPI_CATEGORIES = frozenset({"mpi_pack", "mpi_transfer", "mpi_wait"})
-
-
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One categorized time slice on one lane (model-relative seconds)."""
-
-    lane: str
-    start: float
-    duration: float
-    category: str
-    label: str
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,18 +267,17 @@ class CritPathResult:
 
 
 def extract_critical_path(
-    events: Sequence[TraceEvent] | EventRecord,
+    record: EventRecord,
     rows: np.ndarray | None = None,
     *,
     eps: float = 1e-12,
 ) -> list[PathSegment]:
     """Backward-walk the critical path through one model's lanes.
 
-    ``events`` (or, of a record, its ``rows``) must all belong to one model
+    The ``rows`` of ``record`` (default: all) must belong to one model
     (main and ``:comm`` lanes). Returns segments in increasing time order,
     tiling ``[t0, t1]``.
     """
-    record = events if isinstance(events, EventRecord) else EventRecord.from_events(events)
     rows = np.arange(len(record)) if rows is None else rows
     rows = rows[record.duration[rows] > 0.0]
     if not len(rows):
@@ -503,20 +487,10 @@ def analyze_record(
     return results
 
 
-def analyze_events(
-    events: Iterable[TraceEvent],
-    *,
-    spans: Sequence[Mapping[str, Any]] = (),
-) -> dict[str, CritPathResult]:
-    """Critical-path analysis of hand-built events (or any objects with
-    ``lane/start/duration/category/label``)."""
-    return analyze_record(EventRecord.from_events(events), spans=spans)
-
-
 def analyze_session(tel: Any) -> dict[str, CritPathResult]:
     """Analyze a live telemetry session (no artifacts needed)."""
     spans = [s.to_dict() for s in tel.tracer.spans]
-    return analyze_events(tel.profiler.events, spans=spans)
+    return analyze_record(tel.profiler.record(), spans=spans)
 
 
 def analyze_dir(path: str | Path) -> dict[str, CritPathResult]:

@@ -1,15 +1,18 @@
-"""The profiler's event stream as one columnar record.
+"""The profiler and its event stream as one columnar record.
 
-Every reader of a run's time slices (critical path, summary, ``--explain``,
-the Chrome-trace exporter) works on an :class:`EventRecord`: one row per
-event in stream order -- ``start`` and ``duration`` in float64 seconds, and
-``lane`` / ``category`` / ``label`` ids (int16; int32 once a table outgrows
-it) into three small interned tables kept in first-appearance order. A live
-profiler converts once (:meth:`EventRecord.from_events`); a finalized
-telemetry directory holds the record as ``events.npz``, written once and
-atomically and read back with no Python object per event. What is a property
-of a lane or of a (category, label) pair is resolved per table entry by the
-reader, never per row.
+An event has one shape from the clock to every reader: ``(lane, start,
+duration, category, label)``. The :class:`Profiler` (the analog of the
+paper's NSIGHT timeline, Fig. 4) subscribes to simulated clocks and appends
+each advance to five columns. Every reader of a run's time slices (critical
+path, summary, ``--explain``, the Chrome-trace exporter, Fig. 4) works on an
+:class:`EventRecord`: one row per event in stream order -- ``start`` and
+``duration`` in float64 seconds, and ``lane`` / ``category`` / ``label`` ids
+(int16; int32 once a table outgrows it) into three small interned tables
+kept in first-appearance order. :meth:`EventRecord.from_columns` builds one
+from the profiler's columns; a finalized telemetry directory holds the
+record as ``events.npz``, written once and atomically and read back with no
+Python object per event. What is a property of a lane or of a (category,
+label) pair is resolved per table entry by the reader, never per row.
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.clock import SimClock, TimeCategory
 
 _FLOATS = ("start", "duration")
 #: Id column -> the table it indexes.
@@ -47,19 +53,25 @@ class EventRecord:
         return self.categories.index(name) if name in self.categories else -1
 
     @classmethod
-    def from_events(cls, events: Iterable[Any]) -> "EventRecord":
-        """Intern ``lane/start/duration/category/label`` objects (profiler
-        events, whose category is an enum, or plain-string trace events)."""
-        events = events if isinstance(events, (list, tuple)) else list(events)
+    def from_columns(
+        cls,
+        lane: Sequence[str],
+        start: Sequence[float],
+        duration: Sequence[float],
+        category: Sequence[Any],
+        label: Sequence[str],
+    ) -> "EventRecord":
+        """Intern five equal-length columns; a category may be an enum
+        member (a clock's) or its value."""
         tables: dict[str, dict[Any, int]] = {name: {} for name in _IDS}
-        columns = {
-            name: _intern((getattr(e, name) for e in events), table)
-            for name, table in tables.items()
+        ids = {
+            name: _intern(column, tables[name])
+            for name, column in zip(_IDS, (lane, category, label))
         }
         return cls(
-            start=np.array([e.start for e in events], dtype=np.float64),
-            duration=np.array([e.duration for e in events], dtype=np.float64),
-            **columns,
+            start=np.array(start, dtype=np.float64),
+            duration=np.array(duration, dtype=np.float64),
+            **ids,
             lanes=tuple(tables["lane"]),
             categories=tuple(getattr(c, "value", c) for c in tables["category"]),
             labels=tuple(tables["label"]),
@@ -99,6 +111,8 @@ class EventRecord:
             a = cols[name]
             if a.ndim != 1 or a.shape != rows or a.dtype.kind != "f" or not np.isfinite(a).all():
                 raise ValueError(f"column {name!r} is not {rows} finite floats")
+        if (cols["duration"] < 0).any():
+            raise ValueError("column 'duration' holds a negative time")
         for name, table in _IDS.items():
             ids, entries = cols[name], cols[table]
             if entries.ndim != 1 or entries.dtype.kind != "U":
@@ -111,7 +125,75 @@ class EventRecord:
         return cls(**cols)
 
 
-def _intern(values: Iterable[Any], table: dict[Any, int]) -> np.ndarray:
+class Profiler:
+    """Records every advance of its clocks as one row of :attr:`columns`."""
+
+    __slots__ = ("columns", "_attached")
+
+    def __init__(self) -> None:
+        #: ``(lane, start, duration, category, label)`` lists, row-aligned;
+        #: ``category`` holds the clock's :class:`TimeCategory` members.
+        self.columns: tuple[list, list, list, list, list] = ([], [], [], [], [])
+        #: Live subscriptions: (clock id, lane) -> (clock, observer). Keyed so
+        #: repeated attach() of the same lane is idempotent and detach() can
+        #: unsubscribe (SimClock otherwise accumulates observers forever).
+        self._attached: dict[tuple[int, str], tuple[SimClock, Any]] = {}
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def attach(self, clock: SimClock, lane: str) -> None:
+        """Start recording a clock's advances under ``lane``.
+
+        Idempotent per ``(clock, lane)`` pair: attaching the same clock to
+        the same lane twice records each advance once. Zero-length advances
+        are not recorded.
+        """
+        key = (id(clock), lane)
+        if key in self._attached:
+            return
+        lanes, starts, durations, categories, labels = (c.append for c in self.columns)
+
+        def observer(start: float, dt: float, category: TimeCategory, label: str) -> None:
+            if dt > 0:
+                lanes(lane)
+                starts(start)
+                durations(dt)
+                categories(category)
+                labels(label)
+
+        clock.subscribe(observer)
+        self._attached[key] = (clock, observer)
+
+    def detach(self, clock: SimClock | None = None) -> int:
+        """Unsubscribe from ``clock`` (or every clock); returns removals.
+
+        Recorded rows are kept; use :meth:`clear` to drop them.
+        """
+        removed = 0
+        for key, (c, obs) in list(self._attached.items()):
+            if clock is None or c is clock:
+                c.unsubscribe(obs)
+                del self._attached[key]
+                removed += 1
+        return removed
+
+    def clear(self) -> None:
+        """Drop all recorded rows (subscriptions stay live)."""
+        for column in self.columns:
+            column.clear()
+
+    @property
+    def attached_count(self) -> int:
+        """Number of live (clock, lane) subscriptions."""
+        return len(self._attached)
+
+    def record(self) -> EventRecord:
+        """The rows recorded so far, as an :class:`EventRecord`."""
+        return EventRecord.from_columns(*self.columns)
+
+
+def _intern(values: Sequence[Any], table: dict[Any, int]) -> np.ndarray:
     """Ids of ``values`` in ``table``, which grows in first-appearance order."""
     ids = [table.setdefault(v, len(table)) for v in values]
     return np.array(ids, dtype=np.int16 if len(table) < 2**15 else np.int32)

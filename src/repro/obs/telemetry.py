@@ -9,8 +9,8 @@ A :class:`Telemetry` bundles the three signal types plus a profiler:
   stamped in simulated seconds;
 * ``logger`` -- :class:`~repro.obs.runlog.RunLogger` of structured JSONL
   records (one per step, per PCG solve, ...);
-* ``profiler`` -- a :class:`~repro.perf.profiler.Profiler` attached to
-  every bound model's rank clocks, feeding the event record.
+* ``profiler`` -- a :class:`~repro.obs.events.Profiler` attached to
+  every bound model's rank clocks; its rows are the event record.
 
 Instrumented code never holds a Telemetry directly: it calls
 :func:`current`, which returns the innermost *active* session or the
@@ -26,7 +26,7 @@ Activate a session around any run with::
     # out/ now holds manifest.json, log.jsonl, spans.jsonl,
     # metrics.prom, metrics.json, events.npz
 
-``events.npz`` is the profiler's event stream as columns
+``events.npz`` is the profiler's record
 (:class:`~repro.obs.events.EventRecord`), written once, atomically; a Chrome
 trace is exported from it on request (``repro telemetry DIR --chrome-trace``).
 """
@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.machine.spec import GpuSpec
-from repro.obs.events import EventRecord
+from repro.obs.events import Profiler
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.obs.runlog import NULL_LOGGER, RunLogger, build_manifest, json_dumps
 from repro.obs.tracing import NULL_TRACER, Tracer
@@ -67,11 +67,6 @@ class Telemetry:
         flush_every_n: int = 0,
         snapshot_every_n: int = 0,
     ) -> None:
-        # Deferred import: repro.perf pulls in the code-version registry,
-        # which transitively imports the instrumented runtime modules --
-        # importing it at module scope would close an import cycle.
-        from repro.perf.profiler import Profiler
-
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.metrics = MetricsRegistry()
         self.tracer = Tracer()
@@ -233,9 +228,7 @@ class Telemetry:
         write(SPANS_FILE, self.tracer.to_jsonl() + "\n" if self.tracer.spans else "")
         write(METRICS_PROM_FILE, self.metrics.to_prometheus_text())
         write(METRICS_JSON_FILE, self.metrics.to_json_text())
-        paths[EVENTS_FILE] = EventRecord.from_events(self.profiler.events).save(
-            target / EVENTS_FILE
-        )
+        paths[EVENTS_FILE] = self.profiler.record().save(target / EVENTS_FILE)
         return paths
 
     def _bake_sol_gauges(self) -> None:

@@ -14,7 +14,7 @@ under whichever step phase triggered the exchange).
 Spans are stamped with *simulated* seconds by default: ``time_fn`` is
 rebound to the active model's rank clocks (max over ranks) when a
 :class:`~repro.obs.telemetry.Telemetry` session binds a model, so spans
-share a timebase with :class:`~repro.perf.profiler.Profiler` events and
+share a timebase with :class:`~repro.obs.events.Profiler` rows and
 merge into one Chrome trace (see :mod:`repro.perf.trace_export`). Host
 wall-clock duration is recorded separately per span (``host_seconds``)
 for overhead analysis.

@@ -1,4 +1,4 @@
-"""Performance tooling: calibration, profiler, breakdowns, scaling."""
+"""Performance tooling: calibration, breakdowns, scaling, trace export."""
 
 from repro.perf.calibration import (
     PAPER_CALIBRATION,
@@ -6,7 +6,6 @@ from repro.perf.calibration import (
     build_model,
     project_run_minutes,
 )
-from repro.perf.profiler import Profiler, ProfileEvent
 from repro.perf.breakdown import RunBreakdown, measure_breakdown
 from repro.perf.scaling import ScalingPoint, ScalingSeries, measure_scaling
 from repro.perf.trace_export import to_chrome_trace, write_chrome_trace
@@ -16,8 +15,6 @@ __all__ = [
     "PAPER_CALIBRATION",
     "build_model",
     "project_run_minutes",
-    "Profiler",
-    "ProfileEvent",
     "RunBreakdown",
     "measure_breakdown",
     "ScalingPoint",

@@ -14,8 +14,8 @@ render as a third process (pid 2) so hidden traffic appears parallel to
 the main rank tracks instead of interleaved with them.
 
 The source is an :class:`~repro.obs.events.EventRecord` -- a live
-profiler converts to one on the way in -- so a finalized telemetry
-directory exports the trace a live session would
+profiler's ``record()`` or a finalized directory's ``events.npz`` -- so a
+finalized telemetry directory exports the trace a live session would
 (``repro telemetry DIR --chrome-trace OUT.json``; spans then come from
 ``spans.jsonl`` as dicts).
 
@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.obs.events import EventRecord
-from repro.perf.profiler import Profiler
 from repro.runtime.clock import TimeCategory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,8 +52,8 @@ _TRACE_CATEGORY = {
 }
 
 #: Transfer-ish categories land on a separate 'mem' thread row per lane,
-#: like NSIGHT's memory rows.
-_MEM_CATEGORIES = frozenset(
+#: like NSIGHT's memory rows (Fig. 4's timeline draws the same rows).
+MEM_CATEGORIES = frozenset(
     c.value
     for c in (TimeCategory.UM_FAULT, TimeCategory.H2D, TimeCategory.D2H, TimeCategory.MPI_TRANSFER)
 )
@@ -75,7 +74,7 @@ def _event_json(
     lane: str, category: str, label: str, ts: float, dur: float,
     tids: dict[str, int], pid: int,
 ) -> dict:
-    lane += ":mem" if category in _MEM_CATEGORIES else ""
+    lane += ":mem" if category in MEM_CATEGORIES else ""
     tid = tids.setdefault(lane, len(tids))
     return {
         "name": label or category,
@@ -129,11 +128,8 @@ def _process_meta(pid: int, name: str, tids: dict[str, int]) -> list[dict]:
     return [*threads, {"name": "process_name", "ph": "M", "pid": pid, "tid": 0, "args": {"name": name}}]
 
 
-def to_chrome_trace(profiler: Profiler | EventRecord, *, spans: Spans = ()) -> dict:
+def to_chrome_trace(record: EventRecord, *, spans: Spans = ()) -> dict:
     """Build the trace dict (``traceEvents`` plus thread/process names)."""
-    record = profiler
-    if not isinstance(record, EventRecord):
-        record = EventRecord.from_events(profiler.events)
     if not len(record) and not spans:
         raise ValueError("no events to export")
     tids: dict[str, int] = {}
@@ -162,10 +158,8 @@ def to_chrome_trace(profiler: Profiler | EventRecord, *, spans: Spans = ()) -> d
     return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    profiler: Profiler | EventRecord, path: str | Path, *, spans: Spans = ()
-) -> Path:
+def write_chrome_trace(record: EventRecord, path: str | Path, *, spans: Spans = ()) -> Path:
     """Write the trace JSON to disk; returns the path."""
     target = Path(path)
-    target.write_text(json.dumps(to_chrome_trace(profiler, spans=spans)))
+    target.write_text(json.dumps(to_chrome_trace(record, spans=spans)))
     return target

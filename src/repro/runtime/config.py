@@ -47,8 +47,8 @@ class RuntimeConfig:
     loop_backend: dict[LoopCategory, Backend] = field(default_factory=dict)
     fusion: bool = False
     async_launch: bool = False
+    #: Unified managed memory instead of manual data directives.
     unified_memory: bool = False
-    manual_data: bool = True
     array_reduction: ArrayReductionStrategy = ArrayReductionStrategy.ACC_ATOMIC
     device_binding: DeviceBindingMethod = DeviceBindingMethod.SET_DEVICE_NUM
     #: Code 6 wraps array creation in create+init routines, adding
@@ -71,8 +71,6 @@ class RuntimeConfig:
             raise ValueError(f"unknown target {self.target!r}")
         if self.target == "gpu" and not self.loop_backend:
             raise ValueError("GPU configs must map loop categories to backends")
-        if self.unified_memory and self.manual_data:
-            raise ValueError("unified memory and manual data are mutually exclusive")
         if self.target == "cpu" and self.unified_memory:
             raise ValueError("unified memory is meaningless for CPU runs")
 
@@ -118,7 +116,7 @@ class RuntimeConfig:
     def with_unified_memory(self) -> "RuntimeConfig":
         """This config with UM instead of manual data (the paper's Code-1/2
         +UM control experiment in SV-C)."""
-        return replace(self, name=self.name + "+UM", unified_memory=True, manual_data=False)
+        return replace(self, name=self.name + "+UM", unified_memory=True)
 
 
 def uniform_backend(backend: Backend) -> dict[LoopCategory, Backend]:

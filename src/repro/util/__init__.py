@@ -1,4 +1,4 @@
-"""Shared utilities: units, table rendering, ASCII plotting, seeded RNG.
+"""Shared utilities: units, table rendering, ASCII plotting, the root seed.
 
 These are deliberately dependency-light helpers used by every other
 subsystem. Nothing in here knows about MHD, GPUs, or Fortran.
@@ -11,7 +11,6 @@ from repro.util.units import (
     KiB,
     MB,
     MiB,
-    Quantity,
     fmt_bytes,
     fmt_duration,
     minutes,
@@ -19,7 +18,6 @@ from repro.util.units import (
 )
 from repro.util.tables import Table
 from repro.util.ascii_plot import AsciiBarChart, AsciiLinePlot, AsciiTimeline
-from repro.util.rng import make_rng, spawn_rngs
 
 __all__ = [
     "GB",
@@ -28,7 +26,6 @@ __all__ = [
     "KiB",
     "MB",
     "MiB",
-    "Quantity",
     "fmt_bytes",
     "fmt_duration",
     "minutes",
@@ -37,6 +34,4 @@ __all__ = [
     "AsciiBarChart",
     "AsciiLinePlot",
     "AsciiTimeline",
-    "make_rng",
-    "spawn_rngs",
 ]

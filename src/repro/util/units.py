@@ -6,8 +6,6 @@ units; keeping both explicit avoids the classic 7% calibration error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # Decimal (SI) byte units -- used for bandwidths quoted by vendors.
 KB = 1_000
 MB = 1_000_000
@@ -55,22 +53,3 @@ def fmt_duration(seconds: float) -> str:
     if s < MINUTE:
         return f"{s:.2f} s"
     return f"{s / MINUTE:.2f} min"
-
-
-@dataclass(frozen=True, slots=True)
-class Quantity:
-    """A value with a unit label, for self-describing experiment outputs.
-
-    Comparisons and arithmetic are intentionally not implemented: a Quantity
-    is a *report-layer* object. Unwrap ``.value`` for math.
-    """
-
-    value: float
-    unit: str
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"{self.value:g} {self.unit}"
-
-    def rounded(self, ndigits: int = 2) -> "Quantity":
-        """Return a copy with ``value`` rounded for table display."""
-        return Quantity(round(self.value, ndigits), self.unit)

@@ -351,6 +351,18 @@ class TestParallelSpans:
         assert spans[0][2].startswith("the parallel region")
         assert spans[1][2].startswith("the do concurrent loop")
 
+    def test_unterminated_dc_loop_spans_its_header_line(self):
+        cb = _mini("open.f90", [
+            "subroutine s (n)",
+            "  integer, intent(in) :: n",
+            "  integer :: i",
+            "  do concurrent (i = 1:n)",
+            "    do j = 1, n",
+            "    enddo",
+            "end subroutine s",
+        ])
+        assert parallel_spans(cb.files[0]) == [(3, 3, "the do concurrent loop at line 4")]
+
 
 class TestSarifRelated:
     def test_golden_sarif(self):

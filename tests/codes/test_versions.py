@@ -43,20 +43,20 @@ class TestSemantics:
     def test_code1_all_openacc(self):
         cfg = runtime_config_for(CodeVersion.A)
         assert all(b is Backend.ACC for b in cfg.loop_backend.values())
-        assert cfg.fusion and cfg.async_launch and cfg.manual_data
+        assert cfg.fusion and cfg.async_launch and not cfg.unified_memory
 
     def test_code2_mixed_backends(self):
         cfg = runtime_config_for(CodeVersion.AD)
         assert cfg.backend_for(LoopCategory.PLAIN) is Backend.DC
         assert cfg.backend_for(LoopCategory.SCALAR_REDUCTION) is Backend.ACC
         assert cfg.backend_for(LoopCategory.KERNELS_REGION) is Backend.ACC
-        assert cfg.manual_data and not cfg.unified_memory
+        assert not cfg.unified_memory
 
     def test_code3_is_code2_plus_um(self):
         c2 = runtime_config_for(CodeVersion.AD)
         c3 = runtime_config_for(CodeVersion.ADU)
         assert c3.loop_backend == c2.loop_backend
-        assert c3.unified_memory and not c3.manual_data
+        assert c3.unified_memory
 
     def test_code4_dc2x_reductions(self):
         cfg = runtime_config_for(CodeVersion.AD2XU)
@@ -77,7 +77,7 @@ class TestSemantics:
     def test_code6_manual_data_with_wrappers(self):
         cfg = runtime_config_for(CodeVersion.D2XAD)
         assert not cfg.uses_openacc or True  # loops all DC
-        assert cfg.manual_data and not cfg.unified_memory
+        assert not cfg.unified_memory
         assert cfg.wrapper_init_kernels
         assert cfg.duplicate_cpu_routines
 

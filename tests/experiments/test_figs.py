@@ -5,12 +5,17 @@ slowest tests in the suite (a few seconds each); they use a reduced
 calibration where the asserted shape does not depend on solver depth.
 """
 
+import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.codes import CodeVersion
+from repro.experiments import fig4 as fig4_module
 from repro.experiments.fig2 import PAPER_WALL, render_fig2, run_fig2
 from repro.experiments.fig3 import PAPER_BARS, render_fig3, run_fig3
-from repro.experiments.fig4 import render_fig4, run_fig4
+from repro.experiments.fig4 import NUM_GPUS, render_fig4, run_fig4
+from repro.obs import telemetry
+from repro.obs.events import EventRecord, Profiler
 from repro.perf.calibration import Calibration
 
 FAST = Calibration(pcg_iters=3, sts_stages=3, bench_steps=1)
@@ -145,3 +150,40 @@ class TestFig4Shape:
         assert "P" in fig4.timeline_manual
         for glyph in ("^", "v"):
             assert glyph in fig4.timeline_um
+
+    def test_two_profilers_on_one_clock(self, fig4, tmp_path, monkeypatch, capsys):
+        """``repro fig4 --telemetry DIR``: Fig. 4's profilers and the
+        session's observe the same clocks and record the same rows (lane
+        names aside), and the session saves the record it holds."""
+        sessions, profilers = [], []
+
+        def activate(tel):
+            sessions.append(tel)
+            return real_activate(tel)
+
+        def profiler():
+            profilers.append(Profiler())
+            return profilers[-1]
+
+        real_activate = telemetry.activate
+        monkeypatch.setattr(telemetry, "activate", activate)
+        monkeypatch.setattr(fig4_module, "Profiler", profiler)
+        assert main(["fig4", "--telemetry", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == render_fig4(fig4) + "\n"
+
+        (tel,) = sessions
+        session_rows = list(zip(*tel.profiler.columns))
+        assert len(profilers) == 2  # manual, then unified memory: models m0, m1
+        for model, fig4_profiler in enumerate(profilers):
+            for rank in range(NUM_GPUS):
+                ours = [row[1:] for row in zip(*fig4_profiler.columns) if row[0] == f"gpu{rank}"]
+                theirs = [row[1:] for row in session_rows if row[0] == f"m{model}.rank{rank}"]
+                # Fig. 4 attaches after set-up and clears its warm-up step
+                assert ours and theirs[-len(ours):] == ours, (model, rank)
+
+        live, saved = tel.profiler.record(), EventRecord.load(tmp_path / telemetry.EVENTS_FILE)
+        for name in ("start", "duration", "lane", "category", "label"):
+            a, b = getattr(live, name), getattr(saved, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (live.lanes, live.categories, live.labels) == (
+            saved.lanes, saved.categories, saved.labels)

@@ -62,16 +62,6 @@ class TestQueries:
         mem.allocate("a", 7)
         assert mem.get("a").nbytes == 7
 
-    def test_live_allocations_snapshot(self, mem):
-        mem.allocate("a", 1)
-        mem.allocate("b", 2)
-        assert {al.name for al in mem.live_allocations()} == {"a", "b"}
-
-    def test_reset(self, mem):
-        mem.allocate("a", 1)
-        mem.reset()
-        assert mem.used == 0 and "a" not in mem
-
     def test_default_residency_device(self, mem):
         assert mem.allocate("a", 1).residency is Residency.DEVICE
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machine.cpu import EPYC_7742_NODE, CpuNodeModel
-from repro.machine.node import DELTA_A100_NODE, EXPANSE_NODE, make_delta_node
+from repro.machine.node import DELTA_A100_NODE, make_delta_node
 
 
 class TestDeltaNode:
@@ -65,12 +65,3 @@ class TestCpuModel:
             m.kernel_time(-1.0)
         with pytest.raises(ValueError):
             m.kernel_time(1.0, num_nodes=0)
-
-
-class TestExpanseCluster:
-    def test_node_validation(self):
-        assert EXPANSE_NODE.validate_nodes(8) == 8
-        with pytest.raises(ValueError):
-            EXPANSE_NODE.validate_nodes(0)
-        with pytest.raises(ValueError):
-            EXPANSE_NODE.validate_nodes(10_000)

@@ -73,12 +73,6 @@ class TestThrash:
         assert um.stats.bytes_d2h == 8 * MiB
         assert um.stats.total_faults > 0
 
-    def test_evict_all(self, um):
-        um.register("a")
-        um.touch_device("a", MiB)
-        um.evict_all()
-        assert um.residency("a") is Residency.HOST
-
     def test_migration_slower_than_nvlink_estimate(self, um):
         """The UM path (PCIe + faults) must be slower per byte than NVLink
         P2P -- this ordering is the entire Fig. 4 mechanism."""

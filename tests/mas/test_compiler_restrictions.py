@@ -60,7 +60,6 @@ class TestF2018Restrictions:
             array_reduction=ArrayReductionStrategy.FLIPPED_DC,
             inline_routines=True,
             unified_memory=True,
-            manual_data=False,
         )
         m = MasModel(ModelConfig(**SMALL), cfg)
         t = m.step()

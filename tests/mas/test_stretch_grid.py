@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mas.grid import LocalGrid, SphericalGrid
-from repro.mas.stretch import cluster_spacing, geometric_spacing, uniform_spacing
+from repro.mas.stretch import geometric_spacing, uniform_spacing
 from repro.mpi.decomp import Decomposition3D
 
 
@@ -30,23 +30,10 @@ class TestSpacing:
         e = geometric_spacing(1.0, 2.5, 33, ratio=1.07)
         assert e[-1] == 2.5
 
-    def test_cluster_concentrates_cells(self):
-        e = cluster_spacing(0.0, np.pi, 32, center=np.pi / 2, strength=2.0)
-        w = np.diff(e)
-        assert w[16] < w[0]
-        assert w[16] < w[-1]
-
-    def test_cluster_zero_strength_uniform(self):
-        assert np.allclose(
-            cluster_spacing(0, 1, 8, center=0.5, strength=0.0),
-            uniform_spacing(0, 1, 8),
-        )
-
     @pytest.mark.parametrize("fn,args", [
         (uniform_spacing, (1.0, 0.5, 4)),
         (uniform_spacing, (0.0, 1.0, 0)),
         (geometric_spacing, (0.0, 1.0, 4, -1.0)),
-        (cluster_spacing, (0.0, 1.0, 4)),
     ])
     def test_validation(self, fn, args):
         with pytest.raises((ValueError, TypeError)):

@@ -24,7 +24,6 @@ def make_ranks(n, *, unified=False):
         fusion=True,
         async_launch=True,
         unified_memory=unified,
-        manual_data=not unified,
     )
     ranks = []
     for r in range(n):

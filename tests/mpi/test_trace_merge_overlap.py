@@ -89,10 +89,9 @@ class TestSpanPairing:
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_overlap_counter_matches_measured_span_overlap(n):
     tel = _run(n)
-    events = tel.profiler.events
     lanes: dict[str, list] = {}
-    for e in events:
-        lanes.setdefault(e.lane, []).append(e)
+    for lane, start, duration, _, label in zip(*tel.profiler.columns):
+        lanes.setdefault(lane, []).append((start, start + duration, label))
 
     measured = 0.0
     comm_lanes = [ln for ln in lanes if ln.endswith(COMM_SUFFIX)]
@@ -100,14 +99,9 @@ def test_overlap_counter_matches_measured_span_overlap(n):
         assert comm_lanes, "overlapped run produced no :comm lanes"
     for ln in comm_lanes:
         main = lanes.get(ln[: -len(COMM_SUFFIX)], [])
-        busy = [
-            m for m in main
-            if not m.label.startswith("halo_wait")
-        ]
-        for c in lanes[ln]:
-            c0, c1 = c.start, c.start + c.duration
-            for m in busy:
-                m0, m1 = m.start, m.start + m.duration
+        busy = [(m0, m1) for m0, m1, label in main if not label.startswith("halo_wait")]
+        for c0, c1, _ in lanes[ln]:
+            for m0, m1 in busy:
                 lo, hi = max(c0, m0), min(c1, m1)
                 if hi > lo:
                     measured += hi - lo

@@ -1,9 +1,10 @@
 """Shared helpers: event records for tests, written through the real writer.
 
 No test hand-rolls the ``events.npz`` format: a record comes from
-``(lane, start, duration, category, label)`` tuples via
-:func:`write_record`, and the ways a file gets damaged are listed once in
-:data:`DAMAGE` so every reader is tested against the same corrupt files.
+``(lane, start, duration, category, label)`` rows through the builder the
+profiler uses (:func:`record_of`, :func:`write_record`), and the ways a file
+gets damaged are listed once in :data:`DAMAGE` so every reader is tested
+against the same corrupt files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs.critpath import TraceEvent
 from repro.obs.events import EventRecord
 from repro.obs.telemetry import EVENTS_FILE, SPANS_FILE
 from repro.perf.trace_export import to_chrome_trace
@@ -27,8 +27,8 @@ SMALL_ROWS = (
 
 
 def record_of(rows=()) -> EventRecord:
-    """Record of ``(lane, start, duration, category, label)`` tuples."""
-    return EventRecord.from_events([TraceEvent(*row) for row in rows])
+    """Record of ``(lane, start, duration, category, label)`` rows."""
+    return EventRecord.from_columns(*(tuple(zip(*rows)) or ((),) * 5))
 
 
 def write_record(directory, rows=()) -> Path:
@@ -64,11 +64,11 @@ def _truncate(path: Path) -> None:
     path.write_bytes(blob[: len(blob) // 2])
 
 
-def _nan_start(path: Path) -> None:
+def _set_first(path: Path, column: str, value: float) -> None:
     with np.load(path, allow_pickle=False) as data:
-        start = data["start"].copy()
-    start[0] = np.nan
-    _rewrite(path, start=start)
+        values = data[column].copy()
+    values[0] = value
+    _rewrite(path, **{column: values})
 
 
 #: name -> function damaging a valid ``events.npz`` in place.
@@ -77,7 +77,8 @@ DAMAGE = {
     "zero_bytes": lambda p: p.write_bytes(b""),
     "missing_column": lambda p: _rewrite(p, duration=None),
     "ids_past_table": lambda p: _rewrite(p, lane=np.array([0, 0, 7], dtype=np.int16)),
-    "nan_start": _nan_start,
+    "nan_start": lambda p: _set_first(p, "start", np.nan),
+    "negative_duration": lambda p: _set_first(p, "duration", -0.5),
     "string_column": lambda p: _rewrite(p, start=np.array(["0", "1", "2"])),
     "not_an_npz": lambda p: p.write_text(json.dumps({"traceEvents": []})),
 }

@@ -1,15 +1,16 @@
 """The critical-path analysis as it stood before the columnar event record.
 
-Oracle for ``test_critpath_record.py``: ``_Lane``, ``CritPathResult``,
-``extract_critical_path``, ``_find_blocker``, ``analyze_events``,
-``events_from_profiler``, ``analyze_session`` and ``load_trace_events``
-(the reader of the Chrome trace that used to be the only event record)
-below are the parent commit's ``repro.obs.critpath`` bodies, moved here verbatim (one
+Oracle for ``test_critpath_record.py``: ``TraceEvent``, ``_Lane``,
+``CritPathResult``, ``extract_critical_path``, ``_find_blocker``,
+``analyze_events``, ``analyze_session`` and ``load_trace_events`` (the
+reader of the Chrome trace that used to be the only event record) below are
+an earlier ``repro.obs.critpath``'s bodies, moved here verbatim (one
 ``TraceEvent`` per event, per-event ``lane_rank`` / ``blame_group`` string
 work, a lambda sort per lane). They define the answers, floats included,
 that the record-based analysis in ``repro.obs.critpath`` must reproduce:
 tie-breaks between lanes, dict insertion orders and the order every sum
-accumulates in. Do not "tidy" them.
+accumulates in. Do not "tidy" them. ``events_from_profiler`` adapts the
+live profiler's columns to those objects.
 """
 
 from __future__ import annotations
@@ -25,13 +26,27 @@ from repro.obs.critpath import (
     IDLE_CATEGORY,
     WAIT_CATEGORY,
     PathSegment,
-    TraceEvent,
     _phase_split,
     _phase_windows,
     blame_group,
     lane_model,
     lane_rank,
 )
+
+
+@dataclass(frozen=True, slots=True)
+class TraceEvent:
+    """One categorized time slice on one lane (model-relative seconds)."""
+
+    lane: str
+    start: float
+    duration: float
+    category: str
+    label: str
+
+    @property
+    def end(self) -> float:
+        return self.start + self.duration
 
 
 class _Lane:
@@ -315,16 +330,10 @@ def analyze_events(
 
 
 def events_from_profiler(profiler: Any) -> list[TraceEvent]:
-    """Adapt live :class:`~repro.perf.profiler.ProfileEvent` records."""
+    """Adapt the rows of a live :class:`~repro.obs.events.Profiler`."""
     return [
-        TraceEvent(
-            lane=e.lane,
-            start=e.start,
-            duration=e.duration,
-            category=e.category.value,
-            label=e.label,
-        )
-        for e in profiler.events
+        TraceEvent(lane, start, duration, category.value, label)
+        for lane, start, duration, category, label in zip(*profiler.columns)
     ]
 
 

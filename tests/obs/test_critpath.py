@@ -3,9 +3,8 @@
 import pytest
 
 from repro.obs.critpath import (
-    TraceEvent,
     analyze_dir,
-    analyze_events,
+    analyze_record,
     analyze_session,
     blame_group,
     extract_critical_path,
@@ -15,11 +14,11 @@ from repro.obs.critpath import (
     render_result,
     results_to_json,
 )
+from tests.obs.records import record_of
 
 
 def ev(lane, start, end, category, label=""):
-    return TraceEvent(lane=lane, start=start, duration=end - start,
-                      category=category, label=label)
+    return (lane, start, end - start, category, label)
 
 
 class TestBlameGroups:
@@ -60,7 +59,7 @@ class TestExtraction:
             ev("m0.rank0", 1.0, 2.0, "mpi_wait", "allreduce"),
             ev("m0.rank1", 0.0, 2.0, "compute", "slow"),
         ]
-        segments = extract_critical_path(events)
+        segments = extract_critical_path(record_of(events))
         assert [s.lane for s in segments] == ["m0.rank1"]
         assert segments[0].label == "slow"
         assert sum(s.duration for s in segments) == pytest.approx(2.0)
@@ -73,7 +72,7 @@ class TestExtraction:
             ev("m0.rank1", 0.0, 1.0, "compute", "k"),
             ev("m0.rank1", 1.0, 2.0, "mpi_wait", "halo_barrier"),
         ]
-        segments = extract_critical_path(events)
+        segments = extract_critical_path(record_of(events))
         assert any(s.category == "mpi_wait" for s in segments)
         assert sum(s.duration for s in segments) == pytest.approx(2.0)
 
@@ -85,7 +84,7 @@ class TestExtraction:
             ev("m0.rank0", 1.5, 2.0, "compute", "tail"),
             ev("m0.rank0:comm", 0.2, 1.5, "mpi_transfer", "msg_0"),
         ]
-        segments = extract_critical_path(events)
+        segments = extract_critical_path(record_of(events))
         comm = [s for s in segments if s.lane == "m0.rank0:comm"]
         assert comm and comm[0].label == "msg_0"
         assert not any(s.label == "halo_wait_residual" for s in segments)
@@ -96,7 +95,7 @@ class TestExtraction:
             ev("m0.rank0", 0.0, 1.0, "compute", "a"),
             ev("m0.rank0", 1.5, 2.0, "compute", "b"),
         ]
-        segments = extract_critical_path(events)
+        segments = extract_critical_path(record_of(events))
         idle = [s for s in segments if s.category == "idle"]
         assert len(idle) == 1
         assert idle[0].start == pytest.approx(1.0)
@@ -111,14 +110,14 @@ class TestExtraction:
             ev("m0.rank1", 0.0, 0.6, "compute", "b"),
             ev("m0.rank1", 0.6, 1.0, "mpi_wait", "allreduce"),
         ]
-        segments = extract_critical_path(events)
+        segments = extract_critical_path(record_of(events))
         assert sum(s.duration for s in segments) == pytest.approx(1.0)
         # time-ordered and non-overlapping
         for a, b in zip(segments, segments[1:]):
             assert a.end == pytest.approx(b.start)
 
     def test_empty_events(self):
-        assert extract_critical_path([]) == []
+        assert extract_critical_path(record_of()) == []
 
 
 class TestAnalyzeEvents:
@@ -127,7 +126,7 @@ class TestAnalyzeEvents:
             ev("m0.rank0", 0.0, 1.0, "compute", "k0"),
             ev("m1.rank0", 0.0, 2.0, "compute", "k1"),
         ]
-        results = analyze_events(events)
+        results = analyze_record(record_of(events))
         assert set(results) == {"m0", "m1"}
         assert results["m0"].wall == pytest.approx(1.0)
         assert results["m1"].wall == pytest.approx(2.0)
@@ -140,7 +139,7 @@ class TestAnalyzeEvents:
             ev("m0.rank1", 1.0, 2.0, "mpi_wait", "allreduce"),
             ev("m0.rank1:comm", 0.0, 0.5, "mpi_transfer", "msg_0"),
         ]
-        (r,) = analyze_events(events).values()
+        (r,) = analyze_record(record_of(events)).values()
         assert r.num_ranks == 2
         assert r.busy_by_rank == {0: 2.0, 1: 1.0}
         assert r.idle_by_rank == {1: 1.0}
@@ -161,13 +160,13 @@ class TestAnalyzeEvents:
             {"span_id": 3, "parent_id": 1, "name": "step/cfl", "start": 1.0,
              "end": 1.4, "depth": 1, "attrs": {}},
         ]
-        (r,) = analyze_events(events, spans=spans).values()
+        (r,) = analyze_record(record_of(events), spans=spans).values()
         assert r.path_by_phase["step/hydro"] == pytest.approx(1.0)
         assert r.path_by_phase["step/cfl"] == pytest.approx(0.4)
         assert r.idle_by_phase == {"step/cfl": pytest.approx(0.4)}
 
     def test_unprefixed_lanes_dropped(self):
-        assert analyze_events([ev("gpu0", 0.0, 1.0, "compute", "k")]) == {}
+        assert analyze_record(record_of([ev("gpu0", 0.0, 1.0, "compute", "k")])) == {}
 
 
 class TestSessionAndDir:

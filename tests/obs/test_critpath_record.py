@@ -16,7 +16,7 @@ from repro.cli import main
 from repro.codes import CodeVersion, runtime_config_for
 from repro.mas.model import MasModel, ModelConfig
 from repro.obs import critpath
-from repro.obs.critpath import TraceEvent, analyze_dir, analyze_events, analyze_session
+from repro.obs.critpath import analyze_dir, analyze_record, analyze_session
 from repro.obs.events import EventRecord
 from repro.obs.telemetry import EVENTS_FILE, Telemetry, activate, deactivate, session
 from repro.perf.trace_export import to_chrome_trace
@@ -40,6 +40,12 @@ def assert_same_analysis(new, old):
         assert (new[model].t0, new[model].t1) == (old[model].t0, old[model].t1)
 
 
+def _oracle_events(rows):
+    """The oracle's input: one object per ``(lane, start, duration,
+    category, label)`` row."""
+    return [reference.TraceEvent(*row) for row in rows]
+
+
 # -- property: any stream -----------------------------------------------------
 
 #: Multiples of 1/8 make exact ties, abutting events and shared ends likely;
@@ -56,15 +62,15 @@ _KINDS = st.sampled_from([
 
 @st.composite
 def _lane_events(draw, lane):
-    """One lane's events: gaps (holes), zero lengths, ties in ``start``."""
+    """One lane's rows: gaps (holes), zero lengths, ties in ``start``."""
     events, t = [], draw(_TICKS)
     for _ in range(draw(st.integers(0, 7))):
         gap, duration = draw(_TICKS), draw(_TICKS)
         start = t if draw(st.booleans()) else t + gap
         if events and draw(st.integers(0, 9)) == 0:
-            start = events[-1].start  # tie: two events share a start
+            start = events[-1][1]  # tie: two events share a start
         category, label = draw(_KINDS)
-        events.append(TraceEvent(lane, start, duration, category, label))
+        events.append((lane, start, duration, category, label))
         t = max(t, start + duration)
     return events
 
@@ -96,18 +102,20 @@ def _streams(draw):
 @settings(max_examples=150, deadline=None)
 @given(_streams())
 def test_record_analysis_equals_the_oracle_on_any_stream(stream):
-    events, spans = stream
+    rows, spans = stream
     assert_same_analysis(
-        analyze_events(events, spans=spans),
-        reference.analyze_events(events, spans=spans),
+        analyze_record(record_of(rows), spans=spans),
+        reference.analyze_events(_oracle_events(rows), spans=spans),
     )
 
 
 @settings(max_examples=100, deadline=None)
 @given(_streams())
 def test_extraction_equals_the_oracle_on_any_single_model(stream):
-    events = [e for e in stream[0] if e.lane.startswith("m0.")]
-    assert critpath.extract_critical_path(events) == reference.extract_critical_path(events)
+    rows = [row for row in stream[0] if row[0].startswith("m0.")]
+    assert critpath.extract_critical_path(record_of(rows)) == (
+        reference.extract_critical_path(_oracle_events(rows))
+    )
 
 
 # -- real sessions ------------------------------------------------------------
@@ -164,8 +172,8 @@ def test_lane_facts_are_resolved_per_table_entry_not_per_event(monkeypatch):
 
         monkeypatch.setattr(critpath, name, counted)
     (result,) = analyze_session(tel).values()
-    lanes = len({e.lane for e in tel.profiler.events})
-    assert len(tel.profiler.events) > 1000
+    lanes = len(set(tel.profiler.columns[0]))
+    assert len(tel.profiler) > 1000
     assert calls == {"lane_rank": lanes, "lane_model": lanes}
     result.to_json()  # the aggregations memoise per distinct lane too
     assert calls["lane_rank"] <= 4 * lanes
@@ -184,18 +192,19 @@ def finalized(tmp_path_factory):
 
 def test_profiler_to_record_to_file_to_record(finalized):
     out, tel = finalized
-    live = EventRecord.from_events(tel.profiler.events)
+    live = tel.profiler.record()
     loaded = EventRecord.load(out / EVENTS_FILE)
-    assert len(live) == len(tel.profiler.events) > 0
+    assert len(live) == len(tel.profiler) > 0
     for name in COLUMNS:
         a, b = getattr(live, name), getattr(loaded, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     for name in TABLES:
         assert getattr(live, name) == getattr(loaded, name), name
     assert live.start.dtype == live.duration.dtype == np.float64
-    e = tel.profiler.events[-1]
-    assert (live.lanes[live.lane[-1]], live.categories[live.category[-1]],
-            live.labels[live.label[-1]]) == (e.lane, e.category.value, e.label)
+    lane, start, duration, category, label = (column[-1] for column in tel.profiler.columns)
+    assert (live.lanes[live.lane[-1]], live.start[-1], live.duration[-1],
+            live.categories[live.category[-1]], live.labels[live.label[-1]]) == (
+        lane, start, duration, category.value, label)
 
 
 def test_saved_record_needs_no_pickle(finalized):
@@ -219,7 +228,8 @@ def test_chrome_trace_export_is_byte_equal_to_the_live_sessions(finalized, tmp_p
     target = tmp_path / "trace.json"
     assert main(["telemetry", str(out), "--chrome-trace", str(target)]) == 0
     assert str(target) in capsys.readouterr().out
-    assert target.read_text() == json.dumps(to_chrome_trace(tel.profiler, spans=tel.tracer.spans))
+    assert target.read_text() == json.dumps(
+        to_chrome_trace(tel.profiler.record(), spans=tel.tracer.spans))
     lanes = {e["args"]["name"] for e in json.loads(target.read_text())["traceEvents"]
              if e["ph"] == "M" and e["name"] == "thread_name"}
     assert {"m0.rank0", "m0.rank1", "m0.rank0:comm"} <= lanes
@@ -266,8 +276,7 @@ def tel_dir(tmp_path):
 
 def test_small_record_analyses(tel_dir):
     (r,) = analyze_dir(tel_dir).values()
-    assert r.to_json() == reference.analyze_events(
-        [TraceEvent(*row) for row in SMALL_ROWS])["m0"].to_json()
+    assert r.to_json() == reference.analyze_events(_oracle_events(SMALL_ROWS))["m0"].to_json()
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
@@ -330,9 +339,8 @@ def test_interrupted_finalize_leaves_no_record_and_no_temp(tmp_path, monkeypatch
         raise KeyboardInterrupt
 
     tel = Telemetry(tmp_path)
-    tel.profiler.events.extend(
-        TraceEvent(*row) for row in SMALL_ROWS
-    )
+    for column, values in zip(tel.profiler.columns, zip(*SMALL_ROWS)):
+        column.extend(values)
     monkeypatch.setattr(os, "replace", killed)
     with pytest.raises(KeyboardInterrupt):
         tel.finalize()

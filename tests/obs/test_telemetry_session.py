@@ -226,7 +226,7 @@ class TestMultiModel:
             _tiny_model().step()
         manifest = tel.build_manifest()
         assert [m["index"] for m in manifest["models"]] == [0, 1]
-        lane_names = {e.lane for e in tel.profiler.events}
+        lane_names = set(tel.profiler.columns[0])
         assert any(l.startswith("m0.") for l in lane_names)
         assert any(l.startswith("m1.") for l in lane_names)
 

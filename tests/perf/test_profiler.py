@@ -1,8 +1,9 @@
-"""Profiler event collection and timeline rendering."""
+"""The profiler (``repro.obs.events.Profiler``) and Fig. 4's timeline renderer."""
 
 import pytest
 
-from repro.perf.profiler import ProfileEvent, Profiler
+from repro.experiments.fig4 import render_timeline
+from repro.obs.events import Profiler
 from repro.runtime.clock import SimClock, TimeCategory
 
 
@@ -21,38 +22,23 @@ def recorded():
 class TestCollection:
     def test_events_recorded_in_order(self, recorded):
         p, _ = recorded
-        assert [e.label for e in p.events] == ["visc_matvec", "msg_2", "fault_in(buf)"]
-        assert p.events[0].start == 0.0
-        assert p.events[1].start == pytest.approx(1.0)
+        _, starts, _, _, labels = p.columns
+        assert labels == ["visc_matvec", "msg_2", "fault_in(buf)"]
+        assert starts[0] == 0.0
+        assert starts[1] == pytest.approx(1.0)
 
     def test_zero_duration_dropped(self, recorded):
         p, _ = recorded
-        assert all(e.duration > 0 for e in p.events)
+        assert len(p) == 3
+        assert all(d > 0 for d in p.columns[2])
 
-    def test_by_label(self, recorded):
+    def test_record_interns_in_first_appearance_order(self, recorded):
         p, _ = recorded
-        assert len(p.by_label("visc_")) == 1
-
-    def test_by_category_and_total(self, recorded):
-        p, _ = recorded
-        assert p.total_time(TimeCategory.COMPUTE) == pytest.approx(1.0)
-        assert p.total_time(TimeCategory.MPI_TRANSFER, TimeCategory.UM_FAULT) == pytest.approx(0.7)
-
-    def test_span(self, recorded):
-        p, _ = recorded
-        assert p.span() == (0.0, pytest.approx(1.7))
-
-    def test_span_empty_raises(self):
-        with pytest.raises(ValueError):
-            Profiler().span()
-
-    def test_min_duration_filter(self):
-        p = Profiler(min_duration=0.1)
-        c = SimClock()
-        p.attach(c, "x")
-        c.advance(0.01, TimeCategory.COMPUTE, "tiny")
-        c.advance(0.5, TimeCategory.COMPUTE, "big")
-        assert [e.label for e in p.events] == ["big"]
+        record = p.record()
+        assert record.lanes == ("gpu0",)
+        assert record.categories == ("compute", "mpi_transfer", "um_fault")
+        assert record.category.tolist() == [0, 1, 2]
+        assert record.duration.tolist() == [1.0, 0.5, 0.2]
 
     def test_multiple_lanes(self):
         p = Profiler()
@@ -61,13 +47,13 @@ class TestCollection:
         p.attach(c1, "gpu1")
         c0.advance(1.0, TimeCategory.COMPUTE, "a")
         c1.advance(1.0, TimeCategory.COMPUTE, "b")
-        assert {e.lane for e in p.events} == {"gpu0", "gpu1"}
+        assert set(p.columns[0]) == {"gpu0", "gpu1"}
 
 
 class TestRendering:
     def test_transfers_on_mem_lane(self, recorded):
-        p, _ = recorded
-        out = p.render_timeline(title="t")
+        p, c = recorded
+        out = render_timeline(p.record(), title="t", t0=0.0, t1=c.now)
         assert "gpu0 |" in out
         assert "gpu0:mem |" in out
         assert "K" in out
@@ -79,13 +65,9 @@ class TestRendering:
         c.advance(1.0, TimeCategory.MPI_TRANSFER, "msg_0")
         c.advance(1.0, TimeCategory.MPI_TRANSFER, "fault_out(buf)")
         c.advance(1.0, TimeCategory.MPI_TRANSFER, "um_mpi_sync")
-        out = p.render_timeline()
+        out = render_timeline(p.record(), title="", t0=0.0, t1=c.now)
         mem_line = [l for l in out.splitlines() if ":mem" in l][0]
         assert "P" in mem_line and "v" in mem_line and "^" in mem_line
-
-    def test_event_end_property(self):
-        e = ProfileEvent("l", 1.0, 0.5, TimeCategory.COMPUTE, "x")
-        assert e.end == 1.5
 
 
 class TestLifecycle:
@@ -95,7 +77,7 @@ class TestLifecycle:
         p.attach(c, "gpu0")
         p.attach(c, "gpu0")  # repeated attach must not double-record
         c.advance(1.0, TimeCategory.COMPUTE, "k")
-        assert len(p.events) == 1
+        assert len(p) == 1
         assert p.attached_count == 1
         assert c.observer_count == 1
 
@@ -106,7 +88,7 @@ class TestLifecycle:
         c.advance(1.0, TimeCategory.COMPUTE, "before")
         assert p.detach(c) == 1
         c.advance(1.0, TimeCategory.COMPUTE, "after")
-        assert [e.label for e in p.events] == ["before"]
+        assert p.columns[4] == ["before"]
         assert c.observer_count == 0
 
     def test_detach_all(self):
@@ -127,9 +109,9 @@ class TestLifecycle:
         p.attach(c, "gpu0")
         c.advance(1.0, TimeCategory.COMPUTE, "a")
         p.clear()
-        assert p.events == []
+        assert len(p) == 0 and p.columns == ([], [], [], [], [])
         c.advance(1.0, TimeCategory.COMPUTE, "b")
-        assert [e.label for e in p.events] == ["b"]
+        assert p.columns[4] == ["b"]
 
     def test_unsubscribe_unknown_observer_is_noop(self):
         c = SimClock()

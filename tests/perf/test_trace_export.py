@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.perf.profiler import Profiler
+from repro.obs.events import Profiler
 from repro.perf.trace_export import to_chrome_trace, write_chrome_trace
 from repro.runtime.clock import SimClock, TimeCategory
 
@@ -23,7 +23,7 @@ def profiler():
 
 class TestTraceStructure:
     def test_complete_events_emitted(self, profiler):
-        trace = to_chrome_trace(profiler)
+        trace = to_chrome_trace(profiler.record())
         xs = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert len(xs) == 3
         k = next(e for e in xs if e["name"] == "visc_matvec")
@@ -32,7 +32,7 @@ class TestTraceStructure:
         assert k["cat"] == "kernel"
 
     def test_memory_events_on_separate_threads(self, profiler):
-        trace = to_chrome_trace(profiler)
+        trace = to_chrome_trace(profiler.record())
         names = {
             e["args"]["name"]: e["tid"]
             for e in trace["traceEvents"]
@@ -44,10 +44,10 @@ class TestTraceStructure:
 
     def test_empty_profiler_rejected(self):
         with pytest.raises(ValueError):
-            to_chrome_trace(Profiler())
+            to_chrome_trace(Profiler().record())
 
     def test_write_valid_json(self, profiler, tmp_path):
-        path = write_chrome_trace(profiler, tmp_path / "trace.json")
+        path = write_chrome_trace(profiler.record(), tmp_path / "trace.json")
         data = json.loads(path.read_text())
         assert data["displayTimeUnit"] == "ms"
         assert any(e["ph"] == "X" for e in data["traceEvents"])
@@ -61,7 +61,7 @@ class TestSpanMerge:
         with tr.span("step"):
             with tr.span("step/viscosity"):
                 pass
-        trace = to_chrome_trace(profiler, spans=tr.spans)
+        trace = to_chrome_trace(profiler.record(), spans=tr.spans)
         span_events = [
             e for e in trace["traceEvents"] if e["ph"] == "X" and e["pid"] == 0
         ]
@@ -85,14 +85,14 @@ class TestSpanMerge:
         tr = Tracer()
         with tr.span("solo", component="vr"):
             pass
-        trace = to_chrome_trace(Profiler(), spans=tr.spans)
+        trace = to_chrome_trace(Profiler().record(), spans=tr.spans)
         xs = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert len(xs) == 1
         assert xs[0]["args"]["component"] == "vr"
 
     def test_empty_both_rejected(self):
         with pytest.raises(ValueError):
-            to_chrome_trace(Profiler(), spans=())
+            to_chrome_trace(Profiler().record(), spans=())
 
 
 class TestCommLanes:
@@ -103,7 +103,7 @@ class TestCommLanes:
         profiler.attach(comm, "gpu0:comm")
         comm.advance(1e-4, TimeCategory.MPI_PACK, "halo_pack")
         comm.advance(2e-3, TimeCategory.MPI_TRANSFER, "msg_0")
-        trace = to_chrome_trace(profiler)
+        trace = to_chrome_trace(profiler.record())
 
         xs = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         comm_names = {"halo_pack", "msg_0"}
@@ -129,7 +129,7 @@ class TestCommLanes:
     def test_no_comm_process_without_comm_lanes(self, profiler):
         from repro.perf.trace_export import COMM_PID
 
-        trace = to_chrome_trace(profiler)
+        trace = to_chrome_trace(profiler.record())
         assert not any(
             e.get("pid") == COMM_PID for e in trace["traceEvents"]
         )
@@ -149,7 +149,7 @@ class TestModelTrace:
         for r, rt in enumerate(m.ranks):
             p.attach(rt.clock, f"gpu{r}")
         m.step()
-        trace = to_chrome_trace(p)
+        trace = to_chrome_trace(p.record())
         xs = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert len(xs) > 100
         cats = {e["cat"] for e in xs}

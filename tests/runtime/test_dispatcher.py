@@ -42,20 +42,13 @@ def dc_config(**kw):
 
 
 class TestConfigValidation:
-    def test_um_and_manual_exclusive(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(
-                name="bad", loop_backend=uniform_backend(Backend.ACC),
-                unified_memory=True, manual_data=True,
-            )
-
     def test_gpu_needs_backends(self):
         with pytest.raises(ValueError):
             RuntimeConfig(name="bad")
 
     def test_cpu_rejects_um(self):
         with pytest.raises(ValueError):
-            RuntimeConfig(name="bad", target="cpu", unified_memory=True, manual_data=False)
+            RuntimeConfig(name="bad", target="cpu", unified_memory=True)
 
     def test_unmapped_category_raises(self):
         cfg = RuntimeConfig(
@@ -66,7 +59,7 @@ class TestConfigValidation:
 
     def test_with_unified_memory(self):
         cfg = acc_config().with_unified_memory()
-        assert cfg.unified_memory and not cfg.manual_data
+        assert cfg.unified_memory
         assert cfg.name.endswith("+UM")
 
     def test_uses_openacc(self):
@@ -139,7 +132,7 @@ class TestGpuDispatch:
         assert rt.clock.by_category[TimeCategory.H2D] > 0
 
     def test_register_array_free_under_um(self):
-        rt = gpu_runtime(acc_config(unified_memory=True, manual_data=False))
+        rt = gpu_runtime(acc_config(unified_memory=True))
         rt.register_array("a", 100 * MiB)
         assert rt.clock.now == 0.0
 

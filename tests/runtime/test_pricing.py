@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.machine.cpu import EPYC_7742_NODE, CpuNodeModel
 from repro.machine.gpu import A100_40GB, GpuDevice
 from repro.machine.interconnect import PCIE4_X16
-from repro.machine.memory import AllocationError, DeviceMemory
+from repro.machine.memory import AllocationError, DeviceMemory, Residency
 from repro.machine.unified_memory import PageMigrationStats
 from repro.runtime.clock import SimClock, TimeCategory
 from repro.runtime.config import (
@@ -62,6 +62,12 @@ def make_engine(kind, env, clock, *, async_launch=True, flipped=False,
         admit=partial(check_supported, dc2x_reduce=True, routines_inlined=True,
                       array_reduction=strategy) if dc else None,
     )
+
+
+def evict_all(um):
+    """Make every unified-memory allocation host-resident again."""
+    for name in um._residency:
+        um._residency[name] = Residency.HOST
 
 
 def charge(engine, spec):
@@ -288,7 +294,7 @@ def test_warm_engine_charges_what_a_cold_engine_prices(settings_, kernels):
     _run(lambda n: warm, kernels, region=region)
     held = warm.priced_kernels
     if mode is DataMode.UNIFIED:
-        env_w.um.evict_all()
+        evict_all(env_w.um)
         env_w.um.stats = PageMigrationStats()
     warm.stats = type(warm.stats)()
     warm.clock = SimClock()

@@ -23,7 +23,6 @@ def gpu_rt(unified=False):
         fusion=True,
         async_launch=True,
         unified_memory=unified,
-        manual_data=not unified,
     )
     mode = DataMode.UNIFIED if unified else DataMode.MANUAL
     env = DataEnvironment(mode, device_memory=DeviceMemory(40 * GB), host_link=PCIE4_X16)

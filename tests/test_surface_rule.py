@@ -33,18 +33,9 @@ ALLOWED = {
 
 #: Public symbols no program file names, each with its reason; like
 #: ``ALLOWED``, an entry fails the test once it is named or gone.
-_DEFERRED = "no caller; deleting it deletes only its own tests, left for a later PR"
 ALLOWED_SYMBOLS = {
     "repro.runtime.clock.SimClock.observer_count": "test hook: leak checks count a clock's observers",
-    "repro.perf.profiler.Profiler.attached_count": "test hook: leak checks count a profiler's clocks",
-    "repro.util.rng.make_rng": _DEFERRED,
-    "repro.util.rng.spawn_rngs": _DEFERRED,
-    "repro.mas.stretch.cluster_spacing": _DEFERRED,
-    "repro.util.units.Quantity.rounded": _DEFERRED,
-    "repro.machine.memory.DeviceMemory.live_allocations": _DEFERRED,
-    "repro.machine.memory.DeviceMemory.reset": _DEFERRED,
-    "repro.machine.node.CpuCluster.validate_nodes": _DEFERRED,
-    "repro.machine.unified_memory.UnifiedMemoryManager.evict_all": _DEFERRED,
+    "repro.obs.events.Profiler.attached_count": "test hook: leak checks count a profiler's clocks",
 }
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.util.units import (
     GB,
     GiB,
-    Quantity,
     fmt_bytes,
     fmt_duration,
     minutes,
@@ -47,16 +46,3 @@ class TestFormatting:
 
     def test_fmt_duration_negative(self):
         assert fmt_duration(-3.0) == "-3.00 s"
-
-
-class TestQuantity:
-    def test_str(self):
-        assert str(Quantity(23.0, "min")) == "23 min"
-
-    def test_rounded(self):
-        assert Quantity(23.456, "min").rounded(1).value == 23.5
-
-    def test_frozen(self):
-        q = Quantity(1.0, "s")
-        with pytest.raises(AttributeError):
-            q.value = 2.0
