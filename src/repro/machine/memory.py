@@ -25,6 +25,11 @@ class Residency(enum.Enum):
     #: Pages split between host and device (partially migrated).
     SPLIT = "split"
 
+    #: Members are singletons, so identity hashing is the same equality and
+    #: runs in C: a halo exchange keys its recorded programs on a tuple of
+    #: residencies, and ``Enum.__hash__`` is a Python-level call.
+    __hash__ = object.__hash__
+
 
 @dataclass(slots=True)
 class Allocation:

@@ -55,6 +55,15 @@ class PageMigrationStats:
         self.bytes_h2d += other.bytes_h2d
         self.bytes_d2h += other.bytes_d2h
 
+    def since(self, earlier: "PageMigrationStats") -> "PageMigrationStats":
+        """What was counted after ``earlier``, a copy of these counters."""
+        return PageMigrationStats(
+            self.faults_h2d - earlier.faults_h2d,
+            self.faults_d2h - earlier.faults_d2h,
+            self.bytes_h2d - earlier.bytes_h2d,
+            self.bytes_d2h - earlier.bytes_d2h,
+        )
+
 
 @dataclass(slots=True)
 class UnifiedMemoryManager:
@@ -95,6 +104,21 @@ class UnifiedMemoryManager:
 
     def __contains__(self, name: str) -> bool:
         return name in self._residency
+
+    def residencies(self, names: tuple[str, ...]) -> tuple[Residency, ...]:
+        """Current residency of each of ``names``, in order."""
+        return tuple(map(self._residency.__getitem__, names))
+
+    def replay(
+        self,
+        names: tuple[str, ...],
+        residencies: tuple[Residency, ...],
+        counted: PageMigrationStats,
+    ) -> None:
+        """Leave ``names`` at ``residencies`` and count ``counted``: what a
+        recorded sequence of touches, started from a recorded state, did."""
+        self._residency.update(zip(names, residencies))
+        self.stats.merge(counted)
 
     def _migration_cost(self, nbytes: int) -> float:
         groups = max(1, math.ceil(nbytes / self.fault_group))

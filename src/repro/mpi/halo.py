@@ -13,12 +13,12 @@ is bit-checkable against a single-rank run. Two cost modes exist:
   :meth:`HaloExchanger.exchange_many`): ranks synchronize at the start of
   each phase and the laggard charges its peers MPI wait time;
 * **overlapped** (:meth:`HaloExchanger.exchange_begin` /
-  :meth:`HaloExchanger.exchange_finish`): pack kernels and non-blocking
-  sends (:meth:`~repro.mpi.transport.Transport.post`) run on a detached
-  communication timeline while the main clock keeps advancing under
-  interior compute; ``finish`` charges only the part of the exchange that
-  compute failed to hide. Payloads still move eagerly at ``begin``, so
-  overlapped runs are bit-identical to synchronous ones by construction.
+  :meth:`HaloExchanger.exchange_finish`): pack kernels, sends and unpack
+  kernels run on a detached communication timeline while the main clock
+  keeps advancing under interior compute; ``finish`` charges only the part
+  of the exchange that compute failed to hide. Payloads still move eagerly
+  at ``begin``, so overlapped runs are bit-identical to synchronous ones by
+  construction.
 
 Multiple fields can share one exchange (:meth:`exchange_many`): every phase
 loops over all fields, so per-field pack/unpack kernels become pairwise
@@ -27,25 +27,35 @@ independent work the cross-region fusion window can collapse.
 An exchange's schedule does not change between steps, so it is derived once:
 a :class:`_Plan` per (fields and stagger axes, :class:`HaloSpec`) that every
 ``exchange*`` walks, rebuilt when an ``env.epoch`` or an array shape moves.
-Its kernels are lowered when it is built (``RankRuntime._lower``), so a walk
-charges their held prices instead of dispatching each launch anew.
+Its kernels are lowered and its wire times priced when it is built
+(``RankRuntime._lower``, ``Transport.wire_time``). Between two barriers of a
+walk a rank's clock and pages are moved by that rank's own events alone, so
+what a walk adds to one rank depends only on where its clock stands and on
+the residency of the managed arrays it touches: the first walk from each
+residency records the rank's adds as a :class:`_Program`, and later walks
+from the same residency apply it as plain float adds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
 from typing import Any, NamedTuple
 
 import numpy as np
 
+from repro.machine.unified_memory import PageMigrationStats
 from repro.mpi.decomp import Decomposition3D
 from repro.mpi.transport import Transport
 from repro.obs.telemetry import current as _telemetry
 from repro.runtime.clock import SimClock, TimeCategory
-from repro.runtime.data_env import Charge
 from repro.runtime.dispatcher import Lowered, RankRuntime
 from repro.runtime.kernel import KernelSpec, LoopCategory
+
+
+def _check_depth(depth: int) -> None:
+    if not isinstance(depth, int) or depth < 1:
+        raise ValueError("halo depth must be an integer >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,9 +66,12 @@ class HaloSpec:
     axes: tuple[int, ...] = (0, 1, 2)
 
     def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("halo depth must be >= 1")
-        if not self.axes or any(a not in (0, 1, 2) for a in self.axes):
+        _check_depth(self.depth)
+        if (
+            not self.axes
+            or any(a not in (0, 1, 2) for a in self.axes)
+            or len(set(self.axes)) != len(self.axes)
+        ):
             raise ValueError("axes must be a nonempty subset of (0, 1, 2)")
 
 
@@ -214,8 +227,6 @@ class _Message:
 
     src: int
     dst: int
-    src_rt: RankRuntime
-    dst_rt: RankRuntime
     pack: KernelSpec
     unpack: KernelSpec
     #: ``pack`` lowered on the sender, ``unpack`` on the receiver; valid
@@ -225,29 +236,117 @@ class _Message:
     send: str  # staging-buffer names
     recv: str
     nbytes: int
-    same_node: bool
-    #: What the transport charges each side, asked at plan build; None when
-    #: asking moves state (UM page migration), so every message asks. A
-    #: self-message (periodic wrap on an undivided axis) is delivered by a
-    #: local copy: only the send side stages.
-    send_charges: tuple[Charge, ...] | None
-    recv_charges: tuple[Charge, ...] | None
+    #: Seconds on the wire (``Transport.wire_time``): the sender waits for it.
+    wire: float
+
+
+@dataclass(frozen=True, slots=True)
+class _Program:
+    """What one walk of a plan adds to one rank, starting from one residency
+    of the arrays the rank touches: floats, categories and residency values,
+    never a rank, model or array."""
+
+    #: Per segment (the stretch between two of the walk's barriers), the
+    #: clock's adds in order as ``(category, seconds)``; a category of None
+    #: is the wait for a wire of that many seconds.
+    segments: tuple[tuple[tuple[TimeCategory | None, float], ...], ...]
+    #: Launches charged (each one kernel).
+    launches: int
+    #: UM only: the touched arrays' residency at the end, and the page
+    #: migrations counted on the way.
+    residency: tuple
+    faults: PageMigrationStats | None
+
+
+def _residency(rt: RankRuntime, names: tuple[str, ...]) -> tuple:
+    um = rt.env.um
+    return () if um is None else um.residencies(names)
+
+
+class _Recorder:
+    """Observes one rank's clock while a walk charges the rank through the
+    real calls, and keeps what they add as the rank's :class:`_Program`."""
+
+    __slots__ = ("key", "ops", "segments", "launches", "faults")
+
+    def __init__(self, key: tuple, rt: RankRuntime) -> None:
+        self.key = key
+        self.ops: list[tuple[TimeCategory | None, float]] = []
+        self.segments: list[tuple] = []
+        self.launches = rt.stats.launches
+        um = rt.env.um
+        self.faults = None if um is None else replace(um.stats)
+
+    def __call__(self, start: float, dt: float, category: TimeCategory, label: str) -> None:
+        self.ops.append((category, dt))
+
+    def wire(self, clock: SimClock, seconds: float, label: str) -> None:
+        """The sender's wait for its wire, kept as the wire: what
+        ``wait_until`` adds depends on where the clock stands."""
+        n = len(self.ops)
+        clock.wait_until(clock.now + seconds, _TRANSFER, label)
+        self.ops[n:] = [(None, seconds)]
+
+    def cut(self) -> None:
+        """End a segment."""
+        self.segments.append(tuple(self.ops))
+        self.ops = []
+
+    def program(self, rt: RankRuntime, names: tuple[str, ...]) -> _Program:
+        um = rt.env.um
+        return _Program(
+            tuple(self.segments),
+            rt.stats.launches - self.launches,
+            _residency(rt, names),
+            None if um is None else um.stats.since(self.faults),
+        )
+
+
+def _play(clock: SimClock, ops: tuple[tuple[TimeCategory | None, float], ...]) -> None:
+    """One segment of a program on ``clock``: ``advance``'s two adds per op,
+    in order, and a wire as ``wait_until(now + seconds)``."""
+    now, totals = clock.now, clock.by_category
+    get = totals.get
+    for category, dt in ops:
+        if category is None:
+            t = now + dt
+            if not t > now:
+                continue
+            category, dt = _TRANSFER, t - now
+        now += dt
+        totals[category] = get(category, 0.0) + dt
+    clock.now = now
+
+
+def _finish(rt: RankRuntime, names: tuple[str, ...], program: _Program) -> None:
+    """What a program did to its rank besides the clock."""
+    if program.launches:
+        stats = rt._engine_for[_PLAIN].stats
+        stats.kernels += program.launches
+        stats.launches += program.launches
+    if program.faults is not None:
+        rt.env.um.replay(names, program.residency, program.faults)
 
 
 @dataclass(frozen=True, slots=True)
 class _Plan:
     """One exchange's schedule as plain pieces: names, slices, numbers,
-    kernels whose bodies read :class:`_Live`, and the rank runtimes the
-    exchanger already holds -- never a model or an array."""
+    kernels whose bodies read :class:`_Live` -- never a model or an array."""
 
     fields: tuple[str, ...]
     guard: tuple  # (env epochs, array shapes) the plan was derived from
     #: Buffer maintenance kernels, each with its rank and lowered entry.
-    init: tuple[tuple[RankRuntime, KernelSpec, Lowered], ...]
+    init: tuple[tuple[int, KernelSpec, Lowered], ...]
     #: Per axis: the wire wait's trace label, the messages in the one order
     #: packs, sends and unpacks all run in, and their senders (the key the
     #: telemetry registry holds their byte counters under).
     axes: tuple[tuple[str, tuple[_Message, ...], tuple[int, ...]], ...]
+    #: Messages and nominal bytes one walk sends.
+    sent: tuple[int, int]
+    #: Per rank, the managed arrays its events touch (empty without UM).
+    touched: tuple[tuple[str, ...], ...]
+    #: Programs recorded so far, by (rank, residency of its touched arrays).
+    programs: dict[tuple, _Program] = dc_field(default_factory=dict)
 
 
 class HaloExchanger:
@@ -309,6 +408,9 @@ class HaloExchanger:
         #: Plans derived so far (a rebuild counts again): bounded by the
         #: exchange vocabulary, not by how long the model runs.
         self.plans_built = 0
+        #: Rank programs recorded so far: bounded by the plans and the
+        #: residencies their ranks meet.
+        self.programs_recorded = 0
         #: Message counters for tests/benches.
         self.messages = 0
         self.bytes_sent = 0
@@ -320,6 +422,7 @@ class HaloExchanger:
     def ensure_buffers(self, field_names: tuple[str, ...], depth: int = 1) -> None:
         """Register per-field, per-depth send/recv staging buffers in every
         rank's environment (first exchange of each field at that depth)."""
+        _check_depth(depth)
         missing = [f for f in field_names if (f, depth) not in self._registered_fields]
         if not missing:
             return
@@ -552,7 +655,7 @@ class HaloExchanger:
         init = []
         if self.buffer_init_fraction > 0.0:
             for field_name in fields:
-                for rt in self.ranks:
+                for rank, rt in enumerate(self.ranks):
                     nb = (
                         rt.env.nominal_bytes(field_name)
                         if field_name in rt.env
@@ -563,16 +666,25 @@ class HaloExchanger:
                         bytes_override=self.buffer_init_fraction * nb,
                         tags=_PACK_TAGS,
                     )
-                    init.append((rt, kernel, rt._lower(kernel, _PLAIN)))
+                    init.append((rank, kernel, rt._lower(kernel, _PLAIN)))
         self.plans_built += 1
         axes = tuple(self._plan_axis(items, axis, g) for axis in spec.axes)
-        return _Plan(fields, self._guard(items), tuple(init), axes)
+        touched: list[dict[str, None]] = [{} for _ in self.ranks]
+        messages = [m for _, axis_messages, _ in axes for m in axis_messages]
+        for m in messages:  # the staging buffers are among the kernels' arrays
+            touched[m.src].update(dict.fromkeys(m.pack.arrays))
+            touched[m.dst].update(dict.fromkeys(m.unpack.arrays))
+        return _Plan(
+            fields, self._guard(items), tuple(init), axes,
+            (len(messages), sum(m.nbytes for m in messages)),
+            tuple(() if rt.env.um is None else tuple(names)
+                  for rt, names in zip(self.ranks, touched)),
+        )
 
     def _plan_axis(self, items: list[FieldItem], axis: int, g: int) -> tuple:
         """One axis' entry of :attr:`_Plan.axes`; messages run field by
         field, sender by sender, low face then high."""
         tr, pack_face, unpack_face = self.transport, self._live.pack, self._live.unpack
-        planned = not tr.charges_move_state
         cost_only = _cost_only(items)
         messages: list[_Message] = []
         for item, (field_name, locals_, stagger_axis) in enumerate(items):
@@ -610,22 +722,20 @@ class HaloExchanger:
                         else partial(unpack_face, item, dst, ghost, len(messages)),
                         tags=_PACK_TAGS,
                     )
-                    # the transport's residency checks first, as at launch
-                    send_charges = (
-                        tuple(tr.send_charges(rt.env, out.send, nbytes)) if planned else None
-                    )
-                    recv_charges = () if dst == src else (
-                        tuple(tr.recv_charges(dst_rt.env, into.recv, nbytes))
-                        if planned else None
+                    # the transport's residency checks first, as at launch; a
+                    # self-message (periodic wrap on an undivided axis) is
+                    # delivered by a local copy, so only its send side stages
+                    tr.check_buffer(rt.env, out.send)
+                    if dst != src:
+                        tr.check_buffer(dst_rt.env, into.recv)
+                    same_node = (
+                        self.rank_nodes is None or self.rank_nodes[src] == self.rank_nodes[dst]
                     )
                     messages.append(_Message(
-                        src, dst, rt, dst_rt, pack, unpack,
+                        src, dst, pack, unpack,
                         rt._lower(pack, _PLAIN), dst_rt._lower(unpack, _PLAIN),
                         out.send, into.recv, nbytes,
-                        same_node=self.rank_nodes is None
-                        or self.rank_nodes[src] == self.rank_nodes[dst],
-                        send_charges=send_charges,
-                        recv_charges=recv_charges,
+                        tr.wire_time(nbytes, same_device=dst == src, same_node=same_node),
                     ))
         return f"msg_{axis}", tuple(messages), tuple(m.src for m in messages)
 
@@ -682,61 +792,118 @@ class HaloExchanger:
         )
 
     def _walk(self, plan: _Plan, items: list[FieldItem], tel) -> None:
-        """Run one planned exchange on ``items``' arrays."""
-        live, tr = self._live, self.transport
+        """Run one planned exchange on ``items``' arrays.
+
+        The walk runs segment by segment, a barrier after each: buffer
+        maintenance and an axis' packs, then its messages and unpacks, then
+        the next axis. Kernel bodies run in message order. A rank that has a
+        program for the residency it starts from applies the program's
+        segment; every other rank is charged through the real calls, in
+        message order, and recorded. Nothing is recorded or applied while
+        telemetry or a clock observer must see each event, or while a rank
+        would not charge a plain launch at once (``RankRuntime._direct``).
+        """
+        live, ranks, tr = self._live, self.ranks, self.transport
         live.arrays = [locals_ for _, locals_, _ in items]
+        programs: list[_Program | None] = [None] * len(ranks)
+        recorders: dict[int, _Recorder] = {}
+        reuse = not tel.enabled and all(
+            not rt.clock._observers and rt._direct(_PLAIN) for rt in ranks
+        )
         try:
-            for rt, spec, lowered in plan.init:
-                _launch(rt, spec, lowered)
-            for label, messages, senders in plan.axes:
-                # -- phase A: every rank packs its faces, all fields ----------
-                bufs = live.bufs = [
-                    _launch(m.src_rt, m.pack, m.pack_lowered) for m in messages
-                ]
-                # -- phase B: synchronize (imbalance shows up as MPI wait) ----
-                self._barrier()
-                # -- phase C: messages ----------------------------------------
-                msg_counter = byte_counters = None
-                if tel.enabled:
-                    msg_counter, byte_counters = self._message_counters(tel, senders)
-                for slot, m in enumerate(messages):
-                    rt, nbytes = m.src_rt, m.nbytes
-                    clock = rt.clock
-                    charges = m.send_charges
-                    if charges is None:
-                        charges = tr.send_charges(rt.env, m.send, nbytes)
-                    for c in charges:
-                        clock.advance(c.seconds, c.category, c.label)
-                    msg = tr.post(
-                        bufs[slot], nbytes, t_posted=clock.now,
-                        same_device=m.src == m.dst, same_node=m.same_node,
-                    )
-                    # Blocking semantics inside the phase: the sender waits
-                    # for its own wire (overlapped begins run this on the
-                    # detached communication clock instead).
-                    clock.wait_until(msg.t_ready, _TRANSFER, label)
-                    charges = m.recv_charges
-                    if charges is None:
-                        charges = tr.recv_charges(m.dst_rt.env, m.recv, nbytes)
-                    for c in charges:
-                        m.dst_rt.clock.advance(c.seconds, c.category, c.label)
-                    bufs[slot] = msg.payload
-                    self.messages += 1
-                    self.bytes_sent += nbytes
-                    if msg_counter is not None:
-                        msg_counter.inc()
-                        byte_counters[slot].inc(nbytes)
-                # -- phase D: unpack into ghosts ------------------------------
-                for m in messages:
-                    _launch(m.dst_rt, m.unpack, m.unpack_lowered)
-                self._barrier()
+            if reuse:
+                for rank, rt in enumerate(ranks):
+                    key = (rank, _residency(rt, plan.touched[rank]))
+                    programs[rank] = plan.programs.get(key)
+                    if programs[rank] is None:
+                        recorders[rank] = _Recorder(key, rt)
+                        rt.clock.subscribe(recorders[rank])
+            # some rank is charged through the real calls; some kernel has a
+            # body to run or a launch to charge
+            charged = not reuse or bool(recorders)
+            kernels = charged or not _cost_only(items)
+            for axis_index, (label, messages, senders) in enumerate(plan.axes):
+                segment = 2 * axis_index
+                # -- every rank packs its faces, all fields -------------------
+                if kernels:
+                    if segment == 0:
+                        for rank, spec, lowered in plan.init:
+                            if programs[rank] is None:
+                                _launch(ranks[rank], spec, lowered)
+                    live.bufs = [
+                        _launch(ranks[m.src], m.pack, m.pack_lowered)
+                        if programs[m.src] is None else m.pack.run_body()
+                        for m in messages
+                    ]
+                self._end_segment(programs, recorders, segment, reuse)
+                # -- messages -------------------------------------------------
+                if charged:
+                    msg_counter = byte_counters = None
+                    if tel.enabled:
+                        msg_counter, byte_counters = self._message_counters(tel, senders)
+                    for slot, m in enumerate(messages):
+                        if programs[m.src] is None:
+                            rt = ranks[m.src]
+                            clock = rt.clock
+                            for c in tr.send_charges(rt.env, m.send, m.nbytes):
+                                clock.advance(c.seconds, c.category, c.label)
+                            # Blocking semantics inside the phase: the sender
+                            # waits for its own wire (overlapped begins run
+                            # this on the detached communication clock).
+                            if m.src in recorders:
+                                recorders[m.src].wire(clock, m.wire, label)
+                            else:
+                                clock.wait_until(clock.now + m.wire, _TRANSFER, label)
+                        if m.dst != m.src and programs[m.dst] is None:
+                            rt = ranks[m.dst]
+                            for c in tr.recv_charges(rt.env, m.recv, m.nbytes):
+                                rt.clock.advance(c.seconds, c.category, c.label)
+                        if msg_counter is not None:
+                            msg_counter.inc()
+                            byte_counters[slot].inc(m.nbytes)
+                # -- unpack into ghosts ---------------------------------------
+                if kernels:
+                    for m in messages:
+                        if programs[m.dst] is None:
+                            _launch(ranks[m.dst], m.unpack, m.unpack_lowered)
+                        else:
+                            m.unpack.run_body()
+                self._end_segment(programs, recorders, segment + 1, reuse)
+            self.messages += plan.sent[0]
+            self.bytes_sent += plan.sent[1]
+            for rank, program in enumerate(programs):
+                if program is not None:
+                    _finish(ranks[rank], plan.touched[rank], program)
+            for rank, recorder in recorders.items():
+                plan.programs[recorder.key] = recorder.program(ranks[rank], plan.touched[rank])
+            self.programs_recorded += len(recorders)
         finally:
             live.arrays = live.bufs = ()
+            for rank, recorder in recorders.items():
+                ranks[rank].clock.unsubscribe(recorder)
 
-    def _barrier(self) -> None:
-        """Advance every rank clock to the maximum (BSP synchronization)."""
-        for rt in self.ranks:
-            rt.sync()
-        t_max = max(rt.clock.now for rt in self.ranks)
-        for rt in self.ranks:
-            rt.clock.wait_until(t_max, _WAIT, "halo_barrier")
+    def _end_segment(
+        self, programs: list, recorders: dict[int, _Recorder], segment: int, reuse: bool
+    ) -> None:
+        """Close a segment: the playing ranks apply it, the recorded ones cut
+        it, and every rank clock advances to the latest (BSP synchronization:
+        imbalance shows up as MPI wait)."""
+        for rt, program in zip(self.ranks, programs):
+            if program is not None:
+                _play(rt.clock, program.segments[segment])
+        for recorder in recorders.values():
+            recorder.cut()
+        if not reuse:
+            for rt in self.ranks:
+                rt.sync()
+        clocks = [rt.clock for rt in self.ranks]
+        t_max = max([clock.now for clock in clocks])
+        for clock in clocks:
+            if not reuse:
+                clock.wait_until(t_max, _WAIT, "halo_barrier")
+            elif t_max > clock.now:
+                # ``wait_until``'s adds inline: nothing is pending, and a
+                # recorder must not see them
+                dt = t_max - clock.now
+                clock.now += dt
+                clock.by_category[_WAIT] = clock.by_category.get(_WAIT, 0.0) + dt

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import ClassVar
 
 from repro.machine.interconnect import Interconnect
 from repro.machine.spec import LinkSpec
@@ -38,54 +37,15 @@ class TransportKind(enum.Enum):
     CPU_FABRIC = "cpu_fabric"
 
 
-@dataclass(slots=True)
-class PendingMessage:
-    """One posted (non-blocking) message.
-
-    ``t_ready`` is the simulated time the payload is complete at the
-    receiver; nothing is charged to any clock until a rank waits on it.
-    The numpy ``payload`` moved eagerly at post time, so completion order
-    can never change numerics -- only who pays the wire time, and when.
-    """
-
-    payload: object
-    nbytes: int
-    t_posted: float
-    t_ready: float
-
-    def __post_init__(self) -> None:
-        if self.t_ready < self.t_posted:
-            raise ValueError("a message cannot complete before it is posted")
-
-
 @dataclass(frozen=True, slots=True)
 class Transport:
     """Base transport; concrete subclasses implement the cost methods."""
 
     kind: TransportKind
-    #: True when ``send_charges``/``recv_charges`` move state and so must be
-    #: asked per message; False when they only read what ``env.epoch``
-    #: guards, so an exchange plan asks once.
-    charges_move_state: ClassVar[bool] = False
 
-    def post(
-        self,
-        payload: object,
-        nbytes: int,
-        *,
-        t_posted: float,
-        same_device: bool,
-        same_node: bool = True,
-    ) -> PendingMessage:
-        """Post a non-blocking send: compute when the wire finishes.
-
-        The blocking exchange waits on the result immediately
-        (``wait_until(msg.t_ready)`` equals the old in-place wire-time
-        advance exactly); the overlapped exchange waits only at
-        ``exchange_finish``.
-        """
-        wire = self.wire_time(nbytes, same_device=same_device, same_node=same_node)
-        return PendingMessage(payload, nbytes, t_posted, t_posted + wire)
+    def check_buffer(self, env: DataEnvironment, buffer_name: str) -> None:
+        """Refuse a staging buffer this transport cannot hand to MPI. Reads
+        only what ``env.epoch`` guards, so a halo plan asks once, at build."""
 
     def send_charges(
         self, env: DataEnvironment, buffer_name: str, nbytes: int
@@ -118,11 +78,14 @@ class CudaAwareTransport(Transport):
         if self.interconnect is None:
             raise ValueError("CudaAwareTransport needs an interconnect")
 
-    def send_charges(self, env, buffer_name, nbytes):
+    def check_buffer(self, env, buffer_name):
         if env.mode is not DataMode.MANUAL:
             raise ValueError("CUDA-aware MPI requires manual (device-resident) buffers")
         if not env.is_present(buffer_name):
             raise ValueError(f"buffer {buffer_name!r} not device-resident")
+
+    def send_charges(self, env, buffer_name, nbytes):
+        self.check_buffer(env, buffer_name)
         return []  # device pointer handed straight to MPI
 
     def wire_time(self, nbytes, *, same_device, same_node=True):
@@ -139,8 +102,7 @@ class CudaAwareTransport(Transport):
         return self.interconnect.p2p_time(nbytes)
 
     def recv_charges(self, env, buffer_name, nbytes):
-        if not env.is_present(buffer_name):
-            raise ValueError(f"buffer {buffer_name!r} not device-resident")
+        self.check_buffer(env, buffer_name)
         return []
 
 
@@ -153,7 +115,6 @@ class UnifiedMemoryTransport(Transport):
     against Fig. 3's UM MPI bars.
     """
 
-    charges_move_state: ClassVar[bool] = True  # UM page migration
     interconnect: Interconnect = None  # type: ignore[assignment]
     host_mpi_overhead: float = 30e-6
     #: Page-granularity amplification: managed memory migrates whole 2 MiB
@@ -170,9 +131,12 @@ class UnifiedMemoryTransport(Transport):
         if self.page_amplification < 1.0:
             raise ValueError("page_amplification is a multiplier >= 1")
 
-    def send_charges(self, env, buffer_name, nbytes):
+    def check_buffer(self, env, buffer_name):
         if env.mode is not DataMode.UNIFIED:
             raise ValueError("UM transport requires a unified data environment")
+
+    def send_charges(self, env, buffer_name, nbytes):
+        self.check_buffer(env, buffer_name)
         self._observe_staging(nbytes, "send")
         charges = [
             Charge(self.host_mpi_overhead, TimeCategory.MPI_TRANSFER, "um_mpi_sync")
@@ -196,8 +160,7 @@ class UnifiedMemoryTransport(Transport):
         return self.interconnect.host.latency + nbytes / host_copy_bw
 
     def recv_charges(self, env, buffer_name, nbytes):
-        if env.mode is not DataMode.UNIFIED:
-            raise ValueError("UM transport requires a unified data environment")
+        self.check_buffer(env, buffer_name)
         self._observe_staging(nbytes, "recv")
         # MPI writes the receive buffer on the host; pages (if device
         # resident) must migrate out first, and will fault back in at the

@@ -7,7 +7,8 @@ byte count, ``KernelSpec`` and closure per message per exchange; the
 planned walk in ``repro.mpi.halo`` must reproduce its clock advances,
 launches, messages, bytes and ghost values to the bit. (It also prices a
 deeper exchange at the first depth seen, so compare depths on fresh
-exchangers.) Do not "tidy" it.
+exchangers.) Do not "tidy" it. The one edit: ``Transport.post`` is gone
+from the package, so its two lines stand inline where it was called.
 """
 
 from __future__ import annotations
@@ -559,19 +560,18 @@ class HaloExchanger:
                         self.rank_nodes is None
                         or self.rank_nodes[rank] == self.rank_nodes[nb]
                     )
-                    msg = self.transport.post(
-                        buf,
-                        nbytes,
-                        t_posted=rt.clock.now,
-                        same_device=(nb == rank),
-                        same_node=same_node,
+                    # ``Transport.post`` as it stood, inline: the payload
+                    # moves as it is, ready after its wire time.
+                    wire = self.transport.wire_time(
+                        nbytes, same_device=(nb == rank), same_node=same_node
                     )
+                    t_ready = rt.clock.now + wire
                     # Blocking semantics inside the phase: the sender waits
                     # for its own wire (identical cost to the old in-place
                     # advance; overlapped begins run this on the detached
                     # communication clock instead).
                     rt.clock.wait_until(
-                        msg.t_ready, TimeCategory.MPI_TRANSFER, f"msg_{axis}"
+                        t_ready, TimeCategory.MPI_TRANSFER, f"msg_{axis}"
                     )
                     if nb != rank:
                         # self-messages (periodic wrap on an undivided axis)
@@ -584,7 +584,7 @@ class HaloExchanger:
                     # The message my low face sends arrives at the
                     # neighbour's high ghost (and vice versa):
                     # neighbour-relative direction is -direction.
-                    received[(field_name, nb, -direction)] = msg.payload
+                    received[(field_name, nb, -direction)] = buf
                     self.messages += 1
                     self.bytes_sent += nbytes
                     if msg_counter is not None:

@@ -136,6 +136,23 @@ class TestExchangeCorrectness:
         with pytest.raises(ValueError):
             exchanger(dec, ranks)
 
+    @pytest.mark.parametrize("spec, why", [
+        (dict(axes=(2, 2)), "axes"),  # exchanged axis 2 twice: 8 messages, twice the cost
+        (dict(axes=(0, 1, 0)), "axes"),
+        (dict(depth=1.5), "halo depth"),  # priced at fractional bytes
+    ])
+    def test_repeated_axes_and_a_fractional_depth_are_refused(self, spec, why):
+        with pytest.raises(ValueError, match=why):
+            HaloSpec(**spec)
+
+    @pytest.mark.parametrize("depth", [0, 1.5])
+    def test_ensure_buffers_refuses_what_halospec_refuses(self, depth):
+        ranks = make_ranks(2)
+        hx = exchanger(Decomposition3D((8, 8, 16), 2), ranks)
+        with pytest.raises(ValueError, match="halo depth"):
+            hx.ensure_buffers(("f",), depth)
+        assert [rt.env.names() for rt in ranks] == [("f",), ("f",)]
+
 
 class TestTransportCosts:
     def _run(self, kind, *, unified, n=2):

@@ -11,7 +11,7 @@ that of the unplanned engine kept verbatim in ``reference_halo.py``.
 import gc
 import types
 import weakref
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -27,10 +27,11 @@ from repro.mpi.decomp import Decomposition3D
 from repro.mpi.halo import HaloExchanger, HaloSpec
 from repro.mpi.transport import TransportKind, make_transport
 from repro.obs.telemetry import session
-from repro.runtime.clock import TimeCategory
+from repro.runtime.clock import SimClock, TimeCategory
 from repro.runtime.config import Backend, RuntimeConfig, uniform_backend
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.dispatcher import RankRuntime
+from repro.runtime.engine import Engine
 from repro.util.units import GB, MiB
 from tests.mpi import reference_halo as ref
 from tests.mpi.test_decomp import slab
@@ -109,6 +110,20 @@ class TestPlansAreBoundedByTheVocabulary:
         model.run(4)
         assert model.halo.plans_built == built
         assert len(model.halo._plans) == held
+
+    @pytest.mark.parametrize("version", [CodeVersion.A, CodeVersion.D2XU, CodeVersion.CPU])
+    def test_no_program_is_recorded_after_the_second_step(self, version):
+        """A rank's program is recorded once per (plan, residency of the
+        arrays it touches): from the third step on, every exchange meets
+        each rank in a residency it met before."""
+        model = MasModel(
+            ModelConfig(**{**self.SMALL, "num_ranks": 8}), runtime_config_for(version)
+        )
+        model.run(2)
+        recorded = model.halo.programs_recorded
+        assert recorded >= len(model.halo._plans) > 0
+        model.run(2)
+        assert model.halo.programs_recorded == recorded
 
 
 # -- (b) what a plan was derived from rebuilds it ------------------------------------
@@ -263,6 +278,28 @@ class TestPlanHoldsNoArray:
             hx.exchange("f", locs)
         assert hx._live.arrays == () and hx._live.bufs == ()
 
+    @pytest.mark.parametrize("machine", ["p2p", "um", "cpu"])
+    def test_programs_hold_numbers_categories_and_residencies(self, machine):
+        """A recorded program reaches no rank runtime, clock, environment,
+        engine, model, array or code: only floats, enum members and counts."""
+        dec = Decomposition3D((8, 8, 16), 2)
+        hx = make_exchanger(HaloExchanger, dec, machine, buffer_init_fraction=0.5)
+        locs = make_locals(dec, 5)
+        hx.exchange("f", locs)
+        hx.exchange_finish(hx.exchange_begin("f", locs))
+        (plan,) = hx._plans.values()
+        assert len(plan.programs) == hx.programs_recorded >= dec.nranks
+        barred = (np.ndarray, RankRuntime, SimClock, DataEnvironment, Engine, MasModel,
+                  types.FunctionType, types.MethodType)
+        seen, stack = set(), [plan.programs]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, barred), type(obj)
+            stack.extend(gc.get_referents(obj))
+
 
 def _with_guard(hx, locs):
     """The exchanger's one plan, re-stamped as current (to fail mid-walk)."""
@@ -276,10 +313,22 @@ def _with_guard(hx, locs):
 def snapshot(hx):
     for rt in hx.ranks:
         rt.sync()
+    um = [rt.env.um for rt in hx.ranks]
     return dict(
         now=[rt.clock.now for rt in hx.ranks],
         by_category=[list(rt.clock.by_category.items()) for rt in hx.ranks],
-        launches=[(rt.stats.launches, rt.stats.kernels) for rt in hx.ranks],
+        # to the bit, and in insertion order
+        clocks=[
+            (rt.clock.now.hex(), [(c.value, t.hex()) for c, t in rt.clock.by_category.items()])
+            for rt in hx.ranks
+        ],
+        launches=[(rt.stats.launches, rt.stats.kernels, rt.stats.fused_away) for rt in hx.ranks],
+        pages=[
+            None if m is None
+            # by registration order: the oracle names deeper buffers as depth 1
+            else (astuple(m.stats), [m.residency(n).value for n in rt.env.names()])
+            for m, rt in zip(um, hx.ranks)
+        ],
         messages=hx.messages,
         bytes_sent=hx.bytes_sent,
         inflight=hx.inflight,
@@ -303,6 +352,7 @@ def exchanges(draw):
             min_size=1, max_size=2, unique_by=lambda t: t[0],
         )
     )
+    walks = draw(st.lists(st.sampled_from(["sync", "overlap"]), min_size=4, max_size=6))
     return dict(
         dec=dec,
         depth=g,
@@ -313,10 +363,27 @@ def exchanges(draw):
         costs=draw(st.sampled_from([{}, dict(pack_inefficiency=4.0, buffer_init_fraction=0.75)])),
         two_nodes=draw(st.booleans()),
         seed=draw(st.integers(0, 2**31 - 1)),
+        walks=walks,
+        # before each walk after the first, per rank, a name whose pages the
+        # host touches (an index into the rank's names), or None
+        flips=[
+            draw(st.lists(st.none() | st.integers(0, 99), min_size=n, max_size=n))
+            for _ in walks[1:]
+        ],
+        # the walk before which rank 0's clock gains an observer, if any
+        observed=draw(st.none() | st.integers(1, len(walks) - 1)),
     )
 
 
 class TestWalkEqualsTheUnplannedEngine:
+    """Each exchange is walked four to six times, synchronously or
+    overlapped, so recorded programs are applied. Under UM the host touches
+    some ranks' fields or staging buffers between walks, so those ranks
+    start from another residency and record again while the others apply
+    theirs. A clock observer attached mid-sequence stops reuse in every walk
+    that charges its clock, and sees each advance the unplanned engine makes
+    there, in its order."""
+
     @settings(max_examples=60, deadline=None)
     @given(exchanges())
     def test_clocks_counters_and_ghosts(self, case):
@@ -335,29 +402,45 @@ class TestWalkEqualsTheUnplannedEngine:
                 for i, (name, stagger) in enumerate(case["fields"])
             ]
             sides.append((hx, spec, items))
-        (hx_ref, spec_ref, items_ref), (hx_new, spec_new, items_new) = sides
+        (hx_ref, _, items_ref), (hx_new, _, items_new) = sides
+        observed = {id(hx_ref): [], id(hx_new): []}
 
         def check():
             assert snapshot(hx_new) == snapshot(hx_ref)
+            assert observed[id(hx_new)] == observed[id(hx_ref)]
             for (_, a_new, _), (_, a_ref, _) in zip(items_new, items_ref):
                 for x, y in zip(a_new, a_ref):
                     assert np.array_equal(x, y)
 
-        for hx, spec, items in sides:
-            hx.exchange_many(items, spec)  # builds the plan
-        check()
-        for hx, spec, items in sides:
-            for _, locals_, _ in items:  # new interiors, same arrays
-                for a in locals_:
-                    a *= 1.5
-            hx.exchange_many(items, spec)  # walks it
-        check()
-        for hx, spec, items in sides:
-            pending = hx.exchange_begin_many(items, spec)
-            hx.ranks[0].clock.advance(3e-5, TimeCategory.COMPUTE, "interior")
-            hx.exchange_finish(pending)
-        check()
+        for walk, how in enumerate(case["walks"]):
+            for hx, spec, items in sides:
+                if walk:
+                    for _, locals_, _ in items:  # new interiors, same arrays
+                        for a in locals_:
+                            a *= 1.5
+                    if case["machine"] == "um":
+                        for rt, flip in zip(hx.ranks, case["flips"][walk - 1]):
+                            if flip is not None:
+                                names = rt.env.names()
+                                rt.host_access(names[flip % len(names)])
+                if walk == case["observed"]:
+                    # labels as the oracle names staging buffers (all at depth 1)
+                    hx.ranks[0].clock.subscribe(
+                        lambda start, dt, category, label, seen=observed[id(hx)]:
+                        seen.append((start, dt, category, label.replace(f"_d{g}", "")))
+                    )
+                if how == "sync":
+                    hx.exchange_many(items, spec)
+                else:
+                    pending = hx.exchange_begin_many(items, spec)
+                    hx.ranks[0].clock.advance(3e-5, TimeCategory.COMPUTE, "interior")
+                    hx.exchange_finish(pending)
+            check()
         assert hx_new.plans_built == 1
+        (plan,) = hx_new._plans.values()
+        assert hx_new.programs_recorded == len(plan.programs)  # a residency met again is a hit
+        if case["machine"] != "p2p-window":  # the window's ranks charge no launch at once
+            assert len(plan.programs) >= dec.nranks
 
 
 class TestTelemetryChildrenLiveInTheSession:
