@@ -1,9 +1,10 @@
 """Recovery lowering: degrade what the canonical parser cannot hold.
 
 The contract is *never crash*: after :func:`lower_file`, the file is
-guaranteed to pass the full per-file analysis (`analyze_file`) without
-an exception. Everything the parser cannot represent is replaced -- in
-place, line-count preserved -- by opaque comment lines, each one
+guaranteed to pass the full per-file analysis (`analyze_file`, which
+builds the file's fact sheet: what every lint rule family reads of a
+file) without an exception. Everything the parser cannot represent is
+replaced -- in place, line-count preserved -- by opaque comment lines, each one
 recorded as an ``FE001`` diagnostic, and the per-file parse census makes
 the degradation rate observable (the ``parse_errors_total`` metric
 counts it in telemetry sessions).
@@ -20,7 +21,12 @@ from repro.fortran.directives import is_directive_line, try_parse_directive
 from repro.fortran.frontend.normalize import normalize_tree
 from repro.fortran.frontend.resolve import ModuleIndex, build_index
 from repro.fortran.lexer import LineKind, classify_line
-from repro.fortran.parser import find_kernels_regions, find_parallel_regions, split_paren_args
+from repro.fortran.parser import (
+    ParallelRegion,
+    find_kernels_regions,
+    find_parallel_regions,
+    split_paren_args,
+)
 from repro.fortran.source import Codebase, SourceFile
 from repro.fortran.tree_io import load_tree
 
@@ -165,29 +171,32 @@ def _repair_dc_headers(file: SourceFile, diags: list[Finding]) -> None:
             )
 
 
-def _repair_structure(file: SourceFile, diags: list[Finding]) -> bool:
+def _repair_structure(
+    file: SourceFile, diags: list[Finding]
+) -> list[ParallelRegion] | None:
     """Neutralize lines until the structural region parsers succeed.
 
     Every parser ValueError names its 0-based culprit line; neutralizing
-    it strictly shrinks the problem, so this terminates. Returns False
-    when no culprit can be extracted (caller degrades the whole file).
+    it strictly shrinks the problem, so this terminates. Returns the
+    file's parallel regions, or None when no culprit can be extracted
+    (caller degrades the whole file).
     """
     for _ in range(file.line_count + 1):
         try:
-            find_parallel_regions(file)
+            regions = find_parallel_regions(file)
             find_kernels_regions(file)
-            return True
+            return regions
         except ValueError as exc:
             m = _CULPRIT_RE.search(str(exc))
             if m is None:
-                return False
+                return None
             culprit = int(m.group(1))
             if not (0 <= culprit < file.line_count):
-                return False
+                return None
             if file.lines[culprit].lstrip().startswith("!"):
-                return False  # already neutral and still failing: bail out
+                return None  # already neutral and still failing: bail out
             _neutralize(file, culprit, diags, "unsupported construct")
-    return False
+    return None
 
 
 def _degrade_whole_file(file: SourceFile, diags: list[Finding], why: str) -> None:
@@ -202,18 +211,23 @@ def _degrade_whole_file(file: SourceFile, diags: list[Finding], why: str) -> Non
 def lower_file(
     file: SourceFile, *, joined_lines: int = 0
 ) -> tuple[list[Finding], ParseFileCensus]:
-    """Lower one (already normalized) file in place; never raises."""
+    """Lower one (already normalized) file in place; never raises.
+
+    The check that analysis cannot crash builds the file's fact sheet from
+    the regions structural recovery found; the lint that follows reuses it.
+    """
     from repro.analysis.fortran_lint import analyze_file
 
     diags: list[Finding] = []
     _neutralize_unknown_directives(file, diags)
     _neutralize_interface_blocks(file)
     _repair_dc_headers(file, diags)
-    if not _repair_structure(file, diags):
+    regions = _repair_structure(file, diags)
+    if regions is None:
         _degrade_whole_file(file, diags, "structural recovery failed")
     else:
         try:
-            analyze_file(file)
+            analyze_file(file, regions)
         except Exception as exc:  # belt and braces: analysis must not crash
             _degrade_whole_file(file, diags, f"analysis failed ({type(exc).__name__})")
     opaque = sum(1 for ln in file.lines if "repro-fe opaque:" in ln)

@@ -332,6 +332,67 @@ class TestCostPricing:
         assert not blocker.fixable
 
 
+#: A module-variable writer and an intent(inout) worker, called behind a
+#: one-line ``if`` guard from an OpenACC region, a DC loop and plain code.
+GUARDED = [
+    "module m",
+    "  implicit none",
+    "  real :: total",
+    "contains",
+    "  subroutine bump (x)",
+    "    real, intent(in) :: x",
+    "    total = total + x",
+    "  end subroutine bump",
+    "  subroutine twice (p, q)",
+    "    real, intent(inout) :: p",
+    "    real, intent(in) :: q",
+    "    p = p + q",
+    "  end subroutine twice",
+    "end module m",
+    "subroutine drive (a, n)",
+    "  use m",
+    "  implicit none",
+    "  integer, intent(in) :: n",
+    "  real, dimension(n), intent(inout) :: a",
+    "  integer :: i",
+    "!$acc parallel loop",
+    "  do i = 1, n",
+    "    if (a(i) > 0.0) call bump(a(i))",
+    "  enddo",
+    "  do concurrent (i = 1:n)",
+    "    if (a(i) > 0.0) call bump(a(i))",
+    "  enddo",
+    "  if (n > 0) call twice(a(1), a(1))",
+    "end subroutine drive",
+]
+
+
+class TestGuardedCalls:
+    """A one-line ``if (cond) call`` is a call site to every IP rule and
+    to the porter, as the unguarded call is."""
+
+    def test_ip102_in_a_region_and_a_dc_loop_and_ip103_outside(self):
+        got = [(f.rule_id, f.line) for f in analyze_codebase(_mini("g.f90", GUARDED))]
+        assert got == [("IP102", 23), ("IP102", 26), ("IP103", 28)]
+
+    def test_region_call_blockers_see_the_guarded_call(self):
+        from repro.fortran.parser import find_parallel_regions
+
+        cb = _mini("g.f90", GUARDED)
+        (region,) = find_parallel_regions(cb.files[0])
+        (blocker,) = region_call_blockers(cb.files[0], region, summarize(cb))
+        assert (blocker.callee, blocker.line, blocker.rule) == ("bump", 22, "IP102")
+
+    def test_the_porter_refuses_the_region(self):
+        from repro.analysis.port import PortTarget, port_tree_incremental
+
+        cb = _mini("g.f90", GUARDED)
+        (status,) = port_tree_incremental(cb, PortTarget.DC).statuses
+        assert status.status == "refused"
+        assert "call to bump at line 23" in status.reason
+        assert "IP102" in status.reason
+
+
 class TestParallelSpans:
     def test_dc_loop_inside_region_not_double_counted(self):
         cb = _mini("spans.f90", [

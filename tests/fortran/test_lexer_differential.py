@@ -397,6 +397,22 @@ class TestBugfixForms:
         )
         assert (header.name, header.dummies, header.result) == ("f", ("x",), "y")
 
+    def test_a_bare_end_closes_the_routine_in_the_index(self):
+        cb = Codebase("bare", [SourceFile("bare.f90", [
+            "      subroutine legacy(x)",
+            "      real :: x",
+            "      x = 1.0",
+            "      END  ! of legacy",
+            "      subroutine after(y)",
+            "      real :: y",
+            "      y = 2.0",
+            "      end subroutine after",
+        ])])
+        index = build_index(cb)
+        assert {n: (s.line, s.end_line, s.parent) for n, s in index.routines.items()} == {
+            "legacy": (0, 3, ""), "after": (4, 7, ""),
+        }
+
     def test_find_subroutines_closes_each_routine(self):
         blocks = parser.find_subroutines(GLUED)
         assert [(b.name, b.start, b.end) for b in blocks] == [
