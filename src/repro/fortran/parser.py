@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.fortran.directives import (
@@ -216,14 +216,64 @@ def declared_intent(line: str) -> str:
     return "".join(m.group(1).lower().split())
 
 
-def _continuations(lines: list[str], idx: int) -> list[int]:
+class LineScan:
+    """One file's lines as one text, to find the few lines a scan must
+    classify, and its ``!$acc`` lines, each parsed once. The finders of a
+    pass that read the same unedited lines share one; an edit calls for a
+    new one, and none outlives its pass."""
+
+    __slots__ = ("lines", "text", "_folded", "_directives")
+
+    def __init__(self, lines: list[str]) -> None:
+        self.lines = lines
+        self.text = "\n".join(lines)
+        self._folded: str | None = None
+        self._directives: dict[int, AccDirective | None] | None = None
+
+    def rows(self, keyword: str, *, fold: bool = False) -> list[int]:
+        """Indices of the lines holding ``keyword`` (with ``fold``, the
+        lower-case ``keyword`` in their ``lower()``): one ``str.find`` per
+        hit, placed by counting newlines, since ``lower()`` may lengthen
+        a line (``İ``) but never makes or drops one."""
+        if fold and self._folded is None:
+            self._folded = self.text.lower()
+        text = self._folded if fold else self.text
+        out: list[int] = []
+        row = eol = 0
+        hit = text.find(keyword)
+        while hit >= 0:
+            row += text.count("\n", eol, hit)
+            out.append(row)
+            eol = text.find("\n", hit)
+            if eol < 0:
+                break
+            hit = text.find(keyword, eol)
+        return out
+
+    @property
+    def directives(self) -> dict[int, AccDirective | None]:
+        """Each ``!$acc`` line in order -> its directive (None: does not
+        parse), found by the sentinel's ``$``, a one-character search."""
+        if self._directives is None:
+            lines = self.lines
+            self._directives = {
+                i: try_parse_directive(lines[i])
+                for i in self.rows("$")
+                if is_directive_line(lines[i])
+            }
+        return self._directives
+
+    def directive(self, i: int) -> AccDirective:
+        """The directive on line ``i``; raises as :func:`parse_directive`."""
+        d = self.directives.get(i)
+        return d if d is not None else parse_directive(self.lines[i])
+
+
+def _continuations(scan: LineScan, idx: int) -> list[int]:
     """Indices of ``!$acc&`` lines directly following ``idx``."""
     out = []
     j = idx + 1
-    while j < len(lines) and is_directive_line(lines[j]):
-        d = try_parse_directive(lines[j])
-        if d is None or d.kind is not DirectiveKind.CONTINUATION:
-            break
+    while (d := scan.directives.get(j)) is not None and d.kind is DirectiveKind.CONTINUATION:
         out.append(j)
         j += 1
     return out
@@ -288,10 +338,11 @@ def split_paren_args(header: str) -> tuple[str, str]:
 
 
 def _classify_region(
-    lines: list[str], start: int, end: int, directive_lines: list[int], atomic_lines: list[int]
+    scan: LineScan, start: int, end: int, directive_lines: list[int], atomic_lines: list[int]
 ) -> RegionKind:
+    lines = scan.lines
     for i in directive_lines:
-        d = parse_directive(lines[i])
+        d = scan.directive(i)
         if d.kind is DirectiveKind.PARALLEL_LOOP and d.has_clause("reduction"):
             return RegionKind.SCALAR_REDUCTION
     if atomic_lines:
@@ -306,7 +357,9 @@ def _classify_region(
     return RegionKind.PLAIN
 
 
-def _combined_region(file: SourceFile, start: int) -> ParallelRegion:
+def _combined_region(
+    file: SourceFile, start: int, scan: LineScan, acc: list[int]
+) -> ParallelRegion:
     """Region for a combined ``parallel loop`` construct at ``start``.
 
     The region spans the directive (plus continuations) and the loop nest
@@ -320,7 +373,7 @@ def _combined_region(file: SourceFile, start: int) -> ParallelRegion:
     while j < len(lines):
         kind = classify_line(lines[j])
         if kind is LineKind.DIRECTIVE and (
-            parse_directive(lines[j]).kind is DirectiveKind.CONTINUATION
+            scan.directive(j).kind is DirectiveKind.CONTINUATION
         ):
             j += 1
             continue
@@ -335,46 +388,42 @@ def _combined_region(file: SourceFile, start: int) -> ParallelRegion:
         )
     end = nest.end
     k = end + 1
-    if k < len(lines) and is_directive_line(lines[k]):
-        dk = parse_directive(lines[k])
+    if k in scan.directives:
+        dk = scan.directive(k)
         if dk.kind is DirectiveKind.PARALLEL_LOOP and dk.is_region_end:
             end = k
-    directive_lines = [m for m in range(start, end + 1) if is_directive_line(lines[m])]
+    directive_lines = acc[bisect_left(acc, start) : bisect_right(acc, end)]
     atomic_lines = [
         m for m in directive_lines
-        if parse_directive(lines[m]).kind is DirectiveKind.ATOMIC
+        if scan.directive(m).kind is DirectiveKind.ATOMIC
     ]
-    kind = _classify_region(lines, start, end, directive_lines, atomic_lines)
+    kind = _classify_region(scan, start, end, directive_lines, atomic_lines)
     return ParallelRegion(
         file=file, start=start, end=end, kind=kind, loops=[nest],
         directive_lines=directive_lines, atomic_lines=atomic_lines,
     )
 
 
-def _directive_indices(lines: list[str]) -> list[int]:
-    """Indices of the ``!$acc`` lines, found in one pass; the finders
-    hop between these and never look at the other lines of a file."""
-    return [i for i, ln in enumerate(lines) if "!$" in ln and is_directive_line(ln)]
-
-
-def find_parallel_regions(file: SourceFile) -> list[ParallelRegion]:
-    """All parallel regions in a file, classified and with their loops."""
+def find_parallel_regions(file: SourceFile, scan: LineScan | None = None) -> list[ParallelRegion]:
+    """All parallel regions in a file, classified and with their loops.
+    Like every finder, it visits only the lines ``scan`` finds for it."""
     lines = file.lines
-    acc = _directive_indices(lines)
+    scan = scan or LineScan(lines)
+    acc = list(scan.directives)
     regions: list[ParallelRegion] = []
     p = 0
     while p < len(acc):
         start = acc[p]
-        d = parse_directive(lines[start])
+        d = scan.directive(start)
         if d.kind is not DirectiveKind.PARALLEL_LOOP or not d.is_region_start:
             p += 1
             continue
         if d.is_combined_construct:
-            region = _combined_region(file, start)
+            region = _combined_region(file, start, scan, acc)
         else:
             q = p + 1
             while q < len(acc):
-                dq = parse_directive(lines[acc[q]])
+                dq = scan.directive(acc[q])
                 if dq.kind is DirectiveKind.PARALLEL_LOOP and dq.is_region_end:
                     break
                 q += 1
@@ -385,7 +434,7 @@ def find_parallel_regions(file: SourceFile) -> list[ParallelRegion]:
             atomic_lines = [
                 k
                 for k in directive_lines
-                if parse_directive(lines[k]).kind is DirectiveKind.ATOMIC
+                if scan.directive(k).kind is DirectiveKind.ATOMIC
             ]
             loops = []
             k = start + 1
@@ -397,7 +446,7 @@ def find_parallel_regions(file: SourceFile) -> list[ParallelRegion]:
                         k = nest.end + 1
                         continue
                 k += 1
-            kind = _classify_region(lines, start, end, directive_lines, atomic_lines)
+            kind = _classify_region(scan, start, end, directive_lines, atomic_lines)
             region = ParallelRegion(
                 file=file,
                 start=start,
@@ -412,16 +461,17 @@ def find_parallel_regions(file: SourceFile) -> list[ParallelRegion]:
     return regions
 
 
-def find_kernels_regions(file: SourceFile) -> list[KernelsRegion]:
+def find_kernels_regions(file: SourceFile, scan: LineScan | None = None) -> list[KernelsRegion]:
     """All ``!$acc kernels`` regions in a file."""
     lines = file.lines
-    acc = _directive_indices(lines)
+    scan = scan or LineScan(lines)
+    acc = list(scan.directives)
     out = []
     p = 0
     while p < len(acc):
         i = acc[p]
         p += 1
-        d = parse_directive(lines[i])
+        d = scan.directive(i)
         if d.kind is not DirectiveKind.KERNELS or d.is_region_end:
             continue
         if d.is_combined_construct:
@@ -439,13 +489,13 @@ def find_kernels_regions(file: SourceFile) -> list[KernelsRegion]:
                 )
             end = nest.end
             k = end + 1
-            if k < len(lines) and is_directive_line(lines[k]):
-                dk = parse_directive(lines[k])
+            if k in scan.directives:
+                dk = scan.directive(k)
                 if dk.kind is DirectiveKind.KERNELS and dk.is_region_end:
                     end = k
         else:
             for q in range(p, len(acc)):
-                dq = parse_directive(lines[acc[q]])
+                dq = scan.directive(acc[q])
                 if dq.kind is DirectiveKind.KERNELS and dq.is_region_end:
                     end = acc[q]
                     break
@@ -459,29 +509,30 @@ def find_kernels_regions(file: SourceFile) -> list[KernelsRegion]:
 
 
 def find_directive_lines(
-    file: SourceFile, *kinds: DirectiveKind
+    file: SourceFile, *kinds: DirectiveKind, scan: LineScan | None = None
 ) -> list[DirectiveLine]:
     """Standalone directives of the given kinds, with continuations."""
+    scan = scan or LineScan(file.lines)
     wanted = set(kinds)
     out = []
-    for i in _directive_indices(file.lines):
-        d = parse_directive(file.lines[i])
+    for i in scan.directives:
+        d = scan.directive(i)
         if d.kind in wanted and d.kind is not DirectiveKind.CONTINUATION:
-            out.append(
-                DirectiveLine(file, i, d, continuations=_continuations(file.lines, i))
-            )
+            out.append(DirectiveLine(file, i, d, continuations=_continuations(scan, i)))
     return out
 
 
-def find_subroutines(file: SourceFile, name_pattern: str | None = None) -> list[SubroutineBlock]:
+def find_subroutines(
+    file: SourceFile, name_pattern: str | None = None, scan: LineScan | None = None
+) -> list[SubroutineBlock]:
     """Subroutine blocks, optionally filtered by a name regex."""
     pat = re.compile(name_pattern) if name_pattern else None
     out = []
     start = None
     name = None
-    for i, ln in enumerate(file.lines):
-        if "subroutine" not in ln.lower():
-            continue  # neither a start nor an end line
+    # only a line mentioning ``subroutine`` can start or end one
+    for i in (scan or LineScan(file.lines)).rows("subroutine", fold=True):
+        ln = file.lines[i]
         kind = classify_line(ln)
         if kind is LineKind.SUBROUTINE_START and start is None:
             start = i

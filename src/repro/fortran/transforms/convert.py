@@ -18,7 +18,9 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.fortran.parser import ParallelRegion, PortSafety, apply_edits, find_parallel_regions
+from repro.fortran.parser import (
+    LineScan, ParallelRegion, PortSafety, apply_edits, find_parallel_regions,
+)
 from repro.fortran.source import Codebase, SourceFile
 from repro.fortran.transforms.base import TransformPass, convert_nest_to_dc
 from repro.fortran.transforms.dc2x import (
@@ -84,8 +86,9 @@ class ConvertRegionsPass(TransformPass):
         # lines go with the loops that touched the types
         cleanup = self.safeties == F202X
         for f in cb.files:
+            scan = LineScan(f.lines)  # the regions and the cleanup read the same lines
             edits: list[tuple[int, int, list[str]]] = []
-            for region in find_parallel_regions(f):
+            for region in find_parallel_regions(f, scan):
                 safety = self.verdict(f, region)
                 if safety is PortSafety.UNSAFE:
                     self._refuse(f, region, "dependence core proves a loop-carried hazard")
@@ -98,7 +101,7 @@ class ConvertRegionsPass(TransformPass):
                     edits.append((region.start, region.end, replacement))
                     self.converted[safety] += 1
             if cleanup:
-                edits.extend(async_and_dtype_data_edits(f))
+                edits.extend(async_and_dtype_data_edits(f, scan))
             apply_edits(f, edits)
             if cleanup:
                 drop_legacy_paths(f)

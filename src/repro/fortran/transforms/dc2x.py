@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 
 from repro.fortran.directives import DirectiveKind, is_directive_line, parse_directive
-from repro.fortran.parser import find_directive_lines
+from repro.fortran.parser import LineScan, apply_edits, find_directive_lines
 from repro.fortran.source import SourceFile
 from repro.fortran.transforms.base import dc_header
 
@@ -52,32 +52,32 @@ def convert_region_dc2x(f: SourceFile, region, *, clause: str = "") -> list[str]
     return [dc_header(nest, clause=clause), *body, "      enddo"]
 
 
-def async_and_dtype_data_edits(f: SourceFile) -> list[tuple[int, int, list[str]]]:
+def async_and_dtype_data_edits(
+    f: SourceFile, scan: LineScan | None = None
+) -> list[tuple[int, int, list[str]]]:
     """Deletion edits for ``wait`` lines and derived-type enter/exit data.
 
     Mechanical cleanup of the 202X conversion stage, whoever decides its
     regions: nothing is async once all loops are DC, and the
     derived-type data lines go with the loops that touched the types.
     """
-    edits: list[tuple[int, int, list[str]]] = []
-    for d in find_directive_lines(f, DirectiveKind.WAIT):
-        edits.append((d.index, max(d.all_lines), []))
-    for d in find_directive_lines(f, DirectiveKind.DATA):
-        if "%" in d.directive.payload:
-            edits.append((min(d.all_lines), max(d.all_lines), []))
-    return edits
+    return [
+        (d.index, max(d.all_lines), [])
+        for d in find_directive_lines(f, DirectiveKind.WAIT, DirectiveKind.DATA, scan=scan)
+        if d.directive.kind is DirectiveKind.WAIT or "%" in d.directive.payload
+    ]
 
 
 def drop_legacy_paths(f: SourceFile) -> None:
     """Remove the dead ``if (.not. gpu_managed)`` transfer branches."""
-    out: list[str] = []
-    i = 0
-    while i < len(f.lines):
-        if f.lines[i].strip() == "if (.not. gpu_managed) then":
-            while f.lines[i].strip() != "endif":
-                i += 1
-            i += 1
+    lines = f.lines
+    edits: list[tuple[int, int, list[str]]] = []
+    end = -1
+    for i in LineScan(lines).rows("gpu_managed"):
+        if i <= end or lines[i].strip() != "if (.not. gpu_managed) then":
             continue
-        out.append(f.lines[i])
-        i += 1
-    f.lines = out
+        end = i
+        while lines[end].strip() != "endif":
+            end += 1
+        edits.append((i, end, []))
+    apply_edits(f, edits)

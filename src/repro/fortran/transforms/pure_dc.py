@@ -19,12 +19,14 @@ single (GPU) variants serve the setup phase too.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 
-from repro.fortran.directives import DirectiveKind, is_directive_line, parse_directive
+from repro.fortran.directives import DirectiveKind
 from repro.fortran.inline import InlineRefusedError, inline_call, parse_routine
 from repro.fortran.lexer import LineKind, classify_line
 from repro.fortran.parser import (
+    LineScan,
     apply_edits,
     find_dc_loop_end,
     find_directive_lines,
@@ -41,26 +43,31 @@ _DC_RE = re.compile(r"^\s*do\s+concurrent\s*\(([^)]*)\)", re.I)
 MANUAL_INLINE_ROUTINES = ("interp1",)
 
 
-def atomic_dc_loops(lines: list[str]) -> Iterator[tuple[int, int, list[int], bool]]:
+Edits = list[tuple[int, int, list[str]]]
+
+
+def atomic_dc_loops(
+    lines: list[str], scan: LineScan | None = None
+) -> Iterator[tuple[int, int, list[int], bool]]:
     """Each outermost ``do concurrent`` nest that holds ``!$acc atomic`` lines.
 
     Yields ``(start, end, atomics, accumulates)``: the nest's header and
     closing ``enddo``, its atomic directive lines, and whether any of them
     guards an accumulation (Listing 4) rather than some other statement.
-    Only lines that mention ``concurrent`` are classified.
+    Only lines that mention ``concurrent`` are classified, and the atomics
+    are read off the directive table of ``scan`` (made when None).
     """
+    scan = scan or LineScan(lines)
+    acc = list(scan.directives)
     end = -1
-    for i, ln in enumerate(lines):
-        if i <= end or "concurrent" not in ln.lower():
-            continue
-        if classify_line(ln) is not LineKind.DO_CONCURRENT:
+    for i in scan.rows("concurrent", fold=True):
+        if i <= end or classify_line(lines[i]) is not LineKind.DO_CONCURRENT:
             continue
         end = find_dc_loop_end(lines, i)
         atomics = [
             k
-            for k in range(i + 1, end)
-            if is_directive_line(lines[k])
-            and parse_directive(lines[k]).kind is DirectiveKind.ATOMIC
+            for k in acc[bisect_right(acc, i) : bisect_left(acc, end)]
+            if scan.directive(k).kind is DirectiveKind.ATOMIC
         ]
         if atomics:
             yield i, end, atomics, any(ACCUM_RE.match(lines[k + 1]) for k in atomics)
@@ -107,9 +114,9 @@ class PureDcPass(TransformPass):
         out.append("      enddo")
         return out
 
-    def _rewrite_atomic_loops(self, f: SourceFile) -> None:
+    def _atomic_edits(self, f: SourceFile, scan: LineScan) -> Edits:
         edits = []
-        for start, end, atomics, accumulates in atomic_dc_loops(f.lines):
+        for start, end, atomics, accumulates in atomic_dc_loops(f.lines, scan):
             if accumulates:
                 body = self._flip_array_reduction(f, start, end)
             else:
@@ -117,13 +124,13 @@ class PureDcPass(TransformPass):
                 # statements (rewritten to be race-free in MAS)
                 body = [f.lines[k] for k in range(start, end + 1) if k not in atomics]
             edits.append((start, end, body))
-        apply_edits(f, edits)
+        return edits
 
     # -- kernels expansion ----------------------------------------------------------
 
-    def _expand_kernels(self, f: SourceFile) -> None:
+    def _kernels_edits(self, f: SourceFile, scan: LineScan) -> Edits:
         edits = []
-        for region in find_kernels_regions(f):
+        for region in find_kernels_regions(f, scan):
             if region.end - region.start != 2:
                 raise ValueError(
                     f"unexpected kernels region shape in {f.name} at {region.start}"
@@ -145,58 +152,60 @@ class PureDcPass(TransformPass):
                     ],
                 )
             )
-        apply_edits(f, edits)
+        return edits
 
     # -- routine inlining -------------------------------------------------------------
 
-    def _drop_routine_directives(self, cb: Codebase) -> None:
-        for f in cb.files:
-            f.lines = [
-                ln
-                for ln in f.lines
-                if not (
-                    is_directive_line(ln)
-                    and parse_directive(ln).kind is DirectiveKind.ROUTINE
-                )
-            ]
+    def _routine_edits(self, f: SourceFile, scan: LineScan) -> Edits:
+        return [
+            (i, i, []) for i in scan.directives
+            if scan.directive(i).kind is DirectiveKind.ROUTINE
+        ]
 
     def _manual_inline(self, cb: Codebase) -> None:
         for name in MANUAL_INLINE_ROUTINES:
             routine = None
+            mentions = []  # per file, the lines holding the name
             for f in cb.files:
-                for blk in find_subroutines(f, rf"^{name}$"):
-                    routine = parse_routine(f, blk.start)
+                scan = LineScan(f.lines)
+                mentions.append(scan.rows(name))
+                if mentions[-1]:  # the routine's header holds its name
+                    for blk in find_subroutines(f, rf"^{name}$", scan):
+                        routine = parse_routine(f, blk.start)
             if routine is None:
                 continue
             call_re = re.compile(rf"^\s*call\s+{name}\s*\(")
-            for f in cb.files:
-                i = 0
-                while i < len(f.lines):
-                    if name in f.lines[i] and call_re.match(f.lines[i]):
+            for f, rows in zip(cb.files, mentions):
+                grown = 0  # lines earlier inlines added above the next row
+                for i in rows:
+                    if call_re.match(f.lines[i + grown]):
                         try:
-                            i += inline_call(f, i, routine)
+                            grown += inline_call(f, i + grown, routine)
                         except InlineRefusedError:
                             pass
-                    i += 1
 
     # -- main -----------------------------------------------------------------------------
 
+    def _data_edits(self, f: SourceFile, scan: LineScan) -> Edits:
+        """The remaining declare/update and set device_num directives go."""
+        return [
+            (min(d.all_lines), max(d.all_lines), [])
+            for d in find_directive_lines(
+                f, DirectiveKind.DATA, DirectiveKind.SET_DEVICE, scan=scan
+            )
+        ]
+
     def apply(self, cb: Codebase) -> None:
         self._manual_inline(cb)
-        self._drop_routine_directives(cb)
+        steps = (self._routine_edits, self._atomic_edits, self._kernels_edits, self._data_edits)
         for f in cb.files:
-            self._rewrite_atomic_loops(f)
-            self._expand_kernels(f)
-            # remaining declare/update and set device_num directives
-            edits = []
-            for d in find_directive_lines(
-                f, DirectiveKind.DATA, DirectiveKind.SET_DEVICE
-            ):
-                edits.append((min(d.all_lines), max(d.all_lines), []))
-            apply_edits(f, edits)
-        if not self.keep_cpu_duplicates:
-            for f in cb.files:
-                for blk in sorted(
-                    find_subroutines(f, r"_cpu$"), key=lambda b: b.start, reverse=True
-                ):
+            # each step reads the scan of the lines the previous one left
+            scan = LineScan(f.lines)
+            for step in steps:
+                edits = step(f, scan)
+                if edits:
+                    apply_edits(f, edits)
+                    scan = LineScan(f.lines)
+            if not self.keep_cpu_duplicates:
+                for blk in reversed(find_subroutines(f, r"_cpu$", scan)):
                     del f.lines[blk.start : blk.end + 1]

@@ -13,21 +13,29 @@ from __future__ import annotations
 import re
 
 from repro.fortran.directives import DirectiveKind
-from repro.fortran.parser import apply_edits, find_directive_lines
-from repro.fortran.source import Codebase, SourceFile
+from repro.fortran.parser import DirectiveLine, LineScan, find_directive_lines
+from repro.fortran.source import Codebase
 from repro.fortran.transforms.base import TransformPass
 
 _DECLARED_RE = re.compile(r"declare\s+\w+\(([^)]+)\)", re.I)
 _GLUE_RE = re.compile(r"call\s+(un)?load_gpu_buffer\b", re.I)
 
 
+def glue_rows(scan: LineScan) -> list[int]:
+    """Indices of the lines that call the buffer load/unload glue."""
+    return [
+        i for i in scan.rows("load_gpu_buffer", fold=True)
+        if _GLUE_RE.search(scan.lines[i])
+    ]
+
+
 class UnifiedMemPass(TransformPass):
     """Remove (almost all) OpenACC data directives for UM builds."""
 
-    def _declared_names(self, cb: Codebase) -> set[str]:
+    def _declared_names(self, data: list[list[DirectiveLine]]) -> set[str]:
         names: set[str] = set()
-        for f in cb.files:
-            for d in find_directive_lines(f, DirectiveKind.DATA):
+        for found in data:
+            for d in found:
                 m = _DECLARED_RE.search(d.directive.payload)
                 if d.directive.payload.lower().startswith("declare") and m:
                     names.update(n.strip() for n in m.group(1).split(","))
@@ -43,19 +51,18 @@ class UnifiedMemPass(TransformPass):
             return True  # feeds a declare'd table used in device code
         return False
 
-    def _strip_file(self, f: SourceFile, declared: set[str]) -> None:
-        edits = []
-        for d in find_directive_lines(f, DirectiveKind.DATA):
-            if self._keep(d.directive.payload, declared):
-                continue
-            lo = min(d.all_lines)
-            hi = max(d.all_lines)
-            edits.append((lo, hi, []))
-        # drop overlapping edits defensively (continuations are contiguous)
-        apply_edits(f, edits)
-        f.lines = [ln for ln in f.lines if not _GLUE_RE.search(ln)]
-
     def apply(self, cb: Codebase) -> None:
-        declared = self._declared_names(cb)
+        # one scan of each unedited file finds its data directives and glue
+        # calls; the declared names need every file's before any is stripped
+        data, glue = [], []
         for f in cb.files:
-            self._strip_file(f, declared)
+            scan = LineScan(f.lines)
+            data.append(find_directive_lines(f, DirectiveKind.DATA, scan=scan))
+            glue.append(glue_rows(scan))
+        declared = self._declared_names(data)
+        for f, found, drop in zip(cb.files, data, glue):
+            for d in found:
+                if not self._keep(d.directive.payload, declared):
+                    drop.extend(d.all_lines)
+            for i in sorted(set(drop), reverse=True):
+                del f.lines[i]

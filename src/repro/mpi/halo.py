@@ -38,6 +38,7 @@ from the same residency apply it as plain float adds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
 from typing import Any, NamedTuple
@@ -53,26 +54,35 @@ from repro.runtime.dispatcher import Lowered, RankRuntime
 from repro.runtime.kernel import KernelSpec, LoopCategory
 
 
-def _check_depth(depth: int) -> None:
-    if not isinstance(depth, int) or depth < 1:
+def _integer(value: Any) -> int | None:
+    """``value`` as a plain int (``np.int64`` is one); None for a bool or a non-integer."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
+def _check_depth(depth: Any) -> int:
+    checked = _integer(depth)
+    if checked is None or checked < 1:
         raise ValueError("halo depth must be an integer >= 1")
+    return checked
 
 
 @dataclass(frozen=True, slots=True)
 class HaloSpec:
-    """Exchange geometry: ghost depth and which axes participate."""
+    """Exchange geometry: ghost depth and which axes participate, stored as
+    plain ints (``axes`` a tuple), so equal specs key the same plan."""
 
     depth: int = 1
     axes: tuple[int, ...] = (0, 1, 2)
 
     def __post_init__(self) -> None:
-        _check_depth(self.depth)
-        if (
-            not self.axes
-            or any(a not in (0, 1, 2) for a in self.axes)
-            or len(set(self.axes)) != len(self.axes)
-        ):
+        object.__setattr__(self, "depth", _check_depth(self.depth))
+        axes = tuple(map(_integer, self.axes))
+        if not axes or any(a not in (0, 1, 2) for a in axes) or len(set(axes)) != len(axes):
             raise ValueError("axes must be a nonempty subset of (0, 1, 2)")
+        object.__setattr__(self, "axes", axes)
 
 
 class ShapeOnly(NamedTuple):
@@ -422,7 +432,7 @@ class HaloExchanger:
     def ensure_buffers(self, field_names: tuple[str, ...], depth: int = 1) -> None:
         """Register per-field, per-depth send/recv staging buffers in every
         rank's environment (first exchange of each field at that depth)."""
-        _check_depth(depth)
+        depth = _check_depth(depth)
         missing = [f for f in field_names if (f, depth) not in self._registered_fields]
         if not missing:
             return

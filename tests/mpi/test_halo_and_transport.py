@@ -140,12 +140,35 @@ class TestExchangeCorrectness:
         (dict(axes=(2, 2)), "axes"),  # exchanged axis 2 twice: 8 messages, twice the cost
         (dict(axes=(0, 1, 0)), "axes"),
         (dict(depth=1.5), "halo depth"),  # priced at fractional bytes
+        (dict(depth=True), "halo depth"),  # ran as depth 1
+        (dict(axes=(True,)), "axes"),  # ran as axis 1
+        (dict(axes=[1, 1]), "axes"),
     ])
     def test_repeated_axes_and_a_fractional_depth_are_refused(self, spec, why):
         with pytest.raises(ValueError, match=why):
             HaloSpec(**spec)
 
-    @pytest.mark.parametrize("depth", [0, 1.5])
+    def test_numpy_integers_and_list_axes_are_stored_as_plain_ints(self):
+        spec = HaloSpec(depth=np.int64(2), axes=[np.int64(2), 0])
+        assert (spec.depth, spec.axes) == (2, (2, 0))
+        assert type(spec.depth) is int and all(type(a) is int for a in spec.axes)
+        assert spec == HaloSpec(depth=2, axes=(2, 0))
+        assert hash(spec) == hash(HaloSpec(depth=2, axes=(2, 0)))
+
+    def test_an_exchange_with_list_axes(self):
+        """``axes=[2]`` used to be accepted and then fail every exchange
+        with an unhashable plan key."""
+        rng = np.random.default_rng(1)
+        glob = rng.random((8, 8, 16))
+        dec = Decomposition3D((8, 8, 16), 2)
+        listed, tupled = scatter(glob, dec, 1), scatter(glob, dec, 1)
+        exchanger(dec, make_ranks(2)).exchange("f", listed, HaloSpec(axes=[2]))
+        exchanger(dec, make_ranks(2)).exchange("f", tupled, HaloSpec(axes=(2,)))
+        for a, b in zip(listed, tupled):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert not np.isnan(listed[0][1:-1, 1:-1, 0]).any()  # the phi ghosts moved
+
+    @pytest.mark.parametrize("depth", [0, 1.5, True])
     def test_ensure_buffers_refuses_what_halospec_refuses(self, depth):
         ranks = make_ranks(2)
         hx = exchanger(Decomposition3D((8, 8, 16), 2), ranks)
