@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.fortran_lint import PortSafety, region_port_safety
-from repro.fortran.lexer import LineKind, classify_line
 from repro.fortran.metrics import measure
-from repro.fortran.parser import find_parallel_regions
+from repro.fortran.parser import LineScan, find_parallel_regions
 from repro.fortran.source import Codebase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -171,10 +170,7 @@ def estimate_cost(
             b.directive_lines += len(region.directive_lines)
             b.sites.append((f.name, region.start + 1))
     met = measure(cb)
-    dc_loops = sum(
-        1 for _f, _i, ln in cb.iter_lines()
-        if classify_line(ln) is LineKind.DO_CONCURRENT
-    )
+    dc_loops = sum(len(LineScan(f.lines).dc_headers) for f in cb.files)
     return CostReport(
         name=cb.name,
         buckets=buckets,

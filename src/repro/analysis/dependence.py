@@ -127,7 +127,6 @@ _IDENT = r"[a-z_]\w*"
 _REF_RE = re.compile(rf"\b({_IDENT})\s*(\([^()]*(?:\([^()]*\)[^()]*)*\))", re.I)
 _IDENT_RE = re.compile(rf"\b({_IDENT})\b(?!\s*\()", re.I)
 _LHS_RE = re.compile(rf"^\s*({_IDENT})\s*(\(.*\))?\s*$", re.I | re.S)
-_SHIFT_RE = re.compile(rf"^({_IDENT})[+-]\w+$|^\w+[+-]({_IDENT})$", re.I)
 _ASSIGN_SPLIT_RE = re.compile(r"(?<![=<>/*+\-])=(?!=)")
 
 #: Intrinsics whose parenthesized form is a call, not an array reference.

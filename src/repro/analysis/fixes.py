@@ -49,10 +49,9 @@ import re
 from dataclasses import dataclass, replace
 
 from repro.analysis.findings import Finding
-from repro.fortran.lexer import LineKind, classify_line
 from repro.fortran.parser import (
+    LineScan,
     ParallelRegion,
-    find_dc_loop_end,
     find_parallel_regions,
     split_paren_args,
 )
@@ -129,12 +128,13 @@ class _FileContext:
 
     def __init__(self, file: SourceFile) -> None:
         self.file = file
+        self.scan = LineScan(file.lines)
         self._regions: list[ParallelRegion] | None = None
 
     @property
     def regions(self) -> list[ParallelRegion]:
         if self._regions is None:
-            self._regions = find_parallel_regions(self.file)
+            self._regions = find_parallel_regions(self.file, self.scan)
         return self._regions
 
     def enclosing_region(self, li: int) -> ParallelRegion | None:
@@ -145,15 +145,10 @@ class _FileContext:
 
     def enclosing_dc_header(self, li: int) -> int | None:
         """Innermost ``do concurrent`` header whose loop contains ``li``."""
-        best = None
-        for i, line in enumerate(self.file.lines):
-            if i > li:
-                break
-            if classify_line(line) is not LineKind.DO_CONCURRENT:
-                continue
-            if find_dc_loop_end(self.file.lines, i) >= li:
-                best = i
-        return best
+        return max(
+            (i for i in self.scan.dc_headers if i <= li and self.scan.dc_end(i) >= li),
+            default=None,
+        )
 
     def loop_directive_above(self, region: ParallelRegion, li: int) -> int:
         """The directive line governing the nest that contains ``li``
@@ -199,7 +194,7 @@ def _demote_dc_loop(ctx: _FileContext, header: int) -> tuple[TextEdit, ...]:
         var, _, rng = part.partition("=")
         lo, _, hi = rng.partition(":")
         do_lines.append(f"{indent}do {var.strip()}={lo.strip()},{hi.strip()}")
-    end = find_dc_loop_end(ctx.file.lines, header)
+    end = ctx.scan.dc_end(header)
     end_indent = ctx.file.lines[end][: len(ctx.file.lines[end])
                                      - len(ctx.file.lines[end].lstrip())]
     return (

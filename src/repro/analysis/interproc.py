@@ -47,22 +47,21 @@ from dataclasses import dataclass, field, replace
 from repro.analysis.dependence import INTRINSICS
 from repro.analysis.facts import (
     _CACHE_LIMIT,
+    CallSite as CallSite,  # re-exported: the call sites summaries carry
     FileFacts,
+    _base_name,
+    _Block,
+    _split_top_commas,
+    _strip_if_guard,
     clear_fact_sheets,
     file_facts,
     summary_facts,
 )
 from repro.analysis.findings import Finding, RelatedLocation
-from repro.analysis.fixes import Fix
-from repro.fortran.lexer import LineKind, called_name, classify_line, module_name
+from repro.analysis.fixes import Fix, _edit_for
+from repro.fortran.lexer import LineKind, called_name, classify_line
 from repro.fortran.frontend.resolve import ModuleIndex, RoutineSym, join_index
-from repro.fortran.parser import (
-    ParallelRegion,
-    declared_entities,
-    declared_intent,
-    find_dc_loop_end,
-    find_parallel_regions,
-)
+from repro.fortran.parser import ParallelRegion, declared_entities
 from repro.fortran.source import Codebase, SourceFile
 
 _IDENT_RE = re.compile(r"\b([a-z_]\w*)\b", re.I)
@@ -79,10 +78,7 @@ _IO_RE = re.compile(
 )
 _STOP_RE = re.compile(r"^\s*(error\s+)?stop\b", re.I)
 _ALLOC_RE = re.compile(r"^\s*(de)?allocate\s*\(", re.I)
-_CALL_ARGS_RE = re.compile(r"^\s*call\s+\w+\s*\((.*)\)\s*$", re.I)
 _INTENT_CLAUSE_RE = re.compile(r"\bintent\s*\(\s*in\s*\)", re.I)
-_BASE_NAME_RE = re.compile(r"\s*([a-z_]\w*)", re.I)
-_IF_GUARD_RE = re.compile(r"^\s*if\s*\(", re.I)
 _INDENT_RE = re.compile(r"^(\s*)")
 
 #: Statement keywords never counted as variable reads.
@@ -123,16 +119,6 @@ class Effect:
     detail: str  # the variable / statement the effect is about
     file: str
     line: int    # 0-based
-
-
-@dataclass(frozen=True, slots=True)
-class CallSite:
-    """One ``call`` statement, with the actual arguments' base names."""
-
-    callee: str
-    file: str
-    line: int  # 0-based
-    actuals: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,77 +210,12 @@ class CallBlocker:
 # -- body scanning -------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _Block:
-    """One routine's raw body facts before summary propagation."""
-
-    sym: RoutineSym
-    body_hash: str
-    calls: tuple[CallSite, ...]
-    locals_: frozenset[str]
-    intents: tuple[tuple[str, str], ...]  # (dummy, declared intent), sorted
-    decl_sites: tuple[tuple[str, int, tuple[str, ...], str], ...]
-    #: contains-nested children's (first, last) lines, left out of the body
-    children: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def body_lines(self) -> list[int]:
-        body = range(self.sym.line + 1, max(self.sym.line + 1, self.sym.end_line))
-        drop = {i for first, last in self.children for i in range(first, last + 1)}
-        return [i for i in body if i not in drop]
-
-
 def _identifiers(text: str) -> set[str]:
     return {
         m.group(1).lower()
         for m in _IDENT_RE.finditer(text)
         if m.group(1).lower() not in _STMT_WORDS
     }
-
-
-def _split_top_commas(text: str) -> list[str]:
-    out, depth, token = [], 0, ""
-    for ch in text + ",":
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        elif ch == "," and depth == 0:
-            out.append(token.strip())
-            token = ""
-            continue
-        token += ch
-    return [t for t in out if t]
-
-
-def _base_name(expr: str) -> str:
-    m = _BASE_NAME_RE.match(expr)
-    return m.group(1).lower() if m else ""
-
-
-def _strip_if_guard(code: str) -> tuple[str, str]:
-    """Split a one-line ``if (cond) action`` into (cond, action).
-
-    Returns ``("", code)`` for anything else — including block ``if``
-    headers, whose action part is ``then``.  Guarded statements carry
-    the same side effects as bare ones (``if (ierr.ne.0) stop`` is the
-    canonical production pattern), so every effect matcher runs on the
-    action, never the raw line.
-    """
-    m = _IF_GUARD_RE.match(code)
-    if m is None:
-        return "", code
-    depth, i = 1, m.end()
-    while i < len(code) and depth:
-        if code[i] == "(":
-            depth += 1
-        elif code[i] == ")":
-            depth -= 1
-        i += 1
-    action = code[i:].strip()
-    if depth or not action or action.lower().startswith("then"):
-        return "", code
-    return code[m.end() - 1 : i], action
 
 
 def _assignment_parts(code: str) -> tuple[str, str, str] | None:
@@ -307,31 +228,6 @@ def _assignment_parts(code: str) -> tuple[str, str, str] | None:
     if tail is None:
         return None
     return lhs_text[: tail.start()], tail.group(1).lower(), rhs
-
-
-def _file_module_variables(file: SourceFile) -> tuple[tuple[str, frozenset[str]], ...]:
-    """One file's (module, spec-part variable names) pairs."""
-    out: dict[str, set[str]] = {}
-    current = ""
-    in_spec = False
-    for line in file.lines:
-        low = line.lower()
-        # only module, contains and end-module lines change the state
-        kind = classify_line(line) if "module" in low or "contains" in low else None
-        if kind is LineKind.MODULE_START:
-            name = (module_name(line) or "").lower()
-            if name != "procedure":
-                current = name
-                in_spec = True
-                out.setdefault(current, set())
-            continue
-        if kind in (LineKind.CONTAINS, LineKind.MODULE_END):
-            in_spec = False
-            current = "" if kind is LineKind.MODULE_END else current
-            continue
-        if in_spec and current and "parameter" not in low:
-            out[current].update(declared_entities(line))
-    return tuple((m, frozenset(vs)) for m, vs in out.items())
 
 
 def _module_variables(
@@ -371,74 +267,6 @@ def _visible_globals(
         for v in module_vars.get(sym.module, ()):
             visible[v] = f"{sym.module}::{v}"
     return visible
-
-
-def _call_statement(line: str) -> str | None:
-    """The ``call`` statement a line holds, comment cut off, else None.
-
-    A one-line ``if (cond) call foo(...)`` holds one too: its action.
-    """
-    if "call" not in line.lower():
-        return None  # no keyword, no call: skip classifying the line
-    kind = classify_line(line)
-    if kind is LineKind.CALL:
-        return line.split("!", 1)[0]
-    if kind is LineKind.STATEMENT and _IF_GUARD_RE.match(line):
-        _guard, action = _strip_if_guard(line.split("!", 1)[0])
-        if called_name(action) is not None:
-            return action
-    return None
-
-
-def _call_sites(file: SourceFile) -> tuple[CallSite, ...]:
-    """Every call site of a file, with its actuals' base names."""
-    out = []
-    for i, line in enumerate(file.lines):
-        stmt = _call_statement(line)
-        if stmt is None:
-            continue
-        m = _CALL_ARGS_RE.match(stmt.rstrip())
-        actuals = tuple(
-            _base_name(a) for a in _split_top_commas(m.group(1))
-        ) if m else ()
-        out.append(CallSite(called_name(stmt).lower(), file.name, i, actuals))
-    return tuple(out)
-
-
-def _scan_block(
-    file: SourceFile, sym: RoutineSym, calls: tuple[CallSite, ...]
-) -> _Block:
-    """Phase-1 scan: body hash, call sites (of the file's ``calls``),
-    locals, intents and each dummy's first declaration."""
-    body = range(sym.line + 1, max(sym.line + 1, sym.end_line))
-    locals_: set[str] = set()
-    intents: dict[str, str] = {}
-    decl_sites: dict[str, tuple[int, tuple[str, ...], str]] = {}
-    dummies = set(sym.dummies)
-    for i in body:
-        line = file.lines[i]
-        entities = declared_entities(line)
-        if entities:
-            intent = declared_intent(line)
-            for e in entities:
-                if e in dummies:
-                    decl_sites.setdefault(e, (i, entities, intent))
-                    if intent:
-                        intents[e] = intent
-                else:
-                    locals_.add(e)
-    digest = hashlib.sha256()
-    digest.update(f"{sym.file}:{sym.line}:{sym.end_line}\n".encode())
-    digest.update(file.lines[sym.line].encode())
-    for i in body:
-        digest.update(b"\n")
-        digest.update(file.lines[i].encode())
-    return _Block(
-        sym=sym, body_hash=digest.hexdigest(),
-        calls=tuple(c for c in calls if c.line in body),
-        locals_=frozenset(locals_), intents=tuple(sorted(intents.items())),
-        decl_sites=tuple((d, *site) for d, site in decl_sites.items()),
-    )
 
 
 def _strip_child_lines(blocks: dict[str, _Block]) -> dict[str, _Block]:
@@ -768,44 +596,6 @@ def summarize(
     return result
 
 
-# -- parallel-context discovery ------------------------------------------------
-
-
-def parallel_spans(
-    file: SourceFile, regions: list[ParallelRegion] | None = None
-) -> list[tuple[int, int, str]]:
-    """(start, end, label) for every parallel context in ``file``.
-
-    Covers ``!$acc parallel`` regions (``regions`` when the caller has
-    already found them) and free-standing ``do concurrent`` loops (a DC
-    loop already inside a region is not double-counted).
-    """
-    spans: list[tuple[int, int, str]] = []
-    covered: set[int] = set()
-    if regions is None:
-        regions = find_parallel_regions(file)
-    for region in regions:
-        spans.append(
-            (region.start, region.end,
-             f"the parallel region at line {region.start + 1}")
-        )
-        covered.update(range(region.start, region.end + 1))
-    for i, line in enumerate(file.lines):
-        if (
-            i in covered
-            or "concurrent" not in line.lower()  # cannot open a DC loop
-            or classify_line(line) is not LineKind.DO_CONCURRENT
-        ):
-            continue
-        try:
-            end = find_dc_loop_end(file.lines, i)
-        except ValueError:  # unterminated: the loop spans its header only
-            end = i
-        spans.append((i, end, f"the do concurrent loop at line {i + 1}"))
-        covered.update(range(i, end + 1))
-    return sorted(spans)
-
-
 def _call_blocker(s: ProcedureSummary) -> tuple[str, str, bool] | None:
     """(rule, why-fragment, fixable) when calling ``s`` blocks a parallel
     region, else None. Conservative: UNKNOWN purity never blocks."""
@@ -830,21 +620,21 @@ def region_call_blockers(
     file: SourceFile, region: ParallelRegion, result: InterprocResult
 ) -> list[CallBlocker]:
     """Call sites inside ``region`` that make it unsafe to port to DC
-    (a one-line ``if (cond) call`` included)."""
+    (a one-line ``if (cond) call`` included), read off the sheet of
+    ``file`` that ``result`` was summarized from."""
+    sheet = next(s for s in result.facts if s.name == file.name)
     out: list[CallBlocker] = []
-    for i in range(region.start, region.end + 1):
-        stmt = _call_statement(file.lines[i])
-        if stmt is None:
+    for site in sheet.calls:
+        if not region.start <= site.line <= region.end:
             continue
-        name = called_name(stmt).lower()
-        summary = result.summary_for_call(name, file.name)
+        summary = result.summary_for_call(site.callee, file.name)
         if summary is None:
             continue
         blk = _call_blocker(summary)
         if blk is None:
             continue
         rule, why, fixable = blk
-        out.append(CallBlocker(name, file.name, i, rule, why, fixable))
+        out.append(CallBlocker(site.callee, file.name, site.line, rule, why, fixable))
     return out
 
 
@@ -853,8 +643,6 @@ def region_call_blockers(
 
 def _pure_attribute_fix(cb: Codebase, s: ProcedureSummary) -> Fix:
     """The IP101 fix-it: prepend ``pure`` to the callee's header line."""
-    from repro.analysis.fixes import _edit_for
-
     callee_file = cb.file(s.file)
     header = callee_file.lines[s.line]
     fixed = _INDENT_RE.sub(r"\1pure ", header, count=1)
@@ -958,8 +746,6 @@ def _intent_findings(
     cb: Codebase, result: InterprocResult, region_called: set[str]
 ) -> list[Finding]:
     """IP104: declared-vs-inferred intent mismatches and missing intents."""
-    from repro.analysis.fixes import _edit_for
-
     findings: list[Finding] = []
     for name in sorted(result.summaries):
         s = result.summaries[name]
@@ -1020,17 +806,12 @@ def _intent_findings(
     return findings
 
 
-def interproc_findings(
-    cb: Codebase,
-    result: InterprocResult,
-    regions: list[list[ParallelRegion]] | None = None,
-) -> list[Finding]:
+def interproc_findings(cb: Codebase, result: InterprocResult) -> list[Finding]:
     """All IP1xx findings for ``cb`` given its summary ``result``.
 
     The call sites, and the parallel span around each, come from the fact
     sheets ``result`` was summarized from (their lint part is computed
-    here when only the summary pass has read them); ``regions`` is
-    accepted for callers that pass them and is not needed.
+    here when only the summary pass has read them).
     """
     sheets = [
         sheet if sheet.lint is not None else file_facts(file)

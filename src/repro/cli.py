@@ -465,7 +465,12 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
                 render_compare,
             )
 
-            deltas = compare_metrics(load_metrics(a_dir), load_metrics(b_dir))
+            try:
+                a, b = load_metrics(a_dir), load_metrics(b_dir)
+            except ValueError as exc:  # there, but not a snapshot
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            deltas = compare_metrics(a, b)
             print(render_compare(deltas, a_name=a_dir, b_name=b_dir))
             return 0
         if args.dir is None:

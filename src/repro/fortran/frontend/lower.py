@@ -1,9 +1,9 @@
 """Recovery lowering: degrade what the canonical parser cannot hold.
 
 The contract is *never crash*: after :func:`lower_file`, the file is
-guaranteed to pass the full per-file analysis (`analyze_file`, which
-builds the file's fact sheet: what every lint rule family reads of a
-file) without an exception. Everything the parser cannot represent is
+guaranteed to pass the full per-file analysis (its fact sheet from
+`repro.analysis.facts.file_facts`: what every lint rule family reads of
+a file) without an exception. Everything the parser cannot represent is
 replaced -- in place, line-count preserved -- by opaque comment lines, each one
 recorded as an ``FE001`` diagnostic, and the per-file parse census makes
 the degradation rate observable (the ``parse_errors_total`` metric
@@ -19,9 +19,14 @@ from pathlib import Path
 from repro.analysis.findings import Finding
 from repro.fortran.directives import is_directive_line, try_parse_directive
 from repro.fortran.frontend.normalize import normalize_tree
-from repro.fortran.frontend.resolve import ModuleIndex, build_index
-from repro.fortran.lexer import LineKind, classify_line
+from repro.fortran.frontend.resolve import (
+    _END_INTERFACE_RE,
+    _INTERFACE_RE,
+    ModuleIndex,
+    build_index,
+)
 from repro.fortran.parser import (
+    LineScan,
     ParallelRegion,
     find_kernels_regions,
     find_parallel_regions,
@@ -37,8 +42,8 @@ OPAQUE_PREFIX = "! repro-fe opaque: "
 #: All ValueErrors the structural parser raises end with a 0-based line.
 _CULPRIT_RE = re.compile(r"at (?:line )?(\d+)$")
 
-_INTERFACE_RE = re.compile(r"^\s*(abstract\s+)?interface\b", re.I)
-_END_INTERFACE_RE = re.compile(r"^\s*end\s*interface\b", re.I)
+#: A byte that is not UTF-8 loads as a lone surrogate (``surrogateescape``).
+_UNDECODED_RE = re.compile("[\udc80-\udcff]")
 
 
 def _coverage(total_lines: int, opaque_lines: int) -> float:
@@ -119,12 +124,31 @@ def restore_opaque(line: str) -> str:
     return line[idx + len(OPAQUE_PREFIX):]
 
 
+def _shown(text: str) -> str:
+    """Source text for a message, a byte that is not UTF-8 as ``\\xe9``."""
+    return text.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
 def _neutralize(file: SourceFile, i: int, diags: list[Finding], reason: str) -> None:
     orig = file.lines[i].rstrip()
     file.lines[i] = f"{OPAQUE_PREFIX}{orig}"
     diags.append(
-        Finding("FE001", file.name, i + 1, f"{reason}: {orig.strip()[:100]}")
+        Finding("FE001", file.name, i + 1, f"{reason}: {_shown(orig.strip()[:100])}")
     )
+
+
+def _note_undecoded_bytes(file: SourceFile, diags: list[Finding]) -> None:
+    """One FE001 note at the first line holding bytes that are not UTF-8.
+    The line is analyzed as it is, and written back byte for byte."""
+    text = "\n".join(file.lines)
+    m = _UNDECODED_RE.search(text)
+    if m is not None:
+        i = text.count("\n", 0, m.start())
+        diags.append(Finding(
+            "FE001", file.name, i + 1,
+            f"bytes that are not UTF-8, kept as they are: "
+            f"{_shown(file.lines[i].strip()[:100])}",
+        ))
 
 
 def _neutralize_unknown_directives(file: SourceFile, diags: list[Finding]) -> None:
@@ -156,9 +180,8 @@ def _repair_dc_headers(file: SourceFile, diags: list[Finding]) -> None:
     A bare ``do`` keeps the do/enddo nesting balanced (unlike commenting
     the header out), so enclosing walkers stay correct.
     """
-    for i, ln in enumerate(file.lines):
-        if classify_line(ln) is not LineKind.DO_CONCURRENT:
-            continue
+    for i in LineScan(file.lines).dc_headers:
+        ln = file.lines[i]
         try:
             split_paren_args(ln)
         except ValueError:
@@ -167,7 +190,7 @@ def _repair_dc_headers(file: SourceFile, diags: list[Finding]) -> None:
             diags.append(
                 Finding("FE001", file.name, i + 1,
                         f"unsupported do concurrent header: "
-                        f"{orig.strip()[:100]}")
+                        f"{_shown(orig.strip()[:100])}")
             )
 
 
@@ -216,9 +239,10 @@ def lower_file(
     The check that analysis cannot crash builds the file's fact sheet from
     the regions structural recovery found; the lint that follows reuses it.
     """
-    from repro.analysis.fortran_lint import analyze_file
+    from repro.analysis.facts import file_facts
 
     diags: list[Finding] = []
+    _note_undecoded_bytes(file, diags)
     _neutralize_unknown_directives(file, diags)
     _neutralize_interface_blocks(file)
     _repair_dc_headers(file, diags)
@@ -227,7 +251,7 @@ def lower_file(
         _degrade_whole_file(file, diags, "structural recovery failed")
     else:
         try:
-            analyze_file(file, regions)
+            file_facts(file, regions).checked()
         except Exception as exc:  # belt and braces: analysis must not crash
             _degrade_whole_file(file, diags, f"analysis failed ({type(exc).__name__})")
     opaque = sum(1 for ln in file.lines if "repro-fe opaque:" in ln)

@@ -31,7 +31,7 @@ class LineKind(enum.Enum):
 _DO_CONCURRENT = re.compile(r"^\s*do\s+concurrent\b", re.I)
 _DO = re.compile(r"^\s*do\s+\w+\s*=", re.I)
 #: ``do while (...)`` and the bare ``do`` infinite loop: not parallelizable
-#: nests, but they end in ``enddo`` so the level walkers must count them.
+#: nests, but they end in ``enddo`` so the loop table must pair them.
 #: (Labeled ``do 100 i=...`` loops terminate on their label, not ``enddo``,
 #: and stay invisible -- both the header and the terminator.)
 _DO_OTHER = re.compile(r"^\s*do\s*(while\b[^!]*)?(!.*)?$", re.I)

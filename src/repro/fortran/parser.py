@@ -218,23 +218,29 @@ def declared_intent(line: str) -> str:
 
 class LineScan:
     """One file's lines as one text, to find the few lines a scan must
-    classify, and its ``!$acc`` lines, each parsed once. The finders of a
-    pass that read the same unedited lines share one; an edit calls for a
-    new one, and none outlives its pass."""
+    classify; its ``!$acc`` lines, each parsed once; and its loop table.
+    The finders of a pass that read the same unedited lines share one; an
+    edit calls for a new one, and none outlives its pass."""
 
-    __slots__ = ("lines", "text", "_folded", "_directives")
+    __slots__ = ("lines", "text", "_folded", "_rows", "_directives", "_loops", "_dc_headers")
 
     def __init__(self, lines: list[str]) -> None:
         self.lines = lines
         self.text = "\n".join(lines)
         self._folded: str | None = None
+        self._rows: dict[tuple[str, bool], list[int]] = {}
         self._directives: dict[int, AccDirective | None] | None = None
+        self._loops: dict[int, int | None] | None = None
+        self._dc_headers: list[int] | None = None
 
     def rows(self, keyword: str, *, fold: bool = False) -> list[int]:
         """Indices of the lines holding ``keyword`` (with ``fold``, the
         lower-case ``keyword`` in their ``lower()``): one ``str.find`` per
         hit, placed by counting newlines, since ``lower()`` may lengthen
-        a line (``İ``) but never makes or drops one."""
+        a line (``İ``) but never makes or drops one. Each keyword is
+        searched once per scan."""
+        if (keyword, fold) in self._rows:
+            return self._rows[keyword, fold]
         if fold and self._folded is None:
             self._folded = self.text.lower()
         text = self._folded if fold else self.text
@@ -248,6 +254,7 @@ class LineScan:
             if eol < 0:
                 break
             hit = text.find(keyword, eol)
+        self._rows[keyword, fold] = out
         return out
 
     @property
@@ -268,6 +275,48 @@ class LineScan:
         d = self.directives.get(i)
         return d if d is not None else parse_directive(self.lines[i])
 
+    @property
+    def loops(self) -> dict[int, int | None]:
+        """The loop table: each ``do`` and ``do concurrent`` header in
+        order -> the ``enddo`` that closes it (None: unterminated).
+
+        One stack pass over the lines holding ``do`` pairs them: a header
+        is pushed, an ``enddo`` pops the innermost open header (or closes
+        nothing when none is open). A header pops exactly where a level
+        count started at it returns to zero, so its end is the one a walk
+        from the header finds."""
+        if self._loops is None:
+            self._loops = {}
+            open_headers: list[int] = []
+            for i in self.rows("do", fold=True):
+                kind = classify_line(self.lines[i])
+                if kind is LineKind.DO or kind is LineKind.DO_CONCURRENT:
+                    self._loops[i] = None
+                    open_headers.append(i)
+                elif kind is LineKind.ENDDO and open_headers:
+                    self._loops[open_headers.pop()] = i
+        return self._loops
+
+    @property
+    def dc_headers(self) -> list[int]:
+        """The ``do concurrent`` headers of the loop table, in order,
+        found by their rarer keyword: a file without one pairs no loops
+        for a scan that wants only these."""
+        if self._dc_headers is None:
+            self._dc_headers = [
+                i for i in self.rows("concurrent", fold=True)
+                if classify_line(self.lines[i]) is LineKind.DO_CONCURRENT
+            ]
+        return self._dc_headers
+
+    def dc_end(self, i: int) -> int:
+        """The ``enddo`` of the ``do concurrent`` loop at ``i``; raises
+        ValueError when it is unterminated."""
+        end = self.loops[i]
+        if end is None:
+            raise ValueError(f"unterminated do concurrent at line {i}")
+        return end
+
 
 def _continuations(scan: LineScan, idx: int) -> list[int]:
     """Indices of ``!$acc&`` lines directly following ``idx``."""
@@ -279,48 +328,24 @@ def _continuations(scan: LineScan, idx: int) -> list[int]:
     return out
 
 
-def parse_loop_nest(lines: list[str], start: int) -> LoopNest | None:
-    """Parse a rectangular ``do`` nest beginning at ``start``."""
-    depth = 0
+def parse_loop_nest(scan: LineScan, start: int) -> LoopNest | None:
+    """Parse a rectangular ``do`` nest beginning at ``start``; it ends at
+    the ``enddo`` the loop table gives its outermost header (every line
+    ``_DO_RE`` matches classifies as a ``do`` header)."""
+    lines = scan.lines
     idx_vars: list[str] = []
     bounds: list[str] = []
     i = start
-    while i < len(lines):
-        m = _DO_RE.match(lines[i])
-        if m is None:
-            break
+    while i < len(lines) and (m := _DO_RE.match(lines[i])) is not None:
         idx_vars.append(m.group(1))
         bounds.append(m.group(2).strip())
-        depth += 1
         i += 1
-    if depth == 0:
+    if not idx_vars:
         return None
-    # walk to the matching sequence of enddos
-    level = depth
-    while i < len(lines) and level > 0:
-        kind = classify_line(lines[i])
-        if kind is LineKind.DO or kind is LineKind.DO_CONCURRENT:
-            level += 1
-        elif kind is LineKind.ENDDO:
-            level -= 1
-        i += 1
-    if level != 0:
+    end = scan.loops[start]
+    if end is None:
         raise ValueError(f"unterminated do nest at line {start}")
-    return LoopNest(start=start, end=i - 1, depth=depth, index_vars=idx_vars, bounds=bounds)
-
-
-def find_dc_loop_end(lines: list[str], start: int) -> int:
-    """Index of the enddo closing the do/do-concurrent loop at ``start``."""
-    level = 0
-    for i in range(start, len(lines)):
-        kind = classify_line(lines[i])
-        if kind is LineKind.DO or kind is LineKind.DO_CONCURRENT:
-            level += 1
-        elif kind is LineKind.ENDDO:
-            level -= 1
-            if level == 0:
-                return i
-    raise ValueError(f"unterminated do concurrent at line {start}")
+    return LoopNest(start, end, len(idx_vars), idx_vars, bounds)
 
 
 def split_paren_args(header: str) -> tuple[str, str]:
@@ -351,7 +376,8 @@ def _classify_region(
             if j <= end and _ARRAY_ACCUM_RE.match(lines[j]):
                 return RegionKind.ARRAY_REDUCTION
         return RegionKind.ATOMIC_OTHER
-    for i in range(start, end + 1):
+    calls = scan.rows("call", fold=True)
+    for i in calls[bisect_left(calls, start) : bisect_right(calls, end)]:
         if classify_line(lines[i]) is LineKind.CALL:
             return RegionKind.ROUTINE_CALLER
     return RegionKind.PLAIN
@@ -381,7 +407,7 @@ def _combined_region(
             j += 1
             continue
         break
-    nest = parse_loop_nest(lines, j) if j < len(lines) else None
+    nest = parse_loop_nest(scan, j) if j < len(lines) else None
     if nest is None:
         raise ValueError(
             f"combined construct without a loop nest in {file.name} at {start}"
@@ -439,8 +465,8 @@ def find_parallel_regions(file: SourceFile, scan: LineScan | None = None) -> lis
             loops = []
             k = start + 1
             while k < end:
-                if classify_line(lines[k]) is LineKind.DO:
-                    nest = parse_loop_nest(lines, k)
+                if k in scan.loops and classify_line(lines[k]) is LineKind.DO:
+                    nest = parse_loop_nest(scan, k)
                     if nest is not None and nest.end < end:
                         loops.append(nest)
                         k = nest.end + 1
@@ -482,7 +508,7 @@ def find_kernels_regions(file: SourceFile, scan: LineScan | None = None) -> list
                 LineKind.BLANK, LineKind.COMMENT,
             ):
                 j += 1
-            nest = parse_loop_nest(lines, j) if j < len(lines) else None
+            nest = parse_loop_nest(scan, j) if j < len(lines) else None
             if nest is None:
                 raise ValueError(
                     f"combined kernels construct without a loop nest in {file.name} at {i}"

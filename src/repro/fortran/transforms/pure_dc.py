@@ -24,11 +24,9 @@ from collections.abc import Iterator
 
 from repro.fortran.directives import DirectiveKind
 from repro.fortran.inline import InlineRefusedError, inline_call, parse_routine
-from repro.fortran.lexer import LineKind, classify_line
 from repro.fortran.parser import (
     LineScan,
     apply_edits,
-    find_dc_loop_end,
     find_directive_lines,
     find_kernels_regions,
     find_subroutines,
@@ -54,16 +52,16 @@ def atomic_dc_loops(
     Yields ``(start, end, atomics, accumulates)``: the nest's header and
     closing ``enddo``, its atomic directive lines, and whether any of them
     guards an accumulation (Listing 4) rather than some other statement.
-    Only lines that mention ``concurrent`` are classified, and the atomics
-    are read off the directive table of ``scan`` (made when None).
+    The nests come off the loop table of ``scan`` (made when None) and
+    the atomics off its directive table.
     """
     scan = scan or LineScan(lines)
     acc = list(scan.directives)
     end = -1
-    for i in scan.rows("concurrent", fold=True):
-        if i <= end or classify_line(lines[i]) is not LineKind.DO_CONCURRENT:
+    for i in scan.dc_headers:
+        if i <= end:
             continue
-        end = find_dc_loop_end(lines, i)
+        end = scan.dc_end(i)
         atomics = [
             k
             for k in acc[bisect_right(acc, i) : bisect_left(acc, end)]

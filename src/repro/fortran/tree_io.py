@@ -2,7 +2,9 @@
 
 Lets users inspect the generated MAS versions with ordinary tools (diff,
 grep, an editor) and feed hand-edited trees back through the metrics and
-transformation passes -- the round trip is exact.
+transformation passes -- the round trip is exact, byte for byte: a byte
+that is not UTF-8 (a Latin-1 comment) loads as a lone surrogate
+(``surrogateescape``) and is written back as itself.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ def write_files(
             raise ValueError(f"file name {f.name!r} escapes the tree")
         target.parent.mkdir(parents=True, exist_ok=True)
         lines = f.lines if line_map is None else map(line_map, f.lines)
-        target.write_text("\n".join(lines) + "\n")
+        target.write_text(
+            "\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape"
+        )
 
 
 def save_tree(cb: Codebase, root: str | Path, *, overwrite: bool = False) -> Path:
@@ -71,7 +75,7 @@ def load_tree(
     ]
     files = []
     for p in sorted(found, key=lambda p: p.relative_to(base).as_posix()):
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8", errors="surrogateescape")
         lines = text.split("\n")
         if lines and lines[-1] == "":
             lines.pop()

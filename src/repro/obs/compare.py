@@ -101,7 +101,11 @@ def compare_metrics(a: dict, b: dict) -> list[MetricDelta]:
 
 
 def load_metrics(path: str | Path) -> dict:
-    """Read ``<dir>/metrics.json`` (or a metrics.json file directly)."""
+    """Read ``<dir>/metrics.json`` (or a metrics.json file directly).
+
+    A snapshot that is there but is not a JSON object (truncated, or some
+    other JSON value) raises one ValueError naming the path and why.
+    """
     from repro.obs import telemetry as tmod
 
     p = Path(path)
@@ -109,7 +113,16 @@ def load_metrics(path: str | Path) -> dict:
         p = p / tmod.METRICS_JSON_FILE
     if not p.is_file():
         raise FileNotFoundError(f"no metrics snapshot at {p}")
-    return json.loads(p.read_text())
+    try:
+        metrics = json.loads(p.read_text())
+    except ValueError as exc:
+        raise ValueError(f"unreadable metrics snapshot {p}: {exc}") from None
+    if not isinstance(metrics, dict):
+        raise ValueError(
+            f"unreadable metrics snapshot {p}: a JSON {type(metrics).__name__}, "
+            "not an object"
+        )
+    return metrics
 
 
 def _fmt(v: float | None) -> str:

@@ -82,7 +82,10 @@ def load_profile(path: str | Path, *, name: str | None = None) -> RunProfile:
                 )
 
     metrics = _read_json(d / tmod.METRICS_JSON_FILE) or {}
-    if not metrics:
+    if not isinstance(metrics, dict):
+        prof.notes.append(f"unreadable {tmod.METRICS_JSON_FILE} (not a JSON object)")
+        metrics = {}
+    elif not metrics:
         prof.notes.append(f"no {tmod.METRICS_JSON_FILE}")
     for sample in (metrics.get("kernel_seconds_total") or {}).get("samples", []):
         kernel = sample.get("labels", {}).get("kernel")

@@ -10,6 +10,7 @@ IP101 fix-it.
 
 from pathlib import Path
 
+from repro.analysis.facts import parallel_spans
 from repro.analysis.findings import sort_findings
 from repro.analysis.fixes import attach_fixes
 from repro.analysis.fortran_lint import analyze_codebase
@@ -20,13 +21,13 @@ from repro.analysis.interproc import (
     callgraph_json,
     clear_summary_cache,
     interproc_findings,
-    parallel_spans,
     region_call_blockers,
     summarize,
 )
 from repro.analysis.report import findings_to_sarif, render_findings
 from repro.analysis.rewriter import apply_finding_fixes
 from repro.fortran.frontend import load_external_tree
+from repro.fortran.parser import LineScan, find_parallel_regions
 from repro.fortran.source import Codebase, SourceFile
 from tests.analysis.sarif_reader import sarif_to_edits, sarif_to_findings
 
@@ -407,7 +408,8 @@ class TestParallelSpans:
             "  enddo",
             "end subroutine s",
         ])
-        spans = parallel_spans(cb.files[0])
+        f = cb.files[0]
+        spans = parallel_spans(LineScan(f.lines), find_parallel_regions(f))
         assert len(spans) == 2
         assert spans[0][2].startswith("the parallel region")
         assert spans[1][2].startswith("the do concurrent loop")
@@ -422,7 +424,8 @@ class TestParallelSpans:
             "    enddo",
             "end subroutine s",
         ])
-        assert parallel_spans(cb.files[0]) == [(3, 3, "the do concurrent loop at line 4")]
+        f = cb.files[0]
+        assert parallel_spans(LineScan(f.lines), find_parallel_regions(f)) == [(3, 3, "the do concurrent loop at line 4")]
 
 
 class TestSarifRelated:

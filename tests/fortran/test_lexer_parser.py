@@ -4,6 +4,7 @@ import pytest
 
 from repro.fortran.lexer import LineKind, called_name, classify_line, subroutine_name
 from repro.fortran.parser import (
+    LineScan,
     RegionKind,
     apply_edits,
     find_directive_lines,
@@ -69,7 +70,7 @@ PLAIN_REGION = [
 
 class TestLoopNest:
     def test_parse_depth_and_bounds(self):
-        nest = parse_loop_nest(PLAIN_REGION, 2)
+        nest = parse_loop_nest(LineScan(PLAIN_REGION), 2)
         assert nest.depth == 3
         assert nest.index_vars == ["k", "j", "i"]
         assert nest.bounds == ["1,n3", "1,n2", "1,n1"]
@@ -77,11 +78,11 @@ class TestLoopNest:
         assert nest.body_range == (5, 5)
 
     def test_not_a_loop(self):
-        assert parse_loop_nest(["      x = 1"], 0) is None
+        assert parse_loop_nest(LineScan(["      x = 1"]), 0) is None
 
     def test_unterminated(self):
         with pytest.raises(ValueError, match="unterminated"):
-            parse_loop_nest(["      do i=1,n", "        x = 1"], 0)
+            parse_loop_nest(LineScan(["      do i=1,n", "        x = 1"]), 0)
 
 
 class TestRegions:

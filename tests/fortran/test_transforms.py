@@ -11,7 +11,7 @@ from repro.fortran.transforms import (
 )
 from repro.fortran.transforms.base import dc_header
 from repro.fortran.transforms.convert import F2018, F202X
-from repro.fortran.parser import EXPECTED_SAFETY, parse_loop_nest
+from repro.fortran.parser import EXPECTED_SAFETY, LineScan, parse_loop_nest
 
 
 def cb_of(lines):
@@ -70,11 +70,11 @@ ARRAY_RED = [
 
 class TestDcHeader:
     def test_listing2_shape(self):
-        nest = parse_loop_nest(PLAIN, 2)
+        nest = parse_loop_nest(LineScan(PLAIN), 2)
         assert dc_header(nest) == "      do concurrent (k=1:n3,j=1:n2,i=1:n1)"
 
     def test_clause_appended(self):
-        nest = parse_loop_nest(SCALAR_RED, 2)
+        nest = parse_loop_nest(LineScan(SCALAR_RED), 2)
         assert dc_header(nest, clause="reduce(+:s)").endswith("reduce(+:s)")
 
 

@@ -246,6 +246,31 @@ class TestTelemetryCompare:
         assert main(["telemetry"]) == 2
         assert "required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage, why", [
+        ('{"kernel_launches_total": {"type": "cou', "Unterminated string"),
+        ("[1, 2]", "a JSON list, not an object"),
+    ], ids=["truncated", "list"])
+    @pytest.mark.parametrize("explain", [False, True], ids=["compare", "explain"])
+    def test_damaged_metrics_snapshot(self, tmp_path, capsys, damage, why, explain):
+        """One ``error:`` line and exit 1 under ``--compare``; a note under
+        ``--explain``, which reads the stream as missing."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        for d, text in ((a, damage), (b, "{}")):
+            d.mkdir()
+            (d / "metrics.json").write_text(text)
+        rc = main(["telemetry", "--compare", str(a), str(b),
+                   *(["--explain"] if explain else [])])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        if explain:
+            assert rc == 0 and err == ""
+            assert f"{a}: " in out and "metrics.json" in out
+        else:
+            assert rc == 1 and out == ""
+            (line,) = err.splitlines()
+            assert line.startswith(f"error: unreadable metrics snapshot {a / 'metrics.json'}: ")
+            assert why in line
+
 
 class TestLint:
     def test_parser_defaults(self):
