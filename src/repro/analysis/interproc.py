@@ -63,6 +63,7 @@ from repro.fortran.lexer import LineKind, called_name, classify_line
 from repro.fortran.frontend.resolve import ModuleIndex, RoutineSym, join_index
 from repro.fortran.parser import ParallelRegion, declared_entities
 from repro.fortran.source import Codebase, SourceFile
+from repro.fortran.tree_io import shown
 
 _IDENT_RE = re.compile(r"\b([a-z_]\w*)\b", re.I)
 _ASSIGN_SPLIT_RE = re.compile(r"(?<![=<>/*+\-])=(?![=>])")
@@ -347,11 +348,11 @@ def _scan_effects(
         if declared_entities(line):
             continue  # declaration, not an executable statement
         if _IO_RE.match(action):
-            effects.add(Effect("io", action.strip()[:40], sym.file, i))
+            effects.add(Effect("io", shown(action.strip()[:40]), sym.file, i))
             note_reads(_identifiers(code))
             continue
         if _STOP_RE.match(action):
-            effects.add(Effect("stop", action.strip()[:40], sym.file, i))
+            effects.add(Effect("stop", shown(action.strip()[:40]), sym.file, i))
             note_reads(_identifiers(guard))
             continue
         m = _ALLOC_RE.match(action)

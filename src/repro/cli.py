@@ -508,14 +508,15 @@ def _export_chrome_trace(tel_dir: str, out: str) -> int:
 
 
 def cmd_critpath(args: argparse.Namespace) -> int:
-    from repro.obs.critpath import analyze_dir, render_result, results_to_json
+    from repro.obs.critpath import analyze_record, render_result, results_to_json
+    from repro.obs.events import EventRecord
     from repro.perf.roofline import (
         DEFAULT_SOL_THRESHOLD,
         peaks_from_manifest,
         render_roofline,
         roofline_from_metrics,
     )
-    from repro.obs.summary import _read_json
+    from repro.obs.summary import _read_json, _read_jsonl, skipped_note
     from repro.obs import telemetry as tmod
     from pathlib import Path
 
@@ -536,8 +537,9 @@ def cmd_critpath(args: argparse.Namespace) -> int:
             print(_render_member_rows(rows))
         return 0
 
+    d = Path(args.dir)
     try:
-        results = analyze_dir(args.dir)
+        record = EventRecord.load(d / tmod.EVENTS_FILE)
     except FileNotFoundError as exc:
         fb = _sweep_fallback(str(exc))
         if fb is not None:
@@ -548,6 +550,10 @@ def cmd_critpath(args: argparse.Namespace) -> int:
         print(f"error: unreadable {tmod.EVENTS_FILE} in {args.dir}: {exc}",
               file=sys.stderr)
         return 1
+    spans = _read_jsonl(d / tmod.SPANS_FILE)
+    if spans.skipped:
+        print(f"note: {skipped_note(tmod.SPANS_FILE, spans)}", file=sys.stderr)
+    results = analyze_record(record, spans=spans)
     if not results:
         fb = _sweep_fallback("trace has no per-rank profiler events")
         if fb is not None:
@@ -564,7 +570,6 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     for result in results.values():
         print(render_result(result, top=args.top))
         print()
-    d = Path(args.dir)
     manifest = _read_json(d / tmod.MANIFEST_FILE)
     metrics = _read_json(d / tmod.METRICS_JSON_FILE)
     peaks = peaks_from_manifest(manifest or {})

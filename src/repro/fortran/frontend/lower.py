@@ -33,7 +33,7 @@ from repro.fortran.parser import (
     split_paren_args,
 )
 from repro.fortran.source import Codebase, SourceFile
-from repro.fortran.tree_io import load_tree
+from repro.fortran.tree_io import load_tree, shown
 
 #: Prefix of every line the front end degraded. Starts with ``!`` so the
 #: whole pipeline sees a comment.
@@ -124,16 +124,11 @@ def restore_opaque(line: str) -> str:
     return line[idx + len(OPAQUE_PREFIX):]
 
 
-def _shown(text: str) -> str:
-    """Source text for a message, a byte that is not UTF-8 as ``\\xe9``."""
-    return text.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
-
-
 def _neutralize(file: SourceFile, i: int, diags: list[Finding], reason: str) -> None:
     orig = file.lines[i].rstrip()
     file.lines[i] = f"{OPAQUE_PREFIX}{orig}"
     diags.append(
-        Finding("FE001", file.name, i + 1, f"{reason}: {_shown(orig.strip()[:100])}")
+        Finding("FE001", file.name, i + 1, f"{reason}: {shown(orig.strip()[:100])}")
     )
 
 
@@ -147,7 +142,7 @@ def _note_undecoded_bytes(file: SourceFile, diags: list[Finding]) -> None:
         diags.append(Finding(
             "FE001", file.name, i + 1,
             f"bytes that are not UTF-8, kept as they are: "
-            f"{_shown(file.lines[i].strip()[:100])}",
+            f"{shown(file.lines[i].strip()[:100])}",
         ))
 
 
@@ -190,7 +185,7 @@ def _repair_dc_headers(file: SourceFile, diags: list[Finding]) -> None:
             diags.append(
                 Finding("FE001", file.name, i + 1,
                         f"unsupported do concurrent header: "
-                        f"{_shown(orig.strip()[:100])}")
+                        f"{shown(orig.strip()[:100])}")
             )
 
 

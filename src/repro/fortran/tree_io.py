@@ -19,6 +19,12 @@ from repro.fortran.source import Codebase, SourceFile
 FORTRAN_SUFFIXES = (".f90", ".f", ".f95", ".f03", ".f08", ".for")
 
 
+def shown(text: str) -> str:
+    """Source text for a message: a byte that is not UTF-8 as ``\\xe9``,
+    so findings, JSON and SARIF stay valid UTF-8."""
+    return text.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
 def write_files(
     cb: Codebase,
     base: str | Path,

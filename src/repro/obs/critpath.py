@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import isfinite
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -113,22 +115,45 @@ def lane_rank(lane: str) -> int:
 
 
 class _Lane:
-    """One lane's events sorted by (start, end), as parallel lists (``cats``
-    and ``labels`` hold table ids), supporting covering-event queries."""
+    """One lane's events sorted by (start, end), as columns (``cat`` and
+    ``label`` hold table ids), supporting covering-event queries.
 
-    __slots__ = ("name", "starts", "ends", "waits", "cats", "labels", "last_end")
+    ``prev[i]`` is :meth:`covering` at event ``i``'s own start, computed
+    for every event at once: where the walk goes after consuming event
+    ``i``. ``chain[i]`` is ``prev[i]`` where the walk stays on this lane
+    (a working event, and time left before ``t0``), else -1: a run of
+    events on one lane follows that int list. The lists are built on a
+    lane's first use, and most lanes are only ever searched, if at all."""
 
-    def __init__(self, name: str, record: EventRecord, rows: np.ndarray, wait_id: int) -> None:
+    def __init__(
+        self, name: str, index: int, record: EventRecord, rows: np.ndarray,
+        wait_id: int, t0: float, eps: float,
+    ) -> None:
         start = record.start[rows]
         end = start + record.duration[rows]
         order = np.lexsort((end, start))  # stable, like sorted()
-        self.name = name
-        self.starts = start[order].tolist()
-        self.ends = end[order].tolist()
-        self.cats = record.category[rows[order]].tolist()
-        self.waits = [c == wait_id for c in self.cats]
-        self.labels = record.label[rows[order]].tolist()
-        self.last_end = max(self.ends)
+        rows = rows[order]
+        self.name, self.index = name, index
+        self.start, self.end = start[order], end[order]
+        self.cat, self.label = record.category[rows], record.label[rows]
+        self.wait = self.cat == wait_id
+        prev = np.searchsorted(self.start, self.start - eps) - 1  # covering(start)
+        prev[(prev < 0) | (self.end[prev] < self.start - eps)] = -1
+        self.prev = prev
+        self.stays = (prev >= 0) & ~self.wait[prev] & (self.start > t0 + eps)
+        self.last_end = float(self.end.max())
+
+    @cached_property
+    def chain(self) -> list[int]:
+        return np.where(self.stays, self.prev, -1).tolist()
+
+    @cached_property
+    def starts(self) -> list[float]:
+        return self.start.tolist()
+
+    @cached_property
+    def ends(self) -> list[float]:
+        return self.end.tolist()
 
     def covering(self, t: float, eps: float) -> int:
         """Index of the event containing ``t`` (start < t <= end), else -1."""
@@ -144,15 +169,62 @@ class _Lane:
         return -1
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class PathColumns:
+    """A critical path as columns, in time order: one row per segment,
+    ``lane`` / ``category`` / ``label`` ids into the three tables."""
+
+    lane: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    category: np.ndarray
+    label: np.ndarray
+    lanes: tuple[str, ...]
+    categories: tuple[str, ...]
+    labels: tuple[str, ...]
+
+    def segments(self) -> list[PathSegment]:
+        """One :class:`PathSegment` per row."""
+        lanes, categories, labels = self.lanes, self.categories, self.labels
+        return [
+            PathSegment(lanes[ln], start, end, categories[c], labels[lab])
+            for ln, start, end, c, lab in zip(
+                self.lane.tolist(), self.start.tolist(), self.end.tolist(),
+                self.category.tolist(), self.label.tolist(),
+            )
+        ]
+
+    def kinds(self) -> tuple[np.ndarray, list[tuple[str, str]]]:
+        """Per row, the id of its (category, label) pair; and the pairs."""
+        width = len(self.labels)
+        pairs, kind = np.unique(self.category.astype(np.int64) * width + self.label,
+                                return_inverse=True)
+        return kind, [(self.categories[p // width], self.labels[p % width]) for p in pairs.tolist()]
+
+    def seconds_by(self, ids: np.ndarray, names: Sequence[Any]) -> dict[Any, float]:
+        """Path seconds per ``names[ids[row]]``, in first-appearance order
+        and summed in path order (``ids`` holds one id per row)."""
+        merged: dict[Any, int] = {}
+        canonical = np.array([merged.setdefault(n, len(merged)) for n in names], dtype=np.int64)
+        keys = list(merged)
+        sums = sum_by_key(canonical[ids], self.end - self.start)
+        return {keys[k]: sec for k, sec in sums.items()}
+
+
+@dataclass(eq=False)
 class CritPathResult:
-    """Critical path and derived attribution for one model."""
+    """Critical path and derived attribution for one model.
+
+    The path's aggregates (``path_total``, ``by_category``, ``by_rank``,
+    ``by_blame``) are summed on its columns, once per result: a result is
+    read, not edited. ``segments`` is built on first use.
+    """
 
     model: str
     num_ranks: int
     t0: float
     t1: float
-    segments: list[PathSegment]
+    path: PathColumns
     #: Non-wait busy seconds per rank (imbalance input).
     busy_by_rank: dict[int, float]
     #: mpi_wait seconds per rank (stragglers pay none; peers pay all).
@@ -167,44 +239,36 @@ class CritPathResult:
         """Simulated wall clock of the model (last end - first start)."""
         return self.t1 - self.t0
 
-    @property
+    @cached_property
+    def segments(self) -> list[PathSegment]:
+        """The path as segment objects, in time order."""
+        return self.path.segments()
+
+    @cached_property
     def path_total(self) -> float:
         """Total attributed path length (== wall up to float eps)."""
-        return sum(s.duration for s in self.segments)
+        return sum((self.path.end - self.path.start).tolist())
 
     @property
     def coverage(self) -> float:
         """path_total / wall; the <=1% acceptance invariant."""
         return self.path_total / self.wall if self.wall > 0 else 1.0
 
-    @property
+    @cached_property
     def by_category(self) -> dict[str, float]:
         """``critical_path_seconds{category}``."""
-        out: dict[str, float] = {}
-        for s in self.segments:
-            out[s.category] = out.get(s.category, 0.0) + s.duration
-        return out
+        return self.path.seconds_by(self.path.category, self.path.categories)
 
-    @property
+    @cached_property
     def by_rank(self) -> dict[int, float]:
         """Path seconds attributed to each rank's lanes."""
-        out: dict[int, float] = {}
-        rank_of = {lane: lane_rank(lane) for lane in {s.lane for s in self.segments}}
-        for s in self.segments:
-            r = rank_of[s.lane]
-            out[r] = out.get(r, 0.0) + s.duration
-        return out
+        return self.path.seconds_by(self.path.lane, [lane_rank(ln) for ln in self.path.lanes])
 
-    @property
+    @cached_property
     def by_blame(self) -> dict[str, float]:
         """Path seconds per blame group (halo / collectives / compute...)."""
-        out: dict[str, float] = {}
-        kinds = {(s.category, s.label) for s in self.segments}
-        group_of = {kind: blame_group(*kind) for kind in kinds}
-        for s in self.segments:
-            g = group_of[s.category, s.label]
-            out[g] = out.get(g, 0.0) + s.duration
-        return out
+        kind, kinds = self.path.kinds()
+        return self.path.seconds_by(kind, [blame_group(*k) for k in kinds])
 
     def blame_share(self, group: str) -> float:
         """Fraction of the critical path in one blame group (CI gate)."""
@@ -249,8 +313,8 @@ class CritPathResult:
             "path_seconds": self.path_total,
             "coverage": self.coverage,
             "load_imbalance_ratio": self.load_imbalance_ratio,
-            "critical_path_seconds": self.by_category,
-            "blame": self.by_blame,
+            "critical_path_seconds": dict(self.by_category),
+            "blame": dict(self.by_blame),
             "blame_share": {g: self.blame_share(g) for g in self.by_blame},
             "by_rank": {str(k): v for k, v in self.by_rank.items()},
             "idle_by_rank": {str(k): v for k, v in self.idle_by_rank.items()},
@@ -278,26 +342,36 @@ def extract_critical_path(
     (main and ``:comm`` lanes). Returns segments in increasing time order,
     tiling ``[t0, t1]``.
     """
+    return _walk(record, rows, eps).segments()
+
+
+def _walk(record: EventRecord, rows: np.ndarray | None = None, eps: float = 1e-12) -> PathColumns:
+    """:func:`extract_critical_path`, as columns. Consuming an event steps
+    to its lane's ``chain``; lanes are searched only at waits, holes and
+    lane switches."""
     rows = np.arange(len(record)) if rows is None else rows
     rows = rows[record.duration[rows] > 0.0]
+    tables = (tuple(record.categories) + (IDLE_CATEGORY,), tuple(record.labels) + ("",))
     if not len(rows):
-        return []
+        return _path_columns([], [], tables, eps)
     wait_id = record.category_id(WAIT_CATEGORY)
+    t0 = float(record.start[rows].min())
     lane_ids = record.lane[rows]
     present, first = np.unique(lane_ids, return_index=True)
     lanes = [  # in first-appearance order: it breaks ties between lanes
-        _Lane(record.lanes[i], record, rows[lane_ids == i], wait_id)
-        for i in present[np.argsort(first)].tolist()
+        _Lane(record.lanes[i], k, record, rows[lane_ids == i], wait_id, t0, eps)
+        for k, i in enumerate(present[np.argsort(first)].tolist())
     ]
-    t0 = float(record.start[rows].min())
     lane = max(lanes, key=lambda ln: ln.last_end)
 
-    segments: list[PathSegment] = []
+    #: Backward in time: (lane, event indices, end of the first) per run of
+    #: consumed events, (lane, None, (start, end)) per idle hole.
+    walked: list[tuple[_Lane, list[int] | None, Any]] = []
     t = lane.last_end
+    i = lane.covering(t, eps)
     guard = 10 * len(rows) + 100
     while t > t0 + eps and guard > 0:
         guard -= 1
-        i = lane.covering(t, eps)
         if i < 0:
             # Hole on this lane. Another lane may still be busy at t (the
             # walker stepped onto a comm lane that attached mid-run);
@@ -305,6 +379,7 @@ def extract_critical_path(
             cover = _covering_lane(lanes, t, eps)
             if cover is not None:
                 lane = cover
+                i = lane.covering(t, eps)
                 continue
             # ... else resume from the latest-ending event anywhere at or
             # before t, attributing the hole as idle.
@@ -314,31 +389,62 @@ def extract_critical_path(
                 if j >= 0 and (best is None or ln.ends[j] > best_end):
                     best, best_end = ln, ln.ends[j]
             if best is None:
-                segments.append(PathSegment(lane.name, t0, t, IDLE_CATEGORY, ""))
+                walked.append((lane, None, (t0, t)))
                 break
             if best_end < t - eps:
-                segments.append(PathSegment(best.name, best_end, t, IDLE_CATEGORY, ""))
+                walked.append((best, None, (best_end, t)))
             t = min(t, best_end)
             lane = best
+            i = lane.covering(t, eps)
             continue
-        if lane.waits[i]:
+        if lane.wait[i]:
             # A wait is caused elsewhere: by the non-wait event covering t
             # on another lane, if there is one.
             blocker = _covering_lane(lanes, t, eps, skip=lane, waits=False)
             if blocker is not None:
                 lane = blocker
+                i = lane.covering(t, eps)
                 continue
-        seg_start = max(lane.starts[i], t0)
-        if t - seg_start > eps:
-            segments.append(
-                PathSegment(
-                    lane.name, seg_start, t,
-                    record.categories[lane.cats[i]], record.labels[lane.labels[i]],
-                )
-            )
-        t = seg_start
-    segments.reverse()
-    return segments
+        # Consume event i, then the working events before it on this lane.
+        run, chain = [i], lane.chain
+        i = chain[i]
+        while i >= 0 and guard > 0:
+            guard -= 1
+            run.append(i)
+            i = chain[i]
+        walked.append((lane, run, t))
+        t = lane.starts[run[-1]]  # max(start, t0) is the start: t0 is the least
+        i = int(lane.prev[run[-1]])
+    return _path_columns(walked, lanes, tables, eps)
+
+
+def _path_columns(
+    walked: list[tuple[_Lane, list[int] | None, Any]],
+    lanes: Sequence[_Lane],
+    tables: tuple[tuple[str, ...], tuple[str, ...]],
+    eps: float,
+) -> PathColumns:
+    """The walk's runs and holes as one :class:`PathColumns`, in time
+    order. A run's events tile back from its end; a segment no longer than
+    ``eps`` is dropped."""
+    idle = np.array([len(tables[0]) - 1]), np.array([len(tables[1]) - 1])
+    blocks = []
+    for lane, run, span in walked:
+        if run is None:
+            blocks.append((np.array([lane.index]), np.array(span[:1]), np.array(span[1:]), *idle))
+            continue
+        idx = np.array(run)
+        start = lane.start[idx]
+        end = np.concatenate(([span], start[:-1]))
+        keep = end - start > eps
+        idx = idx[keep]
+        blocks.append((np.full(len(idx), lane.index), start[keep], end[keep],
+                       lane.cat[idx], lane.label[idx]))
+    ints, floats = np.zeros(0, dtype=np.int64), np.zeros(0)
+    columns = zip(*blocks) if blocks else ([ints], [floats], [floats], [ints], [ints])
+    return PathColumns(
+        *(np.concatenate(col)[::-1] for col in columns), tuple(ln.name for ln in lanes), *tables
+    )
 
 
 def _covering_lane(
@@ -351,9 +457,9 @@ def _covering_lane(
     best = best_key = None
     for ln in lanes:
         j = -1 if ln is skip else ln.covering(t, eps)
-        if j < 0 or (ln.waits[j] and not waits):
+        if j < 0 or (ln.wait[j] and not waits):
             continue
-        key = (not ln.waits[j], ln.ends[j], ln.name)
+        key = (not ln.wait[j], ln.ends[j], ln.name)
         if best is None or key > best_key:
             best, best_key = ln, key
     return best
@@ -370,37 +476,50 @@ def _phase_windows(
     Spans carry their model via a ``model`` attr on the enclosing ``step``
     span (walked through ``parent_id``); dirs written before that
     annotation existed fall back to "all spans" when the session bound a
-    single model, and to no phase attribution otherwise.
+    single model, and to no phase attribution otherwise. A span whose
+    ``start`` or ``end`` is not a finite number is not a window.
     """
-    by_id = {s.get("span_id"): s for s in spans}
+    by_id = {s.get("span_id"): s for s in spans if isinstance(s.get("span_id"), (int, str))}
 
-    def span_model(s: Mapping[str, Any]) -> str | None:
+    def span_model(s: Mapping[str, Any] | None) -> str | None:
         seen = 0
         while s is not None and seen < 64:
-            m = (s.get("attrs") or {}).get("model")
+            attrs = s.get("attrs")
+            m = attrs.get("model") if isinstance(attrs, Mapping) else None
             if m is not None:
                 return str(m)
-            s = by_id.get(s.get("parent_id"))
+            parent = s.get("parent_id")
+            s = by_id.get(parent) if isinstance(parent, (int, str)) else None
             seen += 1
         return None
 
     windows: list[tuple[float, float, str]] = []
     for s in spans:
         name = s.get("name", "")
-        if s.get("end") is None:
+        if not isinstance(name, str):
             continue
         is_phase = (s.get("depth") == 1 and name.startswith("step/")) or (
             s.get("depth") == 0 and name.startswith("setup/")
         )
-        if not is_phase:
+        start, end = s.get("start"), s.get("end")
+        if not (is_phase and _finite(start) and _finite(end)):
             continue
         m = span_model(s)
         if m is None and not single_model:
             continue
         if m is not None and m != model:
             continue
-        insort(windows, (float(s["start"]), float(s["end"]), name))
+        insort(windows, (float(start), float(end), name))
     return windows
+
+
+def _finite(value: Any) -> bool:
+    """Whether a JSON value is a finite number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value)
+
+
+#: Where seconds outside every phase window accrue.
+OUTSIDE_PHASES = "(outside phases)"
 
 
 def _phase_split(
@@ -420,7 +539,7 @@ def _phase_split(
         if w0 >= end:
             break
         if w0 > t:
-            out.append(("(outside phases)", w0 - t))
+            out.append((OUTSIDE_PHASES, w0 - t))
             t = w0
         take = min(w1, end) - t
         if take > 0:
@@ -429,8 +548,56 @@ def _phase_split(
         if t >= end:
             break
     if t < end:
-        out.append(("(outside phases)", end - t))
+        out.append((OUTSIDE_PHASES, end - t))
     return out
+
+
+def _phase_seconds(
+    windows: list[tuple[float, float, str]], starts: np.ndarray, ends: np.ndarray
+) -> dict[str, float]:
+    """Seconds per phase of the intervals ``[starts, ends]``: the sums of
+    :func:`_phase_split` over the intervals, in (interval, piece) order.
+
+    An interval that meets at most one window is split elementwise, with
+    the loop's float expressions in the loop's order (the ``t += take``
+    included, which can leave a residual outside piece); one that meets
+    more goes through :func:`_phase_split` itself.
+    """
+    if not windows or not len(starts):
+        return {}
+    w0, w1 = (np.array(col, dtype=np.float64) for col in list(zip(*windows))[:2])
+    names = list(dict.fromkeys([OUTSIDE_PHASES, *(w[2] for w in windows)]))
+    key = np.array([names.index(w[2]) for w in windows])  # 0: outside phases
+    n = len(windows)
+    # The loop's first window: the last starting at or before the interval
+    # (bisect_left on (start, inf, "")), or the next when that one has ended.
+    idx = np.maximum(np.searchsorted(w0, starts, side="right") - 1, 0)
+    j = np.where(w1[idx] > starts, idx, idx + 1)
+    jc = np.minimum(j, n - 1)
+    skipped = (j < n) & (w1[jc] <= starts)  # a window that ends before it starts
+    meets = (j < n) & ~skipped & (w0[jc] < ends)
+    before = meets & (w0[jc] > starts)
+    t = np.where(before, w0[jc], starts)
+    take = np.minimum(w1[jc], ends) - t
+    inside = meets & (take > 0)
+    t = np.where(inside, t + take, t)
+    after = t < ends
+    nxt = np.minimum(j + 1, n - 1)
+    slow = skipped | (meets & after & (j + 1 < n) & (w0[nxt] < ends))
+    fast = ~slow[:, None] & np.stack([before, inside, after], axis=1)
+    piece_key = np.stack([np.zeros_like(key[jc]), key[jc], np.zeros_like(key[jc])], axis=1)
+    piece_sec = np.stack([w0[jc] - starts, take, ends - t], axis=1)
+    row = np.repeat(np.arange(len(starts)), 3).reshape(-1, 3)
+    rows, keys, seconds = [row[fast]], [piece_key[fast]], [piece_sec[fast]]
+    for r in np.flatnonzero(slow).tolist():
+        pieces = _phase_split(windows, float(starts[r]), float(ends[r]))
+        rows.append(np.full(len(pieces), r))
+        keys.append(np.array([names.index(ph) for ph, _ in pieces], dtype=key.dtype))
+        seconds.append(np.array([sec for _, sec in pieces], dtype=np.float64))
+    row_of = np.concatenate(rows)
+    order = np.argsort(row_of, kind="stable")
+    sums = sum_by_key(np.concatenate(keys)[order], np.concatenate(seconds)[order])
+    return {names[k]: sec for k, sec in sums.items()}
 
 
 # -- analysis entry points ----------------------------------------------------
@@ -443,6 +610,7 @@ def analyze_record(
 
     Model, rank and comm-ness are read once per lane-table entry; busy and
     idle seconds accumulate in stream order, as a per-event loop would.
+    Phase attribution runs only when ``spans`` hold windows for a model.
     """
     models = [lane_model(name) for name in record.lanes]
     rank_of_lane = np.array([lane_rank(name) for name in record.lanes], dtype=np.int64)
@@ -456,7 +624,7 @@ def analyze_record(
     end = record.start + record.duration
     results: dict[str, CritPathResult] = {}
     for model, rows in rows_of.items():
-        segments = extract_critical_path(record, rows)
+        path = _walk(record, rows)
         windows = _phase_windows(spans, model, len(rows_of) == 1)
         lane_of = record.lane[rows]
         ranks = rank_of_lane[lane_of]
@@ -467,18 +635,14 @@ def analyze_record(
         path_by_phase: dict[str, float] = {}
         if windows:
             waits = rows[idle]
-            for t0, t1 in zip(record.start[waits].tolist(), end[waits].tolist()):
-                for ph, sec in _phase_split(windows, t0, t1):
-                    idle_by_phase[ph] = idle_by_phase.get(ph, 0.0) + sec
-            for s in segments:
-                for ph, sec in _phase_split(windows, s.start, s.end):
-                    path_by_phase[ph] = path_by_phase.get(ph, 0.0) + sec
+            idle_by_phase = _phase_seconds(windows, record.start[waits], end[waits])
+            path_by_phase = _phase_seconds(windows, path.start, path.end)
         results[model] = CritPathResult(
             model=model,
             num_ranks=int((np.unique(ranks) >= 0).sum()),
             t0=float(record.start[rows].min()),
             t1=float(end[rows].max()),
-            segments=segments,
+            path=path,
             busy_by_rank=sum_by_key(ranks[busy], seconds[busy]),
             idle_by_rank=sum_by_key(ranks[idle], seconds[idle]),
             idle_by_phase=idle_by_phase,

@@ -63,18 +63,18 @@ class EventRecord:
     ) -> "EventRecord":
         """Intern five equal-length columns; a category may be an enum
         member (a clock's) or its value."""
-        tables: dict[str, dict[Any, int]] = {name: {} for name in _IDS}
-        ids = {
-            name: _intern(column, tables[name])
-            for name, column in zip(_IDS, (lane, category, label))
-        }
+        (lane, lanes), (category, categories), (label, labels) = (
+            _intern(column) for column in (lane, category, label)
+        )
         return cls(
             start=np.array(start, dtype=np.float64),
             duration=np.array(duration, dtype=np.float64),
-            **ids,
-            lanes=tuple(tables["lane"]),
-            categories=tuple(getattr(c, "value", c) for c in tables["category"]),
-            labels=tuple(tables["label"]),
+            lane=lane,
+            category=category,
+            label=label,
+            lanes=lanes,
+            categories=tuple(getattr(c, "value", c) for c in categories),
+            labels=labels,
         )
 
     def save(self, path: str | Path) -> Path:
@@ -193,10 +193,21 @@ class Profiler:
         return EventRecord.from_columns(*self.columns)
 
 
-def _intern(values: Sequence[Any], table: dict[Any, int]) -> np.ndarray:
-    """Ids of ``values`` in ``table``, which grows in first-appearance order."""
-    ids = [table.setdefault(v, len(table)) for v in values]
-    return np.array(ids, dtype=np.int16 if len(table) < 2**15 else np.int32)
+class _Table(dict):
+    """Value -> id, in first-appearance order: a lookup of a value not yet
+    in the table enters it with the next id."""
+
+    def __missing__(self, value: Any) -> int:
+        self[value] = n = len(self)
+        return n
+
+
+def _intern(values: Sequence[Any]) -> tuple[np.ndarray, tuple[Any, ...]]:
+    """Ids of ``values`` and the table they index (first-appearance order).
+    One C-level pass of lookups; only a new value runs Python."""
+    table = _Table()
+    ids = np.fromiter(map(table.__getitem__, values), dtype=np.int32, count=len(values))
+    return ids.astype(np.int16) if len(table) < 2**15 else ids, tuple(table)
 
 
 def sum_by_key(keys: np.ndarray, weights: np.ndarray) -> dict[int, float]:

@@ -54,16 +54,15 @@ def load_profile(path: str | Path, *, name: str | None = None) -> RunProfile:
     adds a note instead of failing the whole explanation.
     """
     from repro.obs import telemetry as tmod
-    from repro.obs.summary import _read_json, _read_jsonl
+    from repro.obs.summary import _json_object, _read_jsonl, skipped_note
 
     d = Path(path)
     if not d.is_dir():
         raise FileNotFoundError(f"telemetry directory {d} does not exist")
     prof = RunProfile(name=name or str(d))
 
-    steps = [
-        r for r in _read_jsonl(d / tmod.LOG_FILE) if r.get("event") == "step"
-    ]
+    log = _read_jsonl(d / tmod.LOG_FILE)
+    steps = [r for r in log if r.get("event") == "step"]
     if not steps:
         prof.notes.append(f"no step records in {tmod.LOG_FILE}")
     for r in steps:
@@ -80,13 +79,20 @@ def load_profile(path: str | Path, *, name: str | None = None) -> RunProfile:
                 prof.phases[s["name"]] = prof.phases.get(s["name"], 0.0) + float(
                     s.get("duration", 0.0)
                 )
+    for stream, lines in ((tmod.LOG_FILE, log), (tmod.SPANS_FILE, spans)):
+        if lines.skipped:
+            prof.notes.append(skipped_note(stream, lines))
 
-    metrics = _read_json(d / tmod.METRICS_JSON_FILE) or {}
-    if not isinstance(metrics, dict):
-        prof.notes.append(f"unreadable {tmod.METRICS_JSON_FILE} (not a JSON object)")
+    try:
+        metrics = _json_object(d / tmod.METRICS_JSON_FILE)
+        if not metrics:
+            prof.notes.append(f"no {tmod.METRICS_JSON_FILE}")
+    except FileNotFoundError:
         metrics = {}
-    elif not metrics:
         prof.notes.append(f"no {tmod.METRICS_JSON_FILE}")
+    except (OSError, ValueError) as exc:
+        metrics = {}
+        prof.notes.append(f"unreadable {tmod.METRICS_JSON_FILE} ({exc})")
     for sample in (metrics.get("kernel_seconds_total") or {}).get("samples", []):
         kernel = sample.get("labels", {}).get("kernel")
         if kernel:

@@ -19,27 +19,59 @@ from repro.obs.events import EventRecord
 from repro.util.tables import Table
 
 
-def _read_json(path: Path) -> Any:
-    if not path.is_file():
-        return None
+class JsonLines(list):
+    """The JSON objects of a JSONL stream, in file order; ``skipped``
+    counts the lines that were not UTF-8 or not a JSON object."""
+
+    skipped = 0
+
+
+def skipped_note(name: str, lines: JsonLines) -> str:
+    """The one note a damaged JSONL stream gets, naming it and the count."""
+    return f"skipped {lines.skipped} line(s) of {name} that are not UTF-8 or not a JSON object"
+
+
+def _json_object(path: Path) -> dict:
+    """The JSON object a file holds, read as bytes. ``FileNotFoundError``
+    when the file is missing; ``ValueError`` when it is not UTF-8, not JSON
+    or not an object."""
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError:
+        data = json.loads(path.read_bytes().decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"a JSON {type(data).__name__}, not an object")
+    return data
+
+
+def _read_json(path: Path) -> dict | None:
+    """The JSON object in ``path``; None when the file is missing or is
+    not a readable JSON object."""
+    try:
+        return _json_object(path)
+    except (OSError, ValueError):
         return None
 
 
-def _read_jsonl(path: Path) -> list[dict]:
+def _read_jsonl(path: Path) -> JsonLines:
+    """The JSON objects of a JSONL file, one per line, read as bytes. A
+    line that is not UTF-8 or not a JSON object is skipped and counted; a
+    missing file has no lines."""
+    out = JsonLines()
     if not path.is_file():
-        return []
-    out = []
-    for line in path.read_text().splitlines():
+        return out
+    for line in path.read_bytes().splitlines():
         line = line.strip()
         if not line:
             continue
         try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
+            obj = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError):
+            obj = None
+        if isinstance(obj, dict):
+            out.append(obj)
+        else:
+            out.skipped += 1
     return out
 
 
@@ -208,13 +240,14 @@ def _ensemble_table(records: list[dict]) -> str | None:
     return "per-member convergence (ensemble sweep):\n" + t.render()
 
 
-def _critpath_block(streams: tuple[EventRecord | None, list[dict], Path]) -> str | None:
-    """Compact per-model critical-path table from the event record and the
-    spans ``summarize_dir`` already parsed; absent when there are none."""
+def _critpath_block(streams: tuple[EventRecord | None, Path]) -> str | None:
+    """Compact per-model critical-path table from the event record; absent
+    when there are no events. The table shows no phase, so the record is
+    analyzed without phase windows and ``spans.jsonl`` cannot change it."""
     from repro.obs.critpath import analyze_record, render_compact
 
-    record, spans, d = streams
-    results = analyze_record(record, spans=spans) if record is not None else {}
+    record, d = streams
+    results = analyze_record(record) if record is not None else {}
     if not results:
         return None
     return render_compact(results) + (
@@ -249,13 +282,14 @@ def summarize_dir(path: str | Path) -> str:
     d = Path(path)
     if not d.is_dir():
         raise FileNotFoundError(f"telemetry directory {d} does not exist")
-    manifest = _read_json(d / tmod.MANIFEST_FILE)
     notes: list[str] = []
-    spans = _stream(d, tmod.SPANS_FILE, _read_jsonl, "span tables skipped", notes) or []
-    records = _stream(d, tmod.LOG_FILE, _read_jsonl, "step tables skipped", notes) or []
-    metrics = _stream(
-        d, tmod.METRICS_JSON_FILE, lambda p: json.loads(p.read_text()), "", notes
-    )
+    manifest = _stream(d, tmod.MANIFEST_FILE, _json_object, "", notes)
+    spans = _stream(d, tmod.SPANS_FILE, _read_jsonl, "span tables skipped", notes) or JsonLines()
+    records = _stream(d, tmod.LOG_FILE, _read_jsonl, "step tables skipped", notes) or JsonLines()
+    for name, lines in ((tmod.SPANS_FILE, spans), (tmod.LOG_FILE, records)):
+        if lines.skipped:
+            notes.append(f"note: {skipped_note(name, lines)}")
+    metrics = _stream(d, tmod.METRICS_JSON_FILE, _json_object, "", notes)
     if metrics is None:
         # Fall back to the newest rotated snapshot a long run left behind.
         for i in range(1, tmod.METRICS_SNAPSHOT_KEEP + 1):
@@ -278,7 +312,7 @@ def summarize_dir(path: str | Path) -> str:
         (_ensemble_table, records),
         (_spans_table, spans),
         (_metrics_table, metrics),
-        (_critpath_block, (events, spans, d)),
+        (_critpath_block, (events, d)),
     ):
         try:
             block = builder(arg)

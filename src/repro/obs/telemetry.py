@@ -239,16 +239,12 @@ class Telemetry:
         efficiency shifts directly). A no-op when no model recorded
         machine peaks or no kernel counters were emitted.
         """
-        import json
-
         from repro.perf.roofline import peaks_from_manifest, sol_fraction_gauges
 
         peaks = peaks_from_manifest({"models": self.manifest_extra.get("models")})
         if peaks is None:
             return
-        fractions = sol_fraction_gauges(
-            json.loads(self.metrics.to_json_text()), peaks
-        )
+        fractions = sol_fraction_gauges(self.metrics.to_json(), peaks)
         if not fractions:
             return
         gauge = self.metrics.gauge(

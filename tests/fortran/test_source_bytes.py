@@ -68,3 +68,51 @@ def test_the_byte_is_written_back(latin, tmp_path, capsys, argv):
     assert (out / TOUCHED).read_bytes() == (latin / TOUCHED).read_bytes()
     assert b"caf\xe9" in (out / TOUCHED).read_bytes()
     capsys.readouterr()
+
+
+#: A routine whose I/O statement holds the byte, called from a DC loop:
+#: the call's finding quotes that statement as the callee's effect.
+CALLED = b"""module logs
+  implicit none
+contains
+  subroutine log_value (x)
+    real :: x
+    write(*,*) "caf\xe9", x
+  end subroutine log_value
+
+  subroutine sweep (a, n)
+    integer :: n, i
+    real, dimension(n) :: a
+    do concurrent (i=1:n)
+      call log_value (a(i))
+    enddo
+  end subroutine sweep
+end module logs
+"""
+
+
+def _strings(doc):
+    if isinstance(doc, str):
+        yield doc
+    elif isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from _strings(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _strings(value)
+
+
+@pytest.mark.parametrize("fmt", ["json", "sarif"])
+def test_exports_quote_the_byte_as_the_note_does(tmp_path, capsys, fmt):
+    import json
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "logs.f90").write_bytes(CALLED)
+    assert main(["lint", str(tmp_path), "--format", fmt, "--fail-on", "never"]) == 0
+    strings = list(_strings(json.loads(capsys.readouterr().out)))
+    for text in strings:
+        text.encode("utf-8")  # strict: no lone surrogate anywhere in the document
+    statement = 'write(*,*) "caf\\xe9", x'
+    assert f"io: {statement}" in strings
+    assert f"bytes that are not UTF-8, kept as they are: {statement}" in strings

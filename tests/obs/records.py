@@ -3,8 +3,9 @@
 No test hand-rolls the ``events.npz`` format: a record comes from
 ``(lane, start, duration, category, label)`` rows through the builder the
 profiler uses (:func:`record_of`, :func:`write_record`), and the ways a file
-gets damaged are listed once in :data:`DAMAGE` so every reader is tested
-against the same corrupt files.
+gets damaged are listed once in :data:`DAMAGE` (the event record) and
+:data:`JSON_DAMAGE` (the JSON streams) so every reader is tested against
+the same corrupt files.
 """
 
 from __future__ import annotations
@@ -81,4 +82,38 @@ DAMAGE = {
     "negative_duration": lambda p: _set_first(p, "duration", -0.5),
     "string_column": lambda p: _rewrite(p, start=np.array(["0", "1", "2"])),
     "not_an_npz": lambda p: p.write_text(json.dumps({"traceEvents": []})),
+}
+
+
+def _truncate_mid_line(path: Path) -> None:
+    """Cut the file inside a line, as a killed writer leaves it."""
+    blob = path.read_bytes()
+    cut = len(blob) // 2
+    while cut > 1 and blob[cut - 1 : cut] == b"\n":
+        cut -= 1
+    path.write_bytes(blob[:cut])
+
+
+def _with_line(line: bytes):
+    def damage(path: Path) -> None:
+        path.write_bytes(path.read_bytes() + line)
+    return damage
+
+
+def _latin1_byte(path: Path) -> None:
+    """A byte that is not UTF-8 inside the first line."""
+    blob = path.read_bytes()
+    cut = min(len(blob), max(1, blob.find(b"\n") // 2))
+    path.write_bytes(blob[:cut] + b"\xff" + blob[cut:])
+
+
+#: name -> function damaging a JSON stream (``manifest.json``,
+#: ``log.jsonl``, ``spans.jsonl``) in place.
+JSON_DAMAGE = {
+    "truncated_mid_line": _truncate_mid_line,
+    "non_object_line": _with_line(b"[1, 2]\n"),
+    "non_utf8_byte": _latin1_byte,
+    "empty_file": lambda p: p.write_bytes(b""),
+    "deleted": lambda p: p.unlink(),
+    "wrong_top_level_type": lambda p: p.write_text(json.dumps(["not", "an", "object"]) + "\n"),
 }

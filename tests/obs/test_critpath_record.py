@@ -1,15 +1,16 @@
 """The columnar event record: same answers as the object-based analysis,
 a lossless round trip, a byte-identical export, and readers that degrade.
 
-``tests/obs/reference_critpath.py`` is the parent commit's analysis, moved
-verbatim; every equality below is ``==`` on floats, not ``approx``.
+``tests/obs/reference_critpath.py`` is the parent commit's analysis, and
+``tests/obs/reference_events.py`` its interning, moved verbatim; every
+equality below is ``==`` on floats, not ``approx``.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
@@ -21,6 +22,7 @@ from repro.obs.events import EventRecord
 from repro.obs.telemetry import EVENTS_FILE, Telemetry, activate, deactivate, session
 from repro.perf.trace_export import to_chrome_trace
 from tests.obs import reference_critpath as reference
+from tests.obs import reference_events
 from tests.obs.records import DAMAGE, SMALL_ROWS, record_of, write_record
 
 COLUMNS = ("start", "duration", "lane", "category", "label")
@@ -75,6 +77,28 @@ def _lane_events(draw, lane):
     return events
 
 
+#: Window widths: zero-width windows, and widths that abut on the ticks.
+_WIDTHS = st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0, 0.1, 0.3])
+
+
+@st.composite
+def _phase_spans(draw):
+    """Up to 8 phase windows: abutting (no gap), zero-width, sharing a
+    start, a depth-0 ``setup/`` window; narrow enough for a row to span
+    three, on the ticks the rows start and end on."""
+    spans, t = [], draw(_TICKS)
+    for i in range(draw(st.integers(0, 8))):
+        start = spans[-1]["start"] if spans and draw(st.integers(0, 4)) == 0 else t
+        end = start + draw(_WIDTHS)
+        setup = draw(st.integers(0, 5)) == 0
+        spans.append({"span_id": i + 1, "parent_id": None,
+                      "name": f"setup/s{i % 2}" if setup else f"step/p{i % 3}",
+                      "start": start, "end": end, "depth": 0 if setup else 1,
+                      "attrs": {"model": "m0"} if draw(st.booleans()) else {}})
+        t = max(t, end) + draw(st.sampled_from([0.0, 0.0, 0.125, 0.1]))
+    return spans
+
+
 @st.composite
 def _streams(draw):
     """1-2 models of 1-4 ranks, optional ``:comm`` lanes, an unprefixed
@@ -89,14 +113,36 @@ def _streams(draw):
         lanes.append("gpu0")
     events = [e for lane in lanes for e in draw(_lane_events(lane))]
     events = draw(st.permutations(events))
-    spans, t = [], 0.0
-    for i in range(draw(st.integers(0, 3))):
-        width = draw(_TICKS) + 0.25
-        spans.append({"span_id": i + 1, "parent_id": None, "name": f"step/p{i % 2}",
-                      "start": t, "end": t + width, "depth": 1,
-                      "attrs": {"model": "m0"} if draw(st.booleans()) else {}})
-        t += width + draw(_TICKS)
-    return events, spans
+    return events, draw(_phase_spans())
+
+
+def _looped_phase_seconds(windows, intervals):
+    """Per-phase sums as the per-interval loop adds them (none without
+    windows: the analysis then attributes no phase)."""
+    out = {}
+    for start, end in intervals if windows else ():
+        for ph, sec in critpath._phase_split(windows, start, end):
+            out[ph] = out.get(ph, 0.0) + sec
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phase_spans(), st.lists(st.tuples(_TICKS, _TICKS, _TICKS), max_size=12))
+@example(  # t += take is not the window's end: the outside piece is end - t
+    [{"span_id": 1, "parent_id": None, "name": "step/p0", "start": 0.125,
+      "end": 0.125 + 0.3, "depth": 1, "attrs": {}}],
+    [(0.125, 1e-13, 0.5)],
+)
+def test_phase_seconds_on_columns_equal_the_loop(spans, rows):
+    """Rows start and end on window boundaries, inside one window and
+    across several; the sums and their key order are the loop's."""
+    windows = critpath._phase_windows(spans, "m0", True)
+    intervals = [(a + b, a + b + c) for a, b, c in rows]
+    starts = np.array([i[0] for i in intervals], dtype=np.float64)
+    ends = np.array([i[1] for i in intervals], dtype=np.float64)
+    got = critpath._phase_seconds(windows, starts, ends)
+    want = _looped_phase_seconds(windows, intervals)
+    assert list(got.items()) == list(want.items())
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,6 +162,16 @@ def test_extraction_equals_the_oracle_on_any_single_model(stream):
     assert critpath.extract_critical_path(record_of(rows)) == (
         reference.extract_critical_path(_oracle_events(rows))
     )
+
+
+def test_a_residual_piece_is_kept():
+    """Inside one window, ``t += take`` can fall short of the end: the loop
+    then adds an outside piece of ``end - t``, and so do the columns."""
+    windows = [(0.1, 1.0, "step/p0")]
+    assert 0.1 + (0.45 - 0.1) < 0.45
+    got = critpath._phase_seconds(windows, np.array([0.1, 0.2]), np.array([0.45, 0.3]))
+    assert list(got.items()) == list(_looped_phase_seconds(windows, [(0.1, 0.45), (0.2, 0.3)]).items())
+    assert got[critpath.OUTSIDE_PHASES] == 0.45 - (0.1 + (0.45 - 0.1)) > 0
 
 
 # -- real sessions ------------------------------------------------------------
@@ -158,6 +214,51 @@ def test_real_session_equals_the_oracle(name):
     assert_same_analysis(new, reference.analyze_session(tel))
     assert len(new) == len(SESSIONS[name])
     assert all(abs(r.coverage - 1.0) < 1e-9 for r in new.values())
+
+
+@pytest.mark.parametrize("name", sorted(SESSIONS))
+def test_the_compact_table_reads_no_phase(name):
+    """``summarize_dir`` analyzes without spans: what it prints is what
+    the full analysis would print."""
+    tel = _live(*SESSIONS[name])
+    with_spans = analyze_session(tel)
+    assert any(r.path_by_phase for r in with_spans.values())
+    assert critpath.render_compact(with_spans) == critpath.render_compact(
+        analyze_record(tel.profiler.record())
+    )
+
+
+def assert_same_record(new, old):
+    for name in COLUMNS:
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in TABLES:
+        assert getattr(new, name) == getattr(old, name), name
+
+
+@pytest.mark.parametrize("name", sorted(SESSIONS))
+def test_profiler_record_equals_the_oracle(name):
+    tel = _live(*SESSIONS[name])
+    assert_same_record(tel.profiler.record(), reference_events.from_columns(*tel.profiler.columns))
+
+
+def test_profiler_record_equals_the_oracle_past_int16():
+    """A label table past 2**15 entries widens to int32; lane and category
+    tables stay int16; mixed enum members and values intern as before."""
+    from repro.runtime.clock import TimeCategory
+
+    n = 2**15 + 3
+    columns = (
+        [f"m0.rank{i % 3}" for i in range(n)],
+        [float(i) for i in range(n)],
+        [0.5] * n,
+        [TimeCategory.COMPUTE if i % 2 else TimeCategory.MPI_WAIT for i in range(n)],
+        [f"k{i}" for i in range(n)],
+    )
+    new, old = EventRecord.from_columns(*columns), reference_events.from_columns(*columns)
+    assert_same_record(new, old)
+    assert (new.lane.dtype, new.category.dtype, new.label.dtype) == (np.int16, np.int16, np.int32)
+    assert_same_record(EventRecord.from_columns(*((),) * 5), reference_events.from_columns(*((),) * 5))
 
 
 def test_lane_facts_are_resolved_per_table_entry_not_per_event(monkeypatch):

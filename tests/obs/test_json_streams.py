@@ -1,0 +1,139 @@
+"""The JSON streams of a telemetry directory, damaged: every reader exits
+0 or 1 with at most one line on stderr and no traceback, notes what it
+skipped, and prints the critical-path tables of the healthy directory.
+
+The damages are :data:`tests.obs.records.JSON_DAMAGE`, applied in turn to
+``manifest.json``, ``log.jsonl`` and ``spans.jsonl`` of a real run.
+"""
+
+import json
+import shutil
+
+import pytest
+
+from repro.cli import main
+from repro.obs.critpath import _phase_windows
+from repro.obs.summary import _read_json, _read_jsonl
+from repro.obs.telemetry import LOG_FILE, MANIFEST_FILE, SPANS_FILE
+from tests.obs.records import JSON_DAMAGE
+
+STREAMS = (MANIFEST_FILE, LOG_FILE, SPANS_FILE)
+
+#: Blocks of ``repro critpath DIR`` that no JSON stream feeds (the phase
+#: table reads spans.jsonl, the roofline table the manifest).
+_PATH_BLOCKS = (
+    "critical path [", "critical_path_seconds by category", "Blame groups on the path",
+    "Top path contributors", "idle (mpi_wait) by rank",
+)
+
+
+@pytest.fixture(scope="module")
+def healthy(tmp_path_factory):
+    out = tmp_path_factory.mktemp("json") / "run"
+    assert main(["run", "--ranks", "2", "--steps", "1", "--shape", "8", "6", "8",
+                 "--pcg-iters", "2", "--sts-stages", "2", "--telemetry", str(out)]) == 0
+    return out
+
+
+def _run(argv, capsys) -> tuple[int, str]:
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1), (argv, code, err)
+    assert "Traceback" not in out + err
+    assert err.count("\n") <= 1, err
+    return code, out
+
+
+def _path_tables(text: str) -> list[str]:
+    return [b for b in text.split("\n\n") if b.startswith(_PATH_BLOCKS)]
+
+
+def _compact_table(text: str, d) -> list[str]:
+    text = text.replace(str(d), "DIR")
+    return [b for b in text.split("\n\n") if b.startswith("Critical path per model")]
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("damage", sorted(JSON_DAMAGE))
+def test_damaged_stream(healthy, tmp_path, capsys, stream, damage):
+    _, want_summary = _run(["telemetry", str(healthy)], capsys)
+    _, want_critpath = _run(["critpath", str(healthy)], capsys)
+    d = tmp_path / "damaged"
+    shutil.copytree(healthy, d)
+    JSON_DAMAGE[damage](d / stream)
+
+    code, summary = _run(["telemetry", str(d)], capsys)
+    assert code == 0
+    assert _compact_table(summary, d) == _compact_table(want_summary, healthy) != []
+    notes = [ln for ln in summary.splitlines() if ln.startswith("note:") and stream in ln]
+    assert len(notes) <= 1, notes
+
+    code, critpath = _run(["critpath", str(d)], capsys)
+    assert code == 0
+    assert _path_tables(critpath) == _path_tables(want_critpath)
+    assert len(_path_tables(critpath)) == len(_PATH_BLOCKS)
+
+    code, explained = _run(["telemetry", "--compare", str(healthy), str(d), "--explain"], capsys)
+    assert code == 0 and "wall-time delta" in explained
+
+    trace = tmp_path / "trace.json"
+    assert _run(["telemetry", str(d), "--chrome-trace", str(trace)], capsys)[0] == 0
+    assert json.loads(trace.read_text())["traceEvents"]
+
+
+@pytest.mark.parametrize("stream", (LOG_FILE, SPANS_FILE))
+@pytest.mark.parametrize("damage", ["non_object_line", "non_utf8_byte", "truncated_mid_line"])
+def test_skipped_lines_are_one_note_naming_the_file(healthy, tmp_path, capsys, stream, damage):
+    d = tmp_path / "damaged"
+    shutil.copytree(healthy, d)
+    JSON_DAMAGE[damage](d / stream)
+    assert _read_jsonl(d / stream).skipped == 1
+    note = f"skipped 1 line(s) of {stream} that are not UTF-8 or not a JSON object"
+
+    _, summary = _run(["telemetry", str(d)], capsys)
+    assert [ln for ln in summary.splitlines() if ln.startswith("note:")] == [f"note: {note}"]
+    _, explained = _run(["telemetry", "--compare", str(healthy), str(d), "--explain"], capsys)
+    assert f"{d}: {note}" in explained
+
+
+def test_a_whole_file_stream_must_hold_an_object(healthy, tmp_path):
+    d = tmp_path / "damaged"
+    shutil.copytree(healthy, d)
+    assert _read_json(d / MANIFEST_FILE)["models"]
+    for damage in ("non_utf8_byte", "wrong_top_level_type", "truncated_mid_line", "deleted"):
+        shutil.copy(healthy / MANIFEST_FILE, d / MANIFEST_FILE)
+        JSON_DAMAGE[damage](d / MANIFEST_FILE)
+        assert _read_json(d / MANIFEST_FILE) is None, damage
+
+
+def _span(**fields):
+    return {"span_id": 1, "parent_id": None, "name": "step/hydro", "depth": 1,
+            "start": 0.0, "end": 1.0, "attrs": {}, **fields}
+
+
+@pytest.mark.parametrize("bounds", [
+    {"start": None}, {"end": None}, {"start": "0.5"}, {"start": True},
+    {"start": float("nan")}, {"end": float("inf")}, {"start": -float("inf")},
+])
+def test_a_phase_window_has_finite_bounds(bounds):
+    assert _phase_windows([_span()], "m0", True) == [(0.0, 1.0, "step/hydro")]
+    assert _phase_windows([_span(**bounds)], "m0", True) == []
+    missing = _span()
+    del missing[next(iter(bounds))]
+    assert _phase_windows([missing], "m0", True) == []
+
+
+def test_odd_span_fields_are_not_windows_or_not_errors():
+    assert _phase_windows([_span(name=7)], "m0", True) == []
+    odd = [_span(attrs=[1]), _span(span_id=[1], parent_id={"a": 1})]
+    assert _phase_windows(odd, "m0", True) == [(0.0, 1.0, "step/hydro")] * 2
+
+
+def test_a_step_span_without_start_is_skipped_by_critpath(healthy, tmp_path, capsys):
+    d = tmp_path / "damaged"
+    shutil.copytree(healthy, d)
+    with (d / SPANS_FILE).open("a") as fh:
+        fh.write(json.dumps({"span_id": 10**6, "name": "step/x", "depth": 1, "end": 1.0}) + "\n")
+    _, want = _run(["critpath", str(healthy)], capsys)
+    code, got = _run(["critpath", str(d)], capsys)
+    assert code == 0 and got == want

@@ -160,7 +160,8 @@ class TestCritpathBlock:
         assert "Hottest spans" in text
 
     def test_spans_are_parsed_once(self, tel_dir, monkeypatch):
-        """The block analyses the spans ``summarize_dir`` already read."""
+        """``spans.jsonl`` is read once (for the span tables; the compact
+        critical-path block reads no phase)."""
         from repro.obs import summary
 
         reads = []
