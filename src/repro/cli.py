@@ -523,16 +523,24 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     def _sweep_fallback(reason: str) -> int | None:
         """Sweep telemetry dirs carry aggregate batched-kernel traces that
         have no per-rank critical path; degrade to the per-member summary
-        instead of a hard error."""
-        import json as _json
-
+        instead of a hard error. A damaged sweep.json is one error line;
+        member rows that are not objects are skipped."""
         sweep_file = Path(args.dir) / "sweep.json"
         if not sweep_file.exists():
             return None
-        sweep = _json.loads(sweep_file.read_text())
+        sweep = _read_json(sweep_file)
+        if sweep is None:
+            print(f"error: unreadable sweep.json in {args.dir}: not a JSON object",
+                  file=sys.stderr)
+            return 1
+        rows = sweep.get("member_rows") or []
+        if not isinstance(rows, list):
+            print(f"error: sweep.json in {args.dir}: member_rows is not a list",
+                  file=sys.stderr)
+            return 1
         print(f"(sweep telemetry directory: {reason}; "
               "showing per-member convergence instead)")
-        rows = sweep.get("member_rows") or []
+        rows = [row for row in rows if isinstance(row, dict)]
         if rows:
             print(_render_member_rows(rows))
         return 0

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from repro.mas.constants import PhysicsParams
-from repro.mas.grid import LocalGrid
+from repro.mas.grid import GridGroup, LocalGrid
 from repro.mas.operators import diffuse_flux_div, harmonic_face_coeff
 
 
@@ -33,16 +33,19 @@ def kappa_centered(
 
 
 def conduction_rhs(
-    temp: np.ndarray, rho: np.ndarray, grid: LocalGrid, params: PhysicsParams
+    temp: np.ndarray, rho: np.ndarray, grid: LocalGrid | GridGroup, params: PhysicsParams
 ) -> np.ndarray:
-    """dT/dt = (gamma-1)/rho * div(kappa(T) grad T).
+    """dT/dt = (gamma-1)/rho * div(kappa(T) grad T), on one rank's block or
+    on a group's stacks (``grid`` as in :func:`diffuse_flux_div`).
 
     Allocates the returned array only: kappa, the face coefficients and the
-    floored density live in the grid's scratch.
+    floored density live in the group's scratch.
     """
-    cells = grid.flat_scratch(math.prod(temp.shape[:-3])).cells.reshape(temp.shape)
+    group = grid.group
+    rows = math.prod(temp.shape[:-3]) // group.size
+    cells = group.scratch(rows).cells.reshape(temp.shape)
     out = diffuse_flux_div(
-        temp, grid, harmonic_face_coeff(kappa_centered(temp, params, cells), grid)
+        temp, group, harmonic_face_coeff(kappa_centered(temp, params, cells), group)
     )
     # ((gamma-1) * div) / rho, in place on the one fresh array (rim stays 0)
     inner = (Ellipsis, slice(1, -1), slice(1, -1), slice(1, -1))

@@ -33,6 +33,7 @@ from repro.mas.boundary import BoundaryProfiles, apply_boundaries, apply_centere
 from repro.mas.conduction import conduction_rhs, max_diffusivity
 from repro.mas.constants import PhysicsParams
 from repro.mas.grid import LocalGrid, SphericalGrid
+from repro.mas.groups import rank_groups
 from repro.mas.implicit_solve import ImplicitSolve
 from repro.mas.initial import initialize
 from repro.mas.pcg import PCG_VARIANTS, PRECONDITIONERS
@@ -54,7 +55,7 @@ from repro.mas.state import (
     FACE_FIELDS,
     STAGGER_AXES,
     VELOCITY_FIELDS,
-    EnsembleState,
+    MhdState,
     member_field,
 )
 from repro.mas.semi_implicit import max_wave_speed, si_coefficient
@@ -251,29 +252,37 @@ class MasModel:
             for r in range(config.num_ranks)
         ]
 
-        # -- states, boundary profiles ------------------------------------------
+        # -- rank groups, states, boundary profiles ------------------------------
         nb = config.ensemble_size
         b0s = np.broadcast_to(self._vary.get("b0", config.b0), nb)
         perts = np.broadcast_to(
             self._vary.get("perturbation", config.perturbation), nb
         )
-        # Each member initializes exactly as its scalar run would, then
-        # the members stack into one (B, ...) array per field; one member
-        # in the scalar layout IS its scalar run.
-        self.states = []
-        for g in self.local_grids:
-            members = [
+
+        def rank_members(r: int) -> list[MhdState]:
+            # Each member initializes exactly as its scalar run would, then
+            # the members stack into one (B, ...) array per field; one
+            # member in the scalar layout IS its scalar run.
+            return [
                 initialize(
-                    g,
+                    self.local_grids[r],
                     config.params,
                     b0=float(b0s[b]),
                     perturbation=float(perts[b]),
                 )
                 for b in range(nb)
             ]
-            self.states.append(
-                EnsembleState.stack(members) if self.ensemble else members[0]
-            )
+
+        #: Ranks of one ghosted shape, whose state fields are one block each
+        #: (:mod:`repro.mas.groups`); a rank's state arrays are block rows.
+        self.groups, self.states = rank_groups(
+            self.local_grids, rank_members, batched=self.ensemble
+        )
+        #: Per rank, (its group's index, its row in the group's blocks).
+        self._slots = [(-1, -1)] * config.num_ranks
+        for g, group in enumerate(self.groups):
+            for row, r in enumerate(group.ranks):
+                self._slots[r] = (g, row)
         runtime.register_arrays(self.states)
         self.profiles = [BoundaryProfiles.capture(s) for s in self.states]
         self.heating = [heating_profile(g, config.params) for g in self.local_grids]
@@ -381,6 +390,30 @@ class MasModel:
         if exchange is not None:
             self._finish_exchange(pending)
         return out
+
+    def launch_groups(self, name: str, body: Callable[[int], Any], **launch: Any) -> list:
+        """:meth:`launch` with each rank group's numpy work done once.
+
+        ``body(g)`` computes group ``g``'s result in the kernel body of the
+        group's first rank: a ``(G, ...)`` stack, a list of its ``G`` ranks'
+        values, or None. Each later rank's body returns its row. The kernels,
+        their order and their fields are :meth:`launch`'s; returns the
+        per-group results.
+        """
+        results: list = [None] * len(self.groups)
+
+        def rank_body(r: int) -> Any:
+            g, row = self._slots[r]
+            if row == 0:
+                results[g] = body(g)
+            return None if results[g] is None else results[g][row]
+
+        self.launch(name, rank_body, **launch)
+        return results
+
+    def rank_rows(self, per_group: list) -> list:
+        """Per-group stacks (or lists) as their rows in rank order."""
+        return [per_group[g][row] for g, row in self._slots]
 
     def _apply_boundaries(self) -> None:
         for r, rt in enumerate(self.ranks):
@@ -763,18 +796,18 @@ class MasModel:
             s = stages_for_dt(dt_max, dte) if dt_max > dte else 2
         dt = member_field(dt)
 
-        temps = [st.temp for st in self.states]
         tags = frozenset({"conduction"})
+        groups = self.groups
 
         def apply_l(us):
-            def body(r: int) -> np.ndarray:
-                apply_centered_boundary(us[r], self.decomp, r)
-                return conduction_rhs(
-                    us[r], self.states[r].rho, self.local_grids[r], p
-                )
+            def body(g: int) -> np.ndarray:
+                group = groups[g]
+                for u, r in zip(us[g], group.ranks):
+                    apply_centered_boundary(u, self.decomp, r)
+                return conduction_rhs(us[g], group.state["rho"], group.stencil, p)
 
-            return self.launch(
-                "conduction_rhs", body, exchange=("sts_y", us),
+            return self.launch_groups(
+                "conduction_rhs", body, exchange=("sts_y", self.rank_rows(us)),
                 reads=("sts_y", "rho"), writes=("sts_l",), tags=tags,
             )
 
@@ -783,10 +816,11 @@ class MasModel:
             self.launch("sts_combine", reads=("sts_y", "sts_l"),
                         writes=("sts_y",), tags=tags)
 
+        temps = [group.state["temp"] for group in groups]
         advanced = rkl2_advance(apply_l, temps, dt, s, on_stage=on_stage)
-        for st, new in zip(self.states, advanced):
+        for temp, new in zip(temps, advanced):
             np.maximum(new, p.temp_floor, out=new)
-            st.temp[:] = new
+            temp[:] = new
 
     # -- sources & floors -------------------------------------------------------------
 

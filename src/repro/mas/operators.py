@@ -19,8 +19,11 @@ The centred stencils (`diffuse_flux_div` and its callers in
 some fifty times, run on the ghosted block's flat index
 (:class:`~repro.mas.grid.FlatStencil`), where every pass is one contiguous
 operation per member, in scratch owned by the grid; they allocate their
-result only. docs/PHYSICS.md S3a states the rule they follow. The
-staggered-field operators allocate one temporary per expression node.
+result only. The diffusion family also takes a
+:class:`~repro.mas.grid.GridGroup`: one pass over the stacked blocks of
+the ranks of one ghosted shape. docs/PHYSICS.md S3a states the rule they
+follow. The staggered-field operators allocate one temporary per
+expression node.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.mas.grid import LocalGrid
+from repro.mas.grid import GridGroup, LocalGrid
 
 
 _ALL = slice(None)
@@ -104,43 +107,45 @@ _RIM = tuple(
 )
 
 
-def _rows(f: np.ndarray) -> np.ndarray:
-    """``f`` as ``(B, N)`` rows of its flat index, copied once if it is not
-    C-contiguous."""
-    return np.ascontiguousarray(f).reshape(-1, f.shape[-3] * f.shape[-2] * f.shape[-1])
+def _rows(f: np.ndarray, group: GridGroup) -> np.ndarray:
+    """``f`` as ``(G, B, N)`` rows of its flat index, copied once if it is
+    not C-contiguous: a rank's ``([B,] NR, NT, NP)`` array on a group of
+    one, or a group's ``(G, [B,] NR, NT, NP)`` stack."""
+    n = f.shape[-3] * f.shape[-2] * f.shape[-1]
+    return np.ascontiguousarray(f).reshape(group.size, -1, n)
 
 
 def _planes(a: np.ndarray, start: int, count: int, size: int) -> np.ndarray:
-    """``a[:, start : start + count * size]`` viewed as ``(B, count, size)``."""
-    return a[:, start : start + count * size].reshape(a.shape[0], count, size)
+    """``a[..., start : start + count * size]`` viewed as ``(G, B, count, size)``."""
+    return a[..., start : start + count * size].reshape(a.shape[:-1] + (count, size))
 
 
 def _flux_divergence(
     shape: tuple[int, ...],
-    grid: LocalGrid,
+    group: GridGroup,
     rows: int,
     face_flux: Callable[[int, np.ndarray, np.ndarray], None],
 ) -> np.ndarray:
     """``((dr + dt) + dp) / V`` at the interior cells of a fresh ``shape``
     array, rim zero, where ``face_flux(axis, flux, spare)`` fills the faces
-    ``FlatStencil.faces`` names in the ``(B, N)`` scratch ``flux`` (``spare``
-    is another it may use) and ``d = flux[m] - flux[m - step]``."""
-    st = grid.flat
+    ``FlatStencil.faces`` names in the ``(G, B, N)`` scratch ``flux``
+    (``spare`` is another it may use) and ``d = flux[m] - flux[m - step]``."""
+    st = group.flat
     out = np.empty(shape)
-    cells = out.reshape(rows, -1)
-    cells[:, : st.lo] = 0.0
-    cells[:, st.hi :] = 0.0
-    scratch = grid.flat_scratch(rows)
-    flux, acc, delta = scratch.flux, scratch.acc, scratch.cells[:, : st.hi - st.lo]
+    cells = out.reshape(group.size, rows, -1)
+    cells[..., : st.lo] = 0.0
+    cells[..., st.hi :] = 0.0
+    scratch = group.scratch(rows)
+    flux, acc, delta = scratch.flux, scratch.acc, scratch.cells[..., : st.hi - st.lo]
     for axis, step in enumerate(st.step):
         face_flux(axis, flux, scratch.cells)
         np.subtract(
-            flux[:, st.lo : st.hi], flux[:, st.lo - step : st.hi - step],
+            flux[..., st.lo : st.hi], flux[..., st.lo - step : st.hi - step],
             out=delta if axis else acc,
         )
         if axis:
             acc += delta
-    np.divide(acc, st.volume, out=cells[:, st.lo : st.hi])
+    np.divide(acc, st.volume, out=cells[..., st.lo : st.hi])
     for rim in _RIM:
         out[rim] = 0.0
     return out
@@ -156,18 +161,19 @@ def div_center(
     average (which carries an O(stretch-ratio) error that never converges
     under refinement at fixed ratio).
     """
-    st = grid.flat
-    v = [_rows(c) for c in (vr, vt, vp)]
-    planes = (v[0].shape[1] // st.step[0] - 1, st.step[0])  # r planes 0 .. NR-2
+    group = grid.group
+    st = group.flat
+    v = [_rows(c, group) for c in (vr, vt, vp)]
+    planes = (v[0].shape[-1] // st.step[0] - 1, st.step[0])  # r planes 0 .. NR-2
 
     def face_flux(axis: int, flux: np.ndarray, spare: np.ndarray) -> None:
         (lower, _), (below, above) = st.faces[axis], st.weights[axis]
         np.multiply(below, _planes(v[axis], 0, *planes), out=_planes(flux, 0, *planes))
         np.multiply(above, _planes(v[axis], st.step[axis], *planes), out=_planes(spare, 0, *planes))
-        flux[:, lower] += spare[:, lower]
-        flux[:, lower] *= st.area[axis][lower]
+        flux[..., lower] += spare[..., lower]
+        flux[..., lower] *= st.area[axis][..., lower]
 
-    return _flux_divergence(vr.shape, grid, v[0].shape[0], face_flux)
+    return _flux_divergence(vr.shape, group, v[0].shape[1], face_flux)
 
 
 # -- upwind advection ------------------------------------------------------------
@@ -189,10 +195,11 @@ def upwind_faces(
     vr: np.ndarray, vt: np.ndarray, vp: np.ndarray, grid: LocalGrid
 ) -> UpwindFaces:
     """Face velocities and donor masks of ``(vr, vt, vp)`` (fresh arrays)."""
+    group = grid.group
     velocity = []
-    for (lower, upper), v in zip(grid.flat.faces, (vr, vt, vp)):
-        rows = _rows(v)
-        velocity.append(np.add(rows[:, lower], rows[:, upper]))
+    for (lower, upper), v in zip(group.flat.faces, (vr, vt, vp)):
+        rows = _rows(v, group)
+        velocity.append(np.add(rows[..., lower], rows[..., upper]))
         velocity[-1] *= 0.5
     return UpwindFaces(tuple(velocity), tuple(v > 0.0 for v in velocity))  # type: ignore[arg-type]
 
@@ -204,68 +211,76 @@ def advect_upwind(f: np.ndarray, upwind: UpwindFaces, grid: LocalGrid) -> np.nda
     unconditionally TVD -- the robust transport choice for a reproduction
     focused on kernel streams, not shock sharpness.
     """
-    st = grid.flat
-    rows = _rows(f)
+    group = grid.group
+    st = group.flat
+    rows = _rows(f, group)
 
     def face_flux(axis: int, flux: np.ndarray, spare: np.ndarray) -> None:
         lower, upper = st.faces[axis]
-        out = flux[:, lower]
-        np.copyto(out, rows[:, upper])
-        np.copyto(out, rows[:, lower], where=upwind.from_below[axis])
+        out = flux[..., lower]
+        np.copyto(out, rows[..., upper])
+        np.copyto(out, rows[..., lower], where=upwind.from_below[axis])
         out *= upwind.velocity[axis]
-        out *= st.area[axis][lower]
+        out *= st.area[axis][..., lower]
 
-    return _flux_divergence(f.shape, grid, rows.shape[0], face_flux)
+    return _flux_divergence(f.shape, group, rows.shape[1], face_flux)
 
 
 # -- diffusion (viscosity / conduction building block) ---------------------------
 
 
 def diffuse_flux_div(
-    f: np.ndarray, grid: LocalGrid, coeff_face: np.ndarray | None = None
+    f: np.ndarray, grid: LocalGrid | GridGroup, coeff_face: np.ndarray | None = None
 ) -> np.ndarray:
     """FV div(c grad f) at centers with face coefficients.
 
-    ``coeff_face`` is what :func:`harmonic_face_coeff` returns (``(B, N)``
-    rows per axis on the flat faces); ``None`` means unit coefficient.
+    ``grid`` is one rank's block, with ``f`` its ``([B,] NR, NT, NP)``
+    array, or a :class:`~repro.mas.grid.GridGroup` of G blocks, with ``f``
+    their ``(G, [B,] NR, NT, NP)`` stack: a rank is a group of one, and each
+    element goes through the same operations either way. ``coeff_face`` is
+    what :func:`harmonic_face_coeff` returns on the same ``grid``; ``None``
+    means unit coefficient.
 
     Allocates the returned array only: face fluxes and the running sum
-    live in the grid's scratch (`LocalGrid.flat_scratch`). The order of
+    live in the group's scratch (`GridGroup.scratch`). The order of
     operations, ``(diff / d) [* c] * area`` per face and
     ``((dr + dt) + dp) / V`` per cell, is frozen: state digests depend on it.
     """
-    st = grid.flat
-    rows = _rows(f)
+    group = grid.group
+    st = group.flat
+    rows = _rows(f, group)
 
     def face_flux(axis: int, flux: np.ndarray, spare: np.ndarray) -> None:
         lower, upper = st.faces[axis]
-        out = flux[:, lower]
-        np.subtract(rows[:, upper], rows[:, lower], out=out)
-        out /= st.spacing[axis][lower]
+        out = flux[..., lower]
+        np.subtract(rows[..., upper], rows[..., lower], out=out)
+        out /= st.spacing[axis][..., lower]
         if coeff_face is not None:
-            out *= coeff_face[axis][:, lower]
-        out *= st.area[axis][lower]
+            out *= coeff_face[axis][..., lower]
+        out *= st.area[axis][..., lower]
 
-    return _flux_divergence(f.shape, grid, rows.shape[0], face_flux)
+    return _flux_divergence(f.shape, group, rows.shape[1], face_flux)
 
 
-def harmonic_face_coeff(c: np.ndarray, grid: LocalGrid) -> np.ndarray:
+def harmonic_face_coeff(c: np.ndarray, grid: LocalGrid | GridGroup) -> np.ndarray:
     """Harmonic mean ``((2 x) y) / (x + y)`` of a positive centered
-    coefficient onto the flat faces.
+    coefficient onto the flat faces (``grid`` and ``c`` as in
+    :func:`diffuse_flux_div`).
 
-    Returns the grid's ``(3, B, N)`` coefficient scratch: along axis ``a``
-    face ``n`` (between cells ``n`` and ``n + step[a]``) for
+    Returns the group's ``(3, G, B, N)`` coefficient scratch: along axis
+    ``a`` face ``n`` (between cells ``n`` and ``n + step[a]``) for
     ``n < N - step[a]``, garbage beyond. It is what :func:`diffuse_flux_div`
-    takes, and valid until the next call on this grid with as many rows.
+    takes, and valid until the next call on this group with as many rows.
     """
     if np.any(c <= 0):
         raise ValueError("harmonic mean requires positive coefficients")
-    rows = _rows(c)
-    n = rows.shape[1]
-    scratch = grid.flat_scratch(rows.shape[0])
-    for axis, step in enumerate(grid.flat.step):
-        x, y = rows[:, : n - step], rows[:, step:]
-        out, total = scratch.coeff[axis, :, : n - step], scratch.flux[:, : n - step]
+    group = grid.group
+    rows = _rows(c, group)
+    n = rows.shape[-1]
+    scratch = group.scratch(rows.shape[1])
+    for axis, step in enumerate(group.flat.step):
+        x, y = rows[..., : n - step], rows[..., step:]
+        out, total = scratch.coeff[axis, ..., : n - step], scratch.flux[..., : n - step]
         np.multiply(2.0, x, out=out)
         out *= y
         np.add(x, y, out=total)

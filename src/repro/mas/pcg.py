@@ -27,9 +27,10 @@ operator whose spectral bounds come from the diagonal alone
 (:func:`jacobi_spectral_bounds`) -- stronger smoothing per iteration with
 no extra halo exchanges.
 
-The solvers are generic: they work on *lists of per-rank arrays* and
-receive callbacks for the operator, dot product(s), and preconditioner,
-so they can be unit-tested with plain numpy closures
+The solvers are generic: they work on *lists of independent arrays* (one
+per rank, or one ``(G, ...)`` stack per rank group, as the model passes
+them) and receive callbacks for the operator, dot product(s), and
+preconditioner, so they can be unit-tested with plain numpy closures
 (``tests/mas/pcg_numpy.py``) and driven by the model with kernel-charged
 ones (:mod:`repro.mas.implicit_solve`).
 
@@ -350,11 +351,14 @@ def pcg_solve(
     combine: Combine,
     iterations: int,
     tol: float = 0.0,
+    ndim: int | None = None,
 ) -> PcgResult:
     """Run classic PCG for a fixed iteration budget (optional tol exit).
 
     ``apply_a`` must be linear and SPD w.r.t. ``dot``. ``x`` is updated in
-    place.
+    place. ``ndim`` is the axes of one rank's array (default ``x[0].ndim``),
+    given when ``x`` holds group stacks, whose leading rank axis the
+    member axis sits behind; every solver takes it.
 
     The paper-scale iteration count is *fixed* (see
     `repro.perf.calibration`): at test resolutions PCG would converge in
@@ -376,7 +380,7 @@ def pcg_solve(
     p = [zi.copy() for zi in z]
     rz = gdot(r, z)
     bb = gdot(rhs, rhs)
-    members = _Members(rz, gdot(r, r), bb, x[0].ndim)
+    members = _Members(rz, gdot(r, r), bb, ndim or x[0].ndim)
     members.stop_zero_rho(rz)
 
     for it in range(1, iterations + 1):
@@ -429,6 +433,7 @@ def pcg_solve_ca(
     combine: Combine,
     iterations: int,
     tol: float = 0.0,
+    ndim: int | None = None,
 ) -> PcgResult:
     """Chronopoulos--Gear PCG: one fused allreduce per iteration.
 
@@ -451,7 +456,7 @@ def pcg_solve_ca(
     u = precondition(r)
     w = apply_a(u)
     gamma, delta, rr, bb = gdots((r, u), (w, u), (r, r), (rhs, rhs))
-    members = _Members(gamma, rr, bb, x[0].ndim)
+    members = _Members(gamma, rr, bb, ndim or x[0].ndim)
     members.stop_zero_rho(gamma)
     members.require_definite(delta <= 0, "u.Au", delta)
     alpha = _safe_div(gamma, delta, members.active)
@@ -497,6 +502,7 @@ def pcg_solve_pipelined(
     combine: Combine,
     iterations: int,
     tol: float = 0.0,
+    ndim: int | None = None,
     dot_many_begin: Callable[[DotPairs], Any] | None = None,
     dot_many_finish: Callable[[Any], Any] | None = None,
 ) -> PcgResult:
@@ -540,7 +546,7 @@ def pcg_solve_pipelined(
         return reduced(values, len(pairs)), m, n
 
     (gamma, delta, rr, bb), m, n = overlapped(base + [(rhs, rhs)])
-    members = _Members(gamma, rr, bb, x[0].ndim)
+    members = _Members(gamma, rr, bb, ndim or x[0].ndim)
     members.stop_converged(tol)
     members.stop_zero_rho(gamma)
     members.require_definite(delta <= 0, "u.Au", delta)

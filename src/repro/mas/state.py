@@ -16,7 +16,6 @@ bit-identical legacy path) and the batched 4-D layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -98,20 +97,6 @@ class MhdState:
         if self.members is None:
             raise ValueError("state is not batched")
         return MhdState(**{f.name: getattr(self, f.name)[b] for f in fields(self)})
-
-    @classmethod
-    def stack(cls, states: Sequence["MhdState"]) -> "MhdState":
-        """Batch B scalar states into one 4-D state (copies)."""
-        if not states:
-            raise ValueError("cannot stack an empty member list")
-        if any(s.members is not None for s in states):
-            raise ValueError("can only stack scalar (3-D) states")
-        return cls(
-            **{
-                f.name: np.stack([getattr(s, f.name) for s in states])
-                for f in fields(states[0])
-            }
-        )
 
     def copy(self) -> "MhdState":
         """Deep copy of every array (dtype and batch layout preserved)."""

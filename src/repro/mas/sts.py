@@ -74,8 +74,9 @@ def rkl2_advance(
 
     ``apply_l`` is called once per stage (plus once for the initial
     operator evaluation); ``on_stage`` is a hook the model uses to account
-    stage bookkeeping. Returns the advanced per-rank arrays (inputs are not
-    mutated). ``dt`` may be a per-member array broadcastable against the
+    stage bookkeeping. ``u`` is a list of independent arrays (one per
+    rank, or one stack per rank group); returns them advanced (inputs are
+    not mutated). ``dt`` may be a per-member array broadcastable against the
     state arrays (shape ``(B, 1, 1, 1)``).
     """
     if np.any(np.asarray(dt) < 0):

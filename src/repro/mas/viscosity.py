@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mas.grid import LocalGrid
+from repro.mas.grid import GridGroup, LocalGrid
 from repro.mas.operators import diffuse_flux_div
 
 
 def viscous_rhs(
-    v: np.ndarray, grid: LocalGrid, nu: float | np.ndarray
+    v: np.ndarray, grid: LocalGrid | GridGroup, nu: float | np.ndarray
 ) -> np.ndarray:
-    """Explicit viscous acceleration nu * div(grad v) (componentwise).
+    """Explicit viscous acceleration nu * div(grad v) (componentwise), on
+    one rank's block or on a group's stacks (as in ``diffuse_flux_div``).
 
     ``nu`` may be a per-member array broadcastable against ``v`` (shape
     ``(B, 1, 1, 1)`` for a batched state).
@@ -33,7 +34,7 @@ def viscous_rhs(
 
 def implicit_matvec(
     v: np.ndarray,
-    grid: LocalGrid,
+    grid: LocalGrid | GridGroup,
     nu: float | np.ndarray,
     dt: float | np.ndarray,
 ) -> np.ndarray:

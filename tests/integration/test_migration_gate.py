@@ -6,6 +6,9 @@ re-recorded with the older entries coming out unchanged, from the commit
 before the implicit solve became :mod:`repro.mas.implicit_solve`: they
 walk the solve's other axes (PCG recurrence, blocking or non-blocking
 fused reduction, preconditioner, semi-implicit operator, member axis).
+The ``A-r3`` case, whose ranks have two ghosted shapes, was added the same
+way from the commit before the implicit solves ran one numpy pass per
+group of equal-shape ranks (:mod:`repro.mas.groups`).
 
 Re-record (only from a commit whose pricing is the reference) with::
 
@@ -44,6 +47,9 @@ CASES: dict[str, tuple[str, int, bool, bool, dict]] = {
 CASES["A-r8-fused"] = ("A", 8, True, False, {})       # region + window plans
 CASES["A-r8-overlap"] = ("A", 8, False, True, {})     # detached communication clock
 CASES["A-r8-overlap-fused"] = ("A", 8, True, True, {})
+# 16 phi cells on 3 ranks split 5/5/6: local shapes 12x10x7 and 12x10x8,
+# so the ranks fall into two groups of equal ghosted shape.
+CASES["A-r3"] = ("A", 3, False, False, {})
 
 
 def _solve_case(version: str, *, fuse: bool = False, overlap: bool = False, **fields):

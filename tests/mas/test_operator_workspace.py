@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mas import conduction, operators as ops, viscosity
 from repro.mas.constants import PhysicsParams
-from repro.mas.grid import LocalGrid, SphericalGrid
+from repro.mas.grid import GridGroup, LocalGrid, SphericalGrid
 from repro.mpi.decomp import Decomposition3D
 from tests.mas import reference_operators as ref
 
@@ -234,7 +234,7 @@ class TestWorkspaceSafety:
         assert not np.shares_memory(first, second)
         for result, source in ((first, f1), (second, f2)):
             assert not np.shares_memory(result, source)
-            for buf in grid.flat_scratch(3):
+            for buf in grid.group.scratch(3):
                 assert not np.shares_memory(result, buf)
         first[...] = np.nan
         assert np.array_equal(second, expect)
@@ -253,7 +253,7 @@ class TestWorkspaceSafety:
                 assert same_bits(got, want)
         assert not any(
             np.shares_memory(x, y)
-            for x in a.flat_scratch(1) for y in a.flat_scratch(3)
+            for x in a.group.scratch(1) for y in a.group.scratch(3)
         )
         # a batched call is its members run one by one
         for m in range(3):
@@ -264,7 +264,7 @@ class TestWorkspaceSafety:
         ops.diffuse_flux_div(np.ones(grid.shape), grid)
         ops.diffuse_flux_div(np.ones((2,) + grid.shape), grid)
         refs = [weakref.ref(buf.base if buf.base is not None else buf)
-                for rows in (1, 2) for buf in grid.flat_scratch(rows)]
+                for rows in (1, 2) for buf in grid.group.scratch(rows)]
         assert all(r() is not None for r in refs)
         del grid
         gc.collect()
@@ -308,3 +308,18 @@ class TestAllocationGuard:
         ) <= budget
         # the guard can see a temporary: the parent's body needs many times more
         assert peak_traced_bytes(lambda: ref.diffuse_flux_div(f, grid)) > 4 * f.nbytes
+
+    def test_a_group_call_allocates_only_the_result(self):
+        # two ranks of one ghosted shape, stacked: (2, 50, 42, 58)
+        g = SphericalGrid.build((96, 40, 56))
+        dec = Decomposition3D(g.shape, 2)
+        grids = [LocalGrid.from_global(g, dec, r, ghost=1) for r in range(2)]
+        group = GridGroup([grid.flat for grid in grids])
+        f = np.random.default_rng(3).standard_normal((2,) + grids[0].shape)
+        budget = 1.25 * f.nbytes
+        assert peak_traced_bytes(lambda: ops.diffuse_flux_div(f, group)) <= budget
+        assert peak_traced_bytes(lambda: viscosity.implicit_matvec(f, group, 0.02, 0.1)) <= budget
+        temp, rho = np.abs(f) + 1.0, np.abs(f) + 0.5
+        assert peak_traced_bytes(
+            lambda: conduction.conduction_rhs(temp, rho, group, PhysicsParams())
+        ) <= budget

@@ -155,7 +155,7 @@ class TestDiffusion:
         faces = ops.harmonic_face_coeff(c, grid)
         for axis, step in enumerate(grid.flat.step):
             # every face with a cell above it along ``axis``
-            assert np.allclose(faces[axis][:, : c.size - step], 3.0)
+            assert np.allclose(faces[axis][..., : c.size - step], 3.0)
 
 
 class TestConstrainedTransport:

@@ -137,3 +137,43 @@ def test_a_step_span_without_start_is_skipped_by_critpath(healthy, tmp_path, cap
     _, want = _run(["critpath", str(healthy)], capsys)
     code, got = _run(["critpath", str(d)], capsys)
     assert code == 0 and got == want
+
+
+# -- sweep.json: what `repro critpath` falls back to without an event record ----
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("json") / "sweep"
+    assert main(["sweep", "--members", "2", "--vary", "b0=0.5:2.0", "--steps", "1",
+                 "--ranks", "1", "--shape", "8", "6", "8", "--pcg-iters", "2",
+                 "--sts-stages", "2", "--telemetry", str(out)]) == 0
+    (out / "events.npz").unlink()
+    return out
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (lambda p: p.write_bytes(p.read_bytes()[:100]), "unreadable sweep.json"),
+    (lambda p: p.write_text(json.dumps(["not", "an", "object"])), "unreadable sweep.json"),
+    (lambda p: p.write_text(json.dumps({"member_rows": 5})), "member_rows is not a list"),
+], ids=["truncated", "top_level_list", "member_rows_not_a_list"])
+def test_a_damaged_sweep_json_is_one_error_line(sweep_dir, tmp_path, capsys, damage, reason):
+    d = tmp_path / "damaged"
+    shutil.copytree(sweep_dir, d)
+    damage(d / "sweep.json")
+    assert main(["critpath", str(d)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and reason in err and "Traceback" not in err
+
+
+def test_sweep_rows_that_are_not_objects_are_skipped(sweep_dir, tmp_path, capsys):
+    _, want = _run(["critpath", str(sweep_dir)], capsys)
+    d = tmp_path / "damaged"
+    shutil.copytree(sweep_dir, d)
+    sweep = json.loads((d / "sweep.json").read_text())
+    sweep["member_rows"][1:1] = [7, None, ["member", 1]]
+    (d / "sweep.json").write_text(json.dumps(sweep))
+    code, got = _run(["critpath", str(d)], capsys)
+    assert code == 0 and got.replace(str(d), "DIR") == want.replace(str(sweep_dir), "DIR")
+    assert "| 1 " in got
