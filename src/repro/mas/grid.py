@@ -138,10 +138,72 @@ def stack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(arrays)
 
 
+def gradient_coefficients(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What ``np.gradient(f, x)`` multiplies the interior of ``f`` by.
+
+    With ``dx = diff(x)`` all equal (numpy's own test, ``dx == dx[0]``) it
+    is ``((f[2:] - f[:-2]) / (2 dx))``: one coefficient, ``2. * dx[0]``.
+    Otherwise ``a f[:-2] + b f[1:-1] + c f[2:]`` with numpy's ``a, b, c``,
+    each ``len(x) - 2`` long. The expressions are numpy's, so the interior
+    of a gradient built from them is ``np.gradient``'s to the last bit.
+    """
+    dx = np.diff(x)
+    if (dx == dx[0]).all():
+        return (2.0 * dx[0],)
+    dx1, dx2 = dx[:-1], dx[1:]
+    return (
+        -(dx2) / (dx1 * (dx1 + dx2)),
+        (dx2 - dx1) / (dx1 * dx2),
+        dx1 / (dx2 * (dx1 + dx2)),
+    )
+
+
+def edge_length(axis: int, re: np.ndarray, te: np.ndarray, pe: np.ndarray) -> np.ndarray:
+    """Lengths of the ghosted edges along ``axis`` from the ghosted edge
+    coordinates: r-edges ``(nrg, ntg+1, npg+1)``, theta-edges
+    ``(nrg+1, ntg, npg+1)``, phi-edges ``(nrg+1, ntg+1, npg)``."""
+    if axis == 0:
+        dr = np.diff(re)
+        return np.broadcast_to(dr[:, None, None], (dr.size, te.size, pe.size)).copy()
+    if axis == 1:
+        return re[:, None, None] * np.diff(te)[None, :, None] * np.ones_like(pe)[None, None, :]
+    return re[:, None, None] * np.sin(te)[None, :, None] * np.diff(pe)[None, None, :]
+
+
+#: What a group keeps of each block's grid to build its staggered metrics:
+#: the ghosted 1-D coordinates and the face areas.
+_SOURCES = ("re", "te", "pe", "rc", "tc", "pc", "area_r", "area_t", "area_p")
+
+#: The 1-D metrics :meth:`GridGroup.column` stacks: per name, its spatial
+#: axis and how it is built from a block's coordinates.
+_COLUMNS = {
+    "rc": (0, lambda c: c["rc"]),
+    "re": (0, lambda c: c["re"]),
+    "d_rc": (0, lambda c: np.diff(c["rc"])),
+    "sin_tc": (1, lambda c: np.sin(c["tc"])),
+    "sin_te": (1, lambda c: np.sin(c["te"])),
+    "d_tc": (1, lambda c: np.diff(c["tc"])),
+    "d_pc": (2, lambda c: np.diff(c["pc"])),
+}
+
+
+def _on_axis(x: np.ndarray, axis: int) -> np.ndarray:
+    """A 1-D (or scalar) ``x`` viewed 3-D, lying on spatial ``axis``."""
+    shape = [1, 1, 1]
+    shape[axis] = -1
+    return np.reshape(x, shape)
+
+
 class GridGroup:
-    """``G`` blocks of one ghosted shape as one operand of the centred
-    stencils: their :class:`FlatStencil` metrics stacked ``(G, 1, ...)``, so
-    they broadcast against ``(G, B, N)`` rows, and one scratch.
+    """``G`` blocks of one ghosted shape as one operand of the operators:
+    their :class:`FlatStencil` metrics stacked ``(G, 1, ...)``, so they
+    broadcast against ``(G, B, N)`` rows, one scratch, and, built on first
+    use, the staggered operators' metrics stacked ``(G, 1, NR, NT, NP)``
+    (:meth:`column`, :attr:`edge_lengths`, :attr:`face_areas`,
+    :meth:`gradient`), which broadcast against ``(G, B, ...)`` blocks. The
+    ``1`` is the member axis: a ``(G, ...)`` block without one is viewed
+    ``(G, 1, ...)`` (:meth:`members`) before it meets a metric, so a metric
+    never broadcasts its rank axis against members.
 
     A group of one (:attr:`LocalGrid.group`) holds views of its grid's
     metrics; a larger group (:meth:`of`) holds one stacked copy, and gives
@@ -151,11 +213,12 @@ class GridGroup:
     back to them (docs/PHYSICS.md S3a).
     """
 
-    __slots__ = ("size", "flat", "_scratch", "_row_of")
+    __slots__ = ("size", "flat", "_sources", "_metrics", "_scratch", "_row_of")
 
     def __init__(
-        self, flats: Sequence[FlatStencil], row_of: tuple["GridGroup", int] | None = None
+        self, grids: Sequence["LocalGrid"], row_of: tuple["GridGroup", int] | None = None
     ) -> None:
+        flats = [g.flat for g in grids]
         first = flats[0]
         if any(f.step != first.step for f in flats):
             raise ValueError("a grid group needs blocks of one ghosted shape")
@@ -176,6 +239,10 @@ class GridGroup:
             ),
             volume=stack([f.volume for f in flats]),
         )
+        # what the staggered metrics are built from, per block: the grid's
+        # own arrays, held until first use
+        self._sources = [{name: getattr(g, name) for name in _SOURCES} for g in grids]
+        self._metrics: dict = {}
         self._scratch: dict[int, FlatScratch] = {}
         #: (the group whose scratch row this one's is, the row), or None
         self._row_of = row_of
@@ -189,16 +256,84 @@ class GridGroup:
         whatever ran on the grid before."""
         if len(grids) == 1:
             return grids[0].group
-        group = cls([g.flat for g in grids])
+        group = cls(grids)
         for row, grid in enumerate(grids):
-            vars(grid)["group"] = cls([grid.flat], (group, row))  # the cached_property's slot
+            vars(grid)["group"] = cls([grid], (group, row))  # the cached_property's slot
         return group
 
     @property
     def group(self) -> "GridGroup":
-        """Itself: a stencil takes a :class:`LocalGrid` or a group, and
+        """Itself: an operator takes a :class:`LocalGrid` or a group, and
         reads ``.group`` of either."""
         return self
+
+    def members(self, f: np.ndarray) -> np.ndarray:
+        """``f`` viewed ``(G, B, ...)``: a rank's ``([B,] ...)`` array on a
+        group of one, or a group's ``(G, [B,] ...)`` block (``B`` is 1
+        without a member axis). Only unit axes are inserted, so it is always
+        a view."""
+        return f.reshape((self.size, -1) + f.shape[-3:])
+
+    def _lazy(self, key, build):
+        if key not in self._metrics:
+            self._metrics[key] = build()
+        return self._metrics[key]
+
+    def _stack(self, per_block) -> np.ndarray:
+        """``per_block(sources)`` of every block, stacked ``(G, 1, ...)``."""
+        return stack_rows([per_block(src)[np.newaxis] for src in self._sources])
+
+    def column(self, name: str) -> np.ndarray:
+        """A 1-D coordinate metric of every block, ``(G, 1, ...)`` along its
+        own spatial axis: ``rc``, ``re`` and ``d_rc`` (``np.diff`` of ``rc``)
+        on r, ``sin_tc``, ``sin_te`` and ``d_tc`` on theta, ``d_pc`` on phi.
+        On a group of one ``rc`` and ``re`` are views of the grid's."""
+        axis, build = _COLUMNS[name]
+        return self._lazy(name, lambda: self._stack(lambda c: _on_axis(build(c), axis)))
+
+    @property
+    def edge_lengths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per axis, every block's edge lengths (:func:`edge_length`)."""
+        return self._lazy("edge_lengths", lambda: tuple(
+            self._stack(lambda c: edge_length(a, c["re"], c["te"], c["pe"])) for a in range(3)
+        ))
+
+    @property
+    def face_areas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per axis, every block's face areas (views on a group of one)."""
+        return self._lazy("face_areas", lambda: tuple(
+            self._stack(lambda c: c[name]) for name in ("area_r", "area_t", "area_p")
+        ))
+
+    @property
+    def zero_area(self) -> tuple[np.ndarray | None, ...]:
+        """Per axis, a mask of the faces of zero area, or None when every
+        face of every block has area (polar-cutout grids)."""
+        return self._lazy("zero_area", lambda: tuple(
+            None if a.all() else a == 0 for a in self.face_areas
+        ))
+
+    def gradient(self, axis: int) -> tuple[tuple[slice, tuple[np.ndarray, ...]], ...]:
+        """``np.gradient``'s interior coefficients along spatial ``axis``
+        (:func:`gradient_coefficients`) for runs of consecutive blocks that
+        take the same branch: ``(rows, coefficients)`` per run, each
+        coefficient ``(len(rows), 1, ...)`` on ``axis``. A group whose
+        blocks all take one branch is one run."""
+        def build():
+            per_block = [gradient_coefficients(c[("rc", "tc", "pc")[axis]])
+                         for c in self._sources]
+            runs, start = [], 0
+            for i in range(1, self.size + 1):
+                if i == self.size or len(per_block[i]) != len(per_block[start]):
+                    coeffs = tuple(
+                        stack_rows([_on_axis(p[k], axis)[np.newaxis] for p in per_block[start:i]])
+                        for k in range(len(per_block[start]))
+                    )
+                    runs.append((slice(start, i), coeffs))
+                    start = i
+            return tuple(runs)
+
+        return self._lazy(("gradient", axis), build)
 
     def scratch(self, rows: int) -> FlatScratch:
         """Work arrays of the centred stencils for ``rows`` batched members.
@@ -394,13 +529,6 @@ class LocalGrid:
         )
 
     @cached_property
-    def zero_area(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-        """Per axis, a mask of the faces whose area is zero, or None when
-        every face has area (polar-cutout grids)."""
-        areas = (self.area_r, self.area_t, self.area_p)
-        return tuple(None if a.all() else a == 0 for a in areas)  # type: ignore[return-value]
-
-    @cached_property
     def flat(self) -> FlatStencil:
         """Spacings, areas, weights and volumes of the centred stencils."""
         nr, nt, np_ = self.shape
@@ -453,29 +581,7 @@ class LocalGrid:
         """This block as a group of one: views of :attr:`flat`, and the
         scratch of every centred stencil called on this grid. In
         ``__dict__``, so it dies with the grid."""
-        return GridGroup([self.flat])
-
-    @cached_property
-    def len_r(self) -> np.ndarray:
-        """r-edge lengths at (r-cell, theta-edge, phi-edge): (nrg, ntg+1, npg+1)."""
-        return np.broadcast_to(
-            self.dr[:, None, None],
-            (self.dr.size, self.te.size, self.pe.size),
-        ).copy()
-
-    @cached_property
-    def len_t(self) -> np.ndarray:
-        """theta-edge lengths at (r-edge, theta-cell, phi-edge): (nrg+1, ntg, npg+1)."""
-        return self.re[:, None, None] * self.dt[None, :, None] * np.ones_like(self.pe)[None, None, :]
-
-    @cached_property
-    def len_p(self) -> np.ndarray:
-        """phi-edge lengths at (r-edge, theta-edge, phi-cell): (nrg+1, ntg+1, npg)."""
-        return (
-            self.re[:, None, None]
-            * np.sin(self.te)[None, :, None]
-            * self.dp[None, None, :]
-        )
+        return GridGroup([self])
 
     @cached_property
     def min_cell_extent(self) -> float:

@@ -25,8 +25,10 @@ from repro.mas.state import EnsembleState, MhdState
 
 
 class RankGroup(NamedTuple):
-    """One group: its ranks in rank order, their stencil metrics and
-    scratch, and each state field as one ``(G, [B,] ...)`` block by name.
+    """One group: its ranks in rank order, their metrics and scratch, each
+    state field as one ``(G, [B,] ...)`` block by name, and the same blocks
+    viewed ``(G, B, ...)`` (``B`` is 1 in the scalar layout), the layout in
+    which a block meets the stacked metrics (``GridGroup.members``).
 
     Arrays only: no grid, model or solve, so nothing a model stores refers
     back to it (docs/PHYSICS.md S3b).
@@ -35,6 +37,7 @@ class RankGroup(NamedTuple):
     ranks: tuple[int, ...]
     stencil: GridGroup
     state: dict[str, np.ndarray]
+    fields: dict[str, np.ndarray]
 
 
 def rank_groups(
@@ -73,5 +76,9 @@ def rank_groups(
                 np.stack(parts, out=block[row] if batched else block[row : row + 1])
             del members, parts
             states[r] = cls(**{name: block[row] for name, block in blocks.items()})
-        groups.append(RankGroup(tuple(ranks), GridGroup.of([grids[r] for r in ranks]), blocks))
+        stencil = GridGroup.of([grids[r] for r in ranks])
+        groups.append(RankGroup(
+            tuple(ranks), stencil, blocks,
+            {name: stencil.members(block) for name, block in blocks.items()},
+        ))
     return groups, states  # type: ignore[return-value]

@@ -32,7 +32,7 @@ from repro.mas import operators as ops
 from repro.mas.boundary import BoundaryProfiles, apply_boundaries, apply_centered_boundary
 from repro.mas.conduction import conduction_rhs, max_diffusivity
 from repro.mas.constants import PhysicsParams
-from repro.mas.grid import LocalGrid, SphericalGrid
+from repro.mas.grid import LocalGrid, SphericalGrid, stack_rows
 from repro.mas.groups import rank_groups
 from repro.mas.implicit_solve import ImplicitSolve
 from repro.mas.initial import initialize
@@ -168,6 +168,8 @@ class ModelConfig:
             raise ValueError("si_theta cannot be negative")
         if self.dt_growth_limit <= 1.0:
             raise ValueError("dt_growth_limit must exceed 1")
+        if self.fixed_dt is not None and not (np.isfinite(self.fixed_dt) and self.fixed_dt > 0):
+            raise ValueError(f"fixed_dt must be finite and positive, got {self.fixed_dt!r}")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
         for entry in self.ensemble_vary:
@@ -243,8 +245,6 @@ class MasModel:
         self._member_pcg_converged = np.zeros(config.ensemble_size, dtype=int)
         #: Boundary-shell passes deferred until their exchange finishes.
         self._deferred_shell: list[tuple] = []
-        #: Per-rank arrays one step piece leaves for a later one.
-        self._work: list[dict[str, Any]] = [{} for _ in range(config.num_ranks)]
 
         self.grid = SphericalGrid.build(config.shape)
         self.local_grids = [
@@ -283,9 +283,16 @@ class MasModel:
         for g, group in enumerate(self.groups):
             for row, r in enumerate(group.ranks):
                 self._slots[r] = (g, row)
+        #: Per group, the arrays one step piece leaves for a later one.
+        self._work: list[dict[str, Any]] = [{} for _ in self.groups]
         runtime.register_arrays(self.states)
         self.profiles = [BoundaryProfiles.capture(s) for s in self.states]
-        self.heating = [heating_profile(g, config.params) for g in self.local_grids]
+        #: Per group, the heating profile stacked (G, 1, ...).
+        self.heating = [
+            stack_rows([heating_profile(self.local_grids[r], config.params)
+                        for r in group.ranks])[:, np.newaxis]
+            for group in self.groups
+        ]
 
         with runtime.phase("setup/initial_exchange"):
             # Pre-register halo staging buffers for every field the step
@@ -376,7 +383,8 @@ class MasModel:
         exchanges the arrays' ghosts around the kernels, which split into
         interior and shell passes when that exchange is overlapped.  (Loops
         issuing several kernels on a rank before the next rank's do not
-        fit: emission order is part of the price.)"""
+        fit: emission order is part of the price. They issue their own,
+        with bodies from :meth:`group_body`.)"""
         if exchange is not None:
             pending = self.halo.exchange_begin(*exchange, overlap=self.halo_overlap)
         out = []
@@ -391,25 +399,40 @@ class MasModel:
             self._finish_exchange(pending)
         return out
 
-    def launch_groups(self, name: str, body: Callable[[int], Any], **launch: Any) -> list:
-        """:meth:`launch` with each rank group's numpy work done once.
+    def group_body(
+        self, body: Callable[[int], Any], results: list | None = None
+    ) -> Callable[[int], Any]:
+        """Group ``g``'s numpy work, ``body(g)``, as a kernel body per rank.
 
-        ``body(g)`` computes group ``g``'s result in the kernel body of the
-        group's first rank: a ``(G, ...)`` stack, a list of its ``G`` ranks'
-        values, or None. Each later rank's body returns its row. The kernels,
-        their order and their fields are :meth:`launch`'s; returns the
-        per-group results.
+        ``rank_body(r)`` runs ``body`` in the body of the first rank of
+        ``r``'s group, keeping what it returns in ``results[g]``: a
+        ``(G, ...)`` stack, a list of the group's ``G`` values, or None.
+        Every rank's body returns its row of that, or None. Ranks issue a
+        kernel in rank order, so the first rank's body has run when a later
+        rank's does (docs/PHYSICS.md S3b).
         """
-        results: list = [None] * len(self.groups)
+        results = [None] * len(self.groups) if results is None else results
+        slots = self._slots
 
         def rank_body(r: int) -> Any:
-            g, row = self._slots[r]
+            g, row = slots[r]
             if row == 0:
                 results[g] = body(g)
             return None if results[g] is None else results[g][row]
 
-        self.launch(name, rank_body, **launch)
+        return rank_body
+
+    def launch_groups(self, name: str, body: Callable[[int], Any], **launch: Any) -> list:
+        """:meth:`launch` with each rank group's numpy work done once, in
+        the body of the group's first rank (:meth:`group_body`); returns the
+        per-group results."""
+        results: list = [None] * len(self.groups)
+        self.launch(name, self.group_body(body, results), **launch)
         return results
+
+    def _interior(self, g: int) -> tuple:
+        """The interior index of group ``g``'s blocks (one for all its ranks)."""
+        return self.local_grids[self.groups[g].ranks[0]].interior()
 
     def rank_rows(self, per_group: list) -> list:
         """Per-group stacks (or lists) as their rows in rank order."""
@@ -453,31 +476,28 @@ class MasModel:
             return self.config.fixed_dt
         p = self.config.params
 
-        def body(r: int) -> float | np.ndarray:
-            state, grid = self.states[r], self.local_grids[r]
-            i = grid.interior()
-            bcr, bct, bcp = ops.face_to_center(state.br, state.bt, state.bp)
-            rho = np.maximum(state.rho[i], p.rho_floor)
+        def body(g: int) -> list | np.ndarray:
+            f, i = self.groups[g].fields, self._interior(g)
+            bcr, bct, bcp = ops.face_to_center(f["br"], f["bt"], f["bp"])
+            rho = np.maximum(f["rho"][i], p.rho_floor)
             va2 = (bcr[i] ** 2 + bct[i] ** 2 + bcp[i] ** 2) / rho
-            cs2 = p.sound_speed_sq(np.maximum(state.temp[i], p.temp_floor))
-            vmag = np.sqrt(
-                state.vr[i] ** 2 + state.vt[i] ** 2 + state.vp[i] ** 2
-            )
+            cs2 = p.sound_speed_sq(np.maximum(f["temp"][i], p.temp_floor))
+            vmag = np.sqrt(f["vr"][i] ** 2 + f["vt"][i] ** 2 + f["vp"][i] ** 2)
             speed = vmag + np.sqrt(va2 + cs2)
-            if speed.ndim > 3:  # batched: one max per member
-                return p.cfl * grid.min_cell_extent / speed.max(
-                    axis=(-3, -2, -1)
-                )
-            return p.cfl * grid.min_cell_extent / float(speed.max())
+            extent = np.array(
+                [[self.local_grids[r].min_cell_extent] for r in self.groups[g].ranks]
+            )
+            dt = p.cfl * extent / speed.max(axis=(-3, -2, -1))
+            # one step per member in batched runs, one float per rank otherwise
+            return dt if self.ensemble else [float(x) for x in dt[:, 0]]
 
         # MAS's remaining `kernels` regions wrap Fortran intrinsics like
         # MINVAL (SIV-B); the CFL minimum is exactly that construct, so
         # it goes through kernels_region (Code 5 expands it into an
         # explicit DC reduction loop).
-        dt = self.runtime.allreduce(
-            allreduce_min,
-            self.launch("cfl_minval", body, entry="kernels_region", reads=ALL_FIELDS),
-        )
+        dt = self.runtime.allreduce(allreduce_min, self.rank_rows(self.launch_groups(
+            "cfl_minval", body, entry="kernels_region", reads=ALL_FIELDS,
+        )))
         if not isinstance(dt, np.ndarray):
             dt = float(dt)
         if self._last_dt is not None:
@@ -553,55 +573,60 @@ class MasModel:
     def _hydro_advance(self, dt: float | np.ndarray) -> None:
         p = self.config.params
         dt = member_field(dt)
+        groups = self.groups
+        work: list[dict[str, Any]] = [{} for _ in groups]
+
+        def pres_body(g: int) -> None:
+            f = groups[g].fields
+            work[g]["pres"] = p.pressure(f["rho"], f["temp"])
+
+        def divv_body(g: int) -> None:
+            f = groups[g].fields
+            work[g]["divv"] = ops.div_center(f["vr"], f["vt"], f["vp"], groups[g].stencil)
+
+        def continuity_body(g: int) -> None:
+            f, stencil, i = groups[g].fields, groups[g].stencil, self._interior(g)
+            # face velocities and donor masks of all five advections
+            work[g]["upwind"] = ops.upwind_faces(f["vr"], f["vt"], f["vp"], stencil)
+            div_rho_v = ops.advect_upwind(f["rho"], work[g]["upwind"], stencil)
+            f["rho"][i] -= dt * div_rho_v[i]
+            np.maximum(f["rho"][i], p.rho_floor, out=f["rho"][i])
+
+        def temp_adv_body(g: int) -> None:
+            f, i, w = groups[g].fields, self._interior(g), work[g]
+            div_tv = ops.advect_upwind(f["temp"], w["upwind"], groups[g].stencil)
+            # v.grad T = div(T v) - T div v; compression adds (gamma-1) T div v
+            f["temp"][i] -= dt * (
+                div_tv[i] - f["temp"][i] * w["divv"][i]
+                + (p.gamma - 1.0) * f["temp"][i] * w["divv"][i]
+            )
+            np.maximum(f["temp"][i], p.temp_floor, out=f["temp"][i])
+
+        bodies = [self.group_body(b) for b in (pres_body, divv_body, continuity_body,
+                                               temp_adv_body)]
         for r, rt in enumerate(self.ranks):
-            state, grid = self.states[r], self.local_grids[r]
-            work: dict[str, Any] = {}
-
-            def pres_body(state=state, work=work, p=p) -> None:
-                work["pres"] = p.pressure(state.rho, state.temp)
-
-            def divv_body(state=state, grid=grid, work=work) -> None:
-                work["divv"] = ops.div_center(state.vr, state.vt, state.vp, grid)
-
+            pres, divv, continuity, temp_adv = (partial(b, r) for b in bodies)
             with rt.region():
                 rt.loop(KernelSpec("eos_pressure", reads=("rho", "temp"),
-                                   writes=("wrk_pres",), body=pres_body))
+                                   writes=("wrk_pres",), body=pres))
                 self._stencil_loop(r, rt, KernelSpec(
                     "velocity_divergence", reads=("vr", "vt", "vp"),
-                    writes=("wrk_divv",), body=divv_body))
-
-            def continuity_body(state=state, grid=grid, work=work, dt=dt, p=p) -> None:
-                # face velocities and donor masks of all five advections
-                work["upwind"] = ops.upwind_faces(state.vr, state.vt, state.vp, grid)
-                div_rho_v = ops.advect_upwind(state.rho, work["upwind"], grid)
-                i = grid.interior()
-                state.rho[i] -= dt * div_rho_v[i]
-                np.maximum(state.rho[i], p.rho_floor, out=state.rho[i])
-
+                    writes=("wrk_divv",), body=divv))
             self._stencil_loop(r, rt, KernelSpec(
                 "continuity", reads=("rho", "vr", "vt", "vp"),
-                writes=("rho",), body=continuity_body))
-
-            def temp_adv_body(state=state, grid=grid, work=work, dt=dt, p=p) -> None:
-                div_tv = ops.advect_upwind(state.temp, work["upwind"], grid)
-                i = grid.interior()
-                # v.grad T = div(T v) - T div v; compression adds (gamma-1) T div v
-                state.temp[i] -= dt * (
-                    div_tv[i] - state.temp[i] * work["divv"][i]
-                    + (p.gamma - 1.0) * state.temp[i] * work["divv"][i]
-                )
-                np.maximum(state.temp[i], p.temp_floor, out=state.temp[i])
-
+                writes=("rho",), body=continuity))
             self._stencil_loop(r, rt, KernelSpec(
                 "temp_advection",
                 reads=("temp", "vr", "vt", "vp", "wrk_divv"),
-                writes=("temp",), body=temp_adv_body))
+                writes=("temp",), body=temp_adv))
             # pressure/divv reused by the momentum predictor this step.  The
-            # previous step's arrays are released here, one rank at a time
+            # previous step's arrays are released here, one group at a time
             # and after this step's are allocated; releasing them all up
             # front changes which temporaries the allocator serves from
             # fresh pages (CHANGES.md, PR 19).
-            self._work[r] = work
+            g, row = self._slots[r]
+            if row == 0:
+                self._work[g] = work[g]
 
     def _shell_diagnostics(self) -> None:
         """Per-shell mass-flux profile: MAS's array-reduction pattern.
@@ -611,89 +636,92 @@ class MasModel:
         Code 4 keeps as atomics inside DC (Listing 4) and Codes 5/6 flip
         into an outer DC with an inner serialized reduce (Listing 5).
         """
-        def body(r: int) -> np.ndarray:
-            state, grid = self.states[r], self.local_grids[r]
-            i = grid.interior()
-            rhovr = state.rho[i] * state.vr[i]
-            area = grid.area_r[1:-1][:, 1:-1, 1:-1][: rhovr.shape[-3]]
+        def body(g: int) -> np.ndarray:
+            group = self.groups[g]
+            f, i = group.fields, self._interior(g)
+            rhovr = f["rho"][i] * f["vr"][i]
+            area = group.stencil.face_areas[0][..., 1:-1, 1:-1, 1:-1][..., : rhovr.shape[-3], :, :]
+            flux = (rhovr * area).sum(axis=(-2, -1))
             # one radial profile per member in batched runs
-            return (rhovr * area).sum(axis=(-2, -1))
+            return flux if self.ensemble else flux[:, 0]
 
-        self._last_flux_profile = self.launch(
+        self._last_flux_profile = self.rank_rows(self.launch_groups(
             "shell_mass_flux", body, entry="array_reduction",
             reads=("rho", "vr"), writes=("diag_flux",),
-        )
+        ))
 
     def _momentum_predictor(self, dt: float | np.ndarray, pending=None) -> None:
         p = self.config.params
         dt = member_field(dt)
+        groups, work = self.groups, self._work
+
+        def lorentz_body(g: int) -> None:
+            f, w = groups[g].fields, work[g]
+            # J on edges, for the EMF of this step too (B is not written in
+            # between)
+            w["current"] = ops.current_edges(f["br"], f["bt"], f["bp"], groups[g].stencil)
+            w["lor"] = ops.lorentz_force(f["br"], f["bt"], f["bp"], w["current"])
+
+        def adv_body(g: int) -> None:
+            f, w = groups[g].fields, work[g]
+            # (v.grad) v = div(v v) - v div v; nothing has written v since
+            # velocity_divergence made div v
+            upwind = w.pop("upwind")
+            divv = w.pop("divv")
+            adv = []
+            for v in (f["vr"], f["vt"], f["vp"]):
+                adv.append(ops.advect_upwind(v, upwind, groups[g].stencil))
+                adv[-1] -= v * divv
+            w["adv"] = tuple(adv)
+
+        lorentz, advection = self.group_body(lorentz_body), self.group_body(adv_body)
         for r, rt in enumerate(self.ranks):
-            state, grid = self.states[r], self.local_grids[r]
-            work = self._work[r]
-
-            def lorentz_body(state=state, grid=grid, work=work) -> None:
-                # J on edges, for the EMF of this step too (B is not written
-                # in between)
-                work["current"] = ops.current_edges(state.br, state.bt, state.bp, grid)
-                work["lor"] = ops.lorentz_force(state.br, state.bt, state.bp, work["current"])
-
             self._stencil_loop(r, rt, KernelSpec(
                 "lorentz_force", reads=("br", "bt", "bp"),
                 writes=("wrk_lor_r", "wrk_lor_t", "wrk_lor_p"),
-                body=lorentz_body))
-
-            def adv_body(state=state, grid=grid, work=work) -> None:
-                # (v.grad) v = div(v v) - v div v; nothing has written v
-                # since velocity_divergence made div v
-                upwind = work.pop("upwind")
-                divv = work.pop("divv")
-                adv = []
-                for v in (state.vr, state.vt, state.vp):
-                    adv.append(ops.advect_upwind(v, upwind, grid))
-                    adv[-1] -= v * divv
-                work["adv"] = tuple(adv)
-
+                body=partial(lorentz, r)))
             self._stencil_loop(r, rt, KernelSpec(
                 "momentum_advection", reads=("vr", "vt", "vp"),
                 writes=("wrk_adv_r", "wrk_adv_t", "wrk_adv_p"),
-                body=adv_body))
+                body=partial(advection, r)))
 
         # The start-of-step state exchange must complete before the
         # velocity updates below; every interior pass so far hid it.
         self._finish_exchange(pending)
 
+        def update_vr(g: int) -> None:
+            f, w, i = groups[g].fields, work[g], self._interior(g)
+            # the pressure gradient, floored density and gravity all three
+            # updates read
+            rc = groups[g].stencil.column("rc")[..., i[-3], :, :]
+            w["grad"] = gp, rho_i, grav_i = (
+                ops.grad_center(w["pres"], groups[g].stencil),
+                np.maximum(f["rho"][i], p.rho_floor),
+                p.gravity / rc**2,
+            )
+            adv, lor = w["adv"], w["lor"]
+            f["vr"][i] += dt * (-adv[0][i] - gp[0][i] / rho_i + lor[0][i] / rho_i - grav_i)
+
+        def update_vt(g: int) -> None:
+            f, w, i = groups[g].fields, work[g], self._interior(g)
+            gp, rho_i, _ = w["grad"]
+            adv, lor = w["adv"], w["lor"]
+            f["vt"][i] += dt * (-adv[1][i] - gp[1][i] / rho_i + lor[1][i] / rho_i)
+
+        def update_vp(g: int) -> None:
+            f, w, i = groups[g].fields, work[g], self._interior(g)
+            gp, rho_i, _ = w.pop("grad")
+            adv, lor = w["adv"], w["lor"]
+            f["vp"][i] += dt * (-adv[2][i] - gp[2][i] / rho_i + lor[2][i] / rho_i)
+
+        updates = [self.group_body(b) for b in (update_vr, update_vt, update_vp)]
+        reads = ("wrk_pres", "rho", "wrk_lor_r", "wrk_lor_t", "wrk_lor_p",
+                 "wrk_adv_r", "wrk_adv_t", "wrk_adv_p")
         for r, rt in enumerate(self.ranks):
-            state, grid = self.states[r], self.local_grids[r]
-            work = self._work[r]
-
-            def update_bodies(state=state, grid=grid, work=work, dt=dt, p=p):
-                gp = ops.grad_center(work["pres"], grid)
-                i = grid.interior()
-                rho_i = np.maximum(state.rho[i], p.rho_floor)
-                grav_i = (p.gravity / grid.rc[i[-3]] ** 2)[:, None, None]
-                lor = work["lor"]
-                adv = work["adv"]
-
-                def upd_vr() -> None:
-                    state.vr[i] += dt * (
-                        -adv[0][i] - gp[0][i] / rho_i + lor[0][i] / rho_i - grav_i
-                    )
-
-                def upd_vt() -> None:
-                    state.vt[i] += dt * (-adv[1][i] - gp[1][i] / rho_i + lor[1][i] / rho_i)
-
-                def upd_vp() -> None:
-                    state.vp[i] += dt * (-adv[2][i] - gp[2][i] / rho_i + lor[2][i] / rho_i)
-
-                return upd_vr, upd_vt, upd_vp
-
-            updates = update_bodies()
-            reads = ("wrk_pres", "rho", "wrk_lor_r", "wrk_lor_t", "wrk_lor_p",
-                     "wrk_adv_r", "wrk_adv_t", "wrk_adv_p")
             with rt.region():
                 for comp, upd in zip(VELOCITY_FIELDS, updates):
                     rt.loop(KernelSpec(f"update_{comp}", reads=reads,
-                                       writes=(comp,), body=upd))
+                                       writes=(comp,), body=partial(upd, r)))
 
     # -- implicit velocity solves (viscosity & semi-implicit) ------------------------
 
@@ -733,16 +761,17 @@ class MasModel:
         eta = member_field(
             self._vary.get("resistivity", self.config.params.resistivity)
         )
+        groups, work = self.groups, self._work
+
+        def emf_body(g: int) -> None:
+            f, w = groups[g].fields, work[g]
+            w["emf"] = ops.emf_edges(
+                f["vr"], f["vt"], f["vp"], f["br"], f["bt"], f["bp"],
+                w.pop("current"), resistivity=eta,
+            )
+
+        emf = self.group_body(emf_body)
         for r, rt in enumerate(self.ranks):
-            state, grid, work = self.states[r], self.local_grids[r], self._work[r]
-
-            def emf_body(state=state, work=work, eta=eta) -> None:
-                work["emf"] = ops.emf_edges(
-                    state.vr, state.vt, state.vp,
-                    state.br, state.bt, state.bp,
-                    work.pop("current"), resistivity=eta,
-                )
-
             # The EMF assembly calls pure interpolation/staggering routines
             # (MAS's s2c/interp family): an OpenACC `routine` loop that
             # Codes 5/6 handle by inlining (-Minline).
@@ -750,29 +779,30 @@ class MasModel:
                 "emf_edges",
                 reads=("vr", "vt", "vp", "br", "bt", "bp"),
                 writes=("emf_r", "emf_t", "emf_p"),
-                body=emf_body), entry=rt.routine_loop)
+                body=partial(emf, r)), entry=rt.routine_loop)
 
         # The mid-step velocity exchange completes before the CT updates.
         self._finish_exchange(pending)
 
+        def ct_body(name: str, axis: int) -> Callable[[int], None]:
+            def body(g: int) -> None:
+                db = ops.ct_face_component(*work[g]["emf"], groups[g].stencil, axis)
+                fi = self.local_grids[groups[g].ranks[0]].face_interior(axis)
+                groups[g].fields[name][fi] += dt * db[fi]
+            return self.group_body(body)
+
+        updates = [ct_body(name, axis) for name, axis in FACE_FIELDS]
+        reads = ("emf_r", "emf_t", "emf_p")
         for r, rt in enumerate(self.ranks):
-            state, grid, work = self.states[r], self.local_grids[r], self._work[r]
-
-            def ct_body(arr: np.ndarray, axis: int, grid=grid, work=work):
-                def body() -> None:
-                    db = ops.ct_face_component(*work["emf"], grid, axis)
-                    fi = grid.face_interior(axis)
-                    arr[fi] += dt * db[fi]
-                return body
-
-            updates = [ct_body(state.get(name), axis) for name, axis in FACE_FIELDS]
-            reads = ("emf_r", "emf_t", "emf_p")
             with rt.region():
                 for (name, _), upd in zip(FACE_FIELDS, updates):
                     rt.loop(KernelSpec(f"ct_update_{name}", reads=reads,
-                                       writes=(name,), body=upd))
-            # bodies run at launch: the last CT update has read the EMFs
-            del work["emf"]
+                                       writes=(name,), body=partial(upd, r)))
+            # bodies run at launch: the group's last CT update has read the
+            # EMFs
+            g, row = self._slots[r]
+            if row == 0:
+                del work[g]["emf"]
 
     # -- conduction (STS) ---------------------------------------------------------------
 
@@ -828,25 +858,25 @@ class MasModel:
         p = self.config.params
         dt = member_field(dt)
 
-        def body(r: int) -> None:
-            state = self.states[r]
-            rate = energy_source_rate(state.rho, state.temp, self.heating[r], p)
-            state.temp += dt * rate
-            np.maximum(state.temp, p.temp_floor, out=state.temp)
+        def body(g: int) -> None:
+            f = self.groups[g].fields
+            rate = energy_source_rate(f["rho"], f["temp"], self.heating[g], p)
+            f["temp"] += dt * rate
+            np.maximum(f["temp"], p.temp_floor, out=f["temp"])
 
-        self.launch("radiation_heating", body, reads=("rho", "temp", "heat"),
-                    writes=("temp",))
+        self.launch_groups("radiation_heating", body, reads=("rho", "temp", "heat"),
+                           writes=("temp",))
 
     def _floors(self) -> None:
         p = self.config.params
 
-        def body(r: int) -> None:
-            state = self.states[r]
-            np.maximum(state.rho, p.rho_floor, out=state.rho)
-            np.maximum(state.temp, p.temp_floor, out=state.temp)
+        def body(g: int) -> None:
+            block = self.groups[g].state
+            np.maximum(block["rho"], p.rho_floor, out=block["rho"])
+            np.maximum(block["temp"], p.temp_floor, out=block["temp"])
 
-        self.launch("apply_floors", body, reads=("rho", "temp"),
-                    writes=("rho", "temp"))
+        self.launch_groups("apply_floors", body, reads=("rho", "temp"),
+                           writes=("rho", "temp"))
 
     # ------------------------------------------------------------------ reporting
 

@@ -19,11 +19,11 @@ The centred stencils (`diffuse_flux_div` and its callers in
 some fifty times, run on the ghosted block's flat index
 (:class:`~repro.mas.grid.FlatStencil`), where every pass is one contiguous
 operation per member, in scratch owned by the grid; they allocate their
-result only. The diffusion family also takes a
+result only. Every operator a step calls also takes a
 :class:`~repro.mas.grid.GridGroup`: one pass over the stacked blocks of
-the ranks of one ghosted shape. docs/PHYSICS.md S3a states the rule they
-follow. The staggered-field operators allocate one temporary per
-expression node.
+the ranks of one ghosted shape, a rank being a group of one.
+docs/PHYSICS.md S3a states the rules they follow. The staggered-field
+operators allocate one temporary per expression node.
 """
 
 from __future__ import annotations
@@ -88,14 +88,52 @@ def overlap_split_fractions(
 # -- gradients of centered scalars ---------------------------------------------
 
 
-def grad_center(f: np.ndarray, grid: LocalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Physical gradient (d/dr, 1/r d/dt, 1/(r sin t) d/dp) at centers."""
-    gr = np.gradient(f, grid.rc, axis=_ax(f, 0))
-    gt = np.gradient(f, grid.tc, axis=_ax(f, 1)) / grid.rc[:, None, None]
-    gp = np.gradient(f, grid.pc, axis=_ax(f, 2)) / (
-        grid.rc[:, None, None] * np.sin(grid.tc)[None, :, None]
-    )
-    return gr, gt, gp
+def _along(f: np.ndarray, axis: int, cut: slice | int) -> np.ndarray:
+    """``f`` cut along spatial ``axis``."""
+    index = [_ALL] * 3
+    index[axis] = cut
+    return f[(Ellipsis, *index)]
+
+
+def gradient_interior(f: np.ndarray, axis: int, coefficients: tuple) -> np.ndarray:
+    """``np.gradient``'s interior of ``f`` along spatial ``axis``, given
+    :func:`~repro.mas.grid.gradient_coefficients` shaped to broadcast
+    against ``f``: ``(f[2:] - f[:-2]) / (2 dx)`` on uniform spacing, else
+    ``a f[:-2] + b f[1:-1] + c f[2:]``, numpy's association either way."""
+    lo, mid, hi = (_along(f, axis, cut) for cut in (slice(None, -2), slice(1, -1), slice(2, None)))
+    if len(coefficients) == 1:
+        return (hi - lo) / coefficients[0]
+    a, b, c = coefficients
+    return a * lo + b * mid + c * hi
+
+
+def grad_center(
+    f: np.ndarray, grid: LocalGrid | GridGroup
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Physical gradient (d/dr, 1/r d/dt, 1/(r sin t) d/dp) at centers.
+
+    ``grid`` and ``f`` as in :func:`diffuse_flux_div`. Along each axis the
+    interior planes are ``np.gradient``'s with that block's coordinates, to
+    the last bit (:meth:`~repro.mas.grid.GridGroup.gradient`), and the two
+    end planes, where numpy goes one-sided, are zero: only the interior is
+    ever read.
+    """
+    group = grid.group
+    rows = group.members(f)
+    out = []
+    for axis in range(3):
+        d = np.empty(rows.shape)
+        _along(d, axis, 0)[...] = 0.0
+        _along(d, axis, -1)[...] = 0.0
+        inner = _along(d, axis, slice(1, -1))
+        for sel, coefficients in group.gradient(axis):
+            inner[sel] = gradient_interior(rows[sel], axis, coefficients)
+        out.append(d)
+    gr, gt, gp = out
+    rc = group.column("rc")
+    gt /= rc
+    gp /= rc * group.column("sin_tc")
+    return gr.reshape(f.shape), gt.reshape(f.shape), gp.reshape(f.shape)
 
 
 # -- the centred stencils, on the flat index --------------------------------------
@@ -152,7 +190,7 @@ def _flux_divergence(
 
 
 def div_center(
-    vr: np.ndarray, vt: np.ndarray, vp: np.ndarray, grid: LocalGrid
+    vr: np.ndarray, vt: np.ndarray, vp: np.ndarray, grid: LocalGrid | GridGroup
 ) -> np.ndarray:
     """FV divergence of a cell-centered vector; valid away from the rim.
 
@@ -192,7 +230,7 @@ class UpwindFaces(NamedTuple):
 
 
 def upwind_faces(
-    vr: np.ndarray, vt: np.ndarray, vp: np.ndarray, grid: LocalGrid
+    vr: np.ndarray, vt: np.ndarray, vp: np.ndarray, grid: LocalGrid | GridGroup
 ) -> UpwindFaces:
     """Face velocities and donor masks of ``(vr, vt, vp)`` (fresh arrays)."""
     group = grid.group
@@ -204,7 +242,9 @@ def upwind_faces(
     return UpwindFaces(tuple(velocity), tuple(v > 0.0 for v in velocity))  # type: ignore[arg-type]
 
 
-def advect_upwind(f: np.ndarray, upwind: UpwindFaces, grid: LocalGrid) -> np.ndarray:
+def advect_upwind(
+    f: np.ndarray, upwind: UpwindFaces, grid: LocalGrid | GridGroup
+) -> np.ndarray:
     """FV upwind divergence of the flux f*v: returns div(f v) at centers.
 
     ``upwind`` is :func:`upwind_faces` of v. First-order donor-cell,
@@ -310,6 +350,11 @@ def div_face(br: np.ndarray, bt: np.ndarray, bp: np.ndarray, grid: LocalGrid) ->
     ) / grid.volume
 
 
+def _ideal_emf(v1: np.ndarray, b1: np.ndarray, v2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """``-(v1 b1 - v2 b2)``: one component of ``-v x B`` from its edge averages."""
+    return -(v1 * b1 - v2 * b2)
+
+
 def emf_edges(
     vr: np.ndarray,
     vt: np.ndarray,
@@ -336,28 +381,25 @@ def emf_edges(
     et = np.zeros(lead + (nrg + 1, ntg, npg + 1))
     ep = np.zeros(lead + (nrg + 1, ntg + 1, npg))
 
+    # Each component's four edge averages die with its _ideal_emf call, so
+    # no component's temporaries are alive beside the next one's.
     # -- Ep at (r-edge, theta-edge, phi-center): -(vr*Bt - vt*Br)
-    vr_e = _avg(_avg(vr, 0), 1)                  # (nrg-1, ntg-1, npg)
-    vt_e = _avg(_avg(vt, 0), 1)
-    bt_e = _avg(bt, 0)[..., :, 1:-1, :]          # faces avg along r, theta-edges 1..ntg-1
-    br_e = _avg(br, 1)[..., 1:-1, :, :]          # faces avg along theta, r-edges 1..nrg-1
-    ep[..., 1:-1, 1:-1, :] = -(vr_e * bt_e - vt_e * br_e)
-
+    ep[..., 1:-1, 1:-1, :] = _ideal_emf(
+        _avg(_avg(vr, 0), 1),                    # (nrg-1, ntg-1, npg)
+        _avg(bt, 0)[..., :, 1:-1, :],            # faces avg along r, theta-edges 1..ntg-1
+        _avg(_avg(vt, 0), 1),
+        _avg(br, 1)[..., 1:-1, :, :],            # faces avg along theta, r-edges 1..nrg-1
+    )
     # -- Er at (r-center, theta-edge, phi-edge): -(vt*Bp - vp*Bt) + eta*Jr
-    vt_e = _avg(_avg(vt, 1), 2)
-    vp_e = _avg(_avg(vp, 1), 2)
-    bp_e = _avg(bp, 1)[..., :, :, 1:-1]
-    bt_e = _avg(bt, 2)[..., :, 1:-1, :]
-    er_core = -(vt_e * bp_e - vp_e * bt_e)
-    er[..., :, 1:-1, 1:-1] = er_core
-
+    er[..., :, 1:-1, 1:-1] = _ideal_emf(
+        _avg(_avg(vt, 1), 2), _avg(bp, 1)[..., :, :, 1:-1],
+        _avg(_avg(vp, 1), 2), _avg(bt, 2)[..., :, 1:-1, :],
+    )
     # -- Et at (r-edge, theta-center, phi-edge): -(vp*Br - vr*Bp) + eta*Jt
-    vp_e = _avg(_avg(vp, 0), 2)
-    vr_e = _avg(_avg(vr, 0), 2)
-    br_e = _avg(br, 2)[..., 1:-1, :, :]
-    bp_e = _avg(bp, 0)[..., :, :, 1:-1]
-    et_core = -(vp_e * br_e - vr_e * bp_e)
-    et[..., 1:-1, :, 1:-1] = et_core
+    et[..., 1:-1, :, 1:-1] = _ideal_emf(
+        _avg(_avg(vp, 0), 2), _avg(br, 2)[..., 1:-1, :, :],
+        _avg(_avg(vr, 0), 2), _avg(bp, 0)[..., :, :, 1:-1],
+    )
 
     if np.any(np.asarray(resistivity) > 0.0):
         jr, jt, jp = current
@@ -368,37 +410,37 @@ def emf_edges(
 
 
 def current_edges(
-    br: np.ndarray, bt: np.ndarray, bp: np.ndarray, grid: LocalGrid
+    br: np.ndarray, bt: np.ndarray, bp: np.ndarray, grid: LocalGrid | GridGroup
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Discrete J = curl(B) on edges (first order, rim zeroed)."""
+    """Discrete J = curl(B) on edges (first order, rim zeroed); ``grid``
+    and the fields as in :func:`diffuse_flux_div`."""
+    group = grid.group
     lead = br.shape[:-3]
+    br, bt, bp = (group.members(b) for b in (br, bt, bp))
     nrg, ntg, npg = br.shape[-3] - 1, bt.shape[-2] - 1, bp.shape[-1] - 1
-    jr = np.zeros(lead + (nrg, ntg + 1, npg + 1))
-    jt = np.zeros(lead + (nrg + 1, ntg, npg + 1))
-    jp = np.zeros(lead + (nrg + 1, ntg + 1, npg))
+    jr = np.zeros(br.shape[:-3] + (nrg, ntg + 1, npg + 1))
+    jt = np.zeros(br.shape[:-3] + (nrg + 1, ntg, npg + 1))
+    jp = np.zeros(br.shape[:-3] + (nrg + 1, ntg + 1, npg))
 
-    sin_tc = np.sin(grid.tc)
-    sin_te = np.sin(grid.te)
+    rc, re_in = group.column("rc"), group.column("re")[..., 1:-1, :, :]
+    sin_tc, sin_te = group.column("sin_tc"), group.column("sin_te")
+    d_rc, d_tc, d_pc = group.column("d_rc"), group.column("d_tc"), group.column("d_pc")
 
     # Jr = 1/(r sin t) [ d(sin t Bp)/dt - dBt/dp ] at (rc, te, pe)
-    d_sbp = _diff(sin_tc[None, :, None] * bp, 1)[..., :, :, 1:-1] / np.diff(grid.tc)[None, :, None]
-    d_bt = _diff(bt, 2)[..., :, 1:-1, :] / np.diff(grid.pc)[None, None, :]
-    jr[..., :, 1:-1, 1:-1] = (d_sbp - d_bt) / (
-        grid.rc[:, None, None] * sin_te[None, 1:-1, None]
-    )
+    d_sbp = _diff(sin_tc * bp, 1)[..., :, :, 1:-1] / d_tc
+    d_bt = _diff(bt, 2)[..., :, 1:-1, :] / d_pc
+    jr[..., :, 1:-1, 1:-1] = (d_sbp - d_bt) / (rc * sin_te[..., 1:-1, :])
 
     # Jt = 1/(r sin t) dBr/dp - 1/r d(r Bp)/dr at (re, tc, pe)
-    d_br = _diff(br, 2)[..., 1:-1, :, :] / np.diff(grid.pc)[None, None, :]
-    d_rbp = _diff(grid.rc[:, None, None] * bp, 0)[..., :, :, 1:-1] / np.diff(grid.rc)[:, None, None]
-    jt[..., 1:-1, :, 1:-1] = d_br / (
-        grid.re[1:-1, None, None] * sin_tc[None, :, None]
-    ) - d_rbp / grid.re[1:-1, None, None]
+    d_br = _diff(br, 2)[..., 1:-1, :, :] / d_pc
+    d_rbp = _diff(rc * bp, 0)[..., :, :, 1:-1] / d_rc
+    jt[..., 1:-1, :, 1:-1] = d_br / (re_in * sin_tc) - d_rbp / re_in
 
     # Jp = 1/r [ d(r Bt)/dr - dBr/dt ] at (re, te, pc)
-    d_rbt = _diff(grid.rc[:, None, None] * bt, 0)[..., :, 1:-1, :] / np.diff(grid.rc)[:, None, None]
-    d_br2 = _diff(br, 1)[..., 1:-1, :, :] / np.diff(grid.tc)[None, :, None]
-    jp[..., 1:-1, 1:-1, :] = (d_rbt - d_br2) / grid.re[1:-1, None, None]
-    return jr, jt, jp
+    d_rbt = _diff(rc * bt, 0)[..., :, 1:-1, :] / d_rc
+    d_br2 = _diff(br, 1)[..., 1:-1, :, :] / d_tc
+    jp[..., 1:-1, 1:-1, :] = (d_rbt - d_br2) / re_in
+    return tuple(j.reshape(lead + j.shape[-3:]) for j in (jr, jt, jp))  # type: ignore[return-value]
 
 
 #: Per face axis, the circulation of E around the face as two edge terms,
@@ -408,24 +450,26 @@ _CIRCULATION = (((2, 1), (1, 2)), ((0, 2), (2, 0)), ((1, 0), (0, 1)))
 
 
 def ct_face_component(
-    er: np.ndarray, et: np.ndarray, ep: np.ndarray, grid: LocalGrid, axis: int
+    er: np.ndarray, et: np.ndarray, ep: np.ndarray, grid: LocalGrid | GridGroup, axis: int
 ) -> np.ndarray:
-    """dB/dt on the faces normal to ``axis`` from edge EMF circulation.
+    """dB/dt on the faces normal to ``axis`` from edge EMF circulation;
+    ``grid`` and the EMFs as in :func:`diffuse_flux_div`.
 
     Faraday's law in integral form: dB_a * A_a = -circulation of E around
     the face. Faces of zero area (degenerate grids only: the polar cutout
     excludes sin = 0) get zero; every other face keeps what the EMFs give,
     a NaN or infinite one included, so a bad EMF reaches the health checks.
     """
-    emf, length = (er, et, ep), (grid.len_r, grid.len_t, grid.len_p)
+    group = grid.group
+    emf, length = tuple(group.members(e) for e in (er, et, ep)), group.edge_lengths
     (a, da), (b, db) = _CIRCULATION[axis]
     circ = _diff(emf[a] * length[a], da) - _diff(emf[b] * length[b], db)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = -circ / (grid.area_r, grid.area_t, grid.area_p)[axis]
-    zero = grid.zero_area[axis]
+        out = -circ / group.face_areas[axis]
+    zero = group.zero_area[axis]
     if zero is not None:
-        out[..., zero] = 0.0
-    return out
+        np.copyto(out, 0.0, where=zero)
+    return out.reshape(er.shape[:-3] + out.shape[-3:])
 
 
 def lorentz_force(

@@ -159,6 +159,15 @@ class TestModelSmoke:
         bad = [f for f in findings if f.severity >= Severity.WARNING]
         assert bad == [], [f.render() for f in bad]
 
+    def test_a_group_body_writes_for_every_rank_of_its_group(self):
+        """The smoke's two ranks are one group: the first rank's body writes
+        both ranks' rows, so the second rank's launches writing nothing of
+        their own is not footprint drift."""
+        grouped = {"continuity", "temp_advection", "update_vr", "update_vt", "update_vp",
+                   "ct_update_br", "ct_update_bt", "ct_update_bp", "radiation_heating"}
+        drift = {f.file for f in shadow_smoke("A", steps=2) if f.rule_id == "RT321"}
+        assert not drift & grouped, sorted(drift & grouped)
+
     def test_misdeclared_spec_is_caught_end_to_end(self):
         """The gate the checker exists for: corrupt one KernelSpec's
         declared footprint and the shadow run must flag it."""

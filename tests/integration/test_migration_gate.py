@@ -8,7 +8,10 @@ walk the solve's other axes (PCG recurrence, blocking or non-blocking
 fused reduction, preconditioner, semi-implicit operator, member axis).
 The ``A-r3`` case, whose ranks have two ghosted shapes, was added the same
 way from the commit before the implicit solves ran one numpy pass per
-group of equal-shape ranks (:mod:`repro.mas.groups`).
+group of equal-shape ranks (:mod:`repro.mas.groups`). The
+``A-r2-b2-resistivity`` case, whose one group has as many ranks as
+members, was added the same way from the commit before the explicit step
+ran one numpy pass per group.
 
 Re-record (only from a commit whose pricing is the reference) with::
 
@@ -61,6 +64,12 @@ def _solve_case(version: str, *, fuse: bool = False, overlap: bool = False, **fi
 _B3 = dict(ensemble_size=3, nominal_shape=(150, 300, 800 // 3))
 _B3_VISCOSITY = dict(_B3, ensemble_vary=(("viscosity", (1e-3, 3e-3, 1e-2)),))
 _B3_RESISTIVITY = dict(_B3, ensemble_vary=(("resistivity", (1e-4, 1e-3, 5e-3)),))
+# Two members on two ranks of one group: a (G, ...) metric column missing
+# its member axis broadcasts against B == G instead of raising.
+_B2_RESISTIVITY = dict(
+    ensemble_size=2, nominal_shape=(150, 300, 800 // 2),
+    ensemble_vary=(("resistivity", (1e-4, 5e-3)),),
+)
 # Code 1 has async queues, so its pipelined reduction is non-blocking and
 # its exchanges can overlap; Code 5 (D2XU) and the CPU run both blocking.
 CASES.update({
@@ -72,6 +81,7 @@ CASES.update({
         "A", fuse=True, overlap=True, pcg_variant="pipelined", pcg_precond="cheby"
     ),
     "A-r2-b3": _solve_case("A", **_B3_VISCOSITY),
+    "A-r2-b2-resistivity": _solve_case("A", **_B2_RESISTIVITY),
     "A-r2-b3-si-pipelined-cheby": _solve_case(
         "A", semi_implicit=True, pcg_variant="pipelined", pcg_precond="cheby",
         **_B3_VISCOSITY,

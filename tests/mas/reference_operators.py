@@ -358,6 +358,22 @@ def current_edges(
     return jr, jt, jp
 
 
+def _edge_lengths(grid: LocalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``LocalGrid.len_r``, ``len_t`` and ``len_p`` as they stood before the
+    edge lengths moved to ``GridGroup.edge_lengths``."""
+    len_r = np.broadcast_to(
+        grid.dr[:, None, None],
+        (grid.dr.size, grid.te.size, grid.pe.size),
+    ).copy()
+    len_t = grid.re[:, None, None] * grid.dt[None, :, None] * np.ones_like(grid.pe)[None, None, :]
+    len_p = (
+        grid.re[:, None, None]
+        * np.sin(grid.te)[None, :, None]
+        * grid.dp[None, None, :]
+    )
+    return len_r, len_t, len_p
+
+
 def ct_face_update(
     er: np.ndarray,
     et: np.ndarray,
@@ -369,9 +385,7 @@ def ct_face_update(
     Faraday's law in integral form: dB_a * A_a = -circulation of E around
     the face, with the cyclic orientation (r, theta, phi).
     """
-    lr = grid.len_r
-    lt = grid.len_t
-    lp = grid.len_p
+    lr, lt, lp = _edge_lengths(grid)
 
     circ_r = _diff(ep * lp, 1) - _diff(et * lt, 2)   # (nrg+1, ntg, npg)
     circ_t = _diff(er * lr, 2) - _diff(ep * lp, 0)   # (nrg, ntg+1, npg)

@@ -47,6 +47,17 @@ class TestConfigValidation:
         ModelConfig(ensemble_vary=(("b0", (-1.0, 1.0)),), ensemble_size=2)  # sign is free
 
 
+    @pytest.mark.parametrize("fixed_dt", [float("nan"), float("inf"), -1e-3, 0.0])
+    def test_fixed_dt_must_be_finite_and_positive(self, fixed_dt):
+        """A NaN step would run and leave the mass NaN, an infinite one the
+        time, and a negative one would fail in the viscosity solve after
+        hydro and momentum had written the state: refused at build time,
+        naming the field."""
+        with pytest.raises(ValueError, match="fixed_dt"):
+            ModelConfig(fixed_dt=fixed_dt)
+        ModelConfig(fixed_dt=1e-3)
+
+
 class TestPhysicsInvariants:
     @pytest.fixture(scope="class")
     def run(self):
@@ -221,9 +232,10 @@ def _arrays(values):
 
 class TestDerivedOnceAStep:
     """docs/PHYSICS.md S3c: a value the step derives once for several
-    kernels (div v, face velocities and donor masks, J on edges, the EMFs)
-    is popped from the per-rank work after its last consumer; what stays
-    is the centred arrays the next step replaces."""
+    kernels (div v, face velocities and donor masks, J on edges, the
+    pressure gradient, the EMFs) is popped from its rank group's work after
+    its last consumer; what stays is the centred arrays the next step
+    replaces."""
 
     @pytest.mark.parametrize("kw", [
         {},
@@ -233,9 +245,41 @@ class TestDerivedOnceAStep:
     def test_no_face_current_or_emf_array_outlives_the_step(self, kw):
         m = make(**kw)
         m.run(2)
-        for state, work in zip(m.states, m._work):
+        assert len(m._work) == len(m.groups)
+        for group, work in zip(m.groups, m._work):
             assert set(work) == {"pres", "lor", "adv"}
-            assert all(a.shape == state.rho.shape for a in _arrays(work.values()))
+            assert all(a.shape == group.fields["rho"].shape for a in _arrays(work.values()))
+
+
+class TestStepWorkRunsInKernelBodies:
+    """The pressure gradient, floored density and gravity the velocity
+    updates read are computed in ``update_vr``'s group body, so a host
+    profiler books them to the kernel bodies, not to the step."""
+
+    @pytest.mark.parametrize("num_ranks", [1, 2, 3])
+    def test_the_pressure_gradient_is_computed_inside_a_body(self, monkeypatch, num_ranks):
+        from repro.mas import operators as ops
+        from repro.runtime.kernel import KernelSpec
+
+        depth, inside = [0], []
+        run_body, grad_center = KernelSpec.run_body, ops.grad_center
+
+        def counted(spec):
+            depth[0] += 1
+            try:
+                return run_body(spec)
+            finally:
+                depth[0] -= 1
+
+        def watched(*args, **kwargs):
+            inside.append(depth[0] > 0)
+            return grad_center(*args, **kwargs)
+
+        monkeypatch.setattr(KernelSpec, "run_body", counted)
+        monkeypatch.setattr(ops, "grad_center", watched)
+        m = make(num_ranks=num_ranks)
+        m.run(2)
+        assert inside == [True] * (2 * len(m.groups))
 
 
 class TestDroppedModelIsReclaimed:

@@ -314,7 +314,7 @@ class TestAllocationGuard:
         g = SphericalGrid.build((96, 40, 56))
         dec = Decomposition3D(g.shape, 2)
         grids = [LocalGrid.from_global(g, dec, r, ghost=1) for r in range(2)]
-        group = GridGroup([grid.flat for grid in grids])
+        group = GridGroup(grids)
         f = np.random.default_rng(3).standard_normal((2,) + grids[0].shape)
         budget = 1.25 * f.nbytes
         assert peak_traced_bytes(lambda: ops.diffuse_flux_div(f, group)) <= budget

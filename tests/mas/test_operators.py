@@ -211,7 +211,7 @@ class TestConstrainedTransport:
         dbr, dbt, dbp = (ops.ct_face_component(*emf, grid, a) for a in range(3))
         assert (grid.area_t[:, 0] == 0).all() and not dbt[:, 0].any()
         assert np.isfinite(dbt).all() and dbt[:, 1:].all()
-        assert grid.zero_area[0] is None and grid.zero_area[2] is None
+        assert grid.group.zero_area[0] is None and grid.group.zero_area[2] is None
 
     def test_zero_velocity_ideal_emf_is_zero(self, grid):
         br, bt, bp = dipole_faces(grid)

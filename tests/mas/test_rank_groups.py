@@ -2,20 +2,29 @@
 ghosted shape equals that rank's own call, bit for bit.
 
 Over real decompositions of 1-8 ranks (even ones are one group, ragged
-ones several, not always of consecutive ranks), member axes absent, 1 and
-3, and scalar or per-member ``nu``/``dt``: the rows of a group call of
-``implicit_matvec`` and ``conduction_rhs`` are the per-rank calls.
+ones several, not always of consecutive ranks), member axes absent, 1, 2
+and 3, and scalar or per-member coefficients: the rows of a group call of
+``implicit_matvec``, ``conduction_rhs``, ``current_edges``,
+``lorentz_force``, ``emf_edges``, ``ct_face_component`` and
+``grad_center`` (its interior, which is ``np.gradient``'s) are the
+per-rank calls, and so are the model's shell mass-flux sums. With two
+members on two ranks (``B == G``) a metric missing its member axis would
+broadcast instead of raising; these rows catch it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mas import conduction, viscosity
+from repro.codes import CodeVersion, runtime_config_for
+from repro.mas import conduction, operators as ops, viscosity
 from repro.mas.constants import PhysicsParams
-from repro.mas.grid import GridGroup, LocalGrid, SphericalGrid
+from repro.mas.grid import GridGroup, LocalGrid, SphericalGrid, gradient_coefficients
 from repro.mas.groups import rank_groups
+from repro.mas.model import MasModel, ModelConfig
 from repro.mas.state import ALL_FIELDS, MhdState
 from repro.mpi.decomp import Decomposition3D
+from tests.mas import reference_operators as ref
 
 
 def same_bits(a, b):
@@ -120,3 +129,130 @@ def test_a_ragged_decomposition_has_several_groups():
     assert [g.ranks for g in groups] == [(0, 3), (1, 2, 4, 5)]
     _, groups, _ = decomposed((10, 8, 16), 8)
     assert [g.ranks for g in groups] == [tuple(range(8))]
+
+
+LEADS = st.sampled_from([(), (1,), (2,), (3,)])
+
+
+def parent_grad_center(f, grid):
+    """The gradient as the parent computed it: ``np.gradient`` per axis."""
+    rc = grid.rc[:, None, None]
+    return (
+        np.gradient(f, grid.rc, axis=f.ndim - 3),
+        np.gradient(f, grid.tc, axis=f.ndim - 2) / rc,
+        np.gradient(f, grid.pc, axis=f.ndim - 1) / (rc * np.sin(grid.tc)[None, :, None]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=SHAPES, nranks=st.integers(1, 8), lead=LEADS,
+       eta_per_member=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_the_staggered_operators_on_a_group_are_its_ranks_calls(
+    shape, nranks, lead, eta_per_member, seed
+):
+    rng = np.random.default_rng(seed)
+    grids, groups, _ = decomposed(shape, nranks)
+    eta = member_coeff(rng, lead, eta_per_member)
+    for group in groups:
+        first = grids[group.ranks[0]]
+        g = (len(group.ranks),) + lead
+        v = [rng.standard_normal(g + first.shape) for _ in range(3)]
+        b = [rng.standard_normal(g + first.face_shape(axis)) for axis in range(3)]
+        pres = rng.random(g + first.shape) + 0.5
+        j = ops.current_edges(*b, group.stencil)
+        lor = ops.lorentz_force(*b, j)
+        emf = ops.emf_edges(*v, *b, j, resistivity=eta)
+        db = [ops.ct_face_component(*emf, group.stencil, axis) for axis in range(3)]
+        grad = ops.grad_center(pres, group.stencil)
+        for row, r in enumerate(group.ranks):
+            grid, i = grids[r], grids[r].interior()
+            b_r = [x[row] for x in b]
+            j_r = ops.current_edges(*b_r, grid)
+            emf_r = ops.emf_edges(*(x[row] for x in v), *b_r, j_r, resistivity=eta)
+            pairs = [
+                *zip((x[row] for x in j), j_r),
+                *zip((x[row] for x in lor), ops.lorentz_force(*b_r, j_r)),
+                *zip((x[row] for x in emf), emf_r),
+                *((db[axis][row], ops.ct_face_component(*emf_r, grid, axis))
+                  for axis in range(3)),
+            ]
+            for got, want in pairs:
+                assert same_bits(got, want)
+            own = ops.grad_center(pres[row], grid)
+            for got, mine, parent in zip(grad, own, parent_grad_center(pres[row], grid)):
+                assert same_bits(got[row][i], mine[i])
+                assert same_bits(mine[i], parent[i])
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_the_gradient_helper_takes_numpy_branch_on_equal_differences(axis):
+    """Coordinates with exactly equal differences take ``np.gradient``'s
+    uniform branch, ``(f[2:] - f[:-2]) / (2 dx)``; others its three-point
+    one. Both interiors are numpy's to the last bit."""
+    rng = np.random.default_rng(axis)
+    f = rng.standard_normal((2, 7, 6, 9))
+    n = f.shape[f.ndim - 3 + axis]
+    uniform = np.arange(n) * 0.25 + 1.0
+    stretched = np.cumsum(rng.random(n) + 0.5)
+    inner = [slice(None)] * 3
+    inner[axis] = slice(1, -1)
+    for x, branch in ((uniform, 1), (stretched, 3)):
+        coefficients = gradient_coefficients(x)
+        assert len(coefficients) == branch
+        shape = [1, 1, 1]
+        shape[axis] = -1
+        got = ops.gradient_interior(f, axis, tuple(np.reshape(c, shape) for c in coefficients))
+        want = np.gradient(f, x, axis=f.ndim - 3 + axis)[(Ellipsis, *inner)]
+        assert same_bits(got, want)
+
+
+def test_a_group_whose_ranks_take_both_branches_runs_each_on_its_rows():
+    """A uniform r grid on four ranks: phi is uniform on ranks 0 and 2
+    only, so the group's phi gradient runs four runs of rows, and each
+    rank's interior is still ``np.gradient``'s."""
+    grid = SphericalGrid.build((8, 6, 8), r_ratio=1.0)
+    dec = Decomposition3D(grid.shape, 4)
+    grids = [LocalGrid.from_global(grid, dec, r, ghost=1) for r in range(4)]
+    group = GridGroup.of(grids)
+    assert [len(c) for _, c in group.gradient(0)] == [1]
+    assert [len(c) for _, c in group.gradient(2)] == [1, 3, 1, 3]
+    pres = np.random.default_rng(1).random((4, 2) + grids[0].shape) + 0.5
+    grad = ops.grad_center(pres, group)
+    for row, g in enumerate(grids):
+        i = g.interior()
+        for got, parent in zip(grad, parent_grad_center(pres[row], g)):
+            assert same_bits(got[row][i], parent[i])
+
+
+def test_a_group_of_one_views_its_grids_metrics():
+    grid = SphericalGrid.build((8, 6, 8), r_ratio=1.1)
+    local = LocalGrid.from_global(grid, Decomposition3D(grid.shape, 1), 0, ghost=1)
+    group = local.group
+    for stacked, own in zip(group.face_areas, (local.area_r, local.area_t, local.area_p)):
+        assert stacked.shape == (1, 1) + own.shape and np.shares_memory(stacked, own)
+    for name, own in (("rc", local.rc), ("re", local.re)):
+        assert np.shares_memory(group.column(name), own)
+    # built once from the grid's edges, as the grid built them before
+    for stacked, parent in zip(group.edge_lengths, ref._edge_lengths(local)):
+        assert same_bits(stacked[0, 0], parent)
+
+
+@settings(max_examples=15, deadline=None)
+@given(nranks=st.integers(1, 8), members=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_shell_mass_flux_of_a_group_is_its_ranks_sums(nranks, members, seed):
+    rng = np.random.default_rng(seed)
+    m = MasModel(
+        ModelConfig(shape=(8, 6, 16), num_ranks=nranks, ensemble_size=members,
+                    nominal_shape=(32, 24, 48), extra_model_arrays=0),
+        runtime_config_for(CodeVersion.A),
+    )
+    for group in m.groups:
+        for name in ("rho", "vr"):
+            group.state[name][...] = rng.standard_normal(group.state[name].shape)
+    m._shell_diagnostics()
+    for r, (state, grid) in enumerate(zip(m.states, m.local_grids)):
+        i = grid.interior()
+        rhovr = state.rho[i] * state.vr[i]
+        area = grid.area_r[1:-1][:, 1:-1, 1:-1][: rhovr.shape[-3]]
+        assert same_bits(m._last_flux_profile[r], (rhovr * area).sum(axis=(-2, -1)))

@@ -134,9 +134,10 @@ class TestLocalGrid:
         assert lg.area_t.shape == lg.face_shape(1)
         assert lg.area_p.shape == lg.face_shape(2)
         nrg, ntg, npg = lg.shape
-        assert lg.len_r.shape == (nrg, ntg + 1, npg + 1)
-        assert lg.len_t.shape == (nrg + 1, ntg, npg + 1)
-        assert lg.len_p.shape == (nrg + 1, ntg + 1, npg)
+        len_r, len_t, len_p = lg.group.edge_lengths
+        assert len_r.shape == (1, 1, nrg, ntg + 1, npg + 1)
+        assert len_t.shape == (1, 1, nrg + 1, ntg, npg + 1)
+        assert len_p.shape == (1, 1, nrg + 1, ntg + 1, npg)
 
     def test_interior_metrics_positive(self, setup):
         """Ghost-rim metrics near the theta cutout may go unphysical (the

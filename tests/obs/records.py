@@ -86,10 +86,12 @@ DAMAGE = {
 
 
 def _truncate_mid_line(path: Path) -> None:
-    """Cut the file inside a line, as a killed writer leaves it."""
+    """Cut the file inside a line, as a killed writer leaves it: never
+    just after a newline or just before one, where what is left would still
+    be whole lines."""
     blob = path.read_bytes()
     cut = len(blob) // 2
-    while cut > 1 and blob[cut - 1 : cut] == b"\n":
+    while cut > 1 and b"\n" in blob[cut - 1 : cut + 1]:
         cut -= 1
     path.write_bytes(blob[:cut])
 
