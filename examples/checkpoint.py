@@ -113,7 +113,7 @@ def save_checkpoint(model: MasModel, path: str | Path) -> CheckpointInfo:
         num_ranks=model.config.num_ranks,
         time=_jsonable(model.time),
         steps_taken=model.steps_taken,
-        last_dt=_jsonable(model._last_dt),
+        last_dt=_jsonable(model.last_dt),
         ensemble_size=model.config.ensemble_size,
         dtype=str(model.states[0].rho.dtype.name),
         stagger={name: stagger_axis(name) for name in ALL_FIELDS},
@@ -191,5 +191,5 @@ def load_checkpoint(model: MasModel, path: str | Path) -> CheckpointInfo:
                 model.ranks[r].update_device(name)
     model.time = _from_jsonable(info.time)
     model.steps_taken = info.steps_taken
-    model._last_dt = _from_jsonable(info.last_dt)
+    model.last_dt = _from_jsonable(info.last_dt)
     return info

@@ -15,7 +15,7 @@ dropped model's arrays alive until the cyclic collector happens to run.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,32 +50,34 @@ _AXPY_ROLES = {
 }
 
 
-def _pair_dot(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-    """One (pair of) interior dot(s): float, or (B,) per member.
-
-    The per-member values are each computed by the same ``np.vdot`` over
-    the same elements as the member's serial run -- bitwise-identical
-    reductions, one kernel.
-    """
-    if x.ndim == 3:
-        return float(np.vdot(x, y).real)
-    return np.array([float(np.vdot(xb, yb).real) for xb, yb in zip(x, y)])
+def dot_rows(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The ``(k, G, B)`` dots of ``k`` pairs of contiguous ``(G, B, ...)``
+    blocks: one ``np.vdot`` per (pair, rank, member) row, in one flat list,
+    so each row reduces its elements as a lone member on a lone rank would
+    and every allreduce input keeps its bits."""
+    g, b = pairs[0][0].shape[:2]
+    rows = [
+        np.vdot(x, y)
+        for xs, ys in pairs
+        for x, y in zip(xs.reshape(g * b, -1), ys.reshape(g * b, -1))
+    ]
+    return np.array(rows).reshape(len(pairs), g, b)
 
 
 class ImplicitSolve:
     """The PCG callbacks of one solve: kernels named ``{tag}_...`` and
     charged to ``cost_tag``.
 
-    The solver's arrays are one ``(G, [B,] ...)`` stack per rank group
+    The solver's arrays are one ``(G, B, ...)`` stack per rank group
     (:mod:`repro.mas.groups`), and each callback's numpy work is one pass
-    per group (``MasModel.launch_groups``). Per-member ``coeff``/``dt``
-    broadcast as (B,1,1,1) coefficient fields: each member sees exactly
-    the scalar operator its serial run would, but every matvec/axpy
+    per group (``MasModel.launch_groups``). The ``(B,)`` ``coeff`` and
+    ``dt`` broadcast as (B,1,1,1) coefficient fields: each member sees
+    exactly the scalar operator its serial run would, but every matvec/axpy
     kernel covers the whole batch.
     """
 
     def __init__(
-        self, model: "MasModel", coeff: float | np.ndarray, dt: float | np.ndarray,
+        self, model: "MasModel", coeff: np.ndarray, dt: np.ndarray,
         tag: str, cost_tag: str,
     ) -> None:
         self.model = model
@@ -86,15 +88,11 @@ class ImplicitSolve:
         self.tags = frozenset({cost_tag})
         grids = model.local_grids
         self.interiors = [grids[group.ranks[0]].interior() for group in model.groups]
-        # One (G, [B or 1,] ...) stack per group: a diagonal without a
-        # member axis (scalar coeff and dt) gets one of size 1, so it
-        # broadcasts against the members and never against the ranks.
-        batched = model.ensemble
-        self.diags = []
-        for group in model.groups:
-            diag = stack_rows([jacobi_diagonal(grids[r], self.coeff, self.dt)
-                               for r in group.ranks])
-            self.diags.append(diag[:, np.newaxis] if batched and diag.ndim == 4 else diag)
+        #: One (G, B, ...) stack per group.
+        self.diags = [
+            stack_rows([jacobi_diagonal(grids[r], self.coeff, self.dt) for r in group.ranks])
+            for group in model.groups
+        ]
 
     def _launch(self, kernel: str, body: Callable[[int], Any], **spec: Any) -> list:
         return self.model.launch_groups(
@@ -112,7 +110,7 @@ class ImplicitSolve:
                 apply_centered_boundary(x, m.decomp, r, antisymmetric_theta=anti)
             return implicit_matvec(xs[g], group.stencil, self.coeff, self.dt)
 
-        return self._launch(f"matvec_{comp}", body, exchange=("pcg_p", m.rank_rows(xs)),
+        return self._launch(f"matvec_{comp}", body, exchange=("pcg_p", m.rank_arrays(xs)),
                             reads=("pcg_p", "rho"), writes=("pcg_ap",))
 
     def local_matvec(self, xs: RankArrays) -> RankArrays:
@@ -124,43 +122,35 @@ class ImplicitSolve:
             reads=("pcg_z", "pcg_diag"), writes=("pcg_ap",),
         )
 
-    def _reduce(self, kernel: str, collective: Callable, body: Callable[[int], list]) -> Any:
+    def _reduce(self, kernel: str, collective: Callable, body: Callable[[int], Any]) -> Any:
         """Per-rank partials, ``body(g)`` giving group ``g``'s in rank
         order, reduced by ``collective`` over the ranks."""
         partials = self.model.rank_rows(self._launch(
             kernel, body, entry="scalar_reduction", reads=("pcg_r", "pcg_z")))
         return self.model.runtime.allreduce(collective, partials)
 
-    def dot(self, a: RankArrays, b: RankArrays) -> float | np.ndarray:
-        def body(g: int) -> list:
-            i = self.interiors[g]
-            x, y = np.ascontiguousarray(a[g][i]), np.ascontiguousarray(b[g][i])
-            return [_pair_dot(xr, yr) for xr, yr in zip(x, y)]
-
-        total = self._reduce("dot", allreduce_sum, body)
-        return total if isinstance(total, np.ndarray) else float(total)
-
-    def dot_many(self, collective: Callable, pairs: DotPairs) -> Any:
-        """Per-rank partial dots under one fused reduction, blocking
-        (``allreduce_many``) or posted (``allreduce_many_begin``).
-
-        Scalar runs contribute a (k,) vector per rank; ensemble runs a
-        (k, B) matrix -- still ONE collective either way. Each distinct
-        operand's interior is copied contiguous once per group, for every
-        pair that reads it, and each rank row is reduced on its own: the
-        partials are those of a rank-by-rank pass.
-        """
-        def body(g: int) -> list:
+    def _dots(self, pairs: DotPairs) -> Callable[[int], np.ndarray]:
+        """Group ``g``'s partial dots of ``pairs``, ``(G, k, B)``. Each
+        distinct operand's interior is copied contiguous once, for every
+        pair that reads it (:func:`dot_rows`)."""
+        def body(g: int) -> np.ndarray:
             i = self.interiors[g]
             arrays = {id(x[g]): x[g] for pair in pairs for x in pair}
             interior = {key: np.ascontiguousarray(a[i]) for key, a in arrays.items()}
-            rows = [(interior[id(a[g])], interior[id(b[g])]) for a, b in pairs]
-            return [
-                np.array([_pair_dot(x[row], y[row]) for x, y in rows])
-                for row in range(len(self.model.groups[g].ranks))
-            ]
+            rows = dot_rows([(interior[id(a[g])], interior[id(b[g])]) for a, b in pairs])
+            return rows.swapaxes(0, 1)
 
-        return self._reduce("dot_many", collective, body)
+        return body
+
+    def dot(self, a: RankArrays, b: RankArrays) -> np.ndarray:
+        """Per-member ``(B,)`` global dot under one blocking reduction."""
+        dots = self._dots([(a, b)])
+        return self._reduce("dot", allreduce_sum, lambda g: dots(g)[:, 0])
+
+    def dot_many(self, collective: Callable, pairs: DotPairs) -> Any:
+        """Per-rank ``(k, B)`` partial dots under one fused reduction,
+        blocking (``allreduce_many``) or posted (``allreduce_many_begin``)."""
+        return self._reduce("dot_many", collective, self._dots(pairs))
 
     def combine(
         self, ys: RankArrays, alpha: float, zs: RankArrays,
@@ -240,7 +230,7 @@ class ImplicitSolve:
         )
         span = self.model.runtime.span
         for comp in VELOCITY_FIELDS:
-            arrays = [group.state[comp] for group in self.model.groups]
+            arrays = [group.fields[comp] for group in self.model.groups]
             rhs = [a.copy() for a in arrays]
             with span(f"step/{self.cost_tag}/pcg", component=comp, variant=variant):
                 yield solver(

@@ -33,7 +33,7 @@ from repro.mas.boundary import BoundaryProfiles, apply_boundaries, apply_centere
 from repro.mas.conduction import conduction_rhs, max_diffusivity
 from repro.mas.constants import PhysicsParams
 from repro.mas.grid import LocalGrid, SphericalGrid, stack_rows
-from repro.mas.groups import rank_groups
+from repro.mas.groups import rank_groups, rank_view
 from repro.mas.implicit_solve import ImplicitSolve
 from repro.mas.initial import initialize
 from repro.mas.pcg import PCG_VARIANTS, PRECONDITIONERS
@@ -58,7 +58,7 @@ from repro.mas.state import (
     MhdState,
     member_field,
 )
-from repro.mas.semi_implicit import max_wave_speed, si_coefficient
+from repro.mas.semi_implicit import fast_speed, max_wave_speed, si_coefficient
 from repro.mas.sts import explicit_parabolic_dt, rkl2_advance, stages_for_dt
 from repro.mpi.collectives import allreduce_max, allreduce_min
 from repro.runtime.config import RuntimeConfig
@@ -130,10 +130,10 @@ class ModelConfig:
     dt_growth_limit: float = 1.25
     #: Initial non-axisymmetric density perturbation amplitude.
     perturbation: float = 0.02
-    #: Ensemble batch size B.  1 keeps the legacy scalar 3-D state layout
-    #: (bit-identical to the pre-ensemble code path); B > 1 prepends a
-    #: member axis to every state/work array so one kernel advances all
-    #: members at once -- launches and halo messages amortize ~B-fold.
+    #: Ensemble batch size B: every state/work block carries a member axis
+    #: of length B (1 for a scalar run), so one kernel advances all members
+    #: at once -- launches and halo messages amortize ~B-fold.  A scalar
+    #: run's public values (states, time, dt) stay 3-D arrays and floats.
     ensemble_size: int = 1
     #: Per-member parameter overrides for sweeps, as
     #: ``((name, (v_0, ..., v_{B-1})), ...)`` with names from
@@ -192,6 +192,14 @@ class ModelConfig:
                     replace(self.params, **{name: float(value)})
 
 
+def _public(values: np.ndarray | None) -> float | np.ndarray | None:
+    """A per-member ``(B,)`` value as the public API gives it: a scalar
+    run's is a float."""
+    if values is None or values.size > 1:
+        return values
+    return float(values[0])
+
+
 class MasModel:
     """A runnable MAS-analog instance under one code-version runtime."""
 
@@ -221,22 +229,18 @@ class MasModel:
         #: Overlapped halo exchanges: requested by the model config AND
         #: supported by the runtime.
         self.halo_overlap = runtime.halo_overlap
-        #: Simulated physical time; a (B,) array in ensemble runs (members
-        #: advance under their own CFL steps).
-        self.time: float | np.ndarray = 0.0
+        nb = config.ensemble_size
+        #: Simulated physical time and the last step, per member (members
+        #: advance under their own CFL steps); :attr:`time` and
+        #: :attr:`last_dt` are their public forms.
+        self._time = np.zeros(nb)
+        self._last_dt: np.ndarray | None = None
         self.steps_taken = 0
-        self._last_dt: float | np.ndarray | None = None
-        #: Ensemble batching: B > 1 switches every state/work array to the
-        #: member-batched 4-D layout.  B == 1 keeps the scalar 3-D arrays;
-        #: that is a choice of array layout only -- the PCG solvers are the
-        #: same code for every B.
-        self.ensemble = config.ensemble_size > 1
-        #: Swept parameters, each entering the model here and nowhere else:
-        #: per-member (B,) values, or the one member's scalar in the scalar
-        #: layout (B=1 is a degenerate ensemble, not a different program).
-        self._vary: dict[str, float | np.ndarray] = {
-            name: np.asarray(values, dtype=float) if self.ensemble else float(values[0])
-            for name, values in config.ensemble_vary
+        #: Swept parameters, (B,) values each, entering the model here and
+        #: nowhere else (B=1 is a degenerate ensemble, not a different
+        #: program).
+        self._vary = {
+            name: np.asarray(values, dtype=float) for name, values in config.ensemble_vary
         }
         #: Members frozen by a PCG rho-breakdown (sticky across steps).
         self._member_breakdown = np.zeros(config.ensemble_size, dtype=bool)
@@ -253,16 +257,12 @@ class MasModel:
         ]
 
         # -- rank groups, states, boundary profiles ------------------------------
-        nb = config.ensemble_size
-        b0s = np.broadcast_to(self._vary.get("b0", config.b0), nb)
-        perts = np.broadcast_to(
-            self._vary.get("perturbation", config.perturbation), nb
-        )
+        b0s = self._per_member(self._vary.get("b0", config.b0))
+        perts = self._per_member(self._vary.get("perturbation", config.perturbation))
 
         def rank_members(r: int) -> list[MhdState]:
             # Each member initializes exactly as its scalar run would, then
-            # the members stack into one (B, ...) array per field; one
-            # member in the scalar layout IS its scalar run.
+            # the members stack into the group's (G, B, ...) blocks.
             return [
                 initialize(
                     self.local_grids[r],
@@ -275,9 +275,7 @@ class MasModel:
 
         #: Ranks of one ghosted shape, whose state fields are one block each
         #: (:mod:`repro.mas.groups`); a rank's state arrays are block rows.
-        self.groups, self.states = rank_groups(
-            self.local_grids, rank_members, batched=self.ensemble
-        )
+        self.groups, self.states = rank_groups(self.local_grids, rank_members)
         #: Per rank, (its group's index, its row in the group's blocks).
         self._slots = [(-1, -1)] * config.num_ranks
         for g, group in enumerate(self.groups):
@@ -301,6 +299,31 @@ class MasModel:
             self.halo.ensure_buffers((*ALL_FIELDS, "pcg_p", "sts_y"))
             self.halo.exchange_many(self._state_items())
             self._apply_boundaries()
+
+    # ------------------------------------------------------ per-member values
+
+    def _per_member(self, value: float | np.ndarray) -> np.ndarray:
+        """``value`` for each member: a fresh ``(B,)`` float array."""
+        return np.full(self.config.ensemble_size, value, dtype=float)
+
+    @property
+    def time(self) -> float | np.ndarray:
+        """Simulated physical time: a float, or ``(B,)`` per member when
+        B > 1."""
+        return _public(self._time)
+
+    @time.setter
+    def time(self, value: float | np.ndarray) -> None:
+        self._time = self._per_member(value)
+
+    @property
+    def last_dt(self) -> float | np.ndarray | None:
+        """The last step taken (None before the first), as :attr:`time`."""
+        return _public(self._last_dt)
+
+    @last_dt.setter
+    def last_dt(self, value: float | np.ndarray | None) -> None:
+        self._last_dt = None if value is None else self._per_member(value)
 
     # ----------------------------------------------------------- communication
 
@@ -438,6 +461,11 @@ class MasModel:
         """Per-group stacks (or lists) as their rows in rank order."""
         return [per_group[g][row] for g, row in self._slots]
 
+    def rank_arrays(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        """Per-group ``(G, B, ...)`` blocks as each rank's arrays, in rank
+        order (:func:`~repro.mas.groups.rank_view`)."""
+        return [rank_view(blocks[g], row) for g, row in self._slots]
+
     def _apply_boundaries(self) -> None:
         for r, rt in enumerate(self.ranks):
             state, grid, prof = self.states[r], self.local_grids[r], self.profiles[r]
@@ -465,31 +493,27 @@ class MasModel:
     # ------------------------------------------------------------------- step
 
     def compute_dt(self) -> float | np.ndarray:
-        """CFL timestep: local fast-speed reduction + global min.
+        """Each member's next step, recorded as the last one taken:
+        ``fixed_dt``, or the CFL step (local fast-speed reduction + global
+        min, elementwise over members, so a stiff member never throttles
+        the others' physics). A float when B = 1, like :attr:`time`.
 
-        The returned step is additionally rate-limited: it may grow by at
-        most ``dt_growth_limit`` per step (it shrinks freely).  Ensemble
-        runs return a per-member ``(B,)`` step (elementwise global min --
-        a converged/stiff member never throttles the others' physics).
+        The CFL step is additionally rate-limited: it may grow by at most
+        ``dt_growth_limit`` per step (it shrinks freely).
         """
         if self.config.fixed_dt is not None:
-            return self.config.fixed_dt
+            self._last_dt = self._per_member(self.config.fixed_dt)
+            return self.last_dt
         p = self.config.params
 
-        def body(g: int) -> list | np.ndarray:
+        def body(g: int) -> np.ndarray:
             f, i = self.groups[g].fields, self._interior(g)
-            bcr, bct, bcp = ops.face_to_center(f["br"], f["bt"], f["bp"])
-            rho = np.maximum(f["rho"][i], p.rho_floor)
-            va2 = (bcr[i] ** 2 + bct[i] ** 2 + bcp[i] ** 2) / rho
-            cs2 = p.sound_speed_sq(np.maximum(f["temp"][i], p.temp_floor))
             vmag = np.sqrt(f["vr"][i] ** 2 + f["vt"][i] ** 2 + f["vp"][i] ** 2)
-            speed = vmag + np.sqrt(va2 + cs2)
+            speed = vmag + fast_speed(f, i, p)
             extent = np.array(
                 [[self.local_grids[r].min_cell_extent] for r in self.groups[g].ranks]
             )
-            dt = p.cfl * extent / speed.max(axis=(-3, -2, -1))
-            # one step per member in batched runs, one float per rank otherwise
-            return dt if self.ensemble else [float(x) for x in dt[:, 0]]
+            return p.cfl * extent / speed.max(axis=(-3, -2, -1))
 
         # MAS's remaining `kernels` regions wrap Fortran intrinsics like
         # MINVAL (SIV-B); the CFL minimum is exactly that construct, so
@@ -498,13 +522,10 @@ class MasModel:
         dt = self.runtime.allreduce(allreduce_min, self.rank_rows(self.launch_groups(
             "cfl_minval", body, entry="kernels_region", reads=ALL_FIELDS,
         )))
-        if not isinstance(dt, np.ndarray):
-            dt = float(dt)
         if self._last_dt is not None:
-            limit = self._last_dt * self.config.dt_growth_limit
-            dt = np.minimum(dt, limit) if isinstance(dt, np.ndarray) else min(dt, limit)
+            dt = np.minimum(dt, self._last_dt * self.config.dt_growth_limit)
         self._last_dt = dt
-        return dt
+        return self.last_dt
 
     def step(self) -> StepTiming:
         """Advance the full system one step; returns timing deltas."""
@@ -521,7 +542,8 @@ class MasModel:
                 pending = self._exchange_state_begin()
                 self._apply_boundaries()
             with span("step/cfl"):
-                dt = self.compute_dt()
+                self.compute_dt()
+                dt = self._last_dt
             with span("step/hydro"):
                 self._hydro_advance(dt)
                 self._shell_diagnostics()
@@ -542,14 +564,14 @@ class MasModel:
                 self._energy_sources(dt)
                 self._floors()
 
-        self.time = self.time + dt
+        self._time = self._time + dt
         self.steps_taken += 1
+        nb = self.config.ensemble_size
         return run.end_step(
             self.steps_taken - 1,
             float(np.min(dt)),
-            float(np.min(np.asarray(self.time))),
-            self.config.ensemble_size - int(self._member_breakdown.sum())
-            if self.ensemble else None,
+            float(np.min(self._time)),
+            nb - int(self._member_breakdown.sum()) if nb > 1 else None,
         )
 
     def run(self, n_steps: int) -> list[StepTiming]:
@@ -570,7 +592,7 @@ class MasModel:
                 for name in WORK_ARRAYS:
                     rt.loop(KernelSpec(f"wrapper_zero_{name}", writes=(name,)))
 
-    def _hydro_advance(self, dt: float | np.ndarray) -> None:
+    def _hydro_advance(self, dt: np.ndarray) -> None:
         p = self.config.params
         dt = member_field(dt)
         groups = self.groups
@@ -641,16 +663,14 @@ class MasModel:
             f, i = group.fields, self._interior(g)
             rhovr = f["rho"][i] * f["vr"][i]
             area = group.stencil.face_areas[0][..., 1:-1, 1:-1, 1:-1][..., : rhovr.shape[-3], :, :]
-            flux = (rhovr * area).sum(axis=(-2, -1))
-            # one radial profile per member in batched runs
-            return flux if self.ensemble else flux[:, 0]
+            return (rhovr * area).sum(axis=(-2, -1))
 
         self._last_flux_profile = self.rank_rows(self.launch_groups(
             "shell_mass_flux", body, entry="array_reduction",
             reads=("rho", "vr"), writes=("diag_flux",),
         ))
 
-    def _momentum_predictor(self, dt: float | np.ndarray, pending=None) -> None:
+    def _momentum_predictor(self, dt: np.ndarray, pending=None) -> None:
         p = self.config.params
         dt = member_field(dt)
         groups, work = self.groups, self._work
@@ -725,24 +745,24 @@ class MasModel:
 
     # -- implicit velocity solves (viscosity & semi-implicit) ------------------------
 
-    def _viscosity_solve(self, dt: float | np.ndarray) -> None:
-        nu = self._vary.get("viscosity", self.config.params.viscosity)
-        if np.all(np.asarray(nu) == 0.0):
+    def _viscosity_solve(self, dt: np.ndarray) -> None:
+        nu = self._per_member(self._vary.get("viscosity", self.config.params.viscosity))
+        if np.all(nu == 0.0):
             return
         self._run_solve(ImplicitSolve(self, nu, dt, "visc", "viscosity"))
 
-    def _semi_implicit_solve(self, dt: float | np.ndarray) -> None:
+    def _semi_implicit_solve(self, dt: np.ndarray) -> None:
         """MAS's semi-implicit wave stabilization (see repro.mas.semi_implicit)."""
         if not self.config.semi_implicit:
             return
-        p = self.config.params
-        c_max = self.runtime.allreduce(allreduce_max, self.launch(
+        p, groups = self.config.params, self.groups
+        c_max = self.runtime.allreduce(allreduce_max, self.rank_rows(self.launch_groups(
             "si_wave_speed",
-            lambda r: max_wave_speed(self.states[r], self.local_grids[r], p),
+            lambda g: max_wave_speed(groups[g].fields, self.local_grids[groups[g].ranks[0]], p),
             entry="scalar_reduction", reads=ALL_FIELDS, tags=frozenset({"semi_implicit"}),
-        ))
+        )))
         coeff = si_coefficient(c_max, dt, self.config.si_theta)
-        if np.any(np.asarray(coeff) > 0.0):
+        if np.any(coeff > 0.0):
             self._run_solve(ImplicitSolve(self, coeff, dt, "si", "semi_implicit"))
 
     def _run_solve(self, solve: ImplicitSolve) -> None:
@@ -756,10 +776,10 @@ class MasModel:
 
     # -- induction -------------------------------------------------------------------
 
-    def _induction(self, dt: float | np.ndarray, pending=None) -> None:
+    def _induction(self, dt: np.ndarray, pending=None) -> None:
         dt = member_field(dt)
         eta = member_field(
-            self._vary.get("resistivity", self.config.params.resistivity)
+            self._per_member(self._vary.get("resistivity", self.config.params.resistivity))
         )
         groups, work = self.groups, self._work
 
@@ -806,7 +826,7 @@ class MasModel:
 
     # -- conduction (STS) ---------------------------------------------------------------
 
-    def _conduction(self, dt: float | np.ndarray) -> None:
+    def _conduction(self, dt: np.ndarray) -> None:
         p = self.config.params
         if p.kappa0 == 0.0:
             return
@@ -814,8 +834,8 @@ class MasModel:
             s = self.config.sts_stages
         else:
             kmax = max(
-                max_diffusivity(self.states[r].temp, self.states[r].rho, p)
-                for r in range(len(self.ranks))
+                max_diffusivity(group.fields["temp"], group.fields["rho"], p)
+                for group in self.groups
             )
             dte = explicit_parabolic_dt(
                 min(g.min_cell_extent for g in self.local_grids), max(kmax, 1e-30)
@@ -834,10 +854,10 @@ class MasModel:
                 group = groups[g]
                 for u, r in zip(us[g], group.ranks):
                     apply_centered_boundary(u, self.decomp, r)
-                return conduction_rhs(us[g], group.state["rho"], group.stencil, p)
+                return conduction_rhs(us[g], group.fields["rho"], group.stencil, p)
 
             return self.launch_groups(
-                "conduction_rhs", body, exchange=("sts_y", self.rank_rows(us)),
+                "conduction_rhs", body, exchange=("sts_y", self.rank_arrays(us)),
                 reads=("sts_y", "rho"), writes=("sts_l",), tags=tags,
             )
 
@@ -846,7 +866,7 @@ class MasModel:
             self.launch("sts_combine", reads=("sts_y", "sts_l"),
                         writes=("sts_y",), tags=tags)
 
-        temps = [group.state["temp"] for group in groups]
+        temps = [group.fields["temp"] for group in groups]
         advanced = rkl2_advance(apply_l, temps, dt, s, on_stage=on_stage)
         for temp, new in zip(temps, advanced):
             np.maximum(new, p.temp_floor, out=new)
@@ -854,7 +874,7 @@ class MasModel:
 
     # -- sources & floors -------------------------------------------------------------
 
-    def _energy_sources(self, dt: float | np.ndarray) -> None:
+    def _energy_sources(self, dt: np.ndarray) -> None:
         p = self.config.params
         dt = member_field(dt)
 
@@ -871,7 +891,7 @@ class MasModel:
         p = self.config.params
 
         def body(g: int) -> None:
-            block = self.groups[g].state
+            block = self.groups[g].fields
             np.maximum(block["rho"], p.rho_floor, out=block["rho"])
             np.maximum(block["temp"], p.temp_floor, out=block["temp"])
 
@@ -886,27 +906,16 @@ class MasModel:
 
     def ensemble_report(self) -> list[dict]:
         """One row per ensemble member: swept parameter values, simulated
-        time reached, and cumulative PCG convergence counters.  Works for
-        scalar runs too (a single row)."""
-        nb = self.config.ensemble_size
-        times = np.broadcast_to(
-            np.asarray(self.time, dtype=float).reshape(-1), (nb,)
-        )
-        dts = (
-            None
-            if self._last_dt is None
-            else np.broadcast_to(
-                np.asarray(self._last_dt, dtype=float).reshape(-1), (nb,)
-            )
-        )
+        time reached, the last step taken, and cumulative PCG convergence
+        counters.  Works for scalar runs too (a single row)."""
         rows = []
-        for b in range(nb):
+        for b in range(self.config.ensemble_size):
             row: dict = {"member": b}
             for name, values in self._vary.items():
-                row[name] = float(np.atleast_1d(values)[b])
+                row[name] = float(values[b])
             row.update(
-                sim_time=float(times[b]),
-                dt=None if dts is None else float(dts[b]),
+                sim_time=float(self._time[b]),
+                dt=None if self._last_dt is None else float(self._last_dt[b]),
                 pcg_iterations=int(self._member_pcg_iterations[b]),
                 pcg_converged=int(self._member_pcg_converged[b]),
                 pcg_breakdown=bool(self._member_breakdown[b]),

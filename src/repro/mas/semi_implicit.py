@@ -21,40 +21,35 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mas.grid import LocalGrid
+from repro.mas.operators import face_to_center
 
 
-def si_coefficient(
-    c_max: float | np.ndarray, dt: float | np.ndarray, theta: float = 1.0
-):
-    """Effective diffusivity of the semi-implicit operator.
+def si_coefficient(c_max: np.ndarray, dt: np.ndarray, theta: float = 1.0) -> np.ndarray:
+    """Effective diffusivity of the semi-implicit operator, per member.
 
     ``theta`` ~ 1 stabilizes the full wave CFL; larger values over-smooth,
-    0 disables the operator. Per-member (array) wave speeds and steps
-    yield a per-member coefficient.
+    0 disables the operator.
     """
     if np.any(np.asarray(c_max) < 0) or np.any(np.asarray(dt) < 0):
         raise ValueError("wave speed and dt must be non-negative")
     if theta < 0:
         raise ValueError("theta cannot be negative")
-    if isinstance(c_max, np.ndarray) or isinstance(dt, np.ndarray):
-        return theta * (c_max * dt) ** 2 / np.maximum(dt, 1e-300)
-    return theta * (c_max * dt) ** 2 / max(dt, 1e-300)
+    return theta * (c_max * dt) ** 2 / np.maximum(dt, 1e-300)
 
 
-def max_wave_speed(state, grid: LocalGrid, params) -> float | np.ndarray:
-    """Fast magnetosonic estimate over the interior (per rank).
+def fast_speed(state, interior: tuple, params) -> np.ndarray:
+    """Fast magnetosonic speed ``sqrt(vA^2 + cs^2)`` at the ``interior``
+    cells of ``state``: an :class:`~repro.mas.state.MhdState` or a group's
+    blocks by field name (either has ``.get(name)``)."""
+    bcr, bct, bcp = face_to_center(state.get("br"), state.get("bt"), state.get("bp"))
+    rho = np.maximum(state.get("rho")[interior], params.rho_floor)
+    va2 = (bcr[interior] ** 2 + bct[interior] ** 2 + bcp[interior] ** 2) / rho
+    cs2 = params.sound_speed_sq(np.maximum(state.get("temp")[interior], params.temp_floor))
+    return np.sqrt(va2 + cs2)
 
-    Batched states yield a per-member ``(B,)`` array (max over the
-    spatial axes only); scalar states keep the float return.
-    """
-    from repro.mas.operators import face_to_center
 
-    i = grid.interior()
-    bcr, bct, bcp = face_to_center(state.br, state.bt, state.bp)
-    rho = np.maximum(state.rho[i], params.rho_floor)
-    va2 = (bcr[i] ** 2 + bct[i] ** 2 + bcp[i] ** 2) / rho
-    cs2 = params.sound_speed_sq(np.maximum(state.temp[i], params.temp_floor))
-    speed = np.sqrt(va2 + cs2)
-    if speed.ndim == 3:
-        return float(speed.max())
-    return speed.max(axis=(-3, -2, -1))
+def max_wave_speed(state, grid: LocalGrid, params) -> np.ndarray:
+    """Largest fast speed over the spatial axes of ``state`` (as in
+    :func:`fast_speed`) on ``grid``'s interior: one per leading row, such
+    as ``(G, B)`` for a group's blocks."""
+    return fast_speed(state, grid.interior(), params).max(axis=(-3, -2, -1))

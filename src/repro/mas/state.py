@@ -4,13 +4,14 @@ Plasma variables (rho, T, v) are cell-centered; the magnetic field is
 face-staggered for constrained transport. All arrays carry one ghost
 layer; the model's halo/boundary machinery keeps ghosts coherent.
 
-Ensemble batching: every state array may carry a leading *member* axis
-``B`` in front of the three spatial axes, so one numpy kernel advances
-all ensemble members at once. All numeric code in this package treats
-the trailing three axes as spatial (``a[..., i, j, k]`` indexing,
-negative/trailing-relative ``axis`` arguments), which makes the same
-code path handle both the scalar 3-D layout (``B`` absent -- the
-bit-identical legacy path) and the batched 4-D layout.
+Ensemble batching: the model stores each field as rows of one
+``(G, B, ...)`` block per rank group (:mod:`repro.mas.groups`), ``B``
+ensemble members in front of the three spatial axes, with B = 1 for a
+scalar run. A rank's :class:`MhdState` views its row: the ``(B, ...)``
+arrays of an ensemble, or the 3-D arrays of its one member when B = 1.
+All numeric code in this package treats the trailing three axes as
+spatial (``a[..., i, j, k]`` indexing, negative/trailing-relative
+``axis`` arguments), so it takes either.
 """
 
 from __future__ import annotations
@@ -35,12 +36,10 @@ STAGGER_AXES = {name: None for name in CENTERED_FIELDS}
 STAGGER_AXES.update({name: axis for name, axis in FACE_FIELDS})
 
 
-def member_field(value: float | np.ndarray) -> float | np.ndarray:
-    """A per-member quantity reshaped to broadcast against batched
-    ``(B, nr, nt, np)`` state arrays; scalars pass through."""
-    if isinstance(value, np.ndarray):
-        return value[:, None, None, None]
-    return value
+def member_field(value: np.ndarray) -> np.ndarray:
+    """A per-member ``(B,)`` quantity shaped ``(B, 1, 1, 1)``, to broadcast
+    against ``(G, B, nr, nt, np)`` blocks."""
+    return value[:, None, None, None]
 
 
 def stagger_axis(name: str) -> int | None:
@@ -52,7 +51,7 @@ def stagger_axis(name: str) -> int | None:
 
 @dataclass(slots=True)
 class MhdState:
-    """One rank's ghosted state arrays (optionally member-batched)."""
+    """One rank's ghosted state arrays (3-D, or ``(B, ...)`` member-batched)."""
 
     rho: np.ndarray
     temp: np.ndarray
@@ -64,37 +63,23 @@ class MhdState:
     bp: np.ndarray
 
     @classmethod
-    def allocate(
-        cls, grid: LocalGrid, dtype=np.float64, *, members: int | None = None
-    ) -> "MhdState":
-        """Zero-initialized state with the grid's ghosted shapes.
-
-        ``members=None`` keeps the legacy 3-D layout; ``members=B``
-        prepends a leading batch axis of length B to every array.
-        """
-        if members is not None and members < 1:
-            raise ValueError("members must be >= 1")
-        lead = () if members is None else (members,)
-        c = lead + grid.centered_shape()
+    def allocate(cls, grid: LocalGrid, dtype=np.float64) -> "MhdState":
+        """Zero-initialized 3-D state with the grid's ghosted shapes."""
+        c = grid.centered_shape()
         return cls(
             rho=np.zeros(c, dtype),
             temp=np.zeros(c, dtype),
             vr=np.zeros(c, dtype),
             vt=np.zeros(c, dtype),
             vp=np.zeros(c, dtype),
-            br=np.zeros(lead + grid.face_shape(0), dtype),
-            bt=np.zeros(lead + grid.face_shape(1), dtype),
-            bp=np.zeros(lead + grid.face_shape(2), dtype),
+            br=np.zeros(grid.face_shape(0), dtype),
+            bt=np.zeros(grid.face_shape(1), dtype),
+            bp=np.zeros(grid.face_shape(2), dtype),
         )
-
-    @property
-    def members(self) -> int | None:
-        """Batch size B, or None for the scalar 3-D layout."""
-        return None if self.rho.ndim == 3 else int(self.rho.shape[0])
 
     def member_view(self, b: int) -> "MhdState":
         """Zero-copy 3-D view of member ``b`` of a batched state."""
-        if self.members is None:
+        if self.rho.ndim == 3:
             raise ValueError("state is not batched")
         return MhdState(**{f.name: getattr(self, f.name)[b] for f in fields(self)})
 
@@ -123,20 +108,3 @@ class MhdState:
             if not np.all(np.isfinite(core)):
                 raise FloatingPointError(f"non-finite values in {f.name}")
 
-
-class EnsembleState(MhdState):
-    """A member-batched :class:`MhdState` (leading axis = ensemble members).
-
-    Behaviourally identical to a batched ``MhdState``; the subclass only
-    marks intent at allocation sites and requires the batch axis.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def allocate(
-        cls, grid: LocalGrid, dtype=np.float64, *, members: int | None = None
-    ) -> "EnsembleState":
-        if members is None:
-            raise ValueError("EnsembleState.allocate requires members")
-        return super().allocate(grid, dtype, members=members)  # type: ignore[return-value]

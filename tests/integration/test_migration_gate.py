@@ -149,7 +149,7 @@ def record(model: mas.MasModel) -> dict:
         for name in ALL_FIELDS:
             digest.update(np.ascontiguousarray(state.get(name)).tobytes())
     out = {"state_sha256": digest.hexdigest(), **record_runtime(model)}
-    if model.ensemble:  # per-member clocks and PCG ledger
+    if model.config.ensemble_size > 1:  # per-member clocks and PCG ledger
         out["members"] = model.ensemble_report()
     return out
 

@@ -119,7 +119,7 @@ class TestWindDevelopment:
             runtime_config_for(CodeVersion.A),
         )
         m.run(6)
-        flux = m._last_flux_profile[0]
+        flux = m._last_flux_profile[0][0]  # rank 0's one member
         assert flux.shape[0] == 14
         # net outward mass flux aloft (exclude the open outer boundary
         # row, where the zero-gradient BC distorts the last shell)

@@ -19,7 +19,7 @@ from repro.codes import CodeVersion, runtime_config_for
 from repro.mas.constants import PhysicsParams
 from repro.mas.model import ENSEMBLE_VARY_PARAMS, MasModel, ModelConfig
 from repro.mas.pcg import pcg_solve, pcg_solve_ca, pcg_solve_pipelined
-from repro.mas.state import ALL_FIELDS, EnsembleState
+from repro.mas.state import ALL_FIELDS, MhdState
 from tests.mas.pcg_numpy import numpy_dot_batched, numpy_dot_many_batched
 
 SHAPE = (6, 5, 8)
@@ -50,7 +50,7 @@ def _run(config: ModelConfig, version: CodeVersion) -> MasModel:
 
 
 def _member_states(model: MasModel, b: int):
-    if model.ensemble:
+    if model.config.ensemble_size > 1:
         return [s.member_view(b) for s in model.states]
     return model.states
 
@@ -130,7 +130,6 @@ class TestScalarPathUnchanged:
                         pcg_iters=3, sts_stages=3),
             CodeVersion.A,
         )
-        assert not a.ensemble
         assert isinstance(a.time, float) and a.time == b.time
         for sa, sb in zip(a.states, b.states):
             assert sa.rho.ndim == 3
@@ -156,12 +155,46 @@ class TestScalarPathUnchanged:
             scalar_kw = {name: value}
         scalar = _run(_config(1, **scalar_kw), CodeVersion.A)
         default = _run(_config(1), CodeVersion.A)
-        assert not varied.ensemble and varied.states[0].rho.ndim == 3
+        assert varied.states[0].rho.ndim == 3
         assert _max_member_diff(varied, scalar, 0) == 0.0
         assert _max_member_diff(varied, default, 0) > 0.0  # the value matters
         assert isinstance(varied.time, float) and varied.time == scalar.time
         assert varied.wall_time().hex() == scalar.wall_time().hex()
         assert varied.ensemble_report()[0][name] == value
+
+    def test_one_member_keeps_the_scalar_edge(self, tmp_path):
+        """Blocks carry a member axis at every B, but a one-member run's
+        public values are scalar-shaped: 3-D rank arrays, float time and
+        step, and telemetry without ensemble families or member keys. Two
+        members have both."""
+        import json
+
+        from repro.obs.telemetry import session
+
+        for members in (1, 2):
+            out = tmp_path / f"b{members}"
+            with session(out):
+                model = _run(_config(members), CodeVersion.A)
+            assert model.groups[0].fields["rho"].shape[1] == members
+            metrics = json.loads((out / "metrics.json").read_text())
+            records = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
+            steps = [r for r in records if r.get("event") == "step"]
+            member_keys = {k for r in records for k in r
+                           if k.startswith("member_") or k == "ensemble_members"}
+            assert len(steps) == STEPS
+            if members == 1:
+                assert all(s.rho.ndim == 3 and s.br.ndim == 3 for s in model.states)
+                assert isinstance(model.time, float)
+                assert isinstance(model.compute_dt(), float)
+                assert "ensemble_members_active" not in metrics
+                assert member_keys == set()
+            else:
+                assert all(s.rho.shape[0] == 2 for s in model.states)
+                assert np.asarray(model.time).shape == (2,)
+                assert np.asarray(model.compute_dt()).shape == (2,)
+                assert "ensemble_members_active" in metrics
+                assert all(s["ensemble_members"] == 2 for s in steps)
+                assert {"ensemble_members", "member_iterations"} <= member_keys
 
     def test_member_telemetry_only_when_batched(self, tmp_path):
         """A scalar run's PCG telemetry has the families and log keys it had
@@ -320,6 +353,26 @@ class TestRhoBreakdownMember:
         assert not report[1]["pcg_breakdown"]
 
 
+class TestEnsembleReport:
+    @pytest.mark.parametrize("fixed_dt", [None, 1.0e-3], ids=["cfl", "fixed_dt"])
+    def test_each_row_reports_the_step_its_member_took(self, fixed_dt):
+        """Under a CFL step or ``fixed_dt`` alike, every row carries the
+        member's last step and time, and the time is per member."""
+        from repro.cli import _render_member_rows
+
+        b0s = (0.6, 1.0, 1.8)
+        model = _run(_config(3, vary=[("b0", b0s)], shape=(8, 6, 12), fixed_dt=fixed_dt),
+                     CodeVersion.A)
+        assert np.asarray(model.time).shape == (3,)
+        report = model.ensemble_report()
+        for b, row in enumerate(report):
+            assert row["dt"] == float(model.last_dt[b]) > 0.0, row
+            assert row["sim_time"] == float(model.time[b])
+            if fixed_dt is not None:
+                assert row["dt"] == fixed_dt and row["sim_time"] == STEPS * fixed_dt
+        assert f"{report[0]['dt']:.5f}" in _render_member_rows(report)
+
+
 def _combine(y, alpha, z, roles=None):
     for yi, zi in zip(y, z):
         yi += alpha * zi
@@ -362,8 +415,9 @@ class TestEnsembleState:
             initialize(lg, params, b0=b0, perturbation=0.02)
             for b0 in (0.5, 1.0, 2.0)
         ]
-        _, (ens,) = rank_groups([lg], lambda r: [m.copy() for m in members], batched=True)
-        assert isinstance(ens, EnsembleState) and ens.members == 3
+        (group,), (ens,) = rank_groups([lg], lambda r: [m.copy() for m in members])
+        assert isinstance(ens, MhdState) and ens.rho.shape[0] == 3
+        assert group.fields["rho"].shape[:2] == (1, 3)
         for b, m in enumerate(members):
             view = ens.member_view(b)
             for name in ALL_FIELDS:

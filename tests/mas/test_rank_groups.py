@@ -21,6 +21,7 @@ from repro.mas import conduction, operators as ops, viscosity
 from repro.mas.constants import PhysicsParams
 from repro.mas.grid import GridGroup, LocalGrid, SphericalGrid, gradient_coefficients
 from repro.mas.groups import rank_groups
+from repro.mas.implicit_solve import dot_rows
 from repro.mas.model import MasModel, ModelConfig
 from repro.mas.state import ALL_FIELDS, MhdState
 from repro.mpi.decomp import Decomposition3D
@@ -31,14 +32,13 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def decomposed(shape, nranks, members=None):
+def decomposed(shape, nranks, members=1):
     """Local grids of a real decomposition, grouped, with zero states."""
     grid = SphericalGrid.build(shape, r_ratio=1.1)
     dec = Decomposition3D(grid.shape, nranks)
     grids = [LocalGrid.from_global(grid, dec, r, ghost=1) for r in range(nranks)]
     groups, states = rank_groups(
-        grids, lambda r: [MhdState.allocate(grids[r]) for _ in range(members or 1)],
-        batched=members is not None,
+        grids, lambda r: [MhdState.allocate(grids[r]) for _ in range(members)]
     )
     return grids, groups, states
 
@@ -82,17 +82,19 @@ def test_a_group_call_is_its_ranks_calls(shape, nranks, lead, nu_per_member,
 
 
 @settings(max_examples=30, deadline=None)
-@given(shape=SHAPES, nranks=st.integers(1, 8), members=st.sampled_from([None, 2]))
+@given(shape=SHAPES, nranks=st.integers(1, 8), members=st.sampled_from([1, 2]))
 def test_states_are_rows_of_one_block_per_group(shape, nranks, members):
     grids, groups, states = decomposed(shape, nranks, members)
     for group in groups:
         for name in ALL_FIELDS:
-            block = group.state[name]
-            assert block.flags.c_contiguous and block.shape[0] == len(group.ranks)
+            block = group.fields[name]
+            assert block.flags.c_contiguous and block.shape[:2] == (len(group.ranks), members)
             for row, r in enumerate(group.ranks):
                 assert states[r].get(name).base is not None
                 assert np.shares_memory(states[r].get(name), block[row])
-                assert states[r].get(name).shape == block.shape[1:]
+                # the scalar edge: one member's arrays are 3-D
+                want = block.shape[2:] if members == 1 else block.shape[1:]
+                assert states[r].get(name).shape == want
         if len(group.ranks) == 1:  # a group of one stores nothing twice
             (r,) = group.ranks
             assert group.stencil is grids[r].group
@@ -107,6 +109,47 @@ def test_states_are_rows_of_one_block_per_group(shape, nranks, members):
             others = [x for x in group.ranks if x != r]
             assert not any(np.shares_memory(own.flux, grids[x].group.scratch(2).flux)
                            for x in others)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nranks=st.sampled_from([1, 2, 3]), members=st.sampled_from([1, 3]),
+       name=st.sampled_from(ALL_FIELDS), seed=st.integers(0, 2**32 - 1))
+def test_a_rank_state_writes_through_to_its_block_and_back(nranks, members, name, seed):
+    """A lone rank, an even group (2 ranks) and ragged groups (3 ranks):
+    what is written to a rank's state is in its block row, and the reverse,
+    at B = 1 (a 3-D view of member 0) and B = 3."""
+    rng = np.random.default_rng(seed)
+    grids, groups, states = decomposed((10, 8, 16), nranks, members)
+    for group in groups:
+        block = group.fields[name]
+        for row, r in enumerate(group.ranks):
+            own = states[r].get(name)
+            assert own.ndim == (3 if members == 1 else 4)
+            value = rng.standard_normal(own.shape)
+            own[...] = value
+            assert same_bits(block[row].reshape(own.shape), value)
+            value = rng.standard_normal(block[row, 0].shape)
+            block[row, 0] = value
+            assert same_bits(own if members == 1 else own[0], value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.integers(1, 8), b=st.integers(1, 3), k=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_flat_dot_rows_are_per_row_vdots(g, b, k, seed):
+    """``dot_rows`` of k pairs of (G, B, ...) blocks, one of them shared by
+    two pairs as the solver's (r, r) is, equals ``np.vdot`` of each (pair,
+    rank, member) row on its own, bit for bit."""
+    rng = np.random.default_rng(seed)
+    blocks = [rng.standard_normal((g, b, 3, 4, 5)) for _ in range(k + 1)]
+    pairs = [(blocks[i], blocks[i + 1] if i % 2 else blocks[i]) for i in range(k)]
+    got = dot_rows(pairs)
+    assert got.shape == (k, g, b) and got.dtype == np.float64
+    for p, (x, y) in enumerate(pairs):
+        for rank in range(g):
+            for member in range(b):
+                want = np.vdot(x[rank, member], y[rank, member])
+                assert got[p, rank, member].tobytes() == want.tobytes()
 
 
 def test_a_grid_used_before_grouping_takes_its_row_of_the_group_scratch():
@@ -249,10 +292,12 @@ def test_the_shell_mass_flux_of_a_group_is_its_ranks_sums(nranks, members, seed)
     )
     for group in m.groups:
         for name in ("rho", "vr"):
-            group.state[name][...] = rng.standard_normal(group.state[name].shape)
+            group.fields[name][...] = rng.standard_normal(group.fields[name].shape)
     m._shell_diagnostics()
     for r, (state, grid) in enumerate(zip(m.states, m.local_grids)):
         i = grid.interior()
         rhovr = state.rho[i] * state.vr[i]
         area = grid.area_r[1:-1][:, 1:-1, 1:-1][: rhovr.shape[-3]]
-        assert same_bits(m._last_flux_profile[r], (rhovr * area).sum(axis=(-2, -1)))
+        want = (rhovr * area).sum(axis=(-2, -1))
+        # (B, nr) per rank; a scalar run's one member's profile is 1-D
+        assert same_bits(m._last_flux_profile[r].reshape(want.shape), want)
