@@ -228,9 +228,12 @@ def _queue_of(spec: "KernelSpec") -> int:
 def shadow_smoke(version: str = "A", steps: int = 2) -> list[Finding]:
     """Run a tiny model with the shadow checker attached; return findings.
 
-    The ``repro lint --runtime`` entry point: a clean model must produce
-    zero findings, which is exactly what makes the checker useful as a CI
-    gate for future KernelSpec edits.
+    The ``repro lint --runtime`` entry point: a clean model produces
+    nothing above a note, which is exactly what makes the checker useful as
+    a CI gate for future KernelSpec edits. Its notes are RT321 drift: every
+    version prints the same 14, for ``apply_floors`` on rho and temp and
+    for the velocity unpacks of axes 0 and 2, whose declared writes no
+    launch of the two steps changed (``tests/analysis/test_shadow.py``).
     """
     from repro.codes import CodeVersion, runtime_config_for
     from repro.mas.model import MasModel, ModelConfig
@@ -247,8 +250,9 @@ def shadow_smoke(version: str = "A", steps: int = 2) -> list[Finding]:
         checkers.append(checker)
     model.run(steps)
     # A rank group's numpy work runs in the body of its first rank and
-    # writes every rank's row (docs/PHYSICS.md S3b), so a declared write is
-    # live when any rank's launch of the kernel performed it.
+    # writes every rank's row, as a halo sweep's copy runs in its first
+    # unpack's body (docs/PHYSICS.md S3b), so a declared write is live when
+    # any rank's launch of the kernel performed it.
     performed: dict = {}
     for checker in checkers:
         for key, seen in checker._write_obs.items():

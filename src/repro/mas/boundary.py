@@ -13,103 +13,105 @@ handled by the exchanger.
 Face fields only ever have *ghost* faces filled here (zero-gradient);
 interior faces -- including the boundary faces themselves -- are evolved
 exclusively by the CT update so the divergence-free invariant survives.
+
+A rank group fills each face once, over the rows that own it
+(:class:`BoundaryClasses`), each row in one rank's order of faces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.mas.grid import LocalGrid
-from repro.mas.state import MhdState
+from repro.mas.state import ALL_FIELDS, MhdState
 from repro.mpi.decomp import Decomposition3D
+from repro.mpi.halo import row_index
 
 
-@dataclass(frozen=True)
-class BoundaryProfiles:
-    """Frozen inner-boundary (solar surface) values per rank."""
+#: Per face of :class:`BoundaryClasses`, in fill order: the index of its
+#: ghost layer and of the interior layer it mirrors, in the trailing axes.
+_FACES = tuple(
+    tuple((Ellipsis, *(i if a == axis else slice(None) for a in range(3))) for i in layers)
+    for axis in (0, 1) for layers in ((0, 1), (-1, -2))
+)
 
-    rho_inner: np.ndarray  # shape (..., ntg, npg): boundary cell values
-    temp_inner: np.ndarray
+
+class BoundaryClasses(NamedTuple):
+    """The rows of a rank group's blocks that own each global boundary
+    face, as an index prefix: ``()`` for every row (so also a group of one,
+    or one rank's own arrays), a row slice or index array, or None."""
+
+    r_low: tuple | None
+    r_high: tuple | None
+    t_low: tuple | None
+    t_high: tuple | None
 
     @classmethod
-    def capture(cls, state: MhdState) -> "BoundaryProfiles":
-        """Freeze the initial first-interior-shell values as the BC.
+    def of(cls, decomp: Decomposition3D, ranks: tuple[int, ...], ghost=1) -> BoundaryClasses:
+        """The classes of the group whose rows are ``ranks``."""
+        if ghost != 1:
+            raise ValueError("boundary conditions assume one ghost layer")
 
-        Batched states capture per-member profiles (leading member axis).
-        """
-        return cls(
-            rho_inner=state.rho[..., 1, :, :].copy(),
-            temp_inner=state.temp[..., 1, :, :].copy(),
-        )
+        def owners(axis: int, direction: int) -> tuple | None:
+            rows = [i for i, r in enumerate(ranks) if decomp.neighbor(r, axis, direction) is None]
+            return None if not rows else () if len(rows) == len(ranks) else (row_index(rows),)
 
-
-def _owns(decomp: Decomposition3D, rank: int, axis: int, direction: int) -> bool:
-    """True if this rank's block touches the global boundary on that face."""
-    return decomp.neighbor(rank, axis, direction) is None
+        return cls(owners(0, -1), owners(0, 1), owners(1, -1), owners(1, 1))
 
 
-def apply_boundaries(
-    state: MhdState,
-    grid: LocalGrid,
-    decomp: Decomposition3D,
-    rank: int,
-    profiles: BoundaryProfiles,
-) -> None:
-    """Fill physical-boundary ghosts of all state arrays in place."""
-    if grid.ghost != 1:
-        raise ValueError("boundary conditions assume one ghost layer")
+class BoundaryProfiles(NamedTuple):
+    """Frozen inner-boundary (solar surface) values of a group's r-low rows
+    (None when no row owns the inner boundary)."""
 
-    # ---- inner r (axis 0, low) -------------------------------------------------
-    if _owns(decomp, rank, 0, -1):
-        state.rho[..., 0, :, :] = profiles.rho_inner
-        state.temp[..., 0, :, :] = profiles.temp_inner
-        state.vr[..., 0, :, :] = -state.vr[..., 1, :, :]
-        state.vt[..., 0, :, :] = -state.vt[..., 1, :, :]
-        state.vp[..., 0, :, :] = -state.vp[..., 1, :, :]
-        state.br[..., 0, :, :] = state.br[..., 1, :, :]
-        state.bt[..., 0, :, :] = state.bt[..., 1, :, :]
-        state.bp[..., 0, :, :] = state.bp[..., 1, :, :]
+    rho_inner: np.ndarray | None  # shape (rows, ..., ntg, npg): boundary cell values
+    temp_inner: np.ndarray | None
 
-    # ---- outer r (axis 0, high): zero-gradient ----------------------------------
-    if _owns(decomp, rank, 0, 1):
-        for name in ("rho", "temp", "vr", "vt", "vp", "br", "bt", "bp"):
-            a = state.get(name)
-            a[..., -1, :, :] = a[..., -2, :, :]
-        # open boundary: forbid inflow through the outer shell
-        outer = state.vr[..., -1, :, :]
-        np.maximum(outer, 0.0, out=outer)
+    @classmethod
+    def capture(cls, state: MhdState | dict, classes: BoundaryClasses) -> BoundaryProfiles:
+        """Freeze the initial first-interior-shell values as the BC."""
+        if classes.r_low is None:
+            return cls(None, None)
+        shell = classes.r_low + _FACES[0][1]
+        return cls(state.get("rho")[shell].copy(), state.get("temp")[shell].copy())
 
-    # ---- theta cutouts (axis 1): reflective ---------------------------------------
-    for direction, ghost_i, mirror_i in ((-1, 0, 1), (1, -1, -2)):
-        if not _owns(decomp, rank, 1, direction):
+
+def apply_boundaries(state: MhdState | dict, classes: BoundaryClasses,
+                     profiles: BoundaryProfiles) -> None:
+    """Fill physical-boundary ghosts of all state arrays in place; ``state``
+    holds a group's blocks (or one rank's arrays) by field name."""
+    for face, (rows, (ghost, mirror)) in enumerate(zip(classes, _FACES)):
+        if rows is None:
             continue
-        for name in ("rho", "temp", "vr", "vp", "br", "bt", "bp"):
-            a = state.get(name)
-            a[..., :, ghost_i, :] = a[..., :, mirror_i, :]
-        state.vt[..., :, ghost_i, :] = -state.vt[..., :, mirror_i, :]
+        ghost, mirror = rows + ghost, rows + mirror
+        if face == 0:  # inner r: fixed (rho, T), reflected velocity
+            state.get("rho")[ghost] = profiles.rho_inner
+            state.get("temp")[ghost] = profiles.temp_inner
+            for name in ("vr", "vt", "vp", "br", "bt", "bp"):
+                a = state.get(name)
+                a[ghost] = -a[mirror] if name[0] == "v" else a[mirror]
+        elif face == 1:  # outer r: zero-gradient
+            for name in ALL_FIELDS:
+                a = state.get(name)
+                a[ghost] = a[mirror]
+            # open boundary: forbid inflow through the outer shell
+            vr = state.get("vr")
+            vr[ghost] = np.maximum(vr[ghost], 0.0)
+        else:  # theta cutouts: reflective
+            for name in ("rho", "temp", "vr", "vp", "br", "bt", "bp", "vt"):
+                a = state.get(name)
+                a[ghost] = -a[mirror] if name == "vt" else a[mirror]
 
 
-def apply_centered_boundary(
-    arr: np.ndarray,
-    decomp: Decomposition3D,
-    rank: int,
-    *,
-    antisymmetric_theta: bool = False,
-) -> None:
-    """Zero-gradient (or theta-reflective) ghost fill for one work array.
+def apply_centered_boundary(arr: np.ndarray, classes: BoundaryClasses, *,
+                            antisymmetric_theta: bool = False) -> None:
+    """Zero-gradient (or theta-reflective) ghost fill for one work array,
+    a group's block (or one rank's array).
 
     Used by solver work vectors (PCG residuals, STS stages) that need valid
     ghosts but have no physical boundary data of their own.
     """
-    if _owns(decomp, rank, 0, -1):
-        arr[..., 0, :, :] = arr[..., 1, :, :]
-    if _owns(decomp, rank, 0, 1):
-        arr[..., -1, :, :] = arr[..., -2, :, :]
-    for direction, ghost_i, mirror_i in ((-1, 0, 1), (1, -1, -2)):
-        if _owns(decomp, rank, 1, direction):
-            if antisymmetric_theta:
-                arr[..., :, ghost_i, :] = -arr[..., :, mirror_i, :]
-            else:
-                arr[..., :, ghost_i, :] = arr[..., :, mirror_i, :]
+    for face, (rows, (ghost, mirror)) in enumerate(zip(classes, _FACES)):
+        if rows is not None:
+            shell = arr[rows + mirror]
+            arr[rows + ghost] = -shell if antisymmetric_theta and face > 1 else shell

@@ -28,8 +28,9 @@ from repro.mas.state import MhdState
 def rank_view(block: np.ndarray, row: int) -> np.ndarray:
     """Rank ``row``'s arrays in a ``(G, B, ...)`` block: ``block[row]``, or
     at B = 1 the one member's 3-D ``block[row, 0]``. This is the one place
-    a scalar run's layout differs: what a rank's state, halo exchange or
-    checkpoint sees is what it was before blocks had a member axis."""
+    a scalar run's layout differs: what a rank's state, a recorded plan's
+    exchange shapes or a checkpoint see is what it was before blocks had a
+    member axis."""
     return block[row, 0] if block.shape[1] == 1 else block[row]
 
 

@@ -105,12 +105,10 @@ class ImplicitSolve:
         m, anti = self.model, comp == "vt"
 
         def body(g: int) -> np.ndarray:
-            group = m.groups[g]
-            for x, r in zip(xs[g], group.ranks):
-                apply_centered_boundary(x, m.decomp, r, antisymmetric_theta=anti)
-            return implicit_matvec(xs[g], group.stencil, self.coeff, self.dt)
+            apply_centered_boundary(xs[g], m.boundary[g], antisymmetric_theta=anti)
+            return implicit_matvec(xs[g], m.groups[g].stencil, self.coeff, self.dt)
 
-        return self._launch(f"matvec_{comp}", body, exchange=("pcg_p", m.rank_arrays(xs)),
+        return self._launch(f"matvec_{comp}", body, exchange=("pcg_p", xs),
                             reads=("pcg_p", "rho"), writes=("pcg_ap",))
 
     def local_matvec(self, xs: RankArrays) -> RankArrays:

@@ -29,11 +29,13 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.mas import operators as ops
-from repro.mas.boundary import BoundaryProfiles, apply_boundaries, apply_centered_boundary
+from repro.mas.boundary import (
+    BoundaryClasses, BoundaryProfiles, apply_boundaries, apply_centered_boundary,
+)
 from repro.mas.conduction import conduction_rhs, max_diffusivity
 from repro.mas.constants import PhysicsParams
 from repro.mas.grid import LocalGrid, SphericalGrid, stack_rows
-from repro.mas.groups import rank_groups, rank_view
+from repro.mas.groups import rank_groups
 from repro.mas.implicit_solve import ImplicitSolve
 from repro.mas.initial import initialize
 from repro.mas.pcg import PCG_VARIANTS, PRECONDITIONERS
@@ -283,8 +285,15 @@ class MasModel:
                 self._slots[r] = (g, row)
         #: Per group, the arrays one step piece leaves for a later one.
         self._work: list[dict[str, Any]] = [{} for _ in self.groups]
+        self.halo.set_groups([group.ranks for group in self.groups])
         runtime.register_arrays(self.states)
-        self.profiles = [BoundaryProfiles.capture(s) for s in self.states]
+        #: Per group, the rows owning each global boundary face, and the
+        #: inner-boundary values of its r-low rows.
+        self.boundary = [BoundaryClasses.of(self.decomp, group.ranks) for group in self.groups]
+        self.profiles = [
+            BoundaryProfiles.capture(group.fields, classes)
+            for group, classes in zip(self.groups, self.boundary)
+        ]
         #: Per group, the heating profile stacked (G, 1, ...).
         self.heating = [
             stack_rows([heating_profile(self.local_grids[r], config.params)
@@ -328,9 +337,10 @@ class MasModel:
     # ----------------------------------------------------------- communication
 
     def _state_items(self, names: tuple[str, ...] = ALL_FIELDS) -> list:
-        """Batched-exchange items for the (selected) state fields."""
+        """Batched-exchange items for the (selected) state fields: one
+        block per rank group."""
         return [
-            (name, [s.get(name) for s in self.states], STAGGER_AXES[name])
+            (name, [group.fields[name] for group in self.groups], STAGGER_AXES[name])
             for name in ALL_FIELDS
             if name in names
         ]
@@ -402,9 +412,10 @@ class MasModel:
         """Issue kernel ``name`` once per rank, in rank order, through the
         :class:`RankRuntime` entry point ``entry``; returns what each rank's
         ``body(r)`` returned.  ``spec`` holds the other :class:`KernelSpec`
-        fields, the same on every rank.  ``exchange=(halo_name, arrays)``
-        exchanges the arrays' ghosts around the kernels, which split into
-        interior and shell passes when that exchange is overlapped.  (Loops
+        fields, the same on every rank.  ``exchange=(halo_name, blocks)``
+        exchanges the ghosts of one block per rank group around the
+        kernels, which split into interior and shell passes when that
+        exchange is overlapped.  (Loops
         issuing several kernels on a rank before the next rank's do not
         fit: emission order is part of the price. They issue their own,
         with bodies from :meth:`group_body`.)"""
@@ -461,18 +472,11 @@ class MasModel:
         """Per-group stacks (or lists) as their rows in rank order."""
         return [per_group[g][row] for g, row in self._slots]
 
-    def rank_arrays(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """Per-group ``(G, B, ...)`` blocks as each rank's arrays, in rank
-        order (:func:`~repro.mas.groups.rank_view`)."""
-        return [rank_view(blocks[g], row) for g, row in self._slots]
-
     def _apply_boundaries(self) -> None:
+        body = self.group_body(
+            lambda g: apply_boundaries(self.groups[g].fields, self.boundary[g], self.profiles[g])
+        )
         for r, rt in enumerate(self.ranks):
-            state, grid, prof = self.states[r], self.local_grids[r], self.profiles[r]
-
-            def body(state=state, grid=grid, prof=prof, r=r) -> None:
-                apply_boundaries(state, grid, self.decomp, r, prof)
-
             # apply_boundaries fills ghosts of ALL state fields, including
             # the face-centered B components (the shadow checker flags the
             # narrower declaration as footprint drift). The byte count stays
@@ -486,7 +490,7 @@ class MasModel:
                     writes=ALL_FIELDS,
                     work_fraction=min(1.0, 4.0 / self.config.nominal_shape[0]),
                     bytes_override=state_bytes * 13.0 / 8.0,
-                    body=body,
+                    body=partial(body, r),
                 )
             )
 
@@ -851,13 +855,11 @@ class MasModel:
 
         def apply_l(us):
             def body(g: int) -> np.ndarray:
-                group = groups[g]
-                for u, r in zip(us[g], group.ranks):
-                    apply_centered_boundary(u, self.decomp, r)
-                return conduction_rhs(us[g], group.fields["rho"], group.stencil, p)
+                apply_centered_boundary(us[g], self.boundary[g])
+                return conduction_rhs(us[g], groups[g].fields["rho"], groups[g].stencil, p)
 
             return self.launch_groups(
-                "conduction_rhs", body, exchange=("sts_y", self.rank_arrays(us)),
+                "conduction_rhs", body, exchange=("sts_y", us),
                 reads=("sts_y", "rho"), writes=("sts_l",), tags=tags,
             )
 

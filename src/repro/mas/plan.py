@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 import numpy as np
 
 from repro.analysis.dependence import base_name
+from repro.mas.groups import rank_view
 from repro.mas.runtime_side import RuntimeSide, StepTiming
 from repro.mpi import collectives
 from repro.mpi.halo import FieldItem, HaloSpec, ShapeOnly
@@ -226,12 +227,8 @@ class _Tape:
             index = self.specs[key] = len(self.specs)
         self.stream.append((kind, rank, index, gate))
 
-    def exchange(self, items: list[FieldItem], spec: HaloSpec) -> int:
-        key = (
-            tuple((f, stagger, tuple(a.shape for a in locals_))
-                  for f, locals_, stagger in items),
-            spec.depth, spec.axes,
-        )
+    def exchange(self, fields: tuple, spec: HaloSpec) -> int:
+        key = (fields, spec.depth, spec.axes)
         return self.exchanges.setdefault(key, len(self.exchanges))
 
     def opened(self, pending: Any) -> int:
@@ -307,12 +304,25 @@ class _RecordingHalo:
     def __getattr__(self, name: str) -> Any:
         return getattr(self._halo, name)
 
+    def _fields(self, items: list[FieldItem]) -> tuple:
+        """Each field with its stagger axis and the shape of each rank's
+        array: its own, or its row of its group's block as the rank sees
+        it (``rank_view``)."""
+        slots = self._halo.slots(len(items[0][1]))
+        return tuple(
+            (f, stagger, tuple(
+                (arrays[i] if row is None else rank_view(arrays[i], row)).shape
+                for i, row in slots
+            ))
+            for f, arrays, stagger in items
+        )
+
     def ensure_buffers(self, field_names: tuple[str, ...], depth: int = 1) -> None:
         self._tape.stream.append(("ensure_buffers", tuple(field_names), depth))
         self._halo.ensure_buffers(field_names, depth)
 
     def exchange_many(self, items: list[FieldItem], spec: HaloSpec = HaloSpec()) -> None:
-        self._tape.stream.append(("exchange_many", self._tape.exchange(items, spec)))
+        self._tape.stream.append(("exchange_many", self._tape.exchange(self._fields(items), spec)))
         self._halo.exchange_many(items, spec)
 
     def exchange(self, field_name, locals_, spec=HaloSpec(), *, stagger_axis=None) -> None:
@@ -322,7 +332,8 @@ class _RecordingHalo:
         pending = self._halo.exchange_begin_many(items, spec, overlap=overlap)
         tape = self._tape
         tape.stream.append(
-            ("exchange_begin", tape.exchange(items, spec), overlap, tape.opened(pending))
+            ("exchange_begin", tape.exchange(self._fields(items), spec), overlap,
+             tape.opened(pending))
         )
         return pending
 

@@ -6,7 +6,7 @@ the message via the configured transport, unpack into the neighbour's ghost
 layer (another ``mpi_pack`` kernel). Axes exchange sequentially so corner
 ghosts become consistent without diagonal messages (standard practice).
 
-Real numpy payloads move between the per-rank arrays, so multi-rank physics
+Real numpy payloads move between the ranks' arrays, so multi-rank physics
 is bit-checkable against a single-rank run. Two cost modes exist:
 
 * **bulk-synchronous** (:meth:`HaloExchanger.exchange` /
@@ -21,8 +21,13 @@ is bit-checkable against a single-rank run. Two cost modes exist:
   construction.
 
 Multiple fields can share one exchange (:meth:`exchange_many`): every phase
-loops over all fields, so per-field pack/unpack kernels become pairwise
-independent work the cross-region fusion window can collapse.
+loops over all fields, so the batch pays each axis' barriers once.
+
+An exchange takes each field as one array per rank or, after
+:meth:`HaloExchanger.set_groups`, one block per rank group. A sweep -- the
+messages of one (field, axis, direction, source group, destination group) --
+moves its payload as one copy in the body of its first unpack kernel; its
+packs and other unpacks issue and are charged with no body.
 
 An exchange's schedule does not change between steps, so it is derived once:
 a :class:`_Plan` per (fields and stagger axes, :class:`HaloSpec`) that every
@@ -93,13 +98,9 @@ class ShapeOnly(NamedTuple):
 
     shape: tuple[int, ...]
 
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
 
-
-#: One field participating in an exchange: (name, per-rank arrays,
-#: stagger axis or None).
+#: One field participating in an exchange: (name, its arrays -- one per rank,
+#: or one block per rank group -- and its stagger axis or None).
 FieldItem = tuple[str, "list[np.ndarray] | list[ShapeOnly]", "int | None"]
 
 
@@ -123,7 +124,7 @@ class _FaceNames(NamedTuple):
     unpack: str  # unpack kernel
     #: The unpack's write token, qualified to this direction's ghost shell
     #: ("rho@g2m"): the two directions' unpacks touch disjoint storage, so
-    #: the fusion window may run them as one launch while readers of the
+    #: cross-region fusion may run them as one launch while readers of the
     #: bare field still order correctly.
     ghost: str
 
@@ -175,15 +176,15 @@ class PendingExchange:
         return self.comm_clocks is None
 
 
-def _along(a: np.ndarray, axis: int, sl: slice) -> tuple[slice, ...]:
-    out = [slice(None)] * a.ndim
-    out[a.ndim - 3 + axis] = sl  # spatial axes are the trailing three
+def _along(axis: int, sl: slice) -> tuple:
+    out: list = [Ellipsis, slice(None), slice(None), slice(None)]
+    out[1 + axis] = sl  # spatial axes are the trailing three
     return tuple(out)
 
 
 def _interior_face(
     a: np.ndarray, axis: int, direction: int, g: int, *, staggered: bool = False
-) -> tuple[slice, ...]:
+) -> tuple:
     """Slice of the interior cells adjacent to one face (what gets sent).
 
     ``staggered`` marks face-centered arrays along the exchange axis: the
@@ -191,43 +192,49 @@ def _interior_face(
     sent layers shift inward by one to land in the neighbour's strictly
     beyond-boundary ghost faces.
     """
-    n = a.shape[a.ndim - 3 + axis] - 2 * g
+    n = a.shape[axis - 3] - 2 * g
     if direction == -1:
-        return _along(a, axis, slice(g + 1, 2 * g + 1) if staggered else slice(g, 2 * g))
-    return _along(a, axis, slice(n - 1, n - 1 + g) if staggered else slice(n, n + g))
+        return _along(axis, slice(g + 1, 2 * g + 1) if staggered else slice(g, 2 * g))
+    return _along(axis, slice(n - 1, n - 1 + g) if staggered else slice(n, n + g))
 
 
-def _ghost_face(a: np.ndarray, axis: int, direction: int, g: int) -> tuple[slice, ...]:
+def _ghost_face(a: np.ndarray, axis: int, direction: int, g: int) -> tuple:
     """Slice of the ghost cells on one face (what gets received into)."""
-    n = a.shape[a.ndim - 3 + axis] - 2 * g
-    return _along(a, axis, slice(0, g) if direction == -1 else slice(n + g, n + 2 * g))
+    n = a.shape[axis - 3] - 2 * g
+    return _along(axis, slice(0, g) if direction == -1 else slice(n + g, n + 2 * g))
 
 
-class _Live:
-    """What planned kernel bodies read while a walk runs: the exchange's
-    per-field rank arrays and, per message, the packed buffer and then the
-    delivered payload. Emptied when the walk ends, so a plan at rest
-    references no array."""
-
-    arrays: list | tuple = ()
-    bufs: list | tuple = ()
-
-    def pack(self, item: int, rank: int, face: tuple[slice, ...]) -> np.ndarray:
-        return np.ascontiguousarray(self.arrays[item][rank][face])
-
-    def unpack(self, item: int, rank: int, ghost: tuple[slice, ...], slot: int) -> None:
-        self.arrays[item][rank][ghost] = self.bufs[slot]
+def row_index(rows: list[int]) -> slice | np.ndarray:
+    """Rows of a block as one index: a slice when they are evenly spaced
+    and ascending (one row, or a consecutive run), else an index array."""
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if step > 0 and rows == list(range(rows[0], rows[-1] + 1, step)):
+        return slice(rows[0], rows[-1] + 1, step)
+    return np.array(rows, dtype=np.intp)
 
 
-def _launch(rt: RankRuntime, spec: KernelSpec, lowered: Lowered) -> Any:
+def _rows(rows: tuple[int | None, ...]) -> tuple:
+    """The index prefix of one end of a sweep: its rows, or none in a
+    rank's own array."""
+    return () if rows[0] is None else (row_index(list(rows)),)
+
+
+def _copy(blocks: list, item: int, src: int, dst: int, face: tuple, ghost: tuple) -> None:
+    """One sweep's payload: the faces of field ``item``'s array ``src`` into
+    the ghosts of its array ``dst`` (``blocks`` holds the walk's arrays)."""
+    arrays = blocks[item]
+    arrays[dst][ghost] = arrays[src][face]
+
+
+def _launch(rt: RankRuntime, spec: KernelSpec, lowered: Lowered) -> None:
     """One planned kernel: its body, then the entry lowered at plan build;
     through ``rt.loop`` when the rank would buffer the launch or a shadow
     checker has to see it (one may be attached after the plan was built)."""
     if rt._direct(_PLAIN):
-        result = spec.run_body()
+        spec.run_body()
         rt._charge(lowered)
-        return result
-    return rt.loop(spec)
+    else:
+        rt.loop(spec)
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,7 +348,7 @@ def _finish(rt: RankRuntime, names: tuple[str, ...], program: _Program) -> None:
 @dataclass(frozen=True, slots=True)
 class _Plan:
     """One exchange's schedule as plain pieces: names, slices, numbers,
-    kernels whose bodies read :class:`_Live` -- never a model or an array."""
+    kernels whose bodies read :attr:`blocks` -- never a model or an array."""
 
     fields: tuple[str, ...]
     guard: tuple  # (env epochs, array shapes) the plan was derived from
@@ -351,10 +358,16 @@ class _Plan:
     #: packs, sends and unpacks all run in, and their senders (the key the
     #: telemetry registry holds their byte counters under).
     axes: tuple[tuple[str, tuple[_Message, ...], tuple[int, ...]], ...]
+    #: Per axis, each sweep's first unpack kernel, in message order: the
+    #: unpacks that have a body.
+    sweeps: tuple[tuple[KernelSpec, ...], ...]
     #: Messages and nominal bytes one walk sends.
     sent: tuple[int, int]
     #: Per rank, the managed arrays its events touch (empty without UM).
     touched: tuple[tuple[str, ...], ...]
+    #: What the sweep bodies read while a walk runs: each field's arrays.
+    #: Emptied when the walk ends, so a plan at rest references no array.
+    blocks: list
     #: Programs recorded so far, by (rank, residency of its touched arrays).
     programs: dict[tuple, _Program] = dc_field(default_factory=dict)
 
@@ -414,7 +427,9 @@ class HaloExchanger:
         self._registered_fields: set[tuple[str, int]] = set()
         #: Exchange schedules by (fields and stagger axes, HaloSpec).
         self._plans: dict[tuple, _Plan] = {}
-        self._live = _Live()
+        #: By how many arrays an exchange takes per field, each rank's (array
+        #: index, row): one array per rank, or a block per rank group.
+        self._slots = {decomp.nranks: [(r, None) for r in range(decomp.nranks)]}
         #: Plans derived so far (a rebuild counts again): bounded by the
         #: exchange vocabulary, not by how long the model runs.
         self.plans_built = 0
@@ -426,6 +441,24 @@ class HaloExchanger:
         self.bytes_sent = 0
         #: Messages posted by overlapped begins and not yet finished.
         self.inflight = 0
+
+    def set_groups(self, groups: list[tuple[int, ...]]) -> None:
+        """Name the rank groups: from now on an exchange may take one array
+        per group, whose rows are ``groups[g]``'s arrays in that order."""
+        slots: list = [None] * self.decomp.nranks
+        for g, ranks in enumerate(groups):
+            for row, r in enumerate(ranks):
+                slots[r] = (g, row)
+        if sorted(r for ranks in groups for r in ranks) != list(range(len(slots))):
+            raise ValueError("rank groups must hold every rank once")
+        self._slots[len(groups)] = slots
+
+    def slots(self, count: int) -> list[tuple[int, int | None]]:
+        """Per rank, the index of its array among an exchange's ``count``
+        and its row there (None: the array is the rank's own)."""
+        if count not in self._slots:
+            raise ValueError("one local array per rank (or per rank group) required")
+        return self._slots[count]
 
     # -- buffer management -----------------------------------------------------
 
@@ -451,15 +484,10 @@ class HaloExchanger:
 
     # -- exchange ---------------------------------------------------------------
 
-    def exchange(
-        self,
-        field_name: str,
-        locals_: list[np.ndarray],
-        spec: HaloSpec = HaloSpec(),
-        *,
-        stagger_axis: int | None = None,
-    ) -> None:
-        """Fill ghost layers of ``locals_`` (one ghosted array per rank).
+    def exchange(self, field_name: str, locals_: list[np.ndarray], spec: HaloSpec = HaloSpec(),
+                 *, stagger_axis: int | None = None) -> None:
+        """Fill ghost layers of ``locals_`` (one ghosted array per rank, or
+        one block per rank group: :meth:`set_groups`).
 
         ``stagger_axis`` marks face-centered arrays (one entry longer along
         that axis); along it, the shared boundary face is skipped and ghost
@@ -467,9 +495,7 @@ class HaloExchanger:
         """
         self.exchange_many([(field_name, locals_, stagger_axis)], spec)
 
-    def exchange_many(
-        self, items: list[FieldItem], spec: HaloSpec = HaloSpec()
-    ) -> None:
+    def exchange_many(self, items: list[FieldItem], spec: HaloSpec = HaloSpec()) -> None:
         """Synchronously exchange several fields as one batched operation.
 
         Every phase (pack, message, unpack) loops over all fields, so the
@@ -490,27 +516,16 @@ class HaloExchanger:
 
     # -- overlapped exchange ----------------------------------------------------
 
-    def exchange_begin(
-        self,
-        field_name: str,
-        locals_: list[np.ndarray],
-        spec: HaloSpec = HaloSpec(),
-        *,
-        stagger_axis: int | None = None,
-        overlap: bool = True,
-    ) -> PendingExchange:
+    def exchange_begin(self, field_name: str, locals_: list[np.ndarray],
+                       spec: HaloSpec = HaloSpec(), *, stagger_axis: int | None = None,
+                       overlap: bool = True) -> PendingExchange:
         """Start one overlapped exchange; see :meth:`exchange_begin_many`."""
         return self.exchange_begin_many(
             [(field_name, locals_, stagger_axis)], spec, overlap=overlap
         )
 
-    def exchange_begin_many(
-        self,
-        items: list[FieldItem],
-        spec: HaloSpec = HaloSpec(),
-        *,
-        overlap: bool = True,
-    ) -> PendingExchange:
+    def exchange_begin_many(self, items: list[FieldItem], spec: HaloSpec = HaloSpec(),
+                            *, overlap: bool = True) -> PendingExchange:
         """Post an exchange without blocking the main timelines.
 
         Ghost payloads move eagerly (numerics are complete when this
@@ -553,13 +568,9 @@ class HaloExchanger:
             for rt, main in zip(self.ranks, saved):
                 rt.set_clock(main)
         if tel.enabled:
-            tel.logger.log(
-                "halo_begin",
-                xid=xid,
-                fields=list(fields),
-                t_begin=[float(t) for t in t_begin],
-                comm_end=[float(c.now) for c in comm_clocks],
-            )
+            tel.logger.log("halo_begin", xid=xid, fields=list(fields),
+                           t_begin=[float(t) for t in t_begin],
+                           comm_end=[float(c.now) for c in comm_clocks])
         for rt, l0 in zip(self.ranks, launches0):
             posts = rt.stats.launches - l0
             if posts:
@@ -585,9 +596,7 @@ class HaloExchanger:
             return
         tel = _telemetry()
         hidden_mean = unhidden_mean = 0.0
-        main_now: list[float] = []
-        hidden_by_rank: list[float] = []
-        unhidden_by_rank: list[float] = []
+        main_now, hidden_by_rank, unhidden_by_rank = [], [], []
         with tel.tracer.span("halo_finish", field=",".join(pending.fields), xid=pending.xid):
             for rt, comm, t0 in zip(self.ranks, pending.comm_clocks, pending.t_begin):
                 rt.sync()
@@ -610,16 +619,12 @@ class HaloExchanger:
                 unhidden_mean += unhidden / len(self.ranks)
         self._set_inflight(tel, self.inflight - pending.messages)
         if tel.enabled:
-            tel.logger.log(
-                "halo_finish",
-                xid=pending.xid,
-                fields=list(pending.fields),
-                t_begin=[float(t) for t in pending.t_begin],
-                comm_end=[float(c.now) for c in pending.comm_clocks],
-                main_now=[float(t) for t in main_now],
-                hidden=[float(h) for h in hidden_by_rank],
-                unhidden=[float(u) for u in unhidden_by_rank],
-            )
+            tel.logger.log("halo_finish", xid=pending.xid, fields=list(pending.fields),
+                           t_begin=[float(t) for t in pending.t_begin],
+                           comm_end=[float(c.now) for c in pending.comm_clocks],
+                           main_now=[float(t) for t in main_now],
+                           hidden=[float(h) for h in hidden_by_rank],
+                           unhidden=[float(u) for u in unhidden_by_rank])
             self._exchange_seconds_counter(tel).inc(unhidden_mean)
             tel.metrics.counter(
                 "halo_overlap_seconds",
@@ -634,8 +639,7 @@ class HaloExchanger:
         if not items:
             raise ValueError("exchange needs at least one field")
         for _, locals_, _ in items:
-            if len(locals_) != self.decomp.nranks:
-                raise ValueError("one local array per rank required")
+            self.slots(len(locals_))  # one array per rank, or per group
         key = (tuple((f, stagger) for f, _, stagger in items), spec)
         plan = self._plans.get(key)
         if plan is None or plan.guard != self._guard(items):
@@ -657,7 +661,7 @@ class HaloExchanger:
         for _, locals_, stagger_axis in items:
             for a in locals_:
                 for axis in spec.axes:
-                    extent = a.shape[a.ndim - 3 + axis]
+                    extent = a.shape[axis - 3]
                     if extent < 3 * g + (axis == stagger_axis):
                         raise ValueError(f"array extent {extent} too small for halo depth {g}")
         fields = tuple(f for f, _, _ in items)
@@ -666,88 +670,94 @@ class HaloExchanger:
         if self.buffer_init_fraction > 0.0:
             for field_name in fields:
                 for rank, rt in enumerate(self.ranks):
-                    nb = (
-                        rt.env.nominal_bytes(field_name)
-                        if field_name in rt.env
-                        else self.nominal.local_cells(0) * self.element_bytes
-                    )
-                    kernel = KernelSpec(
-                        name=f"halo_buffer_init_{field_name}",
-                        bytes_override=self.buffer_init_fraction * nb,
-                        tags=_PACK_TAGS,
-                    )
+                    nb = (rt.env.nominal_bytes(field_name) if field_name in rt.env
+                          else self.nominal.local_cells(0) * self.element_bytes)
+                    kernel = KernelSpec(name=f"halo_buffer_init_{field_name}",
+                                        bytes_override=self.buffer_init_fraction * nb,
+                                        tags=_PACK_TAGS)
                     init.append((rank, kernel, rt._lower(kernel, _PLAIN)))
         self.plans_built += 1
-        axes = tuple(self._plan_axis(items, axis, g) for axis in spec.axes)
+        blocks: list = []
+        axes, sweeps = [], []
+        for axis in spec.axes:
+            entry, first_unpacks = self._plan_axis(items, axis, g, blocks)
+            # After the first axis' barrier every clock stands at the same
+            # time, so an axis that sends nothing would add nothing.
+            if entry[1] or not axes:
+                axes.append(entry)
+                sweeps.append(first_unpacks)
         touched: list[dict[str, None]] = [{} for _ in self.ranks]
         messages = [m for _, axis_messages, _ in axes for m in axis_messages]
         for m in messages:  # the staging buffers are among the kernels' arrays
             touched[m.src].update(dict.fromkeys(m.pack.arrays))
             touched[m.dst].update(dict.fromkeys(m.unpack.arrays))
         return _Plan(
-            fields, self._guard(items), tuple(init), axes,
+            fields, self._guard(items), tuple(init), tuple(axes), tuple(sweeps),
             (len(messages), sum(m.nbytes for m in messages)),
             tuple(() if rt.env.um is None else tuple(names)
                   for rt, names in zip(self.ranks, touched)),
+            blocks,
         )
 
-    def _plan_axis(self, items: list[FieldItem], axis: int, g: int) -> tuple:
-        """One axis' entry of :attr:`_Plan.axes`; messages run field by
-        field, sender by sender, low face then high."""
-        tr, pack_face, unpack_face = self.transport, self._live.pack, self._live.unpack
-        cost_only = _cost_only(items)
+    def _plan_axis(self, items: list[FieldItem], axis: int, g: int, blocks: list) -> tuple:
+        """One axis' entry of :attr:`_Plan.axes` and of :attr:`_Plan.sweeps`;
+        messages run field by field, sender by sender, low face then high."""
+        tr = self.transport
+        found = [
+            (item, src, direction, dst)
+            for item in range(len(items))
+            for src in range(len(self.ranks))
+            for direction in (-1, 1)
+            if (dst := self.decomp.neighbor(src, axis, direction)) is not None
+        ]
+        bodies = {}  # by message: the sweeps' first unpacks
+        if not _cost_only(items):
+            slots = self.slots(len(items[0][1]))
+            sweeps: dict[tuple, list[tuple]] = {}
+            for i, (item, src, direction, dst) in enumerate(found):
+                (gs, rs), (gd, rd) = slots[src], slots[dst]
+                sweeps.setdefault((item, direction, gs, gd), []).append((i, rs, rd))
+            for (item, direction, src, dst), sweep in sweeps.items():
+                _, arrays, stagger_axis = items[item]
+                index, src_rows, dst_rows = zip(*sweep)
+                face = _interior_face(arrays[src], axis, direction, g,
+                                      staggered=axis == stagger_axis)
+                ghost = _ghost_face(arrays[dst], axis, -direction, g)
+                bodies[index[0]] = partial(_copy, blocks, item, src, dst,
+                                           _rows(src_rows) + face, _rows(dst_rows) + ghost)
         messages: list[_Message] = []
-        for item, (field_name, locals_, stagger_axis) in enumerate(items):
-            names = {d: _face_names(field_name, axis, d, g) for d in (-1, 1)}
-            for src, rt in enumerate(self.ranks):
-                for direction in (-1, 1):
-                    dst = self.decomp.neighbor(src, axis, direction)
-                    if dst is None:
-                        continue
-                    dst_rt = self.ranks[dst]
-                    # The message my low face sends arrives at the
-                    # neighbour's high ghost (and vice versa):
-                    # neighbour-relative direction is -direction.
-                    out, into = names[direction], names[-direction]
-                    nbytes = rt.env.nominal_bytes(out.send)
-                    face = _interior_face(
-                        locals_[src], axis, direction, g, staggered=axis == stagger_axis
-                    )
-                    ghost = _ghost_face(locals_[dst], axis, -direction, g)
-                    pack = KernelSpec(
-                        name=out.pack,
-                        reads=(field_name,) if field_name in rt.env else (),
-                        writes=(out.send,),
-                        bytes_override=2 * nbytes * self.pack_inefficiency,
-                        body=None if cost_only else partial(pack_face, item, src, face),
-                        tags=_PACK_TAGS,
-                    )
-                    unpack = KernelSpec(
-                        name=into.unpack,
-                        reads=(into.recv,),
-                        writes=(into.ghost,) if field_name in dst_rt.env else (),
-                        bytes_override=2 * dst_rt.env.nominal_bytes(into.recv)
-                        * self.pack_inefficiency,
-                        body=None if cost_only
-                        else partial(unpack_face, item, dst, ghost, len(messages)),
-                        tags=_PACK_TAGS,
-                    )
-                    # the transport's residency checks first, as at launch; a
-                    # self-message (periodic wrap on an undivided axis) is
-                    # delivered by a local copy, so only its send side stages
-                    tr.check_buffer(rt.env, out.send)
-                    if dst != src:
-                        tr.check_buffer(dst_rt.env, into.recv)
-                    same_node = (
-                        self.rank_nodes is None or self.rank_nodes[src] == self.rank_nodes[dst]
-                    )
-                    messages.append(_Message(
-                        src, dst, pack, unpack,
-                        rt._lower(pack, _PLAIN), dst_rt._lower(unpack, _PLAIN),
-                        out.send, into.recv, nbytes,
-                        tr.wire_time(nbytes, same_device=dst == src, same_node=same_node),
-                    ))
-        return f"msg_{axis}", tuple(messages), tuple(m.src for m in messages)
+        for i, (item, src, direction, dst) in enumerate(found):
+            field_name = items[item][0]
+            rt, dst_rt = self.ranks[src], self.ranks[dst]
+            # The message my low face sends arrives at the neighbour's high
+            # ghost (and vice versa): neighbour-relative direction is
+            # -direction.
+            out, into = (_face_names(field_name, axis, d, g) for d in (direction, -direction))
+            nbytes = rt.env.nominal_bytes(out.send)
+            pack = KernelSpec(name=out.pack, reads=(field_name,) if field_name in rt.env else (),
+                              writes=(out.send,), tags=_PACK_TAGS,
+                              bytes_override=2 * nbytes * self.pack_inefficiency)
+            unpack = KernelSpec(
+                name=into.unpack, reads=(into.recv,),
+                writes=(into.ghost,) if field_name in dst_rt.env else (),
+                bytes_override=2 * dst_rt.env.nominal_bytes(into.recv) * self.pack_inefficiency,
+                body=bodies.get(i), tags=_PACK_TAGS,
+            )
+            # the transport's residency checks first, as at launch; a
+            # self-message (periodic wrap on an undivided axis) is delivered
+            # by a local copy, so only its send side stages
+            tr.check_buffer(rt.env, out.send)
+            if dst != src:
+                tr.check_buffer(dst_rt.env, into.recv)
+            same_node = self.rank_nodes is None or self.rank_nodes[src] == self.rank_nodes[dst]
+            messages.append(_Message(
+                src, dst, pack, unpack,
+                rt._lower(pack, _PLAIN), dst_rt._lower(unpack, _PLAIN),
+                out.send, into.recv, nbytes,
+                tr.wire_time(nbytes, same_device=dst == src, same_node=same_node),
+            ))
+        entry = (f"msg_{axis}", tuple(messages), tuple(m.src for m in messages))
+        return entry, tuple(messages[i].unpack for i in sorted(bodies))
 
     def _observe_exchanges(self, fields: tuple[str, ...]):
         tel = _telemetry()
@@ -755,13 +765,9 @@ class HaloExchanger:
             key = ("halo_exchanges_total", fields)
             children = tel.metrics.bound.get(key)
             if children is None:
-                counter = tel.metrics.counter(
-                    "halo_exchanges_total", "ghost-layer exchanges, by field",
-                    labelnames=("field",),
-                )
-                children = tel.metrics.bound[key] = [
-                    counter.labels(field=f) for f in fields
-                ]
+                counter = tel.metrics.counter("halo_exchanges_total", "ghost-layer exchanges, "
+                                              "by field", labelnames=("field",))
+                children = tel.metrics.bound[key] = [counter.labels(field=f) for f in fields]
             for child in children:
                 child.inc()
         return tel
@@ -772,15 +778,13 @@ class HaloExchanger:
         key = ("halo_messages_total", self.transport.kind, senders)
         counters = tel.metrics.bound.get(key)
         if counters is None:
-            by_rank = tel.metrics.counter(
-                "halo_bytes_total", "nominal halo payload bytes sent, by rank",
-                labelnames=("rank",),
-            )
+            by_rank = tel.metrics.counter("halo_bytes_total",
+                                          "nominal halo payload bytes sent, by rank",
+                                          labelnames=("rank",))
             counters = tel.metrics.bound[key] = (
-                tel.metrics.counter(
-                    "halo_messages_total", "halo messages sent, by transport",
-                    labelnames=("transport",),
-                ).labels(transport=self.transport.kind.value),
+                tel.metrics.counter("halo_messages_total", "halo messages sent, by transport",
+                                    labelnames=("transport",),
+                                    ).labels(transport=self.transport.kind.value),
                 [by_rank.labels(rank=str(rank)) for rank in senders],
             )
         return counters
@@ -795,31 +799,29 @@ class HaloExchanger:
 
     @staticmethod
     def _exchange_seconds_counter(tel):
-        return tel.metrics.counter(
-            "halo_exchange_seconds",
-            "mean per-rank wall seconds charged to halo exchanges "
-            "(overlapped runs count only the unhidden remainder)",
-        )
+        return tel.metrics.counter("halo_exchange_seconds",
+                                   "mean per-rank wall seconds charged to halo exchanges "
+                                   "(overlapped runs count only the unhidden remainder)")
 
     def _walk(self, plan: _Plan, items: list[FieldItem], tel) -> None:
         """Run one planned exchange on ``items``' arrays.
 
         The walk runs segment by segment, a barrier after each: buffer
         maintenance and an axis' packs, then its messages and unpacks, then
-        the next axis. Kernel bodies run in message order. A rank that has a
-        program for the residency it starts from applies the program's
-        segment; every other rank is charged through the real calls, in
-        message order, and recorded. Nothing is recorded or applied while
-        telemetry or a clock observer must see each event, or while a rank
-        would not charge a plain launch at once (``RankRuntime._direct``).
+        the next axis. A rank that has a program for the residency it
+        starts from applies the program's segment; every other rank is
+        charged through the real calls, in message order, and recorded.
+        Sweep bodies run in message order (alone when every rank plays).
+        Nothing is recorded or applied while telemetry or a clock observer
+        must see each event, or while a rank would not charge a plain
+        launch at once (``RankRuntime._direct``).
         """
-        live, ranks, tr = self._live, self.ranks, self.transport
-        live.arrays = [locals_ for _, locals_, _ in items]
+        ranks, tr = self.ranks, self.transport
+        plan.blocks[:] = [locals_ for _, locals_, _ in items]
         programs: list[_Program | None] = [None] * len(ranks)
         recorders: dict[int, _Recorder] = {}
-        reuse = not tel.enabled and all(
-            not rt.clock._observers and rt._direct(_PLAIN) for rt in ranks
-        )
+        reuse = not tel.enabled and all(not rt.clock._observers and rt._direct(_PLAIN)
+                                        for rt in ranks)
         try:
             if reuse:
                 for rank, rt in enumerate(ranks):
@@ -828,25 +830,21 @@ class HaloExchanger:
                     if programs[rank] is None:
                         recorders[rank] = _Recorder(key, rt)
                         rt.clock.subscribe(recorders[rank])
-            # some rank is charged through the real calls; some kernel has a
-            # body to run or a launch to charge
+            # some rank is charged through the real calls
             charged = not reuse or bool(recorders)
-            kernels = charged or not _cost_only(items)
             for axis_index, (label, messages, senders) in enumerate(plan.axes):
                 segment = 2 * axis_index
                 # -- every rank packs its faces, all fields -------------------
-                if kernels:
+                if charged:
                     if segment == 0:
                         for rank, spec, lowered in plan.init:
                             if programs[rank] is None:
                                 _launch(ranks[rank], spec, lowered)
-                    live.bufs = [
-                        _launch(ranks[m.src], m.pack, m.pack_lowered)
-                        if programs[m.src] is None else m.pack.run_body()
-                        for m in messages
-                    ]
+                    for m in messages:
+                        if programs[m.src] is None:
+                            _launch(ranks[m.src], m.pack, m.pack_lowered)
                 self._end_segment(programs, recorders, segment, reuse)
-                # -- messages -------------------------------------------------
+                # -- messages and unpacks into ghosts -------------------------
                 if charged:
                     msg_counter = byte_counters = None
                     if tel.enabled:
@@ -871,13 +869,14 @@ class HaloExchanger:
                         if msg_counter is not None:
                             msg_counter.inc()
                             byte_counters[slot].inc(m.nbytes)
-                # -- unpack into ghosts ---------------------------------------
-                if kernels:
                     for m in messages:
                         if programs[m.dst] is None:
                             _launch(ranks[m.dst], m.unpack, m.unpack_lowered)
                         else:
                             m.unpack.run_body()
+                else:
+                    for spec in plan.sweeps[axis_index]:
+                        spec.run_body()
                 self._end_segment(programs, recorders, segment + 1, reuse)
             self.messages += plan.sent[0]
             self.bytes_sent += plan.sent[1]
@@ -888,13 +887,12 @@ class HaloExchanger:
                 plan.programs[recorder.key] = recorder.program(ranks[rank], plan.touched[rank])
             self.programs_recorded += len(recorders)
         finally:
-            live.arrays = live.bufs = ()
+            plan.blocks.clear()
             for rank, recorder in recorders.items():
                 ranks[rank].clock.unsubscribe(recorder)
 
-    def _end_segment(
-        self, programs: list, recorders: dict[int, _Recorder], segment: int, reuse: bool
-    ) -> None:
+    def _end_segment(self, programs: list, recorders: dict[int, _Recorder], segment: int,
+                     reuse: bool) -> None:
         """Close a segment: the playing ranks apply it, the recorded ones cut
         it, and every rank clock advances to the latest (BSP synchronization:
         imbalance shows up as MPI wait)."""

@@ -5,6 +5,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis import shadow
+from repro.analysis.dependence import base_name
 from repro.analysis.shadow import ShadowChecker, shadow_smoke
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.kernel import KernelSpec
@@ -158,6 +160,45 @@ class TestModelSmoke:
 
         bad = [f for f in findings if f.severity >= Severity.WARNING]
         assert bad == [], [f.render() for f in bad]
+
+    #: What every version's smoke prints: declared writes no launch of its
+    #: two steps changed (the floors, and velocity ghosts the unpacks
+    #: refill with the values they hold).
+    DRIFT = {("apply_floors", "rho"), ("apply_floors", "temp")} | {
+        (f"halo_unpack_{v}_{axis}{side}", v)
+        for v in ("vr", "vt", "vp") for axis in (0, 2) for side in "mp"
+    }
+
+    @pytest.mark.parametrize("version", ["A", "ADU", "D2XU"])
+    def test_the_smoke_prints_exactly_the_known_drift_notes(self, version):
+        findings = shadow_smoke(version, steps=2)
+        assert {f.rule_id for f in findings} == {"RT321"}
+        assert {(f.file, f.context) for f in findings} == self.DRIFT
+
+    def test_every_unpack_launched_has_a_merged_write_observation(self, monkeypatch):
+        """A sweep's payload moves in its first unpack's body, the others
+        have none: each unpack kernel a rank launched must still have its
+        declared write to a state field observed on some rank, which the
+        smoke merges. (Solver iterates hold no data the checker could
+        fingerprint.)"""
+        launched, checkers = set(), []
+
+        class Watching(ShadowChecker):
+            def __init__(self):
+                super().__init__()
+                checkers.append(self)
+
+            def on_launch(self, spec, env, **kw):
+                if spec.name.startswith("halo_unpack_"):
+                    launched.update((spec.name, base_name(w)) for w in spec.writes
+                                    if env.array(base_name(w)).data is not None)
+                super().on_launch(spec, env, **kw)
+
+        monkeypatch.setattr(shadow, "ShadowChecker", Watching)
+        shadow_smoke("A", steps=2)
+        observed = {key for c in checkers for key in c._write_obs}
+        assert len(checkers) == 2 and launched
+        assert launched <= observed, sorted(launched - observed)
 
     def test_a_group_body_writes_for_every_rank_of_its_group(self):
         """The smoke's two ranks are one group: the first rank's body writes

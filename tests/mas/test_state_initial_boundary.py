@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mas.boundary import (
+    BoundaryClasses,
     BoundaryProfiles,
     apply_boundaries,
     apply_centered_boundary,
@@ -94,38 +95,39 @@ class TestInitialConditions:
 
 class TestBoundaries:
     def make(self, setup):
+        """Rank 0's state as a group of one, with its boundary classes."""
         _, dec, grid = setup
         s = initialize(grid, PhysicsParams())
-        prof = BoundaryProfiles.capture(s)
-        return dec, grid, s, prof
+        classes = BoundaryClasses.of(dec, (0,))
+        return classes, s, BoundaryProfiles.capture(s, classes)
 
     def test_inner_r_dirichlet(self, setup):
-        dec, grid, s, prof = self.make(setup)
+        classes, s, prof = self.make(setup)
         s.rho[0] = -99.0
-        apply_boundaries(s, grid, dec, 0, prof)
+        apply_boundaries(s, classes, prof)
         # theta-ghost corners are re-mirrored after the Dirichlet fill
         assert np.array_equal(s.rho[0][1:-1], prof.rho_inner[1:-1])
         assert np.array_equal(s.temp[0][1:-1], prof.temp_inner[1:-1])
 
     def test_inner_r_no_slip(self, setup):
-        dec, grid, s, prof = self.make(setup)
+        classes, s, prof = self.make(setup)
         s.vr[1] = 0.5
-        apply_boundaries(s, grid, dec, 0, prof)
+        apply_boundaries(s, classes, prof)
         assert np.allclose(s.vr[0][1:-1], -0.5)
 
     def test_outer_r_zero_gradient_no_inflow(self, setup):
-        dec, grid, s, prof = self.make(setup)
+        classes, s, prof = self.make(setup)
         s.vr[-2] = -0.3  # inflow attempt
         s.rho[-2] = 0.7
-        apply_boundaries(s, grid, dec, 0, prof)
+        apply_boundaries(s, classes, prof)
         assert np.allclose(s.rho[-1], 0.7)
         assert np.all(s.vr[-1] >= 0.0)  # inflow clipped
 
     def test_theta_reflective_vt_antisymmetric(self, setup):
-        dec, grid, s, prof = self.make(setup)
+        classes, s, prof = self.make(setup)
         s.vt[:, 1] = 0.2
         s.rho[:, 1] = 3.0
-        apply_boundaries(s, grid, dec, 0, prof)
+        apply_boundaries(s, classes, prof)
         # interior r rows only: the (r-ghost, theta-ghost) corners are
         # double-reflected by the r BC running first
         assert np.allclose(s.vt[1:-1, 0], -0.2)
@@ -134,9 +136,8 @@ class TestBoundaries:
     def test_ghost_depth_enforced(self, setup):
         g, dec, _ = setup
         grid2 = LocalGrid.from_global(g, dec, 0, ghost=2)
-        s = MhdState.allocate(grid2)
         with pytest.raises(ValueError, match="one ghost layer"):
-            apply_boundaries(s, grid2, dec, 0, BoundaryProfiles.capture(s))
+            BoundaryClasses.of(dec, (0,), ghost=grid2.ghost)
 
     def test_interior_rank_untouched(self):
         """A rank owning no global boundary gets no BC writes."""
@@ -144,10 +145,12 @@ class TestBoundaries:
         dec = Decomposition3D(g.shape, 3, dims=(3, 1, 1))
         grid = LocalGrid.from_global(g, dec, 1, ghost=1)
         s = initialize(grid, PhysicsParams())
-        prof = BoundaryProfiles.capture(s)
+        classes = BoundaryClasses.of(dec, (1,))
+        prof = BoundaryProfiles.capture(s, classes)
+        assert classes[:2] == (None, None) and prof == (None, None)
         s.rho[0] = 7.0
         s.rho[-1] = 8.0
-        apply_boundaries(s, grid, dec, 1, prof)
+        apply_boundaries(s, classes, prof)
         assert np.allclose(s.rho[0], 7.0)
         assert np.allclose(s.rho[-1], 8.0)
 
@@ -157,12 +160,12 @@ class TestBoundaries:
         a[1] = 1.0
         a[-2] = 2.0
         a[:, 1] = 3.0
-        apply_centered_boundary(a, dec, 0)
+        apply_centered_boundary(a, BoundaryClasses.of(dec, (0,)))
         assert np.allclose(a[:, 0], a[:, 1])
         assert np.allclose(a[-1], a[-2])
 
     def test_work_array_antisymmetric(self, setup):
         _, dec, grid = setup
         a = np.ones(grid.shape)
-        apply_centered_boundary(a, dec, 0, antisymmetric_theta=True)
+        apply_centered_boundary(a, BoundaryClasses.of(dec, (0,)), antisymmetric_theta=True)
         assert np.allclose(a[:, 0], -a[:, 1])

@@ -5,7 +5,8 @@ once and walks it afterwards. These tests pin what that may and may not
 change: the number of plans is bounded by the exchange vocabulary, anything
 a plan was derived from rebuilds it when it moves, a plan at rest holds no
 array, and every clock advance, launch, message, byte and ghost value is
-that of the unplanned engine kept verbatim in ``reference_halo.py``.
+that of the unplanned engine kept verbatim in ``reference_halo.py`` -- which
+moves per-rank arrays, where the planned walk moves rank-group blocks.
 """
 
 import gc
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.analysis.shadow import ShadowChecker
 from repro.codes import CodeVersion, runtime_config_for
 from repro.machine import CpuNodeModel, EPYC_7742_NODE
 from repro.machine.gpu import A100_40GB, GpuDevice
@@ -82,6 +84,27 @@ def make_locals(dec, seed, *, g=1, stagger_axis=None, members=1):
             shape[stagger_axis] += 1
         out.append(rng.random(shape if members == 1 else (members, *shape)))
     return out
+
+
+def rank_groups(dec):
+    """The ranks of each local shape, in order of each group's first rank,
+    as ``repro.mas.groups`` groups a model's ranks."""
+    by_shape: dict = {}
+    for r in dec.iter_ranks():
+        by_shape.setdefault(dec.local_shape(r), []).append(r)
+    return [tuple(ranks) for ranks in by_shape.values()]
+
+
+def as_blocks(locals_, groups):
+    """Per-rank arrays as one ``(G, B, ...)`` block per group (copies)."""
+    return [np.stack([locals_[r].reshape((-1, *locals_[r].shape[-3:])) for r in ranks])
+            for ranks in groups]
+
+
+def rank_rows(blocks, groups, members):
+    """Each rank's array among ``blocks``, shaped as ``make_locals`` makes it."""
+    rows = {r: blocks[g][row] for g, ranks in enumerate(groups) for row, r in enumerate(ranks)}
+    return [rows[r] if members > 1 else rows[r][0] for r in sorted(rows)]
 
 
 # -- (a) bounded by the vocabulary -------------------------------------------------
@@ -229,10 +252,11 @@ class TestInvalidation:
 # -- (c) a plan at rest holds no array --------------------------------------------
 
 
-def reachable_arrays(root):
-    """Every ndarray a plan's pieces reach, not looking inside the rank
-    runtimes (the exchanger holds those anyway) or into code."""
-    opaque = (type, types.FunctionType, types.ModuleType, RankRuntime)
+def reachable_arrays(root, opaque=(RankRuntime,)):
+    """Every ndarray ``root`` reaches, not looking into code or into
+    ``opaque`` objects (by default the rank runtimes, which the exchanger
+    holds anyway)."""
+    opaque = (type, types.FunctionType, types.ModuleType, *opaque)
     seen, stack, found = set(), [root], []
     while stack:
         obj = stack.pop()
@@ -245,12 +269,22 @@ def reachable_arrays(root):
     return found
 
 
+def shares_an_exchanged_array(hx, arrays):
+    """The ndarrays reachable from the exchanger, rank runtimes included,
+    that share memory with one of ``arrays``."""
+    return [a for a in reachable_arrays(hx, opaque=())
+            if any(np.shares_memory(a, b) for b in arrays)]
+
+
 class TestPlanHoldsNoArray:
     @pytest.mark.parametrize("overlap", [False, True])
     def test_arrays_and_payloads_are_released_when_the_exchange_returns(self, overlap):
+        """The two ranks are one group: its sweeps' rows are an index
+        array (the phi wrap swaps them), held by the plan, never a block."""
         dec = Decomposition3D((8, 8, 16), 2)
         hx = make_exchanger(HaloExchanger, dec, buffer_init_fraction=0.5)
-        locs = make_locals(dec, 5)
+        hx.set_groups(rank_groups(dec))
+        locs = as_blocks(make_locals(dec, 5), rank_groups(dec))
         watched = [weakref.ref(a) for a in locs]
         was_enabled = gc.isenabled()
         gc.disable()  # reference counting alone must free them
@@ -259,24 +293,34 @@ class TestPlanHoldsNoArray:
                 hx.exchange_finish(hx.exchange_begin("f", locs))
             else:
                 hx.exchange("f", locs)
-            assert hx._live.arrays == () and hx._live.bufs == ()
-            assert reachable_arrays([hx._plans, hx._live]) == []
+            assert shares_an_exchanged_array(hx, locs) == []
+            assert [a.dtype for a in reachable_arrays(hx._plans)] == [np.intp] * 2
             del locs
-            assert [w() for w in watched] == [None, None]
+            assert [w() for w in watched] == [None]
         finally:
             if was_enabled:
                 gc.enable()
 
+    def test_a_per_rank_plan_reaches_no_array_at_all(self):
+        """One array per rank is G groups of one: no sweep has rows."""
+        dec = Decomposition3D((8, 8, 16), 2)
+        hx = make_exchanger(HaloExchanger, dec, buffer_init_fraction=0.5)
+        locs = make_locals(dec, 5)
+        hx.exchange("f", locs)
+        assert reachable_arrays(hx._plans) == []
+        assert shares_an_exchanged_array(hx, locs) == []
+
     def test_a_failed_walk_releases_them_too(self):
         dec = Decomposition3D((8, 8, 16), 2)
         hx = make_exchanger(HaloExchanger, dec, "um")
-        locs = make_locals(dec, 5)
+        hx.set_groups(rank_groups(dec))
+        locs = as_blocks(make_locals(dec, 5), rank_groups(dec))
         hx.exchange("f", locs)
         hx.ranks[0].env.unregister("_halo_recv_f_2_m")  # UM stages per message
         hx._plans[(("f", None),), HaloSpec()] = _with_guard(hx, locs)
         with pytest.raises(KeyError):
             hx.exchange("f", locs)
-        assert hx._live.arrays == () and hx._live.bufs == ()
+        assert shares_an_exchanged_array(hx, locs) == []
 
     @pytest.mark.parametrize("machine", ["p2p", "um", "cpu"])
     def test_programs_hold_numbers_categories_and_residencies(self, machine):
@@ -372,6 +416,7 @@ def exchanges(draw):
         ],
         # the walk before which rank 0's clock gains an observer, if any
         observed=draw(st.none() | st.integers(1, len(walks) - 1)),
+        shadow=draw(st.sampled_from([False, False, True])),
     )
 
 
@@ -382,7 +427,10 @@ class TestWalkEqualsTheUnplannedEngine:
     start from another residency and record again while the others apply
     theirs. A clock observer attached mid-sequence stops reuse in every walk
     that charges its clock, and sees each advance the unplanned engine makes
-    there, in its order."""
+    there, in its order. The planned side exchanges one block per rank
+    group (a ragged decomposition has several); the oracle, per-rank
+    arrays. In some examples a shadow checker watches every rank of both
+    sides, so every kernel goes through ``RankRuntime.loop``."""
 
     @settings(max_examples=60, deadline=None)
     @given(exchanges())
@@ -391,7 +439,8 @@ class TestWalkEqualsTheUnplannedEngine:
         kw = dict(case["costs"], element_bytes=8 * case["members"])
         if case["two_nodes"]:
             kw["rank_nodes"] = [r * 2 // dec.nranks for r in dec.iter_ranks()]
-        sides = []
+        groups = rank_groups(dec)
+        sides, checkers = [], {}
         for module in (ref, None):
             cls = HaloExchanger if module is None else module.HaloExchanger
             spec = (HaloSpec if module is None else module.HaloSpec)(depth=g, axes=case["axes"])
@@ -401,6 +450,13 @@ class TestWalkEqualsTheUnplannedEngine:
                                    members=case["members"]), stagger)
                 for i, (name, stagger) in enumerate(case["fields"])
             ]
+            if module is None:
+                hx.set_groups(groups)
+                items = [(name, as_blocks(locs, groups), stagger) for name, locs, stagger in items]
+            if case["shadow"]:
+                checkers[id(hx)] = [ShadowChecker() for _ in hx.ranks]
+                for rt, checker in zip(hx.ranks, checkers[id(hx)]):
+                    rt.attach_shadow(checker)
             sides.append((hx, spec, items))
         (hx_ref, _, items_ref), (hx_new, _, items_new) = sides
         observed = {id(hx_ref): [], id(hx_new): []}
@@ -409,15 +465,19 @@ class TestWalkEqualsTheUnplannedEngine:
             assert snapshot(hx_new) == snapshot(hx_ref)
             assert observed[id(hx_new)] == observed[id(hx_ref)]
             for (_, a_new, _), (_, a_ref, _) in zip(items_new, items_ref):
-                for x, y in zip(a_new, a_ref):
+                for x, y in zip(rank_rows(a_new, groups, case["members"]), a_ref):
                     assert np.array_equal(x, y)
 
         for walk, how in enumerate(case["walks"]):
             for hx, spec, items in sides:
                 if walk:
-                    for _, locals_, _ in items:  # new interiors, same arrays
-                        for a in locals_:
-                            a *= 1.5
+                    # new values, same arrays: per-rank noise, so a ghost
+                    # the walk failed to refill differs from its source
+                    for i, (_, locals_, _) in enumerate(items):
+                        if hx is hx_new:
+                            locals_ = rank_rows(locals_, groups, case["members"])
+                        for r, a in enumerate(locals_):
+                            a += np.random.default_rng((case["seed"], walk, i, r)).random(a.shape)
                     if case["machine"] == "um":
                         for rt, flip in zip(hx.ranks, case["flips"][walk - 1]):
                             if flip is not None:
@@ -439,7 +499,11 @@ class TestWalkEqualsTheUnplannedEngine:
         assert hx_new.plans_built == 1
         (plan,) = hx_new._plans.values()
         assert hx_new.programs_recorded == len(plan.programs)  # a residency met again is a hit
-        if case["machine"] != "p2p-window":  # the window's ranks charge no launch at once
+        if case["shadow"]:  # ranks a checker watches charge every launch through loop()
+            assert plan.programs == {}
+            reports = [[f.render() for f in c.report()] for c in checkers[id(hx_new)]]
+            assert reports == [[f.render() for f in c.report()] for c in checkers[id(hx_ref)]]
+        elif case["machine"] != "p2p-window":  # the window's ranks charge no launch at once
             assert len(plan.programs) >= dec.nranks
 
 
@@ -482,3 +546,25 @@ class TestDepthIsPartOfThePlan:
         hx.exchange("f", make_locals(dec, 0, g=2), HaloSpec(depth=2))
         assert env.nominal_bytes("_halo_send_f_2_m_d2") == 2 * env.nominal_bytes("_halo_send_f_2_m")
         assert hx.plans_built == 2
+
+
+class TestAnAxisThatSendsNothingIsDropped:
+    """After a walk's first barrier every clock stands at the same time, so
+    an axis without messages would add nothing: a plan keeps its first
+    axis, whose barrier equalizes the clocks, and every axis that sends."""
+
+    def test_a_2_1_4_plan_has_two_axes(self):
+        dec = Decomposition3D((10, 8, 16), 8, dims=(2, 1, 4))
+        hx = make_exchanger(HaloExchanger, dec)
+        hx.exchange("f", make_locals(dec, 0))
+        (plan,) = hx._plans.values()
+        assert [label for label, _, _ in plan.axes] == ["msg_0", "msg_2"]
+        assert len(plan.sweeps) == 2
+
+    def test_the_first_axis_stays_when_it_sends_nothing(self):
+        dec = Decomposition3D((10, 8, 16), 8, dims=(2, 1, 4))
+        hx = make_exchanger(HaloExchanger, dec)
+        hx.exchange("f", make_locals(dec, 0), HaloSpec(axes=(1, 0, 2)))
+        (plan,) = hx._plans.values()
+        assert [(label, len(messages)) for label, messages, _ in plan.axes] == [
+            ("msg_1", 0), ("msg_0", 8), ("msg_2", 16)]
