@@ -427,7 +427,7 @@ def read_manifest(out_dir) -> dict[str, FilePortStatus]:
         if doc["schema"] != MANIFEST_SCHEMA:
             return {}
         return {d["name"]: FilePortStatus.from_dict(d) for d in doc["files"]}
-    except (OSError, ValueError, LookupError, TypeError):
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
         return {}
 
 

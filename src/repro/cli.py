@@ -265,37 +265,13 @@ def _parse_vary(spec: str, members: int) -> tuple[str, tuple[float, ...]]:
     return name, tuple(float(v) for v in values)
 
 
-def _render_member_rows(rows: list[dict]) -> str:
-    """Per-member convergence table shared by ``sweep`` and the telemetry
-    summary."""
-    from repro.util.tables import Table
-
-    base = ("member", "sim_time", "dt", "pcg_iterations", "pcg_converged",
-            "pcg_breakdown")
-    vary_cols = [k for k in rows[0] if k not in base]
-    t = Table(["member", *vary_cols, "sim_time", "dt", "pcg_iters",
-               "converged", "breakdown"])
-    for r in rows:
-        t.add_row(
-            [
-                r["member"],
-                *(f"{r[k]:.6g}" for k in vary_cols),
-                f"{r['sim_time']:.5f}",
-                "-" if r.get("dt") is None else f"{r['dt']:.5f}",
-                r["pcg_iterations"],
-                r["pcg_converged"],
-                "yes" if r["pcg_breakdown"] else "no",
-            ]
-        )
-    return t.render()
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Ensemble parameter sweep: B members advanced in one batched model."""
     import json as _json
     from pathlib import Path
 
     from repro.mas.model import ModelConfig
+    from repro.obs.summary import member_table
     from repro.obs.telemetry import current as _current_telemetry
 
     version = CodeVersion[args.version]
@@ -332,7 +308,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for row in rows:
                 tel.logger.log("sweep_member", **row)
     print()
-    print(_render_member_rows(rows))
+    print(member_table(rows))
     manifest = {
         "schema": "repro-sweep/1",
         "members": args.members,
@@ -516,7 +492,7 @@ def cmd_critpath(args: argparse.Namespace) -> int:
         render_roofline,
         roofline_from_metrics,
     )
-    from repro.obs.summary import _read_json, _read_jsonl, skipped_note
+    from repro.obs.summary import _read_json, _read_jsonl, member_table, skipped_note
     from repro.obs import telemetry as tmod
     from pathlib import Path
 
@@ -542,7 +518,7 @@ def cmd_critpath(args: argparse.Namespace) -> int:
               "showing per-member convergence instead)")
         rows = [row for row in rows if isinstance(row, dict)]
         if rows:
-            print(_render_member_rows(rows))
+            print(member_table(rows))
         return 0
 
     d = Path(args.dir)

@@ -5,7 +5,7 @@ ablation answers the sharper question the critical-path observatory
 makes answerable: *which resource actually gates the wall clock*. The
 same Code 1 model runs under four communication schedules and each run's
 merged per-rank event graph is walked by
-:func:`repro.obs.critpath.extract_critical_path`:
+:func:`repro.obs.critpath.analyze_session`:
 
 * ``sync`` -- blocking halo exchanges, classic PCG (the paper's regime);
 * ``overlap`` -- halo exchanges post on detached communication clocks and

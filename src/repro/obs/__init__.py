@@ -33,7 +33,6 @@ from repro.obs.critpath import (
     CritPathResult,
     analyze_dir,
     analyze_session,
-    extract_critical_path,
     render_result,
 )
 from repro.obs.explain import Explanation, explain, explain_dirs, render_explain
@@ -71,7 +70,6 @@ __all__ = [
     "deactivate",
     "explain",
     "explain_dirs",
-    "extract_critical_path",
     "git_sha",
     "load_metrics",
     "render_compare",

@@ -10,7 +10,6 @@ tops the table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -103,10 +102,12 @@ def compare_metrics(a: dict, b: dict) -> list[MetricDelta]:
 def load_metrics(path: str | Path) -> dict:
     """Read ``<dir>/metrics.json`` (or a metrics.json file directly).
 
-    A snapshot that is there but is not a JSON object (truncated, or some
-    other JSON value) raises one ValueError naming the path and why.
+    A snapshot that is there but is not a JSON object (not UTF-8,
+    truncated, nested too deeply, or some other JSON value) raises one
+    ValueError naming the path and why.
     """
     from repro.obs import telemetry as tmod
+    from repro.obs.summary import _json_object
 
     p = Path(path)
     if p.is_dir():
@@ -114,15 +115,9 @@ def load_metrics(path: str | Path) -> dict:
     if not p.is_file():
         raise FileNotFoundError(f"no metrics snapshot at {p}")
     try:
-        metrics = json.loads(p.read_text())
+        return _json_object(p)
     except ValueError as exc:
         raise ValueError(f"unreadable metrics snapshot {p}: {exc}") from None
-    if not isinstance(metrics, dict):
-        raise ValueError(
-            f"unreadable metrics snapshot {p}: a JSON {type(metrics).__name__}, "
-            "not an object"
-        )
-    return metrics
 
 
 def _fmt(v: float | None) -> str:

@@ -56,21 +56,6 @@ _MEMORY_CATEGORIES = frozenset({"h2d", "d2h", "um_fault"})
 _MPI_CATEGORIES = frozenset({"mpi_pack", "mpi_transfer", "mpi_wait"})
 
 
-@dataclass(frozen=True, slots=True)
-class PathSegment:
-    """One attributed stretch of the critical path."""
-
-    lane: str
-    start: float
-    end: float
-    category: str
-    label: str
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
 def blame_group(category: str, label: str) -> str:
     """Map one (category, label) to its blame group.
 
@@ -183,17 +168,6 @@ class PathColumns:
     categories: tuple[str, ...]
     labels: tuple[str, ...]
 
-    def segments(self) -> list[PathSegment]:
-        """One :class:`PathSegment` per row."""
-        lanes, categories, labels = self.lanes, self.categories, self.labels
-        return [
-            PathSegment(lanes[ln], start, end, categories[c], labels[lab])
-            for ln, start, end, c, lab in zip(
-                self.lane.tolist(), self.start.tolist(), self.end.tolist(),
-                self.category.tolist(), self.label.tolist(),
-            )
-        ]
-
     def kinds(self) -> tuple[np.ndarray, list[tuple[str, str]]]:
         """Per row, the id of its (category, label) pair; and the pairs."""
         width = len(self.labels)
@@ -217,7 +191,7 @@ class CritPathResult:
 
     The path's aggregates (``path_total``, ``by_category``, ``by_rank``,
     ``by_blame``) are summed on its columns, once per result: a result is
-    read, not edited. ``segments`` is built on first use.
+    read, not edited.
     """
 
     model: str
@@ -238,11 +212,6 @@ class CritPathResult:
     def wall(self) -> float:
         """Simulated wall clock of the model (last end - first start)."""
         return self.t1 - self.t0
-
-    @cached_property
-    def segments(self) -> list[PathSegment]:
-        """The path as segment objects, in time order."""
-        return self.path.segments()
 
     @cached_property
     def path_total(self) -> float:
@@ -276,20 +245,25 @@ class CritPathResult:
         return self.by_blame.get(group, 0.0) / total if total > 0 else 0.0
 
     def top_contributors(self, n: int = 10) -> list[dict[str, Any]]:
-        """Hottest (label, category) path contributors with rank blame."""
-        agg: dict[tuple[str, str], dict[str, Any]] = {}
-        rank_of = {lane: lane_rank(lane) for lane in {s.lane for s in self.segments}}
-        for s in self.segments:
-            key = (s.label or s.category, s.category)
-            entry = agg.setdefault(
-                key,
-                {"label": key[0], "category": s.category, "seconds": 0.0,
-                 "ranks": {}},
-            )
-            entry["seconds"] += s.duration
-            r = rank_of[s.lane]
-            entry["ranks"][r] = entry["ranks"].get(r, 0.0) + s.duration
-        rows = sorted(agg.values(), key=lambda e: -e["seconds"])[:n]
+        """Hottest (label, category) path contributors with rank blame.
+
+        Seconds per key and per (key, rank) are summed on the columns in
+        path order; keys and each key's ranks keep first-appearance order."""
+        path = self.path
+        kind, kinds = path.kinds()
+        keys = [(label or category, category) for category, label in kinds]
+        ranks = [lane_rank(ln) for ln in path.lanes]
+        pairs, pair = np.unique(kind * len(ranks) + path.lane, return_inverse=True)
+        by_rank: dict[tuple[str, str], dict[int, float]] = {}
+        for (key, r), sec in path.seconds_by(
+            pair, [(keys[p // len(ranks)], ranks[p % len(ranks)]) for p in pairs.tolist()]
+        ).items():
+            by_rank.setdefault(key, {})[r] = sec
+        agg = [
+            {"label": key[0], "category": key[1], "seconds": sec, "ranks": by_rank[key]}
+            for key, sec in path.seconds_by(kind, keys).items()
+        ]
+        rows = sorted(agg, key=lambda e: -e["seconds"])[:n]
         for e in rows:
             e["rank"] = max(e["ranks"], key=e["ranks"].get)
             e["share"] = e["seconds"] / self.path_total if self.path_total else 0.0
@@ -330,25 +304,14 @@ class CritPathResult:
 # -- extraction ---------------------------------------------------------------
 
 
-def extract_critical_path(
-    record: EventRecord,
-    rows: np.ndarray | None = None,
-    *,
-    eps: float = 1e-12,
-) -> list[PathSegment]:
+def _walk(record: EventRecord, rows: np.ndarray | None = None, eps: float = 1e-12) -> PathColumns:
     """Backward-walk the critical path through one model's lanes.
 
     The ``rows`` of ``record`` (default: all) must belong to one model
-    (main and ``:comm`` lanes). Returns segments in increasing time order,
-    tiling ``[t0, t1]``.
-    """
-    return _walk(record, rows, eps).segments()
-
-
-def _walk(record: EventRecord, rows: np.ndarray | None = None, eps: float = 1e-12) -> PathColumns:
-    """:func:`extract_critical_path`, as columns. Consuming an event steps
-    to its lane's ``chain``; lanes are searched only at waits, holes and
-    lane switches."""
+    (main and ``:comm`` lanes). Returns the path's columns in increasing
+    time order, tiling ``[t0, t1]``. Consuming an event steps to its
+    lane's ``chain``; lanes are searched only at waits, holes and lane
+    switches."""
     rows = np.arange(len(record)) if rows is None else rows
     rows = rows[record.duration[rows] > 0.0]
     tables = (tuple(record.categories) + (IDLE_CATEGORY,), tuple(record.labels) + ("",))
@@ -522,46 +485,21 @@ def _finite(value: Any) -> bool:
 OUTSIDE_PHASES = "(outside phases)"
 
 
-def _phase_split(
-    windows: list[tuple[float, float, str]], start: float, end: float
-) -> list[tuple[str, float]]:
-    """Split ``[start, end]`` across the sorted phase windows.
-
-    Seconds outside every window accrue to ``(outside phases)`` -- long
-    segments spanning a phase boundary are clipped, not midpoint-binned.
-    """
-    out: list[tuple[str, float]] = []
-    t = start
-    idx = max(0, bisect_left(windows, (t, float("inf"), "")) - 1)
-    for w0, w1, name in windows[idx:]:
-        if w1 <= t:
-            continue
-        if w0 >= end:
-            break
-        if w0 > t:
-            out.append((OUTSIDE_PHASES, w0 - t))
-            t = w0
-        take = min(w1, end) - t
-        if take > 0:
-            out.append((name, take))
-            t += take
-        if t >= end:
-            break
-    if t < end:
-        out.append((OUTSIDE_PHASES, end - t))
-    return out
-
-
 def _phase_seconds(
     windows: list[tuple[float, float, str]], starts: np.ndarray, ends: np.ndarray
 ) -> dict[str, float]:
-    """Seconds per phase of the intervals ``[starts, ends]``: the sums of
-    :func:`_phase_split` over the intervals, in (interval, piece) order.
+    """Seconds per phase of the intervals ``[starts, ends]``, split across
+    the sorted phase windows.
 
-    An interval that meets at most one window is split elementwise, with
-    the loop's float expressions in the loop's order (the ``t += take``
-    included, which can leave a residual outside piece); one that meets
-    more goes through :func:`_phase_split` itself.
+    Seconds outside every window accrue to ``(outside phases)``: an
+    interval spanning a phase boundary is clipped, not midpoint-binned.
+    Every interval starts at the last window starting at or before it and
+    advances one window per round, with a per-interval loop's float
+    expressions in its order: skip a window that has ended, stop at one
+    past the interval, charge the gap before a window outside, take the
+    window's piece and ``t += take`` (which can fall short of the clip
+    point), then charge the residual tail ``end - t`` outside. The pieces
+    are summed in (interval, piece) order.
     """
     if not windows or not len(starts):
         return {}
@@ -569,34 +507,33 @@ def _phase_seconds(
     names = list(dict.fromkeys([OUTSIDE_PHASES, *(w[2] for w in windows)]))
     key = np.array([names.index(w[2]) for w in windows])  # 0: outside phases
     n = len(windows)
-    # The loop's first window: the last starting at or before the interval
-    # (bisect_left on (start, inf, "")), or the next when that one has ended.
-    idx = np.maximum(np.searchsorted(w0, starts, side="right") - 1, 0)
-    j = np.where(w1[idx] > starts, idx, idx + 1)
-    jc = np.minimum(j, n - 1)
-    skipped = (j < n) & (w1[jc] <= starts)  # a window that ends before it starts
-    meets = (j < n) & ~skipped & (w0[jc] < ends)
-    before = meets & (w0[jc] > starts)
-    t = np.where(before, w0[jc], starts)
-    take = np.minimum(w1[jc], ends) - t
-    inside = meets & (take > 0)
-    t = np.where(inside, t + take, t)
-    after = t < ends
-    nxt = np.minimum(j + 1, n - 1)
-    slow = skipped | (meets & after & (j + 1 < n) & (w0[nxt] < ends))
-    fast = ~slow[:, None] & np.stack([before, inside, after], axis=1)
-    piece_key = np.stack([np.zeros_like(key[jc]), key[jc], np.zeros_like(key[jc])], axis=1)
-    piece_sec = np.stack([w0[jc] - starts, take, ends - t], axis=1)
-    row = np.repeat(np.arange(len(starts)), 3).reshape(-1, 3)
-    rows, keys, seconds = [row[fast]], [piece_key[fast]], [piece_sec[fast]]
-    for r in np.flatnonzero(slow).tolist():
-        pieces = _phase_split(windows, float(starts[r]), float(ends[r]))
-        rows.append(np.full(len(pieces), r))
-        keys.append(np.array([names.index(ph) for ph, _ in pieces], dtype=key.dtype))
-        seconds.append(np.array([sec for _, sec in pieces], dtype=np.float64))
-    row_of = np.concatenate(rows)
-    order = np.argsort(row_of, kind="stable")
-    sums = sum_by_key(np.concatenate(keys)[order], np.concatenate(seconds)[order])
+    row = np.arange(len(starts))
+    t, end = np.array(starts, dtype=np.float64), np.array(ends, dtype=np.float64)
+    j = np.maximum(np.searchsorted(w0, t, side="right") - 1, 0)
+    pieces: list[tuple[np.ndarray, ...]] = []  # (interval, order, key, seconds)
+    order = 0
+    while len(row):
+        jc = np.minimum(j, n - 1)
+        a, b = w0[jc], w1[jc]
+        skip = (j < n) & (b <= t)
+        meets = (j < n) & ~skip & (a < end)
+        before, gap = meets & (a > t), a - t
+        t = np.where(before, a, t)
+        take = np.minimum(b, end) - t
+        inside = meets & (take > 0)
+        t = np.where(inside, t + take, t)
+        going = skip | (meets & (t < end))
+        tail = ~going & (t < end)
+        for slot, mask, ids, seconds in (
+            (0, before, 0, gap), (1, inside, key[jc], take), (2, tail, 0, end - t)
+        ):
+            pieces.append((row[mask], np.full(int(mask.sum()), order + slot),
+                           np.broadcast_to(ids, row.shape)[mask], seconds[mask]))
+        row, t, end, j = row[going], t[going], end[going], j[going] + 1
+        order += 3
+    interval, seq, keys, seconds = (np.concatenate(col) for col in zip(*pieces))
+    ordered = np.lexsort((seq, interval))
+    sums = sum_by_key(keys[ordered], seconds[ordered])
     return {names[k]: sec for k, sec in sums.items()}
 
 

@@ -212,32 +212,48 @@ def _metrics_table(metrics: dict | None, top: int = 30) -> str | None:
     return out
 
 
-def _ensemble_table(records: list[dict]) -> str | None:
-    """Per-member convergence table for sweep runs.
+def member_table(rows: list[dict]) -> str:
+    """Per-member convergence table of ``repro sweep``, of the ``repro
+    critpath`` fallback on a sweep directory and of the summary. A value a
+    row lacks, or holds as something other than a number, shows as ``-``."""
 
-    Built from the ``sweep_member`` rows ``repro sweep`` logs at run end;
-    absent for scalar runs.
-    """
-    rows = [r for r in records if r.get("event") == "sweep_member"]
-    if not rows:
-        return None
-    base = ("event", "ts", "member", "sim_time", "dt", "pcg_iterations",
-            "pcg_converged", "pcg_breakdown")
+    def number(r: dict, k: str, spec: str) -> str:
+        v = r.get(k)
+        return format(v, spec) if isinstance(v, (int, float)) else "-"
+
+    base = ("member", "sim_time", "dt", "pcg_iterations", "pcg_converged",
+            "pcg_breakdown")
     vary_cols = [k for k in rows[0] if k not in base]
-    t = Table(["member", *vary_cols, "sim_time", "pcg_iters", "converged",
-               "breakdown"])
-    for r in sorted(rows, key=lambda r: r.get("member", 0)):
+    t = Table(["member", *vary_cols, "sim_time", "dt", "pcg_iters",
+               "converged", "breakdown"])
+    for r in rows:
+        breakdown = r.get("pcg_breakdown")
         t.add_row(
             [
-                r.get("member"),
-                *(f"{r[k]:.6g}" for k in vary_cols),
-                f"{r.get('sim_time', 0.0):.5f}",
-                r.get("pcg_iterations", 0),
-                r.get("pcg_converged", 0),
-                "yes" if r.get("pcg_breakdown") else "no",
+                r.get("member", "-"),
+                *(number(r, k, ".6g") for k in vary_cols),
+                number(r, "sim_time", ".5f"),
+                number(r, "dt", ".5f"),
+                r.get("pcg_iterations", "-"),
+                r.get("pcg_converged", "-"),
+                "-" if breakdown is None else "yes" if breakdown else "no",
             ]
         )
-    return "per-member convergence (ensemble sweep):\n" + t.render()
+    return t.render()
+
+
+def _ensemble_table(records: list[dict]) -> str | None:
+    """Per-member convergence table for sweep runs, from the
+    ``sweep_member`` rows ``repro sweep`` logs at run end; absent for
+    scalar runs."""
+    rows = [
+        {k: v for k, v in r.items() if k not in ("event", "ts")}
+        for r in records if r.get("event") == "sweep_member"
+    ]
+    if not rows:
+        return None
+    rows.sort(key=lambda r: r.get("member", 0))
+    return "per-member convergence (ensemble sweep):\n" + member_table(rows)
 
 
 def _critpath_block(streams: tuple[EventRecord | None, Path]) -> str | None:

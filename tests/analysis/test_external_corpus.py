@@ -134,7 +134,8 @@ class TestFixThenPort:
         '{"schema": "repro-port-manifest/1", "files": [{"status": "ported"}]}',
         '{"schema": "repro-port-manifest/1", "files":'
         ' [{"name": "a.f90", "status": "ported", "converted": "x"}]}',
-    ], ids=["not-an-object", "entry-without-name", "count-not-a-number"])
+        "[" * 100000 + "]" * 100000,
+    ], ids=["not-an-object", "entry-without-name", "count-not-a-number", "nested"])
     def test_damaged_manifest_is_no_manifest(self, tmp_path, damaged):
         (tmp_path / "port-manifest.json").write_text(damaged)
         assert read_manifest(tmp_path) == {}

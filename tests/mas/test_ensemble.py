@@ -358,7 +358,7 @@ class TestEnsembleReport:
     def test_each_row_reports_the_step_its_member_took(self, fixed_dt):
         """Under a CFL step or ``fixed_dt`` alike, every row carries the
         member's last step and time, and the time is per member."""
-        from repro.cli import _render_member_rows
+        from repro.obs.summary import member_table
 
         b0s = (0.6, 1.0, 1.8)
         model = _run(_config(3, vary=[("b0", b0s)], shape=(8, 6, 12), fixed_dt=fixed_dt),
@@ -370,7 +370,7 @@ class TestEnsembleReport:
             assert row["sim_time"] == float(model.time[b])
             if fixed_dt is not None:
                 assert row["dt"] == fixed_dt and row["sim_time"] == STEPS * fixed_dt
-        assert f"{report[0]['dt']:.5f}" in _render_member_rows(report)
+        assert f"{report[0]['dt']:.5f}" in member_table(report)
 
 
 def _combine(y, alpha, z, roles=None):

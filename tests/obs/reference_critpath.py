@@ -1,16 +1,18 @@
 """The critical-path analysis as it stood before the columnar event record.
 
-Oracle for ``test_critpath_record.py``: ``TraceEvent``, ``_Lane``,
-``CritPathResult``, ``extract_critical_path``, ``_find_blocker``,
-``analyze_events``, ``analyze_session`` and ``load_trace_events`` (the
-reader of the Chrome trace that used to be the only event record) below are
-an earlier ``repro.obs.critpath``'s bodies, moved here verbatim (one
+Oracle for ``test_critpath_record.py``: ``TraceEvent``, ``PathSegment``,
+``_Lane``, ``CritPathResult``, ``extract_critical_path``, ``_find_blocker``,
+``_phase_split``, ``analyze_events``, ``analyze_session`` and
+``load_trace_events`` (the reader of the Chrome trace that used to be the
+only event record) below are an earlier ``repro.obs.critpath``'s bodies,
+moved here verbatim (one
 ``TraceEvent`` per event, per-event ``lane_rank`` / ``blame_group`` string
 work, a lambda sort per lane). They define the answers, floats included,
 that the record-based analysis in ``repro.obs.critpath`` must reproduce:
 tie-breaks between lanes, dict insertion orders and the order every sum
 accumulates in. Do not "tidy" them. ``events_from_profiler`` adapts the
-live profiler's columns to those objects.
+live profiler's columns to those objects, and ``path_rows`` the columns of
+a ``repro.obs.critpath.PathColumns`` to ``PathSegment`` objects.
 """
 
 from __future__ import annotations
@@ -24,14 +26,41 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.obs.critpath import (
     COMM_SUFFIX,
     IDLE_CATEGORY,
+    OUTSIDE_PHASES,
     WAIT_CATEGORY,
-    PathSegment,
-    _phase_split,
+    PathColumns,
     _phase_windows,
     blame_group,
     lane_model,
     lane_rank,
 )
+
+
+@dataclass(frozen=True, slots=True)
+class PathSegment:
+    """One attributed stretch of the critical path."""
+
+    lane: str
+    start: float
+    end: float
+    category: str
+    label: str
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+
+def path_rows(path: PathColumns) -> list[PathSegment]:
+    """One :class:`PathSegment` per row of a path's columns."""
+    lanes, categories, labels = path.lanes, path.categories, path.labels
+    return [
+        PathSegment(lanes[ln], start, end, categories[c], labels[lab])
+        for ln, start, end, c, lab in zip(
+            path.lane.tolist(), path.start.tolist(), path.end.tolist(),
+            path.category.tolist(), path.label.tolist(),
+        )
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,6 +306,36 @@ def _find_blocker(
         if best is None or (cand.end, cand.lane) > (best.end, best.lane):
             best = cand
     return best
+
+
+def _phase_split(
+    windows: list[tuple[float, float, str]], start: float, end: float
+) -> list[tuple[str, float]]:
+    """Split ``[start, end]`` across the sorted phase windows.
+
+    Seconds outside every window accrue to ``(outside phases)`` -- long
+    segments spanning a phase boundary are clipped, not midpoint-binned.
+    """
+    out: list[tuple[str, float]] = []
+    t = start
+    idx = max(0, bisect_left(windows, (t, float("inf"), "")) - 1)
+    for w0, w1, name in windows[idx:]:
+        if w1 <= t:
+            continue
+        if w0 >= end:
+            break
+        if w0 > t:
+            out.append((OUTSIDE_PHASES, w0 - t))
+            t = w0
+        take = min(w1, end) - t
+        if take > 0:
+            out.append((name, take))
+            t += take
+        if t >= end:
+            break
+    if t < end:
+        out.append((OUTSIDE_PHASES, end - t))
+    return out
 
 
 def analyze_events(

@@ -6,8 +6,8 @@ from repro.obs.critpath import (
     analyze_dir,
     analyze_record,
     analyze_session,
+    _walk,
     blame_group,
-    extract_critical_path,
     lane_model,
     lane_rank,
     render_compact,
@@ -15,6 +15,7 @@ from repro.obs.critpath import (
     results_to_json,
 )
 from tests.obs.records import record_of
+from tests.obs.reference_critpath import path_rows
 
 
 def ev(lane, start, end, category, label=""):
@@ -59,7 +60,7 @@ class TestExtraction:
             ev("m0.rank0", 1.0, 2.0, "mpi_wait", "allreduce"),
             ev("m0.rank1", 0.0, 2.0, "compute", "slow"),
         ]
-        segments = extract_critical_path(record_of(events))
+        segments = path_rows(_walk(record_of(events)))
         assert [s.lane for s in segments] == ["m0.rank1"]
         assert segments[0].label == "slow"
         assert sum(s.duration for s in segments) == pytest.approx(2.0)
@@ -72,7 +73,7 @@ class TestExtraction:
             ev("m0.rank1", 0.0, 1.0, "compute", "k"),
             ev("m0.rank1", 1.0, 2.0, "mpi_wait", "halo_barrier"),
         ]
-        segments = extract_critical_path(record_of(events))
+        segments = path_rows(_walk(record_of(events)))
         assert any(s.category == "mpi_wait" for s in segments)
         assert sum(s.duration for s in segments) == pytest.approx(2.0)
 
@@ -84,7 +85,7 @@ class TestExtraction:
             ev("m0.rank0", 1.5, 2.0, "compute", "tail"),
             ev("m0.rank0:comm", 0.2, 1.5, "mpi_transfer", "msg_0"),
         ]
-        segments = extract_critical_path(record_of(events))
+        segments = path_rows(_walk(record_of(events)))
         comm = [s for s in segments if s.lane == "m0.rank0:comm"]
         assert comm and comm[0].label == "msg_0"
         assert not any(s.label == "halo_wait_residual" for s in segments)
@@ -95,7 +96,7 @@ class TestExtraction:
             ev("m0.rank0", 0.0, 1.0, "compute", "a"),
             ev("m0.rank0", 1.5, 2.0, "compute", "b"),
         ]
-        segments = extract_critical_path(record_of(events))
+        segments = path_rows(_walk(record_of(events)))
         idle = [s for s in segments if s.category == "idle"]
         assert len(idle) == 1
         assert idle[0].start == pytest.approx(1.0)
@@ -110,14 +111,14 @@ class TestExtraction:
             ev("m0.rank1", 0.0, 0.6, "compute", "b"),
             ev("m0.rank1", 0.6, 1.0, "mpi_wait", "allreduce"),
         ]
-        segments = extract_critical_path(record_of(events))
+        segments = path_rows(_walk(record_of(events)))
         assert sum(s.duration for s in segments) == pytest.approx(1.0)
         # time-ordered and non-overlapping
         for a, b in zip(segments, segments[1:]):
             assert a.end == pytest.approx(b.start)
 
     def test_empty_events(self):
-        assert extract_critical_path(record_of()) == []
+        assert path_rows(_walk(record_of())) == []
 
 
 class TestAnalyzeEvents:
@@ -199,7 +200,7 @@ class TestSessionAndDir:
         (loaded,) = analyze_dir(d).values()
         # the record keeps float64 seconds: the directory IS the session
         assert loaded.to_json() == live.to_json()
-        assert loaded.segments == live.segments
+        assert path_rows(loaded.path) == path_rows(live.path)
         assert loaded.coverage == pytest.approx(1.0, abs=1e-9)
 
     def test_analyze_dir_missing_trace_raises(self, tmp_path):

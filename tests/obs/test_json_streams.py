@@ -14,7 +14,7 @@ import pytest
 from repro.cli import main
 from repro.obs.critpath import _phase_windows
 from repro.obs.summary import _read_json, _read_jsonl
-from repro.obs.telemetry import LOG_FILE, MANIFEST_FILE, SPANS_FILE
+from repro.obs.telemetry import LOG_FILE, MANIFEST_FILE, METRICS_JSON_FILE, SPANS_FILE
 from tests.obs.records import JSON_DAMAGE
 
 STREAMS = (MANIFEST_FILE, LOG_FILE, SPANS_FILE)
@@ -106,6 +106,18 @@ def test_a_whole_file_stream_must_hold_an_object(healthy, tmp_path):
         assert _read_json(d / MANIFEST_FILE) is None, damage
 
 
+def test_a_nested_metrics_snapshot_is_one_error_line(healthy, tmp_path, capsys):
+    """Plain ``--compare`` reads ``metrics.json`` through the one loader: a
+    document nested past the parser's depth is a reason, not a traceback."""
+    d = tmp_path / "damaged"
+    shutil.copytree(healthy, d)
+    (d / METRICS_JSON_FILE).write_text("[" * 100000 + "]" * 100000)
+    assert main(["telemetry", "--compare", str(healthy), str(d)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"error: unreadable metrics snapshot {d / METRICS_JSON_FILE}: JSON nested too deeply\n")
+
+
 def _span(**fields):
     return {"span_id": 1, "parent_id": None, "name": "step/hydro", "depth": 1,
             "start": 0.0, "end": 1.0, "attrs": {}, **fields}
@@ -177,3 +189,26 @@ def test_sweep_rows_that_are_not_objects_are_skipped(sweep_dir, tmp_path, capsys
     code, got = _run(["critpath", str(d)], capsys)
     assert code == 0 and got.replace(str(d), "DIR") == want.replace(str(sweep_dir), "DIR")
     assert "| 1 " in got
+
+
+def test_a_partial_member_row_shows_dashes(tmp_path, capsys):
+    """A member row missing its convergence fields prints with ``-`` cells."""
+    d = tmp_path / "partial"
+    d.mkdir()
+    (d / "sweep.json").write_text(json.dumps({"member_rows": [{"member": 0, "viscosity": 0.001}]}))
+    code, out = _run(["critpath", str(d)], capsys)
+    assert code == 0
+    (row,) = [ln for ln in out.splitlines() if ln.startswith("| 0 ")]
+    assert [cell.strip() for cell in row.split("|")[1:-1]] == ["0", "0.001", "-", "-", "-", "-", "-"]
+
+
+def test_the_summary_prints_the_critpath_member_table(sweep_dir, capsys):
+    """One renderer: the summary's sweep table is the fallback's, ``dt``
+    column included, and the log's ``event`` / ``ts`` are not varied columns."""
+    _, fallback = _run(["critpath", str(sweep_dir)], capsys)
+    _, summary = _run(["telemetry", str(sweep_dir)], capsys)
+    (table,) = [b for b in summary.split("\n\n") if b.startswith("per-member convergence")]
+    table = table.split("\n", 1)[1]
+    assert table.splitlines()[0].split() == (
+        "| member | b0 | sim_time | dt | pcg_iters | converged | breakdown |".split())
+    assert table in fallback

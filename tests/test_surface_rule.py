@@ -36,10 +36,6 @@ ALLOWED = {
 ALLOWED_SYMBOLS = {
     "repro.runtime.clock.SimClock.observer_count": "test hook: leak checks count a clock's observers",
     "repro.obs.events.Profiler.attached_count": "test hook: leak checks count a profiler's clocks",
-    "repro.obs.critpath.extract_critical_path": (
-        "public API: the walk as PathSegment objects, which the oracle tests compare; "
-        "analyze_record reads the walk's columns instead"
-    ),
 }
 
 
