@@ -38,14 +38,15 @@ walk a rank's clock and pages are moved by that rank's own events alone, so
 what a walk adds to one rank depends only on where its clock stands and on
 the residency of the managed arrays it touches: the first walk from each
 residency records the rank's adds as a :class:`_Program`, and later walks
-from the same residency apply it as plain float adds.
+from the same residency apply it as float adds, and as rows to a profiler.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field as dc_field, replace
-from functools import partial
+from functools import partial, reduce
+from itertools import accumulate, count
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -53,7 +54,9 @@ import numpy as np
 from repro.machine.unified_memory import PageMigrationStats
 from repro.mpi.decomp import Decomposition3D
 from repro.mpi.transport import Transport
+from repro.obs.events import ProfilerLane
 from repro.obs.telemetry import current as _telemetry
+from repro.runtime.pricing import kernel_counters
 from repro.runtime.clock import SimClock, TimeCategory
 from repro.runtime.dispatcher import Lowered, RankRuntime
 from repro.runtime.kernel import KernelSpec, LoopCategory
@@ -282,27 +285,34 @@ def _residency(rt: RankRuntime, names: tuple[str, ...]) -> tuple:
 
 class _Recorder:
     """Observes one rank's clock while a walk charges the rank through the
-    real calls, and keeps what they add as the rank's :class:`_Program`."""
+    real calls, and keeps what they add as the rank's :class:`_Program`; an
+    observed walk's recorders also log each add, in order, with its rank."""
 
-    __slots__ = ("key", "ops", "segments", "launches", "faults")
+    __slots__ = ("key", "log", "ops", "segments", "launches", "faults")
 
-    def __init__(self, key: tuple, rt: RankRuntime) -> None:
-        self.key = key
-        self.ops: list[tuple[TimeCategory | None, float]] = []
+    def __init__(self, key: tuple, rt: RankRuntime, log: list[tuple] | None) -> None:
+        self.key, self.log = key, log
+        self.ops: list[tuple[TimeCategory | None, float, str]] = []
         self.segments: list[tuple] = []
         self.launches = rt.stats.launches
         um = rt.env.um
         self.faults = None if um is None else replace(um.stats)
 
-    def __call__(self, start: float, dt: float, category: TimeCategory, label: str) -> None:
-        self.ops.append((category, dt))
+    def __call__(self, start: float, dt: float, category: TimeCategory | None, label: str):
+        self.ops.append((category, dt, label))
+        if self.log is not None:
+            self.log.append((self.key[0], category, dt, label))
 
     def wire(self, clock: SimClock, seconds: float, label: str) -> None:
         """The sender's wait for its wire, kept as the wire: what
         ``wait_until`` adds depends on where the clock stands."""
         n = len(self.ops)
         clock.wait_until(clock.now + seconds, _TRANSFER, label)
-        self.ops[n:] = [(None, seconds)]
+        if len(self.ops) == n:  # the wait added nothing; the wire is kept
+            self(clock.now, seconds, None, label)
+        self.ops[n] = (None, seconds, label)
+        if self.log is not None:
+            self.log[-1] = (self.key[0], *self.ops[n])
 
     def cut(self) -> None:
         """End a segment."""
@@ -312,11 +322,30 @@ class _Recorder:
     def program(self, rt: RankRuntime, names: tuple[str, ...]) -> _Program:
         um = rt.env.um
         return _Program(
-            tuple(self.segments),
+            tuple(tuple((category, dt) for category, dt, _ in ops) for ops in self.segments),
             rt.stats.launches - self.launches,
             _residency(rt, names),
             None if um is None else um.stats.since(self.faults),
         )
+
+
+def _interleave(recorders: dict[int, _Recorder], log: list[tuple]) -> tuple[tuple, ...]:
+    """The walk's ``log`` of adds, ``(rank, category, seconds, label)``, cut
+    into its segments."""
+    lengths = [sum(map(len, ops)) for ops in zip(*(r.segments for r in recorders.values()))]
+    cuts = [0, *accumulate(lengths)]
+    return tuple(tuple(log[start:end]) for start, end in zip(cuts, cuts[1:]))
+
+
+def _observed_by(clocks: list[SimClock]):
+    """The profiler and each clock's lane when every clock's one observer is
+    a lane of that profiler; None when no clock has an observer; else False."""
+    observers = [clock._observers for clock in clocks]
+    lanes = [getattr(obs[0], "__self__", None) if len(obs) == 1 else None for obs in observers]
+    profilers = {lane.profiler() if type(lane) is ProfilerLane else None for lane in lanes}
+    if len(profilers) == 1 and None not in profilers:
+        return profilers.pop(), [lane.lane for lane in lanes]
+    return False if any(observers) else None
 
 
 def _play(clock: SimClock, ops: tuple[tuple[TimeCategory | None, float], ...]) -> None:
@@ -333,6 +362,26 @@ def _play(clock: SimClock, ops: tuple[tuple[TimeCategory | None, float], ...]) -
         now += dt
         totals[category] = get(category, 0.0) + dt
     clock.now = now
+
+
+def _play_rows(clocks: list[SimClock], lanes: list[str], ops: tuple, rows: list) -> None:
+    """:func:`_play` of :func:`_interleave`'s ``ops``, and onto ``rows`` the
+    profiler rows that the real calls would have made."""
+    nows = [clock.now for clock in clocks]
+    totals = [clock.by_category for clock in clocks]
+    for rank, category, dt, label in ops:
+        now = nows[rank]
+        if category is None:
+            t = now + dt
+            if not t > now:
+                continue
+            category, dt = _TRANSFER, t - now
+        nows[rank], by = now + dt, totals[rank]
+        by[category] = by.get(category, 0.0) + dt
+        if dt > 0:
+            rows.append((lanes[rank], now, dt, category, label))
+    for clock, now in zip(clocks, nows):
+        clock.now = now
 
 
 def _finish(rt: RankRuntime, names: tuple[str, ...], program: _Program) -> None:
@@ -354,10 +403,9 @@ class _Plan:
     guard: tuple  # (env epochs, array shapes) the plan was derived from
     #: Buffer maintenance kernels, each with its rank and lowered entry.
     init: tuple[tuple[int, KernelSpec, Lowered], ...]
-    #: Per axis: the wire wait's trace label, the messages in the one order
-    #: packs, sends and unpacks all run in, and their senders (the key the
-    #: telemetry registry holds their byte counters under).
-    axes: tuple[tuple[str, tuple[_Message, ...], tuple[int, ...]], ...]
+    #: Per axis: the wire wait's trace label, and the messages in the one
+    #: order packs, sends and unpacks all run in.
+    axes: tuple[tuple[str, tuple[_Message, ...]], ...]
     #: Per axis, each sweep's first unpack kernel, in message order: the
     #: unpacks that have a body.
     sweeps: tuple[tuple[KernelSpec, ...], ...]
@@ -370,6 +418,9 @@ class _Plan:
     blocks: list
     #: Programs recorded so far, by (rank, residency of its touched arrays).
     programs: dict[tuple, _Program] = dc_field(default_factory=dict)
+    #: By all ranks' program keys: per segment, what an observed walk of them charged.
+    orders: dict[tuple, tuple[tuple, ...]] = dc_field(default_factory=dict)
+    serial: int = dc_field(default_factory=partial(next, count()))  # a registry key
 
 
 class HaloExchanger:
@@ -564,6 +615,10 @@ class HaloExchanger:
                 rt.set_clock(comm)
             with tel.tracer.span("halo_exchange", field=",".join(fields), overlap=True, xid=xid):
                 self._walk(plan, items, tel)
+        except BaseException:
+            for comm in comm_clocks:  # no PendingExchange will finish them
+                tel.detach_comm_clock(comm)
+            raise
         finally:
             for rt, main in zip(self.ranks, saved):
                 rt.set_clock(main)
@@ -687,7 +742,7 @@ class HaloExchanger:
                 axes.append(entry)
                 sweeps.append(first_unpacks)
         touched: list[dict[str, None]] = [{} for _ in self.ranks]
-        messages = [m for _, axis_messages, _ in axes for m in axis_messages]
+        messages = [m for _, axis_messages in axes for m in axis_messages]
         for m in messages:  # the staging buffers are among the kernels' arrays
             touched[m.src].update(dict.fromkeys(m.pack.arrays))
             touched[m.dst].update(dict.fromkeys(m.unpack.arrays))
@@ -756,7 +811,7 @@ class HaloExchanger:
                 out.send, into.recv, nbytes,
                 tr.wire_time(nbytes, same_device=dst == src, same_node=same_node),
             ))
-        entry = (f"msg_{axis}", tuple(messages), tuple(m.src for m in messages))
+        entry = (f"msg_{axis}", tuple(messages))
         return entry, tuple(messages[i].unpack for i in sorted(bodies))
 
     def _observe_exchanges(self, fields: tuple[str, ...]):
@@ -772,23 +827,6 @@ class HaloExchanger:
                 child.inc()
         return tel
 
-    def _message_counters(self, tel, senders: tuple[int, ...]):
-        """The session's message counter and one axis plan's byte counter
-        per message, resolved once and kept in the session's registry."""
-        key = ("halo_messages_total", self.transport.kind, senders)
-        counters = tel.metrics.bound.get(key)
-        if counters is None:
-            by_rank = tel.metrics.counter("halo_bytes_total",
-                                          "nominal halo payload bytes sent, by rank",
-                                          labelnames=("rank",))
-            counters = tel.metrics.bound[key] = (
-                tel.metrics.counter("halo_messages_total", "halo messages sent, by transport",
-                                    labelnames=("transport",),
-                                    ).labels(transport=self.transport.kind.value),
-                [by_rank.labels(rank=str(rank)) for rank in senders],
-            )
-        return counters
-
     def _set_inflight(self, tel, inflight: int) -> None:
         self.inflight = inflight
         if tel.enabled:
@@ -803,6 +841,43 @@ class HaloExchanger:
                                    "mean per-rank wall seconds charged to halo exchanges "
                                    "(overlapped runs count only the unhidden remainder)")
 
+    def _counter_tape(self, tel, plan: _Plan) -> tuple[tuple, tuple]:
+        """Once per (session, plan): each counter child a walk of ``plan``
+        ticks and its amounts in walk order, its messages' own, then what the
+        real calls tick (roofline and launch counters, transport staging)."""
+        key = ("halo_counter_tape", plan.serial)
+        if key not in tel.metrics.bound:
+            m, tr, sent, calls = tel.metrics, self.transport, {}, {}
+
+            def tick(ticks: dict, *pairs) -> None:
+                for child, amount in pairs:
+                    ticks.setdefault(child, []).append(amount)
+
+            def launch(lowered: Lowered) -> None:
+                engine, priced, category = lowered
+                tick(calls, *zip((*kernel_counters(m, priced), engine.launch_counter(m, category)),
+                                 (priced.body_seconds, priced.nbytes, priced.flops, 1.0, 1.0)))
+
+            messages = m.counter("halo_messages_total", "halo messages sent, by transport",
+                                 labelnames=("transport",)).labels(transport=tr.kind.value)
+            by_rank = m.counter("halo_bytes_total", "nominal halo payload bytes sent, by rank",
+                                labelnames=("rank",))
+            for _, _, lowered in plan.init:
+                launch(lowered)
+            for _, axis in plan.axes:
+                for msg in axis:
+                    launch(msg.pack_lowered)
+                for msg in axis:
+                    tick(calls, *tr.staging_ticks(m, msg.nbytes, "send"))
+                    if msg.dst != msg.src:
+                        tick(calls, *tr.staging_ticks(m, msg.nbytes, "recv"))
+                    tick(sent, (messages, 1.0), (by_rank.labels(rank=str(msg.src)), msg.nbytes))
+                for msg in axis:
+                    launch(msg.unpack_lowered)
+            m.bound[key] = tuple(tuple((child, tuple(amounts)) for child, amounts in ticks.items())
+                                 for ticks in (sent, calls))
+        return tel.metrics.bound[key]
+
     def _walk(self, plan: _Plan, items: list[FieldItem], tel) -> None:
         """Run one planned exchange on ``items``' arrays.
 
@@ -812,27 +887,35 @@ class HaloExchanger:
         starts from applies the program's segment; every other rank is
         charged through the real calls, in message order, and recorded.
         Sweep bodies run in message order (alone when every rank plays).
-        Nothing is recorded or applied while telemetry or a clock observer
-        must see each event, or while a rank would not charge a plain
+        Under telemetry or a profiler every rank plays -- counters tick in
+        bulk, a profiler gets the rows in the plan's order -- or every rank
+        records. Nothing is recorded or applied while another observer
+        watches a clock, or while a rank would not charge a plain
         launch at once (``RankRuntime._direct``).
         """
         ranks, tr = self.ranks, self.transport
         plan.blocks[:] = [locals_ for _, locals_, _ in items]
         programs: list[_Program | None] = [None] * len(ranks)
         recorders: dict[int, _Recorder] = {}
-        reuse = not tel.enabled and all(not rt.clock._observers and rt._direct(_PLAIN)
-                                        for rt in ranks)
+        observed = _observed_by([rt.clock for rt in ranks])
+        reuse = observed is not False and all(rt._direct(_PLAIN) for rt in ranks)
+        order = log = None
         try:
             if reuse:
-                for rank, rt in enumerate(ranks):
-                    key = (rank, _residency(rt, plan.touched[rank]))
-                    programs[rank] = plan.programs.get(key)
+                keys = tuple((rank, _residency(rt, plan.touched[rank]))
+                             for rank, rt in enumerate(ranks))
+                programs = [plan.programs.get(key) for key in keys]
+                order = plan.orders.get(keys) if observed else None
+                if (observed or tel.enabled) and (None in programs or (observed and order is None)):
+                    programs, order = [None] * len(ranks), None
+                log = [] if observed else None
+                for rank, key in enumerate(keys):
                     if programs[rank] is None:
-                        recorders[rank] = _Recorder(key, rt)
-                        rt.clock.subscribe(recorders[rank])
+                        recorders[rank] = _Recorder(key, ranks[rank], log)
+                        ranks[rank].clock.subscribe(recorders[rank])
             # some rank is charged through the real calls
             charged = not reuse or bool(recorders)
-            for axis_index, (label, messages, senders) in enumerate(plan.axes):
+            for axis_index, (label, messages) in enumerate(plan.axes):
                 segment = 2 * axis_index
                 # -- every rank packs its faces, all fields -------------------
                 if charged:
@@ -843,13 +926,10 @@ class HaloExchanger:
                     for m in messages:
                         if programs[m.src] is None:
                             _launch(ranks[m.src], m.pack, m.pack_lowered)
-                self._end_segment(programs, recorders, segment, reuse)
+                self._end_segment(programs, recorders, segment, reuse, observed, order)
                 # -- messages and unpacks into ghosts -------------------------
                 if charged:
-                    msg_counter = byte_counters = None
-                    if tel.enabled:
-                        msg_counter, byte_counters = self._message_counters(tel, senders)
-                    for slot, m in enumerate(messages):
+                    for m in messages:
                         if programs[m.src] is None:
                             rt = ranks[m.src]
                             clock = rt.clock
@@ -866,9 +946,6 @@ class HaloExchanger:
                             rt = ranks[m.dst]
                             for c in tr.recv_charges(rt.env, m.recv, m.nbytes):
                                 rt.clock.advance(c.seconds, c.category, c.label)
-                        if msg_counter is not None:
-                            msg_counter.inc()
-                            byte_counters[slot].inc(m.nbytes)
                     for m in messages:
                         if programs[m.dst] is None:
                             _launch(ranks[m.dst], m.unpack, m.unpack_lowered)
@@ -877,41 +954,56 @@ class HaloExchanger:
                 else:
                     for spec in plan.sweeps[axis_index]:
                         spec.run_body()
-                self._end_segment(programs, recorders, segment + 1, reuse)
+                self._end_segment(programs, recorders, segment + 1, reuse, observed, order)
             self.messages += plan.sent[0]
             self.bytes_sent += plan.sent[1]
             for rank, program in enumerate(programs):
                 if program is not None:
                     _finish(ranks[rank], plan.touched[rank], program)
+            if tel.enabled:
+                sent, calls = self._counter_tape(tel, plan)
+                for child, amounts in sent if charged else sent + calls:
+                    child.value = reduce(operator.add, amounts, child.value)
             for rank, recorder in recorders.items():
-                plan.programs[recorder.key] = recorder.program(ranks[rank], plan.touched[rank])
-            self.programs_recorded += len(recorders)
+                if recorder.key not in plan.programs:
+                    plan.programs[recorder.key] = recorder.program(ranks[rank], plan.touched[rank])
+                    self.programs_recorded += 1
+            if recorders and observed:  # every rank recorded
+                plan.orders[keys] = _interleave(recorders, log)
         finally:
             plan.blocks.clear()
             for rank, recorder in recorders.items():
                 ranks[rank].clock.unsubscribe(recorder)
 
     def _end_segment(self, programs: list, recorders: dict[int, _Recorder], segment: int,
-                     reuse: bool) -> None:
+                     reuse: bool, observed, order: tuple[tuple, ...] | None) -> None:
         """Close a segment: the playing ranks apply it, the recorded ones cut
         it, and every rank clock advances to the latest (BSP synchronization:
-        imbalance shows up as MPI wait)."""
-        for rt, program in zip(self.ranks, programs):
+        imbalance shows up as MPI wait). Outside the real calls a profiler
+        gets the segment's rows (``order``'s) and the barrier's."""
+        clocks = [rt.clock for rt in self.ranks]
+        rows: list[tuple] = []
+        if order is not None:
+            _play_rows(clocks, observed[1], order[segment], rows)
+        for clock, program in zip(clocks, programs if order is None else ()):
             if program is not None:
-                _play(rt.clock, program.segments[segment])
+                _play(clock, program.segments[segment])
         for recorder in recorders.values():
             recorder.cut()
         if not reuse:
             for rt in self.ranks:
                 rt.sync()
-        clocks = [rt.clock for rt in self.ranks]
         t_max = max([clock.now for clock in clocks])
-        for clock in clocks:
+        for rank, clock in enumerate(clocks):
             if not reuse:
                 clock.wait_until(t_max, _WAIT, "halo_barrier")
             elif t_max > clock.now:
                 # ``wait_until``'s adds inline: nothing is pending, and a
                 # recorder must not see them
                 dt = t_max - clock.now
+                if observed:
+                    rows.append((observed[1][rank], clock.now, dt, _WAIT, "halo_barrier"))
                 clock.now += dt
                 clock.by_category[_WAIT] = clock.by_category.get(_WAIT, 0.0) + dt
+        if rows:
+            observed[0].extend(*zip(*rows))

@@ -67,6 +67,11 @@ class Transport:
         """Cost on the receiving rank of landing the buffer."""
         raise NotImplementedError
 
+    def staging_ticks(self, m, nbytes: int, side: str) -> tuple:
+        """The ``(child, amount)`` ticks in ``m`` of ``side``'s charges for an
+        ``nbytes`` message: none unless MPI stages through the host."""
+        return ()
+
 
 @dataclass(frozen=True, slots=True)
 class CudaAwareTransport(Transport):
@@ -170,15 +175,17 @@ class UnifiedMemoryTransport(Transport):
             for c in env.host_access(buffer_name, int(nbytes * self.page_amplification))
         ]
 
+    def staging_ticks(self, m, nbytes, side):
+        counter = m.counter("um_staged_bytes_total",
+                            "page-granular bytes staged through the host by UM MPI",
+                            labelnames=("side",))
+        return ((counter.labels(side=side), nbytes * self.page_amplification),)
+
     def _observe_staging(self, nbytes: int, side: str) -> None:
         """Count host-staged page traffic (the Fig. 4 UM pathology)."""
         tel = _telemetry()
-        if tel.enabled:
-            tel.metrics.counter(
-                "um_staged_bytes_total",
-                "page-granular bytes staged through the host by UM MPI",
-                labelnames=("side",),
-            ).labels(side=side).inc(nbytes * self.page_amplification)
+        for child, amount in self.staging_ticks(tel.metrics, nbytes, side) if tel.enabled else ():
+            child.inc(amount)
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,6 +18,7 @@ label) pair is resolved per table entry by the reader, never per row.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
@@ -125,10 +126,30 @@ class EventRecord:
         return cls(**cols)
 
 
+class ProfilerLane:
+    """A clock's subscription to a weakly referenced :class:`Profiler`: ``add``
+    observes the clock, appending each advance of positive length under ``lane``."""
+
+    __slots__ = ("profiler", "lane", "_appends")
+
+    def __init__(self, profiler: "Profiler", lane: str) -> None:
+        self.profiler, self.lane = weakref.ref(profiler), lane
+        self._appends = tuple(c.append for c in profiler.columns)
+
+    def add(self, start: float, dt: float, category: TimeCategory, label: str) -> None:
+        if dt > 0:
+            lanes, starts, durations, categories, labels = self._appends
+            lanes(self.lane)
+            starts(start)
+            durations(dt)
+            categories(category)
+            labels(label)
+
+
 class Profiler:
     """Records every advance of its clocks as one row of :attr:`columns`."""
 
-    __slots__ = ("columns", "_attached")
+    __slots__ = ("columns", "_attached", "__weakref__")
 
     def __init__(self) -> None:
         #: ``(lane, start, duration, category, label)`` lists, row-aligned;
@@ -152,18 +173,14 @@ class Profiler:
         key = (id(clock), lane)
         if key in self._attached:
             return
-        lanes, starts, durations, categories, labels = (c.append for c in self.columns)
-
-        def observer(start: float, dt: float, category: TimeCategory, label: str) -> None:
-            if dt > 0:
-                lanes(lane)
-                starts(start)
-                durations(dt)
-                categories(category)
-                labels(label)
-
+        observer = ProfilerLane(self, lane).add
         clock.subscribe(observer)
         self._attached[key] = (clock, observer)
+
+    def extend(self, lanes, starts, durations, categories, labels) -> None:
+        """Append rows given as five row-aligned columns."""
+        for column, values in zip(self.columns, (lanes, starts, durations, categories, labels)):
+            column.extend(values)
 
     def detach(self, clock: SimClock | None = None) -> int:
         """Unsubscribe from ``clock`` (or every clock); returns removals.

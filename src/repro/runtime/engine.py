@@ -159,18 +159,17 @@ class Engine:
 
     # -- charging ------------------------------------------------------------
 
-    def _count_launch(self, tel, category: LoopCategory) -> None:
-        """``kernel_launches_total`` under ``tel``, an enabled session."""
-        bound = tel.metrics.bound
+    def launch_counter(self, m, category: LoopCategory):
+        """This engine's ``kernel_launches_total`` child for ``category``, kept in ``m.bound``."""
         key = (self.version, category)
-        child = bound.get(key)
+        child = m.bound.get(key)
         if child is None:
-            child = bound[key] = tel.metrics.counter(
+            child = m.bound[key] = m.counter(
                 "kernel_launches_total",
                 "kernel launches, by code version and loop category",
                 labelnames=("version", "category"),
             ).labels(version=self.version, category=category.value)
-        child.inc()
+        return child
 
     def charge(self, priced: PricedLaunch, category: LoopCategory) -> None:
         """Charge one kernel launched on its own: faults, gap, body.
@@ -205,7 +204,7 @@ class Engine:
         stats.kernels += 1
         stats.launches += 1
         if tel.enabled:
-            self._count_launch(tel, category)
+            self.launch_counter(tel.metrics, category).inc()
 
     def _price_group(self, group: FusionGroup) -> tuple[float, TimeCategory]:
         """Fault in and observe a fused group's kernels in order; returns
@@ -235,7 +234,7 @@ class Engine:
         tel = _telemetry()
         if tel.enabled:
             for group in groups:
-                self._count_launch(tel, group.kernels[0].category)
+                self.launch_counter(tel.metrics, group.kernels[0].category).inc()
         priced = [self._price_group(group) for group in groups]
         q = self.queue.simulate(
             [body for body, _ in priced], async_launch=self.async_launch

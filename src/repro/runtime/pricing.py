@@ -138,17 +138,9 @@ _KERNEL_COUNTERS = (
 )
 
 
-def observe_kernel(m, priced: PricedLaunch) -> None:
-    """Per-kernel roofline counters: seconds, bytes, flops, calls.
-
-    Every engine (OpenACC groups, DC loops, CPU loops)
-    reports here so :mod:`repro.perf.roofline` can compute each kernel's
-    speed-of-light fraction from one run's metrics snapshot. The nominal
-    bytes/flops are the cost model's inputs, *before* efficiency
-    penalties -- which is exactly what makes the measured-vs-attainable
-    ratio meaningful. The four children are resolved once per kernel and
-    kept in the registry (``m.bound``), never on the price.
-    """
+def kernel_counters(m, priced: PricedLaunch) -> tuple:
+    """``priced``'s four roofline children, resolved once per kernel and kept
+    in the registry (``m.bound``), never on the price."""
     key = (priced.label, priced.body_category)
     children = m.bound.get(key)
     if children is None:
@@ -157,7 +149,20 @@ def observe_kernel(m, priced: PricedLaunch) -> None:
             m.counter(name, text, labelnames=names).labels(**{n: labels[n] for n in names})
             for name, text, names in _KERNEL_COUNTERS
         )
-    seconds, nbytes, flops, calls = children
+    return children
+
+
+def observe_kernel(m, priced: PricedLaunch) -> None:
+    """Per-kernel roofline counters: seconds, bytes, flops, calls.
+
+    Every engine (OpenACC groups, DC loops, CPU loops)
+    reports here so :mod:`repro.perf.roofline` can compute each kernel's
+    speed-of-light fraction from one run's metrics snapshot. The nominal
+    bytes/flops are the cost model's inputs, *before* efficiency
+    penalties -- which is exactly what makes the measured-vs-attainable
+    ratio meaningful.
+    """
+    seconds, nbytes, flops, calls = kernel_counters(m, priced)
     seconds.inc(priced.body_seconds)
     nbytes.inc(priced.nbytes)
     flops.inc(priced.flops)

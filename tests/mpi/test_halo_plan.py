@@ -28,7 +28,9 @@ from repro.mas import MasModel, ModelConfig
 from repro.mpi.decomp import Decomposition3D
 from repro.mpi.halo import HaloExchanger, HaloSpec
 from repro.mpi.transport import TransportKind, make_transport
-from repro.obs.telemetry import session
+from repro.obs.events import Profiler, ProfilerLane
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import Telemetry, activate, deactivate, session
 from repro.runtime.clock import SimClock, TimeCategory
 from repro.runtime.config import Backend, RuntimeConfig, uniform_backend
 from repro.runtime.data_env import DataEnvironment, DataMode
@@ -86,6 +88,17 @@ def make_locals(dec, seed, *, g=1, stagger_axis=None, members=1):
     return out
 
 
+def profiled(hx):
+    """A session whose profiler observes each rank clock under its own
+    lane, as ``Telemetry.bind_model`` attaches a model's rank clocks."""
+    tel = Telemetry(None)
+    for rank, rt in enumerate(hx.ranks):
+        lane = f"m0.rank{rank}"
+        tel.profiler.attach(rt.clock, lane)
+        tel._clock_lanes[id(rt.clock)] = lane
+    return tel
+
+
 def rank_groups(dec):
     """The ranks of each local shape, in order of each group's first rank,
     as ``repro.mas.groups`` groups a model's ranks."""
@@ -134,19 +147,23 @@ class TestPlansAreBoundedByTheVocabulary:
         assert model.halo.plans_built == built
         assert len(model.halo._plans) == held
 
+    @pytest.mark.parametrize("telemetry", [False, True])
     @pytest.mark.parametrize("version", [CodeVersion.A, CodeVersion.D2XU, CodeVersion.CPU])
-    def test_no_program_is_recorded_after_the_second_step(self, version):
+    def test_no_program_is_recorded_after_the_second_step(self, version, telemetry, tmp_path):
         """A rank's program is recorded once per (plan, residency of the
         arrays it touches): from the third step on, every exchange meets
-        each rank in a residency it met before."""
-        model = MasModel(
-            ModelConfig(**{**self.SMALL, "num_ranks": 8}), runtime_config_for(version)
-        )
-        model.run(2)
-        recorded = model.halo.programs_recorded
-        assert recorded >= len(model.halo._plans) > 0
-        model.run(2)
-        assert model.halo.programs_recorded == recorded
+        each rank in a residency it met before. Under a session whose
+        profiler observes every rank clock, too: its walks record, then
+        play."""
+        with session(tmp_path / "tel" if telemetry else None):
+            model = MasModel(
+                ModelConfig(**{**self.SMALL, "num_ranks": 8}), runtime_config_for(version)
+            )
+            model.run(2)
+            recorded = model.halo.programs_recorded
+            assert recorded >= len(model.halo._plans) > 0
+            model.run(2)
+            assert model.halo.programs_recorded == recorded
 
 
 # -- (b) what a plan was derived from rebuilds it ------------------------------------
@@ -197,7 +214,7 @@ class TestInvalidation:
                 )
                 if cls is HaloExchanger:
                     (plan,) = hx._plans.values()
-                    prices.append([m.pack_lowered[1] for _, msgs, _ in plan.axes for m in msgs])
+                    prices.append([m.pack_lowered[1] for _, msgs in plan.axes for m in msgs])
         assert deltas[2:] == deltas[:2]
         assert hx.plans_built == 2
         if machine != "cpu":  # a CPU loop's price does not read the working set
@@ -212,7 +229,7 @@ class TestInvalidation:
             rt.register_array("h", 64 * MiB)
         self.hx.exchange("h", locs)
         plan = self.hx._plans[(("h", None),), HaloSpec()]
-        assert all(m.pack.reads == ("h",) for _, msgs, _ in plan.axes for m in msgs)
+        assert all(m.pack.reads == ("h",) for _, msgs in plan.axes for m in msgs)
 
     @pytest.mark.parametrize("buffer", ["_halo_recv_f_2_m", "_halo_send_f_2_p"])
     def test_exit_data_on_a_staging_buffer_is_still_refused(self, buffer):
@@ -265,6 +282,20 @@ def reachable_arrays(root, opaque=(RankRuntime,)):
         seen.add(id(obj))
         if isinstance(obj, np.ndarray):
             found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def reachable(root, opaque=()):
+    """Every object ``root`` reaches, not looking into code or into
+    ``opaque`` objects."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, *opaque)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
         stack.extend(gc.get_referents(obj))
     return found
 
@@ -322,20 +353,52 @@ class TestPlanHoldsNoArray:
             hx.exchange("f", locs)
         assert shares_an_exchanged_array(hx, locs) == []
 
+    def test_a_failed_overlapped_begin_detaches_its_comm_clocks(self):
+        """An overlapped begin attaches each comm clock to the session's
+        profiler; when its walk fails no exchange is returned to finish, so
+        the begin detaches them itself."""
+        dec = Decomposition3D((8, 8, 16), 2)
+        hx = make_exchanger(HaloExchanger, dec, "um")
+        hx.set_groups(rank_groups(dec))
+        locs = as_blocks(make_locals(dec, 5), rank_groups(dec))
+        tel = activate(profiled(hx))
+        try:
+            hx.exchange("f", locs)
+            hx.ranks[0].env.unregister("_halo_recv_f_2_m")
+            hx._plans[(("f", None),), HaloSpec()] = _with_guard(hx, locs)
+            assert tel.profiler.attached_count == dec.nranks
+            with pytest.raises(KeyError):
+                hx.exchange_begin("f", locs)
+            assert tel.profiler.attached_count == dec.nranks
+            assert [rt.clock.observer_count for rt in hx.ranks] == [1] * dec.nranks
+        finally:
+            deactivate(tel)
+
+    @pytest.mark.parametrize("observed", [False, True])
     @pytest.mark.parametrize("machine", ["p2p", "um", "cpu"])
-    def test_programs_hold_numbers_categories_and_residencies(self, machine):
-        """A recorded program reaches no rank runtime, clock, environment,
-        engine, model, array or code: only floats, enum members and counts."""
+    def test_programs_hold_numbers_categories_and_residencies(self, machine, observed):
+        """A recorded program, and the order a walk interleaves the ranks'
+        rows in, reach no rank runtime, clock, environment, engine, model,
+        array or code: only floats, enum members, labels and counts. No
+        session, registry or profiler is reachable from the plan, also
+        after walks under one."""
         dec = Decomposition3D((8, 8, 16), 2)
         hx = make_exchanger(HaloExchanger, dec, machine, buffer_init_fraction=0.5)
         locs = make_locals(dec, 5)
-        hx.exchange("f", locs)
-        hx.exchange_finish(hx.exchange_begin("f", locs))
+        tel = activate(profiled(hx)) if observed else None
+        try:
+            for _ in range(2):
+                hx.exchange("f", locs)
+                hx.exchange_finish(hx.exchange_begin("f", locs))
+        finally:
+            if tel is not None:
+                deactivate(tel)
         (plan,) = hx._plans.values()
         assert len(plan.programs) == hx.programs_recorded >= dec.nranks
+        assert bool(plan.orders) == observed  # only a profiler needs the order
         barred = (np.ndarray, RankRuntime, SimClock, DataEnvironment, Engine, MasModel,
                   types.FunctionType, types.MethodType)
-        seen, stack = set(), [plan.programs]
+        seen, stack = set(), [plan.programs, plan.orders]
         while stack:
             obj = stack.pop()
             if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
@@ -343,6 +406,11 @@ class TestPlanHoldsNoArray:
             seen.add(id(obj))
             assert not isinstance(obj, barred), type(obj)
             stack.extend(gc.get_referents(obj))
+        # a lowered launch holds its rank's engine, and the engine the clock
+        # a profiler observes
+        session_types = (Telemetry, MetricsRegistry, Profiler, ProfilerLane)
+        assert not [type(obj) for obj in reachable(plan, opaque=(Engine,))
+                    if isinstance(obj, session_types)]
 
 
 def _with_guard(hx, locs):
@@ -432,15 +500,16 @@ class TestWalkEqualsTheUnplannedEngine:
     arrays. In some examples a shadow checker watches every rank of both
     sides, so every kernel goes through ``RankRuntime.loop``."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(exchanges())
-    def test_clocks_counters_and_ghosts(self, case):
+    @staticmethod
+    def sides(case):
+        """The oracle's side, then the planned one: (exchanger, spec, items,
+        shadow checkers)."""
         dec, g = case["dec"], case["depth"]
         kw = dict(case["costs"], element_bytes=8 * case["members"])
         if case["two_nodes"]:
             kw["rank_nodes"] = [r * 2 // dec.nranks for r in dec.iter_ranks()]
         groups = rank_groups(dec)
-        sides, checkers = [], {}
+        sides = []
         for module in (ref, None):
             cls = HaloExchanger if module is None else module.HaloExchanger
             spec = (HaloSpec if module is None else module.HaloSpec)(depth=g, axes=case["axes"])
@@ -453,58 +522,134 @@ class TestWalkEqualsTheUnplannedEngine:
             if module is None:
                 hx.set_groups(groups)
                 items = [(name, as_blocks(locs, groups), stagger) for name, locs, stagger in items]
-            if case["shadow"]:
-                checkers[id(hx)] = [ShadowChecker() for _ in hx.ranks]
-                for rt, checker in zip(hx.ranks, checkers[id(hx)]):
-                    rt.attach_shadow(checker)
-            sides.append((hx, spec, items))
-        (hx_ref, _, items_ref), (hx_new, _, items_new) = sides
-        observed = {id(hx_ref): [], id(hx_new): []}
+            checkers = [ShadowChecker() for _ in hx.ranks] if case["shadow"] else []
+            for rt, checker in zip(hx.ranks, checkers):
+                rt.attach_shadow(checker)
+            sides.append((hx, spec, items, checkers))
+        return sides
 
-        def check():
-            assert snapshot(hx_new) == snapshot(hx_ref)
-            assert observed[id(hx_new)] == observed[id(hx_ref)]
-            for (_, a_new, _), (_, a_ref, _) in zip(items_new, items_ref):
-                for x, y in zip(rank_rows(a_new, groups, case["members"]), a_ref):
-                    assert np.array_equal(x, y)
+    @staticmethod
+    def walk(case, side, walk, how, observe):
+        """One side's walk number ``walk`` (``how``: "sync" or "overlap"):
+        first new values and host touches, and ``observe(hx)`` before the
+        walk that attaches the case's observer."""
+        hx, spec, items, _ = side
+        if walk:
+            # new values, same arrays: per-rank noise, so a ghost the walk
+            # failed to refill differs from its source
+            for i, (_, locals_, _) in enumerate(items):
+                if isinstance(hx, HaloExchanger):
+                    locals_ = rank_rows(locals_, rank_groups(case["dec"]), case["members"])
+                for r, a in enumerate(locals_):
+                    a += np.random.default_rng((case["seed"], walk, i, r)).random(a.shape)
+            if case["machine"] == "um":
+                for rt, flip in zip(hx.ranks, case["flips"][walk - 1]):
+                    if flip is not None:
+                        names = rt.env.names()
+                        rt.host_access(names[flip % len(names)])
+        if walk == case["observed"]:
+            observe(hx)
+        if how == "sync":
+            hx.exchange_many(items, spec)
+        else:
+            pending = hx.exchange_begin_many(items, spec)
+            hx.ranks[0].clock.advance(3e-5, TimeCategory.COMPUTE, "interior")
+            hx.exchange_finish(pending)
 
-        for walk, how in enumerate(case["walks"]):
-            for hx, spec, items in sides:
-                if walk:
-                    # new values, same arrays: per-rank noise, so a ghost
-                    # the walk failed to refill differs from its source
-                    for i, (_, locals_, _) in enumerate(items):
-                        if hx is hx_new:
-                            locals_ = rank_rows(locals_, groups, case["members"])
-                        for r, a in enumerate(locals_):
-                            a += np.random.default_rng((case["seed"], walk, i, r)).random(a.shape)
-                    if case["machine"] == "um":
-                        for rt, flip in zip(hx.ranks, case["flips"][walk - 1]):
-                            if flip is not None:
-                                names = rt.env.names()
-                                rt.host_access(names[flip % len(names)])
-                if walk == case["observed"]:
-                    # labels as the oracle names staging buffers (all at depth 1)
-                    hx.ranks[0].clock.subscribe(
-                        lambda start, dt, category, label, seen=observed[id(hx)]:
-                        seen.append((start, dt, category, label.replace(f"_d{g}", "")))
-                    )
-                if how == "sync":
-                    hx.exchange_many(items, spec)
-                else:
-                    pending = hx.exchange_begin_many(items, spec)
-                    hx.ranks[0].clock.advance(3e-5, TimeCategory.COMPUTE, "interior")
-                    hx.exchange_finish(pending)
-            check()
+    @staticmethod
+    def assert_same(case, sides):
+        (hx_ref, _, items_ref, _), (hx_new, _, items_new, _) = sides
+        assert snapshot(hx_new) == snapshot(hx_ref)
+        for (_, a_new, _), (_, a_ref, _) in zip(items_new, items_ref):
+            for x, y in zip(rank_rows(a_new, rank_groups(case["dec"]), case["members"]), a_ref):
+                assert np.array_equal(x, y)
+
+    @staticmethod
+    def assert_reused(case, sides):
+        (_, _, _, checkers_ref), (hx_new, _, _, checkers_new) = sides
         assert hx_new.plans_built == 1
         (plan,) = hx_new._plans.values()
         assert hx_new.programs_recorded == len(plan.programs)  # a residency met again is a hit
         if case["shadow"]:  # ranks a checker watches charge every launch through loop()
             assert plan.programs == {}
-            reports = [[f.render() for f in c.report()] for c in checkers[id(hx_new)]]
-            assert reports == [[f.render() for f in c.report()] for c in checkers[id(hx_ref)]]
+            reports = [[f.render() for f in c.report()] for c in checkers_new]
+            assert reports == [[f.render() for f in c.report()] for c in checkers_ref]
         elif case["machine"] != "p2p-window":  # the window's ranks charge no launch at once
-            assert len(plan.programs) >= dec.nranks
+            assert len(plan.programs) >= case["dec"].nranks
+        return plan
+
+    @settings(max_examples=60, deadline=None)
+    @given(exchanges())
+    def test_clocks_counters_and_ghosts(self, case):
+        sides = self.sides(case)
+        seen = {id(side[0]): [] for side in sides}
+
+        def observe(hx):
+            # labels as the oracle names staging buffers (all at depth 1)
+            hx.ranks[0].clock.subscribe(
+                lambda start, dt, category, label, seen=seen[id(hx)]:
+                seen.append((start, dt, category, label.replace(f"_d{case['depth']}", "")))
+            )
+
+        for walk, how in enumerate(case["walks"]):
+            for side in sides:
+                self.walk(case, side, walk, how, observe)
+            self.assert_same(case, sides)
+            assert seen[id(sides[1][0])] == seen[id(sides[0][0])]
+        self.assert_reused(case, sides)
+
+    def walk_under_sessions(self, case, free_sync=False):
+        """Walk both sides, each under its own session whose profiler
+        observes every rank clock and each overlapped begin's comm clocks,
+        checking after each walk that the rows and the metrics are the
+        oracle's; returns the planned side's plan. ``free_sync`` makes the
+        UM host sync cost zero seconds: a clock add that makes no row."""
+        sides = self.sides(case)
+        for hx, *_ in sides if free_sync else ():
+            hx.transport = replace(hx.transport, host_mpi_overhead=0.0)
+        sessions = [profiled(side[0]) for side in sides]
+
+        def rows(tel):
+            # labels as the oracle names staging buffers (all at depth 1)
+            return [(lane, start.hex(), dt.hex(), category.value,
+                     label.replace(f"_d{case['depth']}", ""))
+                    for lane, start, dt, category, label in zip(*tel.profiler.columns)]
+
+        for walk, how in enumerate(case["walks"]):
+            for side, tel in zip(sides, sessions):
+                activate(tel)
+                try:
+                    self.walk(case, side, walk, how,
+                              lambda hx: hx.ranks[0].clock.subscribe(lambda *event: None))
+                finally:
+                    deactivate(tel)
+            self.assert_same(case, sides)
+            assert rows(sessions[1]) == rows(sessions[0])
+            assert sessions[1].metrics.to_json() == sessions[0].metrics.to_json()
+        assert [tel.profiler.attached_count for tel in sessions] == [case["dec"].nranks] * 2
+        return self.assert_reused(case, sides)
+
+    @settings(max_examples=40, deadline=None)
+    @given(exchanges())
+    def test_profiler_rows_and_metrics_under_a_session(self, case):
+        """A walk that plays under a session appends the rows that the
+        oracle's real calls append, in their order, and ticks the same
+        counters to the bit. The case's observer joins rank 0's profiler
+        lane mid-sequence, so from then on every walk takes the real calls."""
+        free_sync = case["machine"] == "um" and case["seed"] % 2 == 1
+        plan = self.walk_under_sessions(case, free_sync=free_sync)
+        # the first walk charges and records every rank, under the profiler
+        assert bool(plan.orders) == (not case["shadow"] and case["machine"] != "p2p-window")
+
+    @pytest.mark.parametrize("how", ["sync", "overlap"])
+    def test_a_zero_second_add_makes_no_row(self, how):
+        dec = Decomposition3D((8, 8, 16), 2)
+        case = dict(dec=dec, depth=1, axes=(0, 1, 2), fields=[("f", None)], members=1,
+                    machine="um", costs={}, two_nodes=False, seed=1, walks=[how] * 6,
+                    flips=[[None] * dec.nranks] * 5, observed=None, shadow=False)
+        plan = self.walk_under_sessions(case, free_sync=True)
+        # two residencies alternate: the later walks play
+        assert len(plan.programs) == 2 * dec.nranks and len(plan.orders) == 2
 
 
 class TestTelemetryChildrenLiveInTheSession:
@@ -558,7 +703,7 @@ class TestAnAxisThatSendsNothingIsDropped:
         hx = make_exchanger(HaloExchanger, dec)
         hx.exchange("f", make_locals(dec, 0))
         (plan,) = hx._plans.values()
-        assert [label for label, _, _ in plan.axes] == ["msg_0", "msg_2"]
+        assert [label for label, _ in plan.axes] == ["msg_0", "msg_2"]
         assert len(plan.sweeps) == 2
 
     def test_the_first_axis_stays_when_it_sends_nothing(self):
@@ -566,5 +711,5 @@ class TestAnAxisThatSendsNothingIsDropped:
         hx = make_exchanger(HaloExchanger, dec)
         hx.exchange("f", make_locals(dec, 0), HaloSpec(axes=(1, 0, 2)))
         (plan,) = hx._plans.values()
-        assert [(label, len(messages)) for label, messages, _ in plan.axes] == [
+        assert [(label, len(messages)) for label, messages in plan.axes] == [
             ("msg_1", 0), ("msg_0", 8), ("msg_2", 16)]
