@@ -1,36 +1,12 @@
 """Static + runtime DC-safety analysis (see docs/ANALYSIS.md).
 
-Only the pure, dependency-light core is imported eagerly here:
-``repro.runtime`` imports :mod:`repro.analysis.dependence` for its hazard
-logic, so this package's ``__init__`` must not import back into the
-runtime (or anything that does). Front ends are explicit imports:
+This ``__init__`` imports nothing: ``repro.runtime`` imports
+:mod:`repro.analysis.dependence` for its hazard logic, and the analyzer
+and porter load without numpy or the simulator. Callers import the
+submodule they use:
 
 * ``repro.analysis.fortran_lint`` -- static analyzer over Fortran sources;
 * ``repro.analysis.shadow`` -- runtime shadow checker for the dispatcher;
 * ``repro.analysis.report`` -- findings table / JSON / SARIF exporters;
 * ``repro.analysis.fixtures`` -- seeded-bug and clean test corpora.
 """
-
-from repro.analysis.dependence import Hazard, depends, hazards_between
-from repro.analysis.findings import (
-    Finding,
-    Rule,
-    RULES,
-    Severity,
-    count_by_severity,
-    max_severity,
-    sort_findings,
-)
-
-__all__ = [
-    "Hazard",
-    "depends",
-    "hazards_between",
-    "Finding",
-    "Rule",
-    "RULES",
-    "Severity",
-    "count_by_severity",
-    "max_severity",
-    "sort_findings",
-]

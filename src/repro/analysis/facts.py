@@ -36,7 +36,6 @@ import hashlib
 import re
 from dataclasses import dataclass, field, replace
 
-from repro import obs
 from repro.analysis.dependence import LoopReport, Statement, analyze_loop_body, depends
 from repro.analysis.findings import Finding, RelatedLocation
 from repro.fortran.directives import DirectiveKind, parse_directive
@@ -51,6 +50,7 @@ from repro.fortran.parser import (
     split_paren_args,
 )
 from repro.fortran.source import SourceFile
+from repro.obs.telemetry import current as _telemetry
 
 #: Cap on each cross-run cache (entries, not bytes): the fact sheets here,
 #: the procedure summaries in :mod:`repro.analysis.interproc`.
@@ -169,7 +169,7 @@ def _lint_part(
 
 
 def _record(result: str) -> None:
-    tel = obs.current()
+    tel = _telemetry()
     if not tel.enabled:
         return
     tel.metrics.counter(

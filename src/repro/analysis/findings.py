@@ -20,6 +20,8 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from repro.obs.telemetry import current as _telemetry
+
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from repro.analysis.fixes import Fix
 
@@ -206,9 +208,7 @@ def record_findings(findings: Iterable[Finding], *, source: str) -> None:
 
     No-op outside an active telemetry session (the registry no-op pattern).
     """
-    from repro.obs import current
-
-    tel = current()
+    tel = _telemetry()
     if not tel.enabled:
         return
     counter = tel.metrics.counter(

@@ -64,6 +64,7 @@ from repro.fortran.frontend.resolve import ModuleIndex, RoutineSym, join_index
 from repro.fortran.parser import ParallelRegion, declared_entities
 from repro.fortran.source import Codebase, SourceFile
 from repro.fortran.tree_io import shown
+from repro.obs.telemetry import current as _telemetry
 
 _IDENT_RE = re.compile(r"\b([a-z_]\w*)\b", re.I)
 _ASSIGN_SPLIT_RE = re.compile(r"(?<![=<>/*+\-])=(?![=>])")
@@ -480,9 +481,7 @@ def _sccs(order: list[str], edges: dict[str, set[str]]) -> list[list[str]]:
 
 
 def _record_summary(result: str) -> None:
-    from repro.obs import current
-
-    tel = current()
+    tel = _telemetry()
     if not tel.enabled:
         return
     tel.metrics.counter(

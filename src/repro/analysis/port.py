@@ -56,6 +56,8 @@ from repro.fortran.source import Codebase
 from repro.fortran.transforms import ConvertRegionsPass, PureDcPass
 from repro.fortran.transforms.convert import F2018, F202X, RefusedRegion, region_replacement
 from repro.fortran.transforms.pure_dc import atomic_dc_loops
+from repro.obs.runlog import json_object
+from repro.obs.telemetry import current as _telemetry
 
 
 class PortTarget(enum.Enum):
@@ -135,9 +137,7 @@ def _scan_dropped_atomics(cb: Codebase) -> list[tuple[str, int]]:
 
 def _record(result: PortResult) -> None:
     """Telemetry counters for the port run (no-op when disabled)."""
-    from repro.obs import current
-
-    tel = current()
+    tel = _telemetry()
     if not tel.enabled:
         return
     counter = tel.metrics.counter(
@@ -379,9 +379,7 @@ def port_tree_incremental(
 
 
 def _record_incremental(result: IncrementalResult) -> None:
-    from repro.obs import current
-
-    tel = current()
+    tel = _telemetry()
     if not tel.enabled:
         return
     counter = tel.metrics.counter(
@@ -416,19 +414,24 @@ def read_manifest(out_dir) -> dict[str, FilePortStatus]:
     """Prior per-file statuses from an ``--out`` dir (empty if none).
 
     The file may be truncated or hand-edited: anything but a well-formed
-    manifest of this schema means "port from scratch and rewrite it".
+    manifest of this schema raises one ValueError naming the file and why,
+    and the caller ports from scratch and rewrites it.
     """
-    import json
     from pathlib import Path
 
     path = Path(out_dir) / MANIFEST_FILE
-    try:
-        doc = json.loads(path.read_text())
-        if doc["schema"] != MANIFEST_SCHEMA:
-            return {}
-        return {d["name"]: FilePortStatus.from_dict(d) for d in doc["files"]}
-    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+    if not path.is_file():
         return {}
+    try:
+        doc = json_object(path)
+        if doc.get("schema") != MANIFEST_SCHEMA:
+            raise ValueError(f"schema is not {MANIFEST_SCHEMA}")
+        return {d["name"]: FilePortStatus.from_dict(d) for d in doc["files"]}
+    except (OSError, ValueError) as exc:
+        why = str(exc)
+    except (LookupError, TypeError):
+        why = "malformed file list"
+    raise ValueError(f"damaged port manifest {path}: {why}")
 
 
 # -- differential verification -----------------------------------------------

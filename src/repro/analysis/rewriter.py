@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.fixes import Fix, TextEdit
 from repro.fortran.source import Codebase
+from repro.obs.telemetry import current as _telemetry
 
 
 @dataclass(slots=True)
@@ -91,9 +92,7 @@ def _anchored(cb: Codebase, edit: TextEdit) -> bool:
 
 def _record(rule_of: dict[TextEdit, str], report: ApplyReport) -> None:
     """Bump the fix-application telemetry counters (no-op when disabled)."""
-    from repro.obs import current
-
-    tel = current()
+    tel = _telemetry()
     if not tel.enabled:
         return
     applied = tel.metrics.counter(

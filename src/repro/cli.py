@@ -30,12 +30,11 @@ def _add_csv(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_pcg_options(parser: argparse.ArgumentParser) -> None:
-    from repro.mas.pcg import PCG_VARIANTS, PRECONDITIONERS
-
+    # No ``choices``: ModelConfig refuses an unknown name with one error
+    # line, and the parser stays free of the model and numpy.
     parser.add_argument(
         "--pcg",
         default="ca",
-        choices=list(PCG_VARIANTS),
         help="PCG solver variant: ca (Chronopoulos-Gear, 1 fused "
         "allreduce/iter, the calibrated default), classic (3 blocking "
         "allreduces/iter, the paper's reference), pipelined "
@@ -44,7 +43,6 @@ def _add_pcg_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--precond",
         default="jacobi",
-        choices=list(PRECONDITIONERS),
         help="PCG preconditioner: jacobi (diagonal) or cheby (Chebyshev "
         "polynomial, no extra halo exchanges)",
     )
@@ -371,7 +369,13 @@ def _port_external(args: argparse.Namespace) -> int:
             from repro.fortran.codebase import generate_mas_codebase
 
             cb = generate_mas_codebase()
-        prior = read_manifest(args.out) if args.out else {}
+        prior = {}
+        if args.out:
+            try:
+                prior = read_manifest(args.out)
+            except ValueError as exc:
+                print(f"note: ignoring the {exc}; porting from scratch",
+                      file=sys.stderr)
         result = port_tree_incremental(cb, target, prior=prior, limit=args.limit)
     print(result.summary())
     for s in sorted(result.statuses, key=lambda s: s.name):

@@ -34,6 +34,7 @@ from repro.fortran.parser import (
 )
 from repro.fortran.source import Codebase, SourceFile
 from repro.fortran.tree_io import load_tree, shown
+from repro.obs.telemetry import current as _telemetry
 
 #: Prefix of every line the front end degraded. Starts with ``!`` so the
 #: whole pipeline sees a comment.
@@ -261,9 +262,7 @@ def lower_file(
 
 
 def _record_parse_errors(diags: list[Finding], source: str) -> None:
-    from repro.obs import current
-
-    tel = current()
+    tel = _telemetry()
     if not tel.enabled or not diags:
         return
     tel.metrics.counter(

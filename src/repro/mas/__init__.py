@@ -18,7 +18,6 @@ from repro.mas.stretch import geometric_spacing, uniform_spacing
 from repro.mas.grid import LocalGrid, SphericalGrid
 from repro.mas.state import MhdState
 from repro.mas.model import MasModel, ModelConfig, StepTiming, NOMINAL_SHAPE_PAPER
-from repro.mas.history import EnergyBudget, RunHistory, model_energy_budget
 
 __all__ = [
     "PhysicsParams",
@@ -31,7 +30,4 @@ __all__ = [
     "ModelConfig",
     "StepTiming",
     "NOMINAL_SHAPE_PAPER",
-    "RunHistory",
-    "EnergyBudget",
-    "model_energy_budget",
 ]

@@ -20,60 +20,12 @@ The observability subsystem the solver/runtime/MPI stack reports into
 * :mod:`repro.obs.explain` -- hierarchical regression explanation
   (``repro telemetry --compare A B --explain``).
 
-Everything is a near-zero-cost no-op unless a session is active.
+Everything is a near-zero-cost no-op unless a session is active. This
+``__init__`` re-exports only the names callers import through it;
+``current`` and ``session`` load neither numpy nor the machine model.
 """
 
-from repro.obs.compare import (
-    MetricDelta,
-    compare_metrics,
-    load_metrics,
-    render_compare,
-)
-from repro.obs.critpath import (
-    CritPathResult,
-    analyze_dir,
-    analyze_session,
-    render_result,
-)
-from repro.obs.explain import Explanation, explain, explain_dirs, render_explain
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
-from repro.obs.runlog import RunLogger, build_manifest, git_sha
-from repro.obs.telemetry import (
-    NULL,
-    NullTelemetry,
-    Telemetry,
-    activate,
-    current,
-    deactivate,
-    session,
-)
-from repro.obs.tracing import Span, Tracer
+from repro.obs.runlog import git_sha
+from repro.obs.telemetry import current, session
 
-__all__ = [
-    "CritPathResult",
-    "DEFAULT_BUCKETS",
-    "Explanation",
-    "MetricDelta",
-    "MetricsRegistry",
-    "NULL",
-    "NullTelemetry",
-    "RunLogger",
-    "Span",
-    "Telemetry",
-    "Tracer",
-    "activate",
-    "analyze_dir",
-    "analyze_session",
-    "build_manifest",
-    "compare_metrics",
-    "current",
-    "deactivate",
-    "explain",
-    "explain_dirs",
-    "git_sha",
-    "load_metrics",
-    "render_compare",
-    "render_explain",
-    "render_result",
-    "session",
-]
+__all__ = ["current", "git_sha", "session"]

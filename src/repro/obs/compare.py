@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from repro.obs.runlog import json_object
+
 LabelKey = tuple[tuple[str, str], ...]
 
 
@@ -107,7 +109,6 @@ def load_metrics(path: str | Path) -> dict:
     ValueError naming the path and why.
     """
     from repro.obs import telemetry as tmod
-    from repro.obs.summary import _json_object
 
     p = Path(path)
     if p.is_dir():
@@ -115,7 +116,7 @@ def load_metrics(path: str | Path) -> dict:
     if not p.is_file():
         raise FileNotFoundError(f"no metrics snapshot at {p}")
     try:
-        return _json_object(p)
+        return json_object(p)
     except ValueError as exc:
         raise ValueError(f"unreadable metrics snapshot {p}: {exc}") from None
 

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.obs.events import EventRecord, sum_by_key
+from repro.obs.runlog import json_object
 
 #: Categories whose sum is "MPI time" in the paper's Fig. 3 accounting.
 MPI_CATEGORIES = ("mpi_pack", "mpi_transfer", "mpi_wait")
@@ -54,7 +55,7 @@ def load_profile(path: str | Path, *, name: str | None = None) -> RunProfile:
     adds a note instead of failing the whole explanation.
     """
     from repro.obs import telemetry as tmod
-    from repro.obs.summary import _json_object, _read_jsonl, skipped_note
+    from repro.obs.summary import _read_jsonl, skipped_note
 
     d = Path(path)
     if not d.is_dir():
@@ -84,7 +85,7 @@ def load_profile(path: str | Path, *, name: str | None = None) -> RunProfile:
             prof.notes.append(skipped_note(stream, lines))
 
     try:
-        metrics = _json_object(d / tmod.METRICS_JSON_FILE)
+        metrics = json_object(d / tmod.METRICS_JSON_FILE)
         if not metrics:
             prof.notes.append(f"no {tmod.METRICS_JSON_FILE}")
     except FileNotFoundError:

@@ -37,6 +37,20 @@ def json_dumps(obj: Any) -> str:
     return json.dumps(obj, default=_json_default)
 
 
+def json_object(path: Path) -> dict:
+    """The JSON object a file holds, read as bytes: the one loader of the
+    JSON-object files the readers and the porter take from disk.
+    ``FileNotFoundError`` when the file is missing; ``ValueError`` when it
+    is not UTF-8, not JSON or not an object."""
+    try:
+        data = json.loads(path.read_bytes().decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"a JSON {type(data).__name__}, not an object")
+    return data
+
+
 class RunLogger:
     """Append-only structured log, serialized as JSONL.
 

@@ -16,6 +16,7 @@ from typing import Any, Callable
 
 from repro.obs import telemetry as tmod
 from repro.obs.events import EventRecord
+from repro.obs.runlog import json_object
 from repro.util.tables import Table
 
 
@@ -31,24 +32,11 @@ def skipped_note(name: str, lines: JsonLines) -> str:
     return f"skipped {lines.skipped} line(s) of {name} that are not UTF-8 or not a JSON object"
 
 
-def _json_object(path: Path) -> dict:
-    """The JSON object a file holds, read as bytes. ``FileNotFoundError``
-    when the file is missing; ``ValueError`` when it is not UTF-8, not JSON
-    or not an object."""
-    try:
-        data = json.loads(path.read_bytes().decode("utf-8"))
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"a JSON {type(data).__name__}, not an object")
-    return data
-
-
 def _read_json(path: Path) -> dict | None:
     """The JSON object in ``path``; None when the file is missing or is
     not a readable JSON object."""
     try:
-        return _json_object(path)
+        return json_object(path)
     except (OSError, ValueError):
         return None
 
@@ -299,13 +287,13 @@ def summarize_dir(path: str | Path) -> str:
     if not d.is_dir():
         raise FileNotFoundError(f"telemetry directory {d} does not exist")
     notes: list[str] = []
-    manifest = _stream(d, tmod.MANIFEST_FILE, _json_object, "", notes)
+    manifest = _stream(d, tmod.MANIFEST_FILE, json_object, "", notes)
     spans = _stream(d, tmod.SPANS_FILE, _read_jsonl, "span tables skipped", notes) or JsonLines()
     records = _stream(d, tmod.LOG_FILE, _read_jsonl, "step tables skipped", notes) or JsonLines()
     for name, lines in ((tmod.SPANS_FILE, spans), (tmod.LOG_FILE, records)):
         if lines.skipped:
             notes.append(f"note: {skipped_note(name, lines)}")
-    metrics = _stream(d, tmod.METRICS_JSON_FILE, _json_object, "", notes)
+    metrics = _stream(d, tmod.METRICS_JSON_FILE, json_object, "", notes)
     if metrics is None:
         # Fall back to the newest rotated snapshot a long run left behind.
         for i in range(1, tmod.METRICS_SNAPSHOT_KEEP + 1):

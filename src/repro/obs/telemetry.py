@@ -37,8 +37,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.machine.spec import GpuSpec
-from repro.obs.events import Profiler
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.obs.runlog import NULL_LOGGER, RunLogger, build_manifest, json_dumps
 from repro.obs.tracing import NULL_TRACER, Tracer
@@ -67,6 +65,8 @@ class Telemetry:
         flush_every_n: int = 0,
         snapshot_every_n: int = 0,
     ) -> None:
+        from repro.obs.events import Profiler  # numpy: only a live session
+
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.metrics = MetricsRegistry()
         self.tracer = Tracer()
@@ -258,6 +258,8 @@ class Telemetry:
 
 def _machine_entry(model: Any) -> dict[str, Any]:
     """Device peaks of a bound model (roofline speed-of-light input)."""
+    from repro.machine.spec import GpuSpec
+
     spec = model.ranks[0].machine.spec
     gpu = isinstance(spec, GpuSpec)
     return {

@@ -21,32 +21,3 @@ A :class:`~repro.runtime.config.RuntimeConfig` (built per code version in
 per rank and holds the one pending-launch buffer fusion plans are made
 from.
 """
-
-from repro.runtime.clock import SimClock, TimeCategory
-from repro.runtime.kernel import KernelSpec, LoopCategory
-from repro.runtime.config import Backend, ArrayReductionStrategy, RuntimeConfig
-from repro.runtime.data_env import DataEnvironment, DataMode
-from repro.runtime.stream import AsyncQueue
-from repro.runtime.fusion import plan_fusion
-from repro.runtime.engine import Engine
-from repro.runtime.dispatcher import RankRuntime
-from repro.runtime.launch import DeviceBinding, LaunchScript, bind_devices
-
-__all__ = [
-    "SimClock",
-    "TimeCategory",
-    "KernelSpec",
-    "LoopCategory",
-    "Backend",
-    "ArrayReductionStrategy",
-    "RuntimeConfig",
-    "DataEnvironment",
-    "DataMode",
-    "AsyncQueue",
-    "plan_fusion",
-    "Engine",
-    "RankRuntime",
-    "DeviceBinding",
-    "LaunchScript",
-    "bind_devices",
-]

@@ -129,16 +129,36 @@ class TestFixThenPort:
         counts2 = second.counts()
         assert counts2["ported"] == 6  # 3 re-ported free + 3 new
 
-    @pytest.mark.parametrize("damaged", [
-        "[]",
-        '{"schema": "repro-port-manifest/1", "files": [{"status": "ported"}]}',
+    GOOD_MANIFEST = (
         '{"schema": "repro-port-manifest/1", "files":'
-        ' [{"name": "a.f90", "status": "ported", "converted": "x"}]}',
-        "[" * 100000 + "]" * 100000,
-    ], ids=["not-an-object", "entry-without-name", "count-not-a-number", "nested"])
+        ' [{"name": "a.f90", "status": "ported", "converted": 2}]}'
+    )
+
+    @pytest.mark.parametrize("damaged", [
+        b"[]",
+        b'"a string"',
+        b'{"schema": "repro-port-manifest/1", "files": [{"status": "ported"}]}',
+        b'{"schema": "repro-port-manifest/1", "files":'
+        b' [{"name": "a.f90", "status": "ported", "converted": "x"}]}',
+        b'{"schema": "repro-port-manifest/1", "files": {"a.f90": {"status": "ported"}}}',
+        b"[" * 100000 + b"]" * 100000,
+        GOOD_MANIFEST.encode()[:40],
+        GOOD_MANIFEST.replace("/1", "/2").encode(),
+        b'{"files": []}',
+        GOOD_MANIFEST.encode().replace(b"a.f90", b"\xe9.f90"),
+    ], ids=["not-an-object", "a-string", "entry-without-name", "count-not-a-number",
+            "files-not-a-list", "nested", "truncated", "wrong-schema", "no-schema",
+            "not-utf8"])
     def test_damaged_manifest_is_no_manifest(self, tmp_path, damaged):
-        (tmp_path / "port-manifest.json").write_text(damaged)
+        """Anything but a well-formed manifest is one ValueError naming
+        the file (the CLI notes it and ports from scratch); no manifest at
+        all is an empty one."""
         assert read_manifest(tmp_path) == {}
+        (tmp_path / "port-manifest.json").write_bytes(damaged)
+        with pytest.raises(ValueError, match="damaged port manifest .*port-manifest.json: "):
+            read_manifest(tmp_path)
+        (tmp_path / "port-manifest.json").write_text(self.GOOD_MANIFEST)
+        assert read_manifest(tmp_path)["a.f90"].converted == 2
 
     def test_written_tree_restores_opaque_constructs(self, tmp_path):
         res = _load()

@@ -421,7 +421,12 @@ class TestExternalTrees:
         rc = main(["port", self.CORPUS, "--to", "dc", "--incremental",
                    "--out", str(out_dir)])
         assert rc == 0
-        assert "10 ported, 0 pending, 1 refused" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "10 ported, 0 pending, 1 refused" in captured.out
+        assert captured.err == (
+            f"note: ignoring the damaged port manifest {manifest}: "
+            "a JSON list, not an object; porting from scratch\n"
+        )
         assert json.loads(manifest.read_text())["schema"] == "repro-port-manifest/1"
 
     def test_port_external_requires_target(self, capsys):
@@ -506,6 +511,8 @@ class TestSweep:
               "--shape", "8", "6", "8"], "viscosity cannot be negative"),
             (["sweep", "--members", "2", "--vary", "resistivity=nan:1", "--steps", "1",
               "--shape", "8", "6", "8"], "not finite"),
+            (["run", "--pcg", "bogus"], "pcg_variant must be one of"),
+            (["run", "--precond", "bogus"], "pcg_precond must be one of"),
         ],
     )
     def test_bad_configuration_is_one_line_and_exit_2(
