@@ -26,8 +26,8 @@ class Residency(enum.Enum):
     SPLIT = "split"
 
     #: Members are singletons, so identity hashing is the same equality and
-    #: runs in C: a halo exchange keys its recorded programs on a tuple of
-    #: residencies, and ``Enum.__hash__`` is a Python-level call.
+    #: runs in C: a halo exchange keys its recorded walks on residencies,
+    #: and ``Enum.__hash__`` is a Python-level call.
     __hash__ = object.__hash__
 
 

@@ -35,10 +35,11 @@ a :class:`_Plan` per (fields and stagger axes, :class:`HaloSpec`) that every
 Its kernels are lowered and its wire times priced when it is built
 (``RankRuntime._lower``, ``Transport.wire_time``). Between two barriers of a
 walk a rank's clock and pages are moved by that rank's own events alone, so
-what a walk adds to one rank depends only on where its clock stands and on
-the residency of the managed arrays it touches: the first walk from each
-residency records the rank's adds as a :class:`_Program`, and later walks
-from the same residency apply it as float adds, and as rows to a profiler.
+what a walk adds to the ranks depends only on where their clocks stand and
+on the residency of the managed arrays each touches: the first walk from
+each residency of all ranks records every rank's adds as one
+:class:`_Recording`, and later walks from the same residencies play it on
+every rank as float adds, and as rows to a profiler.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial, reduce
-from itertools import accumulate, count
+from itertools import count
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -145,15 +146,9 @@ def _face_names(field_name: str, axis: int, direction: int, depth: int) -> _Face
     )
 
 
-#: Monotonic exchange id shared by an overlapped exchange's begin/finish
+#: Monotonic exchange ids shared by an overlapped exchange's begin/finish
 #: spans and log records (the dependency edge trace analysis pairs up).
-_next_xid = 0
-
-
-def _new_xid() -> int:
-    global _next_xid
-    _next_xid += 1
-    return _next_xid
+_xids = count(1)
 
 
 @dataclass(slots=True)
@@ -172,11 +167,6 @@ class PendingExchange:
     t_begin: list[float] = dc_field(default_factory=list)
     done: bool = False
     xid: int = 0
-
-    @property
-    def sync(self) -> bool:
-        """True if the exchange completed synchronously at begin."""
-        return self.comm_clocks is None
 
 
 def _along(axis: int, sl: slice) -> tuple:
@@ -261,21 +251,33 @@ class _Message:
 
 
 @dataclass(frozen=True, slots=True)
-class _Program:
-    """What one walk of a plan adds to one rank, starting from one residency
-    of the arrays the rank touches: floats, categories and residency values,
-    never a rank, model or array."""
+class _Recording:
+    """What one walk of a plan adds to every rank, starting from one residency
+    of the arrays each rank touches: floats, categories, labels, counts and
+    residency values, never a rank, model or array."""
 
-    #: Per segment (the stretch between two of the walk's barriers), the
-    #: clock's adds in order as ``(category, seconds)``; a category of None
-    #: is the wait for a wire of that many seconds.
-    segments: tuple[tuple[tuple[TimeCategory | None, float], ...], ...]
-    #: Launches charged (each one kernel).
-    launches: int
-    #: UM only: the touched arrays' residency at the end, and the page
-    #: migrations counted on the way.
-    residency: tuple
-    faults: PageMigrationStats | None
+    #: Per segment (the stretch between two of the walk's barriers), per
+    #: rank, the clock's adds in order as ``(category, seconds, label)``; a
+    #: category of None is the wait for a wire of that many seconds.
+    segments: tuple[tuple[tuple[tuple[TimeCategory | None, float, str], ...], ...], ...]
+    #: Per segment, the order the real calls made those adds in: an
+    #: ``operator.itemgetter`` of their positions in the ranks' adds laid
+    #: end to end, or None when that is the order.
+    orders: tuple[operator.itemgetter | None, ...]
+    #: Per rank, what the walk did besides the clock: the launches charged
+    #: (each one kernel) and, under UM, the touched arrays' residency at the
+    #: end and the page migrations counted on the way.
+    exits: tuple[tuple[int, tuple, PageMigrationStats | None], ...]
+
+    def settle(self, ranks: list[RankRuntime], touched: tuple) -> None:
+        """Leave the ranks as the recorded walk left them besides their clocks."""
+        for rt, names, (launches, residency, faults) in zip(ranks, touched, self.exits):
+            if launches:
+                stats = rt._engine_for[_PLAIN].stats
+                stats.kernels += launches
+                stats.launches += launches
+            if faults is not None:
+                rt.env.um.replay(names, residency, faults)
 
 
 def _residency(rt: RankRuntime, names: tuple[str, ...]) -> tuple:
@@ -284,57 +286,57 @@ def _residency(rt: RankRuntime, names: tuple[str, ...]) -> tuple:
 
 
 class _Recorder:
-    """Observes one rank's clock while a walk charges the rank through the
-    real calls, and keeps what they add as the rank's :class:`_Program`; an
-    observed walk's recorders also log each add, in order, with its rank."""
+    """Observes every rank clock while a walk charges the ranks through the
+    real calls, and keeps what they add, and in which order."""
 
-    __slots__ = ("key", "log", "ops", "segments", "launches", "faults")
+    __slots__ = ("ops", "made", "segments", "orders", "launches", "faults", "observers")
 
-    def __init__(self, key: tuple, rt: RankRuntime, log: list[tuple] | None) -> None:
-        self.key, self.log = key, log
-        self.ops: list[tuple[TimeCategory | None, float, str]] = []
+    def __init__(self, ranks: list[RankRuntime]) -> None:
+        # the open segment's adds per rank, and the rank of each in order
+        self.ops, self.made = [[] for _ in ranks], []
         self.segments: list[tuple] = []
-        self.launches = rt.stats.launches
-        um = rt.env.um
-        self.faults = None if um is None else replace(um.stats)
+        self.orders: list[operator.itemgetter | None] = []
+        self.launches = [rt.stats.launches for rt in ranks]
+        self.faults = [None if rt.env.um is None else replace(rt.env.um.stats) for rt in ranks]
+        self.observers = [partial(self.add, rank) for rank in range(len(ranks))]
+        for rt, observer in zip(ranks, self.observers):
+            rt.clock.subscribe(observer)
 
-    def __call__(self, start: float, dt: float, category: TimeCategory | None, label: str):
-        self.ops.append((category, dt, label))
-        if self.log is not None:
-            self.log.append((self.key[0], category, dt, label))
+    def add(self, rank: int, start: float, dt: float, category: TimeCategory | None,
+            label: str) -> None:
+        self.ops[rank].append((category, dt, label))
+        self.made.append(rank)
 
-    def wire(self, clock: SimClock, seconds: float, label: str) -> None:
+    def wire(self, rank: int, clock: SimClock, seconds: float, label: str) -> None:
         """The sender's wait for its wire, kept as the wire: what
         ``wait_until`` adds depends on where the clock stands."""
-        n = len(self.ops)
+        ops = self.ops[rank]
+        n = len(ops)
         clock.wait_until(clock.now + seconds, _TRANSFER, label)
-        if len(self.ops) == n:  # the wait added nothing; the wire is kept
-            self(clock.now, seconds, None, label)
-        self.ops[n] = (None, seconds, label)
-        if self.log is not None:
-            self.log[-1] = (self.key[0], *self.ops[n])
+        if len(ops) == n:  # the wait added nothing; the wire is kept
+            self.add(rank, clock.now, seconds, None, label)
+        ops[n] = (None, seconds, label)
 
     def cut(self) -> None:
         """End a segment."""
-        self.segments.append(tuple(self.ops))
-        self.ops = []
+        # each add's position among the ranks' adds laid end to end
+        by_rank = sorted(range(len(self.made)), key=self.made.__getitem__)  # stable
+        order = sorted(range(len(by_rank)), key=by_rank.__getitem__)
+        self.orders.append(None if order == sorted(order) else operator.itemgetter(*order))
+        self.segments.append(tuple(map(tuple, self.ops)))
+        self.ops, self.made = [[] for _ in self.ops], []
 
-    def program(self, rt: RankRuntime, names: tuple[str, ...]) -> _Program:
-        um = rt.env.um
-        return _Program(
-            tuple(tuple((category, dt) for category, dt, _ in ops) for ops in self.segments),
-            rt.stats.launches - self.launches,
-            _residency(rt, names),
-            None if um is None else um.stats.since(self.faults),
-        )
+    def detach(self, ranks: list[RankRuntime]) -> None:
+        for rt, observer in zip(ranks, self.observers):
+            rt.clock.unsubscribe(observer)
 
-
-def _interleave(recorders: dict[int, _Recorder], log: list[tuple]) -> tuple[tuple, ...]:
-    """The walk's ``log`` of adds, ``(rank, category, seconds, label)``, cut
-    into its segments."""
-    lengths = [sum(map(len, ops)) for ops in zip(*(r.segments for r in recorders.values()))]
-    cuts = [0, *accumulate(lengths)]
-    return tuple(tuple(log[start:end]) for start, end in zip(cuts, cuts[1:]))
+    def recording(self, ranks: list[RankRuntime], touched: tuple) -> _Recording:
+        starts = zip(ranks, touched, self.launches, self.faults)
+        return _Recording(tuple(self.segments), tuple(self.orders), tuple(
+            (rt.stats.launches - launches, _residency(rt, names),
+             None if faults is None else rt.env.um.stats.since(faults))
+            for rt, names, launches, faults in starts
+        ))
 
 
 def _observed_by(clocks: list[SimClock]):
@@ -348,50 +350,27 @@ def _observed_by(clocks: list[SimClock]):
     return False if any(observers) else None
 
 
-def _play(clock: SimClock, ops: tuple[tuple[TimeCategory | None, float], ...]) -> None:
-    """One segment of a program on ``clock``: ``advance``'s two adds per op,
-    in order, and a wire as ``wait_until(now + seconds)``."""
+def _play(clock: SimClock, ops: tuple[tuple[TimeCategory | None, float, str], ...],
+          rows: list | None = None, lane: str | None = None) -> None:
+    """One rank's segment of a recording on ``clock``: ``advance``'s two adds
+    per op, in order, a wire as ``wait_until(now + seconds)``, and onto
+    ``rows``, if given, each op's profiler row (zero seconds for a wire that
+    adds nothing)."""
     now, totals = clock.now, clock.by_category
     get = totals.get
-    for category, dt in ops:
+    for category, dt, label in ops:
         if category is None:
             t = now + dt
             if not t > now:
+                if rows is not None:
+                    rows.append((lane, now, 0.0, _TRANSFER, label))
                 continue
             category, dt = _TRANSFER, t - now
+        if rows is not None:
+            rows.append((lane, now, dt, category, label))
         now += dt
         totals[category] = get(category, 0.0) + dt
     clock.now = now
-
-
-def _play_rows(clocks: list[SimClock], lanes: list[str], ops: tuple, rows: list) -> None:
-    """:func:`_play` of :func:`_interleave`'s ``ops``, and onto ``rows`` the
-    profiler rows that the real calls would have made."""
-    nows = [clock.now for clock in clocks]
-    totals = [clock.by_category for clock in clocks]
-    for rank, category, dt, label in ops:
-        now = nows[rank]
-        if category is None:
-            t = now + dt
-            if not t > now:
-                continue
-            category, dt = _TRANSFER, t - now
-        nows[rank], by = now + dt, totals[rank]
-        by[category] = by.get(category, 0.0) + dt
-        if dt > 0:
-            rows.append((lanes[rank], now, dt, category, label))
-    for clock, now in zip(clocks, nows):
-        clock.now = now
-
-
-def _finish(rt: RankRuntime, names: tuple[str, ...], program: _Program) -> None:
-    """What a program did to its rank besides the clock."""
-    if program.launches:
-        stats = rt._engine_for[_PLAIN].stats
-        stats.kernels += program.launches
-        stats.launches += program.launches
-    if program.faults is not None:
-        rt.env.um.replay(names, program.residency, program.faults)
 
 
 @dataclass(frozen=True, slots=True)
@@ -416,10 +395,8 @@ class _Plan:
     #: What the sweep bodies read while a walk runs: each field's arrays.
     #: Emptied when the walk ends, so a plan at rest references no array.
     blocks: list
-    #: Programs recorded so far, by (rank, residency of its touched arrays).
-    programs: dict[tuple, _Program] = dc_field(default_factory=dict)
-    #: By all ranks' program keys: per segment, what an observed walk of them charged.
-    orders: dict[tuple, tuple[tuple, ...]] = dc_field(default_factory=dict)
+    #: Walks recorded so far, by every rank's residency of its touched arrays.
+    recordings: dict[tuple, _Recording] = dc_field(default_factory=dict)
     serial: int = dc_field(default_factory=partial(next, count()))  # a registry key
 
 
@@ -484,9 +461,9 @@ class HaloExchanger:
         #: Plans derived so far (a rebuild counts again): bounded by the
         #: exchange vocabulary, not by how long the model runs.
         self.plans_built = 0
-        #: Rank programs recorded so far: bounded by the plans and the
-        #: residencies their ranks meet.
-        self.programs_recorded = 0
+        #: Walks recorded so far: bounded by the plans and the residencies
+        #: their ranks meet.
+        self.walks_recorded = 0
         #: Message counters for tests/benches.
         self.messages = 0
         self.bytes_sent = 0
@@ -496,12 +473,12 @@ class HaloExchanger:
     def set_groups(self, groups: list[tuple[int, ...]]) -> None:
         """Name the rank groups: from now on an exchange may take one array
         per group, whose rows are ``groups[g]``'s arrays in that order."""
+        if sorted(r for ranks in groups for r in ranks) != list(range(self.decomp.nranks)):
+            raise ValueError("rank groups must hold every rank once")
         slots: list = [None] * self.decomp.nranks
         for g, ranks in enumerate(groups):
             for row, r in enumerate(ranks):
                 slots[r] = (g, row)
-        if sorted(r for ranks in groups for r in ranks) != list(range(len(slots))):
-            raise ValueError("rank groups must hold every rank once")
         self._slots[len(groups)] = slots
 
     def slots(self, count: int) -> list[tuple[int, int | None]]:
@@ -601,11 +578,10 @@ class HaloExchanger:
         tel = self._observe_exchanges(fields)
         for rt in self.ranks:
             rt.sync()
-        xid = _new_xid()
+        xid = next(_xids)
         t_begin = [rt.clock.now for rt in self.ranks]
         comm_clocks = [SimClock(now=t) for t in t_begin]
         launches0 = [rt.stats.launches for rt in self.ranks]
-        messages0 = self.messages
         saved = [rt.clock for rt in self.ranks]
         try:
             for rt, main, comm in zip(self.ranks, saved, comm_clocks):
@@ -630,7 +606,7 @@ class HaloExchanger:
             posts = rt.stats.launches - l0
             if posts:
                 rt.clock.advance(posts * rt.queue.submit_overhead, TimeCategory.LAUNCH, "halo_post")
-        posted = self.messages - messages0
+        posted = plan.sent[0]
         self._set_inflight(tel, self.inflight + posted)
         return PendingExchange(fields, posted, comm_clocks, t_begin, xid=xid)
 
@@ -883,127 +859,101 @@ class HaloExchanger:
 
         The walk runs segment by segment, a barrier after each: buffer
         maintenance and an axis' packs, then its messages and unpacks, then
-        the next axis. A rank that has a program for the residency it
-        starts from applies the program's segment; every other rank is
-        charged through the real calls, in message order, and recorded.
-        Sweep bodies run in message order (alone when every rank plays).
-        Under telemetry or a profiler every rank plays -- counters tick in
-        bulk, a profiler gets the rows in the plan's order -- or every rank
-        records. Nothing is recorded or applied while another observer
-        watches a clock, or while a rank would not charge a plain
-        launch at once (``RankRuntime._direct``).
+        the next axis. When the plan holds a recording for the residency
+        every rank starts from, every rank plays it -- counters tick in bulk,
+        a profiler gets each segment's rows in the order the real calls made
+        them -- and the sweep bodies run alone, in message order. Otherwise
+        every rank is charged through the real calls, in message order, and
+        recorded. Nothing is recorded or played while another observer
+        watches a clock, or while a rank would not charge a plain launch at
+        once (``RankRuntime._direct``): that walk is the recording walk
+        without the recorder.
         """
         ranks, tr = self.ranks, self.transport
+        clocks = [rt.clock for rt in ranks]
         plan.blocks[:] = [locals_ for _, locals_, _ in items]
-        programs: list[_Program | None] = [None] * len(ranks)
-        recorders: dict[int, _Recorder] = {}
-        observed = _observed_by([rt.clock for rt in ranks])
+        observed = _observed_by(clocks)
+        profiler, lanes = observed or (None, [None] * len(ranks))
         reuse = observed is not False and all(rt._direct(_PLAIN) for rt in ranks)
-        order = log = None
+        recording = recorder = None
         try:
             if reuse:
-                keys = tuple((rank, _residency(rt, plan.touched[rank]))
-                             for rank, rt in enumerate(ranks))
-                programs = [plan.programs.get(key) for key in keys]
-                order = plan.orders.get(keys) if observed else None
-                if (observed or tel.enabled) and (None in programs or (observed and order is None)):
-                    programs, order = [None] * len(ranks), None
-                log = [] if observed else None
-                for rank, key in enumerate(keys):
-                    if programs[rank] is None:
-                        recorders[rank] = _Recorder(key, ranks[rank], log)
-                        ranks[rank].clock.subscribe(recorders[rank])
-            # some rank is charged through the real calls
-            charged = not reuse or bool(recorders)
-            for axis_index, (label, messages) in enumerate(plan.axes):
-                segment = 2 * axis_index
-                # -- every rank packs its faces, all fields -------------------
-                if charged:
-                    if segment == 0:
-                        for rank, spec, lowered in plan.init:
-                            if programs[rank] is None:
-                                _launch(ranks[rank], spec, lowered)
+                key = tuple(map(_residency, ranks, plan.touched))
+                recording = plan.recordings.get(key)
+                if recording is None:
+                    recorder = _Recorder(ranks)
+            for segment in range(2 * len(plan.axes)):
+                axis_index, unpacks = divmod(segment, 2)
+                label, messages = plan.axes[axis_index]
+                rows: list[tuple] = []
+                if recording is not None:
+                    for spec in plan.sweeps[axis_index] if unpacks else ():
+                        spec.run_body()
+                    sink = None if profiler is None else rows
+                    for clock, ops, lane in zip(clocks, recording.segments[segment], lanes):
+                        _play(clock, ops, sink, lane)
+                    order = recording.orders[segment]
+                    if rows:
+                        rows = [row for row in (rows if order is None else order(rows))
+                                if row[2] > 0]
+                elif not unpacks:  # every rank packs its faces, all fields
+                    for rank, spec, lowered in plan.init if segment == 0 else ():
+                        _launch(ranks[rank], spec, lowered)
                     for m in messages:
-                        if programs[m.src] is None:
-                            _launch(ranks[m.src], m.pack, m.pack_lowered)
-                self._end_segment(programs, recorders, segment, reuse, observed, order)
-                # -- messages and unpacks into ghosts -------------------------
-                if charged:
+                        _launch(ranks[m.src], m.pack, m.pack_lowered)
+                else:  # messages and unpacks into ghosts
                     for m in messages:
-                        if programs[m.src] is None:
-                            rt = ranks[m.src]
-                            clock = rt.clock
-                            for c in tr.send_charges(rt.env, m.send, m.nbytes):
-                                clock.advance(c.seconds, c.category, c.label)
-                            # Blocking semantics inside the phase: the sender
-                            # waits for its own wire (overlapped begins run
-                            # this on the detached communication clock).
-                            if m.src in recorders:
-                                recorders[m.src].wire(clock, m.wire, label)
-                            else:
-                                clock.wait_until(clock.now + m.wire, _TRANSFER, label)
-                        if m.dst != m.src and programs[m.dst] is None:
+                        rt = ranks[m.src]
+                        clock = rt.clock
+                        for c in tr.send_charges(rt.env, m.send, m.nbytes):
+                            clock.advance(c.seconds, c.category, c.label)
+                        # Blocking semantics inside the phase: the sender
+                        # waits for its own wire (overlapped begins run this
+                        # on the detached communication clock).
+                        if recorder is not None:
+                            recorder.wire(m.src, clock, m.wire, label)
+                        else:
+                            clock.wait_until(clock.now + m.wire, _TRANSFER, label)
+                        if m.dst != m.src:
                             rt = ranks[m.dst]
                             for c in tr.recv_charges(rt.env, m.recv, m.nbytes):
                                 rt.clock.advance(c.seconds, c.category, c.label)
                     for m in messages:
-                        if programs[m.dst] is None:
-                            _launch(ranks[m.dst], m.unpack, m.unpack_lowered)
-                        else:
-                            m.unpack.run_body()
-                else:
-                    for spec in plan.sweeps[axis_index]:
-                        spec.run_body()
-                self._end_segment(programs, recorders, segment + 1, reuse, observed, order)
+                        _launch(ranks[m.dst], m.unpack, m.unpack_lowered)
+                if recorder is not None:
+                    recorder.cut()
+                # Every rank clock advances to the latest (BSP synchronization:
+                # imbalance shows up as MPI wait); outside the real calls a
+                # profiler gets the barrier's rows after the segment's.
+                if not reuse:
+                    for rt in ranks:
+                        rt.sync()
+                t_max = max([clock.now for clock in clocks])
+                for rank, clock in enumerate(clocks):
+                    if not reuse:
+                        clock.wait_until(t_max, _WAIT, "halo_barrier")
+                    elif t_max > clock.now:
+                        # ``wait_until``'s adds inline: nothing is pending,
+                        # and the recorder must not see them
+                        dt = t_max - clock.now
+                        if profiler is not None:
+                            rows.append((lanes[rank], clock.now, dt, _WAIT, "halo_barrier"))
+                        clock.now += dt
+                        clock.by_category[_WAIT] = clock.by_category.get(_WAIT, 0.0) + dt
+                if rows:
+                    profiler.extend(*zip(*rows))
             self.messages += plan.sent[0]
             self.bytes_sent += plan.sent[1]
-            for rank, program in enumerate(programs):
-                if program is not None:
-                    _finish(ranks[rank], plan.touched[rank], program)
+            if recording is not None:
+                recording.settle(ranks, plan.touched)
             if tel.enabled:
                 sent, calls = self._counter_tape(tel, plan)
-                for child, amounts in sent if charged else sent + calls:
+                for child, amounts in sent if recording is None else sent + calls:
                     child.value = reduce(operator.add, amounts, child.value)
-            for rank, recorder in recorders.items():
-                if recorder.key not in plan.programs:
-                    plan.programs[recorder.key] = recorder.program(ranks[rank], plan.touched[rank])
-                    self.programs_recorded += 1
-            if recorders and observed:  # every rank recorded
-                plan.orders[keys] = _interleave(recorders, log)
+            if recorder is not None:
+                plan.recordings[key] = recorder.recording(ranks, plan.touched)
+                self.walks_recorded += 1
         finally:
             plan.blocks.clear()
-            for rank, recorder in recorders.items():
-                ranks[rank].clock.unsubscribe(recorder)
-
-    def _end_segment(self, programs: list, recorders: dict[int, _Recorder], segment: int,
-                     reuse: bool, observed, order: tuple[tuple, ...] | None) -> None:
-        """Close a segment: the playing ranks apply it, the recorded ones cut
-        it, and every rank clock advances to the latest (BSP synchronization:
-        imbalance shows up as MPI wait). Outside the real calls a profiler
-        gets the segment's rows (``order``'s) and the barrier's."""
-        clocks = [rt.clock for rt in self.ranks]
-        rows: list[tuple] = []
-        if order is not None:
-            _play_rows(clocks, observed[1], order[segment], rows)
-        for clock, program in zip(clocks, programs if order is None else ()):
-            if program is not None:
-                _play(clock, program.segments[segment])
-        for recorder in recorders.values():
-            recorder.cut()
-        if not reuse:
-            for rt in self.ranks:
-                rt.sync()
-        t_max = max([clock.now for clock in clocks])
-        for rank, clock in enumerate(clocks):
-            if not reuse:
-                clock.wait_until(t_max, _WAIT, "halo_barrier")
-            elif t_max > clock.now:
-                # ``wait_until``'s adds inline: nothing is pending, and a
-                # recorder must not see them
-                dt = t_max - clock.now
-                if observed:
-                    rows.append((observed[1][rank], clock.now, dt, _WAIT, "halo_barrier"))
-                clock.now += dt
-                clock.by_category[_WAIT] = clock.by_category.get(_WAIT, 0.0) + dt
-        if rows:
-            observed[0].extend(*zip(*rows))
+            if recorder is not None:
+                recorder.detach(ranks)

@@ -317,10 +317,10 @@ class TestDroppedModelIsReclaimed:
                 replace(runtime_config_for(version), **runtime_kw),
             )
             model.run(2)
-            # the programs the exchanger recorded per rank outlive the model
-            # here, so they must hold nothing of it
-            programs = [plan.programs for plan in model.halo._plans.values()]
-            assert programs and (any(programs) or runtime_kw)
+            # the walks the exchanger recorded outlive the model here, so
+            # they must hold nothing of it
+            recordings = [plan.recordings for plan in model.halo._plans.values()]
+            assert recordings and (any(recordings) or runtime_kw)
             watched = {
                 "model": weakref.ref(model),
                 "state array": weakref.ref(model.states[0].rho),

@@ -136,6 +136,16 @@ class TestExchangeCorrectness:
         with pytest.raises(ValueError):
             exchanger(dec, ranks)
 
+    @pytest.mark.parametrize("groups", [[(0, 2)], [(0,), (0, 1)], [(1,)], [(-1, 0, 1)]])
+    def test_rank_groups_must_hold_every_rank_once(self, groups):
+        """Checked before any slot is filled: a rank out of range is the
+        same refusal as a rank left out, not an ``IndexError``."""
+        hx = exchanger(Decomposition3D((8, 8, 16), 2), make_ranks(2))
+        with pytest.raises(ValueError, match="every rank once"):
+            hx.set_groups(groups)
+        hx.set_groups([(1,), (0,)])
+        assert hx.slots(2) == [(1, 0), (0, 0)]
+
     @pytest.mark.parametrize("spec, why", [
         (dict(axes=(2, 2)), "axes"),  # exchanged axis 2 twice: 8 messages, twice the cost
         (dict(axes=(0, 1, 0)), "axes"),

@@ -125,7 +125,7 @@ class TestPayloadIdentity:
         ld = make_locals(dec, glob)
         hx_sync.exchange("f", ls)
         pending = hx_deg.exchange_begin("f", ld, overlap=False)
-        assert pending.sync
+        assert pending.comm_clocks is None  # completed at begin
         snapshot = [a.copy() for a in ld]
         hx_deg.exchange_finish(pending)  # no-op on a sync exchange
         for a, b, s in zip(ls, ld, snapshot):

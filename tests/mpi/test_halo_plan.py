@@ -25,6 +25,7 @@ from repro.machine.gpu import A100_40GB, GpuDevice
 from repro.machine.interconnect import DELTA_INTERCONNECT, SLINGSHOT
 from repro.machine.memory import DeviceMemory
 from repro.mas import MasModel, ModelConfig
+from repro.mpi import halo
 from repro.mpi.decomp import Decomposition3D
 from repro.mpi.halo import HaloExchanger, HaloSpec
 from repro.mpi.transport import TransportKind, make_transport
@@ -147,23 +148,58 @@ class TestPlansAreBoundedByTheVocabulary:
         assert model.halo.plans_built == built
         assert len(model.halo._plans) == held
 
+    @pytest.mark.parametrize("num_ranks", [8, 3])
     @pytest.mark.parametrize("telemetry", [False, True])
     @pytest.mark.parametrize("version", [CodeVersion.A, CodeVersion.D2XU, CodeVersion.CPU])
-    def test_no_program_is_recorded_after_the_second_step(self, version, telemetry, tmp_path):
-        """A rank's program is recorded once per (plan, residency of the
-        arrays it touches): from the third step on, every exchange meets
-        each rank in a residency it met before. Under a session whose
-        profiler observes every rank clock, too: its walks record, then
-        play."""
+    def test_no_program_is_recorded_after_the_second_step(self, version, telemetry, num_ranks,
+                                                          tmp_path):
+        """A walk is recorded once per (plan, residency of the arrays each
+        rank touches): from the third step on, every exchange meets its
+        ranks in residencies they met together before -- also on three
+        ranks, whose uneven split makes two rank groups. Under a session
+        whose profiler observes every rank clock, too: its walks record,
+        then play."""
         with session(tmp_path / "tel" if telemetry else None):
             model = MasModel(
-                ModelConfig(**{**self.SMALL, "num_ranks": 8}), runtime_config_for(version)
+                ModelConfig(**{**self.SMALL, "num_ranks": num_ranks}),
+                runtime_config_for(version),
             )
+            assert len(model.groups) == (2 if num_ranks == 3 else 1)
             model.run(2)
-            recorded = model.halo.programs_recorded
+            recorded = model.halo.walks_recorded
             assert recorded >= len(model.halo._plans) > 0
             model.run(2)
-            assert model.halo.programs_recorded == recorded
+            assert model.halo.walks_recorded == recorded
+
+
+class TestEveryRankRecordsOrEveryRankPlays:
+    def test_a_host_touch_on_one_rank_records_both(self, monkeypatch):
+        """A walk is recorded by all ranks' residencies together: after a
+        host touch on one rank of two, the next walk charges both ranks
+        through the real calls, and the same touch and walk again plays."""
+        dec = Decomposition3D((8, 8, 16), 2)
+        hx = make_exchanger(HaloExchanger, dec, "um")
+        locs = make_locals(dec, 5)
+        for _ in range(3):  # records from each residency met, then plays
+            hx.exchange("f", locs)
+        recorded = hx.walks_recorded
+        rank_of = {id(rt): rank for rank, rt in enumerate(hx.ranks)}
+        launched = []
+
+        def launch(rt, spec, lowered, real=halo._launch):
+            launched.append(rank_of[id(rt)])
+            real(rt, spec, lowered)
+
+        monkeypatch.setattr(halo, "_launch", launch)
+        hx.ranks[1].host_access("f")
+        hx.exchange("f", locs)
+        assert sorted(set(launched)) == [0, 1] and hx.walks_recorded == recorded + 1
+        launched.clear()
+        hx.ranks[1].host_access("f")
+        hx.exchange("f", locs)
+        assert launched == [] and hx.walks_recorded == recorded + 1
+        (plan,) = hx._plans.values()
+        assert len(plan.recordings) == hx.walks_recorded
 
 
 # -- (b) what a plan was derived from rebuilds it ------------------------------------
@@ -377,10 +413,10 @@ class TestPlanHoldsNoArray:
     @pytest.mark.parametrize("observed", [False, True])
     @pytest.mark.parametrize("machine", ["p2p", "um", "cpu"])
     def test_programs_hold_numbers_categories_and_residencies(self, machine, observed):
-        """A recorded program, and the order a walk interleaves the ranks'
-        rows in, reach no rank runtime, clock, environment, engine, model,
-        array or code: only floats, enum members, labels and counts. No
-        session, registry or profiler is reachable from the plan, also
+        """A recording, the order its walk interleaved the ranks' adds in
+        included, reaches no rank runtime, clock, environment, engine,
+        model, array or code: only floats, enum members, labels and counts.
+        No session, registry or profiler is reachable from the plan, also
         after walks under one."""
         dec = Decomposition3D((8, 8, 16), 2)
         hx = make_exchanger(HaloExchanger, dec, machine, buffer_init_fraction=0.5)
@@ -394,11 +430,12 @@ class TestPlanHoldsNoArray:
             if tel is not None:
                 deactivate(tel)
         (plan,) = hx._plans.values()
-        assert len(plan.programs) == hx.programs_recorded >= dec.nranks
-        assert bool(plan.orders) == observed  # only a profiler needs the order
+        assert len(plan.recordings) == hx.walks_recorded >= 1
+        # the real calls interleave the ranks message by message
+        assert all(any(recording.orders) for recording in plan.recordings.values())
         barred = (np.ndarray, RankRuntime, SimClock, DataEnvironment, Engine, MasModel,
                   types.FunctionType, types.MethodType)
-        seen, stack = set(), [plan.programs, plan.orders]
+        seen, stack = set(), [plan.recordings]
         while stack:
             obj = stack.pop()
             if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
@@ -490,12 +527,12 @@ def exchanges(draw):
 
 class TestWalkEqualsTheUnplannedEngine:
     """Each exchange is walked four to six times, synchronously or
-    overlapped, so recorded programs are applied. Under UM the host touches
+    overlapped, so recorded walks are played. Under UM the host touches
     some ranks' fields or staging buffers between walks, so those ranks
-    start from another residency and record again while the others apply
-    theirs. A clock observer attached mid-sequence stops reuse in every walk
-    that charges its clock, and sees each advance the unplanned engine makes
-    there, in its order. The planned side exchanges one block per rank
+    start from another residency and every rank records again. A clock
+    observer attached mid-sequence stops reuse in every walk that charges
+    its clock, and sees each advance the unplanned engine makes there, in
+    its order. The planned side exchanges one block per rank
     group (a ragged decomposition has several); the oracle, per-rank
     arrays. In some examples a shadow checker watches every rank of both
     sides, so every kernel goes through ``RankRuntime.loop``."""
@@ -569,13 +606,13 @@ class TestWalkEqualsTheUnplannedEngine:
         (_, _, _, checkers_ref), (hx_new, _, _, checkers_new) = sides
         assert hx_new.plans_built == 1
         (plan,) = hx_new._plans.values()
-        assert hx_new.programs_recorded == len(plan.programs)  # a residency met again is a hit
+        assert hx_new.walks_recorded == len(plan.recordings)  # residencies met again are a hit
         if case["shadow"]:  # ranks a checker watches charge every launch through loop()
-            assert plan.programs == {}
+            assert plan.recordings == {}
             reports = [[f.render() for f in c.report()] for c in checkers_new]
             assert reports == [[f.render() for f in c.report()] for c in checkers_ref]
         elif case["machine"] != "p2p-window":  # the window's ranks charge no launch at once
-            assert len(plan.programs) >= case["dec"].nranks
+            assert len(plan.recordings) >= 1
         return plan
 
     @settings(max_examples=60, deadline=None)
@@ -639,7 +676,7 @@ class TestWalkEqualsTheUnplannedEngine:
         free_sync = case["machine"] == "um" and case["seed"] % 2 == 1
         plan = self.walk_under_sessions(case, free_sync=free_sync)
         # the first walk charges and records every rank, under the profiler
-        assert bool(plan.orders) == (not case["shadow"] and case["machine"] != "p2p-window")
+        assert bool(plan.recordings) == (not case["shadow"] and case["machine"] != "p2p-window")
 
     @pytest.mark.parametrize("how", ["sync", "overlap"])
     def test_a_zero_second_add_makes_no_row(self, how):
@@ -649,7 +686,38 @@ class TestWalkEqualsTheUnplannedEngine:
                     flips=[[None] * dec.nranks] * 5, observed=None, shadow=False)
         plan = self.walk_under_sessions(case, free_sync=True)
         # two residencies alternate: the later walks play
-        assert len(plan.programs) == 2 * dec.nranks and len(plan.orders) == 2
+        assert len(plan.recordings) == 2
+
+    @pytest.mark.parametrize("how", ["sync", "overlap"])
+    def test_a_walk_recorded_unobserved_plays_under_a_session(self, how, monkeypatch):
+        """A recording keeps the order of the real calls whether or not a
+        profiler watched them: walks under a session play a walk recorded
+        without one, and append the oracle's rows."""
+        dec = Decomposition3D((8, 8, 16), 4)
+        case = dict(dec=dec, depth=1, axes=(0, 1, 2), fields=[("f", None), ("h", 2)], members=1,
+                    machine="p2p", costs={}, two_nodes=False, seed=2, walks=[how] * 3,
+                    flips=[[None] * dec.nranks] * 2, observed=None, shadow=False)
+        sides = self.sides(case)
+        for side in sides:
+            self.walk(case, side, 0, how, None)
+        launched = []
+        real = halo._launch
+        monkeypatch.setattr(halo, "_launch", lambda *args: (launched.append(args), real(*args)))
+        sessions = [profiled(side[0]) for side in sides]
+        for walk in (1, 2):
+            for side, tel in zip(sides, sessions):
+                activate(tel)
+                try:
+                    self.walk(case, side, walk, how, None)
+                finally:
+                    deactivate(tel)
+            self.assert_same(case, sides)
+            rows = [[(lane, start.hex(), dt.hex(), category.value, label)
+                     for lane, start, dt, category, label in zip(*tel.profiler.columns)]
+                    for tel in sessions]
+            assert rows[1] == rows[0] != []
+            assert sessions[1].metrics.to_json() == sessions[0].metrics.to_json()
+        assert launched == [] and sides[1][0].walks_recorded == 1
 
 
 class TestTelemetryChildrenLiveInTheSession:
