@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 from repro.analysis.dependence import LoopReport, Statement, analyze_loop_body, depends
@@ -139,10 +140,10 @@ def _lookup(
 
 
 def _summary_part(file: SourceFile, scan: LineScan) -> FileFacts:
-    index = index_fragment(file)
+    index = index_fragment(file, scan)
     calls = _call_sites(file, scan)
-    blocks = tuple(_scan_block(file, sym, calls) for sym in index.routines)
-    return FileFacts(file.name, index, calls, blocks, _file_module_variables(file))
+    blocks = tuple(_scan_block(file, sym, calls, scan) for sym in index.routines)
+    return FileFacts(file.name, index, calls, blocks, _file_module_variables(file, scan))
 
 
 def _lint_part(
@@ -261,14 +262,27 @@ def _strip_if_guard(code: str) -> tuple[str, str]:
     return code[m.end() - 1 : i], action
 
 
-def _file_module_variables(file: SourceFile) -> tuple[tuple[str, frozenset[str]], ...]:
-    """One file's (module, spec-part variable names) pairs."""
+def _file_module_variables(
+    file: SourceFile, scan: LineScan
+) -> tuple[tuple[str, frozenset[str]], ...]:
+    """One file's (module, spec-part variable names) pairs.
+
+    Only module, contains and end-module lines change the state, and only
+    a line holding ``::`` declares (:func:`declared_entities`), so only
+    the lines of ``scan`` holding one of these are visited. A declaration
+    whose attributes (the part before ``::``) say ``parameter`` declares a
+    named constant, not a variable.
+    """
     out: dict[str, set[str]] = {}
     current = ""
     in_spec = False
-    for line in file.lines:
+    rows = sorted({
+        *scan.rows("module", fold=True), *scan.rows("contains", fold=True),
+        *scan.rows("::"),
+    })
+    for i in rows:
+        line = file.lines[i]
         low = line.lower()
-        # only module, contains and end-module lines change the state
         kind = classify_line(line) if "module" in low or "contains" in low else None
         if kind is LineKind.MODULE_START:
             name = (module_name(line) or "").lower()
@@ -281,8 +295,10 @@ def _file_module_variables(file: SourceFile) -> tuple[tuple[str, frozenset[str]]
             in_spec = False
             current = "" if kind is LineKind.MODULE_END else current
             continue
-        if in_spec and current and "parameter" not in low:
-            out[current].update(declared_entities(line))
+        if in_spec and current:
+            attrs = line.split("!", 1)[0].split("::", 1)[0]
+            if "parameter" not in attrs.lower():
+                out[current].update(declared_entities(line))
     return tuple((m, frozenset(vs)) for m, vs in out.items())
 
 
@@ -318,16 +334,18 @@ def _call_sites(file: SourceFile, scan: LineScan) -> tuple[CallSite, ...]:
 
 
 def _scan_block(
-    file: SourceFile, sym: RoutineSym, calls: tuple[CallSite, ...]
+    file: SourceFile, sym: RoutineSym, calls: tuple[CallSite, ...], scan: LineScan
 ) -> _Block:
     """Phase-1 scan: body hash, call sites (of the file's ``calls``),
-    locals, intents and each dummy's first declaration."""
-    body = range(sym.line + 1, max(sym.line + 1, sym.end_line))
+    locals, intents and each dummy's first declaration (read off the
+    body's ``::`` lines, the only ones that declare)."""
+    first, stop = sym.line + 1, max(sym.line + 1, sym.end_line)
     locals_: set[str] = set()
     intents: dict[str, str] = {}
     decl_sites: dict[str, tuple[int, tuple[str, ...], str]] = {}
     dummies = set(sym.dummies)
-    for i in body:
+    decls = scan.rows("::")
+    for i in decls[bisect_left(decls, first) : bisect_left(decls, stop)]:
         line = file.lines[i]
         entities = declared_entities(line)
         if entities:
@@ -339,15 +357,13 @@ def _scan_block(
                         intents[e] = intent
                 else:
                     locals_.add(e)
-    digest = hashlib.sha256()
-    digest.update(f"{sym.file}:{sym.line}:{sym.end_line}\n".encode())
-    digest.update(file.lines[sym.line].encode("utf-8", "surrogateescape"))
-    for i in body:
-        digest.update(b"\n")
-        digest.update(file.lines[i].encode("utf-8", "surrogateescape"))
+    digest = hashlib.sha256(f"{sym.file}:{sym.line}:{sym.end_line}\n".encode())
+    digest.update(
+        "\n".join(file.lines[sym.line : stop]).encode("utf-8", "surrogateescape")
+    )
     return _Block(
         sym=sym, body_hash=digest.hexdigest(),
-        calls=tuple(c for c in calls if c.line in body),
+        calls=tuple(c for c in calls if first <= c.line < stop),
         locals_=frozenset(locals_), intents=tuple(sorted(intents.items())),
         decl_sites=tuple((d, *site) for d, site in decl_sites.items()),
     )

@@ -26,7 +26,8 @@ visible module environment, and its callees' keys -- so re-lint after an
 edit recomputes only the changed routine and its (transitive) callers.
 Everything read off a file (routine blocks, call sites, module
 variables, the symbol index) comes from its cached fact sheet
-(:mod:`repro.analysis.facts`); only the joins run on every call.
+(:mod:`repro.analysis.facts`). The joins run on every call; on a
+summary-cache miss the effect scan also reads the routine's body lines.
 
 Direction of conservatism: a finding is only emitted on *proof*. Calls
 to routines the tree does not define resolve to nothing and stay silent
@@ -80,6 +81,14 @@ _IO_RE = re.compile(
 )
 _STOP_RE = re.compile(r"^\s*(error\s+)?stop\b", re.I)
 _ALLOC_RE = re.compile(r"^\s*(de)?allocate\s*\(", re.I)
+#: What a statement the three effect patterns above match begins with,
+#: lowercased. ``re.I`` also folds ``ſ``, ``ı``, ``K`` and ``İ`` onto ASCII
+#: letters, so the test holds for an ASCII head only.
+_EFFECT_HEADS = (
+    "write", "print", "open", "close", "rewind", "flush", "inquire",
+    "backspace", "endfile", "read", "error", "stop", "allocate", "deallocate",
+)
+_EFFECT_HEAD_LEN = max(map(len, _EFFECT_HEADS))
 _INTENT_CLAUSE_RE = re.compile(r"\bintent\s*\(\s*in\s*\)", re.I)
 _INDENT_RE = re.compile(r"^(\s*)")
 
@@ -213,11 +222,7 @@ class CallBlocker:
 
 
 def _identifiers(text: str) -> set[str]:
-    return {
-        m.group(1).lower()
-        for m in _IDENT_RE.finditer(text)
-        if m.group(1).lower() not in _STMT_WORDS
-    }
+    return set(map(str.lower, _IDENT_RE.findall(text))) - _STMT_WORDS
 
 
 def _assignment_parts(code: str) -> tuple[str, str, str] | None:
@@ -346,27 +351,28 @@ def _scan_effects(
             # one-line `if (cond) call ...` still reads its operands
             note_reads(_identifiers(guard))
             continue
-        if declared_entities(line):
+        if "::" in line and declared_entities(line):
             continue  # declaration, not an executable statement
-        if _IO_RE.match(action):
-            effects.add(Effect("io", shown(action.strip()[:40]), sym.file, i))
-            note_reads(_identifiers(code))
-            continue
-        if _STOP_RE.match(action):
-            effects.add(Effect("stop", shown(action.strip()[:40]), sym.file, i))
-            note_reads(_identifiers(guard))
-            continue
-        m = _ALLOC_RE.match(action)
-        if m:
-            inner = action[action.index("(") + 1 : action.rindex(")")] if ")" in action else ""
-            for arg in _split_top_commas(inner):
-                base = _base_name(arg)
-                if base in visible and base not in known_local | dummies:
-                    effects.add(
-                        Effect("allocate-global", visible[base], sym.file, i)
-                    )
-                    globals_written.add(visible[base])
-            continue
+        head = action.lstrip()[:_EFFECT_HEAD_LEN]
+        if not head.isascii() or head.lower().startswith(_EFFECT_HEADS):
+            if _IO_RE.match(action):
+                effects.add(Effect("io", shown(action.strip()[:40]), sym.file, i))
+                note_reads(_identifiers(code))
+                continue
+            if _STOP_RE.match(action):
+                effects.add(Effect("stop", shown(action.strip()[:40]), sym.file, i))
+                note_reads(_identifiers(guard))
+                continue
+            if _ALLOC_RE.match(action):
+                inner = action[action.index("(") + 1 : action.rindex(")")] if ")" in action else ""
+                for arg in _split_top_commas(inner):
+                    base = _base_name(arg)
+                    if base in visible and base not in known_local | dummies:
+                        effects.add(
+                            Effect("allocate-global", visible[base], sym.file, i)
+                        )
+                        globals_written.add(visible[base])
+                continue
         if kind is LineKind.STATEMENT:
             parts = _assignment_parts(code)
             if parts is not None:

@@ -10,19 +10,21 @@ declare, they do not define.
 
 Each file contributes an :class:`IndexFragment`; :func:`join_index`
 joins fragments in file order. The analyzer keeps each file's fragment
-in its cached fact sheet (:mod:`repro.analysis.facts`);
-:func:`build_index` scans the files afresh.
+in its cached fact sheet (:mod:`repro.analysis.facts`), built from the
+file's :class:`~repro.fortran.parser.LineScan`; :func:`build_index`,
+outside the analyzer, makes a scan of each file and keeps no sheet.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.fortran.directives import DirectiveKind, try_parse_directive
 from repro.fortran.lexer import LineKind, classify_line, module_name
-from repro.fortran.parser import parse_procedure_header
+from repro.fortran.parser import LineScan, parse_procedure_header
 from repro.fortran.source import Codebase, SourceFile
 
 _USE_RE = re.compile(
@@ -92,20 +94,31 @@ class ModuleIndex:
         return self.routines.get(key)
 
 
-def _routine_block_has_acc(lines: list[str], start: int) -> bool:
-    """True if an ``!$acc routine`` sits in the routine's declaration part."""
-    for i in range(start + 1, len(lines)):
-        kind = classify_line(lines[i])
-        if kind is LineKind.DIRECTIVE:
-            d = try_parse_directive(lines[i])
-            if d is not None and d.kind is DirectiveKind.ROUTINE:
-                return True
-            continue
-        if kind in (LineKind.DO, LineKind.DO_CONCURRENT, LineKind.CALL,
-                    LineKind.SUBROUTINE_END, LineKind.FUNCTION_END,
-                    LineKind.CONTAINS):
-            return False
-    return False
+#: What closes a routine's declaration part for the ``!$acc routine`` test.
+_SPEC_STOPS = (LineKind.DO, LineKind.DO_CONCURRENT, LineKind.CALL,
+               LineKind.SUBROUTINE_END, LineKind.FUNCTION_END, LineKind.CONTAINS)
+
+
+def _routine_block_has_acc(
+    lines: list[str], start: int, routines: list[int], stops: list[int]
+) -> bool:
+    """True if an ``!$acc routine`` sits in the routine's declaration part,
+    which runs from ``start`` to the first line that opens a loop, calls,
+    ends a procedure or says ``contains``.
+
+    ``routines`` are the file's ``!$acc routine`` lines and ``stops`` the
+    lines that can end the part (those holding ``do``, ``call``, ``end``
+    or ``contains``): only the stops before the first routine line past
+    ``start`` are classified.
+    """
+    at = bisect_right(routines, start)
+    if at == len(routines):
+        return False
+    first = routines[at]
+    return not any(
+        classify_line(lines[i]) in _SPEC_STOPS
+        for i in stops[bisect_right(stops, start) : bisect_left(stops, first)]
+    )
 
 
 def _parse_use(line: str) -> UseEdge | None:
@@ -138,16 +151,35 @@ class IndexFragment:
     uses: tuple[tuple[int, UseEdge], ...] = ()  # (0-based line, edge)
 
 
-def index_fragment(file: SourceFile) -> IndexFragment:
-    """Scan one file for its modules, routines and ``use`` edges."""
+#: The keywords :func:`index_fragment` tests a line's ``lower()`` for
+#: before it tries a pattern: a line holding none of them is skipped.
+_INDEX_KEYWORDS = ("interface", "module", "subroutine", "function", "end", "use")
+
+
+def index_fragment(file: SourceFile, scan: LineScan | None = None) -> IndexFragment:
+    """Scan one file for its modules, routines and ``use`` edges; only the
+    lines of ``scan`` (made here when not given) holding a keyword of
+    ``_INDEX_KEYWORDS`` are classified."""
+    if scan is None:
+        scan = LineScan(file.lines)
     modules: list[str] = []
     routines: list[RoutineSym] = []
     uses: list[tuple[int, UseEdge]] = []
     current_module = ""
     in_interface = False
     open_routines: list[RoutineSym] = []  # contains-nesting stack
-    for i, line in enumerate(file.lines):
-        low = line.lower()  # every pattern below needs its keyword in it
+    acc_routines = [  # a routine directive's payload starts with `routine`
+        i for i in scan.rows("routine", fold=True)
+        if (d := try_parse_directive(file.lines[i])) is not None
+        and d.kind is DirectiveKind.ROUTINE
+    ]
+    stops = sorted({
+        i for kw in ("do", "call", "end", "contains") for i in scan.rows(kw, fold=True)
+    }) if acc_routines else []
+    rows = sorted({i for kw in _INDEX_KEYWORDS for i in scan.rows(kw, fold=True)})
+    for i in rows:
+        line = file.lines[i]
+        low = line.lower()
         if "interface" in low:
             if _INTERFACE_RE.match(line):
                 in_interface = True
@@ -180,7 +212,7 @@ def index_fragment(file: SourceFile) -> IndexFragment:
                 file=file.name,
                 line=i,
                 module=current_module,
-                acc_routine=_routine_block_has_acc(file.lines, i),
+                acc_routine=_routine_block_has_acc(file.lines, i, acc_routines, stops),
                 parent=open_routines[-1].name if open_routines else "",
                 declared_pure=header.declared_pure,
                 dummies=header.dummies,

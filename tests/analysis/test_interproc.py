@@ -180,6 +180,30 @@ class TestSummaries:
         assert "rec::tally" in out.summaries["ping"].globals_written
         assert "rec::tally" in out.summaries["pong"].globals_written
 
+    def test_parameter_in_a_name_or_comment_declares_a_variable(self):
+        """Only a ``parameter`` attribute makes a named constant; one in a
+        variable's name or a trailing comment does not hide the variable."""
+        cb = _mini("knobs.f90", [
+            "module knobs",
+            "  real :: nparameters",
+            "  real :: gain  ! parameter of the fit",
+            "  real, parameter :: pi = 3.14",
+            "  REAL(kind=8),PARAMETER,dimension(2)::tau = 6.28",
+            "contains",
+            "  subroutine bump()",
+            "    nparameters = nparameters + 1.0",
+            "    gain = 2.0",
+            "  end subroutine bump",
+            "end module knobs",
+        ])
+        out = summarize(cb)
+        assert out.facts[0].module_vars == (
+            ("knobs", frozenset({"nparameters", "gain"})),
+        )
+        s = out.summaries["bump"]
+        assert s.purity is Purity.IMPURE
+        assert s.globals_written == ("knobs::gain", "knobs::nparameters")
+
     def test_intent_inference_from_reads_and_writes(self):
         out = summarize(_load().codebase)
         s = out.summaries["scale_point"]

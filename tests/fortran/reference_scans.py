@@ -1,35 +1,83 @@
-"""The porter's per-line scans as they were before the keyword search,
-and the loop walks before the loop table, kept verbatim as the test oracle.
+"""Scans as they were before the keyword search, kept verbatim as the
+test oracle.
 
-``atomic_dc_loops`` lower-cases every line to find ``concurrent`` and
-parses every directive line inside a nest, ``find_subroutines`` lower-cases
-every line to find ``subroutine``; ``drop_legacy_paths`` strips
-every line; ``strip_glue`` runs the glue regex on every line;
-``drop_routine_directives`` and ``manual_inline`` are the bodies of
-``PureDcPass._drop_routine_directives`` and ``PureDcPass._manual_inline``
-(the call search visits every line). ``find_dc_loop_end`` and
-``parse_loop_nest`` walk from a header and count levels, classifying every
-line until its ``enddo``; ``parallel_spans`` (then in
-``repro.analysis.interproc``) lower-cases every line to find its DC loops.
+The porter's: ``atomic_dc_loops`` lower-cases every line to find
+``concurrent`` and parses every directive line inside a nest,
+``find_subroutines`` lower-cases every line to find ``subroutine``;
+``drop_legacy_paths`` strips every line; ``strip_glue`` runs the glue
+regex on every line; ``drop_routine_directives`` and ``manual_inline`` are
+the bodies of ``PureDcPass._drop_routine_directives`` and
+``PureDcPass._manual_inline`` (the call search visits every line).
+``find_dc_loop_end`` and ``parse_loop_nest`` walk from a header and count
+levels, classifying every line until its ``enddo``; ``parallel_spans``
+(then in ``repro.analysis.interproc``) lower-cases every line to find its
+DC loops.
+
+The analyzer's summary inputs: ``index_fragment`` lower-cases every line
+and ``_routine_block_has_acc`` classifies every line from a routine's
+header to the end of its declaration part; ``_file_module_variables``
+lower-cases every line and drops every spec line that mentions
+``parameter`` anywhere; ``_scan_block`` runs ``declared_entities`` on
+every body line and hashes the body line by line. ``_scan_effects`` runs
+``declared_entities`` and the three effect patterns on every executable
+body line, and ``_identifiers`` lowers each match twice.
+
 Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 from collections.abc import Iterator
+from dataclasses import replace
 
-from repro.fortran.directives import DirectiveKind, is_directive_line, parse_directive
+from repro.analysis.facts import (
+    CallSite,
+    _base_name,
+    _Block,
+    _split_top_commas,
+    _strip_if_guard,
+)
+from repro.analysis.interproc import (
+    _ALLOC_RE,
+    _IDENT_RE,
+    _IO_RE,
+    _STMT_WORDS,
+    _STOP_RE,
+    Effect,
+    ProcedureSummary,
+    Purity,
+    _assignment_parts,
+)
+from repro.fortran.directives import (
+    DirectiveKind,
+    is_directive_line,
+    parse_directive,
+    try_parse_directive,
+)
+from repro.fortran.frontend.resolve import (
+    _END_INTERFACE_RE,
+    _INTERFACE_RE,
+    IndexFragment,
+    RoutineSym,
+    UseEdge,
+    _parse_use,
+)
 from repro.fortran.inline import InlineRefusedError, inline_call, parse_routine
-from repro.fortran.lexer import LineKind, classify_line, subroutine_name
+from repro.fortran.lexer import LineKind, called_name, classify_line, module_name, subroutine_name
 from repro.fortran.parser import (
     _DO_RE,
     LoopNest,
     ParallelRegion,
     SubroutineBlock,
+    declared_entities,
+    declared_intent,
     find_parallel_regions,
+    parse_procedure_header,
 )
 from repro.fortran.source import Codebase, SourceFile
+from repro.fortran.tree_io import shown
 
 ACCUM_RE = re.compile(r"^(\s*)(\w+)\((\w+)\)\s*=\s*\2\(\3\)\s*\+\s*(.+)$")
 _GLUE_RE = re.compile(r"call\s+(un)?load_gpu_buffer\b", re.I)
@@ -211,3 +259,279 @@ def manual_inline(cb: Codebase) -> None:
                     except InlineRefusedError:
                         pass
                 i += 1
+
+
+# -- the analyzer's summary inputs ---------------------------------------------
+
+
+def _routine_block_has_acc(lines: list[str], start: int) -> bool:
+    """True if an ``!$acc routine`` sits in the routine's declaration part."""
+    for i in range(start + 1, len(lines)):
+        kind = classify_line(lines[i])
+        if kind is LineKind.DIRECTIVE:
+            d = try_parse_directive(lines[i])
+            if d is not None and d.kind is DirectiveKind.ROUTINE:
+                return True
+            continue
+        if kind in (LineKind.DO, LineKind.DO_CONCURRENT, LineKind.CALL,
+                    LineKind.SUBROUTINE_END, LineKind.FUNCTION_END,
+                    LineKind.CONTAINS):
+            return False
+    return False
+
+
+def index_fragment(file: SourceFile) -> IndexFragment:
+    """Scan one file for its modules, routines and ``use`` edges."""
+    modules: list[str] = []
+    routines: list[RoutineSym] = []
+    uses: list[tuple[int, UseEdge]] = []
+    current_module = ""
+    in_interface = False
+    open_routines: list[RoutineSym] = []  # contains-nesting stack
+    for i, line in enumerate(file.lines):
+        low = line.lower()  # every pattern below needs its keyword in it
+        if "interface" in low:
+            if _INTERFACE_RE.match(line):
+                in_interface = True
+                continue
+            if _END_INTERFACE_RE.match(line):
+                in_interface = False
+                continue
+        if in_interface:
+            continue
+        kind = (
+            classify_line(line)
+            if "module" in low or "subroutine" in low or "function" in low
+            or "end" in low  # a bare `end` closes a procedure too
+            else None  # opens or closes neither a module nor a procedure
+        )
+        if kind is LineKind.MODULE_START:
+            name = (module_name(line) or "").lower()
+            if name != "procedure":
+                current_module = name
+                modules.append(name)
+        elif kind is LineKind.MODULE_END:
+            current_module = ""
+        elif kind in (LineKind.SUBROUTINE_START, LineKind.FUNCTION_START):
+            header = parse_procedure_header(line)
+            if header is None:
+                continue
+            sym = RoutineSym(
+                name=header.name,
+                kind=header.kind,
+                file=file.name,
+                line=i,
+                module=current_module,
+                acc_routine=_routine_block_has_acc(file.lines, i),
+                parent=open_routines[-1].name if open_routines else "",
+                declared_pure=header.declared_pure,
+                dummies=header.dummies,
+                result=header.result,
+            )
+            open_routines.append(sym)
+        elif kind in (LineKind.SUBROUTINE_END, LineKind.FUNCTION_END):
+            if open_routines:
+                routines.append(replace(open_routines.pop(), end_line=i))
+        elif "use" in low:
+            edge = _parse_use(line)
+            if edge is not None:
+                uses.append((i, edge))
+    return IndexFragment(file.name, tuple(modules), tuple(routines), tuple(uses))
+
+
+def _file_module_variables(file: SourceFile) -> tuple[tuple[str, frozenset[str]], ...]:
+    """One file's (module, spec-part variable names) pairs."""
+    out: dict[str, set[str]] = {}
+    current = ""
+    in_spec = False
+    for line in file.lines:
+        low = line.lower()
+        # only module, contains and end-module lines change the state
+        kind = classify_line(line) if "module" in low or "contains" in low else None
+        if kind is LineKind.MODULE_START:
+            name = (module_name(line) or "").lower()
+            if name != "procedure":
+                current = name
+                in_spec = True
+                out.setdefault(current, set())
+            continue
+        if kind in (LineKind.CONTAINS, LineKind.MODULE_END):
+            in_spec = False
+            current = "" if kind is LineKind.MODULE_END else current
+            continue
+        if in_spec and current and "parameter" not in low:
+            out[current].update(declared_entities(line))
+    return tuple((m, frozenset(vs)) for m, vs in out.items())
+
+
+def _scan_block(
+    file: SourceFile, sym: RoutineSym, calls: tuple[CallSite, ...]
+) -> _Block:
+    """Phase-1 scan: body hash, call sites (of the file's ``calls``),
+    locals, intents and each dummy's first declaration."""
+    body = range(sym.line + 1, max(sym.line + 1, sym.end_line))
+    locals_: set[str] = set()
+    intents: dict[str, str] = {}
+    decl_sites: dict[str, tuple[int, tuple[str, ...], str]] = {}
+    dummies = set(sym.dummies)
+    for i in body:
+        line = file.lines[i]
+        entities = declared_entities(line)
+        if entities:
+            intent = declared_intent(line)
+            for e in entities:
+                if e in dummies:
+                    decl_sites.setdefault(e, (i, entities, intent))
+                    if intent:
+                        intents[e] = intent
+                else:
+                    locals_.add(e)
+    digest = hashlib.sha256()
+    digest.update(f"{sym.file}:{sym.line}:{sym.end_line}\n".encode())
+    digest.update(file.lines[sym.line].encode("utf-8", "surrogateescape"))
+    for i in body:
+        digest.update(b"\n")
+        digest.update(file.lines[i].encode("utf-8", "surrogateescape"))
+    return _Block(
+        sym=sym, body_hash=digest.hexdigest(),
+        calls=tuple(c for c in calls if c.line in body),
+        locals_=frozenset(locals_), intents=tuple(sorted(intents.items())),
+        decl_sites=tuple((d, *site) for d, site in decl_sites.items()),
+    )
+
+
+def _identifiers(text: str) -> set[str]:
+    return {
+        m.group(1).lower()
+        for m in _IDENT_RE.finditer(text)
+        if m.group(1).lower() not in _STMT_WORDS
+    }
+
+
+def _scan_effects(
+    cb: Codebase,
+    block: _Block,
+    visible: dict[str, str],
+    callee_summaries: dict[str, ProcedureSummary | None],
+) -> ProcedureSummary:
+    """Phase-2 scan: reads/writes/effects with callee summaries folded in."""
+    sym = block.sym
+    file = cb.file(sym.file)
+    dummies = set(sym.dummies)
+    known_local = block.locals_ | {sym.result} if sym.result else set(block.locals_)
+    dummy_reads: set[str] = set()
+    dummy_writes: set[str] = set()
+    globals_read: set[str] = set()
+    globals_written: set[str] = set()
+    effects: set[Effect] = set()
+    unresolved: set[str] = set()
+    unknown_write = False
+
+    def note_reads(names: set[str]) -> None:
+        for n in names:
+            if n in dummies:
+                dummy_reads.add(n)
+            elif n in visible and n not in known_local:
+                globals_read.add(visible[n])
+
+    def note_write(n: str, line: int) -> None:
+        nonlocal unknown_write
+        if n in dummies:
+            dummy_writes.add(n)
+        elif n in known_local:
+            pass
+        elif n in visible:
+            globals_written.add(visible[n])
+            effects.add(
+                Effect("global-write", visible[n], sym.file, line)
+            )
+        else:
+            unknown_write = True
+
+    for i in block.body_lines:
+        line = file.lines[i]
+        kind = classify_line(line)
+        if kind in (LineKind.BLANK, LineKind.COMMENT, LineKind.DIRECTIVE):
+            continue
+        code = line.split("!", 1)[0]
+        guard, action = _strip_if_guard(code)
+        if kind is LineKind.CALL or called_name(action) is not None:
+            # folded in below, via the callee summary; the guard of a
+            # one-line `if (cond) call ...` still reads its operands
+            note_reads(_identifiers(guard))
+            continue
+        if declared_entities(line):
+            continue  # declaration, not an executable statement
+        if _IO_RE.match(action):
+            effects.add(Effect("io", shown(action.strip()[:40]), sym.file, i))
+            note_reads(_identifiers(code))
+            continue
+        if _STOP_RE.match(action):
+            effects.add(Effect("stop", shown(action.strip()[:40]), sym.file, i))
+            note_reads(_identifiers(guard))
+            continue
+        m = _ALLOC_RE.match(action)
+        if m:
+            inner = action[action.index("(") + 1 : action.rindex(")")] if ")" in action else ""
+            for arg in _split_top_commas(inner):
+                base = _base_name(arg)
+                if base in visible and base not in known_local | dummies:
+                    effects.add(
+                        Effect("allocate-global", visible[base], sym.file, i)
+                    )
+                    globals_written.add(visible[base])
+            continue
+        if kind is LineKind.STATEMENT:
+            parts = _assignment_parts(code)
+            if parts is not None:
+                guard, lhs, rhs = parts
+                note_write(lhs, i)
+                note_reads(_identifiers(guard) | _identifiers(rhs))
+                continue
+        note_reads(_identifiers(code))
+
+    # fold the callees in: their effects are ours, their dummy writes land
+    # on our actuals, their global traffic is ours transitively
+    for site in block.calls:
+        callee = callee_summaries.get(site.callee)
+        if callee is None:
+            unresolved.add(site.callee)
+            continue
+        effects.update(callee.effects)
+        globals_read.update(callee.globals_read)
+        globals_written.update(callee.globals_written)
+        if callee.purity is Purity.UNKNOWN:
+            unknown_write = True
+        for pos, actual in enumerate(site.actuals):
+            if pos >= len(callee.dummies) or not actual:
+                continue
+            d = callee.dummies[pos]
+            if callee.writes_dummy(d):
+                note_write(actual, site.line)
+            if d in callee.dummy_reads or callee.declared_intent_of(d) in (
+                "in", "inout",
+            ):
+                note_reads({actual})
+
+    if effects:
+        purity = Purity.IMPURE
+    elif unknown_write or unresolved:
+        purity = Purity.UNKNOWN
+    else:
+        purity = Purity.PURE
+    return ProcedureSummary(
+        name=sym.name, kind=sym.kind, file=sym.file, line=sym.line,
+        end_line=sym.end_line, module=sym.module,
+        declared_pure=sym.declared_pure, acc_routine=sym.acc_routine,
+        dummies=sym.dummies,
+        declared_intents=block.intents,
+        decl_sites=block.decl_sites,
+        dummy_reads=frozenset(dummy_reads),
+        dummy_writes=frozenset(dummy_writes),
+        globals_read=tuple(sorted(globals_read)),
+        globals_written=tuple(sorted(globals_written)),
+        effects=tuple(sorted(effects, key=lambda e: (e.file, e.line, e.kind))),
+        calls=block.calls,
+        unresolved_calls=tuple(sorted(unresolved)),
+        purity=purity,
+    )

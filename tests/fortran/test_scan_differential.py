@@ -1,26 +1,39 @@
-"""The porter's keyword-gated scans against the per-line scans they
-replaced (``reference_scans``).
+"""The keyword-gated scans against the per-line scans they replaced
+(``reference_scans``): the porter's, and the analyzer's summary inputs.
 
 Each scan now visits only the lines a ``str.find`` over the file's joined
 (and, for a case-insensitive keyword, lower-cased) text finds, then
 classifies them as before. New must equal old, result or error, on every
-file of the seven version trees and the shipped corpora, and on generated
-files that flip the case of keywords, hide them in comments, put an ``İ``
-(whose ``lower()`` is two characters) before them, and end without a
-newline.
+file of the seven version trees and the shipped corpora (and, for the
+summary inputs, the generated tree the ``lint_tree`` benchmark lints), and
+on generated files that flip the case of keywords, hide them in comments,
+put an ``İ`` (whose ``lower()`` is two characters) before them, spell a
+letter as the ``ſ``, ``ı``, ``K`` or ``İ`` that ``re.I`` folds onto it,
+and end without a newline.
+
+The summary inputs (each file's index fragment, call sites, routine
+blocks and module variables) are compared whole; each routine's effect
+scan is compared inside a real summary pass, with the visible module
+variables and callee summaries that pass gives it. The one intended
+difference, a module variable whose name or comment holds ``parameter``,
+is pinned in ``tests/analysis/test_interproc.py``; generated lines say
+``parameter`` only as an attribute.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import fixtures
+from repro.analysis import facts, fixtures, interproc
 from repro.codes import CodeVersion
-from repro.fortran import generate_mas_codebase, parser
+from repro.fortran import generate_mas_codebase, parser, save_tree
+from repro.fortran.codebase import MAS_BUDGET
 from repro.fortran.frontend import load_external_tree
 from repro.fortran.parser import LineScan, apply_edits
 from repro.fortran.pipeline import build_version
@@ -159,7 +172,32 @@ FRAGMENTS = [
     "      call interp1(a)", "! call interp1(a, b, c, i, j, k)",
     "  subroutine setup_cpu()", "  end subroutine setup_cpu", "  SUBROUTINE SOLVE(x)",
     "  END SUBROUTINE SOLVE", "! subroutine only in a comment", "", "İ",
+    # the summary inputs: modules, interfaces, use edges, headers, ends
+    "module knobs", "  MODULE Knobs", "  module procedure bump", "end module knobs",
+    "  END MODULE", "contains", "  CONTAINS", "  interface", "  abstract interface",
+    "  INTERFACE solve", "  end interface", "  use knobs", "  use knobs, only: gain",
+    "  use knobs, only: g => gain", "  USE, intrinsic :: iso_fortran_env",
+    "  pure function f(x) result(y)", "  real(kind=8) function g(a, b)",
+    "  elemental subroutine h(a)", "  subroutine bump(a, b)", "  end function f",
+    "  end subroutine bump", "  end", "! use and module only in a comment",
+    # declarations (`parameter` only as an attribute)
+    "  real :: gain, nsteps(3)", "  integer, intent(in) :: a",
+    "  real, intent(inout) :: b(:)", "  real, parameter :: pi = 3.14",
+    "  REAL, PARAMETER :: tau = 6.28", "  type(state_t), intent(out) :: s",
+    "  real, allocatable :: buf(:)", "  integer :: k ! a comment :: here",
+    # effects, bare and behind a one-line if, and statements near them
+    "  write(*,*) gain", "  print *, a", "  read(5, *) b", "  open(unit=7, file='x')",
+    "  close(7)", "  backspace 7", "  flush(7)", "  inquire(unit=7, opened=b)",
+    "  rewind 7", "  endfile 7", "  stop", "  error stop 'bad'", "  STOP 1",
+    "  allocate(buf(10))", "  deallocate(buf)", "  DEALLOCATE (gain)",
+    "  if (a > 0) stop", "  if (b(1) < 0) write(*,*) b", "  if (a == 1) call bump(a, b)",
+    "  if (a == 2) gain = 0", "  if (a .eq. 3) allocate(buf(3))", "  gain = gain + a",
+    "  nsteps(1) = 2", "  b = a * pi", "  call bump(gain, a)", "  writes = 1",
+    "  stopped = gain", "  reader = k",
 ]
+
+#: The letters ``re.I`` folds a non-ASCII letter onto, and those letters.
+LOOKALIKES = {"s": "ſ", "S": "ſ", "i": "ıİ", "I": "ıİ", "k": "K", "K": "K"}
 
 #: The manually inlined routine, so generated calls have something to inline.
 INTERP1 = SourceFile("interp.f90", [
@@ -186,6 +224,10 @@ def decorated_lines(draw) -> str:
     if draw(st.booleans()):  # an İ somewhere before the keyword, or after it
         at = draw(st.integers(0, len(line)))
         line = line[:at] + "İ" + line[at:]
+    spots = [k for k, ch in enumerate(line) if ch in LOOKALIKES]
+    if spots and draw(st.booleans()):  # one letter spelled as its look-alike
+        at = draw(st.sampled_from(spots))
+        line = line[:at] + draw(st.sampled_from(LOOKALIKES[line[at]])) + line[at + 1:]
     return line
 
 
@@ -229,6 +271,136 @@ class TestScansOnGeneratedFiles:
     def test_directed_cases(self, lines):
         for name, (new, old) in SCANS.items():
             assert outcome(new, lines) == outcome(old, lines), name
+
+
+# -- the analyzer's summary inputs ---------------------------------------------
+
+
+def summary_part(file: SourceFile) -> facts.FileFacts:
+    """The summary part of ``file``'s fact sheet, as the analyzer builds it."""
+    return facts._summary_part(file, LineScan(file.lines))
+
+
+def reference_summary_part(file: SourceFile) -> facts.FileFacts:
+    """The same, from the per-line scans (the call sites read rows already)."""
+    index = ref.index_fragment(file)
+    calls = facts._call_sites(file, LineScan(file.lines))
+    blocks = tuple(ref._scan_block(file, sym, calls) for sym in index.routines)
+    return facts.FileFacts(
+        file.name, index, calls, blocks, ref._file_module_variables(file)
+    )
+
+
+def summary_parts_agree(cb: Codebase) -> None:
+    for f in cb.files:
+        assert summary_part(f) == reference_summary_part(f), (cb.name, f.name)
+
+
+def effect_scans_agree(cb: Codebase) -> int:
+    """Summarize ``cb`` from scratch, holding every effect scan equal to
+    the per-line one on the same block, visible map and callee summaries;
+    the number of scans."""
+    scans = 0
+    scan_effects = interproc._scan_effects
+
+    def checked(cb, block, visible, callees):
+        nonlocal scans
+        got = scan_effects(cb, block, visible, callees)
+        assert got == ref._scan_effects(cb, block, visible, callees), block.sym.name
+        scans += 1
+        return got
+
+    interproc.clear_summary_cache()
+    try:
+        with mock.patch.object(interproc, "_scan_effects", checked):
+            interproc.summarize(cb)
+    finally:
+        interproc.clear_summary_cache()
+    return scans
+
+
+@pytest.fixture(scope="module")
+def lint_tree(tmp_path_factory) -> Codebase:
+    """The 16,000-line tree the ``lint_tree`` benchmark lints, read back
+    through the front end as the benchmark reads it."""
+    root = tmp_path_factory.mktemp("lint_tree")
+    budget = replace(MAS_BUDGET, total_lines_code1=16000)
+    save_tree(generate_mas_codebase(budget), root / "tree")
+    return load_external_tree(root / "tree").codebase
+
+
+class TestSummaryInputsEqualPerLineScans:
+    def test_summary_parts_on_every_file_of_every_tree(self, trees, lint_tree):
+        for cb in [*trees, lint_tree]:
+            summary_parts_agree(cb)
+        assert sum(
+            len(summary_part(f).index.routines) for f in lint_tree.files
+        ) == 51
+
+    def test_effect_scans_on_every_tree(self, trees, lint_tree):
+        scans = {cb.name: effect_scans_agree(cb) for cb in [*trees, lint_tree]}
+        assert scans["tree"] == 51 and scans["interproc"] > 0
+
+    def test_the_trees_reach_what_the_gates_skip(self, trees):
+        """Effects, ``!$acc routine`` lines and module variables occur; the
+        generated files below add ``stop`` and ``allocate``."""
+        results = [interproc.summarize(cb) for cb in trees]
+        summaries = [s for r in results for s in r.summaries.values()]
+        assert {"io", "global-write"} <= {e.kind for s in summaries for e in s.effects}
+        assert sum(s.acc_routine for s in summaries) > 0
+        assert any(vs for r in results for sheet in r.facts for _m, vs in sheet.module_vars)
+
+
+@st.composite
+def module_codebases(draw) -> Codebase:
+    """A module with generated spec and body lines, and a file that uses
+    it: each file may close early or nest, as the generated lines say."""
+    chunk = st.lists(decorated_lines(), max_size=6)
+    knobs = [*draw(chunk), "module knobs", *draw(chunk), "contains",
+             "  subroutine bump(a, b)", *draw(chunk), "  end subroutine bump",
+             *draw(chunk), "end module knobs"]
+    user = ["subroutine user(x, y)", "  use knobs", *draw(chunk),
+            "  call bump(x, y)", *draw(chunk), "end subroutine user", *draw(chunk)]
+    return Codebase("t", [SourceFile("knobs.f90", knobs), SourceFile("user.f90", user)])
+
+
+class TestSummaryInputsOnGeneratedFiles:
+    @given(files)
+    @settings(max_examples=300, deadline=None)
+    def test_summary_parts(self, lines):
+        summary_parts_agree(Codebase("t", [SourceFile("t.f90", lines)]))
+
+    @given(module_codebases())
+    @settings(max_examples=300, deadline=None)
+    def test_summary_parts_and_effect_scans(self, cb):
+        summary_parts_agree(cb)
+        effect_scans_agree(cb)
+
+    @pytest.mark.parametrize("body", [
+        ["  ſtop"], ["  wrıte(*,*) gain"], ["  bacKspace 7"], ["  prİnt *, a"],
+        ["  if (a > 0) ſtop"], ["  deallocate(gain)"], ["  eRRor ſtop 'x'"],
+        ["  İ = 1", "  real :: gain"], ["  gain = 1 ! stop"],
+    ], ids=["long-s", "dotless-i", "kelvin", "dotted-i", "guarded-long-s",
+            "deallocate-global", "error-stop", "dotted-i-head", "comment"])
+    def test_directed_bodies(self, body):
+        knobs = ["module knobs", "  real :: gain", "contains", "  subroutine bump(a, b)",
+                 *body, "  end subroutine bump", "end module knobs"]
+        cb = Codebase("t", [SourceFile("knobs.f90", knobs)])
+        summary_parts_agree(cb)
+        assert effect_scans_agree(cb) == 1
+
+    def test_a_routine_directive_after_the_declaration_part(self):
+        lines = ["  subroutine f(x)", "  real :: x", "  call g(x)", "!$acc routine seq",
+                 "  end subroutine f", "  subroutine e()", "  endsubroutine e",
+                 "  subroutine h(y)", "  ! end", "!$ACC ROUTINE seq",
+                 "  end subroutine h", "  subroutine k()", "  do i = 1, 2", "!$acc routine", "  enddo",
+                 "  end subroutine k", "  subroutine m()", "  contains",
+                 "!$acc routine seq", "  end subroutine m"]
+        f = SourceFile("t.f90", lines)
+        assert summary_part(f) == reference_summary_part(f)
+        assert [s.acc_routine for s in summary_part(f).index.routines] == [
+            False, False, True, False, False,
+        ]
 
 
 # -- the keyword search itself -------------------------------------------------
