@@ -270,7 +270,8 @@ def _file_module_variables(
     Only module, contains and end-module lines change the state, and only
     a line holding ``::`` declares (:func:`declared_entities`), so only
     the lines of ``scan`` holding one of these are visited. A declaration
-    whose attributes (the part before ``::``) say ``parameter`` declares a
+    whose attribute list (the entries before ``::`` after the type spec,
+    split at commas outside parentheses) holds ``parameter`` declares a
     named constant, not a variable.
     """
     out: dict[str, set[str]] = {}
@@ -296,8 +297,8 @@ def _file_module_variables(
             current = "" if kind is LineKind.MODULE_END else current
             continue
         if in_spec and current:
-            attrs = line.split("!", 1)[0].split("::", 1)[0]
-            if "parameter" not in attrs.lower():
+            attrs = _split_top_commas(line.split("!", 1)[0].split("::", 1)[0])
+            if "parameter" not in (a.lower() for a in attrs[1:]):
                 out[current].update(declared_entities(line))
     return tuple((m, frozenset(vs)) for m, vs in out.items())
 

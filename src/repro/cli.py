@@ -361,7 +361,11 @@ def _port_external(args: argparse.Namespace) -> int:
     target = PortTarget(args.to)
     with _telemetry_session(args):
         if args.path:
-            res = load_external_tree(args.path)
+            try:
+                res = load_external_tree(args.path)
+            except (NotADirectoryError, ValueError) as exc:  # no tree there
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             for d in res.diagnostics:
                 print(f"  {d.render()}")
             cb = res.codebase
@@ -575,15 +579,20 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_codebases(args: argparse.Namespace) -> list:
+def _lint_codebases(args: argparse.Namespace) -> list | None:
     """The ``(codebase, frontend findings, parse census)`` triples one
-    ``repro lint`` invocation covers."""
+    ``repro lint`` invocation covers, or None after one line on stderr
+    when a path holds no Fortran tree (the caller exits 2)."""
     if getattr(args, "paths", None):
         from repro.fortran.frontend import load_external_tree
 
         out = []
         for path in args.paths:
-            res = load_external_tree(path)
+            try:
+                res = load_external_tree(path)
+            except (NotADirectoryError, ValueError) as exc:  # no tree there
+                print(f"error: {exc}", file=sys.stderr)
+                return None
             out.append((res.codebase, res.diagnostics, res.census))
         return out
     if args.fixtures:
@@ -623,6 +632,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     with _telemetry_session(args):
         triples = _lint_codebases(args)
+        if triples is None:
+            return 2
         if args.call_graph:
             from repro.analysis.interproc import (
                 callgraph_dot,

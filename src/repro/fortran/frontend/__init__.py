@@ -29,7 +29,7 @@ from repro.fortran.frontend.lower import (
     restore_opaque,
 )
 from repro.fortran.frontend.normalize import normalize_file, normalize_tree
-from repro.fortran.frontend.resolve import ModuleIndex, RoutineSym, build_index
+from repro.fortran.frontend.resolve import ModuleIndex, RoutineSym
 
 __all__ = [
     "FrontendResult",
@@ -37,7 +37,6 @@ __all__ = [
     "ParseCensus",
     "ParseFileCensus",
     "RoutineSym",
-    "build_index",
     "load_external_tree",
     "lower_tree",
     "normalize_file",

@@ -8,6 +8,16 @@ replaced -- in place, line-count preserved -- by opaque comment lines, each one
 recorded as an ``FE001`` diagnostic, and the per-file parse census makes
 the degradation rate observable (the ``parse_errors_total`` metric
 counts it in telemetry sessions).
+
+One :class:`~repro.fortran.parser.LineScan` of the normalized file serves
+each pass until a pass edits the lines: the undecoded-bytes check reads
+its text, the unknown-directive pass its parsed directives (which the
+structural parsers then reuse), the interface pass its ``nterface`` rows,
+the DC-header repair its DC headers and the census its opaque and
+directive rows. A pass that edits leaves a new scan to the next.
+:func:`lower_tree` joins the symbol index from the index fragments of the
+fact sheets :func:`lower_file` built or found, so no file is scanned again
+for it.
 """
 
 from __future__ import annotations
@@ -17,13 +27,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.findings import Finding
-from repro.fortran.directives import is_directive_line, try_parse_directive
 from repro.fortran.frontend.normalize import normalize_tree
 from repro.fortran.frontend.resolve import (
     _END_INTERFACE_RE,
     _INTERFACE_RE,
+    IndexFragment,
     ModuleIndex,
-    build_index,
+    join_index,
 )
 from repro.fortran.parser import (
     LineScan,
@@ -133,11 +143,11 @@ def _neutralize(file: SourceFile, i: int, diags: list[Finding], reason: str) -> 
     )
 
 
-def _note_undecoded_bytes(file: SourceFile, diags: list[Finding]) -> None:
+def _note_undecoded_bytes(file: SourceFile, scan: LineScan, diags: list[Finding]) -> None:
     """One FE001 note at the first line holding bytes that are not UTF-8.
     The line is analyzed as it is, and written back byte for byte."""
-    text = "\n".join(file.lines)
-    m = _UNDECODED_RE.search(text)
+    text = scan.text
+    m = None if text.isascii() else _UNDECODED_RE.search(text)
     if m is not None:
         i = text.count("\n", 0, m.start())
         diags.append(Finding(
@@ -147,36 +157,48 @@ def _note_undecoded_bytes(file: SourceFile, diags: list[Finding]) -> None:
         ))
 
 
-def _neutralize_unknown_directives(file: SourceFile, diags: list[Finding]) -> None:
-    for i, ln in enumerate(file.lines):
-        if is_directive_line(ln) and try_parse_directive(ln) is None:
-            _neutralize(file, i, diags, "unsupported directive")
+def _neutralize_unknown_directives(
+    file: SourceFile, scan: LineScan, diags: list[Finding]
+) -> bool:
+    """Make each ``!$acc`` line that does not parse opaque; True if any."""
+    bad = [i for i, d in scan.directives.items() if d is None]
+    for i in bad:
+        _neutralize(file, i, diags, "unsupported directive")
+    return bool(bad)
 
 
-def _neutralize_interface_blocks(file: SourceFile) -> None:
+def _neutralize_interface_blocks(file: SourceFile, scan: LineScan) -> bool:
     """Interface blocks declare, they don't define: make them opaque.
 
     No FE001 -- this is the intended handling, not a parse failure -- but
-    the lines count as opaque in the census.
+    the lines count as opaque in the census. A block's first and last
+    lines hold ``nterface`` once lower-cased: ``re.I`` also reads ``ı``
+    as ``i``, which ``lower()`` keeps, so the search leaves the ``i`` out.
+    Returns True if a block was found.
     """
-    in_block = False
-    for i, ln in enumerate(file.lines):
-        if not in_block and _INTERFACE_RE.match(ln):
-            in_block = True
-        if in_block:
-            ended = bool(_END_INTERFACE_RE.match(ln))
-            file.lines[i] = f"{OPAQUE_PREFIX}{ln.rstrip()}"
-            if ended:
-                in_block = False
+    lines = file.lines
+    rows = scan.rows("nterface", fold=True)
+    end = -1  # the last line of the last block
+    for k, start in enumerate(rows):
+        if start <= end or not _INTERFACE_RE.match(lines[start]):
+            continue
+        end = next(
+            (i for i in rows[k:] if _END_INTERFACE_RE.match(lines[i])), len(lines) - 1
+        )
+        for i in range(start, end + 1):
+            lines[i] = f"{OPAQUE_PREFIX}{lines[i].rstrip()}"
+    return end >= 0
 
 
-def _repair_dc_headers(file: SourceFile, diags: list[Finding]) -> None:
-    """Replace DC headers the clause splitter chokes on with a bare ``do``.
+def _repair_dc_headers(file: SourceFile, scan: LineScan, diags: list[Finding]) -> bool:
+    """Replace DC headers the clause splitter chokes on with a bare ``do``;
+    True if any.
 
     A bare ``do`` keeps the do/enddo nesting balanced (unlike commenting
     the header out), so enclosing walkers stay correct.
     """
-    for i in LineScan(file.lines).dc_headers:
+    repaired = False
+    for i in scan.dc_headers:
         ln = file.lines[i]
         try:
             split_paren_args(ln)
@@ -188,34 +210,39 @@ def _repair_dc_headers(file: SourceFile, diags: list[Finding]) -> None:
                         f"unsupported do concurrent header: "
                         f"{shown(orig.strip()[:100])}")
             )
+            repaired = True
+    return repaired
 
 
 def _repair_structure(
-    file: SourceFile, diags: list[Finding]
-) -> list[ParallelRegion] | None:
+    file: SourceFile, scan: LineScan, diags: list[Finding]
+) -> tuple[list[ParallelRegion] | None, LineScan]:
     """Neutralize lines until the structural region parsers succeed.
 
     Every parser ValueError names its 0-based culprit line; neutralizing
-    it strictly shrinks the problem, so this terminates. Returns the
-    file's parallel regions, or None when no culprit can be extracted
-    (caller degrades the whole file).
+    it strictly shrinks the problem, so this terminates. Both parsers read
+    ``scan``, the current lines' scan, and each neutralized line calls for
+    a new one. Returns the file's parallel regions, or None when no
+    culprit can be extracted (caller degrades the whole file), with the
+    scan of the lines as they are left.
     """
     for _ in range(file.line_count + 1):
         try:
-            regions = find_parallel_regions(file)
-            find_kernels_regions(file)
-            return regions
+            regions = find_parallel_regions(file, scan)
+            find_kernels_regions(file, scan)
+            return regions, scan
         except ValueError as exc:
             m = _CULPRIT_RE.search(str(exc))
             if m is None:
-                return None
+                return None, scan
             culprit = int(m.group(1))
             if not (0 <= culprit < file.line_count):
-                return None
+                return None, scan
             if file.lines[culprit].lstrip().startswith("!"):
-                return None  # already neutral and still failing: bail out
+                return None, scan  # already neutral and still failing: bail out
             _neutralize(file, culprit, diags, "unsupported construct")
-    return None
+            scan = LineScan(file.lines)
+    return None, scan
 
 
 def _degrade_whole_file(file: SourceFile, diags: list[Finding], why: str) -> None:
@@ -229,36 +256,48 @@ def _degrade_whole_file(file: SourceFile, diags: list[Finding], why: str) -> Non
 
 def lower_file(
     file: SourceFile, *, joined_lines: int = 0
-) -> tuple[list[Finding], ParseFileCensus]:
+) -> tuple[list[Finding], ParseFileCensus, IndexFragment]:
     """Lower one (already normalized) file in place; never raises.
 
     The check that analysis cannot crash builds the file's fact sheet from
     the regions structural recovery found; the lint that follows reuses it.
+    Returns the file's diagnostics, its census row and the index fragment
+    of the sheet of its lowered lines (a degraded file's sheet is looked
+    up for the lines the degrade left).
     """
-    from repro.analysis.facts import file_facts
+    from repro.analysis.facts import file_facts, summary_facts
 
     diags: list[Finding] = []
-    _note_undecoded_bytes(file, diags)
-    _neutralize_unknown_directives(file, diags)
-    _neutralize_interface_blocks(file)
-    _repair_dc_headers(file, diags)
-    regions = _repair_structure(file, diags)
+    scan = LineScan(file.lines)
+    _note_undecoded_bytes(file, scan, diags)
+    if _neutralize_unknown_directives(file, scan, diags):
+        scan = LineScan(file.lines)
+    if _neutralize_interface_blocks(file, scan):
+        scan = LineScan(file.lines)
+    if _repair_dc_headers(file, scan, diags):
+        scan = LineScan(file.lines)
+    regions, scan = _repair_structure(file, scan, diags)
+    sheet = None
     if regions is None:
         _degrade_whole_file(file, diags, "structural recovery failed")
     else:
         try:
-            file_facts(file, regions).checked()
+            sheet = file_facts(file, regions)
+            sheet.checked()
         except Exception as exc:  # belt and braces: analysis must not crash
             _degrade_whole_file(file, diags, f"analysis failed ({type(exc).__name__})")
-    opaque = sum(1 for ln in file.lines if "repro-fe opaque:" in ln)
+            sheet = None
+    if sheet is None:
+        scan = LineScan(file.lines)
+        sheet = summary_facts(file)
     census = ParseFileCensus(
         name=file.name,
         total_lines=file.line_count,
-        opaque_lines=opaque,
+        opaque_lines=len(scan.rows("repro-fe opaque:")),
         joined_lines=joined_lines,
-        directive_lines=sum(1 for ln in file.lines if is_directive_line(ln)),
+        directive_lines=len(scan.directives),
     )
-    return diags, census
+    return diags, census, sheet.index
 
 
 def _record_parse_errors(diags: list[Finding], source: str) -> None:
@@ -277,15 +316,17 @@ def lower_tree(cb: Codebase) -> FrontendResult:
     joined = normalize_tree(cb)
     diags: list[Finding] = []
     census = ParseCensus()
+    fragments: list[IndexFragment] = []
     for file in cb.files:
-        file_diags, file_census = lower_file(
+        file_diags, file_census, fragment = lower_file(
             file, joined_lines=joined.get(file.name, 0)
         )
         diags.extend(file_diags)
         census.files.append(file_census)
+        fragments.append(fragment)
     _record_parse_errors(diags, source=cb.name)
     return FrontendResult(
-        codebase=cb, diagnostics=diags, census=census, index=build_index(cb)
+        codebase=cb, diagnostics=diags, census=census, index=join_index(fragments)
     )
 
 

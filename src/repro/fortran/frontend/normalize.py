@@ -4,6 +4,15 @@ Every transformation here replaces lines in place -- the physical line
 count of a file never changes, so line numbers in findings, fixes and
 the census all refer to the on-disk source. Joined continuations leave
 filler comment lines behind; nothing is deleted.
+
+A pass visits only the lines it can change, found in a
+:class:`~repro.fortran.parser.LineScan` of the lines as the pass starts.
+Line endings are cleaned over the file's text (``expandtabs`` resets its
+column at every newline, so the text expands as its lines do). The
+sentinel and directive-continuation passes read the ``$`` rows, as every
+sentinel holds one; a statement continuation starts only on an ``&`` row,
+as its head ends in one. The fixed-form passes, for the rare ``.f``
+files, visit every line.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 import re
 
 from repro.fortran.directives import is_directive_line
+from repro.fortran.parser import LineScan
 from repro.fortran.source import Codebase, SourceFile
 
 #: What a consumed continuation line is replaced with. Starts with ``!``
@@ -37,9 +47,11 @@ def _is_code_line(line: str) -> bool:
 
 
 def _normalize_endings(lines: list[str]) -> None:
-    """Strip CRLF remnants and trailing whitespace, expand tabs."""
-    for i, ln in enumerate(lines):
-        lines[i] = ln.replace("\r", "").expandtabs(4).rstrip()
+    """Strip CRLF remnants and trailing whitespace, expand tabs: over the
+    file's text, since ``expandtabs`` resets its column at every newline."""
+    if lines:
+        text = "\n".join(lines).replace("\r", "").expandtabs(4)
+        lines[:] = [ln.rstrip() for ln in text.split("\n")]
 
 
 def _normalize_sentinels(lines: list[str]) -> None:
@@ -50,7 +62,8 @@ def _normalize_sentinels(lines: list[str]) -> None:
     is semantics-preserving and makes them all hit. OpenMP sentinels stay
     untouched -- they are plain comments to this front end.
     """
-    for i, ln in enumerate(lines):
+    for i in LineScan(lines).rows("$"):
+        ln = lines[i]
         if _SENTINEL_RE.match(ln) and not _OMP_SENTINEL_RE.match(ln):
             lines[i] = ln.lower()
 
@@ -63,7 +76,8 @@ def _join_directive_continuations(lines: list[str]) -> None:
     ``!$acc& collapse(2)`` -- the two-line shape the canonical parser
     already understands, without moving any text across lines.
     """
-    for i, ln in enumerate(lines):
+    for i in LineScan(lines).rows("$"):
+        ln = lines[i]  # as an earlier continuation may have left it
         if not is_directive_line(ln):
             continue
         if not ln.rstrip().endswith("&"):
@@ -88,14 +102,11 @@ def _join_statement_continuations(lines: list[str]) -> int:
     preserved. Returns the number of lines joined away.
     """
     joined = 0
-    i = 0
-    while i < len(lines):
-        line = lines[i]
+    for i in LineScan(lines).rows("&"):
+        line = lines[i]  # a line a head consumed is a filler comment now
         if not _is_code_line(line) or is_directive_line(line):
-            i += 1
             continue
         if not _code_part(line).rstrip().endswith("&"):
-            i += 1
             continue
         head = _code_part(line).rstrip()[:-1].rstrip()
         j = i + 1
@@ -117,7 +128,6 @@ def _join_statement_continuations(lines: list[str]) -> int:
             if not more:
                 break
         lines[i] = head
-        i = j
     return joined
 
 

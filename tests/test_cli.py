@@ -432,6 +432,22 @@ class TestExternalTrees:
     def test_port_external_requires_target(self, capsys):
         assert main(["port", self.CORPUS]) == 2
 
+    @pytest.mark.parametrize("command", [["lint"], ["port", "--to", "dc"]])
+    @pytest.mark.parametrize("bad", ["missing", "file", "empty"])
+    def test_a_path_without_a_tree_is_one_line_and_exit_2(
+        self, command, bad, tmp_path, capsys
+    ):
+        """Exit 1 is lint's "found an error"; a path that holds no Fortran
+        tree is a bad argument, reported like a bad configuration."""
+        path = {"missing": tmp_path / "no" / "such", "file": tmp_path / "one.f90",
+                "empty": tmp_path / "empty"}[bad]
+        (tmp_path / "one.f90").write_text("program p\nend program p\n")
+        (tmp_path / "empty").mkdir()
+        assert main([command[0], str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_port_incremental_vendored(self, capsys):
         assert main(["port", "--to", "acc-opt", "--incremental"]) == 0
         out = capsys.readouterr().out
