@@ -270,7 +270,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.mas.model import ModelConfig
     from repro.obs.summary import member_table
-    from repro.obs.telemetry import current as _current_telemetry
+    from repro.obs.telemetry import SWEEP_FILE, current as _current_telemetry
 
     version = CodeVersion[args.version]
     try:
@@ -322,7 +322,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     }
     targets = []
     if args.telemetry:
-        targets.append(Path(args.telemetry) / "sweep.json")
+        targets.append(Path(args.telemetry) / SWEEP_FILE)
     if args.manifest:
         targets.append(Path(args.manifest))
     for target in targets:
@@ -431,39 +431,32 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_telemetry(args: argparse.Namespace) -> int:
     from repro.obs.summary import summarize_dir
 
+    if args.explain and not args.compare:
+        print("error: --explain needs --compare A B", file=sys.stderr)
+        return 2
+    if not args.compare and args.dir is None:
+        print("error: a telemetry DIR (or --compare A B) is required", file=sys.stderr)
+        return 2
     try:
-        if args.explain and not args.compare:
-            print("error: --explain needs --compare A B", file=sys.stderr)
-            return 2
-        if args.compare:
+        if args.compare and args.explain:
+            from repro.obs.explain import explain_dirs, render_explain
+
             a_dir, b_dir = args.compare
-            if args.explain:
-                from repro.obs.explain import explain_dirs, render_explain
+            print(render_explain(explain_dirs(a_dir, b_dir), a_name=a_dir, b_name=b_dir))
+        elif args.compare:
+            from repro.obs.compare import compare_metrics, load_metrics, render_compare
 
-                exp = explain_dirs(a_dir, b_dir)
-                print(render_explain(exp, a_name=a_dir, b_name=b_dir))
-                return 0
-            from repro.obs.compare import (
-                compare_metrics,
-                load_metrics,
-                render_compare,
-            )
-
+            a_dir, b_dir = args.compare
             try:
                 a, b = load_metrics(a_dir), load_metrics(b_dir)
             except ValueError as exc:  # there, but not a snapshot
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
-            deltas = compare_metrics(a, b)
-            print(render_compare(deltas, a_name=a_dir, b_name=b_dir))
-            return 0
-        if args.dir is None:
-            print("error: a telemetry DIR (or --compare A B) is required",
-                  file=sys.stderr)
-            return 2
-        if args.chrome_trace:
+            print(render_compare(compare_metrics(a, b), a_name=a_dir, b_name=b_dir))
+        elif args.chrome_trace:
             return _export_chrome_trace(args.dir, args.chrome_trace)
-        print(summarize_dir(args.dir))
+        else:
+            print(summarize_dir(args.dir))
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -473,88 +466,76 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
 def _export_chrome_trace(tel_dir: str, out: str) -> int:
     """A finalized directory's event record and spans as the Chrome trace
     a live session would export."""
-    from pathlib import Path
-
-    from repro.obs import telemetry as tmod
-    from repro.obs.events import EventRecord
-    from repro.obs.summary import _read_jsonl
+    from repro.obs.reader import TelemetryDir
     from repro.perf.trace_export import write_chrome_trace
 
-    d = Path(tel_dir)
+    tel = TelemetryDir(tel_dir)
+    events = tel.stream("events")
     try:
-        record = EventRecord.load(d / tmod.EVENTS_FILE)
-        path = write_chrome_trace(record, out, spans=_read_jsonl(d / tmod.SPANS_FILE))
+        path = write_chrome_trace(events.required(), out, spans=tel.lines("spans"))
     except ValueError as exc:
-        print(f"error: cannot export {tmod.EVENTS_FILE} in {d}: {exc}", file=sys.stderr)
+        print(f"error: cannot export {events.name} in {tel.path}: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {path} ({path.stat().st_size} bytes; open at https://ui.perfetto.dev)")
     return 0
 
 
+def _sweep_fallback(tel, where: str, reason: str, error: str) -> int:
+    """A sweep directory's batched-kernel trace has no per-rank critical
+    path: show its per-member convergence instead (``error``, exit 1,
+    when there is no sweep manifest). A damaged manifest is one error
+    line; member rows that are not objects are skipped."""
+    from repro.obs.summary import member_table
+
+    sweep = tel.stream("sweep")
+    rows = (sweep.value or {}).get("member_rows") or []
+    if sweep.missing:
+        print(f"error: {error}", file=sys.stderr)
+    elif sweep.value is None:
+        print(f"error: unreadable {sweep.name} in {where}: not a JSON object", file=sys.stderr)
+    elif not isinstance(rows, list):
+        print(f"error: {sweep.name} in {where}: member_rows is not a list", file=sys.stderr)
+    else:
+        print(f"(sweep telemetry directory: {reason}; showing per-member convergence instead)")
+        rows = [row for row in rows if isinstance(row, dict)]
+        if rows:
+            print(member_table(rows))
+        return 0
+    return 1
+
+
 def cmd_critpath(args: argparse.Namespace) -> int:
     from repro.obs.critpath import analyze_record, render_result, results_to_json
-    from repro.obs.events import EventRecord
+    from repro.obs.reader import TelemetryDir, skipped_note
     from repro.perf.roofline import (
         DEFAULT_SOL_THRESHOLD,
         peaks_from_manifest,
         render_roofline,
         roofline_from_metrics,
     )
-    from repro.obs.summary import _read_json, _read_jsonl, member_table, skipped_note
-    from repro.obs import telemetry as tmod
-    from pathlib import Path
 
-    def _sweep_fallback(reason: str) -> int | None:
-        """Sweep telemetry dirs carry aggregate batched-kernel traces that
-        have no per-rank critical path; degrade to the per-member summary
-        instead of a hard error. A damaged sweep.json is one error line;
-        member rows that are not objects are skipped."""
-        sweep_file = Path(args.dir) / "sweep.json"
-        if not sweep_file.exists():
-            return None
-        sweep = _read_json(sweep_file)
-        if sweep is None:
-            print(f"error: unreadable sweep.json in {args.dir}: not a JSON object",
-                  file=sys.stderr)
-            return 1
-        rows = sweep.get("member_rows") or []
-        if not isinstance(rows, list):
-            print(f"error: sweep.json in {args.dir}: member_rows is not a list",
-                  file=sys.stderr)
-            return 1
-        print(f"(sweep telemetry directory: {reason}; "
-              "showing per-member convergence instead)")
-        rows = [row for row in rows if isinstance(row, dict)]
-        if rows:
-            print(member_table(rows))
-        return 0
-
-    d = Path(args.dir)
     try:
-        record = EventRecord.load(d / tmod.EVENTS_FILE)
+        tel = TelemetryDir(args.dir)
     except FileNotFoundError as exc:
-        fb = _sweep_fallback(str(exc))
-        if fb is not None:
-            return fb
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: unreadable {tmod.EVENTS_FILE} in {args.dir}: {exc}",
-              file=sys.stderr)
+    events = tel.stream("events")
+    if events.missing:
+        missing = f"no {events.name} in {tel.path}"
+        return _sweep_fallback(tel, args.dir, missing, missing)
+    if events.error is not None:
+        print(f"error: unreadable {events.name} in {args.dir}: {events.error}", file=sys.stderr)
         return 1
-    spans = _read_jsonl(d / tmod.SPANS_FILE)
+    spans = tel.lines("spans")
     if spans.skipped:
-        print(f"note: {skipped_note(tmod.SPANS_FILE, spans)}", file=sys.stderr)
-    results = analyze_record(record, spans=spans)
+        print(f"note: {skipped_note(spans)}", file=sys.stderr)
+    results = analyze_record(events.value, spans=spans)
     if not results:
-        fb = _sweep_fallback("trace has no per-rank profiler events")
-        if fb is not None:
-            return fb
-        print("error: trace has no per-rank profiler events to analyze",
-              file=sys.stderr)
-        return 1
+        reason = "trace has no per-rank profiler events"
+        return _sweep_fallback(tel, args.dir, reason, f"{reason} to analyze")
     if args.json:
         import json as _json
+        from pathlib import Path
 
         payload = results_to_json(results)
         Path(args.json).write_text(_json.dumps(payload, indent=2) + "\n")
@@ -562,17 +543,12 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     for result in results.values():
         print(render_result(result, top=args.top))
         print()
-    manifest = _read_json(d / tmod.MANIFEST_FILE)
-    metrics = _read_json(d / tmod.METRICS_JSON_FILE)
-    peaks = peaks_from_manifest(manifest or {})
+    metrics = tel.stream("metrics").value
+    peaks = peaks_from_manifest(tel.stream("manifest").value)
     if peaks is not None and metrics:
         rows = roofline_from_metrics(metrics, peaks)
         if rows:
-            threshold = (
-                args.sol_threshold
-                if args.sol_threshold is not None
-                else DEFAULT_SOL_THRESHOLD
-            )
+            threshold = DEFAULT_SOL_THRESHOLD if args.sol_threshold is None else args.sol_threshold
             print(render_roofline(rows, peaks, threshold=threshold))
     else:
         print("(no machine peaks / kernel counters; roofline table skipped)")

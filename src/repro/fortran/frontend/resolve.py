@@ -153,7 +153,9 @@ class IndexFragment:
 
 #: The keywords :func:`index_fragment` tests a line's ``lower()`` for
 #: before it tries a pattern: a line holding none of them is skipped.
-_INDEX_KEYWORDS = ("interface", "module", "subroutine", "function", "end", "use")
+#: ``nterface`` leaves the ``i`` out, since ``re.I`` also reads ``ı`` as
+#: ``i`` and ``lower()`` keeps it (as the front end's interface pass does).
+_INDEX_KEYWORDS = ("nterface", "module", "subroutine", "function", "end", "use")
 
 
 def index_fragment(file: SourceFile, scan: LineScan | None = None) -> IndexFragment:
@@ -180,7 +182,7 @@ def index_fragment(file: SourceFile, scan: LineScan | None = None) -> IndexFragm
     for i in rows:
         line = file.lines[i]
         low = line.lower()
-        if "interface" in low:
+        if "nterface" in low:
             if _INTERFACE_RE.match(line):
                 in_interface = True
                 continue

@@ -12,6 +12,7 @@ The observability subsystem the solver/runtime/MPI stack reports into
   record every reader takes (``events.npz``);
 * :mod:`repro.obs.telemetry` -- the session facade and the global
   :func:`current` accessor instrumented code uses;
+* :mod:`repro.obs.reader` -- the one reader of a finalized directory;
 * :mod:`repro.obs.summary` -- ``repro telemetry DIR`` table rendering;
 * :mod:`repro.obs.compare` -- ``repro telemetry --compare A B`` cross-run
   metrics diff;

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from repro.obs.reader import TelemetryDir, read_stream
 from repro.obs.runlog import json_object
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -108,17 +109,13 @@ def load_metrics(path: str | Path) -> dict:
     truncated, nested too deeply, or some other JSON value) raises one
     ValueError naming the path and why.
     """
-    from repro.obs import telemetry as tmod
-
     p = Path(path)
-    if p.is_dir():
-        p = p / tmod.METRICS_JSON_FILE
-    if not p.is_file():
-        raise FileNotFoundError(f"no metrics snapshot at {p}")
-    try:
-        return json_object(p)
-    except ValueError as exc:
-        raise ValueError(f"unreadable metrics snapshot {p}: {exc}") from None
+    snapshot = TelemetryDir(p).stream("metrics") if p.is_dir() else read_stream(p, json_object)
+    if snapshot.missing:
+        raise FileNotFoundError(f"no metrics snapshot at {snapshot.path}")
+    if snapshot.error is not None:
+        raise ValueError(f"unreadable metrics snapshot {snapshot.path}: {snapshot.error}")
+    return snapshot.value
 
 
 def _fmt(v: float | None) -> str:

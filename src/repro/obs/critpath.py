@@ -29,13 +29,13 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isfinite
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.obs.events import EventRecord, sum_by_key
+from repro.obs.reader import TelemetryDir, finite
 
 #: Category value whose time is caused by another lane (jump candidates).
 WAIT_CATEGORY = "mpi_wait"
@@ -465,7 +465,7 @@ def _phase_windows(
             s.get("depth") == 0 and name.startswith("setup/")
         )
         start, end = s.get("start"), s.get("end")
-        if not (is_phase and _finite(start) and _finite(end)):
+        if not (is_phase and finite(start) and finite(end)):
             continue
         m = span_model(s)
         if m is None and not single_model:
@@ -474,11 +474,6 @@ def _phase_windows(
             continue
         insort(windows, (float(start), float(end), name))
     return windows
-
-
-def _finite(value: Any) -> bool:
-    """Whether a JSON value is a finite number."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value)
 
 
 #: Where seconds outside every phase window accrue.
@@ -596,12 +591,8 @@ def analyze_session(tel: Any) -> dict[str, CritPathResult]:
 
 def analyze_dir(path: str | Path) -> dict[str, CritPathResult]:
     """Critical-path analysis of a finalized telemetry directory."""
-    from repro.obs import telemetry as tmod
-    from repro.obs.summary import _read_jsonl
-
-    d = Path(path)
-    record = EventRecord.load(d / tmod.EVENTS_FILE)
-    return analyze_record(record, spans=_read_jsonl(d / tmod.SPANS_FILE))
+    tel = TelemetryDir(path)
+    return analyze_record(tel.stream("events").required(), spans=tel.lines("spans"))
 
 
 # -- rendering ----------------------------------------------------------------

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from repro.obs.events import EventRecord, sum_by_key
-from repro.obs.runlog import json_object
+from repro.obs.events import sum_by_key
+from repro.obs.reader import TelemetryDir, finite, skipped_note
 
 #: Categories whose sum is "MPI time" in the paper's Fig. 3 accounting.
 MPI_CATEGORIES = ("mpi_pack", "mpi_transfer", "mpi_wait")
@@ -52,67 +52,65 @@ def load_profile(path: str | Path, *, name: str | None = None) -> RunProfile:
     """Build a :class:`RunProfile` from a finalized telemetry directory.
 
     Every stream is optional: a missing artifact degrades that axis and
-    adds a note instead of failing the whole explanation.
+    adds a note instead of failing the whole explanation. A step record
+    or phase span whose seconds are not finite numbers is skipped and
+    counted in one note per stream.
     """
-    from repro.obs import telemetry as tmod
-    from repro.obs.summary import _read_jsonl, skipped_note
+    tel = TelemetryDir(path)
+    prof = RunProfile(name=name or str(tel.path))
 
-    d = Path(path)
-    if not d.is_dir():
-        raise FileNotFoundError(f"telemetry directory {d} does not exist")
-    prof = RunProfile(name=name or str(d))
-
-    log = _read_jsonl(d / tmod.LOG_FILE)
+    log, spans = tel.lines("log"), tel.lines("spans")
     steps = [r for r in log if r.get("event") == "step"]
+    phases = [s for s in spans if s.get("depth") == 1 and s.get("end") is not None
+              and str(s.get("name", "")).startswith("step/")]
     if not steps:
-        prof.notes.append(f"no step records in {tmod.LOG_FILE}")
-    for r in steps:
-        prof.wall += float(r.get("wall", 0.0))
-        for cat, v in (r.get("categories") or {}).items():
-            prof.categories[cat] = prof.categories.get(cat, 0.0) + float(v)
-
-    spans = _read_jsonl(d / tmod.SPANS_FILE)
+        prof.notes.append(f"no step records in {log.name}")
     if not spans:
-        prof.notes.append(f"no spans in {tmod.SPANS_FILE}")
-    for s in spans:
-        if s.get("depth") == 1 and str(s.get("name", "")).startswith("step/"):
-            if s.get("end") is not None:
-                prof.phases[s["name"]] = prof.phases.get(s["name"], 0.0) + float(
-                    s.get("duration", 0.0)
-                )
-    for stream, lines in ((tmod.LOG_FILE, log), (tmod.SPANS_FILE, spans)):
+        prof.notes.append(f"no spans in {spans.name}")
+    wrong_steps = wrong_phases = 0
+    for r in steps:
+        wall, categories = r.get("wall", 0.0), r.get("categories") or {}
+        if not (finite(wall) and isinstance(categories, dict)
+                and all(map(finite, categories.values()))):
+            wrong_steps += 1
+            continue
+        prof.wall += wall
+        for cat, v in categories.items():
+            prof.categories[cat] = prof.categories.get(cat, 0.0) + v
+    for s in phases:
+        if not finite(duration := s.get("duration", 0.0)):
+            wrong_phases += 1
+            continue
+        prof.phases[s["name"]] = prof.phases.get(s["name"], 0.0) + duration
+    for lines, wrong in ((log, wrong_steps), (spans, wrong_phases)):
         if lines.skipped:
-            prof.notes.append(skipped_note(stream, lines))
+            prof.notes.append(skipped_note(lines))
+        if wrong:
+            prof.notes.append(f"skipped {wrong} record(s) of {lines.name} "
+                              "whose seconds are not finite numbers")
 
-    try:
-        metrics = json_object(d / tmod.METRICS_JSON_FILE)
-        if not metrics:
-            prof.notes.append(f"no {tmod.METRICS_JSON_FILE}")
-    except FileNotFoundError:
-        metrics = {}
-        prof.notes.append(f"no {tmod.METRICS_JSON_FILE}")
-    except (OSError, ValueError) as exc:
-        metrics = {}
-        prof.notes.append(f"unreadable {tmod.METRICS_JSON_FILE} ({exc})")
-    for sample in (metrics.get("kernel_seconds_total") or {}).get("samples", []):
+    metrics = tel.stream("metrics")
+    if metrics.error is not None:
+        prof.notes.append(f"unreadable {metrics.name} ({metrics.error})")
+    elif not metrics.value:
+        prof.notes.append(f"no {metrics.name}")
+    for sample in ((metrics.value or {}).get("kernel_seconds_total") or {}).get("samples", []):
         kernel = sample.get("labels", {}).get("kernel")
         if kernel:
-            prof.kernels[kernel] = prof.kernels.get(kernel, 0.0) + float(
-                sample.get("value", 0.0)
-            )
-    if metrics and not prof.kernels:
+            prof.kernels[kernel] = prof.kernels.get(kernel, 0.0) + float(sample.get("value", 0.0))
+    if metrics.value and not prof.kernels:
         prof.notes.append(
             "no kernel_seconds_total counters (run predates per-kernel "
             "instrumentation)"
         )
 
-    try:
-        record = EventRecord.load(d / tmod.EVENTS_FILE)
-    except FileNotFoundError:
-        prof.notes.append(f"no {tmod.EVENTS_FILE}")
-    except ValueError as exc:
-        prof.notes.append(f"unreadable {tmod.EVENTS_FILE} ({exc})")
+    events = tel.stream("events")
+    if events.missing:
+        prof.notes.append(f"no {events.name}")
+    elif events.error is not None:
+        prof.notes.append(f"unreadable {events.name} ({events.error})")
     else:
+        record = events.value
         busy = record.category != record.category_id("mpi_wait")
         for lane, seconds in sum_by_key(record.lane[busy], record.duration[busy]).items():
             prof.ranks[record.lanes[lane]] = seconds

@@ -20,7 +20,7 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 
 def _json_default(o: Any) -> Any:
@@ -51,72 +51,72 @@ def json_object(path: Path) -> dict:
     return data
 
 
-class RunLogger:
-    """Append-only structured log, serialized as JSONL.
+def to_jsonl(records: Iterable[dict[str, Any]]) -> str:
+    """One JSON object per line."""
+    return "\n".join(map(json_dumps, records))
 
-    By default records accumulate in memory and are written once at
-    session finalization. :meth:`attach_sink` turns on streaming: records
-    append to a JSONL file as they arrive (every ``flush_every_n``
-    records, or on explicit :meth:`flush`), so a run killed mid-flight
-    still leaves a parseable log -- every flushed line is a complete JSON
-    object. A record mutated *after* it was flushed keeps its old content
-    on disk until finalization rewrites the file.
-    """
 
-    def __init__(self) -> None:
-        self.records: list[dict[str, Any]] = []
-        self._sink: Path | None = None
-        self.flush_every_n = 0
-        self._flushed = 0
+class JsonlWriter:
+    """What the run log and the tracer share: streaming their records to a
+    JSONL file. :meth:`attach_sink` truncates the file; records then queue
+    and are appended every ``flush_every_n`` (or on :meth:`flush`), one
+    whole JSON object a line, so a run killed mid-flight still leaves a
+    parseable file. Finalization rewrites the file in full."""
+
+    _sink: Path | None = None
 
     def attach_sink(self, path: str | Path, *, flush_every_n: int = 0) -> None:
         """Stream records to ``path`` (truncated now), flushing every N."""
         self._sink = Path(path)
         self._sink.parent.mkdir(parents=True, exist_ok=True)
         self._sink.write_text("")
-        self.flush_every_n = flush_every_n
-        self._flushed = 0
+        self.flush_every_n, self._pending = flush_every_n, []
+
+    def _queue(self, record: dict[str, Any]) -> None:
+        self._pending.append(record)
+        if 0 < self.flush_every_n <= len(self._pending):
+            self.flush()
+
+    def flush(self) -> int:
+        """Append every record queued since the last flush; returns how many."""
+        if self._sink is None:
+            return 0
+        pending, self._pending = self._pending, []
+        if pending:
+            with self._sink.open("a") as fh:
+                fh.write(to_jsonl(pending) + "\n")
+        return len(pending)
+
+
+class RunLogger(JsonlWriter):
+    """Append-only structured log, serialized as JSONL.
+
+    By default records accumulate in memory and are written once at
+    session finalization; :meth:`attach_sink` turns on streaming. A record
+    mutated *after* it was flushed keeps its old content on disk until
+    finalization rewrites the file.
+    """
+
+    def __init__(self) -> None:
+        self.records: list[dict[str, Any]] = []
 
     def log(self, event: str, **fields: Any) -> dict[str, Any]:
         """Append one record; returns it (mutating it later is visible)."""
         rec: dict[str, Any] = {"event": event, **fields}
         self.records.append(rec)
-        if (
-            self._sink is not None
-            and self.flush_every_n > 0
-            and len(self.records) - self._flushed >= self.flush_every_n
-        ):
-            self.flush()
+        if self._sink is not None:
+            self._queue(rec)
         return rec
-
-    def flush(self) -> int:
-        """Append every not-yet-flushed record to the sink; returns count."""
-        if self._sink is None:
-            return 0
-        pending = self.records[self._flushed :]
-        if not pending:
-            return 0
-        with self._sink.open("a") as fh:
-            for r in pending:
-                fh.write(json_dumps(r) + "\n")
-        self._flushed = len(self.records)
-        return len(pending)
 
     def to_jsonl(self) -> str:
         """One JSON object per line."""
-        return "\n".join(json_dumps(r) for r in self.records)
+        return to_jsonl(self.records)
 
 
-class NullRunLogger:
-    """Logger twin for disabled telemetry."""
+class NullJsonlWriter:
+    """The streaming API of a disabled run log or tracer: nothing to write."""
 
     __slots__ = ()
-
-    records: tuple = ()
-    flush_every_n = 0
-
-    def log(self, event: str, **fields: Any) -> None:
-        return None
 
     def attach_sink(self, path: Any, *, flush_every_n: int = 0) -> None:
         return None
@@ -126,6 +126,17 @@ class NullRunLogger:
 
     def to_jsonl(self) -> str:
         return ""
+
+
+class NullRunLogger(NullJsonlWriter):
+    """Logger twin for disabled telemetry."""
+
+    __slots__ = ()
+
+    records: tuple = ()
+
+    def log(self, event: str, **fields: Any) -> None:
+        return None
 
 
 NULL_LOGGER = NullRunLogger()

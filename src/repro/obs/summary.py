@@ -10,57 +10,11 @@ where did the time go" view without opening Perfetto.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-from repro.obs import telemetry as tmod
-from repro.obs.events import EventRecord
-from repro.obs.runlog import json_object
+from repro.obs.reader import JsonLines, TelemetryDir, skipped_note
 from repro.util.tables import Table
-
-
-class JsonLines(list):
-    """The JSON objects of a JSONL stream, in file order; ``skipped``
-    counts the lines that were not UTF-8 or not a JSON object."""
-
-    skipped = 0
-
-
-def skipped_note(name: str, lines: JsonLines) -> str:
-    """The one note a damaged JSONL stream gets, naming it and the count."""
-    return f"skipped {lines.skipped} line(s) of {name} that are not UTF-8 or not a JSON object"
-
-
-def _read_json(path: Path) -> dict | None:
-    """The JSON object in ``path``; None when the file is missing or is
-    not a readable JSON object."""
-    try:
-        return json_object(path)
-    except (OSError, ValueError):
-        return None
-
-
-def _read_jsonl(path: Path) -> JsonLines:
-    """The JSON objects of a JSONL file, one per line, read as bytes. A
-    line that is not UTF-8 or not a JSON object is skipped and counted; a
-    missing file has no lines."""
-    out = JsonLines()
-    if not path.is_file():
-        return out
-    for line in path.read_bytes().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line.decode("utf-8"))
-        except (ValueError, RecursionError):
-            obj = None
-        if isinstance(obj, dict):
-            out.append(obj)
-        else:
-            out.skipped += 1
-    return out
 
 
 def _manifest_block(manifest: dict | None) -> str:
@@ -244,35 +198,17 @@ def _ensemble_table(records: list[dict]) -> str | None:
     return "per-member convergence (ensemble sweep):\n" + member_table(rows)
 
 
-def _critpath_block(streams: tuple[EventRecord | None, Path]) -> str | None:
+def _critpath_block(tel: TelemetryDir) -> str | None:
     """Compact per-model critical-path table from the event record; absent
     when there are no events. The table shows no phase, so the record is
     analyzed without phase windows and ``spans.jsonl`` cannot change it."""
     from repro.obs.critpath import analyze_record, render_compact
 
-    record, d = streams
+    record = tel.stream("events").value
     results = analyze_record(record) if record is not None else {}
     if not results:
         return None
-    return render_compact(results) + (
-        "\n(full attribution: repro critpath " + str(d) + ")"
-    )
-
-
-def _stream(
-    d: Path, name: str, reader: Callable[[Path], Any], skipped: str, notes: list[str]
-) -> Any:
-    """One stream of a telemetry directory: its parsed content, or ``None``
-    and a note saying it is absent or unreadable (and what that costs)."""
-    tail = f" ({skipped})" if skipped else ""
-    if not (d / name).is_file():
-        notes.append(f"note: missing stream {name}{tail}")
-        return None
-    try:
-        return reader(d / name)
-    except (OSError, ValueError) as exc:
-        notes.append(f"note: unreadable stream {name}{tail}: {exc}")
-        return None
+    return render_compact(results) + f"\n(full attribution: repro critpath {tel.path})"
 
 
 def summarize_dir(path: str | Path) -> str:
@@ -283,31 +219,36 @@ def summarize_dir(path: str | Path) -> str:
     summarizes whatever is present, with a note per missing or unreadable
     stream instead of a silent hole.
     """
-    d = Path(path)
-    if not d.is_dir():
-        raise FileNotFoundError(f"telemetry directory {d} does not exist")
+    tel = TelemetryDir(path)
     notes: list[str] = []
-    manifest = _stream(d, tmod.MANIFEST_FILE, json_object, "", notes)
-    spans = _stream(d, tmod.SPANS_FILE, _read_jsonl, "span tables skipped", notes) or JsonLines()
-    records = _stream(d, tmod.LOG_FILE, _read_jsonl, "step tables skipped", notes) or JsonLines()
-    for name, lines in ((tmod.SPANS_FILE, spans), (tmod.LOG_FILE, records)):
+
+    def read(key: str, skipped: str = "") -> Any:
+        """One stream's content, or None and a note on what its absence costs."""
+        stream = tel.stream(key)
+        tail = f" ({skipped})" if skipped else ""
+        if stream.missing:
+            notes.append(f"note: missing stream {stream.name}{tail}")
+        elif stream.error is not None:
+            notes.append(f"note: unreadable stream {stream.name}{tail}: {stream.error}")
+        return stream.value
+
+    manifest = read("manifest")
+    spans = read("spans", "span tables skipped") or JsonLines()
+    records = read("log", "step tables skipped") or JsonLines()
+    for lines in (spans, records):
         if lines.skipped:
-            notes.append(f"note: {skipped_note(name, lines)}")
-    metrics = _stream(d, tmod.METRICS_JSON_FILE, json_object, "", notes)
+            notes.append(f"note: {skipped_note(lines)}")
+    metrics = read("metrics")
     if metrics is None:
         # Fall back to the newest rotated snapshot a long run left behind.
-        for i in range(1, tmod.METRICS_SNAPSHOT_KEEP + 1):
-            rotated = d / f"{tmod.METRICS_JSON_FILE}.{i}"
-            metrics = _read_json(rotated)
-            if metrics is not None:
-                notes.append(
-                    f"note: showing rotated snapshot {rotated.name} "
-                    "(run may have ended mid-write)"
-                )
-                break
-    events = _stream(d, tmod.EVENTS_FILE, EventRecord.load, "critical path skipped", notes)
+        rotated = tel.rotated_metrics()
+        if rotated is not None:
+            metrics = rotated.value
+            notes.append(f"note: showing rotated snapshot {rotated.name} "
+                         "(run may have ended mid-write)")
+    events = read("events", "critical path skipped")
 
-    blocks = [f"telemetry summary: {d}", _manifest_block(manifest)]
+    blocks = [f"telemetry summary: {tel.path}", _manifest_block(manifest)]
     if notes:
         blocks.append("\n".join(notes))
     for builder, arg in (
@@ -316,7 +257,7 @@ def summarize_dir(path: str | Path) -> str:
         (_ensemble_table, records),
         (_spans_table, spans),
         (_metrics_table, metrics),
-        (_critpath_block, (events, d)),
+        (_critpath_block, tel),
     ):
         try:
             block = builder(arg)
@@ -326,7 +267,7 @@ def summarize_dir(path: str | Path) -> str:
             blocks.append(block)
     if events is not None:
         blocks.append(
-            f"chrome trace: repro telemetry {d} --chrome-trace OUT.json "
+            f"chrome trace: repro telemetry {tel.path} --chrome-trace OUT.json "
             "(open at https://ui.perfetto.dev)"
         )
     return "\n\n".join(blocks)

@@ -48,6 +48,7 @@ SPANS_FILE = "spans.jsonl"
 METRICS_PROM_FILE = "metrics.prom"
 METRICS_JSON_FILE = "metrics.json"
 EVENTS_FILE = "events.npz"
+SWEEP_FILE = "sweep.json"  # only ``repro sweep --telemetry DIR`` writes it
 
 #: Rotated metrics snapshots kept on disk (metrics.json.1 .. .K).
 METRICS_SNAPSHOT_KEEP = 3
@@ -90,12 +91,8 @@ class Telemetry:
         self._steps_since_snapshot = 0
         self.snapshots_taken = 0
         if flush_every_n > 0 and self.out_dir is not None:
-            self.logger.attach_sink(
-                self.out_dir / LOG_FILE, flush_every_n=flush_every_n
-            )
-            self.tracer.attach_sink(
-                self.out_dir / SPANS_FILE, flush_every_n=flush_every_n
-            )
+            self.logger.attach_sink(self.out_dir / LOG_FILE, flush_every_n=flush_every_n)
+            self.tracer.attach_sink(self.out_dir / SPANS_FILE, flush_every_n=flush_every_n)
 
     def flush(self) -> dict[str, int]:
         """Force a streaming flush; returns records/spans written."""

@@ -22,11 +22,11 @@ for overhead analysis.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable
+
+from repro.obs.runlog import JsonlWriter, NullJsonlWriter, to_jsonl
 
 
 @dataclass(slots=True)
@@ -83,8 +83,10 @@ class _SpanContext:
         return False
 
 
-class Tracer:
-    """Collects hierarchical spans with a pluggable time source."""
+class Tracer(JsonlWriter):
+    """Collects hierarchical spans with a pluggable time source. A sink
+    receives spans as they close (only a closed span has its duration);
+    finalization rewrites the file in start order."""
 
     def __init__(self, time_fn: Callable[[], float] | None = None) -> None:
         #: Simulated-time source; rebound by Telemetry.bind_model.
@@ -92,35 +94,6 @@ class Tracer:
         self.spans: list[Span] = []
         self._stack: list[Span] = []
         self._next_id = 1
-        self._sink: Path | None = None
-        self.flush_every_n = 0
-        self._unflushed: list[Span] = []
-
-    def attach_sink(self, path: str | Path, *, flush_every_n: int = 0) -> None:
-        """Stream *completed* spans to ``path`` (truncated now) as JSONL.
-
-        Spans land in close order (only a closed span has its duration),
-        flushed every ``flush_every_n`` closes or on explicit
-        :meth:`flush`; each line is a complete JSON object, so a killed
-        run still leaves a parseable file. Finalization rewrites the file
-        in start order, normalizing streamed and non-streamed runs.
-        """
-        self._sink = Path(path)
-        self._sink.parent.mkdir(parents=True, exist_ok=True)
-        self._sink.write_text("")
-        self.flush_every_n = flush_every_n
-        self._unflushed = []
-
-    def flush(self) -> int:
-        """Append every closed-but-unflushed span to the sink."""
-        if self._sink is None or not self._unflushed:
-            return 0
-        with self._sink.open("a") as fh:
-            for s in self._unflushed:
-                fh.write(json.dumps(s.to_dict(), default=_json_default) + "\n")
-        n = len(self._unflushed)
-        self._unflushed = []
-        return n
 
     def span(self, name: str, **attrs: Any) -> _SpanContext:
         """Open a span; close it by exiting the returned context manager."""
@@ -146,12 +119,7 @@ class Tracer:
         if self._stack:
             self._stack.pop()
         if self._sink is not None:
-            self._unflushed.append(span)
-            if (
-                self.flush_every_n > 0
-                and len(self._unflushed) >= self.flush_every_n
-            ):
-                self.flush()
+            self._queue(span.to_dict())
 
     def current(self) -> Span | None:
         """Innermost open span (the propagation context), or None."""
@@ -163,14 +131,7 @@ class Tracer:
 
     def to_jsonl(self) -> str:
         """One JSON object per line, in start order."""
-        return "\n".join(json.dumps(s.to_dict(), default=_json_default) for s in self.spans)
-
-
-def _json_default(o: Any) -> Any:
-    item = getattr(o, "item", None)  # numpy scalars
-    if callable(item):
-        return item()
-    return str(o)
+        return to_jsonl(s.to_dict() for s in self.spans)
 
 
 # -- disabled-telemetry fast path --------------------------------------------
@@ -191,32 +152,22 @@ class _NullSpanContext:
 _NULL_SPAN_CONTEXT = _NullSpanContext()
 
 
-class NullTracer:
+class NullTracer(NullJsonlWriter):
     """Tracer twin for disabled telemetry: spans cost one no-op call."""
 
     __slots__ = ()
 
     spans: tuple = ()
     time_fn = staticmethod(lambda: 0.0)
-    flush_every_n = 0
 
     def span(self, name: str, **attrs: Any) -> _NullSpanContext:
         return _NULL_SPAN_CONTEXT
-
-    def attach_sink(self, path: Any, *, flush_every_n: int = 0) -> None:
-        return None
-
-    def flush(self) -> int:
-        return 0
 
     def current(self) -> None:
         return None
 
     def completed(self) -> tuple:
         return ()
-
-    def to_jsonl(self) -> str:
-        return ""
 
 
 NULL_TRACER = NullTracer()

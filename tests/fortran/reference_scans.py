@@ -290,7 +290,7 @@ def index_fragment(file: SourceFile) -> IndexFragment:
     open_routines: list[RoutineSym] = []  # contains-nesting stack
     for i, line in enumerate(file.lines):
         low = line.lower()  # every pattern below needs its keyword in it
-        if "interface" in low:
+        if "nterface" in low:  # `re.I` reads `ı` as `i`; `lower()` keeps it
             if _INTERFACE_RE.match(line):
                 in_interface = True
                 continue

@@ -1,5 +1,7 @@
 """Real-Fortran front end: normalization, lowering, symbol resolution."""
 
+import pytest
+
 from repro.fortran.frontend import (
     load_external_tree,
     lower_tree,
@@ -8,6 +10,7 @@ from repro.fortran.frontend import (
 )
 from repro.fortran.frontend.lower import OPAQUE_PREFIX
 from repro.fortran.frontend.normalize import FILLER_PREFIX
+from repro.fortran.frontend.resolve import index_fragment
 from repro.fortran.source import Codebase, SourceFile
 from tests.fortran.reference_frontend import build_index
 
@@ -296,6 +299,15 @@ class TestResolve:
         helper = idx.resolve_call("helper")
         assert helper is not None and not helper.acc_routine
         assert helper.file == "c.f90"
+
+    @pytest.mark.parametrize("opener", ["interface", "ınterface", "INTERFACE"])
+    def test_an_interface_block_declares_no_routine(self, opener):
+        """``re.I`` reads a dotless ``ı`` as ``i``, so ``ınterface`` opens a
+        block too, and the signature inside it defines nothing."""
+        lines = ["module m", opener, "subroutine ext(x)", "end subroutine ext",
+                 "end interface", "end module m"]
+        frag = index_fragment(SourceFile("a.f90", lines))
+        assert frag.modules == ("m",) and frag.routines == ()
 
 
 class TestLoadExternalTree:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs.events import EventRecord
-from repro.obs.telemetry import EVENTS_FILE, SPANS_FILE
+from repro.obs.telemetry import EVENTS_FILE
 from repro.perf.trace_export import to_chrome_trace
 
 #: Two ranks, one wait: enough for a one-row critical-path table.
@@ -39,11 +39,11 @@ def write_record(directory, rows=()) -> Path:
 
 def exported_trace(directory) -> dict:
     """The Chrome trace ``repro telemetry DIR --chrome-trace`` would write."""
-    from repro.obs.summary import _read_jsonl
+    from repro.obs.reader import TelemetryDir
 
-    d = Path(directory)
+    tel = TelemetryDir(directory)
     return to_chrome_trace(
-        EventRecord.load(d / EVENTS_FILE), spans=_read_jsonl(d / SPANS_FILE)
+        tel.stream("events").required(), spans=tel.lines("spans")
     )
 
 

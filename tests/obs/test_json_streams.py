@@ -3,17 +3,21 @@
 skipped, and prints the critical-path tables of the healthy directory.
 
 The damages are :data:`tests.obs.records.JSON_DAMAGE`, applied in turn to
-``manifest.json``, ``log.jsonl`` and ``spans.jsonl`` of a real run.
+``manifest.json``, ``log.jsonl`` and ``spans.jsonl`` of a real run; records
+whose seconds are not finite numbers; and, drawn by hypothesis, any
+truncation or single-byte flip of those streams and ``metrics.json``.
 """
 
 import json
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.obs.critpath import _phase_windows
-from repro.obs.summary import _read_json, _read_jsonl
+from repro.obs.reader import TelemetryDir, read_jsonl
 from repro.obs.telemetry import LOG_FILE, MANIFEST_FILE, METRICS_JSON_FILE, SPANS_FILE
 from tests.obs.records import JSON_DAMAGE
 
@@ -87,7 +91,7 @@ def test_skipped_lines_are_one_note_naming_the_file(healthy, tmp_path, capsys, s
     d = tmp_path / "damaged"
     shutil.copytree(healthy, d)
     JSON_DAMAGE[damage](d / stream)
-    assert _read_jsonl(d / stream).skipped == 1
+    assert read_jsonl(d / stream).skipped == 1
     note = f"skipped 1 line(s) of {stream} that are not UTF-8 or not a JSON object"
 
     _, summary = _run(["telemetry", str(d)], capsys)
@@ -99,11 +103,76 @@ def test_skipped_lines_are_one_note_naming_the_file(healthy, tmp_path, capsys, s
 def test_a_whole_file_stream_must_hold_an_object(healthy, tmp_path):
     d = tmp_path / "damaged"
     shutil.copytree(healthy, d)
-    assert _read_json(d / MANIFEST_FILE)["models"]
+    assert TelemetryDir(d).stream("manifest").value["models"]
     for damage in ("non_utf8_byte", "wrong_top_level_type", "truncated_mid_line", "deleted"):
         shutil.copy(healthy / MANIFEST_FILE, d / MANIFEST_FILE)
         JSON_DAMAGE[damage](d / MANIFEST_FILE)
-        assert _read_json(d / MANIFEST_FILE) is None, damage
+        assert TelemetryDir(d).stream("manifest").value is None, damage
+
+
+def _retype_first(path, is_record, field, value) -> None:
+    """Give ``field`` of the first record ``is_record`` picks the wrong type."""
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if is_record(json.loads(line)))
+    lines[i] = json.dumps({**json.loads(lines[i]), field: value})
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _is_step(record) -> bool:
+    return record.get("event") == "step"
+
+
+def _is_phase(span) -> bool:
+    return span.get("depth") == 1 and span["name"].startswith("step/")
+
+
+@pytest.mark.parametrize("stream, is_record, field, value", [
+    (LOG_FILE, _is_step, "categories", [1, 2]),
+    (LOG_FILE, _is_step, "categories", {"compute": "abc"}),
+    (LOG_FILE, _is_step, "wall", float("nan")),
+    (SPANS_FILE, _is_phase, "duration", "abc"),
+], ids=["categories_list", "category_string", "wall_nan", "duration_string"])
+def test_a_wrong_typed_record_is_skipped_with_one_note(
+    healthy, tmp_path, capsys, stream, is_record, field, value
+):
+    d = tmp_path / "damaged"
+    shutil.copytree(healthy, d)
+    _retype_first(d / stream, is_record, field, value)
+    for argv in (["telemetry", str(d)], ["critpath", str(d)],
+                 ["telemetry", "--compare", str(healthy), str(d)]):
+        assert _run(argv, capsys)[0] == 0
+    code, explained = _run(["telemetry", "--compare", str(healthy), str(d), "--explain"], capsys)
+    assert code == 0 and "wall-time delta" in explained
+    note = f"skipped 1 record(s) of {stream} whose seconds are not finite numbers"
+    assert [ln for ln in explained.splitlines() if "skipped" in ln] == [f"  - {d}: {note}"]
+
+
+@pytest.fixture(scope="module")
+def scratch(healthy, tmp_path_factory):
+    """A copy of the healthy run that each hypothesis example damages and restores."""
+    d = tmp_path_factory.mktemp("flips") / "run"
+    shutil.copytree(healthy, d)
+    return d
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stream=st.sampled_from((MANIFEST_FILE, LOG_FILE, SPANS_FILE, METRICS_JSON_FILE)),
+       flip=st.booleans(), at=st.integers(0, 2**20), byte=st.integers(0, 255))
+def test_any_truncation_or_byte_flip_is_notes_or_one_error_line(
+    healthy, scratch, capsys, stream, flip, at, byte
+):
+    path = scratch / stream
+    blob = (healthy / stream).read_bytes()
+    at %= len(blob)
+    path.write_bytes(blob[:at] + bytes([byte]) + blob[at + 1:] if flip else blob[:at])
+    try:
+        for argv in (["telemetry", str(scratch)], ["critpath", str(scratch)],
+                     ["telemetry", "--compare", str(healthy), str(scratch)],
+                     ["telemetry", "--compare", str(healthy), str(scratch), "--explain"]):
+            _run(argv, capsys)
+    finally:
+        path.write_bytes(blob)
 
 
 def test_a_nested_metrics_snapshot_is_one_error_line(healthy, tmp_path, capsys):

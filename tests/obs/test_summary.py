@@ -162,12 +162,12 @@ class TestCritpathBlock:
     def test_spans_are_parsed_once(self, tel_dir, monkeypatch):
         """``spans.jsonl`` is read once (for the span tables; the compact
         critical-path block reads no phase)."""
-        from repro.obs import summary
+        from repro.obs import reader
 
         reads = []
-        real = summary._read_jsonl
+        real = reader.read_stream
         monkeypatch.setattr(
-            summary, "_read_jsonl", lambda p: reads.append(p.name) or real(p)
+            reader, "read_stream", lambda p, parse: reads.append(p.name) or real(p, parse)
         )
         write_record(tel_dir, SMALL_ROWS)
         assert "Critical path per model" in summarize_dir(tel_dir)

@@ -123,7 +123,7 @@ report(before, steps=model.steps_taken)
     assert got["new"] == []
     never = {
         "repro.obs.critpath", "repro.obs.compare", "repro.obs.explain",
-        "repro.obs.summary", "repro.analysis.findings", "repro.mas.history",
+        "repro.obs.reader", "repro.obs.summary", "repro.analysis.findings", "repro.mas.history",
         "repro.util.ascii_plot",
     }
     assert never.isdisjoint(got["loaded"])
