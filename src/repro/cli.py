@@ -445,14 +445,18 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
             print(render_explain(explain_dirs(a_dir, b_dir), a_name=a_dir, b_name=b_dir))
         elif args.compare:
             from repro.obs.compare import compare_metrics, load_metrics, render_compare
+            from repro.obs.reader import decode_metrics, skipped_notes
 
             a_dir, b_dir = args.compare
             try:
-                a, b = load_metrics(a_dir), load_metrics(b_dir)
+                a, b = decode_metrics(load_metrics(a_dir)), decode_metrics(load_metrics(b_dir))
             except ValueError as exc:  # there, but not a snapshot
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
             print(render_compare(compare_metrics(a, b), a_name=a_dir, b_name=b_dir))
+            for where, metrics in ((a_dir, a), (b_dir, b)):
+                for note in skipped_notes(metrics):
+                    print(f"note: {where}: {note}")
         elif args.chrome_trace:
             return _export_chrome_trace(args.dir, args.chrome_trace)
         else:
@@ -466,13 +470,17 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
 def _export_chrome_trace(tel_dir: str, out: str) -> int:
     """A finalized directory's event record and spans as the Chrome trace
     a live session would export."""
-    from repro.obs.reader import TelemetryDir
+    from repro.obs.reader import TelemetryDir, decode_spans, skipped_notes
     from repro.perf.trace_export import write_chrome_trace
 
     tel = TelemetryDir(tel_dir)
     events = tel.stream("events")
+    lines = tel.lines("spans")
+    spans = decode_spans(lines)
+    for note in skipped_notes(lines, spans):
+        print(f"note: {note}", file=sys.stderr)
     try:
-        path = write_chrome_trace(events.required(), out, spans=tel.lines("spans"))
+        path = write_chrome_trace(events.required(), out, spans=spans)
     except ValueError as exc:
         print(f"error: cannot export {events.name} in {tel.path}: {exc}", file=sys.stderr)
         return 1
@@ -506,7 +514,7 @@ def _sweep_fallback(tel, where: str, reason: str, error: str) -> int:
 
 def cmd_critpath(args: argparse.Namespace) -> int:
     from repro.obs.critpath import analyze_record, render_result, results_to_json
-    from repro.obs.reader import TelemetryDir, skipped_note
+    from repro.obs import reader
     from repro.perf.roofline import (
         DEFAULT_SOL_THRESHOLD,
         peaks_from_manifest,
@@ -515,7 +523,7 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     )
 
     try:
-        tel = TelemetryDir(args.dir)
+        tel = reader.TelemetryDir(args.dir)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -526,9 +534,12 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     if events.error is not None:
         print(f"error: unreadable {events.name} in {args.dir}: {events.error}", file=sys.stderr)
         return 1
-    spans = tel.lines("spans")
-    if spans.skipped:
-        print(f"note: {skipped_note(spans)}", file=sys.stderr)
+    lines = tel.lines("spans")
+    spans = reader.decode_spans(lines)
+    metrics = reader.decode_metrics(tel.stream("metrics").value)
+    manifest = tel.stream("manifest").value
+    for note in reader.skipped_notes(lines, spans, metrics, reader.decode_models(manifest)):
+        print(f"note: {note}", file=sys.stderr)
     results = analyze_record(events.value, spans=spans)
     if not results:
         reason = "trace has no per-rank profiler events"
@@ -543,8 +554,7 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     for result in results.values():
         print(render_result(result, top=args.top))
         print()
-    metrics = tel.stream("metrics").value
-    peaks = peaks_from_manifest(tel.stream("manifest").value)
+    peaks = peaks_from_manifest(manifest)
     if peaks is not None and metrics:
         rows = roofline_from_metrics(metrics, peaks)
         if rows:

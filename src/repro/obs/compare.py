@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.obs.reader import TelemetryDir, read_stream
+from repro.obs.reader import Metrics, TelemetryDir, decode_metrics, read_stream
 from repro.obs.runlog import json_object
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -53,53 +53,43 @@ class MetricDelta:
         return ",".join(f"{k}={v}" for k, v in self.labels) or "-"
 
 
-def _series(metrics: dict) -> dict[tuple[str, LabelKey], tuple[str, dict]]:
-    """Flatten a metrics.json dict to {(name, labels): (kind, sample)}."""
-    out: dict[tuple[str, LabelKey], tuple[str, dict]] = {}
-    for name, fam in (metrics or {}).items():
-        kind = fam.get("type", "gauge")
-        for sample in fam.get("samples", []):
-            key = tuple(sorted(sample.get("labels", {}).items()))
-            out[(name, key)] = (kind, sample)
-    return out
+def _series(metrics: Metrics) -> dict[tuple[str, LabelKey], dict]:
+    """Flatten a decoded snapshot to {(name, labels): sample}."""
+    return {
+        (name, tuple(sorted(sample["labels"].items()))): sample
+        for name, samples in metrics.items()
+        for sample in samples
+    }
 
 
 def compare_metrics(a: dict, b: dict) -> list[MetricDelta]:
-    """Diff two metrics.json snapshots series-by-series.
+    """Diff two metrics.json snapshots (raw or decoded) series-by-series.
 
     Unchanged series are dropped; the result is sorted by |relative
     change| descending (appear/disappear first), then name/labels for
     stability.
     """
-    sa, sb = _series(a), _series(b)
+    sa, sb = _series(decode_metrics(a)), _series(decode_metrics(b))
     deltas: list[MetricDelta] = []
     for key in sorted(set(sa) | set(sb)):
-        name, labels = key
-        kind = (sa.get(key) or sb.get(key))[0]
-        samp_a = sa[key][1] if key in sa else None
-        samp_b = sb[key][1] if key in sb else None
-        if kind == "histogram":
-            def count_mean(s: dict | None) -> tuple[float | None, float | None]:
-                if s is None:
-                    return None, None
-                count = float(s.get("count", 0))
-                mean = s.get("sum", 0.0) / count if count else 0.0
-                return count, mean
-
-            ca, ma = count_mean(samp_a)
-            cb, mb = count_mean(samp_b)
-            d = MetricDelta(name, labels, kind, ca, cb, a_mean=ma, b_mean=mb)
-            if d.delta == 0.0 and (ma or 0.0) == (mb or 0.0):
-                continue
-        else:
-            va = None if samp_a is None else float(samp_a.get("value", 0.0))
-            vb = None if samp_b is None else float(samp_b.get("value", 0.0))
-            d = MetricDelta(name, labels, kind, va, vb)
-            if d.delta == 0.0:
-                continue
-        deltas.append(d)
+        kind = (sa.get(key) or sb.get(key))["kind"]
+        (va, ma), (vb, mb) = (_reading(s.get(key), kind) for s in (sa, sb))
+        d = MetricDelta(*key, kind, va, vb, a_mean=ma, b_mean=mb)
+        if d.delta != 0.0 or (ma or 0.0) != (mb or 0.0):
+            deltas.append(d)
     deltas.sort(key=lambda d: (-abs(d.rel), d.name, d.labels))
     return deltas
+
+
+def _reading(sample: dict | None, kind: str) -> tuple[float | None, float | None]:
+    """A series' primary value and mean: a histogram's count and mean
+    observation, any other sample's value (no mean); Nones when absent."""
+    if sample is None:
+        return None, None
+    if kind != "histogram":
+        return sample["value"], None
+    count = sample["count"]
+    return count, sample["sum"] / count if count else 0.0
 
 
 def load_metrics(path: str | Path) -> dict:

@@ -35,7 +35,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.obs.events import EventRecord, sum_by_key
-from repro.obs.reader import TelemetryDir, finite
+from repro.obs.reader import TelemetryDir, decode_spans
 
 #: Category value whose time is caused by another lane (jump candidates).
 WAIT_CATEGORY = "mpi_wait"
@@ -439,40 +439,36 @@ def _phase_windows(
     Spans carry their model via a ``model`` attr on the enclosing ``step``
     span (walked through ``parent_id``); dirs written before that
     annotation existed fall back to "all spans" when the session bound a
-    single model, and to no phase attribution otherwise. A span whose
-    ``start`` or ``end`` is not a finite number is not a window.
+    single model, and to no phase attribution otherwise. Spans are read
+    through the reader's span decoder; one without a ``start`` or an
+    ``end`` is not a window.
     """
-    by_id = {s.get("span_id"): s for s in spans if isinstance(s.get("span_id"), (int, str))}
+    spans = decode_spans(spans)
+    by_id = {s["span_id"]: s for s in spans if s["span_id"] is not None}
 
     def span_model(s: Mapping[str, Any] | None) -> str | None:
         seen = 0
         while s is not None and seen < 64:
-            attrs = s.get("attrs")
-            m = attrs.get("model") if isinstance(attrs, Mapping) else None
-            if m is not None:
+            if (m := s["attrs"].get("model")) is not None:
                 return str(m)
-            parent = s.get("parent_id")
-            s = by_id.get(parent) if isinstance(parent, (int, str)) else None
+            s = by_id.get(s["parent_id"])
             seen += 1
         return None
 
     windows: list[tuple[float, float, str]] = []
     for s in spans:
-        name = s.get("name", "")
-        if not isinstance(name, str):
-            continue
-        is_phase = (s.get("depth") == 1 and name.startswith("step/")) or (
-            s.get("depth") == 0 and name.startswith("setup/")
+        name, start, end = s["name"], s["start"], s["end"]
+        is_phase = (s["depth"] == 1 and name.startswith("step/")) or (
+            s["depth"] == 0 and name.startswith("setup/")
         )
-        start, end = s.get("start"), s.get("end")
-        if not (is_phase and finite(start) and finite(end)):
+        if not is_phase or start is None or end is None:
             continue
         m = span_model(s)
         if m is None and not single_model:
             continue
         if m is not None and m != model:
             continue
-        insort(windows, (float(start), float(end), name))
+        insort(windows, (start, end, name))
     return windows
 
 
@@ -544,6 +540,7 @@ def analyze_record(
     idle seconds accumulate in stream order, as a per-event loop would.
     Phase attribution runs only when ``spans`` hold windows for a model.
     """
+    spans = decode_spans(spans)
     models = [lane_model(name) for name in record.lanes]
     rank_of_lane = np.array([lane_rank(name) for name in record.lanes], dtype=np.int64)
     comm_lane = np.array([name.endswith(COMM_SUFFIX) for name in record.lanes], dtype=bool)

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.obs.events import sum_by_key
-from repro.obs.reader import TelemetryDir, finite, skipped_note
+from repro.obs.reader import TelemetryDir, decode_metrics, decode_spans, decode_steps, skipped_notes
 
 #: Categories whose sum is "MPI time" in the paper's Fig. 3 accounting.
 MPI_CATEGORIES = ("mpi_pack", "mpi_transfer", "mpi_wait")
@@ -52,52 +52,37 @@ def load_profile(path: str | Path, *, name: str | None = None) -> RunProfile:
     """Build a :class:`RunProfile` from a finalized telemetry directory.
 
     Every stream is optional: a missing artifact degrades that axis and
-    adds a note instead of failing the whole explanation. A step record
-    or phase span whose seconds are not finite numbers is skipped and
-    counted in one note per stream.
+    adds a note instead of failing the whole explanation. A record the
+    reader's decoders drop is counted in one note per stream.
     """
     tel = TelemetryDir(path)
     prof = RunProfile(name=name or str(tel.path))
 
-    log, spans = tel.lines("log"), tel.lines("spans")
-    steps = [r for r in log if r.get("event") == "step"]
-    phases = [s for s in spans if s.get("depth") == 1 and s.get("end") is not None
-              and str(s.get("name", "")).startswith("step/")]
-    if not steps:
+    log, lines = tel.lines("log"), tel.lines("spans")
+    steps, spans = decode_steps(log), decode_spans(lines)
+    if not steps and not steps.skipped:
         prof.notes.append(f"no step records in {log.name}")
-    if not spans:
-        prof.notes.append(f"no spans in {spans.name}")
-    wrong_steps = wrong_phases = 0
+    if not lines:
+        prof.notes.append(f"no spans in {lines.name}")
     for r in steps:
-        wall, categories = r.get("wall", 0.0), r.get("categories") or {}
-        if not (finite(wall) and isinstance(categories, dict)
-                and all(map(finite, categories.values()))):
-            wrong_steps += 1
-            continue
-        prof.wall += wall
-        for cat, v in categories.items():
+        prof.wall += r["wall"]
+        for cat, v in r["categories"].items():
             prof.categories[cat] = prof.categories.get(cat, 0.0) + v
-    for s in phases:
-        if not finite(duration := s.get("duration", 0.0)):
-            wrong_phases += 1
-            continue
-        prof.phases[s["name"]] = prof.phases.get(s["name"], 0.0) + duration
-    for lines, wrong in ((log, wrong_steps), (spans, wrong_phases)):
-        if lines.skipped:
-            prof.notes.append(skipped_note(lines))
-        if wrong:
-            prof.notes.append(f"skipped {wrong} record(s) of {lines.name} "
-                              "whose seconds are not finite numbers")
+    for s in spans:
+        if s["depth"] == 1 and s["end"] is not None and s["name"].startswith("step/"):
+            prof.phases[s["name"]] = prof.phases.get(s["name"], 0.0) + s["duration"]
+    prof.notes += skipped_notes(log, steps, lines, spans)
 
     metrics = tel.stream("metrics")
     if metrics.error is not None:
         prof.notes.append(f"unreadable {metrics.name} ({metrics.error})")
     elif not metrics.value:
         prof.notes.append(f"no {metrics.name}")
-    for sample in ((metrics.value or {}).get("kernel_seconds_total") or {}).get("samples", []):
-        kernel = sample.get("labels", {}).get("kernel")
-        if kernel:
-            prof.kernels[kernel] = prof.kernels.get(kernel, 0.0) + float(sample.get("value", 0.0))
+    samples = decode_metrics(metrics.value)
+    prof.notes += skipped_notes(samples)
+    for sample in samples.get("kernel_seconds_total", ()):
+        if kernel := sample["labels"].get("kernel"):
+            prof.kernels[kernel] = prof.kernels.get(kernel, 0.0) + sample["value"]
     if metrics.value and not prof.kernels:
         prof.notes.append(
             "no kernel_seconds_total counters (run predates per-kernel "

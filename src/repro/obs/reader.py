@@ -1,8 +1,11 @@
 """The one reader of a finalized telemetry directory: every command that
 reads a run back opens it as a :class:`TelemetryDir`, which decides where
-each stream lives and what a missing or damaged one is; the commands only
-word their notes and errors. A stream is parsed on first access, and the
-event record's module (numpy) is imported only when ``events`` is read."""
+each stream lives and what a missing or damaged one is, and decodes its
+records with one decoder per kind (:func:`decode_steps`,
+:func:`decode_spans`, :func:`decode_metrics`, :func:`decode_models`); the
+commands only word their notes and errors. A stream is parsed on first
+access, and the event record's module (numpy) is imported only when
+``events`` is read."""
 
 from __future__ import annotations
 
@@ -10,27 +13,42 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs import telemetry as tmod
 from repro.obs.runlog import json_object
 
 
-class JsonLines(list):
-    """The JSON objects of a JSONL stream, in file order; ``skipped``
-    counts the lines that were not UTF-8 or not a JSON object."""
+class _Counted:
+    """What one stream held, named after its file; ``skipped`` counts what
+    was dropped, as :attr:`dropped` words it."""
 
     skipped = 0
+    dropped = "record(s) of {} with a field of the wrong type"
 
     def __init__(self, name: str = "") -> None:
         super().__init__()
         self.name = name
 
 
-def skipped_note(lines: JsonLines) -> str:
-    """The one note a damaged JSONL stream gets, naming it and the count."""
-    return (f"skipped {lines.skipped} line(s) of {lines.name} "
-            "that are not UTF-8 or not a JSON object")
+class JsonLines(_Counted, list):
+    """The JSON objects of a JSONL stream, in file order, less the lines
+    that were not UTF-8 or not a JSON object."""
+
+    dropped = "line(s) of {} that are not UTF-8 or not a JSON object"
+
+
+class Records(_Counted, list):
+    """The decoded records of one stream, in file order, less those with a wrong-typed field."""
+
+
+class Metrics(_Counted, dict):
+    """A decoded metrics snapshot: family name -> its samples, in file order."""
+
+
+def skipped_notes(*streams: _Counted) -> list[str]:
+    """One note per stream that dropped something, naming it and the count."""
+    return [f"skipped {s.skipped} {s.dropped.format(s.name)}" for s in streams if s.skipped]
 
 
 def read_jsonl(path: Path) -> JsonLines:
@@ -50,9 +68,124 @@ def read_jsonl(path: Path) -> JsonLines:
     return out
 
 
-def finite(value: Any) -> bool:
-    """Whether a JSON value is a finite number (a record whose seconds are not is damaged)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+# -- decoders: a record keeps every field a reader computes with ----------------
+
+
+def _is(*types: type) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, types) and not isinstance(value, bool)
+
+
+_number = _is(int, float)  # NaN included: dt and sim_time are NaN past a non-finite member
+
+
+def _finite(value: Any) -> bool:
+    try:
+        return _number(value) and math.isfinite(value)
+    except OverflowError:  # an integer literal past the float range
+        return False
+
+
+def _of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    """An object whose every value passes ``test``."""
+    return lambda value: isinstance(value, dict) and all(map(test, value.values()))
+
+
+#: Per record kind, field -> (test a present value passes, value when absent).
+#: A record failing a test is dropped, except on a field of ``_OPTIONAL``,
+#: which then reads as absent; a ``_REQUIRED`` field has no absent value.
+_REQUIRED = object()
+_OPTIONAL = frozenset({"span_id", "parent_id", "attrs"})
+_ANY = (lambda value: True)
+STEP = {"dt": (_number, 0.0), "sim_time": (_number, 0.0), "wall": (_finite, 0.0),
+        "mpi": (_finite, 0.0), "compute": (_finite, 0.0), "launches": (_is(int), 0),
+        "categories": (_of(_finite), {})}
+SPAN = {"name": (_is(str), _REQUIRED), "start": (_finite, None),
+        "end": (lambda v: v is None or _finite(v), None), "duration": (_finite, 0.0),
+        "depth": (_ANY, 0), "span_id": (_is(int, str), None),
+        "parent_id": (_is(int, str), None), "attrs": (_is(dict), {})}
+MACHINE = {"name": (_is(str), "unknown"), "mem_bandwidth": (_finite, 0.0), "flops": (_finite, 0.0)}
+MODEL = {"index": (_ANY, "?"), "version": (_ANY, "?"), "shape": (_is(list), ()),
+         "num_ranks": (_ANY, "?"), "unified_memory": (_ANY, None),
+         "machine": (lambda v: v is None or _fields(v, MACHINE) is not None, None)}
+FAMILY = {"type": (_is(str), "gauge"), "samples": (_is(list), [])}
+#: A histogram's samples read ``sum`` and ``count``, the others ``value``.
+SAMPLE = {"labels": (_of(_is(str)), {}), "value": (_number, 0.0), "sum": (_number, 0.0),
+          "count": (_is(int), 0)}
+COUNTER_SAMPLE = {**SAMPLE, "value": (_finite, 0.0)}
+
+
+def _fields(record: Any, fields: dict) -> dict | None:
+    """``record`` as exactly ``fields``, absent ones at their default; None to drop it."""
+    if not isinstance(record, dict):
+        return None
+    out = {}
+    for key, (test, absent) in fields.items():
+        if key not in record:
+            if absent is _REQUIRED:
+                return None
+            out[key] = absent
+        elif test(value := record[key]):
+            out[key] = value
+        elif key in _OPTIONAL:
+            out[key] = absent
+        else:
+            return None
+    return out
+
+
+def _decode(name: str, records: Iterable[Any], fields: dict) -> Records:
+    out = Records(name)
+    for record in records:
+        if (decoded := _fields(record, fields)) is None:
+            out.skipped += 1
+        else:
+            out.append(decoded)
+    return out
+
+
+def decode_steps(log: JsonLines) -> Records:
+    """The ``step`` records of a run log, decoded by :data:`STEP`."""
+    return _decode(log.name, (r for r in log if r.get("event") == "step"), STEP)
+
+
+def decode_spans(spans: Iterable[Mapping[str, Any]]) -> Records:
+    """``spans.jsonl`` rows or live ``Span.to_dict()`` records, decoded by
+    :data:`SPAN` (``start`` None: not placeable; ``end`` None: unfinished).
+    Decoded spans pass through."""
+    if isinstance(spans, Records):
+        return spans
+    return _decode(getattr(spans, "name", tmod.SPANS_FILE), spans, SPAN)
+
+
+def decode_models(manifest: Mapping[str, Any] | None) -> Records:
+    """A manifest's ``models`` by :data:`MODEL`, machines by :data:`MACHINE`
+    (a ``models`` that is not a list is one dropped record)."""
+    models = (manifest or {}).get("models") or []
+    out = _decode(tmod.MANIFEST_FILE, models if isinstance(models, list) else [None], MODEL)
+    for model in out:
+        model["machine"] = model["machine"] and _fields(model["machine"], MACHINE)
+    return out
+
+
+def decode_metrics(metrics: Mapping[str, Any] | None,
+                   name: str = tmod.METRICS_JSON_FILE) -> Metrics:
+    """A ``metrics.json`` dict or ``MetricsRegistry.to_json()``: each family's
+    samples by :data:`SAMPLE`, with the family type as ``kind`` (a family
+    that is not an object, or whose ``samples`` is not a list, is one
+    dropped record). Decoded snapshots pass through."""
+    if isinstance(metrics, Metrics):
+        return metrics
+    out = Metrics(name)
+    for family, fam in (metrics or {}).items():
+        if (fam := _fields(fam, FAMILY)) is None:
+            out.skipped += 1
+            continue
+        kind = fam["type"]
+        out[family] = _decode(name, fam["samples"], COUNTER_SAMPLE if kind == "counter" else SAMPLE)
+        out.skipped += out[family].skipped
+        for sample in out[family]:
+            sample["kind"] = kind
+    return out
 
 
 def _event_record(path: Path) -> Any:

@@ -13,29 +13,26 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from repro.obs.reader import JsonLines, TelemetryDir, skipped_note
+from repro.obs import reader
 from repro.util.tables import Table
 
 
-def _manifest_block(manifest: dict | None) -> str:
+def _manifest_block(manifest: dict | None, models: list[dict]) -> str:
     if not manifest:
         return "manifest: (missing)"
     lines = ["run manifest:"]
     for key in ("command", "git_sha", "python", "numpy", "seed"):
         if key in manifest and manifest[key] is not None:
             lines.append(f"  {key:8s} {manifest[key]}")
-    models = manifest.get("models") or []
     for m in models:
         lines.append(
-            f"  model    #{m.get('index', '?')} {m.get('version', '?')}"
-            f" shape={tuple(m.get('shape', ()))} ranks={m.get('num_ranks', '?')}"
-            f" um={m.get('unified_memory')}"
+            f"  model    #{m['index']} {m['version']} shape={tuple(m['shape'])}"
+            f" ranks={m['num_ranks']} um={m['unified_memory']}"
         )
     return "\n".join(lines)
 
 
-def _steps_table(records: list[dict]) -> str | None:
-    steps = [r for r in records if r.get("event") == "step"]
+def _steps_table(steps: list[dict]) -> str | None:
     if not steps:
         return None
     t = Table(
@@ -45,8 +42,7 @@ def _steps_table(records: list[dict]) -> str | None:
     )
 
     def mean(key: str) -> float:
-        vals = [float(r[key]) for r in steps if key in r]
-        return sum(vals) / len(vals) if vals else 0.0
+        return sum(r[key] for r in steps) / len(steps)
 
     t.add_row(
         [
@@ -55,13 +51,13 @@ def _steps_table(records: list[dict]) -> str | None:
             mean("wall") * 1e3,
             mean("mpi") * 1e3,
             mean("compute") * 1e3,
-            int(sum(r.get("launches", 0) for r in steps)),
+            sum(r["launches"] for r in steps),
         ]
     )
     return t.render()
 
 
-def _mpi_share_block(records: list[dict]) -> str | None:
+def _mpi_share_block(steps: list[dict]) -> str | None:
     """MPI split of the mean step: pack / transfer / wait shares.
 
     Overlapped-exchange runs show their gain here: hidden communication
@@ -69,11 +65,11 @@ def _mpi_share_block(records: list[dict]) -> str | None:
     ``halo_overlap_seconds`` in the metrics snapshot records how much was
     hidden.
     """
-    steps = [r for r in records if r.get("event") == "step" and r.get("categories")]
+    steps = [r for r in steps if r["categories"]]
     if not steps:
         return None
     n = len(steps)
-    wall = sum(float(r.get("wall", 0.0)) for r in steps) / n
+    wall = sum(r["wall"] for r in steps) / n
     if wall <= 0.0:
         return None
     t = Table(
@@ -82,7 +78,7 @@ def _mpi_share_block(records: list[dict]) -> str | None:
     )
     total = 0.0
     for cat in ("mpi_pack", "mpi_transfer", "mpi_wait"):
-        v = sum(float(r["categories"].get(cat, 0.0)) for r in steps) / n
+        v = sum(r["categories"].get(cat, 0.0) for r in steps) / n
         total += v
         t.add_row([cat, v * 1e3, f"{100.0 * v / wall:5.1f}%"])
     t.add_row(["mpi_total", total * 1e3, f"{100.0 * total / wall:5.1f}%"])
@@ -90,14 +86,12 @@ def _mpi_share_block(records: list[dict]) -> str | None:
 
 
 def _spans_table(spans: list[dict], top: int = 12) -> str | None:
-    if not spans:
-        return None
     agg: dict[str, tuple[int, float]] = {}
     for s in spans:
-        if s.get("end") is None:
+        if s["end"] is None:
             continue
         n, total = agg.get(s["name"], (0, 0.0))
-        agg[s["name"]] = (n + 1, total + float(s.get("duration", 0.0)))
+        agg[s["name"]] = (n + 1, total + s["duration"])
     if not agg:
         return None
     t = Table(
@@ -118,9 +112,7 @@ _ROOFLINE_FAMILIES = frozenset({
 })
 
 
-def _metrics_table(metrics: dict | None, top: int = 30) -> str | None:
-    if not metrics:
-        return None
+def _metrics_table(metrics: reader.Metrics, top: int = 30) -> str | None:
     t = Table(["metric", "labels", "value"], title="Metrics snapshot")
     rows = 0
     skipped = 0
@@ -128,15 +120,14 @@ def _metrics_table(metrics: dict | None, top: int = 30) -> str | None:
         if name in _ROOFLINE_FAMILIES:
             skipped += 1
             continue
-        fam = metrics[name]
-        for sample in fam.get("samples", []):
-            labels = ",".join(f"{k}={v}" for k, v in sample.get("labels", {}).items())
-            if fam.get("type") == "histogram":
-                count = sample.get("count", 0)
-                mean = sample.get("sum", 0.0) / count if count else 0.0
+        for sample in metrics[name]:
+            labels = ",".join(f"{k}={v}" for k, v in sample["labels"].items())
+            if sample["kind"] == "histogram":
+                count = sample["count"]
+                mean = sample["sum"] / count if count else 0.0
                 value = f"count={count} mean={mean:.6g}"
             else:
-                value = f"{sample.get('value', 0.0):.6g}"
+                value = f"{sample['value']:.6g}"
             t.add_row([name, labels or "-", value])
             rows += 1
             if rows >= top:
@@ -198,7 +189,7 @@ def _ensemble_table(records: list[dict]) -> str | None:
     return "per-member convergence (ensemble sweep):\n" + member_table(rows)
 
 
-def _critpath_block(tel: TelemetryDir) -> str | None:
+def _critpath_block(tel: reader.TelemetryDir) -> str | None:
     """Compact per-model critical-path table from the event record; absent
     when there are no events. The table shows no phase, so the record is
     analyzed without phase windows and ``spans.jsonl`` cannot change it."""
@@ -219,7 +210,7 @@ def summarize_dir(path: str | Path) -> str:
     summarizes whatever is present, with a note per missing or unreadable
     stream instead of a silent hole.
     """
-    tel = TelemetryDir(path)
+    tel = reader.TelemetryDir(path)
     notes: list[str] = []
 
     def read(key: str, skipped: str = "") -> Any:
@@ -233,28 +224,30 @@ def summarize_dir(path: str | Path) -> str:
         return stream.value
 
     manifest = read("manifest")
-    spans = read("spans", "span tables skipped") or JsonLines()
-    records = read("log", "step tables skipped") or JsonLines()
-    for lines in (spans, records):
-        if lines.skipped:
-            notes.append(f"note: {skipped_note(lines)}")
-    metrics = read("metrics")
-    if metrics is None:
+    read("spans", "span tables skipped")
+    read("log", "step tables skipped")
+    log = tel.lines("log")
+    notes += [f"note: {note}" for note in reader.skipped_notes(tel.lines("spans"), log)]
+    metrics = reader.decode_metrics(read("metrics"))
+    if tel.stream("metrics").value is None:
         # Fall back to the newest rotated snapshot a long run left behind.
         rotated = tel.rotated_metrics()
         if rotated is not None:
-            metrics = rotated.value
+            metrics = reader.decode_metrics(rotated.value, rotated.name)
             notes.append(f"note: showing rotated snapshot {rotated.name} "
                          "(run may have ended mid-write)")
     events = read("events", "critical path skipped")
+    models, steps = reader.decode_models(manifest), reader.decode_steps(log)
+    spans = reader.decode_spans(tel.lines("spans"))
+    notes += [f"note: {note}" for note in reader.skipped_notes(models, steps, spans, metrics)]
 
-    blocks = [f"telemetry summary: {tel.path}", _manifest_block(manifest)]
+    blocks = [f"telemetry summary: {tel.path}", _manifest_block(manifest, models)]
     if notes:
         blocks.append("\n".join(notes))
     for builder, arg in (
-        (_steps_table, records),
-        (_mpi_share_block, records),
-        (_ensemble_table, records),
+        (_steps_table, steps),
+        (_mpi_share_block, steps),
+        (_ensemble_table, log),
         (_spans_table, spans),
         (_metrics_table, metrics),
         (_critpath_block, tel),

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.obs.reader import decode_metrics, decode_models
+
 #: Kernels below this fraction of speed-of-light get flagged in renders.
 DEFAULT_SOL_THRESHOLD = 0.5
 
@@ -76,49 +78,36 @@ def peaks_from_manifest(manifest: Mapping[str, Any] | None) -> MachinePeaks | No
     Multi-model sessions (fig3) bind several models against the same
     device spec; the first ``machine`` entry wins.
     """
-    for model in (manifest or {}).get("models") or []:
-        machine = model.get("machine")
-        if machine and machine.get("mem_bandwidth"):
-            return MachinePeaks(
-                name=str(machine.get("name", "unknown")),
-                mem_bandwidth=float(machine["mem_bandwidth"]),
-                flops=float(machine.get("flops", 0.0)),
-            )
+    for model in decode_models(manifest):
+        machine = model["machine"]
+        if machine and machine["mem_bandwidth"]:
+            return MachinePeaks(machine["name"], machine["mem_bandwidth"], machine["flops"])
     return None
-
-
-def _samples(metrics: Mapping[str, Any], name: str) -> dict[tuple[str, ...], dict]:
-    """``{(kernel, ...label values): sample}`` for one metric family."""
-    fam = (metrics or {}).get(name) or {}
-    out: dict[tuple[str, ...], dict] = {}
-    for sample in fam.get("samples", []):
-        labels = sample.get("labels", {})
-        kernel = labels.get("kernel")
-        if kernel is None:
-            continue
-        out[kernel] = sample
-    return out
 
 
 def roofline_from_metrics(
     metrics: Mapping[str, Any], peaks: MachinePeaks
 ) -> list[KernelRoofline]:
-    """Build per-kernel rows from a metrics.json dict, hottest first."""
-    seconds = _samples(metrics, "kernel_seconds_total")
-    nbytes = _samples(metrics, "kernel_bytes_total")
-    nflops = _samples(metrics, "kernel_flops_total")
-    calls = _samples(metrics, "kernel_calls_total")
+    """Build per-kernel rows from a metrics.json dict (raw or decoded),
+    hottest first."""
+    decoded = decode_metrics(metrics)
+
+    def by_kernel(name: str) -> dict[str, dict]:
+        return {s["labels"]["kernel"]: s for s in decoded.get(name, ()) if "kernel" in s["labels"]}
+
+    nbytes, nflops, calls = (
+        {kernel: s["value"] for kernel, s in by_kernel(name).items()}
+        for name in ("kernel_bytes_total", "kernel_flops_total", "kernel_calls_total")
+    )
     rows = []
-    for kernel, sample in seconds.items():
-        sec = float(sample.get("value", 0.0))
-        b = float(nbytes.get(kernel, {}).get("value", 0.0))
-        f = float(nflops.get(kernel, {}).get("value", 0.0))
+    for kernel, sample in by_kernel("kernel_seconds_total").items():
+        b, f = nbytes.get(kernel, 0.0), nflops.get(kernel, 0.0)
         rows.append(
             KernelRoofline(
                 kernel=kernel,
-                category=sample.get("labels", {}).get("category", "compute"),
-                calls=int(calls.get(kernel, {}).get("value", 0.0)),
-                seconds=sec,
+                category=sample["labels"].get("category", "compute"),
+                calls=int(calls.get(kernel, 0.0)),
+                seconds=sample["value"],
                 bytes=b,
                 flops=f,
                 sol_seconds=peaks.sol_seconds(b, f),

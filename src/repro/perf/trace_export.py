@@ -17,7 +17,8 @@ The source is an :class:`~repro.obs.events.EventRecord` -- a live
 profiler's ``record()`` or a finalized directory's ``events.npz`` -- so a
 finalized telemetry directory exports the trace a live session would
 (``repro telemetry DIR --chrome-trace OUT.json``; spans then come from
-``spans.jsonl`` as dicts).
+``spans.jsonl`` as dicts); both are read through
+:func:`repro.obs.reader.decode_spans`.
 
 Format reference: the Trace Event Format's "complete" events
 (``"ph": "X"``) with microsecond timestamps.
@@ -30,6 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.obs.events import EventRecord
+from repro.obs.reader import Records, decode_spans
 from repro.runtime.clock import TimeCategory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -88,12 +90,12 @@ def _event_json(
     }
 
 
-def _span_json(s: "Span | Mapping[str, Any]", tids: dict[str, int]) -> dict:
-    s = s if isinstance(s, Mapping) else s.to_dict()  # spans.jsonl rows are dicts
-    attrs = s.get("attrs") or {}
+def _span_json(s: Mapping[str, Any], tids: dict[str, int]) -> dict:
+    """A decoded span as a complete event."""
+    attrs = s["attrs"]
     lane = str(attrs.get("lane", "spans"))
     tid = tids.setdefault(lane, len(tids))
-    end = s["end"] if s.get("end") is not None else s["start"]
+    end = s["start"] if s["end"] is None else s["end"]
     return {
         "name": s["name"],
         "cat": "span",
@@ -104,8 +106,8 @@ def _span_json(s: "Span | Mapping[str, Any]", tids: dict[str, int]) -> dict:
         "tid": tid,
         "args": {
             "span_id": s["span_id"],
-            "parent_id": s.get("parent_id"),
-            "depth": s.get("depth", 0),
+            "parent_id": s["parent_id"],
+            "depth": s["depth"],
             **{k: _scalar(v) for k, v in attrs.items()},
         },
     }
@@ -152,8 +154,10 @@ def to_chrome_trace(record: EventRecord, *, spans: Spans = ()) -> dict:
     metadata = _process_meta(PROFILER_PID, "profiler", tids)
     metadata += _process_meta(COMM_PID, "comm (overlapped)", comm_tids)
     if spans:
+        if not isinstance(spans, Records):
+            spans = decode_spans([s if isinstance(s, Mapping) else s.to_dict() for s in spans])
         span_tids: dict[str, int] = {}
-        events += [_span_json(s, span_tids) for s in spans]
+        events += [_span_json(s, span_tids) for s in spans if s["start"] is not None]
         metadata += _process_meta(SPAN_PID, "spans", span_tids)
     return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
 

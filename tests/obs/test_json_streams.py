@@ -4,8 +4,9 @@ skipped, and prints the critical-path tables of the healthy directory.
 
 The damages are :data:`tests.obs.records.JSON_DAMAGE`, applied in turn to
 ``manifest.json``, ``log.jsonl`` and ``spans.jsonl`` of a real run; records
-whose seconds are not finite numbers; and, drawn by hypothesis, any
-truncation or single-byte flip of those streams and ``metrics.json``.
+with a wrong-typed field in all four streams; and, drawn by hypothesis, any
+truncation or single-byte flip of those streams and ``metrics.json``, or
+any one JSON leaf of them replaced by a value of another type.
 """
 
 import json
@@ -86,7 +87,8 @@ def test_damaged_stream(healthy, tmp_path, capsys, stream, damage):
 
 
 @pytest.mark.parametrize("stream", (LOG_FILE, SPANS_FILE))
-@pytest.mark.parametrize("damage", ["non_object_line", "non_utf8_byte", "truncated_mid_line"])
+@pytest.mark.parametrize("damage", ["non_object_line", "non_utf8_byte", "truncated_mid_line",
+                                    "wrong_top_level_type"])
 def test_skipped_lines_are_one_note_naming_the_file(healthy, tmp_path, capsys, stream, damage):
     d = tmp_path / "damaged"
     shutil.copytree(healthy, d)
@@ -110,12 +112,27 @@ def test_a_whole_file_stream_must_hold_an_object(healthy, tmp_path):
         assert TelemetryDir(d).stream("manifest").value is None, damage
 
 
+def _dicts(node):
+    """Every object of a JSON document, outermost first."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    for child in node if isinstance(node, list) else ():
+        yield from _dicts(child)
+
+
 def _retype_first(path, is_record, field, value) -> None:
-    """Give ``field`` of the first record ``is_record`` picks the wrong type."""
-    lines = path.read_text().splitlines()
-    i = next(i for i, line in enumerate(lines) if is_record(json.loads(line)))
-    lines[i] = json.dumps({**json.loads(lines[i]), field: value})
-    path.write_text("\n".join(lines) + "\n")
+    """Give ``field`` of the first record ``is_record`` picks the wrong type:
+    a line of a JSONL stream, or any object of a whole-file stream."""
+    if path.suffix == ".jsonl":
+        lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if is_record(json.loads(line)))
+        lines[i] = json.dumps({**json.loads(lines[i]), field: value})
+        path.write_text("\n".join(lines) + "\n")
+        return
+    doc = json.loads(path.read_text())
+    next(obj for obj in _dicts(doc) if is_record(obj))[field] = value
+    path.write_text(json.dumps(doc))
 
 
 def _is_step(record) -> bool:
@@ -126,25 +143,62 @@ def _is_phase(span) -> bool:
     return span.get("depth") == 1 and span["name"].startswith("step/")
 
 
+def _has(key):
+    return lambda obj: key in obj
+
+
+def _is_kernel_seconds(sample) -> bool:
+    return set(sample.get("labels", ())) == {"category", "kernel"}
+
+
 @pytest.mark.parametrize("stream, is_record, field, value", [
     (LOG_FILE, _is_step, "categories", [1, 2]),
     (LOG_FILE, _is_step, "categories", {"compute": "abc"}),
     (LOG_FILE, _is_step, "wall", float("nan")),
     (SPANS_FILE, _is_phase, "duration", "abc"),
-], ids=["categories_list", "category_string", "wall_nan", "duration_string"])
+    (SPANS_FILE, _is_phase, "start", "x"),
+    (SPANS_FILE, _is_phase, "end", "x"),
+    (SPANS_FILE, _is_phase, "attrs", [1]),
+    (METRICS_JSON_FILE, _has("value"), "value", "abc"),
+    (METRICS_JSON_FILE, _has("samples"), "samples", 5),
+    (METRICS_JSON_FILE, _has("steps_total"), "steps_total", [1, 2]),
+    (METRICS_JSON_FILE, _has("labels"), "labels", [1]),
+    (METRICS_JSON_FILE, _has("count"), "count", "x"),
+    (METRICS_JSON_FILE, _is_kernel_seconds, "value", "abc"),
+    (METRICS_JSON_FILE, _is_kernel_seconds, "value", float("nan")),
+    (MANIFEST_FILE, _has("models"), "models", {"a": 1}),
+    (MANIFEST_FILE, _has("mem_bandwidth"), "mem_bandwidth", "x"),
+], ids=["categories_list", "category_string", "wall_nan", "duration_string", "start_string",
+        "end_string", "attrs_list", "counter_string", "samples_int", "family_list",
+        "labels_list", "count_string", "kernel_string", "kernel_nan", "models_object",
+        "bandwidth_string"])
 def test_a_wrong_typed_record_is_skipped_with_one_note(
     healthy, tmp_path, capsys, stream, is_record, field, value
 ):
     d = tmp_path / "damaged"
     shutil.copytree(healthy, d)
     _retype_first(d / stream, is_record, field, value)
-    for argv in (["telemetry", str(d)], ["critpath", str(d)],
-                 ["telemetry", "--compare", str(healthy), str(d)]):
-        assert _run(argv, capsys)[0] == 0
+    trace = tmp_path / "trace.json"
+    assert _run(["telemetry", str(d), "--chrome-trace", str(trace)], capsys)[0] == 0
+    code, critpath = _run(["critpath", str(d)], capsys)
+    assert code == 0 and "nan" not in critpath.replace(str(d), "DIR")
+    note = f"skipped 1 record(s) of {stream} with a field of the wrong type"
+    # an optional span field of the wrong type reads as absent: nothing is skipped
+    notes = [] if field == "attrs" else [note]
+    code, compared = _run(["telemetry", "--compare", str(healthy), str(d)], capsys)
+    assert code == 0
+    assert (f"note: {d}: {note}" in compared.splitlines()) == (stream == METRICS_JSON_FILE)
+    code, summary = _run(["telemetry", str(d)], capsys)
+    assert code == 0 and "failed on partial data" not in summary
+    assert [ln for ln in summary.splitlines() if ln.startswith("note:")] == [
+        f"note: {n}" for n in notes]
+    assert "nan" not in summary.replace(str(d), "DIR")
     code, explained = _run(["telemetry", "--compare", str(healthy), str(d), "--explain"], capsys)
     assert code == 0 and "wall-time delta" in explained
-    note = f"skipped 1 record(s) of {stream} whose seconds are not finite numbers"
-    assert [ln for ln in explained.splitlines() if "skipped" in ln] == [f"  - {d}: {note}"]
+    if stream == MANIFEST_FILE:  # --explain reads no manifest
+        notes = []
+    assert [ln for ln in explained.splitlines() if "skipped" in ln] == [
+        f"  - {d}: {n}" for n in notes]
 
 
 @pytest.fixture(scope="module")
@@ -167,12 +221,70 @@ def test_any_truncation_or_byte_flip_is_notes_or_one_error_line(
     at %= len(blob)
     path.write_bytes(blob[:at] + bytes([byte]) + blob[at + 1:] if flip else blob[:at])
     try:
-        for argv in (["telemetry", str(scratch)], ["critpath", str(scratch)],
-                     ["telemetry", "--compare", str(healthy), str(scratch)],
-                     ["telemetry", "--compare", str(healthy), str(scratch), "--explain"]):
-            _run(argv, capsys)
+        _run_every_reader(healthy, scratch, capsys)
     finally:
         path.write_bytes(blob)
+
+
+def _run_every_reader(healthy, d, capsys) -> None:
+    for argv in (["telemetry", str(d)], ["critpath", str(d)],
+                 ["telemetry", "--compare", str(healthy), str(d)],
+                 ["telemetry", "--compare", str(healthy), str(d), "--explain"],
+                 ["telemetry", str(d), "--chrome-trace", str(d.parent / "trace.json")]):
+        _run(argv, capsys)
+
+
+def _leaves(node, path=()):
+    """The path of every scalar of a JSON document, in document order."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else None)
+    if items is None:
+        yield path
+    for key, child in items or ():
+        yield from _leaves(child, (*path, key))
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stream=st.sampled_from((MANIFEST_FILE, LOG_FILE, SPANS_FILE, METRICS_JSON_FILE)),
+       at=st.integers(0, 2**20),
+       value=st.sampled_from(["abc", [1], {"a": 1}, float("nan"), None, True]))
+def test_any_json_leaf_of_another_type_is_notes_or_one_error_line(
+    healthy, scratch, capsys, stream, at, value
+):
+    path = scratch / stream
+    blob = (healthy / stream).read_bytes()
+    jsonl = stream.endswith(".jsonl")
+    docs = [json.loads(line) for line in blob.splitlines()] if jsonl else [json.loads(blob)]
+    leaves = [(i, leaf) for i, doc in enumerate(docs) for leaf in _leaves(doc) if leaf]
+    i, (*parents, key) = leaves[at % len(leaves)]
+    obj = docs[i]
+    for step in parents:
+        obj = obj[step]
+    obj[key] = value
+    path.write_text("\n".join(map(json.dumps, docs)) + "\n" if jsonl else json.dumps(docs[0]))
+    try:
+        _run_every_reader(healthy, scratch, capsys)
+    finally:
+        path.write_bytes(blob)
+
+
+#: The tables of ``repro telemetry DIR`` that ``metrics.json`` does not feed.
+_LOG_AND_SPAN_TABLES = ("Per-step records", "MPI time by category", "Hottest spans")
+
+
+@pytest.mark.parametrize("damage", sorted(JSON_DAMAGE))
+def test_a_damaged_metrics_snapshot_leaves_the_log_and_span_tables(
+    healthy, tmp_path, capsys, damage
+):
+    d = tmp_path / "damaged"
+    shutil.copytree(healthy, d)
+    JSON_DAMAGE[damage](d / METRICS_JSON_FILE)
+    _, want = _run(["telemetry", str(healthy)], capsys)
+    _, got = _run(["telemetry", str(d)], capsys)
+    tables = [b for b in got.split("\n\n") if b.startswith(_LOG_AND_SPAN_TABLES)]
+    assert tables == [b for b in want.split("\n\n") if b.startswith(_LOG_AND_SPAN_TABLES)]
+    assert len(tables) == len(_LOG_AND_SPAN_TABLES)
 
 
 def test_a_nested_metrics_snapshot_is_one_error_line(healthy, tmp_path, capsys):
