@@ -269,8 +269,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.mas.model import ModelConfig
+    from repro.obs.reader import decode_members
     from repro.obs.summary import member_table
-    from repro.obs.telemetry import SWEEP_FILE, current as _current_telemetry
+    from repro.obs.telemetry import SWEEP_FILE
 
     version = CodeVersion[args.version]
     try:
@@ -300,13 +301,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         if model is None:
             return 2
-        rows = model.ensemble_report()
-        tel = _current_telemetry()
-        if tel.enabled:
-            for row in rows:
-                tel.logger.log("sweep_member", **row)
-    print()
-    print(member_table(rows))
     manifest = {
         "schema": "repro-sweep/1",
         "members": args.members,
@@ -318,8 +312,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "nominal_shape": list(nominal),
         "pcg_variant": args.pcg,
         "pcg_precond": args.precond,
-        "member_rows": rows,
+        "member_rows": model.ensemble_report(),
     }
+    print(f"\n{member_table(decode_members(manifest))}")
     targets = []
     if args.telemetry:
         targets.append(Path(args.telemetry) / SWEEP_FILE)
@@ -492,22 +487,24 @@ def _sweep_fallback(tel, where: str, reason: str, error: str) -> int:
     """A sweep directory's batched-kernel trace has no per-rank critical
     path: show its per-member convergence instead (``error``, exit 1,
     when there is no sweep manifest). A damaged manifest is one error
-    line; member rows that are not objects are skipped."""
+    line; member rows the reader drops are one note."""
+    from repro.obs.reader import decode_members, skipped_notes
     from repro.obs.summary import member_table
 
     sweep = tel.stream("sweep")
-    rows = (sweep.value or {}).get("member_rows") or []
     if sweep.missing:
         print(f"error: {error}", file=sys.stderr)
     elif sweep.value is None:
         print(f"error: unreadable {sweep.name} in {where}: not a JSON object", file=sys.stderr)
-    elif not isinstance(rows, list):
+    elif not isinstance(sweep.value.get("member_rows") or [], list):
         print(f"error: {sweep.name} in {where}: member_rows is not a list", file=sys.stderr)
     else:
         print(f"(sweep telemetry directory: {reason}; showing per-member convergence instead)")
-        rows = [row for row in rows if isinstance(row, dict)]
-        if rows:
-            print(member_table(rows))
+        members = decode_members(sweep.value)
+        for note in skipped_notes(members):
+            print(f"note: {note}", file=sys.stderr)
+        if members:
+            print(member_table(members))
         return 0
     return 1
 

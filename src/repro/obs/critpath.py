@@ -35,7 +35,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.obs.events import EventRecord, sum_by_key
-from repro.obs.reader import TelemetryDir, decode_spans
+from repro.obs.reader import MPI_CATEGORIES, TelemetryDir, decode_spans
 
 #: Category value whose time is caused by another lane (jump candidates).
 WAIT_CATEGORY = "mpi_wait"
@@ -53,7 +53,6 @@ BLAME_GROUPS = (
 )
 
 _MEMORY_CATEGORIES = frozenset({"h2d", "d2h", "um_fault"})
-_MPI_CATEGORIES = frozenset({"mpi_pack", "mpi_transfer", "mpi_wait"})
 
 
 def blame_group(category: str, label: str) -> str:
@@ -74,7 +73,7 @@ def blame_group(category: str, label: str) -> str:
         return "launch"
     if category in _MEMORY_CATEGORIES:
         return "memory"
-    if category in _MPI_CATEGORIES:
+    if category in MPI_CATEGORIES:
         return "mpi_other"
     if category == IDLE_CATEGORY:
         return IDLE_CATEGORY

@@ -23,10 +23,9 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.obs.events import sum_by_key
-from repro.obs.reader import TelemetryDir, decode_metrics, decode_spans, decode_steps, skipped_notes
-
-#: Categories whose sum is "MPI time" in the paper's Fig. 3 accounting.
-MPI_CATEGORIES = ("mpi_pack", "mpi_transfer", "mpi_wait")
+from repro.obs.reader import (
+    MPI_CATEGORIES, TelemetryDir, decode_metrics, decode_spans, decode_steps, skipped_notes,
+)
 
 
 @dataclass

@@ -2,10 +2,10 @@
 reads a run back opens it as a :class:`TelemetryDir`, which decides where
 each stream lives and what a missing or damaged one is, and decodes its
 records with one decoder per kind (:func:`decode_steps`,
-:func:`decode_spans`, :func:`decode_metrics`, :func:`decode_models`); the
-commands only word their notes and errors. A stream is parsed on first
-access, and the event record's module (numpy) is imported only when
-``events`` is read."""
+:func:`decode_spans`, :func:`decode_metrics`, :func:`decode_models`,
+:func:`decode_members`); the commands only word their notes and errors.
+A stream is parsed on first access, and the event record's module
+(numpy) is imported only when ``events`` is read."""
 
 from __future__ import annotations
 
@@ -71,18 +71,30 @@ def read_jsonl(path: Path) -> JsonLines:
 # -- decoders: a record keeps every field a reader computes with ----------------
 
 
+#: Categories whose sum is "MPI time" in the paper's Fig. 3 accounting.
+MPI_CATEGORIES = ("mpi_pack", "mpi_transfer", "mpi_wait")
+
+#: Per-kernel roofline families: one sample per kernel spec, whose values
+#: the roofline computes with, so finite whatever type the family declares.
+ROOFLINE_FAMILIES = frozenset({"kernel_seconds_total", "kernel_bytes_total", "kernel_flops_total",
+                               "kernel_calls_total", "kernel_sol_fraction"})
+
+#: The least integer ``float()`` overflows on: the midpoint between the
+#: largest float and 2**1024.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
 def _is(*types: type) -> Callable[[Any], bool]:
-    return lambda value: isinstance(value, types) and not isinstance(value, bool)
+    """A value of ``types``, not a bool; an integer must convert to a float."""
+    return lambda value: (isinstance(value, types) and not isinstance(value, bool)
+                          and not (isinstance(value, int) and abs(value) >= _FLOAT_OVERFLOW))
 
 
 _number = _is(int, float)  # NaN included: dt and sim_time are NaN past a non-finite member
 
 
 def _finite(value: Any) -> bool:
-    try:
-        return _number(value) and math.isfinite(value)
-    except OverflowError:  # an integer literal past the float range
-        return False
+    return _number(value) and math.isfinite(value)
 
 
 def _of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
@@ -93,7 +105,9 @@ def _of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
 #: Per record kind, field -> (test a present value passes, value when absent).
 #: A record failing a test is dropped, except on a field of ``_OPTIONAL``,
 #: which then reads as absent; a ``_REQUIRED`` field has no absent value.
+#: Under ``_OTHERS``, the test every field the table does not name passes.
 _REQUIRED = object()
+_OTHERS = object()
 _OPTIONAL = frozenset({"span_id", "parent_id", "attrs"})
 _ANY = (lambda value: True)
 STEP = {"dt": (_number, 0.0), "sim_time": (_number, 0.0), "wall": (_finite, 0.0),
@@ -112,14 +126,28 @@ FAMILY = {"type": (_is(str), "gauge"), "samples": (_is(list), [])}
 SAMPLE = {"labels": (_of(_is(str)), {}), "value": (_number, 0.0), "sum": (_number, 0.0),
           "count": (_is(int), 0)}
 COUNTER_SAMPLE = {**SAMPLE, "value": (_finite, 0.0)}
+#: A ``repro sweep`` member row (``MasModel.ensemble_report``); every other
+#: field is a varied parameter. An absent field reads as None.
+MEMBER = {"member": (_is(int), None), "sim_time": (_number, None),
+          "dt": (lambda v: v is None or _number(v), None), "pcg_iterations": (_is(int), None),
+          "pcg_converged": (_is(int), None), "pcg_breakdown": (lambda v: isinstance(v, bool), None),
+          _OTHERS: (_finite, None)}
 
 
 def _fields(record: Any, fields: dict) -> dict | None:
-    """``record`` as exactly ``fields``, absent ones at their default; None to drop it."""
+    """``record`` as exactly ``fields`` (after its ``_OTHERS`` fields, in
+    record order), absent ones at their default; None to drop it."""
     if not isinstance(record, dict):
         return None
     out = {}
+    if _OTHERS in fields:
+        others = {key: value for key, value in record.items() if key not in fields}
+        if not all(map(fields[_OTHERS][0], others.values())):
+            return None
+        out.update(others)
     for key, (test, absent) in fields.items():
+        if key is _OTHERS:
+            continue
         if key not in record:
             if absent is _REQUIRED:
                 return None
@@ -167,10 +195,19 @@ def decode_models(manifest: Mapping[str, Any] | None) -> Records:
     return out
 
 
+def decode_members(sweep: Mapping[str, Any] | None) -> Records:
+    """A ``sweep.json``'s ``member_rows`` by :data:`MEMBER`, varied fields
+    first in row order (a ``member_rows`` that is not a list is one
+    dropped record)."""
+    rows = (sweep or {}).get("member_rows") or []
+    return _decode(tmod.SWEEP_FILE, rows if isinstance(rows, list) else [None], MEMBER)
+
+
 def decode_metrics(metrics: Mapping[str, Any] | None,
                    name: str = tmod.METRICS_JSON_FILE) -> Metrics:
     """A ``metrics.json`` dict or ``MetricsRegistry.to_json()``: each family's
-    samples by :data:`SAMPLE`, with the family type as ``kind`` (a family
+    samples by :data:`SAMPLE` (counters and :data:`ROOFLINE_FAMILIES` by
+    :data:`COUNTER_SAMPLE`), with the family type as ``kind`` (a family
     that is not an object, or whose ``samples`` is not a list, is one
     dropped record). Decoded snapshots pass through."""
     if isinstance(metrics, Metrics):
@@ -181,7 +218,8 @@ def decode_metrics(metrics: Mapping[str, Any] | None,
             out.skipped += 1
             continue
         kind = fam["type"]
-        out[family] = _decode(name, fam["samples"], COUNTER_SAMPLE if kind == "counter" else SAMPLE)
+        finite = kind == "counter" or family in ROOFLINE_FAMILIES
+        out[family] = _decode(name, fam["samples"], COUNTER_SAMPLE if finite else SAMPLE)
         out.skipped += out[family].skipped
         for sample in out[family]:
             sample["kind"] = kind

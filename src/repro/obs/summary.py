@@ -77,7 +77,7 @@ def _mpi_share_block(steps: list[dict]) -> str | None:
         title="MPI time by category (mean over steps)",
     )
     total = 0.0
-    for cat in ("mpi_pack", "mpi_transfer", "mpi_wait"):
+    for cat in reader.MPI_CATEGORIES:
         v = sum(r["categories"].get(cat, 0.0) for r in steps) / n
         total += v
         t.add_row([cat, v * 1e3, f"{100.0 * v / wall:5.1f}%"])
@@ -103,90 +103,52 @@ def _spans_table(spans: list[dict], top: int = 12) -> str | None:
     return t.render()
 
 
-#: Per-kernel roofline families: one sample per kernel spec, dozens per
-#: run -- they would drown the snapshot table and have their own renderer
-#: (``repro critpath DIR``).
-_ROOFLINE_FAMILIES = frozenset({
-    "kernel_seconds_total", "kernel_bytes_total", "kernel_flops_total",
-    "kernel_calls_total", "kernel_sol_fraction",
-})
-
-
 def _metrics_table(metrics: reader.Metrics, top: int = 30) -> str | None:
-    t = Table(["metric", "labels", "value"], title="Metrics snapshot")
-    rows = 0
-    skipped = 0
-    for name in sorted(metrics):
-        if name in _ROOFLINE_FAMILIES:
-            skipped += 1
-            continue
-        for sample in metrics[name]:
-            labels = ",".join(f"{k}={v}" for k, v in sample["labels"].items())
-            if sample["kind"] == "histogram":
-                count = sample["count"]
-                mean = sample["sum"] / count if count else 0.0
-                value = f"count={count} mean={mean:.6g}"
-            else:
-                value = f"{sample['value']:.6g}"
-            t.add_row([name, labels or "-", value])
-            rows += 1
-            if rows >= top:
-                break
-        if rows >= top:
-            break
-    if not rows:
+    """The snapshot's first ``top`` samples, less the per-kernel roofline
+    families: dozens of samples per run, rendered by ``repro critpath DIR``."""
+    samples = [(name, sample) for name in sorted(metrics.keys() - reader.ROOFLINE_FAMILIES)
+               for sample in metrics[name]][:top]
+    if not samples:
         return None
-    out = t.render()
-    if skipped:
-        out += (
-            f"\n({skipped} per-kernel roofline families omitted; "
-            "see: repro critpath DIR)"
-        )
-    return out
+    t = Table(["metric", "labels", "value"], title="Metrics snapshot")
+    for name, sample in samples:
+        labels = ",".join(f"{k}={v}" for k, v in sample["labels"].items())
+        if sample["kind"] == "histogram":
+            count = sample["count"]
+            mean = sample["sum"] / count if count else 0.0
+            value = f"count={count} mean={mean:.6g}"
+        else:
+            value = f"{sample['value']:.6g}"
+        t.add_row([name, labels or "-", value])
+    omitted = len(reader.ROOFLINE_FAMILIES & metrics.keys())
+    tail = f"\n({omitted} per-kernel roofline families omitted; see: repro critpath DIR)"
+    return t.render() + (tail if omitted else "")
 
 
 def member_table(rows: list[dict]) -> str:
-    """Per-member convergence table of ``repro sweep``, of the ``repro
-    critpath`` fallback on a sweep directory and of the summary. A value a
-    row lacks, or holds as something other than a number, shows as ``-``."""
+    """Per-member convergence table of decoded member rows
+    (:func:`repro.obs.reader.decode_members`): ``repro sweep``'s, the
+    ``repro critpath`` fallback's on a sweep directory and the summary's.
+    An absent value shows as ``-``."""
 
-    def number(r: dict, k: str, spec: str) -> str:
-        v = r.get(k)
-        return format(v, spec) if isinstance(v, (int, float)) else "-"
+    def cell(value: Any, spec: str | None = None) -> Any:
+        return "-" if value is None else value if spec is None else format(value, spec)
 
-    base = ("member", "sim_time", "dt", "pcg_iterations", "pcg_converged",
-            "pcg_breakdown")
-    vary_cols = [k for k in rows[0] if k not in base]
+    vary_cols = [k for k in rows[0] if k not in reader.MEMBER]
     t = Table(["member", *vary_cols, "sim_time", "dt", "pcg_iters",
                "converged", "breakdown"])
     for r in rows:
-        breakdown = r.get("pcg_breakdown")
-        t.add_row(
-            [
-                r.get("member", "-"),
-                *(number(r, k, ".6g") for k in vary_cols),
-                number(r, "sim_time", ".5f"),
-                number(r, "dt", ".5f"),
-                r.get("pcg_iterations", "-"),
-                r.get("pcg_converged", "-"),
-                "-" if breakdown is None else "yes" if breakdown else "no",
-            ]
-        )
+        t.add_row([cell(r["member"]), *(cell(r.get(k), ".6g") for k in vary_cols),
+                   cell(r["sim_time"], ".5f"), cell(r["dt"], ".5f"), cell(r["pcg_iterations"]),
+                   cell(r["pcg_converged"]), cell(r["pcg_breakdown"])])
     return t.render()
 
 
-def _ensemble_table(records: list[dict]) -> str | None:
-    """Per-member convergence table for sweep runs, from the
-    ``sweep_member`` rows ``repro sweep`` logs at run end; absent for
-    scalar runs."""
-    rows = [
-        {k: v for k, v in r.items() if k not in ("event", "ts")}
-        for r in records if r.get("event") == "sweep_member"
-    ]
-    if not rows:
+def _ensemble_table(members: reader.Records) -> str | None:
+    """Per-member convergence table of a sweep run; absent for scalar runs."""
+    if not members:
         return None
-    rows.sort(key=lambda r: r.get("member", 0))
-    return "per-member convergence (ensemble sweep):\n" + member_table(rows)
+    return "per-member convergence (ensemble sweep):\n" + member_table(members)
 
 
 def _critpath_block(tel: reader.TelemetryDir) -> str | None:
@@ -237,9 +199,12 @@ def summarize_dir(path: str | Path) -> str:
             notes.append(f"note: showing rotated snapshot {rotated.name} "
                          "(run may have ended mid-write)")
     events = read("events", "critical path skipped")
+    members = reader.decode_members(  # a scalar run has no sweep.json: not a note
+        None if tel.stream("sweep").missing else read("sweep", "member table skipped"))
     models, steps = reader.decode_models(manifest), reader.decode_steps(log)
     spans = reader.decode_spans(tel.lines("spans"))
-    notes += [f"note: {note}" for note in reader.skipped_notes(models, steps, spans, metrics)]
+    notes += [f"note: {note}"
+              for note in reader.skipped_notes(models, steps, spans, metrics, members)]
 
     blocks = [f"telemetry summary: {tel.path}", _manifest_block(manifest, models)]
     if notes:
@@ -247,7 +212,7 @@ def summarize_dir(path: str | Path) -> str:
     for builder, arg in (
         (_steps_table, steps),
         (_mpi_share_block, steps),
-        (_ensemble_table, log),
+        (_ensemble_table, members),
         (_spans_table, spans),
         (_metrics_table, metrics),
         (_critpath_block, tel),

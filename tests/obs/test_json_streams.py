@@ -4,9 +4,10 @@ skipped, and prints the critical-path tables of the healthy directory.
 
 The damages are :data:`tests.obs.records.JSON_DAMAGE`, applied in turn to
 ``manifest.json``, ``log.jsonl`` and ``spans.jsonl`` of a real run; records
-with a wrong-typed field in all four streams; and, drawn by hypothesis, any
-truncation or single-byte flip of those streams and ``metrics.json``, or
-any one JSON leaf of them replaced by a value of another type.
+with a wrong-typed field in all five streams (``sweep.json`` of a sweep
+directory too); and, drawn by hypothesis, any truncation or single-byte
+flip of those streams and ``metrics.json``, or any one JSON leaf of them or
+of ``sweep.json`` replaced by a value of another type.
 """
 
 import json
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.obs.critpath import _phase_windows
-from repro.obs.reader import TelemetryDir, read_jsonl
+from repro.obs.reader import TelemetryDir, decode_metrics, read_jsonl
 from repro.obs.telemetry import LOG_FILE, MANIFEST_FILE, METRICS_JSON_FILE, SPANS_FILE
 from tests.obs.records import JSON_DAMAGE
 
@@ -151,8 +152,13 @@ def _is_kernel_seconds(sample) -> bool:
     return set(sample.get("labels", ())) == {"category", "kernel"}
 
 
+#: A value no float holds: ``float()`` of it overflows.
+HUGE = 10**400
+
+
 @pytest.mark.parametrize("stream, is_record, field, value", [
     (LOG_FILE, _is_step, "categories", [1, 2]),
+    (LOG_FILE, _is_step, "dt", HUGE),
     (LOG_FILE, _is_step, "categories", {"compute": "abc"}),
     (LOG_FILE, _is_step, "wall", float("nan")),
     (SPANS_FILE, _is_phase, "duration", "abc"),
@@ -164,13 +170,23 @@ def _is_kernel_seconds(sample) -> bool:
     (METRICS_JSON_FILE, _has("steps_total"), "steps_total", [1, 2]),
     (METRICS_JSON_FILE, _has("labels"), "labels", [1]),
     (METRICS_JSON_FILE, _has("count"), "count", "x"),
+    (METRICS_JSON_FILE, _has("count"), "count", HUGE),
+    (METRICS_JSON_FILE, _has("sum"), "sum", HUGE),
+    (METRICS_JSON_FILE, _has("sim_dt"), "sim_dt",
+     {"type": "gauge", "samples": [{"labels": {}, "value": HUGE}]}),
+    # a roofline family re-typed gauge still holds finite values only
+    (METRICS_JSON_FILE, _has("kernel_calls_total"), "kernel_calls_total",
+     {"type": "gauge", "samples": [{"labels": {"kernel": "apply_floors"}, "value": float("inf")}]}),
+    (METRICS_JSON_FILE, _has("kernel_bytes_total"), "kernel_bytes_total",
+     {"type": "gauge", "samples": [{"labels": {"kernel": "apply_floors"}, "value": HUGE}]}),
     (METRICS_JSON_FILE, _is_kernel_seconds, "value", "abc"),
     (METRICS_JSON_FILE, _is_kernel_seconds, "value", float("nan")),
     (MANIFEST_FILE, _has("models"), "models", {"a": 1}),
     (MANIFEST_FILE, _has("mem_bandwidth"), "mem_bandwidth", "x"),
-], ids=["categories_list", "category_string", "wall_nan", "duration_string", "start_string",
-        "end_string", "attrs_list", "counter_string", "samples_int", "family_list",
-        "labels_list", "count_string", "kernel_string", "kernel_nan", "models_object",
+], ids=["categories_list", "dt_huge", "category_string", "wall_nan", "duration_string",
+        "start_string", "end_string", "attrs_list", "counter_string", "samples_int",
+        "family_list", "labels_list", "count_string", "count_huge", "sum_huge", "gauge_huge",
+        "calls_gauge_inf", "bytes_gauge_huge", "kernel_string", "kernel_nan", "models_object",
         "bandwidth_string"])
 def test_a_wrong_typed_record_is_skipped_with_one_note(
     healthy, tmp_path, capsys, stream, is_record, field, value
@@ -199,6 +215,21 @@ def test_a_wrong_typed_record_is_skipped_with_one_note(
         notes = []
     assert [ln for ln in explained.splitlines() if "skipped" in ln] == [
         f"  - {d}: {n}" for n in notes]
+
+
+def test_a_number_must_convert_to_a_float():
+    """The decoders keep an integer exactly when ``float()`` of it does not overflow."""
+    largest = 2**1024 - 2**970 - 1
+    values = (largest, largest + 1, -largest, -largest - 1)
+    snapshot = {"sim_time": {"type": "gauge", "samples": [{"value": v} for v in values]}}
+    metrics = decode_metrics(snapshot)
+    kept = [s["value"] for s in metrics["sim_time"]]
+    assert kept == [largest, -largest] and metrics.skipped == 2
+    for value in kept:
+        float(value)
+    for value in set(values) - set(kept):
+        with pytest.raises(OverflowError):
+            float(value)
 
 
 @pytest.fixture(scope="module")
@@ -244,17 +275,15 @@ def _leaves(node, path=()):
         yield from _leaves(child, (*path, key))
 
 
-@settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(stream=st.sampled_from((MANIFEST_FILE, LOG_FILE, SPANS_FILE, METRICS_JSON_FILE)),
-       at=st.integers(0, 2**20),
-       value=st.sampled_from(["abc", [1], {"a": 1}, float("nan"), None, True]))
-def test_any_json_leaf_of_another_type_is_notes_or_one_error_line(
-    healthy, scratch, capsys, stream, at, value
-):
-    path = scratch / stream
-    blob = (healthy / stream).read_bytes()
-    jsonl = stream.endswith(".jsonl")
+#: What a hypothesis example puts in place of one JSON leaf.
+_OTHER_LEAVES = st.sampled_from(["abc", [1], {"a": 1}, float("nan"), None, True, HUGE])
+
+
+def _replace_leaf(source, path, at, value) -> None:
+    """Write ``source`` to ``path`` with its ``at``-th leaf (modulo the
+    count) replaced by ``value``."""
+    blob = source.read_bytes()
+    jsonl = source.suffix == ".jsonl"
     docs = [json.loads(line) for line in blob.splitlines()] if jsonl else [json.loads(blob)]
     leaves = [(i, leaf) for i, doc in enumerate(docs) for leaf in _leaves(doc) if leaf]
     i, (*parents, key) = leaves[at % len(leaves)]
@@ -263,10 +292,20 @@ def test_any_json_leaf_of_another_type_is_notes_or_one_error_line(
         obj = obj[step]
     obj[key] = value
     path.write_text("\n".join(map(json.dumps, docs)) + "\n" if jsonl else json.dumps(docs[0]))
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stream=st.sampled_from((MANIFEST_FILE, LOG_FILE, SPANS_FILE, METRICS_JSON_FILE)),
+       at=st.integers(0, 2**20), value=_OTHER_LEAVES)
+def test_any_json_leaf_of_another_type_is_notes_or_one_error_line(
+    healthy, scratch, capsys, stream, at, value
+):
+    _replace_leaf(healthy / stream, scratch / stream, at, value)
     try:
         _run_every_reader(healthy, scratch, capsys)
     finally:
-        path.write_bytes(blob)
+        shutil.copy(healthy / stream, scratch / stream)
 
 
 #: The tables of ``repro telemetry DIR`` that ``metrics.json`` does not feed.
@@ -367,9 +406,76 @@ def test_sweep_rows_that_are_not_objects_are_skipped(sweep_dir, tmp_path, capsys
     sweep = json.loads((d / "sweep.json").read_text())
     sweep["member_rows"][1:1] = [7, None, ["member", 1]]
     (d / "sweep.json").write_text(json.dumps(sweep))
-    code, got = _run(["critpath", str(d)], capsys)
-    assert code == 0 and got.replace(str(d), "DIR") == want.replace(str(sweep_dir), "DIR")
+    assert main(["critpath", str(d)]) == 0
+    got, err = capsys.readouterr()
+    assert got.replace(str(d), "DIR") == want.replace(str(sweep_dir), "DIR")
+    assert err == "note: skipped 3 record(s) of sweep.json with a field of the wrong type\n"
     assert "| 1 " in got
+
+
+def _member_rows(text: str) -> list[list[str]]:
+    """The cells of each member row of the tables in ``text``."""
+    return [[cell.strip() for cell in ln.split("|")[1:-1]]
+            for ln in text.splitlines() if ln.startswith("| ") and ln[2].isdigit()]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sim_time", HUGE), ("dt", "x"), ("member", 0.5), ("pcg_iterations", HUGE),
+    ("pcg_breakdown", 1), ("b0", float("nan")), ("b0", "abc"),
+], ids=["sim_time_huge", "dt_string", "member_float", "iterations_huge", "breakdown_int",
+        "vary_nan", "vary_string"])
+def test_a_wrong_typed_member_row_is_skipped_with_one_note(
+    sweep_dir, tmp_path, capsys, field, value
+):
+    """Both readers of ``sweep.json`` drop the row and note it once."""
+    _, want = _run(["critpath", str(sweep_dir)], capsys)
+    d = tmp_path / "damaged"
+    shutil.copytree(sweep_dir, d)
+    sweep = json.loads((d / "sweep.json").read_text())
+    sweep["member_rows"][0][field] = value
+    (d / "sweep.json").write_text(json.dumps(sweep))
+    note = "note: skipped 1 record(s) of sweep.json with a field of the wrong type"
+    assert main(["critpath", str(d)]) == 0
+    got, err = capsys.readouterr()
+    assert err == note + "\n"
+    assert _member_rows(got) == _member_rows(want)[1:]
+    code, summary = _run(["telemetry", str(d)], capsys)
+    assert code == 0 and "failed on partial data" not in summary
+    assert [ln for ln in summary.splitlines() if "sweep.json" in ln] == [note]
+    (table,) = [b for b in summary.split("\n\n") if b.startswith("per-member convergence")]
+    assert _member_rows(table) == _member_rows(want)[1:]
+
+
+def test_an_unreadable_sweep_json_is_one_summary_note(sweep_dir, tmp_path, capsys):
+    d = tmp_path / "damaged"
+    shutil.copytree(sweep_dir, d)
+    (d / "sweep.json").write_text("[1]")
+    _, summary = _run(["telemetry", str(d)], capsys)
+    assert [ln for ln in summary.splitlines() if "sweep.json" in ln] == [
+        "note: unreadable stream sweep.json (member table skipped): a JSON list, not an object"]
+    assert "per-member convergence" not in summary
+
+
+@pytest.fixture(scope="module")
+def sweep_scratch(sweep_dir, tmp_path_factory):
+    """A copy of the sweep directory that each hypothesis example damages and restores."""
+    d = tmp_path_factory.mktemp("leaves") / "sweep"
+    shutil.copytree(sweep_dir, d)
+    return d
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(at=st.integers(0, 2**20), value=_OTHER_LEAVES)
+def test_any_sweep_json_leaf_of_another_type_is_notes_or_one_error_line(
+    sweep_dir, sweep_scratch, capsys, at, value
+):
+    _replace_leaf(sweep_dir / "sweep.json", sweep_scratch / "sweep.json", at, value)
+    try:
+        for argv in (["critpath", str(sweep_scratch)], ["telemetry", str(sweep_scratch)]):
+            assert "failed on partial data" not in _run(argv, capsys)[1]
+    finally:
+        shutil.copy(sweep_dir / "sweep.json", sweep_scratch / "sweep.json")
 
 
 def test_a_partial_member_row_shows_dashes(tmp_path, capsys):
@@ -381,6 +487,17 @@ def test_a_partial_member_row_shows_dashes(tmp_path, capsys):
     assert code == 0
     (row,) = [ln for ln in out.splitlines() if ln.startswith("| 0 ")]
     assert [cell.strip() for cell in row.split("|")[1:-1]] == ["0", "0.001", "-", "-", "-", "-", "-"]
+
+
+def test_a_row_without_a_varied_parameter_shows_a_dash(tmp_path, capsys):
+    """The varied columns are the first row's; a later row may lack one."""
+    d = tmp_path / "partial"
+    d.mkdir()
+    (d / "sweep.json").write_text(json.dumps({"member_rows": [
+        {"member": 0, "viscosity": 0.001, "b0": 1.0}, {"member": 1, "b0": 2.0}]}))
+    code, out = _run(["critpath", str(d)], capsys)
+    assert code == 0
+    assert _member_rows(out) == [["0", "0.001", "1"] + ["-"] * 5, ["1", "-", "2"] + ["-"] * 5]
 
 
 def test_the_summary_prints_the_critpath_member_table(sweep_dir, capsys):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.reader import ROOFLINE_FAMILIES
 from repro.obs.summary import summarize_dir
 from repro.obs.telemetry import (
     EVENTS_FILE,
@@ -75,6 +76,17 @@ class TestSummarizeDir:
         text = summarize_dir(tel_dir)
         assert "Hottest spans" in text  # spans still render
         assert "Per-step" not in text
+
+    def test_every_omitted_roofline_family_is_counted(self, tel_dir):
+        """The omitted-family count does not stop at the table's row cutoff."""
+        metrics = json.loads((tel_dir / METRICS_JSON_FILE).read_text())
+        metrics["a_total"] = {"type": "counter", "samples": [
+            {"labels": {"i": str(i)}, "value": 1.0} for i in range(30)]}
+        for name in ROOFLINE_FAMILIES:
+            metrics[name] = {"type": "counter", "samples": [
+                {"labels": {"kernel": "k"}, "value": 1.0}]}
+        (tel_dir / METRICS_JSON_FILE).write_text(json.dumps(metrics))
+        assert "(5 per-kernel roofline families omitted;" in summarize_dir(tel_dir)
 
 
 class TestDegradedStreams:

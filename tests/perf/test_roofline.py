@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.reader import decode_metrics
 from repro.perf.roofline import (
     DEFAULT_SOL_THRESHOLD,
     KernelRoofline,
@@ -104,6 +105,22 @@ class TestRooflineFromMetrics:
         assert sol_fraction_gauges(metrics, PEAKS) == {
             "k": pytest.approx(0.5)
         }
+
+    @pytest.mark.parametrize("family, value", [
+        ("kernel_calls_total", float("inf")), ("kernel_calls_total", float("nan")),
+        ("kernel_bytes_total", 10**400),
+    ], ids=["calls_inf", "calls_nan", "bytes_huge"])
+    def test_a_family_of_another_type_holds_finite_values(self, family, value):
+        """Whatever type a roofline family declares, a value no finite float
+        holds is a dropped sample, not an ``OverflowError``."""
+        metrics = _metrics({"k": ("compute", 3, 2.0e-3, 2.0e9, 0.0)})
+        metrics[family]["type"] = "gauge"
+        metrics[family]["samples"][0]["value"] = value
+        decoded = decode_metrics(metrics)
+        assert decoded.skipped == 1
+        (row,) = roofline_from_metrics(decoded, PEAKS)
+        assert row.calls == (0 if family == "kernel_calls_total" else 3)
+        assert row.bytes == (0.0 if family == "kernel_bytes_total" else 2.0e9)
 
     def test_zero_seconds_fraction_is_zero(self):
         r = KernelRoofline(kernel="k", category="compute", calls=0,
