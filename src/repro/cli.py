@@ -472,13 +472,13 @@ def _export_chrome_trace(tel_dir: str, out: str) -> int:
     events = tel.stream("events")
     lines = tel.lines("spans")
     spans = decode_spans(lines)
-    for note in skipped_notes(lines, spans):
-        print(f"note: {note}", file=sys.stderr)
     try:
         path = write_chrome_trace(events.required(), out, spans=spans)
     except ValueError as exc:
         print(f"error: cannot export {events.name} in {tel.path}: {exc}", file=sys.stderr)
         return 1
+    for note in skipped_notes(lines, spans):  # only once the trace is written
+        print(f"note: {note}", file=sys.stderr)
     print(f"wrote {path} ({path.stat().st_size} bytes; open at https://ui.perfetto.dev)")
     return 0
 
@@ -847,6 +847,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    for flag in ("telemetry_stream", "telemetry_snapshots"):
+        if getattr(args, flag, 0) < 0:
+            print(f"error: --{flag.replace('_', '-')} must not be negative", file=sys.stderr)
+            return 2
     fn: Callable[[argparse.Namespace], int] = args.fn
     return fn(args)
 

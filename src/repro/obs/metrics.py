@@ -12,10 +12,6 @@ Two exporters cover the production question ("what is this run doing?")
 and the tracking question ("how does this run compare to last PR?"):
 :meth:`MetricsRegistry.to_prometheus_text` and
 :meth:`MetricsRegistry.to_json`.
-
-The ``Null*`` twins at the bottom are the disabled-telemetry fast path:
-every method is a ``pass``, so instrumented code costs one attribute
-lookup and a no-op call when no telemetry session is active.
 """
 
 from __future__ import annotations
@@ -307,65 +303,3 @@ class MetricsRegistry:
     def to_json_text(self) -> str:
         """Serialized :meth:`to_json` (stable key order)."""
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-
-# -- disabled-telemetry fast path --------------------------------------------
-
-
-class NullMetricFamily:
-    """No-op family: every operation does nothing and returns itself."""
-
-    __slots__ = ()
-
-    def labels(self, **labels: str) -> "NullMetricFamily":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_FAMILY = NullMetricFamily()
-
-
-class NullMetricsRegistry:
-    """Registry twin whose families are all the shared no-op family."""
-
-    __slots__ = ()
-
-    def counter(self, name: str, help: str = "", labelnames=()) -> NullMetricFamily:
-        return _NULL_FAMILY
-
-    def gauge(self, name: str, help: str = "", labelnames=()) -> NullMetricFamily:
-        return _NULL_FAMILY
-
-    def histogram(
-        self, name: str, help: str = "", labelnames=(), buckets=DEFAULT_BUCKETS
-    ) -> NullMetricFamily:
-        return _NULL_FAMILY
-
-    def get(self, name: str) -> None:
-        return None
-
-    def families(self) -> list:
-        return []
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def to_prometheus_text(self) -> str:
-        return ""
-
-    def to_json(self) -> dict:
-        return {}
-
-    def to_json_text(self) -> str:
-        return "{}"
-
-
-NULL_REGISTRY = NullMetricsRegistry()

@@ -113,35 +113,6 @@ class RunLogger(JsonlWriter):
         return to_jsonl(self.records)
 
 
-class NullJsonlWriter:
-    """The streaming API of a disabled run log or tracer: nothing to write."""
-
-    __slots__ = ()
-
-    def attach_sink(self, path: Any, *, flush_every_n: int = 0) -> None:
-        return None
-
-    def flush(self) -> int:
-        return 0
-
-    def to_jsonl(self) -> str:
-        return ""
-
-
-class NullRunLogger(NullJsonlWriter):
-    """Logger twin for disabled telemetry."""
-
-    __slots__ = ()
-
-    records: tuple = ()
-
-    def log(self, event: str, **fields: Any) -> None:
-        return None
-
-
-NULL_LOGGER = NullRunLogger()
-
-
 def git_sha(cwd: str | Path | None = None) -> str | None:
     """HEAD commit of the enclosing repo, or None outside git / on error."""
     try:

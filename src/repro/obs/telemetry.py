@@ -17,6 +17,8 @@ Instrumented code never holds a Telemetry directly: it calls
 shared :data:`NULL` no-op when telemetry is disabled (the default). The
 no-op path costs one function call and an attribute check, so hot loops
 stay hot (bounded at 5% of a step by ``tests/obs/test_overhead.py``).
+Everything but a span and the clock binding sits behind ``tel.enabled``:
+:data:`NULL` has nothing else, so ``NULL.metrics`` is an ``AttributeError``.
 
 Activate a session around any run with::
 
@@ -37,9 +39,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.obs.runlog import NULL_LOGGER, RunLogger, build_manifest, json_dumps
-from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runlog import RunLogger, build_manifest, json_dumps
+from repro.obs.tracing import Tracer
 
 #: Files a finalized telemetry directory contains.
 MANIFEST_FILE = "manifest.json"
@@ -268,17 +270,30 @@ def _machine_entry(model: Any) -> dict[str, Any]:
     }
 
 
+class _NullTracer:
+    """The disabled tracer. Every span it opens is the tracer itself, one
+    shared no-op context, so a span costs one call and allocates nothing."""
+
+    __slots__ = ()
+
+    def span(self, name: str, **attrs: Any) -> "_NullTracer":
+        return self
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc: object) -> bool:
+        return False
+
+
 class NullTelemetry:
-    """The disabled-telemetry singleton: every component is a no-op."""
+    """Disabled telemetry: a span and the clock bindings are no-ops;
+    everything else sits behind ``tel.enabled`` and is not here."""
 
     __slots__ = ()
 
     enabled = False
-    metrics = NULL_REGISTRY
-    tracer = NULL_TRACER
-    logger = NULL_LOGGER
-    profiler = None
-    out_dir = None
+    tracer = _NullTracer()
 
     def bind_model(self, model: Any) -> str:
         return ""
@@ -287,21 +302,6 @@ class NullTelemetry:
         return None
 
     def detach_comm_clock(self, comm_clock: Any) -> None:
-        return None
-
-    def build_manifest(self) -> dict:
-        return {}
-
-    def finalize(self, out_dir: Any = None) -> dict:
-        return {}
-
-    def flush(self) -> dict:
-        return {}
-
-    def snapshot_metrics(self) -> None:
-        return None
-
-    def maybe_snapshot_metrics(self) -> None:
         return None
 
 

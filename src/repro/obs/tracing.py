@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.obs.runlog import JsonlWriter, NullJsonlWriter, to_jsonl
+from repro.obs.runlog import JsonlWriter, to_jsonl
 
 
 @dataclass(slots=True)
@@ -132,42 +132,3 @@ class Tracer(JsonlWriter):
     def to_jsonl(self) -> str:
         """One JSON object per line, in start order."""
         return to_jsonl(s.to_dict() for s in self.spans)
-
-
-# -- disabled-telemetry fast path --------------------------------------------
-
-
-class _NullSpanContext:
-    """Shared, stateless no-op context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
-
-
-class NullTracer(NullJsonlWriter):
-    """Tracer twin for disabled telemetry: spans cost one no-op call."""
-
-    __slots__ = ()
-
-    spans: tuple = ()
-    time_fn = staticmethod(lambda: 0.0)
-
-    def span(self, name: str, **attrs: Any) -> _NullSpanContext:
-        return _NULL_SPAN_CONTEXT
-
-    def current(self) -> None:
-        return None
-
-    def completed(self) -> tuple:
-        return ()
-
-
-NULL_TRACER = NullTracer()

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.obs.critpath import _phase_windows
 from repro.obs.reader import TelemetryDir, decode_metrics, read_jsonl
-from repro.obs.telemetry import LOG_FILE, MANIFEST_FILE, METRICS_JSON_FILE, SPANS_FILE
+from repro.obs.telemetry import (
+    EVENTS_FILE, LOG_FILE, MANIFEST_FILE, METRICS_JSON_FILE, SPANS_FILE,
+)
 from tests.obs.records import JSON_DAMAGE
 
 STREAMS = (MANIFEST_FILE, LOG_FILE, SPANS_FILE)
@@ -458,9 +460,12 @@ def test_an_unreadable_sweep_json_is_one_summary_note(sweep_dir, tmp_path, capsy
 
 @pytest.fixture(scope="module")
 def sweep_scratch(sweep_dir, tmp_path_factory):
-    """A copy of the sweep directory that each hypothesis example damages and restores."""
+    """A copy of the sweep directory that each hypothesis example damages
+    and restores, its ``spans.jsonl`` holding a line that is not an object
+    (which ``--chrome-trace``, finding no event record, must not note)."""
     d = tmp_path_factory.mktemp("leaves") / "sweep"
     shutil.copytree(sweep_dir, d)
+    JSON_DAMAGE["non_object_line"](d / SPANS_FILE)
     return d
 
 
@@ -472,10 +477,32 @@ def test_any_sweep_json_leaf_of_another_type_is_notes_or_one_error_line(
 ):
     _replace_leaf(sweep_dir / "sweep.json", sweep_scratch / "sweep.json", at, value)
     try:
-        for argv in (["critpath", str(sweep_scratch)], ["telemetry", str(sweep_scratch)]):
+        for argv in (["critpath", str(sweep_scratch)], ["telemetry", str(sweep_scratch)],
+                     ["telemetry", str(sweep_scratch), "--chrome-trace",
+                      str(sweep_scratch.parent / "trace.json")]):
             assert "failed on partial data" not in _run(argv, capsys)[1]
     finally:
         shutil.copy(sweep_dir / "sweep.json", sweep_scratch / "sweep.json")
+
+
+@pytest.mark.parametrize("events, error", [
+    (lambda p: p.unlink(), "no events.npz in"),
+    (lambda p: p.write_bytes(p.read_bytes()[:100]), "cannot export events.npz in"),
+], ids=["missing", "truncated"])
+def test_a_trace_without_an_event_record_is_one_error_line_not_a_spans_note(
+    healthy, tmp_path, capsys, events, error
+):
+    """``--chrome-trace`` decides the event record first: a skipped spans
+    line is noted only when a trace is written."""
+    d = tmp_path / "damaged"
+    shutil.copytree(healthy, d)
+    JSON_DAMAGE["non_object_line"](d / SPANS_FILE)
+    events(d / EVENTS_FILE)
+    trace = tmp_path / "trace.json"
+    assert main(["telemetry", str(d), "--chrome-trace", str(trace)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {error} ") and err.count("\n") == 1
+    assert not trace.exists()
 
 
 def test_a_partial_member_row_shows_dashes(tmp_path, capsys):

@@ -8,7 +8,6 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
 )
 from tests.obs.prom_reader import parse_prometheus_text
 
@@ -177,13 +176,3 @@ class TestJsonExport:
         assert hsamp["count"] == 1
         assert hsamp["buckets"] == {"1.0": 1, "+Inf": 1}
 
-
-class TestNullRegistry:
-    def test_all_operations_noop(self):
-        fam = NULL_REGISTRY.counter("x_total", labelnames=("a",))
-        fam.labels(a="1").inc()
-        NULL_REGISTRY.gauge("g").set(1.0)
-        NULL_REGISTRY.histogram("h").observe(1.0)
-        assert NULL_REGISTRY.families() == []
-        assert NULL_REGISTRY.to_prometheus_text() == ""
-        assert "x_total" not in NULL_REGISTRY

@@ -5,7 +5,6 @@ import json
 import numpy as np
 
 from repro.obs.runlog import (
-    NULL_LOGGER,
     RunLogger,
     build_manifest,
     git_sha,
@@ -28,11 +27,6 @@ class TestRunLogger:
         log.log("step", dt=np.float64(0.5), launches=np.int64(402))
         recs = [json.loads(line) for line in log.to_jsonl().splitlines()]
         assert recs == [{"event": "step", "dt": 0.5, "launches": 402}]
-
-    def test_null_logger_noop(self):
-        assert NULL_LOGGER.log("step", x=1) is None
-        assert NULL_LOGGER.records == ()
-        assert NULL_LOGGER.to_jsonl() == ""
 
 
 class TestJsonDumps:

@@ -5,7 +5,6 @@ import json
 from repro.obs.telemetry import (
     METRICS_JSON_FILE,
     METRICS_SNAPSHOT_KEEP,
-    NULL,
     Telemetry,
     session,
 )
@@ -73,10 +72,6 @@ class TestMaybeSnapshot:
             False, False, True, False, False, True, False
         ]
         assert tel.snapshots_taken == 2
-
-    def test_null_telemetry_noop(self):
-        assert NULL.maybe_snapshot_metrics() is None
-        assert NULL.snapshot_metrics() is None
 
 
 class TestSessionIntegration:

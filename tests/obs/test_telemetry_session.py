@@ -54,6 +54,12 @@ class TestActivation:
         assert current() is NULL
         assert not current().enabled
 
+    def test_null_offers_a_span_and_the_clock_binding_only(self):
+        """Everything else sits behind ``tel.enabled``: an unguarded
+        ``tel.metrics`` or ``tel.logger`` is an AttributeError."""
+        assert [n for n in dir(NULL) if not n.startswith("_")] == [
+            "attach_comm_clock", "bind_model", "detach_comm_clock", "enabled", "tracer"]
+
     def test_activate_deactivate(self):
         tel = Telemetry()
         activate(tel)

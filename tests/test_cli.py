@@ -545,6 +545,23 @@ class TestSweep:
         assert "step" not in captured.out
         assert not current().enabled
 
+    @pytest.mark.parametrize("command, flag, value", [
+        (["run", "--steps", "1"], "--telemetry-stream", "-1"),
+        (["run", "--steps", "1"], "--telemetry-snapshots", "-2"),
+        (["sweep", "--members", "2"], "--telemetry-stream", "-1"),
+        (["fig4"], "--telemetry-snapshots", "-1"),
+    ])
+    def test_a_negative_telemetry_cadence_is_one_line_and_exit_2(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        """A negative ``N`` would silently turn streaming or rotation off:
+        it is refused before any model is built or directory written."""
+        tel = tmp_path / "tel"
+        assert main([*command, flag, value, "--telemetry", str(tel)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {flag} must not be negative\n"
+        assert not tel.exists()
+
     def test_an_experiment_command_reports_it_the_same_way(self, capsys):
         assert main(["categories", "--ranks", "0"]) == 2
         err = capsys.readouterr().err
