@@ -836,8 +836,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("telemetry_stream", "telemetry_snapshots"):
-            if getattr(args, flag, 0) < 0:
+        for flag in ("telemetry_stream", "telemetry_snapshots", "limit", "top"):
+            if (getattr(args, flag, None) or 0) < 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must not be negative")
         job: Callable[[], int] = args.fn(args)
         with _telemetry_session(args):

@@ -53,10 +53,3 @@ def conduction_rhs(
     interior *= params.gamma - 1.0
     interior /= np.maximum(rho[inner], params.rho_floor, out=cells[inner])
     return out
-
-
-def max_diffusivity(temp: np.ndarray, rho: np.ndarray, params: PhysicsParams) -> float:
-    """Largest effective diffusion coefficient, for STS stage sizing."""
-    kap = kappa_centered(temp[..., 1:-1, 1:-1, 1:-1], params)
-    rho_i = np.maximum(rho[..., 1:-1, 1:-1, 1:-1], params.rho_floor)
-    return float(((params.gamma - 1.0) * kap / rho_i).max())

@@ -32,7 +32,7 @@ from repro.mas import operators as ops
 from repro.mas.boundary import (
     BoundaryClasses, BoundaryProfiles, apply_boundaries, apply_centered_boundary,
 )
-from repro.mas.conduction import conduction_rhs, max_diffusivity
+from repro.mas.conduction import conduction_rhs
 from repro.mas.constants import PhysicsParams
 from repro.mas.grid import LocalGrid, SphericalGrid, stack_rows
 from repro.mas.groups import rank_groups
@@ -61,7 +61,7 @@ from repro.mas.state import (
     member_field,
 )
 from repro.mas.semi_implicit import fast_speed, max_wave_speed, si_coefficient
-from repro.mas.sts import explicit_parabolic_dt, rkl2_advance, stages_for_dt
+from repro.mas.sts import rkl2_advance
 from repro.mpi.collectives import allreduce_max, allreduce_min
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.dispatcher import RankRuntime
@@ -74,8 +74,8 @@ NOMINAL_SHAPE_PAPER = (150, 300, 800)
 #: ``perturbation`` enter the initial condition; ``viscosity`` and
 #: ``resistivity`` broadcast as (B,1,1,1) coefficient arrays through the
 #: implicit solve and EMF assembly.  (Other :class:`PhysicsParams` fields
-#: feed scalar control logic -- CFL constants, floors, stage sizing --
-#: and are deliberately not per-member.)
+#: feed scalar control logic -- CFL constants, floors -- and are
+#: deliberately not per-member.)
 ENSEMBLE_VARY_PARAMS = ("b0", "perturbation", "viscosity", "resistivity")
 
 
@@ -103,8 +103,9 @@ class ModelConfig:
     pcg_tol: float = 0.0
     #: Chebyshev preconditioner polynomial degree (pcg_precond="cheby").
     cheby_degree: int = 3
-    #: Fixed RKL2 stage count (None = size stages from stability each step).
-    sts_stages: int | None = 8
+    #: RKL2 stages of every conduction super step: a fixed, calibrated
+    #: count (DESIGN.md section 8).
+    sts_stages: int = 8
     #: Override the CFL timestep (tests / fixed-cost benchmarking).
     fixed_dt: float | None = None
     b0: float = 1.0
@@ -162,7 +163,7 @@ class ModelConfig:
             raise ValueError("pcg_tol cannot be negative")
         if self.cheby_degree < 1:
             raise ValueError("cheby_degree must be >= 1")
-        if self.sts_stages is not None and self.sts_stages < 2:
+        if self.sts_stages < 2:
             raise ValueError("RKL2 needs at least 2 stages")
         if self.extra_model_arrays < 0:
             raise ValueError("extra_model_arrays cannot be negative")
@@ -834,20 +835,6 @@ class MasModel:
         p = self.config.params
         if p.kappa0 == 0.0:
             return
-        if self.config.sts_stages is not None:
-            s = self.config.sts_stages
-        else:
-            kmax = max(
-                max_diffusivity(group.fields["temp"], group.fields["rho"], p)
-                for group in self.groups
-            )
-            dte = explicit_parabolic_dt(
-                min(g.min_cell_extent for g in self.local_grids), max(kmax, 1e-30)
-            )
-            # Batched runs share one stage count sized for the widest
-            # member step (conservative: more stages only adds stability).
-            dt_max = float(np.max(dt))
-            s = stages_for_dt(dt_max, dte) if dt_max > dte else 2
         dt = member_field(dt)
 
         tags = frozenset({"conduction"})
@@ -869,7 +856,7 @@ class MasModel:
                         writes=("sts_y",), tags=tags)
 
         temps = [group.fields["temp"] for group in groups]
-        advanced = rkl2_advance(apply_l, temps, dt, s, on_stage=on_stage)
+        advanced = rkl2_advance(apply_l, temps, dt, self.config.sts_stages, on_stage=on_stage)
         for temp, new in zip(temps, advanced):
             np.maximum(new, p.temp_floor, out=new)
             temp[:] = new

@@ -23,7 +23,7 @@ Events are tuples, first the kind:
   code version and replayed onto those that have the flag;
 * ``("sync", rank)``, ``("update_host" | "update_device", rank, name,
   fraction)``, ``("host_access", rank, name, nbytes, category)``;
-* ``("ensure_buffers", names, depth)``, ``("exchange_many", exchange)``,
+* ``("ensure_buffers", names)``, ``("exchange_many", exchange)``,
   ``("exchange_begin", exchange, overlap, slot)``, ``("exchange_finish",
   slot)``, ``exchange`` an index into :attr:`StepPlan.exchanges`;
 * ``("allreduce", function, values, slot)`` (``slot`` None when blocking)
@@ -46,7 +46,7 @@ from repro.analysis.dependence import base_name
 from repro.mas.groups import rank_view
 from repro.mas.runtime_side import RuntimeSide, StepTiming
 from repro.mpi import collectives
-from repro.mpi.halo import FieldItem, HaloSpec, ShapeOnly
+from repro.mpi.halo import FieldItem, ShapeOnly
 from repro.runtime.clock import TimeCategory
 from repro.runtime.kernel import KernelSpec, LoopCategory
 from repro.runtime.pricing import PriceMemo
@@ -66,7 +66,7 @@ LAUNCHES = {
 #: Event kind -> its length as a tuple.
 _ARITY = {
     **dict.fromkeys(LAUNCHES, 4), "region_open": 3, "region_close": 3, "sync": 2,
-    "update_host": 4, "update_device": 4, "host_access": 5, "ensure_buffers": 3,
+    "update_host": 4, "update_device": 4, "host_access": 5, "ensure_buffers": 2,
     "exchange_many": 2, "exchange_begin": 4, "exchange_finish": 2,
     "allreduce": 4, "allreduce_finish": 2, "span_open": 3, "span_close": 1,
 }
@@ -107,7 +107,7 @@ class StepPlan:
 
     key: tuple  # see plan_key
     specs: tuple[KernelSpec, ...]
-    #: ``(((field, stagger axis, per-rank array shapes), ...), depth, axes)``
+    #: Per exchange, ``((field, stagger axis, per-rank array shapes), ...)``
     exchanges: tuple[tuple, ...]
     setup: Stream
     #: Distinct step streams, a step equal to the previous one stored once.
@@ -227,9 +227,8 @@ class _Tape:
             index = self.specs[key] = len(self.specs)
         self.stream.append((kind, rank, index, gate))
 
-    def exchange(self, fields: tuple, spec: HaloSpec) -> int:
-        key = (fields, spec.depth, spec.axes)
-        return self.exchanges.setdefault(key, len(self.exchanges))
+    def exchange(self, fields: tuple) -> int:
+        return self.exchanges.setdefault(fields, len(self.exchanges))
 
     def opened(self, pending: Any) -> int:
         self.open.append((self.begun, pending))
@@ -317,31 +316,27 @@ class _RecordingHalo:
             for f, arrays, stagger in items
         )
 
-    def ensure_buffers(self, field_names: tuple[str, ...], depth: int = 1) -> None:
-        self._tape.stream.append(("ensure_buffers", tuple(field_names), depth))
-        self._halo.ensure_buffers(field_names, depth)
+    def ensure_buffers(self, field_names: tuple[str, ...]) -> None:
+        self._tape.stream.append(("ensure_buffers", tuple(field_names)))
+        self._halo.ensure_buffers(field_names)
 
-    def exchange_many(self, items: list[FieldItem], spec: HaloSpec = HaloSpec()) -> None:
-        self._tape.stream.append(("exchange_many", self._tape.exchange(self._fields(items), spec)))
-        self._halo.exchange_many(items, spec)
+    def exchange_many(self, items: list[FieldItem]) -> None:
+        self._tape.stream.append(("exchange_many", self._tape.exchange(self._fields(items))))
+        self._halo.exchange_many(items)
 
-    def exchange(self, field_name, locals_, spec=HaloSpec(), *, stagger_axis=None) -> None:
-        self.exchange_many([(field_name, locals_, stagger_axis)], spec)
+    def exchange(self, field_name, locals_, *, stagger_axis=None) -> None:
+        self.exchange_many([(field_name, locals_, stagger_axis)])
 
-    def exchange_begin_many(self, items, spec=HaloSpec(), *, overlap=True):
-        pending = self._halo.exchange_begin_many(items, spec, overlap=overlap)
+    def exchange_begin_many(self, items, *, overlap=True):
+        pending = self._halo.exchange_begin_many(items, overlap=overlap)
         tape = self._tape
         tape.stream.append(
-            ("exchange_begin", tape.exchange(self._fields(items), spec), overlap,
-             tape.opened(pending))
+            ("exchange_begin", tape.exchange(self._fields(items)), overlap, tape.opened(pending))
         )
         return pending
 
-    def exchange_begin(self, field_name, locals_, spec=HaloSpec(), *,
-                       stagger_axis=None, overlap=True):
-        return self.exchange_begin_many(
-            [(field_name, locals_, stagger_axis)], spec, overlap=overlap
-        )
+    def exchange_begin(self, field_name, locals_, *, stagger_axis=None, overlap=True):
+        return self.exchange_begin_many([(field_name, locals_, stagger_axis)], overlap=overlap)
 
     def exchange_finish(self, pending) -> None:
         self._tape.stream.append(("exchange_finish", self._tape.closed(pending)))
@@ -405,8 +400,7 @@ class PlanRecorder:
                  active_members: int | None = None) -> StepTiming:
         stream = self._tape.cut()
         cfg = self._side.config
-        if self._streams and cfg.pcg_tol == 0 and cfg.sts_stages is not None \
-                and stream != self._streams[0]:
+        if self._streams and cfg.pcg_tol == 0 and stream != self._streams[0]:
             # fixed iteration and stage counts: nothing a step emits
             # depends on the state it advances
             raise RuntimeError(
@@ -486,9 +480,8 @@ class _Player:
         #: engines' prices, valid for one (env epoch, working set).
         self.lowered = [PriceMemo() for _ in side.ranks]
         self.items = [
-            ([(f, [ShapeOnly(s) for s in shapes], stagger) for f, stagger, shapes in flds],
-             HaloSpec(depth, axes))
-            for flds, depth, axes in plan.exchanges
+            [(f, [ShapeOnly(s) for s in shapes], stagger) for f, stagger, shapes in flds]
+            for flds in plan.exchanges
         ]
         self.values: dict[int, list] = {}
         self.regions: list[list] = [[] for _ in side.ranks]
@@ -536,14 +529,14 @@ class _Player:
         self.side.ranks[ev[1]].host_access(ev[2], ev[3], TimeCategory(ev[4]))
 
     def _ensure_buffers(self, ev: Event) -> None:
-        self.side.halo.ensure_buffers(ev[1], ev[2])
+        self.side.halo.ensure_buffers(ev[1])
 
     def _exchange_many(self, ev: Event) -> None:
-        self.side.halo.exchange_many(*self.items[ev[1]])
+        self.side.halo.exchange_many(self.items[ev[1]])
 
     def _exchange_begin(self, ev: Event) -> None:
         self.pending["e", ev[3]] = self.side.halo.exchange_begin_many(
-            *self.items[ev[1]], overlap=ev[2]
+            self.items[ev[1]], overlap=ev[2]
         )
 
     def _exchange_finish(self, ev: Event) -> None:

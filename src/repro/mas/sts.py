@@ -13,7 +13,7 @@ Coefficients follow Meyer, Balsara & Aslam (2014).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,12 +29,6 @@ class Rkl2Coefficients:
     mu: np.ndarray
     nu: np.ndarray
     gamma_tilde: np.ndarray
-
-
-def stability_factor(s: int) -> float:
-    """Parabolic step multiple over explicit of ``s`` RKL2 stages:
-    (s^2 + s - 2) / 4."""
-    return (s**2 + s - 2) / 4.0
 
 
 def rkl2_coefficients(s: int) -> Rkl2Coefficients:
@@ -102,28 +96,3 @@ def rkl2_advance(
         if on_stage is not None:
             on_stage(j)
     return yjm1
-
-
-def explicit_parabolic_dt(min_extent: float, max_coeff: float, safety: float = 0.4) -> float:
-    """Stability limit of a plain explicit step for diffusion coeff kappa."""
-    if min_extent <= 0:
-        raise ValueError("extent must be positive")
-    if max_coeff <= 0:
-        raise ValueError("coefficient must be positive")
-    return safety * min_extent**2 / (2.0 * 3.0 * max_coeff)
-
-
-def stages_for_dt(dt_super: float, dt_explicit: float, *, max_stages: int = 200) -> int:
-    """Smallest stage count whose RKL2 stability covers dt_super."""
-    if dt_super <= 0 or dt_explicit <= 0:
-        raise ValueError("time steps must be positive")
-    ratio = dt_super / dt_explicit
-    s = 2
-    while stability_factor(s) < ratio:
-        s += 1
-        if s > max_stages:
-            raise ValueError(
-                f"RKL2 would need more than {max_stages} stages "
-                f"(dt ratio {ratio:.1f}); reduce the step"
-            )
-    return s

@@ -21,7 +21,7 @@ from repro.mpi.transport import (
     UnifiedMemoryTransport,
     make_transport,
 )
-from repro.mpi.halo import HaloExchanger, HaloSpec
+from repro.mpi.halo import HaloExchanger
 from repro.mpi.collectives import allreduce_sum, allreduce_min, barrier
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "CpuFabricTransport",
     "make_transport",
     "HaloExchanger",
-    "HaloSpec",
     "allreduce_sum",
     "allreduce_min",
     "barrier",

@@ -3,8 +3,10 @@
 One exchange per field per axis: pack the interior face into a send buffer
 (a GPU kernel, tagged ``mpi_pack`` so it lands in Fig. 3's MPI bar), move
 the message via the configured transport, unpack into the neighbour's ghost
-layer (another ``mpi_pack`` kernel). Axes exchange sequentially so corner
-ghosts become consistent without diagonal messages (standard practice).
+layer (another ``mpi_pack`` kernel). Every exchange fills the one ghost
+layer the model's grids have, on all three axes; axes exchange sequentially
+so corner ghosts become consistent without diagonal messages (standard
+practice).
 
 Real numpy payloads move between the ranks' arrays, so multi-rank physics
 is bit-checkable against a single-rank run. Two cost modes exist:
@@ -30,7 +32,7 @@ moves its payload as one copy in the body of its first unpack kernel; its
 packs and other unpacks issue and are charged with no body.
 
 An exchange's schedule does not change between steps, so it is derived once:
-a :class:`_Plan` per (fields and stagger axes, :class:`HaloSpec`) that every
+a :class:`_Plan` per set of fields with their stagger axes, which every
 ``exchange*`` walks, rebuilt when an ``env.epoch`` or an array shape moves.
 Its kernels are lowered and its wire times priced when it is built
 (``RankRuntime._lower``, ``Transport.wire_time``). Between two barriers of a
@@ -48,7 +50,7 @@ import operator
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial, reduce
 from itertools import count
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,37 +63,6 @@ from repro.runtime.pricing import kernel_counters
 from repro.runtime.clock import SimClock, TimeCategory
 from repro.runtime.dispatcher import Lowered, RankRuntime
 from repro.runtime.kernel import KernelSpec, LoopCategory
-
-
-def _integer(value: Any) -> int | None:
-    """``value`` as a plain int (``np.int64`` is one); None for a bool or a non-integer."""
-    try:
-        return None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        return None
-
-
-def _check_depth(depth: Any) -> int:
-    checked = _integer(depth)
-    if checked is None or checked < 1:
-        raise ValueError("halo depth must be an integer >= 1")
-    return checked
-
-
-@dataclass(frozen=True, slots=True)
-class HaloSpec:
-    """Exchange geometry: ghost depth and which axes participate, stored as
-    plain ints (``axes`` a tuple), so equal specs key the same plan."""
-
-    depth: int = 1
-    axes: tuple[int, ...] = (0, 1, 2)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "depth", _check_depth(self.depth))
-        axes = tuple(map(_integer, self.axes))
-        if not axes or any(a not in (0, 1, 2) for a in axes) or len(set(axes)) != len(axes):
-            raise ValueError("axes must be a nonempty subset of (0, 1, 2)")
-        object.__setattr__(self, "axes", axes)
 
 
 class ShapeOnly(NamedTuple):
@@ -120,7 +91,7 @@ _TRANSFER, _WAIT = TimeCategory.MPI_TRANSFER, TimeCategory.MPI_WAIT
 
 
 class _FaceNames(NamedTuple):
-    """Every name one (field, axis, direction, depth) face uses."""
+    """Every name one (field, axis, direction) face uses."""
 
     send: str    # staging buffer the face is packed into
     recv: str    # staging buffer this face's ghosts are unpacked from
@@ -133,13 +104,11 @@ class _FaceNames(NamedTuple):
     ghost: str
 
 
-def _face_names(field_name: str, axis: int, direction: int, depth: int) -> _FaceNames:
+def _face_names(field_name: str, axis: int, direction: int) -> _FaceNames:
     side = "m" if direction < 0 else "p"
-    # A deeper halo stages through its own, larger buffers.
-    deep = "" if depth == 1 else f"_d{depth}"
     return _FaceNames(
-        send=f"_halo_send_{field_name}_{axis}_{side}{deep}",
-        recv=f"_halo_recv_{field_name}_{axis}_{side}{deep}",
+        send=f"_halo_send_{field_name}_{axis}_{side}",
+        recv=f"_halo_recv_{field_name}_{axis}_{side}",
         pack=f"halo_pack_{field_name}_{axis}{side}",
         unpack=f"halo_unpack_{field_name}_{axis}{side}",
         ghost=f"{field_name}@g{axis}{side}",
@@ -175,26 +144,24 @@ def _along(axis: int, sl: slice) -> tuple:
     return tuple(out)
 
 
-def _interior_face(
-    a: np.ndarray, axis: int, direction: int, g: int, *, staggered: bool = False
-) -> tuple:
-    """Slice of the interior cells adjacent to one face (what gets sent).
+def _interior_face(a: np.ndarray, axis: int, direction: int, *, staggered: bool = False) -> tuple:
+    """Slice of the interior layer adjacent to one face (what gets sent).
 
     ``staggered`` marks face-centered arrays along the exchange axis: the
     boundary face is shared (computed identically by both ranks), so the
-    sent layers shift inward by one to land in the neighbour's strictly
-    beyond-boundary ghost faces.
+    sent layer shifts inward by one to land in the neighbour's strictly
+    beyond-boundary ghost face.
     """
-    n = a.shape[axis - 3] - 2 * g
+    n = a.shape[axis - 3] - 2
     if direction == -1:
-        return _along(axis, slice(g + 1, 2 * g + 1) if staggered else slice(g, 2 * g))
-    return _along(axis, slice(n - 1, n - 1 + g) if staggered else slice(n, n + g))
+        return _along(axis, slice(2, 3) if staggered else slice(1, 2))
+    return _along(axis, slice(n - 1, n) if staggered else slice(n, n + 1))
 
 
-def _ghost_face(a: np.ndarray, axis: int, direction: int, g: int) -> tuple:
-    """Slice of the ghost cells on one face (what gets received into)."""
-    n = a.shape[axis - 3] - 2 * g
-    return _along(axis, slice(0, g) if direction == -1 else slice(n + g, n + 2 * g))
+def _ghost_face(a: np.ndarray, axis: int, direction: int) -> tuple:
+    """Slice of the ghost layer on one face (what gets received into)."""
+    n = a.shape[axis - 3] - 2
+    return _along(axis, slice(0, 1) if direction == -1 else slice(n + 1, n + 2))
 
 
 def row_index(rows: list[int]) -> slice | np.ndarray:
@@ -452,8 +419,8 @@ class HaloExchanger:
         if rank_nodes is not None and len(rank_nodes) != decomp.nranks:
             raise ValueError("rank_nodes must list one node per rank")
         self.rank_nodes = rank_nodes
-        self._registered_fields: set[tuple[str, int]] = set()
-        #: Exchange schedules by (fields and stagger axes, HaloSpec).
+        self._registered_fields: set[str] = set()
+        #: Exchange schedules by fields and their stagger axes.
         self._plans: dict[tuple, _Plan] = {}
         #: By how many arrays an exchange takes per field, each rank's (array
         #: index, row): one array per rank, or a block per rank group.
@@ -490,30 +457,27 @@ class HaloExchanger:
 
     # -- buffer management -----------------------------------------------------
 
-    def ensure_buffers(self, field_names: tuple[str, ...], depth: int = 1) -> None:
-        """Register per-field, per-depth send/recv staging buffers in every
-        rank's environment (first exchange of each field at that depth)."""
-        depth = _check_depth(depth)
-        missing = [f for f in field_names if (f, depth) not in self._registered_fields]
+    def ensure_buffers(self, field_names: tuple[str, ...]) -> None:
+        """Register per-field send/recv staging buffers in every rank's
+        environment (first exchange of each field)."""
+        missing = [f for f in field_names if f not in self._registered_fields]
         if not missing:
             return
         for rank, rt in enumerate(self.ranks):
             for field_name in missing:
                 for axis in range(3):
-                    nominal_face = (
-                        self.nominal.face_cells(rank, axis) * depth * self.element_bytes
-                    )
+                    nominal_face = self.nominal.face_cells(rank, axis) * self.element_bytes
                     for direction in (-1, 1):
-                        names = _face_names(field_name, axis, direction, depth)
+                        names = _face_names(field_name, axis, direction)
                         for name in (names.send, names.recv):
                             if name not in rt.env:
                                 rt.register_array(name, nominal_face)
-        self._registered_fields.update((f, depth) for f in missing)
+        self._registered_fields.update(missing)
 
     # -- exchange ---------------------------------------------------------------
 
-    def exchange(self, field_name: str, locals_: list[np.ndarray], spec: HaloSpec = HaloSpec(),
-                 *, stagger_axis: int | None = None) -> None:
+    def exchange(self, field_name: str, locals_: list[np.ndarray], *,
+                 stagger_axis: int | None = None) -> None:
         """Fill ghost layers of ``locals_`` (one ghosted array per rank, or
         one block per rank group: :meth:`set_groups`).
 
@@ -521,9 +485,9 @@ class HaloExchanger:
         that axis); along it, the shared boundary face is skipped and ghost
         faces receive the neighbour's strictly-interior faces.
         """
-        self.exchange_many([(field_name, locals_, stagger_axis)], spec)
+        self.exchange_many([(field_name, locals_, stagger_axis)])
 
-    def exchange_many(self, items: list[FieldItem], spec: HaloSpec = HaloSpec()) -> None:
+    def exchange_many(self, items: list[FieldItem]) -> None:
         """Synchronously exchange several fields as one batched operation.
 
         Every phase (pack, message, unpack) loops over all fields, so the
@@ -531,7 +495,7 @@ class HaloExchanger:
         Per-field payloads are identical to back-to-back single-field
         exchanges (fields do not interact; axes stay sequential).
         """
-        plan = self._plan(items, spec)
+        plan = self._plan(items)
         tel = self._observe_exchanges(plan.fields)
         for rt in self.ranks:
             rt.sync()
@@ -544,16 +508,13 @@ class HaloExchanger:
 
     # -- overlapped exchange ----------------------------------------------------
 
-    def exchange_begin(self, field_name: str, locals_: list[np.ndarray],
-                       spec: HaloSpec = HaloSpec(), *, stagger_axis: int | None = None,
-                       overlap: bool = True) -> PendingExchange:
+    def exchange_begin(self, field_name: str, locals_: list[np.ndarray], *,
+                       stagger_axis: int | None = None, overlap: bool = True) -> PendingExchange:
         """Start one overlapped exchange; see :meth:`exchange_begin_many`."""
-        return self.exchange_begin_many(
-            [(field_name, locals_, stagger_axis)], spec, overlap=overlap
-        )
+        return self.exchange_begin_many([(field_name, locals_, stagger_axis)], overlap=overlap)
 
-    def exchange_begin_many(self, items: list[FieldItem], spec: HaloSpec = HaloSpec(),
-                            *, overlap: bool = True) -> PendingExchange:
+    def exchange_begin_many(self, items: list[FieldItem], *,
+                            overlap: bool = True) -> PendingExchange:
         """Post an exchange without blocking the main timelines.
 
         Ghost payloads move eagerly (numerics are complete when this
@@ -571,9 +532,9 @@ class HaloExchanger:
         :meth:`exchange_many` plus a completed :class:`PendingExchange`.
         """
         if not overlap:
-            self.exchange_many(items, spec)
+            self.exchange_many(items)
             return PendingExchange(fields=tuple(f for f, _, _ in items))
-        plan = self._plan(items, spec)
+        plan = self._plan(items)
         fields = plan.fields
         tel = self._observe_exchanges(fields)
         for rt in self.ranks:
@@ -664,17 +625,17 @@ class HaloExchanger:
 
     # -- internals ---------------------------------------------------------------
 
-    def _plan(self, items: list[FieldItem], spec: HaloSpec) -> _Plan:
+    def _plan(self, items: list[FieldItem]) -> _Plan:
         """The schedule for exchanging ``items``: derived on first use, and
         again whenever something it was derived from has moved."""
         if not items:
             raise ValueError("exchange needs at least one field")
         for _, locals_, _ in items:
             self.slots(len(locals_))  # one array per rank, or per group
-        key = (tuple((f, stagger) for f, _, stagger in items), spec)
+        key = tuple((f, stagger) for f, _, stagger in items)
         plan = self._plans.get(key)
         if plan is None or plan.guard != self._guard(items):
-            plan = self._plans[key] = self._build_plan(items, spec)
+            plan = self._plans[key] = self._build_plan(items)
         return plan
 
     def _guard(self, items: list[FieldItem]) -> tuple:
@@ -687,16 +648,15 @@ class HaloExchanger:
             _cost_only(items),
         )
 
-    def _build_plan(self, items: list[FieldItem], spec: HaloSpec) -> _Plan:
-        g = spec.depth
+    def _build_plan(self, items: list[FieldItem]) -> _Plan:
         for _, locals_, stagger_axis in items:
             for a in locals_:
-                for axis in spec.axes:
+                for axis in range(3):
                     extent = a.shape[axis - 3]
-                    if extent < 3 * g + (axis == stagger_axis):
-                        raise ValueError(f"array extent {extent} too small for halo depth {g}")
+                    if extent < 3 + (axis == stagger_axis):
+                        raise ValueError(f"array extent {extent} too small for a one-layer halo")
         fields = tuple(f for f, _, _ in items)
-        self.ensure_buffers(fields, g)
+        self.ensure_buffers(fields)
         init = []
         if self.buffer_init_fraction > 0.0:
             for field_name in fields:
@@ -710,8 +670,8 @@ class HaloExchanger:
         self.plans_built += 1
         blocks: list = []
         axes, sweeps = [], []
-        for axis in spec.axes:
-            entry, first_unpacks = self._plan_axis(items, axis, g, blocks)
+        for axis in range(3):
+            entry, first_unpacks = self._plan_axis(items, axis, blocks)
             # After the first axis' barrier every clock stands at the same
             # time, so an axis that sends nothing would add nothing.
             if entry[1] or not axes:
@@ -730,7 +690,7 @@ class HaloExchanger:
             blocks,
         )
 
-    def _plan_axis(self, items: list[FieldItem], axis: int, g: int, blocks: list) -> tuple:
+    def _plan_axis(self, items: list[FieldItem], axis: int, blocks: list) -> tuple:
         """One axis' entry of :attr:`_Plan.axes` and of :attr:`_Plan.sweeps`;
         messages run field by field, sender by sender, low face then high."""
         tr = self.transport
@@ -751,9 +711,8 @@ class HaloExchanger:
             for (item, direction, src, dst), sweep in sweeps.items():
                 _, arrays, stagger_axis = items[item]
                 index, src_rows, dst_rows = zip(*sweep)
-                face = _interior_face(arrays[src], axis, direction, g,
-                                      staggered=axis == stagger_axis)
-                ghost = _ghost_face(arrays[dst], axis, -direction, g)
+                face = _interior_face(arrays[src], axis, direction, staggered=axis == stagger_axis)
+                ghost = _ghost_face(arrays[dst], axis, -direction)
                 bodies[index[0]] = partial(_copy, blocks, item, src, dst,
                                            _rows(src_rows) + face, _rows(dst_rows) + ghost)
         messages: list[_Message] = []
@@ -763,7 +722,7 @@ class HaloExchanger:
             # The message my low face sends arrives at the neighbour's high
             # ghost (and vice versa): neighbour-relative direction is
             # -direction.
-            out, into = (_face_names(field_name, axis, d, g) for d in (direction, -direction))
+            out, into = (_face_names(field_name, axis, d) for d in (direction, -direction))
             nbytes = rt.env.nominal_bytes(out.send)
             pack = KernelSpec(name=out.pack, reads=(field_name,) if field_name in rt.env else (),
                               writes=(out.send,), tags=_PACK_TAGS,

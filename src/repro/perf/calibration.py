@@ -47,12 +47,6 @@ class Calibration:
     pcg_variant: str = "ca"
     #: Preconditioner ("jacobi" reference; "cheby" = Chebyshev polynomial).
     pcg_precond: str = "jacobi"
-    #: Early-exit residual tolerance. 0 keeps the fixed-iteration
-    #: paper-scale semantics for the reference solver; variants may set it
-    #: > 0 to converge early and report their own iteration counts.
-    pcg_tol: float = 0.0
-    #: Chebyshev preconditioner degree (when pcg_precond="cheby").
-    cheby_degree: int = 3
 
     # -- kernel cost model ----------------------------------------------------
     atomic_penalty: float = 0.80
@@ -172,8 +166,6 @@ def model_settings(
         pcg_iters=calibration.pcg_iters,
         pcg_variant=calibration.pcg_variant,
         pcg_precond=calibration.pcg_precond,
-        pcg_tol=calibration.pcg_tol,
-        cheby_degree=calibration.cheby_degree,
         sts_stages=calibration.sts_stages,
         extra_model_arrays=extra_model_arrays,
         halo_overlap=calibration.halo_overlap,

@@ -250,7 +250,7 @@ class RankRuntime:
         if self._in_region:
             groups = plan_fusion(pending, enabled=self.config.fusion)
         else:
-            groups = plan_fusion_window(pending, enabled=True)
+            groups = plan_fusion_window(pending)
             problems = validate_plan(pending, groups)
             if problems:  # pragma: no cover - planner bug guard
                 raise RuntimeError(

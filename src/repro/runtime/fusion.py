@@ -68,9 +68,7 @@ def plan_fusion(kernels: Sequence[KernelSpec], *, enabled: bool) -> list[FusionG
     return groups
 
 
-def plan_fusion_window(
-    kernels: Sequence[KernelSpec], *, enabled: bool
-) -> list[FusionGroup]:
+def plan_fusion_window(kernels: Sequence[KernelSpec]) -> list[FusionGroup]:
     """Cross-region fusion plan for a window between synchronization points.
 
     Unlike :func:`plan_fusion` (which only merges *consecutive* kernels,
@@ -82,8 +80,6 @@ def plan_fusion_window(
     both fusion legality and order preservation. Bodies are unaffected --
     they already ran eagerly at dispatch; only launch cost is re-planned.
     """
-    if not enabled:
-        return [FusionGroup((k,)) for k in kernels]
     groups: list[list[KernelSpec]] = []
     for k in kernels:
         placed: int | None = None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mas.conduction import conduction_rhs, kappa_centered, max_diffusivity
+from repro.mas.conduction import conduction_rhs, kappa_centered
 from repro.mas.constants import PhysicsParams
 from repro.mas.grid import LocalGrid, SphericalGrid
 from repro.mas.radiation import (
@@ -124,11 +124,6 @@ class TestConduction:
         light = conduction_rhs(t, np.ones(grid.shape), grid, params)
         heavy = conduction_rhs(t, 10 * np.ones(grid.shape), grid, params)
         assert abs(heavy[4, 4, 6]) < abs(light[4, 4, 6])
-
-    def test_max_diffusivity_positive(self, grid, params):
-        t = np.full(grid.shape, 1.0)
-        rho = np.ones(grid.shape)
-        assert max_diffusivity(t, rho, params) > 0
 
 
 class TestRadiation:

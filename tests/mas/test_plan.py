@@ -390,21 +390,6 @@ class TestReplayRefuses:
         assert str(err.value).startswith("damaged plan") and "\n" not in str(err.value)
         self.untouched(side)
 
-    @pytest.mark.parametrize("depth", [0, 1.5])
-    def test_a_damaged_buffer_depth(self, small_plan, depth):
-        """``ensure_buffers`` refuses a depth ``HaloSpec`` refuses, before it
-        registers a staging buffer for it (a depth of 0 once registered
-        zero-byte ``_d0`` buffers and replayed on)."""
-        assert any(ev[0] == "ensure_buffers" for ev in small_plan.setup)
-        setup = tuple(
-            (ev[0], ev[1], depth) if ev[0] == "ensure_buffers" else ev
-            for ev in small_plan.setup
-        )
-        side = RuntimeSide(small_plan.config, runtime_config_for(CodeVersion.A))
-        with pytest.raises(ValueError, match="halo depth must be an integer >= 1"):
-            replay(replace(small_plan, setup=setup), side)
-        assert not [n for rt in side.ranks for n in rt.env.names() if n.startswith("_halo_")]
-
     def test_an_event_naming_an_unregistered_array(self, small_plan):
         specs = (replace(small_plan.specs[0], reads=("no_such_array",)), *small_plan.specs[1:])
         side = RuntimeSide(small_plan.config, runtime_config_for(CodeVersion.A))

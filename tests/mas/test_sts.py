@@ -3,25 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.mas.sts import (
-    explicit_parabolic_dt,
-    rkl2_advance,
-    rkl2_coefficients,
-    stability_factor,
-    stages_for_dt,
-)
+from repro.mas.sts import rkl2_advance, rkl2_coefficients
 
 
 class TestCoefficients:
     def test_minimum_stages(self):
         with pytest.raises(ValueError):
             rkl2_coefficients(1)
-
-    @pytest.mark.parametrize("s", [2, 4, 8, 16])
-    def test_stability_factor_formula(self, s):
-        assert stability_factor(s) == pytest.approx((s**2 + s - 2) / 4)
-        # the smallest stage count covering that multiple is s itself
-        assert stages_for_dt(stability_factor(s), 1.0) == s
 
     def test_first_stage_weight(self):
         c = rkl2_coefficients(4)
@@ -107,23 +95,3 @@ class TestAdvance:
         assert u[0].max() < 1.0
         assert u[0][n // 2 - 3] > 0
 
-
-class TestStageSizing:
-    def test_explicit_dt_positive(self):
-        assert explicit_parabolic_dt(0.1, 1.0) > 0
-        with pytest.raises(ValueError):
-            explicit_parabolic_dt(0.0, 1.0)
-        with pytest.raises(ValueError):
-            explicit_parabolic_dt(0.1, 0.0)
-
-    def test_stages_cover_ratio(self):
-        s = stages_for_dt(1.0, 0.01)
-        assert (s**2 + s - 2) / 4 >= 100
-        assert ((s - 1) ** 2 + (s - 1) - 2) / 4 < 100
-
-    def test_small_ratio_minimum_two(self):
-        assert stages_for_dt(0.01, 1.0) == 2
-
-    def test_stage_cap(self):
-        with pytest.raises(ValueError, match="stages"):
-            stages_for_dt(1e9, 1e-9, max_stages=50)

@@ -8,7 +8,7 @@ from repro.machine.interconnect import DELTA_INTERCONNECT, PCIE4_X16, SLINGSHOT
 from repro.machine.memory import DeviceMemory
 from repro.mpi.collectives import allreduce_min, allreduce_sum, barrier
 from repro.mpi.decomp import Decomposition3D
-from repro.mpi.halo import HaloExchanger, HaloSpec
+from repro.mpi.halo import HaloExchanger
 from repro.mpi.transport import TransportKind, make_transport
 from repro.runtime.config import Backend, RuntimeConfig, uniform_backend
 from repro.runtime.data_env import DataEnvironment, DataMode
@@ -84,33 +84,6 @@ class TestExchangeCorrectness:
         a = locs[0]
         assert np.allclose(a[-1, 1:-1, 1:-1], glob[4, 0:4, 0:4])
 
-    def test_depth_two(self):
-        glob = np.arange(12 * 6 * 12, dtype=float).reshape(12, 6, 12)
-        dec = Decomposition3D((12, 6, 12), 2, dims=(1, 1, 2))
-        ranks = make_ranks(2)
-        hx = exchanger(dec, ranks)
-        locs = scatter(glob, dec, 2)
-        hx.exchange("f", locs, HaloSpec(depth=2))
-        a = locs[0]
-        assert np.allclose(a[2:-2, 2:-2, 0], glob[:, :, -2])
-        assert np.allclose(a[2:-2, 2:-2, 1], glob[:, :, -1])
-
-    def test_depth_two_is_priced_at_depth_two_after_a_depth_one_exchange(self):
-        """Staging buffers are per depth: the bytes of a deeper exchange do
-        not depend on which depth the field was first exchanged at."""
-        dec = Decomposition3D((12, 6, 12), 2, dims=(1, 1, 2))
-
-        def depth_two_bytes(*, depth_one_first):
-            hx = exchanger(dec, make_ranks(2))
-            if depth_one_first:
-                hx.exchange("f", scatter(np.zeros((12, 6, 12)), dec, 1))
-            before = hx.bytes_sent
-            hx.exchange("f", scatter(np.zeros((12, 6, 12)), dec, 2), HaloSpec(depth=2))
-            return hx.bytes_sent - before
-
-        assert depth_two_bytes(depth_one_first=False) == 4608
-        assert depth_two_bytes(depth_one_first=True) == 4608
-
     def test_outer_r_boundary_ghosts_untouched(self):
         glob = np.ones((8, 8, 8))
         dec = Decomposition3D((8, 8, 8), 1)
@@ -145,46 +118,6 @@ class TestExchangeCorrectness:
             hx.set_groups(groups)
         hx.set_groups([(1,), (0,)])
         assert hx.slots(2) == [(1, 0), (0, 0)]
-
-    @pytest.mark.parametrize("spec, why", [
-        (dict(axes=(2, 2)), "axes"),  # exchanged axis 2 twice: 8 messages, twice the cost
-        (dict(axes=(0, 1, 0)), "axes"),
-        (dict(depth=1.5), "halo depth"),  # priced at fractional bytes
-        (dict(depth=True), "halo depth"),  # ran as depth 1
-        (dict(axes=(True,)), "axes"),  # ran as axis 1
-        (dict(axes=[1, 1]), "axes"),
-    ])
-    def test_repeated_axes_and_a_fractional_depth_are_refused(self, spec, why):
-        with pytest.raises(ValueError, match=why):
-            HaloSpec(**spec)
-
-    def test_numpy_integers_and_list_axes_are_stored_as_plain_ints(self):
-        spec = HaloSpec(depth=np.int64(2), axes=[np.int64(2), 0])
-        assert (spec.depth, spec.axes) == (2, (2, 0))
-        assert type(spec.depth) is int and all(type(a) is int for a in spec.axes)
-        assert spec == HaloSpec(depth=2, axes=(2, 0))
-        assert hash(spec) == hash(HaloSpec(depth=2, axes=(2, 0)))
-
-    def test_an_exchange_with_list_axes(self):
-        """``axes=[2]`` used to be accepted and then fail every exchange
-        with an unhashable plan key."""
-        rng = np.random.default_rng(1)
-        glob = rng.random((8, 8, 16))
-        dec = Decomposition3D((8, 8, 16), 2)
-        listed, tupled = scatter(glob, dec, 1), scatter(glob, dec, 1)
-        exchanger(dec, make_ranks(2)).exchange("f", listed, HaloSpec(axes=[2]))
-        exchanger(dec, make_ranks(2)).exchange("f", tupled, HaloSpec(axes=(2,)))
-        for a, b in zip(listed, tupled):
-            assert np.array_equal(a, b, equal_nan=True)
-        assert not np.isnan(listed[0][1:-1, 1:-1, 0]).any()  # the phi ghosts moved
-
-    @pytest.mark.parametrize("depth", [0, 1.5, True])
-    def test_ensure_buffers_refuses_what_halospec_refuses(self, depth):
-        ranks = make_ranks(2)
-        hx = exchanger(Decomposition3D((8, 8, 16), 2), ranks)
-        with pytest.raises(ValueError, match="halo depth"):
-            hx.ensure_buffers(("f",), depth)
-        assert [rt.env.names() for rt in ranks] == [("f",), ("f",)]
 
 
 class TestTransportCosts:

@@ -27,7 +27,7 @@ from repro.machine.memory import DeviceMemory
 from repro.mas import MasModel, ModelConfig
 from repro.mpi import halo
 from repro.mpi.decomp import Decomposition3D
-from repro.mpi.halo import HaloExchanger, HaloSpec
+from repro.mpi.halo import HaloExchanger
 from repro.mpi.transport import TransportKind, make_transport
 from repro.obs.events import Profiler, ProfilerLane
 from repro.obs.metrics import MetricsRegistry
@@ -77,12 +77,12 @@ def make_exchanger(cls, dec, machine="p2p", **kw):
     return cls(dec, tr, make_ranks(dec.nranks, machine), **kw)
 
 
-def make_locals(dec, seed, *, g=1, stagger_axis=None, members=1):
+def make_locals(dec, seed, *, stagger_axis=None, members=1):
     """Per-rank ghosted arrays, every cell (ghosts included) seeded."""
     rng = np.random.default_rng(seed)
     out = []
     for r in dec.iter_ranks():
-        shape = [n + 2 * g for n in dec.local_shape(r)]
+        shape = [n + 2 for n in dec.local_shape(r)]
         if stagger_axis is not None:
             shape[stagger_axis] += 1
         out.append(rng.random(shape if members == 1 else (members, *shape)))
@@ -264,7 +264,7 @@ class TestInvalidation:
         for rt in self.hx.ranks:
             rt.register_array("h", 64 * MiB)
         self.hx.exchange("h", locs)
-        plan = self.hx._plans[(("h", None),), HaloSpec()]
+        plan = self.hx._plans[(("h", None),)]
         assert all(m.pack.reads == ("h",) for _, msgs in plan.axes for m in msgs)
 
     @pytest.mark.parametrize("buffer", ["_halo_recv_f_2_m", "_halo_send_f_2_p"])
@@ -384,7 +384,7 @@ class TestPlanHoldsNoArray:
         locs = as_blocks(make_locals(dec, 5), rank_groups(dec))
         hx.exchange("f", locs)
         hx.ranks[0].env.unregister("_halo_recv_f_2_m")  # UM stages per message
-        hx._plans[(("f", None),), HaloSpec()] = _with_guard(hx, locs)
+        hx._plans[(("f", None),)] = _with_guard(hx, locs)
         with pytest.raises(KeyError):
             hx.exchange("f", locs)
         assert shares_an_exchanged_array(hx, locs) == []
@@ -401,7 +401,7 @@ class TestPlanHoldsNoArray:
         try:
             hx.exchange("f", locs)
             hx.ranks[0].env.unregister("_halo_recv_f_2_m")
-            hx._plans[(("f", None),), HaloSpec()] = _with_guard(hx, locs)
+            hx._plans[(("f", None),)] = _with_guard(hx, locs)
             assert tel.profiler.attached_count == dec.nranks
             with pytest.raises(KeyError):
                 hx.exchange_begin("f", locs)
@@ -474,7 +474,7 @@ def snapshot(hx):
         launches=[(rt.stats.launches, rt.stats.kernels, rt.stats.fused_away) for rt in hx.ranks],
         pages=[
             None if m is None
-            # by registration order: the oracle names deeper buffers as depth 1
+            # by registration order
             else (astuple(m.stats), [m.residency(n).value for n in rt.env.names()])
             for m, rt in zip(um, hx.ranks)
         ],
@@ -487,14 +487,13 @@ def snapshot(hx):
 @st.composite
 def exchanges(draw):
     n = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
-    g = draw(st.integers(1, 2))
-    shape = tuple(draw(st.integers(2 * g, 9)) for _ in range(3))
+    shape = tuple(draw(st.integers(2, 9)) for _ in range(3))
     periodic = tuple(draw(st.booleans()) for _ in range(3))
     try:
         dec = Decomposition3D(shape, n, periodic=periodic)
     except ValueError:
         assume(False)
-    assume(min(min(dec.local_shape(r)) for r in dec.iter_ranks()) >= g)
+    assume(min(min(dec.local_shape(r)) for r in dec.iter_ranks()) >= 1)
     fields = draw(
         st.lists(
             st.tuples(st.sampled_from(["f", "h"]), st.sampled_from([None, 0, 1, 2])),
@@ -504,8 +503,6 @@ def exchanges(draw):
     walks = draw(st.lists(st.sampled_from(["sync", "overlap"]), min_size=4, max_size=6))
     return dict(
         dec=dec,
-        depth=g,
-        axes=tuple(sorted(draw(st.sets(st.sampled_from([0, 1, 2]), min_size=1)))),
         fields=fields,
         members=draw(st.sampled_from([1, 3])),
         machine=draw(st.sampled_from(sorted(MACHINES))),
@@ -539,9 +536,9 @@ class TestWalkEqualsTheUnplannedEngine:
 
     @staticmethod
     def sides(case):
-        """The oracle's side, then the planned one: (exchanger, spec, items,
+        """The oracle's side, then the planned one: (exchanger, items,
         shadow checkers)."""
-        dec, g = case["dec"], case["depth"]
+        dec = case["dec"]
         kw = dict(case["costs"], element_bytes=8 * case["members"])
         if case["two_nodes"]:
             kw["rank_nodes"] = [r * 2 // dec.nranks for r in dec.iter_ranks()]
@@ -549,10 +546,9 @@ class TestWalkEqualsTheUnplannedEngine:
         sides = []
         for module in (ref, None):
             cls = HaloExchanger if module is None else module.HaloExchanger
-            spec = (HaloSpec if module is None else module.HaloSpec)(depth=g, axes=case["axes"])
             hx = make_exchanger(cls, dec, case["machine"], **kw)
             items = [
-                (name, make_locals(dec, case["seed"] + i, g=g, stagger_axis=stagger,
+                (name, make_locals(dec, case["seed"] + i, stagger_axis=stagger,
                                    members=case["members"]), stagger)
                 for i, (name, stagger) in enumerate(case["fields"])
             ]
@@ -562,7 +558,7 @@ class TestWalkEqualsTheUnplannedEngine:
             checkers = [ShadowChecker() for _ in hx.ranks] if case["shadow"] else []
             for rt, checker in zip(hx.ranks, checkers):
                 rt.attach_shadow(checker)
-            sides.append((hx, spec, items, checkers))
+            sides.append((hx, items, checkers))
         return sides
 
     @staticmethod
@@ -570,7 +566,7 @@ class TestWalkEqualsTheUnplannedEngine:
         """One side's walk number ``walk`` (``how``: "sync" or "overlap"):
         first new values and host touches, and ``observe(hx)`` before the
         walk that attaches the case's observer."""
-        hx, spec, items, _ = side
+        hx, items, _ = side
         if walk:
             # new values, same arrays: per-rank noise, so a ghost the walk
             # failed to refill differs from its source
@@ -587,15 +583,15 @@ class TestWalkEqualsTheUnplannedEngine:
         if walk == case["observed"]:
             observe(hx)
         if how == "sync":
-            hx.exchange_many(items, spec)
+            hx.exchange_many(items)
         else:
-            pending = hx.exchange_begin_many(items, spec)
+            pending = hx.exchange_begin_many(items)
             hx.ranks[0].clock.advance(3e-5, TimeCategory.COMPUTE, "interior")
             hx.exchange_finish(pending)
 
     @staticmethod
     def assert_same(case, sides):
-        (hx_ref, _, items_ref, _), (hx_new, _, items_new, _) = sides
+        (hx_ref, items_ref, _), (hx_new, items_new, _) = sides
         assert snapshot(hx_new) == snapshot(hx_ref)
         for (_, a_new, _), (_, a_ref, _) in zip(items_new, items_ref):
             for x, y in zip(rank_rows(a_new, rank_groups(case["dec"]), case["members"]), a_ref):
@@ -603,7 +599,7 @@ class TestWalkEqualsTheUnplannedEngine:
 
     @staticmethod
     def assert_reused(case, sides):
-        (_, _, _, checkers_ref), (hx_new, _, _, checkers_new) = sides
+        (_, _, checkers_ref), (hx_new, _, checkers_new) = sides
         assert hx_new.plans_built == 1
         (plan,) = hx_new._plans.values()
         assert hx_new.walks_recorded == len(plan.recordings)  # residencies met again are a hit
@@ -622,10 +618,9 @@ class TestWalkEqualsTheUnplannedEngine:
         seen = {id(side[0]): [] for side in sides}
 
         def observe(hx):
-            # labels as the oracle names staging buffers (all at depth 1)
             hx.ranks[0].clock.subscribe(
                 lambda start, dt, category, label, seen=seen[id(hx)]:
-                seen.append((start, dt, category, label.replace(f"_d{case['depth']}", "")))
+                seen.append((start, dt, category, label))
             )
 
         for walk, how in enumerate(case["walks"]):
@@ -647,9 +642,7 @@ class TestWalkEqualsTheUnplannedEngine:
         sessions = [profiled(side[0]) for side in sides]
 
         def rows(tel):
-            # labels as the oracle names staging buffers (all at depth 1)
-            return [(lane, start.hex(), dt.hex(), category.value,
-                     label.replace(f"_d{case['depth']}", ""))
+            return [(lane, start.hex(), dt.hex(), category.value, label)
                     for lane, start, dt, category, label in zip(*tel.profiler.columns)]
 
         for walk, how in enumerate(case["walks"]):
@@ -681,7 +674,7 @@ class TestWalkEqualsTheUnplannedEngine:
     @pytest.mark.parametrize("how", ["sync", "overlap"])
     def test_a_zero_second_add_makes_no_row(self, how):
         dec = Decomposition3D((8, 8, 16), 2)
-        case = dict(dec=dec, depth=1, axes=(0, 1, 2), fields=[("f", None)], members=1,
+        case = dict(dec=dec, fields=[("f", None)], members=1,
                     machine="um", costs={}, two_nodes=False, seed=1, walks=[how] * 6,
                     flips=[[None] * dec.nranks] * 5, observed=None, shadow=False)
         plan = self.walk_under_sessions(case, free_sync=True)
@@ -694,7 +687,7 @@ class TestWalkEqualsTheUnplannedEngine:
         profiler watched them: walks under a session play a walk recorded
         without one, and append the oracle's rows."""
         dec = Decomposition3D((8, 8, 16), 4)
-        case = dict(dec=dec, depth=1, axes=(0, 1, 2), fields=[("f", None), ("h", 2)], members=1,
+        case = dict(dec=dec, fields=[("f", None), ("h", 2)], members=1,
                     machine="p2p", costs={}, two_nodes=False, seed=2, walks=[how] * 3,
                     flips=[[None] * dec.nranks] * 2, observed=None, shadow=False)
         sides = self.sides(case)
@@ -749,18 +742,6 @@ class TestTelemetryChildrenLiveInTheSession:
         assert first == [2 * v for v in by_rank]  # the second session began at zero
 
 
-class TestDepthIsPartOfThePlan:
-    def test_a_deeper_exchange_after_a_shallow_one_has_its_own_buffers(self):
-        dec = Decomposition3D((12, 6, 12), 2, dims=(1, 1, 2))
-        hx = make_exchanger(HaloExchanger, dec)
-        hx.exchange("f", make_locals(dec, 0, g=1))
-        env = hx.ranks[0].env
-        assert "_halo_send_f_2_m_d2" not in env
-        hx.exchange("f", make_locals(dec, 0, g=2), HaloSpec(depth=2))
-        assert env.nominal_bytes("_halo_send_f_2_m_d2") == 2 * env.nominal_bytes("_halo_send_f_2_m")
-        assert hx.plans_built == 2
-
-
 class TestAnAxisThatSendsNothingIsDropped:
     """After a walk's first barrier every clock stands at the same time, so
     an axis without messages would add nothing: a plan keeps its first
@@ -775,9 +756,9 @@ class TestAnAxisThatSendsNothingIsDropped:
         assert len(plan.sweeps) == 2
 
     def test_the_first_axis_stays_when_it_sends_nothing(self):
-        dec = Decomposition3D((10, 8, 16), 8, dims=(2, 1, 4))
+        dec = Decomposition3D((10, 8, 16), 8, dims=(1, 2, 4))
         hx = make_exchanger(HaloExchanger, dec)
-        hx.exchange("f", make_locals(dec, 0), HaloSpec(axes=(1, 0, 2)))
+        hx.exchange("f", make_locals(dec, 0))
         (plan,) = hx._plans.values()
         assert [(label, len(messages)) for label, messages in plan.axes] == [
-            ("msg_1", 0), ("msg_0", 8), ("msg_2", 16)]
+            ("msg_0", 0), ("msg_1", 8), ("msg_2", 16)]

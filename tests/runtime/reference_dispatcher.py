@@ -438,7 +438,7 @@ class RankRuntime:
         if not self._window:
             return
         window, self._window = self._window, []
-        groups = plan_fusion_window(window, enabled=True)
+        groups = plan_fusion_window(window)
         problems = validate_plan(window, groups)
         if problems:  # pragma: no cover - planner bug guard
             raise RuntimeError(

@@ -20,13 +20,9 @@ def names(groups):
 
 
 class TestWindowPlanner:
-    def test_disabled_is_one_group_per_kernel(self):
-        ks = [k("a", writes=("x",)), k("b", reads=("x",))]
-        assert names(plan_fusion_window(ks, enabled=False)) == [("a",), ("b",)]
-
     def test_independent_kernels_all_fuse(self):
         ks = [k(f"k{i}", writes=(f"w{i}",)) for i in range(5)]
-        groups = plan_fusion_window(ks, enabled=True)
+        groups = plan_fusion_window(ks)
         assert names(groups) == [("k0", "k1", "k2", "k3", "k4")]
         assert validate_plan(ks, groups) == []
 
@@ -40,7 +36,7 @@ class TestWindowPlanner:
         ]
         consecutive = plan_fusion(ks, enabled=True)
         assert names(consecutive) == [("k0",), ("k1", "k2")]
-        windowed = plan_fusion_window(ks, enabled=True)
+        windowed = plan_fusion_window(ks)
         assert names(windowed) == [("k0", "k2"), ("k1",)]
         assert validate_plan(ks, windowed) == []
 
@@ -50,7 +46,7 @@ class TestWindowPlanner:
             k("k1", reads=("a",), writes=("b",)),
             k("k2", reads=("b",), writes=("c",)),
         ]
-        groups = plan_fusion_window(ks, enabled=True)
+        groups = plan_fusion_window(ks)
         assert names(groups) == [("k0",), ("k1",), ("k2",)]
         assert validate_plan(ks, groups) == []
 
@@ -61,7 +57,7 @@ class TestWindowPlanner:
             k("unpack_m", reads=("buf_m",), writes=("rho@g2m",)),
             k("unpack_p", reads=("buf_p",), writes=("rho@g2p",)),
         ]
-        groups = plan_fusion_window(ks, enabled=True)
+        groups = plan_fusion_window(ks)
         assert names(groups) == [("unpack_m", "unpack_p")]
         assert validate_plan(ks, groups) == []
 
@@ -70,12 +66,12 @@ class TestWindowPlanner:
             k("unpack_m", writes=("rho@g2m",)),
             k("stencil", reads=("rho",), writes=("out",)),
         ]
-        groups = plan_fusion_window(ks, enabled=True)
+        groups = plan_fusion_window(ks)
         assert names(groups) == [("unpack_m",), ("stencil",)]
         assert validate_plan(ks, groups) == []
 
     def test_empty_window(self):
-        assert plan_fusion_window([], enabled=True) == []
+        assert plan_fusion_window([]) == []
 
 
 class TestValidatePlan:

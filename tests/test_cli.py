@@ -557,18 +557,21 @@ class TestSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value", [
-        (["run", "--steps", "1"], "--telemetry-stream", "-1"),
-        (["run", "--steps", "1"], "--telemetry-snapshots", "-2"),
-        (["sweep", "--members", "2"], "--telemetry-stream", "-1"),
-        (["fig4"], "--telemetry-snapshots", "-1"),
+        (["run", "--steps", "1", "--telemetry", "{tel}"], "--telemetry-stream", "-1"),
+        (["run", "--steps", "1", "--telemetry", "{tel}"], "--telemetry-snapshots", "-2"),
+        (["sweep", "--members", "2", "--telemetry", "{tel}"], "--telemetry-stream", "-1"),
+        (["fig4", "--telemetry", "{tel}"], "--telemetry-snapshots", "-1"),
+        (["port", "--incremental", "--to", "dc", "--telemetry", "{tel}"], "--limit", "-1"),
+        (["critpath", "{tel}"], "--top", "-1"),
     ])
     def test_a_negative_telemetry_cadence_is_one_line_and_exit_2(
         self, command, flag, value, tmp_path, capsys
     ):
-        """A negative ``N`` would silently turn streaming or rotation off:
-        it is refused before any model is built or directory written."""
+        """A negative ``N`` would silently turn streaming or rotation off,
+        port nothing, or list all contributors but the last: it is refused
+        before any model is built or directory written."""
         tel = tmp_path / "tel"
-        assert main([*command, flag, value, "--telemetry", str(tel)]) == 2
+        assert main([*(a.format(tel=tel) for a in command), flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {flag} must not be negative\n"
         assert not tel.exists()

@@ -13,13 +13,21 @@ a public method or property of a top-level class, stays only if some
 use wherever it is code (a name, an attribute, an import) or a word of a
 string literal (the bench patches methods by name); a docstring, and a
 package ``__init__``'s re-exports, are not uses.
+
+And one level further: a ``ModelConfig`` field stays only if some
+``src/repro`` file besides ``mas/model.py``, or a bench file, sets it -- passes
+it as a keyword or names it as a word of a string literal (the CLI maps
+its options to fields by name). A field every program leaves at its
+default is a constant.
 """
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from repro.experiments.catalog import EXPERIMENTS
+from repro.mas.model import ModelConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -36,6 +44,16 @@ ALLOWED = {
 ALLOWED_SYMBOLS = {
     "repro.runtime.clock.SimClock.observer_count": "test hook: leak checks count a clock's observers",
     "repro.obs.events.Profiler.attached_count": "test hook: leak checks count a profiler's clocks",
+}
+
+
+#: ``ModelConfig`` fields no program sets, each with its reason; like
+#: ``ALLOWED_SYMBOLS``, an entry fails the test once it is set or gone.
+ALLOWED_OPTIONS = {
+    "fixed_dt": "test hook: tests fix the step to compare runs step for step",
+    "dt_growth_limit": "test hook: tests tighten the step ramp (checkpoint restart, growth cap)",
+    "semi_implicit": "physics extension (DESIGN.md section 9) that tests and the migration gate reach",
+    "si_theta": "strength of the semi-implicit extension, set with it",
 }
 
 
@@ -198,6 +216,43 @@ def unnamed_symbols(src: Path, bench: Path, skip: set[str]) -> set[str]:
                     if not isinstance(member, ast.ClassDef) and member.name not in used
                 )
     return out
+
+
+def options_set(paths: list[Path]) -> set[str]:
+    """Every keyword a call in ``paths`` passes, and every word of their
+    string literals (docstrings aside)."""
+    out: set[str] = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        skipped = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg is not None:
+                out.add(node.arg)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in skipped):
+                out.update(_IDENTIFIER.findall(node.value))
+    return out
+
+
+def test_every_model_option_is_set_or_allow_listed():
+    programs = [p for m, p in _modules(SRC).items() if m != "repro.mas.model"]
+    unset = {f.name for f in fields(ModelConfig)} - options_set(
+        [*programs, *sorted((ROOT / "bench").glob("**/*.py"))]
+    )
+    assert unset == set(ALLOWED_OPTIONS), (
+        f"set by no program and not allow-listed: {sorted(unset - set(ALLOWED_OPTIONS))}; "
+        f"allow-listed but set or gone (drop the entry): {sorted(set(ALLOWED_OPTIONS) - unset)}"
+    )
+
+
+def test_an_option_is_set_by_a_keyword_or_a_string_not_a_docstring(tmp_path):
+    path = tmp_path / "a.py"
+    path.write_text(
+        'def f(cfg):\n    """Leaves ``in_doc`` alone."""\n'
+        '    return cfg(by_keyword=1), getattr(cfg, "by_name"), "--x maps to by_word"\n'
+    )
+    assert options_set([path]) >= {"by_keyword", "by_name", "by_word"}
+    assert "in_doc" not in options_set([path])
 
 
 def test_every_public_symbol_is_named_or_allow_listed():
