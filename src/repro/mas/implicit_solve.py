@@ -3,7 +3,7 @@
 Viscosity and the semi-implicit wave operator are the same SPD system with
 a different coefficient (:mod:`repro.mas.semi_implicit`): both are one
 :class:`ImplicitSolve`, whose methods are the callbacks :mod:`repro.mas.pcg`
-takes, each issuing one kernel per rank through ``MasModel.launch_groups``
+takes, each issuing one kernel per rank through ``MasModel.launch``
 and doing its numpy work once per rank group. docs/PHYSICS.md S3b lists
 the kernel names and who owns the iterates.
 
@@ -70,7 +70,7 @@ class ImplicitSolve:
 
     The solver's arrays are one ``(G, B, ...)`` stack per rank group
     (:mod:`repro.mas.groups`), and each callback's numpy work is one pass
-    per group (``MasModel.launch_groups``). The ``(B,)`` ``coeff`` and
+    per group (``MasModel.launch``). The ``(B,)`` ``coeff`` and
     ``dt`` broadcast as (B,1,1,1) coefficient fields: each member sees
     exactly the scalar operator its serial run would, but every matvec/axpy
     kernel covers the whole batch.
@@ -95,7 +95,7 @@ class ImplicitSolve:
         ]
 
     def _launch(self, kernel: str, body: Callable[[int], Any], **spec: Any) -> list:
-        return self.model.launch_groups(
+        return self.model.launch(
             f"{self.tag}_{kernel}", body, tags=self.tags, **spec
         )
 

@@ -65,7 +65,7 @@ from repro.mas.sts import rkl2_advance
 from repro.mpi.collectives import allreduce_max, allreduce_min
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.dispatcher import RankRuntime
-from repro.runtime.kernel import KernelSpec
+from repro.runtime.kernel import LAUNCHES, KernelSpec, LoopCategory
 
 #: Paper-scale problem: 36 million cells (SV-A).
 NOMINAL_SHAPE_PAPER = (150, 300, 800)
@@ -411,59 +411,56 @@ class MasModel:
         **spec: Any,
     ) -> list:
         """Issue kernel ``name`` once per rank, in rank order, through the
-        :class:`RankRuntime` entry point ``entry``; returns what each rank's
-        ``body(r)`` returned.  ``spec`` holds the other :class:`KernelSpec`
-        fields, the same on every rank.  ``exchange=(halo_name, blocks)``
-        exchanges the ghosts of one block per rank group around the
-        kernels, which split into interior and shell passes when that
-        exchange is overlapped.  (Loops
-        issuing several kernels on a rank before the next rank's do not
-        fit: emission order is part of the price. They issue their own,
-        with bodies from :meth:`group_body`.)"""
+        :class:`RankRuntime` entry point ``entry``, with the specs of
+        :meth:`_rank_specs`: each rank group's ``body(g)`` runs once, in the
+        kernel of the group's first rank.  Returns what each group's body
+        returned (None without a body).  ``spec`` holds the other
+        :class:`KernelSpec` fields, the same on every rank.
+        ``exchange=(halo_name, blocks)`` exchanges the ghosts of one block
+        per rank group around the kernels, which split into interior and
+        shell passes when that exchange is overlapped.  (Loops issuing
+        several kernels on a rank before the next rank's do not fit:
+        emission order is part of the price. They issue their own, from
+        :meth:`_rank_specs`.)"""
         if exchange is not None:
             pending = self.halo.exchange_begin(*exchange, overlap=self.halo_overlap)
-        out = []
-        for r, rt in enumerate(self.ranks):
-            kernel = KernelSpec(name, body=body and partial(body, r), **spec)
+        out: list = [None] * len(self.groups)
+        kernels = self._rank_specs(name, body, LAUNCHES[entry], **spec)
+        for r, (rt, kernel) in enumerate(zip(self.ranks, kernels)):
             issue = getattr(rt, entry)
-            out.append(
+            result = (
                 issue(kernel) if exchange is None
                 else self._stencil_loop(r, rt, kernel, entry=issue)
             )
+            g, row = self._slots[r]
+            if row == 0:
+                out[g] = result
         if exchange is not None:
             self._finish_exchange(pending)
         return out
 
-    def group_body(
-        self, body: Callable[[int], Any], results: list | None = None
-    ) -> Callable[[int], Any]:
-        """Group ``g``'s numpy work, ``body(g)``, as a kernel body per rank.
+    def _rank_specs(
+        self, name: str, body: Callable[[int], Any] | None = None,
+        category: LoopCategory = LoopCategory.PLAIN, **spec: Any,
+    ) -> list[KernelSpec]:
+        """Per rank, the :class:`KernelSpec` of kernel ``name`` it issues.
 
-        ``rank_body(r)`` runs ``body`` in the body of the first rank of
-        ``r``'s group, keeping what it returns in ``results[g]``: a
-        ``(G, ...)`` stack, a list of the group's ``G`` values, or None.
-        Every rank's body returns its row of that, or None. Ranks issue a
-        kernel in rank order, so the first rank's body has run when a later
-        rank's does (docs/PHYSICS.md S3b).
+        Group ``g``'s numpy work, ``body(g)``, runs once, in the kernel of
+        the group's first rank; every other rank issues one body-less spec
+        that they all share.  Ranks issue a kernel in rank order, so a
+        group's work is done when its later ranks issue theirs
+        (docs/PHYSICS.md S3b).
         """
-        results = [None] * len(self.groups) if results is None else results
-        slots = self._slots
-
-        def rank_body(r: int) -> Any:
-            g, row = slots[r]
-            if row == 0:
-                results[g] = body(g)
-            return None if results[g] is None else results[g][row]
-
-        return rank_body
-
-    def launch_groups(self, name: str, body: Callable[[int], Any], **launch: Any) -> list:
-        """:meth:`launch` with each rank group's numpy work done once, in
-        the body of the group's first rank (:meth:`group_body`); returns the
-        per-group results."""
-        results: list = [None] * len(self.groups)
-        self.launch(name, self.group_body(body, results), **launch)
-        return results
+        if body is None:
+            return [KernelSpec(name, category, **spec)] * len(self.ranks)
+        firsts = [
+            KernelSpec(name, category, body=partial(body, g), **spec)
+            for g in range(len(self.groups))
+        ]
+        shared = (
+            None if len(firsts) == len(self.ranks) else KernelSpec(name, category, **spec)
+        )
+        return [firsts[g] if row == 0 else shared for g, row in self._slots]
 
     def _interior(self, g: int) -> tuple:
         """The interior index of group ``g``'s blocks (one for all its ranks)."""
@@ -474,9 +471,11 @@ class MasModel:
         return [per_group[g][row] for g, row in self._slots]
 
     def _apply_boundaries(self) -> None:
-        body = self.group_body(
-            lambda g: apply_boundaries(self.groups[g].fields, self.boundary[g], self.profiles[g])
-        )
+        def body(g: int) -> None:
+            apply_boundaries(self.groups[g].fields, self.boundary[g], self.profiles[g])
+
+        # Ranks of one nominal size share their specs.
+        specs: dict[float, list[KernelSpec]] = {}
         for r, rt in enumerate(self.ranks):
             # apply_boundaries fills ghosts of ALL state fields, including
             # the face-centered B components (the shadow checker flags the
@@ -484,16 +483,15 @@ class MasModel:
             # pinned to the calibrated 13-array footprint: ghost fills of B
             # reuse cache lines the velocity reflection already streamed.
             state_bytes = sum(rt.env.nominal_bytes(n) for n in ALL_FIELDS)
-            rt.loop(
-                KernelSpec(
-                    "boundary_fill",
+            if state_bytes not in specs:
+                specs[state_bytes] = self._rank_specs(
+                    "boundary_fill", body,
                     reads=ALL_FIELDS,
                     writes=ALL_FIELDS,
                     work_fraction=min(1.0, 4.0 / self.config.nominal_shape[0]),
                     bytes_override=state_bytes * 13.0 / 8.0,
-                    body=partial(body, r),
                 )
-            )
+            rt.loop(specs[state_bytes][r])
 
     # ------------------------------------------------------------------- step
 
@@ -524,7 +522,7 @@ class MasModel:
         # MINVAL (SIV-B); the CFL minimum is exactly that construct, so
         # it goes through kernels_region (Code 5 expands it into an
         # explicit DC reduction loop).
-        dt = self.runtime.allreduce(allreduce_min, self.rank_rows(self.launch_groups(
+        dt = self.runtime.allreduce(allreduce_min, self.rank_rows(self.launch(
             "cfl_minval", body, entry="kernels_region", reads=ALL_FIELDS,
         )))
         if self._last_dt is not None:
@@ -629,23 +627,22 @@ class MasModel:
             )
             np.maximum(f["temp"][i], p.temp_floor, out=f["temp"][i])
 
-        bodies = [self.group_body(b) for b in (pres_body, divv_body, continuity_body,
-                                               temp_adv_body)]
+        pres, divv, continuity, temp_adv = (
+            self._rank_specs("eos_pressure", pres_body, reads=("rho", "temp"),
+                             writes=("wrk_pres",)),
+            self._rank_specs("velocity_divergence", divv_body, reads=("vr", "vt", "vp"),
+                             writes=("wrk_divv",)),
+            self._rank_specs("continuity", continuity_body,
+                             reads=("rho", "vr", "vt", "vp"), writes=("rho",)),
+            self._rank_specs("temp_advection", temp_adv_body,
+                             reads=("temp", "vr", "vt", "vp", "wrk_divv"), writes=("temp",)),
+        )
         for r, rt in enumerate(self.ranks):
-            pres, divv, continuity, temp_adv = (partial(b, r) for b in bodies)
             with rt.region():
-                rt.loop(KernelSpec("eos_pressure", reads=("rho", "temp"),
-                                   writes=("wrk_pres",), body=pres))
-                self._stencil_loop(r, rt, KernelSpec(
-                    "velocity_divergence", reads=("vr", "vt", "vp"),
-                    writes=("wrk_divv",), body=divv))
-            self._stencil_loop(r, rt, KernelSpec(
-                "continuity", reads=("rho", "vr", "vt", "vp"),
-                writes=("rho",), body=continuity))
-            self._stencil_loop(r, rt, KernelSpec(
-                "temp_advection",
-                reads=("temp", "vr", "vt", "vp", "wrk_divv"),
-                writes=("temp",), body=temp_adv))
+                rt.loop(pres[r])
+                self._stencil_loop(r, rt, divv[r])
+            self._stencil_loop(r, rt, continuity[r])
+            self._stencil_loop(r, rt, temp_adv[r])
             # pressure/divv reused by the momentum predictor this step.  The
             # previous step's arrays are released here, one group at a time
             # and after this step's are allocated; releasing them all up
@@ -670,7 +667,7 @@ class MasModel:
             area = group.stencil.face_areas[0][..., 1:-1, 1:-1, 1:-1][..., : rhovr.shape[-3], :, :]
             return (rhovr * area).sum(axis=(-2, -1))
 
-        self._last_flux_profile = self.rank_rows(self.launch_groups(
+        self._last_flux_profile = self.rank_rows(self.launch(
             "shell_mass_flux", body, entry="array_reduction",
             reads=("rho", "vr"), writes=("diag_flux",),
         ))
@@ -699,16 +696,13 @@ class MasModel:
                 adv[-1] -= v * divv
             w["adv"] = tuple(adv)
 
-        lorentz, advection = self.group_body(lorentz_body), self.group_body(adv_body)
+        lorentz = self._rank_specs("lorentz_force", lorentz_body, reads=("br", "bt", "bp"),
+                                   writes=("wrk_lor_r", "wrk_lor_t", "wrk_lor_p"))
+        advection = self._rank_specs("momentum_advection", adv_body, reads=("vr", "vt", "vp"),
+                                     writes=("wrk_adv_r", "wrk_adv_t", "wrk_adv_p"))
         for r, rt in enumerate(self.ranks):
-            self._stencil_loop(r, rt, KernelSpec(
-                "lorentz_force", reads=("br", "bt", "bp"),
-                writes=("wrk_lor_r", "wrk_lor_t", "wrk_lor_p"),
-                body=partial(lorentz, r)))
-            self._stencil_loop(r, rt, KernelSpec(
-                "momentum_advection", reads=("vr", "vt", "vp"),
-                writes=("wrk_adv_r", "wrk_adv_t", "wrk_adv_p"),
-                body=partial(advection, r)))
+            self._stencil_loop(r, rt, lorentz[r])
+            self._stencil_loop(r, rt, advection[r])
 
         # The start-of-step state exchange must complete before the
         # velocity updates below; every interior pass so far hid it.
@@ -739,14 +733,16 @@ class MasModel:
             adv, lor = w["adv"], w["lor"]
             f["vp"][i] += dt * (-adv[2][i] - gp[2][i] / rho_i + lor[2][i] / rho_i)
 
-        updates = [self.group_body(b) for b in (update_vr, update_vt, update_vp)]
         reads = ("wrk_pres", "rho", "wrk_lor_r", "wrk_lor_t", "wrk_lor_p",
                  "wrk_adv_r", "wrk_adv_t", "wrk_adv_p")
+        updates = [
+            self._rank_specs(f"update_{comp}", upd, reads=reads, writes=(comp,))
+            for comp, upd in zip(VELOCITY_FIELDS, (update_vr, update_vt, update_vp))
+        ]
         for r, rt in enumerate(self.ranks):
             with rt.region():
-                for comp, upd in zip(VELOCITY_FIELDS, updates):
-                    rt.loop(KernelSpec(f"update_{comp}", reads=reads,
-                                       writes=(comp,), body=partial(upd, r)))
+                for upd in updates:
+                    rt.loop(upd[r])
 
     # -- implicit velocity solves (viscosity & semi-implicit) ------------------------
 
@@ -761,7 +757,7 @@ class MasModel:
         if not self.config.semi_implicit:
             return
         p, groups = self.config.params, self.groups
-        c_max = self.runtime.allreduce(allreduce_max, self.rank_rows(self.launch_groups(
+        c_max = self.runtime.allreduce(allreduce_max, self.rank_rows(self.launch(
             "si_wave_speed",
             lambda g: max_wave_speed(groups[g].fields, self.local_grids[groups[g].ranks[0]], p),
             entry="scalar_reduction", reads=ALL_FIELDS, tags=frozenset({"semi_implicit"}),
@@ -795,34 +791,33 @@ class MasModel:
                 w.pop("current"), resistivity=eta,
             )
 
-        emf = self.group_body(emf_body)
+        # The EMF assembly calls pure interpolation/staggering routines
+        # (MAS's s2c/interp family): an OpenACC `routine` loop that
+        # Codes 5/6 handle by inlining (-Minline).
+        emf = self._rank_specs(
+            "emf_edges", emf_body, LoopCategory.ROUTINE_CALLER,
+            reads=("vr", "vt", "vp", "br", "bt", "bp"),
+            writes=("emf_r", "emf_t", "emf_p"),
+        )
         for r, rt in enumerate(self.ranks):
-            # The EMF assembly calls pure interpolation/staggering routines
-            # (MAS's s2c/interp family): an OpenACC `routine` loop that
-            # Codes 5/6 handle by inlining (-Minline).
-            self._stencil_loop(r, rt, KernelSpec(
-                "emf_edges",
-                reads=("vr", "vt", "vp", "br", "bt", "bp"),
-                writes=("emf_r", "emf_t", "emf_p"),
-                body=partial(emf, r)), entry=rt.routine_loop)
+            self._stencil_loop(r, rt, emf[r], entry=rt.routine_loop)
 
         # The mid-step velocity exchange completes before the CT updates.
         self._finish_exchange(pending)
 
-        def ct_body(name: str, axis: int) -> Callable[[int], None]:
+        def ct_update(name: str, axis: int) -> list[KernelSpec]:
             def body(g: int) -> None:
                 db = ops.ct_face_component(*work[g]["emf"], groups[g].stencil, axis)
                 fi = self.local_grids[groups[g].ranks[0]].face_interior(axis)
                 groups[g].fields[name][fi] += dt * db[fi]
-            return self.group_body(body)
+            return self._rank_specs(f"ct_update_{name}", body,
+                                    reads=("emf_r", "emf_t", "emf_p"), writes=(name,))
 
-        updates = [ct_body(name, axis) for name, axis in FACE_FIELDS]
-        reads = ("emf_r", "emf_t", "emf_p")
+        updates = [ct_update(name, axis) for name, axis in FACE_FIELDS]
         for r, rt in enumerate(self.ranks):
             with rt.region():
-                for (name, _), upd in zip(FACE_FIELDS, updates):
-                    rt.loop(KernelSpec(f"ct_update_{name}", reads=reads,
-                                       writes=(name,), body=partial(upd, r)))
+                for upd in updates:
+                    rt.loop(upd[r])
             # bodies run at launch: the group's last CT update has read the
             # EMFs
             g, row = self._slots[r]
@@ -845,7 +840,7 @@ class MasModel:
                 apply_centered_boundary(us[g], self.boundary[g])
                 return conduction_rhs(us[g], groups[g].fields["rho"], groups[g].stencil, p)
 
-            return self.launch_groups(
+            return self.launch(
                 "conduction_rhs", body, exchange=("sts_y", us),
                 reads=("sts_y", "rho"), writes=("sts_l",), tags=tags,
             )
@@ -873,8 +868,8 @@ class MasModel:
             f["temp"] += dt * rate
             np.maximum(f["temp"], p.temp_floor, out=f["temp"])
 
-        self.launch_groups("radiation_heating", body, reads=("rho", "temp", "heat"),
-                           writes=("temp",))
+        self.launch("radiation_heating", body, reads=("rho", "temp", "heat"),
+                    writes=("temp",))
 
     def _floors(self) -> None:
         p = self.config.params
@@ -884,8 +879,8 @@ class MasModel:
             np.maximum(block["rho"], p.rho_floor, out=block["rho"])
             np.maximum(block["temp"], p.temp_floor, out=block["temp"])
 
-        self.launch_groups("apply_floors", body, reads=("rho", "temp"),
-                           writes=("rho", "temp"))
+        self.launch("apply_floors", body, reads=("rho", "temp"),
+                    writes=("rho", "temp"))
 
     # ------------------------------------------------------------------ reporting
 

@@ -48,21 +48,12 @@ from repro.mas.runtime_side import RuntimeSide, StepTiming
 from repro.mpi import collectives
 from repro.mpi.halo import FieldItem, ShapeOnly
 from repro.runtime.clock import TimeCategory
-from repro.runtime.kernel import KernelSpec, LoopCategory
+from repro.runtime.kernel import LAUNCHES, KernelSpec
 from repro.runtime.pricing import PriceMemo
 
 if TYPE_CHECKING:
     from repro.mas.model import ModelConfig
 
-#: ``RankRuntime`` loop entry point -> the category it dispatches under.
-LAUNCHES = {
-    "loop": LoopCategory.PLAIN,
-    "scalar_reduction": LoopCategory.SCALAR_REDUCTION,
-    "array_reduction": LoopCategory.ARRAY_REDUCTION,
-    "atomic_loop": LoopCategory.ATOMIC_OTHER,
-    "kernels_region": LoopCategory.KERNELS_REGION,
-    "routine_loop": LoopCategory.ROUTINE_CALLER,
-}
 #: Event kind -> its length as a tuple.
 _ARITY = {
     **dict.fromkeys(LAUNCHES, 4), "region_open": 3, "region_close": 3, "sync": 2,

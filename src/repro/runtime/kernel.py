@@ -33,6 +33,17 @@ class LoopCategory(enum.Enum):
     __hash__ = object.__hash__
 
 
+#: ``RankRuntime`` loop entry point -> the category it dispatches under.
+LAUNCHES = {
+    "loop": LoopCategory.PLAIN,
+    "scalar_reduction": LoopCategory.SCALAR_REDUCTION,
+    "array_reduction": LoopCategory.ARRAY_REDUCTION,
+    "atomic_loop": LoopCategory.ATOMIC_OTHER,
+    "kernels_region": LoopCategory.KERNELS_REGION,
+    "routine_loop": LoopCategory.ROUTINE_CALLER,
+}
+
+
 @cache
 def _touched_arrays(reads: tuple[str, ...], writes: tuple[str, ...]) -> tuple[str, ...]:
     """Logical arrays behind a kernel's access tokens, first touch first.

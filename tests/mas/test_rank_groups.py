@@ -9,7 +9,9 @@ and 3, and scalar or per-member coefficients: the rows of a group call of
 ``grad_center`` (its interior, which is ``np.gradient``'s) are the
 per-rank calls, and so are the model's shell mass-flux sums. With two
 members on two ranks (``B == G``) a metric missing its member axis would
-broadcast instead of raising; these rows catch it.
+broadcast instead of raising; these rows catch it. A launch carries the
+group's work in its first rank's spec only; the other ranks share one
+body-less spec.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from repro.mas.implicit_solve import dot_rows
 from repro.mas.model import MasModel, ModelConfig
 from repro.mas.state import ALL_FIELDS, MhdState
 from repro.mpi.decomp import Decomposition3D
+from repro.runtime.kernel import LAUNCHES, KernelSpec
 from tests.mas import reference_operators as ref
 
 
@@ -301,3 +304,56 @@ def test_the_shell_mass_flux_of_a_group_is_its_ranks_sums(nranks, members, seed)
         want = (rhovr * area).sum(axis=(-2, -1))
         # (B, nr) per rank; a scalar run's one member's profile is 1-D
         assert same_bits(m._last_flux_profile[r].reshape(want.shape), want)
+
+
+@pytest.mark.parametrize("nranks, ranks, bound", [
+    (8, [tuple(range(8))], 322),
+    (6, [(0, 3), (1, 2, 4, 5)], 491),
+])
+def test_a_launch_shares_one_bodyless_spec_across_later_ranks(monkeypatch, nranks, ranks,
+                                                             bound):
+    """Every rank issues every kernel through its own entry point; per
+    launch the first rank of each group gets the spec with the body, and
+    every other rank the same body-less object (one per distinct spec). A
+    step builds at most ``bound`` specs (1,576 at 8 ranks and 1,182 at 6
+    when every rank built its own)."""
+    m = MasModel(
+        ModelConfig(shape=(10, 8, 16), num_ranks=nranks, pcg_variant="ca",
+                    pcg_precond="jacobi", pcg_iters=8, pcg_tol=0.0, sts_stages=4),
+        runtime_config_for(CodeVersion.A),
+    )
+    assert [g.ranks for g in m.groups] == ranks
+    m.step()
+    issued: list[list[KernelSpec]] = [[] for _ in m.ranks]
+    for r, rt in enumerate(m.ranks):
+        for entry in LAUNCHES:
+            def record(spec, issue=getattr(rt, entry), specs=issued[r]):
+                specs.append(spec)
+                return issue(spec)
+            monkeypatch.setattr(rt, entry, record)
+    built = []
+    check = KernelSpec.__post_init__
+    monkeypatch.setattr(KernelSpec, "__post_init__",
+                        lambda spec: (built.append(spec.name), check(spec))[1])
+    m.step()
+
+    # the halo's pack and unpack kernels are per rank, whatever its group
+    model = [[s for s in specs if not s.name.startswith("halo_")] for specs in issued]
+    assert len({len(specs) for specs in model}) == 1
+    with_body = shared = 0
+    for launch in zip(*model):
+        assert len({s.name for s in launch}) == 1
+        firsts = [launch[g.ranks[0]] for g in m.groups]
+        if firsts[0].body is None:  # a kernel without numpy work
+            assert all(s is firsts[0] for s in launch)
+            continue
+        with_body += 1
+        assert all(s.body is not None for s in firsts)
+        later = [launch[r] for g in m.groups for r in g.ranks[1:]]
+        assert all(s.body is None for s in later)
+        # one object per distinct spec: boundary_fill's bytes follow each
+        # rank's nominal shape, which differs at 6 ranks
+        assert len({id(s) for s in later}) == len(set(later))
+        shared += len(set(later)) == 1
+    assert with_body > 100 and shared >= with_body - 2
+    assert len(built) <= bound

@@ -127,3 +127,16 @@ report(before, steps=model.steps_taken)
         "repro.util.ascii_plot",
     }
     assert never.isdisjoint(got["loaded"])
+
+
+def test_the_fig2_experiment_loads_no_reader():
+    """(e) ``fig2_sweep``'s imports: the experiment reaches ``repro.perf``
+    for calibration and scaling, not for the trace export or the reader
+    it imports."""
+    got = run_case("""
+import repro.experiments.fig2
+from repro.perf import calibration
+report(set(), calibrated=calibration.PAPER_CALIBRATION is not None)
+""")
+    assert got["calibrated"]
+    assert {"repro.perf.trace_export", "repro.obs.reader"}.isdisjoint(got["loaded"])
