@@ -358,40 +358,54 @@ class MasModel:
 
     # -- interior/boundary stencil splitting -----------------------------------
 
-    def _stencil_loop(self, r: int, rt: RankRuntime, spec: KernelSpec, *, entry=None):
-        """Issue one stencil kernel, split when overlapping an exchange.
+    def _stencil_specs(
+        self, kernels: list[KernelSpec]
+    ) -> list[tuple[KernelSpec, KernelSpec | None]]:
+        """Per rank, its stencil kernel as the pass issued now and the
+        boundary-shell pass deferred until :meth:`_finish_exchange` (None:
+        nothing is deferred).
 
-        Without overlap this is ``entry(spec)`` (default ``rt.loop``).
-        With overlap the kernel splits into an interior pass issued now
-        (carrying the full numpy body -- payloads already moved at
-        ``exchange_begin``, so numerics are unchanged) and a thin
-        boundary-shell pass deferred until :meth:`_finish_exchange`; the
-        two work fractions sum to the original, conserving traffic.
+        Without overlap the pass issued now is the kernel. With overlap the
+        kernel splits into an interior pass (carrying the full numpy body --
+        payloads already moved at ``exchange_begin``, so numerics are
+        unchanged) and a thin body-less shell pass; the two work fractions,
+        which follow the rank's nominal shape, sum to the original,
+        conserving traffic. Each pass is built once per (kernel, nominal
+        shape), so ranks sharing a body-less kernel share its passes.
         """
-        entry = entry or rt.loop
         if not self.halo_overlap:
-            return entry(spec)
-        fi, fs = ops.overlap_split_fractions(self.nominal_decomp.local_shape(r))
-        if fs <= 0.0:  # pragma: no cover - degenerate nominal extents
-            return entry(spec)
-        result = entry(
-            replace(
-                spec,
-                name=f"{spec.name}_interior",
-                work_fraction=spec.work_fraction * fi,
-            )
-        )
-        self._deferred_shell.append(
-            (
-                entry,
-                replace(
-                    spec,
-                    name=f"{spec.name}_shell",
-                    work_fraction=spec.work_fraction * fs,
-                    body=None,
-                ),
-            )
-        )
+            return [(spec, None) for spec in kernels]
+        split: dict[tuple, tuple[KernelSpec, KernelSpec | None]] = {}
+        shells: dict[tuple, KernelSpec] = {}
+        out = []
+        for r, spec in enumerate(kernels):
+            shape = self.nominal_decomp.local_shape(r)
+            key = (id(spec), shape)  # ``kernels`` holds every spec keyed
+            if key not in split:
+                fi, fs = ops.overlap_split_fractions(shape)
+                if fs <= 0.0:  # pragma: no cover - degenerate nominal extents
+                    split[key] = (spec, None)
+                else:
+                    if shape not in shells:
+                        shells[shape] = replace(
+                            spec, name=f"{spec.name}_shell",
+                            work_fraction=spec.work_fraction * fs, body=None,
+                        )
+                    interior = replace(
+                        spec, name=f"{spec.name}_interior", work_fraction=spec.work_fraction * fi
+                    )
+                    split[key] = (interior, shells[shape])
+            out.append(split[key])
+        return out
+
+    def _stencil_loop(self, rt: RankRuntime, kernel: tuple, *, entry=None):
+        """Issue one rank's stencil kernel from :meth:`_stencil_specs`
+        through ``entry`` (default ``rt.loop``), deferring its shell pass."""
+        now, shell = kernel
+        entry = entry or rt.loop
+        result = entry(now)
+        if shell is not None:
+            self._deferred_shell.append((entry, shell))
         return result
 
     def _finish_exchange(self, pending) -> None:
@@ -426,11 +440,13 @@ class MasModel:
             pending = self.halo.exchange_begin(*exchange, overlap=self.halo_overlap)
         out: list = [None] * len(self.groups)
         kernels = self._rank_specs(name, body, LAUNCHES[entry], **spec)
+        if exchange is not None:
+            kernels = self._stencil_specs(kernels)
         for r, (rt, kernel) in enumerate(zip(self.ranks, kernels)):
             issue = getattr(rt, entry)
             result = (
                 issue(kernel) if exchange is None
-                else self._stencil_loop(r, rt, kernel, entry=issue)
+                else self._stencil_loop(rt, kernel, entry=issue)
             )
             g, row = self._slots[r]
             if row == 0:
@@ -630,19 +646,22 @@ class MasModel:
         pres, divv, continuity, temp_adv = (
             self._rank_specs("eos_pressure", pres_body, reads=("rho", "temp"),
                              writes=("wrk_pres",)),
-            self._rank_specs("velocity_divergence", divv_body, reads=("vr", "vt", "vp"),
-                             writes=("wrk_divv",)),
-            self._rank_specs("continuity", continuity_body,
-                             reads=("rho", "vr", "vt", "vp"), writes=("rho",)),
-            self._rank_specs("temp_advection", temp_adv_body,
-                             reads=("temp", "vr", "vt", "vp", "wrk_divv"), writes=("temp",)),
+            self._stencil_specs(self._rank_specs(
+                "velocity_divergence", divv_body, reads=("vr", "vt", "vp"),
+                writes=("wrk_divv",))),
+            self._stencil_specs(self._rank_specs(
+                "continuity", continuity_body, reads=("rho", "vr", "vt", "vp"),
+                writes=("rho",))),
+            self._stencil_specs(self._rank_specs(
+                "temp_advection", temp_adv_body,
+                reads=("temp", "vr", "vt", "vp", "wrk_divv"), writes=("temp",))),
         )
         for r, rt in enumerate(self.ranks):
             with rt.region():
                 rt.loop(pres[r])
-                self._stencil_loop(r, rt, divv[r])
-            self._stencil_loop(r, rt, continuity[r])
-            self._stencil_loop(r, rt, temp_adv[r])
+                self._stencil_loop(rt, divv[r])
+            self._stencil_loop(rt, continuity[r])
+            self._stencil_loop(rt, temp_adv[r])
             # pressure/divv reused by the momentum predictor this step.  The
             # previous step's arrays are released here, one group at a time
             # and after this step's are allocated; releasing them all up
@@ -696,13 +715,15 @@ class MasModel:
                 adv[-1] -= v * divv
             w["adv"] = tuple(adv)
 
-        lorentz = self._rank_specs("lorentz_force", lorentz_body, reads=("br", "bt", "bp"),
-                                   writes=("wrk_lor_r", "wrk_lor_t", "wrk_lor_p"))
-        advection = self._rank_specs("momentum_advection", adv_body, reads=("vr", "vt", "vp"),
-                                     writes=("wrk_adv_r", "wrk_adv_t", "wrk_adv_p"))
+        lorentz = self._stencil_specs(self._rank_specs(
+            "lorentz_force", lorentz_body, reads=("br", "bt", "bp"),
+            writes=("wrk_lor_r", "wrk_lor_t", "wrk_lor_p")))
+        advection = self._stencil_specs(self._rank_specs(
+            "momentum_advection", adv_body, reads=("vr", "vt", "vp"),
+            writes=("wrk_adv_r", "wrk_adv_t", "wrk_adv_p")))
         for r, rt in enumerate(self.ranks):
-            self._stencil_loop(r, rt, lorentz[r])
-            self._stencil_loop(r, rt, advection[r])
+            self._stencil_loop(rt, lorentz[r])
+            self._stencil_loop(rt, advection[r])
 
         # The start-of-step state exchange must complete before the
         # velocity updates below; every interior pass so far hid it.
@@ -794,13 +815,13 @@ class MasModel:
         # The EMF assembly calls pure interpolation/staggering routines
         # (MAS's s2c/interp family): an OpenACC `routine` loop that
         # Codes 5/6 handle by inlining (-Minline).
-        emf = self._rank_specs(
+        emf = self._stencil_specs(self._rank_specs(
             "emf_edges", emf_body, LoopCategory.ROUTINE_CALLER,
             reads=("vr", "vt", "vp", "br", "bt", "bp"),
             writes=("emf_r", "emf_t", "emf_p"),
-        )
+        ))
         for r, rt in enumerate(self.ranks):
-            self._stencil_loop(r, rt, emf[r], entry=rt.routine_loop)
+            self._stencil_loop(rt, emf[r], entry=rt.routine_loop)
 
         # The mid-step velocity exchange completes before the CT updates.
         self._finish_exchange(pending)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
@@ -106,6 +106,12 @@ class StepPlan:
     #: Per step: (index into ``streams``, dt, simulated time reached,
     #: active ensemble members or None).
     steps: tuple[tuple[int, float, float, "int | None"], ...]
+    #: The halo schedules of the plan's exchanges
+    #: (:class:`~repro.mpi.halo.HaloSchedule`, by fields and stagger axes):
+    #: the book the recorded side derived them into, which every replay
+    #: reuses while their inputs stand. Derived, so not part of the plan's
+    #: text or equality.
+    schedules: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         for stream in (self.setup, *self.streams):
@@ -419,6 +425,7 @@ class PlanRecorder:
             setup=self._tape.cut() if self._setup is None else self._setup,
             streams=tuple(self._streams),
             steps=tuple(self._steps),
+            schedules=self._side.halo.schedules,
         )
 
 
@@ -571,6 +578,7 @@ def replay(plan: StepPlan, side: RuntimeSide, n_steps: int | None = None) -> lis
     """
     n = len(plan.steps) if n_steps is None else n_steps
     _check_side(plan, side, n)
+    side.halo.schedules = plan.schedules
     player = _Player(plan, side)
     side.register_arrays()
     with side.phase("setup/initial_exchange"):

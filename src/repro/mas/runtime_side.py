@@ -198,13 +198,22 @@ class RuntimeSide:
         working set registered so far, so they are issued here.
         """
         cfg = self.rt_config
+        names = self.model_arrays()
         for r, rt in enumerate(self.ranks):
-            for name in self.model_arrays():
-                stagger = STAGGER_AXES.get(name)
-                data = states[r].get(name) if states and name in ALL_FIELDS else None
-                rt.register_array(name, self._nominal_bytes(r, stagger), data)
-                if cfg.wrapper_init_kernels and not name.startswith("model_aux_"):
-                    rt.loop(KernelSpec(f"wrapper_init_{name}", writes=(name,)))
+            sizes = {axis: self._nominal_bytes(r, axis) for axis in (None, 0, 1, 2)}
+            arrays = [
+                (name, sizes[STAGGER_AXES.get(name)],
+                 states[r].get(name) if states and name in ALL_FIELDS else None)
+                for name in names
+            ]
+            start = 0
+            if cfg.wrapper_init_kernels:
+                for i, (name, _, _) in enumerate(arrays):
+                    if not name.startswith("model_aux_"):
+                        rt.register_arrays(arrays[start:i + 1])
+                        rt.loop(KernelSpec(f"wrapper_init_{name}", writes=(name,)))
+                        start = i + 1
+            rt.register_arrays(arrays[start:])
             if cfg.unified_memory and cfg.duplicate_cpu_routines:
                 # Codes with duplicate CPU-only setup routines pre-touch the
                 # state on the device before the time loop, hiding the

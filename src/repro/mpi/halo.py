@@ -31,11 +31,18 @@ messages of one (field, axis, direction, source group, destination group) --
 moves its payload as one copy in the body of its first unpack kernel; its
 packs and other unpacks issue and are charged with no body.
 
-An exchange's schedule does not change between steps, so it is derived once:
-a :class:`_Plan` per set of fields with their stagger axes, which every
-``exchange*`` walks, rebuilt when an ``env.epoch`` or an array shape moves.
-Its kernels are lowered and its wire times priced when it is built
-(``RankRuntime._lower``, ``Transport.wire_time``). Between two barriers of a
+An exchange's schedule does not change between steps, so it is derived once,
+in two halves. A :class:`HaloSchedule` is what every side of one model
+configuration shares: the messages' names, the body-less pack, unpack and
+buffer kernels, nominal bytes and same-node flags. It records what it was
+derived from, and an exchanger reuses one from its book
+(:attr:`HaloExchanger.schedules`, which a recorded
+:class:`~repro.mas.plan.StepPlan` hands to its replays) while those inputs
+stand. A :class:`_Plan` per set of fields with their stagger axes is the
+priced half every ``exchange*`` walks, rebuilt when an ``env.epoch`` or an
+array shape moves: the schedule's kernels lowered on this side's ranks
+(``RankRuntime._lower``), the transport's residency checks and wire times
+(``Transport.wire_time``), and the sweep bodies. Between two barriers of a
 walk a rank's clock and pages are moved by that rank's own events alone, so
 what a walk adds to the ranks depends only on where their clocks stand and
 on the residency of the managed arrays each touches: the first walk from
@@ -197,10 +204,10 @@ def _launch(rt: RankRuntime, spec: KernelSpec, lowered: Lowered) -> None:
         rt.loop(spec)
 
 
-@dataclass(frozen=True, slots=True)
-class _Message:
+class _Message(NamedTuple):
     """One planned message: its pack kernel on the sender, the wire, and its
-    unpack kernel on the receiver."""
+    unpack kernel on the receiver. A tuple, as every side pricing a
+    schedule builds one per message."""
 
     src: int
     dst: int
@@ -340,10 +347,54 @@ def _play(clock: SimClock, ops: tuple[tuple[TimeCategory | None, float, str], ..
     clock.now = now
 
 
+class _Route(NamedTuple):
+    """One message of a schedule, the same on every side that shares it."""
+
+    src: int
+    dst: int
+    #: Index of the field among the exchange's, and the face it leaves by.
+    item: int
+    direction: int
+    pack: KernelSpec    # body-less
+    unpack: KernelSpec  # body-less
+    send: str  # staging-buffer names
+    recv: str
+    nbytes: int
+    same_node: bool
+
+
+@dataclass(frozen=True, slots=True)
+class HaloSchedule:
+    """The side-independent half of one exchange's plan: names, numbers and
+    body-less kernels -- no array, body, runtime or model.
+
+    It records every input it was derived from (:attr:`inputs`, and the
+    nominal size of each array it read), so a side whose inputs differ
+    derives its own (:meth:`HaloExchanger._schedule`)."""
+
+    #: The decompositions, element bytes, pack inefficiency, buffer-init
+    #: fraction and rank nodes.
+    inputs: tuple
+    #: The arrays whose nominal sizes the schedule read, and per rank their
+    #: sizes (None for an array the rank has not registered).
+    sized: tuple[str, ...]
+    sizes: tuple[tuple[int | None, ...], ...]
+    #: Buffer maintenance kernels, each with its rank.
+    init: tuple[tuple[int, KernelSpec], ...]
+    #: Per axis that is walked: the axis, and its messages in the one order
+    #: packs, sends and unpacks all run in.
+    axes: tuple[tuple[int, tuple[_Route, ...]], ...]
+    #: Messages and nominal bytes one walk sends.
+    sent: tuple[int, int]
+    #: Per rank, the arrays its pack and unpack kernels touch.
+    touched: tuple[tuple[str, ...], ...]
+
+
 @dataclass(frozen=True, slots=True)
 class _Plan:
-    """One exchange's schedule as plain pieces: names, slices, numbers,
-    kernels whose bodies read :attr:`blocks` -- never a model or an array."""
+    """One exchange's priced half on one side, as plain pieces: names,
+    slices, numbers, kernels whose bodies read :attr:`blocks` -- never a
+    model or an array."""
 
     fields: tuple[str, ...]
     guard: tuple  # (env epochs, array shapes) the plan was derived from
@@ -420,7 +471,10 @@ class HaloExchanger:
             raise ValueError("rank_nodes must list one node per rank")
         self.rank_nodes = rank_nodes
         self._registered_fields: set[str] = set()
-        #: Exchange schedules by fields and their stagger axes.
+        #: Side-independent schedules by fields and their stagger axes; a
+        #: book that sides of one model configuration may share.
+        self.schedules: dict[tuple, HaloSchedule] = {}
+        #: This side's priced plans by fields and their stagger axes.
         self._plans: dict[tuple, _Plan] = {}
         #: By how many arrays an exchange takes per field, each rank's (array
         #: index, row): one array per rank, or a block per rank group.
@@ -460,18 +514,15 @@ class HaloExchanger:
     def ensure_buffers(self, field_names: tuple[str, ...]) -> None:
         """Register per-field send/recv staging buffers in every rank's
         environment (first exchange of each field)."""
-        missing = [f for f in field_names if f not in self._registered_fields]
+        missing = list(dict.fromkeys(f for f in field_names if f not in self._registered_fields))
         if not missing:
             return
+        buffers = [(axis, name) for f in missing for axis in range(3) for d in (-1, 1)
+                   for name in _face_names(f, axis, d)[:2]]  # send, then receive
         for rank, rt in enumerate(self.ranks):
-            for field_name in missing:
-                for axis in range(3):
-                    nominal_face = self.nominal.face_cells(rank, axis) * self.element_bytes
-                    for direction in (-1, 1):
-                        names = _face_names(field_name, axis, direction)
-                        for name in (names.send, names.recv):
-                            if name not in rt.env:
-                                rt.register_array(name, nominal_face)
+            face = [self.nominal.face_cells(rank, axis) * self.element_bytes for axis in range(3)]
+            rt.register_arrays([(name, face[axis]) for axis, name in buffers
+                                if name not in rt.env])
         self._registered_fields.update(missing)
 
     # -- exchange ---------------------------------------------------------------
@@ -626,8 +677,8 @@ class HaloExchanger:
     # -- internals ---------------------------------------------------------------
 
     def _plan(self, items: list[FieldItem]) -> _Plan:
-        """The schedule for exchanging ``items``: derived on first use, and
-        again whenever something it was derived from has moved."""
+        """The priced plan for exchanging ``items``: derived on first use,
+        and again whenever something it was derived from has moved."""
         if not items:
             raise ValueError("exchange needs at least one field")
         for _, locals_, _ in items:
@@ -635,7 +686,16 @@ class HaloExchanger:
         key = tuple((f, stagger) for f, _, stagger in items)
         plan = self._plans.get(key)
         if plan is None or plan.guard != self._guard(items):
-            plan = self._plans[key] = self._build_plan(items)
+            for _, locals_, stagger_axis in items:
+                for a in locals_:
+                    for axis in range(3):
+                        extent = a.shape[axis - 3]
+                        if extent < 3 + (axis == stagger_axis):
+                            raise ValueError(
+                                f"array extent {extent} too small for a one-layer halo"
+                            )
+            self.ensure_buffers(tuple(f for f, _ in key))
+            plan = self._plans[key] = self._price(self._schedule(key), items)
         return plan
 
     def _guard(self, items: list[FieldItem]) -> tuple:
@@ -648,106 +708,156 @@ class HaloExchanger:
             _cost_only(items),
         )
 
-    def _build_plan(self, items: list[FieldItem]) -> _Plan:
-        for _, locals_, stagger_axis in items:
-            for a in locals_:
-                for axis in range(3):
-                    extent = a.shape[axis - 3]
-                    if extent < 3 + (axis == stagger_axis):
-                        raise ValueError(f"array extent {extent} too small for a one-layer halo")
-        fields = tuple(f for f, _, _ in items)
-        self.ensure_buffers(fields)
+    def _inputs(self) -> tuple:
+        """What a schedule is derived from besides the arrays' sizes."""
+        return (self.decomp, self.nominal, self.element_bytes, self.pack_inefficiency,
+                self.buffer_init_fraction,
+                None if self.rank_nodes is None else tuple(self.rank_nodes))
+
+    def _schedule(self, key: tuple) -> HaloSchedule:
+        """The book's schedule for ``key`` if it was derived from what this
+        side has, else one derived here (and entered in the book)."""
+        schedule = self.schedules.get(key)
+        if (
+            schedule is None
+            or schedule.inputs != self._inputs()
+            or schedule.sizes != tuple(rt.env.sizes(schedule.sized) for rt in self.ranks)
+        ):
+            schedule = self.schedules[key] = self._derive_schedule(key)
+        return schedule
+
+    def _derive_schedule(self, key: tuple) -> HaloSchedule:
+        """Messages run axis by axis, then field by field, sender by sender,
+        low face then high. After the first axis' barrier every clock
+        stands at the same time, so an axis that sends nothing would add
+        nothing and is left out. Ranks that move the same bytes share one
+        buffer-init, pack or unpack kernel."""
+        ranks = self.ranks
+        fields = tuple(f for f, _ in key)
+        kernels: dict[tuple, KernelSpec] = {}
+
+        def kernel(name: str, reads: tuple, writes: tuple, nbytes: float) -> KernelSpec:
+            spec = kernels.get((name, reads, writes, nbytes))
+            if spec is None:
+                spec = kernels[name, reads, writes, nbytes] = KernelSpec(
+                    name, reads=reads, writes=writes, bytes_override=nbytes, tags=_PACK_TAGS
+                )
+            return spec
+
         init = []
         if self.buffer_init_fraction > 0.0:
             for field_name in fields:
-                for rank, rt in enumerate(self.ranks):
+                for rank, rt in enumerate(ranks):
                     nb = (rt.env.nominal_bytes(field_name) if field_name in rt.env
                           else self.nominal.local_cells(0) * self.element_bytes)
-                    kernel = KernelSpec(name=f"halo_buffer_init_{field_name}",
-                                        bytes_override=self.buffer_init_fraction * nb,
-                                        tags=_PACK_TAGS)
-                    init.append((rank, kernel, rt._lower(kernel, _PLAIN)))
+                    init.append((rank, kernel(f"halo_buffer_init_{field_name}", (), (),
+                                              self.buffer_init_fraction * nb)))
+        faces = {(f, axis, d): _face_names(f, axis, d)
+                 for f in fields for axis in range(3) for d in (-1, 1)}
+        axes = []
+        for axis in range(3):
+            routes = []
+            for item, field_name in enumerate(fields):
+                for src, rt in enumerate(ranks):
+                    for direction in (-1, 1):
+                        dst = self.decomp.neighbor(src, axis, direction)
+                        if dst is None:
+                            continue
+                        dst_rt = ranks[dst]
+                        # The message my low face sends arrives at the
+                        # neighbour's high ghost (and vice versa):
+                        # neighbour-relative direction is -direction.
+                        out = faces[field_name, axis, direction]
+                        into = faces[field_name, axis, -direction]
+                        nbytes = rt.env.nominal_bytes(out.send)
+                        pack = kernel(out.pack, (field_name,) if field_name in rt.env else (),
+                                      (out.send,), 2 * nbytes * self.pack_inefficiency)
+                        unpack = kernel(
+                            into.unpack, (into.recv,),
+                            (into.ghost,) if field_name in dst_rt.env else (),
+                            2 * dst_rt.env.nominal_bytes(into.recv) * self.pack_inefficiency,
+                        )
+                        same_node = (self.rank_nodes is None
+                                     or self.rank_nodes[src] == self.rank_nodes[dst])
+                        routes.append(_Route(src, dst, item, direction, pack, unpack,
+                                             out.send, into.recv, nbytes, same_node))
+            if routes or not axes:
+                axes.append((axis, tuple(routes)))
+        touched: list[dict[str, None]] = [{} for _ in ranks]
+        every = [route for _, routes in axes for route in routes]
+        for route in every:  # the staging buffers are among the kernels' arrays
+            touched[route.src].update(dict.fromkeys(route.pack.arrays))
+            touched[route.dst].update(dict.fromkeys(route.unpack.arrays))
+        sized = fields + tuple(name for names in faces.values() for name in names[:2])
+        sizes: dict[tuple, tuple] = {}  # ranks of one shape keep one copy
+        return HaloSchedule(
+            self._inputs(), sized,
+            tuple(sizes.setdefault(t, t) for t in (rt.env.sizes(sized) for rt in ranks)),
+            tuple(init), tuple(axes), (len(every), sum(route.nbytes for route in every)),
+            tuple(map(tuple, touched)),
+        )
+
+    def _price(self, schedule: HaloSchedule, items: list[FieldItem]) -> _Plan:
+        """``schedule`` on this side: its kernels lowered on their ranks, the
+        transport's residency checks and wire times, and (with arrays) the
+        sweep bodies -- each sweep's first unpack carries the copy."""
+        ranks, tr = self.ranks, self.transport
+        init = tuple((rank, spec, ranks[rank]._lower(spec, _PLAIN))
+                     for rank, spec in schedule.init)
         self.plans_built += 1
         blocks: list = []
         axes, sweeps = [], []
-        for axis in range(3):
-            entry, first_unpacks = self._plan_axis(items, axis, blocks)
-            # After the first axis' barrier every clock stands at the same
-            # time, so an axis that sends nothing would add nothing.
-            if entry[1] or not axes:
-                axes.append(entry)
-                sweeps.append(first_unpacks)
-        touched: list[dict[str, None]] = [{} for _ in self.ranks]
-        messages = [m for _, axis_messages in axes for m in axis_messages]
-        for m in messages:  # the staging buffers are among the kernels' arrays
-            touched[m.src].update(dict.fromkeys(m.pack.arrays))
-            touched[m.dst].update(dict.fromkeys(m.unpack.arrays))
+        for axis, routes in schedule.axes:
+            bodies = {} if _cost_only(items) else self._bodies(items, axis, routes, blocks)
+            messages: list[_Message] = []
+            for i, route in enumerate(routes):
+                src, dst = route.src, route.dst
+                rt, dst_rt = ranks[src], ranks[dst]
+                unpack = route.unpack
+                if i in bodies:
+                    unpack = replace(unpack, body=bodies[i])
+                # the transport's residency checks first, as at launch; a
+                # self-message (periodic wrap on an undivided axis) is
+                # delivered by a local copy, so only its send side stages
+                tr.check_buffer(rt.env, route.send)
+                if dst != src:
+                    tr.check_buffer(dst_rt.env, route.recv)
+                messages.append(_Message(
+                    src, dst, route.pack, unpack,
+                    rt._lower(route.pack, _PLAIN), dst_rt._lower(unpack, _PLAIN),
+                    route.send, route.recv, route.nbytes,
+                    tr.wire_time(route.nbytes, same_device=dst == src,
+                                 same_node=route.same_node),
+                ))
+            axes.append((f"msg_{axis}", tuple(messages)))
+            sweeps.append(tuple(messages[i].unpack for i in sorted(bodies)))
         return _Plan(
-            fields, self._guard(items), tuple(init), tuple(axes), tuple(sweeps),
-            (len(messages), sum(m.nbytes for m in messages)),
-            tuple(() if rt.env.um is None else tuple(names)
-                  for rt, names in zip(self.ranks, touched)),
+            tuple(f for f, _, _ in items), self._guard(items), init, tuple(axes),
+            tuple(sweeps), schedule.sent,
+            tuple(() if rt.env.um is None else names
+                  for rt, names in zip(ranks, schedule.touched)),
             blocks,
         )
 
-    def _plan_axis(self, items: list[FieldItem], axis: int, blocks: list) -> tuple:
-        """One axis' entry of :attr:`_Plan.axes` and of :attr:`_Plan.sweeps`;
-        messages run field by field, sender by sender, low face then high."""
-        tr = self.transport
-        found = [
-            (item, src, direction, dst)
-            for item in range(len(items))
-            for src in range(len(self.ranks))
-            for direction in (-1, 1)
-            if (dst := self.decomp.neighbor(src, axis, direction)) is not None
-        ]
-        bodies = {}  # by message: the sweeps' first unpacks
-        if not _cost_only(items):
-            slots = self.slots(len(items[0][1]))
-            sweeps: dict[tuple, list[tuple]] = {}
-            for i, (item, src, direction, dst) in enumerate(found):
-                (gs, rs), (gd, rd) = slots[src], slots[dst]
-                sweeps.setdefault((item, direction, gs, gd), []).append((i, rs, rd))
-            for (item, direction, src, dst), sweep in sweeps.items():
-                _, arrays, stagger_axis = items[item]
-                index, src_rows, dst_rows = zip(*sweep)
-                face = _interior_face(arrays[src], axis, direction, staggered=axis == stagger_axis)
-                ghost = _ghost_face(arrays[dst], axis, -direction)
-                bodies[index[0]] = partial(_copy, blocks, item, src, dst,
-                                           _rows(src_rows) + face, _rows(dst_rows) + ghost)
-        messages: list[_Message] = []
-        for i, (item, src, direction, dst) in enumerate(found):
-            field_name = items[item][0]
-            rt, dst_rt = self.ranks[src], self.ranks[dst]
-            # The message my low face sends arrives at the neighbour's high
-            # ghost (and vice versa): neighbour-relative direction is
-            # -direction.
-            out, into = (_face_names(field_name, axis, d) for d in (direction, -direction))
-            nbytes = rt.env.nominal_bytes(out.send)
-            pack = KernelSpec(name=out.pack, reads=(field_name,) if field_name in rt.env else (),
-                              writes=(out.send,), tags=_PACK_TAGS,
-                              bytes_override=2 * nbytes * self.pack_inefficiency)
-            unpack = KernelSpec(
-                name=into.unpack, reads=(into.recv,),
-                writes=(into.ghost,) if field_name in dst_rt.env else (),
-                bytes_override=2 * dst_rt.env.nominal_bytes(into.recv) * self.pack_inefficiency,
-                body=bodies.get(i), tags=_PACK_TAGS,
-            )
-            # the transport's residency checks first, as at launch; a
-            # self-message (periodic wrap on an undivided axis) is delivered
-            # by a local copy, so only its send side stages
-            tr.check_buffer(rt.env, out.send)
-            if dst != src:
-                tr.check_buffer(dst_rt.env, into.recv)
-            same_node = self.rank_nodes is None or self.rank_nodes[src] == self.rank_nodes[dst]
-            messages.append(_Message(
-                src, dst, pack, unpack,
-                rt._lower(pack, _PLAIN), dst_rt._lower(unpack, _PLAIN),
-                out.send, into.recv, nbytes,
-                tr.wire_time(nbytes, same_device=dst == src, same_node=same_node),
-            ))
-        entry = (f"msg_{axis}", tuple(messages))
-        return entry, tuple(messages[i].unpack for i in sorted(bodies))
+    def _bodies(self, items: list[FieldItem], axis: int, routes: tuple[_Route, ...],
+                blocks: list) -> dict:
+        """By message index, the payload copy of each sweep -- the messages
+        of one (field, direction, source array, destination array) -- for
+        its first message's unpack to run."""
+        slots = self.slots(len(items[0][1]))
+        sweeps: dict[tuple, list[tuple]] = {}
+        for i, route in enumerate(routes):
+            (gs, rs), (gd, rd) = slots[route.src], slots[route.dst]
+            sweeps.setdefault((route.item, route.direction, gs, gd), []).append((i, rs, rd))
+        bodies = {}
+        for (item, direction, src, dst), sweep in sweeps.items():
+            _, arrays, stagger_axis = items[item]
+            index, src_rows, dst_rows = zip(*sweep)
+            face = _interior_face(arrays[src], axis, direction, staggered=axis == stagger_axis)
+            ghost = _ghost_face(arrays[dst], axis, -direction)
+            bodies[index[0]] = partial(_copy, blocks, item, src, dst,
+                                       _rows(src_rows) + face, _rows(dst_rows) + ghost)
+        return bodies
 
     def _observe_exchanges(self, fields: tuple[str, ...]):
         tel = _telemetry()

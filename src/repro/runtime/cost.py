@@ -78,21 +78,21 @@ class KernelCostModel:
 
     def strategy_efficiency(
         self,
-        spec: KernelSpec,
+        category: LoopCategory,
         *,
         array_reduction: ArrayReductionStrategy,
         unified_memory: bool,
     ) -> float:
-        """Combined bandwidth-efficiency multiplier for this kernel."""
+        """Combined bandwidth-efficiency multiplier for a kernel of ``category``."""
         eff = 1.0
-        if spec.category is LoopCategory.ARRAY_REDUCTION:
+        if category is LoopCategory.ARRAY_REDUCTION:
             if array_reduction is ArrayReductionStrategy.FLIPPED_DC:
                 eff *= self.flipped_penalty
             else:
                 eff *= self.atomic_penalty
-        elif spec.category is LoopCategory.ATOMIC_OTHER:
+        elif category is LoopCategory.ATOMIC_OTHER:
             eff *= self.atomic_penalty
-        elif spec.category is LoopCategory.KERNELS_REGION:
+        elif category is LoopCategory.KERNELS_REGION:
             eff *= self.kernels_region_penalty
         if unified_memory:
             eff *= self.um_body_efficiency
@@ -109,19 +109,36 @@ class KernelCostModel:
         unified_memory: bool,
     ) -> float:
         """Device-busy time of the kernel body (no launch overhead)."""
-        nbytes = self.bytes_moved(spec, env)
+        return self.body_seconds(
+            self.bytes_moved(spec, env), spec.flops_per_byte, spec.category,
+            "mpi_pack" in spec.tags, gpu, working_set_bytes=working_set_bytes,
+            array_reduction=array_reduction, unified_memory=unified_memory,
+        )
+
+    def body_seconds(
+        self,
+        nbytes: float,
+        flops_per_byte: float,
+        category: LoopCategory,
+        pack: bool,
+        gpu: GpuDevice,
+        *,
+        working_set_bytes: float | None,
+        array_reduction: ArrayReductionStrategy,
+        unified_memory: bool,
+    ) -> float:
+        """:meth:`body_time` from the numbers it reads off a kernel: its
+        bytes, flops per byte, loop category and whether it is a halo
+        buffer (``mpi_pack``) kernel. Kernels that differ only in names
+        share these."""
         eff = self.strategy_efficiency(
-            spec, array_reduction=array_reduction, unified_memory=unified_memory
+            category, array_reduction=array_reduction, unified_memory=unified_memory
         )
         base = gpu.kernel_device_time(
-            nbytes, nbytes * spec.flops_per_byte, working_set_bytes=working_set_bytes
+            nbytes, nbytes * flops_per_byte, working_set_bytes=working_set_bytes
         )
         scale = self.body_scale
-        if (
-            self.mpi_buffer_pressure > 0
-            and "mpi_pack" in spec.tags
-            and working_set_bytes is not None
-        ):
+        if self.mpi_buffer_pressure > 0 and pack and working_set_bytes is not None:
             frac = min(working_set_bytes / gpu.spec.mem_bytes, 1.0)
             scale *= 1.0 + self.mpi_buffer_pressure * frac * frac
         return base / eff * scale

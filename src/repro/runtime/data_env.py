@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.machine.memory import AllocationError, DeviceMemory, Residency
+from repro.machine.memory import AllocationError, DeviceMemory
 from repro.machine.spec import LinkSpec
 from repro.machine.unified_memory import UnifiedMemoryManager
 from repro.runtime.clock import TimeCategory
@@ -31,6 +31,12 @@ class DataMode(enum.Enum):
     MANUAL = "manual"
     UNIFIED = "unified"
     CPU = "cpu"
+
+
+#: Looked up once: an enum member read off its class costs a Python call,
+#: and a model registers a few hundred arrays per rank.
+_MANUAL, _UNIFIED = DataMode.MANUAL, DataMode.UNIFIED
+_H2D = TimeCategory.H2D
 
 
 @dataclass(slots=True)
@@ -103,9 +109,9 @@ class DataEnvironment:
         self._arrays[name] = arr
         self.total_nominal_bytes += arr.nominal_bytes
         self.epoch += 1
-        if self.mode is DataMode.UNIFIED:
+        if self.mode is _UNIFIED:
             assert self.um is not None
-            self.um.register(name, residency=Residency.HOST)
+            self.um.register(name)  # host-resident
             # managed allocations still consume device capacity when resident;
             # we account capacity at registration like cudaMallocManaged does
             # not, but oversubscription is out of scope for the 36M case.
@@ -142,6 +148,12 @@ class DataEnvironment:
         """Paper-scale byte size of one array."""
         return self.array(name).nominal_bytes
 
+    def sizes(self, names: tuple[str, ...]) -> tuple[int | None, ...]:
+        """Paper-scale byte size of each of ``names``; None for one that is
+        not registered."""
+        arrays = self._arrays
+        return tuple(None if (a := arrays.get(n)) is None else a.nominal_bytes for n in names)
+
     # -- manual data directives (OpenACC enter/exit/update) ---------------
 
     def enter_data(self, name: str) -> list[Charge]:
@@ -157,7 +169,7 @@ class DataEnvironment:
         return [
             Charge(
                 self.host_link.transfer_time(arr.nominal_bytes),
-                TimeCategory.H2D,
+                _H2D,
                 f"enter_data({name})",
             )
         ]
@@ -201,7 +213,7 @@ class DataEnvironment:
         return name in self._present
 
     def _require_manual(self, what: str) -> None:
-        if self.mode is not DataMode.MANUAL:
+        if self.mode is not _MANUAL:
             raise RuntimeError(f"{what} is a manual-data directive; mode is {self.mode.value}")
 
     def _fraction_bytes(self, name: str, fraction: float) -> float:

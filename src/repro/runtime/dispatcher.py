@@ -188,14 +188,26 @@ class RankRuntime:
 
     def register_array(self, name: str, nominal_bytes: int, data=None) -> None:
         """Register a logical array and (manual mode) place it on device."""
-        self.env.register(name, nominal_bytes, data)
-        if self.env.mode is DataMode.MANUAL:
-            for c in self.env.enter_data(name):
-                self.clock.advance(c.seconds, c.category, c.label)
-        # an exact integer total, so the float is the one a full re-sum gives
-        self._working_set = float(self.env.total_nominal_bytes)
-        for engine in self._engines:
-            engine.working_set_bytes = self._working_set
+        self.register_arrays([(name, nominal_bytes, data)])
+
+    def register_arrays(self, arrays: list[tuple]) -> None:
+        """Register ``(name, nominal bytes[, data])`` arrays in order, each
+        placed on device as it comes (manual mode), then set the working set
+        the engines price on once: nothing is priced in between."""
+        env, clock = self.env, self.clock
+        register, enter_data = env.register, env.enter_data
+        manual = env.mode is DataMode.MANUAL
+        try:
+            for array in arrays:
+                register(*array)
+                if manual:
+                    for c in enter_data(array[0]):
+                        clock.advance(c.seconds, c.category, c.label)
+        finally:
+            # an exact integer total, so the float is the one a full re-sum gives
+            self._working_set = float(env.total_nominal_bytes)
+            for engine in self._engines:
+                engine.working_set_bytes = self._working_set
 
     @property
     def working_set_bytes(self) -> float:

@@ -15,7 +15,8 @@ in the ``machine`` that prices a kernel: a CPU node runs a loop at its
 roofline and never launches one.
 
 The engine only accounts cost: :meth:`Engine.price` derives a kernel's
-price, memoised per kernel (:mod:`repro.runtime.pricing`), and
+price, memoised per kernel and its seconds per set of numbers
+(:mod:`repro.runtime.pricing`), and
 :meth:`Engine.charge` (one kernel) and :meth:`Engine.charge_region` (a
 fusion plan) apply it to the clock and count the launch. Numerical
 bodies are run by the dispatcher, eagerly in submission order -- fusion
@@ -123,8 +124,13 @@ class Engine:
 
         Deriving it runs the ``admit`` and ``default(present)`` checks, so
         a kernel whose arrays left the device raises here on its next launch.
+        A price is numbers plus names: its seconds are derived once per
+        (bytes, flops per byte, category, ``mpi_pack`` tag) in the same
+        window, so kernels that differ only in names (the fields of one
+        halo face) share them.
         """
-        entries = self._memo.entries(self.env.epoch, self.working_set_bytes)
+        memo = self._memo
+        entries = memo.entries(self.env.epoch, self.working_set_bytes)
         key = spec.cost_key
         priced = entries.get(key)
         if priced is None:
@@ -132,30 +138,39 @@ class Engine:
                 self.admit(spec)
             touches = self.env.kernel_touches(spec)  # default(present) first
             nbytes = self.cost.bytes_moved(spec, self.env)
-            machine = self.machine
-            gap: float | None
-            if isinstance(machine, CpuNodeModel):
-                # bytes are already rank-local, so only the multi-node locality
-                # boost (speedup/n) applies on top of the single-node roofline.
-                boost = machine.speedup(self.num_ranks) / self.num_ranks
-                body = machine.kernel_time(nbytes) / boost * self.cost.body_scale
-                gap = None
-            else:
-                body = self.cost.body_time(
-                    spec,
-                    self.env,
-                    machine,
-                    working_set_bytes=self.working_set_bytes,
-                    array_reduction=self.array_reduction,
-                    unified_memory=self.unified_memory,
-                )
-                # On its own the kernel is one submit/complete round trip.
-                q = self.queue.simulate([body], async_launch=self.async_launch)
-                body, gap = q.body_time, self._gap(q.gap_time, 1)
+            numbers = (nbytes, spec.flops_per_byte, spec.category, "mpi_pack" in spec.tags)
+            seconds = memo.numbers.get(numbers)
+            if seconds is None:
+                seconds = memo.numbers[numbers] = self._seconds(*numbers)
             priced = entries[key] = priced_launch(
-                spec, touches, body_seconds=body, gap_seconds=gap, nbytes=nbytes
+                spec, touches, body_seconds=seconds[0], gap_seconds=seconds[1], nbytes=nbytes
             )
         return priced
+
+    def _seconds(
+        self, nbytes: float, flops_per_byte: float, category: LoopCategory, pack: bool
+    ) -> tuple[float, float | None]:
+        """Body and launch-gap seconds of a kernel moving ``nbytes`` on its
+        own (a gap of None: the CPU never launches it)."""
+        machine = self.machine
+        if isinstance(machine, CpuNodeModel):
+            # bytes are already rank-local, so only the multi-node locality
+            # boost (speedup/n) applies on top of the single-node roofline.
+            boost = machine.speedup(self.num_ranks) / self.num_ranks
+            return machine.kernel_time(nbytes) / boost * self.cost.body_scale, None
+        body = self.cost.body_seconds(
+            nbytes,
+            flops_per_byte,
+            category,
+            pack,
+            machine,
+            working_set_bytes=self.working_set_bytes,
+            array_reduction=self.array_reduction,
+            unified_memory=self.unified_memory,
+        )
+        # On its own the kernel is one submit/complete round trip.
+        q = self.queue.simulate([body], async_launch=self.async_launch)
+        return q.body_time, self._gap(q.gap_time, 1)
 
     # -- charging ------------------------------------------------------------
 

@@ -9,7 +9,9 @@ and on two things that can move: the data environment (sizes, presence)
 and the rank's working set (the locality boost). Each engine derives a
 :class:`PricedLaunch` once per kernel and keeps it in a :class:`PriceMemo`
 until either of those moves; a launch then does only what is stateful
-(:meth:`~repro.runtime.engine.Engine.charge`).
+(:meth:`~repro.runtime.engine.Engine.charge`). A price is numbers plus
+names, and the numbers (body and gap seconds) follow from four of the
+kernel's values alone, so the memo derives them once per set of those.
 """
 
 from __future__ import annotations
@@ -89,20 +91,23 @@ def priced_launch(
 class PriceMemo:
     """Priced launches by cost key (or, in a replay, lowered launches by
     spec index), valid for one (data-environment epoch, working set) pair
-    and dropped as a whole when that pair moves."""
+    and dropped as a whole when that pair moves. :attr:`numbers` holds,
+    for the same window, the seconds of each (bytes, flops per byte,
+    category, ``mpi_pack`` tag) an engine derived."""
 
-    __slots__ = ("_epoch", "_working_set", "_entries")
+    __slots__ = ("_epoch", "_working_set", "_entries", "numbers")
 
     def __init__(self) -> None:
         self._epoch: int | None = None
         self._working_set: float | None = None
         self._entries: dict = {}
+        self.numbers: dict = {}
 
     def entries(self, epoch: int, working_set_bytes: float | None) -> dict:
         """The entries still valid for this epoch and working set."""
         if epoch != self._epoch or working_set_bytes != self._working_set:
             self._epoch, self._working_set = epoch, working_set_bytes
-            self._entries = {}
+            self._entries, self.numbers = {}, {}
         return self._entries
 
     def __len__(self) -> int:

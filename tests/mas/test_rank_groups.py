@@ -357,3 +357,38 @@ def test_a_launch_shares_one_bodyless_spec_across_later_ranks(monkeypatch, nrank
         shared += len(set(later)) == 1
     assert with_body > 100 and shared >= with_body - 2
     assert len(built) <= bound
+
+
+@pytest.mark.parametrize("nranks, bound", [(8, 442), (6, 731)])
+def test_overlapped_passes_are_built_once_per_kernel_and_nominal_shape(monkeypatch, nranks,
+                                                                     bound):
+    """With an overlapped exchange each stencil kernel splits into an
+    interior pass, issued now, and a body-less shell pass, deferred until
+    the exchange finishes. Both follow the rank's nominal shape, and each is
+    built once per (launch, nominal shape, with or without body): a step
+    builds at most ``bound`` specs (962 at 8 ranks and 971 at 6 when every
+    rank split its own), and ranks of one nominal shape defer one shell."""
+    m = MasModel(
+        ModelConfig(shape=(10, 8, 16), num_ranks=nranks, pcg_variant="ca", halo_overlap=True,
+                    pcg_precond="jacobi", pcg_iters=8, pcg_tol=0.0, sts_stages=4),
+        runtime_config_for(CodeVersion.A),
+    )
+    assert m.halo_overlap
+    m.step()
+    built = []
+    check = KernelSpec.__post_init__
+    monkeypatch.setattr(KernelSpec, "__post_init__",
+                        lambda spec: (built.append(spec.name), check(spec))[1])
+    shells = []
+    finish = m._finish_exchange
+    monkeypatch.setattr(m, "_finish_exchange",
+                        lambda pending: (shells.append(list(m._deferred_shell)), finish(pending)))
+    m.step()
+    assert len(built) <= bound
+    shapes = {m.nominal_decomp.local_shape(r) for r in range(nranks)}
+    for deferred in shells:
+        by_name: dict = {}
+        for _, spec in deferred:
+            by_name.setdefault(spec.name, set()).add(id(spec))
+        assert by_name and all(len(ids) <= len(shapes) for ids in by_name.values())
+
