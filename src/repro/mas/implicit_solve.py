@@ -1,11 +1,9 @@
-"""One implicit velocity solve, ``(I - dt coeff Lap) v = v*`` per component.
+"""The implicit viscosity solve, ``(I - dt nu Lap) v = v*`` per component.
 
-Viscosity and the semi-implicit wave operator are the same SPD system with
-a different coefficient (:mod:`repro.mas.semi_implicit`): both are one
-:class:`ImplicitSolve`, whose methods are the callbacks :mod:`repro.mas.pcg`
-takes, each issuing one kernel per rank through ``MasModel.launch``
-and doing its numpy work once per rank group. docs/PHYSICS.md S3b lists
-the kernel names and who owns the iterates.
+One :class:`ImplicitSolve` is the solve of one step: its methods are the
+callbacks :mod:`repro.mas.pcg` takes, each issuing one kernel per rank
+through ``MasModel.launch`` and doing its numpy work once per rank group.
+docs/PHYSICS.md S3b lists the kernel names and who owns the iterates.
 
 An instance lives for one solve and nothing the model stores may refer to
 it: it holds the model, so a stored one is a reference cycle that keeps a
@@ -49,6 +47,9 @@ _AXPY_ROLES = {
     ("z", "n"): ("pcg_az", "pcg_ap"),
 }
 
+#: The cost tag of every kernel of the solve.
+_TAGS = frozenset({"viscosity"})
+
 
 def dot_rows(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """The ``(k, G, B)`` dots of ``k`` pairs of contiguous ``(G, B, ...)``
@@ -65,27 +66,21 @@ def dot_rows(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
 
 
 class ImplicitSolve:
-    """The PCG callbacks of one solve: kernels named ``{tag}_...`` and
-    charged to ``cost_tag``.
+    """The PCG callbacks of one viscosity solve: kernels named ``visc_...``
+    and tagged ``viscosity``.
 
     The solver's arrays are one ``(G, B, ...)`` stack per rank group
     (:mod:`repro.mas.groups`), and each callback's numpy work is one pass
-    per group (``MasModel.launch``). The ``(B,)`` ``coeff`` and
+    per group (``MasModel.launch``). The ``(B,)`` viscosity ``coeff`` and
     ``dt`` broadcast as (B,1,1,1) coefficient fields: each member sees
     exactly the scalar operator its serial run would, but every matvec/axpy
     kernel covers the whole batch.
     """
 
-    def __init__(
-        self, model: "MasModel", coeff: np.ndarray, dt: np.ndarray,
-        tag: str, cost_tag: str,
-    ) -> None:
+    def __init__(self, model: "MasModel", coeff: np.ndarray, dt: np.ndarray) -> None:
         self.model = model
         self.coeff = member_field(coeff)
         self.dt = member_field(dt)
-        self.tag = tag
-        self.cost_tag = cost_tag
-        self.tags = frozenset({cost_tag})
         grids = model.local_grids
         self.interiors = [grids[group.ranks[0]].interior() for group in model.groups]
         #: One (G, B, ...) stack per group.
@@ -95,9 +90,7 @@ class ImplicitSolve:
         ]
 
     def _launch(self, kernel: str, body: Callable[[int], Any], **spec: Any) -> list:
-        return self.model.launch(
-            f"{self.tag}_{kernel}", body, tags=self.tags, **spec
-        )
+        return self.model.launch(f"visc_{kernel}", body, tags=_TAGS, **spec)
 
     def apply_a(self, comp: str, xs: RankArrays) -> RankArrays:
         """``A x`` behind one exchange of the iterate's ghosts; ``vt`` is
@@ -162,7 +155,7 @@ class ImplicitSolve:
         self._launch(f"axpy_{roles[0]}", body, reads=(wname, rname), writes=(wname,))
 
     def precondition(self, cheby: Callable | None, rs: RankArrays) -> RankArrays:
-        """Jacobi (``cheby`` None) issues one ``{tag}_precond`` kernel per
+        """Jacobi (``cheby`` None) issues one ``visc_precond`` kernel per
         rank per application; Chebyshev issues it after its polynomial."""
         diags = self.diags
         zs = None if cheby is None else cheby(rs)  # charges its matvec kernels
@@ -175,7 +168,7 @@ class ImplicitSolve:
         """The Chebyshev polynomial over this solve's operator.
 
         It additionally issues ``degree - 1`` rank-local
-        ``{tag}_precond_matvec`` stencil kernels -- no halo exchanges and no
+        ``visc_precond_matvec`` stencil kernels -- no halo exchanges and no
         reductions, so it adds zero MPI while damping the whole bounded
         spectrum.  The ghost zones of the inverse diagonal are zeroed so the
         polynomial acts on a purely rank-local linear operator (ghost cells
@@ -230,7 +223,7 @@ class ImplicitSolve:
         for comp in VELOCITY_FIELDS:
             arrays = [group.fields[comp] for group in self.model.groups]
             rhs = [a.copy() for a in arrays]
-            with span(f"step/{self.cost_tag}/pcg", component=comp, variant=variant):
+            with span("step/viscosity/pcg", component=comp, variant=variant):
                 yield solver(
                     partial(self.apply_a, comp),
                     rhs,

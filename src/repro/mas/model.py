@@ -8,7 +8,7 @@ system one step, issuing every array operation as a runtime kernel so that
 the six code versions of Table I accrue their distinct simulated costs
 while computing bit-identical physics.
 
-Step sequence (mirroring MAS's semi-implicit loop, paper SIII):
+Step sequence (mirroring MAS's explicit/implicit loop, paper SIII):
 
 1. halo exchange + physical boundaries for all state fields
 2. CFL timestep (local reduction kernel + MPI allreduce-min)
@@ -60,9 +60,8 @@ from repro.mas.state import (
     MhdState,
     member_field,
 )
-from repro.mas.semi_implicit import fast_speed, max_wave_speed, si_coefficient
 from repro.mas.sts import rkl2_advance
-from repro.mpi.collectives import allreduce_max, allreduce_min
+from repro.mpi.collectives import allreduce_min
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.dispatcher import RankRuntime
 from repro.runtime.kernel import LAUNCHES, KernelSpec, LoopCategory
@@ -122,12 +121,6 @@ class ModelConfig:
     #: (``RuntimeConfig.supports_halo_overlap``); physics is bit-identical
     #: either way.
     halo_overlap: bool = False
-    #: Enable the semi-implicit wave stabilization (repro.mas.semi_implicit);
-    #: off by default so the paper-calibrated kernel stream is unchanged.
-    semi_implicit: bool = False
-    #: Strength of the semi-implicit operator (0 disables, ~1 stabilizes
-    #: the full wave CFL).
-    si_theta: float = 1.0
     #: Maximum factor dt may grow between steps (production codes ramp the
     #: step up slowly after transients; shrinking is never limited).
     dt_growth_limit: float = 1.25
@@ -159,18 +152,18 @@ class ModelConfig:
                 f"pcg_precond must be one of {PRECONDITIONERS}, "
                 f"got {self.pcg_precond!r}"
             )
-        if self.pcg_tol < 0:
-            raise ValueError("pcg_tol cannot be negative")
+        if not (np.isfinite(self.pcg_tol) and self.pcg_tol >= 0):
+            raise ValueError(f"pcg_tol must be finite and non-negative, got {self.pcg_tol!r}")
         if self.cheby_degree < 1:
             raise ValueError("cheby_degree must be >= 1")
         if self.sts_stages < 2:
             raise ValueError("RKL2 needs at least 2 stages")
         if self.extra_model_arrays < 0:
             raise ValueError("extra_model_arrays cannot be negative")
-        if self.si_theta < 0:
-            raise ValueError("si_theta cannot be negative")
-        if self.dt_growth_limit <= 1.0:
-            raise ValueError("dt_growth_limit must exceed 1")
+        if not (np.isfinite(self.dt_growth_limit) and self.dt_growth_limit > 1.0):
+            raise ValueError(
+                f"dt_growth_limit must be finite and exceed 1, got {self.dt_growth_limit!r}"
+            )
         if self.fixed_dt is not None and not (np.isfinite(self.fixed_dt) and self.fixed_dt > 0):
             raise ValueError(f"fixed_dt must be finite and positive, got {self.fixed_dt!r}")
         if self.ensemble_size < 1:
@@ -201,6 +194,18 @@ def _public(values: np.ndarray | None) -> float | np.ndarray | None:
     if values is None or values.size > 1:
         return values
     return float(values[0])
+
+
+def fast_speed(state, interior: tuple, params: PhysicsParams) -> np.ndarray:
+    """Fast magnetosonic speed ``sqrt(vA^2 + cs^2)`` at the ``interior``
+    cells of ``state``, which :meth:`MasModel.compute_dt`'s CFL step adds
+    to the flow speed: an :class:`~repro.mas.state.MhdState` or a group's
+    blocks by field name (either has ``.get(name)``)."""
+    bcr, bct, bcp = ops.face_to_center(state.get("br"), state.get("bt"), state.get("bp"))
+    rho = np.maximum(state.get("rho")[interior], params.rho_floor)
+    va2 = (bcr[interior] ** 2 + bct[interior] ** 2 + bcp[interior] ** 2) / rho
+    cs2 = params.sound_speed_sq(np.maximum(state.get("temp")[interior], params.temp_floor))
+    return np.sqrt(va2 + cs2)
 
 
 class MasModel:
@@ -568,8 +573,6 @@ class MasModel:
                 self._shell_diagnostics()
             with span("step/momentum"):
                 self._momentum_predictor(dt, pending)
-            with span("step/semi_implicit"):
-                self._semi_implicit_solve(dt)
             with span("step/viscosity"):
                 self._viscosity_solve(dt)
             with span("step/exchange"):
@@ -765,33 +768,17 @@ class MasModel:
                 for upd in updates:
                     rt.loop(upd[r])
 
-    # -- implicit velocity solves (viscosity & semi-implicit) ------------------------
+    # -- implicit viscosity solve ----------------------------------------------------
 
     def _viscosity_solve(self, dt: np.ndarray) -> None:
+        """(I - dt nu Lap) v = v* per component via the selected PCG
+        variant, folded into the per-member ledger; the
+        :class:`ImplicitSolve` is not kept (see
+        :mod:`repro.mas.implicit_solve`)."""
         nu = self._per_member(self._vary.get("viscosity", self.config.params.viscosity))
         if np.all(nu == 0.0):
             return
-        self._run_solve(ImplicitSolve(self, nu, dt, "visc", "viscosity"))
-
-    def _semi_implicit_solve(self, dt: np.ndarray) -> None:
-        """MAS's semi-implicit wave stabilization (see repro.mas.semi_implicit)."""
-        if not self.config.semi_implicit:
-            return
-        p, groups = self.config.params, self.groups
-        c_max = self.runtime.allreduce(allreduce_max, self.rank_rows(self.launch(
-            "si_wave_speed",
-            lambda g: max_wave_speed(groups[g].fields, self.local_grids[groups[g].ranks[0]], p),
-            entry="scalar_reduction", reads=ALL_FIELDS, tags=frozenset({"semi_implicit"}),
-        )))
-        coeff = si_coefficient(c_max, dt, self.config.si_theta)
-        if np.any(coeff > 0.0):
-            self._run_solve(ImplicitSolve(self, coeff, dt, "si", "semi_implicit"))
-
-    def _run_solve(self, solve: ImplicitSolve) -> None:
-        """(I - dt coeff Lap) v = v* per component via the selected PCG
-        variant, folded into the per-member ledger; ``solve`` is not kept
-        (see :mod:`repro.mas.implicit_solve`)."""
-        for result in solve.run():
+        for result in ImplicitSolve(self, nu, dt).run():
             self._member_breakdown |= result.breakdown
             self._member_pcg_iterations += result.iterations
             self._member_pcg_converged += result.converged

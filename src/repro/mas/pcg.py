@@ -1,6 +1,6 @@
 """Preconditioned conjugate gradient family over distributed arrays.
 
-MAS solves its implicit (viscosity, semi-implicit) operators with PCG
+MAS solves its implicit viscosity operator with PCG
 (paper refs [22], [25]); each iteration applies the operator (one halo
 exchange + stencil kernels) and takes global dot products (MPI
 allreduces). Fig. 4 profiles exactly these iterations, and the Fig. 3

@@ -264,10 +264,10 @@ def allreduce_max(
     ranks: Sequence[RankRuntime], values: Values, link: LinkSpec,
     *, nbytes: int = 8, unified_memory: bool = False,
 ) -> float | np.ndarray:
-    """MPI_Allreduce(MAX), used by the semi-implicit wave-speed estimate.
+    """MPI_Allreduce(MAX).
 
-    Like :func:`allreduce_min`, per-rank array contributions (per-member
-    wave speeds) reduce elementwise in a single collective.
+    Like :func:`allreduce_min`, per-rank array contributions (one value
+    per member) reduce elementwise in a single collective.
     """
     fold = partial(_extremum, np.maximum, max)
     return _blocking_allreduce("max", fold, ranks, values, link, nbytes, unified_memory)

@@ -5,7 +5,11 @@ equal to the last bit.  The ``-r2-`` cases were added, and the file
 re-recorded with the older entries coming out unchanged, from the commit
 before the implicit solve became :mod:`repro.mas.implicit_solve`: they
 walk the solve's other axes (PCG recurrence, blocking or non-blocking
-fused reduction, preconditioner, semi-implicit operator, member axis).
+fused reduction, preconditioner, member axis). The ``A-r2``,
+``A-r2-b3-pipelined-cheby``, ``D2XU-r2-classic-cheby`` and
+``CPU-r2-pipelined`` cases took the place of four that also ran a
+semi-implicit wave operator when that operator was deleted; they were
+recorded from the commit before the deletion.
 The ``A-r3`` case, whose ranks have two ghosted shapes, was added the same
 way from the commit before the implicit solves ran one numpy pass per
 group of equal-shape ranks (:mod:`repro.mas.groups`). The
@@ -15,13 +19,17 @@ ran one numpy pass per group.
 
 Re-record (only from a commit whose pricing is the reference) with::
 
-    PYTHONPATH=src python tests/integration/test_migration_gate.py
+    PYTHONPATH=src python tests/integration/test_migration_gate.py [CASE ...]
+
+Named cases are recorded and every other entry is copied byte for byte
+(an entry whose case is gone is dropped); with no case, all are recorded.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -76,28 +84,25 @@ CASES.update({
     "A-r2-classic": _solve_case("A", pcg_variant="classic"),
     "A-r2-pipelined": _solve_case("A", pcg_variant="pipelined"),
     "A-r2-cheby": _solve_case("A", pcg_precond="cheby"),
-    "A-r2-si": _solve_case("A", semi_implicit=True),
+    "A-r2": _solve_case("A"),
     "A-r2-overlap-fused-pipelined-cheby": _solve_case(
         "A", fuse=True, overlap=True, pcg_variant="pipelined", pcg_precond="cheby"
     ),
     "A-r2-b3": _solve_case("A", **_B3_VISCOSITY),
     "A-r2-b2-resistivity": _solve_case("A", **_B2_RESISTIVITY),
-    "A-r2-b3-si-pipelined-cheby": _solve_case(
-        "A", semi_implicit=True, pcg_variant="pipelined", pcg_precond="cheby",
-        **_B3_VISCOSITY,
+    "A-r2-b3-pipelined-cheby": _solve_case(
+        "A", pcg_variant="pipelined", pcg_precond="cheby", **_B3_VISCOSITY,
     ),
     "D2XU-r2-pipelined-cheby": _solve_case(
         "D2XU", pcg_variant="pipelined", pcg_precond="cheby"
     ),
-    "D2XU-r2-si-classic-cheby": _solve_case(
-        "D2XU", semi_implicit=True, pcg_variant="classic", pcg_precond="cheby"
+    "D2XU-r2-classic-cheby": _solve_case(
+        "D2XU", pcg_variant="classic", pcg_precond="cheby"
     ),
     "D2XU-r2-b3-classic": _solve_case(
         "D2XU", pcg_variant="classic", **_B3_RESISTIVITY
     ),
-    "CPU-r2-si-pipelined": _solve_case(
-        "CPU", semi_implicit=True, pcg_variant="pipelined"
-    ),
+    "CPU-r2-pipelined": _solve_case("CPU", pcg_variant="pipelined"),
     "CPU-r2-b3-classic-cheby": _solve_case(
         "CPU", pcg_variant="classic", pcg_precond="cheby", **_B3_VISCOSITY
     ),
@@ -185,10 +190,56 @@ def test_priced_run_equals_recorded_parent(case, golden):
     assert got == want
 
 
+def test_rerecording_named_cases_copies_every_other_entry(tmp_path, monkeypatch):
+    golden = tmp_path / "golden.json"
+    stored = {"numpy": np.__version__, "cases": {
+        "kept": {"wall_time": "0x1.8p+0", "ranks": [1.25, None]},
+        "moved": {"wall_time": "old"}, "gone": {"wall_time": "x"},
+    }}
+    golden.write_text(json.dumps(stored, indent=1) + "\n")
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN", golden)
+    monkeypatch.setattr(module, "CASES", dict.fromkeys(["kept", "moved", "new"]))
+    monkeypatch.setattr(module, "run_case", lambda case: {"wall_time": case})
+    doc = rerecord(["moved", "new"])
+    assert doc["cases"] == {
+        "kept": stored["cases"]["kept"], "moved": {"wall_time": "moved"},
+        "new": {"wall_time": "new"},
+    }
+    # the kept entry's text, two levels deep in both documents
+    kept = '"kept": ' + json.dumps(stored["cases"]["kept"], indent=1).replace("\n", "\n  ")
+    assert kept in golden.read_text() and kept in json.dumps(doc, indent=1)
+    with pytest.raises(SystemExit, match="unknown case"):
+        rerecord(["nope"])
+    with pytest.raises(SystemExit, match="no recorded entry for new"):
+        rerecord(["moved"])
+
+
+def rerecord(named: list[str]) -> dict:
+    """The golden document with the ``named`` cases recorded afresh (all
+    of them when none is named) and every other case's entry as stored."""
+    unknown = sorted(set(named) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
+    old = json.loads(GOLDEN.read_text()) if named else {"cases": {}}
+    if named and old["numpy"] != np.__version__:
+        raise SystemExit(
+            f"the golden was recorded under numpy {old['numpy']}, this is "
+            f"{np.__version__}: re-record every case"
+        )
+    fresh = set(named or CASES)
+    missing = sorted(set(CASES) - fresh - set(old["cases"]))
+    if missing:
+        raise SystemExit(f"no recorded entry for {', '.join(missing)}: name them too")
+    return {
+        "numpy": np.__version__,
+        "cases": {
+            case: run_case(case) if case in fresh else old["cases"][case]
+            for case in sorted(CASES)
+        },
+    }
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(
-        {"numpy": np.__version__,
-         "cases": {case: run_case(case) for case in sorted(CASES)}},
-        indent=1,
-    ) + "\n")
+    GOLDEN.write_text(json.dumps(rerecord(sys.argv[1:]), indent=1) + "\n")
     print(f"wrote {GOLDEN}")

@@ -7,7 +7,10 @@ requires the replaying sweeps to reproduce it: the 24 + 12
 under a telemetry session the bound models in order, the event record's
 columns, the spans and the ``step`` log records (host-time fields dropped).
 It uses nothing newer than ``run_fig2``, ``run_fig3`` and ``session``, so it
-runs at either commit.
+runs at either commit. When the step lost its empty ``step/semi_implicit``
+span, the three span fields were re-derived from the reference run's spans
+with that span dropped and the span ids renumbered; every other field is
+as recorded.
 
 Re-record (only from a commit whose sweeps are the reference) with::
 

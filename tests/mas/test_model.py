@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codes import CodeVersion, GPU_VERSIONS, runtime_config_for
-from repro.mas.model import MasModel, ModelConfig, WORK_ARRAYS
+from repro.mas.model import MasModel, ModelConfig, WORK_ARRAYS, fast_speed
 from tests.mas.validate import states_equivalent
 
 
@@ -56,6 +56,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="fixed_dt"):
             ModelConfig(fixed_dt=fixed_dt)
         ModelConfig(fixed_dt=1e-3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("pcg_tol", float("inf")), ("pcg_tol", float("nan")), ("pcg_tol", -1e-8),
+        ("dt_growth_limit", float("nan")), ("dt_growth_limit", float("inf")),
+        ("dt_growth_limit", 1.0),
+    ])
+    def test_tolerances_must_be_finite_and_in_range(self, field, value):
+        """An infinite ``pcg_tol`` would skip every PCG iteration, a NaN one
+        would run as 0 but pass as adaptive, and a NaN ``dt_growth_limit``
+        would make the CFL step NaN: refused at build time, naming the
+        field."""
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
+        ModelConfig(pcg_tol=0.0, dt_growth_limit=1.25)
 
 
 class TestPhysicsInvariants:
@@ -131,6 +145,21 @@ class TestTimings:
         m = make(fixed_dt=1e-3)
         t = m.step()
         assert t.dt == 1e-3
+
+
+class TestCflStep:
+    def test_fast_speed_exceeds_the_sound_speed(self):
+        """The Alfven speed adds to the sound speed."""
+        m = make()
+        c = fast_speed(m.states[0], m.local_grids[0].interior(), m.config.params)
+        assert c.min() > np.sqrt(m.config.params.gamma)
+
+    def test_the_step_is_the_cfl_limit_of_flow_plus_fast_speed(self):
+        m = make()
+        s, grid, p = m.states[0], m.local_grids[0], m.config.params
+        i = grid.interior()
+        speed = np.sqrt(s.vr[i] ** 2 + s.vt[i] ** 2 + s.vp[i] ** 2) + fast_speed(s, i, p)
+        assert m.compute_dt() == p.cfl * grid.min_cell_extent / speed.max()
 
 
 class TestCrossVersionIdentity:
@@ -294,9 +323,9 @@ class TestDroppedModelIsReclaimed:
             CodeVersion.A, dict(halo_overlap=True), dict(cross_region_fusion=True)),
         "d2xu-cheby-pipelined": (
             CodeVersion.D2XU, dict(pcg_precond="cheby", pcg_variant="pipelined"), {}),
-        "b3-semi-implicit": (
+        "b3-viscosity": (
             CodeVersion.A,
-            dict(semi_implicit=True, ensemble_size=3, nominal_shape=(32, 24, 48),
+            dict(ensemble_size=3, nominal_shape=(32, 24, 48),
                  ensemble_vary=(("viscosity", (1e-3, 3e-3, 1e-2)),)),
             {}),
         "cpu": (CodeVersion.CPU, {}, {}),

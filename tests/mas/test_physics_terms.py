@@ -68,6 +68,10 @@ class TestViscosity:
         v = np.random.default_rng(1).random(grid.shape)
         assert np.allclose(implicit_matvec(v, grid, 0.01, 0.0), v)
 
+    def test_matvec_identity_at_zero_viscosity(self, grid):
+        v = np.random.default_rng(0).random(grid.shape)
+        assert np.array_equal(implicit_matvec(v, grid, 0.0, 0.1), v)
+
     def test_matvec_spd_on_interior(self, grid):
         """x.(A x) > 0 for the backward-Euler viscous operator."""
         rng = np.random.default_rng(2)

@@ -535,6 +535,8 @@ class TestSweep:
             (["lint", "/nonexistent", "--fix", "--fix-out", "{out}"], "is not a directory"),
             (["port", "/nonexistent", "--to", "dc", "--out", "{out}"], "is not a directory"),
             (["port", "tests/fixtures/external"], "porting an external tree needs --to"),
+            (["run", "--pcg-tol", "inf"], "pcg_tol must be finite"),
+            (["run", "--pcg-tol", "nan"], "pcg_tol must be finite"),
         ],
     )
     def test_bad_configuration_is_one_line_and_exit_2(

@@ -52,8 +52,6 @@ ALLOWED_SYMBOLS = {
 ALLOWED_OPTIONS = {
     "fixed_dt": "test hook: tests fix the step to compare runs step for step",
     "dt_growth_limit": "test hook: tests tighten the step ramp (checkpoint restart, growth cap)",
-    "semi_implicit": "physics extension (DESIGN.md section 9) that tests and the migration gate reach",
-    "si_theta": "strength of the semi-implicit extension, set with it",
 }
 
 
@@ -243,6 +241,12 @@ def test_every_model_option_is_set_or_allow_listed():
         f"set by no program and not allow-listed: {sorted(unset - set(ALLOWED_OPTIONS))}; "
         f"allow-listed but set or gone (drop the entry): {sorted(set(ALLOWED_OPTIONS) - unset)}"
     )
+
+
+def test_every_allow_listed_option_is_a_test_hook():
+    """A field no program sets is a constant or a test hook; an extension
+    that no program runs is deleted, not parked here."""
+    assert [k for k, why in ALLOWED_OPTIONS.items() if not why.startswith("test hook:")] == []
 
 
 def test_an_option_is_set_by_a_keyword_or_a_string_not_a_docstring(tmp_path):
