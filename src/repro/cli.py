@@ -259,6 +259,8 @@ def _parse_vary(spec: str, members: int) -> tuple[str, tuple[float, ...]]:
     if len(parts) != 2:
         raise ValueError(f"--vary {spec!r}: expected param=lo:hi[:log]")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"--vary {spec!r}: a bound is not finite")
     if log and (lo <= 0 or hi <= 0):
         raise ValueError(f"--vary {spec!r}: log spacing needs positive bounds")
     if members == 1:

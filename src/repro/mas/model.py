@@ -168,8 +168,10 @@ class ModelConfig:
             raise ValueError(f"fixed_dt must be finite and positive, got {self.fixed_dt!r}")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
-        for entry in self.ensemble_vary:
-            name, values = entry
+        names = [name for name, _ in self.ensemble_vary]
+        for name, values in self.ensemble_vary:
+            if names.count(name) > 1:
+                raise ValueError(f"vary {name!r} more than once: one axis per parameter")
             if name not in ENSEMBLE_VARY_PARAMS:
                 raise ValueError(
                     f"cannot vary {name!r} per member; choose from "

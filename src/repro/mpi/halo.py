@@ -40,15 +40,15 @@ derived from, and an exchanger reuses one from its book
 :class:`~repro.mas.plan.StepPlan` hands to its replays) while those inputs
 stand. A :class:`_Plan` per set of fields with their stagger axes is the
 priced half every ``exchange*`` walks, rebuilt when an ``env.epoch`` or an
-array shape moves: the schedule's kernels lowered on this side's ranks
-(``RankRuntime._lower``), the transport's residency checks and wire times
-(``Transport.wire_time``), and the sweep bodies. Between two barriers of a
-walk a rank's clock and pages are moved by that rank's own events alone, so
-what a walk adds to the ranks depends only on where their clocks stand and
-on the residency of the managed arrays each touches: the first walk from
-each residency of all ranks records every rank's adds as one
-:class:`_Recording`, and later walks from the same residencies play it on
-every rank as float adds, and as rows to a profiler.
+array shape moves: the transport's residency checks and wire times
+(``Transport.wire_time``), and the sweep bodies. Every kernel a walk issues
+goes through ``RankRuntime.loop``, which prices it on its rank. Between two
+barriers of a walk a rank's clock and pages are moved by that rank's own
+events alone, so what a walk adds to the ranks depends only on where their
+clocks stand and on the residency of the managed arrays each touches: the
+first walk from each residency of all ranks records every rank's adds as
+one :class:`_Recording`, and later walks from the same residencies play it
+on every rank as float adds, and as rows to a profiler.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from repro.obs.events import ProfilerLane
 from repro.obs.telemetry import current as _telemetry
 from repro.runtime.pricing import kernel_counters
 from repro.runtime.clock import SimClock, TimeCategory
-from repro.runtime.dispatcher import Lowered, RankRuntime
+from repro.runtime.dispatcher import RankRuntime
 from repro.runtime.kernel import KernelSpec, LoopCategory
 
 
@@ -191,37 +191,6 @@ def _copy(blocks: list, item: int, src: int, dst: int, face: tuple, ghost: tuple
     the ghosts of its array ``dst`` (``blocks`` holds the walk's arrays)."""
     arrays = blocks[item]
     arrays[dst][ghost] = arrays[src][face]
-
-
-def _launch(rt: RankRuntime, spec: KernelSpec, lowered: Lowered) -> None:
-    """One planned kernel: its body, then the entry lowered at plan build;
-    through ``rt.loop`` when the rank would buffer the launch or a shadow
-    checker has to see it (one may be attached after the plan was built)."""
-    if rt._direct(_PLAIN):
-        spec.run_body()
-        rt._charge(lowered)
-    else:
-        rt.loop(spec)
-
-
-class _Message(NamedTuple):
-    """One planned message: its pack kernel on the sender, the wire, and its
-    unpack kernel on the receiver. A tuple, as every side pricing a
-    schedule builds one per message."""
-
-    src: int
-    dst: int
-    pack: KernelSpec
-    unpack: KernelSpec
-    #: ``pack`` lowered on the sender, ``unpack`` on the receiver; valid
-    #: under the plan's guard.
-    pack_lowered: Lowered
-    unpack_lowered: Lowered
-    send: str  # staging-buffer names
-    recv: str
-    nbytes: int
-    #: Seconds on the wire (``Transport.wire_time``): the sender waits for it.
-    wire: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,24 +361,22 @@ class HaloSchedule:
 
 @dataclass(frozen=True, slots=True)
 class _Plan:
-    """One exchange's priced half on one side, as plain pieces: names,
-    slices, numbers, kernels whose bodies read :attr:`blocks` -- never a
-    model or an array."""
+    """One exchange's priced half on one side, as plain pieces: the shared
+    schedule, numbers, kernels whose bodies read :attr:`blocks` -- never a
+    model, a runtime or an array."""
 
     fields: tuple[str, ...]
     guard: tuple  # (env epochs, array shapes) the plan was derived from
-    #: Buffer maintenance kernels, each with its rank and lowered entry.
-    init: tuple[tuple[int, KernelSpec, Lowered], ...]
-    #: Per axis: the wire wait's trace label, and the messages in the one
-    #: order packs, sends and unpacks all run in.
-    axes: tuple[tuple[str, tuple[_Message, ...]], ...]
+    schedule: HaloSchedule
+    #: Per axis of the schedule, the unpack kernel of each route: a sweep's
+    #: first carries the sweep's payload copy.
+    unpacks: tuple[tuple[KernelSpec, ...], ...]
+    #: Per axis, each route's seconds on the wire (``Transport.wire_time``):
+    #: the sender waits for it.
+    wires: tuple[tuple[float, ...], ...]
     #: Per axis, each sweep's first unpack kernel, in message order: the
     #: unpacks that have a body.
     sweeps: tuple[tuple[KernelSpec, ...], ...]
-    #: Messages and nominal bytes one walk sends.
-    sent: tuple[int, int]
-    #: Per rank, the managed arrays its events touch (empty without UM).
-    touched: tuple[tuple[str, ...], ...]
     #: What the sweep bodies read while a walk runs: each field's arrays.
     #: Emptied when the walk ends, so a plan at rest references no array.
     blocks: list
@@ -618,7 +585,7 @@ class HaloExchanger:
             posts = rt.stats.launches - l0
             if posts:
                 rt.clock.advance(posts * rt.queue.submit_overhead, TimeCategory.LAUNCH, "halo_post")
-        posted = plan.sent[0]
+        posted = plan.schedule.sent[0]
         self._set_inflight(tel, self.inflight + posted)
         return PendingExchange(fields, posted, comm_clocks, t_begin, xid=xid)
 
@@ -798,46 +765,30 @@ class HaloExchanger:
         )
 
     def _price(self, schedule: HaloSchedule, items: list[FieldItem]) -> _Plan:
-        """``schedule`` on this side: its kernels lowered on their ranks, the
-        transport's residency checks and wire times, and (with arrays) the
-        sweep bodies -- each sweep's first unpack carries the copy."""
+        """``schedule`` on this side: the transport's residency checks and
+        wire times, and (with arrays) the sweep bodies -- each sweep's first
+        unpack carries the copy."""
         ranks, tr = self.ranks, self.transport
-        init = tuple((rank, spec, ranks[rank]._lower(spec, _PLAIN))
-                     for rank, spec in schedule.init)
         self.plans_built += 1
         blocks: list = []
-        axes, sweeps = [], []
+        unpacks, wires, sweeps = [], [], []
         for axis, routes in schedule.axes:
             bodies = {} if _cost_only(items) else self._bodies(items, axis, routes, blocks)
-            messages: list[_Message] = []
-            for i, route in enumerate(routes):
-                src, dst = route.src, route.dst
-                rt, dst_rt = ranks[src], ranks[dst]
-                unpack = route.unpack
-                if i in bodies:
-                    unpack = replace(unpack, body=bodies[i])
+            for route in routes:
                 # the transport's residency checks first, as at launch; a
                 # self-message (periodic wrap on an undivided axis) is
                 # delivered by a local copy, so only its send side stages
-                tr.check_buffer(rt.env, route.send)
-                if dst != src:
-                    tr.check_buffer(dst_rt.env, route.recv)
-                messages.append(_Message(
-                    src, dst, route.pack, unpack,
-                    rt._lower(route.pack, _PLAIN), dst_rt._lower(unpack, _PLAIN),
-                    route.send, route.recv, route.nbytes,
-                    tr.wire_time(route.nbytes, same_device=dst == src,
-                                 same_node=route.same_node),
-                ))
-            axes.append((f"msg_{axis}", tuple(messages)))
-            sweeps.append(tuple(messages[i].unpack for i in sorted(bodies)))
-        return _Plan(
-            tuple(f for f, _, _ in items), self._guard(items), init, tuple(axes),
-            tuple(sweeps), schedule.sent,
-            tuple(() if rt.env.um is None else names
-                  for rt, names in zip(ranks, schedule.touched)),
-            blocks,
-        )
+                tr.check_buffer(ranks[route.src].env, route.send)
+                if route.dst != route.src:
+                    tr.check_buffer(ranks[route.dst].env, route.recv)
+            specs = tuple(replace(route.unpack, body=bodies[i]) if i in bodies else route.unpack
+                          for i, route in enumerate(routes))
+            unpacks.append(specs)
+            wires.append(tuple(tr.wire_time(route.nbytes, same_device=route.dst == route.src,
+                                            same_node=route.same_node) for route in routes))
+            sweeps.append(tuple(specs[i] for i in sorted(bodies)))
+        return _Plan(tuple(f for f, _, _ in items), self._guard(items), schedule,
+                     tuple(unpacks), tuple(wires), tuple(sweeps), blocks)
 
     def _bodies(self, items: list[FieldItem], axis: int, routes: tuple[_Route, ...],
                 blocks: list) -> dict:
@@ -892,14 +843,14 @@ class HaloExchanger:
         real calls tick (roofline and launch counters, transport staging)."""
         key = ("halo_counter_tape", plan.serial)
         if key not in tel.metrics.bound:
-            m, tr, sent, calls = tel.metrics, self.transport, {}, {}
+            m, tr, ranks, sent, calls = tel.metrics, self.transport, self.ranks, {}, {}
 
             def tick(ticks: dict, *pairs) -> None:
                 for child, amount in pairs:
                     ticks.setdefault(child, []).append(amount)
 
-            def launch(lowered: Lowered) -> None:
-                engine, priced, category = lowered
+            def launch(rank: int, spec: KernelSpec) -> None:
+                engine, priced, category = ranks[rank]._lower(spec, _PLAIN)
                 tick(calls, *zip((*kernel_counters(m, priced), engine.launch_counter(m, category)),
                                  (priced.body_seconds, priced.nbytes, priced.flops, 1.0, 1.0)))
 
@@ -907,18 +858,18 @@ class HaloExchanger:
                                  labelnames=("transport",)).labels(transport=tr.kind.value)
             by_rank = m.counter("halo_bytes_total", "nominal halo payload bytes sent, by rank",
                                 labelnames=("rank",))
-            for _, _, lowered in plan.init:
-                launch(lowered)
-            for _, axis in plan.axes:
-                for msg in axis:
-                    launch(msg.pack_lowered)
-                for msg in axis:
-                    tick(calls, *tr.staging_ticks(m, msg.nbytes, "send"))
-                    if msg.dst != msg.src:
-                        tick(calls, *tr.staging_ticks(m, msg.nbytes, "recv"))
-                    tick(sent, (messages, 1.0), (by_rank.labels(rank=str(msg.src)), msg.nbytes))
-                for msg in axis:
-                    launch(msg.unpack_lowered)
+            for rank, spec in plan.schedule.init:
+                launch(rank, spec)
+            for _, routes in plan.schedule.axes:
+                for route in routes:
+                    launch(route.src, route.pack)
+                for route in routes:
+                    tick(calls, *tr.staging_ticks(m, route.nbytes, "send"))
+                    if route.dst != route.src:
+                        tick(calls, *tr.staging_ticks(m, route.nbytes, "recv"))
+                    tick(sent, (messages, 1.0), (by_rank.labels(rank=str(route.src)), route.nbytes))
+                for route in routes:
+                    launch(route.dst, route.unpack)
             m.bound[key] = tuple(tuple((child, tuple(amounts)) for child, amounts in ticks.items())
                                  for ticks in (sent, calls))
         return tel.metrics.bound[key]
@@ -938,7 +889,7 @@ class HaloExchanger:
         once (``RankRuntime._direct``): that walk is the recording walk
         without the recorder.
         """
-        ranks, tr = self.ranks, self.transport
+        ranks, tr, schedule = self.ranks, self.transport, plan.schedule
         clocks = [rt.clock for rt in ranks]
         plan.blocks[:] = [locals_ for _, locals_, _ in items]
         observed = _observed_by(clocks)
@@ -947,16 +898,16 @@ class HaloExchanger:
         recording = recorder = None
         try:
             if reuse:
-                key = tuple(map(_residency, ranks, plan.touched))
+                key = tuple(map(_residency, ranks, schedule.touched))
                 recording = plan.recordings.get(key)
                 if recording is None:
                     recorder = _Recorder(ranks)
-            for segment in range(2 * len(plan.axes)):
-                axis_index, unpacks = divmod(segment, 2)
-                label, messages = plan.axes[axis_index]
+            for segment in range(2 * len(schedule.axes)):
+                axis_index, unpacking = divmod(segment, 2)
+                axis, routes = schedule.axes[axis_index]
                 rows: list[tuple] = []
                 if recording is not None:
-                    for spec in plan.sweeps[axis_index] if unpacks else ():
+                    for spec in plan.sweeps[axis_index] if unpacking else ():
                         spec.run_body()
                     sink = None if profiler is None else rows
                     for clock, ops, lane in zip(clocks, recording.segments[segment], lanes):
@@ -965,30 +916,31 @@ class HaloExchanger:
                     if rows:
                         rows = [row for row in (rows if order is None else order(rows))
                                 if row[2] > 0]
-                elif not unpacks:  # every rank packs its faces, all fields
-                    for rank, spec, lowered in plan.init if segment == 0 else ():
-                        _launch(ranks[rank], spec, lowered)
-                    for m in messages:
-                        _launch(ranks[m.src], m.pack, m.pack_lowered)
+                elif not unpacking:  # every rank packs its faces, all fields
+                    for rank, spec in schedule.init if segment == 0 else ():
+                        ranks[rank].loop(spec)
+                    for route in routes:
+                        ranks[route.src].loop(route.pack)
                 else:  # messages and unpacks into ghosts
-                    for m in messages:
-                        rt = ranks[m.src]
+                    label = f"msg_{axis}"
+                    for route, wire in zip(routes, plan.wires[axis_index]):
+                        rt = ranks[route.src]
                         clock = rt.clock
-                        for c in tr.send_charges(rt.env, m.send, m.nbytes):
+                        for c in tr.send_charges(rt.env, route.send, route.nbytes):
                             clock.advance(c.seconds, c.category, c.label)
                         # Blocking semantics inside the phase: the sender
                         # waits for its own wire (overlapped begins run this
                         # on the detached communication clock).
                         if recorder is not None:
-                            recorder.wire(m.src, clock, m.wire, label)
+                            recorder.wire(route.src, clock, wire, label)
                         else:
-                            clock.wait_until(clock.now + m.wire, _TRANSFER, label)
-                        if m.dst != m.src:
-                            rt = ranks[m.dst]
-                            for c in tr.recv_charges(rt.env, m.recv, m.nbytes):
+                            clock.wait_until(clock.now + wire, _TRANSFER, label)
+                        if route.dst != route.src:
+                            rt = ranks[route.dst]
+                            for c in tr.recv_charges(rt.env, route.recv, route.nbytes):
                                 rt.clock.advance(c.seconds, c.category, c.label)
-                    for m in messages:
-                        _launch(ranks[m.dst], m.unpack, m.unpack_lowered)
+                    for route, spec in zip(routes, plan.unpacks[axis_index]):
+                        ranks[route.dst].loop(spec)
                 if recorder is not None:
                     recorder.cut()
                 # Every rank clock advances to the latest (BSP synchronization:
@@ -1011,16 +963,16 @@ class HaloExchanger:
                         clock.by_category[_WAIT] = clock.by_category.get(_WAIT, 0.0) + dt
                 if rows:
                     profiler.extend(*zip(*rows))
-            self.messages += plan.sent[0]
-            self.bytes_sent += plan.sent[1]
+            self.messages += schedule.sent[0]
+            self.bytes_sent += schedule.sent[1]
             if recording is not None:
-                recording.settle(ranks, plan.touched)
+                recording.settle(ranks, schedule.touched)
             if tel.enabled:
                 sent, calls = self._counter_tape(tel, plan)
                 for child, amounts in sent if recording is None else sent + calls:
                     child.value = reduce(operator.add, amounts, child.value)
             if recorder is not None:
-                plan.recordings[key] = recorder.recording(ranks, plan.touched)
+                plan.recordings[key] = recorder.recording(ranks, schedule.touched)
                 self.walks_recorded += 1
         finally:
             plan.blocks.clear()

@@ -15,9 +15,8 @@ OpenACC loops inside a region, and between synchronization points with
 cross-region fusion, wait there and launch as one fusion plan when the
 region closes or anything else needs the device in order. A launch charged
 at once is *lowered* (``_lower``: engine, held price, counted category) and
-*charged* (``_charge``); a replay and the halo walk keep what ``_lower``
-gave and charge it again while ``_direct`` says nothing would buffer it or
-watch it.
+*charged* (``_charge``); a replay keeps what ``_lower`` gave and charges
+it again while ``_direct`` says nothing would buffer it or watch it.
 
 Numerical bodies always execute eagerly at submission, so results are
 bit-identical across code versions (the paper validated all versions

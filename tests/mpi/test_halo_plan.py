@@ -25,7 +25,6 @@ from repro.machine.gpu import A100_40GB, GpuDevice
 from repro.machine.interconnect import DELTA_INTERCONNECT, SLINGSHOT
 from repro.machine.memory import DeviceMemory
 from repro.mas import MasModel, ModelConfig
-from repro.mpi import halo
 from repro.mpi.decomp import Decomposition3D
 from repro.mpi.halo import HaloExchanger
 from repro.mpi.transport import TransportKind, make_transport
@@ -37,6 +36,8 @@ from repro.runtime.config import Backend, RuntimeConfig, uniform_backend
 from repro.runtime.data_env import DataEnvironment, DataMode
 from repro.runtime.dispatcher import RankRuntime
 from repro.runtime.engine import Engine
+from repro.runtime.kernel import LoopCategory
+from repro.runtime.pricing import PricedLaunch
 from repro.util.units import GB, MiB
 from tests.mpi import reference_halo as ref
 from tests.mpi.test_decomp import slab
@@ -186,11 +187,11 @@ class TestEveryRankRecordsOrEveryRankPlays:
         rank_of = {id(rt): rank for rank, rt in enumerate(hx.ranks)}
         launched = []
 
-        def launch(rt, spec, lowered, real=halo._launch):
+        def loop(rt, spec, real=RankRuntime.loop):
             launched.append(rank_of[id(rt)])
-            real(rt, spec, lowered)
+            return real(rt, spec)
 
-        monkeypatch.setattr(halo, "_launch", launch)
+        monkeypatch.setattr(RankRuntime, "loop", loop)
         hx.ranks[1].host_access("f")
         hx.exchange("f", locs)
         assert sorted(set(launched)) == [0, 1] and hx.walks_recorded == recorded + 1
@@ -229,11 +230,11 @@ class TestInvalidation:
 
     @pytest.mark.parametrize("machine", ["p2p", "um", "cpu"])
     def test_its_lowered_kernels_are_repriced_with_it(self, machine):
-        """A plan's pack, unpack and buffer kernels are lowered when it is
-        built. A registration moves every rank's epoch and the working set
-        the GPU's locality boost reads, so the rebuilt plan must charge the
-        new prices: each exchange's clocks are the unplanned engine's, to
-        the hex."""
+        """A plan's pack, unpack and buffer kernels are priced on their
+        ranks at launch. A registration moves every rank's epoch and the
+        working set the GPU's locality boost reads, so the rebuilt plan's
+        walk must charge the new prices: each exchange's clocks are the
+        unplanned engine's, to the hex."""
         deltas, prices = [], []
         for cls in (ref.HaloExchanger, HaloExchanger):
             hx = make_exchanger(cls, self.dec, machine, buffer_init_fraction=0.5)
@@ -250,7 +251,8 @@ class TestInvalidation:
                 )
                 if cls is HaloExchanger:
                     (plan,) = hx._plans.values()
-                    prices.append([m.pack_lowered[1] for _, msgs in plan.axes for m in msgs])
+                    prices.append([hx.ranks[route.src]._lower(route.pack, LoopCategory.PLAIN)[1]
+                                   for _, routes in plan.schedule.axes for route in routes])
         assert deltas[2:] == deltas[:2]
         assert hx.plans_built == 2
         if machine != "cpu":  # a CPU loop's price does not read the working set
@@ -265,7 +267,8 @@ class TestInvalidation:
             rt.register_array("h", 64 * MiB)
         self.hx.exchange("h", locs)
         plan = self.hx._plans[(("h", None),)]
-        assert all(m.pack.reads == ("h",) for _, msgs in plan.axes for m in msgs)
+        assert all(route.pack.reads == ("h",)
+                   for _, routes in plan.schedule.axes for route in routes)
 
     @pytest.mark.parametrize("buffer", ["_halo_recv_f_2_m", "_halo_send_f_2_p"])
     def test_exit_data_on_a_staging_buffer_is_still_refused(self, buffer):
@@ -443,11 +446,27 @@ class TestPlanHoldsNoArray:
             seen.add(id(obj))
             assert not isinstance(obj, barred), type(obj)
             stack.extend(gc.get_referents(obj))
-        # a lowered launch holds its rank's engine, and the engine the clock
-        # a profiler observes
         session_types = (Telemetry, MetricsRegistry, Profiler, ProfilerLane)
-        assert not [type(obj) for obj in reachable(plan, opaque=(Engine,))
-                    if isinstance(obj, session_types)]
+        assert not [type(obj) for obj in reachable(plan) if isinstance(obj, session_types)]
+
+    @pytest.mark.parametrize("machine", ["p2p", "um", "cpu"])
+    def test_a_plan_reaches_no_engine_price_clock_or_environment(self, machine):
+        """A walk prices each kernel on its rank as it launches, so a plan at
+        rest -- of a synchronous, an overlapped or a grouped exchange -- holds
+        no price, and no engine, clock or data environment a price reaches."""
+        dec = Decomposition3D((8, 8, 16), 4)
+        hx = make_exchanger(HaloExchanger, dec, machine, buffer_init_fraction=0.5)
+        locs = make_locals(dec, 5)
+        hx.exchange("f", locs)
+        staggered = make_locals(dec, 6, stagger_axis=2)
+        hx.exchange_finish(hx.exchange_begin("h", staggered, stagger_axis=2))
+        hx.set_groups(rank_groups(dec))
+        hx.exchange_many([("f", as_blocks(locs, rank_groups(dec)), None),
+                          ("h", as_blocks(staggered, rank_groups(dec)), 2)])
+        assert len(hx._plans) == 3
+        barred = (Engine, PricedLaunch, SimClock, DataEnvironment)
+        assert not [type(obj) for obj in reachable(hx._plans, opaque=(types.FunctionType,))
+                    if isinstance(obj, barred)]
 
 
 def _with_guard(hx, locs):
@@ -693,9 +712,14 @@ class TestWalkEqualsTheUnplannedEngine:
         sides = self.sides(case)
         for side in sides:
             self.walk(case, side, 0, how, None)
-        launched = []
-        real = halo._launch
-        monkeypatch.setattr(halo, "_launch", lambda *args: (launched.append(args), real(*args)))
+        launched, planned = [], {id(rt) for rt in sides[1][0].ranks}
+
+        def loop(rt, spec, real=RankRuntime.loop):
+            if id(rt) in planned:
+                launched.append(spec)
+            return real(rt, spec)
+
+        monkeypatch.setattr(RankRuntime, "loop", loop)
         sessions = [profiled(side[0]) for side in sides]
         for walk in (1, 2):
             for side, tel in zip(sides, sessions):
@@ -752,7 +776,7 @@ class TestAnAxisThatSendsNothingIsDropped:
         hx = make_exchanger(HaloExchanger, dec)
         hx.exchange("f", make_locals(dec, 0))
         (plan,) = hx._plans.values()
-        assert [label for label, _ in plan.axes] == ["msg_0", "msg_2"]
+        assert [axis for axis, _ in plan.schedule.axes] == [0, 2]
         assert len(plan.sweeps) == 2
 
     def test_the_first_axis_stays_when_it_sends_nothing(self):
@@ -760,5 +784,6 @@ class TestAnAxisThatSendsNothingIsDropped:
         hx = make_exchanger(HaloExchanger, dec)
         hx.exchange("f", make_locals(dec, 0))
         (plan,) = hx._plans.values()
-        assert [(label, len(messages)) for label, messages in plan.axes] == [
-            ("msg_0", 0), ("msg_1", 8), ("msg_2", 16)]
+        assert [(axis, len(routes)) for axis, routes in plan.schedule.axes] == [
+            (0, 0), (1, 8), (2, 16)]
+        assert [len(sweeps) for sweeps in plan.sweeps] == [0, 8, 16]

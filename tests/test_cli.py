@@ -516,6 +516,17 @@ class TestSweep:
         assert main([*self.ARGS, "--members", "2",
                      "--vary", "b0=0:1:log"]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("members", ["1", "2"])
+    def test_a_bound_that_is_not_finite_is_refused_as_given(self, members, capsys):
+        """Spacing an infinite range warns and yields a nan the user never
+        typed, and one member would ignore ``hi``: the spec is refused as
+        given, in one line."""
+        assert main([*self.ARGS, "--members", members, "--vary", "viscosity=1e-3:inf"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'viscosity=1e-3:inf'" in err
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -537,6 +548,9 @@ class TestSweep:
             (["port", "tests/fixtures/external"], "porting an external tree needs --to"),
             (["run", "--pcg-tol", "inf"], "pcg_tol must be finite"),
             (["run", "--pcg-tol", "nan"], "pcg_tol must be finite"),
+            (["sweep", "--members", "2", "--vary", "viscosity=1e-3:2e-3",
+              "--vary", "viscosity=3e-3:4e-3", "--steps", "1", "--shape", "8", "6", "8"],
+             "vary 'viscosity' more than once"),
         ],
     )
     def test_bad_configuration_is_one_line_and_exit_2(
