@@ -258,7 +258,10 @@ def _parse_vary(spec: str, members: int) -> tuple[str, tuple[float, ...]]:
         parts = parts[:-1]
     if len(parts) != 2:
         raise ValueError(f"--vary {spec!r}: expected param=lo:hi[:log]")
-    lo, hi = float(parts[0]), float(parts[1])
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ValueError(f"--vary {spec!r}: a bound is not a number") from None
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"--vary {spec!r}: a bound is not finite")
     if log and (lo <= 0 or hi <= 0):

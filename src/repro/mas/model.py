@@ -51,7 +51,7 @@ from repro.mas.pcg import (  # noqa: F401
     pcg_solve_pipelined_batched,
 )
 from repro.mas.radiation import energy_source_rate, heating_profile
-from repro.mas.runtime_side import WORK_ARRAYS, RuntimeSide, StepTiming
+from repro.mas.runtime_side import RuntimeSide, StepTiming
 from repro.mas.state import (
     ALL_FIELDS,
     FACE_FIELDS,
@@ -444,7 +444,7 @@ class MasModel:
         emission order is part of the price. They issue their own, from
         :meth:`_rank_specs`.)"""
         if exchange is not None:
-            pending = self.halo.exchange_begin(*exchange, overlap=self.halo_overlap)
+            pending = self.halo.exchange_begin_many([(*exchange, None)], overlap=self.halo_overlap)
         out: list = [None] * len(self.groups)
         kernels = self._rank_specs(name, body, LAUNCHES[entry], **spec)
         if exchange is not None:
@@ -560,7 +560,7 @@ class MasModel:
         run.begin_step()
         with run.phase("step", index=self.steps_taken):
             with span("step/exchange"):
-                self._wrapper_inits()
+                run.wrapper_inits()
                 # Overlapped mode: packs/messages post on a detached
                 # communication timeline here; the boundary fill, CFL
                 # reduction and interior hydro/momentum passes below hide
@@ -605,16 +605,6 @@ class MasModel:
         return [self.step() for _ in range(n_steps)]
 
     # ------------------------------------------------------------ step pieces
-
-    def _wrapper_inits(self) -> None:
-        """Code 6's wrapper create+init routines zero every temporary on
-        creation, adding initialization kernels per step that the original
-        code did not have -- the paper's explanation for Code 6 trailing
-        Code 2 slightly (SV-C)."""
-        for rt in self.runtime.ranks_when("wrapper_init_kernels"):
-            with rt.region():
-                for name in WORK_ARRAYS:
-                    rt.loop(KernelSpec(f"wrapper_zero_{name}", writes=(name,)))
 
     def _hydro_advance(self, dt: np.ndarray) -> None:
         p = self.config.params

@@ -15,20 +15,21 @@ times").
 
 Events are tuples, first the kind:
 
-* ``(launch, rank, spec, gate)`` for the six ``RankRuntime`` loop entry
-  points, ``spec`` an index into :attr:`StepPlan.specs` (body-less, carrying
-  the entry point's category, interned by ``cost_key``);
-  ``("region_open" | "region_close", rank, gate)``.  ``gate`` names a
-  ``RuntimeConfig`` flag (``ranks_when``): the event is recorded under every
-  code version and replayed onto those that have the flag;
-* ``("sync", rank)``, ``("update_host" | "update_device", rank, name,
-  fraction)``, ``("host_access", rank, name, nbytes, category)``;
+* ``(launch, rank, spec)`` for the six ``RankRuntime`` loop entry points,
+  ``spec`` an index into :attr:`StepPlan.specs` (body-less, carrying the
+  entry point's category, interned by ``cost_key``);
+  ``("region_open" | "region_close", rank)``;
+* ``("wrapper_inits",)``: the kernels only some code versions add to a step,
+  which the side issues (:meth:`RuntimeSide.wrapper_inits`);
 * ``("ensure_buffers", names)``, ``("exchange_many", exchange)``,
   ``("exchange_begin", exchange, overlap, slot)``, ``("exchange_finish",
   slot)``, ``exchange`` an index into :attr:`StepPlan.exchanges`;
 * ``("allreduce", function, values, slot)`` (``slot`` None when blocking)
   and ``("allreduce_finish", slot)``;
 * ``("span_open", name, attrs)`` and ``("span_close",)``.
+
+Only what a model calls is recorded: a model that starts calling a rank's
+``sync`` or a data directive needs a wrapper for it here.
 """
 
 from __future__ import annotations
@@ -47,20 +48,21 @@ from repro.mas.groups import rank_view
 from repro.mas.runtime_side import RuntimeSide, StepTiming
 from repro.mpi import collectives
 from repro.mpi.halo import FieldItem, ShapeOnly
-from repro.runtime.clock import TimeCategory
 from repro.runtime.kernel import LAUNCHES, KernelSpec
-from repro.runtime.pricing import PriceMemo
 
 if TYPE_CHECKING:
     from repro.mas.model import ModelConfig
 
 #: Event kind -> its length as a tuple.
 _ARITY = {
-    **dict.fromkeys(LAUNCHES, 4), "region_open": 3, "region_close": 3, "sync": 2,
-    "update_host": 4, "update_device": 4, "host_access": 5, "ensure_buffers": 2,
-    "exchange_many": 2, "exchange_begin": 4, "exchange_finish": 2,
+    **dict.fromkeys(LAUNCHES, 3), "region_open": 2, "region_close": 2, "wrapper_inits": 1,
+    "ensure_buffers": 2, "exchange_many": 2, "exchange_begin": 4, "exchange_finish": 2,
     "allreduce": 4, "allreduce_finish": 2, "span_open": 3, "span_close": 1,
 }
+#: What ``RuntimeSide.allreduce`` is handed, by name.
+_COLLECTIVES = frozenset({
+    "allreduce_sum", "allreduce_min", "allreduce_max", "allreduce_many", "allreduce_many_begin",
+})
 
 Event = tuple
 Stream = tuple[Event, ...]
@@ -167,8 +169,7 @@ def _check_stream(plan: StepPlan, stream: Stream) -> None:
         kind = ev[0] if ev else None
         if _ARITY.get(kind) != len(ev):
             raise bad(f"malformed event {ev!r}")
-        if kind in LAUNCHES or kind in ("region_open", "region_close", "sync",
-                                        "update_host", "update_device", "host_access"):
+        if kind in LAUNCHES or kind in ("region_open", "region_close"):
             if not 0 <= ev[1] < n:
                 raise bad(f"{kind} on rank {ev[1]} of {n}")
         if kind in LAUNCHES:
@@ -183,6 +184,8 @@ def _check_stream(plan: StepPlan, stream: Stream) -> None:
         elif kind in ("exchange_many", "exchange_begin"):
             if not 0 <= ev[1] < len(plan.exchanges):
                 raise bad(f"{kind} of unknown exchange {ev[1]}")
+        elif kind == "allreduce" and ev[1] not in _COLLECTIVES:
+            raise bad(f"allreduce of unknown collective {ev[1]!r}")
         elif kind == "span_open":
             spans += 1
         elif kind == "span_close":
@@ -217,12 +220,12 @@ class _Tape:
         self.open: list[tuple[int, Any]] = []
         self.begun = 0
 
-    def launch(self, kind: str, rank: int, spec: KernelSpec, gate: str | None) -> None:
+    def launch(self, kind: str, rank: int, spec: KernelSpec) -> None:
         key = (kind, *spec.cost_key)
         index = self.specs.get(key)
         if index is None:
             index = self.specs[key] = len(self.specs)
-        self.stream.append((kind, rank, index, gate))
+        self.stream.append((kind, rank, index))
 
     def exchange(self, fields: tuple) -> int:
         return self.exchanges.setdefault(fields, len(self.exchanges))
@@ -250,9 +253,8 @@ class _Tape:
 class _RecordingRank:
     """One rank runtime as the model sees it while a plan is recorded."""
 
-    def __init__(self, rt: Any, rank: int, tape: _Tape,
-                 gate: str | None = None, live: bool = True) -> None:
-        self._rt, self._rank, self._tape, self._gate, self._live = rt, rank, tape, gate, live
+    def __init__(self, rt: Any, rank: int, tape: _Tape) -> None:
+        self._rt, self._rank, self._tape = rt, rank, tape
 
     def __getattr__(self, name: str) -> Any:
         if name in LAUNCHES:  # the six loop entry points
@@ -260,35 +262,15 @@ class _RecordingRank:
         return getattr(self._rt, name)
 
     def _launch(self, kind: str, spec: KernelSpec) -> Any:
-        self._tape.launch(kind, self._rank, spec, self._gate)
-        return getattr(self._rt, kind)(spec) if self._live else None
+        self._tape.launch(kind, self._rank, spec)
+        return getattr(self._rt, kind)(spec)
 
     @contextmanager
     def region(self) -> Iterator[None]:
-        self._tape.stream.append(("region_open", self._rank, self._gate))
-        if self._live:
-            with self._rt.region():
-                yield
-        else:
+        self._tape.stream.append(("region_open", self._rank))
+        with self._rt.region():
             yield
-        self._tape.stream.append(("region_close", self._rank, self._gate))
-
-    def sync(self) -> None:
-        self._tape.stream.append(("sync", self._rank))
-        self._rt.sync()
-
-    def update_host(self, name: str, fraction: float = 1.0) -> None:
-        self._tape.stream.append(("update_host", self._rank, name, fraction))
-        self._rt.update_host(name, fraction)
-
-    def update_device(self, name: str, fraction: float = 1.0) -> None:
-        self._tape.stream.append(("update_device", self._rank, name, fraction))
-        self._rt.update_device(name, fraction)
-
-    def host_access(self, name: str, nbytes: float | None = None,
-                    category: TimeCategory = TimeCategory.UM_FAULT) -> None:
-        self._tape.stream.append(("host_access", self._rank, name, nbytes, category.value))
-        self._rt.host_access(name, nbytes, category)
+        self._tape.stream.append(("region_close", self._rank))
 
 
 class _RecordingHalo:
@@ -321,9 +303,6 @@ class _RecordingHalo:
         self._tape.stream.append(("exchange_many", self._tape.exchange(self._fields(items))))
         self._halo.exchange_many(items)
 
-    def exchange(self, field_name, locals_, *, stagger_axis=None) -> None:
-        self.exchange_many([(field_name, locals_, stagger_axis)])
-
     def exchange_begin_many(self, items, *, overlap=True):
         pending = self._halo.exchange_begin_many(items, overlap=overlap)
         tape = self._tape
@@ -331,9 +310,6 @@ class _RecordingHalo:
             ("exchange_begin", tape.exchange(self._fields(items)), overlap, tape.opened(pending))
         )
         return pending
-
-    def exchange_begin(self, field_name, locals_, *, stagger_axis=None, overlap=True):
-        return self.exchange_begin_many([(field_name, locals_, stagger_axis)], overlap=overlap)
 
     def exchange_finish(self, pending) -> None:
         self._tape.stream.append(("exchange_finish", self._tape.closed(pending)))
@@ -361,10 +337,9 @@ class PlanRecorder:
     def __getattr__(self, name: str) -> Any:
         return getattr(self._side, name)
 
-    def ranks_when(self, flag: str) -> list[_RecordingRank]:
-        live = bool(getattr(self._side.rt_config, flag))
-        return [_RecordingRank(rt, r, self._tape, flag, live)
-                for r, rt in enumerate(self._side.ranks)]
+    def wrapper_inits(self) -> None:
+        self._tape.stream.append(("wrapper_inits",))
+        self._side.wrapper_inits()
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[None]:
@@ -469,14 +444,11 @@ def _check_side(plan: StepPlan, side: RuntimeSide, n_steps: int) -> None:
 
 
 class _Player:
-    """One replay's tables: per rank the launches lowered so far, shape-only
-    exchange items, placeholder reduction values."""
+    """One replay's tables: shape-only exchange items, placeholder reduction
+    values. A launch is priced from its engine's memo, as a live one is."""
 
     def __init__(self, plan: StepPlan, side: RuntimeSide) -> None:
-        self.side, self.specs, self.cfg = side, plan.specs, side.rt_config
-        #: Per rank, spec index -> ``RankRuntime._lower``'s answer; like the
-        #: engines' prices, valid for one (env epoch, working set).
-        self.lowered = [PriceMemo() for _ in side.ranks]
+        self.side, self.specs = side, plan.specs
         self.items = [
             [(f, [ShapeOnly(s) for s in shapes], stagger) for f, stagger, shapes in flds]
             for flds in plan.exchanges
@@ -487,44 +459,24 @@ class _Player:
         self.pending: dict[tuple, Any] = {}
 
     def play(self, stream: Stream) -> None:
-        specs, cfg, handlers = self.specs, self.cfg, _HANDLERS
-        ranks, lowered = self.side.ranks, self.lowered
+        specs, handlers, ranks = self.specs, _HANDLERS, self.side.ranks
         for ev in stream:
             category = LAUNCHES.get(ev[0])
             if category is None:
                 handlers[ev[0]](self, ev)
-            elif ev[3] is None or getattr(cfg, ev[3]):
-                rt = ranks[ev[1]]
-                if not rt._direct(category):  # buffered, or a shadow watches
-                    rt._dispatch(specs[ev[2]], category)
-                    continue
-                held = lowered[ev[1]].entries(rt.env.epoch, rt.working_set_bytes)
-                entry = held.get(ev[2])
-                if entry is None:
-                    entry = held[ev[2]] = rt._lower(specs[ev[2]], category)
-                rt._charge(entry)
+            else:
+                ranks[ev[1]]._dispatch(specs[ev[2]], category)
 
     def _region_open(self, ev: Event) -> None:
-        if ev[2] is None or getattr(self.cfg, ev[2]):
-            region = self.side.ranks[ev[1]].region()
-            region.__enter__()
-            self.regions[ev[1]].append(region)
+        region = self.side.ranks[ev[1]].region()
+        region.__enter__()
+        self.regions[ev[1]].append(region)
 
     def _region_close(self, ev: Event) -> None:
-        if ev[2] is None or getattr(self.cfg, ev[2]):
-            self.regions[ev[1]].pop().__exit__(None, None, None)
+        self.regions[ev[1]].pop().__exit__(None, None, None)
 
-    def _sync(self, ev: Event) -> None:
-        self.side.ranks[ev[1]].sync()
-
-    def _update_host(self, ev: Event) -> None:
-        self.side.ranks[ev[1]].update_host(ev[2], ev[3])
-
-    def _update_device(self, ev: Event) -> None:
-        self.side.ranks[ev[1]].update_device(ev[2], ev[3])
-
-    def _host_access(self, ev: Event) -> None:
-        self.side.ranks[ev[1]].host_access(ev[2], ev[3], TimeCategory(ev[4]))
+    def _wrapper_inits(self, ev: Event) -> None:
+        self.side.wrapper_inits()
 
     def _ensure_buffers(self, ev: Event) -> None:
         self.side.halo.ensure_buffers(ev[1])

@@ -227,10 +227,16 @@ class RuntimeSide:
 
     # ------------------------------------------------------- what a model emits
 
-    def ranks_when(self, flag: str) -> list[RankRuntime]:
-        """The ranks if this code version has ``RuntimeConfig.<flag>``, else
-        none: how a model issues kernels only some versions run."""
-        return self.ranks if getattr(self.rt_config, flag) else []
+    def wrapper_inits(self) -> None:
+        """Code 6's wrapper create+init routines zero every temporary on
+        creation, adding initialization kernels per step that the original
+        code did not have -- the paper's explanation for Code 6 trailing
+        Code 2 slightly (SV-C). Other versions issue nothing."""
+        if self.rt_config.wrapper_init_kernels:
+            for rt in self.ranks:
+                with rt.region():
+                    for name in WORK_ARRAYS:
+                        rt.loop(KernelSpec(f"wrapper_zero_{name}", writes=(name,)))
 
     def span(self, name: str, **attrs: Any) -> ContextManager:
         """A span of the active telemetry session."""

@@ -15,8 +15,7 @@ OpenACC loops inside a region, and between synchronization points with
 cross-region fusion, wait there and launch as one fusion plan when the
 region closes or anything else needs the device in order. A launch charged
 at once is *lowered* (``_lower``: engine, held price, counted category) and
-*charged* (``_charge``); a replay keeps what ``_lower`` gave and charges
-it again while ``_direct`` says nothing would buffer it or watch it.
+*charged* (``_charge``).
 
 Numerical bodies always execute eagerly at submission, so results are
 bit-identical across code versions (the paper validated all versions
@@ -358,9 +357,9 @@ class RankRuntime:
         return engine, engine.price(spec), category
 
     def _direct(self, category: LoopCategory) -> bool:
-        """Whether a launch of ``category`` lowered ahead of time may be
-        charged now, its body run by the caller: the pending buffer would
-        not take it and no shadow checker has to see it."""
+        """Whether a launch of ``category`` would be charged at once: the
+        pending buffer would not take it and no shadow checker has to see
+        it (the halo walk records or plays only then)."""
         return self._shadow is None and category not in self._holding
 
     def _charge(self, lowered: Lowered) -> None:

@@ -89,11 +89,11 @@ def priced_launch(
 
 
 class PriceMemo:
-    """Priced launches by cost key (or, in a replay, lowered launches by
-    spec index), valid for one (data-environment epoch, working set) pair
-    and dropped as a whole when that pair moves. :attr:`numbers` holds,
-    for the same window, the seconds of each (bytes, flops per byte,
-    category, ``mpi_pack`` tag) an engine derived."""
+    """Priced launches by cost key, valid for one (data-environment epoch,
+    working set) pair and dropped as a whole when that pair moves. A live
+    launch and a replayed one are priced from the same memo.
+    :attr:`numbers` holds, for the same window, the seconds of each (bytes,
+    flops per byte, category, ``mpi_pack`` tag) an engine derived."""
 
     __slots__ = ("_epoch", "_working_set", "_entries", "numbers")
 

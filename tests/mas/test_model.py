@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.codes import CodeVersion, GPU_VERSIONS, runtime_config_for
-from repro.mas.model import MasModel, ModelConfig, WORK_ARRAYS, fast_speed
+from repro.mas.model import MasModel, ModelConfig, fast_speed
+from repro.mas.runtime_side import WORK_ARRAYS
 from tests.mas.validate import states_equivalent
 
 

@@ -28,11 +28,12 @@ from repro.codes import CodeVersion, GPU_VERSIONS, runtime_config_for
 from repro.experiments.sensitivity import PERTURBED_CONSTANTS, _perturb
 from repro.mas.model import MasModel, ModelConfig
 from repro.mas.plan import PlanRecorder, StepPlan, replay, run_planned
-from repro.mas.runtime_side import RuntimeSide
+from repro.mas.runtime_side import WORK_ARRAYS, RuntimeSide
+from repro.mpi import collectives
 from repro.obs.telemetry import session
 from repro.perf.calibration import Calibration, build_model, model_settings
 from repro.runtime.dispatcher import RankRuntime
-from repro.runtime.kernel import KernelSpec
+from repro.runtime.kernel import LAUNCHES, KernelSpec, LoopCategory
 from tests.integration.test_migration_gate import CASES, GOLDEN, STEPS, configs, record_runtime
 from tests.mas.fig_fixture import FIXTURE, fig2_pairs, fig3_pairs, telemetry_digest
 
@@ -179,7 +180,7 @@ def _run(plans, version, cal):
     return run_planned(plans, 2, config, rt_config, **hardware)
 
 
-# -- a replay charges lowered launches, and falls back where it must -----------------
+# -- a replay launches as the live run does: buffered, watched, repriced ---------------
 
 
 @pytest.fixture(scope="module")
@@ -273,8 +274,8 @@ def _swap_sizes(rt, a: str, b: str) -> None:
 @pytest.mark.parametrize("version", ["A", "D2XU", "CPU"])
 def test_a_launch_is_lowered_again_after_the_epoch_moves(version):
     """One spec launched, the epoch moved under an unchanged working set,
-    the spec launched again: the replay's table must not hand out the
-    price it held."""
+    the spec launched again: the replay must not be handed the price
+    held before."""
     from repro.mas.plan import _Player
 
     cfg = ModelConfig(num_ranks=1, **SMALL)
@@ -334,6 +335,12 @@ def small_plan() -> StepPlan:
     return record_plan(cfg, runtime_config_for(CodeVersion.A), 2)[1]
 
 
+def _renamed_first(stream: list, kind: str, name: str) -> list:
+    """``stream`` with the first ``kind`` event's second element ``name``."""
+    i = next(i for i, ev in enumerate(stream) if ev[0] == kind)
+    return [*stream[:i], (kind, name, *stream[i][2:]), *stream[i + 1:]]
+
+
 class TestReplayRefuses:
     @pytest.mark.parametrize("what,fields", [
         ("num_ranks", dict(num_ranks=4)),
@@ -378,9 +385,10 @@ class TestReplayRefuses:
         (lambda s: [e for e in s if e[0] != "exchange_begin"], "with no begin"),
         (lambda s: [e for e in s if e[0] != "region_close"], "left open"),
         (lambda s: [e for e in s if e[0] != "span_close"], "left open"),
-        (lambda s: s[:1] + [s[1][:2]] + s[2:], "malformed"),
-        (lambda s: s + [("loop", 7, 0, None)], "rank 7"),
-        (lambda s: s + [("loop", 0, 10_000, None)], "unknown spec"),
+        (lambda s: s[:3] + [s[3][:2]] + s[4:], "malformed"),
+        (lambda s: s + [("loop", 7, 0)], "rank 7"),
+        (lambda s: s + [("loop", 0, 10_000)], "unknown spec"),
+        (lambda s: _renamed_first(s, "allreduce", "barrier"), "unknown collective 'barrier'"),
     ])
     def test_a_damaged_stream(self, small_plan, damage, why):
         side = RuntimeSide(small_plan.config, runtime_config_for(CodeVersion.A))
@@ -467,48 +475,67 @@ class TestPlanAtRest:
 
 
 def test_the_wrappers_record_every_entry_point():
-    """The model emits no ``sync`` or data directive today; the wrappers
-    carry them all the same, and a replay prices them."""
+    """What a model calls, on Code 6's side, whose ``wrapper_inits`` issues
+    kernels: each event kind, and a replay equal to the live run."""
     cfg = ModelConfig(num_ranks=1, **SMALL)
-    rt_cfg = runtime_config_for(CodeVersion.A)
+    rt_cfg = runtime_config_for(CodeVersion.D2XAD)
+    item = [("rho", [np.zeros((10, 8, 10))], None)]
 
     def drive(run):
         run.register_arrays()
         rt = run.ranks[0]
         run.begin_step()
-        rt.atomic_loop(KernelSpec("touch", reads=("rho",), writes=("temp",)))
-        rt.update_host("rho", 0.5)
-        rt.update_device("rho")
-        rt.host_access("temp")
-        rt.sync()
-        run.halo.exchange("rho", [np.zeros((10, 8, 10))])
+        run.wrapper_inits()
+        for entry in LAUNCHES:
+            getattr(rt, entry)(KernelSpec("touch", reads=("rho",), writes=("temp",)))
+        with rt.region():
+            rt.loop(KernelSpec("fused", writes=("temp",)))
+        run.halo.exchange_many(item)
+        run.halo.exchange_finish(run.halo.exchange_begin_many(item, overlap=True))
+        run.allreduce(collectives.allreduce_sum, [1.0])
         return run.end_step(0, 0.1, 0.1)
 
     recorder = PlanRecorder(RuntimeSide(cfg, rt_cfg))
     live = drive(recorder)
     plan = recorder.finish()
     assert [e[0] for e in plan.streams[0]] == [
-        "atomic_loop", "update_host", "update_device", "host_access", "sync",
-        "exchange_many",
+        "wrapper_inits", *LAUNCHES, "region_open", "loop", "region_close",
+        "exchange_many", "exchange_begin", "exchange_finish", "allreduce",
     ]
-    assert replay(plan, RuntimeSide(cfg, rt_cfg)) == [live]
+    atomic = plan.specs[plan.streams[0][1 + list(LAUNCHES).index("atomic_loop")][2]]
+    assert atomic.category is LoopCategory.ATOMIC_OTHER
+    assert not any(s.name.startswith("wrapper_zero_") for s in plan.specs)
+    side = RuntimeSide(cfg, rt_cfg)
+    assert replay(plan, side) == [live]
+    assert record_runtime(side) == record_runtime(recorder)
+    (without,) = replay(plan, RuntimeSide(cfg, replace(rt_cfg, wrapper_init_kernels=False)))
+    assert live.launches - without.launches == len(WORK_ARRAYS)
 
 
 # -- the plan as an artifact ---------------------------------------------------------
 
 
+def paper_steps() -> int:
+    from repro.perf.calibration import PAPER_CALIBRATION as cal
+
+    return cal.warmup_steps + cal.bench_steps
+
+
 def paper_plans() -> dict[str, StepPlan]:
     """Code 1's plan per GPU count at the paper calibration: what
     ``run_fig2`` records."""
-    from repro.perf.calibration import PAPER_CALIBRATION as cal
-
     out = {}
     for n in (1, 2, 4, 8):
         plans: dict = {}
         config, rt_config, hardware = model_settings(CodeVersion.A, n)
-        run_planned(plans, cal.warmup_steps + cal.bench_steps, config, rt_config, **hardware)
+        run_planned(plans, paper_steps(), config, rt_config, **hardware)
         (out[str(n)],) = plans.values()
     return out
+
+
+@pytest.fixture(scope="module")
+def code1_paper_plans() -> dict[str, StepPlan]:
+    return paper_plans()
 
 
 def artifact(plan: StepPlan) -> dict:
@@ -520,9 +547,27 @@ def artifact(plan: StepPlan) -> dict:
     }
 
 
-def test_the_kernel_stream_is_the_recorded_one():
+def test_code_1s_paper_plan_holds_no_code_6_kernel(code1_paper_plans):
+    """Code 6's per-step ``wrapper_zero_*`` kernels are its side's: Code 1's
+    plan holds none and no event names Code 6's flag -- yet the plan
+    replayed on Code 6's side is a live Code 6 run."""
+    plan = code1_paper_plans["2"]
+    assert not any(s.name.startswith("wrapper_zero_") for s in plan.specs)
+    events = [ev for stream in (plan.setup, *plan.streams) for ev in stream]
+    assert not any("wrapper_init_kernels" in ev for ev in events)
+    assert plan.counts()["wrapper_inits"] == len(plan.streams)
+    config, rt_config, hardware = model_settings(CodeVersion.D2XAD, 2)
+    side = RuntimeSide(config, rt_config, **hardware)
+    live = MasModel(config, rt_config, **hardware)
+    assert replay(plan, side) == live.run(paper_steps())
+    assert [rt.clock.now.hex() for rt in side.ranks] == [rt.clock.now.hex() for rt in live.ranks]
+    assert [rt.stats for rt in side.ranks] == [rt.stats for rt in live.ranks]
+    assert record_runtime(side) == record_runtime(live)
+
+
+def test_the_kernel_stream_is_the_recorded_one(code1_paper_plans):
     want = json.loads(PLAN_GOLDEN.read_text())
-    for ranks, plan in paper_plans().items():
+    for ranks, plan in code1_paper_plans.items():
         got = artifact(plan)
         if got == want[ranks]:
             continue

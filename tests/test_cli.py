@@ -551,6 +551,8 @@ class TestSweep:
             (["sweep", "--members", "2", "--vary", "viscosity=1e-3:2e-3",
               "--vary", "viscosity=3e-3:4e-3", "--steps", "1", "--shape", "8", "6", "8"],
              "vary 'viscosity' more than once"),
+            (["sweep", "--members", "2", "--vary", "viscosity=abc:1", "--steps", "1",
+              "--shape", "8", "6", "8"], "--vary 'viscosity=abc:1': a bound is not a number"),
         ],
     )
     def test_bad_configuration_is_one_line_and_exit_2(
